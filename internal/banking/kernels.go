@@ -29,10 +29,8 @@ const (
 	sessionOps = 64
 )
 
-// wordSize is the interleaving granularity of column-major cohort
-// buffers: threads store 4-byte words so that a warp's lanes cover a full
-// 128-byte transaction.
-const wordSize = 4
+// wordSize is the column interleaving granularity (simt.WordSize).
+const wordSize = simt.WordSize
 
 // ParseBatch is a reader batch on the device: raw request bytes in a
 // Size×RequestSlot buffer plus the parsed-record mirror the parser kernel
@@ -212,69 +210,6 @@ func (dc *DeviceCohort) ResponseRow(m *mem.Memory, r int) []byte {
 	return m.Read(dc.RespRow+mem.Addr(r*buf), buf)
 }
 
-// columnBase returns the base address of request r's column in a
-// word-interleaved buffer starting at buf.
-func columnBase(buf mem.Addr, r int) mem.Addr { return buf + mem.Addr(wordSize*r) }
-
-// loadColumn reads n bytes of request r's column from a cohort buffer of
-// `rows` slots (n must be a multiple of wordSize).
-func loadColumn(t *simt.Thread, buf mem.Addr, r, rows, n int) []byte {
-	return t.LoadStrided(columnBase(buf, r), n/wordSize, wordSize, wordSize*rows)
-}
-
-// storeColumn writes data into request r's column starting at byte offset
-// start, issuing the word accesses a CUDA thread would: a partial leading
-// word, aligned middle words, and a partial trailing word. When every
-// lane's start matches (the padded, aligned case) the stores coalesce;
-// when starts diverge they scatter.
-func storeColumn(t *simt.Thread, buf mem.Addr, r, rows, start int, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	stride := wordSize * rows
-	pos := start
-	// Partial head word.
-	if h := pos % wordSize; h != 0 {
-		n := wordSize - h
-		if n > len(data) {
-			n = len(data)
-		}
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r+h)
-		t.Store(addr, data[:n])
-		data = data[n:]
-		pos += n
-	}
-	// Aligned middle.
-	if n := len(data) / wordSize * wordSize; n > 0 {
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r)
-		t.StoreStrided(addr, data[:n], wordSize, stride)
-		data = data[n:]
-		pos += n
-	}
-	// Partial tail word.
-	if len(data) > 0 {
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r)
-		t.Store(addr, data)
-	}
-}
-
-// writeColumnRaw writes data (a multiple of wordSize long) into request
-// r's column starting at offset 0, functionally only — no memory traffic
-// is charged. It backs deferred device-backend stores, whose
-// identical-shape cost was already priced by a blank storeColumn from
-// the kernel block that deferred them.
-func writeColumnRaw(m *mem.Memory, buf mem.Addr, r, rows int, data []byte) {
-	if len(data)%wordSize != 0 {
-		panic("banking: raw column write not word-aligned")
-	}
-	stride := wordSize * rows
-	words := len(data) / wordSize
-	b := m.Bytes(columnBase(buf, r), (words-1)*stride+wordSize)
-	for i := 0; i < words; i++ {
-		copy(b[i*stride:i*stride+wordSize], data[i*wordSize:(i+1)*wordSize])
-	}
-}
-
 // storeRow writes data at byte offset start of request r's row-major slot
 // (slot size rowBytes), as the per-word loop a thread would execute —
 // the uncoalesced layout the transpose ablation measures.
@@ -324,7 +259,7 @@ func (p parserProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 	case b == 0: // scan the raw request
 		var raw []byte
 		if p.args.ColMajor {
-			raw = loadColumn(t, pb.ColBuf, r, pb.Size, RequestSlot)
+			raw = simt.LoadColumn(t, pb.ColBuf, r, pb.Size, RequestSlot)
 		} else {
 			raw = t.Load(pb.Buf+mem.Addr(r*RequestSlot), RequestSlot)
 		}
@@ -450,7 +385,7 @@ func (p stageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		ctx := dc.Ctxs[r]
 		var bresp []byte
 		if a.Stage > 0 {
-			bresp = loadColumn(t, dc.BRespBuf, r, dc.Size, backend.ResponseSlot)
+			bresp = simt.LoadColumn(t, dc.BRespBuf, r, dc.Size, backend.ResponseSlot)
 		}
 		breq := a.Service.Stage(ctx, a.Stage, bresp)
 		p.chargeDelta(t, r)
@@ -463,7 +398,7 @@ func (p stageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		if a.Stage < a.Service.Spec.Backends {
 			slot := make([]byte, backend.RequestSlot)
 			copy(slot, breq)
-			storeColumn(t, dc.BReqBuf, r, dc.Size, 0, slot)
+			simt.StoreColumn(t, dc.BReqBuf, r, dc.Size, 0, slot)
 			if a.Besim != nil {
 				return 2
 			}
@@ -471,23 +406,23 @@ func (p stageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		}
 		return 3
 	case 2: // on-device Besim (Titan B/C)
-		breq := loadColumn(t, dc.BReqBuf, r, dc.Size, backend.RequestSlot)
+		breq := simt.LoadColumn(t, dc.BReqBuf, r, dc.Size, backend.RequestSlot)
 		t.Compute(besimDeviceOps)
 		// The store's cost is content-independent (always the full
-		// fixed-size slot), so price it now with a blank slot and defer
-		// the backend execution itself: Besim mutates one shared
+		// fixed-size slot), so price it now and defer the backend
+		// execution itself: Besim mutates one shared
 		// database, and mutation order must match the serial thread
 		// order for the rendered pages (balances, confirmation ids) to
 		// be identical to a serial run's. The response is only read by
 		// the NEXT stage kernel, so materializing it at end-of-launch is
 		// unobservable. See DESIGN.md "Host parallelism".
-		storeColumn(t, dc.BRespBuf, r, dc.Size, 0, make([]byte, backend.ResponseSlot))
+		simt.ChargeColumn(t, dc.BRespBuf, r, dc.Size, backend.ResponseSlot)
 		m := t.Mem()
 		t.Defer(func() {
 			resp := a.Besim.Handle(breq)
 			slot := make([]byte, backend.ResponseSlot)
 			copy(slot, resp)
-			writeColumnRaw(m, dc.BRespBuf, r, dc.Size, slot)
+			simt.WriteColumnRaw(m, dc.BRespBuf, r, dc.Size, slot)
 		})
 		return simt.Halt // next stage kernel reads BRespBuf
 	case 3: // final stage: render and emit the response
@@ -540,7 +475,7 @@ func (p stageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
 			continue
 		}
 		if p.args.ColMajor {
-			storeColumn(t, dc.RespCol, r, dc.Size, lo, resp[lo:hi])
+			simt.StoreColumn(t, dc.RespCol, r, dc.Size, lo, resp[lo:hi])
 		} else {
 			storeRow(t, dc.RespRow, r, dc.Spec.BufferBytes(), lo, resp[lo:hi])
 		}
@@ -558,15 +493,15 @@ func BesimProgram(dc *DeviceCohort, db *backend.DB) simt.Program {
 	// replays serially in canonical order regardless of declarations.
 	return simt.WithFootprint(simt.FuncProgram{Label: "rhythm_besim", Body: func(t *simt.Thread) {
 		r := t.ID
-		breq := loadColumn(t, dc.BReqBuf, r, dc.Size, backend.RequestSlot)
+		breq := simt.LoadColumn(t, dc.BReqBuf, r, dc.Size, backend.RequestSlot)
 		t.Compute(besimDeviceOps)
-		storeColumn(t, dc.BRespBuf, r, dc.Size, 0, make([]byte, backend.ResponseSlot))
+		simt.ChargeColumn(t, dc.BRespBuf, r, dc.Size, backend.ResponseSlot)
 		m := t.Mem()
 		t.Defer(func() {
 			resp := db.Handle(breq)
 			slot := make([]byte, backend.ResponseSlot)
 			copy(slot, resp)
-			writeColumnRaw(m, dc.BRespBuf, r, dc.Size, slot)
+			simt.WriteColumnRaw(m, dc.BRespBuf, r, dc.Size, slot)
 		})
 	}}, simt.Footprint{})
 }

@@ -217,14 +217,14 @@ func TestCohortDeviceBytesAccounting(t *testing.T) {
 }
 
 func TestStoreColumnUnalignedOffsets(t *testing.T) {
-	// storeColumn must write correct bytes at any byte offset; the
+	// StoreColumn must write correct bytes at any byte offset; the
 	// aligned fast path and the partial-word paths must agree.
 	rig := newKernelRig(t, 8<<20)
 	const rows = 8
 	buf := rig.dev.Mem.Alloc(rows*64, 256)
 	payload := []byte("unaligned-payload!")
 	rig.dev.NewStream().Launch(simt.FuncProgram{Label: "uw", Body: func(th *simt.Thread) {
-		storeColumn(th, buf, th.ID, rows, 3+th.ID%4, payload)
+		simt.StoreColumn(th, buf, th.ID, rows, 3+th.ID%4, payload)
 	}}, rows, nil, nil)
 	rig.eng.Run()
 	// Un-interleave and check each row.
@@ -238,5 +238,82 @@ func TestStoreColumnUnalignedOffsets(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("row %d: %q", r, got)
 		}
+	}
+}
+
+// blankStoreStage is stageProgram with the device-backend block as it
+// was before ChargeColumn: store a zeroed response slot to price it,
+// then overwrite it from the deferred callback.
+type blankStoreStage struct{ stageProgram }
+
+func (p blankStoreStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
+	if b != 2 {
+		return p.stageProgram.Exec(b, t)
+	}
+	a, dc, r := p.args, p.args.Cohort, t.ID
+	breq := simt.LoadColumn(t, dc.BReqBuf, r, dc.Size, backend.RequestSlot)
+	t.Compute(besimDeviceOps)
+	simt.StoreColumn(t, dc.BRespBuf, r, dc.Size, 0, make([]byte, backend.ResponseSlot))
+	m := t.Mem()
+	t.Defer(func() {
+		slot := make([]byte, backend.ResponseSlot)
+		copy(slot, a.Besim.Handle(breq))
+		simt.WriteColumnRaw(m, dc.BRespBuf, r, dc.Size, slot)
+	})
+	return simt.Halt
+}
+
+// TestPriceOnlyBackendStoreMatchesBlankStore: pricing the backend
+// response store without moving a blank slot changes no simulated
+// number and no byte, on a two-stage cohort with a partial last warp.
+func TestPriceOnlyBackendStoreMatchesBlankStore(t *testing.T) {
+	const n = 40
+	run := func(blank bool) ([]simt.LaunchStats, simt.DeviceStats, []byte, []byte) {
+		rig := newKernelRig(t, 64<<20)
+		dc := NewDeviceCohort(rig.dev, Transfer, n)
+		dc.Reset(n)
+		for i := 0; i < n; i++ {
+			req, err := httpx.Parse(rig.gen.Request(Transfer))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dc.Reqs[i] = req
+		}
+		svc := ServiceFor(Transfer)
+		if svc.Spec.Backends < 1 {
+			t.Fatal("want a type with a backend stage")
+		}
+		var launches []simt.LaunchStats
+		stream := rig.dev.NewStream()
+		for k := 0; k <= svc.Spec.Backends; k++ {
+			prog := NewStageProgram(StageArgs{
+				Cohort: dc, Service: svc, Stage: k,
+				Sessions: rig.sessions, Padding: true, ColMajor: true, Besim: rig.db,
+			})
+			if blank {
+				prog = blankStoreStage{prog.(stageProgram)}
+			}
+			stream.Launch(prog, n, nil, func(ls simt.LaunchStats) { launches = append(launches, ls) })
+		}
+		rig.eng.Run()
+		return launches, rig.dev.Stats(),
+			rig.dev.Mem.Read(dc.BRespBuf, n*backend.ResponseSlot),
+			rig.dev.Mem.Read(dc.RespCol, n*dc.Spec.BufferBytes())
+	}
+	blankLS, blankDS, blankBResp, blankResp := run(true)
+	priceLS, priceDS, priceBResp, priceResp := run(false)
+	if len(priceLS) < 2 || len(priceLS) != len(blankLS) {
+		t.Fatalf("%d launches against %d", len(priceLS), len(blankLS))
+	}
+	for i := range priceLS {
+		if priceLS[i] != blankLS[i] {
+			t.Fatalf("launch %d stats differ:\n  blank store: %+v\n  price only:  %+v", i, blankLS[i], priceLS[i])
+		}
+	}
+	if priceDS != blankDS {
+		t.Fatalf("DeviceStats differ:\n  blank store: %+v\n  price only:  %+v", blankDS, priceDS)
+	}
+	if !bytes.Equal(priceBResp, blankBResp) || !bytes.Equal(priceResp, blankResp) {
+		t.Fatal("device memory differs")
 	}
 }

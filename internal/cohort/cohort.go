@@ -235,10 +235,11 @@ func (p *Pool[T]) Flush(key string) {
 
 // FlushOldest force-launches the longest-forming partial cohort,
 // releasing one context for other request types. It reports whether a
-// forming cohort existed.
+// forming cohort existed. Cohorts opened at the same instant go lowest
+// context index first (like Flush("")), so a run repeats exactly.
 func (p *Pool[T]) FlushOldest() bool {
 	var oldest *Context[T]
-	for _, c := range p.open {
+	for _, c := range p.contexts {
 		if c.state == PartiallyFull && (oldest == nil || c.openedAt < oldest.openedAt) {
 			oldest = c
 		}

@@ -1,6 +1,11 @@
 package mem
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+)
 
 func BenchmarkTranspose(b *testing.B) {
 	const rows, cols = 4096, 8192 // one 32 MB cohort buffer at word grain
@@ -18,15 +23,34 @@ func BenchmarkTranspose(b *testing.B) {
 	}
 }
 
-func BenchmarkTransposeElems4(b *testing.B) {
-	const rows, cols, elem = 4096, 2048, 4
-	m := New(2*rows*cols*elem + 256)
-	src := m.Alloc(rows*cols*elem, 128)
-	dst := m.Alloc(rows*cols*elem, 128)
-	b.SetBytes(int64(rows * cols * elem))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TransposeElems(m, dst, src, rows, cols, elem)
+// BenchmarkTransposeWords times the response transpose of one cohort
+// (4096 words = a 16 KB buffer per request, cohorts of 128 and 1024) on
+// one host thread and cut into NumCPU bands; MB/s over 4 gives words/s.
+func BenchmarkTransposeWords(b *testing.B) {
+	const rows, elem = 4096, 4
+	for _, cols := range []int{128, 1024} {
+		for _, bands := range []int{1, runtime.NumCPU()} {
+			b.Run(fmt.Sprintf("%dx%d/bands=%d", rows, cols, bands), func(b *testing.B) {
+				n := rows * cols * elem
+				m := New(2*n + 256)
+				src := m.Alloc(n, 128)
+				dst := m.Alloc(n, 128)
+				b.SetBytes(int64(n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for band := 1; band < bands; band++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							TransposeBand(m, dst, src, rows, cols, elem, rows, cols, band, bands)
+						}()
+					}
+					TransposeBand(m, dst, src, rows, cols, elem, rows, cols, 0, bands)
+					wg.Wait()
+				}
+			})
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package mem
 
+import "encoding/binary"
+
 // Transpose converts a cohort's buffers between row-major layout (each
 // request's buffer contiguous — what the NIC wants) and column-major
 // layout (thread buffers interleaved in the sequential address space —
@@ -11,31 +13,7 @@ package mem
 // Element (r, c) of src (row-major) lands at (c, r) of dst, i.e.
 // dst[c*rows+r] = src[r*cols+c].
 func Transpose(m *Memory, dst, src Addr, rows, cols int) {
-	if rows <= 0 || cols <= 0 {
-		panic("mem: transpose dimensions must be positive")
-	}
-	n := rows * cols
-	s := m.Bytes(src, n)
-	d := m.Bytes(dst, n)
-	if overlaps(src, dst, n) {
-		panic("mem: transpose buffers overlap")
-	}
-	// Blocked transpose: the tiling mirrors the shared-memory tile scheme
-	// of the CUDA transpose the paper cites [48] and keeps both arrays'
-	// accesses within cache lines on the host.
-	const tile = 32
-	for r0 := 0; r0 < rows; r0 += tile {
-		rmax := min(r0+tile, rows)
-		for c0 := 0; c0 < cols; c0 += tile {
-			cmax := min(c0+tile, cols)
-			for r := r0; r < rmax; r++ {
-				row := s[r*cols : r*cols+cols]
-				for c := c0; c < cmax; c++ {
-					d[c*rows+r] = row[c]
-				}
-			}
-		}
-	}
+	TransposeElems(m, dst, src, rows, cols, 1)
 }
 
 // TransposeElems transposes a rows×cols matrix of elem-byte elements.
@@ -44,31 +22,7 @@ func Transpose(m *Memory, dst, src Addr, rows, cols int) {
 // Transpose. src and dst address rows*cols*elem bytes and must not
 // overlap. Element (r, c) of src lands at (c, r) of dst.
 func TransposeElems(m *Memory, dst, src Addr, rows, cols, elem int) {
-	if elem == 1 {
-		Transpose(m, dst, src, rows, cols)
-		return
-	}
-	if rows <= 0 || cols <= 0 || elem <= 0 {
-		panic("mem: transpose dimensions must be positive")
-	}
-	n := rows * cols * elem
-	s := m.Bytes(src, n)
-	d := m.Bytes(dst, n)
-	if overlaps(src, dst, n) {
-		panic("mem: transpose buffers overlap")
-	}
-	const tile = 32
-	for r0 := 0; r0 < rows; r0 += tile {
-		rmax := min(r0+tile, rows)
-		for c0 := 0; c0 < cols; c0 += tile {
-			cmax := min(c0+tile, cols)
-			for r := r0; r < rmax; r++ {
-				for c := c0; c < cmax; c++ {
-					copy(d[(c*rows+r)*elem:(c*rows+r+1)*elem], s[(r*cols+c)*elem:(r*cols+c+1)*elem])
-				}
-			}
-		}
-	}
+	TransposeElemsRange(m, dst, src, rows, cols, elem, rows, cols)
 }
 
 // TransposeElemsRange transposes only the [0,liveRows)×[0,liveCols)
@@ -78,12 +32,24 @@ func TransposeElems(m *Memory, dst, src Addr, rows, cols, elem int) {
 // hardware would still stream the whole buffer (charge accordingly) but
 // the simulation need only move the meaningful bytes.
 func TransposeElemsRange(m *Memory, dst, src Addr, rows, cols, elem, liveRows, liveCols int) {
-	if liveRows == rows && liveCols == cols {
-		TransposeElems(m, dst, src, rows, cols, elem)
-		return
-	}
+	TransposeBand(m, dst, src, rows, cols, elem, liveRows, liveCols, 0, 1)
+}
+
+// transposeTile is the tile edge in elements: a 16×16 tile of 4-byte
+// words is 16 cache lines of each array, and the inner loop fills one
+// destination line.
+const transposeTile = 16
+
+// TransposeBand does band `band` of `bands` of TransposeElemsRange: the
+// destination rows (source columns) are cut into `bands` contiguous runs
+// of whole tiles, so the bands of one transpose write disjoint bytes and
+// may run on different host threads. Every band validates the arguments.
+func TransposeBand(m *Memory, dst, src Addr, rows, cols, elem, liveRows, liveCols, band, bands int) {
 	if rows <= 0 || cols <= 0 || elem <= 0 || liveRows < 0 || liveCols < 0 || liveRows > rows || liveCols > cols {
 		panic("mem: bad transpose range")
+	}
+	if bands <= 0 || band < 0 || band >= bands {
+		panic("mem: bad transpose band")
 	}
 	n := rows * cols * elem
 	s := m.Bytes(src, n)
@@ -91,17 +57,44 @@ func TransposeElemsRange(m *Memory, dst, src Addr, rows, cols, elem, liveRows, l
 	if overlaps(src, dst, n) {
 		panic("mem: transpose buffers overlap")
 	}
-	const tile = 32
-	for r0 := 0; r0 < liveRows; r0 += tile {
-		rmax := min(r0+tile, liveRows)
-		for c0 := 0; c0 < liveCols; c0 += tile {
-			cmax := min(c0+tile, liveCols)
-			for r := r0; r < rmax; r++ {
+	tiles := (liveCols + transposeTile - 1) / transposeTile
+	cLo := min(tiles*band/bands*transposeTile, liveCols)
+	cHi := min(tiles*(band+1)/bands*transposeTile, liveCols)
+	for c0 := cLo; c0 < cHi; c0 += transposeTile {
+		cmax := min(c0+transposeTile, cHi)
+		for r0 := 0; r0 < liveRows; r0 += transposeTile {
+			rmax := min(r0+transposeTile, liveRows)
+			if elem == 4 {
+				// Destination-contiguous: row c of dst is filled left
+				// to right from a column of the source tile.
 				for c := c0; c < cmax; c++ {
+					GatherWords(d[(c*rows+r0)*4:(c*rows+rmax)*4], s[(r0*cols+c)*4:], cols*4)
+				}
+				continue
+			}
+			for c := c0; c < cmax; c++ {
+				for r := r0; r < rmax; r++ {
 					copy(d[(c*rows+r)*elem:(c*rows+r+1)*elem], s[(r*cols+c)*elem:(r*cols+c+1)*elem])
 				}
 			}
 		}
+	}
+}
+
+// GatherWords fills dst with the 4-byte words of src at byte offsets
+// 0, stride, 2*stride, ... — one load and one store per word, where a
+// 4-byte copy is a call.
+func GatherWords(dst, src []byte, stride int) {
+	for i, o := 0, 0; i+4 <= len(dst); i, o = i+4, o+stride {
+		binary.LittleEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(src[o:]))
+	}
+}
+
+// ScatterWords writes the 4-byte words of src to dst at byte offsets
+// 0, stride, 2*stride, ...
+func ScatterWords(dst, src []byte, stride int) {
+	for i, o := 0, 0; i+4 <= len(src); i, o = i+4, o+stride {
+		binary.LittleEndian.PutUint32(dst[o:], binary.LittleEndian.Uint32(src[i:]))
 	}
 }
 
@@ -112,10 +105,3 @@ func overlaps(a, b Addr, n int) bool {
 // TransposeBytes computes the bytes moved by a transpose of rows*cols:
 // one read and one write of every byte. Used by the device cost model.
 func TransposeBytes(rows, cols int) int { return 2 * rows * cols }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -17,11 +17,6 @@ const (
 	sessionOps     = 64
 )
 
-// wordSize is the interleaving granularity of column-major cohort
-// buffers: threads store 4-byte words so a warp's lanes cover a full
-// 128-byte transaction.
-const wordSize = 4
-
 // pageCohort is the device-resident geometry of one typed cohort plus
 // its host mirror, allocated per (execution slot, buffer class) and
 // rebound across types of the class.
@@ -146,58 +141,6 @@ func (u *pageUnit) Failed(i int) bool {
 	return ctx != nil && ctx.Err != ""
 }
 
-// Column helpers — identical access shapes to banking's kernels.
-
-func columnBase(buf mem.Addr, r int) mem.Addr { return buf + mem.Addr(wordSize*r) }
-
-func loadColumn(t *simt.Thread, buf mem.Addr, r, rows, n int) []byte {
-	return t.LoadStrided(columnBase(buf, r), n/wordSize, wordSize, wordSize*rows)
-}
-
-func storeColumn(t *simt.Thread, buf mem.Addr, r, rows, start int, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	stride := wordSize * rows
-	pos := start
-	if h := pos % wordSize; h != 0 {
-		n := wordSize - h
-		if n > len(data) {
-			n = len(data)
-		}
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r+h)
-		t.Store(addr, data[:n])
-		data = data[n:]
-		pos += n
-	}
-	if n := len(data) / wordSize * wordSize; n > 0 {
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r)
-		t.StoreStrided(addr, data[:n], wordSize, stride)
-		data = data[n:]
-		pos += n
-	}
-	if len(data) > 0 {
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r)
-		t.Store(addr, data)
-	}
-}
-
-// writeColumnRaw writes data (a wordSize multiple) into request r's
-// column functionally, charging no memory traffic — it backs deferred
-// backend stores whose identical-shape cost a blank storeColumn already
-// priced.
-func writeColumnRaw(m *mem.Memory, buf mem.Addr, r, rows int, data []byte) {
-	if len(data)%wordSize != 0 {
-		panic("service: raw column write not word-aligned")
-	}
-	stride := wordSize * rows
-	words := len(data) / wordSize
-	b := m.Bytes(columnBase(buf, r), (words-1)*stride+wordSize)
-	for i := 0; i < words; i++ {
-		copy(b[i*stride:i*stride+wordSize], data[i*wordSize:(i+1)*wordSize])
-	}
-}
-
 // pageStageProgram runs process stage `stage` for every live request of
 // the cohort. Blocks: 0 = session/context prologue; 1 = stage body;
 // 2 = on-device backend (deferred commit); 3 = response emission;
@@ -256,7 +199,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		ctx := pc.ctxs[r]
 		var bresp []byte
 		if p.stage > 0 {
-			bresp = loadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
+			bresp = simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -269,27 +212,27 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		if p.stage < def.Backends {
 			slot := make([]byte, BackendRequestSlot)
 			copy(slot, breq)
-			storeColumn(t, pc.breqBuf, r, pc.size, 0, slot)
+			simt.StoreColumn(t, pc.breqBuf, r, pc.size, 0, slot)
 			return 2
 		}
 		return 3
 	case 2: // on-device backend: price now, commit deferred
-		breq := loadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)
+		breq := simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)
 		t.Compute(besimDeviceOps)
 		// The store's cost is content-independent (always the full
-		// slot), so price it with a blank slot and defer the execution:
-		// the store mutates shared state and must commit in canonical
-		// serial order for the rendered bytes to match a serial run's.
-		// The response is only read by the NEXT stage kernel, so
-		// materializing it at end-of-launch is unobservable.
-		storeColumn(t, pc.brespBuf, r, pc.size, 0, make([]byte, BackendResponseSlot))
+		// slot), so price it now and defer the execution: the store
+		// mutates shared state and must commit in canonical serial order
+		// for the rendered bytes to match a serial run's. The response
+		// is only read by the NEXT stage kernel, so materializing it at
+		// end-of-launch is unobservable.
+		simt.ChargeColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
 		m := t.Mem()
 		be := u.be
 		t.Defer(func() {
 			resp := be.Handle(breq)
 			slot := make([]byte, BackendResponseSlot)
 			copy(slot, resp)
-			writeColumnRaw(m, pc.brespBuf, r, pc.size, slot)
+			simt.WriteColumnRaw(m, pc.brespBuf, r, pc.size, slot)
 		})
 		return simt.Halt // next stage kernel reads brespBuf
 	case 3: // final stage: render and emit
@@ -326,5 +269,5 @@ func (p pageStageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
 	buf := pc.scratch.Get().([]byte)
 	defer pc.scratch.Put(buf)
 	resp := pc.w.Render(ctx, buf)
-	storeColumn(t, pc.respCol, r, pc.size, 0, resp)
+	simt.StoreColumn(t, pc.respCol, r, pc.size, 0, resp)
 }

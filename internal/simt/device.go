@@ -458,6 +458,10 @@ func (s *Stream) MemcpyD2H(src mem.Addr, n int, done func(data []byte)) {
 	})
 }
 
+// transposeBandBytes is the least a transpose band moves: below it,
+// waking a host worker costs more than the band.
+const transposeBandBytes = 64 << 10
+
 // Transpose enqueues an on-device transpose of a rows×cols matrix of
 // elem-byte elements from src to dst. It is modeled as a
 // bandwidth-bound kernel (one read + one write of every byte), matching
@@ -469,11 +473,15 @@ func (s *Stream) Transpose(dst, src mem.Addr, rows, cols, elem int, done func())
 // TransposeLive is Transpose for a partially filled fixed-geometry
 // buffer: the device streams (and is charged for) the whole rows×cols
 // matrix, but only the [0,liveRows)×[0,liveCols) corner holds meaningful
-// data, so only it is moved functionally.
+// data, so only it is moved functionally — in bands of destination rows
+// on the host pool, which write disjoint bytes (mem.TransposeBand).
 func (s *Stream) TransposeLive(dst, src mem.Addr, rows, cols, elem, liveRows, liveCols int, done func()) {
 	d := s.dev
 	s.enqueue(func(complete func()) {
-		mem.TransposeElemsRange(d.Mem, dst, src, rows, cols, elem, liveRows, liveCols)
+		bands := max(1, min(d.Cfg.hostWorkers(), liveRows*liveCols*elem/transposeBandBytes))
+		parallelFor(bands, bands, func(b int) {
+			mem.TransposeBand(d.Mem, dst, src, rows, cols, elem, liveRows, liveCols, b, bands)
+		})
 		bytes := int64(mem.TransposeBytes(rows, cols*elem))
 		dur := sim.Time(float64(bytes)/d.Cfg.MemBandwidth*1e9) + sim.Time(d.Cfg.LaunchOverhead)
 		txns := (bytes + int64(d.Cfg.SegmentBytes) - 1) / int64(d.Cfg.SegmentBytes)

@@ -83,6 +83,9 @@ type Thread struct {
 type warpShared struct {
 	maxes map[int]*sharedSlot
 	sums  map[int]*sharedSlot
+	// stage holds the block's staged column stores (stage.go); nil
+	// (stores write through) once the warp has finished.
+	stage *warpStage
 	// deferred collects Thread.Defer callbacks in the exact order the
 	// warp's lanes issued them (the serial execution order within the
 	// warp), for the end-of-launch serial phase.
@@ -147,13 +150,33 @@ func (t *Thread) Compute(n int) {
 // blocks.
 func (t *Thread) Load(addr mem.Addr, n int) []byte {
 	t.accesses = append(t.accesses, access{addr: addr, elem: n, count: 1})
+	t.flushStores()
 	return t.mem.Bytes(addr, n)
 }
 
-// Store writes p to device memory at addr as one memory instruction.
+// Store writes p to device memory at addr as one memory instruction. p
+// may be reused as soon as Store returns.
 func (t *Thread) Store(addr mem.Addr, p []byte) {
 	t.accesses = append(t.accesses, access{addr: addr, elem: len(p), count: 1})
-	t.mem.Write(addr, p)
+	if dst := t.mem.Bytes(addr, len(p)); !t.stageStore(addr, p, 0, 0) {
+		copy(dst, p)
+	}
+}
+
+// stageStore stages the store for the warp's end-of-block commit
+// (stage.go) and reports whether it did; if not, nothing is staged any
+// more and the caller writes through. Threads built outside runWarp have
+// no warp to batch with.
+func (t *Thread) stageStore(addr mem.Addr, p []byte, elem, stride int) bool {
+	return t.warp != nil && t.warp.stage.add(t, addr, p, elem, stride)
+}
+
+// flushStores commits the warp's staged stores, so that a read sees
+// every store issued before it.
+func (t *Thread) flushStores() {
+	if t.warp != nil {
+		t.warp.stage.flush(t.mem)
+	}
 }
 
 // StoreStrided writes p in elem-byte words at addresses
@@ -162,18 +185,27 @@ func (t *Thread) Store(addr mem.Addr, p []byte) {
 // cohort buffer. len(p) must be a multiple of elem. The simulator
 // coalesces each step across the warp's lanes, which is where the
 // transpose optimization's benefit shows up: lanes' words at one step are
-// adjacent in column-major layout and merge into one transaction.
+// adjacent in column-major layout and merge into one transaction. p may
+// be reused as soon as StoreStrided returns.
 func (t *Thread) StoreStrided(addr mem.Addr, p []byte, elem, stride int) {
 	count := stridedCount(len(p), elem, stride)
 	if count == 0 {
 		return
 	}
-	t.accesses = append(t.accesses, access{addr: addr, elem: elem, count: count, stride: stride, strided: true})
-	last := addr + mem.Addr((count-1)*stride)
-	b := t.mem.Bytes(addr, int(last-addr)+elem)
+	b := t.chargeStrided(addr, count, elem, stride)
+	if t.stageStore(addr, p, elem, stride) {
+		return
+	}
 	for i := 0; i < count; i++ {
 		copy(b[i*stride:i*stride+elem], p[i*elem:(i+1)*elem])
 	}
+}
+
+// chargeStrided records one strided access — its coalescing, issue slots
+// and traffic — and returns the device bytes it spans.
+func (t *Thread) chargeStrided(addr mem.Addr, count, elem, stride int) []byte {
+	t.accesses = append(t.accesses, access{addr: addr, elem: elem, count: count, stride: stride, strided: true})
+	return t.mem.Bytes(addr, (count-1)*stride+elem)
 }
 
 // LoadStrided reads count elem-byte words at stride intervals starting at
@@ -185,10 +217,13 @@ func (t *Thread) LoadStrided(addr mem.Addr, count, elem, stride int) []byte {
 	if count == 0 {
 		return nil
 	}
-	t.accesses = append(t.accesses, access{addr: addr, elem: elem, count: count, stride: stride, strided: true})
-	last := addr + mem.Addr((count-1)*stride)
-	b := t.mem.Bytes(addr, int(last-addr)+elem)
+	b := t.chargeStrided(addr, count, elem, stride)
+	t.flushStores()
 	out := make([]byte, count*elem)
+	if elem == WordSize {
+		mem.GatherWords(out, b, stride)
+		return out
+	}
 	for i := 0; i < count; i++ {
 		copy(out[i*elem:(i+1)*elem], b[i*stride:i*stride+elem])
 	}
@@ -211,6 +246,7 @@ func stridedCount(n, elem, stride int) int {
 // pointers there (§4.6).
 func (t *Thread) LoadConst(addr mem.Addr, n int) []byte {
 	t.ops++
+	t.flushStores()
 	return t.mem.Bytes(addr, n)
 }
 
@@ -223,8 +259,14 @@ func (t *Thread) Atomic(addr mem.Addr) {
 }
 
 // Mem exposes the raw device memory for functional (non-accounted)
-// bookkeeping by kernel host code. Kernels should prefer Load/Store.
-func (t *Thread) Mem() *mem.Memory { return t.mem }
+// bookkeeping by kernel host code. Kernels should prefer Load/Store. A
+// block must not read through a Memory it obtained before a later store
+// of the same block: stores are committed at the latest by the next read
+// through the Thread, Mem call or block boundary (stage.go).
+func (t *Thread) Mem() *mem.Memory {
+	t.flushStores()
+	return t.mem
+}
 
 // Defer schedules fn to run after every warp of the current launch has
 // executed, on the host thread that issued the launch. Deferred

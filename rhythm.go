@@ -160,7 +160,14 @@ func NewSimServer(opts Options) *SimServer {
 	if buckets < 256 {
 		buckets = 256
 	}
-	perBucket := (opts.Sessions*8)/buckets + 16
+	// A login leaves the user's earlier sessions behind and a user always
+	// hashes to one bucket, so a server kept for many Serve calls fills
+	// its fullest bucket long before the table: at 8× (48 nodes a bucket
+	// for the default geometry) logins began to fail with "session table
+	// full" after about 75K requests — inside ten wall seconds once the
+	// simulator served 8K requests/s. 32× moves that past 250K requests
+	// for 1.6 MB of nodes.
+	perBucket := (opts.Sessions*32)/buckets + 16
 	sessions := session.NewArray(buckets, perBucket)
 	gen := banking.NewGenerator(opts.Seed, sessions)
 	gen.Populate(opts.Sessions)

@@ -342,3 +342,24 @@ func TestServerStragglerOptions(t *testing.T) {
 		t.Fatal("heavy tail with a deadline should shed stragglers")
 	}
 }
+
+// TestSimServerStatsRepeat pins run-to-run determinism of the offline
+// server, MeanLatency and P99Latency included: with more request types
+// than contexts the pipeline wedges and force-launches the oldest
+// forming cohort, and cohorts opened at the same virtual instant used to
+// be picked in map order.
+func TestSimServerStatsRepeat(t *testing.T) {
+	run := func() Stats {
+		s := NewSimServer(Options{Platform: TitanB, CohortSize: 1024, MaxCohorts: 4, Seed: 7})
+		return s.Serve(s.GenerateMixed(4096))
+	}
+	first := run()
+	if first.Completed != 4096 || first.MeanLatency <= 0 {
+		t.Fatalf("run incomplete: %+v", first)
+	}
+	for i := 0; i < 2; i++ {
+		if again := run(); again != first {
+			t.Fatalf("run %d differs at one seed:\n  first: %+v\n  again: %+v", i+2, first, again)
+		}
+	}
+}
