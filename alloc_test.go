@@ -116,12 +116,12 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	if err := httpx.ParseInto(summary, &a.req); err != nil {
 		t.Fatal(err)
 	}
-	ctx := a.scratch.Execute(banking.ServiceFor(banking.AccountSummary), &a.req, s.sessions, s.db, true)
-	if ctx.Err != "" {
-		t.Fatalf("execute failed: %s", ctx.Err)
+	t0, ok := s.reg.Classify(&a.req)
+	if !ok || s.reg.ExecuteScratch(a.scratch, t0, &a.req, s.sessions, s.bes) {
+		t.Fatal("execute failed")
 	}
 	m["render"] = testing.AllocsPerRun(500, func() {
-		banking.Render(ctx, a.out[:ctx.Spec.BufferBytes()])
+		a.scratch.Render(a.out)
 	})
 
 	// cache_hit: the full respond path when the page is cached — the

@@ -253,7 +253,7 @@ func BenchmarkCohortTimeout(b *testing.B) {
 func BenchmarkEndToEndMixed(b *testing.B) {
 	var tput float64
 	for i := 0; i < b.N; i++ {
-		srv := NewServer(Options{
+		srv := NewSimServer(Options{
 			Platform:         TitanB,
 			CohortSize:       512,
 			MaxCohorts:       6,

@@ -77,7 +77,7 @@ func main() {
 	if what == "" {
 		what = "all"
 	}
-	if err := run(cfg, what, *jsonOut); err != nil {
+	if err := run(cfg, what, *jsonOut, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rhythm-bench:", err)
 		os.Exit(1)
 	}
@@ -190,12 +190,12 @@ func platformMetrics(runs ...harness.PlatformRun) []metric {
 	return ms
 }
 
-func run(cfg harness.Config, what string, jsonMode bool) error {
-	var out io.Writer = os.Stdout
+func run(cfg harness.Config, what string, jsonMode bool, stdout io.Writer) error {
+	out := stdout
 	var enc *json.Encoder
 	if jsonMode {
 		out = io.Discard
-		enc = json.NewEncoder(os.Stdout)
+		enc = json.NewEncoder(stdout)
 		// Lead with the host's core count so wall-clock consumers (and
 		// the CI speedup step) can tell a single-core run apart from a
 		// genuinely slow one.

@@ -16,7 +16,7 @@ func main() {
 	fmt.Println("cohort size sweep (Titan B, account_summary, saturating arrivals)")
 	fmt.Printf("%-12s %-14s %-16s %s\n", "cohort", "KReq/s", "mean latency", "p99")
 	for _, size := range []int{256, 512, 1024, 2048} {
-		srv := rhythm.NewServer(rhythm.Options{
+		srv := rhythm.NewSimServer(rhythm.Options{
 			Platform:   rhythm.TitanB,
 			CohortSize: size,
 			MaxCohorts: 4,
@@ -36,7 +36,7 @@ func main() {
 	fmt.Println("formation timeout under slow arrivals (50K reqs/s into 1024-slot cohorts)")
 	fmt.Printf("%-12s %-14s %-16s %s\n", "timeout", "KReq/s", "mean latency", "cohorts timed out")
 	for _, to := range []time.Duration{100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond} {
-		srv := rhythm.NewServer(rhythm.Options{
+		srv := rhythm.NewSimServer(rhythm.Options{
 			Platform:         rhythm.TitanB,
 			CohortSize:       1024,
 			MaxCohorts:       4,

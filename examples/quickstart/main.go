@@ -17,7 +17,7 @@ func main() {
 	// cohorts of 1024 requests with 6 in flight. Mixed traffic means the
 	// rare request types form cohorts slowly, so a formation timeout
 	// keeps them from hogging contexts (§3.1).
-	srv := rhythm.NewServer(rhythm.Options{
+	srv := rhythm.NewSimServer(rhythm.Options{
 		Platform:         rhythm.TitanB,
 		CohortSize:       1024,
 		MaxCohorts:       6,

@@ -23,7 +23,7 @@ func main() {
 		"straggler deadline", "KReq/s", "mean latency", "p99 latency", "shed to host")
 
 	for _, deadline := range []time.Duration{0, 2 * time.Millisecond, 500 * time.Microsecond} {
-		srv := rhythm.NewServer(rhythm.Options{
+		srv := rhythm.NewSimServer(rhythm.Options{
 			Platform:          rhythm.TitanA,
 			CohortSize:        512,
 			MaxCohorts:        4,

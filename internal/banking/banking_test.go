@@ -7,11 +7,13 @@ import (
 
 	"rhythm/internal/backend"
 	"rhythm/internal/httpx"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 )
 
 // harness bundles the server-side state a host execution needs.
 type harness struct {
+	w        *service.PageWorkload
 	db       *backend.DB
 	sessions *session.Array
 	gen      *Generator
@@ -19,7 +21,7 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	h := &harness{db: backend.New(), sessions: session.NewArray(1024, 64)}
+	h := &harness{w: NewWorkload(), db: backend.New(), sessions: session.NewArray(1024, 64)}
 	h.gen = NewGenerator(42, h.sessions)
 	h.gen.Populate(512)
 	return h
@@ -27,7 +29,7 @@ func newHarness(t *testing.T) *harness {
 
 // run generates and executes one request of type rt, returning the ctx
 // and rendered response.
-func (h *harness) run(t *testing.T, rt ReqType) (*Ctx, []byte) {
+func (h *harness) run(t *testing.T, rt ReqType) (*service.Ctx, []byte) {
 	t.Helper()
 	raw := h.gen.Request(rt)
 	req, err := httpx.Parse(raw)
@@ -38,8 +40,8 @@ func (h *harness) run(t *testing.T, rt ReqType) (*Ctx, []byte) {
 	if !ok || typ != rt {
 		t.Fatalf("%s: path %q resolves to %v, %v", rt, req.Path, typ, ok)
 	}
-	ctx := Execute(ServiceFor(rt), &req, h.sessions, h.db, true)
-	return ctx, RenderAlloc(ctx)
+	ctx := h.w.Execute(int(rt), &req, h.sessions, h.db, true)
+	return ctx, ctx.RenderAlloc()
 }
 
 func TestAllTypesValidate(t *testing.T) {
@@ -141,7 +143,7 @@ func TestUnpaddedSectionMarksDiverge(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		raw := h.gen.Request(AccountSummary)
 		req, _ := httpx.Parse(raw)
-		ctx := Execute(ServiceFor(AccountSummary), &req, h.sessions, h.db, false)
+		ctx := h.w.Execute(int(AccountSummary), &req, h.sessions, h.db, false)
 		if ctx.Err != "" {
 			t.Fatal(ctx.Err)
 		}
@@ -170,7 +172,7 @@ func TestLoginCreatesSessionLogoutDeletes(t *testing.T) {
 	cookieVal := strings.TrimPrefix(hdrs["Set-Cookie"], "MY_ID=")
 	raw := fmt.Sprintf("GET /logout.php HTTP/1.1\r\nCookie: MY_ID=%s\r\n\r\n", cookieVal)
 	req, _ := httpx.Parse([]byte(raw))
-	ctx2 := Execute(ServiceFor(Logout), &req, h.sessions, h.db, true)
+	ctx2 := h.w.Execute(int(Logout), &req, h.sessions, h.db, true)
 	if ctx2.Err != "" {
 		t.Fatal(ctx2.Err)
 	}
@@ -183,11 +185,11 @@ func TestBadCredentialsFail(t *testing.T) {
 	h := newHarness(t)
 	raw := "POST /login.php HTTP/1.1\r\nContent-Length: 26\r\n\r\nuserid=55&passwd=wrongpass"
 	req, _ := httpx.Parse([]byte(raw))
-	ctx := Execute(ServiceFor(Login), &req, h.sessions, h.db, true)
+	ctx := h.w.Execute(int(Login), &req, h.sessions, h.db, true)
 	if ctx.Err == "" {
 		t.Fatal("bad credentials accepted")
 	}
-	resp := RenderAlloc(ctx)
+	resp := ctx.RenderAlloc()
 	if err := Validate(Login, resp); err == nil {
 		t.Fatal("error page validated as success")
 	}
@@ -204,7 +206,7 @@ func TestExpiredSessionFails(t *testing.T) {
 	h := newHarness(t)
 	raw := "GET /profile.php HTTP/1.1\r\nCookie: MY_ID=ffffffffffffffff\r\n\r\n"
 	req, _ := httpx.Parse([]byte(raw))
-	ctx := Execute(ServiceFor(Profile), &req, h.sessions, h.db, true)
+	ctx := h.w.Execute(int(Profile), &req, h.sessions, h.db, true)
 	if ctx.Err == "" {
 		t.Fatal("forged session accepted")
 	}
@@ -214,7 +216,7 @@ func TestMissingCookieFails(t *testing.T) {
 	h := newHarness(t)
 	raw := "GET /transfer.php HTTP/1.1\r\n\r\n"
 	req, _ := httpx.Parse([]byte(raw))
-	ctx := Execute(ServiceFor(Transfer), &req, h.sessions, h.db, true)
+	ctx := h.w.Execute(int(Transfer), &req, h.sessions, h.db, true)
 	if ctx.Err == "" {
 		t.Fatal("cookie-less request accepted")
 	}
@@ -340,14 +342,6 @@ func TestMoneyFormat(t *testing.T) {
 	}
 	if money(-50) != "-$0.50" {
 		t.Fatalf("money = %q", money(-50))
-	}
-}
-
-func TestFillerTextExactLength(t *testing.T) {
-	for _, n := range []int{1, 5, 9, 100, 555, 4096} {
-		if got := len(fillerText(n)); got != n {
-			t.Fatalf("fillerText(%d) = %d bytes", n, got)
-		}
 	}
 }
 

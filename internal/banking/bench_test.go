@@ -8,6 +8,8 @@ import (
 	"rhythm/internal/session"
 )
 
+var bank = NewWorkload()
+
 func benchRig(b *testing.B) (*backend.DB, *session.Array, *Generator) {
 	b.Helper()
 	db := backend.New()
@@ -28,7 +30,7 @@ func BenchmarkHostExecute(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx := Execute(ServiceFor(AccountSummary), &req, sessions, db, true)
+		ctx := bank.Execute(int(AccountSummary), &req, sessions, db, true)
 		if ctx.Err != "" {
 			b.Fatal(ctx.Err)
 		}
@@ -39,12 +41,12 @@ func BenchmarkHostExecute(b *testing.B) {
 func BenchmarkRender(b *testing.B) {
 	db, sessions, gen := benchRig(b)
 	req, _ := httpx.Parse(gen.Request(AccountSummary))
-	ctx := Execute(ServiceFor(AccountSummary), &req, sessions, db, true)
-	buf := make([]byte, ctx.Spec.BufferBytes())
+	ctx := bank.Execute(int(AccountSummary), &req, sessions, db, true)
+	buf := make([]byte, ctx.Def.BufferBytes)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Render(ctx, buf)
+		ctx.Render(buf)
 	}
 }
 
@@ -52,8 +54,8 @@ func BenchmarkRender(b *testing.B) {
 func BenchmarkValidate(b *testing.B) {
 	db, sessions, gen := benchRig(b)
 	req, _ := httpx.Parse(gen.Request(Profile))
-	ctx := Execute(ServiceFor(Profile), &req, sessions, db, true)
-	resp := RenderAlloc(ctx)
+	ctx := bank.Execute(int(Profile), &req, sessions, db, true)
+	resp := ctx.RenderAlloc()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Validate(Profile, resp); err != nil {

@@ -3,6 +3,8 @@ package banking
 import (
 	"strconv"
 	"strings"
+
+	"rhythm/internal/service"
 )
 
 // Shared page chrome: the static styling and navigation every SPECWeb
@@ -47,7 +49,7 @@ const footHTML = `</div>
 `
 
 // pageHead emits the document head and banner (static chrome).
-func pageHead(ctx *Ctx, title string) {
+func pageHead(ctx *service.Ctx, title string) {
 	p := ctx.Page
 	p.Static("<!DOCTYPE html PUBLIC \"-//W3C//DTD HTML 4.01//EN\">\n<html><head><title>SPECweb Banking - ")
 	p.Static(title)
@@ -72,7 +74,7 @@ table.data { border-collapse: collapse; } table.data th, table.data td { padding
 `
 
 // pageHeadCompact emits the slim document head used by login.
-func pageHeadCompact(ctx *Ctx, title string) {
+func pageHeadCompact(ctx *service.Ctx, title string) {
 	p := ctx.Page
 	p.Static("<!DOCTYPE html PUBLIC \"-//W3C//DTD HTML 4.01//EN\">\n<html><head><title>SPECweb Banking - ")
 	p.Static(title)
@@ -85,10 +87,29 @@ func pageHeadCompact(ctx *Ctx, title string) {
 
 // pageFoot fills the body with static boilerplate up to the page's
 // published content size and closes the document.
-func pageFoot(ctx *Ctx) {
+func pageFoot(ctx *service.Ctx) {
 	p := ctx.Page
-	p.FillTo(ctx.Spec.ContentBytes() - len(footHTML))
+	p.FillWith(fillerPara, Specs[ctx.Local].ContentBytes()-len(footHTML))
 	p.Static(footHTML)
+}
+
+// fillerPara is the fixed template prose pageFoot repeats.
+const fillerPara = "<p class=\"fine\">Member FDIC. Equal Housing Lender. Online banking " +
+	"services are provided subject to the terms and conditions of your account " +
+	"agreement. Rates, fees and terms are subject to change without notice. " +
+	"Consult the fee schedule for details about wire transfers, stop payments, " +
+	"and expedited delivery options. Statements are available online for " +
+	"twenty-four months; contact a branch representative for older records. " +
+	"Protect your credentials: we will never ask for your password by email.</p>\n"
+
+// blockBase is the type's basic-block id space in the Fig 2 trace.
+func blockBase(t ReqType) uint32 { return service.BlockBase(int(t)) }
+
+// errorPage is banking's divergent error body (§4.4).
+func errorPage(ctx *service.Ctx) {
+	ctx.Page.Static("<html><head><title>SPECweb Banking - Error</title></head><body>\n<h1>Request failed</h1>\n<p class=\"error\">")
+	ctx.Page.Dynamic(ctx.Err)
+	ctx.Page.Static("</p>\n<p><a href=\"/login.php\">Return to login</a></p>\n</body></html>\n")
 }
 
 // greeting emits the per-user salutation — the first dynamic fragment of
@@ -96,7 +117,7 @@ func pageFoot(ctx *Ctx) {
 // customers get an extra alert banner (a genuinely data-dependent branch:
 // the kind of per-request control-flow variation the §2.3 trace study
 // merges and the SIMT warps serialize).
-func greeting(ctx *Ctx, name string) {
+func greeting(ctx *service.Ctx, name string) {
 	p := ctx.Page
 	mark := p.Len()
 	p.Static("<p>Welcome back, <b>")
@@ -104,11 +125,11 @@ func greeting(ctx *Ctx, name string) {
 	p.Static("</b>. Your last visit was recorded.</p>\n")
 	prev := p.LastBlock()
 	if ctx.UserID%4 == 0 {
-		p.Block(blockBase(ctx.Spec.Type) + 900)
+		p.Block(service.BlockBase(ctx.Local) + 900)
 		p.Static("<p class=\"notice\">You have a secure message waiting in your inbox.</p>\n")
 	}
 	if ctx.UserID%8 == 1 {
-		p.Block(blockBase(ctx.Spec.Type) + 901)
+		p.Block(service.BlockBase(ctx.Local) + 901)
 		p.Static("<p class=\"notice\">A statement is ready for one of your accounts.</p>\n")
 	}
 	p.Reconverge(prev)

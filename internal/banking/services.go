@@ -4,30 +4,27 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"rhythm/internal/service"
 )
 
-// registry holds the 14 service implementations, indexed by ReqType.
-var registry [NumTypes]*Service
-
-func init() {
-	reg := func(t ReqType, needsSession bool, stage func(*Ctx, int, []byte) []byte) {
-		registry[t] = &Service{Spec: Specs[t], NeedsSession: needsSession, Stage: stage}
-	}
-	reg(Login, false, loginStage)
-	reg(AccountSummary, true, accountSummaryStage)
-	reg(AddPayee, true, addPayeeStage)
-	reg(BillPay, true, billPayStage)
-	reg(BillPayStatusOutput, true, billPayStatusStage)
-	reg(ChangeProfile, true, changeProfileStage)
-	reg(CheckDetailHTML, true, checkDetailStage)
-	reg(OrderCheck, true, orderCheckStage)
-	reg(PlaceCheckOrder, true, placeCheckOrderStage)
-	reg(PostPayee, true, postPayeeStage)
-	reg(PostTransfer, true, postTransferStage)
-	reg(Profile, true, profileStage)
-	reg(Transfer, true, transferStage)
-	reg(Logout, true, logoutStage)
-	reg(QuickPay, true, quickPayStage)
+// stages holds the 15 stage functions, indexed by ReqType.
+var stages = [NumTypes]service.StageFunc{
+	Login:               loginStage,
+	AccountSummary:      accountSummaryStage,
+	AddPayee:            addPayeeStage,
+	BillPay:             billPayStage,
+	BillPayStatusOutput: billPayStatusStage,
+	ChangeProfile:       changeProfileStage,
+	CheckDetailHTML:     checkDetailStage,
+	OrderCheck:          orderCheckStage,
+	PlaceCheckOrder:     placeCheckOrderStage,
+	PostPayee:           postPayeeStage,
+	PostTransfer:        postTransferStage,
+	Profile:             profileStage,
+	Transfer:            transferStage,
+	Logout:              logoutStage,
+	QuickPay:            quickPayStage,
 }
 
 // ---------------------------------------------------------------- login
@@ -37,7 +34,7 @@ type loginState struct {
 	accts []string
 }
 
-func loginStage(ctx *Ctx, i int, bresp []byte) []byte {
+func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(Login)
 	switch i {
@@ -59,13 +56,9 @@ func loginStage(ctx *Ctx, i int, bresp []byte) []byte {
 			ctx.Fail("invalid user id or password")
 			return nil
 		}
-		sid, ok := ctx.Sessions.Create(ctx.UserID)
-		if !ok {
-			ctx.Fail("server busy: session table full")
+		if !ctx.CreateSession(ctx.UserID) {
 			return nil
 		}
-		ctx.SID = sid
-		ctx.NewCookie = "MY_ID=" + sid.String()
 		st := &loginState{}
 		if len(lines) > 0 {
 			st.name = lines[0]
@@ -115,7 +108,7 @@ func loginStage(ctx *Ctx, i int, bresp []byte) []byte {
 }
 
 // emitTxnRows renders up to max "date|desc|amount|check" rows.
-func emitTxnRows(ctx *Ctx, block uint32, rows []string, max int) {
+func emitTxnRows(ctx *service.Ctx, block uint32, rows []string, max int) {
 	p := ctx.Page
 	for k, row := range rows {
 		if k >= max {
@@ -145,7 +138,7 @@ func emitTxnRows(ctx *Ctx, block uint32, rows []string, max int) {
 
 // ------------------------------------------------------ account_summary
 
-func accountSummaryStage(ctx *Ctx, i int, bresp []byte) []byte {
+func accountSummaryStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(AccountSummary)
 	switch i {
@@ -208,7 +201,7 @@ func accountSummaryStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ------------------------------------------------------------ add_payee
 
-func addPayeeStage(ctx *Ctx, i int, _ []byte) []byte {
+func addPayeeStage(ctx *service.Ctx, i int, _ []byte) []byte {
 	if i != 0 {
 		panic("add_payee: bad stage")
 	}
@@ -230,7 +223,7 @@ func addPayeeStage(ctx *Ctx, i int, _ []byte) []byte {
 
 // ------------------------------------------------------------- bill_pay
 
-func billPayStage(ctx *Ctx, i int, bresp []byte) []byte {
+func billPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(BillPay)
 	switch i {
@@ -274,7 +267,7 @@ func billPayStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ----------------------------------------------- bill_pay_status_output
 
-func billPayStatusStage(ctx *Ctx, i int, bresp []byte) []byte {
+func billPayStatusStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(BillPayStatusOutput)
 	switch i {
@@ -317,7 +310,7 @@ func billPayStatusStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ------------------------------------------------------- change_profile
 
-func changeProfileStage(ctx *Ctx, i int, bresp []byte) []byte {
+func changeProfileStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(ChangeProfile)
 	switch i {
@@ -361,7 +354,7 @@ func changeProfileStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ----------------------------------------------------- check_detail_html
 
-func checkDetailStage(ctx *Ctx, i int, bresp []byte) []byte {
+func checkDetailStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(CheckDetailHTML)
 	switch i {
@@ -399,7 +392,7 @@ func checkDetailStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ----------------------------------------------------------- order_check
 
-func orderCheckStage(ctx *Ctx, i int, bresp []byte) []byte {
+func orderCheckStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(OrderCheck)
 	switch i {
@@ -439,7 +432,7 @@ func orderCheckStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ----------------------------------------------------- place_check_order
 
-func placeCheckOrderStage(ctx *Ctx, i int, bresp []byte) []byte {
+func placeCheckOrderStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(PlaceCheckOrder)
 	switch i {
@@ -480,7 +473,7 @@ func placeCheckOrderStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ------------------------------------------------------------ post_payee
 
-func postPayeeStage(ctx *Ctx, i int, bresp []byte) []byte {
+func postPayeeStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(PostPayee)
 	switch i {
@@ -534,7 +527,7 @@ func postPayeeStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // --------------------------------------------------------- post_transfer
 
-func postTransferStage(ctx *Ctx, i int, bresp []byte) []byte {
+func postTransferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(PostTransfer)
 	switch i {
@@ -605,7 +598,7 @@ func parseMoney(s string) (int64, bool) {
 
 // --------------------------------------------------------------- profile
 
-func profileStage(ctx *Ctx, i int, bresp []byte) []byte {
+func profileStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(Profile)
 	switch i {
@@ -648,7 +641,7 @@ func profileStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // -------------------------------------------------------------- transfer
 
-func transferStage(ctx *Ctx, i int, bresp []byte) []byte {
+func transferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(Transfer)
 	switch i {
@@ -694,15 +687,14 @@ func transferStage(ctx *Ctx, i int, bresp []byte) []byte {
 
 // ---------------------------------------------------------------- logout
 
-func logoutStage(ctx *Ctx, i int, _ []byte) []byte {
+func logoutStage(ctx *service.Ctx, i int, _ []byte) []byte {
 	if i != 0 {
 		panic("logout: bad stage")
 	}
 	p := ctx.Page
 	base := blockBase(Logout)
 	p.Block(base + 1)
-	ctx.Sessions.Delete(ctx.SID)
-	ctx.NewCookie = "MY_ID=0000000000000000"
+	ctx.DeleteSession()
 	pageHead(ctx, "Signed Off")
 	p.Static("<h1>You have signed off</h1>\n<div class=\"notice\">For your security, close your browser window to clear any cached account pages.</div>\n")
 	mark := p.Len()
@@ -736,7 +728,7 @@ type quickPayState struct {
 	confs   []string
 }
 
-func quickPayStage(ctx *Ctx, i int, bresp []byte) []byte {
+func quickPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(QuickPay)
 	var st *quickPayState

@@ -164,22 +164,6 @@ func MixWeights() []float64 {
 // size of 512B").
 const RequestSlot = 512
 
-// Cost model constants: the structural instruction charges our host and
-// device programs accrue. The absolute scale is calibrated once against
-// Table 2's Pin-measured counts (see DESIGN.md); the per-type variation
-// then follows from each page's actual static/dynamic composition.
-const (
-	// InstrFixed covers request parsing, session work, and control
-	// overhead common to every request.
-	InstrFixed = 20000
-	// InstrPerStaticByte prices emitting template content.
-	InstrPerStaticByte = 15
-	// InstrPerDynamicByte prices formatting backend-derived content.
-	InstrPerDynamicByte = 70
-	// InstrPerBackend covers marshaling one backend round trip.
-	InstrPerBackend = 20000
-)
-
 // AvgContentBytes reports the mix-weighted mean SPECWeb response size
 // (the paper's 15.5 KB).
 func AvgContentBytes() float64 {

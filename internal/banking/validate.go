@@ -8,53 +8,13 @@ import (
 	"rhythm/internal/httpx"
 )
 
-// Responses are always exactly the type's Rhythm buffer size: header,
-// content, then trailing whitespace fill. Fixed-size responses are what
-// let Rhythm transpose whole cohorts and ship buffers without
-// per-request bookkeeping (§5.1: "We use the next higher power of two for
-// the HTML response size"); the trailing fill is legal HTML whitespace
-// and is counted in Content-Length, matching the paper's bandwidth
-// arithmetic (§6.3 uses the padded sizes).
-
-// HeaderLen is the fixed response header size. Every header field is
-// fixed-width (the session cookie is always 16 hex digits, the
-// Content-Length is a 10-character padded field), so all responses of a
-// cohort have identical geometry.
+// HeaderLen is the fixed response header size the validator expects.
+// Every header field is fixed-width (the session cookie is always 16
+// hex digits, the Content-Length is a 10-character padded field), so
+// all responses of a cohort have identical geometry.
 const HeaderLen = 17 + 25 + 24 + (18 + 16 + 2) + (16 + httpx.ContentLengthPad + 4)
 
 const defaultCookie = "MY_ID=0000000000000000"
-
-// BodyBytes reports the body budget of one response of type t.
-func BodyBytes(t ReqType) int { return Specs[t].BufferBytes() - HeaderLen }
-
-// Render assembles the finished ctx into buf, which must be exactly the
-// type's Rhythm buffer size. It returns the full response (== buf).
-func Render(ctx *Ctx, buf []byte) []byte {
-	spec := ctx.Spec
-	if len(buf) != spec.BufferBytes() {
-		panic(fmt.Sprintf("banking: render buffer %d bytes, want %d", len(buf), spec.BufferBytes()))
-	}
-	w := httpx.NewResponseWriter(buf)
-	cookie := ctx.NewCookie
-	if cookie == "" {
-		cookie = defaultCookie
-	}
-	w.StartOK("text/html", cookie)
-	if w.Len() != HeaderLen {
-		panic(fmt.Sprintf("banking: header length %d, want %d (cookie %q)", w.Len(), HeaderLen, cookie))
-	}
-	for _, piece := range ctx.Page.Pieces() {
-		w.WriteString(piece.Data)
-	}
-	// Trailing whitespace fill out to the fixed buffer size.
-	w.PadTo(len(buf))
-	return w.Finish()
-}
-
-// RenderAlloc renders into a freshly allocated right-sized buffer.
-func RenderAlloc(ctx *Ctx) []byte {
-	return Render(ctx, make([]byte, ctx.Spec.BufferBytes()))
-}
 
 // Validate plays the SPECWeb client validator's role for one response:
 // it checks the HTTP framing, the fixed geometry, the session cookie

@@ -7,17 +7,14 @@ import (
 	"rhythm/internal/httpx"
 	"rhythm/internal/service"
 	"rhythm/internal/session"
-	"rhythm/internal/simt"
 )
 
-// This file adapts the Banking workload to the service registry
-// (DESIGN.md §16): banking keeps its own execution machinery — stage
-// functions, page builder, render geometry, device kernels — and this
-// adapter exposes it behind the registry's Workload contract. Banking
-// registers first in the default registry, so its workload-qualified
-// type ids equal its historical ReqType values and (via bare display
-// names) every pre-registry label, stats key, and flight type is
-// unchanged.
+// This file declares the Banking workload on the service registry's
+// page kit (DESIGN.md §16), exactly as ecom and telemetry are: a type
+// table plus stage functions (services.go). Banking registers first in
+// the default registry, so its workload-qualified type ids equal its
+// historical ReqType values and (via bare display names) every
+// pre-registry label, stats key, and flight type is unchanged.
 
 // cacheableTypes is the render-cache whitelist: read-only page types
 // whose bytes depend only on (type, session, user state version,
@@ -38,56 +35,51 @@ var cacheableTypes = map[ReqType]bool{
 // Cacheable reports whether t is render-cache eligible.
 func Cacheable(t ReqType) bool { return cacheableTypes[t] }
 
-// Workload is the Banking workload's registry adapter.
-type Workload struct{}
-
-// NewWorkload returns the registrable Banking workload.
-func NewWorkload() *Workload { return &Workload{} }
-
-// Name implements service.Workload.
-func (*Workload) Name() string { return "banking" }
-
-// BareDisplayNames keeps banking's pre-registry label universe: its
-// display labels are the bare Table 2 names ("login", not
-// "banking/login") — the schema_version 4 legacy aliases.
-func (*Workload) BareDisplayNames() bool { return true }
-
-// SessionCookie implements service.Workload.
-func (*Workload) SessionCookie() string { return "MY_ID" }
-
-// Types implements service.Workload.
-func (*Workload) Types() []service.Spec {
-	out := make([]service.Spec, NumTypes)
+// NewWorkload builds the registrable Banking workload; its local type
+// ids are the ReqType values.
+func NewWorkload() *service.PageWorkload {
+	defs := make([]service.SvcDef, NumTypes)
 	for i, s := range Specs {
-		out[i] = service.Spec{
+		mode := service.SessionRequired
+		switch s.Type {
+		case Login:
+			mode = service.SessionCreates
+		case Logout:
+			mode = service.SessionDeletes
+		}
+		defs[i] = service.SvcDef{
 			Name:           s.Name,
 			Path:           s.Path,
 			Post:           s.Post,
 			MixPercent:     s.MixPercent,
 			Backends:       s.Backends,
 			BufferBytes:    s.BufferBytes(),
+			Session:        mode,
 			Cacheable:      cacheableTypes[s.Type],
 			VariableStages: s.VariableStages,
+			Stage:          stages[s.Type],
 		}
 	}
-	return out
+	// Costs stay zero: the kit's default cost model is the one calibrated
+	// against banking's Table 2 instruction counts (DESIGN.md §6).
+	return service.NewPageWorkload(service.PageWorkloadConfig{
+		Name:             "banking",
+		CookieName:       "MY_ID",
+		Defs:             defs,
+		NewBackend:       func() service.Backend { return backend.New() },
+		Affinity:         affinity,
+		Static:           ImageResponse,
+		ErrorPage:        errorPage,
+		BareDisplayNames: true,
+	})
 }
 
-// Classify implements service.Workload.
-func (*Workload) Classify(req *httpx.Request) (int, bool) {
-	t, ok := ByPath(req.Path)
-	return int(t), ok
-}
-
-// Static implements service.Workload (the check-detail images).
-func (*Workload) Static(path string) ([]byte, bool) { return ImageResponse(path) }
-
-// Affinity implements service.Workload: logins pin to the bucket that
-// will own the created session (hashing the posted userid the way
-// session.Create will); cookie-bearing requests recover their bucket
-// from the session id; everything else is stateless — its kernel fails
-// before touching state, so any device renders the same error page.
-func (*Workload) Affinity(req *httpx.Request, local int, buckets int) int {
+// affinity pins logins to the bucket that will own the created session
+// (hashing the posted userid the way session.Create will);
+// cookie-bearing requests recover their bucket from the session id;
+// everything else is stateless — its kernel fails before touching
+// state, so any device renders the same error page.
+func affinity(req *httpx.Request, local int, buckets int) int {
 	if ReqType(local) == Login {
 		uid, err := strconv.ParseUint(req.Param("userid"), 10, 64)
 		if err != nil {
@@ -95,99 +87,8 @@ func (*Workload) Affinity(req *httpx.Request, local int, buckets int) int {
 		}
 		return session.BucketFor(uid, buckets)
 	}
-	if cookie := req.Cookie("MY_ID"); cookie != "" {
-		if id, ok := session.ParseID(cookie); ok {
-			return id.Bucket(buckets)
-		}
+	if id, ok := session.ParseID(req.Cookie("MY_ID")); ok {
+		return id.Bucket(buckets)
 	}
 	return -1
-}
-
-// NewBackend implements service.Workload.
-func (*Workload) NewBackend() service.Backend { return backend.New() }
-
-// ExecuteHost implements service.Workload: the scalar reference path
-// (Execute + RenderAlloc, exactly the TCPServer recipe).
-func (*Workload) ExecuteHost(local int, req *httpx.Request, sessions *session.Array, be service.Backend) ([]byte, bool) {
-	ctx := Execute(ServiceFor(ReqType(local)), req, sessions, be.(*backend.DB), true)
-	return RenderAlloc(ctx), ctx.Err != ""
-}
-
-// DeviceBytes implements service.Workload.
-func (*Workload) DeviceBytes(cohortSize int) int64 { return AllClassesDeviceBytes(cohortSize) }
-
-// NewSlot implements service.Workload.
-func (w *Workload) NewSlot(dev *simt.Device, cohortSize int) service.Slot {
-	return &bankingSlot{dev: dev, size: cohortSize, byClass: make(map[int]*DeviceCohort)}
-}
-
-// bankingSlot is one execution slot's cohort state, keyed by buffer
-// class and rebound across types — the same lazy scheme the pre-registry
-// cluster device used.
-type bankingSlot struct {
-	dev     *simt.Device
-	size    int
-	byClass map[int]*DeviceCohort
-}
-
-// Bind implements service.Slot.
-func (s *bankingSlot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be service.Backend) service.Unit {
-	t := ReqType(local)
-	class := Specs[t].BufferBytes()
-	dc, ok := s.byClass[class]
-	if !ok {
-		dc = NewDeviceCohortClass(s.dev, class, s.size)
-		s.byClass[class] = dc
-	}
-	dc.Bind(t)
-	dc.Reset(len(reqs))
-	copy(dc.Reqs, reqs)
-	return &bankingUnit{
-		dc:       dc,
-		dev:      s.dev,
-		svc:      ServiceFor(t),
-		sessions: sessions,
-		db:       be.(*backend.DB),
-	}
-}
-
-// bankingUnit is a bound Banking cohort.
-type bankingUnit struct {
-	dc       *DeviceCohort
-	dev      *simt.Device
-	svc      *Service
-	sessions *session.Array
-	db       *backend.DB
-}
-
-// Stages implements service.Unit.
-func (u *bankingUnit) Stages() int { return u.svc.Spec.Backends + 1 }
-
-// Stage implements service.Unit: the n backend + n+1 process stage
-// chain with Besim chained in-kernel (Titan B semantics).
-func (u *bankingUnit) Stage(k int) simt.Program {
-	return NewStageProgram(StageArgs{
-		Cohort:   u.dc,
-		Service:  u.svc,
-		Stage:    k,
-		Sessions: u.sessions,
-		Padding:  true,
-		ColMajor: true,
-		Besim:    u.db,
-	})
-}
-
-// Writeback implements service.Unit.
-func (u *bankingUnit) Writeback(stream *simt.Stream) {
-	buf := u.dc.Spec.BufferBytes()
-	stream.TransposeLive(u.dc.RespRow, u.dc.RespCol, buf/4, u.dc.Size, 4, buf/4, u.dc.Count, nil)
-}
-
-// Response implements service.Unit.
-func (u *bankingUnit) Response(i int) []byte { return u.dc.ResponseRow(u.dev.Mem, i) }
-
-// Failed implements service.Unit.
-func (u *bankingUnit) Failed(i int) bool {
-	ctx := u.dc.Ctxs[i]
-	return ctx != nil && ctx.Err != ""
 }

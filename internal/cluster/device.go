@@ -91,7 +91,7 @@ func newDevice(c *Cluster, id int) *device {
 	}
 	for i := 0; i < c.cfg.SlotsPerDevice; i++ {
 		d.streams = append(d.streams, d.dev.NewStream())
-		d.slots = append(d.slots, reg.NewSlots(d.dev, c.cfg.CohortSize))
+		d.slots = append(d.slots, reg.NewSlots(d.dev, c.cfg.CohortSize, service.TitanB))
 		d.freeSlots = append(d.freeSlots, i)
 	}
 	return d

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/workloads"
 )
@@ -57,23 +58,37 @@ func TestEpochAlignerDisabled(t *testing.T) {
 	}
 }
 
-// clusterRun drives a deterministic manual-mode dispatch sequence and
-// returns the final snapshot plus rendered pages keyed by uid.
-func clusterRun(t *testing.T, cfg Config, uids []uint64) (Snapshot, map[string][]byte) {
+// page is one keyed request of a clusterRun.
+type page struct {
+	key string
+	raw []byte
+}
+
+// clusterRun drives a deterministic manual-mode dispatch sequence — a
+// login per uid, then whatever extra builds against the fresh cluster —
+// and returns the final snapshot plus rendered pages by key.
+func clusterRun(t *testing.T, cfg Config, uids []uint64, extra func(cl *Cluster) []page) (Snapshot, map[string][]byte) {
 	t.Helper()
 	cl := New(cfg)
+	var reqs []page
+	for _, uid := range uids {
+		reqs = append(reqs, page{fmt.Sprintf("%d/login", uid), loginRaw(uid)})
+	}
+	if extra != nil {
+		reqs = append(reqs, extra(cl)...)
+	}
 	pages := make(map[string][]byte)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var units []*Unit
-	for _, uid := range uids {
-		uid := uid
-		u := unitFor(t, cl, loginRaw(uid))
+	for _, p := range reqs {
+		key := p.key
+		u := unitFor(t, cl, p.raw)
 		wg.Add(1)
 		u.Done = func(r *Result) {
 			if r.Err == nil {
 				mu.Lock()
-				pages[fmt.Sprintf("%d/login", uid)] = r.Resps[0]
+				pages[key] = r.Resps[0]
 				mu.Unlock()
 			}
 			wg.Done()
@@ -98,12 +113,29 @@ func clusterRun(t *testing.T, cfg Config, uids []uint64) (Snapshot, map[string][
 // workers — the cluster-level half of the DESIGN.md §13 contract.
 func TestClusterSimParallelismDeterminism(t *testing.T) {
 	uids := []uint64{8200, 8201, 8202, 8203, 8204, 8205, 8206, 8207}
+	// One user's logout and account_summary launch in the same epoch on
+	// the device that owns the user's group. The logout kernel's declared
+	// session-array write is what orders it against the summary's lookup
+	// (DESIGN.md §13); declared as a read, the two would overlap at
+	// SimParallelism 8 and the summary would render either page.
+	sameUser := func(cl *Cluster) []page {
+		const uid = 8300
+		g := session.BucketFor(uid, cl.cfg.SessionBuckets) % cl.cfg.Groups
+		sid, ok := cl.groups[g].sessions.Create(uid)
+		if !ok {
+			t.Fatal("session create failed")
+		}
+		return []page{
+			{"8300/logout", cookieRaw("/logout.php", sid.String())},
+			{"8300/summary", cookieRaw("/account_summary.php", sid.String())},
+		}
+	}
 	run := func(simPar int) (Snapshot, map[string][]byte) {
 		return clusterRun(t, Config{
 			Registry: workloads.Banking(),
 			Devices:  2, CohortSize: 8, QueueDepth: 64,
 			Manual: true, SimParallelism: simPar,
-		}, uids)
+		}, uids, sameUser)
 	}
 	serialSnap, serialPages := run(1)
 	parSnap, parPages := run(8)
@@ -172,7 +204,7 @@ func TestClusterAlignEpochIdentity(t *testing.T) {
 			Registry: workloads.Banking(),
 			Devices:  3, CohortSize: 8, QueueDepth: 64,
 			Manual: true, AlignEpoch: epoch,
-		}, uids)
+		}, uids, nil)
 	}
 	freeSnap, freePages := run(0)
 	alignedSnap, alignedPages := run(sim.Time(20_000))

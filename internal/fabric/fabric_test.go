@@ -2,7 +2,10 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -214,6 +217,29 @@ func TestWireDispatchRoundTrip(t *testing.T) {
 			len(a.Params) != len(b.Params) || len(a.Cookies) != len(b.Cookies) {
 			t.Errorf("req %d differs: %+v vs %+v", i, a, b)
 		}
+	}
+}
+
+// TestReadFrameCommitsMemoryAsBytesArrive: a peer that declares the
+// largest frame and then hangs up must not make readFrame allocate the
+// declared 256 MB; a frame longer than one read step still arrives whole.
+func TestReadFrameCommitsMemoryAsBytesArrive(t *testing.T) {
+	hdr := appendU32(nil, maxFrameBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("header then EOF: err = %v, want io.EOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("readFrame allocated %d bytes for a frame whose body never arrived", grew)
+	}
+
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 3*frameReadStep/16)
+	kind, got, wire, err := readFrame(bytes.NewReader(appendFrame(nil, frameResult, payload)))
+	if err != nil || kind != frameResult || !bytes.Equal(got, payload) || wire != len(payload)+5 {
+		t.Fatalf("multi-step frame: kind %d, %d payload bytes, %d wire bytes, err %v", kind, len(got), wire, err)
 	}
 }
 

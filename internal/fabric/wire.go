@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"rhythm/internal/cluster"
@@ -84,12 +85,24 @@ func readFrame(r io.Reader) (kind byte, payload []byte, wireBytes int, err error
 	if n < 1 || n > maxFrameBytes {
 		return 0, nil, 0, errFrameTooBig
 	}
-	body := make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, nil, 0, err
+	// The declared length is the peer's claim, so memory is committed
+	// only as body bytes arrive: a first step of at most frameReadStep,
+	// then doubling. A 4-byte header alone pins nothing.
+	body := make([]byte, 0, min(int(n), frameReadStep))
+	for len(body) < int(n) {
+		have := len(body)
+		step := min(int(n)-have, max(have, frameReadStep))
+		body = slices.Grow(body, step)[:have+step]
+		if _, err = io.ReadFull(r, body[have:]); err != nil {
+			return 0, nil, 0, err
+		}
 	}
 	return body[0], body[1:], int(4 + n), nil
 }
+
+// frameReadStep is readFrame's first allocation; ordinary frames (a
+// one-request host unit is ~23 KB) fit it and are read in one step.
+const frameReadStep = 64 << 10
 
 // --- primitive append helpers ---
 

@@ -48,6 +48,7 @@ type Table2Row struct {
 func Table2(cfg Config) Table2Result {
 	var res Table2Result
 	db := backend.New()
+	bank := banking.NewWorkload()
 	sessions, gen := newWorkload(cfg, 0, 200*int(banking.NumTypes))
 	for _, rt := range banking.CoreTypes() {
 		var instr int64
@@ -58,7 +59,7 @@ func Table2(cfg Config) Table2Result {
 			if err != nil {
 				panic(err)
 			}
-			ctx := banking.Execute(banking.ServiceFor(rt), &req, sessions, db, true)
+			ctx := bank.Execute(int(rt), &req, sessions, db, true)
 			if ctx.Err != "" {
 				panic(fmt.Sprintf("table2: %s failed: %s", rt, ctx.Err))
 			}
@@ -203,6 +204,7 @@ type Fig2Row struct {
 func Fig2(cfg Config) Fig2Result {
 	var res Fig2Result
 	db := backend.New()
+	bank := banking.NewWorkload()
 	sessions, gen := newWorkload(cfg, 0, cfg.TraceRequests*int(banking.NumTypes))
 	for _, rt := range banking.CoreTypes() {
 		var traces []trace.Trace
@@ -211,7 +213,7 @@ func Fig2(cfg Config) Fig2Result {
 			if err != nil {
 				panic(err)
 			}
-			ctx := banking.Execute(banking.ServiceFor(rt), &req, sessions, db, true)
+			ctx := bank.Execute(int(rt), &req, sessions, db, true)
 			if ctx.Err != "" {
 				panic(fmt.Sprintf("fig2: %s failed: %s", rt, ctx.Err))
 			}

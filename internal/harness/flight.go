@@ -9,6 +9,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/flight"
 	"rhythm/internal/httpx"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 )
 
@@ -56,7 +57,8 @@ type FlightResult struct {
 type flightServe struct {
 	sessions *session.Array
 	db       *backend.DB
-	scratch  *banking.Scratch
+	bank     *service.PageWorkload
+	scratch  *service.Scratch
 	out      []byte
 	req      httpx.Request
 }
@@ -69,9 +71,9 @@ func (f *flightServe) serve(raw []byte) (banking.ReqType, bool) {
 	if !ok {
 		return 0, false
 	}
-	ctx := f.scratch.Execute(banking.ServiceFor(t), &f.req, f.sessions, f.db, true)
-	banking.Render(ctx, f.out[:ctx.Spec.BufferBytes()])
-	return t, ctx.Err == ""
+	failed := f.bank.ExecuteHost(f.scratch, int(t), &f.req, f.sessions, f.db)
+	f.scratch.Render(f.out)
+	return t, !failed
 }
 
 // FlightStudy runs the recorder-overhead comparison.
@@ -89,7 +91,8 @@ func FlightStudy(cfg Config) FlightResult {
 		return &flightServe{
 			sessions: sessions,
 			db:       backend.New(),
-			scratch:  banking.NewScratch(),
+			bank:     banking.NewWorkload(),
+			scratch:  service.NewScratch(),
 			out:      make([]byte, banking.MaxBufferBytes()),
 		}, corpus
 	}

@@ -102,6 +102,7 @@ func FrontendStudy(cfg Config) FrontendResult {
 	cfg.validate()
 	n := 25 * cfg.CPURequestsPerType
 	res := FrontendResult{Requests: 2 * n}
+	bank := banking.NewWorkload()
 
 	res.Baseline = runFrontendMode("baseline", cfg, n,
 		func(sessions *session.Array, db *backend.DB) func([]byte) bool {
@@ -114,15 +115,15 @@ func FrontendStudy(cfg Config) FrontendResult {
 				if !ok {
 					return false
 				}
-				ctx := banking.Execute(banking.ServiceFor(t), &req, sessions, db, true)
-				banking.RenderAlloc(ctx)
+				ctx := bank.Execute(int(t), &req, sessions, db, true)
+				ctx.RenderAlloc()
 				return ctx.Err == ""
 			}
 		})
 
 	res.Pooled = runFrontendMode("pooled", cfg, n,
 		func(sessions *session.Array, db *backend.DB) func([]byte) bool {
-			scratch := banking.NewScratch()
+			scratch := service.NewScratch()
 			out := make([]byte, banking.MaxBufferBytes())
 			var req httpx.Request
 			return func(raw []byte) bool {
@@ -133,9 +134,9 @@ func FrontendStudy(cfg Config) FrontendResult {
 				if !ok {
 					return false
 				}
-				ctx := scratch.Execute(banking.ServiceFor(t), &req, sessions, db, true)
-				banking.Render(ctx, out[:ctx.Spec.BufferBytes()])
-				return ctx.Err == ""
+				failed := bank.ExecuteHost(scratch, int(t), &req, sessions, db)
+				scratch.Render(out)
+				return !failed
 			}
 		})
 
@@ -144,7 +145,7 @@ func FrontendStudy(cfg Config) FrontendResult {
 		func(sessions *session.Array, db *backend.DB) func([]byte) bool {
 			cache = rcache.New(1 << 16)
 			db.SetWriteHook(cache.Invalidate)
-			scratch := banking.NewScratch()
+			scratch := service.NewScratch()
 			out := make([]byte, banking.MaxBufferBytes())
 			var req httpx.Request
 			return func(raw []byte) bool {
@@ -174,12 +175,12 @@ func FrontendStudy(cfg Config) FrontendResult {
 						}
 					}
 				}
-				ctx := scratch.Execute(banking.ServiceFor(t), &req, sessions, db, true)
-				resp := banking.Render(ctx, out[:ctx.Spec.BufferBytes()])
-				if cacheable && ctx.Err == "" {
+				failed := bank.ExecuteHost(scratch, int(t), &req, sessions, db)
+				resp := scratch.Render(out)
+				if cacheable && !failed {
 					cache.Put(service.TypeID(t), csid, cuid, cver, &req, resp)
 				}
-				return ctx.Err == ""
+				return !failed
 			}
 		})
 	if cache != nil {

@@ -1,9 +1,12 @@
 // Package pipeline implements the Rhythm server: the single-threaded,
 // event-driven cohort pipeline of §3/§4 — Reader (double-buffered),
 // Parser, Dispatch, n backend + n+1 process stages, and Response —
-// running the Banking workload on the modeled SIMT device. The pipeline
-// stalls only on structural hazards (no free cohort context, a busy
-// bus), exactly as the paper's design intends.
+// running the Banking workload on the modeled SIMT device. The process
+// stages are the registered workload's own kernels (internal/service's
+// page kit, the ones live serving launches), bound per cohort context
+// through its Slot. The pipeline stalls only on structural hazards (no
+// free cohort context, a busy bus), exactly as the paper's design
+// intends.
 package pipeline
 
 import (
@@ -13,7 +16,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/cohort"
 	"rhythm/internal/httpx"
-	"rhythm/internal/mem"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
@@ -160,9 +163,11 @@ type Server struct {
 	db       *backend.DB
 	sessions *session.Array
 
+	bank       *service.PageWorkload
 	pool       *cohort.Pool[preq]
-	streams    []*simt.Stream                  // one per cohort context
-	dcs        []map[int]*banking.DeviceCohort // per context, by buffer class
+	streams    []*simt.Stream    // one per cohort context
+	slots      []service.Slot    // one per cohort context
+	reqs       [][]httpx.Request // per context: the bound cohort's requests
 	batches    []*readerBatch
 	backendSrv *sim.Server
 	hostSrv    *sim.Server // straggler re-execution workers
@@ -210,8 +215,10 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 		opts:     opts,
 		db:       db,
 		sessions: sessions,
+		bank:     banking.NewWorkload(),
 		stats:    Stats{Latency: stats.NewLatencyRecorder()},
 	}
+	variant := service.Variant{Padding: opts.Padding, ColMajor: opts.ColumnMajor, HostBackend: !opts.DeviceBackend}
 	s.pool = cohort.NewPool[preq](eng, opts.MaxCohorts, opts.CohortSize, opts.FormationTimeout,
 		func(c *cohort.Context[preq], _ cohort.Reason) {
 			c.MarkBusy()
@@ -220,7 +227,8 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 		})
 	for i := 0; i < opts.MaxCohorts; i++ {
 		s.streams = append(s.streams, dev.NewStream())
-		s.dcs = append(s.dcs, make(map[int]*banking.DeviceCohort))
+		s.slots = append(s.slots, s.bank.NewSlot(dev, opts.CohortSize, variant))
+		s.reqs = append(s.reqs, make([]httpx.Request, 0, opts.CohortSize))
 	}
 	// Double-buffered reader (§4.2).
 	for i := 0; i < 2; i++ {
@@ -430,45 +438,30 @@ func (s *Server) drainOverflow() {
 // runCohort executes the process phase for one Full cohort: n backend
 // stages and n+1 process stages (§3.1), then the response stage.
 func (s *Server) runCohort(c *cohort.Context[preq]) {
-	reqs := c.Requests()
-	t := reqs[0].t
-	svc := banking.ServiceFor(t)
-	dc := s.deviceCohort(c.ID, t)
-	dc.Reset(len(reqs))
-	for i, pr := range reqs {
-		dc.Reqs[i] = pr.req
+	prs := c.Requests()
+	t := prs[0].t
+	reqs := s.reqs[c.ID][:0]
+	for _, pr := range prs {
+		reqs = append(reqs, pr.req)
 	}
+	unit := s.slots[c.ID].Bind(int(t), reqs, s.sessions, s.db).(*service.PageUnit)
 	stream := s.streams[c.ID]
 	count := len(reqs)
-
-	var besim *backend.DB
-	if s.opts.DeviceBackend {
-		besim = s.db
-	}
 
 	stragglers := make(map[int]bool)
 	var nextStage func(k int)
 	nextStage = func(k int) {
-		args := banking.StageArgs{
-			Cohort:   dc,
-			Service:  svc,
-			Stage:    k,
-			Sessions: s.sessions,
-			Padding:  s.opts.Padding,
-			ColMajor: s.opts.ColumnMajor,
-			Besim:    besim,
-		}
-		stream.Launch(banking.NewStageProgram(args), count, nil, func(simt.LaunchStats) {
-			if k < svc.Spec.Backends {
+		stream.Launch(unit.Stage(k), count, nil, func(simt.LaunchStats) {
+			if k < unit.Stages()-1 {
 				if s.opts.DeviceBackend {
 					// Besim ran chained inside the kernel.
 					nextStage(k + 1)
 				} else {
-					s.hostBackend(c, dc, stream, count, stragglers, func() { nextStage(k + 1) })
+					s.hostBackend(c, unit, stream, count, stragglers, func() { nextStage(k + 1) })
 				}
 				return
 			}
-			s.respond(c, dc, stream, count, stragglers)
+			s.respond(c, t, unit, stream, count, stragglers)
 		})
 	}
 	nextStage(0)
@@ -480,10 +473,8 @@ func (s *Server) runCohort(c *cohort.Context[preq]) {
 // straggler timeout configured, the cohort proceeds when the deadline
 // passes and any unfinished requests are re-executed entirely on the
 // host (§3.1).
-func (s *Server) hostBackend(c *cohort.Context[preq], dc *banking.DeviceCohort, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
-	stream.TransposeLive(dc.BReqRow, dc.BReqBuf, backend.RequestSlot/4, dc.Size, 4,
-		backend.RequestSlot/4, count, nil)
-	stream.MemcpyD2H(dc.BReqRow, count*backend.RequestSlot, func(image []byte) {
+func (s *Server) hostBackend(c *cohort.Context[preq], unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
+	unit.BackendRequestsD2H(stream, func(image []byte) {
 		proceeded := false
 		remaining := count
 		finished := make([]bool, count)
@@ -493,14 +484,11 @@ func (s *Server) hostBackend(c *cohort.Context[preq], dc *banking.DeviceCohort, 
 				return
 			}
 			proceeded = true
-			stream.MemcpyH2D(dc.BRespRow, respImage, nil)
-			stream.TransposeLive(dc.BRespBuf, dc.BRespRow, dc.Size, backend.ResponseSlot/4, 4,
-				count, backend.ResponseSlot/4, nil)
+			unit.BackendResponsesH2D(stream, respImage)
 			stream.Barrier(done)
 		}
 		for r := 0; r < count; r++ {
-			ctx := dc.Ctxs[r]
-			if stragglers[r] || (ctx != nil && (ctx.Done || ctx.Err != "")) {
+			if stragglers[r] || !unit.Active(r) {
 				// Shed earlier, finished early (variable stages), or
 				// failed: no backend work this round trip.
 				remaining--
@@ -535,7 +523,7 @@ func (s *Server) hostBackend(c *cohort.Context[preq], dc *banking.DeviceCohort, 
 				}
 				for r := 0; r < count; r++ {
 					if !finished[r] && !stragglers[r] {
-						s.shedStraggler(c, dc, r)
+						s.shedStraggler(c, unit, r)
 						stragglers[r] = true
 					}
 				}
@@ -548,20 +536,18 @@ func (s *Server) hostBackend(c *cohort.Context[preq], dc *banking.DeviceCohort, 
 // shedStraggler hands one timed-out request to the host CPU: the device
 // slot is marked failed (its error page is discarded), and the full
 // request re-executes on a host worker, producing the real response.
-func (s *Server) shedStraggler(c *cohort.Context[preq], dc *banking.DeviceCohort, r int) {
-	if ctx := dc.Ctxs[r]; ctx != nil && ctx.Err == "" {
-		ctx.Fail("backend straggler: reissued on host")
-	}
-	arrived := c.Requests()[r].arrived
-	req := dc.Reqs[r]
-	svc := banking.ServiceFor(dc.Spec.Type)
+func (s *Server) shedStraggler(c *cohort.Context[preq], unit *service.PageUnit, r int) {
+	unit.Fail(r, "backend straggler: reissued on host")
+	pr := c.Requests()[r]
+	arrived := pr.arrived
+	req := pr.req
 	s.inflight++
 	// Functional execution now; completion priced by instruction count
 	// on a host worker. (Re-running from stage 0 can repeat an earlier
 	// stage's side effect — e.g. a login that stalled on its *second*
 	// round trip leaves an extra session — the idempotency cost the
 	// paper's "execute on the host CPU" option inherently carries.)
-	hctx := banking.Execute(svc, &req, s.sessions, s.db, s.opts.Padding)
+	hctx := s.bank.Execute(int(pr.t), &req, s.sessions, s.db, s.opts.Padding)
 	service := sim.Time(float64(hctx.Instr()) / s.opts.HostIPS * 1e9)
 	s.hostSrv.Submit(service, func() {
 		s.stats.Stragglers++
@@ -578,19 +564,11 @@ func (s *Server) shedStraggler(c *cohort.Context[preq], dc *banking.DeviceCohort
 // respond runs the Response stage: transpose the cohort's responses back
 // to row-major (on-device for Titan A/B, offloaded for Titan C), ship
 // them, record latencies, and free the cohort context.
-func (s *Server) respond(c *cohort.Context[preq], dc *banking.DeviceCohort, stream *simt.Stream, count int, stragglers map[int]bool) {
-	buf := dc.Spec.BufferBytes()
-	if s.opts.ColumnMajor {
-		if s.opts.OffloadResponseTranspose {
-			// Titan C: a specialized unit (NIC / memory-controller logic)
-			// performs the transpose; it costs no device time but the
-			// bytes still move, functionally.
-			stream.Barrier(func() {
-				mem.TransposeElemsRange(s.dev.Mem, dc.RespRow, dc.RespCol, buf/4, dc.Size, 4, buf/4, count)
-			})
-		} else {
-			stream.TransposeLive(dc.RespRow, dc.RespCol, buf/4, dc.Size, 4, buf/4, count, nil)
-		}
+func (s *Server) respond(c *cohort.Context[preq], t banking.ReqType, unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool) {
+	if s.opts.ColumnMajor && s.opts.OffloadResponseTranspose {
+		stream.Barrier(unit.WritebackOffloaded) // Titan C
+	} else {
+		unit.Writeback(stream)
 	}
 	finish := func() {
 		now := s.eng.Now()
@@ -598,16 +576,15 @@ func (s *Server) respond(c *cohort.Context[preq], dc *banking.DeviceCohort, stre
 			if stragglers[i] {
 				continue // accounted by the host path
 			}
-			ctx := dc.Ctxs[i]
-			if ctx != nil && ctx.Err != "" {
+			failed := unit.Failed(i)
+			if failed {
 				s.stats.Errors++
 			}
 			s.stats.Latency.Record(float64(now - c.Requests()[i].arrived))
 			s.stats.Completed++
-			if v := s.opts.ValidateEvery; v > 0 && (s.stats.Completed%uint64(v)) == 0 && (ctx == nil || ctx.Err == "") {
+			if v := s.opts.ValidateEvery; v > 0 && (s.stats.Completed%uint64(v)) == 0 && !failed {
 				s.stats.Validated++
-				resp := s.dev.Mem.Read(dc.RespRow+mem.Addr(i*buf), buf)
-				if err := banking.Validate(dc.Spec.Type, resp); err != nil {
+				if err := banking.Validate(t, unit.Response(i)); err != nil {
 					s.stats.ValidationFailures++
 				}
 			}
@@ -619,27 +596,10 @@ func (s *Server) respond(c *cohort.Context[preq], dc *banking.DeviceCohort, stre
 		s.maybeFlush()
 	}
 	if s.opts.ResponseOverBus {
-		stream.MemcpyD2H(dc.RespRow, count*buf, func([]byte) { finish() })
+		unit.ResponsesD2H(stream, finish)
 	} else {
 		stream.Barrier(finish)
 	}
-}
-
-// deviceCohort returns (allocating on first use) the device buffers for
-// cohort context id serving type t. Buffers are keyed by response-buffer
-// size class and rebound across types, so a context holds at most one
-// buffer set per class. The paper preallocates all pipeline resources at
-// first launch (§4.2); lazy allocation here is equivalent because device
-// memory is never freed.
-func (s *Server) deviceCohort(id int, t banking.ReqType) *banking.DeviceCohort {
-	class := banking.SpecFor(t).BufferBytes()
-	dc, ok := s.dcs[id][class]
-	if !ok {
-		dc = banking.NewDeviceCohortClass(s.dev, class, s.opts.CohortSize)
-		s.dcs[id][class] = dc
-	}
-	dc.Bind(t)
-	return dc
 }
 
 // maybeFlush force-launches partial cohorts when they can no longer

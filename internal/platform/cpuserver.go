@@ -5,6 +5,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/httpx"
 	"rhythm/internal/pipeline"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/stats"
@@ -24,6 +25,7 @@ type CPUServer struct {
 	pool     *sim.Server
 	db       *backend.DB
 	sessions *session.Array
+	bank     *service.PageWorkload
 
 	completed uint64
 	errors    uint64
@@ -69,6 +71,7 @@ func NewCPUServer(eng *sim.Engine, cpu CPU, workers int, db *backend.DB, session
 		pool:     sim.NewServer(eng, workers),
 		db:       db,
 		sessions: sessions,
+		bank:     banking.NewWorkload(),
 		latency:  stats.NewLatencyRecorder(),
 		valEvery: validateEvery,
 	}
@@ -147,12 +150,12 @@ func (s *CPUServer) serve(raw []byte) (int64, bool) {
 	if !ok {
 		return instr, true
 	}
-	ctx := banking.Execute(banking.ServiceFor(t), &req, s.sessions, s.db, true)
+	ctx := s.bank.Execute(int(t), &req, s.sessions, s.db, true)
 	instr += ctx.Instr()
 	errPage := ctx.Err != ""
 	if v := s.valEvery; v > 0 && (s.completed%uint64(v)) == 0 && !errPage {
 		s.validated++
-		if err := banking.Validate(t, banking.RenderAlloc(ctx)); err != nil {
+		if err := banking.Validate(t, ctx.RenderAlloc()); err != nil {
 			s.valFails++
 		}
 	}

@@ -25,6 +25,9 @@ const (
 	// SessionCreates: the type creates a session during its stages
 	// (login-shaped); any existing cookie is ignored.
 	SessionCreates
+	// SessionDeletes: SessionRequired, and the type deletes the resolved
+	// session during its stages (logout-shaped).
+	SessionDeletes
 )
 
 // StageFunc is one request type's process logic, shared verbatim by the
@@ -61,12 +64,16 @@ type SvcDef struct {
 }
 
 // Ctx carries one request through its process stages, shared by the
-// host path and the SIMT kernels so both produce identical bytes.
+// host path and the SIMT kernels: both run the same stage functions, so
+// the bytes produced — and the structural instruction counts charged —
+// are identical by construction.
 type Ctx struct {
 	Req      *httpx.Request
 	Sessions *session.Array
-	Def      *SvcDef
-	Page     *PageBuilder
+	// Local is the type's index within its workload; Def its declaration.
+	Local int
+	Def   *SvcDef
+	Page  *PageBuilder
 
 	// SID/UserID are resolved from the workload's session cookie (or
 	// created by a SessionCreates stage). HasSession reports a live
@@ -78,9 +85,11 @@ type Ctx struct {
 	// carries (only meaningful for workloads with a session cookie).
 	NewCookie string
 	// Err marks the request failed; the response is a full-size error
-	// page on the cohort's divergent path.
+	// page on the cohort's divergent path (§4.4).
 	Err string
-	// Done marks early completion of a variable-stage type.
+	// Done marks early completion of a variable-stage type: the page is
+	// built and the remaining backend stages are skipped, so the
+	// request's thread drops out of the cohort's later kernels.
 	Done bool
 	// Data carries service-private state between stages.
 	Data any
@@ -114,29 +123,46 @@ func (c *Ctx) CreateSession(uid uint64) bool {
 	return true
 }
 
+// DeleteSession ends the resolved session; the response carries the
+// all-zero cookie. For SessionDeletes stages only.
+func (c *Ctx) DeleteSession() {
+	c.Sessions.Delete(c.SID)
+	c.HasSession = false
+	c.NewCookie = ""
+}
+
+// BlockBase gives each request type a disjoint basic-block id space for
+// the Fig 2 trace study: ids base..base+998 are the stage functions',
+// base+999 the error path.
+func BlockBase(local int) uint32 { return uint32(local+1) * 1000 }
+
 // initCtx prepares a context (fresh or recycled, Page attached and
 // reset): fixed-cost charge and session-cookie resolution per the
-// type's SessionMode.
-func (w *PageWorkload) initCtx(ctx *Ctx, def *SvcDef, req *httpx.Request, sessions *session.Array, padding bool) {
+// type's SessionMode. It leaves Err set on failure so an error page can
+// be rendered.
+func (w *PageWorkload) initCtx(ctx *Ctx, local int, req *httpx.Request, sessions *session.Array, padding bool) {
 	page := ctx.Page
-	*ctx = Ctx{Req: req, Sessions: sessions, Def: def, Page: page, w: w}
-	page.SetPadding(padding)
+	def := &w.defs[local]
+	*ctx = Ctx{Req: req, Sessions: sessions, Local: local, Def: def, Page: page, w: w}
+	page.costs = w.costs
+	page.padding = padding
 	ctx.Charge(w.costs.Fixed)
+	page.Block(BlockBase(local))
 	switch def.Session {
 	case SessionNone, SessionCreates:
 		return
 	}
-	cookie := req.Cookie(w.cookieName)
-	sid, ok := session.ParseID(cookie)
+	required := def.Session != SessionOptional
+	sid, ok := session.ParseID(req.Cookie(w.cookieName))
 	if !ok {
-		if def.Session == SessionRequired {
+		if required {
 			ctx.Fail("missing or malformed session cookie")
 		}
 		return
 	}
 	uid, ok := sessions.Lookup(sid)
 	if !ok {
-		if def.Session == SessionRequired {
+		if required {
 			ctx.Fail("session expired")
 		}
 		return
@@ -147,9 +173,37 @@ func (w *PageWorkload) initCtx(ctx *Ctx, def *SvcDef, req *httpx.Request, sessio
 	ctx.NewCookie = w.cookieName + "=" + sid.String()
 }
 
-// runStages drives the stage functions on the host path, invoking
-// callBackend for each round trip; on error it builds the error page.
-func runStages(def *SvcDef, ctx *Ctx, callBackend func([]byte) []byte) {
+// Scratch is a reusable execution context: one per connection (or per
+// worker) runs every request through the same Ctx and PageBuilder,
+// resetting rather than reallocating between requests.
+type Scratch struct {
+	ctx  Ctx
+	page PageBuilder
+}
+
+// NewScratch returns an empty reusable execution context.
+func NewScratch() *Scratch {
+	sc := &Scratch{}
+	sc.ctx.Page = &sc.page
+	return sc
+}
+
+// Render assembles the page of the Scratch's last execution into the
+// front of out, which must hold at least the type's buffer size.
+func (sc *Scratch) Render(out []byte) []byte {
+	return sc.ctx.Render(out[:sc.ctx.Def.BufferBytes])
+}
+
+// ExecuteScratch runs one request through every stage against a local
+// backend — the host reference path used by CPU baselines, the TCP
+// server, and the validator — reusing sc, so the steady state allocates
+// neither ctx nor builder. The returned ctx is valid until the next
+// execution on sc.
+func (w *PageWorkload) ExecuteScratch(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend, padding bool) *Ctx {
+	ctx := &sc.ctx
+	sc.page.Reset()
+	w.initCtx(ctx, local, req, sessions, padding)
+	def := ctx.Def
 	var bresp []byte
 	for i := 0; i <= def.Backends; i++ {
 		if ctx.Err != "" || ctx.Done {
@@ -166,19 +220,25 @@ func runStages(def *SvcDef, ctx *Ctx, callBackend func([]byte) []byte) {
 			if len(breq) > BackendRequestSlot {
 				panic(fmt.Sprintf("service: %s stage %d backend request exceeds slot", def.Name, i))
 			}
-			ctx.Charge(ctx.w.costs.Backend)
-			bresp = callBackend(breq)
+			ctx.Charge(w.costs.Backend)
+			bresp = be.Handle(breq)
 		}
 	}
 	if ctx.Err != "" {
 		buildErrorPage(ctx)
 	}
+	return ctx
 }
 
 // buildErrorPage renders the divergent error path: a short message in a
 // full-size buffer so cohort geometry is undisturbed (§4.4).
 func buildErrorPage(ctx *Ctx) {
-	ctx.Page.Reset()
+	ctx.Page.Reset() // discard partial content, keep capacity
+	ctx.Page.Block(BlockBase(ctx.Local) + 999)
+	if ctx.w.errorPage != nil {
+		ctx.w.errorPage(ctx)
+		return
+	}
 	ctx.Page.Static("<html><head><title>")
 	ctx.Page.Static(ctx.w.name)
 	ctx.Page.Static(" - Error</title></head><body>\n<h1>Request failed</h1>\n<p class=\"error\">")

@@ -10,23 +10,30 @@ import (
 // with strided column stores. Static pieces are template content (cheap
 // per byte in the cost model); dynamic pieces are backend-derived.
 type Piece struct {
+	// Data is a string so appending template or backend-derived text
+	// never copies: the piece aliases the source bytes.
 	Data   string
 	Static bool
 }
 
-// Costs is a workload's structural instruction cost model, the same
-// shape banking calibrates against Table 2 (DESIGN.md): a fixed
-// per-request charge, per-byte emission charges, and a per-backend
-// round-trip charge.
+// Costs is a workload's structural instruction cost model: the charges
+// host and device programs accrue.
 type Costs struct {
-	Fixed      int64
+	// Fixed covers request parsing, session work, and control overhead
+	// common to every request.
+	Fixed int64
+	// StaticByte prices emitting template content, DynByte formatting
+	// backend-derived content.
 	StaticByte int64
 	DynByte    int64
-	Backend    int64
+	// Backend covers marshaling one backend round trip.
+	Backend int64
 }
 
-// DefaultCosts is banking's calibrated model, a reasonable prior for
-// any page-shaped workload.
+// DefaultCosts is banking's model, a reasonable prior for any
+// page-shaped workload. The absolute scale is calibrated once against
+// Table 2's Pin-measured counts (DESIGN.md §6); the per-type variation
+// then follows from each page's actual static/dynamic composition.
 func DefaultCosts() Costs {
 	return Costs{Fixed: 20000, StaticByte: 15, DynByte: 70, Backend: 20000}
 }
@@ -48,39 +55,52 @@ func (c *Costs) fill() {
 }
 
 // PageBuilder accumulates a response body as pieces, charging the
-// workload's cost model. It is the registry-generic sibling of
-// banking's builder; alignment padding keeps every lane of a cohort at
-// the same body offset after variable-length dynamic content (§4.3.2).
+// workload's cost model and recording a basic-block trace for the
+// similarity study (Fig 2). Alignment padding keeps every lane of a
+// cohort at the same body offset after variable-length dynamic content
+// (§4.3.2).
 type PageBuilder struct {
 	pieces  []Piece
 	bodyLen int
 	instr   int64
-	padding bool
 	costs   Costs
+	blocks  []uint32
+	// padding enables the §4.3.2 whitespace alignment. When disabled
+	// (ablation), PadTo is a no-op and lanes' offsets diverge.
+	padding bool
+	// misaligned counts PadTo targets that had already been passed — a
+	// mis-sized section budget.
+	misaligned int
+	// marks records the body offset after each PadTo call. With padding
+	// on and fixed section budgets, marks are identical for every
+	// request of a type (the cohort alignment invariant); with padding
+	// off they drift apart, which is what ruins coalescing in the
+	// ablation.
+	marks []int
+	// lastBlock is the most recent explicit basic block, labelling the
+	// emission blocks of the fragments that follow it.
+	lastBlock uint32
 }
 
-// NewPageBuilder returns a builder with padding enabled and the given
-// cost model (zero fields take defaults).
-func NewPageBuilder(costs Costs) *PageBuilder {
-	costs.fill()
-	return &PageBuilder{padding: true, costs: costs}
-}
-
-// Reset clears the builder for reuse, keeping capacity and settings.
+// Reset clears the builder for reuse, keeping slice capacity and
+// settings so a pooled builder builds its next page without
+// reallocating.
 func (b *PageBuilder) Reset() {
 	b.pieces = b.pieces[:0]
 	b.bodyLen = 0
 	b.instr = 0
+	b.blocks = b.blocks[:0]
+	b.misaligned = 0
+	b.marks = b.marks[:0]
+	b.lastBlock = 0
 }
-
-// SetPadding toggles whitespace alignment (the §4.3.2 ablation knob).
-func (b *PageBuilder) SetPadding(on bool) { b.padding = on }
 
 // Static appends template content.
 func (b *PageBuilder) Static(s string) {
 	b.pieces = append(b.pieces, Piece{Data: s, Static: true})
 	b.bodyLen += len(s)
 	b.instr += int64(len(s)) * b.costs.StaticByte
+	b.emitBlocks(len(s))
 }
 
 // Dynamic appends backend-derived content.
@@ -88,6 +108,7 @@ func (b *PageBuilder) Dynamic(s string) {
 	b.pieces = append(b.pieces, Piece{Data: s})
 	b.bodyLen += len(s)
 	b.instr += int64(len(s)) * b.costs.DynByte
+	b.emitBlocks(len(s))
 }
 
 // Dynamicf appends formatted backend-derived content.
@@ -95,16 +116,37 @@ func (b *PageBuilder) Dynamicf(format string, args ...any) {
 	b.Dynamic(fmt.Sprintf(format, args...))
 }
 
+// emitChunk is the bytes-per-basic-block granularity of the emission
+// loops: a fragment of n bytes contributes ~n/emitChunk dynamic basic
+// blocks to the trace, the way a real copy/format loop does in a Pin
+// trace. This keeps loop-trip divergence proportional to its true share
+// of the executed blocks (Fig 2).
+const emitChunk = 256
+
+func (b *PageBuilder) emitBlocks(n int) {
+	const marker = 0x8000_0000
+	for ; n > 0; n -= emitChunk {
+		b.blocks = append(b.blocks, marker|b.lastBlock)
+	}
+}
+
 // PadTo pads the body with spaces to offset n (rounded up to a word
-// boundary), realigning cohort lanes after a dynamic section. Being
-// already past n is tolerated: correctness never depends on alignment,
-// only coalescing does.
+// boundary, so the cohort's interleaved stores stay on 4-byte-word
+// lanes), realigning every lane after a variable-length dynamic section
+// (§4.3.2 "Whitespace Padding in HTML Content"). Already being past n
+// is tolerated (recorded in Misaligned) because response correctness
+// never depends on alignment — only coalescing does.
 func (b *PageBuilder) PadTo(n int) {
+	defer func() { b.marks = append(b.marks, b.bodyLen) }()
 	if !b.padding {
 		return
 	}
 	n = (n + 3) &^ 3
-	if b.bodyLen >= n {
+	if b.bodyLen > n {
+		b.misaligned++
+		return
+	}
+	if b.bodyLen == n {
 		return
 	}
 	pad := n - b.bodyLen
@@ -115,40 +157,18 @@ func (b *PageBuilder) PadTo(n int) {
 
 // FillTo emits deterministic filler template prose until the body
 // reaches offset n.
-func (b *PageBuilder) FillTo(n int) {
-	if b.bodyLen >= n {
+func (b *PageBuilder) FillTo(n int) { b.FillWith(fillerPara, n) }
+
+// FillWith is FillTo with the workload's own prose: para repeated, the
+// last copy truncated inside an HTML comment (or to spaces when fewer
+// than 9 bytes remain) so the markup stays well-formed. The content is
+// fixed template text — "static" in the cost model and identical across
+// requests of a type.
+func (b *PageBuilder) FillWith(para string, n int) {
+	n -= b.bodyLen
+	if n <= 0 {
 		return
 	}
-	b.Static(fillerText(n - b.bodyLen))
-}
-
-// Len reports accumulated body bytes.
-func (b *PageBuilder) Len() int { return b.bodyLen }
-
-// Instr reports instructions charged for body generation.
-func (b *PageBuilder) Instr() int64 { return b.instr }
-
-// Pieces returns the accumulated fragments.
-func (b *PageBuilder) Pieces() []Piece { return b.pieces }
-
-var spacesBank = strings.Repeat(" ", 1<<16)
-
-func spaces(n int) string {
-	if n <= len(spacesBank) {
-		return spacesBank[:n]
-	}
-	return strings.Repeat(" ", n)
-}
-
-// fillerText produces n bytes of deterministic HTML-ish filler prose
-// (truncated inside a comment so the markup stays well-formed).
-func fillerText(n int) string {
-	const para = "<p class=\"fine\">Offers subject to change. Availability and delivery " +
-		"estimates are computed at order time and may vary by region. Streamed device " +
-		"telemetry is retained per the published data policy; see your account " +
-		"settings for export options. Catalog descriptions are provided by the " +
-		"merchant of record. Do not share your access credentials; support staff " +
-		"will never request your password. All prices are shown before tax.</p>\n"
 	var sb strings.Builder
 	sb.Grow(n)
 	for sb.Len() < n {
@@ -167,5 +187,55 @@ func fillerText(n int) string {
 			}
 		}
 	}
-	return sb.String()
+	b.Static(sb.String())
 }
+
+// Block records the execution of basic block id in the page trace.
+func (b *PageBuilder) Block(id uint32) {
+	b.blocks = append(b.blocks, id)
+	b.lastBlock = id
+}
+
+// LastBlock reports the current emission-label block.
+func (b *PageBuilder) LastBlock() uint32 { return b.lastBlock }
+
+// Reconverge restores the emission label after a data-dependent branch:
+// code following the reconvergence point has the same block addresses on
+// every path, so its emission blocks must be labeled identically.
+func (b *PageBuilder) Reconverge(id uint32) { b.lastBlock = id }
+
+// Len reports accumulated body bytes.
+func (b *PageBuilder) Len() int { return b.bodyLen }
+
+// Instr reports instructions charged for body generation.
+func (b *PageBuilder) Instr() int64 { return b.instr }
+
+// Pieces returns the accumulated fragments.
+func (b *PageBuilder) Pieces() []Piece { return b.pieces }
+
+// Marks returns the body offsets observed at each PadTo call.
+func (b *PageBuilder) Marks() []int { return b.marks }
+
+// Misaligned reports how many PadTo targets were overshot.
+func (b *PageBuilder) Misaligned() int { return b.misaligned }
+
+// Blocks returns the recorded basic-block trace.
+func (b *PageBuilder) Blocks() []uint32 { return b.blocks }
+
+// spacesBank backs spaces(): pads are bounded by the 64 KB max response
+// buffer, so PadTo slices it instead of allocating.
+var spacesBank = strings.Repeat(" ", 1<<16)
+
+func spaces(n int) string {
+	if n <= len(spacesBank) {
+		return spacesBank[:n]
+	}
+	return strings.Repeat(" ", n)
+}
+
+const fillerPara = "<p class=\"fine\">Offers subject to change. Availability and delivery " +
+	"estimates are computed at order time and may vary by region. Streamed device " +
+	"telemetry is retained per the published data policy; see your account " +
+	"settings for export options. Catalog descriptions are provided by the " +
+	"merchant of record. Do not share your access credentials; support staff " +
+	"will never request your password. All prices are shown before tax.</p>\n"

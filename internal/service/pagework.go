@@ -9,22 +9,28 @@ import (
 )
 
 // PageWorkload implements Workload for request/response ("one request =
-// one page") workloads declared as a table of SvcDefs. It supplies the
-// full execution machinery — host scalar path, device stage kernels,
-// column-major cohort buffers, fixed-geometry rendering — so a workload
-// author writes only stage functions plus a backend store (see
-// examples/ and DESIGN.md §16).
+// one page") workloads declared as a table of SvcDefs. It is the only
+// implementation of the paper's process phase — host scalar path,
+// device stage kernels, column-major cohort buffers, fixed-geometry
+// rendering — so a workload author writes only stage functions plus a
+// backend store; banking, ecom and telemetry are all declared this way
+// (see examples/ and DESIGN.md §16).
 type PageWorkload struct {
 	name       string
 	cookieName string
 	costs      Costs
 	defs       []SvcDef
 	byPath     map[string]int
+	bareNames  bool
+	// kernelPrefix starts every stage kernel's name: "rhythm_" under
+	// bare display names, else "rhythm_<workload>_".
+	kernelPrefix string
 
 	newBackend func() Backend
 	classify   func(req *httpx.Request) (int, bool)
 	affinity   func(req *httpx.Request, local int, buckets int) int
 	static     func(path string) ([]byte, bool)
+	errorPage  func(ctx *Ctx)
 }
 
 // PageWorkloadConfig declares a page workload.
@@ -48,6 +54,12 @@ type PageWorkloadConfig struct {
 	Affinity func(req *httpx.Request, local int, buckets int) int
 	// Static optionally serves workload static assets.
 	Static func(path string) ([]byte, bool)
+	// ErrorPage optionally builds the workload's error body (from
+	// ctx.Err) into ctx.Page; nil takes the kit's generic page.
+	ErrorPage func(ctx *Ctx)
+	// BareDisplayNames keeps the type labels unqualified ("login", not
+	// "banking/login") — banking's pre-registry label universe.
+	BareDisplayNames bool
 }
 
 // NewPageWorkload validates cfg and builds the workload.
@@ -72,6 +84,12 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 		classify:   cfg.Classify,
 		affinity:   cfg.Affinity,
 		static:     cfg.Static,
+		errorPage:  cfg.ErrorPage,
+		bareNames:  cfg.BareDisplayNames,
+	}
+	w.kernelPrefix = "rhythm_" + w.name + "_"
+	if w.bareNames {
+		w.kernelPrefix = "rhythm_"
 	}
 	for i := range w.defs {
 		def := &w.defs[i]
@@ -97,6 +115,10 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 
 // Name implements Workload.
 func (w *PageWorkload) Name() string { return w.name }
+
+// BareDisplayNames reports whether the registry labels this workload's
+// types by their bare local names (the schema_version 4 legacy aliases).
+func (w *PageWorkload) BareDisplayNames() bool { return w.bareNames }
 
 // SessionCookie implements Workload.
 func (w *PageWorkload) SessionCookie() string { return w.cookieName }
@@ -162,19 +184,14 @@ func (w *PageWorkload) NewBackend() Backend { return w.newBackend() }
 
 // ExecuteHost implements Workload: the scalar reference path, running
 // the same stage functions the kernels run.
-func (w *PageWorkload) ExecuteHost(local int, req *httpx.Request, sessions *session.Array, be Backend) ([]byte, bool) {
-	ctx := w.Execute(local, req, sessions, be, true)
-	return w.RenderAlloc(ctx), ctx.Err != ""
+func (w *PageWorkload) ExecuteHost(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend) bool {
+	return w.ExecuteScratch(sc, local, req, sessions, be, true).Err != ""
 }
 
-// Execute runs one request through every stage against a local backend
-// and returns the finished ctx (the host/validator entry point).
+// Execute is ExecuteScratch on a fresh Scratch: the returned ctx stays
+// valid (the harness entry point for instruction counts and traces).
 func (w *PageWorkload) Execute(local int, req *httpx.Request, sessions *session.Array, be Backend, padding bool) *Ctx {
-	def := &w.defs[local]
-	ctx := &Ctx{Page: NewPageBuilder(w.costs)}
-	w.initCtx(ctx, def, req, sessions, padding)
-	runStages(def, ctx, func(breq []byte) []byte { return be.Handle(breq) })
-	return ctx
+	return w.ExecuteScratch(NewScratch(), local, req, sessions, be, padding)
 }
 
 // classes lists the distinct response-buffer classes, ascending-free
@@ -194,7 +211,8 @@ func (w *PageWorkload) classes() []int {
 
 // DeviceBytes implements Workload: one cohort buffer set per distinct
 // buffer class (each set: column+row response buffers plus one backend
-// request and one backend response column).
+// request and one backend response column — the TitanB variant; a
+// HostBackend slot adds a row copy of the two backend columns).
 func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
 	var total int64
 	for _, c := range w.classes() {
@@ -204,6 +222,6 @@ func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
 }
 
 // NewSlot implements Workload.
-func (w *PageWorkload) NewSlot(dev *simt.Device, cohortSize int) Slot {
-	return &pageSlot{w: w, dev: dev, size: cohortSize, byClass: make(map[int]*pageCohort)}
+func (w *PageWorkload) NewSlot(dev *simt.Device, cohortSize int, v Variant) Slot {
+	return &pageSlot{w: w, dev: dev, v: v, size: cohortSize, byClass: make(map[int]*pageCohort)}
 }

@@ -41,10 +41,10 @@ func (def *SvcDef) contentType() string {
 // HeaderLen reports the fixed header size of local type `local`.
 func (w *PageWorkload) HeaderLen(local int) int { return w.defs[local].headerLen }
 
-// Render assembles a finished ctx into buf, which must be exactly the
+// Render assembles the finished ctx into buf, which must be exactly the
 // type's buffer size; it returns the full response (== buf).
-func (w *PageWorkload) Render(ctx *Ctx, buf []byte) []byte {
-	def := ctx.Def
+func (ctx *Ctx) Render(buf []byte) []byte {
+	w, def := ctx.w, ctx.Def
 	if len(buf) != def.BufferBytes {
 		panic(fmt.Sprintf("service: render buffer %d bytes, want %d", len(buf), def.BufferBytes))
 	}
@@ -69,6 +69,6 @@ func (w *PageWorkload) Render(ctx *Ctx, buf []byte) []byte {
 }
 
 // RenderAlloc renders into a freshly allocated right-sized buffer.
-func (w *PageWorkload) RenderAlloc(ctx *Ctx) []byte {
-	return w.Render(ctx, make([]byte, ctx.Def.BufferBytes))
+func (ctx *Ctx) RenderAlloc() []byte {
+	return ctx.Render(make([]byte, ctx.Def.BufferBytes))
 }

@@ -116,17 +116,18 @@ type Workload interface {
 	SessionCookie() string
 	// NewBackend creates one shard group's backend store.
 	NewBackend() Backend
-	// ExecuteHost runs one request on the scalar host path and returns
-	// the rendered fixed-geometry response (a fresh allocation the
-	// caller owns) plus whether the request took the error path. It must
-	// be byte-identical to the device path's output.
-	ExecuteHost(local int, req *httpx.Request, sessions *session.Array, be Backend) (resp []byte, failed bool)
+	// ExecuteHost runs one request on the scalar host path through sc
+	// and reports whether it took the error path; sc.Render then yields
+	// the fixed-geometry response, which must be byte-identical to the
+	// device path's output.
+	ExecuteHost(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend) (failed bool)
 	// DeviceBytes reports the device memory one execution slot needs to
 	// serve every type of this workload (one cohort buffer set per
 	// distinct buffer class).
 	DeviceBytes(cohortSize int) int64
-	// NewSlot creates one execution slot's device cohort state.
-	NewSlot(dev *simt.Device, cohortSize int) Slot
+	// NewSlot creates one execution slot's device cohort state, its
+	// stage kernels fixed to variant v.
+	NewSlot(dev *simt.Device, cohortSize int, v Variant) Slot
 }
 
 // Slot is one execution slot's device-resident cohort state for one
@@ -337,10 +338,10 @@ func (r *Registry) NewBackends() []Backend {
 
 // NewSlots creates one execution slot's cohort state across all
 // workloads, indexed by workload index.
-func (r *Registry) NewSlots(dev *simt.Device, cohortSize int) []Slot {
+func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []Slot {
 	out := make([]Slot, len(r.ws))
 	for i, w := range r.ws {
-		out[i] = w.NewSlot(dev, cohortSize)
+		out[i] = w.NewSlot(dev, cohortSize, v)
 	}
 	return out
 }
@@ -356,8 +357,18 @@ func (r *Registry) DeviceBytes(cohortSize int) int64 {
 }
 
 // ExecuteHost runs one classified request on its workload's scalar host
-// path against the group's backend set.
+// path against the group's backend set and returns the rendered
+// response (a fresh allocation the caller owns) plus whether the
+// request took the error path.
 func (r *Registry) ExecuteHost(t TypeID, req *httpx.Request, sessions *session.Array, bes []Backend) ([]byte, bool) {
+	sc := NewScratch()
+	failed := r.ExecuteScratch(sc, t, req, sessions, bes)
+	return sc.Render(make([]byte, r.specs[t].BufferBytes)), failed
+}
+
+// ExecuteScratch is ExecuteHost without the allocations: the page is
+// left in sc for sc.Render into a caller buffer.
+func (r *Registry) ExecuteScratch(sc *Scratch, t TypeID, req *httpx.Request, sessions *session.Array, bes []Backend) (failed bool) {
 	i := r.widx[t]
-	return r.ws[i].ExecuteHost(r.specs[t].Local, req, sessions, bes[i])
+	return r.ws[i].ExecuteHost(sc, r.specs[t].Local, req, sessions, bes[i])
 }

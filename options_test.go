@@ -122,15 +122,15 @@ func TestNewCohortServer(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShims pins the pre-v2 construction surface: NewServer
-// still builds the offline simulator (now SimServer) and serves a
-// saturation run, and the concrete NewTCPServer/NewCohortServer
-// constructors still exist for callers that bypass rhythm.New.
+// TestDeprecatedShims pins the pre-v2 construction surface:
+// NewSimServer builds the offline simulator and serves a saturation
+// run, and the concrete NewTCPServer/NewCohortServer constructors still
+// exist for callers that bypass rhythm.New.
 func TestDeprecatedShims(t *testing.T) {
-	var s *SimServer = NewServer(Options{CohortSize: 64, MaxCohorts: 2, Sessions: 256})
+	s := NewSimServer(Options{CohortSize: 64, MaxCohorts: 2, Sessions: 256})
 	st := s.Serve(s.GenerateMixed(256))
 	if st.Completed != 256 {
-		t.Fatalf("shimmed NewServer run completed %d of 256: %+v", st.Completed, st)
+		t.Fatalf("NewSimServer run completed %d of 256: %+v", st.Completed, st)
 	}
 	// Concrete constructors remain the escape hatch under rhythm.New.
 	if srv := NewTCPServer(4096); srv == nil {

@@ -132,12 +132,6 @@ type SimServer struct {
 	srv      *pipeline.Server
 }
 
-// NewServer builds an offline simulation server.
-//
-// Deprecated: use NewSimServer. NewServer remains so pre-v2 callers
-// compile; it is a trivial alias and will not grow new options.
-func NewServer(opts Options) *SimServer { return NewSimServer(opts) }
-
 // NewSimServer builds an offline simulation server and its workload
 // generator.
 func NewSimServer(opts Options) *SimServer {

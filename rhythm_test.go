@@ -79,7 +79,7 @@ func TestServerMultipleServeCalls(t *testing.T) {
 }
 
 func TestServerPaced(t *testing.T) {
-	s := NewServer(Options{
+	s := NewSimServer(Options{
 		CohortSize:       64,
 		MaxCohorts:       4,
 		FormationTimeout: time.Millisecond,
@@ -325,7 +325,7 @@ func TestTCPServerServesImages(t *testing.T) {
 }
 
 func TestServerStragglerOptions(t *testing.T) {
-	srv := NewServer(Options{
+	srv := NewSimServer(Options{
 		Platform:          TitanA,
 		CohortSize:        128,
 		MaxCohorts:        4,

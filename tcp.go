@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rhythm/internal/backend"
-	"rhythm/internal/banking"
 	"rhythm/internal/flight"
 	"rhythm/internal/httpx"
 	"rhythm/internal/obs"
@@ -29,14 +28,11 @@ import (
 type TCPServer struct {
 	// reg is the workload registry; names its display-label universe,
 	// labels the per-type Prometheus label sets. bes holds one backend
-	// store per workload (this server is a single shard group); bankIdx
-	// is banking's workload index (-1 when banking is not registered),
-	// whose requests take the zero-copy arena fast path.
-	reg     *service.Registry
-	names   []string
-	labels  []string
-	bes     []service.Backend
-	bankIdx int
+	// store per workload (this server is a single shard group).
+	reg    *service.Registry
+	names  []string
+	labels []string
+	bes    []service.Backend
 
 	// mu guards the workload state (backends + sessions are
 	// single-writer by design) and the listener. It is held only across
@@ -44,7 +40,6 @@ type TCPServer struct {
 	// serialize the server (request parsing and page rendering run
 	// lock-free).
 	mu       sync.Mutex
-	db       *backend.DB // banking's backend store (nil without banking)
 	sessions *session.Array
 	ln       net.Listener
 	served   atomic.Uint64
@@ -96,19 +91,11 @@ func NewTCPServerFor(reg *service.Registry, maxSessions int) *TCPServer {
 		names:      reg.DisplayNames(),
 		labels:     typeLabelSets(reg),
 		bes:        reg.NewBackends(),
-		bankIdx:    -1,
 		sessions:   session.NewArray(256, maxSessions/256*4+4),
 		typeCounts: make([]atomic.Uint64, reg.NumTypes()),
 		latHist:    newLatencyHistograms(reg.NumTypes()),
 		tracer:     obs.NewRecorder(0),
 		flight:     flight.New(flight.Config{}),
-	}
-	for i, w := range reg.Workloads() {
-		if w.Name() == "banking" {
-			if db, ok := s.bes[i].(*backend.DB); ok {
-				s.bankIdx, s.db = i, db
-			}
-		}
 	}
 	s.hEngine = s.newHealthEngine(health.Config{})
 	return s
@@ -212,14 +199,14 @@ func (s *TCPServer) Close() error {
 
 // connArena holds the per-connection reusable buffers of the zero-copy
 // hot path: the raw request bytes, the parsed request (param/cookie
-// slices recycled by ParseInto), the banking execution scratch, and a
-// max-size render buffer. One arena serves every request on its
+// slices recycled by ParseInto), the execution scratch, and a max-size
+// render buffer. One arena serves every request on its
 // connection, so the steady state allocates nothing but the parse's
 // raw-to-string conversion — see DESIGN.md §14.
 type connArena struct {
 	raw     []byte
 	req     httpx.Request
-	scratch *banking.Scratch
+	scratch *service.Scratch
 	out     []byte
 	// frec is the connection's flight-record scratch: filled per banking
 	// request and either recycled (fast path) or copied into the anomaly
@@ -235,7 +222,7 @@ type connArena struct {
 func newConnArena(maxOut int) *connArena {
 	return &connArena{
 		raw:     make([]byte, 0, 1024),
-		scratch: banking.NewScratch(),
+		scratch: service.NewScratch(),
 		out:     make([]byte, maxOut),
 	}
 }
@@ -355,28 +342,13 @@ func (s *TCPServer) respond(a *connArena, raw []byte) ([]byte, *obs.RequestTrace
 		}
 	}
 
-	// Banking requests run the zero-copy arena fast path (scratch ctx +
-	// reused render buffer); other workloads execute through the
-	// registry's scalar host surface, which allocates its response.
-	var (
-		resp     []byte
-		failed   bool
-		executed time.Time
-	)
-	if widx := s.reg.WorkloadIndex(t); widx == s.bankIdx {
-		bt := banking.ReqType(s.reg.Spec(t).Local)
-		s.mu.Lock()
-		ctx := a.scratch.Execute(banking.ServiceFor(bt), req, s.sessions, s.db, true)
-		s.mu.Unlock()
-		executed = time.Now()
-		failed = ctx.Err != ""
-		resp = banking.Render(ctx, a.out[:ctx.Spec.BufferBytes()])
-	} else {
-		s.mu.Lock()
-		resp, failed = s.reg.ExecuteHost(t, req, s.sessions, s.bes)
-		s.mu.Unlock()
-		executed = time.Now()
-	}
+	// Execute through the arena's scratch ctx under the workload lock,
+	// then render into the arena's reused buffer outside it.
+	s.mu.Lock()
+	failed := s.reg.ExecuteScratch(a.scratch, t, req, s.sessions, s.bes)
+	s.mu.Unlock()
+	executed := time.Now()
+	resp := a.scratch.Render(a.out)
 	if failed {
 		s.errors.Add(1)
 		a.frec.Status = flight.StatusError
