@@ -89,11 +89,13 @@ func pageHeadCompact(ctx *service.Ctx, title string) {
 // published content size and closes the document.
 func pageFoot(ctx *service.Ctx) {
 	p := ctx.Page
-	p.FillWith(fillerPara, Specs[ctx.Local].ContentBytes()-len(footHTML))
+	p.FillWith(filler, Specs[ctx.Local].ContentBytes()-len(footHTML))
 	p.Static(footHTML)
 }
 
-// fillerPara is the fixed template prose pageFoot repeats.
+// filler is the fixed template prose pageFoot repeats.
+var filler = service.NewFiller(fillerPara)
+
 const fillerPara = "<p class=\"fine\">Member FDIC. Equal Housing Lender. Online banking " +
 	"services are provided subject to the terms and conditions of your account " +
 	"agreement. Rates, fees and terms are subject to change without notice. " +

@@ -61,31 +61,11 @@ func (pb *ParseBatch) Reset(count int) {
 }
 
 // CohortDeviceBytes reports the device memory one cohort of `size` slots
-// of type t occupies (used by the §6.3 capacity analysis).
+// of type t occupies on the modeled device, column images included (used
+// by the §6.3 capacity analysis; the simulation backs only the row-major
+// half, service.PageWorkload.DeviceBytes).
 func CohortDeviceBytes(t ReqType, size int) int64 {
 	return int64(size) * int64(RequestSlot+2*backend.RequestSlot+2*backend.ResponseSlot+2*Specs[t].BufferBytes())
-}
-
-// ClassDeviceBytes reports the device memory one class cohort of `size`
-// slots occupies.
-func ClassDeviceBytes(class, size int) int64 {
-	return int64(size) * int64(2*class+2*(backend.RequestSlot+backend.ResponseSlot))
-}
-
-// AllClassesDeviceBytes reports the device memory one pipeline context
-// needs to serve every request type: one cohort per distinct buffer
-// class.
-func AllClassesDeviceBytes(size int) int64 {
-	seen := map[int]bool{}
-	var total int64
-	for _, s := range Specs {
-		c := s.BufferBytes()
-		if !seen[c] {
-			seen[c] = true
-			total += ClassDeviceBytes(c, size)
-		}
-	}
-	return total
 }
 
 // ParserArgs configures the parser kernel.

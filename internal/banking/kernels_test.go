@@ -122,12 +122,12 @@ func TestCohortDeviceBytesAccounting(t *testing.T) {
 	if CohortDeviceBytes(Logout, 4096) <= CohortDeviceBytes(Login, 4096) {
 		t.Fatal("64 KB buffers must dominate 8 KB buffers")
 	}
-	all := AllClassesDeviceBytes(1024)
+	// The simulation backs one row-major buffer set per class.
 	var classes int64
 	for _, c := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10} {
-		classes += ClassDeviceBytes(c, 1024)
+		classes += 1024 * int64(c+backend.RequestSlot+backend.ResponseSlot)
 	}
-	if all != classes {
-		t.Fatalf("AllClassesDeviceBytes = %d, want %d", all, classes)
+	if all := NewWorkload().DeviceBytes(1024); all != classes {
+		t.Fatalf("DeviceBytes = %d, want %d", all, classes)
 	}
 }

@@ -52,6 +52,7 @@ type device struct {
 	streams   []*simt.Stream
 	slots     [][]service.Slot
 	freeSlots []int
+	hostExec  *service.Scratch // every host unit's execution context
 	backlog   []*Unit
 	stray     *groupState // state for Group -1 units (never read by them)
 	faults    faultCursor
@@ -79,15 +80,16 @@ type device struct {
 func newDevice(c *Cluster, id int) *device {
 	eng := sim.NewEngine()
 	reg := c.cfg.Registry
-	memBytes := int(int64(c.cfg.SlotsPerDevice)*reg.DeviceBytes(c.cfg.CohortSize)) + 64<<20
+	memBytes := int(int64(c.cfg.SlotsPerDevice)*reg.DeviceBytes(c.cfg.CohortSize)) + 1<<20 // alignment slack
 	d := &device{
-		cl:     c,
-		id:     id,
-		eng:    eng,
-		dev:    simt.NewDevice(eng, c.cfg.Simt, memBytes, nil),
-		stray:  newGroupState(&c.cfg),
-		faults: faultCursor{faults: c.cfg.Faults.forDevice(id)},
-		ch:     make(chan *Unit, c.cfg.QueueDepth),
+		cl:       c,
+		id:       id,
+		eng:      eng,
+		dev:      simt.NewDevice(eng, c.cfg.Simt, memBytes, nil),
+		hostExec: service.NewScratch(),
+		stray:    newGroupState(&c.cfg),
+		faults:   faultCursor{faults: c.cfg.Faults.forDevice(id)},
+		ch:       make(chan *Unit, c.cfg.QueueDepth),
 	}
 	for i := 0; i < c.cfg.SlotsPerDevice; i++ {
 		d.streams = append(d.streams, d.dev.NewStream())
@@ -271,12 +273,12 @@ func (d *device) executeHost(u *Unit) {
 	res := &Result{Device: d.id, Host: true, Attempts: 1, Hops: u.hops}
 	res.RenderStart = time.Now()
 	res.Resps = make([][]byte, len(u.Reqs))
+	size := reg.Spec(u.Type).BufferBytes
 	for i := range u.Reqs {
-		resp, failed := reg.ExecuteHost(u.Type, &u.Reqs[i], st.sessions, st.bes)
-		if failed {
+		if reg.ExecuteScratch(d.hostExec, u.Type, &u.Reqs[i], st.sessions, st.bes) {
 			res.KernelErrs++
 		}
-		res.Resps[i] = resp
+		res.Resps[i] = d.hostExec.Render(make([]byte, size))
 	}
 	res.RenderDur = time.Since(res.RenderStart)
 	d.cl.statsMu.Lock()
@@ -331,18 +333,17 @@ func (d *device) execute(u *Unit, slot int) {
 	nextStage(0)
 }
 
-// writeback transposes the responses to row-major, copies each out of
+// writeback transposes the responses to row-major, copies them out of
 // device memory, and completes the unit.
 func (d *device) writeback(u *Unit, unit service.Unit, stream *simt.Stream, slot, count int, launchStart sim.Time, res *Result) {
 	unit.Writeback(stream)
 	stream.Barrier(func() {
 		res.RenderStart = time.Now()
-		res.Resps = make([][]byte, count)
+		res.Resps = unit.Responses()
 		for i := 0; i < count; i++ {
 			if unit.Failed(i) {
 				res.KernelErrs++
 			}
-			res.Resps[i] = unit.Response(i)
 		}
 		res.RenderDur = time.Since(res.RenderStart)
 		res.DeviceTime = d.eng.Now() - launchStart

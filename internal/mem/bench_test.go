@@ -2,8 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -23,34 +21,23 @@ func BenchmarkTranspose(b *testing.B) {
 	}
 }
 
-// BenchmarkTransposeWords times the response transpose of one cohort
-// (4096 words = a 16 KB buffer per request, cohorts of 128 and 1024) on
-// one host thread and cut into NumCPU bands; MB/s over 4 gives words/s.
+// BenchmarkTransposeWords times the word transpose of one cohort's
+// request image (256 words = a 1 KB slot per request, cohorts of 128 and
+// 1024); MB/s over 4 gives words/s.
 func BenchmarkTransposeWords(b *testing.B) {
-	const rows, elem = 4096, 4
-	for _, cols := range []int{128, 1024} {
-		for _, bands := range []int{1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("%dx%d/bands=%d", rows, cols, bands), func(b *testing.B) {
-				n := rows * cols * elem
-				m := New(2*n + 256)
-				src := m.Alloc(n, 128)
-				dst := m.Alloc(n, 128)
-				b.SetBytes(int64(n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for band := 1; band < bands; band++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							TransposeBand(m, dst, src, rows, cols, elem, rows, cols, band, bands)
-						}()
-					}
-					TransposeBand(m, dst, src, rows, cols, elem, rows, cols, 0, bands)
-					wg.Wait()
-				}
-			})
-		}
+	const cols, elem = 256, 4
+	for _, rows := range []int{128, 1024} {
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			n := rows * cols * elem
+			m := New(2*n + 256)
+			src := m.Alloc(n, 128)
+			dst := m.Alloc(n, 128)
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				TransposeElems(m, dst, src, rows, cols, elem)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package mem models the accelerator's device memory: a flat linear
-// address space backed by real bytes, preallocated pools that are recycled
-// across cohorts (the paper allocates all pipeline memory at startup,
-// §4.6), and the 2-D buffer transpose between row-major and column-major
-// layouts that gives Rhythm coalesced accesses (§4.3.2).
+// address space — backed by real bytes where the simulation reads them
+// back, reserved but unbacked where a layout is only priced —
+// preallocated pools that are recycled across cohorts (the paper
+// allocates all pipeline memory at startup, §4.6), and the 2-D buffer
+// transpose between row-major and column-major layouts that gives Rhythm
+// coalesced accesses (§4.3.2).
 package mem
 
 import "fmt"
@@ -14,16 +16,26 @@ type Addr uint64
 // it, so responses generated "on the device" are real bytes that can be
 // validated.
 //
+// Above the backed bytes lies reserve-only address space (Reserve): it
+// has addresses, so accesses to it coalesce and are priced like any
+// other, and no bytes. A cohort buffer's column-major image lives there
+// — the device would hold it, the simulation only prices it — while the
+// bytes live once, in the buffer's backed row-major twin.
+//
 // Concurrency contract (simt.Config.HostParallelism > 1): concurrently
 // simulated warps may Read/Write/Bytes disjoint byte ranges of the data
 // without synchronization — Rhythm's cohort buffers are partitioned
-// per-thread (row slots or word-interleaved columns), so kernel accesses
-// never overlap across threads. Alloc (which moves brk) and any
-// overlapping access are host-side operations and must only happen from
-// the event-loop thread, i.e. outside a running kernel.
+// per-thread, and every lane of a stage kernel writes only its own
+// request's row of each row-major twin (a kernel that moves bytes into a
+// backed column image writes only its own word column), so kernel
+// accesses never overlap across threads. Alloc and Reserve (which move
+// the bump pointers) and any overlapping access are host-side operations
+// and must only happen from the event-loop thread, i.e. outside a
+// running kernel.
 type Memory struct {
 	data []byte
 	brk  Addr // bump pointer for Alloc
+	rbrk Addr // bump pointer for Reserve; reserved space starts at len(data)
 }
 
 // New returns a device memory of the given size in bytes.
@@ -34,7 +46,7 @@ func New(size int) *Memory {
 	return &Memory{data: make([]byte, size)}
 }
 
-// Size reports the capacity in bytes.
+// Size reports the backed capacity in bytes.
 func (m *Memory) Size() int { return len(m.data) }
 
 // Allocated reports how many bytes have been handed out by Alloc.
@@ -44,13 +56,7 @@ func (m *Memory) Allocated() int { return int(m.brk) }
 // base address. Like the paper's startup-time pools, allocations are never
 // individually freed; use Pool for recycling.
 func (m *Memory) Alloc(n, align int) Addr {
-	if n < 0 {
-		panic("mem: negative allocation")
-	}
-	if align <= 0 || align&(align-1) != 0 {
-		panic(fmt.Sprintf("mem: alignment %d is not a power of two", align))
-	}
-	a := (m.brk + Addr(align-1)) &^ Addr(align-1)
+	a := alignUp(m.brk, n, align)
 	if int(a)+n > len(m.data) {
 		panic(fmt.Sprintf("mem: out of device memory (%d requested at brk %d, capacity %d)", n, m.brk, len(m.data)))
 	}
@@ -58,23 +64,55 @@ func (m *Memory) Alloc(n, align int) Addr {
 	return a
 }
 
+// Reserve hands out n bytes of address space aligned to align, above
+// every backed byte, with nothing behind them: Check accepts accesses to
+// the range, Bytes panics on it.
+func (m *Memory) Reserve(n, align int) Addr {
+	a := alignUp(max(m.rbrk, Addr(len(m.data))), n, align)
+	m.rbrk = a + Addr(n)
+	return a
+}
+
+// alignUp validates an allocation request and rounds brk up to align.
+func alignUp(brk Addr, n, align int) Addr {
+	if n < 0 {
+		panic("mem: negative allocation")
+	}
+	if align <= 0 || align&(align-1) != 0 {
+		panic(fmt.Sprintf("mem: alignment %d is not a power of two", align))
+	}
+	return (brk + Addr(align-1)) &^ Addr(align-1)
+}
+
 // Bytes returns the live slice [addr, addr+n). Mutating it mutates device
 // memory; this is how kernels and host copies touch data.
 func (m *Memory) Bytes(addr Addr, n int) []byte {
 	if int(addr)+n > len(m.data) || n < 0 {
+		if int(addr) >= len(m.data) && addr < m.rbrk {
+			panic(fmt.Sprintf("mem: [%d,%d) is reserved address space with no bytes behind it", addr, int(addr)+n))
+		}
 		panic(fmt.Sprintf("mem: access [%d,%d) out of bounds (capacity %d)", addr, int(addr)+n, len(m.data)))
 	}
 	return m.data[addr : int(addr)+n]
 }
 
+// Check bounds-checks an access to [addr, addr+n) that touches no bytes:
+// the range must lie wholly in backed memory or wholly in reserved
+// address space.
+func (m *Memory) Check(addr Addr, n int) {
+	end := int(addr) + n
+	if n < 0 || end > len(m.data) && (int(addr) < len(m.data) || end > int(m.rbrk)) {
+		panic(fmt.Sprintf("mem: access [%d,%d) out of bounds (capacity %d, reserved to %d)", addr, end, len(m.data), m.rbrk))
+	}
+}
+
 // Write copies p into device memory at addr.
 func (m *Memory) Write(addr Addr, p []byte) { copy(m.Bytes(addr, len(p)), p) }
 
-// Read copies n bytes starting at addr into a fresh slice.
+// Read copies n bytes starting at addr into a fresh slice (appended to
+// nil: the allocation is not zeroed first).
 func (m *Memory) Read(addr Addr, n int) []byte {
-	out := make([]byte, n)
-	copy(out, m.Bytes(addr, n))
-	return out
+	return append([]byte(nil), m.Bytes(addr, n)...)
 }
 
 // Zero clears [addr, addr+n).

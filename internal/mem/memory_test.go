@@ -64,6 +64,57 @@ func TestBytesOutOfBoundsPanics(t *testing.T) {
 	m.Bytes(8, 16)
 }
 
+// TestReservedRange: reserved address space bumps and aligns like
+// Alloc's, lies wholly above the backed bytes (whose capacity it does not
+// consume), bounds-checks priced accesses, and has no bytes to hand out.
+func TestReservedRange(t *testing.T) {
+	const size = 1000 // not a multiple of the alignment below
+	m := New(size)
+	backed := m.Alloc(100, 4)
+	a := m.Reserve(300, 256)
+	b := m.Reserve(8, 256)
+	if a%256 != 0 || b%256 != 0 || int(a) < size || b < a+300 {
+		t.Fatalf("Reserve returned %d then %d for a %d-byte memory", a, b, size)
+	}
+	if m.Allocated() != 100 || m.Alloc(size-100, 1) != backed+100 {
+		t.Fatal("a reservation consumed backed capacity")
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, c := range []struct {
+		what string
+		addr Addr
+		n    int
+		ok   bool
+	}{
+		{"backed", 0, size, true},
+		{"first reservation", a, 300, true},
+		{"last reserved bytes", b, 8, true},
+		{"past the last reservation", b, 9, false},
+		{"backed into reserved", Addr(size - 4), int(a) - size + 8, false},
+		{"negative length", a, -1, false},
+	} {
+		if got := !panics(func() { m.Check(c.addr, c.n) }); got != c.ok {
+			t.Errorf("Check(%s) accepted=%v, want %v", c.what, got, c.ok)
+		}
+	}
+	for _, f := range []func(){
+		func() { m.Bytes(a, 4) },
+		func() { m.Read(b, 8) },
+		func() { m.Write(a, []byte{1}) },
+		func() { m.Bytes(Addr(size-4), 8) },
+		func() { m.Reserve(8, 3) },
+		func() { m.Reserve(-1, 1) },
+	} {
+		if !panics(f) {
+			t.Error("an access to bytes that do not exist, or a bad reservation, did not panic")
+		}
+	}
+}
+
 func TestPoolGetPut(t *testing.T) {
 	m := New(1 << 16)
 	p := NewPool(m, 4, 256, 256)

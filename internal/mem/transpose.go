@@ -32,24 +32,8 @@ func TransposeElems(m *Memory, dst, src Addr, rows, cols, elem int) {
 // hardware would still stream the whole buffer (charge accordingly) but
 // the simulation need only move the meaningful bytes.
 func TransposeElemsRange(m *Memory, dst, src Addr, rows, cols, elem, liveRows, liveCols int) {
-	TransposeBand(m, dst, src, rows, cols, elem, liveRows, liveCols, 0, 1)
-}
-
-// transposeTile is the tile edge in elements: a 16×16 tile of 4-byte
-// words is 16 cache lines of each array, and the inner loop fills one
-// destination line.
-const transposeTile = 16
-
-// TransposeBand does band `band` of `bands` of TransposeElemsRange: the
-// destination rows (source columns) are cut into `bands` contiguous runs
-// of whole tiles, so the bands of one transpose write disjoint bytes and
-// may run on different host threads. Every band validates the arguments.
-func TransposeBand(m *Memory, dst, src Addr, rows, cols, elem, liveRows, liveCols, band, bands int) {
 	if rows <= 0 || cols <= 0 || elem <= 0 || liveRows < 0 || liveCols < 0 || liveRows > rows || liveCols > cols {
 		panic("mem: bad transpose range")
-	}
-	if bands <= 0 || band < 0 || band >= bands {
-		panic("mem: bad transpose band")
 	}
 	n := rows * cols * elem
 	s := m.Bytes(src, n)
@@ -57,11 +41,12 @@ func TransposeBand(m *Memory, dst, src Addr, rows, cols, elem, liveRows, liveCol
 	if overlaps(src, dst, n) {
 		panic("mem: transpose buffers overlap")
 	}
-	tiles := (liveCols + transposeTile - 1) / transposeTile
-	cLo := min(tiles*band/bands*transposeTile, liveCols)
-	cHi := min(tiles*(band+1)/bands*transposeTile, liveCols)
-	for c0 := cLo; c0 < cHi; c0 += transposeTile {
-		cmax := min(c0+transposeTile, cHi)
+	// transposeTile is the tile edge in elements: a 16×16 tile of 4-byte
+	// words is 16 cache lines of each array, and the inner loop fills
+	// one destination line.
+	const transposeTile = 16
+	for c0 := 0; c0 < liveCols; c0 += transposeTile {
+		cmax := min(c0+transposeTile, liveCols)
 		for r0 := 0; r0 < liveRows; r0 += transposeTile {
 			rmax := min(r0+transposeTile, liveRows)
 			if elem == 4 {

@@ -565,9 +565,8 @@ func (s *Server) shedStraggler(c *cohort.Context[preq], unit *service.PageUnit, 
 // to row-major (on-device for Titan A/B, offloaded for Titan C), ship
 // them, record latencies, and free the cohort context.
 func (s *Server) respond(c *cohort.Context[preq], t banking.ReqType, unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool) {
-	if s.opts.ColumnMajor && s.opts.OffloadResponseTranspose {
-		stream.Barrier(unit.WritebackOffloaded) // Titan C
-	} else {
+	if !(s.opts.ColumnMajor && s.opts.OffloadResponseTranspose) {
+		// Titan C's transpose unit does it for no device time.
 		unit.Writeback(stream)
 	}
 	finish := func() {

@@ -1,31 +1,140 @@
 package service
 
-import "rhythm/internal/simt"
+import (
+	"rhythm/internal/mem"
+	"rhythm/internal/simt"
+)
 
-// blankStoreStage is pageStageProgram with the device-backend block as
-// it was before ChargeColumn: store a zeroed response slot to price it,
-// then overwrite it from the deferred callback.
-type blankStoreStage struct{ pageStageProgram }
+// RefUnit is the write-through reference build of a PageUnit: its column
+// images are backed, its stage kernel renders into scratch and moves
+// every byte the layout implies — StoreColumn into the columns,
+// LoadColumn back out of them, a scatter from the deferred backend
+// commit — and its transposes are TransposeLive. The production kit
+// prices exactly these accesses and moves none of them, so every
+// simulated number and every response byte must agree between the two.
+type RefUnit struct{ *PageUnit }
 
-func (p blankStoreStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
-	if b != 2 {
-		return p.pageStageProgram.Exec(b, t)
-	}
-	pc, be, r := p.u.pc, p.u.be, t.ID
-	breq := simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)
-	t.Compute(besimDeviceOps)
-	simt.StoreColumn(t, pc.brespBuf, r, pc.size, 0, make([]byte, BackendResponseSlot))
-	m := t.Mem()
-	t.Defer(func() {
-		slot := make([]byte, BackendResponseSlot)
-		copy(slot, be.Handle(breq))
-		simt.WriteColumnRaw(m, pc.brespBuf, r, pc.size, slot)
-	})
-	return simt.Halt
+// Reference rebuilds u, bound on a fresh slot, as its reference.
+func Reference(u Unit) RefUnit {
+	pu := u.(*PageUnit)
+	pc, m := pu.pc, pu.pc.mem
+	pc.breqBuf = m.Alloc(pc.size*BackendRequestSlot, 256)
+	pc.brespBuf = m.Alloc(pc.size*BackendResponseSlot, 256)
+	pc.respCol = m.Alloc(pc.size*pc.class, 256)
+	return RefUnit{pu}
 }
 
-// BlankStoreStage returns u's stage-k kernel with the blank-store
-// backend block, the reference the price-only store is tested against.
-func BlankStoreStage(u Unit, k int) simt.Program {
-	return blankStoreStage{u.Stage(k).(pageStageProgram)}
+func (u RefUnit) Stage(k int) simt.Program {
+	return refStage{u.PageUnit.Stage(k).(pageStageProgram)}
+}
+
+func (u RefUnit) Writeback(stream *simt.Stream) {
+	pc := u.pc
+	if pc.v.ColMajor {
+		stream.TransposeLive(pc.respRow, pc.respCol, pc.class/4, pc.size, 4, pc.class/4, pc.count, nil)
+	}
+}
+
+func (u RefUnit) BackendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
+	pc := u.pc
+	stream.TransposeLive(pc.breqRow, pc.breqBuf, BackendRequestSlot/4, pc.size, 4, BackendRequestSlot/4, pc.count, nil)
+	stream.MemcpyD2H(pc.breqRow, pc.count*BackendRequestSlot, fn)
+}
+
+func (u RefUnit) BackendResponsesH2D(stream *simt.Stream, image []byte) {
+	pc := u.pc
+	stream.MemcpyH2D(pc.brespRow, image, nil)
+	stream.TransposeLive(pc.brespBuf, pc.brespRow, pc.size, BackendResponseSlot/4, 4, pc.count, BackendResponseSlot/4, nil)
+}
+
+// refStage is pageStageProgram with every block that touches a cohort
+// buffer rewritten to move the bytes through the column images.
+type refStage struct{ pageStageProgram }
+
+func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
+	u := p.u
+	pc := u.pc
+	def := pc.def
+	r := t.ID
+	switch b {
+	case 1:
+		ctx := pc.ctxs[r]
+		var bresp []byte
+		if p.stage > 0 {
+			bresp = simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
+		}
+		breq := def.Stage(ctx, p.stage, bresp)
+		p.chargeDelta(t, r)
+		if ctx.Err != "" {
+			return 90
+		}
+		if ctx.Done {
+			return 3
+		}
+		if p.stage < def.Backends {
+			slot := make([]byte, BackendRequestSlot)
+			copy(slot, breq)
+			simt.StoreColumn(t, pc.breqBuf, r, pc.size, 0, slot)
+			if pc.v.HostBackend {
+				return simt.Halt
+			}
+			return 2
+		}
+		return 3
+	case 2:
+		breq := simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)
+		t.Compute(besimDeviceOps)
+		// A blank slot is stored for its price; the deferred commit
+		// overwrites it, unpriced.
+		simt.StoreColumn(t, pc.brespBuf, r, pc.size, 0, make([]byte, BackendResponseSlot))
+		m, be := pc.mem, u.be
+		t.Defer(func() {
+			slot := make([]byte, BackendResponseSlot)
+			copy(slot, be.Handle(breq))
+			col := m.Bytes(simt.ColumnBase(pc.brespBuf, r), (BackendResponseSlot/simt.WordSize-1)*simt.WordSize*pc.size+simt.WordSize)
+			mem.ScatterWords(col, slot, simt.WordSize*pc.size)
+		})
+		return simt.Halt
+	case 3:
+		p.emit(t, r, pc.ctxs[r])
+		return simt.Halt
+	case 90:
+		if p.stage < def.Backends {
+			return simt.Halt
+		}
+		ctx := pc.ctxs[r]
+		buildErrorPage(ctx)
+		p.chargeDelta(t, r)
+		p.emit(t, r, ctx)
+		return simt.Halt
+	}
+	return p.pageStageProgram.Exec(b, t) // the prologue touches no buffer
+}
+
+func (p refStage) emit(t *simt.Thread, r int, ctx *Ctx) {
+	pc := p.u.pc
+	resp := ctx.Render(make([]byte, pc.class))
+	store := func(start int, data []byte) {
+		if pc.v.ColMajor {
+			simt.StoreColumn(t, pc.respCol, r, pc.size, start, data)
+			return
+		}
+		addr := pc.respRow + mem.Addr(r*pc.class+start)
+		n := len(data) / simt.WordSize * simt.WordSize
+		if n > 0 {
+			t.StoreStrided(addr, data[:n], simt.WordSize, simt.WordSize)
+		}
+		if n < len(data) {
+			t.Store(addr+mem.Addr(n), data[n:])
+		}
+	}
+	lo := 0
+	if !pc.v.Padding {
+		for _, m := range ctx.Page.Marks() {
+			hi := ctx.Def.headerLen + m
+			store(lo, resp[lo:hi])
+			lo = hi
+		}
+	}
+	store(lo, resp[lo:])
 }

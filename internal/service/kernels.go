@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sync"
 
 	"rhythm/internal/httpx"
 	"rhythm/internal/mem"
@@ -15,6 +14,12 @@ import (
 // logic is the same Go code the host path runs; what differs is the
 // memory traffic — word-interleaved column-major cohort buffers accessed
 // in lockstep — and the cost accounting the simulator performs on it.
+//
+// The kernels price that layout and do not re-enact it: every cohort
+// buffer's bytes live once, in its row-major twin, where a lane renders
+// its page and writes its backend slots directly, and the column-major
+// image is reserved address space whose loads, stores and transposes
+// are charged exactly as if the bytes moved (simt/column.go).
 
 // Device-side cost constants: on-device backend lookups (Titan B/C run
 // Besim as a device kernel, §5.3.2) and session-array work beyond the
@@ -50,18 +55,21 @@ var TitanB = Variant{Padding: true, ColMajor: true}
 type pageCohort struct {
 	w     *PageWorkload
 	v     Variant
+	mem   *mem.Memory
 	local int
 	def   *SvcDef
 	size  int
 	count int
 	class int
 
-	// Device buffers, column-major word-interleaved while on the device.
-	// respRow receives the response transpose (§4.3.2); in row-major mode
-	// it is written directly. breqRow/brespRow stage the transposes a
-	// host backend needs — "A local device backend also avoids the need
-	// to transpose the backend request and response data" (§5.3.2) — and
-	// exist only under Variant.HostBackend.
+	// Device buffers. breqBuf, brespBuf and respCol are the
+	// word-interleaved column images the device holds: reserved address
+	// space, priced and never backed. Their row-major twins hold the
+	// bytes, request r's slot at byte r × slot size: respRow is what the
+	// response transpose produces (§4.3.2) and what row-major mode
+	// stores to; breqRow/brespRow are what a host backend's transposes
+	// ship over the bus (§5.3.2) and what a device backend reads in
+	// place.
 	breqBuf  mem.Addr
 	breqRow  mem.Addr
 	brespBuf mem.Addr
@@ -69,37 +77,40 @@ type pageCohort struct {
 	respCol  mem.Addr
 	respRow  mem.Addr
 
-	// Host mirrors.
-	reqs []httpx.Request
-	ctxs []*Ctx
+	// Host mirrors. scratch[r] is lane r's execution context, created on
+	// the lane's first request and reused by every later cohort.
+	reqs    []httpx.Request
+	ctxs    []*Ctx
+	scratch []*Scratch
 
 	// stageInstr tracks each request's charged instructions at the last
 	// stage boundary so stage kernels charge only their delta.
 	stageInstr []int64
-
-	// scratch pools render buffers: emit runs concurrently across warps
-	// (simt.Config.HostParallelism > 1), so a single shared buffer would
-	// race.
-	scratch sync.Pool
 }
 
 func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int) *pageCohort {
-	pc := &pageCohort{w: w, v: v, size: size, class: class}
-	pc.breqBuf = dev.Mem.Alloc(size*BackendRequestSlot, 256)
-	if v.HostBackend {
-		pc.breqRow = dev.Mem.Alloc(size*BackendRequestSlot, 256)
-	}
-	pc.brespBuf = dev.Mem.Alloc(size*BackendResponseSlot, 256)
-	if v.HostBackend {
-		pc.brespRow = dev.Mem.Alloc(size*BackendResponseSlot, 256)
-	}
-	pc.respCol = dev.Mem.Alloc(size*class, 256)
+	pc := &pageCohort{w: w, v: v, mem: dev.Mem, size: size, class: class}
+	pc.breqBuf = dev.Mem.Reserve(size*BackendRequestSlot, 256)
+	pc.breqRow = dev.Mem.Alloc(size*BackendRequestSlot, 256)
+	pc.brespBuf = dev.Mem.Reserve(size*BackendResponseSlot, 256)
+	pc.brespRow = dev.Mem.Alloc(size*BackendResponseSlot, 256)
+	pc.respCol = dev.Mem.Reserve(size*class, 256)
 	pc.respRow = dev.Mem.Alloc(size*class, 256)
 	pc.reqs = make([]httpx.Request, size)
 	pc.ctxs = make([]*Ctx, size)
+	pc.scratch = make([]*Scratch, size)
 	pc.stageInstr = make([]int64, size)
-	pc.scratch.New = func() any { return make([]byte, class) }
 	return pc
+}
+
+// row returns request r's slot of a row-major twin.
+func (pc *pageCohort) row(twin mem.Addr, r, slot int) []byte {
+	return pc.mem.Bytes(twin+mem.Addr(r*slot), slot)
+}
+
+// fillSlot copies data into a backend slot and zero-fills the rest.
+func fillSlot(slot, data []byte) {
+	clear(slot[copy(slot, data):])
 }
 
 // bind points the cohort at local type `local` (one of its size class)
@@ -140,16 +151,15 @@ func (s *pageSlot) Bind(local int, reqs []httpx.Request, sessions *session.Array
 		s.byClass[class] = pc
 	}
 	pc.bind(local, reqs)
-	return &PageUnit{pc: pc, dev: s.dev, sessions: sessions, be: be}
+	return &PageUnit{pc: pc, sessions: sessions, be: be}
 }
 
 // PageUnit is a bound cohort of one page-workload type. Beyond the Unit
 // contract it carries what internal/pipeline's Titan A and Titan C
-// emulations need: the host-backend round trip, straggler shedding, and
-// the offloaded and over-the-bus response paths.
+// emulations need: the host-backend round trip, straggler shedding, the
+// over-the-bus response path, and one response row in place.
 type PageUnit struct {
 	pc       *pageCohort
-	dev      *simt.Device
 	sessions *session.Array
 	be       Backend
 }
@@ -165,22 +175,15 @@ func (u *PageUnit) Stage(k int) simt.Program {
 	return pageStageProgram{u: u, stage: k}
 }
 
-// Writeback implements Unit: transpose the column-major responses to
-// row-major for extraction (row-major slots already hold them there).
+// Writeback implements Unit: the transpose of the column-major responses
+// to row-major for extraction (row-major slots store them there). Titan
+// C's specialized transpose unit does it for no device time, so its
+// pipeline skips the call.
 func (u *PageUnit) Writeback(stream *simt.Stream) {
 	pc := u.pc
 	if pc.v.ColMajor {
-		stream.TransposeLive(pc.respRow, pc.respCol, pc.class/4, pc.size, 4, pc.class/4, pc.count, nil)
+		stream.ChargeTranspose(pc.class/4, pc.size, 4, nil)
 	}
-}
-
-// WritebackOffloaded is a ColMajor slot's Writeback on Titan C's
-// specialized transpose unit (NIC / memory-controller logic): it costs
-// no device time but the bytes still move, functionally. Call it from a
-// stream barrier.
-func (u *PageUnit) WritebackOffloaded() {
-	pc := u.pc
-	mem.TransposeElemsRange(u.dev.Mem, pc.respRow, pc.respCol, pc.class/4, pc.size, 4, pc.class/4, pc.count)
 }
 
 // ResponsesD2H ships the row-major responses over the bus (Titan A),
@@ -189,15 +192,27 @@ func (u *PageUnit) ResponsesD2H(stream *simt.Stream, done func()) {
 	stream.MemcpyD2H(u.pc.respRow, u.pc.count*u.pc.class, func([]byte) { done() })
 }
 
-// Response implements Unit. Responses have the fixed geometry of the
-// type's buffer class, so no length bookkeeping is needed; the copy is
-// safe to hand to another goroutine.
+// Responses implements Unit. Responses have the fixed geometry of the
+// type's buffer class, so no length bookkeeping is needed: the live rows
+// are copied out as one slab and cut at the class size.
+func (u *PageUnit) Responses() [][]byte {
+	pc := u.pc
+	slab := pc.mem.Read(pc.respRow, pc.count*pc.class)
+	out := make([][]byte, pc.count)
+	for i := range out {
+		out[i] = slab[i*pc.class : (i+1)*pc.class : (i+1)*pc.class]
+	}
+	return out
+}
+
+// Response is request i's row of the response buffer, in place: valid
+// until the slot's next Bind.
 func (u *PageUnit) Response(i int) []byte {
 	pc := u.pc
 	if i < 0 || i >= pc.count {
 		panic(fmt.Sprintf("service: response row %d out of range (count %d)", i, pc.count))
 	}
-	return u.dev.Mem.Read(pc.respRow+mem.Addr(i*pc.class), pc.class)
+	return pc.row(pc.respRow, i, pc.class)
 }
 
 // Failed implements Unit.
@@ -227,17 +242,17 @@ func (u *PageUnit) Fail(i int, reason string) {
 // host; fn receives the count × BackendRequestSlot image.
 func (u *PageUnit) BackendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
 	pc := u.pc
-	stream.TransposeLive(pc.breqRow, pc.breqBuf, BackendRequestSlot/4, pc.size, 4, BackendRequestSlot/4, pc.count, nil)
+	stream.ChargeTranspose(BackendRequestSlot/4, pc.size, 4, nil)
 	stream.MemcpyD2H(pc.breqRow, pc.count*BackendRequestSlot, fn)
 }
 
 // BackendResponsesH2D completes the round trip: ship the count ×
 // BackendResponseSlot image to the device and transpose it into the
-// column the next stage kernel reads.
+// column the next stage kernel loads.
 func (u *PageUnit) BackendResponsesH2D(stream *simt.Stream, image []byte) {
 	pc := u.pc
 	stream.MemcpyH2D(pc.brespRow, image, nil)
-	stream.TransposeLive(pc.brespBuf, pc.brespRow, pc.size, BackendResponseSlot/4, 4, pc.count, BackendResponseSlot/4, nil)
+	stream.ChargeTranspose(pc.size, BackendResponseSlot/4, 4, nil)
 }
 
 // pageStageProgram runs process stage `stage` for every live request of
@@ -287,9 +302,14 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		if p.stage == 0 {
 			t.Atomic(pc.breqBuf)
 			t.Compute(sessionOps)
-			ctx := &NewScratch().ctx
-			pc.w.initCtx(ctx, pc.local, &pc.reqs[r], u.sessions, pc.v.Padding)
-			pc.ctxs[r] = ctx
+			sc := pc.scratch[r]
+			if sc == nil {
+				sc = NewScratch()
+				pc.scratch[r] = sc
+			}
+			sc.page.Reset()
+			pc.w.initCtx(&sc.ctx, pc.local, &pc.reqs[r], u.sessions, pc.v.Padding)
+			pc.ctxs[r] = &sc.ctx
 		} else if pc.ctxs[r].Done {
 			// A variable-stage request already finished and emitted; its
 			// lane drops out of the remaining kernels.
@@ -303,7 +323,8 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		ctx := pc.ctxs[r]
 		var bresp []byte
 		if p.stage > 0 {
-			bresp = simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
+			simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
+			bresp = pc.row(pc.brespRow, r, BackendResponseSlot)
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -314,9 +335,8 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 			return 3 // early completion: emit now (variable stages)
 		}
 		if p.stage < def.Backends {
-			slot := make([]byte, BackendRequestSlot)
-			copy(slot, breq)
-			simt.StoreColumn(t, pc.breqBuf, r, pc.size, 0, slot)
+			simt.ChargeColumn(t, pc.breqBuf, r, pc.size, 0, BackendRequestSlot)
+			fillSlot(pc.row(pc.breqRow, r, BackendRequestSlot), breq)
 			if pc.v.HostBackend {
 				return simt.Halt // host backend round trip follows
 			}
@@ -324,24 +344,20 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		}
 		return 3
 	case 2: // on-device backend: price now, commit deferred
-		breq := simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)
+		simt.ChargeColumn(t, pc.breqBuf, r, pc.size, 0, BackendRequestSlot)
 		t.Compute(besimDeviceOps)
-		// The store's cost is content-independent (always the full
-		// slot), so price it now and defer the execution: the store
-		// mutates shared state and must commit in canonical serial order
-		// for the rendered bytes (balances, confirmation ids) to match a
-		// serial run's. The response is only read by the NEXT stage
-		// kernel, so materializing it at end-of-launch is unobservable.
-		// See DESIGN.md "Host parallelism".
-		simt.ChargeColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
-		m := t.Mem()
+		// The response store's cost is content-independent (always the
+		// full slot), so price it now and defer the execution: the
+		// backend mutates shared state and must commit in canonical
+		// serial order for the rendered bytes (balances, confirmation
+		// ids) to match a serial run's. The response is only read by the
+		// NEXT stage kernel, so materializing it at end-of-launch is
+		// unobservable. See DESIGN.md "Host parallelism".
+		simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
+		breq := pc.row(pc.breqRow, r, BackendRequestSlot)
+		bresp := pc.row(pc.brespRow, r, BackendResponseSlot)
 		be := u.be
-		t.Defer(func() {
-			resp := be.Handle(breq)
-			slot := make([]byte, BackendResponseSlot)
-			copy(slot, resp)
-			simt.WriteColumnRaw(m, pc.brespBuf, r, pc.size, slot)
-		})
+		t.Defer(func() { fillSlot(bresp, be.Handle(breq)) })
 		return simt.Halt // next stage kernel reads brespBuf
 	case 3: // final stage: render and emit
 		p.emit(t, r, pc.ctxs[r])
@@ -370,45 +386,33 @@ func (p pageStageProgram) chargeDelta(t *simt.Thread, r int) {
 	}
 }
 
-// emit renders the full fixed-size response and stores it into the
-// response buffer. A padded page goes out as one store: every lane
-// writes the same offsets, so the accesses coalesce. With padding off
-// the page is stored section by section, each starting at the lane's own
-// alignment mark; the marks drift from lane to lane and the stores
-// scatter (§4.3.2).
+// emit renders the full fixed-size response into the request's row of
+// the response buffer and charges its store. A padded page goes out as
+// one store: every lane writes the same offsets, so the accesses
+// coalesce. With padding off the page is stored section by section, each
+// starting at the lane's own alignment mark; the marks drift from lane
+// to lane and the stores scatter (§4.3.2).
 func (p pageStageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
 	pc := p.u.pc
-	buf := pc.scratch.Get().([]byte)
-	defer pc.scratch.Put(buf)
-	resp := ctx.Render(buf)
+	resp := ctx.Render(pc.row(pc.respRow, r, pc.class))
 	lo := 0
 	if !pc.v.Padding {
 		for _, m := range ctx.Page.Marks() {
 			hi := ctx.Def.headerLen + m
-			pc.store(t, r, lo, resp[lo:hi])
+			pc.chargeStore(t, r, lo, hi-lo)
 			lo = hi
 		}
 	}
-	pc.store(t, r, lo, resp[lo:])
+	pc.chargeStore(t, r, lo, len(resp)-lo)
 }
 
-// store writes data at byte offset start of request r's response slot.
-func (pc *pageCohort) store(t *simt.Thread, r, start int, data []byte) {
+// chargeStore prices the store of n bytes at byte offset start of
+// request r's response slot: into its column, or row-major the per-word
+// loop a thread would execute.
+func (pc *pageCohort) chargeStore(t *simt.Thread, r, start, n int) {
 	if pc.v.ColMajor {
-		simt.StoreColumn(t, pc.respCol, r, pc.size, start, data)
+		simt.ChargeColumn(t, pc.respCol, r, pc.size, start, n)
 		return
 	}
-	// Row-major: the per-word loop a thread would execute — the
-	// uncoalesced layout the transpose ablation measures.
-	if len(data) == 0 {
-		return
-	}
-	addr := pc.respRow + mem.Addr(r*pc.class+start)
-	n := len(data) / simt.WordSize * simt.WordSize
-	if n > 0 {
-		t.StoreStrided(addr, data[:n], simt.WordSize, simt.WordSize)
-	}
-	if n < len(data) {
-		t.Store(addr+mem.Addr(n), data[n:])
-	}
+	simt.ChargeRow(t, pc.respRow+mem.Addr(r*pc.class+start), n)
 }

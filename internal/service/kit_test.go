@@ -3,6 +3,8 @@ package service_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"rhythm/internal/backend"
@@ -13,6 +15,7 @@ import (
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
+	"rhythm/internal/telemetry"
 )
 
 // world is one shard group's state plus n parsed requests of one type.
@@ -25,19 +28,20 @@ type world struct {
 }
 
 // input is one workload of the kit's test table: every kernel-level
-// case runs over a banking type and an ecom type.
+// case runs over a banking type and an ecom type, the priced-layout
+// differential over a telemetry type as well.
 type input struct {
 	name string
 	w    *service.PageWorkload
-	// page is a session'd read with variable-length dynamic sections,
-	// write a one-backend type, variable a VariableStages type.
-	page, write, variable int
+	// page is a read with variable-length dynamic sections, variable a
+	// VariableStages type (-1: the workload has none).
+	page, variable int
 	// world builds n requests of `local` (bad marks lanes that must take
 	// the error path).
-	world func(t *testing.T, local, n int, bad func(i int) bool) world
+	world func(t testing.TB, local, n int, bad func(i int) bool) world
 }
 
-func parse(t *testing.T, raw string) httpx.Request {
+func parse(t testing.TB, raw string) httpx.Request {
 	t.Helper()
 	req, err := httpx.Parse([]byte(raw))
 	if err != nil {
@@ -46,7 +50,7 @@ func parse(t *testing.T, raw string) httpx.Request {
 	return req
 }
 
-func bankingWorld(t *testing.T, local, n int, bad func(int) bool) world {
+func bankingWorld(t testing.TB, local, n int, bad func(int) bool) world {
 	wd := world{sessions: session.NewArray(256, 64), be: backend.New()}
 	gen := banking.NewGenerator(9, wd.sessions)
 	gen.Populate(256)
@@ -67,7 +71,7 @@ func bankingWorld(t *testing.T, local, n int, bad func(int) bool) world {
 	return wd
 }
 
-func ecomWorld(t *testing.T, local, n int, bad func(int) bool) world {
+func ecomWorld(t testing.TB, local, n int, bad func(int) bool) world {
 	store := ecom.NewStore()
 	wd := world{sessions: session.NewArray(256, 64), be: store}
 	post := func(path, cookie, body string) httpx.Request {
@@ -107,12 +111,39 @@ func ecomWorld(t *testing.T, local, n int, bad func(int) bool) world {
 	return wd
 }
 
-var inputs = []input{
-	{name: "banking", w: banking.NewWorkload(), world: bankingWorld,
-		page: int(banking.AccountSummary), write: int(banking.Transfer), variable: int(banking.QuickPay)},
-	{name: "ecom", w: ecom.New(), world: ecomWorld,
-		page: ecom.Browse, write: ecom.Browse, variable: ecom.Checkout},
+// telemetryWorld builds polls (after seeding the device's ring, so the
+// pages carry frames) or any other type's requests for device 7; a bad
+// lane names no device.
+func telemetryWorld(t testing.TB, local, n int, bad func(int) bool) world {
+	broker := telemetry.NewBroker()
+	wd := world{sessions: session.NewArray(256, 64), be: broker}
+	for i := 0; i < n; i++ {
+		dev := "7"
+		if bad != nil && bad(i) {
+			dev = "none"
+		}
+		switch local {
+		case telemetry.Ingest:
+			body := fmt.Sprintf("dev=%s&f=%04x", dev, i)
+			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("POST /t/ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))
+		case telemetry.Poll:
+			broker.Handle([]byte(fmt.Sprintf("SUB 7 %d", i)))
+			broker.Handle([]byte(fmt.Sprintf("PUB 7 %04x", i)))
+			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /t/poll?dev=%s&sub=%d HTTP/1.1\r\n\r\n", dev, i)))
+		default:
+			t.Fatalf("telemetryWorld: no recipe for type %d", local)
+		}
+	}
+	return wd
 }
+
+var (
+	bankingInput   = input{name: "banking", w: banking.NewWorkload(), world: bankingWorld, page: int(banking.AccountSummary), variable: int(banking.QuickPay)}
+	ecomInput      = input{name: "ecom", w: ecom.New(), world: ecomWorld, page: ecom.Browse, variable: ecom.Checkout}
+	telemetryInput = input{name: "telemetry", w: telemetry.New(), world: telemetryWorld, page: telemetry.Poll, variable: -1}
+
+	inputs = []input{bankingInput, ecomInput}
+)
 
 // counting wraps a backend to count round trips.
 type counting struct {
@@ -131,43 +162,54 @@ type deviceRun struct {
 	failed   []bool
 	launches []simt.LaunchStats
 	stats    simt.DeviceStats
-	image    []byte // the whole device memory
+	finish   sim.Time // virtual time when the device went quiet
+	unit     *service.PageUnit
 }
 
 const deviceMem = 16 << 20
 
+// stageChain is the part of a bound unit that touches cohort buffers:
+// the production *service.PageUnit, or its write-through reference.
+type stageChain interface {
+	Stage(k int) simt.Program
+	Writeback(stream *simt.Stream)
+	BackendRequestsD2H(stream *simt.Stream, fn func(image []byte))
+	BackendResponsesH2D(stream *simt.Stream, image []byte)
+}
+
 // runDevice binds wd's requests on a fresh device slot of variant v and
 // launches the stage chain the way internal/cluster and
-// internal/pipeline do. stage substitutes a kernel (nil = unit.Stage).
-func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v service.Variant, stage func(u service.Unit, k int) simt.Program) deviceRun {
+// internal/pipeline do — the production kit's, or with reference its
+// write-through build (service.Reference).
+func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v service.Variant, reference bool) deviceRun {
 	t.Helper()
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
 	unit := w.NewSlot(dev, len(wd.reqs), v).Bind(local, wd.reqs, wd.sessions, wd.be).(*service.PageUnit)
+	var chain stageChain = unit
+	if reference {
+		chain = service.Reference(unit)
+	}
 	stream := dev.NewStream()
 	n := len(wd.reqs)
-	var run deviceRun
+	run := deviceRun{unit: unit}
 	var next func(k int)
 	next = func(k int) {
-		prog := unit.Stage(k)
-		if stage != nil {
-			prog = stage(unit, k)
-		}
-		stream.Launch(prog, n, nil, func(ls simt.LaunchStats) {
+		stream.Launch(chain.Stage(k), n, nil, func(ls simt.LaunchStats) {
 			run.launches = append(run.launches, ls)
 			switch {
 			case k == unit.Stages()-1:
-				unit.Writeback(stream)
+				chain.Writeback(stream)
 			case v.HostBackend:
 				// The Titan A round trip, served synchronously.
-				unit.BackendRequestsD2H(stream, func(image []byte) {
+				chain.BackendRequestsD2H(stream, func(image []byte) {
 					out := make([]byte, n*service.BackendResponseSlot)
 					for r := 0; r < n; r++ {
 						if unit.Active(r) {
 							copy(out[r*service.BackendResponseSlot:], wd.be.Handle(image[r*service.BackendRequestSlot:(r+1)*service.BackendRequestSlot]))
 						}
 					}
-					unit.BackendResponsesH2D(stream, out)
+					chain.BackendResponsesH2D(stream, out)
 					stream.Barrier(func() { next(k + 1) })
 				})
 			default:
@@ -177,12 +219,12 @@ func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v ser
 	}
 	next(0)
 	eng.Run()
+	run.resps = unit.Responses()
 	for i := 0; i < n; i++ {
-		run.resps = append(run.resps, unit.Response(i))
 		run.failed = append(run.failed, unit.Failed(i))
 	}
 	run.stats = dev.Stats()
-	run.image = dev.Mem.Read(0, deviceMem)
+	run.finish = eng.Now()
 	return run
 }
 
@@ -215,7 +257,7 @@ func TestStageChainMatchesHostBytes(t *testing.T) {
 	for _, in := range inputs {
 		for local, sp := range in.w.Types() {
 			what := in.name + "/" + sp.Name
-			dev := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, nil)
+			dev := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, false)
 			want, _ := runHost(in.w, local, in.world(t, local, n, nil), true)
 			assertSameBytes(t, what, dev.resps, want)
 			if len(dev.launches) != sp.Backends+1 {
@@ -244,7 +286,7 @@ func TestErrorLanesDiverge(t *testing.T) {
 	bad := func(i int) bool { return i%5 == 2 }
 	for _, in := range inputs {
 		local := in.variable // a session-required type in both workloads
-		dev := runDevice(t, in.w, local, in.world(t, local, n, bad), service.TitanB, nil)
+		dev := runDevice(t, in.w, local, in.world(t, local, n, bad), service.TitanB, false)
 		want, wantFailed := runHost(in.w, local, in.world(t, local, n, bad), true)
 		assertSameBytes(t, in.name, dev.resps, want)
 		for i := range wantFailed {
@@ -288,7 +330,7 @@ func TestVariableStagesRetireEarly(t *testing.T) {
 		devWorld := in.world(t, local, n, nil)
 		be := &counting{Backend: devWorld.be}
 		devWorld.be = be
-		dev := runDevice(t, in.w, local, devWorld, service.TitanB, nil)
+		dev := runDevice(t, in.w, local, devWorld, service.TitanB, false)
 		assertSameBytes(t, in.name, dev.resps, want)
 		if be.calls != hostCalls {
 			t.Errorf("%s: %d backend requests on the device, %d on the host", in.name, be.calls, hostCalls)
@@ -296,32 +338,94 @@ func TestVariableStagesRetireEarly(t *testing.T) {
 	}
 }
 
-// TestPriceOnlyBackendStoreMatchesBlankStore: pricing the backend
-// response store without moving a blank slot changes no simulated
-// number and no byte of device memory.
-func TestPriceOnlyBackendStoreMatchesBlankStore(t *testing.T) {
-	for _, in := range inputs {
-		local := in.write
-		if in.w.Def(local).Backends < 1 {
-			t.Fatal("want a type with a backend stage")
+// TestPricedLayoutMatchesWriteThroughReference: the kit prices the
+// column-major layout — column loads and stores, the row-major
+// ablation's word loop, every transpose — without moving a byte through
+// it. Against the reference build that does move them (export_test.go),
+// for every variant and every kind of cohort, each launch's statistics,
+// the device totals, the virtual finish time and every response byte are
+// equal.
+func TestPricedLayoutMatchesWriteThroughReference(t *testing.T) {
+	variants := map[string]service.Variant{
+		"titan-b":      service.TitanB,
+		"unpadded":     {ColMajor: true},
+		"row-major":    {Padding: true},
+		"host-backend": {Padding: true, ColMajor: true, HostBackend: true},
+	}
+	bad := func(i int) bool { return i%5 == 2 }
+	type cohortCase struct {
+		name  string
+		local int
+		n     int
+		bad   func(int) bool
+	}
+	for _, in := range []input{bankingInput, ecomInput, telemetryInput} {
+		cases := []cohortCase{
+			{"full", in.page, 64, nil},
+			{"partial", in.page, 40, nil},
+			{"error-lanes", in.page, 40, bad},
 		}
-		blank := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, service.BlankStoreStage)
-		price := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, nil)
-		if len(price.launches) < 2 || len(price.launches) != len(blank.launches) {
-			t.Fatalf("%s: %d launches against %d", in.name, len(price.launches), len(blank.launches))
+		if in.variable >= 0 {
+			cases = append(cases, cohortCase{"early-exit", in.variable, 40, nil})
 		}
-		for i := range price.launches {
-			if price.launches[i] != blank.launches[i] {
-				t.Fatalf("%s: launch %d stats differ:\n  blank store: %+v\n  price only:  %+v", in.name, i, blank.launches[i], price.launches[i])
+		for vname, v := range variants {
+			for _, c := range cases {
+				what := in.name + "/" + vname + "/" + c.name
+				ref := runDevice(t, in.w, c.local, in.world(t, c.local, c.n, c.bad), v, true)
+				got := runDevice(t, in.w, c.local, in.world(t, c.local, c.n, c.bad), v, false)
+				if len(got.launches) != len(ref.launches) {
+					t.Fatalf("%s: %d launches against the reference's %d", what, len(got.launches), len(ref.launches))
+				}
+				for i := range ref.launches {
+					if got.launches[i] != ref.launches[i] {
+						t.Fatalf("%s: launch %d stats differ:\n  reference: %+v\n  priced:    %+v", what, i, ref.launches[i], got.launches[i])
+					}
+				}
+				if got.stats != ref.stats {
+					t.Fatalf("%s: DeviceStats differ:\n  reference: %+v\n  priced:    %+v", what, ref.stats, got.stats)
+				}
+				if got.finish != ref.finish {
+					t.Fatalf("%s: finished at %d, the reference at %d", what, got.finish, ref.finish)
+				}
+				assertSameBytes(t, what, got.resps, ref.resps)
+				failed := 0
+				for i := range ref.failed {
+					if got.failed[i] != ref.failed[i] {
+						t.Fatalf("%s: request %d failed=%v, the reference's %v", what, i, got.failed[i], ref.failed[i])
+					}
+					if got.failed[i] {
+						failed++
+					}
+				}
+				if (failed > 0) != (c.bad != nil) {
+					t.Fatalf("%s: %d requests took the error path", what, failed)
+				}
 			}
 		}
-		if price.stats != blank.stats {
-			t.Fatalf("%s: DeviceStats differ:\n  blank store: %+v\n  price only:  %+v", in.name, blank.stats, price.stats)
+	}
+}
+
+// TestResponsesAreIsolated: Responses hands out one slab cut into
+// per-request slices. Overwriting one, or appending to it, reaches
+// neither its neighbours nor the device's response rows.
+func TestResponsesAreIsolated(t *testing.T) {
+	in := ecomInput
+	dev := runDevice(t, in.w, in.page, in.world(t, in.page, n, nil), service.TitanB, false)
+	want, _ := runHost(in.w, in.page, in.world(t, in.page, n, nil), true)
+	resps := dev.unit.Responses()
+	for i := range resps {
+		if cap(resps[i]) != len(resps[i]) {
+			t.Fatalf("response %d has %d bytes of spare capacity", i, cap(resps[i])-len(resps[i]))
 		}
-		if !bytes.Equal(price.image, blank.image) {
-			t.Fatalf("%s: device memory differs", in.name)
+		for j := range resps[i] {
+			resps[i][j] = 0xEE
+		}
+		resps[i] = append(resps[i], bytes.Repeat([]byte{0xEE}, 64)...)
+		if i+1 < len(resps) && !bytes.Equal(resps[i+1], want[i+1]) {
+			t.Fatalf("scribbling over response %d changed response %d", i, i+1)
 		}
 	}
+	assertSameBytes(t, "device rows after the scribble", dev.unit.Responses(), want)
 }
 
 // TestVariantsKeepHostBytes: each of the three ablation values changes
@@ -336,10 +440,10 @@ func TestVariantsKeepHostBytes(t *testing.T) {
 	}
 	for _, in := range inputs {
 		local := in.page
-		padded := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, nil)
+		padded := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, false)
 		for name, v := range variants {
 			what := in.name + "/" + name
-			dev := runDevice(t, in.w, local, in.world(t, local, n, nil), v, nil)
+			dev := runDevice(t, in.w, local, in.world(t, local, n, nil), v, false)
 			want, _ := runHost(in.w, local, in.world(t, local, n, nil), v.Padding)
 			assertSameBytes(t, what, dev.resps, want)
 			last := len(dev.launches) - 1
@@ -398,12 +502,38 @@ func TestFootprintsDeclareSessionAccess(t *testing.T) {
 	}
 }
 
+// TestFillWithExactLength: FillWith emits its filler as pieces aliasing
+// the prepared paragraph, yet builds the bytes, charges the instructions
+// and records the emission blocks of the one Static fragment it stands
+// for — whole paragraphs, then a comment or, under 9 bytes, spaces.
 func TestFillWithExactLength(t *testing.T) {
-	for _, n := range []int{1, 5, 9, 100, 555, 4096} {
-		var p service.PageBuilder
-		p.FillWith("<p>some template prose</p>\n", n)
-		if p.Len() != n {
-			t.Fatalf("FillWith(%d) built %d bytes", n, p.Len())
+	const para = "<p>some template prose</p>\n"
+	filler := service.NewFiller(para)
+	body := func(p *service.PageBuilder) string {
+		var sb strings.Builder
+		for _, piece := range p.Pieces() {
+			sb.WriteString(piece.Data)
+		}
+		return sb.String()
+	}
+	for _, n := range []int{1, 5, 8, 9, 100, 555, 4096, 3*len(para) + 7, 40 * len(para), 5000 * len(para)} {
+		want := strings.Repeat(para, n/len(para))
+		if tail := n % len(para); tail >= 9 {
+			want += "<!--" + strings.Repeat(".", tail-7) + "-->"
+		} else {
+			want += strings.Repeat(" ", tail)
+		}
+		var ref, got service.PageBuilder
+		ref.Static("head")
+		ref.Static(want)
+		got.Static("head")
+		got.FillWith(filler, 4+n)
+		if got.Len() != 4+n || body(&got) != body(&ref) {
+			t.Fatalf("FillWith(%d) built %d bytes, or not the fragment's", n, got.Len())
+		}
+		if got.Instr() != ref.Instr() || !slices.Equal(got.Blocks(), ref.Blocks()) {
+			t.Fatalf("FillWith(%d) charged %d instructions over %d blocks, one fragment %d over %d",
+				n, got.Instr(), len(got.Blocks()), ref.Instr(), len(ref.Blocks()))
 		}
 	}
 }

@@ -155,39 +155,62 @@ func (b *PageBuilder) PadTo(n int) {
 	b.instr += int64(pad) * b.costs.StaticByte
 }
 
+// Filler is a paragraph of fixed template prose prepared for FillWith:
+// repeated once, at start-up, into a bank of whole paragraphs, so a
+// page's filler is a few slices of it and not a string built per
+// request.
+type Filler struct {
+	para int // the paragraph's length
+	bank string
+}
+
+// NewFiller prepares para, which must not be empty.
+func NewFiller(para string) Filler {
+	return Filler{para: len(para), bank: strings.Repeat(para, 1+fillerBank/len(para))}
+}
+
+// fillerBank is the least a Filler's bank holds: a 64 KB page's filler
+// is eight pieces of it.
+const fillerBank = 8 << 10
+
+var defaultFiller = NewFiller(fillerPara)
+
 // FillTo emits deterministic filler template prose until the body
 // reaches offset n.
-func (b *PageBuilder) FillTo(n int) { b.FillWith(fillerPara, n) }
+func (b *PageBuilder) FillTo(n int) { b.FillWith(defaultFiller, n) }
 
-// FillWith is FillTo with the workload's own prose: para repeated, the
-// last copy truncated inside an HTML comment (or to spaces when fewer
-// than 9 bytes remain) so the markup stays well-formed. The content is
-// fixed template text — "static" in the cost model and identical across
-// requests of a type.
-func (b *PageBuilder) FillWith(para string, n int) {
+// FillWith is FillTo with the workload's own prose: the paragraph
+// repeated, the last copy truncated inside an HTML comment (or to spaces
+// when fewer than 9 bytes remain) so the markup stays well-formed. The
+// content is fixed template text — "static" in the cost model and
+// identical across requests of a type — so it is emitted as pieces that
+// alias the filler and the fill banks, and charged once, as the single
+// fragment it is.
+func (b *PageBuilder) FillWith(f Filler, n int) {
 	n -= b.bodyLen
 	if n <= 0 {
 		return
 	}
-	var sb strings.Builder
-	sb.Grow(n)
-	for sb.Len() < n {
-		remain := n - sb.Len()
-		if remain >= len(para) {
-			sb.WriteString(para)
-		} else if remain >= 9 {
-			sb.WriteString("<!--")
-			for sb.Len() < n-3 {
-				sb.WriteByte('.')
-			}
-			sb.WriteString("-->")
-		} else {
-			for sb.Len() < n {
-				sb.WriteByte(' ')
-			}
-		}
+	tail := n % f.para
+	b.repeat(f.bank, n-tail)
+	if tail >= 9 {
+		b.repeat("<!--", 4)
+		b.repeat(dotsBank, tail-7)
+		b.repeat("-->", 3)
+	} else {
+		b.repeat(spacesBank, tail)
 	}
-	b.Static(sb.String())
+	b.bodyLen += n
+	b.instr += int64(n) * b.costs.StaticByte
+	b.emitBlocks(n)
+}
+
+// repeat appends n bytes of bank, over and over if n is more than it
+// holds, as uncharged static pieces.
+func (b *PageBuilder) repeat(bank string, n int) {
+	for ; n > 0; n -= min(n, len(bank)) {
+		b.pieces = append(b.pieces, Piece{Data: bank[:min(n, len(bank))], Static: true})
+	}
 }
 
 // Block records the execution of basic block id in the page trace.
@@ -223,8 +246,12 @@ func (b *PageBuilder) Misaligned() int { return b.misaligned }
 func (b *PageBuilder) Blocks() []uint32 { return b.blocks }
 
 // spacesBank backs spaces(): pads are bounded by the 64 KB max response
-// buffer, so PadTo slices it instead of allocating.
-var spacesBank = strings.Repeat(" ", 1<<16)
+// buffer, so PadTo slices it instead of allocating. dotsBank fills the
+// comment that ends a FillWith.
+var (
+	spacesBank = strings.Repeat(" ", 1<<16)
+	dotsBank   = strings.Repeat(".", 1<<10)
+)
 
 func spaces(n int) string {
 	if n <= len(spacesBank) {

@@ -210,13 +210,13 @@ func (w *PageWorkload) classes() []int {
 }
 
 // DeviceBytes implements Workload: one cohort buffer set per distinct
-// buffer class (each set: column+row response buffers plus one backend
-// request and one backend response column — the TitanB variant; a
-// HostBackend slot adds a row copy of the two backend columns).
+// buffer class — the row-major response, backend request and backend
+// response buffers. Their column-major images are reserved address
+// space (kernels.go) and take no backing.
 func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
 	var total int64
 	for _, c := range w.classes() {
-		total += int64(cohortSize) * int64(2*c+BackendRequestSlot+BackendResponseSlot)
+		total += int64(cohortSize) * int64(c+BackendRequestSlot+BackendResponseSlot)
 	}
 	return total
 }

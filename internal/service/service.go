@@ -121,9 +121,9 @@ type Workload interface {
 	// the fixed-geometry response, which must be byte-identical to the
 	// device path's output.
 	ExecuteHost(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend) (failed bool)
-	// DeviceBytes reports the device memory one execution slot needs to
-	// serve every type of this workload (one cohort buffer set per
-	// distinct buffer class).
+	// DeviceBytes reports the backed device memory one execution slot
+	// needs to serve every type of this workload (one cohort buffer set
+	// per distinct buffer class; priced-only images need none).
 	DeviceBytes(cohortSize int) int64
 	// NewSlot creates one execution slot's device cohort state, its
 	// stage kernels fixed to variant v.
@@ -152,9 +152,12 @@ type Unit interface {
 	Stage(k int) simt.Program
 	// Writeback enqueues the response transpose on stream.
 	Writeback(stream *simt.Stream)
-	// Response copies request i's rendered response out of device
-	// memory. Valid only after a barrier following Writeback.
-	Response(i int) []byte
+	// Responses copies every request's rendered response out of device
+	// memory, in request order. Valid only after a barrier following
+	// Writeback. The copies may share one allocation, but each is capped
+	// at its own length, so appending to one never reaches another; they
+	// are safe to hand to other goroutines.
+	Responses() [][]byte
 	// Failed reports whether request i took the kernel error path.
 	Failed(i int) bool
 }
@@ -346,8 +349,8 @@ func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []Slot 
 	return out
 }
 
-// DeviceBytes reports the device memory one execution slot needs to
-// serve every registered type.
+// DeviceBytes reports the backed device memory one execution slot needs
+// to serve every registered type.
 func (r *Registry) DeviceBytes(cohortSize int) int64 {
 	var total int64
 	for _, w := range r.ws {

@@ -1,7 +1,6 @@
 package simt
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -131,39 +130,5 @@ func BenchmarkWarpDivergence(b *testing.B) {
 		b.StartTimer()
 		dev.NewStream().Launch(prog, 4096, nil, nil)
 		eng.Run()
-	}
-}
-
-// BenchmarkStoreColumnWarp times one warp storing its lanes' 16 KB
-// response columns into a cohort buffer of `rows` requests — the emit
-// block of a stage kernel, staging copy and commit included — walking
-// the cohort warp by warp; MB/s over 4 gives words/s. The stride is 512 B
-// at rows=128 (the live server's cohorts) and 4 KB at rows=1024 (the
-// offline simulator's).
-func BenchmarkStoreColumnWarp(b *testing.B) {
-	const lanes, words = 32, 4096
-	cfg := GTXTitan()
-	for _, rows := range []int{128, 1024} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			m := mem.New(rows*words*WordSize + 256)
-			buf := m.Alloc(rows*words*WordSize, 256)
-			payload := make([]byte, words*WordSize)
-			for i := range payload {
-				payload[i] = byte(i)
-			}
-			prog := FuncProgram{Label: "emit", Body: func(t *Thread) {
-				StoreColumn(t, buf, t.ID, rows, 0, payload)
-			}}
-			threads := make([]*Thread, lanes)
-			b.SetBytes(lanes * words * WordSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				warp := i % (rows / lanes)
-				for l := range threads {
-					threads[l] = &Thread{ID: warp*lanes + l, Lane: l, mem: m}
-				}
-				runWarp(cfg, prog, threads)
-			}
-		})
 	}
 }

@@ -458,10 +458,6 @@ func (s *Stream) MemcpyD2H(src mem.Addr, n int, done func(data []byte)) {
 	})
 }
 
-// transposeBandBytes is the least a transpose band moves: below it,
-// waking a host worker costs more than the band.
-const transposeBandBytes = 64 << 10
-
 // Transpose enqueues an on-device transpose of a rows×cols matrix of
 // elem-byte elements from src to dst. It is modeled as a
 // bandwidth-bound kernel (one read + one write of every byte), matching
@@ -473,15 +469,32 @@ func (s *Stream) Transpose(dst, src mem.Addr, rows, cols, elem int, done func())
 // TransposeLive is Transpose for a partially filled fixed-geometry
 // buffer: the device streams (and is charged for) the whole rows×cols
 // matrix, but only the [0,liveRows)×[0,liveCols) corner holds meaningful
-// data, so only it is moved functionally — in bands of destination rows
-// on the host pool, which write disjoint bytes (mem.TransposeBand).
+// data, so only it is moved functionally.
 func (s *Stream) TransposeLive(dst, src mem.Addr, rows, cols, elem, liveRows, liveCols int, done func()) {
+	s.transpose(rows, cols, elem, done, func() {
+		mem.TransposeElemsRange(s.dev.Mem, dst, src, rows, cols, elem, liveRows, liveCols)
+	})
+}
+
+// ChargeTranspose prices Transpose — the launch, its duration, traffic,
+// energy and profiler record — and moves nothing: for a buffer whose
+// column-major image is priced address space and whose bytes already lie
+// in its row-major twin (column.go).
+func (s *Stream) ChargeTranspose(rows, cols, elem int, done func()) {
+	if rows <= 0 || cols <= 0 || elem <= 0 {
+		panic("simt: bad transpose shape")
+	}
+	s.transpose(rows, cols, elem, done, nil)
+}
+
+// transpose enqueues a rows×cols×elem transpose: move (optional) does
+// the functional part when the operation starts, the rest is its cost.
+func (s *Stream) transpose(rows, cols, elem int, done, move func()) {
 	d := s.dev
 	s.enqueue(func(complete func()) {
-		bands := max(1, min(d.Cfg.hostWorkers(), liveRows*liveCols*elem/transposeBandBytes))
-		parallelFor(bands, bands, func(b int) {
-			mem.TransposeBand(d.Mem, dst, src, rows, cols, elem, liveRows, liveCols, b, bands)
-		})
+		if move != nil {
+			move()
+		}
 		bytes := int64(mem.TransposeBytes(rows, cols*elem))
 		dur := sim.Time(float64(bytes)/d.Cfg.MemBandwidth*1e9) + sim.Time(d.Cfg.LaunchOverhead)
 		txns := (bytes + int64(d.Cfg.SegmentBytes) - 1) / int64(d.Cfg.SegmentBytes)

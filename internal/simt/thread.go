@@ -83,9 +83,6 @@ type Thread struct {
 type warpShared struct {
 	maxes map[int]*sharedSlot
 	sums  map[int]*sharedSlot
-	// stage holds the block's staged column stores (stage.go); nil
-	// (stores write through) once the warp has finished.
-	stage *warpStage
 	// deferred collects Thread.Defer callbacks in the exact order the
 	// warp's lanes issued them (the serial execution order within the
 	// warp), for the end-of-launch serial phase.
@@ -149,34 +146,23 @@ func (t *Thread) Compute(n int) {
 // The returned slice aliases device memory and must not be retained across
 // blocks.
 func (t *Thread) Load(addr mem.Addr, n int) []byte {
-	t.accesses = append(t.accesses, access{addr: addr, elem: n, count: 1})
-	t.flushStores()
+	t.charge(addr, n)
 	return t.mem.Bytes(addr, n)
 }
 
 // Store writes p to device memory at addr as one memory instruction. p
 // may be reused as soon as Store returns.
 func (t *Thread) Store(addr mem.Addr, p []byte) {
-	t.accesses = append(t.accesses, access{addr: addr, elem: len(p), count: 1})
-	if dst := t.mem.Bytes(addr, len(p)); !t.stageStore(addr, p, 0, 0) {
-		copy(dst, p)
-	}
+	t.charge(addr, len(p))
+	t.mem.Write(addr, p)
 }
 
-// stageStore stages the store for the warp's end-of-block commit
-// (stage.go) and reports whether it did; if not, nothing is staged any
-// more and the caller writes through. Threads built outside runWarp have
-// no warp to batch with.
-func (t *Thread) stageStore(addr mem.Addr, p []byte, elem, stride int) bool {
-	return t.warp != nil && t.warp.stage.add(t, addr, p, elem, stride)
-}
-
-// flushStores commits the warp's staged stores, so that a read sees
-// every store issued before it.
-func (t *Thread) flushStores() {
-	if t.warp != nil {
-		t.warp.stage.flush(t.mem)
-	}
+// charge records one simple access of n bytes at addr — its coalescing,
+// issue slot and traffic — and touches no bytes, so addr may lie in
+// reserved address space.
+func (t *Thread) charge(addr mem.Addr, n int) {
+	t.mem.Check(addr, n)
+	t.accesses = append(t.accesses, access{addr: addr, elem: n, count: 1})
 }
 
 // StoreStrided writes p in elem-byte words at addresses
@@ -192,8 +178,10 @@ func (t *Thread) StoreStrided(addr mem.Addr, p []byte, elem, stride int) {
 	if count == 0 {
 		return
 	}
-	b := t.chargeStrided(addr, count, elem, stride)
-	if t.stageStore(addr, p, elem, stride) {
+	t.chargeStrided(addr, count, elem, stride)
+	b := t.mem.Bytes(addr, (count-1)*stride+elem)
+	if elem == WordSize {
+		mem.ScatterWords(b, p, stride)
 		return
 	}
 	for i := 0; i < count; i++ {
@@ -201,11 +189,11 @@ func (t *Thread) StoreStrided(addr mem.Addr, p []byte, elem, stride int) {
 	}
 }
 
-// chargeStrided records one strided access — its coalescing, issue slots
-// and traffic — and returns the device bytes it spans.
-func (t *Thread) chargeStrided(addr mem.Addr, count, elem, stride int) []byte {
+// chargeStrided is charge for one strided access of count elem-byte
+// words (count > 0).
+func (t *Thread) chargeStrided(addr mem.Addr, count, elem, stride int) {
+	t.mem.Check(addr, (count-1)*stride+elem)
 	t.accesses = append(t.accesses, access{addr: addr, elem: elem, count: count, stride: stride, strided: true})
-	return t.mem.Bytes(addr, (count-1)*stride+elem)
 }
 
 // LoadStrided reads count elem-byte words at stride intervals starting at
@@ -217,8 +205,8 @@ func (t *Thread) LoadStrided(addr mem.Addr, count, elem, stride int) []byte {
 	if count == 0 {
 		return nil
 	}
-	b := t.chargeStrided(addr, count, elem, stride)
-	t.flushStores()
+	t.chargeStrided(addr, count, elem, stride)
+	b := t.mem.Bytes(addr, (count-1)*stride+elem)
 	out := make([]byte, count*elem)
 	if elem == WordSize {
 		mem.GatherWords(out, b, stride)
@@ -246,7 +234,6 @@ func stridedCount(n, elem, stride int) int {
 // pointers there (§4.6).
 func (t *Thread) LoadConst(addr mem.Addr, n int) []byte {
 	t.ops++
-	t.flushStores()
 	return t.mem.Bytes(addr, n)
 }
 
@@ -259,14 +246,8 @@ func (t *Thread) Atomic(addr mem.Addr) {
 }
 
 // Mem exposes the raw device memory for functional (non-accounted)
-// bookkeeping by kernel host code. Kernels should prefer Load/Store. A
-// block must not read through a Memory it obtained before a later store
-// of the same block: stores are committed at the latest by the next read
-// through the Thread, Mem call or block boundary (stage.go).
-func (t *Thread) Mem() *mem.Memory {
-	t.flushStores()
-	return t.mem
-}
+// bookkeeping by kernel host code. Kernels should prefer Load/Store.
+func (t *Thread) Mem() *mem.Memory { return t.mem }
 
 // Defer schedules fn to run after every warp of the current launch has
 // executed, on the host thread that issued the launch. Deferred

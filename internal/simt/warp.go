@@ -32,18 +32,6 @@ const maxBlockExecsPerThread = 1 << 22
 // Thread.Defer callbacks in issue order, to be run serially once every
 // warp of the launch has finished.
 func runWarp(cfg Config, prog Program, threads []*Thread) (warpStats, []func()) {
-	stage := stagePool.Get().(*warpStage)
-	ws, deferred := execWarp(cfg, prog, threads, stage)
-	// Not deferred: a kernel that panics mid-block leaves stores staged,
-	// and they must not reach the next warp that draws this buffer.
-	stagePool.Put(stage)
-	return ws, deferred
-}
-
-// execWarp is runWarp on the given staging buffer. A nil stage writes
-// every store through at issue: the reference the staged commit is
-// tested against.
-func execWarp(cfg Config, prog Program, threads []*Thread, stage *warpStage) (warpStats, []func()) {
 	var ws warpStats
 	n := len(threads)
 	if n == 0 {
@@ -55,7 +43,6 @@ func execWarp(cfg Config, prog Program, threads []*Thread, stage *warpStage) (wa
 	pcs := make([]BlockID, n)
 	perThreadOps := make([]int64, n)
 	shared := newWarpShared()
-	shared.stage = stage
 	for i := range pcs {
 		pcs[i] = prog.Entry()
 		threads[i].warp = shared
@@ -97,7 +84,6 @@ func execWarp(cfg Config, prog Program, threads []*Thread, stage *warpStage) (wa
 			}
 			perThreadOps[activeIdx[k]] += t.ops
 		}
-		stage.flush(threads[0].mem) // block boundary: staged stores commit
 		ws.blockExecs++
 		if len(active) < live {
 			ws.divergentExec++
@@ -125,7 +111,6 @@ func execWarp(cfg Config, prog Program, threads []*Thread, stage *warpStage) (wa
 			ws.maxThreadOps = ops
 		}
 	}
-	shared.stage = nil // a store from a Defer callback writes through
 	return ws, shared.deferred
 }
 

@@ -142,27 +142,13 @@ func NewSimServer(opts Options) *SimServer {
 	if opts.Platform == TitanA {
 		bus = sim.NewPipe(eng, netmodel.PCIe3Bps, 1000)
 	}
-	// Size device memory for one cohort of every buffer class per
-	// context (mixed traffic binds classes on demand) plus the reader
-	// batches.
-	memBytes := int(int64(po.MaxCohorts)*banking.AllClassesDeviceBytes(po.CohortSize)) +
-		4*po.CohortSize*banking.RequestSlot + 64<<20
+	// Back one cohort of every buffer class per context (mixed traffic
+	// binds classes on demand), the reader batches and alignment slack.
+	memBytes := int(int64(po.MaxCohorts)*banking.NewWorkload().DeviceBytes(po.CohortSize)) +
+		4*po.CohortSize*banking.RequestSlot + 1<<20
 	dev := simt.NewDevice(eng, simt.GTXTitan(), memBytes, bus)
 	db := backend.New()
-
-	buckets := po.CohortSize
-	if buckets < 256 {
-		buckets = 256
-	}
-	// A login leaves the user's earlier sessions behind and a user always
-	// hashes to one bucket, so a server kept for many Serve calls fills
-	// its fullest bucket long before the table: at 8× (48 nodes a bucket
-	// for the default geometry) logins began to fail with "session table
-	// full" after about 75K requests — inside ten wall seconds once the
-	// simulator served 8K requests/s. 32× moves that past 250K requests
-	// for 1.6 MB of nodes.
-	perBucket := (opts.Sessions*32)/buckets + 16
-	sessions := session.NewArray(buckets, perBucket)
+	sessions := newSimSessions(opts)
 	gen := banking.NewGenerator(opts.Seed, sessions)
 	gen.Populate(opts.Sessions)
 
@@ -175,6 +161,27 @@ func NewSimServer(opts Options) *SimServer {
 		gen:      gen,
 		srv:      pipeline.New(eng, dev, po, db, sessions),
 	}
+}
+
+// simSessionRoom is the offline server's session table size in multiples
+// of its pre-populated sessions.
+const simSessionRoom = 256
+
+// newSimSessions sizes the offline server's session table for a server
+// kept over many Serve calls. Every login of the Table 2 mix (28 % of
+// requests) creates a session under a fresh user id, which no later
+// logout names, so the table gains 0.28 sessions a request, spread over
+// the buckets by hash, and Create fails ("session table full") once the
+// fullest bucket is full — long before the table is. At 8× the
+// pre-populated sessions that was after about 75K requests of the
+// default geometry (4 sessions a bucket), at 32× after 375–480K — less
+// than two ten-second windows of a simulator serving 30K requests/s.
+// 256× (1040 nodes a bucket, 17 MB at CohortSize 1024) holds 3300
+// requests per bucket: 3.3M at the benchmark's CohortSize 1024, and
+// never fewer than 840K (256 buckets).
+func newSimSessions(opts Options) *session.Array {
+	buckets := max(opts.CohortSize, 256)
+	return session.NewArray(buckets, opts.Sessions*simSessionRoom/buckets+16)
 }
 
 func pipelineOptions(o Options) pipeline.Options {

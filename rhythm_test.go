@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"rhythm/internal/banking"
+	"rhythm/internal/httpx"
 )
 
 func smallServer(p Platform) *SimServer {
@@ -360,6 +364,37 @@ func TestSimServerStatsRepeat(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if again := run(); again != first {
 			t.Fatalf("run %d differs at one seed:\n  first: %+v\n  again: %+v", i+2, first, again)
+		}
+	}
+}
+
+// TestSimSessionTableRoom: an offline server kept for many Serve calls
+// gains a session with every login and loses none of them, so its table
+// must hold the logins of at least two million Table 2 requests — 60
+// wall seconds of the benchmark's sim_offline geometry at 30K
+// requests/s — without one "session table full". Logins alone are
+// driven: the generator's own, each creating the session its kernel
+// would.
+func TestSimSessionTableRoom(t *testing.T) {
+	const requests = 2_000_000
+	opts := Options{Platform: TitanB, CohortSize: 1024, MaxCohorts: 4, Seed: 3}
+	opts.fill()
+	sessions := newSimSessions(opts)
+	gen := banking.NewGenerator(opts.Seed, sessions)
+	gen.Populate(opts.Sessions)
+	logins := int(requests * banking.Specs[banking.Login].MixPercent / 100)
+	for i := 0; i < logins; i++ {
+		req, err := httpx.Parse(gen.Request(banking.Login))
+		if err != nil {
+			t.Fatal(err)
+		}
+		uid, err := strconv.ParseUint(req.Param("userid"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sessions.Create(uid); !ok {
+			t.Fatalf("session table full at login %d of %d (%d requests), %d of %d slots live",
+				i, logins, int(float64(i)*100/banking.Specs[banking.Login].MixPercent), sessions.Len(), sessions.Capacity())
 		}
 	}
 }
