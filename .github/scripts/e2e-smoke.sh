@@ -111,7 +111,7 @@ SCALE_PID=$!
 
 wait_ready() {
     for _ in $(seq 1 50); do
-        if curl -sf "http://$1/rhythm-stats" >/dev/null 2>&1; then return 0; fi
+        if curl -sf "http://$1/v1/stats" >/dev/null 2>&1; then return 0; fi
         sleep 0.1
     done
     echo "e2e-smoke: server on $1 never became ready" >&2
@@ -284,7 +284,7 @@ check_cache_leg cacheh "$CACHEH_ADDR"
 check_cache_leg cachec "$CACHEC_ADDR"
 
 # The cohort server must actually have batched through the device path.
-STATS=$(curl -sf "http://$COHORT_ADDR/rhythm-stats")
+STATS=$(curl -sf "http://$COHORT_ADDR/v1/stats")
 echo "$STATS" | grep -q '"mode": "cohort"' || {
     echo "e2e-smoke: cohort stats endpoint wrong: $STATS" >&2
     exit 1
@@ -297,7 +297,7 @@ echo "$STATS" | grep -q '"cohorts_formed": 0' && {
 # The cluster leg must have taken the injected loss: device 3 dead, its
 # group failed over, and every request still answered (asserted above
 # by byte identity).
-CSTATS=$(curl -sf "http://$CLUSTER_ADDR/rhythm-stats")
+CSTATS=$(curl -sf "http://$CLUSTER_ADDR/v1/stats")
 echo "$CSTATS" | grep -q '"health": "dead"' || {
     echo "e2e-smoke: cluster stats report no dead device after loss fault: $CSTATS" >&2
     exit 1
@@ -307,13 +307,12 @@ echo "$CSTATS" | grep -Eq '"failovers": [1-9]' || {
     exit 1
 }
 
-# Mixed-workload stats: the v4 schema namespaces per-type sections by
-# workload — the document lists the registered workloads and qualifies
-# every non-banking type label ("ecom/browse"), with banking's bare
-# labels kept as legacy aliases.
+# Mixed-workload stats: per-type sections are namespaced by workload —
+# the document lists the registered workloads and qualifies every type
+# label ("ecom/browse", "banking/login").
 MIXSTATS=$(curl -sf "http://$MIX_ADDR/v1/stats")
-for needle in '"schema_version": 5' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
-    '"ecom/cart_add"' '"telemetry/poll"' '"login"'; do
+for needle in '"schema_version": 6' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
+    '"ecom/cart_add"' '"telemetry/poll"' '"banking/login"'; do
     echo "$MIXSTATS" | grep -q "$needle" || {
         echo "e2e-smoke: mixed-workload /v1/stats missing $needle" >&2
         echo "$MIXSTATS" | head -40 >&2
@@ -395,18 +394,18 @@ grep -q 'worker quiescing' "$WORK/w$KILL_ID.log" || {
     exit 1
 }
 
-# check_metrics <name> <addr> <family...>: scrape /metrics, assert it is
+# check_metrics <name> <addr> <family...>: scrape /v1/metrics, assert it is
 # parseable Prometheus text format and every listed family is declared.
 check_metrics() {
     local name=$1 addr=$2; shift 2
     local doc="$WORK/$name.metrics"
-    curl -sf -o "$doc" "http://$addr/metrics" || {
-        echo "e2e-smoke: $name /metrics scrape failed" >&2
+    curl -sf -o "$doc" "http://$addr/v1/metrics" || {
+        echo "e2e-smoke: $name /v1/metrics scrape failed" >&2
         exit 1
     }
     for fam in "$@"; do
         grep -q "^# TYPE $fam " "$doc" || {
-            echo "e2e-smoke: $name /metrics missing family $fam" >&2
+            echo "e2e-smoke: $name /v1/metrics missing family $fam" >&2
             cat "$doc" >&2
             exit 1
         }
@@ -415,7 +414,7 @@ check_metrics() {
     if awk '!/^#/ && NF != 2 { print; bad=1 } END { exit bad }' "$doc" >"$WORK/$name.badlines"; then
         :
     else
-        echo "e2e-smoke: $name /metrics has unparseable sample lines:" >&2
+        echo "e2e-smoke: $name /v1/metrics has unparseable sample lines:" >&2
         cat "$WORK/$name.badlines" >&2
         exit 1
     fi
@@ -445,23 +444,23 @@ check_metrics cachec "$CACHEC_ADDR" \
 check_metrics mix "$MIX_ADDR" \
     rhythm_build_info rhythm_requests_served_total rhythm_requests_total \
     rhythm_cohorts_total rhythm_cluster_device_up
-# Every per-type family must carry the workload label, qualified
-# display names for the non-banking workloads included.
-for needle in 'rhythm_requests_total{workload="banking",type="login"}' \
+# Every per-type family must carry the workload label and the
+# workload-qualified display name.
+for needle in 'rhythm_requests_total{workload="banking",type="banking/login"}' \
     'rhythm_requests_total{workload="ecom",type="ecom/' \
     'rhythm_requests_total{workload="telemetry",type="telemetry/'; do
     grep -q "$needle" "$WORK/mix.metrics" || {
-        echo "e2e-smoke: mixed-workload /metrics missing $needle" >&2
+        echo "e2e-smoke: mixed-workload /v1/metrics missing $needle" >&2
         grep '^rhythm_requests_total' "$WORK/mix.metrics" >&2 || true
         exit 1
     }
 done
-grep -q 'rhythm_request_latency_seconds_bucket{workload="banking",type="login",le="' "$WORK/cohort.metrics" || {
-    echo "e2e-smoke: cohort /metrics missing per-type latency buckets" >&2
+grep -q 'rhythm_request_latency_seconds_bucket{workload="banking",type="banking/login",le="' "$WORK/cohort.metrics" || {
+    echo "e2e-smoke: cohort /v1/metrics missing per-type latency buckets" >&2
     exit 1
 }
 grep -q 'rhythm_cluster_device_up{device="3"} 0' "$WORK/cluster.metrics" || {
-    echo "e2e-smoke: cluster /metrics does not show device 3 down" >&2
+    echo "e2e-smoke: cluster /v1/metrics does not show device 3 down" >&2
     grep '^rhythm_cluster' "$WORK/cluster.metrics" >&2 || true
     exit 1
 }
@@ -489,19 +488,8 @@ fetch() {
     return 1
 }
 ASTATS=$(fetch "http://$ADAPT_ADDR/v1/stats")
-echo "$ASTATS" | grep -q '"schema_version": 5' || {
-    echo "e2e-smoke: /v1/stats missing schema_version 5: $ASTATS" >&2
-    exit 1
-}
-# The ?schema=4 compatibility alias must still render the pre-fabric
-# document for v4 readers: version stamp 4, no topology fields.
-A4STATS=$(fetch "http://$ADAPT_ADDR/v1/stats?schema=4")
-echo "$A4STATS" | grep -q '"schema_version": 4' || {
-    echo "e2e-smoke: /v1/stats?schema=4 lost the legacy version stamp" >&2
-    exit 1
-}
-echo "$A4STATS" | grep -q '"transport"' && {
-    echo "e2e-smoke: /v1/stats?schema=4 leaked v5 topology fields" >&2
+echo "$ASTATS" | grep -q '"schema_version": 6' || {
+    echo "e2e-smoke: /v1/stats missing schema_version 6: $ASTATS" >&2
     exit 1
 }
 echo "$ASTATS" | grep -q '"adapt"' || {
@@ -516,14 +504,15 @@ echo "$ASTATS" | grep -Eq '"host_fallbacks": [1-9]' || {
     echo "e2e-smoke: adaptive server recorded no host fallbacks at low rate: $ASTATS" >&2
     exit 1
 }
-# Legacy alias still answers with the same document shape (captured to
-# a variable: piping curl straight into grep -q trips pipefail when
-# grep exits at the first match).
-LSTATS=$(fetch "http://$ADAPT_ADDR/rhythm-stats")
-echo "$LSTATS" | grep -q '"schema_version": 5' || {
-    echo "e2e-smoke: legacy /rhythm-stats alias lost the versioned schema" >&2
-    exit 1
-}
+# Each control-plane document has one path: the three aliases retired
+# with schema version 6 answer 404.
+for retired in rhythm-stats metrics rhythm-trace; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADAPT_ADDR/$retired")
+    [ "$code" = 404 ] || {
+        echo "e2e-smoke: retired path /$retired answered $code, want 404" >&2
+        exit 1
+    }
+done
 check_metrics adapt "$ADAPT_ADDR" \
     rhythm_build_info rhythm_requests_served_total rhythm_cohorts_total \
     rhythm_adapt_window_seconds rhythm_adapt_arrival_rate \
@@ -532,8 +521,8 @@ check_metrics adapt "$ADAPT_ADDR" \
 
 # The trace endpoint must return a Chrome trace-event document with both
 # request-lifecycle spans and device kernel launches.
-curl -sf -o "$WORK/cohort.trace" "http://$COHORT_ADDR/rhythm-trace" || {
-    echo "e2e-smoke: /rhythm-trace scrape failed" >&2
+curl -sf -o "$WORK/cohort.trace" "http://$COHORT_ADDR/v1/trace" || {
+    echo "e2e-smoke: /v1/trace scrape failed" >&2
     exit 1
 }
 for needle in '"traceEvents"' '"formation-wait"' '"launch_seq"'; do
@@ -550,7 +539,7 @@ done
 # the launch context the ISSUE promises for tail debugging — including
 # at least one record whose attempt trail shows the injected failover.
 FHEALTH=$(fetch "http://$FLIGHT_ADDR/v1/health")
-for needle in '"schema_version": 5' '"state"' '"fast_burn"' '"slow_burn"' \
+for needle in '"schema_version": 6' '"state"' '"fast_burn"' '"slow_burn"' \
     '"flight_anomalies"' '"exemplars"'; do
     echo "$FHEALTH" | grep -q "$needle" || {
         echo "e2e-smoke: /v1/health missing $needle: $FHEALTH" >&2
@@ -584,7 +573,7 @@ check_metrics flight "$FLIGHT_ADDR" \
     rhythm_flight_requests_total rhythm_flight_anomalies_total \
     rhythm_request_latency_exemplar_trace_id
 grep -Eq '^rhythm_flight_anomalies_total [1-9]' "$WORK/flight.metrics" || {
-    echo "e2e-smoke: /metrics shows zero promoted flight anomalies" >&2
+    echo "e2e-smoke: /v1/metrics shows zero promoted flight anomalies" >&2
     grep '^rhythm_flight' "$WORK/flight.metrics" >&2 || true
     exit 1
 }
@@ -620,4 +609,4 @@ grep -q '"traceEvents"' "$WORK/flight-chrome.json" || {
     exit 1
 }
 
-echo "e2e-smoke: PASS (4 pages byte-identical across host, cohort, 4-device cluster, adaptive, flight-recorder, mixed-workload, and 2-worker scale-out modes — incl. a device loss mid-session, a 40->1200 req/s step through the formation controller, a double-pass replay against -render-cache host+cohort servers with cache hits, a fault-injected flight leg with promoted anomalies, /v1/health burn rates, and the rhythm-flight CLI, a banking+ecom+telemetry leg on 4 shared devices with per-workload byte identity, workload-labeled metrics, and an exactly-once in-order telemetry fan-out, and a remote-fabric leg shipping cohorts to two rhythmd -worker processes over TCP with a SIGTERM node kill, zero lost units, and host-identical pages on the survivor; /metrics + /rhythm-trace healthy)"
+echo "e2e-smoke: PASS (4 pages byte-identical across host, cohort, 4-device cluster, adaptive, flight-recorder, mixed-workload, and 2-worker scale-out modes — incl. a device loss mid-session, a 40->1200 req/s step through the formation controller, a double-pass replay against -render-cache host+cohort servers with cache hits, a fault-injected flight leg with promoted anomalies, /v1/health burn rates, and the rhythm-flight CLI, a banking+ecom+telemetry leg on 4 shared devices with per-workload byte identity, workload-labeled metrics, and an exactly-once in-order telemetry fan-out, and a remote-fabric leg shipping cohorts to two rhythmd -worker processes over TCP with a SIGTERM node kill, zero lost units, and host-identical pages on the survivor; /v1/metrics + /v1/trace healthy, retired aliases 404)"

@@ -89,7 +89,7 @@ func measureAllocs(t *testing.T) map[string]float64 {
 
 	body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
 	login := []byte(fmt.Sprintf("POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
-	resp, _, _ := s.respond(a, login)
+	resp := s.respond(a, login)
 	cookie := setCookieValue(string(resp))
 	if cookie == "" {
 		t.Fatalf("login returned no cookie: %.200q", resp)
@@ -129,7 +129,7 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	// raw-to-string conversion).
 	s.respond(a, summary) // prime
 	m["cache_hit"] = testing.AllocsPerRun(500, func() {
-		if r, _, _ := s.respond(a, summary); len(r) == 0 {
+		if r := s.respond(a, summary); len(r) == 0 {
 			bad = true
 		}
 	})
@@ -138,7 +138,7 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	// just moved — execute, render, and re-insert.
 	m["cache_miss"] = testing.AllocsPerRun(200, func() {
 		s.cache.Invalidate(uid)
-		if r, _, _ := s.respond(a, summary); len(r) == 0 {
+		if r := s.respond(a, summary); len(r) == 0 {
 			bad = true
 		}
 	})

@@ -269,7 +269,7 @@ func TestCohortServerMultiDeviceDrain(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
-		shutdownErr <- srv.Shutdown(ctx)
+		shutdownErr <- srv.Drain(ctx)
 	}()
 
 	var wg sync.WaitGroup

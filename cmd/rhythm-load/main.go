@@ -2,7 +2,7 @@
 // connection logs in once, then issues banking requests back-to-back on
 // its keep-alive socket for the run duration. It reports client-side
 // throughput and p50/p99/max latency, and — when the server exposes
-// /rhythm-stats — the server-side cohort behaviour over the run window
+// /v1/stats — the server-side cohort behaviour over the run window
 // (cohorts formed, mean occupancy at launch, timeout-vs-full ratio), so
 // batching on the wire is directly visible:
 //
@@ -211,7 +211,7 @@ func main() {
 
 	after, afterOK := fetchStats(*addr)
 	if !beforeOK || !afterOK {
-		fmt.Println("  (no /rhythm-stats endpoint reachable: server-side cohort stats skipped)")
+		fmt.Println("  (no /v1/stats endpoint reachable: server-side cohort stats skipped)")
 		return
 	}
 	if after.Mode != "cohort" {
@@ -257,7 +257,7 @@ func printAdapt(st rhythm.CohortServerStats) {
 }
 
 // printHistogram renders the merged latency samples over the same
-// fixed buckets the server's /metrics histograms use (0.25ms doubling),
+// fixed buckets the server's /v1/metrics histograms use (0.25ms doubling),
 // cumulative counts plus a per-bucket bar.
 func printHistogram(lat *stats.LatencyRecorder, label string) {
 	bounds := stats.LatencyBucketsNs()

@@ -5,7 +5,7 @@
 // reproducing Figure 2.
 //
 // With -capture it instead acts as a client for a live rhythmd's
-// /rhythm-trace endpoint: it records a window of request-lifecycle and
+// /v1/trace endpoint: it records a window of request-lifecycle and
 // kernel-launch spans and writes the Chrome trace-event document to a
 // file for Perfetto / chrome://tracing.
 //
@@ -61,10 +61,10 @@ func main() {
 	}
 }
 
-// captureTrace fetches /rhythm-trace?secs=N from a live server and
+// captureTrace fetches /v1/trace?secs=N from a live server and
 // writes the JSON document to path.
 func captureTrace(addr string, secs int, path string) error {
-	uri := rhythm.TracePath
+	uri := rhythm.TracePathV1
 	if secs > 0 {
 		uri += "?secs=" + strconv.Itoa(secs)
 	}

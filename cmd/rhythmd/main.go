@@ -9,7 +9,7 @@
 // batched into cohorts under the §3.1 formation timeout, and executed
 // as stage kernels on the modeled SIMT device. Either way, poke it with
 // curl or drive it with cmd/rhythm-load; live counters are at
-// /v1/stats (legacy alias /rhythm-stats).
+// /v1/stats.
 //
 // Usage:
 //
@@ -53,7 +53,7 @@
 // bypassing execution and kernel launch, and are invalidated per user
 // when a backend write commits, so responses stay byte-identical to a
 // fresh render. Cache counters appear in /v1/stats and as
-// rhythm_render_cache_* in /metrics.
+// rhythm_render_cache_* in /v1/metrics.
 //
 // -slo-p99 enables the adaptive formation controller (DESIGN.md §12):
 // instead of the fixed -formation-timeout, each request type's window
@@ -61,18 +61,18 @@
 // target, and below the crossover rate (explicit via -adapt-crossover,
 // else derived from the measured service model; negative disables)
 // requests are served on the scalar host path. Controller state appears
-// under "adapt" in /v1/stats and as rhythm_adapt_* gauges in /metrics.
+// under "adapt" in /v1/stats and as rhythm_adapt_* gauges in /v1/metrics.
 //
 // -devices N shards session and account state across N modeled SIMT
 // devices with session-affinity routing and failover; -fault-plan
 // injects a deterministic device-fault schedule (JSON, see DESIGN.md
 // §11) for failover drills. Per-device counters appear under "devices"
-// in /v1/stats and as rhythm_cluster_* in /metrics.
+// in /v1/stats and as rhythm_cluster_* in /v1/metrics.
 //
 // Observability (both modes): Prometheus counters and histograms at
-// /v1/metrics (alias /metrics), request-lifecycle traces (Chrome
-// trace-event JSON, loadable in Perfetto) at /v1/trace?secs=N (alias
-// /rhythm-trace), raw JSON counters at /v1/stats. -pprof starts a
+// /v1/metrics, request-lifecycle traces (Chrome trace-event JSON,
+// loadable in Perfetto) at /v1/trace?secs=N, raw JSON counters at
+// /v1/stats. -pprof starts a
 // net/http/pprof side listener for Go runtime profiles of the serving
 // process itself.
 //

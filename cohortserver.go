@@ -1,35 +1,24 @@
 package rhythm
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rhythm/internal/adapt"
-	"rhythm/internal/backend"
 	"rhythm/internal/cluster"
 	"rhythm/internal/cohort"
 	"rhythm/internal/fabric"
 	"rhythm/internal/flight"
-	"rhythm/internal/httpx"
-	"rhythm/internal/obs"
 	"rhythm/internal/obs/health"
 	"rhythm/internal/rcache"
 	"rhythm/internal/service"
-	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
 	"rhythm/internal/stats"
 )
-
-// StatsPath is the endpoint both TCP servers expose for live counters.
-const StatsPath = "/rhythm-stats"
 
 // CohortOptions tunes the live cohort-batched server.
 type CohortOptions struct {
@@ -81,7 +70,7 @@ type CohortOptions struct {
 	// of admission capacity: a workload holding more than
 	// share×(AdmitQueue+OverflowLimit) concurrent in-flight requests
 	// sheds with 503, counted per workload in /v1/stats
-	// (workload_sheds) and /metrics (rhythm_shed_total).
+	// (workload_sheds) and /v1/metrics (rhythm_shed_total).
 	WorkloadQuotas map[string]float64
 	// FormationTimeout is the wall-clock §3.1 formation deadline
 	// measured from a cohort's first request (default 2ms; negative
@@ -136,7 +125,7 @@ type CohortOptions struct {
 	// ProfileRing sizes the launch-record ring (0 = simt default, 4096).
 	ProfileRing int
 	// TraceCapacity bounds the request-trace recorder behind
-	// /rhythm-trace (0 = obs default, 1024).
+	// /v1/trace (0 = obs default, 1024).
 	TraceCapacity int
 	// RenderCache, when positive, enables the whole-page render cache
 	// with roughly this many entries: repeated read-only requests are
@@ -194,181 +183,11 @@ func (o *CohortOptions) fill() {
 	}
 }
 
-// liveReq is one in-flight request: the parsed form handed to the device
-// loop plus the channel its rendered response comes back on.
-//
-// spans is shared between the handler and the device loop without a
-// lock; the resp channel is the fence. The handler appends before
-// admission, the loop appends between consuming the request and sending
-// on resp, and the handler only touches spans again after receiving from
-// resp (channel happens-before). On the paths where the handler answers
-// without a loop response (504 deadline, loop exit) it must NOT read
-// spans — the loop may still be appending — so those responses go
-// untraced.
-type liveReq struct {
-	req      httpx.Request
-	t        service.TypeID
-	group    int // shard group (cluster.GroupFor; -1 = stateless)
-	enq      time.Time
-	admitted time.Time // loop pickup (set by admit)
-	spans    []obs.Span
-	resp     chan []byte // buffered(1): the loop never blocks delivering
-
-	// frec is the request's flight record, shared handler↔loop under the
-	// same resp-channel fence as spans: the loop fills the causal fields
-	// (cohort size, launch reason, device, launch seqs, status) before
-	// sending on resp, and the handler Finishes it only after receiving.
-	// The no-response paths (504, loop exit) must NOT touch frec — the
-	// loop may still be writing — and use a local Record instead.
-	frec flight.Record
-
-	// Render-cache insertion state, captured before admission: the
-	// resolved session/user and the user's state version at lookup time.
-	// The completion path inserts the rendered page under these.
-	cacheable  bool
-	csid       session.ID
-	cuid, cver uint64
-}
-
-// flushMsg asks the loop to launch the forming cohort for a key; gen
-// guards against a stale timer firing after that cohort already launched
-// and a new one opened under the same key.
-type flushMsg struct {
-	key string
-	gen uint64
-}
-
-type formingTimer struct {
-	timer *time.Timer
-	gen   uint64
-}
-
-// perStage accumulates one pipeline stage's launch count and device time
-// for a request type.
-type perStage struct {
-	Launches uint64  `json:"launches"`
-	DeviceUs float64 `json:"device_us_total"`
-}
-
-type typeCounters struct {
-	cohorts, filled, timedOut, early, requests uint64
-	hostReqs                                   uint64
-	sumOccup                                   uint64
-	maxOccup                                   int
-	stages                                     []perStage
-}
-
-// CohortTypeStats is the per-request-type section of CohortServerStats.
-type CohortTypeStats struct {
-	Workload      string     `json:"workload"`
-	Cohorts       uint64     `json:"cohorts"`
-	Filled        uint64     `json:"filled"`
-	TimedOut      uint64     `json:"timed_out"`
-	Early         uint64     `json:"early"`
-	Requests      uint64     `json:"requests"`
-	HostRequests  uint64     `json:"host_requests"`
-	MeanOccupancy float64    `json:"mean_occupancy"`
-	MaxOccupancy  int        `json:"max_occupancy"`
-	Stages        []perStage `json:"stages"`
-}
-
-// CohortServerStats is the /rhythm-stats document of a cohort-mode
-// server (cmd/rhythm-load decodes it to report server-side batching).
-type CohortServerStats struct {
-	SchemaVersion int    `json:"schema_version"`
-	Mode          string `json:"mode"`
-	// Workloads lists the registered workload names in registration
-	// order; Types keys are workload-qualified display labels (banking's
-	// stay bare, the version-3 legacy aliases).
-	Workloads       []string `json:"workloads"`
-	Served          uint64   `json:"served"`
-	KernelErrors    uint64   `json:"kernel_errors"`
-	ParseErrors     uint64   `json:"parse_errors"`
-	NotFound        uint64   `json:"not_found"`
-	Images          uint64   `json:"images"`
-	RejectedQueue   uint64   `json:"rejected_queue"`
-	RejectedPool    uint64   `json:"rejected_pool"`
-	DeadlineMisses  uint64   `json:"deadline_misses"`
-	CohortsFormed   uint64   `json:"cohorts_formed"`
-	CohortsFilled   uint64   `json:"cohorts_filled"`
-	CohortsTimedOut uint64   `json:"cohorts_timed_out"`
-	CohortsEarly    uint64   `json:"cohorts_early"`
-	HostFallbacks   uint64   `json:"host_fallbacks"`
-	RequestsBatched uint64   `json:"requests_batched"`
-	AdmissionStalls uint64   `json:"admission_stalls"`
-	SumOccupancy    uint64   `json:"sum_occupancy"`
-	MeanOccupancy   float64  `json:"mean_occupancy"`
-	MaxOccupancy    int      `json:"max_occupancy"`
-	MaxContexts     int      `json:"max_contexts_in_use"`
-	FormWaitMsMean  float64  `json:"formation_wait_ms_mean"`
-	FormWaitMsP99   float64  `json:"formation_wait_ms_p99"`
-	LaunchDevUsMean float64  `json:"launch_device_us_mean"`
-	LatencyMsP50    float64  `json:"latency_ms_p50"`
-	LatencyMsP99    float64  `json:"latency_ms_p99"`
-
-	// Device is the pool's aggregate device counter set; Devices breaks
-	// it down per device. Both come from a single atomic pass over the
-	// cluster (one mutex hold), so a scrape during drain or failover
-	// never observes torn counts across the per-device fields.
-	Device simt.DeviceStats `json:"device"`
-	// ProfiledLaunches is how many launches the kernel profilers have
-	// recorded across the pool (0 when profiling is off).
-	ProfiledLaunches uint64 `json:"profiled_launches"`
-
-	// Devices is the per-device breakdown: health, queue depth,
-	// outstanding cohorts, owned shard groups, virtual time, stats.
-	Devices []cluster.DeviceSnapshot `json:"devices"`
-	// Failovers counts shard groups reassigned off a dead device;
-	// DeviceRetries counts kernel-launch retry attempts; ShedCohorts
-	// counts cohorts refused by the pool (full device queue or no
-	// healthy device) and answered with 503s.
-	Failovers     uint64 `json:"failovers"`
-	DeviceRetries uint64 `json:"device_retries"`
-	ShedCohorts   uint64 `json:"shed_cohorts"`
-
-	// Fabric topology (schema v5): transport kind, per-node rows, and
-	// node-level failover/link counters. Stripped from the ?schema=4
-	// legacy rendering.
-	Transport     string                `json:"transport,omitempty"`
-	Nodes         []fabric.NodeSnapshot `json:"nodes,omitempty"`
-	NodeFailovers uint64                `json:"node_failovers,omitempty"`
-	NodeRetries   uint64                `json:"node_retries,omitempty"`
-	LinkSheds     uint64                `json:"link_sheds,omitempty"`
-	LostUnits     uint64                `json:"lost_units,omitempty"`
-	// WorkloadSheds counts 503-shed requests per workload name (schema
-	// v5): quota, queue, pool, link, and node-loss sheds all count.
-	WorkloadSheds map[string]uint64 `json:"workload_sheds,omitempty"`
-
-	// Render-cache counters (zero when the cache is disabled).
-	CacheHits          uint64 `json:"cache_hits"`
-	CacheMisses        uint64 `json:"cache_misses"`
-	CacheInvalidations uint64 `json:"cache_invalidations"`
-	CacheEntries       uint64 `json:"cache_entries"`
-
-	// Flight-recorder counters (DESIGN.md §15).
-	FlightRequests  uint64 `json:"flight_requests"`
-	FlightAnomalies uint64 `json:"flight_anomalies"`
-
-	// Adapt is the adaptive-formation controller's state (nil when the
-	// server runs a fixed formation timeout).
-	Adapt *adapt.Snapshot `json:"adapt,omitempty"`
-
-	Types map[string]CohortTypeStats `json:"types"`
-}
-
-// liveConn wraps an accepted connection with a busy flag so graceful
-// shutdown can close idle (reading) connections while letting a handler
-// mid-response finish its write.
-type liveConn struct {
-	net.Conn
-	busy atomic.Bool
-}
-
 // CohortServer serves every registered workload over TCP through the
-// paper's cohort pipeline: connection handlers parse and classify
-// requests on the host, a single device-loop goroutine batches them into
-// cohort.Pool contexts under the §3.1 formation timeout, and each full
-// (or timed-out) cohort runs its stage kernels on the modeled SIMT
+// paper's cohort pipeline: the shared frontend parses and classifies
+// requests on the host, a single formation-loop goroutine batches them
+// into cohort.Pool contexts under the §3.1 formation timeout, and each
+// full (or timed-out) cohort runs its stage kernels on the modeled SIMT
 // device, one asynchronous stream per context. Responses are extracted
 // from device memory after the response transpose and are byte-identical
 // to TCPServer's host path (the differential test in cohortserver_test.go
@@ -378,25 +197,18 @@ type liveConn struct {
 // remains a purely virtual device timeline, stepped by the loop while
 // launches are in flight.
 type CohortServer struct {
+	// frontend owns the listener, connections, control plane and render
+	// cache; its fab is the device fabric the formation loop ships formed
+	// cohorts into. Loopback (default) keeps every node in-process;
+	// WorkerAddrs makes them remote (DESIGN.md §17).
+	frontend
+
 	opts CohortOptions
-	// reg is the workload registry; names its display-label universe
-	// indexed by TypeID, labels the precomputed per-type Prometheus
-	// label sets (workload + type).
-	reg    *service.Registry
-	names  []string
-	labels []string
-	// fab is the device fabric: the node tier the dispatch loop ships
-	// formed cohorts into. Loopback (default) keeps every node
-	// in-process; WorkerAddrs makes them remote (DESIGN.md §17).
-	fab  *fabric.Fabric
 	pool *cohort.Pool[*liveReq]
 	// ctrl is the adaptive formation controller (nil without an SLO). Its
 	// methods are internally locked; the hot handler path touches it only
 	// in Arrival and RetryAfter.
 	ctrl *adapt.Controller
-	// cache, when non-nil, is the whole-page render cache; hits are
-	// answered before admission.
-	cache *rcache.Cache
 
 	admitCh chan *liveReq
 	flushCh chan flushMsg
@@ -405,40 +217,17 @@ type CohortServer struct {
 	doneCh  chan struct{}
 
 	stopOnce sync.Once
-	closing  atomic.Bool
 
-	mu sync.Mutex // listener only
-	ln net.Listener
-
-	connMu sync.Mutex
-	conns  map[*liveConn]struct{}
-	connWG sync.WaitGroup
-
-	// Handler-side counters (many goroutines).
-	served         atomic.Uint64
-	parseErrors    atomic.Uint64
-	notFound       atomic.Uint64
-	images         atomic.Uint64
+	// Handler-side counters (many goroutines). badByType counts per-type
+	// requests that never reach latHist (sheds, deadline misses) so the
+	// health engine's totals see them.
 	rejectedQueue  atomic.Uint64
 	deadlineMisses atomic.Uint64
+	badByType      []atomic.Uint64 // per service.TypeID
 
-	// Observability surfaces, safe from any goroutine: the request-trace
-	// ring behind /rhythm-trace and the atomic histograms behind /metrics.
-	tracer    *obs.Recorder
-	latHist   []*stats.Histogram // per service.TypeID, nanoseconds
-	formHist  *stats.Histogram   // formation wait, nanoseconds
-	occupHist *stats.Histogram   // cohort occupancy at launch
-
-	// flight is the always-on tail-latency recorder behind
-	// /v1/debug/flight; hEngine the SLO burn-rate engine behind
-	// /v1/health; badByType counts per-type requests that never reach
-	// latHist (sheds, deadline misses) so the health engine's totals see
-	// them; captureBusy serializes blocking ?secs=N trace captures
-	// (DESIGN.md §15).
-	flight      *flight.Recorder
-	hEngine     *health.Engine
-	badByType   []atomic.Uint64 // per service.TypeID
-	captureBusy atomic.Bool
+	// Formation wait and cohort occupancy behind /v1/metrics (atomic).
+	formHist  *stats.Histogram // nanoseconds
+	occupHist *stats.Histogram // requests per launched cohort
 
 	// Per-workload admission quotas (WorkloadQuotas): wlLimit is each
 	// workload's concurrent-request cap (0 = unlimited), wlInflight the
@@ -459,7 +248,7 @@ type CohortServer struct {
 	shedCohorts   uint64
 	kernelErrors  uint64
 	hostFallbacks uint64
-	perType       map[string]*typeCounters
+	perType       []typeCounters // per service.TypeID
 	maxOccup      int
 	formWait      *stats.LatencyRecorder
 	launchLat     *stats.LatencyRecorder
@@ -467,7 +256,7 @@ type CohortServer struct {
 }
 
 // NewCohortServer builds the server, its device fabric, and its
-// dispatch loop. Callers then Listen + Serve, and Shutdown to drain.
+// dispatch loop. Callers then Listen + Serve, and Drain to stop.
 // Construction fails when a remote worker cannot be dialed, refuses
 // the wire handshake, or a WorkloadQuotas key names no registered
 // workload.
@@ -499,27 +288,25 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	}
 	s := &CohortServer{
 		opts:      opts,
-		reg:       reg,
-		names:     reg.DisplayNames(),
-		labels:    typeLabelSets(reg),
-		fab:       fab,
 		admitCh:   make(chan *liveReq, opts.AdmitQueue),
 		flushCh:   make(chan flushMsg, 256),
 		doCh:      make(chan func(), 16),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
-		conns:     make(map[*liveConn]struct{}),
 		forming:   make(map[string]*formingTimer),
-		perType:   make(map[string]*typeCounters),
+		perType:   make([]typeCounters, reg.NumTypes()),
 		formWait:  stats.NewLatencyRecorder(),
 		launchLat: stats.NewLatencyRecorder(),
 		reqLat:    stats.NewLatencyRecorder(),
-		tracer:    obs.NewRecorder(opts.TraceCapacity),
-		latHist:   newLatencyHistograms(reg.NumTypes()),
 		formHist:  stats.NewHistogram(stats.LatencyBucketsNs()),
 		occupHist: stats.NewHistogram(stats.PowersOfTwoBuckets(opts.CohortSize)),
-		flight:    flight.New(flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow}),
 		badByType: make([]atomic.Uint64, reg.NumTypes()),
+	}
+	s.frontend.init(reg, s, "cohort", 0, opts.TraceCapacity, flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
+	s.fab = fab
+	for t := range s.perType {
+		// One stage slot per stage kernel.
+		s.perType[t].stages = make([]perStage, reg.Spec(service.TypeID(t)).Backends+1)
 	}
 	ws := reg.Workloads()
 	s.wlLimit = make([]int64, len(ws))
@@ -546,20 +333,12 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		}
 		s.wlLimit[idx] = limit
 	}
-	healthSLO := opts.SLO
-	if healthSLO <= 0 {
-		healthSLO = defaultHealthSLO
-	}
-	names := s.names
-	sloNs := float64(healthSLO)
-	s.hEngine = health.New(health.Config{
+	s.setHealth(health.Config{
 		Objective:  opts.HealthObjective,
-		SLO:        healthSLO,
+		SLO:        opts.SLO,
 		FastWindow: opts.HealthFastWindow,
 		SlowWindow: opts.HealthSlowWindow,
-	}, func() map[string]health.Counts {
-		return sloCounts(names, s.latHist, sloNs, s.badByType)
-	})
+	}, s.badByType)
 	if opts.RenderCache > 0 {
 		s.cache = rcache.New(opts.RenderCache)
 		// The hook observes every committed Besim write fabric-wide:
@@ -606,79 +385,12 @@ func (s *CohortServer) retryAfter() time.Duration {
 	return s.opts.RetryAfter
 }
 
-// Seed reports the deterministic credentials for userID. Every shard
-// group's Besim synthesizes the same profile for a userID on first
-// touch, so no state needs creating up front.
-func (s *CohortServer) Seed(userID uint64) (uint64, string) {
-	return userID, backend.PasswordFor(userID)
-}
-
-// Addr reports the bound address once Listen has been called.
-func (s *CohortServer) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Served reports how many responses have been produced (including error
-// and shed responses).
-func (s *CohortServer) Served() uint64 { return s.served.Load() }
-
-// Listen binds the listener without serving.
-func (s *CohortServer) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	return nil
-}
-
-// Serve accepts connections until the listener closes (Shutdown).
-func (s *CohortServer) Serve() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln == nil {
-		return errors.New("rhythm: Serve before Listen")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		go s.handle(conn)
-	}
-}
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *CohortServer) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
-// Shutdown drains gracefully: stop accepting, reject new admissions,
-// flush partially-full cohorts, wait for in-flight launches to write
-// their responses back, then close connections (idle ones immediately,
-// busy ones after their current write). ctx bounds the wait.
-func (s *CohortServer) Shutdown(ctx context.Context) error {
-	s.closing.Store(true)
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+// Drain stops gracefully: stop accepting, reject new admissions, flush
+// partially-full cohorts, wait for in-flight launches to write their
+// responses back, then close connections (idle ones immediately, busy
+// ones after their current write). ctx bounds the wait.
+func (s *CohortServer) Drain(ctx context.Context) error {
+	s.stopAccepting()
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	select {
 	case <-s.doneCh:
@@ -693,888 +405,11 @@ func (s *CohortServer) Shutdown(ctx context.Context) error {
 	// parked in a read will never produce another admission (the closing
 	// flag sheds), so closing them is safe. Handlers mid-write finish
 	// first — the busy flag protects them.
-	//
-	// Barrier: a handler that saw closing==false completes its WaitGroup
-	// registration (under connMu) before we start waiting.
-	//lint:ignore SA2001 the empty critical section is the barrier
-	s.connMu.Lock()
-	s.connMu.Unlock()
-	waited := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(waited)
-	}()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.connMu.Lock()
-		for lc := range s.conns {
-			if !lc.busy.Load() {
-				lc.Close()
-			}
-		}
-		s.connMu.Unlock()
-		select {
-		case <-waited:
-			return nil
-		case <-ctx.Done():
-			s.connMu.Lock()
-			for lc := range s.conns {
-				lc.Close()
-			}
-			s.connMu.Unlock()
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
+	return s.drainConns(ctx)
 }
 
-// handle serves one keep-alive connection.
-func (s *CohortServer) handle(conn net.Conn) {
-	lc := &liveConn{Conn: conn}
-	s.connMu.Lock()
-	if s.closing.Load() {
-		s.connMu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[lc] = struct{}{}
-	s.connWG.Add(1)
-	s.connMu.Unlock()
-	defer func() {
-		conn.Close()
-		s.connMu.Lock()
-		delete(s.conns, lc)
-		s.connMu.Unlock()
-		s.connWG.Done()
-	}()
-	r := bufio.NewReader(conn)
-	a := newParseArena()
-	for {
-		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		raw, err := readRequestInto(r, a.raw[:0])
-		a.raw = raw
-		if err != nil {
-			return
-		}
-		lc.busy.Store(true)
-		resp, lr, id := s.respond(a, raw)
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		wstart := time.Now()
-		wout := resp
-		if id != 0 {
-			a.wbuf = spliceTraceHeader(a.wbuf, resp, id)
-			wout = a.wbuf
-		}
-		_, werr := conn.Write(wout)
-		lc.busy.Store(false)
-		if lr != nil {
-			// Response came through lr.resp, so the loop is done with the
-			// span slice and flight record (channel happens-before); finish
-			// and commit both.
-			lr.spans = append(lr.spans, obs.Span{Name: "write", Start: wstart, Dur: time.Since(wstart)})
-			s.tracer.Add(obs.RequestTrace{Type: s.names[lr.t], Spans: lr.spans})
-			lr.frec.Spans = lr.spans
-			lr.frec.Latency = time.Since(lr.frec.Start)
-			s.flight.Finish(&lr.frec)
-		}
-		if werr != nil || s.closing.Load() {
-			return
-		}
-	}
-}
-
-// respond parses and classifies one request on the host, then either
-// answers it directly (stats, metrics, traces, images, errors) or admits
-// it to the device loop and waits for the cohort path's response. The
-// returned liveReq is non-nil only when the response was delivered over
-// lr.resp — the caller may then read lr.spans and lr.frec to finish the
-// trace and flight record. The returned trace ID is non-zero for every
-// classified request (the caller splices it into the response headers);
-// on the nil-liveReq classified paths the flight record has already been
-// finished here with a local Record.
-func (s *CohortServer) respond(a *connArena, raw []byte) ([]byte, *liveReq, uint64) {
-	s.served.Add(1)
-	start := time.Now()
-	req := &a.req
-	if err := httpx.ParseInto(raw, req); err != nil {
-		s.parseErrors.Add(1)
-		return errorResponse(400, "Bad Request"), nil, 0
-	}
-	switch req.Path {
-	case StatsPath, StatsPathV1:
-		return s.statsResponse(req), nil, 0
-	case MetricsPath, MetricsPathV1:
-		return s.metricsResponse(), nil, 0
-	case TracePath, TracePathV1:
-		return s.traceResponse(req), nil, 0
-	case FlightPathV1:
-		return flightResponse(req, s.flight), nil, 0
-	case HealthPathV1:
-		return healthResponse(s.hEngine, s.flight), nil, 0
-	case TopologyPathV1:
-		return s.topologyResponse(), nil, 0
-	}
-	t, ok := s.reg.Classify(req)
-	if !ok {
-		if resp, ok := s.reg.Static(req.Path); ok {
-			s.images.Add(1)
-			return resp, nil, 0
-		}
-		s.notFound.Add(1)
-		return errorResponse(404, "Not Found"), nil, 0
-	}
-	id := s.flight.NextID()
-	widx := s.reg.WorkloadIndex(t)
-	if s.closing.Load() {
-		s.rejectedQueue.Add(1)
-		s.wlSheds[widx].Add(1)
-		s.badByType[t].Add(1)
-		s.finishLocal(id, t, start, flight.StatusShed)
-		return busyResponse(s.retryAfter()), nil, id
-	}
-	group := s.fab.GroupFor(req, t)
-
-	// Render-cache lookup, before admission: a hit bypasses cohort
-	// formation and kernel launch entirely. The state version is
-	// captured BEFORE execution so a concurrent write can only make the
-	// later insert unreachable, never stale (DESIGN.md §14). Session
-	// lookup here is race-safe: the group's array is bucket-locked.
-	var (
-		cacheable  bool
-		csid       session.ID
-		cuid, cver uint64
-	)
-	if s.cache != nil && group >= 0 && s.reg.Spec(t).Cacheable {
-		if sid, ok := session.ParseID(req.Cookie(s.reg.WorkloadOf(t).SessionCookie())); ok {
-			// GroupSessions is nil while the group's owning node is down
-			// (and always on remote transports, where the cache is off).
-			if arr := s.fab.GroupSessions(group); arr != nil {
-				if uid, ok := arr.Lookup(sid); ok {
-					cacheable, csid, cuid = true, sid, uid
-					cver = s.cache.Version(cuid)
-					if resp, hit := s.cache.Get(t, csid, cuid, cver, req); hit {
-						s.latHist[t].ObserveEx(float64(time.Since(start)), id)
-						s.finishLocal(id, t, start, flight.StatusOK)
-						return resp, nil, id
-					}
-				}
-			}
-		}
-	}
-
-	// Per-workload admission quota: the slot is held until this handler
-	// returns (every exit path below runs the deferred release), so the
-	// count is exactly the workload's concurrent in-flight requests.
-	if lim := s.wlLimit[widx]; lim > 0 {
-		if s.wlInflight[widx].Add(1) > lim {
-			s.wlInflight[widx].Add(-1)
-			s.rejectedQueue.Add(1)
-			s.wlSheds[widx].Add(1)
-			s.badByType[t].Add(1)
-			s.finishLocal(id, t, start, flight.StatusShed)
-			return busyResponse(s.retryAfter()), nil, id
-		}
-		defer s.wlInflight[widx].Add(-1)
-	}
-
-	lr := &liveReq{t: t, group: group, enq: time.Now(), resp: make(chan []byte, 1),
-		cacheable: cacheable, csid: csid, cuid: cuid, cver: cver}
-	// The in-flight request owns its param/cookie slices: the arena's
-	// request is recycled as soon as this handler reads again.
-	req.CopyTo(&lr.req)
-	lr.frec.Reset()
-	lr.frec.TraceID = id
-	lr.frec.Type = s.names[t]
-	lr.frec.Start = start
-	lr.spans = append(lr.spans, obs.Span{Name: "classify", Start: start, Dur: lr.enq.Sub(start)})
-	select {
-	case s.admitCh <- lr:
-	default:
-		s.rejectedQueue.Add(1)
-		s.wlSheds[widx].Add(1)
-		s.badByType[t].Add(1)
-		s.finishLocal(id, t, start, flight.StatusShed)
-		return busyResponse(s.retryAfter()), nil, id
-	}
-	deadline := time.NewTimer(s.opts.RequestDeadline)
-	defer deadline.Stop()
-	select {
-	case resp := <-lr.resp:
-		return resp, lr, id
-	case <-deadline.C:
-		s.deadlineMisses.Add(1)
-		s.badByType[t].Add(1)
-		s.finishLocal(id, t, start, flight.StatusDeadline)
-		return errorResponse(504, "Gateway Timeout"), nil, id
-	case <-s.doneCh:
-		// The loop exited while we waited. Either our response raced the
-		// exit (delivered, then doneCh closed — the buffered channel
-		// still holds it) or the request was never consumed.
-		select {
-		case resp := <-lr.resp:
-			return resp, lr, id
-		default:
-			s.rejectedQueue.Add(1)
-			s.wlSheds[widx].Add(1)
-			s.badByType[t].Add(1)
-			s.finishLocal(id, t, start, flight.StatusShed)
-			return busyResponse(s.retryAfter()), nil, id
-		}
-	}
-}
-
-// finishLocal finishes a flight record for a classified request answered
-// without a loop response (cache hit, shed, deadline miss). The
-// liveReq's embedded record may still be owned by the loop on those
-// paths, so a stack-local Record carries the outcome instead.
-func (s *CohortServer) finishLocal(id uint64, t service.TypeID, start time.Time, status flight.Status) {
-	var rec flight.Record
-	rec.Reset()
-	rec.TraceID = id
-	rec.Type = s.names[t]
-	rec.Start = start
-	rec.Latency = time.Since(start)
-	rec.Status = status
-	s.flight.Finish(&rec)
-}
-
-// loop is the dispatch loop: the only goroutine that touches the pool,
-// formation timers, and the loop-owned counters. Execution itself
-// happens on the cluster's device workers; their completions come back
-// here through doCh, so all accounting stays single-goroutine.
-func (s *CohortServer) loop() {
-	defer close(s.doneCh)
-	stop := s.stopCh
-	// The controller retunes on a wall-clock tick; without a controller
-	// the nil channel never fires.
-	var tickCh <-chan time.Time
-	if s.ctrl != nil {
-		ticker := time.NewTicker(s.ctrl.TickEvery())
-		defer ticker.Stop()
-		tickCh = ticker.C
-	}
-	for {
-		if s.draining && s.idle() {
-			return
-		}
-		select {
-		case lr := <-s.admitCh:
-			s.admit(lr)
-		case m := <-s.flushCh:
-			s.flush(m)
-		case fn := <-s.doCh:
-			fn()
-		case now := <-tickCh:
-			s.ctrl.NoteQueue(len(s.admitCh) + len(s.overflow))
-			s.ctrl.Tick(now)
-		case <-stop:
-			stop = nil
-			s.beginDrain()
-		}
-	}
-}
-
-// idle reports whether the drained loop may exit: nothing queued,
-// forming, or in flight on the device pool.
-func (s *CohortServer) idle() bool {
-	return len(s.admitCh) == 0 && len(s.flushCh) == 0 && len(s.doCh) == 0 &&
-		len(s.overflow) == 0 && len(s.forming) == 0 && s.inflight == 0 &&
-		s.pool.FreeContexts() == s.opts.MaxCohorts
-}
-
-// beginDrain stops formation timers and launches everything forming.
-// Admissions still queued are served (admit flushes immediately while
-// draining), so every accepted request gets a real response.
-func (s *CohortServer) beginDrain() {
-	s.draining = true
-	for _, f := range s.forming {
-		f.timer.Stop()
-	}
-	s.forming = make(map[string]*formingTimer)
-	s.pool.Flush("")
-}
-
-// admit routes one request into the pool, parking it in the bounded
-// overflow when every context is Busy and shedding with 503 past that.
-func (s *CohortServer) admit(lr *liveReq) {
-	lr.admitted = time.Now()
-	lr.spans = append(lr.spans, obs.Span{Name: "admit-queue", Start: lr.enq, Dur: lr.admitted.Sub(lr.enq)})
-	if s.ctrl != nil && s.ctrl.Arrival(int(lr.t)) {
-		s.dispatchHost(lr)
-		return
-	}
-	if s.place(lr) {
-		return
-	}
-	if len(s.overflow) >= s.opts.OverflowLimit {
-		s.rejectedPool++
-		s.shedReq(lr)
-		return
-	}
-	s.overflow = append(s.overflow, lr)
-}
-
-// shedReq answers one admitted request with the 503 backpressure
-// response, attributing the shed to its workload's counter.
-func (s *CohortServer) shedReq(lr *liveReq) {
-	s.wlSheds[s.reg.WorkloadIndex(lr.t)].Add(1)
-	s.badByType[lr.t].Add(1)
-	lr.frec.Status = flight.StatusShed
-	lr.resp <- busyResponse(s.retryAfter())
-}
-
-// dispatchHost routes one request below the crossover rate straight to
-// the scalar host path as a single-request Host unit: no cohort context,
-// no formation delay. The fabric still executes it on the node and
-// device that own the request's shard group, so responses stay
-// byte-identical and the group state single-writer.
-func (s *CohortServer) dispatchHost(lr *liveReq) {
-	unit := &cluster.Unit{Type: lr.t, Group: lr.group, Host: true, Reqs: []httpx.Request{lr.req}}
-	s.inflight++
-	unit.Done = func(res *cluster.Result) {
-		s.doCh <- func() { s.completeHost(lr, res) }
-	}
-	if !s.fab.Dispatch(unit) {
-		s.inflight--
-		s.rejectedPool++
-		s.shedReq(lr)
-	}
-}
-
-// completeHost consumes one host-fallback result on the loop goroutine.
-func (s *CohortServer) completeHost(lr *liveReq, res *cluster.Result) {
-	s.inflight--
-	if res.Err != nil {
-		s.rejectedPool++
-		s.shedReq(lr)
-		return
-	}
-	s.hostFallbacks++
-	s.typeStats(lr.t).hostReqs++
-	s.kernelErrors += uint64(res.KernelErrs)
-	if s.cache != nil && lr.cacheable && res.KernelErrs == 0 {
-		s.cache.Put(lr.t, lr.csid, lr.cuid, lr.cver, &lr.req, res.Resps[0])
-	}
-	lr.spans = append(lr.spans, obs.Span{Name: "host-execute", Start: res.RenderStart, Dur: res.RenderDur})
-	lr.frec.HostExec = true
-	lr.frec.LaunchReason = "host"
-	lr.frec.Device = res.Device
-	// A hop is a failover to another device; fold it into the record's
-	// attempt trail so tail debugging sees the move (flight.Record).
-	lr.frec.Attempts = res.Attempts + res.Hops
-	lr.frec.CohortSize = 1
-	if res.KernelErrs > 0 {
-		lr.frec.Status = flight.StatusKernelErr
-		s.badByType[lr.t].Add(1)
-	}
-	id := lr.frec.TraceID // read before the send hands frec to the handler
-	lr.resp <- res.Resps[0]
-	lat := float64(time.Since(lr.enq))
-	s.record(s.reqLat, lat)
-	s.latHist[lr.t].ObserveEx(lat, id)
-}
-
-// place tries pool admission; on success it manages the wall-clock
-// formation timer for the (possibly newly opened) forming cohort.
-// Cohorts are keyed by (type, shard group): a cohort executes against
-// one group's state on one device, so requests of the same type but
-// different groups form separately.
-func (s *CohortServer) place(lr *liveReq) bool {
-	key := fmt.Sprintf("%s/%d", s.names[lr.t], lr.group)
-	if !s.pool.Add(key, lr) {
-		return false
-	}
-	if s.draining {
-		// No timers during drain: launch whatever the Add left forming.
-		s.pool.Flush(key)
-		return true
-	}
-	// The formation deadline: the controller's per-type window in
-	// adaptive mode, the fixed option otherwise.
-	window := s.opts.FormationTimeout
-	if s.ctrl != nil {
-		window = s.ctrl.Window(int(lr.t))
-	}
-	if window > 0 && s.pool.Forming(key) && s.forming[key] == nil {
-		s.nextGen++
-		gen := s.nextGen
-		t := time.AfterFunc(window, func() {
-			select {
-			case s.flushCh <- flushMsg{key: key, gen: gen}:
-			case <-s.doneCh:
-			}
-		})
-		s.forming[key] = &formingTimer{timer: t, gen: gen}
-	}
-	return true
-}
-
-// flush handles a formation-timeout message, ignoring stale generations
-// (the cohort the timer was armed for already launched).
-func (s *CohortServer) flush(m flushMsg) {
-	f := s.forming[m.key]
-	if f == nil || f.gen != m.gen {
-		return
-	}
-	delete(s.forming, m.key)
-	s.pool.Flush(m.key)
-}
-
-// drainOverflow retries parked requests after a context frees,
-// preserving order per type while letting other types pass a starved
-// head (same policy as the offline pipeline's dispatch).
-func (s *CohortServer) drainOverflow() {
-	if len(s.overflow) == 0 {
-		return
-	}
-	pending := s.overflow
-	s.overflow = s.overflow[:0]
-	for _, lr := range pending {
-		if !s.place(lr) {
-			s.overflow = append(s.overflow, lr)
-		}
-	}
-}
-
-// onReady fires (synchronously from pool.Add or Flush) when a cohort
-// fills or times out: account formation stats and launch the kernels.
-func (s *CohortServer) onReady(c *cohort.Context[*liveReq], why cohort.Reason) {
-	if f := s.forming[c.Key]; f != nil {
-		f.timer.Stop()
-		delete(s.forming, c.Key)
-	}
-	c.MarkBusy()
-	s.inflight++
-	s.launch(c, why)
-}
-
-// typeStats returns (creating on demand) the counters for a request
-// type, with one stage slot per stage kernel.
-func (s *CohortServer) typeStats(t service.TypeID) *typeCounters {
-	key := s.names[t]
-	tc := s.perType[key]
-	if tc == nil {
-		tc = &typeCounters{stages: make([]perStage, s.reg.Spec(t).Backends+1)}
-		s.perType[key] = tc
-	}
-	return tc
-}
-
-// launch hands one formed cohort to the device fabric as a
-// cluster.Unit. Routing (node ownership by rendezvous hash, then the
-// owning node's device-level session affinity and failover) is the
-// fabric's job; completion comes back to the loop goroutine via doCh
-// and lands in complete. A refusal — every node down, the owner's link
-// budget exhausted, or its queues full — sheds every request with the
-// 503 path.
-func (s *CohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
-	reqs := c.Requests()
-	t := reqs[0].t
-	count := len(reqs)
-	now := time.Now()
-	reason := "timeout"
-	switch why {
-	case cohort.Filled:
-		reason = "filled"
-	case cohort.Early:
-		reason = "early"
-	}
-	for _, lr := range reqs {
-		wait := float64(now.Sub(lr.enq))
-		s.record(s.formWait, wait)
-		s.formHist.Observe(wait)
-		lr.spans = append(lr.spans, obs.Span{Name: "formation-wait", Start: lr.admitted, Dur: now.Sub(lr.admitted)})
-		lr.frec.FormationWait = now.Sub(lr.admitted)
-		lr.frec.CohortSize = count
-		lr.frec.LaunchReason = reason
-	}
-	s.occupHist.Observe(float64(count))
-	tc := s.typeStats(t)
-	tc.cohorts++
-	tc.requests += uint64(count)
-	tc.sumOccup += uint64(count)
-	if count > tc.maxOccup {
-		tc.maxOccup = count
-	}
-	if count > s.maxOccup {
-		s.maxOccup = count
-	}
-	switch why {
-	case cohort.Filled:
-		tc.filled++
-	case cohort.Early:
-		tc.early++
-	default:
-		tc.timedOut++
-	}
-	unit := &cluster.Unit{Type: t, Group: reqs[0].group, Reqs: make([]httpx.Request, count)}
-	for i, lr := range reqs {
-		unit.Reqs[i] = lr.req
-	}
-	unit.Done = func(res *cluster.Result) {
-		// Runs on a device worker. The loop cannot have exited: it only
-		// returns at inflight 0, and this cohort still counts. The send
-		// therefore always completes.
-		s.doCh <- func() { s.complete(c, res) }
-	}
-	if !s.fab.Dispatch(unit) {
-		s.shed(c, reqs)
-	}
-}
-
-// shed answers every request of a refused cohort with the 503
-// backpressure response and releases its context.
-func (s *CohortServer) shed(c *cohort.Context[*liveReq], reqs []*liveReq) {
-	s.shedCohorts++
-	for _, lr := range reqs {
-		s.shedReq(lr)
-	}
-	s.finish(c)
-}
-
-// finish releases a cohort context and retries parked admissions.
-func (s *CohortServer) finish(c *cohort.Context[*liveReq]) {
-	s.pool.Release(c)
-	s.inflight--
-	s.drainOverflow()
-}
-
-// complete consumes one cohort's execution result on the loop
-// goroutine: per-stage accounting and spans, response delivery, and
-// context release. A unit the fabric could not complete (Result.Err —
-// every device dead, no routable node, or a connection lost with the
-// unit's fate unknown) sheds like a dispatch refusal.
-func (s *CohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result) {
-	reqs := c.Requests()
-	if res.Err != nil {
-		s.shed(c, reqs)
-		return
-	}
-	tc := s.typeStats(reqs[0].t)
-	for k, se := range res.Stages {
-		tc.stages[k].Launches++
-		tc.stages[k].DeviceUs += float64(se.Stats.Duration) / 1e3
-		// One span per request, sharing the launch-record linkage args
-		// (the map is read-only once built).
-		span := obs.Span{
-			Name:  fmt.Sprintf("stage-%d", k),
-			Start: se.Start,
-			Dur:   se.Dur,
-			Args:  stageArgs(se.Stats),
-		}
-		for _, lr := range reqs {
-			lr.spans = append(lr.spans, span)
-			lr.frec.AddLaunch(se.Stats.Seq)
-		}
-	}
-	s.kernelErrors += uint64(res.KernelErrs)
-	now := time.Now()
-	for i, lr := range reqs {
-		// Conservative insertion gate: a cohort with any kernel error is
-		// not cached (per-request errors are only aggregated).
-		if s.cache != nil && lr.cacheable && res.KernelErrs == 0 {
-			s.cache.Put(lr.t, lr.csid, lr.cuid, lr.cver, &lr.req, res.Resps[i])
-		}
-		lr.spans = append(lr.spans, obs.Span{Name: "render", Start: res.RenderStart, Dur: res.RenderDur})
-		lr.frec.Device = res.Device
-		lr.frec.Attempts = res.Attempts + res.Hops
-		if res.KernelErrs > 0 {
-			// Kernel errors are aggregated per cohort, not attributed per
-			// request, so every rider is flagged (conservative).
-			lr.frec.Status = flight.StatusKernelErr
-			s.badByType[lr.t].Add(1)
-		}
-		id := lr.frec.TraceID // read before the send hands frec to the handler
-		lr.resp <- res.Resps[i]
-		lat := float64(now.Sub(lr.enq))
-		s.record(s.reqLat, lat)
-		s.latHist[lr.t].ObserveEx(lat, id)
-	}
-	s.record(s.launchLat, float64(res.DeviceTime))
-	if s.ctrl != nil {
-		// Feed the service model with the wall-clock execution cost of
-		// this cohort — stage kernels plus response render — which is
-		// what bounds the live server's capacity.
-		var svc time.Duration
-		for _, se := range res.Stages {
-			svc += se.Dur
-		}
-		svc += res.RenderDur
-		s.ctrl.ObserveLaunch(int(reqs[0].t), len(reqs), svc)
-	}
-	s.finish(c)
-}
-
-// maxLatencySamples bounds the stats recorders so a long-lived server
-// doesn't grow without bound; past the cap the percentiles freeze on the
-// first N samples (counters keep counting).
-const maxLatencySamples = 1 << 20
-
-func (s *CohortServer) record(r *stats.LatencyRecorder, v float64) {
-	if r.Count() < maxLatencySamples {
-		if v < 0 {
-			v = 0
-		}
-		r.Record(v)
-	}
-}
-
-// Stats snapshots the live counters. Safe to call at any time; while
-// the loop runs the snapshot is taken on the loop goroutine.
-func (s *CohortServer) Stats() CohortServerStats {
-	reply := make(chan CohortServerStats, 1)
-	select {
-	case s.doCh <- func() { reply <- s.snapshot() }:
-		select {
-		case st := <-reply:
-			return st
-		case <-s.doneCh:
-			return s.snapshot() // loop exited without running the closure
-		}
-	case <-s.doneCh:
-		return s.snapshot() // loop gone: its state is quiescent, safe to read
-	}
-}
-
-func (s *CohortServer) snapshot() CohortServerStats {
-	ps := s.pool.Stats()
-	// One pass over the fabric: per-node counters under the fabric
-	// lock, then each node's cluster snapshot (an RPC for remote
-	// workers, stale-cached when one is unreachable). The flattened
-	// device view keeps the single-cluster stats sections meaningful
-	// at any node count.
-	cs := s.fab.Snapshot()
-	st := CohortServerStats{
-		SchemaVersion:    StatsSchemaVersion,
-		Mode:             "cohort",
-		Workloads:        workloadNames(s.reg),
-		Served:           s.served.Load(),
-		KernelErrors:     s.kernelErrors,
-		ParseErrors:      s.parseErrors.Load(),
-		NotFound:         s.notFound.Load(),
-		Images:           s.images.Load(),
-		RejectedQueue:    s.rejectedQueue.Load(),
-		RejectedPool:     s.rejectedPool,
-		DeadlineMisses:   s.deadlineMisses.Load(),
-		CohortsFormed:    ps.Formed,
-		CohortsFilled:    ps.Filled,
-		CohortsTimedOut:  ps.TimedOut,
-		CohortsEarly:     ps.Early,
-		HostFallbacks:    s.hostFallbacks,
-		RequestsBatched:  ps.Requests,
-		AdmissionStalls:  ps.Stalls,
-		SumOccupancy:     ps.SumOccup,
-		MeanOccupancy:    ps.MeanOccupancy(),
-		MaxOccupancy:     s.maxOccup,
-		MaxContexts:      ps.MaxInUse,
-		FormWaitMsMean:   s.formWait.Mean() / 1e6,
-		FormWaitMsP99:    s.formWait.Percentile(99) / 1e6,
-		LaunchDevUsMean:  s.launchLat.Mean() / 1e3,
-		LatencyMsP50:     s.reqLat.Percentile(50) / 1e6,
-		LatencyMsP99:     s.reqLat.Percentile(99) / 1e6,
-		Device:           cs.Aggregate,
-		ProfiledLaunches: cs.ProfiledLaunches,
-		Devices:          cs.Devices,
-		Failovers:        cs.Failovers,
-		DeviceRetries:    cs.Retries,
-		ShedCohorts:      s.shedCohorts,
-		Transport:        cs.Transport,
-		Nodes:            cs.Nodes,
-		NodeFailovers:    cs.NodeFailovers,
-		NodeRetries:      cs.NodeRetries,
-		LinkSheds:        cs.LinkSheds,
-		LostUnits:        cs.LostUnits,
-		FlightRequests:   s.flight.Total(),
-		FlightAnomalies:  s.flight.Promoted(),
-		Types:            make(map[string]CohortTypeStats, len(s.perType)),
-	}
-	st.WorkloadSheds = make(map[string]uint64, len(s.wlSheds))
-	for i, w := range s.reg.Workloads() {
-		st.WorkloadSheds[w.Name()] = s.wlSheds[i].Load()
-	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		st.CacheHits = cs.Hits
-		st.CacheMisses = cs.Misses
-		st.CacheInvalidations = cs.Invalidations
-		st.CacheEntries = cs.Entries
-	}
-	if s.ctrl != nil {
-		snap := s.ctrl.Snapshot()
-		st.Adapt = &snap
-	}
-	for key, tc := range s.perType {
-		ts := CohortTypeStats{
-			Workload:     s.workloadOfDisplay(key),
-			Cohorts:      tc.cohorts,
-			Filled:       tc.filled,
-			TimedOut:     tc.timedOut,
-			Early:        tc.early,
-			Requests:     tc.requests,
-			HostRequests: tc.hostReqs,
-			MaxOccupancy: tc.maxOccup,
-			Stages:       append([]perStage(nil), tc.stages...),
-		}
-		if tc.cohorts > 0 {
-			ts.MeanOccupancy = float64(tc.sumOccup) / float64(tc.cohorts)
-		}
-		st.Types[key] = ts
-	}
-	return st
-}
-
-// statsResponse renders /v1/stats. `?schema=4` renders the legacy
-// schema-v4 document for pre-fabric readers: the v5 topology fields
-// (transport, nodes, node/link counters, workload_sheds) are stripped
-// and the version stamp says 4. Everything v4 defined is identical.
-func (s *CohortServer) statsResponse(req *httpx.Request) []byte {
+// Snapshot returns the mode-tagged serving statistics.
+func (s *CohortServer) Snapshot() ServerStats {
 	st := s.Stats()
-	if req.Param("schema") == "4" {
-		st.SchemaVersion = 4
-		st.Transport = ""
-		st.Nodes = nil
-		st.NodeFailovers, st.NodeRetries = 0, 0
-		st.LinkSheds, st.LostUnits = 0, 0
-		st.WorkloadSheds = nil
-	}
-	return jsonResponse(st)
-}
-
-// topologyResponse renders /v1/topology: the fabric's node-level view —
-// transport kind, per-node health, routed groups, dispatch/completion
-// counters, link budgets and saturation sheds, and each node's own
-// cluster snapshot.
-func (s *CohortServer) topologyResponse() []byte {
-	return jsonResponse(s.fab.Snapshot())
-}
-
-// workloadOfDisplay resolves a per-type stats key back to its owning
-// workload's name.
-func (s *CohortServer) workloadOfDisplay(key string) string {
-	if t, ok := s.reg.ByDisplay(key); ok {
-		return s.reg.Spec(t).Workload
-	}
-	return ""
-}
-
-// typeLabel is the Prometheus label set for a per-type stats key
-// (workload + type).
-func (s *CohortServer) typeLabel(key string) string {
-	if t, ok := s.reg.ByDisplay(key); ok {
-		return s.labels[t]
-	}
-	return obs.Label("type", key)
-}
-
-// metricsResponse renders the Prometheus /metrics document. Loop-owned
-// counters come through the Stats() snapshot (taken on the loop
-// goroutine); histograms and the launch profile are atomic/locked and
-// read directly.
-func (s *CohortServer) metricsResponse() []byte {
-	st := s.Stats()
-	w := obs.NewPromWriter()
-	w.Family("rhythm_build_info", "gauge", "Serving mode of this rhythmd process.")
-	w.Value("rhythm_build_info", obs.Label("mode", "cohort"), 1)
-	w.Family("rhythm_requests_served_total", "counter", "Responses produced, including errors and sheds.")
-	w.Value("rhythm_requests_served_total", "", float64(st.Served))
-	names := sortedTypeKeys(st.Types)
-	w.Family("rhythm_requests_total", "counter", "Requests executed through the cohort pipeline, by workload and type.")
-	for _, name := range names {
-		w.Value("rhythm_requests_total", s.typeLabel(name), float64(st.Types[name].Requests))
-	}
-	w.Family("rhythm_cohorts_total", "counter", "Cohorts launched, by workload, type, and formation result.")
-	for _, name := range names {
-		w.Value("rhythm_cohorts_total", s.typeLabel(name)+`,result="filled"`, float64(st.Types[name].Filled))
-		w.Value("rhythm_cohorts_total", s.typeLabel(name)+`,result="timeout"`, float64(st.Types[name].TimedOut))
-		w.Value("rhythm_cohorts_total", s.typeLabel(name)+`,result="early"`, float64(st.Types[name].Early))
-	}
-	w.Family("rhythm_requests_batched_total", "counter", "Requests that rode a cohort launch.")
-	w.Value("rhythm_requests_batched_total", "", float64(st.RequestsBatched))
-	w.Family("rhythm_http_errors_total", "counter", "Error responses by status code (503 = shed, 504 = deadline miss).")
-	w.Value("rhythm_http_errors_total", obs.Label("code", "400"), float64(st.ParseErrors))
-	w.Value("rhythm_http_errors_total", obs.Label("code", "404"), float64(st.NotFound))
-	w.Value("rhythm_http_errors_total", obs.Label("code", "503"), float64(st.RejectedQueue+st.RejectedPool))
-	w.Value("rhythm_http_errors_total", obs.Label("code", "504"), float64(st.DeadlineMisses))
-	w.Family("rhythm_images_total", "counter", "Static image responses.")
-	w.Value("rhythm_images_total", "", float64(st.Images))
-	w.Family("rhythm_kernel_errors_total", "counter", "Requests whose kernel execution reported an error.")
-	w.Value("rhythm_kernel_errors_total", "", float64(st.KernelErrors))
-	writeLatencyFamilies(w, s.labels, s.latHist)
-	w.Family("rhythm_formation_wait_seconds", "histogram", "Admission-to-launch wait (the Fig. 4 formation delay).")
-	w.Histogram("rhythm_formation_wait_seconds", "", s.formHist.Snapshot(), 1e-9)
-	w.Family("rhythm_cohort_occupancy", "histogram", "Requests per launched cohort.")
-	w.Histogram("rhythm_cohort_occupancy", "", s.occupHist.Snapshot(), 1)
-	writeDeviceFamilies(w, st.Device, st.ProfiledLaunches)
-	writeClusterFamilies(w, st)
-	writeFabricFamilies(w, st)
-	writeAdaptFamilies(w, st)
-	if s.cache != nil {
-		writeRenderCacheFamilies(w, s.cache.Stats())
-	}
-	w.Family("rhythm_traces_recorded_total", "counter", "Request traces captured by the lifecycle recorder.")
-	w.Value("rhythm_traces_recorded_total", "", float64(s.tracer.Total()))
-	writeFlightFamilies(w, s.flight)
-	return bodyResponse(promContentType, w.Bytes())
-}
-
-// traceResponse renders the Chrome trace-event document for
-// /rhythm-trace, optionally blocking for a ?secs=N capture window.
-func (s *CohortServer) traceResponse(req *httpx.Request) []byte {
-	secs, ok := captureSecs(req)
-	if !ok {
-		return errorResponse(400, "Bad Request")
-	}
-	var since time.Time
-	var launches []simt.LaunchRecord
-	wait := secs > 0
-	if wait {
-		// One blocking capture at a time: each holds its connection's
-		// handler goroutine for secs seconds, so unbounded concurrent
-		// captures would pile up goroutines (DESIGN.md §15).
-		if !s.captureBusy.CompareAndSwap(false, true) {
-			return tooManyCapturesResponse()
-		}
-		defer s.captureBusy.Store(false)
-		since = time.Now()
-		// Launch sequence numbers are per device, so the capture floor
-		// is too: each node cluster filters its rings before the fabric
-		// merges them (empty with remote workers — their rings live in
-		// the worker process).
-		floors := s.fab.LaunchFloors()
-		time.Sleep(time.Duration(secs) * time.Second)
-		launches = s.fab.ProfilesSince(floors)
-	} else {
-		launches = s.fab.Profiles()
-	}
-	body := traceDocument(s.tracer, since, wait, launches, 0)
-	return bodyResponse("application/json", body)
-}
-
-// jsonResponse renders v as a keep-alive application/json response.
-func jsonResponse(v any) []byte {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return errorResponse(500, "Internal Server Error")
-	}
-	body = append(body, '\n')
-	buf := make([]byte, len(body)+256)
-	w := httpx.NewResponseWriter(buf)
-	w.StartOK("application/json", "")
-	w.Write(body)
-	return w.Finish()
-}
-
-// busyResponse is the backpressure answer: 503 with a Retry-After hint.
-// Hand-built because ResponseWriter has no custom-header hook and the
-// standard error path closes the connection — load shedding should keep
-// it open so clients can retry on the same socket.
-func busyResponse(retryAfter time.Duration) []byte {
-	secs := int(retryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	body := "503 cohort pool saturated\n"
-	return []byte(fmt.Sprintf("HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nRetry-After: %d\r\nConnection: keep-alive\r\nContent-Length: %d\r\n\r\n%s",
-		secs, len(body), body))
+	return ServerStats{Mode: "cohort", Cohort: &st}
 }

@@ -28,7 +28,7 @@ func startCohortServer(t *testing.T, opts CohortOptions) *CohortServer {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		srv.Shutdown(ctx)
+		srv.Drain(ctx)
 	})
 	return srv
 }
@@ -404,7 +404,7 @@ func TestCohortServerShutdownFlushesPartial(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		shutdownErr <- srv.Shutdown(ctx)
+		shutdownErr <- srv.Drain(ctx)
 	}()
 
 	resp := readRawResponse(t, bufio.NewReader(conn))
@@ -479,12 +479,12 @@ func TestCohortServerRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestCohortServerStatsEndpoint: /rhythm-stats serves JSON in both modes.
+// TestCohortServerStatsEndpoint: /v1/stats serves JSON in both modes.
 func TestCohortServerStatsEndpoint(t *testing.T) {
 	srv := startCohortServer(t, CohortOptions{FormationTimeout: 5 * time.Millisecond})
 	conn := dialT(t, srv.Addr())
 	r := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "GET /rhythm-stats HTTP/1.1\r\nHost: t\r\n\r\n")
+	fmt.Fprintf(conn, "GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n")
 	resp := string(readRawResponse(t, r))
 	if !strings.HasPrefix(resp, "HTTP/1.1 200 ") || !strings.Contains(resp, `"mode": "cohort"`) {
 		t.Fatalf("cohort stats endpoint: %.200q", resp)
@@ -498,7 +498,7 @@ func TestCohortServerStatsEndpoint(t *testing.T) {
 	go host.Serve()
 	hconn := dialT(t, host.Addr())
 	hr := bufio.NewReader(hconn)
-	fmt.Fprintf(hconn, "GET /rhythm-stats HTTP/1.1\r\nHost: t\r\n\r\n")
+	fmt.Fprintf(hconn, "GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n")
 	hresp := string(readRawResponse(t, hr))
 	if !strings.HasPrefix(hresp, "HTTP/1.1 200 ") || !strings.Contains(hresp, `"mode": "host"`) {
 		t.Fatalf("host stats endpoint: %.200q", hresp)

@@ -265,8 +265,8 @@ func TestFlightShedPromotesExactlyOne(t *testing.T) {
 	if fmt.Sprint(rec.TraceID) != trace {
 		t.Fatalf("promoted trace_id %d does not match the 503's X-Rhythm-Trace %s", rec.TraceID, trace)
 	}
-	if rec.Type != "profile" {
-		t.Fatalf("shed record type = %q, want profile", rec.Type)
+	if rec.Type != "banking/profile" {
+		t.Fatalf("shed record type = %q, want banking/profile", rec.Type)
 	}
 }
 
@@ -434,12 +434,12 @@ func TestTraceCaptureConcurrent429(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			fmt.Fprintf(conn, "GET %s?secs=1 HTTP/1.1\r\nHost: t\r\n\r\n", TracePath)
+			fmt.Fprintf(conn, "GET %s?secs=1 HTTP/1.1\r\nHost: t\r\n\r\n", TracePathV1)
 			done <- string(readRawResponse(t, bufio.NewReader(conn)))
 		}()
 		time.Sleep(200 * time.Millisecond) // the first capture is now blocking
 
-		second := scrape(t, addr, TracePath+"?secs=1")
+		second := scrape(t, addr, TracePathV1+"?secs=1")
 		if !strings.HasPrefix(second, "HTTP/1.1 429 ") {
 			t.Fatalf("concurrent capture answered %.100q, want 429", second)
 		}
@@ -452,7 +452,7 @@ func TestTraceCaptureConcurrent429(t *testing.T) {
 			t.Fatalf("original capture answered %.100q, want 200", first)
 		}
 		// The guard released: a fresh capture succeeds.
-		if again := scrape(t, addr, TracePath); !strings.HasPrefix(again, "HTTP/1.1 200 ") {
+		if again := scrape(t, addr, TracePathV1); !strings.HasPrefix(again, "HTTP/1.1 200 ") {
 			t.Fatalf("post-capture request answered %.100q, want 200", again)
 		}
 	}

@@ -13,8 +13,7 @@ import (
 // page kit (DESIGN.md §16), exactly as ecom and telemetry are: a type
 // table plus stage functions (services.go). Banking registers first in
 // the default registry, so its workload-qualified type ids equal its
-// historical ReqType values and (via bare display names) every
-// pre-registry label, stats key, and flight type is unchanged.
+// historical ReqType values.
 
 // cacheableTypes is the render-cache whitelist: read-only page types
 // whose bytes depend only on (type, session, user state version,
@@ -63,14 +62,13 @@ func NewWorkload() *service.PageWorkload {
 	// Costs stay zero: the kit's default cost model is the one calibrated
 	// against banking's Table 2 instruction counts (DESIGN.md §6).
 	return service.NewPageWorkload(service.PageWorkloadConfig{
-		Name:             "banking",
-		CookieName:       "MY_ID",
-		Defs:             defs,
-		NewBackend:       func() service.Backend { return backend.New() },
-		Affinity:         affinity,
-		Static:           ImageResponse,
-		ErrorPage:        errorPage,
-		BareDisplayNames: true,
+		Name:       "banking",
+		CookieName: "MY_ID",
+		Defs:       defs,
+		NewBackend: func() service.Backend { return backend.New() },
+		Affinity:   affinity,
+		Static:     ImageResponse,
+		ErrorPage:  errorPage,
 	})
 }
 

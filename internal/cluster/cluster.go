@@ -531,20 +531,6 @@ func (c *Cluster) Snapshot() Snapshot {
 // profiles so each device's streams render as distinct tracks.
 const streamIDStride = 100
 
-// Profiles merges every device's launch-profile ring, offsetting stream
-// ids by device (device i's stream s becomes i*streamIDStride+s). Safe
-// from any goroutine — the rings are internally locked.
-func (c *Cluster) Profiles() []simt.LaunchRecord {
-	var out []simt.LaunchRecord
-	for _, d := range c.devs {
-		for _, lr := range d.dev.Profile() {
-			lr.Stream += d.id * streamIDStride
-			out = append(out, lr)
-		}
-	}
-	return out
-}
-
 // LaunchFloors snapshots each device's profiled-launch count, for a
 // later ProfilesSince.
 func (c *Cluster) LaunchFloors() []uint64 {
@@ -555,9 +541,11 @@ func (c *Cluster) LaunchFloors() []uint64 {
 	return floors
 }
 
-// ProfilesSince merges launch records newer than a LaunchFloors
-// snapshot (sequence numbers are per-device, so the filter must be
-// too).
+// ProfilesSince merges every device's launch records newer than a
+// LaunchFloors snapshot (nil = everything in the rings), offsetting
+// stream ids by device (device i's stream s becomes i*streamIDStride+s).
+// Sequence numbers are per-device, so the filter must be too. Safe from
+// any goroutine — the rings are internally locked.
 func (c *Cluster) ProfilesSince(floors []uint64) []simt.LaunchRecord {
 	var out []simt.LaunchRecord
 	for i, d := range c.devs {

@@ -674,23 +674,6 @@ func (f *Fabric) Node(n int) *cluster.Cluster {
 // profiles, one level above the cluster's per-device stride.
 const nodeProfileStride = 10000
 
-// Profiles merges every loopback node's launch-profile rings (empty on
-// remote transports — remote rings live in the worker process).
-func (f *Fabric) Profiles() []simt.LaunchRecord {
-	lb, ok := f.tr.(*loopback)
-	if !ok {
-		return nil
-	}
-	var out []simt.LaunchRecord
-	for i, cl := range lb.nodes {
-		for _, rec := range cl.Profiles() {
-			rec.Stream += i * nodeProfileStride
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // LaunchFloors snapshots per-node launch floors for ProfilesSince.
 func (f *Fabric) LaunchFloors() [][]uint64 {
 	lb, ok := f.tr.(*loopback)
@@ -704,8 +687,9 @@ func (f *Fabric) LaunchFloors() [][]uint64 {
 	return out
 }
 
-// ProfilesSince merges launch records newer than a LaunchFloors
-// snapshot.
+// ProfilesSince merges every loopback node's launch records newer than
+// a LaunchFloors snapshot (nil floors = everything in the rings; empty
+// on remote transports — remote rings live in the worker process).
 func (f *Fabric) ProfilesSince(floors [][]uint64) []simt.LaunchRecord {
 	lb, ok := f.tr.(*loopback)
 	if !ok {

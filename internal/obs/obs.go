@@ -2,7 +2,7 @@
 // lifecycle spans with a bounded recorder, Chrome trace-event JSON
 // export (chrome://tracing / Perfetto loadable) that merges request
 // timelines with the SIMT device's kernel-launch profile, and a
-// Prometheus text-format writer for the /metrics endpoints.
+// Prometheus text-format writer for the /v1/metrics endpoint.
 package obs
 
 import (
@@ -87,7 +87,7 @@ func (r *Recorder) Snapshot() []RequestTrace {
 }
 
 // Since filters a snapshot to traces whose first span starts at or after
-// t — the capture-window filter behind /rhythm-trace?secs=N.
+// t — the capture-window filter behind /v1/trace?secs=N.
 func (r *Recorder) Since(t time.Time) []RequestTrace {
 	all := r.Snapshot()
 	out := all[:0]

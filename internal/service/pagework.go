@@ -21,9 +21,7 @@ type PageWorkload struct {
 	costs      Costs
 	defs       []SvcDef
 	byPath     map[string]int
-	bareNames  bool
-	// kernelPrefix starts every stage kernel's name: "rhythm_" under
-	// bare display names, else "rhythm_<workload>_".
+	// kernelPrefix starts every stage kernel's name: "rhythm_<workload>_".
 	kernelPrefix string
 
 	newBackend func() Backend
@@ -57,9 +55,6 @@ type PageWorkloadConfig struct {
 	// ErrorPage optionally builds the workload's error body (from
 	// ctx.Err) into ctx.Page; nil takes the kit's generic page.
 	ErrorPage func(ctx *Ctx)
-	// BareDisplayNames keeps the type labels unqualified ("login", not
-	// "banking/login") — banking's pre-registry label universe.
-	BareDisplayNames bool
 }
 
 // NewPageWorkload validates cfg and builds the workload.
@@ -85,11 +80,8 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 		affinity:   cfg.Affinity,
 		static:     cfg.Static,
 		errorPage:  cfg.ErrorPage,
-		bareNames:  cfg.BareDisplayNames,
-	}
-	w.kernelPrefix = "rhythm_" + w.name + "_"
-	if w.bareNames {
-		w.kernelPrefix = "rhythm_"
+
+		kernelPrefix: "rhythm_" + cfg.Name + "_",
 	}
 	for i := range w.defs {
 		def := &w.defs[i]
@@ -115,10 +107,6 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 
 // Name implements Workload.
 func (w *PageWorkload) Name() string { return w.name }
-
-// BareDisplayNames reports whether the registry labels this workload's
-// types by their bare local names (the schema_version 4 legacy aliases).
-func (w *PageWorkload) BareDisplayNames() bool { return w.bareNames }
 
 // SessionCookie implements Workload.
 func (w *PageWorkload) SessionCookie() string { return w.cookieName }

@@ -54,9 +54,7 @@ type Spec struct {
 	// Name is the workload-local type name (e.g. "login", "browse").
 	Name string
 	// Display is the registry-wide label used for stats keys, metric
-	// label values, flight records, and trace types: "workload/name",
-	// except for a workload registered with bare display names (banking,
-	// for backward compatibility with pre-registry label sets).
+	// label values, flight records, and trace types: "workload/name".
 	Display string
 	// Path is the classified request path ("" when the workload
 	// classifies by other means).
@@ -162,14 +160,6 @@ type Unit interface {
 	Failed(i int) bool
 }
 
-// bareNamer is an optional Workload extension: a workload whose Display
-// labels are its bare local names (no "workload/" prefix). Banking
-// implements it so every pre-registry label, stats key, and flight type
-// stays valid (the schema_version 3→4 legacy aliases).
-type bareNamer interface {
-	BareDisplayNames() bool
-}
-
 // Registry fuses registered workloads into one dense TypeID space.
 // Registration order is significant: it fixes GID assignment (and
 // therefore stats/metrics ordering), and the first workload occupies
@@ -180,22 +170,19 @@ type Registry struct {
 	base  []int // workload index -> first GID
 	widx  []int // GID -> workload index
 
-	byDisplay map[string]TypeID
-	byName    map[string]int // workload name -> index
+	byName map[string]int // workload name -> index
 }
 
 // NewRegistry builds a registry from workloads in registration order.
-// Duplicate workload names or display labels panic: the label universe
-// is the registry's core guarantee.
+// Every type's Display label is "workload/name". Duplicate workload
+// names or display labels panic: the label universe is the registry's
+// core guarantee.
 func NewRegistry(ws ...Workload) *Registry {
 	if len(ws) == 0 {
 		panic("service: empty registry")
 	}
-	r := &Registry{
-		ws:        ws,
-		byDisplay: make(map[string]TypeID),
-		byName:    make(map[string]int),
-	}
+	r := &Registry{ws: ws, byName: make(map[string]int)}
+	displays := make(map[string]bool)
 	for i, w := range ws {
 		name := w.Name()
 		if _, dup := r.byName[name]; dup {
@@ -203,10 +190,6 @@ func NewRegistry(ws ...Workload) *Registry {
 		}
 		r.byName[name] = i
 		r.base = append(r.base, len(r.specs))
-		bare := false
-		if bn, ok := w.(bareNamer); ok {
-			bare = bn.BareDisplayNames()
-		}
 		for local, sp := range w.Types() {
 			if sp.Name == "" {
 				panic(fmt.Sprintf("service: %s type %d has no name", name, local))
@@ -217,15 +200,11 @@ func NewRegistry(ws ...Workload) *Registry {
 			sp.Workload = name
 			sp.Local = local
 			sp.GID = TypeID(len(r.specs))
-			if bare {
-				sp.Display = sp.Name
-			} else {
-				sp.Display = name + "/" + sp.Name
-			}
-			if _, dup := r.byDisplay[sp.Display]; dup {
+			sp.Display = name + "/" + sp.Name
+			if displays[sp.Display] {
 				panic(fmt.Sprintf("service: duplicate display label %q", sp.Display))
 			}
-			r.byDisplay[sp.Display] = sp.GID
+			displays[sp.Display] = true
 			r.specs = append(r.specs, sp)
 			r.widx = append(r.widx, i)
 		}
@@ -262,12 +241,6 @@ func (r *Registry) WorkloadOf(t TypeID) Workload { return r.ws[r.widx[t]] }
 
 // GID maps (workload index, local type) to the fused id.
 func (r *Registry) GID(widx, local int) TypeID { return TypeID(r.base[widx] + local) }
-
-// ByDisplay resolves a display label to its type id.
-func (r *Registry) ByDisplay(label string) (TypeID, bool) {
-	t, ok := r.byDisplay[label]
-	return t, ok
-}
 
 // DisplayNames returns the label universe indexed by TypeID — the
 // metrics `type` label values and /v1/stats per-type keys.

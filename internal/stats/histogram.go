@@ -8,7 +8,7 @@ import (
 
 // Histogram is a fixed-bucket histogram with lock-free atomic counters,
 // safe for concurrent Observe and Snapshot (live servers record on hot
-// paths while /metrics scrapes snapshot). Bucket semantics follow the
+// paths while /v1/metrics scrapes snapshot). Bucket semantics follow the
 // Prometheus convention: bucket i counts observations <= bounds[i], and
 // an implicit +Inf bucket catches everything past the last bound.
 type Histogram struct {
@@ -19,7 +19,7 @@ type Histogram struct {
 	sum    atomic.Uint64 // sum of observations, truncated to integer units
 	// Per-bucket exemplars (DESIGN.md §15): the trace ID of the latest
 	// observation that landed in each bucket (index len(bounds) is the
-	// +Inf bucket), linking /metrics buckets to /v1/debug/flight
+	// +Inf bucket), linking /v1/metrics buckets to /v1/debug/flight
 	// records. Only ObserveEx writes them.
 	exemplars []atomic.Uint64
 }

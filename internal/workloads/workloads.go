@@ -1,9 +1,8 @@
 // Package workloads assembles the default workload registry: banking
-// first (so its workload-qualified type ids and bare display labels
-// equal the pre-registry universe), then the e-commerce and
-// streaming-telemetry workloads. Everything above the service contract
-// — servers, harnesses, CLIs — gets its registry here or builds a
-// restricted one with Named.
+// first (so its type ids equal the pre-registry universe), then the
+// e-commerce and streaming-telemetry workloads. Everything above the
+// service contract — servers, harnesses, CLIs — gets its registry here
+// or builds a restricted one with Named.
 package workloads
 
 import (
@@ -42,7 +41,7 @@ func Default() *service.Registry {
 }
 
 // Banking builds a banking-only registry (the pre-registry serving
-// universe; also what label-compatibility tests pin against).
+// universe).
 func Banking() *service.Registry {
 	r, err := Named("banking")
 	if err != nil {

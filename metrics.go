@@ -2,6 +2,7 @@ package rhythm
 
 import (
 	"bytes"
+	"encoding/json"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -18,35 +19,28 @@ import (
 	"rhythm/internal/workloads"
 )
 
-// StatsSchemaVersion is the "schema_version" both stats documents carry.
-// Version 2 added the versioned /v1 control-plane paths, the adaptive
-// controller section ("adapt"), host-fallback counters, and per-type
-// early-launch counts (DESIGN.md §12). Version 3 added the flight
-// recorder counters and the /v1/debug/flight and /v1/health endpoints
-// (DESIGN.md §15). Version 4 namespaces the per-type stats by workload
-// (DESIGN.md §16): the documents gain a "workloads" list, per-type
-// sections gain a "workload" field, and per-type Prometheus families
-// carry a `workload` label. Banking's type labels stay bare ("login",
-// not "banking/login") as the legacy aliases, so every version-3
-// dashboard keeps working against a banking-only or default registry.
-// Version 5 adds the device-fabric topology (DESIGN.md §17): a
-// "transport" kind, per-node "nodes" rows, node failover / link
-// saturation counters, per-workload "workload_sheds", and the
-// /v1/topology endpoint. `?schema=4` on /v1/stats renders the legacy
-// document for version-4 readers.
-const StatsSchemaVersion = 5
+// StatsSchemaVersion is the "schema_version" both stats documents and
+// /v1/health carry. Version 6: every per-type stats key, Prometheus
+// `type` label and flight-record type is workload-qualified
+// ("banking/login" — banking's were bare through version 5), each
+// document has exactly one path, and /v1/stats takes no parameters.
+const StatsSchemaVersion = 6
 
-// DefaultRegistry builds the process-default workload registry: banking
-// (bare legacy labels), then e-commerce, then streaming telemetry.
-// Servers built without an explicit registry use this one.
+// DefaultRegistry builds the process-default workload registry: banking,
+// then e-commerce, then streaming telemetry. Servers built without an
+// explicit registry use this one.
 func DefaultRegistry() *service.Registry { return workloads.Default() }
 
-// The versioned control-plane paths. The unversioned legacy paths
-// (/rhythm-stats, /metrics, /rhythm-trace) remain as aliases.
+// The control-plane paths, one per document (DESIGN.md §12).
 const (
-	StatsPathV1   = "/v1/stats"
+	StatsPathV1 = "/v1/stats"
+	// MetricsPathV1 is the Prometheus text-format endpoint (DESIGN.md §10).
 	MetricsPathV1 = "/v1/metrics"
-	TracePathV1   = "/v1/trace"
+	// TracePathV1 is the Chrome trace-event capture endpoint. A bare GET
+	// returns the buffered request traces; ?secs=N (1-60) records for N
+	// seconds and returns only that window. The document loads directly
+	// in Perfetto / chrome://tracing.
+	TracePathV1 = "/v1/trace"
 	// FlightPathV1 exports the flight recorder's anomaly ring
 	// (DESIGN.md §15): JSON by default, ?format=chrome for a
 	// Perfetto-loadable trace of the anomalies, ?n=K for the last K.
@@ -56,18 +50,9 @@ const (
 	// TopologyPathV1 reports the device fabric's node-level view:
 	// transport kind, per-node health and routed groups, dispatch
 	// counters, link budgets and saturation sheds (DESIGN.md §17).
+	// Cohort mode only.
 	TopologyPathV1 = "/v1/topology"
 )
-
-// MetricsPath is the Prometheus text-format endpoint both TCP servers
-// expose (DESIGN.md §10). Alias of MetricsPathV1.
-const MetricsPath = "/metrics"
-
-// TracePath is the Chrome trace-event capture endpoint both TCP servers
-// expose. A bare GET returns the buffered request traces; ?secs=N (1-60)
-// records for N seconds and returns only that window. The document loads
-// directly in Perfetto / chrome://tracing.
-const TracePath = "/rhythm-trace"
 
 // maxTraceCaptureSecs bounds the blocking capture window.
 const maxTraceCaptureSecs = 60
@@ -102,9 +87,9 @@ func spliceTraceHeader(buf, resp []byte, id uint64) []byte {
 	return append(buf, resp[i+1:]...)
 }
 
-// flightResponse renders the /v1/debug/flight document for either
-// serving mode. The endpoint is snapshot-only — it never blocks or
-// resets the ring, so concurrent reads need no capture guard.
+// flightResponse renders the /v1/debug/flight document. The endpoint is
+// snapshot-only — it never blocks or resets the ring, so concurrent
+// reads need no capture guard.
 func flightResponse(req *httpx.Request, rec *flight.Recorder) []byte {
 	n := 0
 	if v := req.Param("n"); v != "" {
@@ -194,6 +179,15 @@ func bodyResponse(contentType string, body []byte) []byte {
 	return w.Finish()
 }
 
+// jsonResponse renders v as a keep-alive application/json response.
+func jsonResponse(v any) []byte {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return errorResponse(500, "Internal Server Error")
+	}
+	return bodyResponse("application/json", append(body, '\n'))
+}
+
 // promContentType is the Prometheus text exposition format version both
 // endpoints speak.
 const promContentType = "text/plain; version=0.0.4"
@@ -211,32 +205,6 @@ func captureSecs(req *httpx.Request) (secs int, ok bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// traceDocument snapshots tracer (and, when a device is present, its
-// launch profile) into Chrome trace-event JSON. When wait is set the
-// request track is filtered to traces starting at or after since, and
-// launchFloor filters the device track to launches recorded after the
-// capture started.
-func traceDocument(tracer *obs.Recorder, since time.Time, wait bool, launches []simt.LaunchRecord, launchFloor uint64) []byte {
-	var traces []obs.RequestTrace
-	if tracer != nil {
-		if wait {
-			traces = tracer.Since(since)
-		} else {
-			traces = tracer.Snapshot()
-		}
-	}
-	if launchFloor > 0 {
-		kept := launches[:0]
-		for _, lr := range launches {
-			if lr.Seq > launchFloor {
-				kept = append(kept, lr)
-			}
-		}
-		launches = kept
-	}
-	return obs.ChromeTrace(traces, launches)
 }
 
 // stageArgs is the launch-record linkage a stage span carries: enough to
@@ -279,19 +247,8 @@ func workloadNames(reg *service.Registry) []string {
 	return out
 }
 
-// sortedTypeKeys returns the per-type stat keys in stable label order.
-func sortedTypeKeys(m map[string]CohortTypeStats) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// newLatencyHistograms builds one request-latency histogram per banking
-// request type (atomic: recorded on serving paths, scraped from any
-// goroutine).
+// newLatencyHistograms builds one request-latency histogram per request
+// type (atomic: recorded on serving paths, scraped from any goroutine).
 func newLatencyHistograms(n int) []*stats.Histogram {
 	out := make([]*stats.Histogram, n)
 	for i := range out {

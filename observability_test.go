@@ -81,7 +81,7 @@ func TestCohortServerMetricsEndpoint(t *testing.T) {
 	uid, pw := srv.Seed(4242)
 	loginAndBrowse(t, srv.Addr(), uid, pw)
 
-	resp := scrape(t, srv.Addr(), MetricsPath)
+	resp := scrape(t, srv.Addr(), MetricsPathV1)
 	checkPromDocument(t, resp, []string{
 		"rhythm_build_info",
 		"rhythm_requests_served_total",
@@ -98,9 +98,9 @@ func TestCohortServerMetricsEndpoint(t *testing.T) {
 	})
 	for _, want := range []string{
 		`rhythm_build_info{mode="cohort"} 1`,
-		`rhythm_requests_total{workload="banking",type="login"} 1`,
-		`rhythm_request_latency_seconds_count{workload="banking",type="login"} 1`,
-		`rhythm_cohorts_total{workload="banking",type="login",result="timeout"} 1`,
+		`rhythm_requests_total{workload="banking",type="banking/login"} 1`,
+		`rhythm_request_latency_seconds_count{workload="banking",type="banking/login"} 1`,
+		`rhythm_cohorts_total{workload="banking",type="banking/login",result="timeout"} 1`,
 	} {
 		if !strings.Contains(resp, want+"\n") {
 			t.Fatalf("/metrics missing sample %q:\n%s", want, resp)
@@ -124,7 +124,7 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 	uid, pw := srv.Seed(777)
 	loginAndBrowse(t, srv.Addr(), uid, pw)
 
-	resp := scrape(t, srv.Addr(), TracePath)
+	resp := scrape(t, srv.Addr(), TracePathV1)
 	if !strings.HasPrefix(resp, "HTTP/1.1 200 ") {
 		t.Fatalf("/rhythm-trace answered %.100q, want 200", resp)
 	}
@@ -171,7 +171,7 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 	}
 
 	// Malformed capture windows answer 400.
-	if bad := scrape(t, srv.Addr(), TracePath+"?secs=oops"); !strings.HasPrefix(bad, "HTTP/1.1 400 ") {
+	if bad := scrape(t, srv.Addr(), TracePathV1+"?secs=oops"); !strings.HasPrefix(bad, "HTTP/1.1 400 ") {
 		t.Fatalf("bad secs answered %.100q, want 400", bad)
 	}
 
@@ -184,7 +184,7 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fmt.Fprintf(conn, "GET %s?secs=1 HTTP/1.1\r\nHost: t\r\n\r\n", TracePath)
+		fmt.Fprintf(conn, "GET %s?secs=1 HTTP/1.1\r\nHost: t\r\n\r\n", TracePathV1)
 		done <- string(readRawResponse(t, bufio.NewReader(conn)))
 	}()
 	time.Sleep(200 * time.Millisecond)
@@ -210,7 +210,7 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 	uid, pw := host.Seed(31337)
 	loginAndBrowse(t, host.Addr(), uid, pw)
 
-	resp := scrape(t, host.Addr(), MetricsPath)
+	resp := scrape(t, host.Addr(), MetricsPathV1)
 	checkPromDocument(t, resp, []string{
 		"rhythm_build_info",
 		"rhythm_requests_served_total",
@@ -221,7 +221,7 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 		t.Fatalf("host /metrics missing mode label:\n%s", resp)
 	}
 
-	tresp := scrape(t, host.Addr(), TracePath)
+	tresp := scrape(t, host.Addr(), TracePathV1)
 	_, body, _ := strings.Cut(tresp, "\r\n\r\n")
 	var doc struct {
 		TraceEvents []struct {
@@ -244,7 +244,7 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 
 // TestObservabilityConcurrentScrape hammers every read endpoint while
 // live traffic flows, in both modes — the -race CI leg turns any
-// snapshot race in /rhythm-stats, /metrics, or /rhythm-trace into a
+// snapshot race in /v1/stats, /v1/metrics, or /v1/trace into a
 // failure.
 func TestObservabilityConcurrentScrape(t *testing.T) {
 	srv := startCohortServer(t, CohortOptions{
@@ -276,7 +276,7 @@ func TestObservabilityConcurrentScrape(t *testing.T) {
 				}
 			}(addr, uids[i], pws[i])
 		}
-		for _, path := range []string{StatsPath, MetricsPath, TracePath, FlightPathV1, HealthPathV1} {
+		for _, path := range []string{StatsPathV1, MetricsPathV1, TracePathV1, FlightPathV1, HealthPathV1} {
 			wg.Add(1)
 			go func(addr net.Addr, path string) {
 				defer wg.Done()

@@ -17,10 +17,11 @@ import (
 
 // Server is a live Rhythm TCP server, independent of execution mode.
 // New returns one bound to its address, so Addr is valid before Serve.
-// Serve blocks accepting connections; Drain stops the listener and (in
-// cohort mode) flushes partial cohorts and waits for in-flight work up
-// to the context deadline; Snapshot returns the mode-tagged stats the
-// /v1/stats endpoint serves.
+// Serve blocks accepting connections; Drain stops the listener, (in
+// cohort mode) flushes partial cohorts, and waits for in-flight work
+// and open connections up to the context deadline; Snapshot returns the
+// mode-tagged stats the /v1/stats endpoint serves. *TCPServer and
+// *CohortServer implement it.
 type Server interface {
 	// Addr reports the bound listen address.
 	Addr() net.Addr
@@ -300,7 +301,7 @@ func New(addr string, opts ...Option) (Server, error) {
 		if err := srv.Listen(addr); err != nil {
 			return nil, err
 		}
-		return hostServer{srv}, nil
+		return srv, nil
 	}
 	switch cfg.transport {
 	case "", "loopback", "tcp":
@@ -318,28 +319,8 @@ func New(addr string, opts ...Option) (Server, error) {
 		return nil, err
 	}
 	if err := srv.Listen(addr); err != nil {
-		srv.Shutdown(context.Background())
+		srv.Drain(context.Background())
 		return nil, err
 	}
-	return cohortServer{srv}, nil
-}
-
-// hostServer adapts TCPServer to the Server interface.
-type hostServer struct{ *TCPServer }
-
-func (h hostServer) Drain(ctx context.Context) error { return h.Close() }
-
-func (h hostServer) Snapshot() ServerStats {
-	doc := h.statsDocument()
-	return ServerStats{Mode: "host", Host: &doc}
-}
-
-// cohortServer adapts CohortServer to the Server interface.
-type cohortServer struct{ *CohortServer }
-
-func (c cohortServer) Drain(ctx context.Context) error { return c.Shutdown(ctx) }
-
-func (c cohortServer) Snapshot() ServerStats {
-	st := c.Stats()
-	return ServerStats{Mode: "cohort", Cohort: &st}
+	return srv, nil
 }

@@ -38,33 +38,68 @@ func get(t *testing.T, srv Server, path string) []byte {
 	return readRawResponse(t, bufio.NewReader(conn))
 }
 
+// retiredPaths are the control-plane aliases schema version 6 dropped;
+// each document now has exactly one path.
+var retiredPaths = []string{"/rhythm-stats", "/metrics", "/rhythm-trace"}
+
+// checkRetiredPaths asserts the retired aliases answer 404, that the
+// responses count as served but not as workload requests, and that
+// /v1/stats ignores the retired ?schema=4 parameter.
+func checkRetiredPaths(t *testing.T, srv Server) {
+	t.Helper()
+	flightBefore := flightTotal(srv.Snapshot())
+	servedBefore := srv.Snapshot().Served()
+	for _, path := range retiredPaths {
+		if resp := string(get(t, srv, path)); !strings.HasPrefix(resp, "HTTP/1.1 404 ") {
+			t.Fatalf("retired path %s answered %.60q, want 404", path, resp)
+		}
+	}
+	snap := srv.Snapshot()
+	if got := snap.Served() - servedBefore; got != uint64(len(retiredPaths)) {
+		t.Fatalf("retired paths counted %d served responses, want %d", got, len(retiredPaths))
+	}
+	if got := flightTotal(snap); got != flightBefore {
+		t.Fatalf("retired paths entered the flight recorder as workload requests (%d -> %d)", flightBefore, got)
+	}
+	if body := string(get(t, srv, StatsPathV1+"?schema=4")); !strings.Contains(body, `"schema_version": 6`) {
+		t.Fatalf("?schema=4 still re-renders the stats document:\n%.300s", body)
+	}
+}
+
+// flightTotal is the number of workload requests either mode has
+// finished through the flight recorder.
+func flightTotal(s ServerStats) uint64 {
+	if s.Host != nil {
+		return s.Host.FlightRequests
+	}
+	return s.Cohort.FlightRequests
+}
+
 // TestNewHostServer covers the WithHostExecution path: the unified
-// constructor, the Snapshot wrapper, and the versioned control plane
-// with its legacy alias.
+// constructor, Snapshot, and the control plane at its /v1 paths only.
 func TestNewHostServer(t *testing.T) {
 	srv := startNew(t, WithHostExecution())
 	if snap := srv.Snapshot(); snap.Mode != "host" || snap.Host == nil || snap.Cohort != nil {
 		t.Fatalf("host snapshot wrong: %+v", snap)
 	}
-	for _, path := range []string{StatsPathV1, StatsPath} {
-		body := string(get(t, srv, path))
-		if !strings.Contains(body, `"schema_version": 5`) {
-			t.Fatalf("%s missing schema_version 5:\n%s", path, body)
-		}
-		if !strings.Contains(body, `"mode": "host"`) {
-			t.Fatalf("%s missing host mode:\n%s", path, body)
-		}
+	body := string(get(t, srv, StatsPathV1))
+	if !strings.Contains(body, `"schema_version": 6`) {
+		t.Fatalf("%s missing schema_version 6:\n%s", StatsPathV1, body)
 	}
-	for _, path := range []string{MetricsPathV1, MetricsPath} {
-		if body := string(get(t, srv, path)); !strings.Contains(body, "rhythm_build_info") {
-			t.Fatalf("%s not a metrics document:\n%.300s", path, body)
-		}
+	if !strings.Contains(body, `"mode": "host"`) {
+		t.Fatalf("%s missing host mode:\n%s", StatsPathV1, body)
 	}
-	for _, path := range []string{TracePathV1, TracePath} {
-		if body := string(get(t, srv, path)); !strings.Contains(body, "traceEvents") {
-			t.Fatalf("%s not a trace document:\n%.300s", path, body)
-		}
+	if body := string(get(t, srv, MetricsPathV1)); !strings.Contains(body, "rhythm_build_info") {
+		t.Fatalf("%s not a metrics document:\n%.300s", MetricsPathV1, body)
 	}
+	if body := string(get(t, srv, TracePathV1)); !strings.Contains(body, "traceEvents") {
+		t.Fatalf("%s not a trace document:\n%.300s", TracePathV1, body)
+	}
+	// /v1/topology documents the device fabric; host mode has none.
+	if resp := string(get(t, srv, TopologyPathV1)); !strings.HasPrefix(resp, "HTTP/1.1 404 ") {
+		t.Fatalf("host %s answered %.60q, want 404", TopologyPathV1, resp)
+	}
+	checkRetiredPaths(t, srv)
 	if snap := srv.Snapshot(); snap.Served() == 0 {
 		t.Fatal("snapshot counted no served requests")
 	}
@@ -72,8 +107,8 @@ func TestNewHostServer(t *testing.T) {
 
 // TestNewCohortServer covers the default (cohort) path with the
 // adaptive controller enabled: options plumb through to CohortOptions,
-// Snapshot carries the cohort stats with the adapt section, and both
-// stats paths answer with the versioned schema.
+// Snapshot carries the cohort stats with the adapt section, and the
+// stats path answers with the versioned schema.
 func TestNewCohortServer(t *testing.T) {
 	srv := startNew(t,
 		WithDevices(1),
@@ -92,29 +127,17 @@ func TestNewCohortServer(t *testing.T) {
 	if snap.Cohort.Adapt == nil {
 		t.Fatal("WithSLO did not enable the adaptive controller")
 	}
-	for _, path := range []string{StatsPathV1, StatsPath} {
-		body := string(get(t, srv, path))
-		if !strings.Contains(body, `"schema_version": 5`) || !strings.Contains(body, `"mode": "cohort"`) {
-			t.Fatalf("%s wrong stats document:\n%.300s", path, body)
-		}
-		if !strings.Contains(body, `"adapt"`) {
-			t.Fatalf("%s missing adapt section:\n%.300s", path, body)
-		}
-		if !strings.Contains(body, `"transport": "loopback"`) || !strings.Contains(body, `"nodes"`) {
-			t.Fatalf("%s missing fabric topology section:\n%.300s", path, body)
-		}
+	body := string(get(t, srv, StatsPathV1))
+	if !strings.Contains(body, `"schema_version": 6`) || !strings.Contains(body, `"mode": "cohort"`) {
+		t.Fatalf("%s wrong stats document:\n%.300s", StatsPathV1, body)
 	}
-	// The ?schema=4 alias renders the pre-fabric document for v4
-	// readers: version stamp 4 and no topology fields.
-	legacy := string(get(t, srv, StatsPathV1+"?schema=4"))
-	if !strings.Contains(legacy, `"schema_version": 4`) {
-		t.Fatalf("?schema=4 missing legacy version stamp:\n%.300s", legacy)
+	if !strings.Contains(body, `"adapt"`) {
+		t.Fatalf("%s missing adapt section:\n%.300s", StatsPathV1, body)
 	}
-	for _, banned := range []string{`"transport"`, `"nodes"`, `"workload_sheds"`} {
-		if strings.Contains(legacy, banned) {
-			t.Fatalf("?schema=4 leaked v5 field %s:\n%.300s", banned, legacy)
-		}
+	if !strings.Contains(body, `"transport": "loopback"`) || !strings.Contains(body, `"nodes"`) {
+		t.Fatalf("%s missing fabric topology section:\n%.300s", StatsPathV1, body)
 	}
+	checkRetiredPaths(t, srv)
 	// /v1/topology is the node-level view.
 	topo := string(get(t, srv, TopologyPathV1))
 	if !strings.Contains(topo, `"transport": "loopback"`) || !strings.Contains(topo, `"health": "up"`) {

@@ -139,7 +139,7 @@ func TestHostRenderCacheDifferential(t *testing.T) {
 
 	driveRenderCacheDifferential(t, s, []uint64{9301, 9302})
 
-	st := s.statsDocument()
+	st := s.hostStats()
 	// Pass 2 replays every cacheable page exactly: 9 hits per user.
 	if st.CacheHits < uint64(2*len(cacheableGETs)) {
 		t.Fatalf("cache_hits = %d, want >= %d", st.CacheHits, 2*len(cacheableGETs))
@@ -239,7 +239,7 @@ func TestRenderCacheInvalidationIsolation(t *testing.T) {
 	login := func(uid uint64) string {
 		_, pw := s.Seed(uid)
 		body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
-		resp, _, _ := s.respond(a, []byte(fmt.Sprintf(
+		resp := s.respond(a, []byte(fmt.Sprintf(
 			"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))
 		cookie := setCookieValue(string(resp))
 		if cookie == "" {
@@ -248,7 +248,7 @@ func TestRenderCacheInvalidationIsolation(t *testing.T) {
 		return cookie
 	}
 	summary := func(cookie string) []byte {
-		resp, _, _ := s.respond(a, []byte("GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: "+cookie+"\r\n\r\n"))
+		resp := s.respond(a, []byte("GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: "+cookie+"\r\n\r\n"))
 		return append([]byte(nil), resp...)
 	}
 
@@ -297,14 +297,14 @@ func TestRenderCacheStatsEndpoints(t *testing.T) {
 	a := newConnArena(s.reg.MaxBufferBytes())
 	_, pw := s.Seed(9501)
 	body := fmt.Sprintf("userid=%d&passwd=%s", 9501, pw)
-	resp, _, _ := s.respond(a, []byte(fmt.Sprintf(
+	resp := s.respond(a, []byte(fmt.Sprintf(
 		"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))
 	cookie := setCookieValue(string(resp))
 	req := []byte("GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: " + cookie + "\r\n\r\n")
 	s.respond(a, req)
 	s.respond(a, req)
 
-	stats, _, _ := s.respond(a, []byte("GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n"))
+	stats := s.respond(a, []byte("GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n"))
 	if !bytes.Contains(stats, []byte(`"cache_hits": 1`)) {
 		t.Fatalf("/v1/stats missing cache_hits: %.400q", stats)
 	}

@@ -2,15 +2,14 @@ package rhythm
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rhythm/internal/backend"
 	"rhythm/internal/flight"
 	"rhythm/internal/httpx"
 	"rhythm/internal/obs"
@@ -18,51 +17,26 @@ import (
 	"rhythm/internal/rcache"
 	"rhythm/internal/service"
 	"rhythm/internal/session"
-	"rhythm/internal/stats"
 )
 
 // TCPServer serves the registered workloads over a real TCP listener
 // using the host execution path — the same service code the device
-// kernels run, so responses are identical. It exists for end-to-end
-// demos (cmd/rhythmd, examples); performance evaluation uses Server.
+// kernels run, so responses are identical. It is the conventional-server
+// baseline: the shared frontend with execution on the handler goroutine.
 type TCPServer struct {
-	// reg is the workload registry; names its display-label universe,
-	// labels the per-type Prometheus label sets. bes holds one backend
-	// store per workload (this server is a single shard group).
-	reg    *service.Registry
-	names  []string
-	labels []string
-	bes    []service.Backend
+	frontend
+
+	// bes holds one backend store per workload (this server is a single
+	// shard group).
+	bes []service.Backend
 
 	// mu guards the workload state (backends + sessions are
-	// single-writer by design) and the listener. It is held only across
-	// Execute — never across connection I/O — so a slow client can't
-	// serialize the server (request parsing and page rendering run
-	// lock-free).
-	mu       sync.Mutex
-	sessions *session.Array
-	ln       net.Listener
-	served   atomic.Uint64
-	errors   atomic.Uint64
-
-	// Observability surfaces (all safe from any goroutine): per-type
-	// request counts and latency histograms behind /metrics, and the
-	// request-trace ring behind /rhythm-trace.
-	typeCounts []atomic.Uint64
-	latHist    []*stats.Histogram
-	tracer     *obs.Recorder
-
-	// flight is the always-on tail-latency recorder behind
-	// /v1/debug/flight, and hEngine the SLO burn-rate engine behind
-	// /v1/health (DESIGN.md §15). captureBusy serializes blocking
-	// ?secs=N trace captures (concurrent captures answer 429).
-	flight      *flight.Recorder
-	hEngine     *health.Engine
-	captureBusy atomic.Bool
-
-	// cache, when non-nil, is the whole-page render cache; hits bypass
-	// the banking lock, execution, and tracing entirely.
-	cache *rcache.Cache
+	// single-writer by design). It is held only across Execute — never
+	// across connection I/O — so a slow client can't serialize the server
+	// (request parsing and page rendering run lock-free).
+	mu         sync.Mutex
+	sessions   *session.Array
+	execErrors atomic.Uint64
 }
 
 // EnableRenderCache attaches a whole-page render cache of at most
@@ -87,17 +61,11 @@ func NewTCPServerFor(reg *service.Registry, maxSessions int) *TCPServer {
 		maxSessions = 256
 	}
 	s := &TCPServer{
-		reg:        reg,
-		names:      reg.DisplayNames(),
-		labels:     typeLabelSets(reg),
-		bes:        reg.NewBackends(),
-		sessions:   session.NewArray(256, maxSessions/256*4+4),
-		typeCounts: make([]atomic.Uint64, reg.NumTypes()),
-		latHist:    newLatencyHistograms(reg.NumTypes()),
-		tracer:     obs.NewRecorder(0),
-		flight:     flight.New(flight.Config{}),
+		bes:      reg.NewBackends(),
+		sessions: session.NewArray(256, maxSessions/256*4+4),
 	}
-	s.hEngine = s.newHealthEngine(health.Config{})
+	s.frontend.init(reg, s, "host", reg.MaxBufferBytes(), 0, flight.Config{})
+	s.ConfigureHealth(health.Config{})
 	return s
 }
 
@@ -106,347 +74,107 @@ func NewTCPServerFor(reg *service.Registry, maxSessions int) *TCPServer {
 func (s *TCPServer) ConfigureFlight(cfg flight.Config) { s.flight = flight.New(cfg) }
 
 // ConfigureHealth rebuilds the SLO burn-rate engine from cfg. Call
-// before Serve.
-func (s *TCPServer) ConfigureHealth(cfg health.Config) { s.hEngine = s.newHealthEngine(cfg) }
-
-// newHealthEngine wires a burn-rate engine to this server's latency
-// histograms. Host mode has no shed or deadline paths, so the counts
+// before Serve. Host mode has no shed or deadline paths, so the counts
 // are purely latency-classified.
-func (s *TCPServer) newHealthEngine(cfg health.Config) *health.Engine {
-	if cfg.SLO <= 0 {
-		cfg.SLO = defaultHealthSLO
-	}
-	names := s.names
-	sloNs := float64(cfg.SLO)
-	return health.New(cfg, func() map[string]health.Counts {
-		return sloCounts(names, s.latHist, sloNs, nil)
-	})
-}
-
-// Seed reports the deterministic banking credentials for userID (every
-// profile is synthesized on first touch), so demo clients can log in.
-func (s *TCPServer) Seed(userID uint64) (uint64, string) {
-	return userID, backend.PasswordFor(userID)
-}
-
-// Addr reports the bound address once Listen has been called.
-func (s *TCPServer) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Served reports how many requests have been answered.
-func (s *TCPServer) Served() uint64 { return s.served.Load() }
+func (s *TCPServer) ConfigureHealth(cfg health.Config) { s.setHealth(cfg, nil) }
 
 // Errors reports how many answered requests failed (parse errors,
 // unknown paths, failed service executions).
-func (s *TCPServer) Errors() uint64 { return s.errors.Load() }
+func (s *TCPServer) Errors() uint64 {
+	return s.parseErrors.Load() + s.notFound.Load() + s.execErrors.Load()
+}
 
-// Listen binds the listener without serving (so callers can learn the
-// port before Serve blocks).
-func (s *TCPServer) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
+// Drain stops the listener, closes idle connections and waits for busy
+// ones to finish their current response, bounded by ctx.
+func (s *TCPServer) Drain(ctx context.Context) error {
+	s.stopAccepting()
+	return s.drainConns(ctx)
+}
+
+// Close stops the listener and closes every connection without waiting
+// for responses in flight.
+func (s *TCPServer) Close() error {
+	s.stopAccepting()
+	s.closeConns(true)
 	return nil
 }
 
-// Serve accepts connections until the listener is closed.
-func (s *TCPServer) Serve() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln == nil {
-		return errors.New("rhythm: Serve before Listen")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		go s.handle(conn)
-	}
+// Snapshot returns the mode-tagged serving statistics.
+func (s *TCPServer) Snapshot() ServerStats {
+	doc := s.hostStats()
+	return ServerStats{Mode: "host", Host: &doc}
 }
 
-// ListenAndServe binds addr and serves until Close.
-func (s *TCPServer) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
-// Close stops the listener.
-func (s *TCPServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Close()
-}
-
-// connArena holds the per-connection reusable buffers of the zero-copy
-// hot path: the raw request bytes, the parsed request (param/cookie
-// slices recycled by ParseInto), the execution scratch, and a max-size
-// render buffer. One arena serves every request on its
-// connection, so the steady state allocates nothing but the parse's
-// raw-to-string conversion — see DESIGN.md §14.
-type connArena struct {
-	raw     []byte
-	req     httpx.Request
-	scratch *service.Scratch
-	out     []byte
-	// frec is the connection's flight-record scratch: filled per banking
-	// request and either recycled (fast path) or copied into the anomaly
-	// ring by Finish (DESIGN.md §15). wbuf is the reusable write buffer
-	// the X-Rhythm-Trace header is spliced into, so cached/rendered
-	// response bytes are never mutated.
-	frec flight.Record
-	wbuf []byte
-}
-
-// maxOut is the registry's largest response-buffer class, so one buffer
-// serves every registered type.
-func newConnArena(maxOut int) *connArena {
-	return &connArena{
-		raw:     make([]byte, 0, 1024),
-		scratch: service.NewScratch(),
-		out:     make([]byte, maxOut),
-	}
-}
-
-// newParseArena builds an arena without the host execution buffers, for
-// the cohort server (its handlers only read, parse, and classify —
-// execution and rendering happen on the device workers).
-func newParseArena() *connArena {
-	return &connArena{raw: make([]byte, 0, 1024)}
-}
-
-// handle serves one keep-alive connection.
-func (s *TCPServer) handle(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	a := newConnArena(s.reg.MaxBufferBytes())
-	for {
-		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		raw, err := readRequestInto(r, a.raw[:0])
-		a.raw = raw // keep grown capacity for the next request
-		if err != nil {
-			return
-		}
-		resp, tr, id := s.respond(a, raw)
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		wstart := time.Now()
-		wout := resp
-		if id != 0 {
-			a.wbuf = spliceTraceHeader(a.wbuf, resp, id)
-			wout = a.wbuf
-		}
-		_, werr := conn.Write(wout)
-		if tr != nil {
-			tr.Spans = append(tr.Spans, obs.Span{Name: "write", Start: wstart, Dur: time.Since(wstart)})
-			s.tracer.Add(*tr)
-		}
-		if id != 0 {
-			if tr != nil {
-				a.frec.Spans = tr.Spans
-			}
-			a.frec.Latency = time.Since(a.frec.Start)
-			s.flight.Finish(&a.frec)
-		}
-		if werr != nil {
-			return
-		}
-	}
-}
-
-// respond answers one request using the connection's arena. Only the
-// service execution itself takes the server lock; parsing happens
-// before it and rendering after (the scratch ctx is private to this
-// goroutine once Execute returns). A render-cache hit skips the lock,
-// the execution, and tracing entirely — its only allocation is the
-// parse's raw-to-string conversion. For executed banking requests it
-// also returns the request's lifecycle trace (minus the write span,
-// which the caller appends before committing) and the request's flight
-// trace ID (non-zero means a.frec is armed and the caller must Finish
-// it after the write).
-func (s *TCPServer) respond(a *connArena, raw []byte) ([]byte, *obs.RequestTrace, uint64) {
-	s.served.Add(1)
-	start := time.Now()
-	req := &a.req
-	if err := httpx.ParseInto(raw, req); err != nil {
-		s.errors.Add(1)
-		return errorResponse(400, "Bad Request"), nil, 0
-	}
-	switch req.Path {
-	case StatsPath, StatsPathV1:
-		return jsonResponse(s.statsDocument()), nil, 0
-	case MetricsPath, MetricsPathV1:
-		return s.metricsResponse(), nil, 0
-	case TracePath, TracePathV1:
-		return s.traceResponse(req), nil, 0
-	case FlightPathV1:
-		return flightResponse(req, s.flight), nil, 0
-	case HealthPathV1:
-		return healthResponse(s.hEngine, s.flight), nil, 0
-	}
-	t, ok := s.reg.Classify(req)
-	if !ok {
-		if resp, ok := s.reg.Static(req.Path); ok {
-			return resp, nil, 0
-		}
-		s.errors.Add(1)
-		return errorResponse(404, "Not Found"), nil, 0
-	}
-	s.typeCounts[t].Add(1)
-	id := s.flight.NextID()
-	a.frec.Reset()
-	a.frec.TraceID = id
-	a.frec.Type = s.names[t]
-	a.frec.Start = start
+// dispatch is the host mode hook: execute through the arena's scratch
+// ctx under the workload lock, then render into the arena's reused
+// buffer outside it (the scratch ctx is private to this goroutine once
+// Execute returns).
+func (s *TCPServer) dispatch(a *connArena) []byte {
+	classified := time.Now()
 	a.frec.HostExec = true
 	a.frec.Attempts = 1
-	classified := time.Now()
-
-	// Render-cache lookup. The state version is captured BEFORE the
-	// execute so a concurrent write can only make the inserted entry
-	// unreachable, never stale (DESIGN.md §14). Session resolution here
-	// is lock-free: the session array is internally bucket-locked.
-	var (
-		cacheable  bool
-		csid       session.ID
-		cuid, cver uint64
-	)
-	if s.cache != nil && s.reg.Spec(t).Cacheable {
-		if sid, ok := session.ParseID(req.Cookie(s.reg.WorkloadOf(t).SessionCookie())); ok {
-			if uid, ok := s.sessions.Lookup(sid); ok {
-				cacheable, csid, cuid = true, sid, uid
-				cver = s.cache.Version(cuid)
-				if resp, hit := s.cache.Get(t, csid, cuid, cver, req); hit {
-					s.latHist[t].ObserveEx(float64(time.Since(start)), id)
-					return resp, nil, id
-				}
-			}
-		}
-	}
-
-	// Execute through the arena's scratch ctx under the workload lock,
-	// then render into the arena's reused buffer outside it.
 	s.mu.Lock()
-	failed := s.reg.ExecuteScratch(a.scratch, t, req, s.sessions, s.bes)
+	failed := s.reg.ExecuteScratch(a.scratch, a.t, &a.req, s.sessions, s.bes)
 	s.mu.Unlock()
 	executed := time.Now()
 	resp := a.scratch.Render(a.out)
 	if failed {
-		s.errors.Add(1)
+		s.execErrors.Add(1)
 		a.frec.Status = flight.StatusError
 	}
 	rendered := time.Now()
-	if cacheable && !failed {
-		s.cache.Put(t, csid, cuid, cver, req, resp)
-	}
-	s.latHist[t].ObserveEx(float64(rendered.Sub(start)), id)
-	return resp, &obs.RequestTrace{
-		Type: s.names[t],
-		Spans: []obs.Span{
-			{Name: "classify", Start: start, Dur: classified.Sub(start)},
-			{Name: "execute", Start: classified, Dur: executed.Sub(classified)},
-			{Name: "render", Start: executed, Dur: rendered.Sub(executed)},
-		},
-	}, id
+	s.latHist[a.t].ObserveEx(float64(rendered.Sub(a.start)), a.frec.TraceID)
+	// Capacity for the write span the frontend appends.
+	a.spans = append(make([]obs.Span, 0, 4),
+		obs.Span{Name: "classify", Start: a.start, Dur: classified.Sub(a.start)},
+		obs.Span{Name: "execute", Start: classified, Dur: executed.Sub(classified)},
+		obs.Span{Name: "render", Start: executed, Dur: rendered.Sub(executed)})
+	return resp
 }
 
-// statsDocument builds the host-mode /v1/stats payload.
-func (s *TCPServer) statsDocument() HostStats {
-	st := HostStats{
-		SchemaVersion:   StatsSchemaVersion,
-		Mode:            "host",
-		Workloads:       workloadNames(s.reg),
-		Served:          s.served.Load(),
-		Errors:          s.errors.Load(),
-		FlightRequests:  s.flight.Total(),
-		FlightAnomalies: s.flight.Promoted(),
+// sessionsFor: one shard group, one session array.
+func (s *TCPServer) sessionsFor(*httpx.Request, service.TypeID) *session.Array { return s.sessions }
+
+func (s *TCPServer) statsDocument() any { return s.hostStats() }
+
+// hostStats builds the host-mode /v1/stats payload.
+func (s *TCPServer) hostStats() HostStats {
+	cs := s.cacheStats()
+	return HostStats{
+		SchemaVersion:      StatsSchemaVersion,
+		Mode:               "host",
+		Workloads:          workloadNames(s.reg),
+		Served:             s.served.Load(),
+		Errors:             s.Errors(),
+		CacheHits:          cs.Hits,
+		CacheMisses:        cs.Misses,
+		CacheInvalidations: cs.Invalidations,
+		CacheEntries:       cs.Entries,
+		FlightRequests:     s.flight.Total(),
+		FlightAnomalies:    s.flight.Promoted(),
 	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		st.CacheHits = cs.Hits
-		st.CacheMisses = cs.Misses
-		st.CacheInvalidations = cs.Invalidations
-		st.CacheEntries = cs.Entries
-	}
-	return st
 }
 
-// metricsResponse renders the host-mode Prometheus /metrics document.
-// Every counter here is atomic, so the scrape is race-free without
-// touching the banking lock.
-func (s *TCPServer) metricsResponse() []byte {
-	w := obs.NewPromWriter()
-	w.Family("rhythm_build_info", "gauge", "Serving mode of this rhythmd process.")
-	w.Value("rhythm_build_info", obs.Label("mode", "host"), 1)
-	w.Family("rhythm_requests_served_total", "counter", "Responses produced, including errors.")
-	w.Value("rhythm_requests_served_total", "", float64(s.served.Load()))
+// writeMetrics emits the host-mode families. Every counter here is
+// atomic, so the scrape is race-free without touching the workload lock.
+func (s *TCPServer) writeMetrics(w *obs.PromWriter) {
 	w.Family("rhythm_request_errors_total", "counter", "Requests that failed (parse, unknown path, service error).")
-	w.Value("rhythm_request_errors_total", "", float64(s.errors.Load()))
+	w.Value("rhythm_request_errors_total", "", float64(s.Errors()))
 	w.Family("rhythm_requests_total", "counter", "Requests executed on the host path, by workload and type.")
-	for i := range s.typeCounts {
-		if n := s.typeCounts[i].Load(); n > 0 {
-			w.Value("rhythm_requests_total", s.labels[i], float64(n))
+	for t, h := range s.latHist {
+		// Every classified request lands in its type's latency histogram.
+		if n := h.Count(); n > 0 {
+			w.Value("rhythm_requests_total", s.labels[t], float64(n))
 		}
 	}
-	writeLatencyFamilies(w, s.labels, s.latHist)
-	if s.cache != nil {
-		writeRenderCacheFamilies(w, s.cache.Stats())
-	}
-	w.Family("rhythm_traces_recorded_total", "counter", "Request traces captured by the lifecycle recorder.")
-	w.Value("rhythm_traces_recorded_total", "", float64(s.tracer.Total()))
-	writeFlightFamilies(w, s.flight)
-	return bodyResponse(promContentType, w.Bytes())
 }
 
-// traceResponse renders the Chrome trace-event document for
-// /rhythm-trace. Host mode has no device, so the document carries only
-// the request track.
-func (s *TCPServer) traceResponse(req *httpx.Request) []byte {
-	secs, ok := captureSecs(req)
-	if !ok {
-		return errorResponse(400, "Bad Request")
-	}
-	var since time.Time
-	wait := secs > 0
-	if wait {
-		// One blocking capture at a time: each holds its connection's
-		// handler goroutine for secs seconds, so unbounded concurrent
-		// captures would pile up goroutines (DESIGN.md §15).
-		if !s.captureBusy.CompareAndSwap(false, true) {
-			return tooManyCapturesResponse()
-		}
-		defer s.captureBusy.Store(false)
-		since = time.Now()
-		time.Sleep(time.Duration(secs) * time.Second)
-	}
-	return bodyResponse("application/json", traceDocument(s.tracer, since, wait, nil, 0))
-}
-
-// HostStats is the /v1/stats (and legacy /rhythm-stats) document of a
-// host-mode server.
+// HostStats is the /v1/stats document of a host-mode server.
 type HostStats struct {
 	SchemaVersion int    `json:"schema_version"`
 	Mode          string `json:"mode"`
 	// Workloads lists the registered workload names in registration
-	// order (schema_version 4).
+	// order.
 	Workloads []string `json:"workloads"`
 	Served    uint64   `json:"served"`
 	Errors    uint64   `json:"errors"`
@@ -467,18 +195,36 @@ func errorResponse(code int, reason string) []byte {
 	return w.Finish()
 }
 
+// Request size limits. A header section past maxHeaderBytes is answered
+// 431 and the connection closed; a Content-Length past maxBodyBytes
+// closes it unanswered. An arena whose raw buffer grew past
+// maxRetainedRaw (one large body) drops it after the request instead of
+// pinning it for the connection's life.
+const (
+	maxHeaderBytes = 64 << 10
+	maxBodyBytes   = 1 << 20
+	maxRetainedRaw = maxHeaderBytes
+)
+
+// errHeaderTooLarge reports a request whose header section exceeds
+// maxHeaderBytes — one endless line or endlessly many.
+var errHeaderTooLarge = errors.New("rhythm: request header section too large")
+
 // readRequestInto reads one HTTP/1.1 request (headers + Content-Length
-// body) from r, appending into buf and returning the extended slice.
-// It is the arena-backed replacement for the old per-request
-// strings.Builder: once a connection's buffer has grown to its working
-// size, reading a request performs no allocation (lines are consumed
-// via ReadSlice and the Content-Length value is scanned in place).
+// body) from r, appending into buf and returning the extended slice,
+// which never exceeds maxHeaderBytes + maxBodyBytes. Once a
+// connection's buffer has grown to its working size, reading a request
+// performs no allocation (lines are consumed via ReadSlice and the
+// Content-Length value is scanned in place).
 func readRequestInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 	contentLength := 0
 	for {
 		lineStart := len(buf)
 		for {
 			frag, err := r.ReadSlice('\n')
+			if len(buf)+len(frag) > maxHeaderBytes {
+				return buf, errHeaderTooLarge
+			}
 			buf = append(buf, frag...)
 			if err == nil {
 				break
@@ -496,7 +242,7 @@ func readRequestInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 			break
 		}
 		if n, ok := contentLengthValue(line); ok {
-			if n < 0 || n > 1<<20 {
+			if n < 0 || n > maxBodyBytes {
 				return buf, fmt.Errorf("rhythm: bad content length %q", line)
 			}
 			contentLength = n

@@ -225,7 +225,7 @@ func TestCohortServerDifferentialTelemetryAllTypes(t *testing.T) {
 // TestCohortServerMixedWorkloadDifferential: all three workloads
 // interleaved on a four-device pool stay byte-identical to the host
 // path, and the stats document namespaces every section by workload
-// (the schema_version 4 contract).
+// (every Types key is workload/name).
 func TestCohortServerMixedWorkloadDifferential(t *testing.T) {
 	dev := startCohortServer(t, workloadCohortOpts(4, nil))
 	ls := newLockstep(t, dev)
@@ -235,7 +235,7 @@ func TestCohortServerMixedWorkloadDifferential(t *testing.T) {
 		t.Fatalf("stats workloads = %v, want %v", st.Workloads, want)
 	}
 	for name, wantWorkload := range map[string]string{
-		"login":            "banking", // banking keeps its bare legacy labels
+		"banking/login":    "banking",
 		"ecom/cart_add":    "ecom",
 		"telemetry/poll":   "telemetry",
 		"telemetry/ingest": "telemetry",
