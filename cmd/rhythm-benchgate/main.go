@@ -1,40 +1,19 @@
 // Command rhythm-benchgate compares a rhythm-bench -json run against a
-// committed baseline and fails if throughput regressed. It reads the
-// newline-delimited records both files share, keys on every metric
-// ending in /throughput_req_s (the Table 3 rows), and exits non-zero
-// when the current value falls below baseline*(1-tolerance) or a
-// baseline row is missing from the current run.
+// committed baseline and fails unless every metric is BIT-identical
+// (math.Float64bits), ignoring only the host-dependent wall_clock_secs
+// and host_cores records. A metric present in one file and not the
+// other also fails.
 //
-// The simulator reports throughput in virtual device time, so the
-// numbers are machine-independent: a regression here means a real
-// modeling or kernel change, not CI-runner noise. The tolerance exists
-// to absorb intentional small reshuffles (e.g. a scheduler tweak that
-// shifts work between stages) without blocking every PR; anything past
-// it should update the baseline deliberately.
+// The simulator reports virtual device time, so its numbers are
+// machine-independent and reproduce exactly on any host at any
+// -sim-parallelism: any drift, however small, is a modeling, kernel or
+// scheduling change, so no tolerance applies. A change that means to
+// move a number regenerates the baseline in the same PR.
 //
 // Usage:
 //
-//	rhythm-bench -json table3 > current.json
-//	rhythm-benchgate -baseline BENCH_baseline.json -current current.json [-tolerance 0.15]
-//
-// With -lower-better the direction flips for metrics where smaller is
-// good (allocations per request, latency): the gate fails when the
-// current value exceeds baseline*(1+tolerance), and improvements past
-// the tolerance print a reminder to re-baseline.
-//
-// With -adaptive-invariants it additionally checks the adaptive
-// experiment's cross-policy contract inside the current run: the
-// adaptive controller must hold the fixed policy's throughput at the
-// high-rate step (within a small amortization tolerance) and beat its
-// p99 at the low-rate phases, where a fixed window only adds delay.
-//
-// With -exact the gate instead requires every shared metric to be
-// BIT-identical (math.Float64bits) between the two files, ignoring the
-// host-dependent wall_clock_secs and host_cores records. This is the
-// simulator-parallelism determinism check: two rhythm-bench runs at
-// different -sim-parallelism settings must agree on every virtual-time
-// value exactly — any drift, however small, is a scheduling bug, so no
-// tolerance applies.
+//	rhythm-bench -json gated > current.json
+//	rhythm-benchgate -baseline BENCH_baseline.json -current current.json
 package main
 
 import (
@@ -58,126 +37,28 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "BENCH_baseline.json", "baseline rhythm-bench -json output")
 		currentPath  = flag.String("current", "", "current rhythm-bench -json output (required)")
-		tolerance    = flag.Float64("tolerance", 0.15, "allowed fractional throughput drop before failing")
-		suffix       = flag.String("suffix", "/throughput_req_s", "metric suffix to gate on")
-		invariants   = flag.Bool("adaptive-invariants", false, "also check adaptive-vs-fixed invariants in the current run")
-		exact        = flag.Bool("exact", false, "require every shared metric bit-identical (ignores wall-clock and host_cores)")
-		lowerBetter  = flag.Bool("lower-better", false, "gate metrics where lower is better (allocs, latency): fail when current exceeds baseline*(1+tolerance)")
 	)
 	flag.Parse()
 	if *currentPath == "" {
 		fmt.Fprintln(os.Stderr, "rhythm-benchgate: -current is required")
 		os.Exit(2)
 	}
-
-	if *exact {
-		os.Exit(checkExact(*baselinePath, *currentPath))
-	}
-
-	baseline, err := load(*baselinePath, *suffix)
+	baseline, err := load(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhythm-benchgate:", err)
 		os.Exit(2)
 	}
-	current, err := load(*currentPath, *suffix)
+	current, err := load(*currentPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhythm-benchgate:", err)
 		os.Exit(2)
-	}
-	if len(baseline) == 0 {
-		fmt.Fprintf(os.Stderr, "rhythm-benchgate: no %q metrics in baseline %s\n", *suffix, *baselinePath)
-		os.Exit(2)
-	}
-
-	keys := make([]string, 0, len(baseline))
-	for k := range baseline {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	failed := 0
-	improved := 0
-	for _, k := range keys {
-		base := baseline[k]
-		cur, ok := current[k]
-		if !ok {
-			fmt.Printf("FAIL %-40s baseline %.2f, missing from current run\n", k, base)
-			failed++
-			continue
-		}
-		delta := 100 * (cur - base) / base
-		if *lowerBetter {
-			ceiling := base * (1 + *tolerance)
-			switch {
-			case cur > ceiling:
-				fmt.Printf("FAIL %-40s %.2f -> %.2f (%+.1f%%, ceiling %.2f)\n", k, base, cur, delta, ceiling)
-				failed++
-			case cur < base*(1-*tolerance):
-				fmt.Printf("ok   %-40s %.2f -> %.2f (%+.1f%%, improved)\n", k, base, cur, delta)
-				improved++
-			default:
-				fmt.Printf("ok   %-40s %.2f -> %.2f (%+.1f%%)\n", k, base, cur, delta)
-			}
-			continue
-		}
-		floor := base * (1 - *tolerance)
-		if cur < floor {
-			fmt.Printf("FAIL %-40s %.0f -> %.0f (%+.1f%%, floor %.0f)\n", k, base, cur, delta, floor)
-			failed++
-		} else {
-			if cur > base*(1+*tolerance) {
-				improved++
-			}
-			fmt.Printf("ok   %-40s %.0f -> %.0f (%+.1f%%)\n", k, base, cur, delta)
-		}
-	}
-	if improved > 0 {
-		fmt.Printf("rhythm-benchgate: %d metrics improved beyond %.0f%% — consider re-baselining the committed file\n",
-			improved, 100**tolerance)
-	}
-	if *invariants {
-		failed += checkAdaptiveInvariants(*currentPath)
-	}
-	if failed > 0 {
-		fmt.Printf("rhythm-benchgate: %d of %d metrics regressed beyond %.0f%%\n",
-			failed, len(keys), 100**tolerance)
-		os.Exit(1)
-	}
-	fmt.Printf("rhythm-benchgate: %d metrics within %.0f%% of baseline\n", len(keys), 100**tolerance)
-}
-
-// hostDependent reports whether a metric key carries host wall-clock
-// or hardware information rather than a simulated value — the only
-// records allowed to differ between runs in -exact mode.
-func hostDependent(key string) bool {
-	return strings.HasSuffix(key, "::wall_clock_secs") ||
-		strings.HasSuffix(key, "::wall_clock_s") || // pre-rename baselines
-		strings.HasSuffix(key, "::host_cores")
-}
-
-// checkExact compares every metric of the two files bitwise, excluding
-// host-dependent records, and returns the process exit code.
-func checkExact(baselinePath, currentPath string) int {
-	baseline, err := load(baselinePath, "")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rhythm-benchgate:", err)
-		return 2
-	}
-	current, err := load(currentPath, "")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rhythm-benchgate:", err)
-		return 2
 	}
 	keys := map[string]bool{}
 	for k := range baseline {
-		if !hostDependent(k) {
-			keys[k] = true
-		}
+		keys[k] = true
 	}
 	for k := range current {
-		if !hostDependent(k) {
-			keys[k] = true
-		}
+		keys[k] = true
 	}
 	sorted := make([]string, 0, len(keys))
 	for k := range keys {
@@ -185,8 +66,8 @@ func checkExact(baselinePath, currentPath string) int {
 	}
 	sort.Strings(sorted)
 	if len(sorted) == 0 {
-		fmt.Fprintf(os.Stderr, "rhythm-benchgate: no comparable metrics in %s / %s\n", baselinePath, currentPath)
-		return 2
+		fmt.Fprintf(os.Stderr, "rhythm-benchgate: no comparable metrics in %s / %s\n", *baselinePath, *currentPath)
+		os.Exit(2)
 	}
 
 	failed := 0
@@ -195,10 +76,10 @@ func checkExact(baselinePath, currentPath string) int {
 		cur, cok := current[k]
 		switch {
 		case !bok:
-			fmt.Printf("FAIL %-40s only in %s\n", k, currentPath)
+			fmt.Printf("FAIL %-40s only in %s\n", k, *currentPath)
 			failed++
 		case !cok:
-			fmt.Printf("FAIL %-40s only in %s\n", k, baselinePath)
+			fmt.Printf("FAIL %-40s only in %s\n", k, *baselinePath)
 			failed++
 		case math.Float64bits(base) != math.Float64bits(cur):
 			fmt.Printf("FAIL %-40s %v != %v (bits %016x vs %016x)\n",
@@ -207,64 +88,17 @@ func checkExact(baselinePath, currentPath string) int {
 		}
 	}
 	if failed > 0 {
-		fmt.Printf("rhythm-benchgate: %d of %d metrics differ — determinism violated\n", failed, len(sorted))
-		return 1
+		fmt.Printf("rhythm-benchgate: %d of %d metrics differ from %s\n", failed, len(sorted), *baselinePath)
+		os.Exit(1)
 	}
 	fmt.Printf("rhythm-benchgate: %d metrics bit-identical\n", len(sorted))
-	return 0
 }
 
-// checkAdaptiveInvariants enforces the adaptive experiment's
-// cross-policy contract on the current run and reports the number of
-// violated invariants. The 3% throughput tolerance covers the residual
-// amortization loss of SLO-bounded windows at saturation.
-func checkAdaptiveInvariants(path string) int {
-	all, err := load(path, "")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rhythm-benchgate:", err)
-		return 1
-	}
-	need := func(key string) (float64, bool) {
-		v, ok := all["adaptive::"+key]
-		if !ok {
-			fmt.Printf("FAIL invariant: metric adaptive::%s missing from %s\n", key, path)
-		}
-		return v, ok
-	}
-	failed := 0
-	check := func(name string, ok bool) {
-		if ok {
-			fmt.Printf("ok   invariant %s\n", name)
-		} else {
-			fmt.Printf("FAIL invariant %s\n", name)
-			failed++
-		}
-	}
-	if at, aok := need("adaptive_step-up/throughput_req_s"); aok {
-		if ft, fok := need("fixed_step-up/throughput_req_s"); fok {
-			check(fmt.Sprintf("high-rate throughput: adaptive %.0f >= 0.97*fixed %.0f", at, ft), at >= 0.97*ft)
-		} else {
-			failed++
-		}
-	} else {
-		failed++
-	}
-	for _, phase := range []string{"low", "step-down"} {
-		ap, aok := need("adaptive_" + phase + "/p99_ms")
-		fp, fok := need("fixed_" + phase + "/p99_ms")
-		if !aok || !fok {
-			failed++
-			continue
-		}
-		check(fmt.Sprintf("%s-rate p99: adaptive %.2fms <= fixed %.2fms", phase, ap, fp), ap <= fp)
-	}
-	return failed
-}
-
-// load reads newline-delimited rhythm-bench records, keeping metrics
-// with the gated suffix, keyed experiment-qualified so the same row
-// name in two experiments can't collide.
-func load(path, suffix string) (map[string]float64, error) {
+// load reads newline-delimited rhythm-bench records, keyed
+// experiment-qualified so the same row name in two experiments can't
+// collide. It drops the records that carry host wall-clock or hardware
+// information rather than a simulated value.
+func load(path string) (map[string]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -284,9 +118,10 @@ func load(path, suffix string) (map[string]float64, error) {
 		if err := json.Unmarshal([]byte(text), &r); err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
 		}
-		if strings.HasSuffix(r.Metric, suffix) {
-			out[r.Experiment+"::"+r.Metric] = r.Value
+		if r.Metric == "wall_clock_secs" || r.Metric == "host_cores" {
+			continue
 		}
+		out[r.Experiment+"::"+r.Metric] = r.Value
 	}
 	return out, sc.Err()
 }

@@ -5,14 +5,11 @@ import (
 	"testing"
 )
 
-// adaptiveConfig is a small, fast configuration for the study; the
-// calibration runs 6 cohorts per size point.
+// adaptiveConfig is the geometry the registry pins the study to, so
+// these tests check the very run BENCH_baseline.json holds.
 func adaptiveConfig() Config {
 	cfg := DefaultConfig()
-	cfg.CPURequestsPerType = 100
-	cfg.GPUCohortsPerType = 2
-	cfg.CohortSize = 128
-	cfg.ValidateEvery = 0
+	Select("adaptive")[0].Pin(&cfg)
 	return cfg
 }
 
@@ -53,6 +50,13 @@ func TestAdaptiveStudyConvergence(t *testing.T) {
 	// Low rate: no pointless batching delay.
 	if low.AdaptiveP50Ms >= low.FixedP50Ms {
 		t.Errorf("low-rate adaptive p50 %.2fms should beat fixed %.2fms", low.AdaptiveP50Ms, low.FixedP50Ms)
+	}
+	// Low rates: a fixed window only adds delay there, so the adaptive
+	// tail must not be the worse one.
+	for _, row := range []AdaptivePhaseRow{low, down} {
+		if row.AdaptiveP99Ms > row.FixedP99Ms {
+			t.Errorf("phase %s: adaptive p99 %.2fms should not exceed fixed %.2fms", row.Phase, row.AdaptiveP99Ms, row.FixedP99Ms)
+		}
 	}
 	// High rate: amortization kept (within 2% of the fixed policy).
 	if up.AdaptiveTput < 0.98*up.FixedTput {

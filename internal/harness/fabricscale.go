@@ -23,9 +23,9 @@ import (
 // flat as N grows; per-node efficiency is the 1-node rate divided into
 // the measured per-node rate. Manual mode prefills every node's queue
 // before the devices start, making the virtual times — and the CI
-// bench gate's BENCH_scaleout.json rows — bit-identical across runs.
-// Kernel errors and lost units are tracked so the gate can hold both
-// at zero: scale-out must not cost correctness.
+// bench gate's scaleout rows of BENCH_baseline.json — bit-identical
+// across runs. Kernel errors and lost units are tracked so the gate can
+// hold both at zero: scale-out must not cost correctness.
 
 // ScaleOutRow is one node count in the measured sweep.
 type ScaleOutRow struct {

@@ -240,8 +240,10 @@ func WithRenderCache(entries int) Option {
 // (DESIGN.md §15; both modes): ring bounds the promoted-anomaly ring
 // (0 = 256), and slow sets an explicit slow-promotion latency threshold
 // (0 keeps the adaptive p99 estimate). The recorder itself cannot be
-// disabled — its fast path is allocation-free and its cost is gated in
-// CI at under 2%.
+// disabled — its fast path is held to one allocation a request by
+// BENCH_allocs.json's flight_append budget, its per-request time is
+// what flight.BenchmarkFinish prints in CI's bench smoke, and every
+// socket workload of the benchmark runs with it armed.
 func WithFlightRecorder(ring int, slow time.Duration) Option {
 	return func(c *serverConfig) {
 		c.cohort.FlightRing = ring
