@@ -21,8 +21,9 @@ MIX_ADDR=127.0.0.1:18608
 SCALE_ADDR=127.0.0.1:18609
 W0_ADDR=127.0.0.1:18610
 W1_ADDR=127.0.0.1:18611
+DEFAULT_ADDR=127.0.0.1:18612
 WORK=$(mktemp -d)
-trap 'kill $HOST_PID $COHORT_PID $CLUSTER_PID $ADAPT_PID $CACHEH_PID $CACHEC_PID $FLIGHT_PID $MIX_PID $W0_PID $W1_PID $SCALE_PID 2>/dev/null || true; wait 2>/dev/null || true' EXIT
+trap 'kill $HOST_PID $COHORT_PID $CLUSTER_PID $ADAPT_PID $CACHEH_PID $CACHEC_PID $FLIGHT_PID $MIX_PID $W0_PID $W1_PID $SCALE_PID $DEFAULT_PID 2>/dev/null || true; wait 2>/dev/null || true' EXIT
 
 if [ ! -x "$BIN" ]; then
     go build -o "$BIN" ./cmd/rhythmd
@@ -50,6 +51,13 @@ COHORT_PID=$!
 "$BIN" -cohort -addr "$CLUSTER_ADDR" -cohort-size 8 -formation-timeout 2ms \
     -devices 4 -fault-plan "$WORK/faults.json" >"$WORK/cluster.log" 2>&1 &
 CLUSTER_PID=$!
+# Default leg: -cohort and no formation flags, so the controller runs
+# adaptive at its default target. A one-at-a-time curl flow is below any
+# crossover: every page is answered on the host route of the owning
+# device, byte-identical, and no cohort forms. Every other cohort leg
+# pins -formation-timeout 2ms, the paper's fixed policy.
+"$BIN" -cohort -addr "$DEFAULT_ADDR" >"$WORK/default.log" 2>&1 &
+DEFAULT_PID=$!
 # Adaptive leg: p99 SLO drives the formation controller; crossover 300
 # req/s routes the low-rate curl flow to the scalar host path while the
 # rhythm-load step to 1200 req/s must flip it back to batching with
@@ -127,12 +135,13 @@ wait_ready "$CACHEC_ADDR"
 wait_ready "$FLIGHT_ADDR"
 wait_ready "$MIX_ADDR"
 wait_ready "$SCALE_ADDR"
+wait_ready "$DEFAULT_ADDR"
 
 # Demo credentials are deterministic; both modes print the same list.
 CRED=$(grep -m1 '^  userid=' "$WORK/host.log")
 USERID=$(echo "$CRED" | sed -n 's/.*userid=\([0-9]*\).*/\1/p')
 PASSWD=$(echo "$CRED" | sed -n 's/.*passwd=\([^ ]*\).*/\1/p')
-echo "e2e-smoke: driving userid=$USERID through all three modes"
+echo "e2e-smoke: driving userid=$USERID through every mode"
 
 # drive <name> <addr>: login, browse, logout; bodies land in $WORK/<name>.*
 drive() {
@@ -150,6 +159,7 @@ drive adapt "$ADAPT_ADDR"
 drive flight "$FLIGHT_ADDR"
 drive mix "$MIX_ADDR"
 drive scale "$SCALE_ADDR"
+drive default "$DEFAULT_ADDR"
 
 # drive_ecom <name> <addr>: the e-commerce catalog pages plus a
 # cart -> checkout session (the cart POST mints the EC_ID cookie).
@@ -207,7 +217,7 @@ drive_twice cachec "$CACHEC_ADDR"
 # cluster leg loses its device mid-session, so identity there also
 # proves the failover/idempotency contract end to end.
 for page in login summary profile logout; do
-    for mode in cohort cluster adapt flight mix scale; do
+    for mode in cohort cluster adapt flight mix scale default; do
         if ! diff -q "$WORK/host.$page" "$WORK/$mode.$page"; then
             echo "e2e-smoke: $page body differs between host and $mode mode" >&2
             diff "$WORK/host.$page" "$WORK/$mode.$page" | head -20 >&2 || true
@@ -294,6 +304,26 @@ echo "$STATS" | grep -q '"cohorts_formed": 0' && {
     exit 1
 }
 
+# The default leg must have answered every page on the host route and
+# formed nothing, under an adaptive (not pinned) controller.
+DSTATS=$(curl -sf "http://$DEFAULT_ADDR/v1/stats")
+for needle in '"host_fallbacks": [1-9]' '"cohorts_formed": 0,' '"adapt": {' '"pinned": false'; do
+    echo "$DSTATS" | grep -q "$needle" || {
+        echo "e2e-smoke: default-leg /v1/stats missing $needle: $DSTATS" >&2
+        exit 1
+    }
+done
+grep -q 'formation=adaptive (p99 target 50ms)' "$WORK/default.log" || {
+    echo "e2e-smoke: default leg did not announce the adaptive policy:" >&2
+    cat "$WORK/default.log" >&2
+    exit 1
+}
+grep -q 'formation=pinned (timeout 2ms)' "$WORK/cohort.log" || {
+    echo "e2e-smoke: cohort leg did not announce the pinned policy:" >&2
+    cat "$WORK/cohort.log" >&2
+    exit 1
+}
+
 # The cluster leg must have taken the injected loss: device 3 dead, its
 # group failed over, and every request still answered (asserted above
 # by byte identity).
@@ -311,7 +341,7 @@ echo "$CSTATS" | grep -Eq '"failovers": [1-9]' || {
 # the document lists the registered workloads and qualifies every type
 # label ("ecom/browse", "banking/login").
 MIXSTATS=$(curl -sf "http://$MIX_ADDR/v1/stats")
-for needle in '"schema_version": 6' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
+for needle in '"schema_version": 7' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
     '"ecom/cart_add"' '"telemetry/poll"' '"banking/login"'; do
     echo "$MIXSTATS" | grep -q "$needle" || {
         echo "e2e-smoke: mixed-workload /v1/stats missing $needle" >&2
@@ -488,8 +518,8 @@ fetch() {
     return 1
 }
 ASTATS=$(fetch "http://$ADAPT_ADDR/v1/stats")
-echo "$ASTATS" | grep -q '"schema_version": 6' || {
-    echo "e2e-smoke: /v1/stats missing schema_version 6: $ASTATS" >&2
+echo "$ASTATS" | grep -q '"schema_version": 7' || {
+    echo "e2e-smoke: /v1/stats missing schema_version 7: $ASTATS" >&2
     exit 1
 }
 echo "$ASTATS" | grep -q '"adapt"' || {
@@ -539,7 +569,7 @@ done
 # the launch context the ISSUE promises for tail debugging — including
 # at least one record whose attempt trail shows the injected failover.
 FHEALTH=$(fetch "http://$FLIGHT_ADDR/v1/health")
-for needle in '"schema_version": 6' '"state"' '"fast_burn"' '"slow_burn"' \
+for needle in '"schema_version": 7' '"state"' '"fast_burn"' '"slow_burn"' \
     '"flight_anomalies"' '"exemplars"'; do
     echo "$FHEALTH" | grep -q "$needle" || {
         echo "e2e-smoke: /v1/health missing $needle: $FHEALTH" >&2
@@ -609,4 +639,4 @@ grep -q '"traceEvents"' "$WORK/flight-chrome.json" || {
     exit 1
 }
 
-echo "e2e-smoke: PASS (4 pages byte-identical across host, cohort, 4-device cluster, adaptive, flight-recorder, mixed-workload, and 2-worker scale-out modes — incl. a device loss mid-session, a 40->1200 req/s step through the formation controller, a double-pass replay against -render-cache host+cohort servers with cache hits, a fault-injected flight leg with promoted anomalies, /v1/health burn rates, and the rhythm-flight CLI, a banking+ecom+telemetry leg on 4 shared devices with per-workload byte identity, workload-labeled metrics, and an exactly-once in-order telemetry fan-out, and a remote-fabric leg shipping cohorts to two rhythmd -worker processes over TCP with a SIGTERM node kill, zero lost units, and host-identical pages on the survivor; /v1/metrics + /v1/trace healthy, retired aliases 404)"
+echo "e2e-smoke: PASS (4 pages byte-identical across host, cohort, 4-device cluster, adaptive, flight-recorder, mixed-workload, 2-worker scale-out and no-flags default (adaptive, host-routed, 0 cohorts) modes — incl. a device loss mid-session, a 40->1200 req/s step through the formation controller, a double-pass replay against -render-cache host+cohort servers with cache hits, a fault-injected flight leg with promoted anomalies, /v1/health burn rates, and the rhythm-flight CLI, a banking+ecom+telemetry leg on 4 shared devices with per-workload byte identity, workload-labeled metrics, and an exactly-once in-order telemetry fan-out, and a remote-fabric leg shipping cohorts to two rhythmd -worker processes over TCP with a SIGTERM node kill, zero lost units, and host-identical pages on the survivor; /v1/metrics + /v1/trace healthy, retired aliases 404)"

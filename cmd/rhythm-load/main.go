@@ -23,8 +23,8 @@
 // one fixed rate: "40x2s,1200x3s" offers 40 req/s for 2s then steps to
 // 1200 req/s for 3s; "100-2000x10s" ramps linearly from 100 to 2000
 // req/s over 10s. The total run length is the sum of the segment
-// durations (-duration is ignored). Against an adaptive server
-// (rhythmd -cohort -slo-p99 ...) this is the way to watch the formation
+// durations (-duration is ignored). Against a cohort server that does
+// not pin a formation timeout this is the way to watch the formation
 // controller widen and narrow its windows; with -hist the controller's
 // per-type window/threshold gauges are printed after the run.
 //
@@ -239,19 +239,23 @@ func main() {
 	}
 }
 
-// printAdapt renders the adaptive controller's per-type gauges — the
+// printAdapt renders the formation controller's per-type gauges — the
 // same state /v1/metrics exposes as rhythm_adapt_* families.
 func printAdapt(st rhythm.CohortServerStats) {
 	ad := st.Adapt
-	fmt.Printf("adaptive controller (%d ticks, SLO p99 %.0fms, retry-after %.1fs):\n",
-		ad.Ticks, ad.SLOMs, ad.RetryAfterMs/1e3)
+	policy := fmt.Sprintf("adaptive, SLO p99 %.0fms", ad.SLOMs)
+	if ad.Pinned {
+		policy = "pinned to a fixed formation timeout"
+	}
+	fmt.Printf("formation controller (%s; %d ticks, retry-after %.1fs):\n",
+		policy, ad.Ticks, ad.RetryAfterMs/1e3)
 	for _, ts := range ad.Types {
 		route := "device"
 		if ts.HostRoute {
 			route = "host"
 		}
-		fmt.Printf("  %-24s window %8.0fus  threshold %4d  rate %8.1f req/s  route %s\n",
-			ts.Type, ts.WindowUs, ts.EarlyThreshold, ts.RateReqS, route)
+		fmt.Printf("  %-24s window %8.0fus  threshold %4d  rate %8.1f req/s  route %-6s  crossover %8.0f req/s\n",
+			ts.Type, ts.WindowUs, ts.EarlyThreshold, ts.RateReqS, route, ts.CrossoverReqS)
 	}
 	fmt.Printf("  host fallbacks: %d\n", st.HostFallbacks)
 }

@@ -5,8 +5,10 @@
 // The default mode uses the reproduction's host execution path — the
 // same services the SIMT kernels run, so the pages are byte-identical
 // to what the device pipeline generates. With -cohort it instead serves
-// through the paper's live cohort path: requests are classified,
-// batched into cohorts under the §3.1 formation timeout, and executed
+// through the paper's live cohort path: requests are classified, and
+// the formation controller either answers a request at once on the
+// host path of the device that owns its state (a request type arriving
+// too slowly for batching to pay) or batches it into a cohort executed
 // as stage kernels on the modeled SIMT device. Either way, poke it with
 // curl or drive it with cmd/rhythm-load; live counters are at
 // /v1/stats.
@@ -14,7 +16,7 @@
 // Usage:
 //
 //	rhythmd [-addr :8080] [-workloads banking,ecom,telemetry] [-seed-users 8] [-cohort]
-//	        [-cohort-size 128] [-contexts 4] [-formation-timeout 2ms]
+//	        [-cohort-size 128] [-contexts 4] [-formation-timeout 0]
 //	        [-deadline 5s] [-profile-off] [-sim-parallelism 0]
 //	        [-pprof 127.0.0.1:6060]
 //	        [-devices 4] [-fault-plan faults.json]
@@ -55,13 +57,16 @@
 // fresh render. Cache counters appear in /v1/stats and as
 // rhythm_render_cache_* in /v1/metrics.
 //
-// -slo-p99 enables the adaptive formation controller (DESIGN.md §12):
-// instead of the fixed -formation-timeout, each request type's window
-// and early-launch threshold track its arrival rate against the p99
-// target, and below the crossover rate (explicit via -adapt-crossover,
-// else derived from the measured service model; negative disables)
-// requests are served on the scalar host path. Controller state appears
-// under "adapt" in /v1/stats and as rhythm_adapt_* gauges in /v1/metrics.
+// Cohort formation has one policy, the adaptive controller (DESIGN.md
+// §12): each request type's window and early-launch threshold track its
+// arrival rate against a p99 target (-slo-p99, default 50ms), and below
+// the crossover rate (explicit via -adapt-crossover, else derived from
+// the measured service model; negative disables) requests are served on
+// the scalar host path. -formation-timeout pins the controller to the
+// paper's fixed §3.1 policy instead — launch when full or after that
+// long, never route to the host — unless -slo-p99 is given beside it.
+// Controller state appears under "adapt" in /v1/stats and as
+// rhythm_adapt_* in /v1/metrics.
 //
 // -devices N shards session and account state across N modeled SIMT
 // devices with session-affinity routing and failover; -fault-plan
@@ -121,15 +126,15 @@ func main() {
 		cohortOn    = flag.Bool("cohort", false, "serve through the live cohort pipeline (SIMT kernels)")
 		size        = flag.Int("cohort-size", 128, "requests per cohort (cohort mode)")
 		contexts    = flag.Int("contexts", 4, "cohort contexts in flight per device (cohort mode)")
-		formation   = flag.Duration("formation-timeout", 2*time.Millisecond, "cohort formation deadline (cohort mode)")
+		formation   = flag.Duration("formation-timeout", 0, "pin the paper's fixed formation timeout (cohort mode; 0 = adaptive, negative = never time out)")
 		deadline    = flag.Duration("deadline", 5*time.Second, "per-request deadline incl. formation delay (cohort mode)")
 		profileOff  = flag.Bool("profile-off", false, "disable the kernel-launch profiler (cohort mode)")
 		simPar      = flag.Int("sim-parallelism", 0, "host workers per device for independent kernel launches (cohort mode; 0 = all cores, 1 = serial; results identical)")
 		pprofAddr   = flag.String("pprof", "", "start a net/http/pprof listener on this address (e.g. 127.0.0.1:6060)")
 		devices     = flag.Int("devices", 1, "SIMT devices in the pool (cohort mode)")
 		faultPlan   = flag.String("fault-plan", "", "JSON device-fault schedule to inject (cohort mode)")
-		sloP99      = flag.Duration("slo-p99", 0, "p99 latency target enabling the adaptive formation controller (cohort mode; 0 = fixed formation timeout)")
-		crossover   = flag.Float64("adapt-crossover", 0, "host/device routing crossover in req/s (with -slo-p99; 0 = derive from service model, <0 = never route to host)")
+		sloP99      = flag.Duration("slo-p99", 0, "p99 latency target of the adaptive formation controller; also the /v1/health latency target (cohort mode; 0 = 50ms, and 250ms for health)")
+		crossover   = flag.Float64("adapt-crossover", 0, "host/device routing crossover in req/s (cohort mode; 0 = derive from service model, <0 = never route to host)")
 		renderCache = flag.Int("render-cache", 0, "enable the whole-page render cache bounded to N entries (both modes; 0 = off)")
 		flightRing  = flag.Int("flight-ring", 0, "flight-recorder anomaly ring size (both modes; 0 = 256)")
 		flightSlow  = flag.Duration("flight-slow", 0, "explicit slow-promotion latency threshold for the flight recorder (both modes; 0 = adaptive p99)")
@@ -184,6 +189,8 @@ func main() {
 		opts = append(opts,
 			rhythm.WithDevices(*devices),
 			rhythm.WithFormation(*size, *contexts**devices, *formation),
+			rhythm.WithSLO(*sloP99),
+			rhythm.WithCrossoverRate(*crossover),
 			rhythm.WithRequestDeadline(*deadline),
 		)
 		if *profileOff {
@@ -194,9 +201,6 @@ func main() {
 		}
 		if plan != nil {
 			opts = append(opts, rhythm.WithFaultPlan(plan))
-		}
-		if *sloP99 > 0 {
-			opts = append(opts, rhythm.WithSLO(*sloP99), rhythm.WithCrossoverRate(*crossover))
 		}
 		if *nodesF != "" {
 			opts = append(opts, rhythm.WithNodes(strings.Split(*nodesF, ",")...))
@@ -251,8 +255,8 @@ func main() {
 	if mode == "host" {
 		fmt.Printf("rhythmd: serving %s on http://%s (host mode)\n", served, srv.Addr())
 	} else {
-		fmt.Printf("rhythmd: serving %s on http://%s (cohort mode: devices=%d size=%d contexts=%d timeout=%v slo=%v)\n",
-			served, srv.Addr(), *devices, *size, *contexts**devices, *formation, *sloP99)
+		fmt.Printf("rhythmd: serving %s on http://%s (cohort mode: devices=%d size=%d contexts=%d formation=%s)\n",
+			served, srv.Addr(), *devices, *size, *contexts**devices, policy(srv.Snapshot().Cohort))
 	}
 	printCreds(srv.Addr().String(), *seedUsers, srv.Seed)
 
@@ -336,11 +340,9 @@ func report(snap rhythm.ServerStats) {
 	if st == nil {
 		return
 	}
-	fmt.Printf("rhythmd: served %d responses, %d cohorts (%.1f mean occupancy, %d timed out, %d early)\n",
-		st.Served, st.CohortsFormed, st.MeanOccupancy, st.CohortsTimedOut, st.CohortsEarly)
-	if st.Adapt != nil {
-		fmt.Printf("rhythmd: adaptive controller: %d ticks, %d host fallbacks\n", st.Adapt.Ticks, st.HostFallbacks)
-	}
+	fmt.Printf("rhythmd: served %d responses, %d cohorts (%.1f mean occupancy, %d timed out, %d early), host_fallbacks=%d\n",
+		st.Served, st.CohortsFormed, st.MeanOccupancy, st.CohortsTimedOut, st.CohortsEarly, st.HostFallbacks)
+	fmt.Printf("rhythmd: formation %s, %d controller ticks\n", policy(st), st.Adapt.Ticks)
 	if len(st.Devices) > 1 {
 		for _, d := range st.Devices {
 			fmt.Printf("rhythmd: device %d: %s, %d units, %.1fms virtual time\n",
@@ -348,6 +350,18 @@ func report(snap rhythm.ServerStats) {
 		}
 		fmt.Printf("rhythmd: failovers=%d retries=%d shed=%d\n", st.Failovers, st.DeviceRetries, st.ShedCohorts)
 	}
+}
+
+// policy names the formation policy in force, as the controller reports
+// it: adaptive to a p99 target, or pinned to the type-independent window.
+func policy(st *rhythm.CohortServerStats) string {
+	if !st.Adapt.Pinned {
+		return fmt.Sprintf("adaptive (p99 target %gms)", st.Adapt.SLOMs)
+	}
+	if st.Adapt.PinWindowUs < 0 {
+		return "pinned (no timeout)"
+	}
+	return fmt.Sprintf("pinned (timeout %gms)", st.Adapt.PinWindowUs/1e3)
 }
 
 func printCreds(addr string, seedUsers int, seed func(uint64) (uint64, string)) {

@@ -29,6 +29,7 @@ type liveReq struct {
 	group    int // shard group (cluster.GroupFor; -1 = stateless)
 	enq      time.Time
 	admitted time.Time // loop pickup (set by admit)
+	host     bool      // the controller routed it to the host path (set by admit)
 	spans    []obs.Span
 	resp     chan []byte // buffered(1): the loop never blocks delivering
 
@@ -107,7 +108,7 @@ func (s *CohortServer) shedArrival(a *connArena, widx int) []byte {
 	s.wlSheds[widx].Add(1)
 	s.badByType[a.t].Add(1)
 	a.frec.Status = flight.StatusShed
-	return busyResponse(s.retryAfter())
+	return busyResponse(s.ctrl.RetryAfter())
 }
 
 // sessionsFor resolves the request's shard group to its session array
@@ -122,19 +123,21 @@ func (s *CohortServer) sessionsFor(req *httpx.Request, t service.TypeID) *sessio
 	return s.fab.GroupSessions(group)
 }
 
-// admit routes one request into the pool, parking it in the bounded
-// overflow when every context is Busy and shedding with 503 past that.
+// admit routes one request where the controller sends it — the host
+// path or the pool — parking it in the bounded overflow when that route
+// has no room (every context Busy or forming another key, or the owning
+// device's queue full) and shedding with 503 past that. A parked request
+// is retried whenever a context or a queue slot frees; a host unit the
+// fabric refused with nothing in flight has no such event coming, so it
+// is shed at once.
 func (s *CohortServer) admit(lr *liveReq) {
 	lr.admitted = time.Now()
 	lr.spans = append(lr.spans, obs.Span{Name: "admit-queue", Start: lr.enq, Dur: lr.admitted.Sub(lr.enq)})
-	if s.ctrl != nil && s.ctrl.Arrival(int(lr.t)) {
-		s.dispatchHost(lr)
-		return
-	}
+	lr.host = s.ctrl.Arrival(int(lr.t))
 	if s.place(lr) {
 		return
 	}
-	if len(s.overflow) >= s.opts.OverflowLimit {
+	if lr.host && s.inflight == 0 || len(s.overflow) >= s.opts.OverflowLimit {
 		s.rejectedPool++
 		s.shedReq(lr)
 		return
@@ -148,36 +151,38 @@ func (s *CohortServer) shedReq(lr *liveReq) {
 	s.wlSheds[s.reg.WorkloadIndex(lr.t)].Add(1)
 	s.badByType[lr.t].Add(1)
 	lr.frec.Status = flight.StatusShed
-	lr.resp <- busyResponse(s.retryAfter())
+	lr.resp <- busyResponse(s.ctrl.RetryAfter())
 }
 
-// dispatchHost routes one request below the crossover rate straight to
+// dispatchHost hands one request below the crossover rate straight to
 // the scalar host path as a single-request Host unit: no cohort context,
 // no formation delay. The fabric still executes it on the node and
 // device that own the request's shard group, so responses stay
-// byte-identical and the group state single-writer.
-func (s *CohortServer) dispatchHost(lr *liveReq) {
+// byte-identical and the group state single-writer. It reports false
+// when the fabric has no room for the unit.
+func (s *CohortServer) dispatchHost(lr *liveReq) bool {
 	unit := &cluster.Unit{Type: lr.t, Group: lr.group, Host: true, Reqs: []httpx.Request{lr.req}}
-	s.inflight++
 	unit.Done = func(res *cluster.Result) {
 		s.doCh <- func() { s.completeHost(lr, res) }
 	}
 	if !s.fab.Dispatch(unit) {
-		s.inflight--
-		s.rejectedPool++
-		s.shedReq(lr)
+		return false
 	}
+	s.inflight++
+	return true
 }
 
 // completeHost consumes one host-fallback result on the loop goroutine.
 func (s *CohortServer) completeHost(lr *liveReq, res *cluster.Result) {
 	s.inflight--
+	defer s.drainOverflow() // the owning device's queue has room again
 	if res.Err != nil {
 		s.rejectedPool++
 		s.shedReq(lr)
 		return
 	}
 	s.hostFallbacks++
+	s.perType[lr.t].requests++
 	s.perType[lr.t].hostReqs++
 	s.kernelErrors += uint64(res.KernelErrs)
 	lr.spans = append(lr.spans, obs.Span{Name: "host-execute", Start: res.RenderStart, Dur: res.RenderDur})
@@ -199,12 +204,16 @@ func (s *CohortServer) completeHost(lr *liveReq, res *cluster.Result) {
 	s.latHist[lr.t].ObserveEx(lat, id)
 }
 
-// place tries pool admission; on success it manages the wall-clock
-// formation timer for the (possibly newly opened) forming cohort.
-// Cohorts are keyed by (type, shard group): a cohort executes against
-// one group's state on one device, so requests of the same type but
-// different groups form separately.
+// place tries the request's route: host dispatch, or pool admission —
+// where on success it manages the wall-clock formation timer for the
+// (possibly newly opened) forming cohort. Cohorts are keyed by (type,
+// shard group): a cohort executes against one group's state on one
+// device, so requests of the same type but different groups form
+// separately.
 func (s *CohortServer) place(lr *liveReq) bool {
+	if lr.host {
+		return s.dispatchHost(lr)
+	}
 	key := fmt.Sprintf("%s/%d", s.names[lr.t], lr.group)
 	if !s.pool.Add(key, lr) {
 		return false
@@ -214,13 +223,8 @@ func (s *CohortServer) place(lr *liveReq) bool {
 		s.pool.Flush(key)
 		return true
 	}
-	// The formation deadline: the controller's per-type window in
-	// adaptive mode, the fixed option otherwise.
-	window := s.opts.FormationTimeout
-	if s.ctrl != nil {
-		window = s.ctrl.Window(int(lr.t))
-	}
-	if window > 0 && s.pool.Forming(key) && s.forming[key] == nil {
+	// The formation deadline is the controller's per-type window.
+	if window := s.ctrl.Window(int(lr.t)); window > 0 && s.pool.Forming(key) && s.forming[key] == nil {
 		s.nextGen++
 		gen := s.nextGen
 		t := time.AfterFunc(window, func() {
@@ -234,9 +238,11 @@ func (s *CohortServer) place(lr *liveReq) bool {
 	return true
 }
 
-// drainOverflow retries parked requests after a context frees,
-// preserving order per type while letting other types pass a starved
-// head (same policy as the offline pipeline's dispatch).
+// drainOverflow retries parked requests after a context or a device
+// queue slot frees, preserving order per type while letting other types
+// pass a starved head (same policy as the offline pipeline's dispatch).
+// A host unit still refused with nothing left in flight to retry it is
+// shed.
 func (s *CohortServer) drainOverflow() {
 	if len(s.overflow) == 0 {
 		return
@@ -244,7 +250,12 @@ func (s *CohortServer) drainOverflow() {
 	pending := s.overflow
 	s.overflow = s.overflow[:0]
 	for _, lr := range pending {
-		if !s.place(lr) {
+		switch {
+		case s.place(lr):
+		case lr.host && s.inflight == 0:
+			s.rejectedPool++
+			s.shedReq(lr)
+		default:
 			s.overflow = append(s.overflow, lr)
 		}
 	}

@@ -31,14 +31,9 @@ type formingTimer struct {
 func (s *CohortServer) loop() {
 	defer close(s.doneCh)
 	stop := s.stopCh
-	// The controller retunes on a wall-clock tick; without a controller
-	// the nil channel never fires.
-	var tickCh <-chan time.Time
-	if s.ctrl != nil {
-		ticker := time.NewTicker(s.ctrl.TickEvery())
-		defer ticker.Stop()
-		tickCh = ticker.C
-	}
+	// The controller retunes on a wall-clock tick.
+	ticker := time.NewTicker(s.ctrl.TickEvery())
+	defer ticker.Stop()
 	for {
 		if s.draining && s.idle() {
 			return
@@ -50,7 +45,7 @@ func (s *CohortServer) loop() {
 			s.flush(m)
 		case fn := <-s.doCh:
 			fn()
-		case now := <-tickCh:
+		case now := <-ticker.C:
 			s.ctrl.NoteQueue(len(s.admitCh) + len(s.overflow))
 			s.ctrl.Tick(now)
 		case <-stop:
@@ -230,16 +225,13 @@ func (s *CohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result
 		s.latHist[lr.t].ObserveEx(lat, id)
 	}
 	s.record(s.launchLat, float64(res.DeviceTime))
-	if s.ctrl != nil {
-		// Feed the service model with the wall-clock execution cost of
-		// this cohort — stage kernels plus response render — which is
-		// what bounds the live server's capacity.
-		var svc time.Duration
-		for _, se := range res.Stages {
-			svc += se.Dur
-		}
-		svc += res.RenderDur
-		s.ctrl.ObserveLaunch(int(reqs[0].t), len(reqs), svc)
+	// Feed the service model with the wall-clock execution cost of this
+	// cohort — stage kernels plus response render — which is what bounds
+	// the live server's capacity.
+	svc := res.RenderDur
+	for _, se := range res.Stages {
+		svc += se.Dur
 	}
+	s.ctrl.ObserveLaunch(int(reqs[0].t), len(reqs), svc)
 	s.finish(c)
 }

@@ -27,11 +27,13 @@ type typeCounters struct {
 
 // CohortTypeStats is the per-request-type section of CohortServerStats.
 type CohortTypeStats struct {
-	Workload      string     `json:"workload"`
-	Cohorts       uint64     `json:"cohorts"`
-	Filled        uint64     `json:"filled"`
-	TimedOut      uint64     `json:"timed_out"`
-	Early         uint64     `json:"early"`
+	Workload string `json:"workload"`
+	Cohorts  uint64 `json:"cohorts"`
+	Filled   uint64 `json:"filled"`
+	TimedOut uint64 `json:"timed_out"`
+	Early    uint64 `json:"early"`
+	// Requests counts the type's executed requests on both routes;
+	// HostRequests is the part answered on the host route.
 	Requests      uint64     `json:"requests"`
 	HostRequests  uint64     `json:"host_requests"`
 	MeanOccupancy float64    `json:"mean_occupancy"`
@@ -115,45 +117,59 @@ type CohortServerStats struct {
 	FlightRequests  uint64 `json:"flight_requests"`
 	FlightAnomalies uint64 `json:"flight_anomalies"`
 
-	// Adapt is the adaptive-formation controller's state (nil when the
-	// server runs a fixed formation timeout).
+	// Adapt is the formation controller's state: pinned or adaptive, and
+	// per type the rate, window, threshold, route and crossover.
 	Adapt *adapt.Snapshot `json:"adapt,omitempty"`
 
 	Types map[string]CohortTypeStats `json:"types"`
 }
 
-// maxLatencySamples bounds the stats recorders so a long-lived server
-// doesn't grow without bound; past the cap the percentiles freeze on the
-// first N samples (counters keep counting).
-const maxLatencySamples = 1 << 20
+// latencyWindow is how many of the most recent samples each of the three
+// latency windows (request, formation wait, launch) holds: 512 KB apiece,
+// so the percentiles follow the traffic at a fixed cost.
+const latencyWindow = 1 << 16
 
-func (s *CohortServer) record(r *stats.LatencyRecorder, v float64) {
-	if r.Count() < maxLatencySamples {
-		if v < 0 {
-			v = 0
-		}
-		r.Record(v)
+func (s *CohortServer) record(w *stats.LatencyWindow, v float64) {
+	if v < 0 {
+		v = 0
 	}
+	w.Record(v)
 }
 
 // Stats snapshots the live counters. Safe to call at any time; while
-// the loop runs the snapshot is taken on the loop goroutine.
+// the loop runs the snapshot is taken on the loop goroutine, which only
+// copies the two latency windows that need percentiles — the sorts run
+// here, on the caller's.
 func (s *CohortServer) Stats() CohortServerStats {
-	reply := make(chan CohortServerStats, 1)
+	// The copies land in buffers made and touched here: fresh pages are
+	// mapped on first write, and with full windows a snapshot holds the
+	// loop 0.5ms when that write is its copy, 0.05ms when it is this clear.
+	bufs := make([]float64, 2*latencyWindow)
+	clear(bufs)
+	var st CohortServerStats
+	var reqLat, formWait *stats.LatencyRecorder
+	snap := func() { st, reqLat, formWait = s.snapshot(bufs[:latencyWindow], bufs[latencyWindow:]) }
+	done := make(chan struct{})
 	select {
-	case s.doCh <- func() { reply <- s.snapshot() }:
+	case s.doCh <- func() { snap(); close(done) }:
 		select {
-		case st := <-reply:
-			return st
+		case <-done:
 		case <-s.doneCh:
-			return s.snapshot() // loop exited without running the closure
+			snap() // loop exited, its state is quiescent (a second read is harmless)
 		}
 	case <-s.doneCh:
-		return s.snapshot() // loop gone: its state is quiescent, safe to read
+		snap() // loop gone: safe to read from here
 	}
+	st.FormWaitMsP99 = formWait.Percentile(99) / 1e6
+	st.LatencyMsP50 = reqLat.Percentile(50) / 1e6
+	st.LatencyMsP99 = reqLat.Percentile(99) / 1e6
+	return st
 }
 
-func (s *CohortServer) snapshot() CohortServerStats {
+// snapshot reads the loop-owned state: every counter and mean, and a
+// copy of the request and formation-wait windows (into reqBuf and
+// formBuf) for the percentiles.
+func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats, reqLat, formWait *stats.LatencyRecorder) {
 	ps := s.pool.Stats()
 	// One pass over the fabric: per-node counters under the fabric
 	// lock, then each node's cluster snapshot (an RPC for remote
@@ -162,7 +178,7 @@ func (s *CohortServer) snapshot() CohortServerStats {
 	// at any node count.
 	fs := s.fab.Snapshot()
 	cs := s.cacheStats()
-	st := CohortServerStats{
+	st = CohortServerStats{
 		SchemaVersion:      StatsSchemaVersion,
 		Mode:               "cohort",
 		Workloads:          workloadNames(s.reg),
@@ -186,10 +202,7 @@ func (s *CohortServer) snapshot() CohortServerStats {
 		MaxOccupancy:       s.maxOccup,
 		MaxContexts:        ps.MaxInUse,
 		FormWaitMsMean:     s.formWait.Mean() / 1e6,
-		FormWaitMsP99:      s.formWait.Percentile(99) / 1e6,
 		LaunchDevUsMean:    s.launchLat.Mean() / 1e3,
-		LatencyMsP50:       s.reqLat.Percentile(50) / 1e6,
-		LatencyMsP99:       s.reqLat.Percentile(99) / 1e6,
 		Device:             fs.Aggregate,
 		ProfiledLaunches:   fs.ProfiledLaunches,
 		Devices:            fs.Devices,
@@ -214,10 +227,8 @@ func (s *CohortServer) snapshot() CohortServerStats {
 	for i, w := range s.reg.Workloads() {
 		st.WorkloadSheds[w.Name()] = s.wlSheds[i].Load()
 	}
-	if s.ctrl != nil {
-		snap := s.ctrl.Snapshot()
-		st.Adapt = &snap
-	}
+	snap := s.ctrl.Snapshot()
+	st.Adapt = &snap
 	for t := range s.perType {
 		tc := &s.perType[t]
 		if tc.cohorts == 0 && tc.hostReqs == 0 {
@@ -239,7 +250,7 @@ func (s *CohortServer) snapshot() CohortServerStats {
 		}
 		st.Types[s.names[t]] = ts
 	}
-	return st
+	return st, s.reqLat.Recorder(reqBuf), s.formWait.Recorder(formBuf)
 }
 
 func (s *CohortServer) statsDocument() any { return s.Stats() }
@@ -249,7 +260,7 @@ func (s *CohortServer) statsDocument() any { return s.Stats() }
 // are atomic and read directly.
 func (s *CohortServer) writeMetrics(w *obs.PromWriter) {
 	st := s.Stats()
-	w.Family("rhythm_requests_total", "counter", "Requests executed through the cohort pipeline, by workload and type.")
+	w.Family("rhythm_requests_total", "counter", "Requests executed, in a cohort or on the host route, by workload and type.")
 	for t, name := range s.names {
 		if ts, ok := st.Types[name]; ok {
 			w.Value("rhythm_requests_total", s.labels[t], float64(ts.Requests))

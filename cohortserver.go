@@ -72,10 +72,12 @@ type CohortOptions struct {
 	// sheds with 503, counted per workload in /v1/stats
 	// (workload_sheds) and /v1/metrics (rhythm_shed_total).
 	WorkloadQuotas map[string]float64
-	// FormationTimeout is the wall-clock §3.1 formation deadline
-	// measured from a cohort's first request (default 2ms; negative
-	// disables timeouts, for tests that exercise drain of partial
-	// cohorts).
+	// FormationTimeout, when non-zero and no SLO is set, pins the
+	// formation controller to the paper's fixed §3.1 policy: every
+	// cohort launches when full or this long after its first request
+	// (negative: never by timeout, for tests that exercise drain of
+	// partial cohorts), and nothing takes the host route. Zero (the
+	// default) leaves the controller adaptive; see SLO.
 	FormationTimeout time.Duration
 	// RequestDeadline bounds a request's end-to-end residence including
 	// formation delay; past it the connection gets a 504 (default 5s).
@@ -94,21 +96,26 @@ type CohortOptions struct {
 	// geometry matches NewTCPServer so host and cohort mode create
 	// identical session ids for identical request streams.
 	MaxSessions int
-	// RetryAfter is the hint on 503 responses (default 1s). With an SLO
-	// set, the adaptive controller's backlog estimate overrides it.
+	// RetryAfter floors the hint on 503 responses (default 1s); the
+	// formation controller raises it to its estimate of the time the
+	// admission backlog takes to drain.
 	RetryAfter time.Duration
-	// SLO enables the adaptive formation controller (internal/adapt,
-	// DESIGN.md §12) with this p99 latency target: formation windows and
-	// early-launch thresholds are retuned per request type from the
-	// observed arrival rate and the measured service model, and below the
-	// crossover rate requests fall back to the scalar host path. Zero
-	// keeps the fixed FormationTimeout for every type.
+	// SLO is the p99 latency target of the formation controller
+	// (internal/adapt, DESIGN.md §12), the server's one formation
+	// policy: windows and early-launch thresholds are retuned per
+	// request type from the observed arrival rate and the measured
+	// service model, and a type below its crossover rate is answered on
+	// the scalar host path by the device that owns its shard group.
+	// Zero means 50ms, unless FormationTimeout pins the fixed policy; an
+	// explicit SLO wins over a FormationTimeout given beside it.
 	SLO time.Duration
-	// AdaptTick is the controller's retuning period (default 100ms).
+	// AdaptTick is the controller's retuning period (default 100ms); a
+	// pinned controller only refreshes its arrival rates on it.
 	AdaptTick time.Duration
-	// CrossoverRate tunes the adaptive host/device routing crossover in
-	// req/s: 0 derives it from the measured service model, >0 uses the
-	// explicit rate, <0 disables host fallback (always batch).
+	// CrossoverRate tunes the host/device routing crossover in req/s: 0
+	// derives it from the measured service model, >0 uses the explicit
+	// rate, <0 disables the host route (always batch). A pinned
+	// controller never routes to the host.
 	CrossoverRate float64
 	// HostParallelism caps the host workers executing kernel warps
 	// (0 = all cores; see DESIGN.md §8).
@@ -142,7 +149,8 @@ type CohortOptions struct {
 	// HealthObjective is the /v1/health burn-rate objective (0 = 0.99);
 	// HealthFastWindow and HealthSlowWindow are the burn evaluation
 	// horizons (0 = 5m and 1h). The latency target the counts classify
-	// against is SLO when set, else a 250ms default.
+	// against is SLO when set explicitly, else 250ms — the controller's
+	// default target is a formation budget, not a health objective.
 	HealthObjective  float64
 	HealthFastWindow time.Duration
 	HealthSlowWindow time.Duration
@@ -161,9 +169,6 @@ func (o *CohortOptions) fill() {
 	if o.MaxCohorts == 0 {
 		o.MaxCohorts = 4 * o.Devices
 	}
-	if o.FormationTimeout == 0 {
-		o.FormationTimeout = 2 * time.Millisecond
-	}
 	if o.RequestDeadline == 0 {
 		o.RequestDeadline = 5 * time.Second
 	}
@@ -178,20 +183,21 @@ func (o *CohortOptions) fill() {
 	if o.MaxSessions < 256 {
 		o.MaxSessions = 1 << 16
 	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = time.Second
-	}
 }
 
 // CohortServer serves every registered workload over TCP through the
 // paper's cohort pipeline: the shared frontend parses and classifies
-// requests on the host, a single formation-loop goroutine batches them
-// into cohort.Pool contexts under the §3.1 formation timeout, and each
-// full (or timed-out) cohort runs its stage kernels on the modeled SIMT
-// device, one asynchronous stream per context. Responses are extracted
-// from device memory after the response transpose and are byte-identical
-// to TCPServer's host path (the differential test in cohortserver_test.go
-// asserts this for every request type).
+// requests on the host, and a single formation-loop goroutine asks the
+// formation controller (internal/adapt) where each one goes. A type
+// below its crossover rate is answered at once as a one-request host
+// unit on the device that owns its shard group; a type above it is
+// batched into cohort.Pool contexts under the controller's window and
+// early-launch threshold, and each launched cohort runs its stage kernels
+// on the modeled SIMT device, one asynchronous stream per context. The
+// paper's fixed §3.1 timeout is the same controller pinned
+// (CohortOptions.FormationTimeout). Responses are byte-identical to
+// TCPServer's host path on either route (the differential tests in
+// cohortserver_test.go assert this for every request type).
 //
 // Wall clock drives admission and formation; the simulation engine
 // remains a purely virtual device timeline, stepped by the loop while
@@ -205,9 +211,9 @@ type CohortServer struct {
 
 	opts CohortOptions
 	pool *cohort.Pool[*liveReq]
-	// ctrl is the adaptive formation controller (nil without an SLO). Its
-	// methods are internally locked; the hot handler path touches it only
-	// in Arrival and RetryAfter.
+	// ctrl is the formation policy: adaptive to a p99 target, or pinned
+	// to a fixed timeout. Its methods are internally locked; handlers
+	// touch it only in RetryAfter, the loop everywhere else.
 	ctrl *adapt.Controller
 
 	admitCh chan *liveReq
@@ -250,9 +256,9 @@ type CohortServer struct {
 	hostFallbacks uint64
 	perType       []typeCounters // per service.TypeID
 	maxOccup      int
-	formWait      *stats.LatencyRecorder
-	launchLat     *stats.LatencyRecorder
-	reqLat        *stats.LatencyRecorder
+	formWait      *stats.LatencyWindow
+	launchLat     *stats.LatencyWindow
+	reqLat        *stats.LatencyWindow
 }
 
 // NewCohortServer builds the server, its device fabric, and its
@@ -295,9 +301,9 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		doneCh:    make(chan struct{}),
 		forming:   make(map[string]*formingTimer),
 		perType:   make([]typeCounters, reg.NumTypes()),
-		formWait:  stats.NewLatencyRecorder(),
-		launchLat: stats.NewLatencyRecorder(),
-		reqLat:    stats.NewLatencyRecorder(),
+		formWait:  stats.NewLatencyWindow(latencyWindow),
+		launchLat: stats.NewLatencyWindow(latencyWindow),
+		reqLat:    stats.NewLatencyWindow(latencyWindow),
 		formHist:  stats.NewHistogram(stats.LatencyBucketsNs()),
 		occupHist: stats.NewHistogram(stats.PowersOfTwoBuckets(opts.CohortSize)),
 		badByType: make([]atomic.Uint64, reg.NumTypes()),
@@ -355,35 +361,34 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	// pool's engine argument is unused at timeout 0 — the cluster's
 	// devices own the virtual timelines now).
 	s.pool = cohort.NewPool[*liveReq](sim.NewEngine(), opts.MaxCohorts, opts.CohortSize, 0, s.onReady)
-	if opts.SLO > 0 {
-		s.ctrl = adapt.New(adapt.Config{
-			Types:         reg.NumTypes(),
-			Names:         s.names,
-			Capacity:      opts.CohortSize,
-			SLO:           opts.SLO,
-			Tick:          opts.AdaptTick,
-			CrossoverRate: opts.CrossoverRate,
-		})
-		// Early launch: the advisor fires on the loop goroutine after
-		// every Add, launching a forming cohort once it reaches the
-		// controller's per-type threshold.
-		s.pool.SetAdvisor(func(c *cohort.Context[*liveReq]) bool {
-			return c.Len() >= s.ctrl.Threshold(int(c.Requests()[0].t))
-		})
+	acfg := adapt.Config{
+		Types:         reg.NumTypes(),
+		Names:         s.names,
+		Capacity:      opts.CohortSize,
+		SLO:           opts.SLO,
+		Tick:          opts.AdaptTick,
+		CrossoverRate: opts.CrossoverRate,
+		RetryFloor:    opts.RetryAfter,
 	}
+	if acfg.SLO <= 0 {
+		// No explicit target: a formation timeout pins the fixed policy,
+		// none leaves the controller adaptive at the default target.
+		acfg.SLO, acfg.Pin = defaultFormationSLO, opts.FormationTimeout
+	}
+	s.ctrl = adapt.New(acfg)
+	// Early launch: the advisor fires on the loop goroutine after every
+	// Add that leaves a cohort below capacity, launching it once it
+	// reaches the controller's per-type threshold.
+	s.pool.SetAdvisor(func(c *cohort.Context[*liveReq]) bool {
+		return c.Len() >= s.ctrl.Threshold(int(c.Requests()[0].t))
+	})
 	go s.loop()
 	return s, nil
 }
 
-// retryAfter is the Retry-After hint for 503 responses: the controller's
-// backlog-drain estimate in adaptive mode, else the static option. Safe
-// from any goroutine.
-func (s *CohortServer) retryAfter() time.Duration {
-	if s.ctrl != nil {
-		return s.ctrl.RetryAfter()
-	}
-	return s.opts.RetryAfter
-}
+// defaultFormationSLO is the controller's p99 target when neither an SLO
+// nor a formation timeout is given.
+const defaultFormationSLO = 50 * time.Millisecond
 
 // Drain stops gracefully: stop accepting, reject new admissions, flush
 // partially-full cohorts, wait for in-flight launches to write their

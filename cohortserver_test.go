@@ -51,12 +51,22 @@ func dialT(t *testing.T, addr net.Addr) net.Conn {
 // every other byte must match.
 func readRawResponse(t *testing.T, r *bufio.Reader) []byte {
 	t.Helper()
+	resp, err := readResponse(r)
+	if err != nil {
+		t.Fatalf("reading response: %v (got %q so far)", err, resp)
+	}
+	return resp
+}
+
+// readResponse is readRawResponse for goroutines that may not call
+// t.Fatal: it returns what it read and the error that stopped it.
+func readResponse(r *bufio.Reader) ([]byte, error) {
 	var buf bytes.Buffer
 	cl := 0
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
-			t.Fatalf("reading response: %v (got %q so far)", err, buf.String())
+			return buf.Bytes(), err
 		}
 		if !strings.HasPrefix(line, "X-Rhythm-Trace:") {
 			buf.WriteString(line)
@@ -71,104 +81,58 @@ func readRawResponse(t *testing.T, r *bufio.Reader) []byte {
 	}
 	body := make([]byte, cl)
 	if _, err := io.ReadFull(r, body); err != nil {
-		t.Fatal(err)
+		return buf.Bytes(), err
 	}
 	buf.Write(body)
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
 
-// driveAllTypes drives the same request sequence through a fresh
-// host-path TCPServer and the given cohort-mode server in lock step and
-// asserts every response — headers, cookies, and page bytes — is
-// identical. The sequence covers all 15 implemented request types plus
-// the expired-session error page. The cohort server must use
-// MaxSessions 4096 (the host server's session geometry) so both issue
-// identical session ids. Returns the cohort server's stats after the
-// drive.
+// driveAllTypes drives the banking sequence through a fresh host-path
+// TCPServer and the given cohort-mode server in lock step and asserts
+// every response — headers, cookies, and page bytes — is identical. The
+// cohort server must use MaxSessions 4096 (the host server's session
+// geometry) so both issue identical session ids. Returns the cohort
+// server's stats after the drive.
 func driveAllTypes(t *testing.T, dev *CohortServer) CohortServerStats {
 	t.Helper()
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	driveBanking(newLockstep(t, dev), dev)
+	return dev.Stats()
+}
 
-	hostConn := dialT(t, host.Addr())
-	devConn := dialT(t, dev.Addr())
-	hostR := bufio.NewReader(hostConn)
-	devR := bufio.NewReader(devConn)
-
-	// exchange sends the same raw request to both servers (host first,
-	// serially, so any DB/session mutations happen in the same order)
-	// and asserts byte-identical responses.
-	exchange := func(label, raw string) []byte {
-		t.Helper()
-		if _, err := io.WriteString(hostConn, raw); err != nil {
-			t.Fatal(err)
-		}
-		want := readRawResponse(t, hostR)
-		if _, err := io.WriteString(devConn, raw); err != nil {
-			t.Fatal(err)
-		}
-		got := readRawResponse(t, devR)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: cohort response differs from host\nhost %d bytes: %.300q\ncohort %d bytes: %.300q",
-				label, len(want), want, len(got), got)
-		}
-		return got
-	}
-
-	uid, pw := host.Seed(7777)
+// driveBanking covers all 15 implemented banking request types plus the
+// expired-session error page: 16 exchanges.
+func driveBanking(ls *lockstep, dev *CohortServer) {
+	t := ls.t
+	t.Helper()
+	uid, pw := ls.host.Seed(7777)
 	if _, dpw := dev.Seed(7777); dpw != pw {
 		t.Fatalf("password mismatch: host %q cohort %q", pw, dpw)
 	}
-
-	body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
-	login := exchange("login", fmt.Sprintf(
-		"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
-
+	login := ls.exchange("login", rawPost("/login.php", "", fmt.Sprintf("userid=%d&passwd=%s", uid, pw)))
 	// Both servers issued the same session id (identical array geometry
 	// + creation order); reuse it for the session'd requests.
-	var cookie string
-	for _, line := range strings.Split(string(login), "\r\n") {
-		if v, ok := strings.CutPrefix(line, "Set-Cookie: "); ok {
-			cookie = v
-		}
-	}
-	if !strings.HasPrefix(cookie, "MY_ID=") {
-		t.Fatalf("no session cookie in login response")
-	}
-
-	get := func(uri string) string {
-		return fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\nCookie: %s\r\n\r\n", uri, cookie)
-	}
-	post := func(uri, body string) string {
-		return fmt.Sprintf("POST %s HTTP/1.1\r\nHost: t\r\nCookie: %s\r\nContent-Length: %d\r\n\r\n%s",
-			uri, cookie, len(body), body)
-	}
+	cookie := cookieFrom(t, login, "MY_ID")
 
 	seq := []struct{ label, raw string }{
-		{"account_summary", get("/account_summary.php")},
-		{"add_payee", get("/add_payee.php")},
-		{"bill_pay", get("/bill_pay.php")},
-		{"bill_pay_status_output", get("/bill_pay_status_output.php")},
-		{"change_profile", get("/change_profile.php")},
-		{"check_detail_html", get("/check_detail_html.php?check_no=1234")},
-		{"order_check", get("/order_check.php")},
-		{"place_check_order", post("/place_check_order.php", "style=standard&quantity=100")},
-		{"post_payee", post("/post_payee.php", "name=Vendor0001&account=P-000001")},
-		{"post_transfer", post("/post_transfer.php", "from=0&to=1&amount=0.42")},
-		{"profile", get("/profile.php")},
-		{"transfer", get("/transfer.php")},
-		{"quick_pay", post("/quick_pay.php", "payee1=Vendor0001&amount1=2.00&payee2=Vendor0002&amount2=3.25")},
-		{"logout", get("/logout.php")},
-		{"expired session", get("/profile.php")}, // error page, still identical
+		{"account_summary", rawGet("/account_summary.php", cookie)},
+		{"add_payee", rawGet("/add_payee.php", cookie)},
+		{"bill_pay", rawGet("/bill_pay.php", cookie)},
+		{"bill_pay_status_output", rawGet("/bill_pay_status_output.php", cookie)},
+		{"change_profile", rawGet("/change_profile.php", cookie)},
+		{"check_detail_html", rawGet("/check_detail_html.php?check_no=1234", cookie)},
+		{"order_check", rawGet("/order_check.php", cookie)},
+		{"place_check_order", rawPost("/place_check_order.php", cookie, "style=standard&quantity=100")},
+		{"post_payee", rawPost("/post_payee.php", cookie, "name=Vendor0001&account=P-000001")},
+		{"post_transfer", rawPost("/post_transfer.php", cookie, "from=0&to=1&amount=0.42")},
+		{"profile", rawGet("/profile.php", cookie)},
+		{"transfer", rawGet("/transfer.php", cookie)},
+		{"quick_pay", rawPost("/quick_pay.php", cookie, "payee1=Vendor0001&amount1=2.00&payee2=Vendor0002&amount2=3.25")},
+		{"logout", rawGet("/logout.php", cookie)},
+		{"expired session", rawGet("/profile.php", cookie)}, // error page, still identical
 	}
 	for _, s := range seq {
-		exchange(s.label, s.raw)
+		ls.exchange(s.label, s.raw)
 	}
-	return dev.Stats()
 }
 
 // TestCohortServerDifferentialAllTypes is the fixed-timeout byte

@@ -14,11 +14,19 @@
 //
 // The package exposes three ways in:
 //
-//   - Server: the Rhythm pipeline (Reader → Parser → Dispatch → Process
-//     stages → Response) on a simulated device, serving the SPECWeb2009
-//     Banking workload and reporting throughput/latency/energy.
-//   - TCPServer: the same Banking services behind a real TCP listener
-//     (host execution path), for end-to-end demos.
+//   - NewSimServer: the Rhythm pipeline (Reader → Parser → Dispatch →
+//     Process stages → Response) on a simulated device under virtual
+//     time, serving the SPECWeb2009 Banking workload and reporting
+//     throughput/latency/energy. Its formation policy is the paper's: a
+//     fixed timeout.
+//   - New: a live server of the registered workloads behind a real TCP
+//     listener. By default requests go through the cohort pipeline under
+//     one formation policy, the adaptive controller (DESIGN.md §12): a
+//     request type arriving too slowly for batching to pay is answered
+//     at once on the host path of the device that owns its state, a
+//     burst forms cohorts; WithFormation's timeout pins the paper's
+//     fixed policy instead, and WithHostExecution serves everything on
+//     the scalar host path.
 //   - The cmd/rhythm-bench binary and the benchmarks in bench_test.go,
 //     which regenerate every table and figure of the paper's evaluation.
 package rhythm

@@ -2,6 +2,12 @@
 // Sweeps cohort sizes at saturation, then shows what a formation timeout
 // does when arrivals are too slow to fill cohorts.
 //
+// The timeouts here are pinned on purpose — the sweep is the paper's
+// fixed-timeout trade, on the offline simulator under virtual time. The
+// live server (rhythm.New) makes that choice itself by default: its
+// formation controller retunes the window per request type and answers
+// a too-slow type on the host path (DESIGN.md §12).
+//
 // Run with: go run ./examples/cohort-tuning
 package main
 

@@ -2,6 +2,12 @@
 // mixed SPECWeb Banking workload through it, and print what cohort
 // scheduling bought you.
 //
+// This is the offline simulator under virtual time, and it pins the
+// paper's fixed 2ms formation timeout (§3.1) on purpose: that is the
+// policy the paper evaluates. The live server (rhythm.New) defaults to
+// the adaptive formation controller instead, and takes the same fixed
+// policy through WithFormation's timeout.
+//
 // Run with: go run ./examples/quickstart
 package main
 

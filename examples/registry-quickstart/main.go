@@ -71,7 +71,7 @@ func main() {
 	st := srv.Snapshot().Cohort
 	byWorkload := map[string]uint64{}
 	for _, ts := range st.Types {
-		byWorkload[ts.Workload] += ts.Requests + ts.HostRequests
+		byWorkload[ts.Workload] += ts.Requests
 	}
 	fmt.Println()
 	fmt.Printf("served %d responses across %s (schema v%d stats):\n",

@@ -19,6 +19,11 @@
 // controller saturates at full capacity and spends the whole SLO budget
 // on formation. All tuning happens on a fixed tick, from explicit clocks,
 // so the controller is deterministic under virtual time.
+//
+// The paper's own policy — one fixed timeout, launch when full — is this
+// controller pinned (Config.Pin): the window never moves, the threshold
+// is the cohort capacity and nothing routes to the host. It is a mode of
+// the one policy, so a server has a single formation path either way.
 package adapt
 
 import (
@@ -57,6 +62,15 @@ const (
 	// once offered load would consume this fraction of device capacity —
 	// the scalar host path would drown first.
 	deviceFloorRho = 0.5
+	// minWindow floors the formation window; the cap is SLO/2.
+	minWindow = 200 * time.Microsecond
+	// minBatch is the smallest cohort worth forming; it sets the derived
+	// crossover rate minBatch²/a.
+	minBatch = 2
+	// ewmaAlpha smooths the per-tick arrival rate.
+	ewmaAlpha = 0.3
+	// retryCeil caps the backlog-derived Retry-After hint.
+	retryCeil = 30 * time.Second
 )
 
 // Config sizes a Controller. Zero values take the documented defaults.
@@ -70,42 +84,31 @@ type Config struct {
 	// threshold. Required.
 	Capacity int
 	// SLO is the p99 latency target the formation window must fit inside.
-	// Required.
+	// Required unless Pin is set.
 	SLO time.Duration
+	// Pin, when non-zero, pins the controller to §3.1's fixed policy:
+	// every type's window is Pin (negative = never time out), the
+	// early-launch threshold is Capacity, nothing routes to the host, and
+	// Tick tracks arrival rates without retuning. The service model is
+	// still fitted (Snapshot, RetryAfter). SLO is ignored.
+	Pin time.Duration
 	// Tick is the retuning period (default 100ms).
 	Tick time.Duration
-	// MinWindow floors the formation window (default 200µs).
-	MinWindow time.Duration
-	// MaxWindow caps the formation window (default SLO/2).
-	MaxWindow time.Duration
 	// SvcBasePrior / SvcPerReqPrior seed the service model S(n) = a + b·n
 	// before any launch has been observed (defaults 200µs and 2µs).
 	SvcBasePrior   time.Duration
 	SvcPerReqPrior time.Duration
-	// MinBatch is the smallest cohort worth forming; it sets the derived
-	// crossover rate MinBatch²/a (default 2).
-	MinBatch int
 	// CrossoverRate overrides the host/device routing crossover in req/s:
 	// >0 uses the value as-is, 0 derives it from the service model, <0
 	// disables host fallback entirely (always batch).
 	CrossoverRate float64
-	// EWMAAlpha smooths the per-tick arrival rate (default 0.3).
-	EWMAAlpha float64
-	// RetryFloor / RetryCeil clamp the backlog-derived Retry-After hint
-	// (defaults 1s and 30s).
+	// RetryFloor floors the backlog-derived Retry-After hint (default 1s).
 	RetryFloor time.Duration
-	RetryCeil  time.Duration
 }
 
 func (c *Config) fill() {
 	if c.Tick <= 0 {
 		c.Tick = 100 * time.Millisecond
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 200 * time.Microsecond
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = c.SLO / 2
 	}
 	if c.SvcBasePrior <= 0 {
 		c.SvcBasePrior = 200 * time.Microsecond
@@ -113,17 +116,8 @@ func (c *Config) fill() {
 	if c.SvcPerReqPrior <= 0 {
 		c.SvcPerReqPrior = 2 * time.Microsecond
 	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = 2
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
-	}
 	if c.RetryFloor <= 0 {
 		c.RetryFloor = time.Second
-	}
-	if c.RetryCeil <= 0 {
-		c.RetryCeil = 30 * time.Second
 	}
 }
 
@@ -142,6 +136,21 @@ type typeState struct {
 	hostRoute bool
 
 	hostReqs, devReqs uint64
+	toHost, toDevice  uint64 // route flips
+}
+
+// route moves the type to the host (true) or device route, counting the
+// flip when it is one.
+func (ts *typeState) route(host bool) {
+	if host == ts.hostRoute {
+		return
+	}
+	ts.hostRoute = host
+	if host {
+		ts.toHost++
+	} else {
+		ts.toDevice++
+	}
 }
 
 // Controller picks, per request type, the formation window, the
@@ -160,10 +169,16 @@ type Controller struct {
 // New builds a controller with every type routed to the host (cold start
 // = light load) when host fallback is enabled, else to the device with
 // threshold 1 — either way a lone early request is never parked behind a
-// fixed timeout.
+// fixed timeout. A pinned controller (Config.Pin) starts, and stays, at
+// the fixed policy instead.
 func New(cfg Config) *Controller {
-	if cfg.Types <= 0 || cfg.Capacity <= 0 || cfg.SLO <= 0 {
-		panic("adapt: Config needs positive Types, Capacity and SLO")
+	if cfg.Pin != 0 {
+		cfg.SLO = 0 // a pinned window has no latency target to fit
+	} else if cfg.SLO <= 0 {
+		panic("adapt: Config needs a positive SLO or a Pin")
+	}
+	if cfg.Types <= 0 || cfg.Capacity <= 0 {
+		panic("adapt: Config needs positive Types and Capacity")
 	}
 	cfg.fill()
 	c := &Controller{cfg: cfg, types: make([]typeState, cfg.Types)}
@@ -171,9 +186,12 @@ func New(cfg Config) *Controller {
 		ts := &c.types[i]
 		ts.base = cfg.SvcBasePrior.Seconds()
 		ts.perReq = cfg.SvcPerReqPrior.Seconds()
-		ts.window = cfg.MinWindow
+		ts.window = minWindow
 		ts.threshold = 1
 		ts.hostRoute = cfg.CrossoverRate >= 0
+		if cfg.Pin != 0 {
+			ts.window, ts.threshold, ts.hostRoute = cfg.Pin, cfg.Capacity, false
+		}
 	}
 	return c
 }
@@ -196,7 +214,8 @@ func (c *Controller) Arrival(t int) (host bool) {
 	return false
 }
 
-// Window reports type t's current formation window.
+// Window reports type t's current formation window (not positive: the
+// cohort never times out).
 func (c *Controller) Window(t int) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -252,7 +271,7 @@ func (c *Controller) NoteQueue(depth int) {
 
 // RetryAfter estimates how long a shed client should back off: the time
 // to drain the observed backlog at the current operating point, clamped
-// to [RetryFloor, RetryCeil].
+// to [RetryFloor, 30s].
 func (c *Controller) RetryAfter() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -272,18 +291,14 @@ func (c *Controller) RetryAfter() time.Duration {
 		perReq = c.cfg.SvcBasePrior.Seconds()
 	}
 	d := time.Duration(float64(c.queue) * perReq * float64(time.Second))
-	if d < c.cfg.RetryFloor {
-		d = c.cfg.RetryFloor
-	}
-	if d > c.cfg.RetryCeil {
-		d = c.cfg.RetryCeil
-	}
-	return d
+	// The floor wins when a caller sets it above the ceiling.
+	return max(min(d, retryCeil), c.cfg.RetryFloor)
 }
 
 // Tick closes one control period: fold the period's arrivals into the
-// EWMA rate and retune every type's window, threshold, and route. now
-// may come from a wall or virtual clock; only deltas matter.
+// EWMA rate and, unless pinned, retune every type's window, threshold,
+// and route. now may come from a wall or virtual clock; only deltas
+// matter.
 func (c *Controller) Tick(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -302,13 +317,28 @@ func (c *Controller) Tick(now time.Time) {
 		inst := float64(ts.arrivals) / dt
 		ts.arrivals = 0
 		if ts.seeded {
-			ts.rate += c.cfg.EWMAAlpha * (inst - ts.rate)
+			ts.rate += ewmaAlpha * (inst - ts.rate)
 		} else if inst > 0 {
 			ts.rate = inst
 			ts.seeded = true
 		}
-		c.retune(ts)
+		if c.cfg.Pin == 0 {
+			c.retune(ts)
+		}
 	}
+}
+
+// crossover is the arrival rate below which ts routes to the host: the
+// explicit CrossoverRate, else the rate where the square-root law first
+// asks for minBatch; 0 when host routing is off. Caller holds c.mu.
+func (c *Controller) crossover(ts *typeState) float64 {
+	switch {
+	case c.cfg.Pin != 0 || c.cfg.CrossoverRate < 0:
+		return 0
+	case c.cfg.CrossoverRate > 0:
+		return c.cfg.CrossoverRate
+	}
+	return minBatch * minBatch / ts.base
 }
 
 // retune recomputes one type's operating point from its rate and service
@@ -318,9 +348,9 @@ func (c *Controller) retune(ts *typeState) {
 	cap := float64(c.cfg.Capacity)
 	if r <= 0 {
 		ts.threshold = 1
-		ts.window = c.cfg.MinWindow
+		ts.window = minWindow
 		if c.cfg.CrossoverRate >= 0 {
-			ts.hostRoute = true
+			ts.route(true)
 		}
 		return
 	}
@@ -332,21 +362,15 @@ func (c *Controller) retune(ts *typeState) {
 		rho = rhoCap
 	}
 
-	// Host/device crossover with hysteresis. The derived crossover is the
-	// rate where the square-root law first asks for MinBatch.
-	cross := c.cfg.CrossoverRate
-	if cross == 0 {
-		cross = float64(c.cfg.MinBatch*c.cfg.MinBatch) / a
-	}
+	// Host/device crossover with hysteresis.
+	cross := c.crossover(ts)
 	switch {
-	case c.cfg.CrossoverRate < 0:
-		ts.hostRoute = false
-	case rho >= deviceFloorRho:
-		ts.hostRoute = false
+	case c.cfg.CrossoverRate < 0, rho >= deviceFloorRho:
+		ts.route(false)
 	case ts.hostRoute && r >= cross*hystHigh:
-		ts.hostRoute = false
+		ts.route(false)
 	case !ts.hostRoute && r < cross*hystLow:
-		ts.hostRoute = true
+		ts.route(true)
 	}
 
 	// Square-root law with utilization inflation, then the stability
@@ -390,10 +414,7 @@ func (c *Controller) retune(ts *typeState) {
 	// Poisson burstiness), inside what the SLO leaves after two service
 	// times (queue + execute); saturation spends the whole budget.
 	svcAtN := time.Duration((a + b*nf) * float64(time.Second))
-	maxW := c.cfg.SLO - 2*svcAtN
-	if maxW > c.cfg.MaxWindow {
-		maxW = c.cfg.MaxWindow
-	}
+	maxW := min(c.cfg.SLO-2*svcAtN, c.cfg.SLO/2)
 	var w time.Duration
 	if rho >= rhoSat {
 		w = maxW
@@ -403,8 +424,8 @@ func (c *Controller) retune(ts *typeState) {
 	if w > maxW {
 		w = maxW
 	}
-	if w < c.cfg.MinWindow {
-		w = c.cfg.MinWindow
+	if w < minWindow {
+		w = minWindow
 	}
 	ts.window = w
 }
@@ -416,6 +437,12 @@ type TypeSnapshot struct {
 	WindowUs       float64 `json:"window_us"`
 	EarlyThreshold int     `json:"early_threshold"`
 	HostRoute      bool    `json:"host_route"`
+	// CrossoverReqS is the rate below which the type routes to the host
+	// (0: host routing is off); FlipsToDevice/FlipsToHost count the times
+	// the route changed.
+	CrossoverReqS  float64 `json:"crossover_req_s"`
+	FlipsToDevice  uint64  `json:"flips_to_device"`
+	FlipsToHost    uint64  `json:"flips_to_host"`
 	SvcBaseUs      float64 `json:"svc_base_us"`
 	SvcPerReqUs    float64 `json:"svc_per_req_us"`
 	HostRequests   uint64  `json:"host_requests"`
@@ -425,6 +452,10 @@ type TypeSnapshot struct {
 // Snapshot is the controller's state document (the "adapt" section of
 // /v1/stats).
 type Snapshot struct {
+	// Pinned reports the fixed policy (Config.Pin) and PinWindowUs its
+	// window (negative: never time out); SLOMs is then 0.
+	Pinned        bool           `json:"pinned"`
+	PinWindowUs   float64        `json:"pin_window_us"`
 	SLOMs         float64        `json:"slo_ms"`
 	TickMs        float64        `json:"tick_ms"`
 	Ticks         uint64         `json:"ticks"`
@@ -441,6 +472,8 @@ func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := Snapshot{
+		Pinned:       c.cfg.Pin != 0,
+		PinWindowUs:  float64(c.cfg.Pin) / 1e3,
 		SLOMs:        float64(c.cfg.SLO) / 1e6,
 		TickMs:       float64(c.cfg.Tick) / 1e6,
 		Ticks:        c.ticks,
@@ -463,6 +496,9 @@ func (c *Controller) Snapshot() Snapshot {
 			WindowUs:       float64(ts.window) / 1e3,
 			EarlyThreshold: ts.threshold,
 			HostRoute:      ts.hostRoute,
+			CrossoverReqS:  c.crossover(ts),
+			FlipsToDevice:  ts.toDevice,
+			FlipsToHost:    ts.toHost,
 			SvcBaseUs:      ts.base * 1e6,
 			SvcPerReqUs:    ts.perReq * 1e6,
 			HostRequests:   ts.hostReqs,

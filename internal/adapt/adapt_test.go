@@ -137,8 +137,66 @@ func TestCrossoverHysteresis(t *testing.T) {
 	if !c.types[0].hostRoute {
 		t.Fatal("300 req/s under the band should fall back to host")
 	}
-	if snap := c.Snapshot(); snap.HostFallbacks == 0 {
+	snap := c.Snapshot()
+	if snap.HostFallbacks == 0 {
 		t.Fatal("snapshot lost the host fallback count")
+	}
+	// The policy is visible: one flip each way and the crossover in force.
+	if ts := snap.Types[0]; ts.FlipsToDevice != 1 || ts.FlipsToHost != 1 || ts.CrossoverReqS != 1000 || snap.Pinned {
+		t.Fatalf("snapshot flips to device/host = %d/%d, crossover %v, pinned %v; want 1/1, 1000, false",
+			ts.FlipsToDevice, ts.FlipsToHost, ts.CrossoverReqS, snap.Pinned)
+	}
+}
+
+// TestPinned is the fixed §3.1 policy as a mode of the controller: the
+// window and threshold never move whatever the rate or the tick count,
+// nothing routes to the host, and the service model is still fitted.
+func TestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pin  time.Duration
+	}{
+		{"2ms", 2 * time.Millisecond},
+		{"100ms", 100 * time.Millisecond},
+		{"never", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The SLO and crossover given beside a pin are ignored.
+			c := New(Config{Types: 2, Capacity: 64, Pin: tc.pin, SLO: time.Millisecond, CrossoverRate: 1e12, Tick: 10 * time.Millisecond})
+			clock := 0.0
+			c.Tick(at(clock))
+			check := func(when string) {
+				t.Helper()
+				for typ := 0; typ < 2; typ++ {
+					if w, thr := c.Window(typ), c.Threshold(typ); w != tc.pin || thr != 64 {
+						t.Fatalf("%s: type %d window=%v threshold=%d, want %v and the capacity 64", when, typ, w, thr, tc.pin)
+					}
+				}
+				if c.Arrival(0) {
+					t.Fatalf("%s: a pinned controller routed a request to the host", when)
+				}
+			}
+			check("cold")
+			drive(c, &clock, 50, 5)
+			check("at 50 req/s")
+			drive(c, &clock, 50000, 30)
+			check("at 50K req/s")
+			drive(c, &clock, 0, 30)
+			check("idle again")
+
+			seedModel(c, 0, 1e-3, 5e-6)
+			snap := c.Snapshot()
+			if !snap.Pinned || snap.SLOMs != 0 || snap.HostFallbacks != 0 {
+				t.Fatalf("snapshot pinned=%v slo_ms=%v host_fallbacks=%d, want true/0/0", snap.Pinned, snap.SLOMs, snap.HostFallbacks)
+			}
+			ts := snap.Types[0]
+			if math.Abs(ts.SvcBaseUs-1000) > 1 || math.Abs(ts.SvcPerReqUs-5) > 0.01 {
+				t.Fatalf("pinned fit S(n) = %.1fus + %.3fus*n, want 1000 + 5n", ts.SvcBaseUs, ts.SvcPerReqUs)
+			}
+			if ts.CrossoverReqS != 0 || ts.FlipsToHost != 0 || ts.FlipsToDevice != 0 || ts.HostRoute {
+				t.Fatalf("pinned type shows a host route: %+v", ts)
+			}
+		})
 	}
 }
 

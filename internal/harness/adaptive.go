@@ -139,8 +139,10 @@ func AdaptiveStudy(cfg Config) AdaptiveResult {
 		SvcBasePrior:   time.Duration(a * 1e9),
 		SvcPerReqPrior: time.Duration(b * 1e9),
 	})
-	adaptiveRows := simFormationQueue(ctrl, 0, phases, a, b, capacity, cfg.Seed)
-	fixedRows := simFormationQueue(nil, fixed, phases, a, b, capacity, cfg.Seed)
+	adaptiveRows := simFormationQueue(ctrl, phases, a, b, capacity, cfg.Seed)
+	// The fixed policy is the same controller pinned.
+	pinned := adapt.New(adapt.Config{Types: 1, Capacity: capacity, Pin: fixed, Tick: tick})
+	fixedRows := simFormationQueue(pinned, phases, a, b, capacity, cfg.Seed)
 
 	res := AdaptiveResult{
 		SvcBaseUs:   a * 1e6,
@@ -180,14 +182,14 @@ type phaseSim struct {
 // simFormationQueue replays the phase schedule through a single-device
 // formation queue: Poisson arrivals, cohorts launch on threshold /
 // capacity / window expiry, the device serves FIFO at S(n) = a + b·n.
-// With ctrl set the window and threshold retune on controller ticks;
-// otherwise the fixed window and a capacity threshold apply.
-func simFormationQueue(ctrl *adapt.Controller, fixedWindow time.Duration, phases []AdaptivePhase, a, b float64, capacity int, seed int64) []phaseSim {
+// The window and threshold are ctrl's, re-read on every controller tick
+// (a pinned controller never moves them).
+func simFormationQueue(ctrl *adapt.Controller, phases []AdaptivePhase, a, b float64, capacity int, seed int64) []phaseSim {
 	rng := rand.New(rand.NewSource(seed))
 	atSec := func(sec float64) time.Time { return time.Unix(0, int64(sec*1e9)) }
 	svc := func(k int) float64 { return a + b*float64(k) }
-	window := fixedWindow.Seconds()
-	threshold := capacity
+	window := ctrl.Window(0).Seconds()
+	threshold := ctrl.Threshold(0)
 	type served struct{ lat, fin float64 }
 	var (
 		forming  []float64 // arrival times of the forming cohort
@@ -198,10 +200,8 @@ func simFormationQueue(ctrl *adapt.Controller, fixedWindow time.Duration, phases
 		done     []served // current phase's completions, in launch order
 		thrTrace []int    // threshold after each controller tick this phase
 	)
-	if ctrl != nil {
-		ctrl.Tick(atSec(0))
-		nextTick = ctrl.TickEvery().Seconds()
-	}
+	ctrl.Tick(atSec(0))
+	nextTick = ctrl.TickEvery().Seconds()
 	launch := func(when float64) {
 		k := len(forming)
 		start := math.Max(when, devFree)
@@ -210,9 +210,7 @@ func simFormationQueue(ctrl *adapt.Controller, fixedWindow time.Duration, phases
 		for _, arr := range forming {
 			done = append(done, served{lat: fin - arr, fin: fin})
 		}
-		if ctrl != nil {
-			ctrl.ObserveLaunch(0, k, time.Duration(svc(k)*1e9))
-		}
+		ctrl.ObserveLaunch(0, k, time.Duration(svc(k)*1e9))
 		forming = forming[:0]
 	}
 	var out []phaseSim
@@ -228,7 +226,7 @@ func simFormationQueue(ctrl *adapt.Controller, fixedWindow time.Duration, phases
 				if len(forming) > 0 {
 					deadline = opened + window
 				}
-				if ctrl != nil && nextTick < deadline && nextTick <= now {
+				if nextTick < deadline && nextTick <= now {
 					ctrl.Tick(atSec(nextTick))
 					window = ctrl.Window(0).Seconds()
 					threshold = ctrl.Threshold(0)
@@ -242,9 +240,7 @@ func simFormationQueue(ctrl *adapt.Controller, fixedWindow time.Duration, phases
 				}
 				break
 			}
-			if ctrl != nil {
-				ctrl.Arrival(0)
-			}
+			ctrl.Arrival(0)
 			if len(forming) == 0 {
 				opened = now
 			}

@@ -120,6 +120,44 @@ func TestLatencyRecorderRecordAfterPercentile(t *testing.T) {
 	}
 }
 
+// TestLatencyWindowFollowsTraffic: the window holds the most recent
+// samples only, so after a step in the stream the percentiles report the
+// late value instead of freezing on the early one.
+func TestLatencyWindowFollowsTraffic(t *testing.T) {
+	const size = 1 << 16
+	w := NewLatencyWindow(size)
+	if r := w.Recorder(nil); r.Count() != 0 || w.Mean() != 0 {
+		t.Fatalf("empty window holds %d samples, mean %v", r.Count(), w.Mean())
+	}
+	w.Record(7)
+	if r := w.Recorder(nil); r.Count() != 1 || w.Mean() != 7 || r.Mean() != 7 || r.Percentile(50) != 7 {
+		t.Fatalf("one sample: count=%d mean=%v/%v p50=%v", r.Count(), w.Mean(), r.Mean(), r.Percentile(50))
+	}
+	for i := 0; i < 200000; i++ {
+		v := 100.0
+		if i >= 100000 {
+			v = 900
+		}
+		w.Record(v)
+	}
+	r := w.Recorder(nil)
+	if r.Count() != size {
+		t.Fatalf("full window holds %d samples, want %d", r.Count(), size)
+	}
+	if r.Percentile(1) != 900 || r.Percentile(50) != 900 || r.Mean() != 900 || w.Mean() != 900 {
+		t.Fatalf("after the step p1=%v p50=%v mean=%v/%v, want the late value 900 throughout",
+			r.Percentile(1), r.Percentile(50), r.Mean(), w.Mean())
+	}
+	// The copy is the reader's: sorting it did not disturb the ring.
+	for i := 0; i < size/50; i++ {
+		w.Record(5)
+	}
+	if r := w.Recorder(nil); r.Percentile(1) != 5 || r.Percentile(3) != 900 || r.Count() != size {
+		t.Fatalf("after 2%% more samples p1=%v p3=%v count=%d, want 5, 900 and %d",
+			r.Percentile(1), r.Percentile(3), r.Count(), size)
+	}
+}
+
 func TestLatencyRecorderEmpty(t *testing.T) {
 	r := NewLatencyRecorder()
 	if r.Mean() != 0 || r.Percentile(99) != 0 || r.Max() != 0 {

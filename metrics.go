@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rhythm/internal/adapt"
 	"rhythm/internal/flight"
 	"rhythm/internal/httpx"
 	"rhythm/internal/obs"
@@ -24,7 +25,11 @@ import (
 // `type` label and flight-record type is workload-qualified
 // ("banking/login" — banking's were bare through version 5), each
 // document has exactly one path, and /v1/stats takes no parameters.
-const StatsSchemaVersion = 6
+// Version 7: cohort-mode types[*].requests counts both routes
+// (host_requests is the host-routed part), the adapt section is always
+// present and gains pinned, crossover_req_s and the route-flip counts.
+// Any change of shape or meaning, additive included, bumps it.
+const StatsSchemaVersion = 7
 
 // DefaultRegistry builds the process-default workload registry: banking,
 // then e-commerce, then streaming telemetry. Servers built without an
@@ -426,39 +431,46 @@ func writeFabricFamilies(w *obs.PromWriter, st CohortServerStats) {
 	w.Value("rhythm_fabric_lost_units_total", "", float64(st.LostUnits))
 }
 
-// writeAdaptFamilies emits the adaptive-formation controller gauges
-// (DESIGN.md §12): per-type window, rate, threshold, and route, plus the
-// pool-wide host-fallback counter. Nothing is written when the server
-// runs with a fixed formation timeout (st.Adapt == nil).
+// writeAdaptFamilies emits the formation controller's state (DESIGN.md
+// §12): whether it is pinned, then per type the window, rate, threshold,
+// route, crossover and route flips, plus the pool-wide host-route
+// counter and the Retry-After hint.
 func writeAdaptFamilies(w *obs.PromWriter, st CohortServerStats) {
 	ad := st.Adapt
-	if ad == nil {
-		return
-	}
-	w.Family("rhythm_adapt_window_seconds", "gauge", "Current adaptive formation window, by request type.")
-	for _, ts := range ad.Types {
-		w.Value("rhythm_adapt_window_seconds", obs.Label("type", ts.Type), ts.WindowUs/1e6)
-	}
-	w.Family("rhythm_adapt_arrival_rate", "gauge", "Smoothed arrival rate in req/s, by request type.")
-	for _, ts := range ad.Types {
-		w.Value("rhythm_adapt_arrival_rate", obs.Label("type", ts.Type), ts.RateReqS)
-	}
-	w.Family("rhythm_adapt_early_threshold", "gauge", "Early-launch cohort threshold, by request type.")
-	for _, ts := range ad.Types {
-		w.Value("rhythm_adapt_early_threshold", obs.Label("type", ts.Type), float64(ts.EarlyThreshold))
-	}
-	w.Family("rhythm_adapt_host_route", "gauge", "1 while the type routes to the scalar host path (below crossover).")
-	for _, ts := range ad.Types {
-		v := 0.0
-		if ts.HostRoute {
-			v = 1
+	w.Family("rhythm_adapt_pinned", "gauge", "1 while the controller is pinned to a fixed formation timeout (no retuning, no host route).")
+	w.Value("rhythm_adapt_pinned", "", boolGauge(ad.Pinned))
+	perType := func(name, kind, help string, value func(adapt.TypeSnapshot) float64) {
+		w.Family(name, kind, help)
+		for _, ts := range ad.Types {
+			w.Value(name, obs.Label("type", ts.Type), value(ts))
 		}
-		w.Value("rhythm_adapt_host_route", obs.Label("type", ts.Type), v)
+	}
+	perType("rhythm_adapt_window_seconds", "gauge", "Current formation window, by request type.",
+		func(ts adapt.TypeSnapshot) float64 { return ts.WindowUs / 1e6 })
+	perType("rhythm_adapt_arrival_rate", "gauge", "Smoothed arrival rate in req/s, by request type.",
+		func(ts adapt.TypeSnapshot) float64 { return ts.RateReqS })
+	perType("rhythm_adapt_early_threshold", "gauge", "Early-launch cohort threshold, by request type.",
+		func(ts adapt.TypeSnapshot) float64 { return float64(ts.EarlyThreshold) })
+	perType("rhythm_adapt_host_route", "gauge", "1 while the type routes to the scalar host path (below crossover).",
+		func(ts adapt.TypeSnapshot) float64 { return boolGauge(ts.HostRoute) })
+	perType("rhythm_adapt_crossover_rate", "gauge", "Arrival rate in req/s below which the type routes to the host (0 = host route off).",
+		func(ts adapt.TypeSnapshot) float64 { return ts.CrossoverReqS })
+	w.Family("rhythm_adapt_route_flips_total", "counter", "Route changes, by request type and the route moved to.")
+	for _, ts := range ad.Types {
+		w.Value("rhythm_adapt_route_flips_total", obs.Label("type", ts.Type)+`,to="device"`, float64(ts.FlipsToDevice))
+		w.Value("rhythm_adapt_route_flips_total", obs.Label("type", ts.Type)+`,to="host"`, float64(ts.FlipsToHost))
 	}
 	w.Family("rhythm_adapt_host_fallback_total", "counter", "Requests served through the scalar host fallback path.")
 	w.Value("rhythm_adapt_host_fallback_total", "", float64(st.HostFallbacks))
 	w.Family("rhythm_adapt_retry_after_seconds", "gauge", "Backlog-derived Retry-After hint on 503 responses.")
 	w.Value("rhythm_adapt_retry_after_seconds", "", ad.RetryAfterMs/1e3)
+}
+
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // writeDeviceFamilies emits the SIMT device counters the paper's

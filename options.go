@@ -72,7 +72,8 @@ type Option func(*serverConfig)
 
 // WithHostExecution serves every request on the scalar host path (the
 // paper's conventional-server baseline) instead of the cohort pipeline.
-// Formation, device, and SLO options are ignored in this mode.
+// Formation and device options are ignored in this mode; WithSLO only
+// sets the /v1/health latency target.
 func WithHostExecution() Option {
 	return func(c *serverConfig) { c.host = true }
 }
@@ -99,10 +100,12 @@ func WithDevices(n int) Option {
 	return func(c *serverConfig) { c.cohort.Devices = n }
 }
 
-// WithFormation sets the cohort geometry: requests per cohort, cohort
-// contexts in flight across the pool, and the §3.1 formation deadline
-// (negative timeout disables it). Zero values keep the defaults
-// documented on CohortOptions.
+// WithFormation sets the cohort geometry: requests per cohort and cohort
+// contexts in flight across the pool (zero keeps the defaults documented
+// on CohortOptions). A non-zero timeout pins the formation controller to
+// the paper's fixed §3.1 policy — launch when full or timeout after the
+// cohort's first request (negative: never), no host route — unless
+// WithSLO is given too; zero leaves the controller adaptive.
 func WithFormation(size, contexts int, timeout time.Duration) Option {
 	return func(c *serverConfig) {
 		c.cohort.CohortSize = size
@@ -111,25 +114,26 @@ func WithFormation(size, contexts int, timeout time.Duration) Option {
 	}
 }
 
-// WithSLO enables the adaptive formation controller (DESIGN.md §12)
-// with the given p99 latency target: per-type formation windows and
+// WithSLO sets the p99 latency target of the formation controller
+// (DESIGN.md §12; default 50ms): per-type formation windows and
 // early-launch thresholds track the arrival rate and the measured
 // service model, and below the crossover rate requests are served on
-// the scalar host path.
+// the scalar host path. It wins over a WithFormation timeout, and is
+// also the latency target /v1/health classifies against.
 func WithSLO(p99 time.Duration) Option {
 	return func(c *serverConfig) { c.cohort.SLO = p99 }
 }
 
-// WithAdaptTick sets the adaptive controller's retuning period
-// (default 100ms). Only meaningful with WithSLO.
+// WithAdaptTick sets the formation controller's retuning period
+// (default 100ms).
 func WithAdaptTick(d time.Duration) Option {
 	return func(c *serverConfig) { c.cohort.AdaptTick = d }
 }
 
-// WithCrossoverRate pins the adaptive host/device routing crossover in
-// req/s: >0 uses the explicit rate, <0 disables host fallback (always
-// batch), 0 (the default) derives it from the measured service model.
-// Only meaningful with WithSLO.
+// WithCrossoverRate sets the host/device routing crossover in req/s:
+// >0 uses the explicit rate, <0 disables the host route (always batch),
+// 0 (the default) derives it from the measured service model. A
+// controller pinned by WithFormation's timeout never routes to the host.
 func WithCrossoverRate(r float64) Option {
 	return func(c *serverConfig) { c.cohort.CrossoverRate = r }
 }
@@ -255,7 +259,7 @@ func WithFlightRecorder(ring int, slow time.Duration) Option {
 // both modes): objective is the target good fraction (0 = 0.99), and
 // fast/slow are the burn evaluation windows (0 = 5m and 1h). The
 // latency target requests are classified against is the WithSLO target
-// when set, else 250ms.
+// when given, else 250ms (never the formation controller's default).
 func WithHealthSLO(objective float64, fast, slow time.Duration) Option {
 	return func(c *serverConfig) {
 		c.cohort.HealthObjective = objective
@@ -264,10 +268,13 @@ func WithHealthSLO(objective float64, fast, slow time.Duration) Option {
 	}
 }
 
-// New builds a live banking server bound to addr (use ":0" for an
-// ephemeral port) and returns it behind the Server interface. By
-// default it serves through the cohort pipeline on modeled SIMT
-// devices; WithHostExecution selects the scalar host path instead.
+// New builds a live server of the registered workloads bound to addr
+// (use ":0" for an ephemeral port) and returns it behind the Server
+// interface. By default it serves through the cohort pipeline on modeled
+// SIMT devices under the adaptive formation controller — a lone request
+// is answered at once on the host path of the device that owns its
+// state, a burst forms cohorts; WithHostExecution selects the scalar
+// host server instead.
 // This is the construction path rhythmd uses; NewTCPServer and
 // NewCohortServer remain for callers that need the concrete types.
 func New(addr string, opts ...Option) (Server, error) {

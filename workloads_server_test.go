@@ -28,6 +28,7 @@ type lockstep struct {
 	hostR      *bufio.Reader
 	devR       *bufio.Reader
 	transcript bytes.Buffer
+	exchanges  int
 }
 
 // newLockstep boots a fresh host reference server (session geometry
@@ -35,7 +36,14 @@ type lockstep struct {
 // both servers.
 func newLockstep(t *testing.T, dev *CohortServer) *lockstep {
 	t.Helper()
-	host := NewTCPServer(4096)
+	return newLockstepSessions(t, dev, 4096)
+}
+
+// newLockstepSessions is newLockstep against a cohort server sized for
+// maxSessions sessions: session ids only match at equal geometry.
+func newLockstepSessions(t *testing.T, dev *CohortServer, maxSessions int) *lockstep {
+	t.Helper()
+	host := NewTCPServer(maxSessions)
 	if err := host.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +73,7 @@ func (ls *lockstep) exchange(label, raw string) []byte {
 	}
 	ls.transcript.WriteString(label + "\n")
 	ls.transcript.Write(got)
+	ls.exchanges++
 	return got
 }
 
