@@ -49,8 +49,8 @@ type shoutStore struct {
 }
 
 func (s *shoutStore) Handle(req []byte) []byte {
-	line := strings.TrimRight(string(req), "\x00")
-	msg, ok := strings.CutPrefix(line, "SHOUT ")
+	// req is exactly the bytes the stage returned, on either path.
+	msg, ok := strings.CutPrefix(string(req), "SHOUT ")
 	if !ok {
 		return []byte("FAIL bad verb")
 	}
@@ -74,9 +74,9 @@ func shoutStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Fail("shout: need msg=<1..64 chars>")
 			return nil
 		}
-		return []byte("SHOUT " + msg)
+		return ctx.Page.Appendf("SHOUT %s", msg)
 	}
-	lines := strings.Split(strings.TrimRight(string(bresp), "\x00"), "\n")
+	lines := strings.Split(string(bresp), "\n")
 	if len(lines) != 3 || lines[0] != "OK" {
 		ctx.Fail("shout backend error")
 		return nil

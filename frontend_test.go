@@ -237,3 +237,51 @@ func FuzzReadRequest(f *testing.F) {
 		}
 	})
 }
+
+// TestOversizeBackendRequestIsAnErrorPage: a login whose password makes
+// the AUTH line outgrow the 1 KB backend request slot is that request's
+// failure — the §4.4 error page, byte for byte the same from the host
+// server, from the default server (whose lone requests run on the
+// device's host path) and from a pinned cohort server (whose stage
+// kernel fills the slot) — and never the process's: the next request on
+// a new connection is answered.
+func TestOversizeBackendRequestIsAnErrorPage(t *testing.T) {
+	raw := rawPost("/login.php", "", "userid=4242&passwd="+strings.Repeat("x", 1536))
+	errorsOf := func(srv Server) uint64 {
+		if snap := srv.Snapshot(); snap.Host != nil {
+			return snap.Host.Errors
+		} else {
+			return snap.Cohort.KernelErrors
+		}
+	}
+	var first []byte
+	for _, c := range []struct {
+		name string
+		srv  Server
+	}{
+		{"host", startNew(t, WithHostExecution())},
+		{"default", startNew(t)},
+		{"pinned", startNew(t, WithFormation(8, 4, 2*time.Millisecond))},
+	} {
+		before := errorsOf(c.srv)
+		conn := dialT(t, c.srv.Addr())
+		if _, err := io.WriteString(conn, raw); err != nil {
+			t.Fatal(err)
+		}
+		page := readRawResponse(t, bufio.NewReader(conn))
+		if !bytes.Contains(page, []byte("Request failed")) || !bytes.Contains(page, []byte("backend request too large")) {
+			t.Fatalf("%s: answered %.200q, want the error page", c.name, page)
+		}
+		if first == nil {
+			first = page
+		} else if !bytes.Equal(page, first) {
+			t.Fatalf("%s: error page differs from the host server's", c.name)
+		}
+		if got := errorsOf(c.srv) - before; got != 1 {
+			t.Fatalf("%s: %d errors counted, want 1", c.name, got)
+		}
+		if resp := get(t, c.srv, "/index.php"); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 ")) {
+			t.Fatalf("%s: the next request was answered %.80q", c.name, resp)
+		}
+	}
+}

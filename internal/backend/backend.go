@@ -10,9 +10,12 @@
 package backend
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"rhythm/internal/fmtx"
 )
 
 // Slot sizes from the paper (§5.1): 1 KB backend requests, 4 KB backend
@@ -64,6 +67,8 @@ type DB struct {
 	orders   map[uint64][]string
 	bills    map[uint64][]string
 	requests uint64
+	// resp is Handle's response buffer, reused by the next Handle.
+	resp []byte
 	// writeHook, when set, is invoked with the affected user id after a
 	// state mutation commits. The Besim deferred-write replay drives the
 	// same mutator methods, so one hook covers both the host path and
@@ -121,7 +126,7 @@ var (
 // starts with. Workload generators use it to produce valid logins without
 // a shared database handle (§5.3.1 random input generation).
 func PasswordFor(uid uint64) string {
-	return fmt.Sprintf("pw%08x", uint32(mix(uid^0x77)))
+	return fmtx.Sprintf("pw%08x", uint32(mix(uid^0x77)))
 }
 
 // GetProfile returns (synthesizing on first touch) the profile for uid.
@@ -133,10 +138,10 @@ func (db *DB) GetProfile(uid uint64) *Profile {
 	p := &Profile{
 		UserID:   uid,
 		Name:     firstNames[h%16] + " " + lastNames[(h>>4)%16],
-		Address:  fmt.Sprintf("%d %s", 100+(h>>8)%900, streets[(h>>16)%8]),
+		Address:  fmtx.Sprintf("%d %s", 100+(h>>8)%900, streets[(h>>16)%8]),
 		City:     cities[(h>>20)%8],
-		Email:    fmt.Sprintf("user%d@specbank.example", uid),
-		Phone:    fmt.Sprintf("(%03d) 555-%04d", 200+(h>>24)%800, h%10000),
+		Email:    fmtx.Sprintf("user%d@specbank.example", uid),
+		Phone:    fmtx.Sprintf("(%03d) 555-%04d", 200+(h>>24)%800, h%10000),
 		Password: PasswordFor(uid),
 	}
 	db.profiles[uid] = p
@@ -159,7 +164,7 @@ func (db *DB) GetAccounts(uid uint64) []Account {
 			kind = "savings"
 		}
 		accts[i] = Account{
-			Number:  fmt.Sprintf("%04d-%08d", 1000+i, uint32(hi)%100000000),
+			Number:  fmtx.Sprintf("%04d-%08d", 1000+i, uint32(hi)%100000000),
 			Kind:    kind,
 			Balance: int64(hi%5_000_00) + 100_00,
 		}
@@ -172,22 +177,37 @@ func (db *DB) GetAccounts(uid uint64) []Account {
 func (db *DB) GetTxns(uid uint64, acct, n int) []Txn {
 	txns := make([]Txn, n)
 	for i := range txns {
-		h := mix(uid ^ uint64(acct)<<32 ^ uint64(i)<<16 ^ 0x7a7)
-		amt := -int64(h % 200_00)
-		checkN := 0
-		if h%5 == 0 {
-			amt = int64(h % 3000_00) // deposit
-		} else if h%5 == 1 {
-			checkN = 1000 + int(h%9000)
-		}
+		month, day, desc, amt, checkN := txn(uid, acct, i)
 		txns[i] = Txn{
-			Date:   fmt.Sprintf("2009-%02d-%02d", 1+(h>>8)%12, 1+(h>>16)%28),
-			Desc:   merchants[(h>>24)%12],
+			Date:   fmtx.Sprintf("2009-%02d-%02d", month, day),
+			Desc:   desc,
 			Amount: amt,
 			CheckN: checkN,
 		}
 	}
 	return txns
+}
+
+// txn synthesizes statement line i of an account.
+func txn(uid uint64, acct, i int) (month, day uint64, desc string, amt int64, checkN int) {
+	h := mix(uid ^ uint64(acct)<<32 ^ uint64(i)<<16 ^ 0x7a7)
+	amt = -int64(h % 200_00)
+	if h%5 == 0 {
+		amt = int64(h % 3000_00) // deposit
+	} else if h%5 == 1 {
+		checkN = 1000 + int(h%9000)
+	}
+	return 1 + (h>>8)%12, 1 + (h>>16)%28, merchants[(h>>24)%12], amt, checkN
+}
+
+// appendTxns appends the wire rows of the n lines GetTxns returns,
+// "date|desc|amount|check", without building them as Txns first.
+func appendTxns(b []byte, uid uint64, acct, n int) []byte {
+	for i := 0; i < n; i++ {
+		month, day, desc, amt, checkN := txn(uid, acct, i)
+		b = fmtx.Appendf(b, "2009-%02d-%02d|%s|%d|%d\n", month, day, desc, amt, checkN)
+	}
+	return b
 }
 
 // GetPayees returns registered payees (seeding 3 defaults on first touch).
@@ -197,9 +217,9 @@ func (db *DB) GetPayees(uid uint64) []Payee {
 	}
 	h := mix(uid ^ 0xbee)
 	p := []Payee{
-		{Name: merchants[h%12], Account: fmt.Sprintf("P-%06d", h%1000000)},
-		{Name: merchants[(h>>8)%12], Account: fmt.Sprintf("P-%06d", (h>>8)%1000000)},
-		{Name: merchants[(h>>16)%12], Account: fmt.Sprintf("P-%06d", (h>>16)%1000000)},
+		{Name: merchants[h%12], Account: fmtx.Sprintf("P-%06d", h%1000000)},
+		{Name: merchants[(h>>8)%12], Account: fmtx.Sprintf("P-%06d", (h>>8)%1000000)},
+		{Name: merchants[(h>>16)%12], Account: fmtx.Sprintf("P-%06d", (h>>16)%1000000)},
 	}
 	db.payees[uid] = p
 	return p
@@ -225,7 +245,7 @@ func (db *DB) Transfer(uid uint64, from, to int, cents int64) (fromBal, toBal in
 		return 0, 0, fmt.Errorf("backend: bad account index %d->%d", from, to)
 	}
 	if cents <= 0 || accts[from].Balance < cents {
-		return 0, 0, fmt.Errorf("backend: insufficient funds")
+		return 0, 0, errors.New("backend: insufficient funds")
 	}
 	accts[from].Balance -= cents
 	accts[to].Balance += cents
@@ -235,8 +255,8 @@ func (db *DB) Transfer(uid uint64, from, to int, cents int64) (fromBal, toBal in
 
 // PayBill records a bill payment and returns a confirmation id.
 func (db *DB) PayBill(uid uint64, payee string, cents int64, date string) string {
-	conf := fmt.Sprintf("BP-%08x", uint32(mix(uid^uint64(len(db.bills[uid]))^0xb111)))
-	db.bills[uid] = append(db.bills[uid], fmt.Sprintf("%s|%s|%d|%s", conf, payee, cents, date))
+	conf := fmtx.Sprintf("BP-%08x", uint32(mix(uid^uint64(len(db.bills[uid]))^0xb111)))
+	db.bills[uid] = append(db.bills[uid], fmtx.Sprintf("%s|%s|%d|%s", conf, payee, cents, date))
 	db.noteWrite(uid)
 	return conf
 }
@@ -248,7 +268,7 @@ func (db *DB) Bills(uid uint64, n int) []string {
 		var seeded []string
 		for i := 0; i < 6; i++ {
 			h := mix(uid ^ uint64(i)<<24 ^ 0xb111)
-			seeded = append(seeded, fmt.Sprintf("BP-%08x|%s|%d|2009-%02d-%02d",
+			seeded = append(seeded, fmtx.Sprintf("BP-%08x|%s|%d|2009-%02d-%02d",
 				uint32(h), merchants[h%12], 10_00+h%300_00, 1+(h>>8)%12, 1+(h>>16)%28))
 		}
 		db.bills[uid] = seeded
@@ -266,7 +286,7 @@ func (db *DB) Bills(uid uint64, n int) []string {
 
 // OrderCheck prices a check order and returns (orderID, priceCents).
 func (db *DB) OrderCheck(uid uint64, style string, qty int) (string, int64) {
-	id := fmt.Sprintf("CO-%08x", uint32(mix(uid^uint64(qty)<<16^0xc4ec)))
+	id := fmtx.Sprintf("CO-%08x", uint32(mix(uid^uint64(qty)<<16^0xc4ec)))
 	price := int64(qty) * 45 // 45¢ per check
 	if style == "premium" {
 		price *= 2
@@ -304,20 +324,22 @@ func (db *DB) UpdateProfile(uid uint64, fields map[string]string) *Profile {
 // CheckImageMeta describes a cleared check for the check-detail page.
 func (db *DB) CheckImageMeta(uid uint64, checkNo int) (date string, cents int64, payee string) {
 	h := mix(uid ^ uint64(checkNo)<<20 ^ 0xcafe)
-	return fmt.Sprintf("2009-%02d-%02d", 1+(h>>4)%12, 1+(h>>12)%28),
+	return fmtx.Sprintf("2009-%02d-%02d", 1+(h>>4)%12, 1+(h>>12)%28),
 		int64(h % 500_00), merchants[(h>>24)%12]
 }
 
-// Handle processes one wire-format backend request (the string a process
-// stage writes into its 1 KB slot) and returns the wire-format response.
+// Handle processes one wire-format backend request (the live bytes of
+// the slot a process stage wrote) and returns the wire-format response,
+// valid until the next Handle: it is built in a buffer the DB reuses.
 // The textual protocol is line-oriented: "VERB arg1 arg2 ...".
 // Unknown verbs or malformed arguments produce "ERR <reason>" rather than
 // an error: the device-side stage renders backend errors into the page,
 // matching Rhythm's per-request error state (§4.4).
 func (db *DB) Handle(req []byte) []byte {
 	db.requests++
-	s := strings.TrimRight(string(req), "\x00 \r\n")
-	fields := strings.Fields(s)
+	// The fields alias this one copy, so what a verb stores of them
+	// (a payee's name) never aliases the caller's buffer.
+	fields := strings.Fields(string(req))
 	if len(fields) == 0 {
 		return []byte("ERR empty")
 	}
@@ -329,11 +351,11 @@ func (db *DB) Handle(req []byte) []byte {
 }
 
 func (db *DB) dispatch(f []string) []byte {
-	var b strings.Builder
 	uid, err := parseUID(f)
 	if err != nil && f[0] != "PING" {
 		return []byte("ERR " + err.Error())
 	}
+	b := append(db.resp[:0], "OK\n"...)
 	switch f[0] {
 	case "PING":
 		return []byte("PONG")
@@ -345,24 +367,18 @@ func (db *DB) dispatch(f []string) []byte {
 		if !ok {
 			return []byte("FAIL bad credentials")
 		}
-		fmt.Fprintf(&b, "OK\n%s\n%s\n%s\n", p.Name, p.Email, p.Phone)
-		writeAccounts(&b, db.GetAccounts(uid))
+		b = fmtx.Appendf(b, "%s\n%s\n%s\n", p.Name, p.Email, p.Phone)
+		b = appendAccounts(b, db.GetAccounts(uid))
 	case "PROFILE":
-		p := db.GetProfile(uid)
-		fmt.Fprintf(&b, "OK\n%s\n%s\n%s\n%s\n%s\n", p.Name, p.Address, p.City, p.Email, p.Phone)
+		b = appendProfile(b, db.GetProfile(uid))
 	case "SUMMARY":
 		// Combined accounts + recent activity: account_summary needs both
 		// in its single backend round trip (Table 2: 1 backend request).
-		b.WriteString("OK\n")
-		accts := db.GetAccounts(uid)
-		writeAccounts(&b, accts)
-		b.WriteString("--\n")
-		for _, t := range db.GetTxns(uid, 0, 20) {
-			fmt.Fprintf(&b, "%s|%s|%d|%d\n", t.Date, t.Desc, t.Amount, t.CheckN)
-		}
+		b = appendAccounts(b, db.GetAccounts(uid))
+		b = append(b, "--\n"...)
+		b = appendTxns(b, uid, 0, 20)
 	case "ACCTS":
-		b.WriteString("OK\n")
-		writeAccounts(&b, db.GetAccounts(uid))
+		b = appendAccounts(b, db.GetAccounts(uid))
 	case "TXNS":
 		if len(f) < 4 {
 			return []byte("ERR args")
@@ -372,31 +388,22 @@ func (db *DB) dispatch(f []string) []byte {
 		if n <= 0 || n > 40 {
 			return []byte("ERR txn count")
 		}
-		b.WriteString("OK\n")
-		for _, t := range db.GetTxns(uid, acct, n) {
-			fmt.Fprintf(&b, "%s|%s|%d|%d\n", t.Date, t.Desc, t.Amount, t.CheckN)
-		}
+		b = appendTxns(b, uid, acct, n)
 	case "PAYEES":
-		b.WriteString("OK\n")
-		for _, p := range db.GetPayees(uid) {
-			fmt.Fprintf(&b, "%s|%s\n", p.Name, p.Account)
-		}
+		b = appendPayees(b, db.GetPayees(uid))
 	case "ADDPAYEE":
 		if len(f) < 4 {
 			return []byte("ERR args")
 		}
 		db.AddPayee(uid, f[2], f[3])
-		b.WriteString("OK\n")
-		for _, p := range db.GetPayees(uid) {
-			fmt.Fprintf(&b, "%s|%s\n", p.Name, p.Account)
-		}
+		b = appendPayees(b, db.GetPayees(uid))
 	case "BILLPAY":
 		if len(f) < 5 {
 			return []byte("ERR args")
 		}
 		cents, _ := strconv.ParseInt(f[3], 10, 64)
 		conf := db.PayBill(uid, f[2], cents, f[4])
-		fmt.Fprintf(&b, "OK\n%s\n", conf)
+		b = fmtx.Appendf(b, "%s\n", conf)
 	case "BILLS":
 		if len(f) < 3 {
 			return []byte("ERR args")
@@ -405,10 +412,8 @@ func (db *DB) dispatch(f []string) []byte {
 		if n <= 0 || n > 20 {
 			return []byte("ERR count")
 		}
-		b.WriteString("OK\n")
 		for _, line := range db.Bills(uid, n) {
-			b.WriteString(line)
-			b.WriteByte('\n')
+			b = fmtx.Appendf(b, "%s\n", line)
 		}
 	case "TRANSFER":
 		if len(f) < 5 {
@@ -421,14 +426,14 @@ func (db *DB) dispatch(f []string) []byte {
 		if err != nil {
 			return []byte("FAIL " + err.Error())
 		}
-		fmt.Fprintf(&b, "OK\n%d\n%d\n", fb, tb)
+		b = fmtx.Appendf(b, "%d\n%d\n", fb, tb)
 	case "CHECKINFO":
 		if len(f) < 3 {
 			return []byte("ERR args")
 		}
 		cn, _ := strconv.Atoi(f[2])
 		date, cents, payee := db.CheckImageMeta(uid, cn)
-		fmt.Fprintf(&b, "OK\n%s\n%d\n%s\n", date, cents, payee)
+		b = fmtx.Appendf(b, "%s\n%d\n%s\n", date, cents, payee)
 	case "ORDERCHECK":
 		if len(f) < 4 {
 			return []byte("ERR args")
@@ -438,7 +443,7 @@ func (db *DB) dispatch(f []string) []byte {
 			return []byte("ERR qty")
 		}
 		id, price := db.OrderCheck(uid, f[2], qty)
-		fmt.Fprintf(&b, "OK\n%s\n%d\n", id, price)
+		b = fmtx.Appendf(b, "%s\n%d\n", id, price)
 	case "PLACEORDER":
 		// Prices and places the order in one round trip so the
 		// place_check_order page needs a single backend request
@@ -452,7 +457,7 @@ func (db *DB) dispatch(f []string) []byte {
 		}
 		id, price := db.OrderCheck(uid, f[2], qty)
 		conf := db.PlaceOrder(uid, id)
-		fmt.Fprintf(&b, "OK\n%s\n%s\n%d\n", id, conf, price)
+		b = fmtx.Appendf(b, "%s\n%s\n%d\n", id, conf, price)
 	case "POSTPROFILE":
 		fields := map[string]string{}
 		for _, kv := range f[2:] {
@@ -460,23 +465,35 @@ func (db *DB) dispatch(f []string) []byte {
 				fields[kv[:eq]] = kv[eq+1:]
 			}
 		}
-		p := db.UpdateProfile(uid, fields)
-		fmt.Fprintf(&b, "OK\n%s\n%s\n%s\n%s\n%s\n", p.Name, p.Address, p.City, p.Email, p.Phone)
+		b = appendProfile(b, db.UpdateProfile(uid, fields))
 	default:
 		return []byte("ERR unknown verb " + f[0])
 	}
-	return []byte(b.String())
+	db.resp = b
+	return b
 }
 
-func writeAccounts(b *strings.Builder, accts []Account) {
+func appendAccounts(b []byte, accts []Account) []byte {
 	for _, a := range accts {
-		fmt.Fprintf(b, "%s|%s|%d\n", a.Number, a.Kind, a.Balance)
+		b = fmtx.Appendf(b, "%s|%s|%d\n", a.Number, a.Kind, a.Balance)
 	}
+	return b
+}
+
+func appendPayees(b []byte, payees []Payee) []byte {
+	for _, p := range payees {
+		b = fmtx.Appendf(b, "%s|%s\n", p.Name, p.Account)
+	}
+	return b
+}
+
+func appendProfile(b []byte, p *Profile) []byte {
+	return fmtx.Appendf(b, "%s\n%s\n%s\n%s\n%s\n", p.Name, p.Address, p.City, p.Email, p.Phone)
 }
 
 func parseUID(f []string) (uint64, error) {
 	if len(f) < 2 {
-		return 0, fmt.Errorf("missing uid")
+		return 0, errors.New("missing uid")
 	}
 	uid, err := strconv.ParseUint(f[1], 10, 64)
 	if err != nil {

@@ -154,16 +154,6 @@ func TestHandleAuthFlow(t *testing.T) {
 	}
 }
 
-func TestHandleNULPaddedSlot(t *testing.T) {
-	// Process stages hand the backend its full fixed-size slot.
-	db := New()
-	slot := make([]byte, RequestSlot)
-	copy(slot, "ACCTS 7")
-	if resp := string(db.Handle(slot)); !strings.HasPrefix(resp, "OK\n") {
-		t.Fatalf("padded slot response %q", resp)
-	}
-}
-
 func TestResponsesFitSlot(t *testing.T) {
 	db := New()
 	f := func(uid uint64, n uint8) bool {

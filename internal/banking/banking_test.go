@@ -2,6 +2,7 @@ package banking
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -337,11 +338,14 @@ func TestParseMoney(t *testing.T) {
 }
 
 func TestMoneyFormat(t *testing.T) {
-	if money(123456) != "$1234.56" {
-		t.Fatalf("money = %q", money(123456))
-	}
-	if money(-50) != "-$0.50" {
-		t.Fatalf("money = %q", money(-50))
+	var p service.PageBuilder
+	for cents, want := range map[int64]string{
+		123456: "$1234.56", -50: "-$0.50", 0: "$0.00", 7: "$0.07", -9999999999: "-$99999999.99",
+		math.MinInt64: "-$92233720368547758.08",
+	} {
+		if got := money(&p, cents); got != want {
+			t.Errorf("money(%d) = %q, want %q", cents, got, want)
+		}
 	}
 }
 

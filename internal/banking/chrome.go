@@ -152,26 +152,22 @@ func esc(s string) string {
 	return escReplacer.Replace(s)
 }
 
-// money renders cents as a dollar amount in one allocation.
-func money(cents int64) string {
-	var b [24]byte
-	buf := b[:0]
+// money renders cents as a dollar amount into the page's arena (valid
+// until the page is reset).
+func money(p *service.PageBuilder, cents int64) string {
 	if cents < 0 {
-		buf = append(buf, '-')
-		cents = -cents
+		u := -uint64(cents)
+		return p.Sprintf("-$%d.%02d", u/100, u%100)
 	}
-	buf = append(buf, '$')
-	buf = strconv.AppendInt(buf, cents/100, 10)
-	buf = append(buf, '.')
-	c := cents % 100
-	buf = append(buf, byte('0'+c/10), byte('0'+c%10))
-	return string(buf)
+	return p.Sprintf("$%d.%02d", cents/100, cents%100)
 }
 
-// beLines splits a backend response into lines, reporting whether the
-// backend answered OK.
+// beLines copies a backend response and splits it into lines, reporting
+// whether the backend answered OK. The copy is what lets the lines
+// outlive the stage call (loginState, quickPayState, the page's pieces):
+// resp is the backend's own buffer or the lane's slot.
 func beLines(resp []byte) ([]string, bool) {
-	s := strings.TrimRight(string(resp), "\x00\n ")
+	s := strings.TrimRight(string(resp), "\n ")
 	lines := strings.Split(s, "\n")
 	if len(lines) == 0 || lines[0] != "OK" {
 		return lines, false

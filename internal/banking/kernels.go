@@ -61,9 +61,10 @@ func (pb *ParseBatch) Reset(count int) {
 }
 
 // CohortDeviceBytes reports the device memory one cohort of `size` slots
-// of type t occupies on the modeled device, column images included (used
-// by the §6.3 capacity analysis; the simulation backs only the row-major
-// half, service.PageWorkload.DeviceBytes).
+// of type t occupies on the modeled device, column images and response
+// buffers included (used by the §6.3 capacity analysis; of it the
+// simulation backs only the backend slots' row-major half,
+// service.PageWorkload.DeviceBytes).
 func CohortDeviceBytes(t ReqType, size int) int64 {
 	return int64(size) * int64(RequestSlot+2*backend.RequestSlot+2*backend.ResponseSlot+2*Specs[t].BufferBytes())
 }

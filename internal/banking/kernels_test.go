@@ -122,12 +122,9 @@ func TestCohortDeviceBytesAccounting(t *testing.T) {
 	if CohortDeviceBytes(Logout, 4096) <= CohortDeviceBytes(Login, 4096) {
 		t.Fatal("64 KB buffers must dominate 8 KB buffers")
 	}
-	// The simulation backs one row-major buffer set per class.
-	var classes int64
-	for _, c := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10} {
-		classes += 1024 * int64(c+backend.RequestSlot+backend.ResponseSlot)
-	}
-	if all := NewWorkload().DeviceBytes(1024); all != classes {
-		t.Fatalf("DeviceBytes = %d, want %d", all, classes)
+	// The simulation backs the backend slots of one cohort per class
+	// (8, 16, 32 and 64 KB) and no response buffer.
+	if all, want := NewWorkload().DeviceBytes(1024), int64(4*1024*(backend.RequestSlot+backend.ResponseSlot)); all != want {
+		t.Fatalf("DeviceBytes = %d, want %d", all, want)
 	}
 }

@@ -48,7 +48,7 @@ func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			return nil
 		}
 		ctx.UserID = uid
-		return []byte(fmt.Sprintf("AUTH %d %s", uid, passwd))
+		return p.Appendf("AUTH %d %s", uid, passwd)
 	case 1: // check AUTH, create session, issue TXNS
 		p.Block(base + 2)
 		lines, ok := beLines(bresp)
@@ -85,11 +85,11 @@ func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			if k%2 == 1 {
 				cls = " class=\"alt\""
 			}
-			p.Dynamicf("<tr%s><td>%s</td><td>%s</td><td class=\"amount\">%s</td></tr>\n", cls, esc(f[0]), esc(f[1]), money(bal))
+			p.Dynamicf("<tr%s><td>%s</td><td>%s</td><td class=\"amount\">%s</td></tr>\n", cls, esc(f[0]), esc(f[1]), money(p, bal))
 		}
 		p.Static("</table>\n")
 		p.PadTo(mark + 4*128 + len("</table>\n"))
-		return []byte(fmt.Sprintf("TXNS %d 0 10", ctx.UserID))
+		return p.Appendf("TXNS %d 0 10", ctx.UserID)
 	case 2: // recent activity preview
 		p.Block(base + 5)
 		lines, ok := beLines(bresp)
@@ -132,7 +132,7 @@ func emitTxnRows(ctx *service.Ctx, block uint32, rows []string, max int) {
 		if k%2 == 1 {
 			alt = " class=\"alt\""
 		}
-		p.Dynamicf("<tr%s><td>%s</td><td>%s</td><td class=\"amount %s\">%s</td></tr>\n", alt, esc(f[0]), desc, cls, money(amt))
+		p.Dynamicf("<tr%s><td>%s</td><td>%s</td><td class=\"amount %s\">%s</td></tr>\n", alt, esc(f[0]), desc, cls, money(p, amt))
 	}
 }
 
@@ -144,7 +144,7 @@ func accountSummaryStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	switch i {
 	case 0:
 		p.Block(base + 1)
-		return []byte(fmt.Sprintf("SUMMARY %d", ctx.UserID))
+		return p.Appendf("SUMMARY %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
 		lines, ok := beLines(bresp)
@@ -163,7 +163,7 @@ func accountSummaryStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		accts, txns = lines[:split], lines[min(split+1, len(lines)):]
 
 		pageHead(ctx, "Account Summary")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Account Summary</h1>\n<table class=\"data\"><tr><th>Account</th><th>Type</th><th>Balance</th></tr>\n")
 		mark := p.Len()
 		var total int64
@@ -179,11 +179,11 @@ func accountSummaryStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			if k%2 == 1 {
 				alt = " class=\"alt\""
 			}
-			p.Dynamicf("<tr%s><td>%s</td><td>%s</td><td class=\"amount\">%s</td></tr>\n", alt, esc(f[0]), esc(f[1]), money(bal))
+			p.Dynamicf("<tr%s><td>%s</td><td>%s</td><td class=\"amount\">%s</td></tr>\n", alt, esc(f[0]), esc(f[1]), money(p, bal))
 		}
 		p.PadTo(mark + 4*128)
 		p.Static("<tr><th colspan=\"2\">Total</th><th class=\"amount\">")
-		p.Dynamic(money(total))
+		p.Dynamic(money(p, total))
 		p.Static("</th></tr></table>\n")
 		p.PadTo(mark + 4*128 + 96)
 
@@ -209,7 +209,7 @@ func addPayeeStage(ctx *service.Ctx, i int, _ []byte) []byte {
 	base := blockBase(AddPayee)
 	p.Block(base + 1)
 	pageHead(ctx, "Add Payee")
-	greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+	greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 	p.Static("<h1>Add a payee</h1>\n" +
 		"<form class=\"bank\" action=\"/post_payee.php\" method=\"post\">\n" +
 		"<p><label for=\"name\">Payee name</label><input type=\"text\" name=\"name\" size=\"40\" maxlength=\"64\"></p>\n" +
@@ -229,7 +229,7 @@ func billPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	switch i {
 	case 0:
 		p.Block(base + 1)
-		return []byte(fmt.Sprintf("PAYEES %d", ctx.UserID))
+		return p.Appendf("PAYEES %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
 		payees, ok := beLines(bresp)
@@ -238,7 +238,7 @@ func billPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			return nil
 		}
 		pageHead(ctx, "Bill Pay")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Pay a bill</h1>\n<form class=\"bank\" action=\"/bill_pay_confirm.php\" method=\"post\">\n<p><label for=\"payee\">Payee</label><select name=\"payee\">\n")
 		mark := p.Len()
 		for k, row := range payees {
@@ -273,7 +273,7 @@ func billPayStatusStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	switch i {
 	case 0:
 		p.Block(base + 1)
-		return []byte(fmt.Sprintf("BILLS %d 10", ctx.UserID))
+		return p.Appendf("BILLS %d 10", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
 		bills, ok := beLines(bresp)
@@ -282,7 +282,7 @@ func billPayStatusStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			return nil
 		}
 		pageHead(ctx, "Bill Pay Status")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Bill payment history</h1>\n<table class=\"data\"><tr><th>Confirmation</th><th>Payee</th><th>Amount</th><th>Date</th><th>Status</th></tr>\n")
 		mark := p.Len()
 		for k, row := range bills {
@@ -297,7 +297,7 @@ func billPayStatusStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 				alt = " class=\"alt\""
 			}
 			p.Dynamicf("<tr%s><td>%s</td><td>%s</td><td class=\"amount\">%s</td><td>%s</td><td>Processed</td></tr>\n",
-				alt, esc(f[0]), esc(f[1]), money(amt), esc(f[3]))
+				alt, esc(f[0]), esc(f[1]), money(p, amt), esc(f[3]))
 		}
 		p.Static("</table>\n")
 		p.PadTo(mark + 10*160 + len("</table>\n"))
@@ -316,7 +316,7 @@ func changeProfileStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	switch i {
 	case 0:
 		p.Block(base + 1)
-		return []byte(fmt.Sprintf("PROFILE %d", ctx.UserID))
+		return p.Appendf("PROFILE %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
 		lines, ok := beLines(bresp)
@@ -365,7 +365,7 @@ func checkDetailStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			ctx.Fail("missing check number")
 			return nil
 		}
-		return []byte(fmt.Sprintf("CHECKINFO %d %d", ctx.UserID, cn))
+		return p.Appendf("CHECKINFO %d %d", ctx.UserID, cn)
 	case 1:
 		p.Block(base + 2)
 		lines, ok := beLines(bresp)
@@ -375,14 +375,14 @@ func checkDetailStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		}
 		amt, _ := atoi64(lines[1])
 		pageHead(ctx, "Check Detail")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Cleared check detail</h1>\n<table class=\"data\">\n")
 		mark := p.Len()
 		p.Dynamicf("<tr><th>Check number</th><td>%s</td></tr>\n<tr><th>Date cleared</th><td>%s</td></tr>\n<tr><th>Amount</th><td class=\"amount\">%s</td></tr>\n<tr><th>Payee</th><td>%s</td></tr>\n",
-			esc(ctx.Req.Param("check_no")), esc(lines[0]), money(amt), esc(lines[2]))
+			esc(ctx.Req.Param("check_no")), esc(lines[0]), money(p, amt), esc(lines[2]))
 		p.PadTo(mark + 320)
 		p.Static("</table>\n<h2>Check image</h2>\n<div class=\"notice\">Front and back images are rendered by the check_detail_images request, which is disk-bound and served separately (see paper &sect;5.1).</div>\n<pre class=\"checkimg\">\n+--------------------------------------------------+\n|  SPECweb Community Bank           No. ")
-		p.Dynamic(fmt.Sprintf("%-10s", esc(ctx.Req.Param("check_no"))))
+		p.Dynamicf("%-10s", esc(ctx.Req.Param("check_no")))
 		p.Static("|\n|  Pay to the order of ____________________________ |\n|  Memo ____________________   Signature __________ |\n+--------------------------------------------------+\n</pre>\n")
 		pageFoot(ctx)
 		return nil
@@ -398,7 +398,7 @@ func orderCheckStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	switch i {
 	case 0:
 		p.Block(base + 1)
-		return []byte(fmt.Sprintf("ACCTS %d", ctx.UserID))
+		return p.Appendf("ACCTS %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
 		accts, ok := beLines(bresp)
@@ -407,7 +407,7 @@ func orderCheckStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			return nil
 		}
 		pageHead(ctx, "Order Checks")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Order checks</h1>\n<form class=\"bank\" action=\"/place_check_order.php\" method=\"post\">\n<p><label>Funding account</label><select name=\"account\">\n")
 		mark := p.Len()
 		for _, row := range accts {
@@ -448,7 +448,7 @@ func placeCheckOrderStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			ctx.Fail("bad quantity")
 			return nil
 		}
-		return []byte(fmt.Sprintf("PLACEORDER %d %s %d", ctx.UserID, style, qty))
+		return p.Appendf("PLACEORDER %d %s %d", ctx.UserID, style, qty)
 	case 1:
 		p.Block(base + 2)
 		lines, ok := beLines(bresp)
@@ -458,11 +458,11 @@ func placeCheckOrderStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		}
 		price, _ := atoi64(lines[2])
 		pageHead(ctx, "Order Placed")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Your check order has been placed</h1>\n<table class=\"data\">\n")
 		mark := p.Len()
 		p.Dynamicf("<tr><th>Order id</th><td>%s</td></tr>\n<tr><th>Confirmation</th><td>%s</td></tr>\n<tr><th>Style</th><td>%s</td></tr>\n<tr><th>Quantity</th><td>%s</td></tr>\n<tr><th>Total charged</th><td class=\"amount\">%s</td></tr>\n",
-			esc(lines[0]), esc(lines[1]), esc(ctx.Req.Param("style")), esc(ctx.Req.Param("quantity")), money(price))
+			esc(lines[0]), esc(lines[1]), esc(ctx.Req.Param("style")), esc(ctx.Req.Param("quantity")), money(p, price))
 		p.PadTo(mark + 420)
 		p.Static("</table>\n<div class=\"notice\">Keep the confirmation number for your records. The charge appears on your next statement as CHECK ORDER. Orders may be cancelled within one hour by phone.</div>\n")
 		pageFoot(ctx)
@@ -485,8 +485,8 @@ func postPayeeStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			ctx.Fail("payee name and account are required")
 			return nil
 		}
-		return []byte(fmt.Sprintf("ADDPAYEE %d %s %s",
-			ctx.UserID, strings.ReplaceAll(name, " ", "_"), strings.ReplaceAll(acct, " ", "_")))
+		return p.Appendf("ADDPAYEE %d %s %s",
+			ctx.UserID, strings.ReplaceAll(name, " ", "_"), strings.ReplaceAll(acct, " ", "_"))
 	case 1:
 		p.Block(base + 2)
 		payees, ok := beLines(bresp)
@@ -495,7 +495,7 @@ func postPayeeStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			return nil
 		}
 		pageHead(ctx, "Payee Added")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Payee added</h1>\n<div class=\"notice\">The payee below was added to your bill-pay list.</div>\n")
 		mark := p.Len()
 		p.Dynamicf("<p>Newest payee: <b>%s</b></p>\n", esc(ctx.Req.Param("name")))
@@ -540,12 +540,12 @@ func postTransferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			ctx.Fail("malformed transfer request")
 			return nil
 		}
-		return []byte(fmt.Sprintf("TRANSFER %d %d %d %d", ctx.UserID, from, to, cents))
+		return p.Appendf("TRANSFER %d %d %d %d", ctx.UserID, from, to, cents)
 	case 1:
 		p.Block(base + 2)
 		lines, ok := beLines(bresp)
 		pageHead(ctx, "Transfer Result")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		if !ok {
 			// Declined transfers are a normal page, not a request error.
 			p.Block(base + 3)
@@ -560,7 +560,7 @@ func postTransferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			p.Static("<h1>Transfer complete</h1>\n<table class=\"data\">\n")
 			mark := p.Len()
 			p.Dynamicf("<tr><th>Amount moved</th><td class=\"amount\">%s</td></tr>\n<tr><th>Source balance</th><td class=\"amount\">%s</td></tr>\n<tr><th>Destination balance</th><td class=\"amount\">%s</td></tr>\n",
-				esc(ctx.Req.Param("amount")), money(fromBal), money(toBal))
+				esc(ctx.Req.Param("amount")), money(p, fromBal), money(p, toBal))
 			p.PadTo(mark + 280)
 			p.Static("</table>\n<div class=\"notice\">Transfers between your own accounts post immediately.</div>\n")
 		}
@@ -604,7 +604,7 @@ func profileStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	switch i {
 	case 0:
 		p.Block(base + 1)
-		return []byte(fmt.Sprintf("PROFILE %d", ctx.UserID))
+		return p.Appendf("PROFILE %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
 		lines, ok := beLines(bresp)
@@ -647,7 +647,7 @@ func transferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	switch i {
 	case 0:
 		p.Block(base + 1)
-		return []byte(fmt.Sprintf("ACCTS %d", ctx.UserID))
+		return p.Appendf("ACCTS %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
 		accts, ok := beLines(bresp)
@@ -656,7 +656,7 @@ func transferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			return nil
 		}
 		pageHead(ctx, "Transfer Funds")
-		greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Transfer between your accounts</h1>\n<form class=\"bank\" action=\"/post_transfer.php\" method=\"post\">\n")
 		for _, sel := range []string{"from", "to"} {
 			p.Block(base + 3)
@@ -671,7 +671,7 @@ func transferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 					continue
 				}
 				bal, _ := atoi64(f[2])
-				p.Dynamicf("<option value=\"%d\">%s %s — %s</option>\n", k, esc(f[1]), esc(f[0]), money(bal))
+				p.Dynamicf("<option value=\"%d\">%s %s — %s</option>\n", k, esc(f[1]), esc(f[0]), money(p, bal))
 			}
 			p.PadTo(mark + 4*104)
 			p.Static("</select></p>\n")
@@ -698,7 +698,7 @@ func logoutStage(ctx *service.Ctx, i int, _ []byte) []byte {
 	pageHead(ctx, "Signed Off")
 	p.Static("<h1>You have signed off</h1>\n<div class=\"notice\">For your security, close your browser window to clear any cached account pages.</div>\n")
 	mark := p.Len()
-	p.Dynamicf("<p>Session <tt>%s</tt> for customer %d has ended.</p>\n", ctx.SID, ctx.UserID)
+	p.Dynamicf("<p>Session <tt>%016x</tt> for customer %d has ended.</p>\n", uint64(ctx.SID), ctx.UserID)
 	p.PadTo(mark + 128)
 	p.Block(base + 2)
 	p.Static("<h2>Thank you for banking with us</h2>\n<p>Review today's rates and product offers below, or <a href=\"/login.php\">sign on again</a>.</p>\n")
@@ -736,8 +736,8 @@ func quickPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		p.Block(base + 1)
 		st = &quickPayState{}
 		for k := 1; k <= 3; k++ {
-			name := strings.TrimSpace(ctx.Req.Param(fmt.Sprintf("payee%d", k)))
-			amt, ok := parseMoney(ctx.Req.Param(fmt.Sprintf("amount%d", k)))
+			name := strings.TrimSpace(ctx.Req.Param(p.Sprintf("payee%d", k)))
+			amt, ok := parseMoney(ctx.Req.Param(p.Sprintf("amount%d", k)))
 			if name == "" {
 				continue
 			}
@@ -767,14 +767,14 @@ func quickPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	if next := len(st.confs); next < len(st.payees) {
 		// Another payment to make: another backend round trip.
 		p.Block(base + 3)
-		return []byte(fmt.Sprintf("BILLPAY %d %s %d 2009-07-01",
-			ctx.UserID, strings.ReplaceAll(st.payees[next], " ", "_"), st.amounts[next]))
+		return p.Appendf("BILLPAY %d %s %d 2009-07-01",
+			ctx.UserID, strings.ReplaceAll(st.payees[next], " ", "_"), st.amounts[next])
 	}
 
 	// All payees paid: render and finish (possibly before stage max).
 	p.Block(base + 4)
 	pageHead(ctx, "Quick Pay")
-	greeting(ctx, fmt.Sprintf("customer %d", ctx.UserID))
+	greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 	p.Static("<h1>Quick pay complete</h1>\n<table class=\"data\"><tr><th>Payee</th><th>Amount</th><th>Confirmation</th></tr>\n")
 	mark := p.Len()
 	for k := range st.payees {
@@ -784,7 +784,7 @@ func quickPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			alt = " class=\"alt\""
 		}
 		p.Dynamicf("<tr%s><td>%s</td><td class=\"amount\">%s</td><td>%s</td></tr>\n",
-			alt, esc(st.payees[k]), money(st.amounts[k]), esc(st.confs[k]))
+			alt, esc(st.payees[k]), money(p, st.amounts[k]), esc(st.confs[k]))
 	}
 	p.Static("</table>\n")
 	p.PadTo(mark + 3*140 + len("</table>\n"))

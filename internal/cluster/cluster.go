@@ -180,7 +180,11 @@ type StageExec struct {
 
 // Result is a unit's outcome. When Err is nil, Resps holds one rendered
 // fixed-geometry response per request, in request order, byte-identical
-// to the host path's.
+// to the host path's. The slices are the caller's from Done on: nothing
+// in the cluster or the fabric keeps a reference to them or writes them
+// again, however the executing slot is reused, so they stay valid and
+// unchanged for as long as the caller holds them (a Result has no
+// release to say otherwise).
 type Result struct {
 	Resps       [][]byte
 	Stages      []StageExec

@@ -567,3 +567,45 @@ func TestClusterHostUnits(t *testing.T) {
 		t.Fatalf("host units = %d, want %d", hostUnits, 2*len(uids))
 	}
 }
+
+// TestResultResponsesBelongToTheCaller: Result.Resps is the caller's for
+// good. On a one-slot device, three cohorts of different types of one
+// buffer class run back to back on the same cohort buffers; the first
+// cohort's responses, held across the other two, still read what they
+// read when its Done ran.
+func TestResultResponsesBelongToTheCaller(t *testing.T) {
+	cfg := Config{Registry: workloads.Banking(), Devices: 1, SlotsPerDevice: 1, CohortSize: 8}
+	cl := New(cfg)
+	defer cl.Close()
+	var sids []string
+	for uid := uint64(7301); uid < 7305; uid++ {
+		if res := collect(t, cl, []*Unit{unitFor(t, cl, loginRaw(uid))})[0]; res.Err != nil || res.KernelErrs != 0 {
+			t.Fatalf("login %d: err %v, %d kernel errors", uid, res.Err, res.KernelErrs)
+		}
+		sids = append(sids, predictSID(cfg, uid))
+	}
+	// cohort is one unit of every user's request for path.
+	cohort := func(path string) *Result {
+		u := unitFor(t, cl, cookieRaw(path, sids[0]))
+		for _, sid := range sids[1:] {
+			u.Reqs = append(u.Reqs, unitFor(t, cl, cookieRaw(path, sid)).Reqs[0])
+		}
+		res := collect(t, cl, []*Unit{u})[0]
+		if res.Err != nil || res.KernelErrs != 0 || len(res.Resps) != len(sids) {
+			t.Fatalf("%s: err %v, %d kernel errors, %d responses", path, res.Err, res.KernelErrs, len(res.Resps))
+		}
+		return res
+	}
+	kept := cohort("/account_summary.php").Resps
+	var want [][]byte
+	for _, resp := range kept {
+		want = append(want, bytes.Clone(resp))
+	}
+	cohort("/bill_pay.php")
+	cohort("/order_check.php")
+	for i := range kept {
+		if !bytes.Equal(kept[i], want[i]) {
+			t.Fatalf("response %d of the first cohort changed under two later cohorts of its class", i)
+		}
+	}
+}

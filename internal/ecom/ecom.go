@@ -70,11 +70,10 @@ func affinity(req *httpx.Request, local int, buckets int) int {
 }
 
 // backendLines validates an "OK\n..." backend response and returns its
-// payload lines. The device path hands stages the full 4 KB response
-// slot, so trailing NULs are trimmed before parsing — keeping host and
-// cohort stage inputs, and therefore rendered bytes, identical.
+// payload lines, cut from a copy: bresp is the store's own buffer or the
+// lane's slot, and the lines become pieces of the page.
 func backendLines(ctx *service.Ctx, bresp []byte) []string {
-	s := strings.TrimRight(string(bresp), "\x00")
+	s := string(bresp)
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) == 0 || lines[0] != "OK" {
 		ctx.Fail("catalog backend error: " + strings.TrimPrefix(s, "FAIL "))
@@ -121,7 +120,7 @@ func productTable(ctx *service.Ctx, rows []string) {
 		p.Static("</a></td><td>")
 		p.Dynamic(f[2])
 		p.Static("</td><td>$")
-		p.Dynamic(centsToDollars(f[3]))
+		p.Dynamic(centsToDollars(p, f[3]))
 		p.Static("</td><td>")
 		p.Dynamic(f[4])
 		p.Static("</td></tr>\n")
@@ -130,24 +129,19 @@ func productTable(ctx *service.Ctx, rows []string) {
 	p.Static("</table>\n")
 }
 
-func centsToDollars(cents string) string {
+// centsToDollars renders a backend row's cents field as dollars into
+// the page's arena; a field that is not an amount goes out as it came.
+func centsToDollars(p *service.PageBuilder, cents string) string {
 	n, err := strconv.ParseInt(cents, 10, 64)
-	if err != nil {
+	if err != nil || n < 0 {
 		return cents
 	}
-	return strconv.FormatInt(n/100, 10) + "." + pad2(n%100)
-}
-
-func pad2(n int64) string {
-	if n < 10 {
-		return "0" + strconv.FormatInt(n, 10)
-	}
-	return strconv.FormatInt(n, 10)
+	return p.Sprintf("%d.%02d", n/100, n%100)
 }
 
 func indexStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 	if stage == 0 {
-		return []byte("INDEX")
+		return ctx.Page.Appendf("INDEX")
 	}
 	rows := backendLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -167,7 +161,7 @@ func browseStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Fail("missing category")
 			return nil
 		}
-		return []byte("CATEGORY " + cat)
+		return ctx.Page.Appendf("CATEGORY %s", cat)
 	}
 	rows := backendLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -190,7 +184,7 @@ func searchStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Fail("empty query")
 			return nil
 		}
-		return []byte("SEARCH " + q)
+		return ctx.Page.Appendf("SEARCH %s", q)
 	}
 	rows := backendLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -212,7 +206,7 @@ func productStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Fail("bad product id")
 			return nil
 		}
-		return []byte("PRODUCT " + ctx.Req.Param("id"))
+		return ctx.Page.Appendf("PRODUCT %s", ctx.Req.Param("id"))
 	}
 	rows := backendLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -236,7 +230,7 @@ func productStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 	p.Static("\">")
 	p.Dynamic(f[2])
 	p.Static("</a></p>\n<p class=\"price\">$")
-	p.Dynamic(centsToDollars(f[3]))
+	p.Dynamic(centsToDollars(p, f[3]))
 	p.Static("</p>\n<p class=\"stock\">")
 	p.Dynamic(f[4])
 	p.Static(" in stock</p>\n<form method=\"POST\" action=\"/cart.php\"><input type=\"hidden\" name=\"id\" value=\"")
@@ -271,7 +265,7 @@ func cartPage(ctx *service.Ctx, rows []string) {
 		p.Static("</a></td><td>")
 		p.Dynamic(f[2])
 		p.Static("</td><td>$")
-		p.Dynamic(centsToDollars(f[3]))
+		p.Dynamic(centsToDollars(p, f[3]))
 		p.Static("</td></tr>\n")
 		p.PadTo(p.Len())
 	}
@@ -299,7 +293,7 @@ func cartStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 		if !ctx.CreateSession(uid) {
 			return nil
 		}
-		return []byte("ADDCART " + ctx.Req.Param("uid") + " " + ctx.Req.Param("id") + " " + qty)
+		return ctx.Page.Appendf("ADDCART %s %s %s", ctx.Req.Param("uid"), ctx.Req.Param("id"), qty)
 	}
 	rows := backendLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -318,7 +312,7 @@ func checkoutStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 	p := ctx.Page
 	switch stage {
 	case 0:
-		return []byte("CART " + strconv.FormatUint(ctx.UserID, 10))
+		return p.Appendf("CART %d", ctx.UserID)
 	case 1:
 		rows := backendLines(ctx, bresp)
 		if ctx.Err != "" {
@@ -333,7 +327,7 @@ func checkoutStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Done = true
 			return nil
 		}
-		return []byte("ORDER " + strconv.FormatUint(ctx.UserID, 10))
+		return p.Appendf("ORDER %d", ctx.UserID)
 	default:
 		lines := backendLines(ctx, bresp)
 		if ctx.Err != "" {

@@ -8,9 +8,10 @@
 package ecom
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
+
+	"rhythm/internal/fmtx"
 )
 
 // Store is the e-commerce backend: a deterministic synthesized catalog
@@ -22,6 +23,8 @@ type Store struct {
 	orders    map[uint64][]string
 	requests  uint64
 	writeHook func(uid uint64)
+	// resp is Handle's response buffer, reused by the next Handle.
+	resp []byte
 }
 
 type cartLine struct {
@@ -74,22 +77,32 @@ var Categories = []string{"audio", "books", "garden", "kitchen", "office", "outd
 var adjectives = []string{"Compact", "Deluxe", "Basic", "Premium", "Portable", "Classic", "Modern", "Rugged"}
 var nouns = []string{"Widget", "Speaker", "Lamp", "Kettle", "Binder", "Tent", "Puzzle", "Camera", "Stand", "Cable", "Mug", "Chair", "Planter", "Router", "Easel", "Scale"}
 
+// item is one synthesized catalog entry; its display name is
+// "<adjective> <noun> #<pid>".
+type item struct {
+	adjective, noun, category string
+	cents                     int64
+	stock                     int
+}
+
 // product synthesizes the catalog entry for pid deterministically —
 // every shard group's store answers catalog reads identically, which is
 // what lets stateless browse/search requests run on any device.
-func product(pid uint64) (name, cat string, cents int64, stock int) {
+func product(pid uint64) item {
 	h := mix(pid ^ 0xec0)
-	name = fmt.Sprintf("%s %s #%d", adjectives[h%8], nouns[(h>>8)%16], pid)
-	cat = Categories[(h>>16)%8]
-	cents = int64(h%20000_00) + 99
-	stock = int(h>>24) % 500
-	return
+	return item{
+		adjective: adjectives[h%8],
+		noun:      nouns[(h>>8)%16],
+		category:  Categories[(h>>16)%8],
+		cents:     int64(h%20000_00) + 99,
+		stock:     int(h>>24) % 500,
+	}
 }
 
-// writeProduct appends one catalog row: "pid|name|category|cents|stock".
-func writeProduct(b *strings.Builder, pid uint64) {
-	name, cat, cents, stock := product(pid)
-	fmt.Fprintf(b, "%d|%s|%s|%d|%d\n", pid, name, cat, cents, stock)
+// appendProduct appends one catalog row: "pid|name|category|cents|stock".
+func appendProduct(b []byte, pid uint64) []byte {
+	it := product(pid)
+	return fmtx.Appendf(b, "%d|%s %s #%d|%s|%d|%d\n", pid, it.adjective, it.noun, pid, it.category, it.cents, it.stock)
 }
 
 // catalogRows is how many rows list responses carry (bounded by the
@@ -97,28 +110,27 @@ func writeProduct(b *strings.Builder, pid uint64) {
 const catalogRows = 12
 
 // Handle implements service.Backend: line-oriented "VERB arg..."
-// requests in 1 KB slots, responses within 4 KB.
+// requests of up to 1 KB, responses within 4 KB, built in a buffer the
+// next Handle reuses.
 func (s *Store) Handle(req []byte) []byte {
 	s.requests++
-	f := strings.Fields(strings.TrimRight(string(req), "\x00 \r\n"))
+	f := strings.Fields(string(req))
 	if len(f) == 0 {
 		return []byte("ERR empty")
 	}
-	var b strings.Builder
+	b := append(s.resp[:0], "OK\n"...)
 	switch f[0] {
 	case "INDEX":
-		b.WriteString("OK\n")
 		for i := 0; i < catalogRows; i++ {
-			writeProduct(&b, mix(0xfea7+uint64(i))%100000)
+			b = appendProduct(b, mix(0xfea7+uint64(i))%100000)
 		}
 	case "SEARCH":
 		if len(f) < 2 {
 			return []byte("ERR args")
 		}
 		h := hashString(f[1])
-		b.WriteString("OK\n")
 		for i := 0; i < catalogRows; i++ {
-			writeProduct(&b, mix(h+uint64(i))%100000)
+			b = appendProduct(b, mix(h+uint64(i))%100000)
 		}
 	case "CATEGORY":
 		if len(f) < 2 {
@@ -126,13 +138,12 @@ func (s *Store) Handle(req []byte) []byte {
 		}
 		// Deterministic membership: walk hashes of the category until
 		// enough synthesized products actually belong to it.
-		b.WriteString("OK\n")
 		h := hashString(f[1])
 		found := 0
 		for i := uint64(0); found < catalogRows && i < 4096; i++ {
 			pid := mix(h+i) % 100000
-			if _, cat, _, _ := product(pid); cat == f[1] {
-				writeProduct(&b, pid)
+			if product(pid).category == f[1] {
+				b = appendProduct(b, pid)
 				found++
 			}
 		}
@@ -140,12 +151,14 @@ func (s *Store) Handle(req []byte) []byte {
 			return []byte("ERR no such category")
 		}
 	case "PRODUCT":
-		pid, err := strconv.ParseUint(f[1], 10, 64)
-		if len(f) < 2 || err != nil {
+		if len(f) < 2 {
 			return []byte("ERR args")
 		}
-		b.WriteString("OK\n")
-		writeProduct(&b, pid)
+		pid, err := strconv.ParseUint(f[1], 10, 64)
+		if err != nil {
+			return []byte("ERR args")
+		}
+		b = appendProduct(b, pid)
 	case "ADDCART":
 		if len(f) < 4 {
 			return []byte("ERR args")
@@ -162,16 +175,22 @@ func (s *Store) Handle(req []byte) []byte {
 		}
 		s.carts[uid] = cart
 		s.noteWrite(uid)
-		s.writeCart(&b, uid)
+		b = s.appendCart(b, uid)
 	case "CART":
-		uid, err := strconv.ParseUint(f[1], 10, 64)
-		if len(f) < 2 || err != nil {
+		if len(f) < 2 {
 			return []byte("ERR args")
 		}
-		s.writeCart(&b, uid)
-	case "ORDER":
 		uid, err := strconv.ParseUint(f[1], 10, 64)
-		if len(f) < 2 || err != nil {
+		if err != nil {
+			return []byte("ERR args")
+		}
+		b = s.appendCart(b, uid)
+	case "ORDER":
+		if len(f) < 2 {
+			return []byte("ERR args")
+		}
+		uid, err := strconv.ParseUint(f[1], 10, 64)
+		if err != nil {
 			return []byte("ERR args")
 		}
 		cart := s.carts[uid]
@@ -181,27 +200,28 @@ func (s *Store) Handle(req []byte) []byte {
 		var total int64
 		items := 0
 		for _, l := range cart {
-			_, _, cents, _ := product(l.pid)
-			total += cents * int64(l.qty)
+			total += product(l.pid).cents * int64(l.qty)
 			items += l.qty
 		}
-		conf := fmt.Sprintf("EC-%08x", uint32(mix(uid^uint64(len(s.orders[uid]))^0x0bde)))
+		conf := fmtx.Sprintf("EC-%08x", uint32(mix(uid^uint64(len(s.orders[uid]))^0x0bde)))
 		s.orders[uid] = append(s.orders[uid], conf)
 		delete(s.carts, uid)
 		s.noteWrite(uid)
-		fmt.Fprintf(&b, "OK\n%s\n%d\n%d\n", conf, items, total)
+		b = fmtx.Appendf(b, "%s\n%d\n%d\n", conf, items, total)
 	default:
 		return []byte("ERR unknown verb " + f[0])
 	}
-	return []byte(b.String())
+	s.resp = b
+	return b
 }
 
-// writeCart emits "OK\n<lines>\n" then "pid|name|qty|cents" rows.
-func (s *Store) writeCart(b *strings.Builder, uid uint64) {
+// appendCart appends "<lines>\n" then "pid|name|qty|cents" rows.
+func (s *Store) appendCart(b []byte, uid uint64) []byte {
 	cart := s.carts[uid]
-	fmt.Fprintf(b, "OK\n%d\n", len(cart))
+	b = fmtx.Appendf(b, "%d\n", len(cart))
 	for _, l := range cart {
-		name, _, cents, _ := product(l.pid)
-		fmt.Fprintf(b, "%d|%s|%d|%d\n", l.pid, name, l.qty, cents)
+		it := product(l.pid)
+		b = fmtx.Appendf(b, "%d|%s %s #%d|%d|%d\n", l.pid, it.adjective, it.noun, l.pid, l.qty, it.cents)
 	}
+	return b
 }

@@ -485,3 +485,62 @@ func TestFabricAllNodesDown(t *testing.T) {
 		t.Fatal("fully-down fabric accepted a unit")
 	}
 }
+
+// TestResultResponsesBelongToTheCaller: cluster.Result.Resps is the
+// caller's for good on either transport. One device with one slot runs
+// three cohorts of different types of one buffer class back to back; the
+// first cohort's responses, held across the other two, still read what
+// they read when its Done ran.
+func TestResultResponsesBelongToTheCaller(t *testing.T) {
+	for _, transport := range []string{"loopback", "tcp"} {
+		cfg := testConfig(1, 1)
+		cfg.SlotsPerDevice = 1
+		if transport == "tcp" {
+			w := NewWorker(WorkerConfig{Registry: workloads.Banking(), Devices: 1, CohortSize: 8, SlotsPerDevice: 1,
+				SessionBuckets: testBuckets, SessionNodesPerBucket: testNodesPerBucket})
+			if err := w.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			go w.Serve()
+			t.Cleanup(w.Close)
+			cfg.Addrs = []string{w.Addr()}
+		}
+		f := newFabric(t, cfg)
+		if f.Kind() != transport {
+			t.Fatalf("transport = %s, want %s", f.Kind(), transport)
+		}
+		var sids []string
+		for uid := uint64(7301); uid < 7305; uid++ {
+			// One at a time: the one-slot device queues two units.
+			if res := collect(t, f, []*cluster.Unit{unitFor(t, f, loginRaw(uid))})[0]; res.Err != nil || res.KernelErrs != 0 {
+				t.Fatalf("%s: login %d: err %v, %d kernel errors", transport, uid, res.Err, res.KernelErrs)
+			}
+			sids = append(sids, predictSID(uid))
+		}
+		// cohort is one unit of every user's request for path.
+		cohort := func(path string) *cluster.Result {
+			u := unitFor(t, f, cookieRaw(path, sids[0]))
+			for _, sid := range sids[1:] {
+				u.Reqs = append(u.Reqs, unitFor(t, f, cookieRaw(path, sid)).Reqs[0])
+			}
+			res := collect(t, f, []*cluster.Unit{u})[0]
+			if res.Err != nil || res.KernelErrs != 0 || len(res.Resps) != len(sids) {
+				t.Fatalf("%s: %s: err %v, %d kernel errors, %d responses", transport, path, res.Err, res.KernelErrs, len(res.Resps))
+			}
+			return res
+		}
+		kept := cohort("/account_summary.php").Resps
+		var want [][]byte
+		for _, resp := range kept {
+			want = append(want, bytes.Clone(resp))
+		}
+		cohort("/bill_pay.php")
+		cohort("/order_check.php")
+		for i := range kept {
+			if !bytes.Equal(kept[i], want[i]) {
+				t.Fatalf("%s: response %d of the first cohort changed under two later cohorts of its class", transport, i)
+			}
+		}
+		f.Close()
+	}
+}

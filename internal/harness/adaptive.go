@@ -76,12 +76,10 @@ func CalibrateServiceModel(cfg Config) (a, b float64) {
 		po := TitanB.Options(cfg)
 		po.CohortSize = size
 		po.MaxCohorts = 1 // serialize: elapsed/formed is S(n), not S(n)/overlap
-		memBytes := int(int64(po.MaxCohorts)*banking.CohortDeviceBytes(banking.AccountSummary, size)) +
-			4*size*banking.RequestSlot + 64<<20
 		devCfg := simt.GTXTitan()
 		devCfg.HostParallelism = cfg.HostParallelism
 		devCfg.SimParallelism = cfg.SimParallelism
-		dev := simt.NewDevice(eng, devCfg, memBytes, nil)
+		dev := simt.NewDevice(eng, devCfg, pipeline.DeviceMemory(po), nil)
 		sessions, gen := newWorkload(cfg, banking.AccountSummary, 6*size)
 		srv := pipeline.New(eng, dev, po, backend.New(), sessions)
 		st := srv.Run(isolationSource(gen, banking.AccountSummary, 6*size))

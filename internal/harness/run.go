@@ -270,9 +270,7 @@ func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banki
 		}
 		bus = sim.NewPipe(eng, bps, 1000)
 	}
-	memBytes := int(int64(po.MaxCohorts)*banking.CohortDeviceBytes(rt, po.CohortSize)) +
-		4*po.CohortSize*banking.RequestSlot + 64<<20
-	dev := simt.NewDevice(eng, devCfg, memBytes, bus)
+	dev := simt.NewDevice(eng, devCfg, pipeline.DeviceMemory(po), bus)
 	db := backend.New()
 	n := cfg.gpuRequestsPerType()
 	sessions, gen := newWorkload(cfg, rt, n)

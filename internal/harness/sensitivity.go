@@ -478,9 +478,7 @@ func TimeoutSweep(cfg Config, timeouts []sim.Time, arrivalRate float64) []Timeou
 		eng := sim.NewEngine()
 		po := TitanB.Options(cfg)
 		po.FormationTimeout = to
-		memBytes := int(int64(po.MaxCohorts)*banking.CohortDeviceBytes(banking.AccountSummary, po.CohortSize)) +
-			4*po.CohortSize*banking.RequestSlot + 64<<20
-		dev := simt.NewDevice(eng, simt.GTXTitan(), memBytes, nil)
+		dev := simt.NewDevice(eng, simt.GTXTitan(), pipeline.DeviceMemory(po), nil)
 		db := backend.New()
 		n := cfg.gpuRequestsPerType()
 		sessions, gen := newWorkload(cfg, banking.AccountSummary, n)

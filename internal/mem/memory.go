@@ -1,6 +1,7 @@
 // Package mem models the accelerator's device memory: a flat linear
 // address space — backed by real bytes where the simulation reads them
-// back, reserved but unbacked where a layout is only priced —
+// back (a stage kernel's backend slots, the parser's request image),
+// reserved but unbacked where a buffer is only priced —
 // preallocated pools that are recycled across cohorts (the paper
 // allocates all pipeline memory at startup, §4.6), and the 2-D buffer
 // transpose between row-major and column-major layouts that gives Rhythm
@@ -19,15 +20,18 @@ type Addr uint64
 // Above the backed bytes lies reserve-only address space (Reserve): it
 // has addresses, so accesses to it coalesce and are priced like any
 // other, and no bytes. A cohort buffer's column-major image lives there
-// — the device would hold it, the simulation only prices it — while the
-// bytes live once, in the buffer's backed row-major twin.
+// — the device would hold it, the simulation only prices it — and so
+// does the whole response buffer, whose bytes are Go rows the bound unit
+// owns and hands to its caller (internal/service/kernels.go). What a
+// stage kernel keeps in backed memory is its backend slots' row-major
+// twins.
 //
 // Concurrency contract (simt.Config.HostParallelism > 1): concurrently
 // simulated warps may Read/Write/Bytes disjoint byte ranges of the data
 // without synchronization — Rhythm's cohort buffers are partitioned
 // per-thread, and every lane of a stage kernel writes only its own
-// request's row of each row-major twin (a kernel that moves bytes into a
-// backed column image writes only its own word column), so kernel
+// request's slot of each row-major twin (a kernel that moves bytes into
+// a backed column image writes only its own word column), so kernel
 // accesses never overlap across threads. Alloc and Reserve (which move
 // the bump pointers) and any overlapping access are host-side operations
 // and must only happen from the event-loop thread, i.e. outside a

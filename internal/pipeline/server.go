@@ -199,9 +199,19 @@ type readerBatch struct {
 	raws   [][]byte
 }
 
-// New builds a server. The device must have enough backing memory for
-// MaxCohorts cohorts of the request types the run will see (see
-// banking.CohortDeviceBytes).
+// DeviceMemory reports the backed device memory a server with opts
+// needs: for each cohort context the backend slots of every buffer
+// class (mixed traffic binds classes on demand; responses take no device
+// backing, service.PageWorkload.DeviceBytes), the reader's two batches
+// in both layouts, and alignment slack. banking.CohortDeviceBytes is the
+// modelled footprint behind §6.3 and sizes nothing here.
+func DeviceMemory(opts Options) int {
+	return int(int64(opts.MaxCohorts)*banking.NewWorkload().DeviceBytes(opts.CohortSize)) +
+		4*opts.CohortSize*banking.RequestSlot + 1<<20
+}
+
+// New builds a server on a device with at least DeviceMemory(opts)
+// backed bytes.
 func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessions *session.Array) *Server {
 	if opts.CohortSize <= 0 || opts.MaxCohorts <= 0 {
 		panic("pipeline: CohortSize and MaxCohorts must be positive")
@@ -503,7 +513,7 @@ func (s *Server) hostBackend(c *cohort.Context[preq], unit *service.PageUnit, st
 				if proceeded {
 					return // the cohort moved on; the host path owns this request
 				}
-				resp := s.db.Handle(image[r*backend.RequestSlot : (r+1)*backend.RequestSlot])
+				resp := s.db.Handle(unit.BackendRequest(image, r))
 				copy(respImage[r*backend.ResponseSlot:], resp)
 				finished[r] = true
 				remaining--

@@ -14,9 +14,27 @@ import (
 // BenchmarkStageKernelEmit times the launch that builds, renders and
 // emits the pages: the final stage kernel of one full 128-lane cohort of
 // a 16 KB class (banking transfer), on the host, per request. Binding
-// and the stage-0 launch before it run off the clock; ns/req and B/req
-// cover the final launch alone.
+// and the stage-0 launch before it run off the clock; ns/req, B/req and
+// allocs/req cover the final launch alone. The unit keeps its rows (no
+// Responses call), as internal/pipeline's do, so the 16 KB a request's
+// response row costs when it is given away is BenchmarkBindAndResponses'
+// to report.
 func BenchmarkStageKernelEmit(b *testing.B) {
+	benchmarkCohort(b, false)
+}
+
+// BenchmarkBindAndResponses times the egress around the launches, per
+// request: Bind on a slot whose rows the last cohort's Responses gave
+// away, and Responses after the final kernel. The rows themselves — one
+// class-sized allocation a request — are made inside the final launch,
+// by the lanes, and show in neither benchmark's B/req.
+func BenchmarkBindAndResponses(b *testing.B) {
+	benchmarkCohort(b, true)
+}
+
+// benchmarkCohort runs b.N transfer cohorts on one slot and meters the
+// final launch, or with egress Bind and Responses in its place.
+func benchmarkCohort(b *testing.B, egress bool) {
 	const lanes = 128
 	w, local := bankingInput.w, int(banking.Transfer)
 	if w.Def(local).BufferBytes != 16<<10 || w.Def(local).Backends != 1 {
@@ -27,20 +45,41 @@ func BenchmarkStageKernelEmit(b *testing.B) {
 	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
 	slot := w.NewSlot(dev, lanes, service.TitanB)
 	stream := dev.NewStream()
-	var ns, bytes int64
+	var ns time.Duration
+	var bytes, allocs uint64
 	var ms runtime.MemStats
+	// metered runs f, on the clock and the allocation meters when on.
+	metered := func(on bool, f func()) {
+		if !on {
+			f()
+			return
+		}
+		runtime.ReadMemStats(&ms)
+		alloc, mallocs, start := ms.TotalAlloc, ms.Mallocs, time.Now()
+		f()
+		ns += time.Since(start)
+		runtime.ReadMemStats(&ms)
+		bytes += ms.TotalAlloc - alloc
+		allocs += ms.Mallocs - mallocs
+	}
 	for i := 0; i < b.N; i++ {
-		unit := slot.Bind(local, wd.reqs, wd.sessions, wd.be)
+		var unit service.Unit
+		metered(egress, func() { unit = slot.Bind(local, wd.reqs, wd.sessions, wd.be) })
 		stream.Launch(unit.Stage(0), lanes, nil, nil)
 		eng.Run()
-		runtime.ReadMemStats(&ms)
-		alloc, start := ms.TotalAlloc, time.Now()
-		stream.Launch(unit.Stage(1), lanes, nil, nil)
-		eng.Run()
-		ns += int64(time.Since(start))
-		runtime.ReadMemStats(&ms)
-		bytes += int64(ms.TotalAlloc - alloc)
+		metered(!egress, func() {
+			stream.Launch(unit.Stage(1), lanes, nil, nil)
+			eng.Run()
+		})
+		if egress {
+			metered(true, func() { sink = unit.Responses() })
+		}
 	}
-	b.ReportMetric(float64(ns)/float64(b.N*lanes), "ns/req")
-	b.ReportMetric(float64(bytes)/float64(b.N*lanes), "B/req")
+	n := float64(b.N * lanes)
+	b.ReportMetric(float64(ns)/n, "ns/req")
+	b.ReportMetric(float64(bytes)/n, "B/req")
+	b.ReportMetric(float64(allocs)/n, "allocs/req")
 }
+
+// sink keeps the benchmarked Responses call from being optimized away.
+var sink [][]byte

@@ -119,7 +119,7 @@ func (c *Ctx) CreateSession(uid uint64) bool {
 	c.SID = sid
 	c.UserID = uid
 	c.HasSession = true
-	c.NewCookie = c.w.cookieName + "=" + sid.String()
+	c.NewCookie = c.w.cookie(c.Page, sid)
 	return true
 }
 
@@ -170,7 +170,12 @@ func (w *PageWorkload) initCtx(ctx *Ctx, local int, req *httpx.Request, sessions
 	ctx.SID = sid
 	ctx.UserID = uid
 	ctx.HasSession = true
-	ctx.NewCookie = w.cookieName + "=" + sid.String()
+	ctx.NewCookie = w.cookie(page, sid)
+}
+
+// cookie formats the Set-Cookie value of sid into the page's arena.
+func (w *PageWorkload) cookie(page *PageBuilder, sid session.ID) string {
+	return page.Sprintf("%s=%016x", w.cookieName, uint64(sid))
 }
 
 // Scratch is a reusable execution context: one per connection (or per
@@ -217,11 +222,11 @@ func (w *PageWorkload) ExecuteScratch(sc *Scratch, local int, req *httpx.Request
 			if breq == nil {
 				panic(fmt.Sprintf("service: %s stage %d produced no backend request", def.Name, i))
 			}
-			if len(breq) > BackendRequestSlot {
-				panic(fmt.Sprintf("service: %s stage %d backend request exceeds slot", def.Name, i))
+			if !requestFits(ctx, breq) {
+				break
 			}
 			ctx.Charge(w.costs.Backend)
-			bresp = be.Handle(breq)
+			bresp = handle(be, breq)
 		}
 	}
 	if ctx.Err != "" {
@@ -230,10 +235,35 @@ func (w *PageWorkload) ExecuteScratch(sc *Scratch, local int, req *httpx.Request
 	return ctx
 }
 
+// A backend request or response that outgrows its slot (§5.1: 1 KB and
+// 4 KB) is the request's error, the same on the host path and in the
+// stage kernels: requestFits fails the request, handle replaces the
+// response by respOverflow for the stage to reject.
+var respOverflow = []byte("ERR response overflow")
+
+// requestFits reports whether breq fits the backend request slot, and
+// fails the request when it does not.
+func requestFits(ctx *Ctx, breq []byte) bool {
+	if len(breq) > BackendRequestSlot {
+		ctx.Fail("backend request too large")
+		return false
+	}
+	return true
+}
+
+// handle is be.Handle held to the response slot.
+func handle(be Backend, breq []byte) []byte {
+	bresp := be.Handle(breq)
+	if len(bresp) > BackendResponseSlot {
+		return respOverflow
+	}
+	return bresp
+}
+
 // buildErrorPage renders the divergent error path: a short message in a
 // full-size buffer so cohort geometry is undisturbed (§4.4).
 func buildErrorPage(ctx *Ctx) {
-	ctx.Page.Reset() // discard partial content, keep capacity
+	ctx.Page.discard()
 	ctx.Page.Block(BlockBase(ctx.Local) + 999)
 	if ctx.w.errorPage != nil {
 		ctx.w.errorPage(ctx)

@@ -6,10 +6,11 @@ import (
 )
 
 // RefUnit is the write-through reference build of a PageUnit: its column
-// images are backed, its stage kernel renders into scratch and moves
-// every byte the layout implies — StoreColumn into the columns,
-// LoadColumn back out of them, a scatter from the deferred backend
-// commit — and its transposes are TransposeLive. The production kit
+// images and its response buffer are backed, its stage kernel renders
+// into scratch and moves every byte the layout implies — StoreColumn
+// into the columns, LoadColumn back out of them, a scatter from the
+// deferred backend commit — its transposes are TransposeLive, and its
+// responses are read back out of device memory. The production kit
 // prices exactly these accesses and moves none of them, so every
 // simulated number and every response byte must agree between the two.
 type RefUnit struct{ *PageUnit }
@@ -21,7 +22,18 @@ func Reference(u Unit) RefUnit {
 	pc.breqBuf = m.Alloc(pc.size*BackendRequestSlot, 256)
 	pc.brespBuf = m.Alloc(pc.size*BackendResponseSlot, 256)
 	pc.respCol = m.Alloc(pc.size*pc.class, 256)
+	pc.respRow = m.Alloc(pc.size*pc.class, 256)
 	return RefUnit{pu}
+}
+
+func (u RefUnit) Responses() [][]byte {
+	pc := u.pc
+	slab := pc.mem.Read(pc.respRow, pc.count*pc.class)
+	out := make([][]byte, pc.count)
+	for i := range out {
+		out[i] = slab[i*pc.class : (i+1)*pc.class]
+	}
+	return out
 }
 
 func (u RefUnit) Stage(k int) simt.Program {
@@ -43,7 +55,7 @@ func (u RefUnit) BackendRequestsD2H(stream *simt.Stream, fn func(image []byte)) 
 
 func (u RefUnit) BackendResponsesH2D(stream *simt.Stream, image []byte) {
 	pc := u.pc
-	stream.MemcpyH2D(pc.brespRow, image, nil)
+	stream.MemcpyH2D(pc.brespRow, image, func() { pc.measureResponses(image) })
 	stream.TransposeLive(pc.brespBuf, pc.brespRow, pc.size, BackendResponseSlot/4, 4, pc.count, BackendResponseSlot/4, nil)
 }
 
@@ -61,7 +73,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		ctx := pc.ctxs[r]
 		var bresp []byte
 		if p.stage > 0 {
-			bresp = simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
+			bresp = simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)[:pc.brespLen[r]]
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -72,8 +84,11 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 			return 3
 		}
 		if p.stage < def.Backends {
+			if !requestFits(ctx, breq) {
+				return 90
+			}
 			slot := make([]byte, BackendRequestSlot)
-			copy(slot, breq)
+			pc.breqLen[r] = copy(slot, breq)
 			simt.StoreColumn(t, pc.breqBuf, r, pc.size, 0, slot)
 			if pc.v.HostBackend {
 				return simt.Halt
@@ -82,7 +97,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		}
 		return 3
 	case 2:
-		breq := simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)
+		breq := simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)[:pc.breqLen[r]]
 		t.Compute(besimDeviceOps)
 		// A blank slot is stored for its price; the deferred commit
 		// overwrites it, unpriced.
@@ -90,7 +105,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		m, be := pc.mem, u.be
 		t.Defer(func() {
 			slot := make([]byte, BackendResponseSlot)
-			copy(slot, be.Handle(breq))
+			pc.brespLen[r] = copy(slot, handle(be, breq))
 			col := m.Bytes(simt.ColumnBase(pc.brespBuf, r), (BackendResponseSlot/simt.WordSize-1)*simt.WordSize*pc.size+simt.WordSize)
 			mem.ScatterWords(col, slot, simt.WordSize*pc.size)
 		})

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 
 	"rhythm/internal/httpx"
@@ -15,11 +16,12 @@ import (
 // memory traffic — word-interleaved column-major cohort buffers accessed
 // in lockstep — and the cost accounting the simulator performs on it.
 //
-// The kernels price that layout and do not re-enact it: every cohort
-// buffer's bytes live once, in its row-major twin, where a lane renders
-// its page and writes its backend slots directly, and the column-major
-// image is reserved address space whose loads, stores and transposes
-// are charged exactly as if the bytes moved (simt/column.go).
+// The kernels price that layout and do not re-enact it: a backend slot's
+// bytes live once, in its row-major twin in device memory; a response's
+// live once, in a row the bound unit owns until Responses hands it to the
+// caller; and every column-major image, and the responses' row-major one,
+// is reserved address space whose loads, stores and transposes are
+// charged exactly as if the bytes moved (simt/column.go).
 
 // Device-side cost constants: on-device backend lookups (Titan B/C run
 // Besim as a device kernel, §5.3.2) and session-array work beyond the
@@ -64,18 +66,29 @@ type pageCohort struct {
 
 	// Device buffers. breqBuf, brespBuf and respCol are the
 	// word-interleaved column images the device holds: reserved address
-	// space, priced and never backed. Their row-major twins hold the
-	// bytes, request r's slot at byte r × slot size: respRow is what the
-	// response transpose produces (§4.3.2) and what row-major mode
-	// stores to; breqRow/brespRow are what a host backend's transposes
-	// ship over the bus (§5.3.2) and what a device backend reads in
-	// place.
+	// space, priced and never backed. breqRow/brespRow, their row-major
+	// twins, hold the backend slots' bytes, request r's at byte r × slot
+	// size: what a host backend's transposes ship over the bus (§5.3.2)
+	// and what a device backend reads in place. respRow — what the
+	// response transpose produces (§4.3.2) and what row-major mode stores
+	// to — is reserved too: the response bytes live in rows.
 	breqBuf  mem.Addr
 	breqRow  mem.Addr
 	brespBuf mem.Addr
 	brespRow mem.Addr
 	respCol  mem.Addr
 	respRow  mem.Addr
+
+	// rows[r] is lane r's response, class bytes the lane allocates when
+	// it first emits and renders into ever after — until Responses gives
+	// the row away and the lane's next emit allocates another. A row is
+	// written once, by the lane that renders it, and by nothing else.
+	rows [][]byte
+	// breqLen[r] and brespLen[r] are the live bytes of lane r's backend
+	// slots; the rest of a slot is zero. Stage functions and backends are
+	// handed exactly the live bytes, as on the host path.
+	breqLen  []int
+	brespLen []int
 
 	// Host mirrors. scratch[r] is lane r's execution context, created on
 	// the lane's first request and reused by every later cohort.
@@ -95,7 +108,10 @@ func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int
 	pc.brespBuf = dev.Mem.Reserve(size*BackendResponseSlot, 256)
 	pc.brespRow = dev.Mem.Alloc(size*BackendResponseSlot, 256)
 	pc.respCol = dev.Mem.Reserve(size*class, 256)
-	pc.respRow = dev.Mem.Alloc(size*class, 256)
+	pc.respRow = dev.Mem.Reserve(size*class, 256)
+	pc.rows = make([][]byte, size)
+	pc.breqLen = make([]int, size)
+	pc.brespLen = make([]int, size)
 	pc.reqs = make([]httpx.Request, size)
 	pc.ctxs = make([]*Ctx, size)
 	pc.scratch = make([]*Scratch, size)
@@ -103,14 +119,19 @@ func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int
 	return pc
 }
 
-// row returns request r's slot of a row-major twin.
+// row returns request r's slot of a backend slot's row-major twin.
 func (pc *pageCohort) row(twin mem.Addr, r, slot int) []byte {
 	return pc.mem.Bytes(twin+mem.Addr(r*slot), slot)
 }
 
-// fillSlot copies data into a backend slot and zero-fills the rest.
-func fillSlot(slot, data []byte) {
-	clear(slot[copy(slot, data):])
+// fillSlot copies data, which fits, into a backend slot that held old
+// live bytes, zeroes what is left of those, and returns the new length.
+func fillSlot(slot, data []byte, old int) int {
+	n := copy(slot, data)
+	if old > n {
+		clear(slot[n:old])
+	}
+	return n
 }
 
 // bind points the cohort at local type `local` (one of its size class)
@@ -186,33 +207,34 @@ func (u *PageUnit) Writeback(stream *simt.Stream) {
 	}
 }
 
-// ResponsesD2H ships the row-major responses over the bus (Titan A),
-// then calls done.
+// ResponsesD2H prices shipping the row-major responses over the bus
+// (Titan A), then calls done. The bytes stay where they are: Response
+// reads them in place.
 func (u *PageUnit) ResponsesD2H(stream *simt.Stream, done func()) {
-	stream.MemcpyD2H(u.pc.respRow, u.pc.count*u.pc.class, func([]byte) { done() })
+	stream.ChargeD2H(u.pc.count*u.pc.class, done)
 }
 
-// Responses implements Unit. Responses have the fixed geometry of the
-// type's buffer class, so no length bookkeeping is needed: the live rows
-// are copied out as one slab and cut at the class size.
+// Responses implements Unit: the rows change hands. A result has no
+// release — a caller may keep the slices for as long as it likes while
+// the slot is rebound under it — so the unit cannot lend its rows; it
+// gives them away, and the lanes of the slot's next cohort allocate
+// their own.
 func (u *PageUnit) Responses() [][]byte {
 	pc := u.pc
-	slab := pc.mem.Read(pc.respRow, pc.count*pc.class)
 	out := make([][]byte, pc.count)
-	for i := range out {
-		out[i] = slab[i*pc.class : (i+1)*pc.class : (i+1)*pc.class]
-	}
+	copy(out, pc.rows)
+	clear(pc.rows[:pc.count])
 	return out
 }
 
-// Response is request i's row of the response buffer, in place: valid
-// until the slot's next Bind.
+// Response is request i's response, in place: valid until the slot's
+// next Bind, and only on a unit whose Responses has not been called.
 func (u *PageUnit) Response(i int) []byte {
 	pc := u.pc
 	if i < 0 || i >= pc.count {
 		panic(fmt.Sprintf("service: response row %d out of range (count %d)", i, pc.count))
 	}
-	return pc.row(pc.respRow, i, pc.class)
+	return pc.rows[i]
 }
 
 // Failed implements Unit.
@@ -239,20 +261,38 @@ func (u *PageUnit) Fail(i int, reason string) {
 
 // BackendRequestsD2H starts a host-backend round trip (HostBackend
 // slots): transpose the request slots to row-major and ship them to the
-// host; fn receives the count × BackendRequestSlot image.
+// host; fn receives the count × BackendRequestSlot image, to be cut with
+// BackendRequest.
 func (u *PageUnit) BackendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
 	pc := u.pc
 	stream.ChargeTranspose(BackendRequestSlot/4, pc.size, 4, nil)
 	stream.MemcpyD2H(pc.breqRow, pc.count*BackendRequestSlot, fn)
 }
 
+// BackendRequest is request r's backend request in a BackendRequestsD2H
+// image: the live bytes of its slot.
+func (u *PageUnit) BackendRequest(image []byte, r int) []byte {
+	return image[r*BackendRequestSlot:][:u.pc.breqLen[r]]
+}
+
 // BackendResponsesH2D completes the round trip: ship the count ×
 // BackendResponseSlot image to the device and transpose it into the
-// column the next stage kernel loads.
+// column the next stage kernel loads. The image carries no lengths, so
+// each slot's live bytes are found here, once, as what precedes its zero
+// tail.
 func (u *PageUnit) BackendResponsesH2D(stream *simt.Stream, image []byte) {
 	pc := u.pc
-	stream.MemcpyH2D(pc.brespRow, image, nil)
+	stream.MemcpyH2D(pc.brespRow, image, func() { pc.measureResponses(image) })
 	stream.ChargeTranspose(pc.size, BackendResponseSlot/4, 4, nil)
+}
+
+// measureResponses sets every lane's backend response length from a
+// host backend's image.
+func (pc *pageCohort) measureResponses(image []byte) {
+	for r := 0; r < pc.count; r++ {
+		slot := image[r*BackendResponseSlot : (r+1)*BackendResponseSlot]
+		pc.brespLen[r] = len(bytes.TrimRight(slot, "\x00"))
+	}
 }
 
 // pageStageProgram runs process stage `stage` for every live request of
@@ -324,7 +364,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		var bresp []byte
 		if p.stage > 0 {
 			simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
-			bresp = pc.row(pc.brespRow, r, BackendResponseSlot)
+			bresp = pc.row(pc.brespRow, r, BackendResponseSlot)[:pc.brespLen[r]]
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -335,8 +375,11 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 			return 3 // early completion: emit now (variable stages)
 		}
 		if p.stage < def.Backends {
+			if !requestFits(ctx, breq) {
+				return 90
+			}
 			simt.ChargeColumn(t, pc.breqBuf, r, pc.size, 0, BackendRequestSlot)
-			fillSlot(pc.row(pc.breqRow, r, BackendRequestSlot), breq)
+			pc.breqLen[r] = fillSlot(pc.row(pc.breqRow, r, BackendRequestSlot), breq, pc.breqLen[r])
 			if pc.v.HostBackend {
 				return simt.Halt // host backend round trip follows
 			}
@@ -354,10 +397,10 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		// NEXT stage kernel, so materializing it at end-of-launch is
 		// unobservable. See DESIGN.md "Host parallelism".
 		simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
-		breq := pc.row(pc.breqRow, r, BackendRequestSlot)
+		breq := pc.row(pc.breqRow, r, BackendRequestSlot)[:pc.breqLen[r]]
 		bresp := pc.row(pc.brespRow, r, BackendResponseSlot)
-		be := u.be
-		t.Defer(func() { fillSlot(bresp, be.Handle(breq)) })
+		be, lens := u.be, pc.brespLen
+		t.Defer(func() { lens[r] = fillSlot(bresp, handle(be, breq), lens[r]) })
 		return simt.Halt // next stage kernel reads brespBuf
 	case 3: // final stage: render and emit
 		p.emit(t, r, pc.ctxs[r])
@@ -386,15 +429,21 @@ func (p pageStageProgram) chargeDelta(t *simt.Thread, r int) {
 	}
 }
 
-// emit renders the full fixed-size response into the request's row of
-// the response buffer and charges its store. A padded page goes out as
-// one store: every lane writes the same offsets, so the accesses
-// coalesce. With padding off the page is stored section by section, each
-// starting at the lane's own alignment mark; the marks drift from lane
-// to lane and the stores scatter (§4.3.2).
+// emit renders the full fixed-size response into the lane's row —
+// allocated here, by the lane, when the last one was given away: a new
+// row is zeroed memory, and that is work for the warp's host worker, not
+// for the device goroutine that binds — and charges its store into the
+// response buffer. A padded page goes out as one store: every lane
+// writes the same offsets, so the accesses coalesce. With padding off
+// the page is stored section by section, each starting at the lane's own
+// alignment mark; the marks drift from lane to lane and the stores
+// scatter (§4.3.2).
 func (p pageStageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
 	pc := p.u.pc
-	resp := ctx.Render(pc.row(pc.respRow, r, pc.class))
+	if pc.rows[r] == nil {
+		pc.rows[r] = make([]byte, pc.class)
+	}
+	resp := ctx.Render(pc.rows[r])
 	lo := 0
 	if !pc.v.Padding {
 		for _, m := range ctx.Page.Marks() {

@@ -175,6 +175,7 @@ type stageChain interface {
 	Writeback(stream *simt.Stream)
 	BackendRequestsD2H(stream *simt.Stream, fn func(image []byte))
 	BackendResponsesH2D(stream *simt.Stream, image []byte)
+	Responses() [][]byte
 }
 
 // runDevice binds wd's requests on a fresh device slot of variant v and
@@ -206,7 +207,7 @@ func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v ser
 					out := make([]byte, n*service.BackendResponseSlot)
 					for r := 0; r < n; r++ {
 						if unit.Active(r) {
-							copy(out[r*service.BackendResponseSlot:], wd.be.Handle(image[r*service.BackendRequestSlot:(r+1)*service.BackendRequestSlot]))
+							copy(out[r*service.BackendResponseSlot:], wd.be.Handle(unit.BackendRequest(image, r)))
 						}
 					}
 					chain.BackendResponsesH2D(stream, out)
@@ -219,7 +220,7 @@ func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v ser
 	}
 	next(0)
 	eng.Run()
-	run.resps = unit.Responses()
+	run.resps = chain.Responses()
 	for i := 0; i < n; i++ {
 		run.failed = append(run.failed, unit.Failed(i))
 	}
@@ -405,27 +406,103 @@ func TestPricedLayoutMatchesWriteThroughReference(t *testing.T) {
 	}
 }
 
-// TestResponsesAreIsolated: Responses hands out one slab cut into
-// per-request slices. Overwriting one, or appending to it, reaches
-// neither its neighbours nor the device's response rows.
+// TestResponsesAreIsolated: Responses gives the rows away. They stay
+// what they were while the slot is rebound and run again under them;
+// overwriting one, or appending to it, reaches neither its neighbours
+// nor what the slot renders next.
 func TestResponsesAreIsolated(t *testing.T) {
 	in := ecomInput
-	dev := runDevice(t, in.w, in.page, in.world(t, in.page, n, nil), service.TitanB, false)
+	eng := sim.NewEngine()
+	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
+	slot := in.w.NewSlot(dev, n, service.TitanB)
+	stream := dev.NewStream()
+	run := func() [][]byte {
+		wd := in.world(t, in.page, n, nil)
+		unit := slot.Bind(in.page, wd.reqs, wd.sessions, wd.be)
+		for k := 0; k < unit.Stages(); k++ {
+			stream.Launch(unit.Stage(k), n, nil, nil)
+		}
+		unit.Writeback(stream)
+		eng.Run()
+		return unit.Responses()
+	}
 	want, _ := runHost(in.w, in.page, in.world(t, in.page, n, nil), true)
-	resps := dev.unit.Responses()
-	for i := range resps {
-		if cap(resps[i]) != len(resps[i]) {
-			t.Fatalf("response %d has %d bytes of spare capacity", i, cap(resps[i])-len(resps[i]))
+	first, second := run(), run()
+	assertSameBytes(t, "first cohort after the slot's second", first, want)
+	for i := range second {
+		if cap(second[i]) != len(second[i]) {
+			t.Fatalf("response %d has %d bytes of spare capacity", i, cap(second[i])-len(second[i]))
 		}
-		for j := range resps[i] {
-			resps[i][j] = 0xEE
+		for j := range second[i] {
+			second[i][j] = 0xEE
 		}
-		resps[i] = append(resps[i], bytes.Repeat([]byte{0xEE}, 64)...)
-		if i+1 < len(resps) && !bytes.Equal(resps[i+1], want[i+1]) {
+		second[i] = append(second[i], bytes.Repeat([]byte{0xEE}, 64)...)
+		if i+1 < len(second) && !bytes.Equal(second[i+1], want[i+1]) {
 			t.Fatalf("scribbling over response %d changed response %d", i, i+1)
 		}
 	}
-	assertSameBytes(t, "device rows after the scribble", dev.unit.Responses(), want)
+	assertSameBytes(t, "first cohort after the scribble", first, want)
+	assertSameBytes(t, "third cohort after the scribble", run(), want)
+}
+
+// bloated answers every third request with more than a response slot
+// holds.
+type bloated struct {
+	service.Backend
+	calls int
+}
+
+func (b *bloated) Handle(req []byte) []byte {
+	b.calls++
+	if b.calls%3 == 0 {
+		return bytes.Repeat([]byte("OK\n"), service.BackendResponseSlot/3+1)
+	}
+	return b.Backend.Handle(req)
+}
+
+// TestOversizeBackendSlotsFailTheLane: a backend request over 1 KB or a
+// backend response over 4 KB is the lane's error on the device exactly
+// as it is the request's on the host — the same error page, nothing
+// truncated into a neighbouring slot, the other lanes untouched.
+func TestOversizeBackendSlotsFailTheLane(t *testing.T) {
+	long := func(i int) bool { return i%4 == 1 }
+	logins := func() world {
+		wd := bankingWorld(t, int(banking.Login), n, nil)
+		for i := range wd.reqs {
+			if long(i) {
+				body := "userid=77&passwd=" + strings.Repeat("x", service.BackendRequestSlot)
+				wd.reqs[i] = parse(t, fmt.Sprintf("POST /login.php HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+			}
+		}
+		return wd
+	}
+	dev := runDevice(t, bankingInput.w, int(banking.Login), logins(), service.TitanB, false)
+	want, wantFailed := runHost(bankingInput.w, int(banking.Login), logins(), true)
+	assertSameBytes(t, "oversize request", dev.resps, want)
+	for i := range want {
+		if dev.failed[i] != long(i) || wantFailed[i] != long(i) {
+			t.Fatalf("oversize request: lane %d failed=%v on the device, %v on the host, want %v", i, dev.failed[i], wantFailed[i], long(i))
+		}
+		if long(i) && !bytes.Contains(want[i], []byte("backend request too large")) {
+			t.Fatalf("oversize request: lane %d's page does not say why it failed", i)
+		}
+	}
+
+	for _, in := range inputs {
+		wrapped := func() world {
+			wd := in.world(t, in.page, n, nil)
+			wd.be = &bloated{Backend: wd.be}
+			return wd
+		}
+		dev := runDevice(t, in.w, in.page, wrapped(), service.TitanB, false)
+		want, wantFailed := runHost(in.w, in.page, wrapped(), true)
+		assertSameBytes(t, in.name+": oversize response", dev.resps, want)
+		for i := range want {
+			if overflow := i%3 == 2; dev.failed[i] != overflow || wantFailed[i] != overflow {
+				t.Fatalf("%s: oversize response: lane %d failed=%v on the device, %v on the host, want %v", in.name, i, dev.failed[i], wantFailed[i], overflow)
+			}
+		}
+	}
 }
 
 // TestVariantsKeepHostBytes: each of the three ablation values changes

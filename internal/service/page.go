@@ -1,8 +1,10 @@
 package service
 
 import (
-	"fmt"
 	"strings"
+	"unsafe"
+
+	"rhythm/internal/fmtx"
 )
 
 // Piece is one fragment of a generated response body: the host renderer
@@ -80,12 +82,26 @@ type PageBuilder struct {
 	// lastBlock is the most recent explicit basic block, labelling the
 	// emission blocks of the fragments that follow it.
 	lastBlock uint32
+	// arena holds what Appendf and Sprintf have formatted since Reset.
+	// It only ever grows by append: text already handed out is never
+	// written again — a full arena is replaced by a larger copy and the
+	// old one lives on under the pieces that alias it — until Reset
+	// rewinds it for the next request.
+	arena []byte
 }
 
 // Reset clears the builder for reuse, keeping slice capacity and
 // settings so a pooled builder builds its next page without
-// reallocating.
+// reallocating. Everything Appendf and Sprintf returned is void.
 func (b *PageBuilder) Reset() {
+	b.discard()
+	b.arena = b.arena[:0]
+}
+
+// discard drops the page built so far and keeps the arena: what the
+// request formatted before it failed (its cookie, its error text) stays
+// valid for the error page.
+func (b *PageBuilder) discard() {
 	b.pieces = b.pieces[:0]
 	b.bodyLen = 0
 	b.instr = 0
@@ -113,7 +129,26 @@ func (b *PageBuilder) Dynamic(s string) {
 
 // Dynamicf appends formatted backend-derived content.
 func (b *PageBuilder) Dynamicf(format string, args ...any) {
-	b.Dynamic(fmt.Sprintf(format, args...))
+	b.Dynamic(b.Sprintf(format, args...))
+}
+
+// Appendf formats (fmtx.Appendf: %d %x %s %% with '-', '0' and a
+// width) into the builder's arena and returns the formatted bytes,
+// valid until Reset: what a stage function returns as its backend
+// request, without allocating.
+func (b *PageBuilder) Appendf(format string, args ...any) []byte {
+	n := len(b.arena)
+	b.arena = fmtx.Appendf(b.arena, format, args...)
+	return b.arena[n:len(b.arena):len(b.arena)]
+}
+
+// Sprintf is Appendf as a string: text for Dynamic or a later Dynamicf,
+// or to carry from one stage to the next, valid until Reset.
+func (b *PageBuilder) Sprintf(format string, args ...any) string {
+	s := b.Appendf(format, args...)
+	// The arena is append-only between Resets, so the bytes behind s are
+	// as immutable as a string's for as long as s may be used.
+	return unsafe.String(unsafe.SliceData(s), len(s))
 }
 
 // emitChunk is the bytes-per-basic-block granularity of the emission

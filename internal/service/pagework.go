@@ -197,16 +197,13 @@ func (w *PageWorkload) classes() []int {
 	return out
 }
 
-// DeviceBytes implements Workload: one cohort buffer set per distinct
-// buffer class — the row-major response, backend request and backend
-// response buffers. Their column-major images are reserved address
-// space (kernels.go) and take no backing.
+// DeviceBytes implements Workload: the row-major backend request and
+// response slots of one cohort per distinct buffer class. The column
+// images and the response buffers are reserved address space
+// (kernels.go) and take no backing; the response bytes live in rows the
+// bound unit owns.
 func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
-	var total int64
-	for _, c := range w.classes() {
-		total += int64(cohortSize) * int64(c+BackendRequestSlot+BackendResponseSlot)
-	}
-	return total
+	return int64(len(w.classes())) * int64(cohortSize) * (BackendRequestSlot + BackendResponseSlot)
 }
 
 // NewSlot implements Workload.

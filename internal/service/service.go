@@ -81,8 +81,12 @@ type Spec struct {
 // affected entity id to the write hook (the render cache's
 // invalidation feed). *backend.DB satisfies it.
 type Backend interface {
-	// Handle executes one wire-format backend request and returns the
-	// wire-format response (at most BackendResponseSlot bytes).
+	// Handle executes one wire-format backend request — exactly its
+	// bytes, at most BackendRequestSlot of them, no padding — and returns
+	// the wire-format response. The response may live in a buffer the
+	// next Handle reuses: the caller copies what it keeps. One longer
+	// than BackendResponseSlot reaches the stage as "ERR response
+	// overflow". Handle must not keep req, or a slice of it.
 	Handle(req []byte) []byte
 	// SetWriteHook registers fn to run after every committed mutation
 	// with the id whose cached pages it invalidates.
@@ -120,8 +124,10 @@ type Workload interface {
 	// device path's output.
 	ExecuteHost(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend) (failed bool)
 	// DeviceBytes reports the backed device memory one execution slot
-	// needs to serve every type of this workload (one cohort buffer set
-	// per distinct buffer class; priced-only images need none).
+	// needs to serve every type of this workload: what its kernels read
+	// back out of device memory. For a page workload that is the backend
+	// slots of one cohort per distinct buffer class; priced-only images
+	// and response bytes the unit owns need none.
 	DeviceBytes(cohortSize int) int64
 	// NewSlot creates one execution slot's device cohort state, its
 	// stage kernels fixed to variant v.
@@ -150,11 +156,13 @@ type Unit interface {
 	Stage(k int) simt.Program
 	// Writeback enqueues the response transpose on stream.
 	Writeback(stream *simt.Stream)
-	// Responses copies every request's rendered response out of device
-	// memory, in request order. Valid only after a barrier following
-	// Writeback. The copies may share one allocation, but each is capped
-	// at its own length, so appending to one never reaches another; they
-	// are safe to hand to other goroutines.
+	// Responses hands over every request's rendered response, in request
+	// order. Valid only after a barrier following Writeback, and once per
+	// Bind: the slices become the caller's — the unit keeps no reference,
+	// never writes them again, and a later Bind of the slot cannot reach
+	// them — so they may be kept for any length of time and handed to
+	// other goroutines. Each is capped at its own length, so appending to
+	// one never reaches another.
 	Responses() [][]byte
 	// Failed reports whether request i took the kernel error path.
 	Failed(i int) bool
@@ -323,7 +331,7 @@ func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []Slot 
 }
 
 // DeviceBytes reports the backed device memory one execution slot needs
-// to serve every registered type.
+// to serve every registered type (Workload.DeviceBytes, summed).
 func (r *Registry) DeviceBytes(cohortSize int) int64 {
 	var total int64
 	for _, w := range r.ws {

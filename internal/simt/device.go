@@ -417,36 +417,40 @@ func (d *Device) flushPending() bool {
 
 // MemcpyH2D enqueues a host-to-device copy of p to dst.
 func (s *Stream) MemcpyH2D(dst mem.Addr, p []byte, done func()) {
-	d := s.dev
-	s.enqueue(func(complete func()) {
-		d.Mem.Write(dst, p)
-		d.stats.Copies++
-		d.stats.CopiedBytes += uint64(len(p))
-		after := func() {
-			if done != nil {
-				done()
-			}
-			complete()
-		}
-		if d.Bus == nil {
-			after()
-			return
-		}
-		d.Bus.Transfer(len(p), after)
-	})
+	s.transfer(len(p), func() { s.dev.Mem.Write(dst, p) }, done)
 }
 
 // MemcpyD2H enqueues a device-to-host copy; the data is delivered to the
 // done callback to mirror asynchronous CUDA semantics.
 func (s *Stream) MemcpyD2H(src mem.Addr, n int, done func(data []byte)) {
+	var data []byte
+	s.transfer(n, func() { data = s.dev.Mem.Read(src, n) }, func() {
+		if done != nil {
+			done(data)
+		}
+	})
+}
+
+// ChargeD2H prices MemcpyD2H of n bytes — the copy count, the bytes and
+// the bus time — and moves nothing: for a buffer whose device image is
+// priced address space and whose bytes the host already holds.
+func (s *Stream) ChargeD2H(n int, done func()) {
+	s.transfer(n, nil, done)
+}
+
+// transfer enqueues an n-byte copy across the bus: move (optional) does
+// the functional part when the operation starts, the rest is its cost.
+func (s *Stream) transfer(n int, move, done func()) {
 	d := s.dev
 	s.enqueue(func(complete func()) {
-		data := d.Mem.Read(src, n)
+		if move != nil {
+			move()
+		}
 		d.stats.Copies++
 		d.stats.CopiedBytes += uint64(n)
 		after := func() {
 			if done != nil {
-				done(data)
+				done()
 			}
 			complete()
 		}

@@ -9,10 +9,11 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+
+	"rhythm/internal/fmtx"
 )
 
 // RingFrames is how many published frames each device retains; pollers
@@ -40,6 +41,8 @@ type Broker struct {
 	cursors   map[cursorKey]uint64
 	requests  uint64
 	writeHook func(uid uint64)
+	// resp is Handle's response buffer, reused by the next Handle.
+	resp []byte
 }
 
 // NewBroker returns an empty broker.
@@ -76,10 +79,12 @@ func validHex(s string) bool {
 	return true
 }
 
-// Handle implements service.Backend: "VERB dev [args...]" requests.
+// Handle implements service.Backend: "VERB dev [args...]" requests. The
+// response is built in a buffer the next Handle reuses.
 func (b *Broker) Handle(req []byte) []byte {
 	b.requests++
-	f := strings.Fields(strings.TrimRight(string(req), "\x00 \r\n"))
+	// A copy: a published frame keeps its payload field.
+	f := strings.Fields(string(req))
 	if len(f) < 2 {
 		return []byte("ERR args")
 	}
@@ -100,7 +105,8 @@ func (b *Broker) Handle(req []byte) []byte {
 		}
 		b.rings[dev] = ring
 		b.noteWrite(dev)
-		return []byte(fmt.Sprintf("OK\nseq=%d\n", seq))
+		b.resp = fmtx.Appendf(b.resp[:0], "OK\nseq=%d\n", seq)
+		return b.resp
 	case "SUB":
 		sub, err := strconv.ParseUint(f[2], 10, 64)
 		if len(f) != 3 || err != nil {
@@ -109,7 +115,8 @@ func (b *Broker) Handle(req []byte) []byte {
 		cur := b.nextSeq[dev]
 		b.cursors[cursorKey{dev: dev, sub: sub}] = cur
 		b.noteWrite(dev)
-		return []byte(fmt.Sprintf("OK\ncursor=%d\n", cur))
+		b.resp = fmtx.Appendf(b.resp[:0], "OK\ncursor=%d\n", cur)
+		return b.resp
 	case "POLL":
 		if len(f) != 4 {
 			return []byte("ERR args")
@@ -130,23 +137,24 @@ func (b *Broker) Handle(req []byte) []byte {
 			lost = ring[0].seq - cur
 			cur = ring[0].seq
 		}
-		var out strings.Builder
-		var frames []frame
-		for _, fr := range ring {
-			if fr.seq >= cur && len(frames) < max {
-				frames = append(frames, fr)
-			}
+		// The ring is in sequence order: what the poll drains is one
+		// run of it.
+		first := 0
+		for first < len(ring) && ring[first].seq < cur {
+			first++
 		}
+		frames := ring[first:min(first+max, len(ring))]
 		if len(frames) > 0 {
 			cur = frames[len(frames)-1].seq + 1
 		}
 		b.cursors[key] = cur
 		b.noteWrite(dev)
-		fmt.Fprintf(&out, "OK\nn=%d lost=%d cursor=%d\n", len(frames), lost, cur)
+		out := fmtx.Appendf(b.resp[:0], "OK\nn=%d lost=%d cursor=%d\n", len(frames), lost, cur)
 		for _, fr := range frames {
-			fmt.Fprintf(&out, "%d:%s\n", fr.seq, fr.payload)
+			out = fmtx.Appendf(out, "%d:%s\n", fr.seq, fr.payload)
 		}
-		return []byte(out.String())
+		b.resp = out
+		return out
 	case "STAT":
 		subs := 0
 		for k := range b.cursors {
@@ -154,7 +162,8 @@ func (b *Broker) Handle(req []byte) []byte {
 				subs++
 			}
 		}
-		return []byte(fmt.Sprintf("OK\nseq=%d subs=%d buffered=%d\n", b.nextSeq[dev], subs, len(b.rings[dev])))
+		b.resp = fmtx.Appendf(b.resp[:0], "OK\nseq=%d subs=%d buffered=%d\n", b.nextSeq[dev], subs, len(b.rings[dev]))
+		return b.resp
 	default:
 		return []byte("ERR unknown verb " + f[0])
 	}

@@ -70,10 +70,10 @@ func devParam(ctx *service.Ctx) (string, bool) {
 }
 
 // brokerLines validates an "OK\n..." broker response and returns its
-// payload lines, trimming the device path's slot-padding NULs so host
-// and cohort stages see identical input.
+// payload lines, cut from a copy: bresp is the broker's own buffer or
+// the lane's slot, and the lines become pieces of the page.
 func brokerLines(ctx *service.Ctx, bresp []byte) []string {
-	s := strings.TrimRight(string(bresp), "\x00")
+	s := string(bresp)
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) == 0 || lines[0] != "OK" {
 		ctx.Fail("broker error: " + strings.TrimPrefix(s, "FAIL "))
@@ -93,7 +93,7 @@ func ingestStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Fail("bad frame payload")
 			return nil
 		}
-		return []byte("PUB " + dev + " " + f)
+		return ctx.Page.Appendf("PUB %s %s", dev, f)
 	}
 	lines := brokerLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -123,7 +123,7 @@ func subscribeStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Fail("bad subscriber id")
 			return nil
 		}
-		return []byte("SUB " + dev + " " + sub)
+		return ctx.Page.Appendf("SUB %s %s", dev, sub)
 	}
 	lines := brokerLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -155,7 +155,7 @@ func pollStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 			ctx.Fail("bad subscriber id")
 			return nil
 		}
-		return []byte("POLL " + dev + " " + sub + " " + strconv.Itoa(PollMax))
+		return ctx.Page.Appendf("POLL %s %s %d", dev, sub, PollMax)
 	}
 	lines := brokerLines(ctx, bresp)
 	if ctx.Err != "" {
@@ -188,7 +188,7 @@ func statusStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 		if !ok {
 			return nil
 		}
-		return []byte("STAT " + dev)
+		return ctx.Page.Appendf("STAT %s", dev)
 	}
 	lines := brokerLines(ctx, bresp)
 	if ctx.Err != "" {

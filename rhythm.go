@@ -142,11 +142,7 @@ func NewSimServer(opts Options) *SimServer {
 	if opts.Platform == TitanA {
 		bus = sim.NewPipe(eng, netmodel.PCIe3Bps, 1000)
 	}
-	// Back one cohort of every buffer class per context (mixed traffic
-	// binds classes on demand), the reader batches and alignment slack.
-	memBytes := int(int64(po.MaxCohorts)*banking.NewWorkload().DeviceBytes(po.CohortSize)) +
-		4*po.CohortSize*banking.RequestSlot + 1<<20
-	dev := simt.NewDevice(eng, simt.GTXTitan(), memBytes, bus)
+	dev := simt.NewDevice(eng, simt.GTXTitan(), pipeline.DeviceMemory(po), bus)
 	db := backend.New()
 	sessions := newSimSessions(opts)
 	gen := banking.NewGenerator(opts.Seed, sessions)
