@@ -40,10 +40,6 @@ type CohortOptions struct {
 	// dispatched onto (default 1). State shards across Devices groups
 	// by session affinity; see internal/cluster and DESIGN.md §11.
 	Devices int
-	// DeviceQueue bounds each device's dispatch queue (0 = cluster
-	// default, 2× the device's execution slots). A full queue sheds the
-	// cohort with the 503 path.
-	DeviceQueue int
 	// FaultPlan optionally injects device faults (nil = none); see
 	// cluster.FaultPlan.
 	FaultPlan *cluster.FaultPlan
@@ -68,9 +64,10 @@ type CohortOptions struct {
 	NodeFaultPlan *fabric.NodeFaultPlan
 	// WorkloadQuotas caps each named workload's share (0 < share ≤ 1)
 	// of admission capacity: a workload holding more than
-	// share×(AdmitQueue+OverflowLimit) concurrent in-flight requests
-	// sheds with 503, counted per workload in /v1/stats
-	// (workload_sheds) and /v1/metrics (rhythm_shed_total).
+	// share×(4×CohortSize+OverflowLimit) concurrent in-flight requests —
+	// the admission queue plus the overflow park — sheds with 503,
+	// counted per workload in /v1/stats (workload_sheds) and
+	// /v1/metrics (rhythm_shed_total).
 	WorkloadQuotas map[string]float64
 	// FormationTimeout, when non-zero and no SLO is set, pins the
 	// formation controller to the paper's fixed §3.1 policy: every
@@ -84,10 +81,6 @@ type CohortOptions struct {
 	// The request may still complete server-side — the deadline releases
 	// the connection, not the cohort slot.
 	RequestDeadline time.Duration
-	// AdmitQueue bounds the admission queue between connection handlers
-	// and the device loop (default 4×CohortSize). A full queue sheds
-	// with 503 + Retry-After.
-	AdmitQueue int
 	// OverflowLimit bounds requests parked because every cohort context
 	// is Busy (default 2×CohortSize; negative means no parking — reject
 	// the moment the pool has no free context).
@@ -96,10 +89,6 @@ type CohortOptions struct {
 	// geometry matches NewTCPServer so host and cohort mode create
 	// identical session ids for identical request streams.
 	MaxSessions int
-	// RetryAfter floors the hint on 503 responses (default 1s); the
-	// formation controller raises it to its estimate of the time the
-	// admission backlog takes to drain.
-	RetryAfter time.Duration
 	// SLO is the p99 latency target of the formation controller
 	// (internal/adapt, DESIGN.md §12), the server's one formation
 	// policy: windows and early-launch thresholds are retuned per
@@ -129,11 +118,6 @@ type CohortOptions struct {
 	// (simt.Config.ProfileOff). On by default: recording is
 	// zero-allocation and costs <2% (BenchmarkProfilerOverhead).
 	ProfileOff bool
-	// ProfileRing sizes the launch-record ring (0 = simt default, 4096).
-	ProfileRing int
-	// TraceCapacity bounds the request-trace recorder behind
-	// /v1/trace (0 = obs default, 1024).
-	TraceCapacity int
 	// RenderCache, when positive, enables the whole-page render cache
 	// with roughly this many entries: repeated read-only requests are
 	// answered from memory before admission, bypassing cohort formation
@@ -156,6 +140,23 @@ type CohortOptions struct {
 	HealthSlowWindow time.Duration
 }
 
+// validate rejects what fill cannot default: a negative cohort size or
+// context count, and a quota share outside (0, 1].
+func (o *CohortOptions) validate() error {
+	if o.CohortSize < 0 {
+		return fmt.Errorf("rhythm: CohortSize %d is negative", o.CohortSize)
+	}
+	if o.MaxCohorts < 0 {
+		return fmt.Errorf("rhythm: MaxCohorts %d is negative", o.MaxCohorts)
+	}
+	for name, share := range o.WorkloadQuotas {
+		if !(share > 0 && share <= 1) {
+			return fmt.Errorf("rhythm: WorkloadQuotas[%q] share %v is outside (0, 1]", name, share)
+		}
+	}
+	return nil
+}
+
 func (o *CohortOptions) fill() {
 	if o.Registry == nil {
 		o.Registry = DefaultRegistry()
@@ -171,9 +172,6 @@ func (o *CohortOptions) fill() {
 	}
 	if o.RequestDeadline == 0 {
 		o.RequestDeadline = 5 * time.Second
-	}
-	if o.AdmitQueue == 0 {
-		o.AdmitQueue = 4 * o.CohortSize
 	}
 	if o.OverflowLimit == 0 {
 		o.OverflowLimit = 2 * o.CohortSize
@@ -263,17 +261,23 @@ type CohortServer struct {
 
 // NewCohortServer builds the server, its device fabric, and its
 // dispatch loop. Callers then Listen + Serve, and Drain to stop.
-// Construction fails when a remote worker cannot be dialed, refuses
-// the wire handshake, or a WorkloadQuotas key names no registered
-// workload.
+// Construction fails on a negative CohortSize or MaxCohorts, a quota
+// share outside (0, 1], a WorkloadQuotas key that names no registered
+// workload, or a remote worker that cannot be dialed or refuses the
+// wire handshake.
 func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts.fill()
+	// admitQueue bounds the admission queue between connection handlers
+	// and the formation loop; a full queue sheds with 503 + Retry-After.
+	admitQueue := 4 * opts.CohortSize
 	reg := opts.Registry
 	cfg := simt.GTXTitan()
 	cfg.HostParallelism = opts.HostParallelism
 	cfg.SimParallelism = opts.SimParallelism
 	cfg.ProfileOff = opts.ProfileOff
-	cfg.ProfileRing = opts.ProfileRing
 	fab, err := fabric.New(fabric.Config{
 		Registry:              reg,
 		Nodes:                 opts.Nodes,
@@ -281,7 +285,6 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		DevicesPerNode:        opts.Devices,
 		CohortSize:            opts.CohortSize,
 		SlotsPerDevice:        (opts.MaxCohorts + opts.Devices - 1) / opts.Devices,
-		QueueDepth:            opts.DeviceQueue,
 		SessionBuckets:        256,
 		SessionNodesPerBucket: opts.MaxSessions/256*4 + 4,
 		Simt:                  cfg,
@@ -294,7 +297,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	}
 	s := &CohortServer{
 		opts:      opts,
-		admitCh:   make(chan *liveReq, opts.AdmitQueue),
+		admitCh:   make(chan *liveReq, admitQueue),
 		flushCh:   make(chan flushMsg, 256),
 		doCh:      make(chan func(), 16),
 		stopCh:    make(chan struct{}),
@@ -308,7 +311,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		occupHist: stats.NewHistogram(stats.PowersOfTwoBuckets(opts.CohortSize)),
 		badByType: make([]atomic.Uint64, reg.NumTypes()),
 	}
-	s.frontend.init(reg, s, "cohort", 0, opts.TraceCapacity, flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
+	s.frontend.init(reg, s, "cohort", 0, flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
 	s.fab = fab
 	for t := range s.perType {
 		// One stage slot per stage kernel.
@@ -333,7 +336,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		// The quota is a share of total admission capacity: the admit
 		// queue plus the overflow park. At least one slot so a tiny
 		// share can still make progress.
-		limit := int64(share * float64(opts.AdmitQueue+opts.OverflowLimit))
+		limit := int64(share * float64(admitQueue+opts.OverflowLimit))
 		if limit < 1 {
 			limit = 1
 		}
@@ -368,7 +371,6 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		SLO:           opts.SLO,
 		Tick:          opts.AdaptTick,
 		CrossoverRate: opts.CrossoverRate,
-		RetryFloor:    opts.RetryAfter,
 	}
 	if acfg.SLO <= 0 {
 		// No explicit target: a formation timeout pins the fixed policy,

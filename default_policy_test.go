@@ -98,7 +98,8 @@ func TestDefaultServerParksHostUnitsPastDeviceQueue(t *testing.T) {
 // host route disabled still forms cohorts from a many-connection burst,
 // so its device route is exercised through sockets.
 func TestDefaultServerBatchesBurst(t *testing.T) {
-	dev := startNew(t, WithCrossoverRate(-1), WithAdaptTick(5*time.Millisecond)).(*CohortServer)
+	fastTick := func(c *serverConfig) { c.cohort.AdaptTick = 5 * time.Millisecond }
+	dev := startNew(t, WithCrossoverRate(-1), fastTick).(*CohortServer)
 	const conns = 32
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

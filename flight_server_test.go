@@ -290,9 +290,8 @@ func TestFlightDeadlinePromotesExactlyOne(t *testing.T) {
 		t.Fatal("deadline 504 carries no X-Rhythm-Trace header")
 	}
 
-	if st := srv.Stats(); st.FlightAnomalies != 1 {
-		t.Fatalf("flight anomalies = %d, want exactly 1 (the deadline miss)", st.FlightAnomalies)
-	}
+	// As with the shed, the record is finished after the 504 is written.
+	waitForAnomalies(t, srv, 1)
 	doc := fetchFlightDoc(t, srv.Addr())
 	if len(doc.Records) != 1 {
 		t.Fatalf("flight ring holds %d records, want 1: %+v", len(doc.Records), doc.Records)

@@ -94,7 +94,7 @@ type frontend struct {
 
 // init wires the frontend under m. The health engine is set separately
 // (setHealth) because its counts close over mode state.
-func (f *frontend) init(reg *service.Registry, m mode, modeName string, maxOut, traceCapacity int, fcfg flight.Config) {
+func (f *frontend) init(reg *service.Registry, m mode, modeName string, maxOut int, fcfg flight.Config) {
 	f.reg = reg
 	f.names = reg.DisplayNames()
 	f.labels = typeLabelSets(reg)
@@ -102,7 +102,7 @@ func (f *frontend) init(reg *service.Registry, m mode, modeName string, maxOut, 
 	f.modeName = modeName
 	f.maxOut = maxOut
 	f.conns = make(map[*liveConn]struct{})
-	f.tracer = obs.NewRecorder(traceCapacity)
+	f.tracer = obs.NewRecorder(obs.DefaultTraceCapacity)
 	f.latHist = newLatencyHistograms(reg.NumTypes())
 	f.flight = flight.New(fcfg)
 }

@@ -69,8 +69,10 @@ const (
 	minBatch = 2
 	// ewmaAlpha smooths the per-tick arrival rate.
 	ewmaAlpha = 0.3
-	// retryCeil caps the backlog-derived Retry-After hint.
-	retryCeil = 30 * time.Second
+	// retryFloor and retryCeil clamp the backlog-derived Retry-After
+	// hint.
+	retryFloor = time.Second
+	retryCeil  = 30 * time.Second
 )
 
 // Config sizes a Controller. Zero values take the documented defaults.
@@ -102,8 +104,6 @@ type Config struct {
 	// >0 uses the value as-is, 0 derives it from the service model, <0
 	// disables host fallback entirely (always batch).
 	CrossoverRate float64
-	// RetryFloor floors the backlog-derived Retry-After hint (default 1s).
-	RetryFloor time.Duration
 }
 
 func (c *Config) fill() {
@@ -115,9 +115,6 @@ func (c *Config) fill() {
 	}
 	if c.SvcPerReqPrior <= 0 {
 		c.SvcPerReqPrior = 2 * time.Microsecond
-	}
-	if c.RetryFloor <= 0 {
-		c.RetryFloor = time.Second
 	}
 }
 
@@ -271,7 +268,7 @@ func (c *Controller) NoteQueue(depth int) {
 
 // RetryAfter estimates how long a shed client should back off: the time
 // to drain the observed backlog at the current operating point, clamped
-// to [RetryFloor, 30s].
+// to [1s, 30s].
 func (c *Controller) RetryAfter() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -291,8 +288,7 @@ func (c *Controller) RetryAfter() time.Duration {
 		perReq = c.cfg.SvcBasePrior.Seconds()
 	}
 	d := time.Duration(float64(c.queue) * perReq * float64(time.Second))
-	// The floor wins when a caller sets it above the ceiling.
-	return max(min(d, retryCeil), c.cfg.RetryFloor)
+	return max(min(d, retryCeil), retryFloor)
 }
 
 // Tick closes one control period: fold the period's arrivals into the

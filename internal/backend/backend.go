@@ -43,14 +43,6 @@ type Account struct {
 	Balance int64  // cents
 }
 
-// Txn is one statement line.
-type Txn struct {
-	Date   string
-	Desc   string
-	Amount int64 // cents, negative for debits
-	CheckN int   // check number, 0 if none
-}
-
 // Payee is a registered bill-pay target.
 type Payee struct {
 	Name    string
@@ -173,21 +165,6 @@ func (db *DB) GetAccounts(uid uint64) []Account {
 	return accts
 }
 
-// GetTxns synthesizes the most recent n statement lines for an account.
-func (db *DB) GetTxns(uid uint64, acct, n int) []Txn {
-	txns := make([]Txn, n)
-	for i := range txns {
-		month, day, desc, amt, checkN := txn(uid, acct, i)
-		txns[i] = Txn{
-			Date:   fmtx.Sprintf("2009-%02d-%02d", month, day),
-			Desc:   desc,
-			Amount: amt,
-			CheckN: checkN,
-		}
-	}
-	return txns
-}
-
 // txn synthesizes statement line i of an account.
 func txn(uid uint64, acct, i int) (month, day uint64, desc string, amt int64, checkN int) {
 	h := mix(uid ^ uint64(acct)<<32 ^ uint64(i)<<16 ^ 0x7a7)
@@ -200,8 +177,8 @@ func txn(uid uint64, acct, i int) (month, day uint64, desc string, amt int64, ch
 	return 1 + (h>>8)%12, 1 + (h>>16)%28, merchants[(h>>24)%12], amt, checkN
 }
 
-// appendTxns appends the wire rows of the n lines GetTxns returns,
-// "date|desc|amount|check", without building them as Txns first.
+// appendTxns appends the wire rows of an account's most recent n
+// statement lines, "date|desc|amount|check".
 func appendTxns(b []byte, uid uint64, acct, n int) []byte {
 	for i := 0; i < n; i++ {
 		month, day, desc, amt, checkN := txn(uid, acct, i)

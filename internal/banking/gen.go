@@ -55,9 +55,6 @@ func (g *Generator) randomUID() uint64 {
 	return uint64(g.rng.Int63n(1<<40)) ^ g.nextUID<<20
 }
 
-// LiveSessions reports the generator's live session count.
-func (g *Generator) LiveSessions() int { return len(g.sids) }
-
 // pickSID returns a random live session id.
 func (g *Generator) pickSID() session.ID {
 	if len(g.sids) == 0 {

@@ -2,7 +2,6 @@ package banking
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -37,15 +36,6 @@ func IsImagePath(path string) bool {
 	return strings.HasPrefix(path, ImagePathPrefix)
 }
 
-// ImageNames lists the available assets (sorted order not guaranteed).
-func ImageNames() []string {
-	names := make([]string, 0, len(imageSpecs))
-	for n := range imageSpecs {
-		names = append(names, n)
-	}
-	return names
-}
-
 // imageCache holds rendered responses so repeated requests are a map hit,
 // like a static-file server's page cache.
 var imageCache = map[string][]byte{}
@@ -68,12 +58,6 @@ func ImageResponse(path string) ([]byte, bool) {
 	resp := append([]byte(head), body...)
 	imageCache[path] = resp
 	return resp, true
-}
-
-// ImageBytes reports an asset's body size (0 if unknown) without
-// rendering it.
-func ImageBytes(path string) int {
-	return imageSpecs[strings.TrimPrefix(path, ImagePathPrefix)]
 }
 
 // synthGIF produces a deterministic pseudo-GIF of exactly size bytes:
@@ -100,13 +84,4 @@ func synthGIF(name string, size int) []byte {
 	}
 	b[size-1] = 0x3B // GIF trailer
 	return b
-}
-
-// ImageRequest builds a GET for the i-th asset (workload generators use
-// it to mix image traffic into a stream).
-func ImageRequest(i int) []byte {
-	names := []string{"banner.gif", "nav_home.gif", "nav_bills.gif", "nav_xfer.gif",
-		"chart_q1.gif", "chart_q2.gif", "lock_icon.gif", "footer.gif", "promo_cd.gif", "promo_loan.gif"}
-	name := names[i%len(names)]
-	return []byte("GET " + ImagePathPrefix + name + " HTTP/1.1\r\nHost: bank\r\nReferer: /account_summary.php?v=" + strconv.Itoa(i) + "\r\n\r\n")
 }

@@ -2,13 +2,14 @@ package banking
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"rhythm/internal/httpx"
 )
 
 func TestImageResponseWellFormed(t *testing.T) {
-	for _, name := range ImageNames() {
+	for name, size := range imageSpecs {
 		path := ImagePathPrefix + name
 		resp, ok := ImageResponse(path)
 		if !ok {
@@ -30,8 +31,8 @@ func TestImageResponseWellFormed(t *testing.T) {
 		if body[len(body)-1] != 0x3B {
 			t.Fatalf("%s: missing GIF trailer", name)
 		}
-		if len(body) != ImageBytes(path) {
-			t.Fatalf("%s: body %d bytes, spec %d", name, len(body), ImageBytes(path))
+		if len(body) != size {
+			t.Fatalf("%s: body %d bytes, spec %d", name, len(body), size)
 		}
 	}
 }
@@ -56,9 +57,17 @@ func TestImageResponseUnknown(t *testing.T) {
 	}
 }
 
+// imageRequest builds a GET for the i-th asset.
+func imageRequest(i int) []byte {
+	names := []string{"banner.gif", "nav_home.gif", "nav_bills.gif", "nav_xfer.gif",
+		"chart_q1.gif", "chart_q2.gif", "lock_icon.gif", "footer.gif", "promo_cd.gif", "promo_loan.gif"}
+	name := names[i%len(names)]
+	return []byte("GET " + ImagePathPrefix + name + " HTTP/1.1\r\nHost: bank\r\nReferer: /account_summary.php?v=" + strconv.Itoa(i) + "\r\n\r\n")
+}
+
 func TestImageRequestParses(t *testing.T) {
 	for i := 0; i < 12; i++ {
-		raw := ImageRequest(i)
+		raw := imageRequest(i)
 		if len(raw) > RequestSlot {
 			t.Fatalf("image request %d bytes", len(raw))
 		}

@@ -48,14 +48,14 @@ func TestParserKernelColumnMajor(t *testing.T) {
 		case 1:
 			raws[i] = rig.gen.Request(Login)
 		default:
-			raws[i] = ImageRequest(i)
+			raws[i] = imageRequest(i)
 		}
 	}
 	rig.dev.Mem.Write(pb.Buf, PackRequests(raws))
 	mem.TransposeElems(rig.dev.Mem, pb.ColBuf, pb.Buf, n, RequestSlot/4, 4)
 
 	var ls simt.LaunchStats
-	rig.dev.NewStream().Launch(NewParserProgram(ParserArgs{Batch: pb, ColMajor: true}), n, nil,
+	rig.dev.NewStream().Launch(NewParserProgram(ParserArgs{Batch: pb, ColMajor: true}), n,
 		func(s simt.LaunchStats) { ls = s })
 	rig.eng.Run()
 
@@ -94,7 +94,7 @@ func TestParserKernelRowMajor(t *testing.T) {
 		raws[i] = rig.gen.Request(Profile)
 	}
 	rig.dev.Mem.Write(pb.Buf, PackRequests(raws))
-	rig.dev.NewStream().Launch(NewParserProgram(ParserArgs{Batch: pb, ColMajor: false}), n, nil, nil)
+	rig.dev.NewStream().Launch(NewParserProgram(ParserArgs{Batch: pb, ColMajor: false}), n, nil)
 	rig.eng.Run()
 	for i := 0; i < n; i++ {
 		if pb.Errs[i] != nil || pb.Types[i] != Profile {
@@ -111,7 +111,7 @@ func TestParserKernelMalformed(t *testing.T) {
 		[]byte("NONSENSE"),
 		[]byte("GET /not-a-page HTTP/1.1\r\n\r\n"),
 	}))
-	rig.dev.NewStream().Launch(NewParserProgram(ParserArgs{Batch: pb, ColMajor: false}), 2, nil, nil)
+	rig.dev.NewStream().Launch(NewParserProgram(ParserArgs{Batch: pb, ColMajor: false}), 2, nil)
 	rig.eng.Run()
 	if pb.Errs[0] == nil || pb.Errs[1] == nil {
 		t.Fatalf("errors not recorded: %v %v", pb.Errs[0], pb.Errs[1])

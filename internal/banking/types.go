@@ -68,10 +68,6 @@ type Spec struct {
 	Backends int
 	// Post marks form-submission (POST) requests.
 	Post bool
-	// DynBudget is the page's dynamic-content byte budget: backend-derived
-	// fragments are padded within it so cohort buffer pointers stay
-	// aligned (§4.3.2).
-	DynBudget int
 	// Extension marks request types beyond the paper's 14 (quick_pay);
 	// they never enter the Table 2/3 reproductions.
 	Extension bool
@@ -82,21 +78,21 @@ type Spec struct {
 
 // Specs is the Table 2 inventory in order.
 var Specs = [NumTypes]Spec{
-	{Login, "login", "/login.php", 132401, 4, 8, 28.17, 2, true, 640, false, false},
-	{AccountSummary, "account_summary", "/account_summary.php", 392243, 17, 32, 19.77, 1, false, 2048, false, false},
-	{AddPayee, "add_payee", "/add_payee.php", 335605, 18, 32, 1.47, 0, false, 384, false, false},
-	{BillPay, "bill_pay", "/bill_pay.php", 334105, 15, 32, 18.18, 1, false, 1536, false, false},
-	{BillPayStatusOutput, "bill_pay_status_output", "/bill_pay_status_output.php", 485176, 24, 32, 2.92, 1, false, 2048, false, false},
-	{ChangeProfile, "change_profile", "/change_profile.php", 560505, 29, 32, 1.60, 1, false, 1024, false, false},
-	{CheckDetailHTML, "check_detail_html", "/check_detail_html.php", 240615, 11, 16, 11.06, 1, false, 512, false, false},
-	{OrderCheck, "order_check", "/order_check.php", 433352, 21, 32, 1.60, 1, false, 1024, false, false},
-	{PlaceCheckOrder, "place_check_order", "/place_check_order.php", 466283, 25, 32, 1.15, 1, true, 1024, false, false},
-	{PostPayee, "post_payee", "/post_payee.php", 638598, 34, 64, 1.05, 1, true, 2048, false, false},
-	{PostTransfer, "post_transfer", "/post_transfer.php", 334267, 16, 32, 1.60, 1, true, 1024, false, false},
-	{Profile, "profile", "/profile.php", 590816, 32, 64, 1.15, 1, false, 1536, false, false},
-	{Transfer, "transfer", "/transfer.php", 277235, 13, 16, 2.24, 1, false, 1024, false, false},
-	{Logout, "logout", "/logout.php", 792684, 46, 64, 8.06, 0, false, 512, false, false},
-	{QuickPay, "quick_pay", "/quick_pay.php", 0, 12, 16, 0, 3, true, 1536, true, true},
+	{Login, "login", "/login.php", 132401, 4, 8, 28.17, 2, true, false, false},
+	{AccountSummary, "account_summary", "/account_summary.php", 392243, 17, 32, 19.77, 1, false, false, false},
+	{AddPayee, "add_payee", "/add_payee.php", 335605, 18, 32, 1.47, 0, false, false, false},
+	{BillPay, "bill_pay", "/bill_pay.php", 334105, 15, 32, 18.18, 1, false, false, false},
+	{BillPayStatusOutput, "bill_pay_status_output", "/bill_pay_status_output.php", 485176, 24, 32, 2.92, 1, false, false, false},
+	{ChangeProfile, "change_profile", "/change_profile.php", 560505, 29, 32, 1.60, 1, false, false, false},
+	{CheckDetailHTML, "check_detail_html", "/check_detail_html.php", 240615, 11, 16, 11.06, 1, false, false, false},
+	{OrderCheck, "order_check", "/order_check.php", 433352, 21, 32, 1.60, 1, false, false, false},
+	{PlaceCheckOrder, "place_check_order", "/place_check_order.php", 466283, 25, 32, 1.15, 1, true, false, false},
+	{PostPayee, "post_payee", "/post_payee.php", 638598, 34, 64, 1.05, 1, true, false, false},
+	{PostTransfer, "post_transfer", "/post_transfer.php", 334267, 16, 32, 1.60, 1, true, false, false},
+	{Profile, "profile", "/profile.php", 590816, 32, 64, 1.15, 1, false, false, false},
+	{Transfer, "transfer", "/transfer.php", 277235, 13, 16, 2.24, 1, false, false, false},
+	{Logout, "logout", "/logout.php", 792684, 46, 64, 8.06, 0, false, false, false},
+	{QuickPay, "quick_pay", "/quick_pay.php", 0, 12, 16, 0, 3, true, true, true},
 }
 
 // CoreTypes returns the paper's 14 request types (no extensions), the
@@ -138,27 +134,6 @@ func (s Spec) ContentBytes() int { return s.SpecWebKB * 1024 }
 
 // BufferBytes is the padded Rhythm response buffer in bytes.
 func (s Spec) BufferBytes() int { return s.RhythmKB * 1024 }
-
-// MaxBufferBytes is the largest response buffer any type uses; a
-// connection arena sized to it can render every type in place.
-func MaxBufferBytes() int {
-	m := 0
-	for _, s := range Specs {
-		if b := s.BufferBytes(); b > m {
-			m = b
-		}
-	}
-	return m
-}
-
-// MixWeights returns the request mix as a weight slice indexed by type.
-func MixWeights() []float64 {
-	w := make([]float64, NumTypes)
-	for i := range Specs {
-		w[i] = Specs[i].MixPercent
-	}
-	return w
-}
 
 // RequestSlot is the fixed per-request input buffer (§6.3: "a request
 // size of 512B").

@@ -31,9 +31,6 @@ var cacheableTypes = map[ReqType]bool{
 	Transfer:            true,
 }
 
-// Cacheable reports whether t is render-cache eligible.
-func Cacheable(t ReqType) bool { return cacheableTypes[t] }
-
 // NewWorkload builds the registrable Banking workload; its local type
 // ids are the ReqType values.
 func NewWorkload() *service.PageWorkload {

@@ -294,10 +294,6 @@ func (c *Cluster) Registry() *service.Registry { return c.cfg.Registry }
 // pre-populating sessions before dispatching).
 func (c *Cluster) GroupSessions(g int) *session.Array { return c.groups[g].sessions }
 
-// GroupBackend exposes group g's backend store for workload widx, under
-// the same no-units-in-flight caveat as GroupSessions.
-func (c *Cluster) GroupBackend(g, widx int) service.Backend { return c.groups[g].bes[widx] }
-
 // SetWriteHook registers fn on every shard group's backend stores (and
 // the per-device stray stores, which stateless units touch). A device
 // kernel's deferred backend writes replay into the owning group's store

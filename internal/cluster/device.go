@@ -321,7 +321,7 @@ func (d *device) execute(u *Unit, slot int) {
 	var nextStage func(k int)
 	nextStage = func(k int) {
 		wallStart := time.Now()
-		stream.Launch(unit.Stage(k), count, nil, func(ls simt.LaunchStats) {
+		stream.Launch(unit.Stage(k), count, func(ls simt.LaunchStats) {
 			res.Stages = append(res.Stages, StageExec{Stats: ls, Start: wallStart, Dur: time.Since(wallStart)})
 			if k < stages-1 {
 				nextStage(k + 1)

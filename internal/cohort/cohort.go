@@ -78,20 +78,11 @@ type Context[T any] struct {
 	timer    *sim.Event
 }
 
-// State reports the FSM state.
-func (c *Context[T]) State() State { return c.state }
-
 // Len reports how many requests the cohort holds.
 func (c *Context[T]) Len() int { return len(c.requests) }
 
-// Cap reports the cohort capacity.
-func (c *Context[T]) Cap() int { return c.capacity }
-
 // Requests exposes the batched requests (valid until Release).
 func (c *Context[T]) Requests() []T { return c.requests }
-
-// OpenedAt reports when the first request was added.
-func (c *Context[T]) OpenedAt() sim.Time { return c.openedAt }
 
 // Stats aggregates pool activity.
 type Stats struct {

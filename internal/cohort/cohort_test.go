@@ -49,11 +49,11 @@ func TestTimeoutLaunchesPartial(t *testing.T) {
 	p, got := poolWithCollector(eng, 2, 4096, sim.Time(1000))
 	p.Add("login", 1)
 	p.Add("login", 2)
-	eng.Advance(999)
+	eng.RunUntil(eng.Now() + 999)
 	if len(*got) != 0 {
 		t.Fatal("launched before timeout")
 	}
-	eng.Advance(2)
+	eng.RunUntil(eng.Now() + 2)
 	if len(*got) != 1 {
 		t.Fatalf("timeout did not launch: %d", len(*got))
 	}
@@ -66,13 +66,13 @@ func TestTimeoutLaunchesPartial(t *testing.T) {
 func TestTimeoutMeasuredFromFirstRequest(t *testing.T) {
 	eng := sim.NewEngine()
 	p, got := poolWithCollector(eng, 2, 100, sim.Time(1000))
-	eng.Advance(500)
+	eng.RunUntil(eng.Now() + 500)
 	p.Add("x", 1)
-	eng.Advance(900) // t=1400, deadline is 1500
+	eng.RunUntil(eng.Now() + 900) // t=1400, deadline is 1500
 	if len(*got) != 0 {
 		t.Fatal("fired early")
 	}
-	eng.Advance(200)
+	eng.RunUntil(eng.Now() + 200)
 	if len(*got) != 1 || (*got)[0].at != 1500 {
 		t.Fatalf("launches = %+v", *got)
 	}
@@ -83,7 +83,7 @@ func TestFillCancelsTimer(t *testing.T) {
 	p, got := poolWithCollector(eng, 2, 2, sim.Time(1000))
 	p.Add("x", 1)
 	p.Add("x", 2) // fills
-	eng.Advance(5000)
+	eng.RunUntil(eng.Now() + 5000)
 	if len(*got) != 1 {
 		t.Fatalf("timer fired after fill: %d launches", len(*got))
 	}
@@ -133,8 +133,8 @@ func TestReleaseRecycles(t *testing.T) {
 	if p.FreeContexts() != 1 {
 		t.Fatal("Release did not free")
 	}
-	if last.State() != Free || last.Len() != 0 {
-		t.Fatalf("context not reset: %v len %d", last.State(), last.Len())
+	if last.state != Free || last.Len() != 0 {
+		t.Fatalf("context not reset: %v len %d", last.state, last.Len())
 	}
 	// Reusable for a different key.
 	if !p.Add("b", 9) {
@@ -189,7 +189,7 @@ func TestStatsOccupancy(t *testing.T) {
 		p.Add("full", i)
 	}
 	p.Add("partial", 1)
-	eng.Advance(20) // partial times out with 1 request
+	eng.RunUntil(eng.Now() + 20) // partial times out with 1 request
 	st := p.Stats()
 	if st.Formed != 2 || st.TimedOut != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -221,7 +221,7 @@ func TestFSMInvariantProperty(t *testing.T) {
 			case 0, 1:
 				p.Add(keys[op%3], int(op))
 			case 2:
-				eng.Advance(sim.Time(op))
+				eng.RunUntil(eng.Now() + sim.Time(op))
 			case 3:
 				if len(busy) > 0 {
 					p.Release(busy[len(busy)-1])
@@ -231,7 +231,7 @@ func TestFSMInvariantProperty(t *testing.T) {
 		}
 		inUse := 0
 		for _, c := range p.contexts {
-			if c.State() != Free {
+			if c.state != Free {
 				inUse++
 			}
 		}

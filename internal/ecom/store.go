@@ -21,7 +21,6 @@ import (
 type Store struct {
 	carts     map[uint64][]cartLine
 	orders    map[uint64][]string
-	requests  uint64
 	writeHook func(uid uint64)
 	// resp is Handle's response buffer, reused by the next Handle.
 	resp []byte
@@ -39,9 +38,6 @@ func NewStore() *Store {
 		orders: make(map[uint64][]string),
 	}
 }
-
-// Requests reports handled backend requests.
-func (s *Store) Requests() uint64 { return s.requests }
 
 // SetWriteHook implements service.Backend.
 func (s *Store) SetWriteHook(fn func(uid uint64)) { s.writeHook = fn }
@@ -113,7 +109,6 @@ const catalogRows = 12
 // requests of up to 1 KB, responses within 4 KB, built in a buffer the
 // next Handle reuses.
 func (s *Store) Handle(req []byte) []byte {
-	s.requests++
 	f := strings.Fields(string(req))
 	if len(f) == 0 {
 		return []byte("ERR empty")

@@ -245,8 +245,7 @@ type nodeState struct {
 	// scrape during a worker hiccup degrades to stale rather than empty.
 	lastSnap   cluster.Snapshot
 	hasSnap    bool
-	busBytes   float64 // loopback: mix-average modeled bus bytes per request
-	faultAfter uint64  // 0 = no pending node fault
+	faultAfter uint64 // 0 = no pending node fault
 	hasFault   bool
 }
 
@@ -389,17 +388,8 @@ func CoveringGroups(nodes int) int {
 	}
 }
 
-// Kind reports the transport kind ("loopback", "tcp").
-func (f *Fabric) Kind() string { return f.tr.Kind() }
-
-// Nodes reports the node count.
-func (f *Fabric) Nodes() int { return f.tr.Nodes() }
-
 // GroupCount reports the global shard-group count.
 func (f *Fabric) GroupCount() int { return f.cfg.Groups }
-
-// Registry exposes the registry the fabric serves.
-func (f *Fabric) Registry() *service.Registry { return f.reg }
 
 // GroupFor reports the global shard group a classified request routes
 // to — the same affinity-bucket-mod-groups rule the cluster used, over
@@ -624,12 +614,6 @@ func (f *Fabric) Close() { f.tr.Close() }
 // access to node state; with a tcp transport they report absent and the
 // cohort server disables the dependent features (DESIGN.md §17).
 
-// Loopback reports whether every node is in-process.
-func (f *Fabric) Loopback() bool {
-	_, ok := f.tr.(*loopback)
-	return ok
-}
-
 // SetWriteHook registers fn on every loopback node's backend stores,
 // reporting false (and registering nothing) on remote transports —
 // remote workers' writes commit in their own process.
@@ -658,16 +642,6 @@ func (f *Fabric) GroupSessions(g int) *session.Array {
 		return nil
 	}
 	return lb.nodes[n].GroupSessions(g)
-}
-
-// Node exposes loopback node n's cluster (harness and tests; nil on
-// remote transports).
-func (f *Fabric) Node(n int) *cluster.Cluster {
-	lb, ok := f.tr.(*loopback)
-	if !ok {
-		return nil
-	}
-	return lb.nodes[n]
 }
 
 // nodeProfileStride offsets stream ids per node in merged launch

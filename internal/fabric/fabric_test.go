@@ -70,7 +70,7 @@ func unitFor(t *testing.T, f *Fabric, raw []byte) *cluster.Unit {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	rt, ok := f.Registry().Classify(&req)
+	rt, ok := f.reg.Classify(&req)
 	if !ok {
 		t.Fatalf("no request type for %s", req.Path)
 	}
@@ -307,8 +307,8 @@ func TestFabricTCPMatchesLoopback(t *testing.T) {
 	tcfg := testConfig(2, 2)
 	tcfg.Addrs = addrs
 	tf := newFabric(t, tcfg)
-	if tf.Kind() != "tcp" {
-		t.Fatalf("transport = %s", tf.Kind())
+	if tf.tr.Kind() != "tcp" {
+		t.Fatalf("transport = %s", tf.tr.Kind())
 	}
 	if tf.GroupCount() != lf.GroupCount() {
 		t.Fatalf("group tables differ: %d vs %d", tf.GroupCount(), lf.GroupCount())
@@ -339,8 +339,8 @@ func TestFabricTCPMatchesLoopback(t *testing.T) {
 func uidsPerNode(t *testing.T, f *Fabric) []uint64 {
 	t.Helper()
 	groups := f.GroupCount()
-	uids := make([]uint64, f.Nodes())
-	found := make([]bool, f.Nodes())
+	uids := make([]uint64, f.tr.Nodes())
+	found := make([]bool, f.tr.Nodes())
 	for g := 0; g < groups; g++ {
 		n := f.OwnerOf(g)
 		if n >= 0 && !found[n] {
@@ -506,8 +506,8 @@ func TestResultResponsesBelongToTheCaller(t *testing.T) {
 			cfg.Addrs = []string{w.Addr()}
 		}
 		f := newFabric(t, cfg)
-		if f.Kind() != transport {
-			t.Fatalf("transport = %s, want %s", f.Kind(), transport)
+		if f.tr.Kind() != transport {
+			t.Fatalf("transport = %s, want %s", f.tr.Kind(), transport)
 		}
 		var sids []string
 		for uid := uint64(7301); uid < 7305; uid++ {

@@ -94,18 +94,6 @@ func (fs *FS) Load(path string, data []byte) FileID {
 	return id
 }
 
-// Open resolves a path to a resident file.
-func (fs *FS) Open(path string) (FileID, bool) {
-	id, ok := fs.byPath[path]
-	return id, ok
-}
-
-// Size reports a resident file's length.
-func (fs *FS) Size(id FileID) int { return fs.file(id).size }
-
-// Path reports a resident file's name.
-func (fs *FS) Path(id FileID) string { return fs.file(id).path }
-
 func (fs *FS) file(id FileID) fileEntry {
 	if int(id) < 0 || int(id) >= len(fs.files) {
 		panic(fmt.Sprintf("gpufs: bad file id %d", id))

@@ -19,16 +19,6 @@ func TestLoadOpenRead(t *testing.T) {
 	fs, dev, eng := testFS(t)
 	content := bytes.Repeat([]byte("check-image-scanline."), 100)
 	id := fs.Load("/checks/0001.gif", content)
-	got, ok := fs.Open("/checks/0001.gif")
-	if !ok || got != id {
-		t.Fatalf("Open = %v, %v", got, ok)
-	}
-	if fs.Size(id) != len(content) {
-		t.Fatalf("Size = %d", fs.Size(id))
-	}
-	if fs.Path(id) != "/checks/0001.gif" {
-		t.Fatalf("Path = %q", fs.Path(id))
-	}
 	if fs.ResidentBytes != int64(len(content)) {
 		t.Fatalf("ResidentBytes = %d", fs.ResidentBytes)
 	}
@@ -40,7 +30,7 @@ func TestLoadOpenRead(t *testing.T) {
 		if string(rec) != "check-image-scanline." {
 			fail = true
 		}
-	}}, 32, nil, nil)
+	}}, 32, nil)
 	eng.Run()
 	if fail {
 		t.Fatal("kernel read wrong bytes")
@@ -61,11 +51,20 @@ func TestDoubleLoadPanics(t *testing.T) {
 	fs.Load("/a", []byte("y"))
 }
 
+// TestOpenMissing: a file id no Load returned names no resident file,
+// and a kernel read of it panics instead of reading stray memory.
 func TestOpenMissing(t *testing.T) {
-	fs, _, _ := testFS(t)
-	if _, ok := fs.Open("/nope"); ok {
-		t.Fatal("Open found a missing file")
-	}
+	fs, dev, eng := testFS(t)
+	fs.Load("/a", make([]byte, 64))
+	defer func() {
+		if recover() == nil {
+			t.Error("read of a missing file did not panic")
+		}
+	}()
+	dev.NewStream().Launch(simt.FuncProgram{Label: "missing", Body: func(th *simt.Thread) {
+		fs.ReadAt(th, FileID(1), 0, 1)
+	}}, 1, nil)
+	eng.Run()
 }
 
 func TestReadBeyondEOFPanics(t *testing.T) {
@@ -78,7 +77,7 @@ func TestReadBeyondEOFPanics(t *testing.T) {
 	}()
 	dev.NewStream().Launch(simt.FuncProgram{Label: "oob", Body: func(th *simt.Thread) {
 		fs.ReadAt(th, id, 60, 10)
-	}}, 1, nil, nil)
+	}}, 1, nil)
 	eng.Run()
 }
 

@@ -57,18 +57,18 @@ func TestHostParallelismDeterminism(t *testing.T) {
 }
 
 // TestSimParallelismDeterminism is the same contract for launch-level
-// parallelism (DESIGN.md §13): a reduced Table 3, a cluster-scaling
-// sweep, and the adaptive study must produce identical result structs
+// parallelism (DESIGN.md §13): a reduced Table 3 and the mixed-workload
+// study on a two-device cluster must produce identical result structs
 // and byte-identical rendered tables whether each device's epoch
 // batches execute serially (SimParallelism=1) or on 8 host workers.
 func TestSimParallelismDeterminism(t *testing.T) {
-	run := func(sp int) (Table3Result, ClusterScalingResult, string) {
+	run := func(sp int) (Table3Result, WorkloadMixResult, string) {
 		cfg := tinyConfig()
 		cfg.CPURequestsPerType = 120
 		cfg.GPUCohortsPerType = 2
 		cfg.SimParallelism = sp
 		t3 := Table3(cfg)
-		cs := ClusterScalingStudy(cfg, []int{1, 2})
+		cs := WorkloadMixStudy(cfg, 2)
 		var buf bytes.Buffer
 		t3.Render().Print(&buf)
 		cs.Render().Print(&buf)
@@ -82,7 +82,7 @@ func TestSimParallelismDeterminism(t *testing.T) {
 		t.Error("Table 3 results differ between SimParallelism 1 and 8")
 	}
 	if !reflect.DeepEqual(serialCS, parCS) {
-		t.Errorf("cluster scaling diverged:\n  serial:   %+v\n  parallel: %+v", serialCS, parCS)
+		t.Errorf("workload mix diverged:\n  serial:   %+v\n  parallel: %+v", serialCS, parCS)
 	}
 	if serialOut != parOut {
 		t.Fatal("rendered tables differ between SimParallelism 1 and 8")

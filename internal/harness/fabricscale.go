@@ -27,6 +27,11 @@ import (
 // across runs. Kernel errors and lost units are tracked so the gate can
 // hold both at zero: scale-out must not cost correctness.
 
+// sweepTypes is the banking mix each shard group's units cycle through
+// here and in WorkloadMixStudy: the three session'd read paths the load
+// generator drives.
+var sweepTypes = []banking.ReqType{banking.AccountSummary, banking.Profile, banking.Transfer}
+
 // ScaleOutRow is one node count in the measured sweep.
 type ScaleOutRow struct {
 	Nodes       int
@@ -114,7 +119,7 @@ func runScaleOutPoint(cfg Config, nodes int) ScaleOutRow {
 		gen := banking.NewGenerator(cfg.Seed+int64(i), fab.GroupSessions(g))
 		gen.Populate(2 * cfg.CohortSize)
 		for u := 0; u < unitsPerNode; u++ {
-			rt := clusterSweepTypes[u%len(clusterSweepTypes)]
+			rt := sweepTypes[u%len(sweepTypes)]
 			reqs := make([]httpx.Request, cfg.CohortSize)
 			for j := range reqs {
 				req, err := httpx.Parse(gen.Request(rt))

@@ -123,7 +123,7 @@ func runCheckImages(size, cohorts int, resident bool, faults *uint64) float64 {
 				reqIDs[r] = ids[(c*size+r)%checkImageCount]
 			}
 			stream.Launch(checkImageKernel{fs: fs, ids: reqIDs, respCol: respCol, size: size, buf: bufBytes},
-				size, nil, nil)
+				size, nil)
 			stream.Transpose(respRow, respCol, bufBytes/4, size, 4, nil)
 		} else {
 			// Disk-bound path: every request faults its image from the
@@ -146,7 +146,7 @@ func runCheckImages(size, cohorts int, resident bool, faults *uint64) float64 {
 							copy(resp[n:], img)
 							t.Compute(len(resp) / 16)
 							t.StoreStrided(respCol+mem.Addr(4*t.ID), resp, 4, 4*size)
-						}}, size, nil, nil)
+						}}, size, nil)
 						stream.Transpose(respRow, respCol, bufBytes/4, size, 4, nil)
 					}
 				})

@@ -200,18 +200,6 @@ var Experiments = []Experiment{
 			}
 			return ms
 		}},
-	{Name: "cluster-scaling", Ref: "DESIGN.md Sec 11", Desc: "measured multi-device sweep through the cluster layer", Gated: true,
-		Run: func(s *Session) []Metric {
-			r := ClusterScalingStudy(s.Cfg, []int{1, 2, 4, 8})
-			r.Render().Print(s.Out)
-			var ms []Metric
-			for _, row := range r.Rows {
-				ms = append(ms,
-					Metric{fmt.Sprintf("devices%d/throughput_req_s", row.Devices), row.ThroughputK * 1e3},
-					Metric{fmt.Sprintf("devices%d/speedup", row.Devices), row.Speedup})
-			}
-			return ms
-		}},
 	{Name: "ablations", Ref: "DESIGN.md Sec 5", Desc: "padding / transpose / intra-request ablations",
 		Run: func(s *Session) []Metric {
 			RenderAblation(AblatePadding(s.Cfg)).Print(s.Out)

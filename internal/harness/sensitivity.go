@@ -100,7 +100,7 @@ func parseOnce(cfg Config, mixed bool) (latUs, tput float64, divergent int64) {
 	stream.Transpose(pb.ColBuf, pb.Buf, pb.Size, banking.RequestSlot/4, 4, nil)
 	start := eng.Now()
 	var ls simt.LaunchStats
-	stream.Launch(banking.NewParserProgram(banking.ParserArgs{Batch: pb, ColMajor: true}), cfg.CohortSize, nil,
+	stream.Launch(banking.NewParserProgram(banking.ParserArgs{Batch: pb, ColMajor: true}), cfg.CohortSize,
 		func(s simt.LaunchStats) { ls = s })
 	eng.Run()
 	elapsed := eng.Now() - start
@@ -353,8 +353,6 @@ type AblationResult struct {
 	Name     string
 	Baseline PlatformRun
 	Ablated  PlatformRun
-	// ExtraTransactions is ablated/baseline memory transactions.
-	ExtraTransactions float64
 }
 
 // AblatePadding disables the §4.3.2 whitespace alignment.
@@ -424,7 +422,7 @@ func IntraVsInter(cfg Config) IntraRequestResult {
 		eng := sim.NewEngine()
 		dev := simt.NewDevice(eng, simt.GTXTitan(), 64<<20, nil)
 		var dur sim.Time
-		dev.NewStream().Launch(prog, threads, nil, func(ls simt.LaunchStats) { dur = ls.Duration })
+		dev.NewStream().Launch(prog, threads, func(ls simt.LaunchStats) { dur = ls.Duration })
 		eng.Run()
 		return float64(requests) / dur.Seconds()
 	}

@@ -155,7 +155,7 @@ func WorkloadMixStudy(cfg Config, devices int) WorkloadMixResult {
 		gen := banking.NewGenerator(cfg.Seed+int64(g), cl.GroupSessions(g))
 		gen.Populate(2 * size)
 		for u := 0; u < workloadMixBankingUnits; u++ {
-			rt := clusterSweepTypes[u%len(clusterSweepTypes)]
+			rt := sweepTypes[u%len(sweepTypes)]
 			reqs := make([]httpx.Request, size)
 			for i := range reqs {
 				reqs[i] = parse(string(gen.Request(rt)))

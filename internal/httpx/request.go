@@ -292,20 +292,3 @@ func unhex(c byte) (byte, bool) {
 	}
 	return 0, false
 }
-
-// Escape URL-encodes s for use in a query string.
-func Escape(s string) string {
-	const safe = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_.~"
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if strings.IndexByte(safe, c) >= 0 {
-			b.WriteByte(c)
-		} else if c == ' ' {
-			b.WriteByte('+')
-		} else {
-			fmt.Fprintf(&b, "%%%02X", c)
-		}
-	}
-	return b.String()
-}

@@ -97,12 +97,6 @@ func (w *ResponseWriter) WriteByte(c byte) error {
 	return nil
 }
 
-// WriteInt appends the decimal representation of v.
-func (w *ResponseWriter) WriteInt(v int64) {
-	var tmp [20]byte
-	w.Write(strconv.AppendInt(tmp[:0], v, 10))
-}
-
 // PadTo appends whitespace until the writer's offset reaches target.
 // This is the paper's HTML-body realignment: after a variable-length
 // dynamic fragment, every thread in the cohort pads to the same offset so
@@ -122,14 +116,6 @@ var spaces = strings.Repeat(" ", 4096)
 
 // Len reports the bytes written so far.
 func (w *ResponseWriter) Len() int { return w.n }
-
-// BodyLen reports body bytes written since StartOK.
-func (w *ResponseWriter) BodyLen() int {
-	if w.bodyAt < 0 {
-		return 0
-	}
-	return w.n - w.bodyAt
-}
 
 // Finish backpatches the Content-Length padding with the actual body
 // length and returns the complete response bytes.

@@ -1,11 +1,10 @@
 // Package mem models the accelerator's device memory: a flat linear
 // address space — backed by real bytes where the simulation reads them
 // back (a stage kernel's backend slots, the parser's request image),
-// reserved but unbacked where a buffer is only priced —
-// preallocated pools that are recycled across cohorts (the paper
-// allocates all pipeline memory at startup, §4.6), and the 2-D buffer
-// transpose between row-major and column-major layouts that gives Rhythm
-// coalesced accesses (§4.3.2).
+// reserved but unbacked where a buffer is only priced — allocated once
+// at startup (the paper allocates all pipeline memory then, §4.6), and
+// the 2-D buffer transpose between row-major and column-major layouts
+// that gives Rhythm coalesced accesses (§4.3.2).
 package mem
 
 import "fmt"
@@ -50,15 +49,9 @@ func New(size int) *Memory {
 	return &Memory{data: make([]byte, size)}
 }
 
-// Size reports the backed capacity in bytes.
-func (m *Memory) Size() int { return len(m.data) }
-
-// Allocated reports how many bytes have been handed out by Alloc.
-func (m *Memory) Allocated() int { return int(m.brk) }
-
 // Alloc reserves n bytes aligned to align (a power of two) and returns the
 // base address. Like the paper's startup-time pools, allocations are never
-// individually freed; use Pool for recycling.
+// individually freed.
 func (m *Memory) Alloc(n, align int) Addr {
 	a := alignUp(m.brk, n, align)
 	if int(a)+n > len(m.data) {
@@ -117,63 +110,4 @@ func (m *Memory) Write(addr Addr, p []byte) { copy(m.Bytes(addr, len(p)), p) }
 // nil: the allocation is not zeroed first).
 func (m *Memory) Read(addr Addr, n int) []byte {
 	return append([]byte(nil), m.Bytes(addr, n)...)
-}
-
-// Zero clears [addr, addr+n).
-func (m *Memory) Zero(addr Addr, n int) {
-	b := m.Bytes(addr, n)
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// Pool is a fixed-size-slot recycling allocator carved out of Memory at
-// startup, mirroring the paper's "memory pools are created at startup to
-// avoid allocation and synchronization overheads, and memory is recycled"
-// (§4.6). Get/Put are O(1).
-type Pool struct {
-	slot  int
-	free  []Addr
-	total int
-}
-
-// NewPool carves count slots of slotSize bytes (each aligned to align)
-// from m.
-func NewPool(m *Memory, count, slotSize, align int) *Pool {
-	if count <= 0 || slotSize <= 0 {
-		panic("mem: pool needs positive count and slot size")
-	}
-	p := &Pool{slot: slotSize, free: make([]Addr, 0, count), total: count}
-	for i := 0; i < count; i++ {
-		p.free = append(p.free, m.Alloc(slotSize, align))
-	}
-	return p
-}
-
-// SlotSize reports the size of each slot in bytes.
-func (p *Pool) SlotSize() int { return p.slot }
-
-// Free reports the number of available slots.
-func (p *Pool) Free() int { return len(p.free) }
-
-// Total reports the pool capacity in slots.
-func (p *Pool) Total() int { return p.total }
-
-// Get pops a free slot. The second result is false when the pool is
-// exhausted — a structural hazard that stalls the Rhythm pipeline.
-func (p *Pool) Get() (Addr, bool) {
-	if len(p.free) == 0 {
-		return 0, false
-	}
-	a := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return a, true
-}
-
-// Put returns a slot to the pool.
-func (p *Pool) Put(a Addr) {
-	if len(p.free) >= p.total {
-		panic("mem: pool overflow (double Put?)")
-	}
-	p.free = append(p.free, a)
 }

@@ -16,9 +16,20 @@ func TestAllocAlignment(t *testing.T) {
 	if b <= a {
 		t.Fatalf("allocations overlap: %d then %d", a, b)
 	}
-	if m.Allocated() == 0 {
-		t.Fatal("Allocated should be positive")
+}
+
+// TestMemorySize: New backs exactly the bytes it is asked for.
+func TestMemorySize(t *testing.T) {
+	m := New(4096)
+	if got := len(m.Bytes(0, 4096)); got != 4096 {
+		t.Fatalf("Bytes(0, 4096) returned %d bytes", got)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an access one byte past the size did not panic")
+		}
+	}()
+	m.Bytes(0, 4097)
 }
 
 func TestAllocExhaustionPanics(t *testing.T) {
@@ -41,16 +52,17 @@ func TestAllocBadAlignPanics(t *testing.T) {
 	m.Alloc(8, 3)
 }
 
+// TestReadWriteZero: fresh memory reads zero, and what Write stores
+// Read returns.
 func TestReadWriteZero(t *testing.T) {
 	m := New(1024)
 	a := m.Alloc(16, 1)
+	if got := m.Read(a, 16); !bytes.Equal(got, make([]byte, 16)) {
+		t.Fatalf("fresh memory reads %v", got)
+	}
 	m.Write(a, []byte("hello"))
 	if got := string(m.Read(a, 5)); got != "hello" {
 		t.Fatalf("Read = %q", got)
-	}
-	m.Zero(a, 5)
-	if got := m.Read(a, 5); !bytes.Equal(got, make([]byte, 5)) {
-		t.Fatalf("Zero left %v", got)
 	}
 }
 
@@ -76,7 +88,7 @@ func TestReservedRange(t *testing.T) {
 	if a%256 != 0 || b%256 != 0 || int(a) < size || b < a+300 {
 		t.Fatalf("Reserve returned %d then %d for a %d-byte memory", a, b, size)
 	}
-	if m.Allocated() != 100 || m.Alloc(size-100, 1) != backed+100 {
+	if m.brk != 100 || m.Alloc(size-100, 1) != backed+100 {
 		t.Fatal("a reservation consumed backed capacity")
 	}
 	panics := func(f func()) (p bool) {
@@ -113,50 +125,6 @@ func TestReservedRange(t *testing.T) {
 			t.Error("an access to bytes that do not exist, or a bad reservation, did not panic")
 		}
 	}
-}
-
-func TestPoolGetPut(t *testing.T) {
-	m := New(1 << 16)
-	p := NewPool(m, 4, 256, 256)
-	if p.Free() != 4 || p.Total() != 4 || p.SlotSize() != 256 {
-		t.Fatalf("pool shape: free=%d total=%d slot=%d", p.Free(), p.Total(), p.SlotSize())
-	}
-	seen := map[Addr]bool{}
-	var got []Addr
-	for i := 0; i < 4; i++ {
-		a, ok := p.Get()
-		if !ok {
-			t.Fatal("pool exhausted early")
-		}
-		if a%256 != 0 {
-			t.Fatalf("slot %d unaligned", a)
-		}
-		if seen[a] {
-			t.Fatalf("duplicate slot %d", a)
-		}
-		seen[a] = true
-		got = append(got, a)
-	}
-	if _, ok := p.Get(); ok {
-		t.Fatal("Get succeeded on empty pool")
-	}
-	p.Put(got[0])
-	if a, ok := p.Get(); !ok || a != got[0] {
-		t.Fatalf("recycled slot = %d, %v", a, ok)
-	}
-}
-
-func TestPoolDoublePutPanics(t *testing.T) {
-	m := New(1 << 12)
-	p := NewPool(m, 1, 64, 64)
-	a, _ := p.Get()
-	p.Put(a)
-	defer func() {
-		if recover() == nil {
-			t.Error("pool overflow did not panic")
-		}
-	}()
-	p.Put(a)
 }
 
 func TestTransposeKnown(t *testing.T) {
@@ -325,11 +293,4 @@ func TestTransposeElemsRangeValidation(t *testing.T) {
 		}
 	}()
 	TransposeElemsRange(m, dst, src, 4, 4, 4, 5, 4)
-}
-
-func TestMemorySize(t *testing.T) {
-	m := New(4096)
-	if m.Size() != 4096 {
-		t.Fatalf("Size = %d", m.Size())
-	}
 }

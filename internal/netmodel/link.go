@@ -50,8 +50,8 @@ type Link struct {
 const linkBurstSecs = 0.05
 
 // NewLink builds a link budgeted at bps bytes per second (0 =
-// unmetered). Use Gbps constants /8 for network links and PCIe3Bps /
-// PCIe4Bps for bus budgets.
+// unmetered): a network link's bit rate ÷ 8, or PCIe3Bps / PCIe4Bps for
+// bus budgets.
 func NewLink(bps float64) *Link {
 	l := &Link{bps: bps, last: time.Now()}
 	if bps > 0 {
@@ -60,9 +60,6 @@ func NewLink(bps float64) *Link {
 	}
 	return l
 }
-
-// Bps reports the provisioned budget in bytes/sec (0 = unmetered).
-func (l *Link) Bps() float64 { return l.bps }
 
 // Admit charges n outbound bytes against the budget, reporting false —
 // and counting a shed — when the bucket cannot cover them. Unmetered

@@ -18,14 +18,6 @@ const (
 	PCIe4Bps = 24e9
 )
 
-// Link rates, bits/sec.
-const (
-	Gbps10  = 10e9
-	Gbps40  = 40e9
-	Gbps100 = 100e9
-	Gbps400 = 400e9
-)
-
 // BusBytesPerRequest reports the bytes one request of type t moves over
 // the PCIe bus on Titan A: the request slot in, each backend round trip
 // (request out, response in), and the padded response buffer out —
@@ -41,16 +33,6 @@ func BusBytesPerRequest(t banking.ReqType) int {
 // the given bus bandwidth — the "throughput bound" series of Fig 9.
 func PCIeBound(t banking.ReqType, busBps float64) float64 {
 	return busBps / float64(BusBytesPerRequest(t))
-}
-
-// AvgBusBytesPerRequest is the mix-weighted per-request bus traffic.
-func AvgBusBytesPerRequest() float64 {
-	var acc, w float64
-	for _, s := range banking.Specs {
-		acc += float64(BusBytesPerRequest(s.Type)) * s.MixPercent
-		w += s.MixPercent
-	}
-	return acc / w
 }
 
 // NetworkBytesPerRequest reports the bytes one average request moves over
@@ -94,14 +76,4 @@ func MaxCohortsInFlight(deviceBytes, sessionSlots int64, t banking.ReqType, coho
 	}
 	per := banking.CohortDeviceBytes(t, cohortSize)
 	return int(free / per)
-}
-
-// AvgCohortDeviceBytes reports the mix-weighted per-cohort footprint.
-func AvgCohortDeviceBytes(cohortSize int) float64 {
-	var acc, w float64
-	for _, s := range banking.Specs {
-		acc += float64(banking.CohortDeviceBytes(s.Type, cohortSize)) * s.MixPercent
-		w += s.MixPercent
-	}
-	return acc / w
 }

@@ -108,14 +108,3 @@ func TestMaxCohortsInFlightPaperScale(t *testing.T) {
 		t.Fatal("session array alone should exhaust 1 GB")
 	}
 }
-
-func TestAvgBusBytes(t *testing.T) {
-	avg := AvgBusBytesPerRequest()
-	// ~0.5K + 1.2×5K + 26.4K ≈ 33K.
-	if avg < 28e3 || avg > 38e3 {
-		t.Fatalf("avg bus bytes = %.0f", avg)
-	}
-	if AvgCohortDeviceBytes(4096) <= 0 {
-		t.Fatal("AvgCohortDeviceBytes not positive")
-	}
-}

@@ -79,21 +79,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns the Titan B configuration at paper scale.
-func DefaultOptions() Options {
-	return Options{
-		CohortSize:         4096,
-		MaxCohorts:         8,
-		FormationTimeout:   sim.Duration(0),
-		Padding:            true,
-		ColumnMajor:        true,
-		DeviceBackend:      true,
-		BackendWorkers:     4,
-		BackendServiceTime: 2_000, // 2 µs per lookup: an in-memory KV store
-		ValidateEvery:      1024,
-	}
-}
-
 // Source supplies raw requests to the Reader. Next reports false when the
 // stream is exhausted.
 type Source interface {
@@ -385,7 +370,7 @@ func (s *Server) feedReader() {
 			count, banking.RequestSlot/4, nil)
 	}
 	args := banking.ParserArgs{Batch: rb.pb, ColMajor: s.opts.ColumnMajor}
-	rb.stream.Launch(banking.NewParserProgram(args), count, nil, func(simt.LaunchStats) {
+	rb.stream.Launch(banking.NewParserProgram(args), count, func(simt.LaunchStats) {
 		s.dispatchBatch(rb, count)
 	})
 	// Keep the other buffer filling while this one parses.
@@ -461,7 +446,7 @@ func (s *Server) runCohort(c *cohort.Context[preq]) {
 	stragglers := make(map[int]bool)
 	var nextStage func(k int)
 	nextStage = func(k int) {
-		stream.Launch(unit.Stage(k), count, nil, func(simt.LaunchStats) {
+		stream.Launch(unit.Stage(k), count, func(simt.LaunchStats) {
 			if k < unit.Stages()-1 {
 				if s.opts.DeviceBackend {
 					// Besim ran chained inside the kernel.

@@ -39,12 +39,19 @@ func newRig(t *testing.T, opts Options, bus *sim.Pipe) *testRig {
 	return &testRig{eng: eng, dev: dev, srv: srv, gen: gen, sessions: sessions}
 }
 
+// smallOptions is Titan B (device backend, padding, column-major) at a
+// test-sized cohort.
 func smallOptions() Options {
-	o := DefaultOptions()
-	o.CohortSize = 64
-	o.MaxCohorts = 4
-	o.ValidateEvery = 7
-	return o
+	return Options{
+		CohortSize:         64,
+		MaxCohorts:         4,
+		Padding:            true,
+		ColumnMajor:        true,
+		DeviceBackend:      true,
+		BackendWorkers:     4,
+		BackendServiceTime: 2_000,
+		ValidateEvery:      7,
+	}
 }
 
 func (r *testRig) isolated(t banking.ReqType, n int) Source {
@@ -334,7 +341,10 @@ func TestImageRequestsBypassProcessStage(t *testing.T) {
 	opts := smallOptions()
 	opts.CohortSize = 16
 	rig := newRig(t, opts, nil)
-	reqs := [][]byte{banking.ImageRequest(0), banking.ImageRequest(4)}
+	reqs := [][]byte{
+		[]byte("GET " + banking.ImagePathPrefix + "banner.gif HTTP/1.1\r\nHost: bank\r\n\r\n"),
+		[]byte("GET " + banking.ImagePathPrefix + "chart_q1.gif HTTP/1.1\r\nHost: bank\r\n\r\n"),
+	}
 	for i := 0; i < 14; i++ {
 		reqs = append(reqs, rig.gen.Request(banking.Transfer))
 	}

@@ -52,11 +52,6 @@ type CPUResult struct {
 	ValidationFailures uint64
 }
 
-// Efficiency returns reqs/Joule at wall and dynamic power.
-func (r CPUResult) Efficiency() stats.Efficiency {
-	return stats.EfficiencyOf(r.Throughput, r.WallWatts, r.DynWatts)
-}
-
 // NewCPUServer builds a baseline server for cpu with the given worker
 // count. validateEvery samples responses through the SPECWeb validator
 // (0 disables).

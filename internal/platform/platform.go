@@ -163,11 +163,6 @@ func (p TitanPower) Dynamic(smUtil, memUtil float64) float64 {
 	return p.BaseDyn + p.SMMax*clamp01(smUtil) + p.MemMax*clamp01(memUtil)
 }
 
-// Wall reports wall watts at the given utilizations.
-func (p TitanPower) Wall(smUtil, memUtil float64) float64 {
-	return p.IdleWatts + p.Dynamic(smUtil, memUtil)
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

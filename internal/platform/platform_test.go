@@ -85,9 +85,6 @@ func TestTitanPowerCalibration(t *testing.T) {
 	if p.Dynamic(-1, 2) != p.Dynamic(0, 1) {
 		t.Fatal("utilization clamping broken")
 	}
-	if p.Wall(1, 0.7) != p.IdleWatts+b {
-		t.Fatal("Wall != Idle + Dynamic")
-	}
 }
 
 func TestScaleToMatch(t *testing.T) {

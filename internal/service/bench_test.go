@@ -65,10 +65,10 @@ func benchmarkCohort(b *testing.B, egress bool) {
 	for i := 0; i < b.N; i++ {
 		var unit service.Unit
 		metered(egress, func() { unit = slot.Bind(local, wd.reqs, wd.sessions, wd.be) })
-		stream.Launch(unit.Stage(0), lanes, nil, nil)
+		stream.Launch(unit.Stage(0), lanes, nil)
 		eng.Run()
 		metered(!egress, func() {
-			stream.Launch(unit.Stage(1), lanes, nil, nil)
+			stream.Launch(unit.Stage(1), lanes, nil)
 			eng.Run()
 		})
 		if egress {

@@ -5,6 +5,9 @@ import (
 	"rhythm/internal/simt"
 )
 
+// Def returns local type i's definition.
+func (w *PageWorkload) Def(local int) *SvcDef { return &w.defs[local] }
+
 // RefUnit is the write-through reference build of a PageUnit: its column
 // images and its response buffer are backed, its stage kernel renders
 // into scratch and moves every byte the layout implies — StoreColumn

@@ -196,7 +196,7 @@ func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v ser
 	run := deviceRun{unit: unit}
 	var next func(k int)
 	next = func(k int) {
-		stream.Launch(chain.Stage(k), n, nil, func(ls simt.LaunchStats) {
+		stream.Launch(chain.Stage(k), n, func(ls simt.LaunchStats) {
 			run.launches = append(run.launches, ls)
 			switch {
 			case k == unit.Stages()-1:
@@ -420,7 +420,7 @@ func TestResponsesAreIsolated(t *testing.T) {
 		wd := in.world(t, in.page, n, nil)
 		unit := slot.Bind(in.page, wd.reqs, wd.sessions, wd.be)
 		for k := 0; k < unit.Stages(); k++ {
-			stream.Launch(unit.Stage(k), n, nil, nil)
+			stream.Launch(unit.Stage(k), n, nil)
 		}
 		unit.Writeback(stream)
 		eng.Run()

@@ -111,12 +111,6 @@ func (w *PageWorkload) Name() string { return w.name }
 // SessionCookie implements Workload.
 func (w *PageWorkload) SessionCookie() string { return w.cookieName }
 
-// Costs returns the workload's cost model.
-func (w *PageWorkload) Costs() Costs { return w.costs }
-
-// Def returns local type i's definition.
-func (w *PageWorkload) Def(local int) *SvcDef { return &w.defs[local] }
-
 // Types implements Workload.
 func (w *PageWorkload) Types() []Spec {
 	out := make([]Spec, len(w.defs))

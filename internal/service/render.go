@@ -38,9 +38,6 @@ func (def *SvcDef) contentType() string {
 	return def.ContentType
 }
 
-// HeaderLen reports the fixed header size of local type `local`.
-func (w *PageWorkload) HeaderLen(local int) int { return w.defs[local].headerLen }
-
 // Render assembles the finished ctx into buf, which must be exactly the
 // type's buffer size; it returns the full response (== buf).
 func (ctx *Ctx) Render(buf []byte) []byte {

@@ -232,15 +232,6 @@ func (r *Registry) Specs() []Spec { return r.specs }
 // Workloads returns the registered workloads in registration order.
 func (r *Registry) Workloads() []Workload { return r.ws }
 
-// Workload resolves a workload by name.
-func (r *Registry) Workload(name string) (Workload, bool) {
-	i, ok := r.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return r.ws[i], true
-}
-
 // WorkloadIndex reports which registered workload owns t.
 func (r *Registry) WorkloadIndex(t TypeID) int { return r.widx[t] }
 
@@ -285,17 +276,6 @@ func (r *Registry) Static(path string) ([]byte, bool) {
 // (-1 = stateless).
 func (r *Registry) Affinity(req *httpx.Request, t TypeID, buckets int) int {
 	return r.WorkloadOf(t).Affinity(req, r.specs[t].Local, buckets)
-}
-
-// MixWeights returns the registered mix as a weight slice indexed by
-// TypeID (each workload's weights as declared; combining workloads into
-// one stream is the generator's job).
-func (r *Registry) MixWeights() []float64 {
-	out := make([]float64, len(r.specs))
-	for i := range r.specs {
-		out[i] = r.specs[i].MixPercent
-	}
-	return out
 }
 
 // MaxBufferBytes reports the largest response buffer any registered

@@ -100,7 +100,7 @@ func Device(t testing.TB, w *service.PageWorkload, script Script, v service.Vari
 		}
 		unit := slot.Bind(rd.Local, reqs, wd.Sessions, wd.Backend)
 		for k := 0; k < unit.Stages(); k++ {
-			stream.Launch(unit.Stage(k), len(reqs), nil, nil)
+			stream.Launch(unit.Stage(k), len(reqs), nil)
 		}
 		unit.Writeback(stream)
 		eng.Run()

@@ -80,9 +80,6 @@ type Array struct {
 	used  []bool
 	locks []sync.Mutex // one per bucket
 	live  atomic.Int64
-	// collisions counts insertions that had to probe past their first
-	// candidate slot.
-	collisions atomic.Uint64
 }
 
 // NewArray builds a table of buckets × nodesPerBucket slots. The paper
@@ -101,24 +98,8 @@ func NewArray(buckets, nodesPerBucket int) *Array {
 	}
 }
 
-// Buckets reports the bucket count (== cohort size).
-func (a *Array) Buckets() int { return a.buckets }
-
-// Capacity reports total session slots.
-func (a *Array) Capacity() int { return len(a.users) }
-
 // Len reports live sessions.
 func (a *Array) Len() int { return int(a.live.Load()) }
-
-// Collisions reports insertions that had to probe past their first
-// candidate slot. Note that with concurrent warps the count can differ
-// from a serial run's in one corner case (two same-bucket creates with
-// different start slots racing past each other); it is a diagnostic, not
-// a priced quantity.
-func (a *Array) Collisions() uint64 { return a.collisions.Load() }
-
-// MemoryBytes reports the modeled device-memory footprint (§6.3).
-func (a *Array) MemoryBytes() int64 { return int64(len(a.users)) * NodeBytes }
 
 // hash is a 64-bit mix (splitmix64 finalizer) used for bucket and slot
 // selection.
@@ -144,9 +125,6 @@ func (a *Array) Create(userID uint64) (ID, bool) {
 		n := (start + i) % a.perB
 		idx := b*a.perB + n
 		if !a.used[idx] {
-			if i > 0 {
-				a.collisions.Add(1)
-			}
 			a.users[idx], a.used[idx] = userID, true
 			a.live.Add(1)
 			return encode(b, n), true

@@ -83,16 +83,6 @@ func TestBucketFullFails(t *testing.T) {
 	}
 }
 
-func TestCollisionsCounted(t *testing.T) {
-	a := NewArray(1, 8)
-	for i := 0; i < 8; i++ {
-		a.Create(uint64(i * 977))
-	}
-	if a.Collisions() == 0 {
-		t.Fatal("packing one bucket must record collisions")
-	}
-}
-
 func TestDistinctUsersGetDistinctIDs(t *testing.T) {
 	a := NewArray(256, 64)
 	seen := make(map[ID]bool)
@@ -111,11 +101,32 @@ func TestDistinctUsersGetDistinctIDs(t *testing.T) {
 	}
 }
 
-func TestMemoryBytes(t *testing.T) {
-	a := NewArray(4096, 16)
-	want := int64(4096*16) * NodeBytes
-	if a.MemoryBytes() != want {
-		t.Fatalf("MemoryBytes = %d, want %d", a.MemoryBytes(), want)
+// TestCollisionsCounted: packing one bucket forces creates past their
+// first candidate slot, and every one still lands on a free node.
+func TestCollisionsCounted(t *testing.T) {
+	a := NewArray(1, 8)
+	nodes := map[int]bool{}
+	collisions := 0
+	for i := 0; i < 8; i++ {
+		uid := uint64(i * 977)
+		id, ok := a.Create(uid)
+		if !ok {
+			t.Fatalf("create %d failed with free nodes left", i)
+		}
+		_, n, _ := a.decode(id)
+		if nodes[n] {
+			t.Fatalf("node %d handed out twice", n)
+		}
+		nodes[n] = true
+		if n != int((hash(uid)>>32)%uint64(a.perB)) {
+			collisions++
+		}
+	}
+	if collisions == 0 {
+		t.Fatal("packing one bucket must record collisions")
+	}
+	if _, ok := a.Create(99); ok {
+		t.Fatal("a full bucket accepted a ninth session")
 	}
 }
 
@@ -143,16 +154,22 @@ func TestPaperCapacityScenario(t *testing.T) {
 	// ~25%. Scale down 1024×: 16K sessions in 64K slots, cohort-sized
 	// bucket count.
 	a := NewArray(4096, 16)
-	created := 0
+	created, collisions := 0, 0
 	for i := 0; created < 16384 && i < 100000; i++ {
-		if _, ok := a.Create(hashMix(uint64(i))); ok {
+		uid := hashMix(uint64(i))
+		if id, ok := a.Create(uid); ok {
 			created++
+			// A collision: the session did not land on its first
+			// candidate slot.
+			if _, n, _ := a.decode(id); n != int((hash(uid)>>32)%uint64(a.perB)) {
+				collisions++
+			}
 		}
 	}
 	if created != 16384 {
 		t.Fatalf("only created %d sessions", created)
 	}
-	frac := float64(a.Collisions()) / 16384
+	frac := float64(collisions) / 16384
 	if frac > 0.40 {
 		t.Fatalf("collision fraction %.2f too high for 25%% load", frac)
 	}

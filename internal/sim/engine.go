@@ -24,9 +24,6 @@ func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Millis reports t as floating-point milliseconds.
-func (t Time) Millis() float64 { return float64(t) / 1e6 }
-
 // Micros reports t as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
@@ -40,9 +37,6 @@ type Event struct {
 	idx  int // heap index, -1 when removed
 	dead bool
 }
-
-// At reports the virtual time the event fires at.
-func (e *Event) At() Time { return e.at }
 
 // eventQueue implements heap.Interface ordered by (at, seq).
 type eventQueue []*Event
@@ -77,12 +71,10 @@ func (q *eventQueue) Pop() any {
 // Engine owns the virtual clock and the pending event set.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventQueue
-	fired  uint64
-	halted bool
-	drain  []func(idle bool) bool
+	now   Time
+	seq   uint64
+	queue eventQueue
+	drain []func(idle bool) bool
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -92,9 +84,6 @@ func NewEngine() *Engine {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired reports how many events have executed.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet fired.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -128,9 +117,6 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.dead = true
 	heap.Remove(&e.queue, ev.idx)
 }
-
-// Halt stops Run/RunUntil after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
 
 // OnDrain registers fn to be consulted at the engine's drain points: just
 // before the clock advances past the current instant (idle=false) and when
@@ -175,23 +161,20 @@ func (e *Engine) Step() bool {
 		return e.Step()
 	}
 	e.now = ev.at
-	e.fired++
 	ev.fn()
 	return true
 }
 
-// Run fires events until the queue drains or Halt is called.
+// Run fires events until the queue drains.
 func (e *Engine) Run() {
-	e.halted = false
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil fires events with timestamps <= deadline, then sets the clock to
 // deadline (if it has not already passed it).
 func (e *Engine) RunUntil(deadline Time) {
-	e.halted = false
-	for !e.halted {
+	for {
 		if len(e.queue) == 0 || e.queue[0].at > deadline {
 			// Give drain hooks a chance to schedule work (e.g. flush
 			// batched launches whose ready times are at or before now)
@@ -206,12 +189,4 @@ func (e *Engine) RunUntil(deadline Time) {
 	if e.now < deadline {
 		e.now = deadline
 	}
-}
-
-// Advance moves the clock forward by d, firing everything due in between.
-func (e *Engine) Advance(d Time) {
-	if d < 0 {
-		panic("sim: negative advance")
-	}
-	e.RunUntil(e.now + d)
 }

@@ -61,8 +61,8 @@ func TestEngineCancel(t *testing.T) {
 	}
 	// double-cancel is a no-op
 	e.Cancel(ev)
-	if e.Fired() != 0 {
-		t.Fatalf("Fired = %d, want 0", e.Fired())
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d, want 0", e.Pending())
 	}
 }
 
@@ -104,25 +104,13 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineAdvanceMovesClock: with nothing scheduled, RunUntil still
+// moves the clock to its deadline.
 func TestEngineAdvanceMovesClock(t *testing.T) {
 	e := NewEngine()
-	e.Advance(100)
+	e.RunUntil(100)
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v, want 100", e.Now())
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.At(1, func() { n++; e.Halt() })
-	e.At(2, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("Halt did not stop the run: n=%d", n)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
 }
 
@@ -133,9 +121,6 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if d.Seconds() != 1.5 {
 		t.Fatalf("Seconds = %v", d.Seconds())
-	}
-	if d.Millis() != 1500 {
-		t.Fatalf("Millis = %v", d.Millis())
 	}
 	if d.Micros() != 1.5e6 {
 		t.Fatalf("Micros = %v", d.Micros())
@@ -151,12 +136,6 @@ func TestPipeSerializesTransfers(t *testing.T) {
 	e.Run()
 	if done[0] != 1000 || done[1] != 2000 {
 		t.Fatalf("completion times %v, want [1000 2000]", done)
-	}
-	if p.TotalBytes() != 2000 {
-		t.Fatalf("TotalBytes = %d", p.TotalBytes())
-	}
-	if p.Transfers() != 2 {
-		t.Fatalf("Transfers = %d", p.Transfers())
 	}
 }
 
@@ -180,7 +159,7 @@ func TestPipeUtilization(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, 1e9, 0)
 	p.Transfer(500, nil)
-	e.Advance(1000)
+	e.RunUntil(1000)
 	u := p.Utilization()
 	if u < 0.49 || u > 0.51 {
 		t.Fatalf("Utilization = %v, want ~0.5", u)
@@ -198,20 +177,6 @@ func TestServerParallelSlots(t *testing.T) {
 	// 2 at t=100, 2 at t=200.
 	if done[0] != 100 || done[1] != 100 || done[2] != 200 || done[3] != 200 {
 		t.Fatalf("completions %v", done)
-	}
-	if s.Served() != 4 {
-		t.Fatalf("Served = %d", s.Served())
-	}
-}
-
-func TestServerUtilization(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, 2)
-	s.Submit(100, nil)
-	e.Advance(100)
-	u := s.Utilization()
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("Utilization = %v, want ~0.5", u)
 	}
 }
 

@@ -13,10 +13,8 @@ type Pipe struct {
 	// (DMA setup, link traversal).
 	LatencyNs Time
 
-	freeAt     Time
-	totalBytes uint64
-	transfers  uint64
-	busy       Time
+	freeAt Time
+	busy   Time
 }
 
 // NewPipe returns a pipe bound to eng with the given usable bandwidth.
@@ -40,23 +38,12 @@ func (p *Pipe) Transfer(n int, done func()) Time {
 	dur := Time(float64(n) / p.BytesPerSec * 1e9)
 	end := start + dur + p.LatencyNs
 	p.freeAt = start + dur // latency overlaps with the next transfer
-	p.totalBytes += uint64(n)
-	p.transfers++
 	p.busy += dur
 	if done != nil {
 		p.eng.At(end, done)
 	}
 	return end
 }
-
-// FreeAt reports when the pipe next becomes idle.
-func (p *Pipe) FreeAt() Time { return p.freeAt }
-
-// TotalBytes reports the cumulative bytes moved through the pipe.
-func (p *Pipe) TotalBytes() uint64 { return p.totalBytes }
-
-// Transfers reports how many transfers have been issued.
-func (p *Pipe) Transfers() uint64 { return p.transfers }
 
 // Utilization reports the busy fraction of the pipe over [0, now].
 func (p *Pipe) Utilization() float64 {
@@ -74,10 +61,8 @@ func (p *Pipe) Utilization() float64 {
 // Server models a counted resource (e.g., backend worker threads) with a
 // fixed per-item service time. Items queue FIFO when all slots are busy.
 type Server struct {
-	eng     *Engine
-	slots   []Time // next-free time per slot
-	served  uint64
-	busyAcc Time
+	eng   *Engine
+	slots []Time // next-free time per slot
 }
 
 // NewServer returns a server with n parallel slots.
@@ -104,22 +89,8 @@ func (s *Server) Submit(service Time, done func()) Time {
 	}
 	end := start + service
 	s.slots[best] = end
-	s.served++
-	s.busyAcc += service
 	if done != nil {
 		s.eng.At(end, done)
 	}
 	return end
-}
-
-// Served reports the number of completed submissions (including scheduled).
-func (s *Server) Served() uint64 { return s.served }
-
-// Utilization reports mean busy fraction across slots over [0, now].
-func (s *Server) Utilization() float64 {
-	now := s.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(s.busyAcc) / (float64(now) * float64(len(s.slots)))
 }

@@ -26,7 +26,7 @@ func BenchmarkKernelSimulation(b *testing.B) {
 		dev.NewStream().Launch(FuncProgram{"bench", func(t *Thread) {
 			t.Compute(10000)
 			t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, 4*threads)
-		}}, threads, nil, nil)
+		}}, threads, nil)
 		eng.Run()
 	}
 }
@@ -50,7 +50,7 @@ func BenchmarkHostParallelism(b *testing.B) {
 		dev.NewStream().Launch(FuncProgram{"bench", func(t *Thread) {
 			t.Compute(10000)
 			t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, 4*threads)
-		}}, threads, nil, nil)
+		}}, threads, nil)
 		eng.Run()
 		return time.Since(start)
 	}
@@ -88,7 +88,7 @@ func BenchmarkProfilerOverhead(b *testing.B) {
 		dev.NewStream().Launch(FuncProgram{"bench", func(t *Thread) {
 			t.Compute(10000)
 			t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, 4*threads)
-		}}, threads, nil, nil)
+		}}, threads, nil)
 		eng.Run()
 		return time.Since(start)
 	}
@@ -128,7 +128,7 @@ func BenchmarkWarpDivergence(b *testing.B) {
 		eng := sim.NewEngine()
 		dev := NewDevice(eng, cfg, 1<<20, nil)
 		b.StartTimer()
-		dev.NewStream().Launch(prog, 4096, nil, nil)
+		dev.NewStream().Launch(prog, 4096, nil)
 		eng.Run()
 	}
 }

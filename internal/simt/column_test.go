@@ -21,7 +21,7 @@ func TestStoreColumnUnalignedOffsets(t *testing.T) {
 	payload := []byte("unaligned-payload!")
 	dev.NewStream().Launch(FuncProgram{Label: "uw", Body: func(th *Thread) {
 		StoreColumn(th, buf, th.ID, rows, 3+th.ID%4, payload)
-	}}, rows, nil, nil)
+	}}, rows, nil)
 	eng.Run()
 	// Un-interleave and check each row.
 	for r := 0; r < rows; r++ {
@@ -56,7 +56,7 @@ func TestStoreCopiesPayloadAtIssue(t *testing.T) {
 	cfg := d.Cfg
 	cfg.HostParallelism = 1 // lanes share scratch: keep the warps serial
 	d.Cfg = cfg
-	d.NewStream().Launch(prog, n, nil, nil)
+	d.NewStream().Launch(prog, n, nil)
 	d.Engine().Run()
 	for r := 0; r < n; r++ {
 		col := LoadColumn(&Thread{mem: d.Mem}, buf, r, rows, (words+1)*WordSize)

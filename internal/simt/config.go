@@ -2,8 +2,8 @@
 // device). It stands in for the NVIDIA GTX Titan + CUDA runtime the paper
 // uses: kernels are basic-block programs executed by cohorts of threads in
 // 32-lane warps with lockstep issue, divergence serialization, coalesced
-// memory transactions, constant memory, asynchronous streams, and
-// HyperQ-style hardware work queues. Kernels operate on real bytes in
+// memory transactions, asynchronous streams, and HyperQ-style hardware
+// work queues. Kernels operate on real bytes in
 // device memory, so everything the device "computes" (parsed requests,
 // HTML responses) is functionally real and can be validated; the cost
 // model turns the observed instruction and transaction counts into
@@ -100,20 +100,6 @@ func GTXTitan() Config {
 	}
 }
 
-// GTX690 returns the single-work-queue device the paper first tried
-// (§6.4 "HyperQ"): one hardware queue serializes independent streams.
-// One GK104 GPU of the 690: 8 SMX at 915 MHz, 2 GB.
-func GTX690() Config {
-	c := GTXTitan()
-	c.Name = "GTX 690 (one GPU)"
-	c.SMs = 8
-	c.ClockHz = 915e6
-	c.MemBandwidth = 154e9
-	c.Queues = 1
-	c.MemBytes = 2 << 30
-	return c
-}
-
 // CoreI7SIMD models the "SIMD based implementation on current CPUs" the
 // paper calls a useful design point but leaves to future work (§6.4):
 // the Core i7's four cores running Rhythm cohorts in 8-lane AVX vectors.
@@ -138,11 +124,6 @@ func CoreI7SIMD() Config {
 		PowerSMWatts:   76,
 		PowerMemWatts:  11,
 	}
-}
-
-// issueRate reports aggregate warp-instruction issue slots per second.
-func (c Config) issueRate() float64 {
-	return float64(c.SMs*c.SchedulersPerSM) * c.ClockHz
 }
 
 // maxConcurrentWarps reports the number of warps that can issue in the

@@ -72,8 +72,6 @@ type Device struct {
 	// device-wide arrival counter breaking canonical-order ties.
 	pending   []pendingLaunch
 	launchSeq uint64
-
-	constBrk mem.Addr // constant memory is carved from the low addresses
 }
 
 // pendingLaunch is one gate-released kernel launch awaiting its epoch's
@@ -83,7 +81,6 @@ type pendingLaunch struct {
 	seq      uint64 // device-wide arrival order
 	prog     Program
 	n        int
-	init     func(i int, t *Thread)
 	done     func(LaunchStats)
 	complete func()
 }
@@ -247,27 +244,14 @@ func (d *Device) Stats() DeviceStats { return d.stats }
 // issue capacity.
 func (d *Device) Utilization() float64 { return d.compute.utilization(d.eng.Now()) }
 
-// AllocConst reserves constant memory and copies data into it, returning
-// its address. The paper stores static page content and hot pointers in
-// CUDA constant memory (§4.6); reads from it cost no global transactions.
-func (d *Device) AllocConst(data []byte) mem.Addr {
-	a := d.Mem.Alloc(len(data), 16)
-	d.Mem.Write(a, data)
-	if a+mem.Addr(len(data)) > d.constBrk {
-		d.constBrk = a + mem.Addr(len(data))
-	}
-	return a
-}
-
 // Stream is an ordered queue of device operations. Operations within a
 // stream serialize; operations in different streams may overlap, subject
 // to the hardware queue mapping and the compute engine.
 type Stream struct {
-	dev     *Device
-	q       *hwQueue
-	id      int
-	tail    *gate
-	pending int
+	dev  *Device
+	q    *hwQueue
+	id   int
+	tail *gate
 }
 
 // NewStream creates a stream, mapping it round-robin onto a hardware
@@ -280,20 +264,10 @@ func (d *Device) NewStream() *Stream {
 	return s
 }
 
-// ID reports the stream's device-unique id (creation order, from 0).
-func (s *Stream) ID() int { return s.id }
-
-// Pending reports how many enqueued operations have not yet completed.
-// A drain sequence can poll it (stepping the engine in between) to know
-// when the stream has gone quiet.
-func (s *Stream) Pending() int { return s.pending }
-
 // enqueue chains op behind the stream tail and the hardware queue tail.
 // op must invoke its argument exactly once when the operation completes.
 func (s *Stream) enqueue(op func(complete func())) {
 	done := newGate()
-	s.pending++
-	done.wait(func() { s.pending-- })
 	sPrev, qPrev := s.tail, s.q.tail
 	s.tail = done
 	s.q.tail = done
@@ -302,9 +276,8 @@ func (s *Stream) enqueue(op func(complete func())) {
 	})
 }
 
-// Launch enqueues a kernel over n threads. init (optional) is called for
-// each thread before execution to attach per-thread arguments. done
-// (optional) receives the launch statistics at kernel completion.
+// Launch enqueues a kernel over n threads. done (optional) receives the
+// launch statistics at kernel completion.
 //
 // Functional execution happens at the epoch boundary that closes over
 // the launch (the next engine drain point after its stream gates fire),
@@ -312,7 +285,7 @@ func (s *Stream) enqueue(op func(complete func())) {
 // This is safe because Rhythm's pipeline never reads a buffer before
 // the completion callback of the op that wrote it, and completion
 // callbacks are only scheduled at batch flush. See DESIGN.md §13.
-func (s *Stream) Launch(prog Program, n int, init func(i int, t *Thread), done func(LaunchStats)) {
+func (s *Stream) Launch(prog Program, n int, done func(LaunchStats)) {
 	if n <= 0 {
 		panic("simt: launch needs at least one thread")
 	}
@@ -323,7 +296,6 @@ func (s *Stream) Launch(prog Program, n int, init func(i int, t *Thread), done f
 			seq:      d.launchSeq,
 			prog:     prog,
 			n:        n,
-			init:     init,
 			done:     done,
 			complete: complete,
 		})
@@ -367,7 +339,7 @@ func (d *Device) flushPending() bool {
 	results := make([]kernelExec, len(batch))
 	parallelFor(d.Cfg.simWorkers(), len(groups), func(g int) {
 		for _, i := range groups[g] {
-			results[i] = d.execKernel(batch[i].prog, batch[i].n, batch[i].init)
+			results[i] = d.execKernel(batch[i].prog, batch[i].n)
 		}
 	})
 	for i := range batch {
@@ -572,7 +544,7 @@ type kernelExec struct {
 // would have produced — for flushPending's serial commit phase, which
 // also keeps them off the concurrent path when several launches of one
 // epoch batch execute in parallel.
-func (d *Device) execKernel(prog Program, n int, init func(i int, t *Thread)) kernelExec {
+func (d *Device) execKernel(prog Program, n int) kernelExec {
 	cfg := d.Cfg
 	warps := (n + cfg.WarpSize - 1) / cfg.WarpSize
 	results := make([]warpResult, warps)
@@ -586,11 +558,7 @@ func (d *Device) execKernel(prog Program, n int, init func(i int, t *Thread)) ke
 			if id >= n {
 				break
 			}
-			t := &Thread{ID: id, Lane: lane, mem: d.Mem}
-			if init != nil {
-				init(id, t)
-			}
-			threads = append(threads, t)
+			threads = append(threads, &Thread{ID: id, Lane: lane, mem: d.Mem})
 		}
 		results[w].stats, results[w].deferred = runWarp(cfg, prog, threads)
 	})

@@ -53,10 +53,24 @@ func assertEpochIdentical(t *testing.T, memProbe int, scenario func(eng *sim.Eng
 	}
 }
 
+// footprinted attaches a declared footprint to a FuncProgram, opting it
+// in to concurrent execution with other launches of its epoch batch.
+type footprinted struct {
+	FuncProgram
+	fp Footprint
+}
+
+func (p footprinted) LaunchFootprint() Footprint { return p.fp }
+
+// withFootprint wraps prog with an explicit footprint declaration.
+func withFootprint(prog FuncProgram, fp Footprint) Program {
+	return footprinted{FuncProgram: prog, fp: fp}
+}
+
 // storeTo builds a footprint-declaring kernel that writes a recognizable
 // pattern to its own device buffer — independent of every other launch.
 func storeTo(base mem.Addr, tag byte, n int) Program {
-	return WithFootprint(FuncProgram{Label: "store_" + string('a'+tag), Body: func(t *Thread) {
+	return withFootprint(FuncProgram{Label: "store_" + string('a'+tag), Body: func(t *Thread) {
 		t.Compute(10 + t.ID%5)
 		t.Store(base+mem.Addr(4*t.ID), []byte{tag, byte(t.ID), byte(t.ID >> 8), 0xEE})
 	}}, Footprint{})
@@ -71,7 +85,7 @@ func TestSimParallelismMatchesSerial(t *testing.T) {
 	assertEpochIdentical(t, launches*4*n, func(eng *sim.Engine, dev *Device, stats *[]LaunchStats) {
 		for i := 0; i < launches; i++ {
 			base := dev.Mem.Alloc(4*n, 256)
-			dev.NewStream().Launch(storeTo(base, byte(i), n), n, nil,
+			dev.NewStream().Launch(storeTo(base, byte(i), n), n,
 				func(ls LaunchStats) { *stats = append(*stats, ls) })
 		}
 	})
@@ -86,13 +100,13 @@ func TestEpochStraddle(t *testing.T) {
 	assertEpochIdentical(t, 0, func(eng *sim.Engine, dev *Device, stats *[]LaunchStats) {
 		s1, s2 := dev.NewStream(), dev.NewStream()
 		base1 := dev.Mem.Alloc(4*n, 256)
-		s1.Launch(storeTo(base1, 0xA0, n), n, nil,
+		s1.Launch(storeTo(base1, 0xA0, n), n,
 			func(ls LaunchStats) { *stats = append(*stats, ls) })
 		// Release the second launch mid-flight: its enqueue happens at a
 		// virtual time strictly inside the first kernel's execution.
 		eng.After(1, func() {
 			base2 := dev.Mem.Alloc(4*n, 256)
-			s2.Launch(storeTo(base2, 0xB0, n), n, nil,
+			s2.Launch(storeTo(base2, 0xB0, n), n,
 				func(ls LaunchStats) { *stats = append(*stats, ls) })
 		})
 	})
@@ -118,7 +132,7 @@ func TestCrossStreamConflictOrder(t *testing.T) {
 		bucket := &shared{}
 		for i := 0; i < launches; i++ {
 			i := i
-			prog := WithFootprint(FuncProgram{Label: "bucket_writer", Body: func(t *Thread) {
+			prog := withFootprint(FuncProgram{Label: "bucket_writer", Body: func(t *Thread) {
 				t.Compute(5)
 				if t.ID == 0 {
 					bucket.mu.Lock()
@@ -126,7 +140,7 @@ func TestCrossStreamConflictOrder(t *testing.T) {
 					bucket.mu.Unlock()
 				}
 			}}, Footprint{Writes: []any{bucket}})
-			dev.NewStream().Launch(prog, n, nil, nil)
+			dev.NewStream().Launch(prog, n, nil)
 		}
 		eng.Run()
 		return bucket.log
@@ -154,12 +168,12 @@ func TestCrossStreamDeferOrder(t *testing.T) {
 		var log []int
 		for i := 0; i < launches; i++ {
 			i := i
-			prog := WithFootprint(FuncProgram{Label: "defer_writer", Body: func(t *Thread) {
+			prog := withFootprint(FuncProgram{Label: "defer_writer", Body: func(t *Thread) {
 				t.Compute(5)
 				id := t.ID
 				t.Defer(func() { log = append(log, i*n+id) })
 			}}, Footprint{})
-			dev.NewStream().Launch(prog, n, nil, nil)
+			dev.NewStream().Launch(prog, n, nil)
 		}
 		eng.Run()
 		return log
@@ -196,11 +210,11 @@ func TestProfilerRingMergeOrder(t *testing.T) {
 			// Vary the per-launch work so completion times differ.
 			tag := byte(i)
 			work := 10 + 40*i
-			prog := WithFootprint(FuncProgram{Label: "profiled", Body: func(t *Thread) {
+			prog := withFootprint(FuncProgram{Label: "profiled", Body: func(t *Thread) {
 				t.Compute(work + t.ID%3)
 				t.Store(base+mem.Addr(4*t.ID), []byte{tag, byte(t.ID), 0, 0xCC})
 			}}, Footprint{})
-			dev.NewStream().Launch(prog, n, nil, nil)
+			dev.NewStream().Launch(prog, n, nil)
 		}
 		eng.Run()
 		return dev.Profile()
@@ -247,8 +261,8 @@ func TestSimParallelismSpeedup(t *testing.T) {
 			eng := sim.NewEngine()
 			dev := NewDevice(eng, cfg, 1<<20, nil)
 			for i := 0; i < launches; i++ {
-				prog := WithFootprint(FuncProgram{Label: "busy", Body: busyWork}, Footprint{})
-				dev.NewStream().Launch(prog, n, nil, nil)
+				prog := withFootprint(FuncProgram{Label: "busy", Body: busyWork}, Footprint{})
+				dev.NewStream().Launch(prog, n, nil)
 			}
 			start := time.Now()
 			eng.Run()

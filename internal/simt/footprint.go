@@ -38,20 +38,6 @@ type Footprinter interface {
 	LaunchFootprint() Footprint
 }
 
-// footprinted attaches a declared footprint to an arbitrary Program.
-type footprinted struct {
-	Program
-	fp Footprint
-}
-
-func (p footprinted) LaunchFootprint() Footprint { return p.fp }
-
-// WithFootprint wraps prog with an explicit footprint declaration —
-// the opt-in for FuncProgram-style kernels that cannot carry a method.
-func WithFootprint(prog Program, fp Footprint) Program {
-	return footprinted{Program: prog, fp: fp}
-}
-
 // conflictGroups partitions a canonically ordered batch into groups of
 // mutually conflicting launches using a union-find over footprint
 // tokens. The result is deterministic for a given batch order: groups

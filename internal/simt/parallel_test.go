@@ -9,9 +9,9 @@ import (
 	"rhythm/internal/sim"
 )
 
-// divergeStoreProg is a kernel with data-dependent control flow, warp
-// collectives and memory traffic — enough surface to catch any pricing
-// or functional divergence between serial and parallel warp execution.
+// divergeStoreProg is a kernel with data-dependent control flow and
+// memory traffic — enough surface to catch any pricing or functional
+// divergence between serial and parallel warp execution.
 type divergeStoreProg struct {
 	base mem.Addr
 	n    int
@@ -23,14 +23,13 @@ func (p divergeStoreProg) Exec(b BlockID, t *Thread) BlockID {
 	switch b {
 	case 0:
 		t.Compute(10 + t.ID%7)
-		t.ShareMax(0, int64(t.ID%13))
 		return BlockID(1 + t.ID%3)
 	case 1, 2, 3:
 		t.Compute(25 * int(b))
 		return 4
 	case 4:
-		pad := t.SharedMax(0)
-		t.Compute(int(pad))
+		pad := t.ID % 13
+		t.Compute(pad)
 		word := []byte{byte(t.ID), byte(t.ID >> 8), byte(pad), 0xAA}
 		t.StoreStrided(p.base+mem.Addr(4*t.ID), bytes.Repeat(word, 16), 4, 4*p.n)
 		return Halt
@@ -50,7 +49,7 @@ func TestHostParallelismMatchesSerial(t *testing.T) {
 		dev := NewDevice(eng, cfg, n*64+1<<20, nil)
 		base := dev.Mem.Alloc(n*64, 256)
 		var st LaunchStats
-		dev.NewStream().Launch(divergeStoreProg{base: base, n: n}, n, nil,
+		dev.NewStream().Launch(divergeStoreProg{base: base, n: n}, n,
 			func(ls LaunchStats) { st = ls })
 		eng.Run()
 		return st, dev.Mem.Read(base, n*64)
@@ -86,7 +85,7 @@ func TestDeferRunsInSerialThreadOrder(t *testing.T) {
 			mu.Unlock()
 		})
 	}}
-	dev.NewStream().Launch(prog, n, nil, nil)
+	dev.NewStream().Launch(prog, n, nil)
 	eng.Run()
 	if len(order) != n {
 		t.Fatalf("got %d deferred callbacks, want %d", len(order), n)

@@ -21,7 +21,7 @@ func launchN(t *testing.T, ring, n int) *Device {
 		st.Launch(FuncProgram{"k", func(th *Thread) {
 			th.Compute(10)
 			th.Store(base+mem.Addr(4*th.Lane), []byte{1, 2, 3, 4})
-		}}, 32, nil, nil)
+		}}, 32, nil)
 	}
 	eng.Run()
 	return dev
@@ -71,7 +71,7 @@ func TestProfileOff(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := NewDevice(eng, cfg, 1<<20, nil)
 	var seq uint64 = 99
-	dev.NewStream().Launch(FuncProgram{"k", func(th *Thread) { th.Compute(1) }}, 32, nil,
+	dev.NewStream().Launch(FuncProgram{"k", func(th *Thread) { th.Compute(1) }}, 32,
 		func(st LaunchStats) { seq = st.Seq })
 	eng.Run()
 	if dev.Profile() != nil {
@@ -98,7 +98,7 @@ func TestProfileRecordCounters(t *testing.T) {
 	// the requested bytes over the segment size.
 	dev.NewStream().Launch(FuncProgram{"strided", func(th *Thread) {
 		th.Store(base+mem.Addr(4096*th.Lane), []byte{1, 2, 3, 4})
-	}}, 16, nil, func(s LaunchStats) { st = s })
+	}}, 16, func(s LaunchStats) { st = s })
 	eng.Run()
 
 	recs := dev.Profile()

@@ -23,7 +23,7 @@ func TestFuncProgramWritesAllThreads(t *testing.T) {
 	}}
 	s := d.NewStream()
 	var st LaunchStats
-	s.Launch(prog, 100, nil, func(ls LaunchStats) { st = ls })
+	s.Launch(prog, 100, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 	for i := 0; i < 100; i++ {
 		if got := d.Mem.Read(base+mem.Addr(i), 1)[0]; got != byte(i+1) {
@@ -74,7 +74,7 @@ func TestDivergenceSerializesAndReconverges(t *testing.T) {
 	recon := 0
 	var st LaunchStats
 	s := d.NewStream()
-	s.Launch(branchProg{&recon}, 32, nil, func(ls LaunchStats) { st = ls })
+	s.Launch(branchProg{&recon}, 32, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 	// Warp pays both sides of the branch: 10 (block0) + 100 (block1, half
 	// mask) + 5 (block2, reconverged full mask).
@@ -95,21 +95,19 @@ func TestDivergenceSerializesAndReconverges(t *testing.T) {
 }
 
 // loopProg executes a data-dependent loop: thread i iterates i%4+1 times.
-type loopProg struct{}
+type loopProg struct{ remaining []int }
 
 func (loopProg) Name() string   { return "loop" }
 func (loopProg) Entry() BlockID { return 0 }
-func (loopProg) Exec(b BlockID, t *Thread) BlockID {
-	type state struct{ remaining int }
+func (p loopProg) Exec(b BlockID, t *Thread) BlockID {
 	switch b {
 	case 0:
-		t.Data = &state{remaining: t.ID%4 + 1}
+		p.remaining[t.ID] = t.ID%4 + 1
 		return 1
 	case 1:
-		st := t.Data.(*state)
 		t.Compute(3)
-		st.remaining--
-		if st.remaining > 0 {
+		p.remaining[t.ID]--
+		if p.remaining[t.ID] > 0 {
 			return 1 // back edge
 		}
 		return 2
@@ -124,7 +122,7 @@ func TestLoopBackEdges(t *testing.T) {
 	d := testDevice(t, GTXTitan())
 	var st LaunchStats
 	s := d.NewStream()
-	s.Launch(loopProg{}, 32, nil, func(ls LaunchStats) { st = ls })
+	s.Launch(loopProg{make([]int, 32)}, 32, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 	// Warp iterates max(iterations)=4 times at 3 ops (lockstep max), then
 	// 1 op for the exit block: 4*3 + 1 = 13.
@@ -142,7 +140,7 @@ func TestRunawayLoopPanics(t *testing.T) {
 		}
 	}()
 	s := d.NewStream()
-	s.Launch(bad, 1, nil, nil)
+	s.Launch(bad, 1, nil)
 	d.Engine().Run()
 }
 
@@ -167,10 +165,10 @@ func TestCoalescedVersusStridedTransactions(t *testing.T) {
 	word := []byte{1, 2, 3, 4}
 	s.Launch(FuncProgram{"coalesced", func(t *Thread) {
 		t.Store(coalescedBase+mem.Addr(4*t.ID), word)
-	}}, n, nil, func(ls LaunchStats) { coalesced = ls })
+	}}, n, func(ls LaunchStats) { coalesced = ls })
 	s.Launch(FuncProgram{"strided", func(t *Thread) {
 		t.Store(stridedBase+mem.Addr(4096*t.ID), word)
-	}}, n, nil, func(ls LaunchStats) { strided = ls })
+	}}, n, func(ls LaunchStats) { strided = ls })
 	d.Engine().Run()
 
 	if coalesced.Transactions != 1 {
@@ -197,7 +195,7 @@ func TestStoreStridedColumnMajorCoalesces(t *testing.T) {
 	s.Launch(FuncProgram{"colmajor", func(t *Thread) {
 		// Thread r writes word c at (c*rows + r)*4: column-major words.
 		t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, rows*4)
-	}}, rows, nil, func(ls LaunchStats) { st = ls })
+	}}, rows, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 
 	// Each of the 64 steps has 32 lanes × 4B adjacent = 1 segment.
@@ -227,7 +225,7 @@ func TestRowMajorStridedIsWorse(t *testing.T) {
 	s.Launch(FuncProgram{"rowmajor", func(t *Thread) {
 		// Thread r writes word c at r*rowBytes + c*4: row-major layout.
 		t.StoreStrided(base+mem.Addr(t.ID*rowBytes), payload, 4, 4)
-	}}, rows, nil, func(ls LaunchStats) { st = ls })
+	}}, rows, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 
 	// Each step: 32 lanes at 256B-apart addresses → 32 segments. But
@@ -240,33 +238,13 @@ func TestRowMajorStridedIsWorse(t *testing.T) {
 	}
 }
 
-func TestLoadConstCostsNoTraffic(t *testing.T) {
-	d := testDevice(t, GTXTitan())
-	c := d.AllocConst([]byte("static-html"))
-	var st LaunchStats
-	s := d.NewStream()
-	s.Launch(FuncProgram{"const", func(t *Thread) {
-		b := t.LoadConst(c, 11)
-		if string(b) != "static-html" {
-			panic("const read wrong")
-		}
-	}}, 32, nil, func(ls LaunchStats) { st = ls })
-	d.Engine().Run()
-	if st.Transactions != 0 || st.MemBytes != 0 {
-		t.Fatalf("constant reads generated traffic: %d txns %d bytes", st.Transactions, st.MemBytes)
-	}
-	if st.IssueCycles == 0 {
-		t.Fatal("constant reads should still cost issue slots")
-	}
-}
-
 func TestStreamSerializesOps(t *testing.T) {
 	d := testDevice(t, GTXTitan())
 	var order []string
 	s := d.NewStream()
 	heavy := FuncProgram{"heavy", func(t *Thread) { t.Compute(100000) }}
-	s.Launch(heavy, 4096, nil, func(LaunchStats) { order = append(order, "k1") })
-	s.Launch(heavy, 4096, nil, func(LaunchStats) { order = append(order, "k2") })
+	s.Launch(heavy, 4096, func(LaunchStats) { order = append(order, "k1") })
+	s.Launch(heavy, 4096, func(LaunchStats) { order = append(order, "k2") })
 	s.Barrier(func() { order = append(order, "barrier") })
 	d.Engine().Run()
 	want := []string{"k1", "k2", "barrier"}
@@ -280,7 +258,7 @@ func TestStreamSerializesOps(t *testing.T) {
 func TestLaunchStatsAccumulateInDeviceStats(t *testing.T) {
 	d := testDevice(t, GTXTitan())
 	s := d.NewStream()
-	s.Launch(FuncProgram{"x", func(t *Thread) { t.Compute(10) }}, 64, nil, nil)
+	s.Launch(FuncProgram{"x", func(t *Thread) { t.Compute(10) }}, 64, nil)
 	d.Engine().Run()
 	st := d.Stats()
 	if st.Launches != 1 || st.IssueCycles == 0 || st.BusyTime == 0 {
@@ -358,16 +336,18 @@ func TestSingleQueueFalseDependency(t *testing.T) {
 		a := d.NewStream()
 		b := d.NewStream()
 		heavy := FuncProgram{"heavy", func(t *Thread) { t.Compute(1_000_000) }}
-		a.Launch(heavy, 32, nil, nil)
+		a.Launch(heavy, 32, nil)
 		var copyDone sim.Time
 		b.MemcpyH2D(dst, make([]byte, 64), func() { copyDone = eng.Now() })
 		eng.Run()
 		return copyDone
 	}
-	single := run(GTX690())
+	single := GTXTitan()
+	single.Queues = 1
+	singleDone := run(single)
 	hyperq := run(GTXTitan())
-	if hyperq >= single {
-		t.Fatalf("HyperQ copy (%v) should complete before single-queue copy (%v)", hyperq, single)
+	if hyperq >= singleDone {
+		t.Fatalf("HyperQ copy (%v) should complete before single-queue copy (%v)", hyperq, singleDone)
 	}
 }
 
@@ -379,7 +359,7 @@ func TestLaunchValidations(t *testing.T) {
 			t.Error("zero-thread launch did not panic")
 		}
 	}()
-	s.Launch(FuncProgram{"z", func(*Thread) {}}, 0, nil, nil)
+	s.Launch(FuncProgram{"z", func(*Thread) {}}, 0, nil)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -391,24 +371,6 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}()
 	NewDevice(sim.NewEngine(), bad, 1<<20, nil)
-}
-
-func TestThreadInitReceivesIDs(t *testing.T) {
-	d := testDevice(t, GTXTitan())
-	var ids []int
-	s := d.NewStream()
-	s.Launch(FuncProgram{"init", func(t *Thread) {
-		if t.Data.(int) != t.ID*7 {
-			panic("init data mismatch")
-		}
-	}}, 40, func(i int, t *Thread) {
-		ids = append(ids, i)
-		t.Data = i * 7
-	}, nil)
-	d.Engine().Run()
-	if len(ids) != 40 {
-		t.Fatalf("init called %d times", len(ids))
-	}
 }
 
 func TestPriceRooflineMemoryBound(t *testing.T) {
@@ -424,114 +386,11 @@ func TestPriceRooflineMemoryBound(t *testing.T) {
 			// 1 MB apart: every store its own segment.
 			t.Store(base+mem.Addr(t.ID*64*1024+i*1024), []byte{1})
 		}
-	}}, 512, nil, func(ls LaunchStats) { st = ls })
+	}}, 512, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 	memSec := float64(st.MemBytes) / cfg.MemBandwidth
 	if got := st.Duration.Seconds(); got < memSec {
 		t.Fatalf("duration %v below memory-bound floor %v", got, memSec)
-	}
-}
-
-// paddingProg mirrors the paper's §4.6 padding computation: each lane
-// produces a variable-length fragment in block 0, contributes its length
-// to a warp max-reduction, and in block 1 pads to the warp-wide maximum
-// so subsequent stores realign.
-type paddingProg struct{ pads []int64 }
-
-func (paddingProg) Name() string   { return "padding" }
-func (paddingProg) Entry() BlockID { return 0 }
-func (p paddingProg) Exec(b BlockID, t *Thread) BlockID {
-	switch b {
-	case 0:
-		fragLen := int64(100 + t.ID%7*13) // data-dependent length
-		t.Data = fragLen
-		t.ShareMax(0, fragLen)
-		return 1
-	case 1:
-		pad := t.SharedMax(0) - t.Data.(int64)
-		p.pads[t.ID] = pad
-		t.Compute(int(pad))
-		return Halt
-	}
-	panic("bad block")
-}
-
-func TestWarpMaxReductionComputesPadding(t *testing.T) {
-	d := testDevice(t, GTXTitan())
-	pads := make([]int64, 64)
-	s := d.NewStream()
-	s.Launch(paddingProg{pads}, 64, nil, nil)
-	d.Engine().Run()
-	// Max fragment is 100+6*13 = 178; lane i pads to it.
-	for i, pad := range pads {
-		want := int64(178 - (100 + i%7*13))
-		if pad != want {
-			t.Fatalf("lane %d pad = %d, want %d", i, pad, want)
-		}
-	}
-}
-
-func TestWarpSumReduction(t *testing.T) {
-	d := testDevice(t, GTXTitan())
-	var got int64
-	prog := progFunc{name: "sum", f: func(b BlockID, th *Thread) BlockID {
-		switch b {
-		case 0:
-			th.ShareSum(3, int64(th.ID))
-			return 1
-		case 1:
-			if th.Lane == 0 {
-				got = th.SharedSum(3)
-			}
-			return Halt
-		}
-		panic("bad")
-	}}
-	s := d.NewStream()
-	s.Launch(prog, 32, nil, nil)
-	d.Engine().Run()
-	if got != 31*32/2 {
-		t.Fatalf("warp sum = %d, want %d", got, 31*32/2)
-	}
-}
-
-func TestSharedReadWithoutBarrierPanics(t *testing.T) {
-	d := testDevice(t, GTXTitan())
-	bad := progFunc{name: "nobarrier", f: func(b BlockID, th *Thread) BlockID {
-		th.ShareMax(0, 1)
-		th.SharedMax(0) // same block: no barrier
-		return Halt
-	}}
-	defer func() {
-		if recover() == nil {
-			t.Error("same-block collective read did not panic")
-		}
-	}()
-	s := d.NewStream()
-	s.Launch(bad, 32, nil, nil)
-	d.Engine().Run()
-}
-
-func TestCollectivesScopedPerWarp(t *testing.T) {
-	// Two warps must not see each other's shared memory.
-	d := testDevice(t, GTXTitan())
-	maxes := make([]int64, 64)
-	prog := progFunc{name: "scope", f: func(b BlockID, th *Thread) BlockID {
-		switch b {
-		case 0:
-			th.ShareMax(0, int64(th.ID)) // warp 0 max = 31, warp 1 max = 63
-			return 1
-		case 1:
-			maxes[th.ID] = th.SharedMax(0)
-			return Halt
-		}
-		panic("bad")
-	}}
-	s := d.NewStream()
-	s.Launch(prog, 64, nil, nil)
-	d.Engine().Run()
-	if maxes[0] != 31 || maxes[63] != 63 {
-		t.Fatalf("warp scoping broken: warp0=%d warp1=%d", maxes[0], maxes[63])
 	}
 }
 

@@ -67,9 +67,6 @@ type Thread struct {
 	ID int
 	// Lane is the index within the warp [0, WarpSize).
 	Lane int
-	// Data carries per-thread kernel arguments (set by the launch's init
-	// function).
-	Data any
 
 	mem      *mem.Memory
 	warp     *warpShared
@@ -77,58 +74,12 @@ type Thread struct {
 	accesses []access
 }
 
-// warpShared is the per-warp shared-memory scratchpad backing the
-// collectives. Slots seal at block boundaries: contributions made in
-// block k become readable from block k+1 on.
+// warpShared is the state a warp's lanes share.
 type warpShared struct {
-	maxes map[int]*sharedSlot
-	sums  map[int]*sharedSlot
 	// deferred collects Thread.Defer callbacks in the exact order the
 	// warp's lanes issued them (the serial execution order within the
 	// warp), for the end-of-launch serial phase.
 	deferred []func()
-}
-
-type sharedSlot struct {
-	v      int64
-	set    bool
-	sealed bool
-}
-
-func newWarpShared() *warpShared {
-	return &warpShared{maxes: map[int]*sharedSlot{}, sums: map[int]*sharedSlot{}}
-}
-
-func (w *warpShared) maxSlot(slot int) *sharedSlot {
-	s, ok := w.maxes[slot]
-	if !ok {
-		s = &sharedSlot{}
-		w.maxes[slot] = s
-	}
-	return s
-}
-
-func (w *warpShared) sumSlot(slot int) *sharedSlot {
-	s, ok := w.sums[slot]
-	if !ok {
-		s = &sharedSlot{}
-		w.sums[slot] = s
-	}
-	return s
-}
-
-// seal marks every contributed slot readable (called between blocks).
-func (w *warpShared) seal() {
-	for _, s := range w.maxes {
-		if s.set {
-			s.sealed = true
-		}
-	}
-	for _, s := range w.sums {
-		if s.set {
-			s.sealed = true
-		}
-	}
 }
 
 // Compute charges n ALU operations to the current block. Lanes of a warp
@@ -228,15 +179,6 @@ func stridedCount(n, elem, stride int) int {
 	return n / elem
 }
 
-// LoadConst reads n bytes of constant memory. Constant memory is
-// broadcast to the warp and cached on-chip, so it charges an issue slot
-// but no global-memory transaction — the paper stores static HTML and hot
-// pointers there (§4.6).
-func (t *Thread) LoadConst(addr mem.Addr, n int) []byte {
-	t.ops++
-	return t.mem.Bytes(addr, n)
-}
-
 // Atomic charges an atomic read-modify-write on device memory (one
 // transaction-sized access plus serialization cost of n conflicting
 // lanes). Rhythm uses atomics for lock-free session/cohort pool updates.
@@ -244,10 +186,6 @@ func (t *Thread) Atomic(addr mem.Addr) {
 	t.accesses = append(t.accesses, access{addr: addr, elem: 4, count: 1})
 	t.ops += 2
 }
-
-// Mem exposes the raw device memory for functional (non-accounted)
-// bookkeeping by kernel host code. Kernels should prefer Load/Store.
-func (t *Thread) Mem() *mem.Memory { return t.mem }
 
 // Defer schedules fn to run after every warp of the current launch has
 // executed, on the host thread that issued the launch. Deferred
@@ -266,56 +204,6 @@ func (t *Thread) Defer(fn func()) {
 		return
 	}
 	t.warp.deferred = append(t.warp.deferred, fn)
-}
-
-// Warp-level collectives over shared memory: the paper's implementation
-// "perform[s] a max butterfly reduction across a warp that uses CUDA
-// shared memory to calculate the padding amount for each thread" (§4.6).
-// The protocol is two-phase, matching the hardware's synchronization
-// structure: every active lane contributes in one basic block
-// (ShareMax/ShareSum), and reads the combined value in a LATER block
-// (SharedMax/SharedSum) — reading in the same block would observe a
-// partial reduction, exactly as hardware without a barrier would.
-
-// ShareMax contributes v to the warp's max-reduction slot. Costs the
-// log2(warpSize) butterfly steps in issue slots, no global traffic.
-func (t *Thread) ShareMax(slot int, v int64) {
-	t.ops += 5 // log2(32) butterfly exchange steps
-	s := t.warp.maxSlot(slot)
-	if !s.set || v > s.v {
-		s.v = v
-		s.set = true
-	}
-}
-
-// SharedMax reads the warp's max-reduction slot. It panics if no lane
-// contributed in an earlier block — a missing barrier in the kernel.
-func (t *Thread) SharedMax(slot int) int64 {
-	t.ops++
-	s := t.warp.maxSlot(slot)
-	if !s.sealed {
-		panic(fmt.Sprintf("simt: SharedMax(%d) read in the same block as its ShareMax (missing barrier)", slot))
-	}
-	return s.v
-}
-
-// ShareSum contributes v to the warp's sum-reduction slot.
-func (t *Thread) ShareSum(slot int, v int64) {
-	t.ops += 5
-	s := t.warp.sumSlot(slot)
-	s.v += v
-	s.set = true
-}
-
-// SharedSum reads the warp's sum-reduction slot (same barrier rule as
-// SharedMax).
-func (t *Thread) SharedSum(slot int) int64 {
-	t.ops++
-	s := t.warp.sumSlot(slot)
-	if !s.sealed {
-		panic(fmt.Sprintf("simt: SharedSum(%d) read in the same block as its ShareSum (missing barrier)", slot))
-	}
-	return s.v
 }
 
 func (t *Thread) reset() {

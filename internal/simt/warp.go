@@ -42,7 +42,7 @@ func runWarp(cfg Config, prog Program, threads []*Thread) (warpStats, []func()) 
 	}
 	pcs := make([]BlockID, n)
 	perThreadOps := make([]int64, n)
-	shared := newWarpShared()
+	shared := &warpShared{}
 	for i := range pcs {
 		pcs[i] = prog.Entry()
 		threads[i].warp = shared
@@ -100,7 +100,6 @@ func runWarp(cfg Config, prog Program, threads []*Thread) (warpStats, []func()) 
 				ws.accessBytes += int64(a.elem * a.count)
 			}
 		}
-		shared.seal() // block boundary: collective contributions commit
 		execs++
 		if execs > maxBlockExecsPerThread {
 			panic(fmt.Sprintf("simt: kernel %s exceeded %d block executions (runaway loop?)", prog.Name(), execs))

@@ -89,9 +89,6 @@ func (r *LatencyRecorder) Merge(o *LatencyRecorder) {
 	r.sorted = len(o.samples) == 0 && r.sorted
 }
 
-// Count reports the number of samples.
-func (r *LatencyRecorder) Count() int { return len(r.samples) }
-
 // Mean reports the average latency in nanoseconds (0 when empty).
 func (r *LatencyRecorder) Mean() float64 {
 	if len(r.samples) == 0 {
@@ -176,45 +173,4 @@ func (w *LatencyWindow) Mean() float64 {
 // buf when it has the room (the recorder then owns buf).
 func (w *LatencyWindow) Recorder(buf []float64) *LatencyRecorder {
 	return &LatencyRecorder{samples: append(buf[:0], w.ring...), sum: w.sum}
-}
-
-// Efficiency bundles the two viewpoints the paper reports (§5.2): requests
-// per Joule computed against wall power (cost of ownership) and against
-// dynamic power (marginal cost of load).
-type Efficiency struct {
-	Wall    float64 // requests per Joule at wall power
-	Dynamic float64 // requests per Joule at dynamic (load - idle) power
-}
-
-// EfficiencyOf derives reqs/Joule from a throughput (reqs/sec) and the
-// platform's wall and dynamic watts.
-func EfficiencyOf(throughput, wallWatts, dynamicWatts float64) Efficiency {
-	var e Efficiency
-	if wallWatts > 0 {
-		e.Wall = throughput / wallWatts
-	}
-	if dynamicWatts > 0 {
-		e.Dynamic = throughput / dynamicWatts
-	}
-	return e
-}
-
-// Counter is a simple monotonically increasing event counter with a rate
-// helper.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Rate reports count/elapsedSeconds (0 when elapsed <= 0).
-func (c *Counter) Rate(elapsedSeconds float64) float64 {
-	if elapsedSeconds <= 0 {
-		return 0
-	}
-	return float64(c.n) / elapsedSeconds
 }

@@ -86,8 +86,8 @@ func TestLatencyRecorderMean(t *testing.T) {
 	if got := r.Mean(); !almost(got, 2.5, 1e-12) {
 		t.Fatalf("Mean = %v", got)
 	}
-	if r.Count() != 4 {
-		t.Fatalf("Count = %d", r.Count())
+	if len(r.samples) != 4 {
+		t.Fatalf("Count = %d", len(r.samples))
 	}
 }
 
@@ -126,12 +126,12 @@ func TestLatencyRecorderRecordAfterPercentile(t *testing.T) {
 func TestLatencyWindowFollowsTraffic(t *testing.T) {
 	const size = 1 << 16
 	w := NewLatencyWindow(size)
-	if r := w.Recorder(nil); r.Count() != 0 || w.Mean() != 0 {
-		t.Fatalf("empty window holds %d samples, mean %v", r.Count(), w.Mean())
+	if r := w.Recorder(nil); len(r.samples) != 0 || w.Mean() != 0 {
+		t.Fatalf("empty window holds %d samples, mean %v", len(r.samples), w.Mean())
 	}
 	w.Record(7)
-	if r := w.Recorder(nil); r.Count() != 1 || w.Mean() != 7 || r.Mean() != 7 || r.Percentile(50) != 7 {
-		t.Fatalf("one sample: count=%d mean=%v/%v p50=%v", r.Count(), w.Mean(), r.Mean(), r.Percentile(50))
+	if r := w.Recorder(nil); len(r.samples) != 1 || w.Mean() != 7 || r.Mean() != 7 || r.Percentile(50) != 7 {
+		t.Fatalf("one sample: count=%d mean=%v/%v p50=%v", len(r.samples), w.Mean(), r.Mean(), r.Percentile(50))
 	}
 	for i := 0; i < 200000; i++ {
 		v := 100.0
@@ -141,8 +141,8 @@ func TestLatencyWindowFollowsTraffic(t *testing.T) {
 		w.Record(v)
 	}
 	r := w.Recorder(nil)
-	if r.Count() != size {
-		t.Fatalf("full window holds %d samples, want %d", r.Count(), size)
+	if len(r.samples) != size {
+		t.Fatalf("full window holds %d samples, want %d", len(r.samples), size)
 	}
 	if r.Percentile(1) != 900 || r.Percentile(50) != 900 || r.Mean() != 900 || w.Mean() != 900 {
 		t.Fatalf("after the step p1=%v p50=%v mean=%v/%v, want the late value 900 throughout",
@@ -152,9 +152,9 @@ func TestLatencyWindowFollowsTraffic(t *testing.T) {
 	for i := 0; i < size/50; i++ {
 		w.Record(5)
 	}
-	if r := w.Recorder(nil); r.Percentile(1) != 5 || r.Percentile(3) != 900 || r.Count() != size {
+	if r := w.Recorder(nil); r.Percentile(1) != 5 || r.Percentile(3) != 900 || len(r.samples) != size {
 		t.Fatalf("after 2%% more samples p1=%v p3=%v count=%d, want 5, 900 and %d",
-			r.Percentile(1), r.Percentile(3), r.Count(), size)
+			r.Percentile(1), r.Percentile(3), len(r.samples), size)
 	}
 }
 
@@ -183,32 +183,6 @@ func TestLatencyRecorderBadPercentilePanics(t *testing.T) {
 		}
 	}()
 	r.Percentile(0)
-}
-
-func TestEfficiencyOf(t *testing.T) {
-	e := EfficiencyOf(1000, 100, 50)
-	if !almost(e.Wall, 10, 1e-12) || !almost(e.Dynamic, 20, 1e-12) {
-		t.Fatalf("Efficiency = %+v", e)
-	}
-	z := EfficiencyOf(1000, 0, 0)
-	if z.Wall != 0 || z.Dynamic != 0 {
-		t.Fatalf("zero-watt efficiency = %+v, want zeros", z)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(10)
-	c.Add(5)
-	if c.Value() != 15 {
-		t.Fatalf("Value = %d", c.Value())
-	}
-	if got := c.Rate(3); !almost(got, 5, 1e-12) {
-		t.Fatalf("Rate = %v", got)
-	}
-	if c.Rate(0) != 0 {
-		t.Fatal("Rate(0) should be 0")
-	}
 }
 
 func TestPercentileProperty(t *testing.T) {

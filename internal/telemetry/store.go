@@ -9,7 +9,6 @@
 package telemetry
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -39,7 +38,6 @@ type Broker struct {
 	rings     map[uint64][]frame
 	nextSeq   map[uint64]uint64
 	cursors   map[cursorKey]uint64
-	requests  uint64
 	writeHook func(uid uint64)
 	// resp is Handle's response buffer, reused by the next Handle.
 	resp []byte
@@ -53,9 +51,6 @@ func NewBroker() *Broker {
 		cursors: make(map[cursorKey]uint64),
 	}
 }
-
-// Requests reports handled backend requests.
-func (b *Broker) Requests() uint64 { return b.requests }
 
 // SetWriteHook implements service.Backend.
 func (b *Broker) SetWriteHook(fn func(uid uint64)) { b.writeHook = fn }
@@ -82,7 +77,6 @@ func validHex(s string) bool {
 // Handle implements service.Backend: "VERB dev [args...]" requests. The
 // response is built in a buffer the next Handle reuses.
 func (b *Broker) Handle(req []byte) []byte {
-	b.requests++
 	// A copy: a published frame keeps its payload field.
 	f := strings.Fields(string(req))
 	if len(f) < 2 {
@@ -167,14 +161,4 @@ func (b *Broker) Handle(req []byte) []byte {
 	default:
 		return []byte("ERR unknown verb " + f[0])
 	}
-}
-
-// Devices lists device ids with published frames (test helper).
-func (b *Broker) Devices() []uint64 {
-	out := make([]uint64, 0, len(b.nextSeq))
-	for d := range b.nextSeq {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,8 +2,6 @@ package rhythm
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"net"
 	"time"
 
@@ -62,9 +60,6 @@ func (s ServerStats) Served() uint64 {
 type serverConfig struct {
 	host   bool
 	cohort CohortOptions
-	// transport pins the fabric transport ("" = infer: tcp when worker
-	// addresses are set, loopback otherwise).
-	transport string
 }
 
 // Option configures New.
@@ -124,12 +119,6 @@ func WithSLO(p99 time.Duration) Option {
 	return func(c *serverConfig) { c.cohort.SLO = p99 }
 }
 
-// WithAdaptTick sets the formation controller's retuning period
-// (default 100ms).
-func WithAdaptTick(d time.Duration) Option {
-	return func(c *serverConfig) { c.cohort.AdaptTick = d }
-}
-
 // WithCrossoverRate sets the host/device routing crossover in req/s:
 // >0 uses the explicit rate, <0 disables the host route (always batch),
 // 0 (the default) derives it from the measured service model. A
@@ -160,14 +149,6 @@ func WithNodes(addrs ...string) Option {
 // Responses are byte-identical at any node count. Cohort mode only.
 func WithLoopbackNodes(n int) Option {
 	return func(c *serverConfig) { c.cohort.Nodes = n }
-}
-
-// WithTransport pins the fabric transport kind: "loopback" drops any
-// configured worker addresses, "tcp" requires WithNodes addresses (New
-// fails otherwise). Mostly useful to neutralize a WithNodes option
-// coming from config without re-deriving the option list.
-func WithTransport(kind string) Option {
-	return func(c *serverConfig) { c.transport = kind }
 }
 
 // WithLinkBudget meters each fabric node's link at bps bytes/sec (0 =
@@ -203,17 +184,6 @@ func WithWorkloadQuota(name string, share float64) Option {
 // formation delay; past it the connection gets a 504.
 func WithRequestDeadline(d time.Duration) Option {
 	return func(c *serverConfig) { c.cohort.RequestDeadline = d }
-}
-
-// WithMaxSessions sizes the session array (both modes).
-func WithMaxSessions(n int) Option {
-	return func(c *serverConfig) { c.cohort.MaxSessions = n }
-}
-
-// WithHostParallelism caps the host worker threads that execute kernel
-// warps (0 = all cores; see DESIGN.md §8).
-func WithHostParallelism(n int) Option {
-	return func(c *serverConfig) { c.cohort.HostParallelism = n }
 }
 
 // WithSimParallelism caps the host worker threads that execute
@@ -275,23 +245,17 @@ func WithHealthSLO(objective float64, fast, slow time.Duration) Option {
 // is answered at once on the host path of the device that owns its
 // state, a burst forms cohorts; WithHostExecution selects the scalar
 // host server instead.
-// This is the construction path rhythmd uses; NewTCPServer and
-// NewCohortServer remain for callers that need the concrete types.
 func New(addr string, opts ...Option) (Server, error) {
 	var cfg serverConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.host {
-		maxSessions := cfg.cohort.MaxSessions
-		if maxSessions == 0 {
-			maxSessions = 1 << 16
-		}
 		reg := cfg.cohort.Registry
 		if reg == nil {
 			reg = DefaultRegistry()
 		}
-		srv := NewTCPServerFor(reg, maxSessions)
+		srv := NewTCPServerFor(reg, 1<<16)
 		if cfg.cohort.RenderCache > 0 {
 			srv.EnableRenderCache(cfg.cohort.RenderCache)
 		}
@@ -311,17 +275,6 @@ func New(addr string, opts ...Option) (Server, error) {
 			return nil, err
 		}
 		return srv, nil
-	}
-	switch cfg.transport {
-	case "", "loopback", "tcp":
-	default:
-		return nil, fmt.Errorf("rhythm: unknown transport %q (want \"loopback\" or \"tcp\")", cfg.transport)
-	}
-	if cfg.transport == "loopback" {
-		cfg.cohort.WorkerAddrs = nil
-	}
-	if cfg.transport == "tcp" && len(cfg.cohort.WorkerAddrs) == 0 {
-		return nil, errors.New("rhythm: tcp transport needs WithNodes worker addresses")
 	}
 	srv, err := NewCohortServer(cfg.cohort)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,37 @@ func TestNewHostServer(t *testing.T) {
 	checkRetiredPaths(t, srv)
 	if snap := srv.Snapshot(); snap.Served() == 0 {
 		t.Fatal("snapshot counted no served requests")
+	}
+}
+
+// TestNewCohortServerRejectsBadInput: a geometry or quota share fill
+// cannot default is an error naming the field and the value, never a
+// panic or a silently misread cap; the valid edges still build.
+func TestNewCohortServerRejectsBadInput(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts CohortOptions
+		want string // error substring; "" = builds
+	}{
+		{"zero share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": 0}}, `WorkloadQuotas["banking"] share 0 `},
+		{"negative share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": -1}}, `WorkloadQuotas["banking"] share -1 `},
+		{"NaN share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": math.NaN()}}, `WorkloadQuotas["banking"] share NaN `},
+		{"share above one", CohortOptions{WorkloadQuotas: map[string]float64{"banking": 5}}, `WorkloadQuotas["banking"] share 5 `},
+		{"negative cohort size", CohortOptions{CohortSize: -1}, "CohortSize -1 "},
+		{"negative contexts", CohortOptions{MaxCohorts: -3}, "MaxCohorts -3 "},
+		{"whole share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": 1}}, ""},
+		{"one-request cohorts", CohortOptions{CohortSize: 1}, ""},
+	} {
+		srv, err := NewCohortServer(c.opts)
+		if srv != nil {
+			srv.Drain(context.Background())
+		}
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -1,0 +1,324 @@
+package rhythm
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// surfaceAllowlist names the exported identifiers of internal/ that no
+// non-test file uses and that stay anyway, each with its reason. Keys are
+// "pkg.Name" or "pkg.Type.Method", pkg relative to internal/.
+var surfaceAllowlist = map[string]string{
+	// Reference implementations the tests compare against.
+	"mem.Transpose":    "per-word reference the blocked-transpose tests and FuzzTransposeElemsRange check against",
+	"simt.StoreColumn": "backs service/export_test.go's write-through Reference for the priced layout",
+
+	// Cross-package test seams whose tests check behaviour that still exists.
+	"backend.DB.Requests":            "pipeline's QuickPay test counts backend round trips through it: done lanes are never re-billed",
+	"cluster.Cluster.GroupFor":       "fabric's tests drive a bare cluster through its sharding rule as the byte reference",
+	"ecom.Checkout":                  "service's kit tests pick ecom's variable-stage type by it",
+	"fabric.Fabric.KillNode":         "the node-failover tests quiesce nodes through it",
+	"fabric.Worker.Cluster":          "the root fabric tests reach a worker's device pool through it",
+	"fabric.Worker.Quiescing":        "the root drain test waits on a worker's quiescence through it",
+	"service.PageBuilder.Misaligned": "banking's §4.3.2 alignment test asserts no PadTo budget is overshot through it",
+	"session.Array.Len":              "banking's and pipeline's tests count the sessions logins create and logouts delete",
+	"sim.Engine.RunUntil":            "cohort's formation-timeout tests step virtual time to a deadline with it",
+}
+
+// surfaceExempt lists internal/ packages exempt as a whole.
+var surfaceExempt = map[string]string{
+	"service/servicetest": "the shared test harness: its callers are test files by design",
+}
+
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	ImportMap  map[string]string
+	Standard   bool
+}
+
+// TestNoDeadSurface type-checks the module's non-test files and fails on
+// any exported func, method, type, const or var declared in internal/
+// that no non-test file uses outside its own declaration, unless the
+// allowlist names it. Struct fields are skipped: embedded fields are
+// read by promotion and encoded ones by reflection. A method is used
+// when it is called, or implements a method called through an interface
+// or an interface of a standard-library package the module imports.
+func TestNoDeadSurface(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a static scan; the race detector adds nothing to it")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go command:", err)
+	}
+	pkgs := listPackages(t)
+	fset := token.NewFileSet()
+	checked := map[string]*types.Package{}
+	type modulePackage struct {
+		path  string
+		files []*ast.File
+		info  *types.Info
+	}
+	var module []modulePackage
+	for _, p := range pkgs {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil && !p.Standard {
+				t.Fatal(err)
+			}
+			if f != nil {
+				files = append(files, f)
+			}
+		}
+		importMap := p.ImportMap
+		conf := types.Config{
+			Importer: importerFunc(func(path string) (*types.Package, error) {
+				if mapped, ok := importMap[path]; ok {
+					path = mapped
+				}
+				if path == "unsafe" {
+					return types.Unsafe, nil
+				}
+				if pkg, ok := checked[path]; ok {
+					return pkg, nil
+				}
+				return nil, fmt.Errorf("%s not checked before its importer", path)
+			}),
+			Sizes: types.SizesFor("gc", runtime.GOARCH),
+		}
+		var info *types.Info
+		if p.Standard {
+			// Only the standard library's declarations matter here.
+			conf.IgnoreFuncBodies = true
+			conf.Error = func(error) {}
+		} else {
+			info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil && !p.Standard {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		if !p.Standard {
+			module = append(module, modulePackage{p.ImportPath, files, info})
+		}
+	}
+
+	modulePath := module[len(module)-1].path
+	if i := strings.IndexByte(modulePath, '/'); i >= 0 {
+		modulePath = modulePath[:i]
+	}
+	internalPrefix := modulePath + "/internal/"
+
+	// Every exported declaration of internal/, with the span of its own
+	// declaration, and the receiver type expressions of its methods.
+	type decl struct {
+		key      string
+		pos      token.Position
+		from, to token.Pos
+	}
+	decls := map[types.Object]*decl{}
+	ownReceiver := map[*ast.Ident]bool{}
+	var methods []*types.Func
+	for _, mp := range module {
+		rel, ok := strings.CutPrefix(mp.path, internalPrefix)
+		if !ok {
+			continue
+		}
+		if _, ok := surfaceExempt[rel]; ok {
+			continue
+		}
+		for _, f := range mp.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
+						continue
+					}
+					fn := mp.info.Defs[d.Name].(*types.Func)
+					key := rel + "." + d.Name.Name
+					if d.Recv != nil {
+						recv := derefNamed(fn.Type().(*types.Signature).Recv().Type())
+						key = rel + "." + recv.Obj().Name() + "." + d.Name.Name
+						methods = append(methods, fn)
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok && mp.info.Uses[id] == recv.Obj() {
+								ownReceiver[id] = true
+							}
+							return true
+						})
+					}
+					decls[fn] = &decl{key, fset.Position(d.Pos()), d.Pos(), d.End()}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								decls[mp.info.Defs[s.Name]] = &decl{rel + "." + s.Name.Name, fset.Position(s.Pos()), s.Pos(), s.End()}
+							}
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								if name.IsExported() {
+									decls[mp.info.Defs[name]] = &decl{rel + "." + name.Name, fset.Position(name.Pos()), s.Pos(), s.End()}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Uses anywhere in the module's non-test files, and the interface
+	// methods they call.
+	used := map[types.Object]bool{}
+	interfaces := map[*types.Interface]bool{}
+	for _, mp := range module {
+		for id, obj := range mp.info.Uses {
+			obj = origin(obj)
+			if d, ok := decls[obj]; ok && (ownReceiver[id] || d.from <= id.Pos() && id.Pos() < d.to) {
+				continue
+			}
+			used[obj] = true
+			if fn, ok := obj.(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					interfaces[recv.Type().Underlying().(*types.Interface)] = true
+				}
+			}
+		}
+	}
+	// The standard library calls the methods of its own interfaces
+	// (container/heap, sort, io, fmt.Stringer, error), out of sight of a
+	// scan of the module's files.
+	interfaces[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = true
+	for _, mp := range module {
+		for _, f := range mp.files {
+			for _, imp := range f.Imports {
+				pkg := checked[strings.Trim(imp.Path.Value, `"`)]
+				if pkg == nil || strings.HasPrefix(pkg.Path(), modulePath+"/") {
+					continue
+				}
+				for _, name := range pkg.Scope().Names() {
+					if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
+						interfaces[tn.Type().Underlying().(*types.Interface)] = true
+					}
+				}
+			}
+		}
+	}
+	for _, fn := range methods {
+		if used[fn] {
+			continue
+		}
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if types.IsInterface(recv) {
+			continue
+		}
+		for iface := range interfaces {
+			if !hasMethod(iface, fn.Name()) {
+				continue
+			}
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(derefNamed(recv)), iface) {
+				used[fn] = true
+				break
+			}
+		}
+	}
+
+	var dead []*decl
+	found := map[string]bool{}
+	for obj, d := range decls {
+		found[d.key] = true
+		if !used[obj] {
+			if _, ok := surfaceAllowlist[d.key]; !ok {
+				dead = append(dead, d)
+			}
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].key < dead[j].key })
+	for _, d := range dead {
+		t.Errorf("%s:%d: %s has no use outside tests; delete it or allowlist it with a reason", d.pos.Filename, d.pos.Line, d.key)
+	}
+	for key := range surfaceAllowlist {
+		if !found[key] {
+			t.Errorf("allowlist entry %s names nothing; drop it", key)
+		}
+	}
+	for obj, d := range decls {
+		if _, ok := surfaceAllowlist[d.key]; ok && used[obj] {
+			t.Errorf("allowlist entry %s has a non-test use now; drop it", d.key)
+		}
+	}
+}
+
+// listPackages returns the module's packages and everything they import,
+// dependencies first, as the go command builds them without cgo.
+func listPackages(t *testing.T) []listedPackage {
+	cmd := exec.Command("go", "list", "-deps", "-json=ImportPath,Dir,GoFiles,ImportMap,Standard", "./...")
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if p.ImportPath != "unsafe" {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+func derefNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+func hasMethod(iface *types.Interface, name string) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		if iface.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}

@@ -64,7 +64,7 @@ func NewTCPServerFor(reg *service.Registry, maxSessions int) *TCPServer {
 		bes:      reg.NewBackends(),
 		sessions: session.NewArray(256, maxSessions/256*4+4),
 	}
-	s.frontend.init(reg, s, "host", reg.MaxBufferBytes(), 0, flight.Config{})
+	s.frontend.init(reg, s, "host", reg.MaxBufferBytes(), flight.Config{})
 	s.ConfigureHealth(health.Config{})
 	return s
 }
