@@ -3,20 +3,27 @@ package rhythm
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"rhythm/internal/backend"
 	"rhythm/internal/banking"
 	"rhythm/internal/httpx"
+	"rhythm/internal/service"
+	"rhythm/internal/session"
+	"rhythm/internal/sim"
+	"rhythm/internal/simt"
 )
 
 // TestAllocBudgets enforces the committed allocation budgets of the
 // frontend hot path (BENCH_allocs.json): classify, render, a render
 // cache hit, a render cache miss, and a /metrics scrape, measured with
-// testing.AllocsPerRun. Any increase over a committed budget fails the
+// testing.AllocsPerRun — and of the stage kernel, per request. Any increase over a committed budget fails the
 // build (the alloc-gate CI job); improvements print a reminder to
 // re-baseline. Re-baseline deliberately with:
 //
@@ -168,10 +175,59 @@ func measureAllocs(t *testing.T) map[string]float64 {
 		}
 	})
 
+	// stage_kernel: the final stage kernel of a full 128-lane cohort, the
+	// launch every serving path spends its time in, per request.
+	m["stage_kernel"] = stageKernelAllocs(t)
+
 	if bad {
 		t.Fatal("a measured path failed while counting allocations")
 	}
 	return m
+}
+
+// stageKernelAllocs binds full cohorts of banking transfers (a 16 KB page
+// behind one backend round trip) on one device slot, as
+// BenchmarkStageKernelEmit does, and returns the fewest allocations a
+// request the final stage kernel's launch made over the cohorts after the
+// first, which sets up the lanes' contexts and rows.
+func stageKernelAllocs(t *testing.T) float64 {
+	t.Helper()
+	const lanes = 128
+	sessions := session.NewArray(256, 64)
+	be := backend.New()
+	gen := banking.NewGenerator(9, sessions)
+	gen.Populate(256)
+	reqs := make([]httpx.Request, lanes)
+	for i := range reqs {
+		req, err := httpx.Parse(gen.Request(banking.Transfer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = req
+	}
+	eng := sim.NewEngine()
+	dev := simt.NewDevice(eng, simt.GTXTitan(), 16<<20, nil)
+	slot := banking.NewWorkload().NewSlot(dev, lanes, service.TitanB)
+	stream := dev.NewStream()
+	var ms runtime.MemStats
+	fewest := math.Inf(1)
+	for i := 0; i < 8; i++ {
+		unit := slot.Bind(int(banking.Transfer), reqs, sessions, be)
+		stream.Launch(unit.Stage(0), lanes, nil)
+		eng.Run()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		stream.Launch(unit.Stage(1), lanes, nil)
+		eng.Run()
+		runtime.ReadMemStats(&ms)
+		if unit.Failed(0) {
+			t.Fatal("the transfer cohort took the error path")
+		}
+		if i > 0 {
+			fewest = min(fewest, float64(ms.Mallocs-before)/lanes)
+		}
+	}
+	return fewest
 }
 
 // setCookieValue extracts the Set-Cookie value from a raw HTTP response.

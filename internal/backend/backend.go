@@ -306,28 +306,32 @@ func (db *DB) CheckImageMeta(uid uint64, checkNo int) (date string, cents int64,
 }
 
 // Handle processes one wire-format backend request (the live bytes of
-// the slot a process stage wrote) and returns the wire-format response,
-// valid until the next Handle: it is built in a buffer the DB reuses.
+// the slot a process stage wrote, which Handle reads but never keeps)
+// and returns the wire-format response, valid until the next Handle: it
+// is built in a buffer the DB reuses.
 // The textual protocol is line-oriented: "VERB arg1 arg2 ...".
 // Unknown verbs or malformed arguments produce "ERR <reason>" rather than
 // an error: the device-side stage renders backend errors into the page,
 // matching Rhythm's per-request error state (§4.4).
 func (db *DB) Handle(req []byte) []byte {
 	db.requests++
-	// The fields alias this one copy, so what a verb stores of them
-	// (a payee's name) never aliases the caller's buffer.
-	fields := strings.Fields(string(req))
-	if len(fields) == 0 {
+	// The fields alias req, so what a verb stores of them (a payee's
+	// name) it copies.
+	var fields [5]string
+	n := fmtx.Fields(fields[:], req)
+	if n == 0 {
 		return []byte("ERR empty")
 	}
-	resp := db.dispatch(fields)
+	resp := db.dispatch(fields[:min(n, len(fields))], req)
 	if len(resp) > ResponseSlot {
 		return []byte("ERR response overflow")
 	}
 	return resp
 }
 
-func (db *DB) dispatch(f []string) []byte {
+// dispatch runs the verb of req, whose first fields (as many as the
+// verbs read) are f.
+func (db *DB) dispatch(f []string, req []byte) []byte {
 	uid, err := parseUID(f)
 	if err != nil && f[0] != "PING" {
 		return []byte("ERR " + err.Error())
@@ -372,7 +376,7 @@ func (db *DB) dispatch(f []string) []byte {
 		if len(f) < 4 {
 			return []byte("ERR args")
 		}
-		db.AddPayee(uid, f[2], f[3])
+		db.AddPayee(uid, strings.Clone(f[2]), strings.Clone(f[3]))
 		b = appendPayees(b, db.GetPayees(uid))
 	case "BILLPAY":
 		if len(f) < 5 {
@@ -436,10 +440,12 @@ func (db *DB) dispatch(f []string) []byte {
 		conf := db.PlaceOrder(uid, id)
 		b = fmtx.Appendf(b, "%s\n%s\n%d\n", id, conf, price)
 	case "POSTPROFILE":
+		kvs := make([]string, fmtx.Fields(nil, req))
+		fmtx.Fields(kvs, req)
 		fields := map[string]string{}
-		for _, kv := range f[2:] {
+		for _, kv := range kvs[2:] {
 			if eq := strings.IndexByte(kv, '='); eq > 0 {
-				fields[kv[:eq]] = kv[eq+1:]
+				fields[kv[:eq]] = strings.Clone(kv[eq+1:])
 			}
 		}
 		b = appendProfile(b, db.UpdateProfile(uid, fields))

@@ -217,3 +217,28 @@ func TestUpdateProfileIgnoresEmpty(t *testing.T) {
 		t.Fatal("email not updated")
 	}
 }
+
+// TestStoredFieldsOwnTheirBytes: Handle reads its request in place, so
+// what a verb stores of it is a copy — the caller refills the buffer (a
+// lane's request slot) as soon as Handle returns.
+func TestStoredFieldsOwnTheirBytes(t *testing.T) {
+	db := New()
+	scribble := func(req []byte) {
+		for i := range req {
+			req[i] = '#'
+		}
+	}
+	req := []byte("ADDPAYEE 42 Acme_Corp P-77")
+	db.Handle(req)
+	scribble(req)
+	payees := db.GetPayees(42)
+	if p := payees[len(payees)-1]; p.Name != "Acme_Corp" || p.Account != "P-77" {
+		t.Fatalf("stored payee after the request buffer was overwritten: %+v", p)
+	}
+	req = []byte("POSTPROFILE 42 email=a@b.example city=Provo_UT")
+	db.Handle(req)
+	scribble(req)
+	if p := db.GetProfile(42); p.Email != "a@b.example" || p.City != "Provo_UT" {
+		t.Fatalf("stored profile after the request buffer was overwritten: %+v", p)
+	}
+}

@@ -1,6 +1,7 @@
 package banking
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -162,21 +163,36 @@ func money(p *service.PageBuilder, cents int64) string {
 	return p.Sprintf("$%d.%02d", cents/100, cents%100)
 }
 
-// beLines copies a backend response and splits it into lines, reporting
-// whether the backend answered OK. The copy is what lets the lines
-// outlive the stage call (loginState, quickPayState, the page's pieces):
-// resp is the backend's own buffer or the lane's slot.
-func beLines(resp []byte) ([]string, bool) {
-	s := strings.TrimRight(string(resp), "\n ")
-	lines := strings.Split(s, "\n")
-	if len(lines) == 0 || lines[0] != "OK" {
-		return lines, false
+// beLines keeps a backend response in the page's arena and returns its
+// payload — the lines after "OK" — reporting whether the backend
+// answered OK; when it did not, the lines are the whole response. The
+// kept copy is what lets the lines outlive the stage call
+// (quickPayState, the page's pieces): resp is the backend's own buffer
+// or the lane's slot.
+func beLines(p *service.PageBuilder, resp []byte) (service.Lines, bool) {
+	s := p.Keep(bytes.TrimRight(resp, "\n "))
+	first, rest, _ := strings.Cut(s, "\n")
+	if first != "OK" {
+		return service.Lines(s), false
 	}
-	return lines[1:], true
+	return service.Lines(rest), true
 }
 
-// split3 splits "a|b|c"-style backend rows.
-func splitRow(row string) []string { return strings.Split(row, "|") }
+// cutAt splits l around its first line equal to sep: the lines before
+// it and the lines after it, or all of l and none when no line matches.
+func cutAt(l service.Lines, sep string) (before, after service.Lines) {
+	for rest := l; rest != ""; {
+		at := len(l) - len(rest)
+		if rest.Next() == sep {
+			return l[:max(at-1, 0)], rest
+		}
+	}
+	return l, ""
+}
+
+// splitRow cuts an "a|b|c"-style backend row into f, returning its
+// field count.
+func splitRow(f []string, row string) int { return service.Split(f, row, '|') }
 
 // atoi64 parses an int64, reporting ok.
 func atoi64(s string) (int64, bool) {

@@ -157,3 +157,9 @@ func TestResponseDigests(t *testing.T) {
 func TestStageKernelsMatchHostOnScript(t *testing.T) {
 	servicetest.CheckStageKernels(t, NewWorkload(), digestScript)
 }
+
+// TestKeptLinesOwnTheirBytes: what the stages keep of a backend response
+// survives the backend's next Handle and the lane slot's next fill.
+func TestKeptLinesOwnTheirBytes(t *testing.T) {
+	servicetest.CheckKeptLines(t, NewWorkload(), digestScript)
+}

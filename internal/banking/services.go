@@ -29,11 +29,6 @@ var stages = [NumTypes]service.StageFunc{
 
 // ---------------------------------------------------------------- login
 
-type loginState struct {
-	name  string
-	accts []string
-}
-
 func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	p := ctx.Page
 	base := blockBase(Login)
@@ -51,7 +46,7 @@ func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("AUTH %d %s", uid, passwd)
 	case 1: // check AUTH, create session, issue TXNS
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
+		accts, ok := beLines(p, bresp)
 		if !ok {
 			ctx.Fail("invalid user id or password")
 			return nil
@@ -59,25 +54,25 @@ func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		if !ctx.CreateSession(ctx.UserID) {
 			return nil
 		}
-		st := &loginState{}
-		if len(lines) > 0 {
-			st.name = lines[0]
+		// Name, email and phone, then one row per account.
+		var name string
+		for k := 0; k < 3 && accts != ""; k++ {
+			if line := accts.Next(); k == 0 {
+				name = line
+			}
 		}
-		if len(lines) > 3 {
-			st.accts = lines[3:]
-		}
-		ctx.Data = st
 		pageHeadCompact(ctx, "Welcome")
-		greeting(ctx, st.name)
+		greeting(ctx, name)
 		p.Static("<h1>Login successful</h1>\n<div class=\"notice\">You are now signed on to online banking. ")
 		p.Static("Use the navigation bar above to manage your accounts.</div>\n")
 		p.Block(base + 3)
 		p.Static("<h2>Your accounts</h2>\n<table class=\"data\"><tr><th>Account</th><th>Type</th><th>Balance</th></tr>\n")
 		mark := p.Len()
-		for k, row := range st.accts {
+		var f [3]string
+		for k := 0; accts != ""; k++ {
+			row := accts.Next()
 			p.Block(base + 4)
-			f := splitRow(row)
-			if len(f) < 3 {
+			if splitRow(f[:], row) < 3 {
 				continue
 			}
 			bal, _ := atoi64(f[2])
@@ -92,9 +87,9 @@ func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("TXNS %d 0 10", ctx.UserID)
 	case 2: // recent activity preview
 		p.Block(base + 5)
-		lines, ok := beLines(bresp)
+		lines, ok := beLines(p, bresp)
 		if !ok {
-			lines = nil
+			lines = ""
 		}
 		p.Static("<h2>Recent activity</h2>\n<table class=\"data\"><tr><th>Date</th><th>Description</th><th>Amount</th></tr>\n")
 		mark := p.Len()
@@ -108,15 +103,14 @@ func loginStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 }
 
 // emitTxnRows renders up to max "date|desc|amount|check" rows.
-func emitTxnRows(ctx *service.Ctx, block uint32, rows []string, max int) {
+func emitTxnRows(ctx *service.Ctx, block uint32, rows service.Lines, max int) {
 	p := ctx.Page
-	for k, row := range rows {
-		if k >= max {
-			break
-		}
+	var f [4]string
+	for k := 0; k < max && rows != ""; k++ {
+		row := rows.Next()
 		p.Block(block)
-		f := splitRow(row)
-		if len(f) < 3 {
+		n := splitRow(f[:], row)
+		if n < 3 {
 			continue
 		}
 		amt, _ := atoi64(f[2])
@@ -125,8 +119,8 @@ func emitTxnRows(ctx *service.Ctx, block uint32, rows []string, max int) {
 			cls = "debit"
 		}
 		desc := esc(f[1])
-		if len(f) > 3 && f[3] != "0" && f[3] != "" {
-			desc += " (check #" + esc(f[3]) + ")"
+		if n > 3 && f[3] != "0" && f[3] != "" {
+			desc = p.Sprintf("%s (check #%s)", desc, esc(f[3]))
 		}
 		alt := ""
 		if k%2 == 1 {
@@ -147,30 +141,23 @@ func accountSummaryStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("SUMMARY %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
+		lines, ok := beLines(p, bresp)
 		if !ok {
 			ctx.Fail("backend unavailable")
 			return nil
 		}
-		var accts, txns []string
-		split := len(lines)
-		for k, ln := range lines {
-			if ln == "--" {
-				split = k
-				break
-			}
-		}
-		accts, txns = lines[:split], lines[min(split+1, len(lines)):]
+		accts, txns := cutAt(lines, "--")
 
 		pageHead(ctx, "Account Summary")
 		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Account Summary</h1>\n<table class=\"data\"><tr><th>Account</th><th>Type</th><th>Balance</th></tr>\n")
 		mark := p.Len()
 		var total int64
-		for k, row := range accts {
+		var f [3]string
+		for k := 0; accts != ""; k++ {
+			row := accts.Next()
 			p.Block(base + 3)
-			f := splitRow(row)
-			if len(f) < 3 {
+			if splitRow(f[:], row) < 3 {
 				continue
 			}
 			bal, _ := atoi64(f[2])
@@ -232,7 +219,7 @@ func billPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("PAYEES %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
-		payees, ok := beLines(bresp)
+		payees, ok := beLines(p, bresp)
 		if !ok {
 			ctx.Fail("backend unavailable")
 			return nil
@@ -241,13 +228,11 @@ func billPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Pay a bill</h1>\n<form class=\"bank\" action=\"/bill_pay_confirm.php\" method=\"post\">\n<p><label for=\"payee\">Payee</label><select name=\"payee\">\n")
 		mark := p.Len()
-		for k, row := range payees {
-			if k >= 12 {
-				break
-			}
+		var f [2]string
+		for k := 0; k < 12 && payees != ""; k++ {
+			row := payees.Next()
 			p.Block(base + 3)
-			f := splitRow(row)
-			if len(f) < 2 {
+			if splitRow(f[:], row) < 2 {
 				continue
 			}
 			p.Dynamicf("<option value=\"%s\">%s</option>\n", esc(f[1]), esc(f[0]))
@@ -276,7 +261,7 @@ func billPayStatusStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("BILLS %d 10", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
-		bills, ok := beLines(bresp)
+		bills, ok := beLines(p, bresp)
 		if !ok {
 			ctx.Fail("backend unavailable")
 			return nil
@@ -285,10 +270,11 @@ func billPayStatusStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Bill payment history</h1>\n<table class=\"data\"><tr><th>Confirmation</th><th>Payee</th><th>Amount</th><th>Date</th><th>Status</th></tr>\n")
 		mark := p.Len()
-		for k, row := range bills {
+		var f [4]string
+		for k := 0; bills != ""; k++ {
+			row := bills.Next()
 			p.Block(base + 3)
-			f := splitRow(row)
-			if len(f) < 4 {
+			if splitRow(f[:], row) < 4 {
 				continue
 			}
 			amt, _ := atoi64(f[2])
@@ -319,28 +305,22 @@ func changeProfileStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("PROFILE %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
-		if !ok || len(lines) < 5 {
+		lines, ok := beLines(p, bresp)
+		var prof [5]string // name, address, city, email, phone
+		if !ok || service.Split(prof[:], string(lines), '\n') < 5 {
 			ctx.Fail("backend unavailable")
 			return nil
 		}
 		pageHead(ctx, "Change Profile")
-		greeting(ctx, lines[0])
+		greeting(ctx, prof[0])
 		p.Static("<h1>Update your contact information</h1>\n<form class=\"bank\" action=\"/post_profile.php\" method=\"post\">\n")
 		mark := p.Len()
-		fields := []struct{ label, name, value string }{
-			{"Full name", "name", lines[0]},
-			{"Street address", "address", lines[1]},
-			{"City", "city", lines[2]},
-			{"Email", "email", lines[3]},
-			{"Phone", "phone", lines[4]},
-		}
-		for _, f := range fields {
+		for k, f := range profileInputs {
 			p.Block(base + 3)
 			p.Static("<p><label>")
 			p.Static(f.label)
-			p.Static("</label><input type=\"text\" size=\"40\" name=\"" + f.name + "\" value=\"")
-			p.Dynamic(esc(f.value))
+			p.Static(f.input)
+			p.Dynamic(esc(prof[k]))
 			p.Static("\"></p>\n")
 		}
 		p.PadTo(mark + 5*160)
@@ -351,6 +331,19 @@ func changeProfileStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	}
 	panic("change_profile: bad stage")
 }
+
+// profileInputs labels change_profile's five fields and opens each one's
+// input, in profile line order.
+var profileInputs = func() (in [5]struct{ label, input string }) {
+	for k, f := range [5][2]string{
+		{"Full name", "name"}, {"Street address", "address"}, {"City", "city"},
+		{"Email", "email"}, {"Phone", "phone"},
+	} {
+		in[k].label = f[0]
+		in[k].input = "</label><input type=\"text\" size=\"40\" name=\"" + f[1] + "\" value=\""
+	}
+	return in
+}()
 
 // ----------------------------------------------------- check_detail_html
 
@@ -368,8 +361,9 @@ func checkDetailStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("CHECKINFO %d %d", ctx.UserID, cn)
 	case 1:
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
-		if !ok || len(lines) < 3 {
+		body, ok := beLines(p, bresp)
+		var lines [3]string // date, amount, payee
+		if !ok || service.Split(lines[:], string(body), '\n') < 3 {
 			ctx.Fail("check not found")
 			return nil
 		}
@@ -401,7 +395,7 @@ func orderCheckStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("ACCTS %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
-		accts, ok := beLines(bresp)
+		accts, ok := beLines(p, bresp)
 		if !ok {
 			ctx.Fail("backend unavailable")
 			return nil
@@ -410,10 +404,11 @@ func orderCheckStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Order checks</h1>\n<form class=\"bank\" action=\"/place_check_order.php\" method=\"post\">\n<p><label>Funding account</label><select name=\"account\">\n")
 		mark := p.Len()
-		for _, row := range accts {
+		var f [2]string
+		for accts != "" {
+			row := accts.Next()
 			p.Block(base + 3)
-			f := splitRow(row)
-			if len(f) < 2 {
+			if splitRow(f[:], row) < 2 {
 				continue
 			}
 			p.Dynamicf("<option value=\"%s\">%s (%s)</option>\n", esc(f[0]), esc(f[0]), esc(f[1]))
@@ -451,8 +446,9 @@ func placeCheckOrderStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("PLACEORDER %d %s %d", ctx.UserID, style, qty)
 	case 1:
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
-		if !ok || len(lines) < 3 {
+		body, ok := beLines(p, bresp)
+		var lines [3]string // order id, confirmation, price
+		if !ok || service.Split(lines[:], string(body), '\n') < 3 {
 			ctx.Fail("order rejected")
 			return nil
 		}
@@ -489,7 +485,7 @@ func postPayeeStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 			ctx.UserID, strings.ReplaceAll(name, " ", "_"), strings.ReplaceAll(acct, " ", "_"))
 	case 1:
 		p.Block(base + 2)
-		payees, ok := beLines(bresp)
+		payees, ok := beLines(p, bresp)
 		if !ok {
 			ctx.Fail("backend unavailable")
 			return nil
@@ -502,13 +498,11 @@ func postPayeeStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		p.PadTo(mark + 96)
 		p.Static("<h2>All payees</h2>\n<table class=\"data\"><tr><th>Payee</th><th>Account</th></tr>\n")
 		mark = p.Len()
-		for k, row := range payees {
-			if k >= 16 {
-				break
-			}
+		var f [2]string
+		for k := 0; k < 16 && payees != ""; k++ {
+			row := payees.Next()
 			p.Block(base + 3)
-			f := splitRow(row)
-			if len(f) < 2 {
+			if splitRow(f[:], row) < 2 {
 				continue
 			}
 			alt := ""
@@ -543,20 +537,22 @@ func postTransferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("TRANSFER %d %d %d %d", ctx.UserID, from, to, cents)
 	case 1:
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
+		lines, ok := beLines(p, bresp)
 		pageHead(ctx, "Transfer Result")
 		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		if !ok {
 			// Declined transfers are a normal page, not a request error.
 			p.Block(base + 3)
 			p.Static("<h1>Transfer declined</h1>\n<p class=\"error\">")
-			p.Dynamic(esc(strings.TrimPrefix(strings.Join(lines, " "), "FAIL ")))
+			p.Dynamic(esc(strings.TrimPrefix(strings.ReplaceAll(string(lines), "\n", " "), "FAIL ")))
 			p.Static("</p>\n<p>No funds were moved. Review the balances on your <a href=\"/account_summary.php\">account summary</a> and try again.</p>\n")
 			ctx.Page.PadTo(ctx.Page.Len() + 64)
 		} else {
 			p.Block(base + 4)
-			fromBal, _ := atoi64(lines[0])
-			toBal, _ := atoi64(lines[1])
+			var bal [2]string // source, destination
+			service.Split(bal[:], string(lines), '\n')
+			fromBal, _ := atoi64(bal[0])
+			toBal, _ := atoi64(bal[1])
 			p.Static("<h1>Transfer complete</h1>\n<table class=\"data\">\n")
 			mark := p.Len()
 			p.Dynamicf("<tr><th>Amount moved</th><td class=\"amount\">%s</td></tr>\n<tr><th>Source balance</th><td class=\"amount\">%s</td></tr>\n<tr><th>Destination balance</th><td class=\"amount\">%s</td></tr>\n",
@@ -607,8 +603,9 @@ func profileStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("PROFILE %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
-		if !ok || len(lines) < 5 {
+		body, ok := beLines(p, bresp)
+		var lines [5]string // name, address, city, email, phone
+		if !ok || service.Split(lines[:], string(body), '\n') < 5 {
 			ctx.Fail("backend unavailable")
 			return nil
 		}
@@ -650,7 +647,7 @@ func transferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		return p.Appendf("ACCTS %d", ctx.UserID)
 	case 1:
 		p.Block(base + 2)
-		accts, ok := beLines(bresp)
+		accts, ok := beLines(p, bresp)
 		if !ok {
 			ctx.Fail("backend unavailable")
 			return nil
@@ -658,16 +655,20 @@ func transferStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		pageHead(ctx, "Transfer Funds")
 		greeting(ctx, p.Sprintf("customer %d", ctx.UserID))
 		p.Static("<h1>Transfer between your accounts</h1>\n<form class=\"bank\" action=\"/post_transfer.php\" method=\"post\">\n")
-		for _, sel := range []string{"from", "to"} {
+		var f [3]string
+		for _, sel := range [2][2]string{
+			{"From", " account</label><select name=\"from\">\n"},
+			{"To", " account</label><select name=\"to\">\n"},
+		} {
 			p.Block(base + 3)
 			p.Static("<p><label>")
-			p.Static(strings.ToUpper(sel[:1]) + sel[1:])
-			p.Static(" account</label><select name=\"" + sel + "\">\n")
+			p.Static(sel[0])
+			p.Static(sel[1])
 			mark := p.Len()
-			for k, row := range accts {
+			for k, rows := 0, accts; rows != ""; k++ {
+				row := rows.Next()
 				p.Block(base + 4)
-				f := splitRow(row)
-				if len(f) < 3 {
+				if splitRow(f[:], row) < 3 {
 					continue
 				}
 				bal, _ := atoi64(f[2])
@@ -757,12 +758,12 @@ func quickPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 		st = ctx.Data.(*quickPayState)
 		// Record the confirmation of the payment that just completed.
 		p.Block(base + 2)
-		lines, ok := beLines(bresp)
-		if !ok || len(lines) < 1 {
+		lines, ok := beLines(p, bresp)
+		if !ok || lines == "" {
 			ctx.Fail("payment rejected")
 			return nil
 		}
-		st.confs = append(st.confs, lines[0])
+		st.confs = append(st.confs, lines.Next())
 	}
 	if next := len(st.confs); next < len(st.payees) {
 		// Another payment to make: another backend round trip.
@@ -792,11 +793,4 @@ func quickPayStage(ctx *service.Ctx, i int, bresp []byte) []byte {
 	pageFoot(ctx)
 	ctx.Done = true
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

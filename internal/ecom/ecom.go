@@ -1,6 +1,7 @@
 package ecom
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -70,16 +71,15 @@ func affinity(req *httpx.Request, local int, buckets int) int {
 }
 
 // backendLines validates an "OK\n..." backend response and returns its
-// payload lines, cut from a copy: bresp is the store's own buffer or the
-// lane's slot, and the lines become pieces of the page.
-func backendLines(ctx *service.Ctx, bresp []byte) []string {
-	s := string(bresp)
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) == 0 || lines[0] != "OK" {
-		ctx.Fail("catalog backend error: " + strings.TrimPrefix(s, "FAIL "))
-		return nil
+// payload lines, cut from the copy the page keeps: bresp is the store's
+// own buffer or the lane's slot, and the lines become pieces of the page.
+func backendLines(ctx *service.Ctx, bresp []byte) service.Lines {
+	first, rest, _ := strings.Cut(ctx.Page.Keep(bytes.TrimRight(bresp, "\n")), "\n")
+	if first != "OK" {
+		ctx.Fail("catalog backend error: " + strings.TrimPrefix(string(bresp), "FAIL "))
+		return ""
 	}
-	return lines[1:]
+	return service.Lines(rest)
 }
 
 func pageHead(ctx *service.Ctx, title string) {
@@ -104,12 +104,12 @@ func pageTail(ctx *service.Ctx) {
 }
 
 // productTable renders "pid|name|category|cents|stock" rows.
-func productTable(ctx *service.Ctx, rows []string) {
+func productTable(ctx *service.Ctx, rows service.Lines) {
 	p := ctx.Page
 	p.Static("<table class=\"catalog\"><tr><th>Item</th><th>Category</th><th>Price</th><th>Stock</th></tr>\n")
-	for _, row := range rows {
-		f := strings.Split(row, "|")
-		if len(f) != 5 {
+	var f [5]string
+	for rows != "" {
+		if service.Split(f[:], rows.Next(), '|') != 5 {
 			ctx.Fail("catalog backend error: bad row")
 			return
 		}
@@ -212,12 +212,8 @@ func productStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 	if ctx.Err != "" {
 		return nil
 	}
-	if len(rows) != 1 {
-		ctx.Fail("catalog backend error: bad product row")
-		return nil
-	}
-	f := strings.Split(rows[0], "|")
-	if len(f) != 5 {
+	var f [5]string
+	if rows == "" || strings.Contains(string(rows), "\n") || service.Split(f[:], string(rows), '|') != 5 {
 		ctx.Fail("catalog backend error: bad product row")
 		return nil
 	}
@@ -241,17 +237,18 @@ func productStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 }
 
 // cartPage renders "pid|name|qty|cents" cart rows plus a total.
-func cartPage(ctx *service.Ctx, rows []string) {
+func cartPage(ctx *service.Ctx, rows service.Lines) {
 	p := ctx.Page
-	if len(rows) < 1 {
+	if rows == "" {
 		ctx.Fail("cart backend error: missing count")
 		return
 	}
+	rows.Next() // the line count
 	p.Static("<h1>Your cart</h1>\n<table class=\"cart\"><tr><th>Item</th><th>Qty</th><th>Price</th></tr>\n")
 	var total int64
-	for _, row := range rows[1:] {
-		f := strings.Split(row, "|")
-		if len(f) != 4 {
+	var f [4]string
+	for rows != "" {
+		if service.Split(f[:], rows.Next(), '|') != 4 {
 			ctx.Fail("cart backend error: bad row")
 			return
 		}
@@ -318,7 +315,7 @@ func checkoutStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 		if ctx.Err != "" {
 			return nil
 		}
-		if len(rows) >= 1 && rows[0] == "0" {
+		if rows != "" && rows.Next() == "0" {
 			// Variable-stage early completion: nothing to order, skip the
 			// ORDER round trip and emit now.
 			pageHead(ctx, "Checkout")
@@ -329,11 +326,12 @@ func checkoutStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 		}
 		return p.Appendf("ORDER %d", ctx.UserID)
 	default:
-		lines := backendLines(ctx, bresp)
+		body := backendLines(ctx, bresp)
 		if ctx.Err != "" {
 			return nil
 		}
-		if len(lines) != 3 {
+		var lines [3]string // confirmation, items, total
+		if service.Split(lines[:], string(body), '\n') != 3 {
 			ctx.Fail("order backend error: bad confirmation")
 			return nil
 		}

@@ -88,3 +88,9 @@ func TestResponseDigests(t *testing.T) {
 func TestStageKernelsMatchHost(t *testing.T) {
 	servicetest.CheckStageKernels(t, New(), script)
 }
+
+// TestKeptLinesOwnTheirBytes: what the stages keep of a backend response
+// survives the backend's next Handle and the lane slot's next fill.
+func TestKeptLinesOwnTheirBytes(t *testing.T) {
+	servicetest.CheckKeptLines(t, New(), script)
+}

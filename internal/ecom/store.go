@@ -9,7 +9,6 @@ package ecom
 
 import (
 	"strconv"
-	"strings"
 
 	"rhythm/internal/fmtx"
 )
@@ -106,10 +105,11 @@ func appendProduct(b []byte, pid uint64) []byte {
 const catalogRows = 12
 
 // Handle implements service.Backend: line-oriented "VERB arg..."
-// requests of up to 1 KB, responses within 4 KB, built in a buffer the
-// next Handle reuses.
+// requests of up to 1 KB, read in place and never kept, and responses
+// within 4 KB, built in a buffer the next Handle reuses.
 func (s *Store) Handle(req []byte) []byte {
-	f := strings.Fields(string(req))
+	var fields [4]string
+	f := fields[:min(fmtx.Fields(fields[:], req), len(fields))]
 	if len(f) == 0 {
 		return []byte("ERR empty")
 	}

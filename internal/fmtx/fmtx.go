@@ -6,6 +6,8 @@
 // the heap. A format or argument outside that set is a programming
 // error and panics; FuzzAppendf holds the rest to fmt byte for byte, and
 // TestTreeFormats walks every format literal of the ported packages.
+// Fields is the other direction, for the same backends: it cuts a
+// request into its fields in place, as strings.Fields would.
 package fmtx
 
 import (

@@ -60,7 +60,8 @@ type SvcDef struct {
 	// Stage is the process logic.
 	Stage StageFunc
 
-	headerLen int // computed at registration
+	headerLen int      // computed at registration
+	kernels   []string // stage kernel names, computed at registration
 }
 
 // Ctx carries one request through its process stages, shared by the

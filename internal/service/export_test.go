@@ -105,7 +105,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		// A blank slot is stored for its price; the deferred commit
 		// overwrites it, unpriced.
 		simt.StoreColumn(t, pc.brespBuf, r, pc.size, 0, make([]byte, BackendResponseSlot))
-		m, be := pc.mem, u.be
+		m, be := pc.mem, pc.be
 		t.Defer(func() {
 			slot := make([]byte, BackendResponseSlot)
 			pc.brespLen[r] = copy(slot, handle(be, breq))

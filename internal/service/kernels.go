@@ -96,6 +96,12 @@ type pageCohort struct {
 	ctxs    []*Ctx
 	scratch []*Scratch
 
+	// be is the bound cohort's backend, and commits[r] lane r's deferred
+	// backend commit: made once per lane with the cohort, it reads the
+	// bound state when the launch's serial phase runs it.
+	be      Backend
+	commits []func()
+
 	// stageInstr tracks each request's charged instructions at the last
 	// stage boundary so stage kernels charge only their delta.
 	stageInstr []int64
@@ -116,7 +122,19 @@ func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int
 	pc.ctxs = make([]*Ctx, size)
 	pc.scratch = make([]*Scratch, size)
 	pc.stageInstr = make([]int64, size)
+	pc.commits = make([]func(), size)
+	for r := range pc.commits {
+		pc.commits[r] = func() { pc.commit(r) }
+	}
 	return pc
+}
+
+// commit runs lane r's backend request against the bound backend and
+// fills its response slot (block 2's deferred half).
+func (pc *pageCohort) commit(r int) {
+	breq := pc.row(pc.breqRow, r, BackendRequestSlot)[:pc.breqLen[r]]
+	bresp := pc.row(pc.brespRow, r, BackendResponseSlot)
+	pc.brespLen[r] = fillSlot(bresp, handle(pc.be, breq), pc.brespLen[r])
 }
 
 // row returns request r's slot of a backend slot's row-major twin.
@@ -134,9 +152,9 @@ func fillSlot(slot, data []byte, old int) int {
 	return n
 }
 
-// bind points the cohort at local type `local` (one of its size class)
-// and a new batch of requests.
-func (pc *pageCohort) bind(local int, reqs []httpx.Request) {
+// bind points the cohort at local type `local` (one of its size class),
+// a new batch of requests and their backend.
+func (pc *pageCohort) bind(local int, reqs []httpx.Request, be Backend) {
 	count := len(reqs)
 	if count <= 0 || count > pc.size {
 		panic(fmt.Sprintf("service: cohort count %d out of range (size %d)", count, pc.size))
@@ -144,6 +162,7 @@ func (pc *pageCohort) bind(local int, reqs []httpx.Request) {
 	pc.local = local
 	pc.def = &pc.w.defs[local]
 	pc.count = count
+	pc.be = be
 	copy(pc.reqs, reqs)
 	for i := 0; i < count; i++ {
 		pc.ctxs[i] = nil
@@ -171,8 +190,8 @@ func (s *pageSlot) Bind(local int, reqs []httpx.Request, sessions *session.Array
 		pc = newPageCohort(s.w, s.dev, s.v, class, s.size)
 		s.byClass[class] = pc
 	}
-	pc.bind(local, reqs)
-	return &PageUnit{pc: pc, sessions: sessions, be: be}
+	pc.bind(local, reqs, be)
+	return &PageUnit{pc: pc, sessions: sessions}
 }
 
 // PageUnit is a bound cohort of one page-workload type. Beyond the Unit
@@ -182,7 +201,6 @@ func (s *pageSlot) Bind(local int, reqs []httpx.Request, sessions *session.Array
 type PageUnit struct {
 	pc       *pageCohort
 	sessions *session.Array
-	be       Backend
 }
 
 // Stages implements Unit.
@@ -305,9 +323,7 @@ type pageStageProgram struct {
 	stage int
 }
 
-func (p pageStageProgram) Name() string {
-	return fmt.Sprintf("%s%s_s%d", p.u.pc.w.kernelPrefix, p.u.pc.def.Name, p.stage)
-}
+func (p pageStageProgram) Name() string { return p.u.pc.def.kernels[p.stage] }
 
 func (pageStageProgram) Entry() simt.BlockID { return 0 }
 
@@ -397,10 +413,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		// NEXT stage kernel, so materializing it at end-of-launch is
 		// unobservable. See DESIGN.md "Host parallelism".
 		simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
-		breq := pc.row(pc.breqRow, r, BackendRequestSlot)[:pc.breqLen[r]]
-		bresp := pc.row(pc.brespRow, r, BackendResponseSlot)
-		be, lens := u.be, pc.brespLen
-		t.Defer(func() { lens[r] = fillSlot(bresp, handle(be, breq), lens[r]) })
+		t.Defer(pc.commits[r])
 		return simt.Halt // next stage kernel reads brespBuf
 	case 3: // final stage: render and emit
 		p.emit(t, r, pc.ctxs[r])

@@ -145,10 +145,62 @@ func (b *PageBuilder) Appendf(format string, args ...any) []byte {
 // Sprintf is Appendf as a string: text for Dynamic or a later Dynamicf,
 // or to carry from one stage to the next, valid until Reset.
 func (b *PageBuilder) Sprintf(format string, args ...any) string {
-	s := b.Appendf(format, args...)
-	// The arena is append-only between Resets, so the bytes behind s are
-	// as immutable as a string's for as long as s may be used.
-	return unsafe.String(unsafe.SliceData(s), len(s))
+	return b.kept(len(b.arena), fmtx.Appendf(b.arena, format, args...))
+}
+
+// Keep copies p into the arena and returns the copy as a string, valid
+// until Reset: the one copy a stage makes of a backend response, whose
+// buffer — the backend's, reused by its next Handle, or the lane's slot,
+// refilled by the next commit — does not outlive the stage call, while
+// the lines cut from it become pieces of the page or state carried to
+// the next stage.
+func (b *PageBuilder) Keep(p []byte) string {
+	return b.kept(len(b.arena), append(b.arena, p...))
+}
+
+// kept installs arena, grown from n bytes, and returns what was appended
+// as a string. The arena is append-only between Resets, so the bytes
+// behind it are as immutable as a string's for as long as it may be used.
+func (b *PageBuilder) kept(n int, arena []byte) string {
+	b.arena = arena
+	return unsafe.String(unsafe.SliceData(arena[n:]), len(arena)-n)
+}
+
+// Lines is backend payload text, iterated line by line without cutting
+// it into a slice: "" holds no lines, and any other text holds one more
+// line than it has '\n's.
+type Lines string
+
+// Next cuts the first line off l, which must not be empty.
+func (l *Lines) Next() string {
+	line, rest, _ := strings.Cut(string(*l), "\n")
+	*l = Lines(rest)
+	return line
+}
+
+// Split stores the first len(dst) sep-separated fields of s in dst and
+// returns how many fields s has, which may be more than it stored: a
+// fixed-width backend row cut without allocating. Unlike strings.Split,
+// it finds no field in "".
+func Split(dst []string, s string, sep byte) int {
+	if s == "" {
+		return 0
+	}
+	n := 0
+	for {
+		i := strings.IndexByte(s, sep)
+		if i < 0 {
+			i = len(s)
+		}
+		if n < len(dst) {
+			dst[n] = s[:i]
+		}
+		n++
+		if i == len(s) {
+			return n
+		}
+		s = s[i+1:]
+	}
 }
 
 // emitChunk is the bytes-per-basic-block granularity of the emission

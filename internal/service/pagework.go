@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"strconv"
 
 	"rhythm/internal/httpx"
 	"rhythm/internal/session"
@@ -21,8 +22,6 @@ type PageWorkload struct {
 	costs      Costs
 	defs       []SvcDef
 	byPath     map[string]int
-	// kernelPrefix starts every stage kernel's name: "rhythm_<workload>_".
-	kernelPrefix string
 
 	newBackend func() Backend
 	classify   func(req *httpx.Request) (int, bool)
@@ -80,8 +79,6 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 		affinity:   cfg.Affinity,
 		static:     cfg.Static,
 		errorPage:  cfg.ErrorPage,
-
-		kernelPrefix: "rhythm_" + cfg.Name + "_",
 	}
 	for i := range w.defs {
 		def := &w.defs[i]
@@ -95,6 +92,10 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 			panic(fmt.Sprintf("service: %s/%s cacheable without session identity", cfg.Name, def.Name))
 		}
 		def.headerLen = w.headerLen(def)
+		def.kernels = make([]string, def.Backends+1)
+		for k := range def.kernels {
+			def.kernels[k] = "rhythm_" + cfg.Name + "_" + def.Name + "_s" + strconv.Itoa(k)
+		}
 		if def.Path != "" {
 			if _, dup := w.byPath[def.Path]; dup {
 				panic(fmt.Sprintf("service: %s duplicate path %q", cfg.Name, def.Path))

@@ -84,9 +84,11 @@ type Backend interface {
 	// Handle executes one wire-format backend request — exactly its
 	// bytes, at most BackendRequestSlot of them, no padding — and returns
 	// the wire-format response. The response may live in a buffer the
-	// next Handle reuses: the caller copies what it keeps. One longer
-	// than BackendResponseSlot reaches the stage as "ERR response
-	// overflow". Handle must not keep req, or a slice of it.
+	// next Handle reuses: the caller copies what it keeps (a stage keeps
+	// it with PageBuilder.Keep). One longer than BackendResponseSlot
+	// reaches the stage as "ERR response overflow". Handle must not keep
+	// req, a slice of it or a string view of it: what it stores of the
+	// request's fields it copies.
 	Handle(req []byte) []byte
 	// SetWriteHook registers fn to run after every committed mutation
 	// with the id whose cached pages it invalidates.

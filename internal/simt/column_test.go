@@ -82,7 +82,7 @@ func TestChargeColumnPricesLikeStoreColumn(t *testing.T) {
 		for i := range threads {
 			threads[i] = &Thread{ID: i, Lane: i, mem: m}
 		}
-		ws, _ := runWarp(GTXTitan(), FuncProgram{Label: "p", Body: func(th *Thread) { body(th, buf) }}, threads)
+		ws := runWarp(GTXTitan(), FuncProgram{Label: "p", Body: func(th *Thread) { body(th, buf) }}, &warpScratch{lanes: threads})
 		return ws, m.Read(buf, rows*n)
 	}
 	blankWS, _ := run(func(th *Thread, buf mem.Addr) { StoreColumn(th, buf, th.ID, rows, 0, make([]byte, n)) })

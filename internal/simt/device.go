@@ -320,7 +320,8 @@ func (d *Device) PendingLaunches() int { return len(d.pending) }
 //     launches within a group run serially in canonical order. Each
 //     launch's warps still fan out over Cfg.HostParallelism workers.
 //  3. Commit serially in canonical order: replay deferred side effects
-//     (Thread.Defer — Besim writes), accumulate DeviceStats, and submit
+//     (Thread.Defer — Besim writes) and return the launch's warp scratch
+//     to the pool, accumulate DeviceStats, and submit
 //     to the compute pool, which schedules the profiler record, done
 //     callback, and stream-gate completion at virtual finish time.
 func (d *Device) flushPending() bool {
@@ -345,9 +346,7 @@ func (d *Device) flushPending() bool {
 	for i := range batch {
 		pl := batch[i]
 		st := results[i].stats
-		for _, fn := range results[i].deferred {
-			fn()
-		}
+		results[i].commit()
 		d.stats.Launches++
 		d.stats.IssueCycles += st.IssueCycles
 		d.stats.MemBytes += st.MemBytes
@@ -519,57 +518,54 @@ func (s *Stream) Barrier(done func()) {
 	})
 }
 
-// warpResult is one warp's outcome, produced by whichever host worker
-// executed it and consumed in warp-index order by the reduction.
-type warpResult struct {
-	stats    warpStats
-	deferred []func()
+// kernelExec is one launch's execution-phase outcome: the priced stats
+// plus its warps' scratch, whose deferred side effects await the batch's
+// serial commit phase in (warp, issue) order.
+type kernelExec struct {
+	stats LaunchStats
+	warps []*warpScratch
 }
 
-// kernelExec is one launch's execution-phase outcome: the priced stats
-// plus its deferred side effects flattened in (warp, issue) order,
-// awaiting the batch's serial commit phase.
-type kernelExec struct {
-	stats    LaunchStats
-	deferred []func()
+// commit runs the launch's deferred side effects in (warp, issue) order
+// and returns every warp's scratch to the pool: nothing the launch's
+// closures captured is reused before they have run.
+func (k kernelExec) commit() {
+	for _, sc := range k.warps {
+		for _, fn := range sc.shared.deferred {
+			fn()
+		}
+		sc.release()
+	}
 }
 
 // execKernel executes every warp of the launch functionally and prices
 // the launch with the roofline model. Warps run concurrently on up to
 // Cfg.HostParallelism host workers (see hostpool.go); simulated results
-// are identical to the serial path because each warp owns its thread
-// scratch and per-warp stats are reduced in warp-index order below.
-// Order-sensitive side effects (Thread.Defer) are NOT run here: they are
-// returned in (warp, issue) order — the order a fully serial simulation
-// would have produced — for flushPending's serial commit phase, which
-// also keeps them off the concurrent path when several launches of one
-// epoch batch execute in parallel.
+// are identical to the serial path because each warp owns its scratch
+// and per-warp stats are reduced in warp-index order below.
+// Order-sensitive side effects (Thread.Defer) are NOT run here: they
+// stay in the warps' scratch for flushPending's serial commit phase,
+// which also keeps them off the concurrent path when several launches of
+// one epoch batch execute in parallel.
 func (d *Device) execKernel(prog Program, n int) kernelExec {
 	cfg := d.Cfg
 	warps := (n + cfg.WarpSize - 1) / cfg.WarpSize
-	results := make([]warpResult, warps)
+	results := make([]warpStats, warps)
+	scratch := make([]*warpScratch, warps)
 	parallelFor(cfg.hostWorkers(), warps, func(w int) {
-		// Every warp builds its own thread slice — sharing one scratch
-		// across warps would let a kernel's captured *Thread pointers be
-		// overwritten by the next warp, serial or not.
-		threads := make([]*Thread, 0, cfg.WarpSize)
-		for lane := 0; lane < cfg.WarpSize; lane++ {
-			id := w*cfg.WarpSize + lane
-			if id >= n {
-				break
-			}
-			threads = append(threads, &Thread{ID: id, Lane: lane, mem: d.Mem})
-		}
-		results[w].stats, results[w].deferred = runWarp(cfg, prog, threads)
+		// Every warp takes its own scratch — sharing one across warps
+		// would let a kernel's captured *Thread pointers be overwritten by
+		// the next warp, serial or not.
+		first := w * cfg.WarpSize
+		scratch[w] = getWarpScratch(d.Mem, first, min(cfg.WarpSize, n-first))
+		results[w] = runWarp(cfg, prog, scratch[w])
 	})
 	// Reduce in warp-index order. The stats are integer counters, so the
 	// sums are exact regardless of order, but fixed order keeps the
 	// reduction trivially schedule-independent.
 	var total warpStats
 	var maxWarpCycles int64
-	var deferred []func()
-	for w := range results {
-		ws := results[w].stats
+	for _, ws := range results {
 		total.issueCycles += ws.issueCycles
 		total.memBytes += ws.memBytes
 		total.transactions += ws.transactions
@@ -579,7 +575,6 @@ func (d *Device) execKernel(prog Program, n int) kernelExec {
 		if ws.issueCycles > maxWarpCycles {
 			maxWarpCycles = ws.issueCycles
 		}
-		deferred = append(deferred, results[w].deferred...)
 	}
 	dur := d.price(warps, total.issueCycles, maxWarpCycles, total.memBytes)
 	// The ideal-coalescing floor: the transactions a kernel requesting
@@ -603,7 +598,7 @@ func (d *Device) execKernel(prog Program, n int) kernelExec {
 			Occupancy:     d.occupancyOf(warps),
 			EnergyJ:       d.energyOf(warps, total.issueCycles, total.memBytes, dur),
 		},
-		deferred: deferred,
+		warps: scratch,
 	}
 }
 

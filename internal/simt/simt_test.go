@@ -445,7 +445,7 @@ func TestCoalesceFastPathMatchesGeneral(t *testing.T) {
 		// compare totals per-lane... The robust check: run full coalesce()
 		// and assert it used *some* path yielding the same totals as the
 		// fast path plus nothing else.
-		gs, gb, gx := coalesce(cfg, mk())
+		gs, gb, gx := new(warpScratch).coalesce(cfg, mk())
 		if gs != fs || gb != fb || gx != fx {
 			t.Fatalf("shape %+v: coalesce()=(%d,%d,%d) fast=(%d,%d,%d)", sh, gs, gb, gx, fs, fb, fx)
 		}

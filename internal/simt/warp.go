@@ -2,7 +2,8 @@ package simt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"rhythm/internal/mem"
 )
@@ -21,35 +22,95 @@ type warpStats struct {
 // maxBlockExecsPerThread guards against runaway kernels.
 const maxBlockExecsPerThread = 1 << 22
 
-// runWarp executes prog for the given threads (<= WarpSize of them) in
-// SIMT fashion: at each step the scheduler picks the minimum pending block
+// warpScratch is everything one warp's execution needs besides its
+// program: the lanes' Threads, the scheduler's per-lane state and the
+// coalescer's segment list. A launch takes one per warp from
+// warpScratches and returns it once flushPending has run the launch's
+// deferred commits — a Defer closure may hold what its lane computed,
+// but never sees a Thread reused by a later launch — so the steady
+// state allocates none of it, and a Thread's access list keeps its
+// capacity from launch to launch.
+type warpScratch struct {
+	threads      []Thread  // backing storage for lanes
+	lanes        []*Thread // the warp's live lanes, in lane order
+	pcs          []BlockID
+	perThreadOps []int64
+	active       []*Thread
+	activeIdx    []int
+	shared       warpShared
+	segs         []mem.Addr
+}
+
+var warpScratches = sync.Pool{New: func() any { return new(warpScratch) }}
+
+// getWarpScratch takes a scratch from the pool and binds lanes to
+// threads first..first+n-1 of a launch over m.
+func getWarpScratch(m *mem.Memory, first, n int) *warpScratch {
+	sc := warpScratches.Get().(*warpScratch)
+	if cap(sc.threads) < n {
+		sc.threads = make([]Thread, n)
+	}
+	sc.threads = sc.threads[:n]
+	sc.lanes = sc.lanes[:0]
+	for lane := range sc.threads {
+		t := &sc.threads[lane]
+		*t = Thread{ID: first + lane, Lane: lane, mem: m, accesses: t.accesses[:0]}
+		sc.lanes = append(sc.lanes, t)
+	}
+	return sc
+}
+
+// release returns sc to the pool, dropping what it points into: the
+// launch's memory and its deferred closures.
+func (sc *warpScratch) release() {
+	for i := range sc.threads {
+		sc.threads[i].mem, sc.threads[i].warp = nil, nil
+	}
+	clear(sc.shared.deferred)
+	sc.shared.deferred = sc.shared.deferred[:0]
+	warpScratches.Put(sc)
+}
+
+// resized returns s with length n, reusing its storage when it can.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// runWarp executes prog for sc's lanes (<= WarpSize of them) in SIMT
+// fashion: at each step the scheduler picks the minimum pending block
 // among live lanes, executes it for exactly the lanes waiting at it
 // (the active mask), and charges the warp max-ops across those lanes plus
 // the coalesced memory traffic of their zipped accesses. Lanes that
 // branched elsewhere are masked off and pay nothing, but the warp as a
 // whole serializes over the distinct blocks — divergence is lost
-// throughput, exactly as on hardware. The second result is the warp's
-// Thread.Defer callbacks in issue order, to be run serially once every
-// warp of the launch has finished.
-func runWarp(cfg Config, prog Program, threads []*Thread) (warpStats, []func()) {
+// throughput, exactly as on hardware. The warp's Thread.Defer callbacks
+// collect in sc.shared.deferred in issue order, to be run serially once
+// every warp of the launch has finished.
+func runWarp(cfg Config, prog Program, sc *warpScratch) warpStats {
 	var ws warpStats
+	threads := sc.lanes
 	n := len(threads)
+	sc.shared.deferred = sc.shared.deferred[:0]
 	if n == 0 {
-		return ws, nil
+		return ws
 	}
 	if n > cfg.WarpSize {
 		panic(fmt.Sprintf("simt: %d threads exceed warp size %d", n, cfg.WarpSize))
 	}
-	pcs := make([]BlockID, n)
-	perThreadOps := make([]int64, n)
-	shared := &warpShared{}
+	pcs := resized(sc.pcs, n)
+	perThreadOps := resized(sc.perThreadOps, n)
+	clear(perThreadOps)
+	sc.pcs, sc.perThreadOps = pcs, perThreadOps
 	for i := range pcs {
 		pcs[i] = prog.Entry()
-		threads[i].warp = shared
+		threads[i].warp = &sc.shared
 	}
 	var execs int64
-	active := make([]*Thread, 0, n)
-	activeIdx := make([]int, 0, n)
+	active := sc.active[:0]
+	activeIdx := sc.activeIdx[:0]
 	for {
 		// Find the minimum pending block among live lanes.
 		cur := Halt
@@ -91,7 +152,7 @@ func runWarp(cfg Config, prog Program, threads []*Thread) (warpStats, []func()) 
 		// Issue cost: one slot per ALU op (max across lanes — lockstep),
 		// plus one slot per memory instruction step.
 		ws.issueCycles += blockOps
-		steps, bytes, txns := coalesce(cfg, active)
+		steps, bytes, txns := sc.coalesce(cfg, active)
 		ws.issueCycles += steps
 		ws.memBytes += bytes
 		ws.transactions += txns
@@ -105,19 +166,20 @@ func runWarp(cfg Config, prog Program, threads []*Thread) (warpStats, []func()) 
 			panic(fmt.Sprintf("simt: kernel %s exceeded %d block executions (runaway loop?)", prog.Name(), execs))
 		}
 	}
+	sc.active, sc.activeIdx = active, activeIdx
 	for _, ops := range perThreadOps {
 		if ops > ws.maxThreadOps {
 			ws.maxThreadOps = ops
 		}
 	}
-	return ws, shared.deferred
+	return ws
 }
 
 // coalesce zips the active lanes' access lists by issue index and counts
 // the unique SegmentBytes-aligned segments each lockstep access touches.
 // It returns the number of memory instruction steps, the bytes moved
 // (transactions × segment size), and the transaction count.
-func coalesce(cfg Config, lanes []*Thread) (steps, bytes, txns int64) {
+func (sc *warpScratch) coalesce(cfg Config, lanes []*Thread) (steps, bytes, txns int64) {
 	maxLen := 0
 	for _, t := range lanes {
 		if len(t.accesses) > maxLen {
@@ -128,7 +190,7 @@ func coalesce(cfg Config, lanes []*Thread) (steps, bytes, txns int64) {
 		return 0, 0, 0
 	}
 	seg := mem.Addr(cfg.SegmentBytes)
-	segs := make([]mem.Addr, 0, len(lanes)*2)
+	segs := sc.segs[:0]
 	for k := 0; k < maxLen; k++ {
 		// Determine the zipped access at step k. Strided accesses expand
 		// into `count` lockstep steps.
@@ -207,15 +269,16 @@ func coalesce(cfg Config, lanes []*Thread) (steps, bytes, txns int64) {
 			bytes += u * int64(cfg.SegmentBytes)
 		}
 	}
+	sc.segs = segs
 	return steps, bytes, txns
 }
 
 // coalesceUniformStrided is the fast path for the overwhelmingly common
 // kernel pattern: every active lane issues the same strided access shape
 // at step k, with bases packed contiguously lane-to-lane (a fully aligned
-// column-major cohort store). Transactions are then computable in O(steps)
-// arithmetic instead of per-step set operations. ok is false when the
-// shape does not match and the general path must run.
+// column-major cohort store). Transactions are then computable in closed
+// form instead of per-step set operations. ok is false when the shape
+// does not match and the general path must run.
 func coalesceUniformStrided(cfg Config, lanes []*Thread, k int, maxCount int64) (steps, bytes, txns int64, ok bool) {
 	if maxCount <= 1 || len(lanes) == 0 {
 		return 0, 0, 0, false
@@ -245,15 +308,37 @@ func coalesceUniformStrided(cfg Config, lanes []*Thread, k int, maxCount int64) 
 	if ref.stride < span {
 		return 0, 0, 0, false // steps overlap; let the general path handle it
 	}
-	seg := mem.Addr(cfg.SegmentBytes)
-	for i := 0; i < ref.count; i++ {
-		at := ref.addr + mem.Addr(i*ref.stride)
-		n := int64((at+mem.Addr(span-1))/seg - at/seg + 1)
-		txns += n
-		bytes += n * int64(cfg.SegmentBytes)
-		steps++
+	// Step i touches the segments of [at_i, at_i+span) with at_i = addr +
+	// i*stride, a count that depends only on at_i mod seg. That offset
+	// repeats with period seg / gcd(stride mod seg, seg) — 1 for the
+	// cohort layouts, whose stride is a whole number of segments — so sum
+	// one period, multiply by the whole periods, and walk the remainder.
+	seg := cfg.SegmentBytes
+	period := seg / gcd(ref.stride%seg, seg)
+	whole, rest := ref.count/period, ref.count%period
+	var perPeriod, tail int64
+	for i := 0; i < min(period, ref.count); i++ {
+		n := segmentsSpanned(ref.addr+mem.Addr(i*ref.stride), span, seg)
+		if i < rest {
+			tail += n
+		}
+		perPeriod += n
 	}
-	return steps, bytes, txns, true
+	txns = int64(whole)*perPeriod + tail
+	return int64(ref.count), txns * int64(seg), txns, true
+}
+
+// segmentsSpanned counts the seg-byte segments [at, at+n) touches (n > 0).
+func segmentsSpanned(at mem.Addr, n, seg int) int64 {
+	s := mem.Addr(seg)
+	return int64((at+mem.Addr(n-1))/s - at/s + 1)
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // uniqueSegs counts distinct values in segs (small slices; sort in place).
@@ -261,7 +346,7 @@ func uniqueSegs(segs []mem.Addr) int64 {
 	if len(segs) == 0 {
 		return 0
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.Sort(segs)
 	var n int64 = 1
 	for i := 1; i < len(segs); i++ {
 		if segs[i] != segs[i-1] {

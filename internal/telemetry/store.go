@@ -74,12 +74,13 @@ func validHex(s string) bool {
 	return true
 }
 
-// Handle implements service.Backend: "VERB dev [args...]" requests. The
-// response is built in a buffer the next Handle reuses.
+// Handle implements service.Backend: "VERB dev [args...]" requests,
+// read in place and never kept. The response is built in a buffer the
+// next Handle reuses.
 func (b *Broker) Handle(req []byte) []byte {
-	// A copy: a published frame keeps its payload field.
-	f := strings.Fields(string(req))
-	if len(f) < 2 {
+	var f [4]string
+	n := fmtx.Fields(f[:], req)
+	if n < 2 {
 		return []byte("ERR args")
 	}
 	dev, err := strconv.ParseUint(f[1], 10, 64)
@@ -88,12 +89,13 @@ func (b *Broker) Handle(req []byte) []byte {
 	}
 	switch f[0] {
 	case "PUB":
-		if len(f) != 3 || !validHex(f[2]) {
+		if n != 3 || !validHex(f[2]) {
 			return []byte("ERR bad frame")
 		}
 		seq := b.nextSeq[dev]
 		b.nextSeq[dev] = seq + 1
-		ring := append(b.rings[dev], frame{seq: seq, payload: f[2]})
+		// The ring keeps the payload: a copy, not a view of req.
+		ring := append(b.rings[dev], frame{seq: seq, payload: strings.Clone(f[2])})
 		if len(ring) > RingFrames {
 			ring = ring[len(ring)-RingFrames:]
 		}
@@ -103,7 +105,7 @@ func (b *Broker) Handle(req []byte) []byte {
 		return b.resp
 	case "SUB":
 		sub, err := strconv.ParseUint(f[2], 10, 64)
-		if len(f) != 3 || err != nil {
+		if n != 3 || err != nil {
 			return []byte("ERR bad subscriber")
 		}
 		cur := b.nextSeq[dev]
@@ -112,7 +114,7 @@ func (b *Broker) Handle(req []byte) []byte {
 		b.resp = fmtx.Appendf(b.resp[:0], "OK\ncursor=%d\n", cur)
 		return b.resp
 	case "POLL":
-		if len(f) != 4 {
+		if n != 4 {
 			return []byte("ERR args")
 		}
 		sub, err1 := strconv.ParseUint(f[2], 10, 64)

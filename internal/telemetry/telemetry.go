@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -70,16 +71,29 @@ func devParam(ctx *service.Ctx) (string, bool) {
 }
 
 // brokerLines validates an "OK\n..." broker response and returns its
-// payload lines, cut from a copy: bresp is the broker's own buffer or
-// the lane's slot, and the lines become pieces of the page.
-func brokerLines(ctx *service.Ctx, bresp []byte) []string {
-	s := string(bresp)
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) == 0 || lines[0] != "OK" {
-		ctx.Fail("broker error: " + strings.TrimPrefix(s, "FAIL "))
-		return nil
+// payload lines, cut from the copy the page keeps: bresp is the broker's
+// own buffer or the lane's slot, and the lines become pieces of the page.
+func brokerLines(ctx *service.Ctx, bresp []byte) service.Lines {
+	first, rest, _ := strings.Cut(ctx.Page.Keep(bytes.TrimRight(bresp, "\n")), "\n")
+	if first != "OK" {
+		ctx.Fail("broker error: " + strings.TrimPrefix(string(bresp), "FAIL "))
+		return ""
 	}
-	return lines[1:]
+	return service.Lines(rest)
+}
+
+// ack is the payload of a one-line broker answer, failing the request
+// with what when the payload is not one line.
+func ack(ctx *service.Ctx, bresp []byte, what string) string {
+	line := brokerLines(ctx, bresp)
+	if ctx.Err != "" {
+		return ""
+	}
+	if line == "" || strings.Contains(string(line), "\n") {
+		ctx.Fail(what)
+		return ""
+	}
+	return string(line)
 }
 
 func ingestStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
@@ -95,19 +109,15 @@ func ingestStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 		}
 		return ctx.Page.Appendf("PUB %s %s", dev, f)
 	}
-	lines := brokerLines(ctx, bresp)
+	line := ack(ctx, bresp, "broker error: bad publish ack")
 	if ctx.Err != "" {
-		return nil
-	}
-	if len(lines) != 1 {
-		ctx.Fail("broker error: bad publish ack")
 		return nil
 	}
 	p := ctx.Page
 	p.Static("RHYTHM-T PUB dev=")
 	p.Dynamic(ctx.Req.Param("dev"))
 	p.Static(" ")
-	p.Dynamic(lines[0])
+	p.Dynamic(line)
 	p.Static("\n")
 	return nil
 }
@@ -125,12 +135,8 @@ func subscribeStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 		}
 		return ctx.Page.Appendf("SUB %s %s", dev, sub)
 	}
-	lines := brokerLines(ctx, bresp)
+	line := ack(ctx, bresp, "broker error: bad subscribe ack")
 	if ctx.Err != "" {
-		return nil
-	}
-	if len(lines) != 1 {
-		ctx.Fail("broker error: bad subscribe ack")
 		return nil
 	}
 	p := ctx.Page
@@ -139,7 +145,7 @@ func subscribeStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 	p.Static(" sub=")
 	p.Dynamic(ctx.Req.Param("sub"))
 	p.Static(" ")
-	p.Dynamic(lines[0])
+	p.Dynamic(line)
 	p.Static("\n")
 	return nil
 }
@@ -161,7 +167,7 @@ func pollStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 	if ctx.Err != "" {
 		return nil
 	}
-	if len(lines) < 1 {
+	if lines == "" {
 		ctx.Fail("broker error: bad poll header")
 		return nil
 	}
@@ -171,11 +177,11 @@ func pollStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 	p.Static(" sub=")
 	p.Dynamic(ctx.Req.Param("sub"))
 	p.Static(" ")
-	p.Dynamic(lines[0])
+	p.Dynamic(lines.Next())
 	p.Static("\n")
 	p.PadTo(p.Len())
-	for _, fr := range lines[1:] {
-		p.Dynamic(fr)
+	for lines != "" {
+		p.Dynamic(lines.Next())
 		p.Static("\n")
 		p.PadTo(p.Len())
 	}
@@ -190,19 +196,15 @@ func statusStage(ctx *service.Ctx, stage int, bresp []byte) []byte {
 		}
 		return ctx.Page.Appendf("STAT %s", dev)
 	}
-	lines := brokerLines(ctx, bresp)
+	line := ack(ctx, bresp, "broker error: bad status")
 	if ctx.Err != "" {
-		return nil
-	}
-	if len(lines) != 1 {
-		ctx.Fail("broker error: bad status")
 		return nil
 	}
 	p := ctx.Page
 	p.Static("RHYTHM-T STAT dev=")
 	p.Dynamic(ctx.Req.Param("dev"))
 	p.Static(" ")
-	p.Dynamic(lines[0])
+	p.Dynamic(line)
 	p.Static("\n")
 	return nil
 }

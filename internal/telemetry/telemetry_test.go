@@ -62,3 +62,22 @@ func TestResponseDigests(t *testing.T) {
 func TestStageKernelsMatchHost(t *testing.T) {
 	servicetest.CheckStageKernels(t, New(), script)
 }
+
+// TestKeptLinesOwnTheirBytes: what the stages keep of a backend response
+// survives the backend's next Handle and the lane slot's next fill.
+func TestKeptLinesOwnTheirBytes(t *testing.T) {
+	servicetest.CheckKeptLines(t, New(), script)
+}
+
+// TestPublishedPayloadOwnsItsBytes: Handle reads its request in place, so
+// the frame a publish keeps is a copy of the payload field.
+func TestPublishedPayloadOwnsItsBytes(t *testing.T) {
+	b := NewBroker()
+	b.Handle([]byte("SUB 3 1"))
+	req := []byte("PUB 3 beef")
+	b.Handle(req)
+	copy(req, "##########")
+	if got := string(b.Handle([]byte("POLL 3 1 8"))); !strings.HasSuffix(got, ":beef\n") {
+		t.Fatalf("poll after the publish request was overwritten: %q", got)
+	}
+}
