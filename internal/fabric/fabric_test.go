@@ -196,7 +196,7 @@ func TestWireDispatchRoundTrip(t *testing.T) {
 		reqs = append(reqs, q)
 	}
 	m := dispatchMsg{ID: 77, Type: 3, Group: 12, Host: true, Reqs: reqs}
-	frame := appendFrame(nil, frameDispatch, encodeDispatch(&m))
+	frame := appendDispatchFrame(nil, &m)
 	if got, want := len(frame), dispatchWireBytes(reqs); got != want {
 		t.Errorf("dispatchWireBytes = %d, framed size = %d", want, got)
 	}

@@ -72,6 +72,9 @@ type workerConn struct {
 	addr  string
 	conn  net.Conn
 	hello hello
+	// maxResp is the registry's largest response buffer: no response a
+	// worker ships may be padded past it.
+	maxResp int
 
 	fw      *frameWriter
 	closeCh chan struct{}
@@ -95,24 +98,8 @@ func dialWorker(t *tcpTransport, node int, addr string, reg *service.Registry) (
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	// The worker speaks first: hello with its registry fingerprint.
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	kind, payload, _, err := readFrame(conn)
-	conn.SetReadDeadline(time.Time{})
+	h, err := readHello(conn, reg)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fabric: worker %s: reading hello: %w", addr, err)
-	}
-	if kind != frameHello {
-		conn.Close()
-		return nil, fmt.Errorf("fabric: worker %s: expected hello, got frame kind %d", addr, kind)
-	}
-	h, err := decodeHello(payload)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fabric: worker %s: %w", addr, err)
-	}
-	if err := checkHello(h, reg); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("fabric: worker %s: %w", addr, err)
 	}
@@ -122,6 +109,7 @@ func dialWorker(t *tcpTransport, node int, addr string, reg *service.Registry) (
 		addr:         addr,
 		conn:         conn,
 		hello:        h,
+		maxResp:      reg.MaxBufferBytes(),
 		closeCh:      make(chan struct{}),
 		pending:      make(map[uint64]func(Event)),
 		statsWaiters: make(map[uint64]chan []byte),
@@ -129,6 +117,25 @@ func dialWorker(t *tcpTransport, node int, addr string, reg *service.Registry) (
 	c.fw = startFrameWriter(conn, c.closeCh, func() { c.fail() })
 	go c.readLoop()
 	return c, nil
+}
+
+// readHello reads the worker's first frame, which must be a hello that
+// checkHello accepts. The worker speaks first.
+func readHello(conn net.Conn, reg *service.Registry) (hello, error) {
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	kind, payload, _, err := readFrame(conn)
+	conn.SetReadDeadline(time.Time{})
+	if err != nil {
+		return hello{}, fmt.Errorf("reading hello: %w", err)
+	}
+	if kind != frameHello {
+		return hello{}, fmt.Errorf("expected hello, got frame kind %d", kind)
+	}
+	h, err := decodeHello(payload)
+	if err != nil {
+		return h, err
+	}
+	return h, checkHello(h, reg)
 }
 
 // checkHello validates a worker's fingerprint against the frontend's
@@ -186,9 +193,9 @@ func (t *tcpTransport) Send(n int, u *cluster.Unit, ev func(Event)) SendStatus {
 	c.pending[id] = ev
 	c.mu.Unlock()
 
-	m := dispatchMsg{ID: id, Type: uint16(u.Type), Group: int32(u.Group), Host: u.Host, Reqs: u.Reqs}
-	frame := appendFrame(nil, frameDispatch, encodeDispatch(&m))
-	if !c.enqueue(frame) {
+	f := getFrame()
+	*f = appendDispatchFrame(*f, &dispatchMsg{ID: id, Type: uint16(u.Type), Group: int32(u.Group), Host: u.Host, Reqs: u.Reqs})
+	if !c.fw.enqueue(f) {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -198,7 +205,9 @@ func (t *tcpTransport) Send(n int, u *cluster.Unit, ev func(Event)) SendStatus {
 }
 
 func (t *tcpTransport) Quiesce(n int) {
-	t.conns[n].enqueue(appendFrame(nil, frameQuiesce, nil))
+	f := getFrame()
+	*f = appendFrame(*f, frameQuiesce, nil)
+	t.conns[n].fw.enqueue(f)
 }
 
 func (t *tcpTransport) NodeSnapshot(n int) (cluster.Snapshot, bool) {
@@ -214,7 +223,9 @@ func (t *tcpTransport) NodeSnapshot(n int) (cluster.Snapshot, bool) {
 	c.statsWaiters[id] = ch
 	c.mu.Unlock()
 
-	if !c.enqueue(appendFrame(nil, frameStatsReq, encodeStatsReq(id))) {
+	f := getFrame()
+	*f = appendStatsFrame(*f, frameStatsReq, id, nil)
+	if !c.fw.enqueue(f) {
 		c.dropStatsWaiter(id)
 		return cluster.Snapshot{}, false
 	}
@@ -245,27 +256,25 @@ func (t *tcpTransport) Close() {
 	}
 }
 
-func (c *workerConn) enqueue(frame []byte) bool {
-	return c.fw.enqueue(frame)
-}
-
-// readLoop demultiplexes worker frames back to their waiting units.
+// readLoop demultiplexes worker frames back to their waiting units. It
+// reads every frame into one reused buffer.
 func (c *workerConn) readLoop() {
+	fr := frameReader{r: c.conn}
 	for {
-		kind, payload, wireBytes, err := readFrame(c.conn)
+		kind, payload, wireBytes, err := fr.next()
 		if err != nil {
 			c.fail()
 			return
 		}
 		switch kind {
 		case frameResult:
-			m, err := decodeResult(payload)
+			id, res, err := decodeResult(payload, c.maxResp)
 			if err != nil {
 				c.fail()
 				return
 			}
-			if ev := c.takePending(m.ID); ev != nil {
-				ev(Event{Kind: EvDone, Res: m.clusterResult(), WireBytes: wireBytes})
+			if ev := c.takePending(id); ev != nil {
+				ev(Event{Kind: EvDone, Res: res, WireBytes: wireBytes})
 			}
 		case frameNack:
 			m, err := decodeNack(payload)

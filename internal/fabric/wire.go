@@ -10,7 +10,9 @@
 // the unit id the frontend assigned. Writers coalesce: frames queue on
 // an in-process channel and a single writer goroutine drains the queue
 // into one buffered write, flushing only when the queue runs dry, so a
-// burst of cohorts costs one syscall, not one per cohort.
+// burst of cohorts costs one syscall, not one per cohort. A frame is
+// encoded in place into a pooled buffer, and each connection reads every
+// frame into one reused buffer.
 //
 // All integers are little-endian and fixed-width — the frames carry
 // modeled-hardware counters whose magnitudes are unbounded, and fixed
@@ -19,12 +21,14 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"rhythm/internal/cluster"
@@ -35,8 +39,8 @@ import (
 
 // wireVersion gates the handshake: a worker and frontend must agree
 // exactly (the frames carry raw struct layouts, not self-describing
-// records).
-const wireVersion = 1
+// records). Version 2 ships responses as live bytes plus a pad length.
+const wireVersion = 2
 
 // Frame kinds.
 const (
@@ -65,43 +69,99 @@ const maxFrameBytes = 256 << 20
 
 var errFrameTooBig = errors.New("fabric: frame exceeds size bound")
 
-// writeFrame appends a framed payload to buf: length prefix, kind,
-// payload. Returns the extended buffer.
-func appendFrame(buf []byte, kind byte, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)+1))
-	buf = append(buf, kind)
-	return append(buf, payload...)
+// frameHeaderBytes is the length prefix plus the kind byte.
+const frameHeaderBytes = 5
+
+// beginFrame reserves a frame header at the end of b; the payload is
+// appended after it and endFrame back-patches the length, so a frame is
+// encoded in place in one pass.
+func beginFrame(b []byte, kind byte) []byte {
+	return append(b, 0, 0, 0, 0, kind)
 }
 
-// readFrame reads one frame from r: kind, payload, and the total bytes
-// consumed off the wire (prefix included — the link budget charges
-// them).
-func readFrame(r io.Reader) (kind byte, payload []byte, wireBytes int, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// endFrame patches the length prefix of the frame that starts at b[start].
+func endFrame(b []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b
+}
+
+// appendFrame appends a framed payload to buf: length prefix, kind,
+// payload. Returns the extended buffer.
+func appendFrame(buf []byte, kind byte, payload []byte) []byte {
+	return endFrame(append(beginFrame(buf, kind), payload...), len(buf))
+}
+
+// framePool recycles frame buffers: a sender appends one frame into
+// getFrame's buffer and queues it, and frameWriter.loop puts it back once
+// the frame is written. A pointer travels so the round trip allocates
+// nothing.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getFrame() *[]byte {
+	f := framePool.Get().(*[]byte)
+	*f = (*f)[:0]
+	return f
+}
+
+// putFrame returns a written frame's buffer; one above frameKeepBytes
+// (a rare huge cohort) is left to the collector instead.
+func putFrame(f *[]byte) {
+	if cap(*f) <= frameKeepBytes {
+		framePool.Put(f)
+	}
+}
+
+// frameKeepBytes is the largest buffer the frame pool or a connection's
+// frameReader keeps between frames.
+const frameKeepBytes = 1 << 20
+
+// frameReader reads frames off one connection into one reused body
+// buffer: a payload is valid until the next call to next, so decoders
+// copy what they keep.
+type frameReader struct {
+	r    io.Reader
+	hdr  [4]byte // here, not on next's stack, so reading it does not allocate
+	body []byte
+}
+
+// next reads one frame: kind, payload, and the total bytes consumed off
+// the wire (prefix included — the link budget charges them).
+func (fr *frameReader) next() (kind byte, payload []byte, wireBytes int, err error) {
+	if _, err = io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(fr.hdr[:]))
 	if n < 1 || n > maxFrameBytes {
 		return 0, nil, 0, errFrameTooBig
 	}
-	// The declared length is the peer's claim, so memory is committed
-	// only as body bytes arrive: a first step of at most frameReadStep,
-	// then doubling. A 4-byte header alone pins nothing.
-	body := make([]byte, 0, min(int(n), frameReadStep))
-	for len(body) < int(n) {
+	// The declared length is the peer's claim, so memory beyond the
+	// buffer already held is committed only as body bytes arrive: a
+	// first step of at most frameReadStep, then doubling. A 4-byte
+	// header alone pins nothing.
+	body := fr.body[:0]
+	for len(body) < n {
 		have := len(body)
-		step := min(int(n)-have, max(have, frameReadStep))
+		step := min(n-have, max(cap(body)-have, have, frameReadStep))
 		body = slices.Grow(body, step)[:have+step]
-		if _, err = io.ReadFull(r, body[have:]); err != nil {
+		if _, err = io.ReadFull(fr.r, body[have:]); err != nil {
 			return 0, nil, 0, err
 		}
 	}
-	return body[0], body[1:], int(4 + n), nil
+	if cap(body) <= frameKeepBytes {
+		fr.body = body
+	}
+	return body[0], body[1:], 4 + n, nil
 }
 
-// frameReadStep is readFrame's first allocation; ordinary frames (a
-// one-request host unit is ~23 KB) fit it and are read in one step.
+// readFrame reads one frame from r into a fresh buffer.
+func readFrame(r io.Reader) (kind byte, payload []byte, wireBytes int, err error) {
+	fr := frameReader{r: r}
+	return fr.next()
+}
+
+// frameReadStep is the first growth step of a frame body; ordinary frames
+// fit it and are read in one step (a one-request host unit's dispatch and
+// result frames are ≈ 14 KB together).
 const frameReadStep = 64 << 10
 
 // --- primitive append helpers ---
@@ -117,34 +177,60 @@ func appendStr(b []byte, s string) []byte {
 	b = appendU32(b, uint32(len(s)))
 	return append(b, s...)
 }
-func appendBytes(b []byte, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
+func appendFlag(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // wireReader decodes a payload with sticky error handling: the first
-// short read poisons the reader and every later get returns zero, so
-// decode paths check err once at the end.
+// short read or malformed field poisons the reader and every later get
+// returns zero, so decode paths check err once at the end.
 type wireReader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *wireReader) fail() {
+func (r *wireReader) fail(why string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("fabric: truncated frame at offset %d", r.off)
+		r.err = fmt.Errorf("fabric: %s at offset %d", why, r.off)
 	}
 }
 
 func (r *wireReader) take(n int) []byte {
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail()
+	if r.err != nil || n > len(r.b)-r.off {
+		r.fail("truncated frame")
 		return nil
 	}
 	out := r.b[r.off : r.off+n]
 	r.off += n
 	return out
+}
+
+// done reports the decode error, if any; bytes left over after the last
+// field are one. Together with flag's 0/1 rule and resp's live-byte rule
+// this makes every decodable payload the unique encoding of what it
+// decodes to.
+func (r *wireReader) done() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.fail("trailing bytes")
+	}
+	return r.err
+}
+
+// count bounds a peer-declared element count by what the rest of the
+// payload can hold at minBytes per element, before anything is sized by
+// it: a short frame declaring 2³²−1 requests costs nothing.
+func (r *wireReader) count(n, minBytes int) int {
+	if r.err == nil && n > (len(r.b)-r.off)/minBytes {
+		r.fail("count exceeds frame")
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
 }
 
 func (r *wireReader) u8() byte {
@@ -177,6 +263,16 @@ func (r *wireReader) u64() uint64 {
 }
 func (r *wireReader) i64() int64   { return int64(r.u64()) }
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *wireReader) flag() bool {
+	switch r.u8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.fail("bad flag")
+	return false
+}
 func (r *wireReader) str() string {
 	n := int(r.u32())
 	b := r.take(n)
@@ -185,14 +281,67 @@ func (r *wireReader) str() string {
 	}
 	return string(b)
 }
-func (r *wireReader) bytes() []byte {
-	n := int(r.u32())
-	b := r.take(n)
+
+// --- responses: live bytes plus a pad length ---
+
+// A response is padded with spaces to its type's buffer (PadTo keeps the
+// device's per-lane stores aligned). The wire does not need the padding:
+// a response crosses as its padded length, its live length and the live
+// bytes — the response less its trailing run of spaces — and the
+// receiver refills the run. The encoding is lossless for any bytes.
+
+// spaceBank is what the trailing run is compared against and refilled
+// from, a bank at a time.
+var spaceBank = bytes.Repeat([]byte{' '}, 4096)
+
+// minRespBytes is the smallest encoded response: the two lengths.
+const minRespBytes = 8
+
+// liveLen reports len(p) less its trailing run of spaces. The run is
+// found in chunks of 4096, 512, 64 and 8 bytes compared against
+// spaceBank, then at most 7 single bytes — not a byte at a time.
+func liveLen(p []byte) int {
+	n := len(p)
+	for k := len(spaceBank); k >= 8; k /= 8 {
+		for n >= k && bytes.Equal(p[n-k:n], spaceBank[:k]) {
+			n -= k
+		}
+	}
+	for n > 0 && p[n-1] == ' ' {
+		n--
+	}
+	return n
+}
+
+func appendResp(b, p []byte) []byte {
+	live := liveLen(p)
+	b = appendU32(b, uint32(len(p)))
+	b = appendU32(b, uint32(live))
+	return append(b, p[:live]...)
+}
+
+// resp rebuilds one response as a fresh slice of its padded length. A
+// padded length below the live length or above maxLen (the registry's
+// largest buffer), or live bytes that end in a space (no encoder writes
+// them), fail the decode before anything is allocated.
+func (r *wireReader) resp(maxLen int) []byte {
+	padded, live := int(r.u32()), int(r.u32())
+	if r.err == nil && (live > padded || padded > maxLen) {
+		r.fail(fmt.Sprintf("response of %d live bytes padded to %d (largest buffer %d)", live, padded, maxLen))
+	}
+	b := r.take(live)
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
+	if live > 0 && b[live-1] == ' ' {
+		r.fail("response live bytes end in a space")
+		return nil
+	}
+	out := make([]byte, padded)
 	copy(out, b)
+	for i := live; i < padded; {
+		i += copy(out[i:], spaceBank)
+	}
 	return out
 }
 
@@ -211,8 +360,9 @@ type hello struct {
 	Workloads []string
 }
 
-func encodeHello(h hello) []byte {
-	b := make([]byte, 0, 64)
+func appendHelloFrame(b []byte, h hello) []byte {
+	start := len(b)
+	b = beginFrame(b, frameHello)
 	b = appendU16(b, h.Version)
 	b = appendU32(b, uint32(h.Devices))
 	b = appendU32(b, uint32(h.Groups))
@@ -221,7 +371,7 @@ func encodeHello(h hello) []byte {
 	for _, w := range h.Workloads {
 		b = appendStr(b, w)
 	}
-	return b
+	return endFrame(b, start)
 }
 
 func decodeHello(p []byte) (hello, error) {
@@ -231,11 +381,11 @@ func decodeHello(p []byte) (hello, error) {
 	h.Devices = int(r.u32())
 	h.Groups = int(r.u32())
 	h.NumTypes = int(r.u32())
-	n := int(r.u16())
+	n := r.count(int(r.u16()), 4)
 	for i := 0; i < n && r.err == nil; i++ {
 		h.Workloads = append(h.Workloads, r.str())
 	}
-	return h, r.err
+	return h, r.done()
 }
 
 // --- dispatch ---
@@ -253,19 +403,39 @@ type dispatchMsg struct {
 	Reqs  []httpx.Request
 }
 
-func appendRequest(b []byte, q *httpx.Request) []byte {
-	b = append(b, byte(q.Method))
-	b = appendStr(b, q.Path)
-	b = appendU16(b, uint16(len(q.Params)))
-	for _, p := range q.Params {
+// Smallest encodings: a request with empty strings and no params or
+// cookies, and one param (two empty strings).
+const (
+	minRequestBytes = 1 + 4 + 2 + 2 + 4 + 4 + 4
+	minParamBytes   = 4 + 4
+)
+
+func appendParams(b []byte, ps []httpx.Param) []byte {
+	b = appendU16(b, uint16(len(ps)))
+	for _, p := range ps {
 		b = appendStr(b, p.Key)
 		b = appendStr(b, p.Value)
 	}
-	b = appendU16(b, uint16(len(q.Cookies)))
-	for _, c := range q.Cookies {
-		b = appendStr(b, c.Key)
-		b = appendStr(b, c.Value)
+	return b
+}
+
+func (r *wireReader) params() []httpx.Param {
+	n := r.count(int(r.u16()), minParamBytes)
+	if n == 0 {
+		return nil
 	}
+	ps := make([]httpx.Param, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		ps[i] = httpx.Param{Key: r.str(), Value: r.str()}
+	}
+	return ps
+}
+
+func appendRequest(b []byte, q *httpx.Request) []byte {
+	b = append(b, byte(q.Method))
+	b = appendStr(b, q.Path)
+	b = appendParams(b, q.Params)
+	b = appendParams(b, q.Cookies)
 	b = appendU32(b, uint32(q.ContentLength))
 	b = appendStr(b, q.Body)
 	b = appendU32(b, uint32(q.ScanCost))
@@ -275,34 +445,25 @@ func appendRequest(b []byte, q *httpx.Request) []byte {
 func readRequest(r *wireReader, q *httpx.Request) {
 	q.Method = httpx.Method(r.u8())
 	q.Path = r.str()
-	np := int(r.u16())
-	for i := 0; i < np && r.err == nil; i++ {
-		q.Params = append(q.Params, httpx.Param{Key: r.str(), Value: r.str()})
-	}
-	nc := int(r.u16())
-	for i := 0; i < nc && r.err == nil; i++ {
-		q.Cookies = append(q.Cookies, httpx.Param{Key: r.str(), Value: r.str()})
-	}
+	q.Params = r.params()
+	q.Cookies = r.params()
 	q.ContentLength = int(r.u32())
 	q.Body = r.str()
 	q.ScanCost = int(r.u32())
 }
 
-func encodeDispatch(m *dispatchMsg) []byte {
-	b := make([]byte, 0, 64+len(m.Reqs)*96)
+func appendDispatchFrame(b []byte, m *dispatchMsg) []byte {
+	start := len(b)
+	b = beginFrame(b, frameDispatch)
 	b = appendU64(b, m.ID)
 	b = appendU16(b, m.Type)
 	b = appendU32(b, uint32(m.Group))
-	host := byte(0)
-	if m.Host {
-		host = 1
-	}
-	b = append(b, host)
+	b = appendFlag(b, m.Host)
 	b = appendU32(b, uint32(len(m.Reqs)))
 	for i := range m.Reqs {
 		b = appendRequest(b, &m.Reqs[i])
 	}
-	return b
+	return endFrame(b, start)
 }
 
 func decodeDispatch(p []byte) (dispatchMsg, error) {
@@ -311,39 +472,28 @@ func decodeDispatch(p []byte) (dispatchMsg, error) {
 	m.ID = r.u64()
 	m.Type = r.u16()
 	m.Group = int32(r.u32())
-	m.Host = r.u8() == 1
-	n := int(r.u32())
-	if r.err == nil && n >= 0 {
-		m.Reqs = make([]httpx.Request, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			readRequest(&r, &m.Reqs[i])
-		}
+	m.Host = r.flag()
+	n := r.count(int(r.u32()), minRequestBytes)
+	m.Reqs = make([]httpx.Request, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		readRequest(&r, &m.Reqs[i])
 	}
-	return m, r.err
+	return m, r.done()
 }
 
 // --- result ---
 
-// resultMsg carries one completed cohort back: rendered responses in
-// request order, the per-stage launch statistics (so frontend stats,
-// spans, and the adaptive controller see exactly what an in-process
-// execution reports), and the failover trail. Stage wall-clock starts
-// are worker-local and not meaningful across hosts, so only durations
-// cross the wire; the frontend anchors them at receive time.
-type resultMsg struct {
-	ID          uint64
-	Err         string // "" = ok
-	Device      int32
-	Host        bool
-	Attempts    int32
-	Hops        int32
-	KernelErrs  int32
-	DeviceTime  int64
-	RenderDurNs int64
-	StageDurs   []int64 // wall-clock ns per stage
-	Stages      []simt.LaunchStats
-	Resps       [][]byte
-}
+// A result frame carries one completed cohort back: the unit id, the
+// rendered responses in request order, the per-stage launch statistics
+// (so frontend stats, spans, and the adaptive controller see exactly
+// what an in-process execution reports), and the failover trail. Stage
+// wall-clock starts are worker-local and not meaningful across hosts, so
+// only durations cross the wire; the frontend anchors them at receive
+// time.
+
+// minStageBytes is the smallest encoded stage: its duration plus a
+// LaunchStats with an empty kernel name.
+const minStageBytes = 8 + 4 + 4 + 4 + 11*8
 
 func appendLaunchStats(b []byte, st *simt.LaunchStats) []byte {
 	b = appendStr(b, st.Kernel)
@@ -378,115 +528,76 @@ func readLaunchStats(r *wireReader, st *simt.LaunchStats) {
 	st.EnergyJ = r.f64()
 }
 
-func encodeResult(m *resultMsg) []byte {
-	size := 96 + len(m.Stages)*128
-	for _, p := range m.Resps {
-		size += len(p) + 4
+// appendResultFrame appends unit id's result frame to b. It grows b once
+// to the padded size up front, so a pooled buffer that held a smaller
+// frame is not regrown response by response.
+func appendResultFrame(b []byte, id uint64, res *cluster.Result) []byte {
+	size := frameHeaderBytes + 64 + len(res.Stages)*(minStageBytes+64)
+	for _, p := range res.Resps {
+		size += minRespBytes + len(p)
 	}
-	b := make([]byte, 0, size)
-	b = appendU64(b, m.ID)
-	b = appendStr(b, m.Err)
-	b = appendU32(b, uint32(m.Device))
-	host := byte(0)
-	if m.Host {
-		host = 1
-	}
-	b = append(b, host)
-	b = appendU32(b, uint32(m.Attempts))
-	b = appendU32(b, uint32(m.Hops))
-	b = appendU32(b, uint32(m.KernelErrs))
-	b = appendI64(b, m.DeviceTime)
-	b = appendI64(b, m.RenderDurNs)
-	b = appendU16(b, uint16(len(m.Stages)))
-	for i := range m.Stages {
-		b = appendI64(b, m.StageDurs[i])
-		b = appendLaunchStats(b, &m.Stages[i])
-	}
-	b = appendU32(b, uint32(len(m.Resps)))
-	for _, p := range m.Resps {
-		b = appendBytes(b, p)
-	}
-	return b
-}
-
-func decodeResult(p []byte) (resultMsg, error) {
-	r := wireReader{b: p}
-	var m resultMsg
-	m.ID = r.u64()
-	m.Err = r.str()
-	m.Device = int32(r.u32())
-	m.Host = r.u8() == 1
-	m.Attempts = int32(r.u32())
-	m.Hops = int32(r.u32())
-	m.KernelErrs = int32(r.u32())
-	m.DeviceTime = r.i64()
-	m.RenderDurNs = r.i64()
-	ns := int(r.u16())
-	if r.err == nil {
-		m.StageDurs = make([]int64, ns)
-		m.Stages = make([]simt.LaunchStats, ns)
-		for i := 0; i < ns && r.err == nil; i++ {
-			m.StageDurs[i] = r.i64()
-			readLaunchStats(&r, &m.Stages[i])
-		}
-	}
-	nr := int(r.u32())
-	for i := 0; i < nr && r.err == nil; i++ {
-		m.Resps = append(m.Resps, r.bytes())
-	}
-	return m, r.err
-}
-
-// resultFromCluster flattens a cluster.Result into its wire form.
-func resultFromCluster(id uint64, res *cluster.Result) *resultMsg {
-	m := &resultMsg{
-		ID:          id,
-		Device:      int32(res.Device),
-		Host:        res.Host,
-		Attempts:    int32(res.Attempts),
-		Hops:        int32(res.Hops),
-		KernelErrs:  int32(res.KernelErrs),
-		DeviceTime:  int64(res.DeviceTime),
-		RenderDurNs: int64(res.RenderDur),
-		Resps:       res.Resps,
-	}
+	b = slices.Grow(b, size)
+	start := len(b)
+	b = beginFrame(b, frameResult)
+	b = appendU64(b, id)
 	if res.Err != nil {
-		m.Err = res.Err.Error()
+		b = appendStr(b, res.Err.Error())
+	} else {
+		b = appendStr(b, "")
 	}
-	for _, se := range res.Stages {
-		m.StageDurs = append(m.StageDurs, int64(se.Dur))
-		m.Stages = append(m.Stages, se.Stats)
+	b = appendU32(b, uint32(res.Device))
+	b = appendFlag(b, res.Host)
+	b = appendU32(b, uint32(res.Attempts))
+	b = appendU32(b, uint32(res.Hops))
+	b = appendU32(b, uint32(res.KernelErrs))
+	b = appendI64(b, int64(res.DeviceTime))
+	b = appendI64(b, int64(res.RenderDur))
+	b = appendU16(b, uint16(len(res.Stages)))
+	for i := range res.Stages {
+		b = appendI64(b, int64(res.Stages[i].Dur))
+		b = appendLaunchStats(b, &res.Stages[i].Stats)
 	}
-	return m
+	b = appendU32(b, uint32(len(res.Resps)))
+	for _, p := range res.Resps {
+		b = appendResp(b, p)
+	}
+	return endFrame(b, start)
 }
 
-// clusterResult rebuilds a cluster.Result from the wire, anchoring the
-// worker-local stage and render start times at the receive instant.
-func (m *resultMsg) clusterResult() *cluster.Result {
-	res := &cluster.Result{
-		Resps:      m.Resps,
-		KernelErrs: int(m.KernelErrs),
-		Device:     int(m.Device),
-		Host:       m.Host,
-		Attempts:   int(m.Attempts),
-		Hops:       int(m.Hops),
-		DeviceTime: sim.Time(m.DeviceTime),
-		RenderDur:  time.Duration(m.RenderDurNs),
+// decodeResult rebuilds a result frame's cluster.Result, anchoring the
+// worker-local stage and render starts at the receive instant. Every
+// response is a fresh slice of its own (the caller owns Resps), and none
+// may be padded past maxResp bytes.
+func decodeResult(p []byte, maxResp int) (uint64, *cluster.Result, error) {
+	r := wireReader{b: p}
+	id := r.u64()
+	res := &cluster.Result{}
+	if msg := r.str(); msg != "" {
+		res.Err = errors.New(msg)
 	}
-	if m.Err != "" {
-		res.Err = errors.New(m.Err)
-	}
+	res.Device = int(int32(r.u32()))
+	res.Host = r.flag()
+	res.Attempts = int(int32(r.u32()))
+	res.Hops = int(int32(r.u32()))
+	res.KernelErrs = int(int32(r.u32()))
+	res.DeviceTime = sim.Time(r.i64())
+	res.RenderDur = time.Duration(r.i64())
 	now := time.Now()
-	res.RenderStart = now.Add(-time.Duration(m.RenderDurNs))
-	for i := range m.Stages {
-		dur := time.Duration(m.StageDurs[i])
-		res.Stages = append(res.Stages, cluster.StageExec{
-			Stats: m.Stages[i],
-			Start: now.Add(-dur),
-			Dur:   dur,
-		})
+	res.RenderStart = now.Add(-res.RenderDur)
+	ns := r.count(int(r.u16()), minStageBytes)
+	res.Stages = make([]cluster.StageExec, ns)
+	for i := 0; i < ns && r.err == nil; i++ {
+		se := &res.Stages[i]
+		se.Dur = time.Duration(r.i64())
+		se.Start = now.Add(-se.Dur)
+		readLaunchStats(&r, &se.Stats)
 	}
-	return res
+	nr := r.count(int(r.u32()), minRespBytes)
+	res.Resps = make([][]byte, nr)
+	for i := 0; i < nr && r.err == nil; i++ {
+		res.Resps[i] = r.resp(maxResp)
+	}
+	return id, res, r.done()
 }
 
 // --- nack ---
@@ -496,16 +607,17 @@ type nackMsg struct {
 	Reason byte
 }
 
-func encodeNack(m nackMsg) []byte {
-	b := make([]byte, 0, 9)
+func appendNackFrame(b []byte, m nackMsg) []byte {
+	start := len(b)
+	b = beginFrame(b, frameNack)
 	b = appendU64(b, m.ID)
-	return append(b, m.Reason)
+	return endFrame(append(b, m.Reason), start)
 }
 
 func decodeNack(p []byte) (nackMsg, error) {
 	r := wireReader{b: p}
 	m := nackMsg{ID: r.u64(), Reason: r.u8()}
-	return m, r.err
+	return m, r.done()
 }
 
 // --- stats ---
@@ -515,38 +627,41 @@ type statsMsg struct {
 	JSON  []byte // frameStats only
 }
 
-func encodeStatsReq(id uint64) []byte {
-	return appendU64(nil, id)
-}
-
-func encodeStats(id uint64, body []byte) []byte {
-	b := make([]byte, 0, 12+len(body))
+// appendStatsFrame appends a stats request (kind frameStatsReq, no body)
+// or a stats reply (frameStats, the snapshot JSON).
+func appendStatsFrame(b []byte, kind byte, id uint64, body []byte) []byte {
+	start := len(b)
+	b = beginFrame(b, kind)
 	b = appendU64(b, id)
-	return appendBytes(b, body)
+	if kind == frameStats {
+		b = appendU32(b, uint32(len(body)))
+		b = append(b, body...)
+	}
+	return endFrame(b, start)
 }
 
 func decodeStats(p []byte, withBody bool) (statsMsg, error) {
 	r := wireReader{b: p}
 	m := statsMsg{ReqID: r.u64()}
 	if withBody {
-		m.JSON = r.bytes()
+		m.JSON = bytes.Clone(r.take(int(r.u32())))
 	}
-	return m, r.err
+	return m, r.done()
 }
 
 // dispatchWireBytes reports the exact framed size of a dispatch message
 // without encoding it — the link-budget admission charges this before
 // the frame is built.
 func dispatchWireBytes(reqs []httpx.Request) int {
-	n := 4 + 1 + 8 + 2 + 4 + 1 + 4 // frame prefix+kind, id, type, group, host, count
+	n := frameHeaderBytes + 8 + 2 + 4 + 1 + 4 // id, type, group, host, count
 	for i := range reqs {
 		q := &reqs[i]
-		n += 1 + 4 + len(q.Path) + 2 + 2 + 4 + 4 + len(q.Body) + 4
+		n += minRequestBytes + len(q.Path) + len(q.Body)
 		for _, p := range q.Params {
-			n += 8 + len(p.Key) + len(p.Value)
+			n += minParamBytes + len(p.Key) + len(p.Value)
 		}
 		for _, c := range q.Cookies {
-			n += 8 + len(c.Key) + len(c.Value)
+			n += minParamBytes + len(c.Key) + len(c.Value)
 		}
 	}
 	return n

@@ -19,7 +19,7 @@ import (
 // frames costs one syscall.
 type frameWriter struct {
 	conn    net.Conn
-	ch      chan []byte
+	ch      chan *[]byte
 	closeCh chan struct{}
 	onErr   func()
 }
@@ -27,7 +27,7 @@ type frameWriter struct {
 func startFrameWriter(conn net.Conn, closeCh chan struct{}, onErr func()) *frameWriter {
 	w := &frameWriter{
 		conn:    conn,
-		ch:      make(chan []byte, tcpWriteQueue),
+		ch:      make(chan *[]byte, tcpWriteQueue),
 		closeCh: closeCh,
 		onErr:   onErr,
 	}
@@ -35,9 +35,10 @@ func startFrameWriter(conn net.Conn, closeCh chan struct{}, onErr func()) *frame
 	return w
 }
 
-// enqueue queues one encoded frame, blocking when the queue is full
-// (link backpressure). Reports false when the connection is closed.
-func (w *frameWriter) enqueue(frame []byte) bool {
+// enqueue queues one frame built in a getFrame buffer, blocking when the
+// queue is full (link backpressure); the writer puts the buffer back in
+// the pool once written. Reports false when the connection is closed.
+func (w *frameWriter) enqueue(frame *[]byte) bool {
 	select {
 	case <-w.closeCh:
 		return false
@@ -54,14 +55,16 @@ func (w *frameWriter) enqueue(frame []byte) bool {
 func (w *frameWriter) loop() {
 	bw := bufio.NewWriterSize(w.conn, 256<<10)
 	for {
-		var frame []byte
+		var frame *[]byte
 		select {
 		case frame = <-w.ch:
 		case <-w.closeCh:
 			return
 		}
 		for frame != nil {
-			if _, err := bw.Write(frame); err != nil {
+			_, err := bw.Write(*frame)
+			putFrame(frame)
+			if err != nil {
 				w.onErr()
 				return
 			}
@@ -196,7 +199,9 @@ func (p *workerPeer) shutdown() {
 }
 
 func (p *workerPeer) nack(id uint64, reason byte) {
-	p.fw.enqueue(appendFrame(nil, frameNack, encodeNack(nackMsg{ID: id, Reason: reason})))
+	f := getFrame()
+	*f = appendNackFrame(*f, nackMsg{ID: id, Reason: reason})
+	p.fw.enqueue(f)
 }
 
 func (w *Worker) serveConn(conn net.Conn) {
@@ -226,10 +231,13 @@ func (w *Worker) serveConn(conn net.Conn) {
 	for _, wl := range reg.Workloads() {
 		h.Workloads = append(h.Workloads, wl.Name())
 	}
-	p.fw.enqueue(appendFrame(nil, frameHello, encodeHello(h)))
+	f := getFrame()
+	*f = appendHelloFrame(*f, h)
+	p.fw.enqueue(f)
 
+	fr := frameReader{r: conn}
 	for {
-		kind, payload, _, err := readFrame(conn)
+		kind, payload, _, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -247,7 +255,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			p.fw.enqueue(appendFrame(nil, frameStats, encodeStats(m.ReqID, body)))
+			f := getFrame()
+			*f = appendStatsFrame(*f, frameStats, m.ReqID, body)
+			p.fw.enqueue(f)
 		case frameQuiesce:
 			// Quiesce blocks on the inflight drain; the read loop keeps
 			// nacking new dispatches meanwhile.
@@ -291,7 +301,9 @@ func (w *Worker) handleDispatch(p *workerPeer, payload []byte) bool {
 				p.nack(id, nackNoDevice)
 				return
 			}
-			p.fw.enqueue(appendFrame(nil, frameResult, encodeResult(resultFromCluster(id, res))))
+			f := getFrame()
+			*f = appendResultFrame(*f, id, res)
+			p.fw.enqueue(f)
 		},
 	}
 	if !w.cl.Dispatch(u) {
@@ -318,7 +330,9 @@ func (w *Worker) Quiesce() {
 		w.inflight.Wait()
 		w.peerMu.Lock()
 		for p := range w.peers {
-			p.fw.enqueue(appendFrame(nil, frameBye, nil))
+			f := getFrame()
+			*f = appendFrame(*f, frameBye, nil)
+			p.fw.enqueue(f)
 		}
 		w.peerMu.Unlock()
 	})
