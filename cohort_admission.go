@@ -12,8 +12,9 @@ import (
 	"rhythm/internal/session"
 )
 
-// liveReq is one in-flight request: the parsed form handed to the
-// formation loop plus the channel its rendered response comes back on.
+// liveReq is one request on the cohort route: the parsed form handed to
+// the formation loop plus the channel its rendered response comes back
+// on.
 //
 // spans is shared between the handler and the loop without a lock; the
 // resp channel is the fence. The handler appends before admission, the
@@ -29,7 +30,6 @@ type liveReq struct {
 	group    int // shard group (cluster.GroupFor; -1 = stateless)
 	enq      time.Time
 	admitted time.Time // loop pickup (set by admit)
-	host     bool      // the controller routed it to the host path (set by admit)
 	spans    []obs.Span
 	resp     chan []byte // buffered(1): the loop never blocks delivering
 
@@ -43,11 +43,13 @@ type liveReq struct {
 	frec flight.Record
 }
 
-// dispatch is the cohort mode hook: admit the classified request to the
-// formation loop and wait for the cohort path's response, the request
-// deadline, or the loop's exit. Only a response delivered over lr.resp
-// hands lr's spans and flight record to the frontend; every other exit
-// reports through the arena's record.
+// dispatch is the cohort mode hook: ask the controller for the
+// classified request's route, answer a host-routed request on this
+// connection (serveHost), and admit the rest to the formation loop,
+// waiting for the cohort path's response, the request deadline, or the
+// loop's exit. Only a response delivered over lr.resp hands lr's spans
+// and flight record to the frontend; every other exit reports through
+// the arena's record.
 func (s *CohortServer) dispatch(a *connArena) []byte {
 	t := a.t
 	widx := s.reg.WorkloadIndex(t)
@@ -63,6 +65,9 @@ func (s *CohortServer) dispatch(a *connArena) []byte {
 			return s.shedArrival(a, widx)
 		}
 		defer s.wlInflight[widx].Add(-1)
+	}
+	if s.ctrl.Arrival(int(t)) {
+		return s.serveHost(a, widx)
 	}
 
 	lr := &liveReq{t: t, group: s.fab.GroupFor(&a.req, t), enq: time.Now(), resp: make(chan []byte, 1), frec: a.frec}
@@ -105,10 +110,124 @@ func (s *CohortServer) dispatch(a *connArena) []byte {
 // response.
 func (s *CohortServer) shedArrival(a *connArena, widx int) []byte {
 	s.rejectedQueue.Add(1)
+	return s.shedHere(a, widx)
+}
+
+// shedHere answers the arena's request with the 503 backpressure
+// response, attributing the shed to its workload and type; the caller
+// has counted it as a queue or a pool rejection.
+func (s *CohortServer) shedHere(a *connArena, widx int) []byte {
 	s.wlSheds[widx].Add(1)
 	s.badByType[a.t].Add(1)
 	a.frec.Status = flight.StatusShed
 	return busyResponse(s.ctrl.RetryAfter())
+}
+
+// hostCall is a connection's reusable host-route dispatch: the unit, its
+// one request, and the channel its Done delivers on. A connection keeps
+// it for its next host-routed request unless a deadline abandoned it
+// with the result still outstanding.
+type hostCall struct {
+	unit cluster.Unit
+	reqs [1]httpx.Request
+	res  chan *cluster.Result // buffered(1): Done never blocks
+	done func(*cluster.Result)
+}
+
+func newHostCall() *hostCall {
+	hc := &hostCall{res: make(chan *cluster.Result, 1)}
+	hc.done = func(res *cluster.Result) { hc.res <- res }
+	return hc
+}
+
+// serveHost answers a request below its type's crossover rate on the
+// connection that received it, as a one-request host unit dispatched
+// from this handler. The fabric executes it on the node that owns the
+// request's shard group, under the group's lock (DESIGN.md §12), so
+// responses stay byte-identical and the group state single-writer. On
+// loopback the unit renders into the connection's buffer and completes
+// before Dispatch returns; on tcp the result arrives from the worker
+// connection's reader, and the handler waits for it under the request
+// deadline. A unit the fabric refuses or fails is shed with 503.
+func (s *CohortServer) serveHost(a *connArena, widx int) []byte {
+	// Drain waits for hostRoute to empty before it closes the fabric;
+	// the count is raised before the closing check, so either Drain sees
+	// this handler or the handler sees Drain.
+	s.hostRoute.Add(1)
+	defer s.hostRoute.Add(-1)
+	if s.closing.Load() {
+		return s.shedArrival(a, widx)
+	}
+	enq := time.Now()
+	hc := a.host
+	if hc == nil {
+		hc = newHostCall()
+		a.host = hc
+	}
+	if s.remote {
+		// The fabric may re-encode the request after a NACK, and a
+		// deadline may release this connection's request first.
+		a.req.CopyTo(&hc.reqs[0])
+	} else {
+		hc.reqs[0] = a.req
+	}
+	hc.unit = cluster.Unit{Type: a.t, Group: s.fab.GroupFor(&a.req, a.t), Host: true, Reqs: hc.reqs[:], Out: a.out, Done: hc.done}
+	if !s.fab.Dispatch(&hc.unit) {
+		return s.shedHost(a, widx)
+	}
+	var res *cluster.Result
+	select {
+	case res = <-hc.res:
+	default:
+		deadline := time.NewTimer(s.opts.RequestDeadline)
+		select {
+		case res = <-hc.res:
+			deadline.Stop()
+		case <-deadline.C:
+			a.host = nil // the late result lands in the abandoned call
+			s.deadlineMisses.Add(1)
+			s.badByType[a.t].Add(1)
+			a.frec.Status = flight.StatusDeadline
+			return errorResponse(504, "Gateway Timeout")
+		}
+	}
+	if res.Err != nil {
+		return s.shedHost(a, widx)
+	}
+	lat := float64(time.Since(enq))
+	s.execMu.Lock()
+	s.hostFallbacks++
+	s.perType[a.t].requests++
+	s.perType[a.t].hostReqs++
+	s.kernelErrors += uint64(res.KernelErrs)
+	s.record(s.reqLat, lat)
+	s.execMu.Unlock()
+	s.latHist[a.t].ObserveEx(lat, a.frec.TraceID)
+	a.frec.HostExec = true
+	a.frec.LaunchReason = "host"
+	a.frec.Device = res.Device
+	// A hop is a failover to another device; fold it into the record's
+	// attempt trail so tail debugging sees the move (flight.Record).
+	a.frec.Attempts = res.Attempts + res.Hops
+	a.frec.CohortSize = 1
+	if res.KernelErrs > 0 {
+		a.frec.Status = flight.StatusKernelErr
+		s.badByType[a.t].Add(1)
+	}
+	// Capacity for the write span the frontend appends.
+	a.spans = append(make([]obs.Span, 0, 3),
+		obs.Span{Name: "classify", Start: a.start, Dur: enq.Sub(a.start)},
+		obs.Span{Name: "host-execute", Start: res.RenderStart, Dur: res.RenderDur})
+	return res.Resps[0]
+}
+
+// shedHost answers a host-routed request the fabric refused or could not
+// complete with the 503 backpressure response.
+func (s *CohortServer) shedHost(a *connArena, widx int) []byte {
+	s.execMu.Lock()
+	s.rejectedPool++
+	s.execMu.Unlock()
+	return s.shedHere(a, widx)
 }
 
 // sessionsFor resolves the request's shard group to its session array
@@ -123,22 +242,20 @@ func (s *CohortServer) sessionsFor(req *httpx.Request, t service.TypeID) *sessio
 	return s.fab.GroupSessions(group)
 }
 
-// admit routes one request where the controller sends it — the host
-// path or the pool — parking it in the bounded overflow when that route
-// has no room (every context Busy or forming another key, or the owning
-// device's queue full) and shedding with 503 past that. A parked request
-// is retried whenever a context or a queue slot frees; a host unit the
-// fabric refused with nothing in flight has no such event coming, so it
-// is shed at once.
+// admit places one cohort-routed request in the pool, parking it in the
+// bounded overflow when the pool has no room (every context Busy or
+// forming another key) and shedding with 503 past that. A parked request
+// is retried whenever a context frees.
 func (s *CohortServer) admit(lr *liveReq) {
 	lr.admitted = time.Now()
 	lr.spans = append(lr.spans, obs.Span{Name: "admit-queue", Start: lr.enq, Dur: lr.admitted.Sub(lr.enq)})
-	lr.host = s.ctrl.Arrival(int(lr.t))
 	if s.place(lr) {
 		return
 	}
-	if lr.host && s.inflight == 0 || len(s.overflow) >= s.opts.OverflowLimit {
+	if len(s.overflow) >= s.opts.OverflowLimit {
+		s.execMu.Lock()
 		s.rejectedPool++
+		s.execMu.Unlock()
 		s.shedReq(lr)
 		return
 	}
@@ -154,66 +271,12 @@ func (s *CohortServer) shedReq(lr *liveReq) {
 	lr.resp <- busyResponse(s.ctrl.RetryAfter())
 }
 
-// dispatchHost hands one request below the crossover rate straight to
-// the scalar host path as a single-request Host unit: no cohort context,
-// no formation delay. The fabric still executes it on the node and
-// device that own the request's shard group, so responses stay
-// byte-identical and the group state single-writer. It reports false
-// when the fabric has no room for the unit.
-func (s *CohortServer) dispatchHost(lr *liveReq) bool {
-	unit := &cluster.Unit{Type: lr.t, Group: lr.group, Host: true, Reqs: []httpx.Request{lr.req}}
-	unit.Done = func(res *cluster.Result) {
-		s.doCh <- func() { s.completeHost(lr, res) }
-	}
-	if !s.fab.Dispatch(unit) {
-		return false
-	}
-	s.inflight++
-	return true
-}
-
-// completeHost consumes one host-fallback result on the loop goroutine.
-func (s *CohortServer) completeHost(lr *liveReq, res *cluster.Result) {
-	s.inflight--
-	defer s.drainOverflow() // the owning device's queue has room again
-	if res.Err != nil {
-		s.rejectedPool++
-		s.shedReq(lr)
-		return
-	}
-	s.hostFallbacks++
-	s.perType[lr.t].requests++
-	s.perType[lr.t].hostReqs++
-	s.kernelErrors += uint64(res.KernelErrs)
-	lr.spans = append(lr.spans, obs.Span{Name: "host-execute", Start: res.RenderStart, Dur: res.RenderDur})
-	lr.frec.HostExec = true
-	lr.frec.LaunchReason = "host"
-	lr.frec.Device = res.Device
-	// A hop is a failover to another device; fold it into the record's
-	// attempt trail so tail debugging sees the move (flight.Record).
-	lr.frec.Attempts = res.Attempts + res.Hops
-	lr.frec.CohortSize = 1
-	if res.KernelErrs > 0 {
-		lr.frec.Status = flight.StatusKernelErr
-		s.badByType[lr.t].Add(1)
-	}
-	id := lr.frec.TraceID // read before the send hands frec to the handler
-	lr.resp <- res.Resps[0]
-	lat := float64(time.Since(lr.enq))
-	s.record(s.reqLat, lat)
-	s.latHist[lr.t].ObserveEx(lat, id)
-}
-
-// place tries the request's route: host dispatch, or pool admission —
-// where on success it manages the wall-clock formation timer for the
-// (possibly newly opened) forming cohort. Cohorts are keyed by (type,
+// place tries pool admission, and on success manages the wall-clock
+// formation timer for the (possibly newly opened) forming cohort. Cohorts are keyed by (type,
 // shard group): a cohort executes against one group's state on one
 // device, so requests of the same type but different groups form
 // separately.
 func (s *CohortServer) place(lr *liveReq) bool {
-	if lr.host {
-		return s.dispatchHost(lr)
-	}
 	key := fmt.Sprintf("%s/%d", s.names[lr.t], lr.group)
 	if !s.pool.Add(key, lr) {
 		return false
@@ -238,11 +301,9 @@ func (s *CohortServer) place(lr *liveReq) bool {
 	return true
 }
 
-// drainOverflow retries parked requests after a context or a device
-// queue slot frees, preserving order per type while letting other types
-// pass a starved head (same policy as the offline pipeline's dispatch).
-// A host unit still refused with nothing left in flight to retry it is
-// shed.
+// drainOverflow retries parked requests after a context frees,
+// preserving order per type while letting other types pass a starved
+// head (same policy as the offline pipeline's dispatch).
 func (s *CohortServer) drainOverflow() {
 	if len(s.overflow) == 0 {
 		return
@@ -250,12 +311,7 @@ func (s *CohortServer) drainOverflow() {
 	pending := s.overflow
 	s.overflow = s.overflow[:0]
 	for _, lr := range pending {
-		switch {
-		case s.place(lr):
-		case lr.host && s.inflight == 0:
-			s.rejectedPool++
-			s.shedReq(lr)
-		default:
+		if !s.place(lr) {
 			s.overflow = append(s.overflow, lr)
 		}
 	}

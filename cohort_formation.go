@@ -25,9 +25,12 @@ type formingTimer struct {
 }
 
 // loop is the formation loop: the only goroutine that touches the pool,
-// formation timers, and the loop-owned counters. Execution itself
-// happens on the cluster's device workers; their completions come back
-// here through doCh, so all accounting stays single-goroutine.
+// formation timers, and the loop-owned counters. It sees cohort-routed
+// requests only: the host route never leaves its connection handler.
+// Cohorts execute on the cluster's device workers; their completions
+// come back here through doCh, so cohort accounting stays
+// single-goroutine (the counters shared with the host route take
+// execMu).
 func (s *CohortServer) loop() {
 	defer close(s.doneCh)
 	stop := s.stopCh
@@ -129,7 +132,9 @@ func (s *CohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 	s.occupHist.Observe(float64(count))
 	tc := &s.perType[t]
 	tc.cohorts++
+	s.execMu.Lock()
 	tc.requests += uint64(count)
+	s.execMu.Unlock()
 	tc.sumOccup += uint64(count)
 	if count > tc.maxOccup {
 		tc.maxOccup = count
@@ -205,8 +210,13 @@ func (s *CohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result
 			lr.frec.AddLaunch(se.Stats.Seq)
 		}
 	}
-	s.kernelErrors += uint64(res.KernelErrs)
 	now := time.Now()
+	s.execMu.Lock()
+	s.kernelErrors += uint64(res.KernelErrs)
+	for _, lr := range reqs {
+		s.record(s.reqLat, float64(now.Sub(lr.enq)))
+	}
+	s.execMu.Unlock()
 	for i, lr := range reqs {
 		lr.spans = append(lr.spans, obs.Span{Name: "render", Start: res.RenderStart, Dur: res.RenderDur})
 		lr.frec.Device = res.Device
@@ -220,9 +230,7 @@ func (s *CohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result
 		}
 		id := lr.frec.TraceID // read before the send hands frec to the handler
 		lr.resp <- res.Resps[i]
-		lat := float64(now.Sub(lr.enq))
-		s.record(s.reqLat, lat)
-		s.latHist[lr.t].ObserveEx(lat, id)
+		s.latHist[lr.t].ObserveEx(float64(now.Sub(lr.enq)), id)
 	}
 	s.record(s.launchLat, float64(res.DeviceTime))
 	// Feed the service model with the wall-clock execution cost of this

@@ -17,12 +17,15 @@ type perStage struct {
 	DeviceUs float64 `json:"device_us_total"`
 }
 
+// typeCounters is one request type's execution counters: loop-owned,
+// except requests and hostReqs, which the host route also writes (under
+// CohortServer.execMu).
 type typeCounters struct {
-	cohorts, filled, timedOut, early, requests uint64
-	hostReqs                                   uint64
-	sumOccup                                   uint64
-	maxOccup                                   int
-	stages                                     []perStage
+	cohorts, filled, timedOut, early uint64
+	requests, hostReqs               uint64
+	sumOccup                         uint64
+	maxOccup                         int
+	stages                           []perStage
 }
 
 // CohortTypeStats is the per-request-type section of CohortServerStats.
@@ -137,9 +140,10 @@ func (s *CohortServer) record(w *stats.LatencyWindow, v float64) {
 }
 
 // Stats snapshots the live counters. Safe to call at any time; while
-// the loop runs the snapshot is taken on the loop goroutine, which only
-// copies the two latency windows that need percentiles — the sorts run
-// here, on the caller's.
+// the loop runs the snapshot is taken on the loop goroutine, holding
+// execMu for the counters the host route shares, and only copies the two
+// latency windows that need percentiles — the sorts run here, on the
+// caller's.
 func (s *CohortServer) Stats() CohortServerStats {
 	// The copies land in buffers made and touched here: fresh pages are
 	// mapped on first write, and with full windows a snapshot holds the
@@ -166,9 +170,10 @@ func (s *CohortServer) Stats() CohortServerStats {
 	return st
 }
 
-// snapshot reads the loop-owned state: every counter and mean, and a
-// copy of the request and formation-wait windows (into reqBuf and
-// formBuf) for the percentiles.
+// snapshot reads the loop-owned state and, under execMu, the state the
+// host route shares: every counter and mean, and a copy of the request
+// and formation-wait windows (into reqBuf and formBuf) for the
+// percentiles.
 func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats, reqLat, formWait *stats.LatencyRecorder) {
 	ps := s.pool.Stats()
 	// One pass over the fabric: per-node counters under the fabric
@@ -178,6 +183,9 @@ func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 	// at any node count.
 	fs := s.fab.Snapshot()
 	cs := s.cacheStats()
+	snap := s.ctrl.Snapshot()
+	s.execMu.Lock()
+	defer s.execMu.Unlock()
 	st = CohortServerStats{
 		SchemaVersion:      StatsSchemaVersion,
 		Mode:               "cohort",
@@ -227,7 +235,6 @@ func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 	for i, w := range s.reg.Workloads() {
 		st.WorkloadSheds[w.Name()] = s.wlSheds[i].Load()
 	}
-	snap := s.ctrl.Snapshot()
 	st.Adapt = &snap
 	for t := range s.perType {
 		tc := &s.perType[t]

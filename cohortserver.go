@@ -94,7 +94,8 @@ type CohortOptions struct {
 	// policy: windows and early-launch thresholds are retuned per
 	// request type from the observed arrival rate and the measured
 	// service model, and a type below its crossover rate is answered on
-	// the scalar host path by the device that owns its shard group.
+	// the scalar host path by the connection that received it, under its
+	// shard group's lock.
 	// Zero means 50ms, unless FormationTimeout pins the fixed policy; an
 	// explicit SLO wins over a FormationTimeout given beside it.
 	SLO time.Duration
@@ -185,11 +186,12 @@ func (o *CohortOptions) fill() {
 
 // CohortServer serves every registered workload over TCP through the
 // paper's cohort pipeline: the shared frontend parses and classifies
-// requests on the host, and a single formation-loop goroutine asks the
-// formation controller (internal/adapt) where each one goes. A type
-// below its crossover rate is answered at once as a one-request host
-// unit on the device that owns its shard group; a type above it is
-// batched into cohort.Pool contexts under the controller's window and
+// requests on the host and asks the formation controller
+// (internal/adapt) where each one goes. A type below its crossover rate
+// is answered at once on the connection that received it, as a
+// one-request host unit executed under its shard group's lock; a type
+// above it goes to the single formation-loop goroutine, which batches it
+// into cohort.Pool contexts under the controller's window and
 // early-launch threshold, and each launched cohort runs its stage kernels
 // on the modeled SIMT device, one asynchronous stream per context. The
 // paper's fixed §3.1 timeout is the same controller pinned
@@ -211,8 +213,11 @@ type CohortServer struct {
 	pool *cohort.Pool[*liveReq]
 	// ctrl is the formation policy: adaptive to a p99 target, or pinned
 	// to a fixed timeout. Its methods are internally locked; handlers
-	// touch it only in RetryAfter, the loop everywhere else.
+	// call Arrival and RetryAfter, the loop everything else.
 	ctrl *adapt.Controller
+	// remote is set on the tcp fabric, where a host unit completes
+	// asynchronously and so must own a copy of its request.
+	remote bool
 
 	admitCh chan *liveReq
 	flushCh chan flushMsg
@@ -228,6 +233,9 @@ type CohortServer struct {
 	rejectedQueue  atomic.Uint64
 	deadlineMisses atomic.Uint64
 	badByType      []atomic.Uint64 // per service.TypeID
+	// hostRoute counts handlers on the host route (serveHost); Drain
+	// waits for it to reach zero before it closes the fabric.
+	hostRoute atomic.Int64
 
 	// Formation wait and cohort occupancy behind /v1/metrics (atomic).
 	formHist  *stats.Histogram // nanoseconds
@@ -242,20 +250,27 @@ type CohortServer struct {
 	wlInflight []atomic.Int64
 	wlSheds    []atomic.Uint64
 
-	// Loop-owned state (no locking: single goroutine until doneCh).
-	draining      bool
-	inflight      int
-	overflow      []*liveReq
-	forming       map[string]*formingTimer
-	nextGen       uint64
+	// Loop-owned state (no locking: single goroutine until doneCh),
+	// except what execMu guards.
+	draining    bool
+	inflight    int
+	overflow    []*liveReq
+	forming     map[string]*formingTimer
+	nextGen     uint64
+	shedCohorts uint64
+	perType     []typeCounters // per service.TypeID
+	maxOccup    int
+	formWait    *stats.LatencyWindow
+	launchLat   *stats.LatencyWindow
+
+	// execMu guards what both routes write — the loop for cohorts,
+	// connection handlers for the host route — so that a snapshot reads
+	// it in one consistent pass: these counters, the request latency
+	// window, and perType's requests and hostReqs.
+	execMu        sync.Mutex
 	rejectedPool  uint64
-	shedCohorts   uint64
 	kernelErrors  uint64
 	hostFallbacks uint64
-	perType       []typeCounters // per service.TypeID
-	maxOccup      int
-	formWait      *stats.LatencyWindow
-	launchLat     *stats.LatencyWindow
 	reqLat        *stats.LatencyWindow
 }
 
@@ -297,6 +312,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	}
 	s := &CohortServer{
 		opts:      opts,
+		remote:    len(opts.WorkerAddrs) > 0,
 		admitCh:   make(chan *liveReq, admitQueue),
 		flushCh:   make(chan flushMsg, 256),
 		doCh:      make(chan func(), 16),
@@ -311,7 +327,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		occupHist: stats.NewHistogram(stats.PowersOfTwoBuckets(opts.CohortSize)),
 		badByType: make([]atomic.Uint64, reg.NumTypes()),
 	}
-	s.frontend.init(reg, s, "cohort", 0, flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
+	s.frontend.init(reg, s, "cohort", reg.MaxBufferBytes(), flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
 	s.fab = fab
 	for t := range s.perType {
 		// One stage slot per stage kernel.
@@ -388,14 +404,19 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	return s, nil
 }
 
+// drainPoll is how often Drain re-checks for host-routed requests still
+// in flight.
+const drainPoll = time.Millisecond
+
 // defaultFormationSLO is the controller's p99 target when neither an SLO
 // nor a formation timeout is given.
 const defaultFormationSLO = 50 * time.Millisecond
 
 // Drain stops gracefully: stop accepting, reject new admissions, flush
-// partially-full cohorts, wait for in-flight launches to write their
-// responses back, then close connections (idle ones immediately, busy
-// ones after their current write). ctx bounds the wait.
+// partially-full cohorts, wait for in-flight launches and host-routed
+// requests to have their responses, then close connections (idle ones
+// immediately, busy ones after their current write). ctx bounds the
+// wait.
 func (s *CohortServer) Drain(ctx context.Context) error {
 	s.stopAccepting()
 	s.stopOnce.Do(func() { close(s.stopCh) })
@@ -404,9 +425,18 @@ func (s *CohortServer) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	// The loop exits only at inflight 0, so the fabric is idle; Close
-	// returns once loopback node workers have drained and exited (on
-	// tcp it closes the worker connections).
+	// A host-routed request that passed its closing check is still
+	// owed its page: on tcp, closing the fabric would lose its unit.
+	for s.hostRoute.Load() != 0 {
+		select {
+		case <-time.After(drainPoll):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	// The loop exits only at inflight 0 and no host unit is in flight,
+	// so the fabric is idle; Close returns once loopback node workers
+	// have drained and exited (on tcp it closes the worker connections).
 	s.fab.Close()
 	// Every admitted request now has its response delivered; handlers
 	// parked in a read will never produce another admission (the closing

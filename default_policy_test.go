@@ -64,9 +64,8 @@ func TestDefaultServerAnswersLoneRequestsOnHostRoute(t *testing.T) {
 
 // TestDefaultServerParksHostUnitsPastDeviceQueue: more concurrent callers
 // than the owning device's dispatch queue holds (8 by default) must not
-// turn into 503s on the host route — a refused host unit is parked and
-// retried when one completes, like a request waiting for a cohort
-// context.
+// turn into 503s on the host route — host units take no queue place:
+// each executes on its own connection handler, under the group's lock.
 func TestDefaultServerParksHostUnitsPastDeviceQueue(t *testing.T) {
 	dev := startNew(t).(*CohortServer)
 	const conns, each = 32, 40
@@ -145,8 +144,9 @@ func TestDefaultServerBatchesBurst(t *testing.T) {
 // TestPinnedParksBehindFormingContext: with the one context forming
 // another type's cohort and nothing launched yet, a pinned server parks
 // requests instead of shedding them — each timer's launch completes,
-// frees the context and the next parked type forms. Only a refused host
-// unit, which has no such event coming, is shed with nothing in flight.
+// frees the context and the next parked type forms. (A pinned server
+// never takes the host route, and the host route never parks: it does
+// not pass through the formation loop.)
 func TestPinnedParksBehindFormingContext(t *testing.T) {
 	dev := startNew(t, WithFormation(0, 1, 2*time.Millisecond)).(*CohortServer)
 	parked := make(chan int, 1)
@@ -177,57 +177,81 @@ func TestPinnedParksBehindFormingContext(t *testing.T) {
 	}
 }
 
-// TestDrainAnswersHostUnitsInFlight: Drain waits for host-routed units
-// the same way it waits for cohorts. The loop admits four requests —
-// each dispatched as a host unit — and is then held, so all four are in
-// flight when Drain begins; each is answered with its page, none with a
-// 503, and the loop leaves nothing in flight.
+// TestDrainAnswersHostUnitsInFlight: Drain waits for host-routed
+// requests the way it waits for cohorts. Four telemetry ingests take the
+// host route and are held mid-execution — a write hook blocks inside the
+// first one's backend call, under its shard group's lock, and the others
+// wait their turn — when Drain begins. Each is answered with its page,
+// none with a 503. Over tcp, closing the fabric before they finish would
+// lose their units, so that run fails if Drain does not wait.
 func TestDrainAnswersHostUnitsInFlight(t *testing.T) {
-	const reqs = 4
-	srv, err := New("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := srv.(*CohortServer)
-	go dev.Serve()
-	admitted, release := make(chan struct{}), make(chan struct{})
-	dev.doCh <- func() {
-		for i := 0; i < reqs; i++ {
-			dev.admit(<-dev.admitCh)
-		}
-		close(admitted)
-		<-release // completions queue behind this; inflight stays at reqs
-	}
-	var readers []*bufio.Reader
-	for i := 0; i < reqs; i++ {
-		conn := dialT(t, dev.Addr())
-		fmt.Fprint(conn, rawGet("/index.php", ""))
-		readers = append(readers, bufio.NewReader(conn))
-	}
-	<-admitted
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- dev.Drain(ctx)
-	}()
-	<-dev.stopCh // Drain has asked the loop to stop
-	close(release)
-	for _, r := range readers {
-		if resp := readRawResponse(t, r); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) {
-			t.Fatalf("request in flight at Drain answered %.80q", resp)
-		}
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	st := dev.Stats()
-	if st.HostFallbacks != reqs || st.RejectedPool != 0 || st.RejectedQueue != 0 {
-		t.Fatalf("host_fallbacks=%d rejected_pool=%d rejected_queue=%d, want %d/0/0",
-			st.HostFallbacks, st.RejectedPool, st.RejectedQueue, reqs)
-	}
-	if dev.inflight != 0 { // the loop has exited: its state is quiescent
-		t.Fatalf("inflight=%d after Drain", dev.inflight)
+	for _, transport := range []string{"loopback", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			const reqs = 4
+			entered, release := make(chan struct{}, reqs), make(chan struct{})
+			hold := func(uint64) {
+				entered <- struct{}{}
+				<-release
+			}
+			var once sync.Once
+			unhold := func() { once.Do(func() { close(release) }) }
+			opts := CohortOptions{CrossoverRate: 1e12} // always the host route
+			if transport == "tcp" {
+				w := startFabricWorker(t, 1, 1)
+				w.Cluster().SetWriteHook(hold)
+				opts.WorkerAddrs = []string{w.Addr()}
+			}
+			t.Cleanup(unhold) // a failed run must not leave the worker blocked
+			dev, err := NewCohortServer(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if transport == "loopback" && !dev.fab.SetWriteHook(hold) {
+				t.Fatal("loopback fabric refused the write hook")
+			}
+			if err := dev.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			go dev.Serve()
+			var readers []*bufio.Reader
+			for i := 0; i < reqs; i++ {
+				conn := dialT(t, dev.Addr())
+				fmt.Fprint(conn, rawPost("/t/ingest", "", fmt.Sprintf("dev=%d&f=%04x", 7+i, i)))
+				readers = append(readers, bufio.NewReader(conn))
+			}
+			<-entered
+			for deadline := time.Now().Add(10 * time.Second); dev.hostRoute.Load() != reqs; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d requests reached the host route", dev.hostRoute.Load(), reqs)
+				}
+			}
+			drained := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				drained <- dev.Drain(ctx)
+			}()
+			<-dev.doneCh // the loop has nothing in flight and is gone
+			select {
+			case err := <-drained:
+				t.Fatalf("Drain returned (%v) with %d host-routed requests held", err, reqs)
+			case <-time.After(50 * time.Millisecond): // time enough to close the fabric
+			}
+			unhold()
+			for _, r := range readers {
+				if resp := readRawResponse(t, r); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) {
+					t.Fatalf("request in flight at Drain answered %.80q", resp)
+				}
+			}
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			st := dev.Stats()
+			if st.HostFallbacks != reqs || st.RejectedPool != 0 || st.RejectedQueue != 0 {
+				t.Fatalf("host_fallbacks=%d rejected_pool=%d rejected_queue=%d, want %d/0/0",
+					st.HostFallbacks, st.RejectedPool, st.RejectedQueue, reqs)
+			}
+		})
 	}
 }
 

@@ -23,8 +23,8 @@
 //     listener. By default requests go through the cohort pipeline under
 //     one formation policy, the adaptive controller (DESIGN.md §12): a
 //     request type arriving too slowly for batching to pay is answered
-//     at once on the host path of the device that owns its state, a
-//     burst forms cohorts; WithFormation's timeout pins the paper's
+//     at once on the host path, by the connection that received it and
+//     under its state's shard-group lock, a burst forms cohorts; WithFormation's timeout pins the paper's
 //     fixed policy instead, and WithHostExecution serves everything on
 //     the scalar host path.
 //   - The cmd/rhythm-bench binary and the benchmarks in bench_test.go,

@@ -24,8 +24,9 @@ import (
 
 // mode is what differs between the two servers from dispatch on (PAPER.md
 // §3.1: reader → parser → dispatch → process → response). TCPServer
-// executes on the handler goroutine; CohortServer admits to its formation
-// loop and waits.
+// executes on the handler goroutine; CohortServer dispatches a host-routed
+// request from the handler too, and admits the rest to its formation loop
+// and waits.
 type mode interface {
 	// dispatch answers the classified request in a (a.req, a.t, a.frec
 	// armed) with its response bytes. It records the outcome in
@@ -55,7 +56,7 @@ type frontend struct {
 	labels []string // Prometheus label set per TypeID
 	mode   mode
 	// modeName is "host" or "cohort"; maxOut sizes each connection's
-	// render buffer (0 = the mode renders elsewhere, parse-only arenas).
+	// render buffer.
 	modeName string
 	maxOut   int
 	// fab is the device fabric behind the server (nil in host mode): the
@@ -246,15 +247,18 @@ type liveConn struct {
 
 // connArena holds the per-connection reusable buffers of the zero-copy
 // hot path — the raw request bytes, the parsed request (param/cookie
-// slices recycled by ParseInto), and in host mode the execution scratch
-// and a max-size render buffer — so the steady state allocates nothing
-// but the parse's raw-to-string conversion (DESIGN.md §14). It also
-// carries the current request between the frontend and mode.dispatch.
+// slices recycled by ParseInto), the execution scratch host mode runs
+// through, a max-size render buffer both modes' host paths render into,
+// and the cohort host route's reusable dispatch — so the steady state
+// allocates nothing but the parse's raw-to-string conversion (DESIGN.md
+// §14). It also carries the current request between the frontend and
+// mode.dispatch.
 type connArena struct {
 	raw     []byte
 	req     httpx.Request
 	scratch *service.Scratch
 	out     []byte
+	host    *hostCall
 	// frec is the connection's flight-record scratch, armed for every
 	// classified request and either recycled (fast path) or copied into
 	// the anomaly ring by Finish (DESIGN.md §15). wbuf is the reusable
@@ -274,8 +278,8 @@ type connArena struct {
 }
 
 // newConnArena builds an arena; maxOut > 0 adds the host execution
-// buffers, sized to the registry's largest response-buffer class so one
-// buffer serves every registered type.
+// buffers, the render buffer sized to the registry's largest
+// response-buffer class so one buffer serves every registered type.
 func newConnArena(maxOut int) *connArena {
 	a := &connArena{raw: make([]byte, 0, 1024)}
 	if maxOut > 0 {

@@ -29,12 +29,16 @@
 // array's.
 //
 // Concurrency contract: each device worker goroutine is the only code
-// that touches its engine, device memory, and (while executing a unit)
-// the unit's group state. A group is touched by exactly one device at a
-// time because ownership moves only after the losing device has fully
-// quiesced (see device.die). Cross-goroutine visibility — health,
-// queue depths, mirrored DeviceStats — goes through one cluster-wide
-// mutex, which is also what makes Snapshot a single atomic pass.
+// that touches its engine and device memory. A group's backend stores
+// are single-writer through the group's mutex: a host unit executes
+// under it on the goroutine that dispatched it, and each device lane's
+// deferred backend commit takes it around the store call and the copy
+// of the response into the lane's slot. Session arrays are internally
+// bucket-locked. Ownership moves only after the losing device has fully
+// quiesced (see device.die), so a group's device units run on one
+// device at a time. Cross-goroutine visibility — health, queue depths,
+// mirrored DeviceStats — goes through one cluster-wide mutex, which is
+// also what makes Snapshot a single atomic pass.
 package cluster
 
 import (
@@ -151,15 +155,25 @@ type Unit struct {
 	Reqs  []httpx.Request
 	// Host routes the unit to the scalar host execution path instead of
 	// the device kernels (the adaptive controller's CPU/GPU crossover,
-	// DESIGN.md §12). It still executes on the owning device's worker
-	// goroutine — that is what keeps the group's state single-writer —
-	// but runs the workload's ExecuteHost directly, needs no execution
-	// slot, and bypasses the fault schedule (host execution doesn't
-	// touch the modeled device).
+	// DESIGN.md §12). Dispatch executes it synchronously on the calling
+	// goroutine: each request runs the workload's ExecuteHost under the
+	// group's mutex, which keeps the group's state single-writer against
+	// the device commits, and renders outside it. A host unit is
+	// attributed to the group's owning device but needs no execution
+	// slot or queue place, and bypasses the fault schedule (host
+	// execution doesn't touch the modeled device).
 	Host bool
-	// Done receives the unit's outcome exactly once, on the executing
-	// device's worker goroutine (or the dispatcher's when the unit is
-	// shed with Result.Err set). It must not block.
+	// Out, when set on a one-request host unit and at least the type's
+	// buffer size, is the buffer the response renders into:
+	// Result.Resps[0] is then a prefix of it. Transports that execute the
+	// unit in another process ignore it.
+	Out []byte
+	// Done receives the unit's outcome exactly once and must not block.
+	// A device unit's Done runs on the executing device's worker
+	// goroutine (or a dying device's, when the unit is shed with
+	// Result.Err set). A host unit's Done runs on the dispatching
+	// goroutine before Dispatch returns, so it must not take a lock the
+	// dispatcher holds across Dispatch.
 	Done func(*Result)
 
 	// attempts counts consecutive failed launch attempts on the current
@@ -200,19 +214,26 @@ type Result struct {
 }
 
 // groupState is one shard group's host-authoritative state: one backend
-// store per registered workload plus the group's session array. It is
-// only ever touched by the worker goroutine of the device that
-// currently owns the group.
+// store per registered workload plus the group's session array. mu makes
+// the backend stores single-writer: host units execute under it, and
+// device cohorts bind the stores through commits, which store and copy
+// each response under it. The session array locks its own buckets.
 type groupState struct {
+	mu       sync.Mutex
 	bes      []service.Backend // by workload index
+	commits  []service.Backend // bes behind mu (lockedBackend), by workload index
 	sessions *session.Array
 }
 
 func newGroupState(cfg *Config) *groupState {
-	return &groupState{
+	g := &groupState{
 		bes:      cfg.Registry.NewBackends(),
 		sessions: session.NewArray(cfg.SessionBuckets, cfg.SessionNodesPerBucket),
 	}
+	for w := range g.bes {
+		g.commits = append(g.commits, &lockedBackend{g: g, w: w})
+	}
+	return g
 }
 
 // Cluster is the device pool.
@@ -326,8 +347,13 @@ func (c *Cluster) GroupFor(req *httpx.Request, t service.TypeID) int {
 // Dispatch routes a unit to a device, reporting false when it must be
 // shed: the owning device's bounded queue is full (backpressure — the
 // caller's 503 path) or no healthy device exists. On false the unit was
-// not enqueued and Done will not be called.
+// not enqueued and Done will not be called. A host unit executes before
+// Dispatch returns (executeHost); only a pool with no healthy device
+// refuses one.
 func (c *Cluster) Dispatch(u *Unit) bool {
+	if u.Host {
+		return c.executeHost(u)
+	}
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	if u.Group >= 0 {
@@ -343,6 +369,63 @@ func (c *Cluster) Dispatch(u *Unit) bool {
 		}
 	}
 	return false
+}
+
+// scratches pools the execution contexts of host units: one per
+// concurrently executing dispatcher, reset by every execution.
+var scratches = sync.Pool{New: func() any { return service.NewScratch() }}
+
+// executeHost runs a host unit (Unit.Host) on the calling goroutine
+// through the workload's scalar path, so the response bytes are
+// identical to host mode's. The owner is resolved as for a device unit —
+// dead-owner failover included — and counts the unit as outstanding
+// while it runs. Each request executes under the group's mutex and
+// renders outside it, into u.Out when the unit carries one. Host units
+// consume no execution slot, never advance the fault schedule, and
+// leave the virtual clock alone. Done runs before executeHost returns.
+func (c *Cluster) executeHost(u *Unit) bool {
+	c.statsMu.Lock()
+	var d *device
+	if u.Group >= 0 {
+		d = c.ownerLocked(u.Group)
+	} else {
+		d = c.leastLoadedLocked()
+	}
+	if d == nil {
+		c.statsMu.Unlock()
+		return false
+	}
+	d.outstanding++
+	c.statsMu.Unlock()
+
+	st := d.stateFor(u.Group)
+	reg := c.cfg.Registry
+	size := reg.Spec(u.Type).BufferBytes
+	res := &Result{Device: d.id, Host: true, Attempts: 1, Resps: make([][]byte, len(u.Reqs))}
+	sc := scratches.Get().(*service.Scratch)
+	res.RenderStart = time.Now()
+	for i := range u.Reqs {
+		st.mu.Lock()
+		failed := reg.ExecuteScratch(sc, u.Type, &u.Reqs[i], st.sessions, st.bes)
+		st.mu.Unlock()
+		if failed {
+			res.KernelErrs++
+		}
+		out := u.Out
+		if len(u.Reqs) > 1 || len(out) < size {
+			out = make([]byte, size)
+		}
+		res.Resps[i] = sc.Render(out)
+	}
+	res.RenderDur = time.Since(res.RenderStart)
+	scratches.Put(sc)
+	c.statsMu.Lock()
+	d.outstanding--
+	d.unitsDone++
+	d.hostUnits++
+	c.statsMu.Unlock()
+	u.Done(res)
+	return true
 }
 
 // ownerLocked resolves a group's owning device, lazily failing the
@@ -373,6 +456,18 @@ func (c *Cluster) byLoadLocked(exclude int) []*device {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].outstanding < out[j].outstanding })
 	return out
+}
+
+// leastLoadedLocked is byLoadLocked(-1)'s head without the sort: the
+// first non-dead device with the fewest outstanding units, or nil.
+func (c *Cluster) leastLoadedLocked() *device {
+	var best *device
+	for _, d := range c.devs {
+		if d.health != Dead && (best == nil || d.outstanding < best.outstanding) {
+			best = d
+		}
+	}
+	return best
 }
 
 // offerLocked attempts a non-blocking enqueue onto d. The send happens

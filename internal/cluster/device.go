@@ -52,7 +52,6 @@ type device struct {
 	streams   []*simt.Stream
 	slots     [][]service.Slot
 	freeSlots []int
-	hostExec  *service.Scratch // every host unit's execution context
 	backlog   []*Unit
 	stray     *groupState // state for Group -1 units (never read by them)
 	faults    faultCursor
@@ -82,14 +81,13 @@ func newDevice(c *Cluster, id int) *device {
 	reg := c.cfg.Registry
 	memBytes := int(int64(c.cfg.SlotsPerDevice)*reg.DeviceBytes(c.cfg.CohortSize)) + 1<<20 // alignment slack
 	d := &device{
-		cl:       c,
-		id:       id,
-		eng:      eng,
-		dev:      simt.NewDevice(eng, c.cfg.Simt, memBytes, nil),
-		hostExec: service.NewScratch(),
-		stray:    newGroupState(&c.cfg),
-		faults:   faultCursor{faults: c.cfg.Faults.forDevice(id)},
-		ch:       make(chan *Unit, c.cfg.QueueDepth),
+		cl:     c,
+		id:     id,
+		eng:    eng,
+		dev:    simt.NewDevice(eng, c.cfg.Simt, memBytes, nil),
+		stray:  newGroupState(&c.cfg),
+		faults: faultCursor{faults: c.cfg.Faults.forDevice(id)},
+		ch:     make(chan *Unit, c.cfg.QueueDepth),
 	}
 	for i := 0; i < c.cfg.SlotsPerDevice; i++ {
 		d.streams = append(d.streams, d.dev.NewStream())
@@ -100,9 +98,8 @@ func newDevice(c *Cluster, id int) *device {
 }
 
 // run is the worker loop. It is the only goroutine that steps the
-// engine or touches device memory, which is what makes a group's state
-// single-writer while this device owns it. Shape: launch backlog onto
-// free slots; while engine work is pending, prefer draining arrivals
+// engine or touches device memory. Shape: launch backlog onto free
+// slots in FIFO order; while engine work is pending, prefer draining arrivals
 // over stepping (Go select takes a ready case before default, so a
 // prefilled queue is fully absorbed before virtual time advances —
 // the manual-mode determinism contract); once stopped, exit when the
@@ -111,17 +108,10 @@ func (d *device) run() {
 	defer d.cl.wg.Done()
 	stop := d.cl.stopCh
 	for {
-		for len(d.backlog) > 0 && !d.deadFlag {
+		for len(d.backlog) > 0 && len(d.freeSlots) > 0 && !d.deadFlag {
 			u := d.backlog[0]
-			if !u.Host && len(d.freeSlots) == 0 {
-				break // device units need an execution slot; keep FIFO order
-			}
 			d.backlog = d.backlog[1:]
-			if u.Host {
-				d.executeHost(u)
-			} else {
-				d.tryLaunch(u)
-			}
+			d.tryLaunch(u)
 		}
 		if d.deadFlag {
 			d.die(stop)
@@ -259,37 +249,6 @@ func (d *device) die(stop chan struct{}) {
 	}
 }
 
-// executeHost runs a host-fallback unit (Unit.Host) synchronously on
-// this worker goroutine through the workload's scalar path, so the
-// response bytes are identical to host mode's. Running it here (not on
-// the dispatcher) preserves the single-writer contract: the worker that
-// owns the group is still the only code touching its backend stores and
-// session array. Host units consume no execution slot, never advance
-// the fault schedule (host execution doesn't touch the modeled device),
-// and leave the virtual clock alone.
-func (d *device) executeHost(u *Unit) {
-	st := d.stateFor(u.Group)
-	reg := d.cl.cfg.Registry
-	res := &Result{Device: d.id, Host: true, Attempts: 1, Hops: u.hops}
-	res.RenderStart = time.Now()
-	res.Resps = make([][]byte, len(u.Reqs))
-	size := reg.Spec(u.Type).BufferBytes
-	for i := range u.Reqs {
-		if reg.ExecuteScratch(d.hostExec, u.Type, &u.Reqs[i], st.sessions, st.bes) {
-			res.KernelErrs++
-		}
-		res.Resps[i] = d.hostExec.Render(make([]byte, size))
-	}
-	res.RenderDur = time.Since(res.RenderStart)
-	d.cl.statsMu.Lock()
-	d.outstanding--
-	d.unitsDone++
-	d.hostUnits++
-	d.mirrorLocked()
-	d.cl.statsMu.Unlock()
-	u.Done(res)
-}
-
 // stateFor resolves the group state a unit executes against. Group -1
 // units carry no usable affinity, so their kernels fail before touching
 // state; the per-device stray set exists only so the bind has non-nil
@@ -312,7 +271,7 @@ func (d *device) execute(u *Unit, slot int) {
 	reg := d.cl.cfg.Registry
 	sp := reg.Spec(u.Type)
 	widx := reg.WorkloadIndex(u.Type)
-	unit := d.slots[slot][widx].Bind(sp.Local, u.Reqs, st.sessions, st.bes[widx])
+	unit := d.slots[slot][widx].Bind(sp.Local, u.Reqs, st.sessions, st.commits[widx])
 	count := len(u.Reqs)
 	stream := d.streams[slot]
 	launchStart := d.eng.Now()
@@ -332,6 +291,30 @@ func (d *device) execute(u *Unit, slot int) {
 	}
 	nextStage(0)
 }
+
+// lockedBackend is the backend a device cohort binds: one of its group's
+// stores behind the group's mutex. Each Handle — one lane's deferred
+// commit — runs the store call and copies the response into buf under
+// the lock, since the store reuses its response buffer on the next
+// Handle, which a concurrent host unit of the group may make. buf is the
+// lane's to read until the group's next commit, and a group's commits
+// run serially on the worker of the device that owns it.
+type lockedBackend struct {
+	g   *groupState
+	w   int // workload index
+	buf []byte
+}
+
+// Handle implements service.Backend.
+func (l *lockedBackend) Handle(req []byte) []byte {
+	l.g.mu.Lock()
+	l.buf = append(l.buf[:0], l.g.bes[l.w].Handle(req)...)
+	l.g.mu.Unlock()
+	return l.buf
+}
+
+// SetWriteHook implements service.Backend by registering on the store.
+func (l *lockedBackend) SetWriteHook(fn func(uid uint64)) { l.g.bes[l.w].SetWriteHook(fn) }
 
 // writeback transposes the responses to row-major, copies them out of
 // device memory, and completes the unit.

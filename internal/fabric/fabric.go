@@ -442,7 +442,9 @@ func (f *Fabric) leastLoadedLocked() int {
 // false when the unit must shed: every node down, the owner's link
 // budget exhausted, or the owner's queues full. On false the unit was
 // not shipped and Done will not be called. On true Done is called
-// exactly once, from a transport goroutine.
+// exactly once: from a transport goroutine, except that on loopback a
+// host unit's Done runs on the caller's goroutine before Dispatch
+// returns (cluster.Unit.Done).
 func (f *Fabric) Dispatch(u *cluster.Unit) bool {
 	env := &envelope{u: u, done: u.Done}
 	return f.dispatch(env)

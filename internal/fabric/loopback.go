@@ -9,7 +9,9 @@ import (
 
 // loopback is the in-process transport: every node is a cluster.Cluster
 // in this process, and Send is a direct Dispatch with the completion
-// relayed synchronously from the executing device's worker goroutine.
+// relayed synchronously from the executing device's worker goroutine —
+// or, for a host unit, from the sender's own goroutine before Send
+// returns.
 // A single-node loopback fabric is byte- and stats-identical to the
 // bare cluster the cohort server used to construct.
 type loopback struct {
@@ -61,6 +63,7 @@ func (lb *loopback) Send(n int, u *cluster.Unit, ev func(Event)) SendStatus {
 		Group: u.Group,
 		Reqs:  u.Reqs,
 		Host:  u.Host,
+		Out:   u.Out,
 		Done: func(res *cluster.Result) {
 			if res.Err != nil && errors.Is(res.Err, cluster.ErrNoHealthyDevice) {
 				// The node's last device died before this unit launched

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
@@ -25,6 +26,7 @@ type wireSamples struct {
 	largest    []byte          // a 64 KB banking page (logout)
 	errorRes   *cluster.Result // the §4.4 error page of a login whose password is too long
 	cohort     *cluster.Result // three ecom product pages
+	snapshot   []byte          // the node's cluster snapshot, as a stats reply carries it
 }
 
 var (
@@ -105,6 +107,12 @@ func loadWireSamples(t testing.TB) *wireSamples {
 		run(unit(rawGet("/t/subscribe?dev=11&sub=1", "")))
 		run(unit(rawPost("/t/ingest", "dev=11&f=00a0")))
 		run(unit(rawGet("/t/poll?dev=11&sub=1", "")))
+		snap, _ := f.tr.NodeSnapshot(0)
+		body, err := json.Marshal(snap)
+		if err != nil {
+			panic(err)
+		}
+		samples.snapshot = body
 		samples.reg = reg
 	})
 	if samples.reg == nil {
@@ -354,6 +362,81 @@ func FuzzDecodeResult(f *testing.F) {
 			return
 		}
 		if got := resultPayload(id, res); !bytes.Equal(got, p) {
+			t.Fatalf("re-encoding differs from the %d bytes decoded", len(p))
+		}
+	})
+}
+
+// The three small decoders — the handshake, nacks and stats — share one
+// fuzz contract with the big two: decoding peer bytes never panics,
+// allocates at most smallAllocFactor bytes per input byte (plus
+// wireAllocSlack), and whatever decodes re-encodes to the same bytes.
+const smallAllocFactor = 16
+
+// checkSmallDecode runs decode on p under the allocation bound and
+// returns its error.
+func checkSmallDecode(t *testing.T, p []byte, decode func() error) error {
+	t.Helper()
+	var err error
+	if grew := allocBytes(func() { err = decode() }); grew > uint64(smallAllocFactor*len(p)+wireAllocSlack) {
+		t.Fatalf("decoding %d bytes allocated %d", len(p), grew)
+	}
+	return err
+}
+
+// FuzzDecodeHello: the worker's handshake, seeded with the hellos a
+// worker of every registered workload speaks.
+func FuzzDecodeHello(f *testing.F) {
+	reg := loadWireSamples(f).reg
+	h := hello{Version: wireVersion, Devices: 1, Groups: 1, NumTypes: reg.NumTypes()}
+	for _, w := range reg.Workloads() {
+		h.Workloads = append(h.Workloads, w.Name())
+		f.Add(appendHelloFrame(nil, h)[frameHeaderBytes:])
+	}
+	h.Devices, h.Groups = 4, 16
+	f.Add(appendHelloFrame(nil, h)[frameHeaderBytes:])
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var h hello
+		if checkSmallDecode(t, p, func() (err error) { h, err = decodeHello(p); return err }) != nil {
+			return
+		}
+		if got := appendHelloFrame(nil, h)[frameHeaderBytes:]; !bytes.Equal(got, p) {
+			t.Fatalf("re-encoding differs from the %d bytes decoded", len(p))
+		}
+	})
+}
+
+// FuzzDecodeNack: a worker's refusal of a unit, seeded with every reason.
+func FuzzDecodeNack(f *testing.F) {
+	for _, reason := range []byte{nackQuiesce, nackNoDevice, nackBusy} {
+		f.Add(appendNackFrame(nil, nackMsg{ID: 41 + uint64(reason), Reason: reason})[frameHeaderBytes:])
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var m nackMsg
+		if checkSmallDecode(t, p, func() (err error) { m, err = decodeNack(p); return err }) != nil {
+			return
+		}
+		if got := appendNackFrame(nil, m)[frameHeaderBytes:]; !bytes.Equal(got, p) {
+			t.Fatalf("re-encoding differs from the %d bytes decoded", len(p))
+		}
+	})
+}
+
+// FuzzDecodeStats: a stats request (reply false) and a stats reply
+// carrying a real node snapshot, each decoded as its own kind.
+func FuzzDecodeStats(f *testing.F) {
+	f.Add(appendStatsFrame(nil, frameStatsReq, 7, nil)[frameHeaderBytes:], false)
+	f.Add(appendStatsFrame(nil, frameStats, 7, loadWireSamples(f).snapshot)[frameHeaderBytes:], true)
+	f.Fuzz(func(t *testing.T, p []byte, reply bool) {
+		var m statsMsg
+		if checkSmallDecode(t, p, func() (err error) { m, err = decodeStats(p, reply); return err }) != nil {
+			return
+		}
+		kind := byte(frameStatsReq)
+		if reply {
+			kind = frameStats
+		}
+		if got := appendStatsFrame(nil, kind, m.ReqID, m.JSON)[frameHeaderBytes:]; !bytes.Equal(got, p) {
 			t.Fatalf("re-encoding differs from the %d bytes decoded", len(p))
 		}
 	})

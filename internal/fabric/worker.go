@@ -271,7 +271,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 // handleDispatch admits one shipped cohort into the node's cluster.
 // Launched units complete and ship their result; refused units nack
 // with a reason that tells the frontend whether a retry elsewhere is
-// safe. Reports false on a malformed frame (connection dies).
+// safe. A host unit executes inside Dispatch, on this connection's
+// reader, and its result is queued before the next frame is read.
+// Reports false on a malformed frame (connection dies).
 func (w *Worker) handleDispatch(p *workerPeer, payload []byte) bool {
 	m, err := decodeDispatch(payload)
 	if err != nil {
