@@ -115,6 +115,7 @@ type CohortServerStats struct {
 	CacheMisses        uint64 `json:"cache_misses"`
 	CacheInvalidations uint64 `json:"cache_invalidations"`
 	CacheEntries       uint64 `json:"cache_entries"`
+	CacheBytes         uint64 `json:"cache_bytes"` // live bytes the entries hold
 
 	// Flight-recorder counters (DESIGN.md §15).
 	FlightRequests  uint64 `json:"flight_requests"`
@@ -228,6 +229,7 @@ func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 		CacheMisses:        cs.Misses,
 		CacheInvalidations: cs.Invalidations,
 		CacheEntries:       cs.Entries,
+		CacheBytes:         cs.Bytes,
 		FlightRequests:     s.flight.Total(),
 		FlightAnomalies:    s.flight.Promoted(),
 		Types:              make(map[string]CohortTypeStats),

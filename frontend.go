@@ -269,12 +269,14 @@ type connArena struct {
 
 	// The request in flight: its type and arrival time, the flight record
 	// to Finish after the write (nil = not a workload request; &frec
-	// unless dispatch handed back its own), and the lifecycle spans to
-	// commit with it (nil = untraced).
+	// unless dispatch handed back its own), the lifecycle spans to
+	// commit with it (nil = untraced), and the trailing spaces the write
+	// appends to a render-cache hit (whose entry holds live bytes only).
 	t     service.TypeID
 	start time.Time
 	done  *flight.Record
 	spans []obs.Span
+	pad   int
 }
 
 // newConnArena builds an arena; maxOut > 0 adds the host execution
@@ -340,6 +342,7 @@ func (f *frontend) handle(conn net.Conn) {
 		wstart := time.Now()
 		if a.done != nil {
 			a.wbuf = spliceTraceHeader(a.wbuf, resp, a.done.TraceID)
+			a.wbuf = httpx.AppendSpaces(a.wbuf, a.pad)
 			resp = a.wbuf
 		}
 		_, werr := conn.Write(resp)
@@ -367,7 +370,7 @@ func (f *frontend) handle(conn net.Conn) {
 func (f *frontend) respond(a *connArena, raw []byte) []byte {
 	f.served.Add(1)
 	a.start = time.Now()
-	a.done, a.spans = nil, nil
+	a.done, a.spans, a.pad = nil, nil, 0
 	req := &a.req
 	if err := httpx.ParseInto(raw, req); err != nil {
 		f.parseErrors.Add(1)
@@ -421,6 +424,9 @@ func (f *frontend) respond(a *connArena, raw []byte) []byte {
 					cacheable, csid, cuid = true, sid, uid
 					cver = f.cache.Version(cuid)
 					if resp, hit := f.cache.Get(t, csid, cuid, cver, req); hit {
+						// The entry is the page less its pad; the write
+						// restores the pad to the type's buffer size.
+						a.pad = f.reg.Spec(t).BufferBytes - len(resp)
 						f.latHist[t].ObserveEx(float64(time.Since(a.start)), a.frec.TraceID)
 						return resp
 					}
@@ -430,7 +436,9 @@ func (f *frontend) respond(a *connArena, raw []byte) []byte {
 	}
 
 	resp := f.mode.dispatch(a)
-	if cacheable && a.done.Status == flight.StatusOK {
+	// Only a page of exactly the type's buffer size is inserted, so the
+	// pad a hit restores is always the one that was cut.
+	if cacheable && a.done.Status == flight.StatusOK && len(resp) == f.reg.Spec(t).BufferBytes {
 		f.cache.Put(t, csid, cuid, cver, req, resp)
 	}
 	return resp

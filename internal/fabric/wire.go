@@ -287,34 +287,15 @@ func (r *wireReader) str() string {
 // A response is padded with spaces to its type's buffer (PadTo keeps the
 // device's per-lane stores aligned). The wire does not need the padding:
 // a response crosses as its padded length, its live length and the live
-// bytes — the response less its trailing run of spaces — and the
-// receiver refills the run. The encoding is lossless for any bytes.
-
-// spaceBank is what the trailing run is compared against and refilled
-// from, a bank at a time.
-var spaceBank = bytes.Repeat([]byte{' '}, 4096)
+// bytes — the response less its trailing run of spaces, httpx.LiveLen —
+// and the receiver refills the run with httpx.AppendSpaces. The encoding
+// is lossless for any bytes.
 
 // minRespBytes is the smallest encoded response: the two lengths.
 const minRespBytes = 8
 
-// liveLen reports len(p) less its trailing run of spaces. The run is
-// found in chunks of 4096, 512, 64 and 8 bytes compared against
-// spaceBank, then at most 7 single bytes — not a byte at a time.
-func liveLen(p []byte) int {
-	n := len(p)
-	for k := len(spaceBank); k >= 8; k /= 8 {
-		for n >= k && bytes.Equal(p[n-k:n], spaceBank[:k]) {
-			n -= k
-		}
-	}
-	for n > 0 && p[n-1] == ' ' {
-		n--
-	}
-	return n
-}
-
 func appendResp(b, p []byte) []byte {
-	live := liveLen(p)
+	live := httpx.LiveLen(p)
 	b = appendU32(b, uint32(len(p)))
 	b = appendU32(b, uint32(live))
 	return append(b, p[:live]...)
@@ -337,12 +318,7 @@ func (r *wireReader) resp(maxLen int) []byte {
 		r.fail("response live bytes end in a space")
 		return nil
 	}
-	out := make([]byte, padded)
-	copy(out, b)
-	for i := live; i < padded; {
-		i += copy(out[i:], spaceBank)
-	}
-	return out
+	return httpx.AppendSpaces(append(make([]byte, 0, padded), b...), padded-live)
 }
 
 // --- hello ---

@@ -163,8 +163,8 @@ func TestResultFrameRoundTrip(t *testing.T) {
 		{"the error page", s.errorRes.Resps[0]},
 	}
 	for _, c := range cases {
-		if got, want := liveLen(c.resp), len(bytes.TrimRight(c.resp, " ")); got != want {
-			t.Errorf("%s: liveLen %d, want %d", c.name, got, want)
+		if got, want := httpx.LiveLen(c.resp), len(bytes.TrimRight(c.resp, " ")); got != want {
+			t.Errorf("%s: httpx.LiveLen %d, want %d", c.name, got, want)
 		}
 		res := &cluster.Result{Resps: [][]byte{c.resp, c.resp}, Device: 3, Attempts: 1}
 		p := resultPayload(9, res)

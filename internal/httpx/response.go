@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // ContentLengthPad is the number of whitespace characters reserved for the
@@ -107,12 +106,42 @@ func (w *ResponseWriter) PadTo(target int) {
 		panic(fmt.Sprintf("httpx: PadTo(%d) but already at %d", target, w.n))
 	}
 	for w.n < target {
-		w.n += copy(w.buf[w.n:target], spaces)
+		w.n += copy(w.buf[w.n:target], spaceBank)
 	}
 }
 
-// spaces is what PadTo copies from, a bank at a time.
-var spaces = strings.Repeat(" ", 4096)
+// spaceBank is the one run of spaces padding is written from and
+// compared against, a bank at a time: PadTo copies from it, LiveLen
+// compares against it and AppendSpaces appends from it.
+var spaceBank = bytes.Repeat([]byte{' '}, 4096)
+
+// LiveLen reports len(p) less its trailing run of spaces: the live bytes
+// of a padded page. The run is found in chunks of 4096, 512, 64 and 8
+// bytes compared against the bank, then at most 7 single bytes — not a
+// byte at a time.
+func LiveLen(p []byte) int {
+	n := len(p)
+	for k := len(spaceBank); k >= 8; k /= 8 {
+		for n >= k && bytes.Equal(p[n-k:n], spaceBank[:k]) {
+			n -= k
+		}
+	}
+	for n > 0 && p[n-1] == ' ' {
+		n--
+	}
+	return n
+}
+
+// AppendSpaces appends n spaces to b, a bank at a time: the inverse of
+// cutting a padded page to its LiveLen.
+func AppendSpaces(b []byte, n int) []byte {
+	for n > 0 {
+		k := min(n, len(spaceBank))
+		b = append(b, spaceBank[:k]...)
+		n -= k
+	}
+	return b
+}
 
 // Len reports the bytes written so far.
 func (w *ResponseWriter) Len() int { return w.n }

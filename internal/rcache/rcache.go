@@ -1,10 +1,16 @@
 // Package rcache is the whole-page render cache of ROADMAP item 4: it
-// stores finished response buffers keyed by (workload-qualified request
-// type, session, user, request bytes) and a per-user session-state
-// version, so a repeated read-only request is answered from memory —
-// bypassing cohort formation and kernel launch entirely — while staying
+// stores finished responses keyed by (workload-qualified request type,
+// session, user, request bytes) and a per-user session-state version, so
+// a repeated read-only request is answered from memory — bypassing
+// cohort formation and kernel launch entirely — while staying
 // byte-identical to a fresh render. Which types are eligible is
 // declared by the workload registry (service.Spec.Cacheable), not here.
+//
+// An entry holds a page's live bytes: the page less its trailing run of
+// spaces (httpx.LiveLen), the §4.3.2 padding that only keeps the
+// device's per-lane stores aligned. The cache does not know the pad;
+// whoever serves a hit restores it (httpx.AppendSpaces) from what it
+// knows of the type.
 //
 // # Consistency protocol
 //
@@ -58,7 +64,7 @@ type entry struct {
 	method httpx.Method
 	path   string
 	params []httpx.Param
-	resp   []byte
+	resp   []byte // live bytes: the page less its trailing spaces
 }
 
 type cacheShard struct {
@@ -83,6 +89,7 @@ type Cache struct {
 	inserts       atomic.Uint64
 	invalidations atomic.Uint64
 	evictions     atomic.Uint64
+	bytes         atomic.Int64 // live bytes held by the entries
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -93,6 +100,7 @@ type Stats struct {
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
 	Entries       uint64 `json:"entries"`
+	Bytes         uint64 `json:"bytes"` // live bytes held by the entries
 }
 
 // New returns a cache bounded to roughly maxEntries pages.
@@ -169,8 +177,9 @@ func sameReq(e *entry, req *httpx.Request) bool {
 }
 
 // Get returns the cached page for (t, sid, uid, req) rendered at state
-// version ver, or nil. The returned slice is shared and must be
-// treated as read-only. Get never allocates on a hit.
+// version ver, or nil. The returned slice is the page less its trailing
+// run of spaces; it is shared and must be treated as read-only. Get
+// never allocates on a hit.
 func (c *Cache) Get(t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request) ([]byte, bool) {
 	k := Key{T: t, SID: sid, UID: uid, H: hashReq(req)}
 	sh := &c.shards[(k.H^uid)%shards]
@@ -191,6 +200,7 @@ func (c *Cache) Get(t service.TypeID, sid session.ID, uid, ver uint64, req *http
 		if e2 := sh.m[k]; e2 != nil && e2.ver < ver {
 			delete(sh.m, k)
 			c.evictions.Add(1)
+			c.bytes.Add(-int64(len(e2.resp)))
 		}
 		sh.mu.Unlock()
 	}
@@ -199,9 +209,9 @@ func (c *Cache) Get(t service.TypeID, sid session.ID, uid, ver uint64, req *http
 }
 
 // Put stores a rendered page for (t, sid, uid, req) at state version
-// ver, copying both the request parameters and the response bytes so
-// the entry is immune to arena reuse. ver must be the version captured
-// before the request executed.
+// ver, copying both the request parameters and the page's live bytes
+// (its trailing run of spaces dropped) so the entry is immune to arena
+// reuse. ver must be the version captured before the request executed.
 func (c *Cache) Put(t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request, resp []byte) {
 	k := Key{T: t, SID: sid, UID: uid, H: hashReq(req)}
 	e := &entry{
@@ -209,19 +219,25 @@ func (c *Cache) Put(t service.TypeID, sid session.ID, uid, ver uint64, req *http
 		method: req.Method,
 		path:   req.Path,
 		params: append([]httpx.Param(nil), req.Params...),
-		resp:   append([]byte(nil), resp...),
+		resp:   append([]byte(nil), resp[:httpx.LiveLen(resp)]...),
 	}
+	held := int64(len(e.resp))
 	sh := &c.shards[(k.H^uid)%shards]
 	sh.mu.Lock()
-	if _, exists := sh.m[k]; !exists && len(sh.m) >= c.perShard {
+	if old, exists := sh.m[k]; exists {
+		held -= int64(len(old.resp))
+	} else if len(sh.m) >= c.perShard {
 		// Evict one arbitrary entry to stay within budget.
-		for victim := range sh.m {
+		for victim, ve := range sh.m {
 			delete(sh.m, victim)
 			c.evictions.Add(1)
+			held -= int64(len(ve.resp))
 			break
 		}
 	}
 	sh.m[k] = e
+	// Under the shard lock, so a delete of e never lands before its add.
+	c.bytes.Add(held)
 	sh.mu.Unlock()
 	c.inserts.Add(1)
 }
@@ -234,6 +250,7 @@ func (c *Cache) Stats() Stats {
 		Inserts:       c.inserts.Load(),
 		Invalidations: c.invalidations.Load(),
 		Evictions:     c.evictions.Load(),
+		Bytes:         uint64(c.bytes.Load()),
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]

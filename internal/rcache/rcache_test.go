@@ -1,7 +1,9 @@
 package rcache
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -196,5 +198,78 @@ func TestGetHitAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Get allocates %.1f objects per hit, want 0", allocs)
+	}
+}
+
+// TestEntryHoldsLiveBytes: an entry is the page less its trailing run of
+// spaces, whatever the run's length or what precedes it, and appending
+// the cut spaces back gives the page. The entry is a copy: reusing the
+// inserted slice's backing array does not reach it. Bytes counts the
+// live bytes held.
+func TestEntryHoldsLiveBytes(t *testing.T) {
+	pad := func(s string, n int) []byte { return append([]byte(s), bytes.Repeat([]byte{' '}, n)...) }
+	pages := map[string][]byte{
+		"no trailing spaces": pad("<p>done</p>", 0),
+		"1 trailing":         pad("<p>done</p>", 1),
+		"7 trailing":         pad("<p>done</p>", 7),
+		"8 trailing":         pad("<p>done</p>", 8),
+		"4095 trailing":      pad("<p>done</p>", 4095),
+		"4096 trailing":      pad("<p>done</p>", 4096),
+		"4097 trailing":      pad("<p>done</p>", 4097),
+		"content ending in spaces before the pad": pad("<p>total:   ", 1024),
+		"only spaces":  pad("", 4096+64),
+		"interior run": pad("a"+strings.Repeat(" ", 600)+"b", 9),
+	}
+	c := New(1024)
+	var held uint64
+	uid := uint64(0)
+	for name, p := range pages {
+		uid++
+		req := testReq("/" + name)
+		ver := c.Version(uid)
+		c.Put(tProfile, session.ID(uid), uid, ver, req, p)
+		page := bytes.Clone(p)
+		want := bytes.TrimRight(page, " ")
+		held += uint64(len(want))
+		for i := range p {
+			p[i] = 'X' // the arena reuses the page's buffer
+		}
+		live, hit := c.Get(tProfile, session.ID(uid), uid, ver, req)
+		if !hit || !bytes.Equal(live, want) {
+			t.Errorf("%s: Get = %d bytes (hit %v), want the %d live bytes", name, len(live), hit, len(want))
+			continue
+		}
+		if !bytes.Equal(httpx.AppendSpaces(bytes.Clone(live), len(page)-len(live)), page) {
+			t.Errorf("%s: live bytes plus the cut spaces differ from the page", name)
+		}
+	}
+	if got := c.Stats().Bytes; got != held {
+		t.Fatalf("Bytes = %d, want %d", got, held)
+	}
+}
+
+// TestBytesFollowsEntries: the live-byte count tracks replacement,
+// capacity eviction and stale deletion, and falls to zero with the
+// entries.
+func TestBytesFollowsEntries(t *testing.T) {
+	c := New(64) // one entry per shard
+	req := testReq("/profile.php")
+	c.Put(tProfile, 1, 1, 0, req, []byte("abc   "))
+	c.Put(tProfile, 1, 1, 0, req, []byte("abcdef  "))
+	if got := c.Stats().Bytes; got != 6 {
+		t.Fatalf("after replace Bytes = %d, want 6", got)
+	}
+	c.Invalidate(1)
+	if _, hit := c.Get(tProfile, 1, 1, c.Version(1), req); hit {
+		t.Fatal("stale entry hit")
+	}
+	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("after stale delete Bytes = %d, Entries = %d; want 0, 0", st.Bytes, st.Entries)
+	}
+	for i := 0; i < 10_000; i++ {
+		c.Put(tProfile, session.ID(i), uint64(i), 0, testReq(fmt.Sprintf("/p%d.php", i)), []byte("xy "))
+	}
+	if st := c.Stats(); st.Bytes != 2*st.Entries {
+		t.Fatalf("after eviction Bytes = %d for %d two-byte entries", st.Bytes, st.Entries)
 	}
 }

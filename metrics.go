@@ -28,8 +28,10 @@ import (
 // Version 7: cohort-mode types[*].requests counts both routes
 // (host_requests is the host-routed part), the adapt section is always
 // present and gains pinned, crossover_req_s and the route-flip counts.
+// Version 8: both stats documents gain cache_bytes, the live bytes the
+// render-cache entries hold.
 // Any change of shape or meaning, additive included, bumps it.
-const StatsSchemaVersion = 7
+const StatsSchemaVersion = 8
 
 // DefaultRegistry builds the process-default workload registry: banking,
 // then e-commerce, then streaming telemetry. Servers built without an
@@ -513,4 +515,6 @@ func writeRenderCacheFamilies(w *obs.PromWriter, cs rcache.Stats) {
 	w.Value("rhythm_render_cache_evictions_total", "", float64(cs.Evictions))
 	w.Family("rhythm_render_cache_entries", "gauge", "Live render-cache entries.")
 	w.Value("rhythm_render_cache_entries", "", float64(cs.Entries))
+	w.Family("rhythm_render_cache_bytes", "gauge", "Live bytes the render-cache entries hold (each page less its trailing pad).")
+	w.Value("rhythm_render_cache_bytes", "", float64(cs.Bytes))
 }

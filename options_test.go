@@ -62,7 +62,7 @@ func checkRetiredPaths(t *testing.T, srv Server) {
 	if got := flightTotal(snap); got != flightBefore {
 		t.Fatalf("retired paths entered the flight recorder as workload requests (%d -> %d)", flightBefore, got)
 	}
-	if body := string(get(t, srv, StatsPathV1+"?schema=4")); !strings.Contains(body, `"schema_version": 7`) {
+	if body := string(get(t, srv, StatsPathV1+"?schema=4")); !strings.Contains(body, `"schema_version": 8`) {
 		t.Fatalf("?schema=4 still re-renders the stats document:\n%.300s", body)
 	}
 }
@@ -84,8 +84,8 @@ func TestNewHostServer(t *testing.T) {
 		t.Fatalf("host snapshot wrong: %+v", snap)
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 7`) {
-		t.Fatalf("%s missing schema_version 7:\n%s", StatsPathV1, body)
+	if !strings.Contains(body, `"schema_version": 8`) {
+		t.Fatalf("%s missing schema_version 8:\n%s", StatsPathV1, body)
 	}
 	if !strings.Contains(body, `"mode": "host"`) {
 		t.Fatalf("%s missing host mode:\n%s", StatsPathV1, body)
@@ -160,7 +160,7 @@ func TestNewCohortServer(t *testing.T) {
 		t.Fatal("WithSLO did not enable the adaptive controller")
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 7`) || !strings.Contains(body, `"mode": "cohort"`) {
+	if !strings.Contains(body, `"schema_version": 8`) || !strings.Contains(body, `"mode": "cohort"`) {
 		t.Fatalf("%s wrong stats document:\n%.300s", StatsPathV1, body)
 	}
 	if !strings.Contains(body, `"adapt"`) {

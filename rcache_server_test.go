@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rhythm/internal/cluster"
+	"rhythm/internal/httpx"
 )
 
 // cacheDiffServer is the slice of TCPServer/CohortServer the render-cache
@@ -149,6 +150,42 @@ func TestHostRenderCacheDifferential(t *testing.T) {
 	}
 	if st.CacheInvalidations == 0 {
 		t.Fatal("backend writes did not invalidate the cache")
+	}
+}
+
+// TestHostRenderCacheDifferentialEcom: ecom's four cacheable types (8 KB
+// and 16 KB buffer classes; banking's are 32 KB and 64 KB) served from
+// the cache are byte-identical to a cache-disabled host — the hit's pad
+// restored to each type's buffer — before and after a cart_add
+// invalidates the user's pages.
+func TestHostRenderCacheDifferentialEcom(t *testing.T) {
+	cached := NewTCPServer(4096)
+	cached.EnableRenderCache(4096)
+	if err := cached.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	go cached.Serve()
+	ls := newLockstep(t, cached)
+
+	cookie := cookieFrom(t, ls.exchange("cart_add", rawPost("/cart.php", "", "uid=9601&id=4242&qty=2")), "EC_ID")
+	pages := []string{"/index.php", "/browse.php?cat=books", "/search.php?q=lamp", "/product.php?id=4242"}
+	for round := 1; round <= 2; round++ {
+		for _, uri := range pages {
+			ls.exchange(fmt.Sprintf("%s round %d", uri, round), rawGet(uri, cookie))
+		}
+	}
+	hits := cached.hostStats().CacheHits
+	ls.exchange("cart_add again", rawPost("/cart.php", cookie, "uid=9601&id=137&qty=1"))
+	for _, uri := range pages {
+		ls.exchange(uri+" after cart_add", rawGet(uri, cookie))
+	}
+
+	if hits < uint64(len(pages)) {
+		t.Fatalf("cache_hits = %d after the repeated round, want >= %d", hits, len(pages))
+	}
+	if cached.hostStats().CacheInvalidations == 0 {
+		t.Fatal("cart_add did not invalidate the cache")
 	}
 }
 
@@ -301,7 +338,10 @@ func TestRenderCacheStatsEndpoints(t *testing.T) {
 		"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))
 	cookie := setCookieValue(string(resp))
 	req := []byte("GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: " + cookie + "\r\n\r\n")
-	s.respond(a, req)
+	live := httpx.LiveLen(s.respond(a, req)) // the one page the cache holds
+	if buf := s.reg.Spec(a.t).BufferBytes; live >= buf {
+		t.Fatalf("account_summary's %d live bytes fill its %d-byte buffer; want a pad to trim", live, buf)
+	}
 	s.respond(a, req)
 
 	stats := s.respond(a, []byte("GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n"))
@@ -314,5 +354,12 @@ func TestRenderCacheStatsEndpoints(t *testing.T) {
 	}
 	if !bytes.Contains(metrics, []byte("rhythm_render_cache_entries")) {
 		t.Fatalf("/metrics missing rhythm_render_cache_entries gauge")
+	}
+	// The cache holds the page's live bytes, not its padded buffer.
+	if want := fmt.Sprintf(`"cache_bytes": %d`, live); !bytes.Contains(stats, []byte(want)) {
+		t.Fatalf("/v1/stats missing %s: %.600q", want, stats)
+	}
+	if want := fmt.Sprintf("rhythm_render_cache_bytes %d\n", live); !bytes.Contains(metrics, []byte(want)) {
+		t.Fatalf("/metrics missing %q", want)
 	}
 }

@@ -150,6 +150,7 @@ func (s *TCPServer) hostStats() HostStats {
 		CacheMisses:        cs.Misses,
 		CacheInvalidations: cs.Invalidations,
 		CacheEntries:       cs.Entries,
+		CacheBytes:         cs.Bytes,
 		FlightRequests:     s.flight.Total(),
 		FlightAnomalies:    s.flight.Promoted(),
 	}
@@ -183,6 +184,7 @@ type HostStats struct {
 	CacheMisses        uint64 `json:"cache_misses"`
 	CacheInvalidations uint64 `json:"cache_invalidations"`
 	CacheEntries       uint64 `json:"cache_entries"`
+	CacheBytes         uint64 `json:"cache_bytes"` // live bytes the entries hold
 	// Flight-recorder counters (DESIGN.md §15).
 	FlightRequests  uint64 `json:"flight_requests"`
 	FlightAnomalies uint64 `json:"flight_anomalies"`

@@ -33,15 +33,16 @@ type lockstep struct {
 
 // newLockstep boots a fresh host reference server (session geometry
 // 4096, matching the cohort options the workload tests use) and dials
-// both servers.
-func newLockstep(t *testing.T, dev *CohortServer) *lockstep {
+// both servers. dev is the server under test: a cohort server, or a
+// host server with the render cache on.
+func newLockstep(t *testing.T, dev interface{ Addr() net.Addr }) *lockstep {
 	t.Helper()
 	return newLockstepSessions(t, dev, 4096)
 }
 
 // newLockstepSessions is newLockstep against a cohort server sized for
 // maxSessions sessions: session ids only match at equal geometry.
-func newLockstepSessions(t *testing.T, dev *CohortServer, maxSessions int) *lockstep {
+func newLockstepSessions(t *testing.T, dev interface{ Addr() net.Addr }, maxSessions int) *lockstep {
 	t.Helper()
 	host := NewTCPServer(maxSessions)
 	if err := host.Listen("127.0.0.1:0"); err != nil {
