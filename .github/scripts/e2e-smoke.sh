@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end smoke test: boot rhythmd in host mode and in cohort mode,
-# drive the same login -> account_summary -> logout flow through both
-# over real HTTP, and diff the response bodies. The cohort path renders
+# End-to-end smoke test: boot rhythmd pinned to the host route and in
+# cohort mode, drive the same login -> account_summary -> logout flow
+# through both over real HTTP, and diff the response bodies. The cohort path renders
 # pages through SIMT stage kernels on the modeled device, so any
 # divergence from the host path is a correctness bug, not formatting
 # noise. Runs under CI but works locally too: .github/scripts/e2e-smoke.sh
@@ -304,6 +304,21 @@ echo "$STATS" | grep -q '"cohorts_formed": 0' && {
     exit 1
 }
 
+# The host leg is the same server pinned to the host route: every page
+# answered there, nothing formed, whatever the traffic.
+HSTATS=$(curl -sf "http://$HOST_ADDR/v1/stats")
+for needle in '"mode": "host"' '"host_fallbacks": [1-9]' '"cohorts_formed": 0,' '"host_pinned": true'; do
+    echo "$HSTATS" | grep -q "$needle" || {
+        echo "e2e-smoke: host-leg /v1/stats missing $needle: $HSTATS" >&2
+        exit 1
+    }
+done
+grep -q 'formation=pinned (host route)' "$WORK/host.log" || {
+    echo "e2e-smoke: host leg did not announce the host pin:" >&2
+    cat "$WORK/host.log" >&2
+    exit 1
+}
+
 # The default leg must have answered every page on the host route and
 # formed nothing, under an adaptive (not pinned) controller.
 DSTATS=$(curl -sf "http://$DEFAULT_ADDR/v1/stats")
@@ -341,7 +356,7 @@ echo "$CSTATS" | grep -Eq '"failovers": [1-9]' || {
 # the document lists the registered workloads and qualifies every type
 # label ("ecom/browse", "banking/login").
 MIXSTATS=$(curl -sf "http://$MIX_ADDR/v1/stats")
-for needle in '"schema_version": 8' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
+for needle in '"schema_version": 9' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
     '"ecom/cart_add"' '"telemetry/poll"' '"banking/login"'; do
     echo "$MIXSTATS" | grep -q "$needle" || {
         echo "e2e-smoke: mixed-workload /v1/stats missing $needle" >&2
@@ -518,8 +533,8 @@ fetch() {
     return 1
 }
 ASTATS=$(fetch "http://$ADAPT_ADDR/v1/stats")
-echo "$ASTATS" | grep -q '"schema_version": 8' || {
-    echo "e2e-smoke: /v1/stats missing schema_version 8: $ASTATS" >&2
+echo "$ASTATS" | grep -q '"schema_version": 9' || {
+    echo "e2e-smoke: /v1/stats missing schema_version 9: $ASTATS" >&2
     exit 1
 }
 echo "$ASTATS" | grep -q '"adapt"' || {
@@ -569,7 +584,7 @@ done
 # the launch context the ISSUE promises for tail debugging — including
 # at least one record whose attempt trail shows the injected failover.
 FHEALTH=$(fetch "http://$FLIGHT_ADDR/v1/health")
-for needle in '"schema_version": 8' '"state"' '"fast_burn"' '"slow_burn"' \
+for needle in '"schema_version": 9' '"state"' '"fast_burn"' '"slow_burn"' \
     '"flight_anomalies"' '"exemplars"'; do
     echo "$FHEALTH" | grep -q "$needle" || {
         echo "e2e-smoke: /v1/health missing $needle: $FHEALTH" >&2

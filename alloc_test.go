@@ -1,6 +1,7 @@
 package rhythm
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -83,14 +84,17 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
-// measureAllocs builds a cache-enabled host server and measures each
-// hot-path segment in isolation. Everything runs in-process against the
-// same respond path the TCP handler uses, so the numbers track the real
-// serving loop, not a synthetic copy.
+// measureAllocs builds a cache-enabled server pinned to the host route
+// and measures each hot-path segment in isolation. Everything runs
+// in-process against the same respond path the TCP handler uses, so the
+// numbers track the real serving loop, not a synthetic copy.
 func measureAllocs(t *testing.T) map[string]float64 {
 	t.Helper()
-	s := NewTCPServer(4096)
-	s.EnableRenderCache(1 << 12)
+	s, err := newCohortServer(cohortOptions{MaxSessions: 4096, RenderCache: 1 << 12, CrossoverRate: math.Inf(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
 	uid, pw := s.Seed(7001)
 	a := newConnArena(s.reg.MaxBufferBytes())
 
@@ -124,11 +128,12 @@ func measureAllocs(t *testing.T) map[string]float64 {
 		t.Fatal(err)
 	}
 	t0, ok := s.reg.Classify(&a.req)
-	if !ok || s.reg.ExecuteScratch(a.scratch, t0, &a.req, s.sessions, s.bes) {
+	sc := service.NewScratch()
+	if !ok || s.reg.ExecuteScratch(sc, t0, &a.req, s.fab.GroupSessions(s.fab.GroupFor(&a.req, t0)), s.reg.NewBackends()) {
 		t.Fatal("execute failed")
 	}
 	m["render"] = testing.AllocsPerRun(500, func() {
-		a.scratch.Render(a.out)
+		sc.Render(a.out)
 	})
 
 	// cache_hit: the full respond path when the page is cached — the

@@ -51,63 +51,22 @@ func faultTargetDevice(uid uint64, devices int) int {
 }
 
 // driveDifferential runs the same login → account_summary → profile →
-// logout sequence for several users through a host-path server and a
+// logout sequence for several users through the scalar reference and a
 // multi-device cohort server in lock step, asserting every response is
 // byte-identical. Serial lock-step keeps DB/session mutation order the
 // same on both sides, which is what makes byte equality a meaningful
 // idempotency check across failovers.
-func driveDifferential(t *testing.T, dev *CohortServer, uids []uint64) {
+func driveDifferential(t *testing.T, dev *cohortServer, uids []uint64) {
 	t.Helper()
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
-
-	hostConn := dialT(t, host.Addr())
-	devConn := dialT(t, dev.Addr())
-	hostR := bufio.NewReader(hostConn)
-	devR := bufio.NewReader(devConn)
-
-	exchange := func(label, raw string) []byte {
-		t.Helper()
-		if _, err := io.WriteString(hostConn, raw); err != nil {
-			t.Fatal(err)
-		}
-		want := readRawResponse(t, hostR)
-		if _, err := io.WriteString(devConn, raw); err != nil {
-			t.Fatal(err)
-		}
-		got := readRawResponse(t, devR)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: cluster response differs from host\nhost %d bytes: %.300q\ncluster %d bytes: %.300q",
-				label, len(want), want, len(got), got)
-		}
-		return got
-	}
-
+	ls := newLockstep(t, dev)
 	for _, uid := range uids {
-		_, pw := host.Seed(uid)
-		dev.Seed(uid)
-		body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
-		login := exchange(fmt.Sprintf("login uid=%d", uid), fmt.Sprintf(
-			"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
-		var cookie string
-		for _, line := range strings.Split(string(login), "\r\n") {
-			if v, ok := strings.CutPrefix(line, "Set-Cookie: "); ok {
-				cookie = v
-			}
+		_, pw := ls.host.Seed(uid)
+		login := ls.exchange(fmt.Sprintf("login uid=%d", uid),
+			rawPost("/login.php", "", fmt.Sprintf("userid=%d&passwd=%s", uid, pw)))
+		cookie := cookieFrom(t, login, "MY_ID")
+		for _, page := range []string{"account_summary", "profile", "logout"} {
+			ls.exchange(fmt.Sprintf("%s uid=%d", page, uid), rawGet("/"+page+".php", cookie))
 		}
-		if !strings.HasPrefix(cookie, "MY_ID=") {
-			t.Fatalf("uid %d: no session cookie in login response", uid)
-		}
-		get := func(uri string) string {
-			return fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\nCookie: %s\r\n\r\n", uri, cookie)
-		}
-		exchange(fmt.Sprintf("account_summary uid=%d", uid), get("/account_summary.php"))
-		exchange(fmt.Sprintf("profile uid=%d", uid), get("/profile.php"))
-		exchange(fmt.Sprintf("logout uid=%d", uid), get("/logout.php"))
 	}
 }
 
@@ -116,8 +75,8 @@ var differentialUIDs = []uint64{7777, 7778, 7779, 7780, 7781, 7782}
 // multiDeviceOpts is the shared pool shape for the differential tests:
 // four devices, serial lock-step traffic (one-request cohorts launched
 // by the formation timeout).
-func multiDeviceOpts(plan *cluster.FaultPlan) CohortOptions {
-	return CohortOptions{
+func multiDeviceOpts(plan *cluster.FaultPlan) cohortOptions {
+	return cohortOptions{
 		Devices:          4,
 		CohortSize:       8,
 		FormationTimeout: 2 * time.Millisecond,
@@ -234,7 +193,7 @@ func TestCohortServerMultiDeviceStall(t *testing.T) {
 // deliver all responses before closing — the multi-device graceful
 // drain contract.
 func TestCohortServerMultiDeviceDrain(t *testing.T) {
-	srv, err := NewCohortServer(CohortOptions{
+	srv, err := newCohortServer(cohortOptions{
 		Devices:          4,
 		CohortSize:       32,
 		FormationTimeout: -1, // never: only the drain can launch these

@@ -2,16 +2,18 @@
 // Banking, SPECWeb E-commerce, and streaming telemetry — over real TCP.
 // -workloads restricts the set (e.g. -workloads banking).
 //
-// The default mode uses the reproduction's host execution path — the
-// same services the SIMT kernels run, so the pages are byte-identical
-// to what the device pipeline generates. With -cohort it instead serves
-// through the paper's live cohort path: requests are classified, and
-// the formation controller either answers a request at once on the
-// host path of the device that owns its state (a request type arriving
-// too slowly for batching to pay) or batches it into a cohort executed
-// as stage kernels on the modeled SIMT device. Either way, poke it with
-// curl or drive it with cmd/rhythm-load; live counters are at
-// /v1/stats.
+// It runs one server, the paper's live cohort path: requests are
+// classified, and the formation controller either answers a request at
+// once on the host path of the device that owns its state (a request
+// type arriving too slowly for batching to pay) or batches it into a
+// cohort executed as stage kernels on the modeled SIMT device. Without
+// -cohort the controller is pinned to the host route, the conventional
+// server the paper measures against: every request runs the same
+// services the SIMT kernels run, on the connection that received it, so
+// the pages are byte-identical to what the device pipeline generates.
+// Either way, poke it with curl or drive it with cmd/rhythm-load; live
+// counters are at /v1/stats, whose "mode" is "host" for the pinned
+// server and "cohort" otherwise.
 //
 // Usage:
 //
@@ -50,8 +52,8 @@
 // shedding 503s at saturation; -workload-quota caps named workloads'
 // shares of admission capacity. The node-level view is at /v1/topology.
 //
-// -render-cache N enables the whole-page render cache (DESIGN.md §14,
-// both modes): repeated read-only requests are answered from memory,
+// -render-cache N enables the whole-page render cache (DESIGN.md §14):
+// repeated read-only requests are answered from memory,
 // bypassing execution and kernel launch, and are invalidated per user
 // when a backend write commits, so responses stay byte-identical to a
 // fresh render. Cache counters appear in /v1/stats and as
@@ -74,14 +76,14 @@
 // §11) for failover drills. Per-device counters appear under "devices"
 // in /v1/stats and as rhythm_cluster_* in /v1/metrics.
 //
-// Observability (both modes): Prometheus counters and histograms at
+// Observability: Prometheus counters and histograms at
 // /v1/metrics, request-lifecycle traces (Chrome trace-event JSON,
 // loadable in Perfetto) at /v1/trace?secs=N, raw JSON counters at
 // /v1/stats. -pprof starts a
 // net/http/pprof side listener for Go runtime profiles of the serving
 // process itself.
 //
-// Tail-latency debugging (DESIGN.md §15, both modes): every request is
+// Tail-latency debugging (DESIGN.md §15): every request is
 // assigned a trace ID, echoed in the X-Rhythm-Trace response header.
 // Slow, errored, shed, and deadline-missed requests are promoted into
 // the flight recorder's bounded anomaly ring, browsable at
@@ -94,7 +96,7 @@
 //
 // It prints demo credentials at startup; log in with
 // POST /login.php (userid, passwd) and browse. SIGINT/SIGTERM drains
-// gracefully in cohort mode (partial cohorts flush before exit).
+// gracefully (partial cohorts flush before exit).
 package main
 
 import (
@@ -123,31 +125,31 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
 		workloadsF  = flag.String("workloads", "", "comma-separated workloads to serve (banking,ecom,telemetry; empty = all)")
 		seedUsers   = flag.Int("seed-users", 8, "demo user accounts to print credentials for")
-		cohortOn    = flag.Bool("cohort", false, "serve through the live cohort pipeline (SIMT kernels)")
-		size        = flag.Int("cohort-size", 128, "requests per cohort (cohort mode)")
-		contexts    = flag.Int("contexts", 4, "cohort contexts in flight per device (cohort mode)")
-		formation   = flag.Duration("formation-timeout", 0, "pin the paper's fixed formation timeout (cohort mode; 0 = adaptive, negative = never time out)")
-		deadline    = flag.Duration("deadline", 5*time.Second, "per-request deadline incl. formation delay (cohort mode)")
-		profileOff  = flag.Bool("profile-off", false, "disable the kernel-launch profiler (cohort mode)")
-		simPar      = flag.Int("sim-parallelism", 0, "host workers per device for independent kernel launches (cohort mode; 0 = all cores, 1 = serial; results identical)")
+		cohortOn    = flag.Bool("cohort", false, "let the formation controller batch requests into cohorts on the modeled devices (without it, every request takes the host route)")
+		size        = flag.Int("cohort-size", 128, "requests per cohort")
+		contexts    = flag.Int("contexts", 4, "cohort contexts in flight per device")
+		formation   = flag.Duration("formation-timeout", 0, "pin the paper's fixed formation timeout (0 = adaptive, negative = never time out)")
+		deadline    = flag.Duration("deadline", 5*time.Second, "per-request deadline incl. formation delay")
+		profileOff  = flag.Bool("profile-off", false, "disable the kernel-launch profiler")
+		simPar      = flag.Int("sim-parallelism", 0, "host workers per device for independent kernel launches (0 = all cores, 1 = serial; results identical)")
 		pprofAddr   = flag.String("pprof", "", "start a net/http/pprof listener on this address (e.g. 127.0.0.1:6060)")
-		devices     = flag.Int("devices", 1, "SIMT devices in the pool (cohort mode)")
-		faultPlan   = flag.String("fault-plan", "", "JSON device-fault schedule to inject (cohort mode)")
-		sloP99      = flag.Duration("slo-p99", 0, "p99 latency target of the adaptive formation controller; also the /v1/health latency target (cohort mode; 0 = 50ms, and 250ms for health)")
-		crossover   = flag.Float64("adapt-crossover", 0, "host/device routing crossover in req/s (cohort mode; 0 = derive from service model, <0 = never route to host)")
-		renderCache = flag.Int("render-cache", 0, "enable the whole-page render cache bounded to N entries (both modes; 0 = off)")
-		flightRing  = flag.Int("flight-ring", 0, "flight-recorder anomaly ring size (both modes; 0 = 256)")
-		flightSlow  = flag.Duration("flight-slow", 0, "explicit slow-promotion latency threshold for the flight recorder (both modes; 0 = adaptive p99)")
-		healthObj   = flag.Float64("health-objective", 0, "/v1/health burn-rate objective, the target good fraction (both modes; 0 = 0.99)")
-		healthFast  = flag.Duration("health-fast-window", 0, "/v1/health fast burn window (both modes; 0 = 5m)")
-		healthSlowW = flag.Duration("health-slow-window", 0, "/v1/health slow burn window (both modes; 0 = 1h)")
+		devices     = flag.Int("devices", 1, "SIMT devices in the pool")
+		faultPlan   = flag.String("fault-plan", "", "JSON device-fault schedule to inject")
+		sloP99      = flag.Duration("slo-p99", 0, "p99 latency target of the adaptive formation controller; also the /v1/health latency target (0 = 50ms, and 250ms for health)")
+		crossover   = flag.Float64("adapt-crossover", 0, "host/device routing crossover in req/s (0 = derive from service model, <0 = never route to host)")
+		renderCache = flag.Int("render-cache", 0, "enable the whole-page render cache bounded to N entries (0 = off)")
+		flightRing  = flag.Int("flight-ring", 0, "flight-recorder anomaly ring size (0 = 256)")
+		flightSlow  = flag.Duration("flight-slow", 0, "explicit slow-promotion latency threshold for the flight recorder (0 = adaptive p99)")
+		healthObj   = flag.Float64("health-objective", 0, "/v1/health burn-rate objective, the target good fraction (0 = 0.99)")
+		healthFast  = flag.Duration("health-fast-window", 0, "/v1/health fast burn window (0 = 5m)")
+		healthSlowW = flag.Duration("health-slow-window", 0, "/v1/health slow burn window (0 = 1h)")
 		workerOn    = flag.Bool("worker", false, "run as a device-fabric worker node (wire protocol, no HTTP; see -nodes)")
 		groups      = flag.Int("groups", 0, "GLOBAL shard-group table size (worker mode; must match across all workers of one fabric; 0 = -devices)")
-		nodesF      = flag.String("nodes", "", "comma-separated worker addresses: ship cohorts to remote rhythmd -worker processes (cohort mode)")
-		loopNodes   = flag.Int("loopback-nodes", 0, "split the device pool into N in-process fabric nodes (cohort mode; 0 = classic single-node)")
-		linkGbps    = flag.Float64("link-gbps", 0, "per-node link budget in Gbit/s, shedding 503s at saturation (cohort mode; 0 = unmetered)")
-		nodeFaults  = flag.String("node-fault-plan", "", "JSON node-fault schedule killing whole fabric nodes (cohort mode)")
-		quotasF     = flag.String("workload-quota", "", "per-workload admission shares, e.g. banking=0.5,ecom=0.3 (cohort mode)")
+		nodesF      = flag.String("nodes", "", "comma-separated worker addresses: ship cohorts to remote rhythmd -worker processes")
+		loopNodes   = flag.Int("loopback-nodes", 0, "split the device pool into N in-process fabric nodes (0 = classic single-node)")
+		linkGbps    = flag.Float64("link-gbps", 0, "per-node link budget in Gbit/s, shedding 503s at saturation (0 = unmetered)")
+		nodeFaults  = flag.String("node-fault-plan", "", "JSON node-fault schedule killing whole fabric nodes")
+		quotasF     = flag.String("workload-quota", "", "per-workload admission shares, e.g. banking=0.5,ecom=0.3")
 	)
 	flag.Parse()
 
@@ -183,55 +185,53 @@ func main() {
 		}
 		opts = append(opts, opt)
 	}
-	mode := "host"
-	if *cohortOn {
-		mode = "cohort"
-		opts = append(opts,
-			rhythm.WithDevices(*devices),
-			rhythm.WithFormation(*size, *contexts**devices, *formation),
-			rhythm.WithSLO(*sloP99),
-			rhythm.WithCrossoverRate(*crossover),
-			rhythm.WithRequestDeadline(*deadline),
-		)
-		if *profileOff {
-			opts = append(opts, rhythm.WithProfileOff())
+	opts = append(opts,
+		rhythm.WithDevices(*devices),
+		rhythm.WithFormation(*size, *contexts**devices, *formation),
+		rhythm.WithSLO(*sloP99),
+		rhythm.WithCrossoverRate(*crossover),
+		rhythm.WithRequestDeadline(*deadline),
+	)
+	if *profileOff {
+		opts = append(opts, rhythm.WithProfileOff())
+	}
+	if *simPar != 0 {
+		opts = append(opts, rhythm.WithSimParallelism(*simPar))
+	}
+	if plan != nil {
+		opts = append(opts, rhythm.WithFaultPlan(plan))
+	}
+	if *nodesF != "" {
+		opts = append(opts, rhythm.WithNodes(strings.Split(*nodesF, ",")...))
+	}
+	if *loopNodes > 0 {
+		opts = append(opts, rhythm.WithLoopbackNodes(*loopNodes))
+	}
+	if *linkGbps > 0 {
+		opts = append(opts, rhythm.WithLinkBudget(*linkGbps*1e9/8))
+	}
+	if *nodeFaults != "" {
+		plan, err := fabric.LoadNodeFaultPlan(*nodeFaults)
+		if err != nil {
+			log.Fatalf("rhythmd: -node-fault-plan: %v", err)
 		}
-		if *simPar != 0 {
-			opts = append(opts, rhythm.WithSimParallelism(*simPar))
-		}
-		if plan != nil {
-			opts = append(opts, rhythm.WithFaultPlan(plan))
-		}
-		if *nodesF != "" {
-			opts = append(opts, rhythm.WithNodes(strings.Split(*nodesF, ",")...))
-		}
-		if *loopNodes > 0 {
-			opts = append(opts, rhythm.WithLoopbackNodes(*loopNodes))
-		}
-		if *linkGbps > 0 {
-			opts = append(opts, rhythm.WithLinkBudget(*linkGbps*1e9/8))
-		}
-		if *nodeFaults != "" {
-			plan, err := fabric.LoadNodeFaultPlan(*nodeFaults)
+		opts = append(opts, rhythm.WithNodeFaultPlan(plan))
+	}
+	if *quotasF != "" {
+		for _, kv := range strings.Split(*quotasF, ",") {
+			name, val, ok := strings.Cut(kv, "=")
+			if !ok {
+				log.Fatalf("rhythmd: -workload-quota: %q is not name=share", kv)
+			}
+			share, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				log.Fatalf("rhythmd: -node-fault-plan: %v", err)
+				log.Fatalf("rhythmd: -workload-quota %q: %v", kv, err)
 			}
-			opts = append(opts, rhythm.WithNodeFaultPlan(plan))
+			opts = append(opts, rhythm.WithWorkloadQuota(name, share))
 		}
-		if *quotasF != "" {
-			for _, kv := range strings.Split(*quotasF, ",") {
-				name, val, ok := strings.Cut(kv, "=")
-				if !ok {
-					log.Fatalf("rhythmd: -workload-quota: %q is not name=share", kv)
-				}
-				share, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					log.Fatalf("rhythmd: -workload-quota %q: %v", kv, err)
-				}
-				opts = append(opts, rhythm.WithWorkloadQuota(name, share))
-			}
-		}
-	} else {
+	}
+	if !*cohortOn {
+		// Last, so it wins over the formation and crossover options.
 		opts = append(opts, rhythm.WithHostExecution())
 	}
 	if *renderCache > 0 {
@@ -252,21 +252,16 @@ func main() {
 	if served == "" {
 		served = "banking,ecom,telemetry"
 	}
-	if mode == "host" {
-		fmt.Printf("rhythmd: serving %s on http://%s (host mode)\n", served, srv.Addr())
-	} else {
-		fmt.Printf("rhythmd: serving %s on http://%s (cohort mode: devices=%d size=%d contexts=%d formation=%s)\n",
-			served, srv.Addr(), *devices, *size, *contexts**devices, policy(srv.Snapshot().Cohort))
-	}
+	st := srv.Snapshot().Cohort
+	fmt.Printf("rhythmd: serving %s on http://%s (%s mode: devices=%d size=%d contexts=%d formation=%s)\n",
+		served, srv.Addr(), st.Mode, *devices, *size, *contexts**devices, policy(st))
 	printCreds(srv.Addr().String(), *seedUsers, srv.Seed)
 
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
 		waitForSignal()
-		if mode == "cohort" {
-			fmt.Println("rhythmd: draining (flushing partial cohorts)...")
-		}
+		fmt.Println("rhythmd: draining (flushing partial cohorts)...")
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := srv.Drain(ctx); err != nil {
@@ -337,9 +332,6 @@ func runWorker(addr, workloadsF string, devices, groups, size, contexts int, fau
 
 func report(snap rhythm.ServerStats) {
 	st := snap.Cohort
-	if st == nil {
-		return
-	}
 	fmt.Printf("rhythmd: served %d responses, %d cohorts (%.1f mean occupancy, %d timed out, %d early), host_fallbacks=%d\n",
 		st.Served, st.CohortsFormed, st.MeanOccupancy, st.CohortsTimedOut, st.CohortsEarly, st.HostFallbacks)
 	fmt.Printf("rhythmd: formation %s, %d controller ticks\n", policy(st), st.Adapt.Ticks)
@@ -353,8 +345,12 @@ func report(snap rhythm.ServerStats) {
 }
 
 // policy names the formation policy in force, as the controller reports
-// it: adaptive to a p99 target, or pinned to the type-independent window.
+// it: adaptive to a p99 target, or pinned to the host route or to the
+// type-independent window.
 func policy(st *rhythm.CohortServerStats) string {
+	if st.Adapt.HostPinned {
+		return "pinned (host route)"
+	}
 	if !st.Adapt.Pinned {
 		return fmt.Sprintf("adaptive (p99 target %gms)", st.Adapt.SLOMs)
 	}

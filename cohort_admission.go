@@ -43,14 +43,14 @@ type liveReq struct {
 	frec flight.Record
 }
 
-// dispatch is the cohort mode hook: ask the controller for the
-// classified request's route, answer a host-routed request on this
+// dispatch answers a classified request that missed the render cache:
+// ask the controller for its route, answer a host-routed request on this
 // connection (serveHost), and admit the rest to the formation loop,
 // waiting for the cohort path's response, the request deadline, or the
 // loop's exit. Only a response delivered over lr.resp hands lr's spans
 // and flight record to the frontend; every other exit reports through
 // the arena's record.
-func (s *CohortServer) dispatch(a *connArena) []byte {
+func (s *cohortServer) dispatch(a *connArena) []byte {
 	t := a.t
 	widx := s.reg.WorkloadIndex(t)
 	if s.closing.Load() {
@@ -108,7 +108,7 @@ func (s *CohortServer) dispatch(a *connArena) []byte {
 // shedArrival answers a request the handler could not admit (draining,
 // over quota, admit queue full, loop gone) with the 503 backpressure
 // response.
-func (s *CohortServer) shedArrival(a *connArena, widx int) []byte {
+func (s *cohortServer) shedArrival(a *connArena, widx int) []byte {
 	s.rejectedQueue.Add(1)
 	return s.shedHere(a, widx)
 }
@@ -116,7 +116,7 @@ func (s *CohortServer) shedArrival(a *connArena, widx int) []byte {
 // shedHere answers the arena's request with the 503 backpressure
 // response, attributing the shed to its workload and type; the caller
 // has counted it as a queue or a pool rejection.
-func (s *CohortServer) shedHere(a *connArena, widx int) []byte {
+func (s *cohortServer) shedHere(a *connArena, widx int) []byte {
 	s.wlSheds[widx].Add(1)
 	s.badByType[a.t].Add(1)
 	a.frec.Status = flight.StatusShed
@@ -124,19 +124,21 @@ func (s *CohortServer) shedHere(a *connArena, widx int) []byte {
 }
 
 // hostCall is a connection's reusable host-route dispatch: the unit, its
-// one request, and the channel its Done delivers on. A connection keeps
-// it for its next host-routed request unless a deadline abandoned it
-// with the result still outstanding.
+// one request, the Result an in-process execution writes, and the
+// channel its Done delivers on. A connection keeps it for its next
+// host-routed request unless a deadline abandoned it with the result
+// still outstanding.
 type hostCall struct {
 	unit cluster.Unit
 	reqs [1]httpx.Request
-	res  chan *cluster.Result // buffered(1): Done never blocks
+	res  cluster.Result
+	ch   chan *cluster.Result // buffered(1): Done never blocks
 	done func(*cluster.Result)
 }
 
 func newHostCall() *hostCall {
-	hc := &hostCall{res: make(chan *cluster.Result, 1)}
-	hc.done = func(res *cluster.Result) { hc.res <- res }
+	hc := &hostCall{ch: make(chan *cluster.Result, 1)}
+	hc.done = func(res *cluster.Result) { hc.ch <- res }
 	return hc
 }
 
@@ -149,7 +151,7 @@ func newHostCall() *hostCall {
 // before Dispatch returns; on tcp the result arrives from the worker
 // connection's reader, and the handler waits for it under the request
 // deadline. A unit the fabric refuses or fails is shed with 503.
-func (s *CohortServer) serveHost(a *connArena, widx int) []byte {
+func (s *cohortServer) serveHost(a *connArena, widx int) []byte {
 	// Drain waits for hostRoute to empty before it closes the fabric;
 	// the count is raised before the closing check, so either Drain sees
 	// this handler or the handler sees Drain.
@@ -171,17 +173,17 @@ func (s *CohortServer) serveHost(a *connArena, widx int) []byte {
 	} else {
 		hc.reqs[0] = a.req
 	}
-	hc.unit = cluster.Unit{Type: a.t, Group: s.fab.GroupFor(&a.req, a.t), Host: true, Reqs: hc.reqs[:], Out: a.out, Done: hc.done}
+	hc.unit = cluster.Unit{Type: a.t, Group: s.fab.GroupFor(&a.req, a.t), Host: true, Reqs: hc.reqs[:], Out: a.out, Res: &hc.res, Done: hc.done}
 	if !s.fab.Dispatch(&hc.unit) {
 		return s.shedHost(a, widx)
 	}
 	var res *cluster.Result
 	select {
-	case res = <-hc.res:
+	case res = <-hc.ch:
 	default:
 		deadline := time.NewTimer(s.opts.RequestDeadline)
 		select {
-		case res = <-hc.res:
+		case res = <-hc.ch:
 			deadline.Stop()
 		case <-deadline.C:
 			a.host = nil // the late result lands in the abandoned call
@@ -223,7 +225,7 @@ func (s *CohortServer) serveHost(a *connArena, widx int) []byte {
 
 // shedHost answers a host-routed request the fabric refused or could not
 // complete with the 503 backpressure response.
-func (s *CohortServer) shedHost(a *connArena, widx int) []byte {
+func (s *cohortServer) shedHost(a *connArena, widx int) []byte {
 	s.execMu.Lock()
 	s.rejectedPool++
 	s.execMu.Unlock()
@@ -234,7 +236,7 @@ func (s *CohortServer) shedHost(a *connArena, widx int) []byte {
 // on the owning loopback node: nil for a stateless request, while the
 // owning node is down, and always on remote transports (where the cache
 // is off).
-func (s *CohortServer) sessionsFor(req *httpx.Request, t service.TypeID) *session.Array {
+func (s *cohortServer) sessionsFor(req *httpx.Request, t service.TypeID) *session.Array {
 	group := s.fab.GroupFor(req, t)
 	if group < 0 {
 		return nil
@@ -246,7 +248,7 @@ func (s *CohortServer) sessionsFor(req *httpx.Request, t service.TypeID) *sessio
 // bounded overflow when the pool has no room (every context Busy or
 // forming another key) and shedding with 503 past that. A parked request
 // is retried whenever a context frees.
-func (s *CohortServer) admit(lr *liveReq) {
+func (s *cohortServer) admit(lr *liveReq) {
 	lr.admitted = time.Now()
 	lr.spans = append(lr.spans, obs.Span{Name: "admit-queue", Start: lr.enq, Dur: lr.admitted.Sub(lr.enq)})
 	if s.place(lr) {
@@ -264,7 +266,7 @@ func (s *CohortServer) admit(lr *liveReq) {
 
 // shedReq answers one admitted request with the 503 backpressure
 // response, attributing the shed to its workload's counter.
-func (s *CohortServer) shedReq(lr *liveReq) {
+func (s *cohortServer) shedReq(lr *liveReq) {
 	s.wlSheds[s.reg.WorkloadIndex(lr.t)].Add(1)
 	s.badByType[lr.t].Add(1)
 	lr.frec.Status = flight.StatusShed
@@ -276,7 +278,7 @@ func (s *CohortServer) shedReq(lr *liveReq) {
 // shard group): a cohort executes against one group's state on one
 // device, so requests of the same type but different groups form
 // separately.
-func (s *CohortServer) place(lr *liveReq) bool {
+func (s *cohortServer) place(lr *liveReq) bool {
 	key := fmt.Sprintf("%s/%d", s.names[lr.t], lr.group)
 	if !s.pool.Add(key, lr) {
 		return false
@@ -304,7 +306,7 @@ func (s *CohortServer) place(lr *liveReq) bool {
 // drainOverflow retries parked requests after a context frees,
 // preserving order per type while letting other types pass a starved
 // head (same policy as the offline pipeline's dispatch).
-func (s *CohortServer) drainOverflow() {
+func (s *cohortServer) drainOverflow() {
 	if len(s.overflow) == 0 {
 		return
 	}

@@ -31,7 +31,7 @@ type formingTimer struct {
 // come back here through doCh, so cohort accounting stays
 // single-goroutine (the counters shared with the host route take
 // execMu).
-func (s *CohortServer) loop() {
+func (s *cohortServer) loop() {
 	defer close(s.doneCh)
 	stop := s.stopCh
 	// The controller retunes on a wall-clock tick.
@@ -60,7 +60,7 @@ func (s *CohortServer) loop() {
 
 // idle reports whether the drained loop may exit: nothing queued,
 // forming, or in flight on the device pool.
-func (s *CohortServer) idle() bool {
+func (s *cohortServer) idle() bool {
 	return len(s.admitCh) == 0 && len(s.flushCh) == 0 && len(s.doCh) == 0 &&
 		len(s.overflow) == 0 && len(s.forming) == 0 && s.inflight == 0 &&
 		s.pool.FreeContexts() == s.opts.MaxCohorts
@@ -69,7 +69,7 @@ func (s *CohortServer) idle() bool {
 // beginDrain stops formation timers and launches everything forming.
 // Admissions still queued are served (admit flushes immediately while
 // draining), so every accepted request gets a real response.
-func (s *CohortServer) beginDrain() {
+func (s *cohortServer) beginDrain() {
 	s.draining = true
 	for _, f := range s.forming {
 		f.timer.Stop()
@@ -80,7 +80,7 @@ func (s *CohortServer) beginDrain() {
 
 // flush handles a formation-timeout message, ignoring stale generations
 // (the cohort the timer was armed for already launched).
-func (s *CohortServer) flush(m flushMsg) {
+func (s *cohortServer) flush(m flushMsg) {
 	f := s.forming[m.key]
 	if f == nil || f.gen != m.gen {
 		return
@@ -91,7 +91,7 @@ func (s *CohortServer) flush(m flushMsg) {
 
 // onReady fires (synchronously from pool.Add or Flush) when a cohort
 // fills or times out: account formation stats and launch the kernels.
-func (s *CohortServer) onReady(c *cohort.Context[*liveReq], why cohort.Reason) {
+func (s *cohortServer) onReady(c *cohort.Context[*liveReq], why cohort.Reason) {
 	if f := s.forming[c.Key]; f != nil {
 		f.timer.Stop()
 		delete(s.forming, c.Key)
@@ -108,7 +108,7 @@ func (s *CohortServer) onReady(c *cohort.Context[*liveReq], why cohort.Reason) {
 // and lands in complete. A refusal — every node down, the owner's link
 // budget exhausted, or its queues full — sheds every request with the
 // 503 path.
-func (s *CohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
+func (s *cohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 	reqs := c.Requests()
 	t := reqs[0].t
 	count := len(reqs)
@@ -167,7 +167,7 @@ func (s *CohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 
 // shed answers every request of a refused cohort with the 503
 // backpressure response and releases its context.
-func (s *CohortServer) shed(c *cohort.Context[*liveReq], reqs []*liveReq) {
+func (s *cohortServer) shed(c *cohort.Context[*liveReq], reqs []*liveReq) {
 	s.shedCohorts++
 	for _, lr := range reqs {
 		s.shedReq(lr)
@@ -176,7 +176,7 @@ func (s *CohortServer) shed(c *cohort.Context[*liveReq], reqs []*liveReq) {
 }
 
 // finish releases a cohort context and retries parked admissions.
-func (s *CohortServer) finish(c *cohort.Context[*liveReq]) {
+func (s *cohortServer) finish(c *cohort.Context[*liveReq]) {
 	s.pool.Release(c)
 	s.inflight--
 	s.drainOverflow()
@@ -187,7 +187,7 @@ func (s *CohortServer) finish(c *cohort.Context[*liveReq]) {
 // context release. A unit the fabric could not complete (Result.Err —
 // every device dead, no routable node, or a connection lost with the
 // unit's fate unknown) sheds like a dispatch refusal.
-func (s *CohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result) {
+func (s *cohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result) {
 	reqs := c.Requests()
 	if res.Err != nil {
 		s.shed(c, reqs)

@@ -19,7 +19,7 @@ type perStage struct {
 
 // typeCounters is one request type's execution counters: loop-owned,
 // except requests and hostReqs, which the host route also writes (under
-// CohortServer.execMu).
+// cohortServer.execMu).
 type typeCounters struct {
 	cohorts, filled, timedOut, early uint64
 	requests, hostReqs               uint64
@@ -44,11 +44,13 @@ type CohortTypeStats struct {
 	Stages        []perStage `json:"stages"`
 }
 
-// CohortServerStats is the /v1/stats document of a cohort-mode server
-// (cmd/rhythm-load decodes it to report server-side batching).
+// CohortServerStats is the server's /v1/stats document (cmd/rhythm-load
+// decodes it to report server-side batching).
 type CohortServerStats struct {
-	SchemaVersion int    `json:"schema_version"`
-	Mode          string `json:"mode"`
+	SchemaVersion int `json:"schema_version"`
+	// Mode is "host" for a server pinned to the host route
+	// (WithHostExecution), else "cohort".
+	Mode string `json:"mode"`
 	// Workloads lists the registered workload names in registration
 	// order; Types keys are workload-qualified display labels
 	// ("banking/login").
@@ -133,7 +135,7 @@ type CohortServerStats struct {
 // so the percentiles follow the traffic at a fixed cost.
 const latencyWindow = 1 << 16
 
-func (s *CohortServer) record(w *stats.LatencyWindow, v float64) {
+func (s *cohortServer) record(w *stats.LatencyWindow, v float64) {
 	if v < 0 {
 		v = 0
 	}
@@ -145,7 +147,7 @@ func (s *CohortServer) record(w *stats.LatencyWindow, v float64) {
 // execMu for the counters the host route shares, and only copies the two
 // latency windows that need percentiles — the sorts run here, on the
 // caller's.
-func (s *CohortServer) Stats() CohortServerStats {
+func (s *cohortServer) Stats() CohortServerStats {
 	// The copies land in buffers made and touched here: fresh pages are
 	// mapped on first write, and with full windows a snapshot holds the
 	// loop 0.5ms when that write is its copy, 0.05ms when it is this clear.
@@ -175,7 +177,7 @@ func (s *CohortServer) Stats() CohortServerStats {
 // host route shares: every counter and mean, and a copy of the request
 // and formation-wait windows (into reqBuf and formBuf) for the
 // percentiles.
-func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats, reqLat, formWait *stats.LatencyRecorder) {
+func (s *cohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats, reqLat, formWait *stats.LatencyRecorder) {
 	ps := s.pool.Stats()
 	// One pass over the fabric: per-node counters under the fabric
 	// lock, then each node's cluster snapshot (an RPC for remote
@@ -189,7 +191,7 @@ func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 	defer s.execMu.Unlock()
 	st = CohortServerStats{
 		SchemaVersion:      StatsSchemaVersion,
-		Mode:               "cohort",
+		Mode:               s.mode(),
 		Workloads:          workloadNames(s.reg),
 		Served:             s.served.Load(),
 		KernelErrors:       s.kernelErrors,
@@ -262,12 +264,10 @@ func (s *CohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 	return st, s.reqLat.Recorder(reqBuf), s.formWait.Recorder(formBuf)
 }
 
-func (s *CohortServer) statsDocument() any { return s.Stats() }
-
-// writeMetrics emits the cohort-mode families. Loop-owned counters come
+// writeMetrics emits the server's own families. Loop-owned counters come
 // through the Stats() snapshot (taken on the loop goroutine); histograms
 // are atomic and read directly.
-func (s *CohortServer) writeMetrics(w *obs.PromWriter) {
+func (s *cohortServer) writeMetrics(w *obs.PromWriter) {
 	st := s.Stats()
 	w.Family("rhythm_requests_total", "counter", "Requests executed, in a cohort or on the host route, by workload and type.")
 	for t, name := range s.names {

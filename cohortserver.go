@@ -3,6 +3,7 @@ package rhythm
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,130 +21,47 @@ import (
 	"rhythm/internal/stats"
 )
 
-// CohortOptions tunes the live cohort-batched server.
-type CohortOptions struct {
-	// Registry is the workload registry the server serves (nil =
-	// DefaultRegistry(): banking, ecom, telemetry). Classification,
-	// shard-group affinity, device cohort geometry, render-cache
-	// eligibility, and the metrics/stats label universe all derive from
-	// it (DESIGN.md §16).
-	Registry *service.Registry
-	// CohortSize is the number of requests batched per cohort (default
-	// 128 — live traffic forms far smaller cohorts than the offline
-	// saturation harness).
-	CohortSize int
-	// MaxCohorts is the number of cohort formation contexts in flight
-	// across the whole pool (default 4×Devices). Each device gets
-	// MaxCohorts/Devices execution slots.
-	MaxCohorts int
-	// Devices is the width of the SIMT device pool formed cohorts are
-	// dispatched onto (default 1). State shards across Devices groups
-	// by session affinity; see internal/cluster and DESIGN.md §11.
-	Devices int
-	// FaultPlan optionally injects device faults (nil = none); see
-	// cluster.FaultPlan.
-	FaultPlan *cluster.FaultPlan
-	// Nodes splits the device pool into this many in-process fabric
-	// nodes of Devices modeled devices each (default 1 — the classic
-	// single-cluster topology), routed by rendezvous-hashed session
-	// affinity over a global shard-group table (DESIGN.md §17).
-	Nodes int
-	// WorkerAddrs lists remote `rhythmd -worker` addresses; non-empty
-	// selects the tcp fabric transport with one node per address.
-	// Workers size their own device pools, so Devices/Nodes only shape
-	// the frontend's defaults. Render caching and live launch-profile
-	// merging need in-process device state and disable themselves.
-	WorkerAddrs []string
-	// LinkBps budgets each fabric node's link in bytes/sec (0 =
-	// unmetered): the NIC in front of a tcp worker, the modeled PCIe
-	// bus in front of a loopback node. A saturated link sheds with 503
-	// (internal/netmodel; counters in /v1/topology).
-	LinkBps float64
-	// NodeFaultPlan kills whole fabric nodes deterministically
-	// (failover drills); see fabric.NodeFaultPlan.
-	NodeFaultPlan *fabric.NodeFaultPlan
-	// WorkloadQuotas caps each named workload's share (0 < share ≤ 1)
-	// of admission capacity: a workload holding more than
-	// share×(4×CohortSize+OverflowLimit) concurrent in-flight requests —
-	// the admission queue plus the overflow park — sheds with 503,
-	// counted per workload in /v1/stats (workload_sheds) and
-	// /v1/metrics (rhythm_shed_total).
-	WorkloadQuotas map[string]float64
-	// FormationTimeout, when non-zero and no SLO is set, pins the
-	// formation controller to the paper's fixed §3.1 policy: every
-	// cohort launches when full or this long after its first request
-	// (negative: never by timeout, for tests that exercise drain of
-	// partial cohorts), and nothing takes the host route. Zero (the
-	// default) leaves the controller adaptive; see SLO.
-	FormationTimeout time.Duration
-	// RequestDeadline bounds a request's end-to-end residence including
-	// formation delay; past it the connection gets a 504 (default 5s).
-	// The request may still complete server-side — the deadline releases
-	// the connection, not the cohort slot.
-	RequestDeadline time.Duration
+// cohortOptions is what New's options set. Each field's default and
+// meaning are documented on the option named beside it; the last three
+// have no option and are set by tests.
+type cohortOptions struct {
+	Registry                           *service.Registry     // WithRegistry, WithWorkloads
+	CohortSize, MaxCohorts             int                   // WithFormation
+	FormationTimeout                   time.Duration         // WithFormation
+	Devices                            int                   // WithDevices
+	FaultPlan                          *cluster.FaultPlan    // WithFaultPlan
+	Nodes                              int                   // WithLoopbackNodes
+	WorkerAddrs                        []string              // WithNodes
+	LinkBps                            float64               // WithLinkBudget
+	NodeFaultPlan                      *fabric.NodeFaultPlan // WithNodeFaultPlan
+	WorkloadQuotas                     map[string]float64    // WithWorkloadQuota
+	RequestDeadline                    time.Duration         // WithRequestDeadline
+	SLO                                time.Duration         // WithSLO
+	CrossoverRate                      float64               // WithCrossoverRate, WithHostExecution
+	SimParallelism                     int                   // WithSimParallelism
+	ProfileOff                         bool                  // WithProfileOff
+	RenderCache                        int                   // WithRenderCache
+	FlightRing                         int                   // WithFlightRecorder
+	FlightSlow                         time.Duration         // WithFlightRecorder
+	HealthObjective                    float64               // WithHealthSLO
+	HealthFastWindow, HealthSlowWindow time.Duration         // WithHealthSLO
+
 	// OverflowLimit bounds requests parked because every cohort context
 	// is Busy (default 2×CohortSize; negative means no parking — reject
 	// the moment the pool has no free context).
 	OverflowLimit int
-	// MaxSessions sizes the session array (default 1<<16). The bucket
-	// geometry matches NewTCPServer so host and cohort mode create
-	// identical session ids for identical request streams.
+	// MaxSessions sizes each shard group's session array (default
+	// 1<<16, at 256 buckets), and with it the session ids a request
+	// stream creates.
 	MaxSessions int
-	// SLO is the p99 latency target of the formation controller
-	// (internal/adapt, DESIGN.md §12), the server's one formation
-	// policy: windows and early-launch thresholds are retuned per
-	// request type from the observed arrival rate and the measured
-	// service model, and a type below its crossover rate is answered on
-	// the scalar host path by the connection that received it, under its
-	// shard group's lock.
-	// Zero means 50ms, unless FormationTimeout pins the fixed policy; an
-	// explicit SLO wins over a FormationTimeout given beside it.
-	SLO time.Duration
 	// AdaptTick is the controller's retuning period (default 100ms); a
 	// pinned controller only refreshes its arrival rates on it.
 	AdaptTick time.Duration
-	// CrossoverRate tunes the host/device routing crossover in req/s: 0
-	// derives it from the measured service model, >0 uses the explicit
-	// rate, <0 disables the host route (always batch). A pinned
-	// controller never routes to the host.
-	CrossoverRate float64
-	// HostParallelism caps the host workers executing kernel warps
-	// (0 = all cores; see DESIGN.md §8).
-	HostParallelism int
-	// SimParallelism caps the host workers executing independent kernel
-	// launches of one device epoch batch concurrently (0 = all cores;
-	// see DESIGN.md §13). Simulated results are bit-identical at every
-	// setting.
-	SimParallelism int
-	// ProfileOff disables the device's kernel-launch profiler
-	// (simt.Config.ProfileOff). On by default: recording is
-	// zero-allocation and costs <2% (BenchmarkProfilerOverhead).
-	ProfileOff bool
-	// RenderCache, when positive, enables the whole-page render cache
-	// with roughly this many entries: repeated read-only requests are
-	// answered from memory before admission, bypassing cohort formation
-	// and kernel launch entirely, byte-identical to a fresh render.
-	// Invalidation hooks the shard groups' Besim write commit (see
-	// internal/rcache and DESIGN.md §14). Zero disables caching.
-	RenderCache int
-	// FlightRing sizes the flight recorder's anomaly ring (0 = default
-	// 256); FlightSlow sets an explicit slow-promotion threshold (0 =
-	// adaptive p99 estimate). See internal/flight and DESIGN.md §15.
-	FlightRing int
-	FlightSlow time.Duration
-	// HealthObjective is the /v1/health burn-rate objective (0 = 0.99);
-	// HealthFastWindow and HealthSlowWindow are the burn evaluation
-	// horizons (0 = 5m and 1h). The latency target the counts classify
-	// against is SLO when set explicitly, else 250ms — the controller's
-	// default target is a formation budget, not a health objective.
-	HealthObjective  float64
-	HealthFastWindow time.Duration
-	HealthSlowWindow time.Duration
 }
 
 // validate rejects what fill cannot default: a negative cohort size or
 // context count, and a quota share outside (0, 1].
-func (o *CohortOptions) validate() error {
+func (o *cohortOptions) validate() error {
 	if o.CohortSize < 0 {
 		return fmt.Errorf("rhythm: CohortSize %d is negative", o.CohortSize)
 	}
@@ -158,7 +76,7 @@ func (o *CohortOptions) validate() error {
 	return nil
 }
 
-func (o *CohortOptions) fill() {
+func (o *cohortOptions) fill() {
 	if o.Registry == nil {
 		o.Registry = DefaultRegistry()
 	}
@@ -184,37 +102,42 @@ func (o *CohortOptions) fill() {
 	}
 }
 
-// CohortServer serves every registered workload over TCP through the
-// paper's cohort pipeline: the shared frontend parses and classifies
-// requests on the host and asks the formation controller
-// (internal/adapt) where each one goes. A type below its crossover rate
-// is answered at once on the connection that received it, as a
-// one-request host unit executed under its shard group's lock; a type
-// above it goes to the single formation-loop goroutine, which batches it
-// into cohort.Pool contexts under the controller's window and
+// cohortServer is the one live server New returns. It serves every
+// registered workload over TCP through the paper's cohort pipeline: the
+// frontend parses and classifies requests on the host and asks the
+// formation controller (internal/adapt) where each one goes. A type below
+// its crossover rate is answered at once on the connection that received
+// it, as a one-request host unit executed under its shard group's lock; a
+// type above it goes to the single formation-loop goroutine, which
+// batches it into cohort.Pool contexts under the controller's window and
 // early-launch threshold, and each launched cohort runs its stage kernels
-// on the modeled SIMT device, one asynchronous stream per context. The
-// paper's fixed §3.1 timeout is the same controller pinned
-// (CohortOptions.FormationTimeout). Responses are byte-identical to
-// TCPServer's host path on either route (the differential tests in
-// cohortserver_test.go assert this for every request type).
+// on the modeled SIMT device, one asynchronous stream per context. Two
+// pins of the same controller give the paper's two baselines: a
+// formation timeout is the fixed §3.1 policy (WithFormation), and an
+// infinite crossover is the conventional server, every request on the
+// host route (WithHostExecution). Responses are byte-identical to the
+// workloads' scalar reference on either route (the differential tests
+// assert this for every request type).
 //
 // Wall clock drives admission and formation; the simulation engine
 // remains a purely virtual device timeline, stepped by the loop while
-// launches are in flight.
-type CohortServer struct {
+// launches are in flight. A device's memory is backed when its first
+// cohort launches, so a host-pinned server holds none.
+type cohortServer struct {
 	// frontend owns the listener, connections, control plane and render
 	// cache; its fab is the device fabric the formation loop ships formed
 	// cohorts into. Loopback (default) keeps every node in-process;
 	// WorkerAddrs makes them remote (DESIGN.md §17).
 	frontend
 
-	opts CohortOptions
+	opts cohortOptions
 	pool *cohort.Pool[*liveReq]
 	// ctrl is the formation policy: adaptive to a p99 target, or pinned
-	// to a fixed timeout. Its methods are internally locked; handlers
-	// call Arrival and RetryAfter, the loop everything else.
-	ctrl *adapt.Controller
+	// to a fixed timeout or to the host route (hostPinned). Its methods
+	// are internally locked; handlers call Arrival and RetryAfter, the
+	// loop everything else.
+	ctrl       *adapt.Controller
+	hostPinned bool
 	// remote is set on the tcp fabric, where a host unit completes
 	// asynchronously and so must own a copy of its request.
 	remote bool
@@ -274,13 +197,13 @@ type CohortServer struct {
 	reqLat        *stats.LatencyWindow
 }
 
-// NewCohortServer builds the server, its device fabric, and its
+// newCohortServer builds the server, its device fabric, and its
 // dispatch loop. Callers then Listen + Serve, and Drain to stop.
 // Construction fails on a negative CohortSize or MaxCohorts, a quota
 // share outside (0, 1], a WorkloadQuotas key that names no registered
 // workload, or a remote worker that cannot be dialed or refuses the
 // wire handshake.
-func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
+func newCohortServer(opts cohortOptions) (*cohortServer, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -290,7 +213,6 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	admitQueue := 4 * opts.CohortSize
 	reg := opts.Registry
 	cfg := simt.GTXTitan()
-	cfg.HostParallelism = opts.HostParallelism
 	cfg.SimParallelism = opts.SimParallelism
 	cfg.ProfileOff = opts.ProfileOff
 	fab, err := fabric.New(fabric.Config{
@@ -310,7 +232,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &CohortServer{
+	s := &cohortServer{
 		opts:      opts,
 		remote:    len(opts.WorkerAddrs) > 0,
 		admitCh:   make(chan *liveReq, admitQueue),
@@ -327,7 +249,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		occupHist: stats.NewHistogram(stats.PowersOfTwoBuckets(opts.CohortSize)),
 		badByType: make([]atomic.Uint64, reg.NumTypes()),
 	}
-	s.frontend.init(reg, s, "cohort", reg.MaxBufferBytes(), flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
+	s.frontend.init(reg, flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
 	s.fab = fab
 	for t := range s.perType {
 		// One stage slot per stage kernel.
@@ -388,10 +310,15 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		Tick:          opts.AdaptTick,
 		CrossoverRate: opts.CrossoverRate,
 	}
+	s.hostPinned = math.IsInf(opts.CrossoverRate, 1)
 	if acfg.SLO <= 0 {
+		acfg.SLO = defaultFormationSLO
 		// No explicit target: a formation timeout pins the fixed policy,
-		// none leaves the controller adaptive at the default target.
-		acfg.SLO, acfg.Pin = defaultFormationSLO, opts.FormationTimeout
+		// unless the host route is pinned; none leaves the controller
+		// adaptive at the default target.
+		if !s.hostPinned {
+			acfg.Pin = opts.FormationTimeout
+		}
 	}
 	s.ctrl = adapt.New(acfg)
 	// Early launch: the advisor fires on the loop goroutine after every
@@ -417,7 +344,7 @@ const defaultFormationSLO = 50 * time.Millisecond
 // requests to have their responses, then close connections (idle ones
 // immediately, busy ones after their current write). ctx bounds the
 // wait.
-func (s *CohortServer) Drain(ctx context.Context) error {
+func (s *cohortServer) Drain(ctx context.Context) error {
 	s.stopAccepting()
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	select {
@@ -445,8 +372,17 @@ func (s *CohortServer) Drain(ctx context.Context) error {
 	return s.drainConns(ctx)
 }
 
-// Snapshot returns the mode-tagged serving statistics.
-func (s *CohortServer) Snapshot() ServerStats {
+// Snapshot returns the serving statistics.
+func (s *cohortServer) Snapshot() ServerStats {
 	st := s.Stats()
-	return ServerStats{Mode: "cohort", Cohort: &st}
+	return ServerStats{Cohort: &st}
+}
+
+// mode names the server's pin for /v1/stats and rhythm_build_info:
+// "host" when every request takes the host route, else "cohort".
+func (s *cohortServer) mode() string {
+	if s.hostPinned {
+		return "host"
+	}
+	return "cohort"
 }

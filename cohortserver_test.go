@@ -13,11 +13,11 @@ import (
 	"time"
 )
 
-// startCohortServer boots a CohortServer on an ephemeral port and
+// startCohortServer boots a cohortServer on an ephemeral port and
 // registers a drain on test cleanup.
-func startCohortServer(t *testing.T, opts CohortOptions) *CohortServer {
+func startCohortServer(t *testing.T, opts cohortOptions) *cohortServer {
 	t.Helper()
-	srv, err := NewCohortServer(opts)
+	srv, err := newCohortServer(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func readResponse(r *bufio.Reader) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// driveAllTypes drives the banking sequence through a fresh host-path
-// TCPServer and the given cohort-mode server in lock step and asserts
-// every response — headers, cookies, and page bytes — is identical. The
-// cohort server must use MaxSessions 4096 (the host server's session
-// geometry) so both issue identical session ids. Returns the cohort
-// server's stats after the drive.
-func driveAllTypes(t *testing.T, dev *CohortServer) CohortServerStats {
+// driveAllTypes drives the banking sequence through a fresh scalar
+// reference and the given server in lock step and asserts every
+// response — headers, cookies, and page bytes — is identical. The server
+// must use MaxSessions 4096 (the reference's session geometry) so both
+// issue identical session ids. Returns the server's stats after the
+// drive.
+func driveAllTypes(t *testing.T, dev *cohortServer) CohortServerStats {
 	t.Helper()
 	driveBanking(newLockstep(t, dev), dev)
 	return dev.Stats()
@@ -101,7 +101,7 @@ func driveAllTypes(t *testing.T, dev *CohortServer) CohortServerStats {
 
 // driveBanking covers all 15 implemented banking request types plus the
 // expired-session error page: 16 exchanges.
-func driveBanking(ls *lockstep, dev *CohortServer) {
+func driveBanking(ls *lockstep, dev *cohortServer) {
 	t := ls.t
 	t.Helper()
 	uid, pw := ls.host.Seed(7777)
@@ -139,12 +139,12 @@ func driveBanking(ls *lockstep, dev *CohortServer) {
 // identity drive: every request forms its own single-request cohort and
 // launches by the formation timeout.
 func TestCohortServerDifferentialAllTypes(t *testing.T) {
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		CohortSize:       8,
 		MaxCohorts:       4,
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
-		MaxSessions:      4096, // same session geometry as NewTCPServer(4096)
+		MaxSessions:      4096, // the reference's session geometry
 	})
 	st := driveAllTypes(t, dev)
 	// 16 banking requests, each its own single-request cohort (serial
@@ -164,7 +164,7 @@ func TestCohortServerDifferentialAllTypes(t *testing.T) {
 // runs the same services against the same sharded state — and every
 // request must be accounted as a host fallback.
 func TestAdaptiveDifferentialHostFallback(t *testing.T) {
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		CohortSize:      8,
 		MaxCohorts:      4,
 		RequestDeadline: 30 * time.Second,
@@ -196,7 +196,7 @@ func TestAdaptiveDifferentialHostFallback(t *testing.T) {
 // request must still batch through the device pipeline under the
 // controller's windows, byte-identical to the host reference.
 func TestAdaptiveDifferentialDeviceOnly(t *testing.T) {
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		CohortSize:      8,
 		MaxCohorts:      4,
 		RequestDeadline: 30 * time.Second,
@@ -221,18 +221,13 @@ func TestAdaptiveDifferentialDeviceOnly(t *testing.T) {
 
 // TestCohortServerBatchesConcurrent proves batching on the wire: N
 // concurrent account_summary requests from distinct connections land in
-// one cohort (occupancy > 1) and every response still matches the host
-// path byte for byte.
+// one cohort (occupancy > 1) and every response still matches the
+// scalar reference byte for byte.
 func TestCohortServerBatchesConcurrent(t *testing.T) {
 	const users = 6
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	ref := newReference(4096)
 
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		CohortSize:       64,
 		MaxCohorts:       4,
 		FormationTimeout: 100 * time.Millisecond, // wide window: one cohort
@@ -240,46 +235,30 @@ func TestCohortServerBatchesConcurrent(t *testing.T) {
 		MaxSessions:      4096,
 	})
 
-	// Serial logins on both servers keep session-id creation order
+	// Serial logins on both sides keep session-id creation order
 	// identical.
 	type client struct {
 		conn   net.Conn
 		r      *bufio.Reader
 		cookie string
 	}
-	login := func(addr net.Addr, uid uint64, pw string) client {
-		c := client{conn: dialT(t, addr)}
-		c.r = bufio.NewReader(c.conn)
-		body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
-		fmt.Fprintf(c.conn, "POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-		resp := readRawResponse(t, c.r)
-		for _, line := range strings.Split(string(resp), "\r\n") {
-			if v, ok := strings.CutPrefix(line, "Set-Cookie: "); ok {
-				c.cookie = v
-			}
-		}
-		if c.cookie == "" {
-			t.Fatalf("login for uid %d returned no cookie", uid)
-		}
-		return c
-	}
-	var hostClients, devClients [users]client
-	for i := 0; i < users; i++ {
-		uid, pw := host.Seed(uint64(9001 + i))
-		dev.Seed(uid)
-		hostClients[i] = login(host.Addr(), uid, pw)
-		devClients[i] = login(dev.Addr(), uid, pw)
-		if hostClients[i].cookie != devClients[i].cookie {
-			t.Fatalf("session ids diverged for uid %d: %q vs %q", uid, hostClients[i].cookie, devClients[i].cookie)
-		}
-	}
-
-	// Expected pages from the host path (account_summary is read-only,
-	// so per-user content is order-independent).
+	var devClients [users]client
 	var want [users][]byte
-	for i := range hostClients {
-		fmt.Fprintf(hostClients[i].conn, "GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: %s\r\n\r\n", hostClients[i].cookie)
-		want[i] = readRawResponse(t, hostClients[i].r)
+	for i := 0; i < users; i++ {
+		uid, pw := ref.Seed(uint64(9001 + i))
+		login := rawPost("/login.php", "", fmt.Sprintf("userid=%d&passwd=%s", uid, pw))
+		refCookie := cookieFrom(t, ref.answer([]byte(login)), "MY_ID")
+		c := client{conn: dialT(t, dev.Addr())}
+		c.r = bufio.NewReader(c.conn)
+		io.WriteString(c.conn, login)
+		c.cookie = cookieFrom(t, readRawResponse(t, c.r), "MY_ID")
+		if c.cookie != refCookie {
+			t.Fatalf("session ids diverged for uid %d: %q vs %q", uid, refCookie, c.cookie)
+		}
+		devClients[i] = c
+		// Expected pages from the reference (account_summary is
+		// read-only, so per-user content is order-independent).
+		want[i] = ref.answer([]byte(rawGet("/account_summary.php", c.cookie)))
 	}
 
 	// Concurrent burst at the cohort server: all requests inside one
@@ -313,7 +292,7 @@ func TestCohortServerBatchesConcurrent(t *testing.T) {
 // TestCohortServerSingleRequestTimeout: the §3.1 formation timeout must
 // fire for a cohort holding exactly one request.
 func TestCohortServerSingleRequestTimeout(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		CohortSize:       32,
 		FormationTimeout: 20 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
@@ -344,7 +323,7 @@ func TestCohortServerSingleRequestTimeout(t *testing.T) {
 // PartiallyFull (timeouts disabled, so it would otherwise wait forever)
 // must flush it and deliver the real response before closing.
 func TestCohortServerShutdownFlushesPartial(t *testing.T) {
-	srv, err := NewCohortServer(CohortOptions{
+	srv, err := newCohortServer(cohortOptions{
 		CohortSize:       32,
 		FormationTimeout: -1, // never: only drain can launch this cohort
 		RequestDeadline:  30 * time.Second,
@@ -391,7 +370,7 @@ func TestCohortServerShutdownFlushesPartial(t *testing.T) {
 // never-launching cohort and no overflow allowance, a request of a
 // different type must shed with 503 + Retry-After.
 func TestCohortServerRejectsWhenSaturated(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		CohortSize:       4,
 		MaxCohorts:       1,
 		FormationTimeout: -1, // pin the only context as PartiallyFull
@@ -426,7 +405,7 @@ func TestCohortServerRejectsWhenSaturated(t *testing.T) {
 // TestCohortServerRequestDeadline: a request stuck in formation past
 // RequestDeadline gets a 504 and the connection stays usable.
 func TestCohortServerRequestDeadline(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		CohortSize:       32,
 		FormationTimeout: -1, // never launch: the deadline must fire
 		RequestDeadline:  60 * time.Millisecond,
@@ -443,9 +422,10 @@ func TestCohortServerRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestCohortServerStatsEndpoint: /v1/stats serves JSON in both modes.
+// TestCohortServerStatsEndpoint: /v1/stats serves JSON under either
+// pin, and its mode says which.
 func TestCohortServerStatsEndpoint(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{FormationTimeout: 5 * time.Millisecond})
+	srv := startCohortServer(t, cohortOptions{FormationTimeout: 5 * time.Millisecond})
 	conn := dialT(t, srv.Addr())
 	r := bufio.NewReader(conn)
 	fmt.Fprintf(conn, "GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -454,12 +434,7 @@ func TestCohortServerStatsEndpoint(t *testing.T) {
 		t.Fatalf("cohort stats endpoint: %.200q", resp)
 	}
 
-	host := NewTCPServer(256)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	host := startNew(t, WithHostExecution())
 	hconn := dialT(t, host.Addr())
 	hr := bufio.NewReader(hconn)
 	fmt.Fprintf(hconn, "GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n")

@@ -17,7 +17,7 @@ import (
 // units on the owning device: byte-identical to the host server over all
 // three workloads, no cohort formed, and no formation delay paid.
 func TestDefaultServerAnswersLoneRequestsOnHostRoute(t *testing.T) {
-	dev := startNew(t).(*CohortServer)
+	dev := startNew(t).(*cohortServer)
 	ls := newLockstepSessions(t, dev, 1<<16) // New's default session geometry
 	driveBanking(ls, dev)
 	driveEcom(ls)
@@ -67,7 +67,7 @@ func TestDefaultServerAnswersLoneRequestsOnHostRoute(t *testing.T) {
 // turn into 503s on the host route — host units take no queue place:
 // each executes on its own connection handler, under the group's lock.
 func TestDefaultServerParksHostUnitsPastDeviceQueue(t *testing.T) {
-	dev := startNew(t).(*CohortServer)
+	dev := startNew(t).(*cohortServer)
 	const conns, each = 32, 40
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
@@ -97,8 +97,8 @@ func TestDefaultServerParksHostUnitsPastDeviceQueue(t *testing.T) {
 // host route disabled still forms cohorts from a many-connection burst,
 // so its device route is exercised through sockets.
 func TestDefaultServerBatchesBurst(t *testing.T) {
-	fastTick := func(c *serverConfig) { c.cohort.AdaptTick = 5 * time.Millisecond }
-	dev := startNew(t, WithCrossoverRate(-1), fastTick).(*CohortServer)
+	fastTick := func(o *cohortOptions) { o.AdaptTick = 5 * time.Millisecond }
+	dev := startNew(t, WithCrossoverRate(-1), fastTick).(*cohortServer)
 	const conns = 32
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -148,7 +148,7 @@ func TestDefaultServerBatchesBurst(t *testing.T) {
 // never takes the host route, and the host route never parks: it does
 // not pass through the formation loop.)
 func TestPinnedParksBehindFormingContext(t *testing.T) {
-	dev := startNew(t, WithFormation(0, 1, 2*time.Millisecond)).(*CohortServer)
+	dev := startNew(t, WithFormation(0, 1, 2*time.Millisecond)).(*cohortServer)
 	parked := make(chan int, 1)
 	uris := []string{"/index.php", "/browse.php?cat=books", "/search.php?q=lamp"}
 	dev.doCh <- func() { // all admitted before the loop can serve the first one's timer
@@ -195,14 +195,14 @@ func TestDrainAnswersHostUnitsInFlight(t *testing.T) {
 			}
 			var once sync.Once
 			unhold := func() { once.Do(func() { close(release) }) }
-			opts := CohortOptions{CrossoverRate: 1e12} // always the host route
+			opts := cohortOptions{CrossoverRate: 1e12} // always the host route
 			if transport == "tcp" {
 				w := startFabricWorker(t, 1, 1)
 				w.Cluster().SetWriteHook(hold)
 				opts.WorkerAddrs = []string{w.Addr()}
 			}
 			t.Cleanup(unhold) // a failed run must not leave the worker blocked
-			dev, err := NewCohortServer(opts)
+			dev, err := newCohortServer(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestDrainAnswersHostUnitsInFlight(t *testing.T) {
 // it copies two of them; the percentile sorts run on the scraper's
 // goroutine.
 func TestStatsScrapeDoesNotStallLoop(t *testing.T) {
-	dev := startNew(t).(*CohortServer)
+	dev := startNew(t).(*cohortServer)
 	filled := make(chan struct{})
 	dev.doCh <- func() {
 		for i := 0; i < 2*latencyWindow; i++ {

@@ -19,14 +19,16 @@
 //     time, serving the SPECWeb2009 Banking workload and reporting
 //     throughput/latency/energy. Its formation policy is the paper's: a
 //     fixed timeout.
-//   - New: a live server of the registered workloads behind a real TCP
-//     listener. By default requests go through the cohort pipeline under
+//   - New: the one live server of the registered workloads behind a
+//     real TCP listener. Requests go through the cohort pipeline under
 //     one formation policy, the adaptive controller (DESIGN.md §12): a
 //     request type arriving too slowly for batching to pay is answered
 //     at once on the host path, by the connection that received it and
-//     under its state's shard-group lock, a burst forms cohorts; WithFormation's timeout pins the paper's
-//     fixed policy instead, and WithHostExecution serves everything on
-//     the scalar host path.
+//     under its state's shard-group lock, a burst forms cohorts. Two
+//     pins of that controller are the paper's baselines:
+//     WithFormation's timeout is the fixed §3.1 policy, and
+//     WithHostExecution is the conventional server, every request on
+//     the host route.
 //   - The cmd/rhythm-bench binary and the benchmarks in bench_test.go,
 //     which regenerate every table and figure of the paper's evaluation.
 package rhythm

@@ -7,6 +7,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -18,11 +19,13 @@ import (
 )
 
 func main() {
-	srv := rhythm.NewTCPServer(4096)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	// The conventional-server baseline: the one server pinned to the host
+	// route.
+	srv, err := rhythm.New("127.0.0.1:0", rhythm.WithHostExecution())
+	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Drain(context.Background())
 	go srv.Serve()
 	addr := srv.Addr().String()
 	uid, pw := srv.Seed(90210)
@@ -68,7 +71,7 @@ func main() {
 	status, _, page = read(r)
 	report("logout", status, page, "signed off")
 
-	fmt.Printf("\nserver handled %d requests; every page is the same fixed-size,\n", srv.Served())
+	fmt.Printf("\nserver handled %d requests; every page is the same fixed-size,\n", srv.Snapshot().Served())
 	fmt.Println("whitespace-aligned response the SIMT kernels produce (see DESIGN.md).")
 }
 

@@ -60,7 +60,7 @@ func loginGroupOwner(t *testing.T, uid uint64, nodes int) int {
 // concatenated transcripts are then compared byte-for-byte — the wire
 // protocol may not perturb a single response byte.
 func TestFabricServerTCPDifferentialAllWorkloads(t *testing.T) {
-	drive := func(dev *CohortServer) []byte {
+	drive := func(dev *cohortServer) []byte {
 		ls := newLockstep(t, dev)
 		driveMixed(ls, dev)
 		driveEcom(ls)
@@ -123,7 +123,7 @@ func TestFabricServerTCPDifferentialAllWorkloads(t *testing.T) {
 func TestFabricServerNodeKillFailover(t *testing.T) {
 	uid := differentialUIDs[0]
 	target := loginGroupOwner(t, uid, 2)
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		Devices:          1,
 		Nodes:            2,
 		CohortSize:       8,
@@ -232,7 +232,7 @@ func TestFabricServerTCPNodeKillFailover(t *testing.T) {
 		})
 	}
 
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		CohortSize:       8,
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
@@ -281,7 +281,7 @@ func TestFabricServerTCPNodeKillFailover(t *testing.T) {
 // surface the shed in /v1/stats (link_sheds, workload_sheds) and the
 // per-node /v1/topology document.
 func TestFabricServerLinkSaturationSheds(t *testing.T) {
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		CohortSize:       8,
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,

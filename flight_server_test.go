@@ -89,7 +89,7 @@ func readResponseKeepTrace(t *testing.T, r *bufio.Reader) (resp, trace string) {
 // waitForAnomalies polls until the cohort server's flight recorder has
 // promoted exactly want records (finishing happens after the response
 // write, so a client can observe the response first).
-func waitForAnomalies(t *testing.T, srv *CohortServer, want uint64) {
+func waitForAnomalies(t *testing.T, srv *cohortServer, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -104,18 +104,13 @@ func waitForAnomalies(t *testing.T, srv *CohortServer, want uint64) {
 	}
 }
 
-// TestFlightTraceHeaderEndToEnd: every banking response in both modes
+// TestFlightTraceHeaderEndToEnd: every banking response under either pin
 // carries a server-assigned X-Rhythm-Trace header; the debug and
 // observability endpoints do not (they are not flight-recorded).
 func TestFlightTraceHeaderEndToEnd(t *testing.T) {
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	host := startNew(t, WithHostExecution())
 
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
 	})
@@ -150,17 +145,12 @@ func TestFlightTraceHeaderEndToEnd(t *testing.T) {
 }
 
 // TestFlightHealthEndpoints: /v1/health answers the burn-rate document
-// on both modes, and /v1/debug/flight answers the anomaly-ring document
+// under either pin, and /v1/debug/flight answers the anomaly-ring document
 // (JSON and Chrome formats, with ?n= bounding).
 func TestFlightHealthEndpoints(t *testing.T) {
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	host := startNew(t, WithHostExecution())
 
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
 	})
@@ -228,7 +218,7 @@ func TestFlightHealthEndpoints(t *testing.T) {
 // request still in formation is not finished, and the shed 503 itself
 // carries the trace ID that names the record.
 func TestFlightShedPromotesExactlyOne(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		CohortSize:       4,
 		MaxCohorts:       1,
 		FormationTimeout: -1, // pin the only context as PartiallyFull
@@ -274,7 +264,7 @@ func TestFlightShedPromotesExactlyOne(t *testing.T) {
 // deadline in formation promotes exactly one record with reason
 // "deadline"; the never-launching pinned cohort contributes nothing.
 func TestFlightDeadlinePromotesExactlyOne(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		CohortSize:       32,
 		FormationTimeout: -1, // never launch: the deadline must fire
 		RequestDeadline:  60 * time.Millisecond,
@@ -365,7 +355,7 @@ func TestFlightFailoverRecordsHops(t *testing.T) {
 func TestFlightNodeLossRecordsHops(t *testing.T) {
 	uid := differentialUIDs[0]
 	target := loginGroupOwner(t, uid, 2)
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		Devices:          1,
 		Nodes:            2,
 		CohortSize:       8,
@@ -410,16 +400,11 @@ func TestFlightNodeLossRecordsHops(t *testing.T) {
 
 // TestTraceCaptureConcurrent429: a ?secs=N trace capture racing another
 // in-flight capture is bounded — the loser answers 429 with Retry-After
-// instead of stacking a second blocking window (both modes).
+// instead of stacking a second blocking window (either pin).
 func TestTraceCaptureConcurrent429(t *testing.T) {
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	host := startNew(t, WithHostExecution())
 
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
 	})

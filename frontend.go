@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -22,45 +24,21 @@ import (
 	"rhythm/internal/stats"
 )
 
-// mode is what differs between the two servers from dispatch on (PAPER.md
-// §3.1: reader → parser → dispatch → process → response). TCPServer
-// executes on the handler goroutine; CohortServer dispatches a host-routed
-// request from the handler too, and admits the rest to its formation loop
-// and waits.
-type mode interface {
-	// dispatch answers the classified request in a (a.req, a.t, a.frec
-	// armed) with its response bytes. It records the outcome in
-	// a.frec.Status — or re-points a.done at a record it owned while the
-	// request was in flight — and sets a.spans when the request's
-	// lifecycle should be traced. The frontend calls it once per
-	// classified request that missed the render cache.
-	dispatch(a *connArena) []byte
-	// sessionsFor returns the session array the request's session lives
-	// in (nil = not reachable from here, so the page is not cacheable).
-	sessionsFor(req *httpx.Request, t service.TypeID) *session.Array
-	// statsDocument is the mode's /v1/stats payload.
-	statsDocument() any
-	// writeMetrics emits the mode's own Prometheus families between the
-	// shared head and tail of /v1/metrics.
-	writeMetrics(w *obs.PromWriter)
-}
-
-// frontend is everything the two servers share before and around
-// dispatch: the listener, the tracked connection set and its drain, the
+// frontend is everything the server does before and around dispatch:
+// the listener, the tracked connection set and its drain, the
 // per-connection arena, read → parse → control-plane route → classify →
-// render-cache probe → mode.dispatch → write, and the observability
-// surfaces the control plane renders. Both servers embed one.
+// render-cache probe → dispatch → write (PAPER.md §3.1: reader → parser
+// → dispatch → process → response), and the observability surfaces the
+// control plane renders. The server embeds one; the steps that need the
+// server (handle, respond, metricsResponse) are its methods.
 type frontend struct {
 	reg    *service.Registry
 	names  []string // display label (workload/name) per TypeID
 	labels []string // Prometheus label set per TypeID
-	mode   mode
-	// modeName is "host" or "cohort"; maxOut sizes each connection's
-	// render buffer.
-	modeName string
-	maxOut   int
-	// fab is the device fabric behind the server (nil in host mode): the
-	// /v1/topology document and the device track of /v1/trace.
+	// maxOut sizes each connection's render buffer.
+	maxOut int
+	// fab is the device fabric behind the server: the /v1/topology
+	// document and the device track of /v1/trace.
 	fab *fabric.Fabric
 
 	mu sync.Mutex // listener only
@@ -93,15 +71,13 @@ type frontend struct {
 	cache *rcache.Cache
 }
 
-// init wires the frontend under m. The health engine is set separately
-// (setHealth) because its counts close over mode state.
-func (f *frontend) init(reg *service.Registry, m mode, modeName string, maxOut int, fcfg flight.Config) {
+// init wires the frontend. The health engine is set separately
+// (setHealth) because its counts close over server state.
+func (f *frontend) init(reg *service.Registry, fcfg flight.Config) {
 	f.reg = reg
 	f.names = reg.DisplayNames()
 	f.labels = typeLabelSets(reg)
-	f.mode = m
-	f.modeName = modeName
-	f.maxOut = maxOut
+	f.maxOut = reg.MaxBufferBytes()
 	f.conns = make(map[*liveConn]struct{})
 	f.tracer = obs.NewRecorder(obs.DefaultTraceCapacity)
 	f.latHist = newLatencyHistograms(reg.NumTypes())
@@ -110,7 +86,7 @@ func (f *frontend) init(reg *service.Registry, m mode, modeName string, maxOut i
 
 // setHealth builds the burn-rate engine over the latency histograms.
 // extraBad counts per-type requests that never reach them (sheds,
-// deadline misses); nil when the mode has no such paths.
+// deadline misses).
 func (f *frontend) setHealth(cfg health.Config, extraBad []atomic.Uint64) {
 	if cfg.SLO <= 0 {
 		cfg.SLO = defaultHealthSLO
@@ -138,10 +114,6 @@ func (f *frontend) Seed(userID uint64) (uint64, string) {
 	return userID, backend.PasswordFor(userID)
 }
 
-// Served reports how many responses have been produced (including error
-// and shed responses).
-func (f *frontend) Served() uint64 { return f.served.Load() }
-
 // Listen binds the listener without serving (so callers can learn the
 // port before Serve blocks).
 func (f *frontend) Listen(addr string) error {
@@ -156,10 +128,10 @@ func (f *frontend) Listen(addr string) error {
 }
 
 // Serve accepts connections until the listener is closed.
-func (f *frontend) Serve() error {
-	f.mu.Lock()
-	ln := f.ln
-	f.mu.Unlock()
+func (s *cohortServer) Serve() error {
+	s.mu.Lock()
+	ln := s.ln
+	s.mu.Unlock()
 	if ln == nil {
 		return errors.New("rhythm: Serve before Listen")
 	}
@@ -171,16 +143,8 @@ func (f *frontend) Serve() error {
 			}
 			return err
 		}
-		go f.handle(conn)
+		go s.handle(conn)
 	}
-}
-
-// ListenAndServe binds addr and serves until the server is drained.
-func (f *frontend) ListenAndServe(addr string) error {
-	if err := f.Listen(addr); err != nil {
-		return err
-	}
-	return f.Serve()
 }
 
 // stopAccepting marks the frontend closing and closes the listener.
@@ -198,7 +162,7 @@ func (f *frontend) stopAccepting() {
 // drainConns closes idle (reading) connections immediately and busy ones
 // after their current write, returning once every handler has exited.
 // When ctx ends first it closes the rest and returns ctx.Err(). Call
-// after stopAccepting, once no handler can be left waiting on the mode.
+// after stopAccepting, once no handler can be left waiting on dispatch.
 func (f *frontend) drainConns(ctx context.Context) error {
 	// Barrier: a handler that saw closing==false completes its WaitGroup
 	// registration (under connMu) before we start waiting.
@@ -247,18 +211,16 @@ type liveConn struct {
 
 // connArena holds the per-connection reusable buffers of the zero-copy
 // hot path — the raw request bytes, the parsed request (param/cookie
-// slices recycled by ParseInto), the execution scratch host mode runs
-// through, a max-size render buffer both modes' host paths render into,
-// and the cohort host route's reusable dispatch — so the steady state
-// allocates nothing but the parse's raw-to-string conversion (DESIGN.md
-// §14). It also carries the current request between the frontend and
-// mode.dispatch.
+// slices recycled by ParseInto), a max-size render buffer the host route
+// renders into, and the host route's reusable dispatch — so the steady
+// state allocates little beyond the parse's raw-to-string conversion
+// (DESIGN.md §14). It also carries the current request between the
+// frontend and dispatch.
 type connArena struct {
-	raw     []byte
-	req     httpx.Request
-	scratch *service.Scratch
-	out     []byte
-	host    *hostCall
+	raw  []byte
+	req  httpx.Request
+	out  []byte
+	host *hostCall
 	// frec is the connection's flight-record scratch, armed for every
 	// classified request and either recycled (fast path) or copied into
 	// the anomaly ring by Finish (DESIGN.md §15). wbuf is the reusable
@@ -279,16 +241,11 @@ type connArena struct {
 	pad   int
 }
 
-// newConnArena builds an arena; maxOut > 0 adds the host execution
-// buffers, the render buffer sized to the registry's largest
-// response-buffer class so one buffer serves every registered type.
+// newConnArena builds an arena whose render buffer has maxOut bytes, the
+// registry's largest response-buffer class, so one buffer serves every
+// registered type.
 func newConnArena(maxOut int) *connArena {
-	a := &connArena{raw: make([]byte, 0, 1024)}
-	if maxOut > 0 {
-		a.scratch = service.NewScratch()
-		a.out = make([]byte, maxOut)
-	}
-	return a
+	return &connArena{raw: make([]byte, 0, 1024), out: make([]byte, maxOut)}
 }
 
 // keepRaw keeps raw's grown capacity for the connection's next request,
@@ -302,7 +259,8 @@ func (a *connArena) keepRaw(raw []byte) {
 }
 
 // handle serves one keep-alive connection.
-func (f *frontend) handle(conn net.Conn) {
+func (s *cohortServer) handle(conn net.Conn) {
+	f := &s.frontend
 	lc := &liveConn{Conn: conn}
 	f.connMu.Lock()
 	if f.closing.Load() {
@@ -337,7 +295,7 @@ func (f *frontend) handle(conn net.Conn) {
 			return
 		}
 		lc.busy.Store(true)
-		resp := f.respond(a, raw)
+		resp := s.respond(a, raw)
 		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 		wstart := time.Now()
 		if a.done != nil {
@@ -364,10 +322,11 @@ func (f *frontend) handle(conn net.Conn) {
 
 // respond answers one request using the connection's arena: the control
 // plane and static assets directly, a cacheable page from the render
-// cache when it can, everything else through mode.dispatch. For a
-// classified request it leaves a.done (and a.spans) set for handle to
-// finish after the write.
-func (f *frontend) respond(a *connArena, raw []byte) []byte {
+// cache when it can, everything else through dispatch. For a classified
+// request it leaves a.done (and a.spans) set for handle to finish after
+// the write.
+func (s *cohortServer) respond(a *connArena, raw []byte) []byte {
+	f := &s.frontend
 	f.served.Add(1)
 	a.start = time.Now()
 	a.done, a.spans, a.pad = nil, nil, 0
@@ -378,9 +337,9 @@ func (f *frontend) respond(a *connArena, raw []byte) []byte {
 	}
 	switch req.Path {
 	case StatsPathV1:
-		return jsonResponse(f.mode.statsDocument())
+		return jsonResponse(s.Stats())
 	case MetricsPathV1:
-		return f.metricsResponse()
+		return s.metricsResponse()
 	case TracePathV1:
 		return f.traceResponse(req)
 	case FlightPathV1:
@@ -388,9 +347,7 @@ func (f *frontend) respond(a *connArena, raw []byte) []byte {
 	case HealthPathV1:
 		return healthResponse(f.hEngine, f.flight)
 	case TopologyPathV1:
-		if f.fab != nil {
-			return jsonResponse(f.fab.Snapshot())
-		}
+		return jsonResponse(f.fab.Snapshot())
 	}
 	t, ok := f.reg.Classify(req)
 	if !ok {
@@ -419,7 +376,7 @@ func (f *frontend) respond(a *connArena, raw []byte) []byte {
 	)
 	if f.cache != nil && f.reg.Spec(t).Cacheable {
 		if sid, ok := session.ParseID(req.Cookie(f.reg.WorkloadOf(t).SessionCookie())); ok {
-			if arr := f.mode.sessionsFor(req, t); arr != nil {
+			if arr := s.sessionsFor(req, t); arr != nil {
 				if uid, ok := arr.Lookup(sid); ok {
 					cacheable, csid, cuid = true, sid, uid
 					cver = f.cache.Version(cuid)
@@ -435,7 +392,7 @@ func (f *frontend) respond(a *connArena, raw []byte) []byte {
 		}
 	}
 
-	resp := f.mode.dispatch(a)
+	resp := s.dispatch(a)
 	// Only a page of exactly the type's buffer size is inserted, so the
 	// pad a hit restores is always the one that was cut.
 	if cacheable && a.done.Status == flight.StatusOK && len(resp) == f.reg.Spec(t).BufferBytes {
@@ -444,16 +401,17 @@ func (f *frontend) respond(a *connArena, raw []byte) []byte {
 	return resp
 }
 
-// metricsResponse renders the Prometheus /v1/metrics document: the
-// shared head, the mode's own families, the shared tail. Everything the
+// metricsResponse renders the Prometheus /v1/metrics document. The
+// server's own families come through one Stats snapshot; everything the
 // frontend reads here is atomic or internally locked.
-func (f *frontend) metricsResponse() []byte {
+func (s *cohortServer) metricsResponse() []byte {
+	f := &s.frontend
 	w := obs.NewPromWriter()
-	w.Family("rhythm_build_info", "gauge", "Serving mode of this rhythmd process.")
-	w.Value("rhythm_build_info", obs.Label("mode", f.modeName), 1)
+	w.Family("rhythm_build_info", "gauge", "Serving mode of this rhythmd process: host when pinned to the host route, else cohort.")
+	w.Value("rhythm_build_info", obs.Label("mode", s.mode()), 1)
 	w.Family("rhythm_requests_served_total", "counter", "Responses produced, including errors and sheds.")
 	w.Value("rhythm_requests_served_total", "", float64(f.served.Load()))
-	f.mode.writeMetrics(w)
+	s.writeMetrics(w)
 	writeLatencyFamilies(w, f.labels, f.latHist)
 	if f.cache != nil {
 		writeRenderCacheFamilies(w, f.cache.Stats())
@@ -465,7 +423,7 @@ func (f *frontend) metricsResponse() []byte {
 }
 
 // traceResponse renders the Chrome trace-event document for /v1/trace,
-// optionally blocking for a ?secs=N capture window. Without a fabric
+// optionally blocking for a ?secs=N capture window. On remote workers
 // the document carries only the request track.
 func (f *frontend) traceResponse(req *httpx.Request) []byte {
 	secs, ok := captureSecs(req)
@@ -490,14 +448,10 @@ func (f *frontend) traceResponse(req *httpx.Request) []byte {
 		// is too: each node cluster filters its rings before the fabric
 		// merges them (empty with remote workers — their rings live in
 		// the worker process).
-		if f.fab != nil {
-			floors = f.fab.LaunchFloors()
-		}
+		floors = f.fab.LaunchFloors()
 		time.Sleep(time.Duration(secs) * time.Second)
 	}
-	if f.fab != nil {
-		launches = f.fab.ProfilesSince(floors)
-	}
+	launches = f.fab.ProfilesSince(floors)
 	var traces []obs.RequestTrace
 	if secs > 0 {
 		traces = f.tracer.Since(since)
@@ -514,4 +468,117 @@ func (f *frontend) cacheStats() rcache.Stats {
 		return rcache.Stats{}
 	}
 	return f.cache.Stats()
+}
+
+// errorResponse renders a connection-closing error page.
+func errorResponse(code int, reason string) []byte {
+	buf := make([]byte, 512)
+	w := httpx.NewResponseWriter(buf)
+	w.StartError(code, reason)
+	return w.Finish()
+}
+
+// Request size limits. A header section past maxHeaderBytes is answered
+// 431 and the connection closed; a Content-Length past maxBodyBytes
+// closes it unanswered. An arena whose raw buffer grew past
+// maxRetainedRaw (one large body) drops it after the request instead of
+// pinning it for the connection's life.
+const (
+	maxHeaderBytes = 64 << 10
+	maxBodyBytes   = 1 << 20
+	maxRetainedRaw = maxHeaderBytes
+)
+
+// errHeaderTooLarge reports a request whose header section exceeds
+// maxHeaderBytes — one endless line or endlessly many.
+var errHeaderTooLarge = errors.New("rhythm: request header section too large")
+
+// readRequestInto reads one HTTP/1.1 request (headers + Content-Length
+// body) from r, appending into buf and returning the extended slice,
+// which never exceeds maxHeaderBytes + maxBodyBytes. Once a
+// connection's buffer has grown to its working size, reading a request
+// performs no allocation (lines are consumed via ReadSlice and the
+// Content-Length value is scanned in place).
+func readRequestInto(r *bufio.Reader, buf []byte) ([]byte, error) {
+	contentLength := 0
+	for {
+		lineStart := len(buf)
+		for {
+			frag, err := r.ReadSlice('\n')
+			if len(buf)+len(frag) > maxHeaderBytes {
+				return buf, errHeaderTooLarge
+			}
+			buf = append(buf, frag...)
+			if err == nil {
+				break
+			}
+			if err == bufio.ErrBufferFull {
+				continue // header line longer than the reader buffer
+			}
+			return buf, err
+		}
+		line := buf[lineStart:]
+		for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+			line = line[:len(line)-1]
+		}
+		if len(line) == 0 {
+			break
+		}
+		if n, ok := contentLengthValue(line); ok {
+			if n < 0 || n > maxBodyBytes {
+				return buf, fmt.Errorf("rhythm: bad content length %q", line)
+			}
+			contentLength = n
+		}
+	}
+	if contentLength > 0 {
+		bodyStart := len(buf)
+		if cap(buf)-bodyStart < contentLength {
+			grown := make([]byte, bodyStart, bodyStart+contentLength)
+			copy(grown, buf)
+			buf = grown
+		}
+		buf = buf[:bodyStart+contentLength]
+		if _, err := io.ReadFull(r, buf[bodyStart:]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// contentLengthValue matches a Content-Length header line
+// case-insensitively and parses its decimal value in place, reporting
+// (-1, true) for a malformed value.
+func contentLengthValue(line []byte) (int, bool) {
+	const name = "content-length:"
+	if len(line) < len(name) {
+		return 0, false
+	}
+	for i := 0; i < len(name); i++ {
+		c := line[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != name[i] {
+			return 0, false
+		}
+	}
+	v := line[len(name):]
+	for len(v) > 0 && (v[0] == ' ' || v[0] == '\t') {
+		v = v[1:]
+	}
+	for len(v) > 0 && (v[len(v)-1] == ' ' || v[len(v)-1] == '\t') {
+		v = v[:len(v)-1]
+	}
+	if len(v) == 0 {
+		return -1, true
+	}
+	n := 0
+	for _, c := range v {
+		if c < '0' || c > '9' || n > (1<<30) {
+			return -1, true
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
 }

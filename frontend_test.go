@@ -16,7 +16,7 @@ import (
 	"rhythm/internal/httpx"
 )
 
-// TestDrainClosesKeepAliveConnections: in both modes Drain closes idle
+// TestDrainClosesKeepAliveConnections: under either pin Drain closes idle
 // keep-alive connections promptly and leaves no goroutine behind — not
 // the accept loop, not a connection handler parked in its 30 s read.
 func TestDrainClosesKeepAliveConnections(t *testing.T) {

@@ -19,14 +19,14 @@ import (
 // device, while paced Besim writes (post_transfer) stay below it and
 // execute on the host route, inline on the connection handlers, against
 // the same group (rhythm.New runs one device, so one group). Each
-// connection is one user; its pages must be byte-identical to a host-mode
-// server replaying that connection's sequence, and the closing
+// connection is one user; its pages must be byte-identical to the scalar
+// reference replaying that connection's sequence, and the closing
 // account_summary pins the final balances, so every write was applied
 // exactly once.
 func TestHostRouteConcurrentWithCohorts(t *testing.T) {
 	const conns = 8
-	fastTick := func(c *serverConfig) { c.cohort.AdaptTick = 10 * time.Millisecond }
-	dev := startNew(t, WithCrossoverRate(200), fastTick).(*CohortServer)
+	fastTick := func(o *cohortOptions) { o.AdaptTick = 10 * time.Millisecond }
+	dev := startNew(t, WithCrossoverRate(200), fastTick).(*cohortServer)
 
 	type exchange struct {
 		raw  string
@@ -105,19 +105,11 @@ func TestHostRouteConcurrentWithCohorts(t *testing.T) {
 		return
 	}
 
-	host := NewTCPServer(1 << 16) // rhythm.New's session geometry
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { host.Close() })
-	go host.Serve()
+	ref := newReference(1 << 16) // rhythm.New's session geometry
 	for i, seq := range transcripts {
-		conn := dialT(t, host.Addr())
-		r := bufio.NewReader(conn)
 		for j, ex := range seq {
-			io.WriteString(conn, ex.raw)
-			if want := readRawResponse(t, r); !bytes.Equal(want, ex.resp) {
-				t.Fatalf("conn %d exchange %d (%.60q): cohort server answered\n%.300q\nhost replay answered\n%.300q",
+			if want := ref.answer([]byte(ex.raw)); !bytes.Equal(want, ex.resp) {
+				t.Fatalf("conn %d exchange %d (%.60q): server answered\n%.300q\nreference replay answered\n%.300q",
 					i, j, ex.raw, ex.resp, want)
 			}
 		}

@@ -22,8 +22,11 @@
 //
 // The paper's own policy — one fixed timeout, launch when full — is this
 // controller pinned (Config.Pin): the window never moves, the threshold
-// is the cohort capacity and nothing routes to the host. It is a mode of
-// the one policy, so a server has a single formation path either way.
+// is the cohort capacity and nothing routes to the host. The
+// conventional server is this controller pinned the other way
+// (CrossoverRate = +Inf): every rate is below the crossover, so every
+// request takes the host route. Both are modes of the one policy, so a
+// server has a single formation path either way.
 package adapt
 
 import (
@@ -102,7 +105,10 @@ type Config struct {
 	SvcPerReqPrior time.Duration
 	// CrossoverRate overrides the host/device routing crossover in req/s:
 	// >0 uses the value as-is, 0 derives it from the service model, <0
-	// disables host fallback entirely (always batch).
+	// disables host fallback entirely (always batch). +Inf pins every
+	// type to the host route: no rate reaches it, and the device-floor
+	// override that otherwise forces a loaded type onto the device is
+	// off.
 	CrossoverRate float64
 }
 
@@ -337,6 +343,10 @@ func (c *Controller) crossover(ts *typeState) float64 {
 	return minBatch * minBatch / ts.base
 }
 
+// hostPinned reports a controller pinned to the host route
+// (CrossoverRate = +Inf).
+func (c *Controller) hostPinned() bool { return math.IsInf(c.cfg.CrossoverRate, 1) }
+
 // retune recomputes one type's operating point from its rate and service
 // model. Caller holds c.mu.
 func (c *Controller) retune(ts *typeState) {
@@ -361,7 +371,7 @@ func (c *Controller) retune(ts *typeState) {
 	// Host/device crossover with hysteresis.
 	cross := c.crossover(ts)
 	switch {
-	case c.cfg.CrossoverRate < 0, rho >= deviceFloorRho:
+	case c.cfg.CrossoverRate < 0, rho >= deviceFloorRho && !c.hostPinned():
 		ts.route(false)
 	case ts.hostRoute && r >= cross*hystHigh:
 		ts.route(false)
@@ -434,8 +444,9 @@ type TypeSnapshot struct {
 	EarlyThreshold int     `json:"early_threshold"`
 	HostRoute      bool    `json:"host_route"`
 	// CrossoverReqS is the rate below which the type routes to the host
-	// (0: host routing is off); FlipsToDevice/FlipsToHost count the times
-	// the route changed.
+	// (0: host routing is off, or the controller is pinned to the host
+	// route, HostPinned); FlipsToDevice/FlipsToHost count the times the
+	// route changed.
 	CrossoverReqS  float64 `json:"crossover_req_s"`
 	FlipsToDevice  uint64  `json:"flips_to_device"`
 	FlipsToHost    uint64  `json:"flips_to_host"`
@@ -449,8 +460,10 @@ type TypeSnapshot struct {
 // /v1/stats).
 type Snapshot struct {
 	// Pinned reports the fixed policy (Config.Pin) and PinWindowUs its
-	// window (negative: never time out); SLOMs is then 0.
+	// window (negative: never time out); SLOMs is then 0. HostPinned
+	// reports the pin to the host route (CrossoverRate = +Inf).
 	Pinned        bool           `json:"pinned"`
+	HostPinned    bool           `json:"host_pinned"`
 	PinWindowUs   float64        `json:"pin_window_us"`
 	SLOMs         float64        `json:"slo_ms"`
 	TickMs        float64        `json:"tick_ms"`
@@ -469,6 +482,7 @@ func (c *Controller) Snapshot() Snapshot {
 	defer c.mu.Unlock()
 	snap := Snapshot{
 		Pinned:       c.cfg.Pin != 0,
+		HostPinned:   c.hostPinned(),
 		PinWindowUs:  float64(c.cfg.Pin) / 1e3,
 		SLOMs:        float64(c.cfg.SLO) / 1e6,
 		TickMs:       float64(c.cfg.Tick) / 1e6,
@@ -486,13 +500,17 @@ func (c *Controller) Snapshot() Snapshot {
 		if i < len(c.cfg.Names) {
 			name = c.cfg.Names[i]
 		}
+		cross := c.crossover(ts)
+		if math.IsInf(cross, 1) {
+			cross = 0 // JSON has no infinity; HostPinned says it
+		}
 		snap.Types = append(snap.Types, TypeSnapshot{
 			Type:           name,
 			RateReqS:       ts.rate,
 			WindowUs:       float64(ts.window) / 1e3,
 			EarlyThreshold: ts.threshold,
 			HostRoute:      ts.hostRoute,
-			CrossoverReqS:  c.crossover(ts),
+			CrossoverReqS:  cross,
 			FlipsToDevice:  ts.toDevice,
 			FlipsToHost:    ts.toHost,
 			SvcBaseUs:      ts.base * 1e6,

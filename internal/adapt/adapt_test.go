@@ -1,6 +1,8 @@
 package adapt
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -197,6 +199,49 @@ func TestPinned(t *testing.T) {
 				t.Fatalf("pinned type shows a host route: %+v", ts)
 			}
 		})
+	}
+}
+
+// TestHostPinned is the conventional server as a mode of the
+// controller: at CrossoverRate +Inf every arrival routes to the host,
+// across ticks, at rates whose utilization is past deviceFloorRho (the
+// override that forces a loaded type onto the device), and the snapshot
+// says so without an infinity JSON cannot encode.
+func TestHostPinned(t *testing.T) {
+	c := New(Config{Types: 2, Capacity: 64, SLO: 20 * time.Millisecond, Tick: 10 * time.Millisecond, CrossoverRate: math.Inf(1)})
+	clock := 0.0
+	c.Tick(at(clock))
+	seedModel(c, 0, 1e-3, 5e-6)
+	check := func(when string) {
+		t.Helper()
+		for typ := 0; typ < 2; typ++ {
+			if !c.Arrival(typ) {
+				t.Fatalf("%s: a host-pinned controller routed type %d to the device", when, typ)
+			}
+		}
+	}
+	check("cold")
+	for _, rate := range []float64{50, 50000, 200000, 0, 100000} {
+		drive(c, &clock, rate, 30)
+		if rate > 0 {
+			// ρ = λ·(a/cap + b) with the seeded model.
+			if rho := rate * (1e-3/64 + 5e-6); rate >= 50000 && rho < deviceFloorRho {
+				t.Fatalf("%v req/s is ρ=%.2f, below deviceFloorRho %v: the test does not reach the override", rate, rho, deviceFloorRho)
+			}
+		}
+		check(fmt.Sprintf("after 30 ticks at %v req/s", rate))
+	}
+	snap := c.Snapshot()
+	if !snap.HostPinned || snap.Pinned {
+		t.Fatalf("snapshot host_pinned=%v pinned=%v, want true/false", snap.HostPinned, snap.Pinned)
+	}
+	for _, ts := range snap.Types {
+		if !ts.HostRoute || ts.FlipsToDevice != 0 || ts.DeviceRequests != 0 || ts.CrossoverReqS != 0 {
+			t.Fatalf("host-pinned type left the host route: %+v", ts)
+		}
+	}
+	if _, err := json.Marshal(snap); err != nil {
+		t.Fatalf("host-pinned snapshot does not encode: %v", err)
 	}
 }
 

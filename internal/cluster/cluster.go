@@ -165,9 +165,13 @@ type Unit struct {
 	Host bool
 	// Out, when set on a one-request host unit and at least the type's
 	// buffer size, is the buffer the response renders into:
-	// Result.Resps[0] is then a prefix of it. Transports that execute the
-	// unit in another process ignore it.
+	// Result.Resps[0] is then a prefix of it. Res, when set on a host
+	// unit, is the Result its outcome is written into (Resps reusing its
+	// backing array), so a caller that dispatches one host unit at a
+	// time allocates neither. Transports that execute the unit in another
+	// process ignore both.
 	Out []byte
+	Res *Result
 	// Done receives the unit's outcome exactly once and must not block.
 	// A device unit's Done runs on the executing device's worker
 	// goroutine (or a dying device's, when the unit is shed with
@@ -225,10 +229,10 @@ type groupState struct {
 	sessions *session.Array
 }
 
-func newGroupState(cfg *Config) *groupState {
+func newGroupState(reg *service.Registry, buckets, nodesPerBucket int) *groupState {
 	g := &groupState{
-		bes:      cfg.Registry.NewBackends(),
-		sessions: session.NewArray(cfg.SessionBuckets, cfg.SessionNodesPerBucket),
+		bes:      reg.NewBackends(),
+		sessions: session.NewArray(buckets, nodesPerBucket),
 	}
 	for w := range g.bes {
 		g.commits = append(g.commits, &lockedBackend{g: g, w: w})
@@ -270,7 +274,7 @@ func New(cfg Config) *Cluster {
 		stopCh:  make(chan struct{}),
 	}
 	for g := 0; g < cfg.Groups; g++ {
-		c.groups = append(c.groups, newGroupState(&cfg))
+		c.groups = append(c.groups, newGroupState(cfg.Registry, cfg.SessionBuckets, cfg.SessionNodesPerBucket))
 		c.owner[g] = g % cfg.Devices
 	}
 	for i := 0; i < cfg.Devices; i++ {
@@ -348,11 +352,15 @@ func (c *Cluster) GroupFor(req *httpx.Request, t service.TypeID) int {
 // shed: the owning device's bounded queue is full (backpressure — the
 // caller's 503 path) or no healthy device exists. On false the unit was
 // not enqueued and Done will not be called. A host unit executes before
-// Dispatch returns (executeHost); only a pool with no healthy device
+// Dispatch returns (ExecuteHost); only a pool with no healthy device
 // refuses one.
 func (c *Cluster) Dispatch(u *Unit) bool {
 	if u.Host {
-		return c.executeHost(u)
+		res, ok := c.ExecuteHost(u)
+		if ok {
+			u.Done(res)
+		}
+		return ok
 	}
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -375,15 +383,17 @@ func (c *Cluster) Dispatch(u *Unit) bool {
 // concurrently executing dispatcher, reset by every execution.
 var scratches = sync.Pool{New: func() any { return service.NewScratch() }}
 
-// executeHost runs a host unit (Unit.Host) on the calling goroutine
-// through the workload's scalar path, so the response bytes are
-// identical to host mode's. The owner is resolved as for a device unit —
+// ExecuteHost runs a host unit (Unit.Host) on the calling goroutine
+// through the workload's scalar path, the reference every device
+// kernel's bytes are held to, and returns its Result (u.Res when set);
+// u.Done is not called. The owner is resolved as for a device unit —
 // dead-owner failover included — and counts the unit as outstanding
 // while it runs. Each request executes under the group's mutex and
 // renders outside it, into u.Out when the unit carries one. Host units
 // consume no execution slot, never advance the fault schedule, and
-// leave the virtual clock alone. Done runs before executeHost returns.
-func (c *Cluster) executeHost(u *Unit) bool {
+// leave the virtual clock alone. It reports false, executing nothing,
+// when every device is dead.
+func (c *Cluster) ExecuteHost(u *Unit) (*Result, bool) {
 	c.statsMu.Lock()
 	var d *device
 	if u.Group >= 0 {
@@ -393,7 +403,7 @@ func (c *Cluster) executeHost(u *Unit) bool {
 	}
 	if d == nil {
 		c.statsMu.Unlock()
-		return false
+		return nil, false
 	}
 	d.outstanding++
 	c.statsMu.Unlock()
@@ -401,7 +411,15 @@ func (c *Cluster) executeHost(u *Unit) bool {
 	st := d.stateFor(u.Group)
 	reg := c.cfg.Registry
 	size := reg.Spec(u.Type).BufferBytes
-	res := &Result{Device: d.id, Host: true, Attempts: 1, Resps: make([][]byte, len(u.Reqs))}
+	res := u.Res
+	if res == nil {
+		res = new(Result)
+	}
+	resps := res.Resps[:0]
+	if cap(resps) < len(u.Reqs) {
+		resps = make([][]byte, 0, len(u.Reqs))
+	}
+	*res = Result{Device: d.id, Host: true, Attempts: 1, Resps: resps[:len(u.Reqs)]}
 	sc := scratches.Get().(*service.Scratch)
 	res.RenderStart = time.Now()
 	for i := range u.Reqs {
@@ -424,8 +442,7 @@ func (c *Cluster) executeHost(u *Unit) bool {
 	d.unitsDone++
 	d.hostUnits++
 	c.statsMu.Unlock()
-	u.Done(res)
-	return true
+	return res, true
 }
 
 // ownerLocked resolves a group's owning device, lazily failing the
@@ -631,7 +648,9 @@ const streamIDStride = 100
 func (c *Cluster) LaunchFloors() []uint64 {
 	floors := make([]uint64, len(c.devs))
 	for i, d := range c.devs {
-		floors[i] = d.dev.ProfiledLaunches()
+		if dev := d.published(); dev != nil {
+			floors[i] = dev.ProfiledLaunches()
+		}
 	}
 	return floors
 }
@@ -644,11 +663,15 @@ func (c *Cluster) LaunchFloors() []uint64 {
 func (c *Cluster) ProfilesSince(floors []uint64) []simt.LaunchRecord {
 	var out []simt.LaunchRecord
 	for i, d := range c.devs {
+		dev := d.published()
+		if dev == nil {
+			continue // never launched: nothing profiled
+		}
 		var floor uint64
 		if i < len(floors) {
 			floor = floors[i]
 		}
-		for _, lr := range d.dev.Profile() {
+		for _, lr := range dev.Profile() {
 			if lr.Seq <= floor {
 				continue
 			}

@@ -44,6 +44,10 @@ type device struct {
 	cl  *Cluster
 	id  int
 	eng *sim.Engine
+	// dev is the modeled device, built with its streams and slots by the
+	// first unit the worker launches (build), so a pool that only ever
+	// executes host units backs no device memory. The worker writes it
+	// once, under cl.statsMu; other goroutines read it under that lock.
 	dev *simt.Device
 
 	// Worker-owned execution state. slots[s] holds execution slot s's
@@ -53,7 +57,7 @@ type device struct {
 	slots     [][]service.Slot
 	freeSlots []int
 	backlog   []*Unit
-	stray     *groupState // state for Group -1 units (never read by them)
+	stray     *groupState // state for Group -1 units (never touched by them)
 	faults    faultCursor
 	unitsSeen int
 	deadFlag  bool  // a loss fault (or escalated launch error) fired
@@ -77,24 +81,45 @@ type device struct {
 }
 
 func newDevice(c *Cluster, id int) *device {
-	eng := sim.NewEngine()
-	reg := c.cfg.Registry
-	memBytes := int(int64(c.cfg.SlotsPerDevice)*reg.DeviceBytes(c.cfg.CohortSize)) + 1<<20 // alignment slack
 	d := &device{
-		cl:     c,
-		id:     id,
-		eng:    eng,
-		dev:    simt.NewDevice(eng, c.cfg.Simt, memBytes, nil),
-		stray:  newGroupState(&c.cfg),
+		cl:  c,
+		id:  id,
+		eng: sim.NewEngine(),
+		// One session node and a store set: the stray state only has to
+		// be non-nil.
+		stray:  newGroupState(c.cfg.Registry, 1, 1),
 		faults: faultCursor{faults: c.cfg.Faults.forDevice(id)},
 		ch:     make(chan *Unit, c.cfg.QueueDepth),
 	}
 	for i := 0; i < c.cfg.SlotsPerDevice; i++ {
-		d.streams = append(d.streams, d.dev.NewStream())
-		d.slots = append(d.slots, reg.NewSlots(d.dev, c.cfg.CohortSize, service.TitanB))
 		d.freeSlots = append(d.freeSlots, i)
 	}
 	return d
+}
+
+// build backs the modeled device: its memory, one stream and one slot
+// set per execution slot. Nothing has run on the engine before it, so a
+// device built at its first launch simulates exactly as one built with
+// the pool.
+func (d *device) build() {
+	reg := d.cl.cfg.Registry
+	memBytes := int(int64(d.cl.cfg.SlotsPerDevice)*reg.DeviceBytes(d.cl.cfg.CohortSize)) + 1<<20 // alignment slack
+	dev := simt.NewDevice(d.eng, d.cl.cfg.Simt, memBytes, nil)
+	for i := 0; i < d.cl.cfg.SlotsPerDevice; i++ {
+		d.streams = append(d.streams, dev.NewStream())
+		d.slots = append(d.slots, reg.NewSlots(dev, d.cl.cfg.CohortSize, service.TitanB))
+	}
+	d.cl.statsMu.Lock()
+	d.dev = dev
+	d.cl.statsMu.Unlock()
+}
+
+// published returns the modeled device, nil until the worker has built
+// it. Safe from any goroutine.
+func (d *device) published() *simt.Device {
+	d.cl.statsMu.Lock()
+	defer d.cl.statsMu.Unlock()
+	return d.dev
 }
 
 // run is the worker loop. It is the only goroutine that steps the
@@ -252,7 +277,7 @@ func (d *device) die(stop chan struct{}) {
 // stateFor resolves the group state a unit executes against. Group -1
 // units carry no usable affinity, so their kernels fail before touching
 // state; the per-device stray set exists only so the bind has non-nil
-// stores and sessions to hand them.
+// stores and sessions to hand them, and holds one session node.
 func (d *device) stateFor(g int) *groupState {
 	if g >= 0 {
 		return d.cl.groups[g]
@@ -267,6 +292,9 @@ func (d *device) stateFor(g int) *groupState {
 // chain except that sessions and backends come from the unit's shard
 // group.
 func (d *device) execute(u *Unit, slot int) {
+	if d.dev == nil {
+		d.build()
+	}
 	st := d.stateFor(u.Group)
 	reg := d.cl.cfg.Registry
 	sp := reg.Spec(u.Type)
@@ -345,7 +373,7 @@ func (d *device) writeback(u *Unit, unit service.Unit, stream *simt.Stream, slot
 // launches waiting for their epoch flush (those produce no engine
 // events until the flush — see simt.Device.PendingLaunches).
 func (d *device) pendingWork() bool {
-	return d.eng.Pending() > 0 || d.dev.PendingLaunches() > 0
+	return d.eng.Pending() > 0 || (d.dev != nil && d.dev.PendingLaunches() > 0)
 }
 
 // step advances this device's engine by one event under the pool's
@@ -359,8 +387,12 @@ func (d *device) step() {
 }
 
 // mirrorLocked refreshes the statsMu-guarded copies of the
-// worker-confined device counters. Caller holds cl.statsMu.
+// worker-confined device counters (zero until the device is built).
+// Caller holds cl.statsMu.
 func (d *device) mirrorLocked() {
+	if d.dev == nil {
+		return
+	}
 	d.snapStats = d.dev.Stats()
 	d.snapProfiled = d.dev.ProfiledLaunches()
 	d.virtNow = d.eng.Now()

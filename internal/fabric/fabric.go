@@ -161,7 +161,7 @@ type Config struct {
 	Simt                  simt.Config
 	MaxAttempts           int
 	// Faults injects device-level faults into loopback node 0 (the
-	// single-node default keeps the existing CohortOptions.FaultPlan
+	// single-node default keeps the existing rhythm.WithFaultPlan
 	// semantics; multi-node device faults are a worker-side concern).
 	Faults *cluster.FaultPlan
 	// NodeFaults kills whole nodes deterministically (failover drills):
@@ -270,14 +270,31 @@ type Fabric struct {
 	lostUnits     uint64
 }
 
-// envelope tracks one unit across node hops. done is the caller's
-// completion; hops counts node moves (NACK re-dispatches), folded into
-// Result.Hops on completion so the flight recorder's attempt trail
-// survives cross-node retries.
+// envelope tracks one unit across node hops. hops counts node moves
+// (NACK re-dispatches), folded into Result.Hops on completion so the
+// flight recorder's attempt trail survives cross-node retries; n is the
+// node of the send in flight. Envelopes are pooled, and each binds its
+// transport callback (ev) once, so a dispatch allocates neither.
 type envelope struct {
+	f    *Fabric
 	u    *cluster.Unit
-	done func(*cluster.Result)
 	hops int
+	n    int
+	ev   func(Event)
+}
+
+var envelopes sync.Pool
+
+// event relays the transport's completion of the send in flight.
+func (env *envelope) event(ev Event) { env.f.handleEvent(env, env.n, ev) }
+
+// finish hands the unit's outcome to its caller and returns the
+// envelope to the pool: no Event can follow the last one.
+func (env *envelope) finish(res *cluster.Result) {
+	done := env.u.Done
+	env.f, env.u = nil, nil
+	envelopes.Put(env)
+	done(res)
 }
 
 // New builds the fabric and its transport. Loopback nodes start their
@@ -446,8 +463,18 @@ func (f *Fabric) leastLoadedLocked() int {
 // host unit's Done runs on the caller's goroutine before Dispatch
 // returns (cluster.Unit.Done).
 func (f *Fabric) Dispatch(u *cluster.Unit) bool {
-	env := &envelope{u: u, done: u.Done}
-	return f.dispatch(env)
+	env, _ := envelopes.Get().(*envelope)
+	if env == nil {
+		env = new(envelope)
+		env.ev = env.event
+	}
+	env.f, env.u, env.hops = f, u, 0
+	if !f.dispatch(env) {
+		env.f, env.u = nil, nil
+		envelopes.Put(env)
+		return false
+	}
+	return true
 }
 
 // dispatch places (or re-places, after a node fault or NACK) an
@@ -492,7 +519,8 @@ func (f *Fabric) dispatch(env *envelope) bool {
 		ns.outstanding++
 		f.mu.Unlock()
 
-		st := f.tr.Send(n, u, func(ev Event) { f.handleEvent(env, n, ev) })
+		env.n = n
+		st := f.tr.Send(n, u, env.ev)
 		switch st {
 		case SendOK:
 			return true
@@ -537,7 +565,7 @@ func (f *Fabric) handleEvent(env *envelope, n int, ev Event) {
 		f.mu.Unlock()
 		res := ev.Res
 		res.Hops += env.hops
-		env.done(res)
+		env.finish(res)
 	case EvNack:
 		f.mu.Lock()
 		f.nodes[n].outstanding--
@@ -547,7 +575,7 @@ func (f *Fabric) handleEvent(env *envelope, n int, ev Event) {
 		}
 		if ev.Reason == nackBusy {
 			f.mu.Unlock()
-			env.done(&cluster.Result{Device: -1, Err: cluster.ErrNoHealthyDevice})
+			env.finish(&cluster.Result{Device: -1, Err: cluster.ErrNoHealthyDevice})
 			return
 		}
 		// Quiesce / no-device: the node is gone and the unit never
@@ -558,7 +586,7 @@ func (f *Fabric) handleEvent(env *envelope, n int, ev Event) {
 		env.hops++
 		f.mu.Unlock()
 		if !f.dispatch(env) {
-			env.done(&cluster.Result{Device: -1, Err: ErrNoNode})
+			env.finish(&cluster.Result{Device: -1, Err: ErrNoNode})
 		}
 	case EvLost:
 		f.mu.Lock()
@@ -567,7 +595,7 @@ func (f *Fabric) handleEvent(env *envelope, n int, ev Event) {
 		f.lostUnits++
 		f.markDownLocked(n)
 		f.mu.Unlock()
-		env.done(&cluster.Result{Device: -1, Err: ErrUnitLost})
+		env.finish(&cluster.Result{Device: -1, Err: ErrUnitLost})
 	}
 }
 

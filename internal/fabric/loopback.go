@@ -55,6 +55,17 @@ func (lb *loopback) NodeAddr(n int) string {
 
 func (lb *loopback) Send(n int, u *cluster.Unit, ev func(Event)) SendStatus {
 	cl := lb.nodes[n]
+	if u.Host {
+		// A host unit executes here, on the sender's goroutine, and
+		// touches no device-level attempt or hop counter, so it goes
+		// as it is.
+		res, ok := cl.ExecuteHost(u)
+		if !ok {
+			return SendNodeDown // only a pool with no live device refuses one
+		}
+		ev(Event{Kind: EvDone, Res: res})
+		return SendOK
+	}
 	// A fresh unit per attempt: the node cluster owns its copy's
 	// device-level attempt/hop counters, and the fabric's envelope owns
 	// the node-level trail.
@@ -62,8 +73,6 @@ func (lb *loopback) Send(n int, u *cluster.Unit, ev func(Event)) SendStatus {
 		Type:  u.Type,
 		Group: u.Group,
 		Reqs:  u.Reqs,
-		Host:  u.Host,
-		Out:   u.Out,
 		Done: func(res *cluster.Result) {
 			if res.Err != nil && errors.Is(res.Err, cluster.ErrNoHealthyDevice) {
 				// The node's last device died before this unit launched

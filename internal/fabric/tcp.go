@@ -197,8 +197,14 @@ func (t *tcpTransport) Send(n int, u *cluster.Unit, ev func(Event)) SendStatus {
 	*f = appendDispatchFrame(*f, &dispatchMsg{ID: id, Type: uint16(u.Type), Group: int32(u.Group), Host: u.Host, Reqs: u.Reqs})
 	if !c.fw.enqueue(f) {
 		c.mu.Lock()
+		_, mine := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
+		if !mine {
+			// The connection failed between the two locks, and fail took
+			// the unit with the rest: its EvLost is the one Event.
+			return SendOK
+		}
 		return SendNodeDown
 	}
 	return SendOK

@@ -189,6 +189,11 @@ type workerPeer struct {
 	closeCh   chan struct{}
 	closeOnce sync.Once
 	fw        *frameWriter
+	// out and res are the connection reader's render buffer and Result
+	// for host units, which execute and have their result frame encoded
+	// before Dispatch returns.
+	out []byte
+	res cluster.Result
 }
 
 func (p *workerPeer) shutdown() {
@@ -208,7 +213,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	p := &workerPeer{conn: conn, closeCh: make(chan struct{})}
+	p := &workerPeer{conn: conn, closeCh: make(chan struct{}), out: make([]byte, w.cl.Registry().MaxBufferBytes())}
 	p.fw = startFrameWriter(conn, p.closeCh, p.shutdown)
 	w.peerMu.Lock()
 	w.peers[p] = struct{}{}
@@ -307,6 +312,9 @@ func (w *Worker) handleDispatch(p *workerPeer, payload []byte) bool {
 			*f = appendResultFrame(*f, id, res)
 			p.fw.enqueue(f)
 		},
+	}
+	if u.Host {
+		u.Out, u.Res = p.out, &p.res
 	}
 	if !w.cl.Dispatch(u) {
 		w.inflight.Done()

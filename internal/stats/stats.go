@@ -130,19 +130,22 @@ func (r *LatencyRecorder) Max() float64 {
 }
 
 // LatencyWindow holds the most recent samples of an unbounded stream in
-// a fixed ring, so a long-lived server's percentiles follow its traffic
-// at a fixed memory cost. Record and Mean are O(1) (a running sum, exact
-// for the integral nanosecond samples servers record); percentiles come
-// from Recorder's copy, so the sort runs wherever that copy is read.
+// a ring of at most size samples, so a long-lived server's percentiles
+// follow its traffic at a bounded memory cost. The ring grows with the
+// samples it holds, so a window nothing records into holds no backing.
+// Record and Mean are O(1) (a running sum, exact for the integral
+// nanosecond samples servers record); percentiles come from Recorder's
+// copy, so the sort runs wherever that copy is read.
 type LatencyWindow struct {
 	ring []float64
+	size int
 	next int // slot the next sample overwrites once the ring is full
 	sum  float64
 }
 
 // NewLatencyWindow returns an empty window over the last size samples.
 func NewLatencyWindow(size int) *LatencyWindow {
-	return &LatencyWindow{ring: make([]float64, 0, size)}
+	return &LatencyWindow{size: size}
 }
 
 // Record adds one latency sample in nanoseconds, evicting the oldest
@@ -152,7 +155,13 @@ func (w *LatencyWindow) Record(ns float64) {
 		panic("stats: negative latency")
 	}
 	w.sum += ns
-	if len(w.ring) < cap(w.ring) {
+	if n := len(w.ring); n < w.size {
+		if n == cap(w.ring) {
+			// Double up to size, never past it.
+			grown := make([]float64, n, min(max(2*n, 64), w.size))
+			copy(grown, w.ring)
+			w.ring = grown
+		}
 		w.ring = append(w.ring, ns)
 		return
 	}

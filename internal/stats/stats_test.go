@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +157,63 @@ func TestLatencyWindowFollowsTraffic(t *testing.T) {
 	if r := w.Recorder(nil); r.Percentile(1) != 5 || r.Percentile(3) != 900 || len(r.samples) != size {
 		t.Fatalf("after 2%% more samples p1=%v p3=%v count=%d, want 5, 900 and %d",
 			r.Percentile(1), r.Percentile(3), len(r.samples), size)
+	}
+}
+
+// eagerRing is the window as it was before it grew on demand: the whole
+// ring made up front. TestLatencyWindowLazyMatchesEager holds the lazy
+// window to it.
+type eagerRing struct {
+	ring []float64
+	next int
+	sum  float64
+}
+
+func (e *eagerRing) record(ns float64) {
+	e.sum += ns
+	if len(e.ring) < cap(e.ring) {
+		e.ring = append(e.ring, ns)
+		return
+	}
+	e.sum -= e.ring[e.next]
+	e.ring[e.next] = ns
+	e.next = (e.next + 1) % len(e.ring)
+}
+
+// TestLatencyWindowLazyMatchesEager: a window holds no backing until its
+// first sample, never more than its size, and across the growth steps
+// and a wrap its held samples, mean and percentiles equal an eager
+// ring's sample for sample.
+func TestLatencyWindowLazyMatchesEager(t *testing.T) {
+	const size = 1000 // not a power of two: the last growth step is capped
+	w := NewLatencyWindow(size)
+	if w.ring != nil {
+		t.Fatalf("an empty window holds a %d-sample backing", cap(w.ring))
+	}
+	e := &eagerRing{ring: make([]float64, 0, size)}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3*size+17; i++ {
+		v := float64(rng.Intn(1_000_000))
+		w.Record(v)
+		e.record(v)
+		if cap(w.ring) > size {
+			t.Fatalf("after %d samples the ring holds %d slots, past its size %d", i+1, cap(w.ring), size)
+		}
+		if i%97 != 0 && i < 3*size+16 {
+			continue
+		}
+		if !slices.Equal(w.ring, e.ring) || w.next != e.next || w.Mean() != e.sum/float64(len(e.ring)) {
+			t.Fatalf("after %d samples the lazy window differs from the eager ring", i+1)
+		}
+		got, want := w.Recorder(nil), &LatencyRecorder{samples: append([]float64(nil), e.ring...), sum: e.sum}
+		for _, p := range []float64{1, 50, 90, 99, 100} {
+			if got.Percentile(p) != want.Percentile(p) {
+				t.Fatalf("after %d samples p%v = %v, eager %v", i+1, p, got.Percentile(p), want.Percentile(p))
+			}
+		}
+		if got.Mean() != want.Mean() {
+			t.Fatalf("after %d samples recorder mean %v, eager %v", i+1, got.Mean(), want.Mean())
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 	"rhythm/internal/workloads"
 )
 
-// StatsSchemaVersion is the "schema_version" both stats documents and
+// StatsSchemaVersion is the "schema_version" the stats document and
 // /v1/health carry. Version 6: every per-type stats key, Prometheus
 // `type` label and flight-record type is workload-qualified
 // ("banking/login" — banking's were bare through version 5), each
@@ -29,9 +29,12 @@ import (
 // (host_requests is the host-routed part), the adapt section is always
 // present and gains pinned, crossover_req_s and the route-flip counts.
 // Version 8: both stats documents gain cache_bytes, the live bytes the
-// render-cache entries hold.
+// render-cache entries hold. Version 9: one document for every server —
+// a server pinned to the host route (WithHostExecution) serves it with
+// mode "host" instead of the host-mode document — and adapt gains
+// host_pinned.
 // Any change of shape or meaning, additive included, bumps it.
-const StatsSchemaVersion = 8
+const StatsSchemaVersion = 9
 
 // DefaultRegistry builds the process-default workload registry: banking,
 // then e-commerce, then streaming telemetry. Servers built without an
@@ -162,14 +165,11 @@ func healthResponse(eng *health.Engine, rec *flight.Recorder) []byte {
 // counts: good = latency observations at or under the SLO (whole-bucket
 // resolution, conservative), total = all observations plus the bad
 // events that never reach the latency histograms (sheds, deadline
-// misses, kernel errors). extraBad may be nil (host mode).
+// misses, kernel errors).
 func sloCounts(names []string, hists []*stats.Histogram, sloNs float64, extraBad []atomic.Uint64) map[string]health.Counts {
 	out := make(map[string]health.Counts, len(hists))
 	for i, h := range hists {
-		c := health.Counts{Good: h.CountAtOrBelow(sloNs), Total: h.Count()}
-		if extraBad != nil {
-			c.Total += extraBad[i].Load()
-		}
+		c := health.Counts{Good: h.CountAtOrBelow(sloNs), Total: h.Count() + extraBad[i].Load()}
 		if c.Total > 0 {
 			out[names[i]] = c
 		}
@@ -501,7 +501,7 @@ func writeDeviceFamilies(w *obs.PromWriter, ds simt.DeviceStats, profiled uint64
 }
 
 // writeRenderCacheFamilies emits the whole-page render-cache counters
-// (both serving modes, only when the cache is enabled).
+// (only when the cache is enabled).
 func writeRenderCacheFamilies(w *obs.PromWriter, cs rcache.Stats) {
 	w.Family("rhythm_render_cache_hits_total", "counter", "Requests answered from the render cache (no execution or kernel launch).")
 	w.Value("rhythm_render_cache_hits_total", "", float64(cs.Hits))

@@ -74,7 +74,7 @@ func checkPromDocument(t *testing.T, resp string, want []string) {
 // the per-type latency histograms and the device's divergence/coalescing
 // counters in parseable Prometheus text format.
 func TestCohortServerMetricsEndpoint(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
 	})
@@ -117,7 +117,7 @@ func TestCohortServerMetricsEndpoint(t *testing.T) {
 // (classify → admit-queue → formation-wait → stage → render → write) and
 // whose device track carries the linked kernel launches.
 func TestCohortServerTraceEndpoint(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		FormationTimeout: 2 * time.Millisecond,
 		RequestDeadline:  30 * time.Second,
 	})
@@ -198,15 +198,11 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestHostServerMetricsAndTrace: the host-mode TCPServer speaks the same
-// /metrics and /rhythm-trace surface (minus the device track).
+// TestHostServerMetricsAndTrace: the server pinned to the host route
+// speaks the same /v1/metrics and /v1/trace surface, its requests traced
+// through the host route's spans.
 func TestHostServerMetricsAndTrace(t *testing.T) {
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	host := startNew(t, WithHostExecution())
 	uid, pw := host.Seed(31337)
 	loginAndBrowse(t, host.Addr(), uid, pw)
 
@@ -235,7 +231,7 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		seen[ev.Name] = true
 	}
-	for _, span := range []string{"classify", "execute", "render", "write"} {
+	for _, span := range []string{"classify", "host-execute", "write"} {
 		if !seen[span] {
 			t.Fatalf("host trace missing %q span; saw %v", span, seen)
 		}
@@ -243,20 +239,15 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 }
 
 // TestObservabilityConcurrentScrape hammers every read endpoint while
-// live traffic flows, in both modes — the -race CI leg turns any
+// live traffic flows, under either pin — the -race CI leg turns any
 // snapshot race in /v1/stats, /v1/metrics, or /v1/trace into a
 // failure.
 func TestObservabilityConcurrentScrape(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
+	srv := startCohortServer(t, cohortOptions{
 		FormationTimeout: time.Millisecond,
 		RequestDeadline:  30 * time.Second,
 	})
-	host := NewTCPServer(4096)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	go host.Serve()
+	host := startNew(t, WithHostExecution())
 
 	addrs := []net.Addr{srv.Addr(), host.Addr()}
 	uids := make([]uint64, len(addrs))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ var retiredPaths = []string{"/rhythm-stats", "/metrics", "/rhythm-trace"}
 // /v1/stats ignores the retired ?schema=4 parameter.
 func checkRetiredPaths(t *testing.T, srv Server) {
 	t.Helper()
-	flightBefore := flightTotal(srv.Snapshot())
+	flightBefore := srv.Snapshot().Cohort.FlightRequests
 	servedBefore := srv.Snapshot().Served()
 	for _, path := range retiredPaths {
 		if resp := string(get(t, srv, path)); !strings.HasPrefix(resp, "HTTP/1.1 404 ") {
@@ -59,33 +60,25 @@ func checkRetiredPaths(t *testing.T, srv Server) {
 	if got := snap.Served() - servedBefore; got != uint64(len(retiredPaths)) {
 		t.Fatalf("retired paths counted %d served responses, want %d", got, len(retiredPaths))
 	}
-	if got := flightTotal(snap); got != flightBefore {
+	if got := snap.Cohort.FlightRequests; got != flightBefore {
 		t.Fatalf("retired paths entered the flight recorder as workload requests (%d -> %d)", flightBefore, got)
 	}
-	if body := string(get(t, srv, StatsPathV1+"?schema=4")); !strings.Contains(body, `"schema_version": 8`) {
+	if body := string(get(t, srv, StatsPathV1+"?schema=4")); !strings.Contains(body, `"schema_version": 9`) {
 		t.Fatalf("?schema=4 still re-renders the stats document:\n%.300s", body)
 	}
 }
 
-// flightTotal is the number of workload requests either mode has
-// finished through the flight recorder.
-func flightTotal(s ServerStats) uint64 {
-	if s.Host != nil {
-		return s.Host.FlightRequests
-	}
-	return s.Cohort.FlightRequests
-}
-
-// TestNewHostServer covers the WithHostExecution path: the unified
-// constructor, Snapshot, and the control plane at its /v1 paths only.
+// TestNewHostServer covers the WithHostExecution pin: Snapshot, the
+// control plane at its /v1 paths only, and the pin itself — every
+// request on the host route, no cohort, no device memory backed.
 func TestNewHostServer(t *testing.T) {
 	srv := startNew(t, WithHostExecution())
-	if snap := srv.Snapshot(); snap.Mode != "host" || snap.Host == nil || snap.Cohort != nil {
+	if snap := srv.Snapshot(); snap.Host != nil || snap.Cohort == nil || snap.Cohort.Mode != "host" || !snap.Cohort.Adapt.HostPinned {
 		t.Fatalf("host snapshot wrong: %+v", snap)
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 8`) {
-		t.Fatalf("%s missing schema_version 8:\n%s", StatsPathV1, body)
+	if !strings.Contains(body, `"schema_version": 9`) {
+		t.Fatalf("%s missing schema_version 9:\n%s", StatsPathV1, body)
 	}
 	if !strings.Contains(body, `"mode": "host"`) {
 		t.Fatalf("%s missing host mode:\n%s", StatsPathV1, body)
@@ -96,13 +89,17 @@ func TestNewHostServer(t *testing.T) {
 	if body := string(get(t, srv, TracePathV1)); !strings.Contains(body, "traceEvents") {
 		t.Fatalf("%s not a trace document:\n%.300s", TracePathV1, body)
 	}
-	// /v1/topology documents the device fabric; host mode has none.
-	if resp := string(get(t, srv, TopologyPathV1)); !strings.HasPrefix(resp, "HTTP/1.1 404 ") {
-		t.Fatalf("host %s answered %.60q, want 404", TopologyPathV1, resp)
+	// The fabric is there, as on every server.
+	if resp := string(get(t, srv, TopologyPathV1)); !strings.Contains(resp, `"transport": "loopback"`) {
+		t.Fatalf("host %s answered %.60q, want the loopback topology", TopologyPathV1, resp)
 	}
 	checkRetiredPaths(t, srv)
-	if snap := srv.Snapshot(); snap.Served() == 0 {
-		t.Fatal("snapshot counted no served requests")
+	uid, pw := srv.Seed(4343)
+	loginAndBrowse(t, srv.Addr(), uid, pw)
+	st := srv.Snapshot().Cohort
+	if st.Served == 0 || st.HostFallbacks == 0 || st.CohortsFormed != 0 || st.Device.Launches != 0 {
+		t.Fatalf("host-pinned server: served=%d host_fallbacks=%d cohorts=%d launches=%d, want >0/>0/0/0",
+			st.Served, st.HostFallbacks, st.CohortsFormed, st.Device.Launches)
 	}
 }
 
@@ -112,19 +109,19 @@ func TestNewHostServer(t *testing.T) {
 func TestNewCohortServerRejectsBadInput(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		opts CohortOptions
+		opts cohortOptions
 		want string // error substring; "" = builds
 	}{
-		{"zero share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": 0}}, `WorkloadQuotas["banking"] share 0 `},
-		{"negative share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": -1}}, `WorkloadQuotas["banking"] share -1 `},
-		{"NaN share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": math.NaN()}}, `WorkloadQuotas["banking"] share NaN `},
-		{"share above one", CohortOptions{WorkloadQuotas: map[string]float64{"banking": 5}}, `WorkloadQuotas["banking"] share 5 `},
-		{"negative cohort size", CohortOptions{CohortSize: -1}, "CohortSize -1 "},
-		{"negative contexts", CohortOptions{MaxCohorts: -3}, "MaxCohorts -3 "},
-		{"whole share", CohortOptions{WorkloadQuotas: map[string]float64{"banking": 1}}, ""},
-		{"one-request cohorts", CohortOptions{CohortSize: 1}, ""},
+		{"zero share", cohortOptions{WorkloadQuotas: map[string]float64{"banking": 0}}, `WorkloadQuotas["banking"] share 0 `},
+		{"negative share", cohortOptions{WorkloadQuotas: map[string]float64{"banking": -1}}, `WorkloadQuotas["banking"] share -1 `},
+		{"NaN share", cohortOptions{WorkloadQuotas: map[string]float64{"banking": math.NaN()}}, `WorkloadQuotas["banking"] share NaN `},
+		{"share above one", cohortOptions{WorkloadQuotas: map[string]float64{"banking": 5}}, `WorkloadQuotas["banking"] share 5 `},
+		{"negative cohort size", cohortOptions{CohortSize: -1}, "CohortSize -1 "},
+		{"negative contexts", cohortOptions{MaxCohorts: -3}, "MaxCohorts -3 "},
+		{"whole share", cohortOptions{WorkloadQuotas: map[string]float64{"banking": 1}}, ""},
+		{"one-request cohorts", cohortOptions{CohortSize: 1}, ""},
 	} {
-		srv, err := NewCohortServer(c.opts)
+		srv, err := newCohortServer(c.opts)
 		if srv != nil {
 			srv.Drain(context.Background())
 		}
@@ -138,7 +135,7 @@ func TestNewCohortServerRejectsBadInput(t *testing.T) {
 }
 
 // TestNewCohortServer covers the default (cohort) path with the
-// adaptive controller enabled: options plumb through to CohortOptions,
+// adaptive controller enabled: options plumb through to cohortOptions,
 // Snapshot carries the cohort stats with the adapt section, and the
 // stats path answers with the versioned schema.
 func TestNewCohortServer(t *testing.T) {
@@ -150,8 +147,8 @@ func TestNewCohortServer(t *testing.T) {
 		WithCrossoverRate(-1),
 	)
 	snap := srv.Snapshot()
-	if snap.Mode != "cohort" || snap.Cohort == nil || snap.Host != nil {
-		t.Fatalf("cohort snapshot wrong mode: %+v", snap.Mode)
+	if snap.Cohort == nil || snap.Host != nil || snap.Cohort.Mode != "cohort" {
+		t.Fatalf("cohort snapshot wrong: %+v", snap)
 	}
 	if snap.Cohort.SchemaVersion != StatsSchemaVersion {
 		t.Fatalf("schema version = %d, want %d", snap.Cohort.SchemaVersion, StatsSchemaVersion)
@@ -160,7 +157,7 @@ func TestNewCohortServer(t *testing.T) {
 		t.Fatal("WithSLO did not enable the adaptive controller")
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 8`) || !strings.Contains(body, `"mode": "cohort"`) {
+	if !strings.Contains(body, `"schema_version": 9`) || !strings.Contains(body, `"mode": "cohort"`) {
 		t.Fatalf("%s wrong stats document:\n%.300s", StatsPathV1, body)
 	}
 	if !strings.Contains(body, `"adapt"`) {
@@ -177,21 +174,17 @@ func TestNewCohortServer(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShims pins the pre-v2 construction surface:
-// NewSimServer builds the offline simulator and serves a saturation
-// run, and the concrete NewTCPServer/NewCohortServer constructors still
-// exist for callers that bypass rhythm.New.
+// TestDeprecatedShims pins the construction surface: NewSimServer builds
+// the offline simulator and serves a saturation run, and New returns
+// one server type whatever it is pinned to.
 func TestDeprecatedShims(t *testing.T) {
 	s := NewSimServer(Options{CohortSize: 64, MaxCohorts: 2, Sessions: 256})
 	st := s.Serve(s.GenerateMixed(256))
 	if st.Completed != 256 {
 		t.Fatalf("NewSimServer run completed %d of 256: %+v", st.Completed, st)
 	}
-	// Concrete constructors remain the escape hatch under rhythm.New.
-	if srv := NewTCPServer(4096); srv == nil {
-		t.Fatal("NewTCPServer shim gone")
-	}
-	if srv, err := NewCohortServer(CohortOptions{}); err != nil || srv == nil {
-		t.Fatalf("NewCohortServer shim gone: %v", err)
+	host, plain := startNew(t, WithHostExecution()), startNew(t)
+	if reflect.TypeOf(host) != reflect.TypeOf(plain) {
+		t.Fatalf("New(addr, WithHostExecution()) is a %T, New(addr) a %T", host, plain)
 	}
 }

@@ -1,12 +1,11 @@
 package rhythm
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"fmt"
-	"io"
+	"math"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,9 +13,9 @@ import (
 	"rhythm/internal/httpx"
 )
 
-// cacheDiffServer is the slice of TCPServer/CohortServer the render-cache
-// differential drive needs: both seed users the same way and expose their
-// bound address.
+// cacheDiffServer is the slice of the server the render-cache
+// differential drive needs: it seeds users as the reference does and
+// exposes its bound address.
 type cacheDiffServer interface {
 	Addr() net.Addr
 	Seed(uid uint64) (uint64, string)
@@ -37,75 +36,30 @@ var cacheableGETs = []struct{ label, uri string }{
 }
 
 // driveRenderCacheDifferential runs the cache-sensitive sequence through
-// a cache-disabled host reference and the cache-enabled server under
-// test in lock step, asserting every response is byte-identical. Per
-// user: login, every cacheable page twice back to back (the second pass
-// must be served from the cache with the exact bytes a re-render would
-// produce), every mutating POST (each fires the backend write hook), the
-// cacheable pages again (a stale page here means an invalidation was
-// missed), then logout and an expired-session probe. Serial lock-step
-// keeps DB/session mutation order identical on both sides, so byte
-// equality is the whole correctness statement: cache on/off may not be
-// distinguishable from response bytes.
+// the scalar reference and the cache-enabled server under test in lock
+// step, asserting every response is byte-identical. Per user: login,
+// every cacheable page twice back to back (the second pass must be
+// served from the cache with the exact bytes a re-render would produce),
+// every mutating POST (each fires the backend write hook), the cacheable
+// pages again (a stale page here means an invalidation was missed), then
+// logout and an expired-session probe. Serial lock-step keeps DB/session
+// mutation order identical on both sides, so byte equality is the whole
+// correctness statement: cache on/off may not be distinguishable from
+// response bytes.
 func driveRenderCacheDifferential(t *testing.T, cached cacheDiffServer, uids []uint64) {
 	t.Helper()
-	plain := NewTCPServer(4096)
-	if err := plain.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	go plain.Serve()
-
-	plainConn := dialT(t, plain.Addr())
-	cachedConn := dialT(t, cached.Addr())
-	plainR := bufio.NewReader(plainConn)
-	cachedR := bufio.NewReader(cachedConn)
-
-	exchange := func(label, raw string) []byte {
-		t.Helper()
-		if _, err := io.WriteString(plainConn, raw); err != nil {
-			t.Fatal(err)
-		}
-		want := readRawResponse(t, plainR)
-		if _, err := io.WriteString(cachedConn, raw); err != nil {
-			t.Fatal(err)
-		}
-		got := readRawResponse(t, cachedR)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: cached response differs from uncached host\nuncached %d bytes: %.300q\ncached %d bytes: %.300q",
-				label, len(want), want, len(got), got)
-		}
-		return got
-	}
-
+	ls := newLockstep(t, cached)
 	for _, uid := range uids {
-		_, pw := plain.Seed(uid)
+		_, pw := ls.host.Seed(uid)
 		if _, cpw := cached.Seed(uid); cpw != pw {
-			t.Fatalf("uid %d: password mismatch: plain %q cached %q", uid, pw, cpw)
+			t.Fatalf("uid %d: password mismatch: reference %q cached %q", uid, pw, cpw)
 		}
-		body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
-		login := exchange(fmt.Sprintf("login uid=%d", uid), fmt.Sprintf(
-			"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
-		var cookie string
-		for _, line := range strings.Split(string(login), "\r\n") {
-			if v, ok := strings.CutPrefix(line, "Set-Cookie: "); ok {
-				cookie = v
-			}
-		}
-		if !strings.HasPrefix(cookie, "MY_ID=") {
-			t.Fatalf("uid %d: no session cookie in login response", uid)
-		}
-		get := func(uri string) string {
-			return fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\nCookie: %s\r\n\r\n", uri, cookie)
-		}
-		post := func(uri, body string) string {
-			return fmt.Sprintf("POST %s HTTP/1.1\r\nHost: t\r\nCookie: %s\r\nContent-Length: %d\r\n\r\n%s",
-				uri, cookie, len(body), body)
-		}
-
+		login := ls.exchange(fmt.Sprintf("login uid=%d", uid),
+			rawPost("/login.php", "", fmt.Sprintf("userid=%d&passwd=%s", uid, pw)))
+		cookie := cookieFrom(t, login, "MY_ID")
 		for pass := 1; pass <= 2; pass++ {
 			for _, p := range cacheableGETs {
-				exchange(fmt.Sprintf("%s uid=%d pass=%d", p.label, uid, pass), get(p.uri))
+				ls.exchange(fmt.Sprintf("%s uid=%d pass=%d", p.label, uid, pass), rawGet(p.uri, cookie))
 			}
 		}
 		writes := []struct{ label, uri, body string }{
@@ -115,32 +69,44 @@ func driveRenderCacheDifferential(t *testing.T, cached cacheDiffServer, uids []u
 			{"quick_pay", "/quick_pay.php", "payee1=Vendor0001&amount1=2.00&payee2=Vendor0002&amount2=3.25"},
 		}
 		for _, w := range writes {
-			exchange(fmt.Sprintf("%s uid=%d", w.label, uid), post(w.uri, w.body))
+			ls.exchange(fmt.Sprintf("%s uid=%d", w.label, uid), rawPost(w.uri, cookie, w.body))
 		}
 		for _, p := range cacheableGETs {
-			exchange(fmt.Sprintf("%s uid=%d post-write", p.label, uid), get(p.uri))
+			ls.exchange(fmt.Sprintf("%s uid=%d post-write", p.label, uid), rawGet(p.uri, cookie))
 		}
-		exchange(fmt.Sprintf("logout uid=%d", uid), get("/logout.php"))
-		exchange(fmt.Sprintf("expired uid=%d", uid), get("/profile.php"))
+		ls.exchange(fmt.Sprintf("logout uid=%d", uid), rawGet("/logout.php", cookie))
+		ls.exchange(fmt.Sprintf("expired uid=%d", uid), rawGet("/profile.php", cookie))
 	}
 }
 
-// TestHostRenderCacheDifferential: the host path with the render cache
-// enabled must be byte-indistinguishable from a cache-disabled host,
+// startHostCached boots a server pinned to the host route with the
+// render cache on, at the reference's session geometry.
+func startHostCached(t *testing.T) *cohortServer {
+	t.Helper()
+	return startCohortServer(t, cohortOptions{MaxSessions: 4096, RenderCache: 4096, CrossoverRate: math.Inf(1)})
+}
+
+// newHostCached builds the same server without a listener, for tests
+// that drive respond in-process, with a cache of entries pages.
+func newHostCached(t *testing.T, entries int) *cohortServer {
+	t.Helper()
+	s, err := newCohortServer(cohortOptions{MaxSessions: 4096, RenderCache: entries, CrossoverRate: math.Inf(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Drain(context.Background()) })
+	return s
+}
+
+// TestHostRenderCacheDifferential: the host route with the render cache
+// enabled must be byte-indistinguishable from the uncached reference,
 // while actually serving from the cache (hits) and invalidating on
 // backend writes.
 func TestHostRenderCacheDifferential(t *testing.T) {
-	s := NewTCPServer(4096)
-	s.EnableRenderCache(4096)
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	go s.Serve()
-
+	s := startHostCached(t)
 	driveRenderCacheDifferential(t, s, []uint64{9301, 9302})
 
-	st := s.hostStats()
+	st := s.Stats()
 	// Pass 2 replays every cacheable page exactly: 9 hits per user.
 	if st.CacheHits < uint64(2*len(cacheableGETs)) {
 		t.Fatalf("cache_hits = %d, want >= %d", st.CacheHits, 2*len(cacheableGETs))
@@ -155,17 +121,11 @@ func TestHostRenderCacheDifferential(t *testing.T) {
 
 // TestHostRenderCacheDifferentialEcom: ecom's four cacheable types (8 KB
 // and 16 KB buffer classes; banking's are 32 KB and 64 KB) served from
-// the cache are byte-identical to a cache-disabled host — the hit's pad
+// the cache are byte-identical to the uncached reference — the hit's pad
 // restored to each type's buffer — before and after a cart_add
 // invalidates the user's pages.
 func TestHostRenderCacheDifferentialEcom(t *testing.T) {
-	cached := NewTCPServer(4096)
-	cached.EnableRenderCache(4096)
-	if err := cached.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer cached.Close()
-	go cached.Serve()
+	cached := startHostCached(t)
 	ls := newLockstep(t, cached)
 
 	cookie := cookieFrom(t, ls.exchange("cart_add", rawPost("/cart.php", "", "uid=9601&id=4242&qty=2")), "EC_ID")
@@ -175,7 +135,7 @@ func TestHostRenderCacheDifferentialEcom(t *testing.T) {
 			ls.exchange(fmt.Sprintf("%s round %d", uri, round), rawGet(uri, cookie))
 		}
 	}
-	hits := cached.hostStats().CacheHits
+	hits := cached.Stats().CacheHits
 	ls.exchange("cart_add again", rawPost("/cart.php", cookie, "uid=9601&id=137&qty=1"))
 	for _, uri := range pages {
 		ls.exchange(uri+" after cart_add", rawGet(uri, cookie))
@@ -184,7 +144,7 @@ func TestHostRenderCacheDifferentialEcom(t *testing.T) {
 	if hits < uint64(len(pages)) {
 		t.Fatalf("cache_hits = %d after the repeated round, want >= %d", hits, len(pages))
 	}
-	if cached.hostStats().CacheInvalidations == 0 {
+	if cached.Stats().CacheInvalidations == 0 {
 		t.Fatal("cart_add did not invalidate the cache")
 	}
 }
@@ -193,7 +153,7 @@ func TestHostRenderCacheDifferentialEcom(t *testing.T) {
 // cache hit bypasses cohort formation and kernel launch entirely, and
 // still must be byte-identical to the uncached host path.
 func TestCohortRenderCacheDifferential(t *testing.T) {
-	dev := startCohortServer(t, CohortOptions{
+	dev := startCohortServer(t, cohortOptions{
 		CohortSize:       8,
 		MaxCohorts:       4,
 		FormationTimeout: 2 * time.Millisecond,
@@ -269,8 +229,7 @@ func TestClusterRenderCacheFailover(t *testing.T) {
 // user's pages — the other user's next read is still a hit — and the
 // writer's next read re-renders with the mutated state.
 func TestRenderCacheInvalidationIsolation(t *testing.T) {
-	s := NewTCPServer(4096)
-	s.EnableRenderCache(4096)
+	s := newHostCached(t, 4096)
 	a := newConnArena(s.reg.MaxBufferBytes())
 
 	login := func(uid uint64) string {
@@ -325,12 +284,10 @@ func TestRenderCacheInvalidationIsolation(t *testing.T) {
 	}
 }
 
-// TestRenderCacheStatsEndpoints: both serving modes surface the cache
-// counters in /v1/stats and /metrics so the e2e smoke can assert on
-// them.
+// TestRenderCacheStatsEndpoints: the server surfaces the cache counters
+// in /v1/stats and /metrics so the e2e smoke can assert on them.
 func TestRenderCacheStatsEndpoints(t *testing.T) {
-	s := NewTCPServer(4096)
-	s.EnableRenderCache(64)
+	s := newHostCached(t, 64)
 	a := newConnArena(s.reg.MaxBufferBytes())
 	_, pw := s.Seed(9501)
 	body := fmt.Sprintf("userid=%d&passwd=%s", 9501, pw)

@@ -114,13 +114,8 @@ func TestPlatformString(t *testing.T) {
 	}
 }
 
-func TestTCPServerEndToEnd(t *testing.T) {
-	srv := NewTCPServer(1024)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	go srv.Serve()
+func TestHostServerEndToEnd(t *testing.T) {
+	srv := startNew(t, WithHostExecution())
 
 	uid, pw := srv.Seed(4242)
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -166,18 +161,13 @@ func TestTCPServerEndToEnd(t *testing.T) {
 		t.Fatal("expired session still served")
 	}
 
-	if srv.Served() != 4 {
-		t.Fatalf("Served = %d", srv.Served())
+	if srv.Snapshot().Served() != 4 {
+		t.Fatalf("Served = %d", srv.Snapshot().Served())
 	}
 }
 
-func TestTCPServerRejectsGarbage(t *testing.T) {
-	srv := NewTCPServer(256)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	go srv.Serve()
+func TestHostServerRejectsGarbage(t *testing.T) {
+	srv := startNew(t, WithHostExecution())
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -240,17 +230,12 @@ func readFull(r *bufio.Reader, p []byte) (int, error) {
 	return n, nil
 }
 
-// TestTCPServerConcurrentKeepAlive holds two keep-alive connections open
+// TestHostServerConcurrentKeepAlive holds two keep-alive connections open
 // and interleaves requests on both while a third connection stalls
 // mid-request — the lock-scope fix means a slow client must not
 // serialize (or block) the others.
-func TestTCPServerConcurrentKeepAlive(t *testing.T) {
-	srv := NewTCPServer(1024)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	go srv.Serve()
+func TestHostServerConcurrentKeepAlive(t *testing.T) {
+	srv := startNew(t, WithHostExecution())
 
 	// A stalled connection: half a request line, then silence.
 	staller, err := net.Dial("tcp", srv.Addr().String())
@@ -301,18 +286,13 @@ func TestTCPServerConcurrentKeepAlive(t *testing.T) {
 			t.Fatal("concurrent keep-alive connections did not make progress")
 		}
 	}
-	if got := srv.Served(); got < 2*(perConn+1) {
+	if got := srv.Snapshot().Served(); got < 2*(perConn+1) {
 		t.Fatalf("Served = %d, want >= %d", got, 2*(perConn+1))
 	}
 }
 
-func TestTCPServerServesImages(t *testing.T) {
-	srv := NewTCPServer(256)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	go srv.Serve()
+func TestHostServerServesImages(t *testing.T) {
+	srv := startNew(t, WithHostExecution())
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)

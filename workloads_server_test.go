@@ -15,61 +15,46 @@ import (
 	"rhythm/internal/session"
 )
 
-// lockstep drives identical raw requests through a host-path reference
-// server and a cohort server serially (host first, so state mutations
-// commit in the same order on both sides) and asserts every response is
-// byte-identical. The concatenated cohort transcript doubles as a
+// lockstep drives identical raw requests through the scalar reference
+// and a server serially (reference first, so state mutations commit in
+// the same order on both sides) and asserts every response is
+// byte-identical. The concatenated server transcript doubles as a
 // determinism witness across pool configurations.
 type lockstep struct {
 	t          *testing.T
-	host       *TCPServer
-	hostConn   net.Conn
+	host       *reference
 	devConn    net.Conn
-	hostR      *bufio.Reader
 	devR       *bufio.Reader
 	transcript bytes.Buffer
 	exchanges  int
 }
 
-// newLockstep boots a fresh host reference server (session geometry
-// 4096, matching the cohort options the workload tests use) and dials
-// both servers. dev is the server under test: a cohort server, or a
-// host server with the render cache on.
+// newLockstep builds a fresh reference (session geometry 4096, matching
+// the options the workload tests use) and dials the server under test.
 func newLockstep(t *testing.T, dev interface{ Addr() net.Addr }) *lockstep {
 	t.Helper()
 	return newLockstepSessions(t, dev, 4096)
 }
 
-// newLockstepSessions is newLockstep against a cohort server sized for
+// newLockstepSessions is newLockstep against a server sized for
 // maxSessions sessions: session ids only match at equal geometry.
 func newLockstepSessions(t *testing.T, dev interface{ Addr() net.Addr }, maxSessions int) *lockstep {
 	t.Helper()
-	host := NewTCPServer(maxSessions)
-	if err := host.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { host.Close() })
-	go host.Serve()
-	ls := &lockstep{t: t, host: host}
-	ls.hostConn = dialT(t, host.Addr())
+	ls := &lockstep{t: t, host: newReference(maxSessions)}
 	ls.devConn = dialT(t, dev.Addr())
-	ls.hostR = bufio.NewReader(ls.hostConn)
 	ls.devR = bufio.NewReader(ls.devConn)
 	return ls
 }
 
 func (ls *lockstep) exchange(label, raw string) []byte {
 	ls.t.Helper()
-	if _, err := io.WriteString(ls.hostConn, raw); err != nil {
-		ls.t.Fatal(err)
-	}
-	want := readRawResponse(ls.t, ls.hostR)
+	want := ls.host.answer([]byte(raw))
 	if _, err := io.WriteString(ls.devConn, raw); err != nil {
 		ls.t.Fatal(err)
 	}
 	got := readRawResponse(ls.t, ls.devR)
 	if !bytes.Equal(want, got) {
-		ls.t.Fatalf("%s: cohort response differs from host\nhost %d bytes: %.300q\ncohort %d bytes: %.300q",
+		ls.t.Fatalf("%s: server response differs from the scalar reference\nreference %d bytes: %.300q\nserver %d bytes: %.300q",
 			label, len(want), want, len(got), got)
 	}
 	ls.transcript.WriteString(label + "\n")
@@ -109,8 +94,8 @@ func cookieFrom(t *testing.T, resp []byte, name string) string {
 // differential tests: serial lock-step traffic (single-request cohorts
 // launched by the formation timeout) with the host server's session
 // geometry so both sides issue identical session ids.
-func workloadCohortOpts(devices int, plan *cluster.FaultPlan) CohortOptions {
-	return CohortOptions{
+func workloadCohortOpts(devices int, plan *cluster.FaultPlan) cohortOptions {
+	return cohortOptions{
 		Devices:          devices,
 		CohortSize:       8,
 		FormationTimeout: 2 * time.Millisecond,
@@ -165,7 +150,7 @@ func driveTelemetry(ls *lockstep, dev uint64) {
 // driveMixed interleaves banking, e-commerce, and telemetry requests on
 // one connection pair — the three workloads sharing devices, sessions
 // arrays, and shard groups.
-func driveMixed(ls *lockstep, dev *CohortServer) {
+func driveMixed(ls *lockstep, dev *cohortServer) {
 	t := ls.t
 	uid, pw := ls.host.Seed(4444)
 	if _, dpw := dev.Seed(4444); dpw != pw {
@@ -278,7 +263,7 @@ func equalStrings(a, b []string) bool {
 // TestMixedWorkloadSimParallelismDeterminism: the full mixed drive
 // (banking + ecom + telemetry on four devices) produces bit-identical
 // transcripts whether the simulator runs kernel launches serially or
-// eight-wide — the CohortOptions knob behind RHYTHM_SIM_PARALLELISM.
+// eight-wide — the cohortOptions knob behind RHYTHM_SIM_PARALLELISM.
 // Each run is additionally byte-checked against its own fresh host
 // reference, and the -race CI leg runs this test with the checker on.
 func TestMixedWorkloadSimParallelismDeterminism(t *testing.T) {
