@@ -1,11 +1,11 @@
 package rhythm
 
 import (
-	"fmt"
 	"time"
 
 	"rhythm/internal/cluster"
 	"rhythm/internal/flight"
+	"rhythm/internal/fmtx"
 	"rhythm/internal/httpx"
 	"rhythm/internal/obs"
 	"rhythm/internal/service"
@@ -244,24 +244,34 @@ func (s *cohortServer) sessionsFor(req *httpx.Request, t service.TypeID) *sessio
 	return s.fab.GroupSessions(group)
 }
 
-// admit places one cohort-routed request in the pool, parking it in the
-// bounded overflow when the pool has no room (every context Busy or
-// forming another key) and shedding with 503 past that. A parked request
-// is retried whenever a context frees.
+// cohortKey is the pool's key on the live route. Cohorts are keyed by
+// (type, shard group): a cohort executes against one group's state on
+// one device, so requests of the same type but different groups form
+// separately.
+type cohortKey struct {
+	t     service.TypeID
+	group int
+}
+
+// admit places one cohort-routed request in the pool, parking it there
+// when the pool has no room (every context Busy or forming another key)
+// and shedding with 503 once OverflowLimit requests are parked. The pool
+// retries parked requests whenever a context frees.
 func (s *cohortServer) admit(lr *liveReq) {
 	lr.admitted = time.Now()
 	lr.spans = append(lr.spans, obs.Span{Name: "admit-queue", Start: lr.enq, Dur: lr.admitted.Sub(lr.enq)})
-	if s.place(lr) {
+	key := cohortKey{lr.t, lr.group}
+	if s.pool.Add(key, lr) {
 		return
 	}
-	if len(s.overflow) >= s.opts.OverflowLimit {
+	if s.pool.Parked() >= s.opts.OverflowLimit {
 		s.execMu.Lock()
 		s.rejectedPool++
 		s.execMu.Unlock()
 		s.shedReq(lr)
 		return
 	}
-	s.overflow = append(s.overflow, lr)
+	s.pool.Park(key, lr)
 }
 
 // shedReq answers one admitted request with the 503 backpressure
@@ -273,52 +283,6 @@ func (s *cohortServer) shedReq(lr *liveReq) {
 	lr.resp <- busyResponse(s.ctrl.RetryAfter())
 }
 
-// place tries pool admission, and on success manages the wall-clock
-// formation timer for the (possibly newly opened) forming cohort. Cohorts are keyed by (type,
-// shard group): a cohort executes against one group's state on one
-// device, so requests of the same type but different groups form
-// separately.
-func (s *cohortServer) place(lr *liveReq) bool {
-	key := fmt.Sprintf("%s/%d", s.names[lr.t], lr.group)
-	if !s.pool.Add(key, lr) {
-		return false
-	}
-	if s.draining {
-		// No timers during drain: launch whatever the Add left forming.
-		s.pool.Flush(key)
-		return true
-	}
-	// The formation deadline is the controller's per-type window.
-	if window := s.ctrl.Window(int(lr.t)); window > 0 && s.pool.Forming(key) && s.forming[key] == nil {
-		s.nextGen++
-		gen := s.nextGen
-		t := time.AfterFunc(window, func() {
-			select {
-			case s.flushCh <- flushMsg{key: key, gen: gen}:
-			case <-s.doneCh:
-			}
-		})
-		s.forming[key] = &formingTimer{timer: t, gen: gen}
-	}
-	return true
-}
-
-// drainOverflow retries parked requests after a context frees,
-// preserving order per type while letting other types pass a starved
-// head (same policy as the offline pipeline's dispatch).
-func (s *cohortServer) drainOverflow() {
-	if len(s.overflow) == 0 {
-		return
-	}
-	pending := s.overflow
-	s.overflow = s.overflow[:0]
-	for _, lr := range pending {
-		if !s.place(lr) {
-			s.overflow = append(s.overflow, lr)
-		}
-	}
-}
-
 // busyResponse is the backpressure answer: 503 with a Retry-After hint.
 // Hand-built because ResponseWriter has no custom-header hook and the
 // standard error path closes the connection — load shedding should keep
@@ -328,7 +292,7 @@ func busyResponse(retryAfter time.Duration) []byte {
 	if secs < 1 {
 		secs = 1
 	}
-	body := "503 cohort pool saturated\n"
-	return []byte(fmt.Sprintf("HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nRetry-After: %d\r\nConnection: keep-alive\r\nContent-Length: %d\r\n\r\n%s",
-		secs, len(body), body))
+	const body = "503 cohort pool saturated\n"
+	return fmtx.Appendf(make([]byte, 0, 160), "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nRetry-After: %d\r\nConnection: keep-alive\r\nContent-Length: %d\r\n\r\n%s",
+		secs, len(body), body)
 }

@@ -1,7 +1,6 @@
 package rhythm
 
 import (
-	"fmt"
 	"time"
 
 	"rhythm/internal/cluster"
@@ -11,26 +10,13 @@ import (
 	"rhythm/internal/obs"
 )
 
-// flushMsg asks the loop to launch the forming cohort for a key; gen
-// guards against a stale timer firing after that cohort already launched
-// and a new one opened under the same key.
-type flushMsg struct {
-	key string
-	gen uint64
-}
-
-type formingTimer struct {
-	timer *time.Timer
-	gen   uint64
-}
-
-// loop is the formation loop: the only goroutine that touches the pool,
-// formation timers, and the loop-owned counters. It sees cohort-routed
-// requests only: the host route never leaves its connection handler.
-// Cohorts execute on the cluster's device workers; their completions
-// come back here through doCh, so cohort accounting stays
-// single-goroutine (the counters shared with the host route take
-// execMu).
+// loop is the formation loop: the only goroutine that touches the pool
+// (whose formation deadlines fire here, over doCh) and the loop-owned
+// counters. It sees cohort-routed requests only: the host route never
+// leaves its connection handler. Cohorts execute on the cluster's device
+// workers; their completions come back here through doCh, so cohort
+// accounting stays single-goroutine (the counters shared with the host
+// route take execMu).
 func (s *cohortServer) loop() {
 	defer close(s.doneCh)
 	stop := s.stopCh
@@ -44,82 +30,68 @@ func (s *cohortServer) loop() {
 		select {
 		case lr := <-s.admitCh:
 			s.admit(lr)
-		case m := <-s.flushCh:
-			s.flush(m)
 		case fn := <-s.doCh:
 			fn()
 		case now := <-ticker.C:
-			s.ctrl.NoteQueue(len(s.admitCh) + len(s.overflow))
+			s.ctrl.NoteQueue(len(s.admitCh) + s.pool.Parked())
 			s.ctrl.Tick(now)
 		case <-stop:
+			// Launch everything forming; admissions still queued are
+			// served (the drained pool launches each at once), so every
+			// accepted request gets a real response.
 			stop = nil
-			s.beginDrain()
+			s.draining = true
+			s.pool.Drain()
 		}
 	}
 }
 
 // idle reports whether the drained loop may exit: nothing queued,
-// forming, or in flight on the device pool.
+// parked, forming, or in flight on the device pool.
 func (s *cohortServer) idle() bool {
-	return len(s.admitCh) == 0 && len(s.flushCh) == 0 && len(s.doCh) == 0 &&
-		len(s.overflow) == 0 && len(s.forming) == 0 && s.inflight == 0 &&
-		s.pool.FreeContexts() == s.opts.MaxCohorts
+	return len(s.admitCh) == 0 && len(s.doCh) == 0 && s.pool.Parked() == 0 &&
+		s.inflight == 0 && s.pool.FreeContexts() == s.opts.MaxCohorts
 }
 
-// beginDrain stops formation timers and launches everything forming.
-// Admissions still queued are served (admit flushes immediately while
-// draining), so every accepted request gets a real response.
-func (s *cohortServer) beginDrain() {
-	s.draining = true
-	for _, f := range s.forming {
-		f.timer.Stop()
-	}
-	s.forming = make(map[string]*formingTimer)
-	s.pool.Flush("")
+// wallClock runs the pool's formation deadlines on wall-clock timers: a
+// fired deadline is posted to the formation loop over doCh, so the pool
+// stays single-goroutine. Engine time cannot serve here, since it only
+// advances while kernels execute.
+type wallClock struct {
+	start time.Time
+	do    chan<- func()
+	done  <-chan struct{}
 }
 
-// flush handles a formation-timeout message, ignoring stale generations
-// (the cohort the timer was armed for already launched).
-func (s *cohortServer) flush(m flushMsg) {
-	f := s.forming[m.key]
-	if f == nil || f.gen != m.gen {
-		return
-	}
-	delete(s.forming, m.key)
-	s.pool.Flush(m.key)
+func (c wallClock) Now() time.Duration { return time.Since(c.start) }
+
+func (c wallClock) After(d time.Duration, fn func()) func() {
+	t := time.AfterFunc(d, func() {
+		select {
+		case c.do <- fn:
+		case <-c.done:
+		}
+	})
+	return func() { t.Stop() }
 }
 
-// onReady fires (synchronously from pool.Add or Flush) when a cohort
-// fills or times out: account formation stats and launch the kernels.
-func (s *cohortServer) onReady(c *cohort.Context[*liveReq], why cohort.Reason) {
-	if f := s.forming[c.Key]; f != nil {
-		f.timer.Stop()
-		delete(s.forming, c.Key)
-	}
+// launch is the pool's onReady: it fires (synchronously from the pool)
+// when a cohort fills, times out or launches early, accounts formation
+// stats, and hands the cohort to the device fabric as a cluster.Unit.
+// Routing (node ownership by rendezvous hash, then the owning node's
+// device-level session affinity and failover) is the fabric's job;
+// completion comes back to the loop goroutine via doCh and lands in
+// complete. A refusal — every node down, the owner's link budget
+// exhausted, or its queues full — sheds every request with the 503
+// path.
+func (s *cohortServer) launch(c *cohort.Context[cohortKey, *liveReq], why cohort.Reason) {
 	c.MarkBusy()
 	s.inflight++
-	s.launch(c, why)
-}
-
-// launch hands one formed cohort to the device fabric as a
-// cluster.Unit. Routing (node ownership by rendezvous hash, then the
-// owning node's device-level session affinity and failover) is the
-// fabric's job; completion comes back to the loop goroutine via doCh
-// and lands in complete. A refusal — every node down, the owner's link
-// budget exhausted, or its queues full — sheds every request with the
-// 503 path.
-func (s *cohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 	reqs := c.Requests()
 	t := reqs[0].t
 	count := len(reqs)
 	now := time.Now()
-	reason := "timeout"
-	switch why {
-	case cohort.Filled:
-		reason = "filled"
-	case cohort.Early:
-		reason = "early"
-	}
+	reason := why.String()
 	for _, lr := range reqs {
 		wait := float64(now.Sub(lr.enq))
 		s.record(s.formWait, wait)
@@ -142,14 +114,7 @@ func (s *cohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 	if count > s.maxOccup {
 		s.maxOccup = count
 	}
-	switch why {
-	case cohort.Filled:
-		tc.filled++
-	case cohort.Early:
-		tc.early++
-	default:
-		tc.timedOut++
-	}
+	tc.launches[why]++
 	unit := &cluster.Unit{Type: t, Group: reqs[0].group, Reqs: make([]httpx.Request, count)}
 	for i, lr := range reqs {
 		unit.Reqs[i] = lr.req
@@ -167,7 +132,7 @@ func (s *cohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 
 // shed answers every request of a refused cohort with the 503
 // backpressure response and releases its context.
-func (s *cohortServer) shed(c *cohort.Context[*liveReq], reqs []*liveReq) {
+func (s *cohortServer) shed(c *cohort.Context[cohortKey, *liveReq], reqs []*liveReq) {
 	s.shedCohorts++
 	for _, lr := range reqs {
 		s.shedReq(lr)
@@ -175,11 +140,10 @@ func (s *cohortServer) shed(c *cohort.Context[*liveReq], reqs []*liveReq) {
 	s.finish(c)
 }
 
-// finish releases a cohort context and retries parked admissions.
-func (s *cohortServer) finish(c *cohort.Context[*liveReq]) {
-	s.pool.Release(c)
+// finish releases a cohort context; the pool retries parked admissions.
+func (s *cohortServer) finish(c *cohort.Context[cohortKey, *liveReq]) {
 	s.inflight--
-	s.drainOverflow()
+	s.pool.Release(c)
 }
 
 // complete consumes one cohort's execution result on the loop
@@ -187,7 +151,7 @@ func (s *cohortServer) finish(c *cohort.Context[*liveReq]) {
 // context release. A unit the fabric could not complete (Result.Err —
 // every device dead, no routable node, or a connection lost with the
 // unit's fate unknown) sheds like a dispatch refusal.
-func (s *cohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result) {
+func (s *cohortServer) complete(c *cohort.Context[cohortKey, *liveReq], res *cluster.Result) {
 	reqs := c.Requests()
 	if res.Err != nil {
 		s.shed(c, reqs)
@@ -200,7 +164,7 @@ func (s *cohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result
 		// One span per request, sharing the launch-record linkage args
 		// (the map is read-only once built).
 		span := obs.Span{
-			Name:  fmt.Sprintf("stage-%d", k),
+			Name:  s.stageNames[k],
 			Start: se.Start,
 			Dur:   se.Dur,
 			Args:  stageArgs(se.Stats),

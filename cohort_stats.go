@@ -3,6 +3,7 @@ package rhythm
 import (
 	"rhythm/internal/adapt"
 	"rhythm/internal/cluster"
+	"rhythm/internal/cohort"
 	"rhythm/internal/fabric"
 	"rhythm/internal/obs"
 	"rhythm/internal/service"
@@ -21,11 +22,12 @@ type perStage struct {
 // except requests and hostReqs, which the host route also writes (under
 // cohortServer.execMu).
 type typeCounters struct {
-	cohorts, filled, timedOut, early uint64
-	requests, hostReqs               uint64
-	sumOccup                         uint64
-	maxOccup                         int
-	stages                           []perStage
+	cohorts            uint64
+	launches           [cohort.Early + 1]uint64 // by launch reason
+	requests, hostReqs uint64
+	sumOccup           uint64
+	maxOccup           int
+	stages             []perStage
 }
 
 // CohortTypeStats is the per-request-type section of CohortServerStats.
@@ -248,9 +250,9 @@ func (s *cohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 		ts := CohortTypeStats{
 			Workload:     s.reg.Spec(service.TypeID(t)).Workload,
 			Cohorts:      tc.cohorts,
-			Filled:       tc.filled,
-			TimedOut:     tc.timedOut,
-			Early:        tc.early,
+			Filled:       tc.launches[cohort.Filled],
+			TimedOut:     tc.launches[cohort.TimedOut],
+			Early:        tc.launches[cohort.Early],
 			Requests:     tc.requests,
 			HostRequests: tc.hostReqs,
 			MaxOccupancy: tc.maxOccup,

@@ -16,7 +16,6 @@ import (
 	"rhythm/internal/obs/health"
 	"rhythm/internal/rcache"
 	"rhythm/internal/service"
-	"rhythm/internal/sim"
 	"rhythm/internal/simt"
 	"rhythm/internal/stats"
 )
@@ -131,7 +130,7 @@ type cohortServer struct {
 	frontend
 
 	opts cohortOptions
-	pool *cohort.Pool[*liveReq]
+	pool *cohort.Pool[cohortKey, *liveReq]
 	// ctrl is the formation policy: adaptive to a p99 target, or pinned
 	// to a fixed timeout or to the host route (hostPinned). Its methods
 	// are internally locked; handlers call Arrival and RetryAfter, the
@@ -143,7 +142,6 @@ type cohortServer struct {
 	remote bool
 
 	admitCh chan *liveReq
-	flushCh chan flushMsg
 	doCh    chan func()
 	stopCh  chan struct{}
 	doneCh  chan struct{}
@@ -177,14 +175,12 @@ type cohortServer struct {
 	// except what execMu guards.
 	draining    bool
 	inflight    int
-	overflow    []*liveReq
-	forming     map[string]*formingTimer
-	nextGen     uint64
 	shedCohorts uint64
 	perType     []typeCounters // per service.TypeID
 	maxOccup    int
 	formWait    *stats.LatencyWindow
 	launchLat   *stats.LatencyWindow
+	stageNames  []string // "stage-k" span names, built once from the registry
 
 	// execMu guards what both routes write — the loop for cohorts,
 	// connection handlers for the host route — so that a snapshot reads
@@ -236,11 +232,9 @@ func newCohortServer(opts cohortOptions) (*cohortServer, error) {
 		opts:      opts,
 		remote:    len(opts.WorkerAddrs) > 0,
 		admitCh:   make(chan *liveReq, admitQueue),
-		flushCh:   make(chan flushMsg, 256),
 		doCh:      make(chan func(), 16),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
-		forming:   make(map[string]*formingTimer),
 		perType:   make([]typeCounters, reg.NumTypes()),
 		formWait:  stats.NewLatencyWindow(latencyWindow),
 		launchLat: stats.NewLatencyWindow(latencyWindow),
@@ -252,8 +246,13 @@ func newCohortServer(opts cohortOptions) (*cohortServer, error) {
 	s.frontend.init(reg, flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow})
 	s.fab = fab
 	for t := range s.perType {
-		// One stage slot per stage kernel.
-		s.perType[t].stages = make([]perStage, reg.Spec(service.TypeID(t)).Backends+1)
+		// One stage slot per stage kernel, and a span name per stage
+		// index up to the registry's longest chain.
+		stages := reg.Spec(service.TypeID(t)).Backends + 1
+		s.perType[t].stages = make([]perStage, stages)
+		for k := len(s.stageNames); k < stages; k++ {
+			s.stageNames = append(s.stageNames, fmt.Sprintf("stage-%d", k))
+		}
 	}
 	ws := reg.Workloads()
 	s.wlLimit = make([]int64, len(ws))
@@ -298,10 +297,6 @@ func newCohortServer(opts cohortOptions) (*cohortServer, error) {
 			s.cache = nil
 		}
 	}
-	// Pool timeout 0: formation deadlines run on wall-clock timers (the
-	// pool's engine argument is unused at timeout 0 — the cluster's
-	// devices own the virtual timelines now).
-	s.pool = cohort.NewPool[*liveReq](sim.NewEngine(), opts.MaxCohorts, opts.CohortSize, 0, s.onReady)
 	acfg := adapt.Config{
 		Types:         reg.NumTypes(),
 		Names:         s.names,
@@ -321,12 +316,16 @@ func newCohortServer(opts cohortOptions) (*cohortServer, error) {
 		}
 	}
 	s.ctrl = adapt.New(acfg)
-	// Early launch: the advisor fires on the loop goroutine after every
-	// Add that leaves a cohort below capacity, launching it once it
-	// reaches the controller's per-type threshold.
-	s.pool.SetAdvisor(func(c *cohort.Context[*liveReq]) bool {
-		return c.Len() >= s.ctrl.Threshold(int(c.Requests()[0].t))
-	})
+	// The formation deadline is the controller's per-type window, on
+	// wall-clock timers that fire into the loop. Early launch: the
+	// advisor runs on the loop goroutine after every Add that leaves a
+	// cohort below capacity, launching it once it reaches the
+	// controller's per-type threshold.
+	s.pool = cohort.NewPool(wallClock{start: time.Now(), do: s.doCh, done: s.doneCh},
+		opts.MaxCohorts, opts.CohortSize,
+		func(k cohortKey) time.Duration { return s.ctrl.Window(int(k.t)) },
+		func(c *cohort.Context[cohortKey, *liveReq]) bool { return c.Len() >= s.ctrl.Threshold(int(c.Key.t)) },
+		s.launch)
 	go s.loop()
 	return s, nil
 }

@@ -402,6 +402,23 @@ func TestCohortServerRejectsWhenSaturated(t *testing.T) {
 	// flush (delivery is asserted by TestCohortServerShutdownFlushesPartial).
 }
 
+// TestBusyResponseBytes: the 503 backpressure answer is byte for byte
+// what fmt.Sprintf built before it moved to fmtx, with Retry-After
+// rounded down to whole seconds and never below 1.
+func TestBusyResponseBytes(t *testing.T) {
+	for _, c := range []struct {
+		retryAfter time.Duration
+		secs       int
+	}{{time.Second, 1}, {7 * time.Second, 7}, {7500 * time.Millisecond, 7}, {200 * time.Millisecond, 1}} {
+		body := "503 cohort pool saturated\n"
+		want := fmt.Sprintf("HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nRetry-After: %d\r\nConnection: keep-alive\r\nContent-Length: %d\r\n\r\n%s",
+			c.secs, len(body), body)
+		if got := string(busyResponse(c.retryAfter)); got != want {
+			t.Errorf("busyResponse(%v) = %q, want %q", c.retryAfter, got, want)
+		}
+	}
+}
+
 // TestCohortServerRequestDeadline: a request stuck in formation past
 // RequestDeadline gets a 504 and the connection stays usable.
 func TestCohortServerRequestDeadline(t *testing.T) {

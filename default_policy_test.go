@@ -155,7 +155,7 @@ func TestPinnedParksBehindFormingContext(t *testing.T) {
 		for range uris {
 			dev.admit(<-dev.admitCh)
 		}
-		parked <- len(dev.overflow)
+		parked <- dev.pool.Parked()
 	}
 	var readers []*bufio.Reader
 	for _, uri := range uris {

@@ -7,10 +7,15 @@
 // through its Slot. The pipeline stalls only on structural hazards (no
 // free cohort context, a busy bus), exactly as the paper's design
 // intends.
+//
+// Formation policy is the cohort.Pool the live server also uses, keyed by
+// banking.ReqType with deadlines on the simulation engine; the pipeline
+// only bounds what parks there and flushes what can no longer fill.
 package pipeline
 
 import (
 	"math/rand"
+	"time"
 
 	"rhythm/internal/backend"
 	"rhythm/internal/banking"
@@ -140,6 +145,17 @@ type preq struct {
 	arrived sim.Time
 }
 
+// engineClock runs the cohort pool's formation deadlines as events of
+// the simulation engine, in virtual time.
+type engineClock struct{ eng *sim.Engine }
+
+func (c engineClock) Now() time.Duration { return time.Duration(c.eng.Now()) }
+
+func (c engineClock) After(d time.Duration, fn func()) func() {
+	ev := c.eng.After(sim.Time(d), fn)
+	return func() { c.eng.Cancel(ev) }
+}
+
 // Server is the Rhythm pipeline bound to a device.
 type Server struct {
 	eng      *sim.Engine
@@ -149,7 +165,7 @@ type Server struct {
 	sessions *session.Array
 
 	bank       *service.PageWorkload
-	pool       *cohort.Pool[preq]
+	pool       *cohort.Pool[banking.ReqType, preq]
 	streams    []*simt.Stream    // one per cohort context
 	slots      []service.Slot    // one per cohort context
 	reqs       [][]httpx.Request // per context: the bound cohort's requests
@@ -164,7 +180,6 @@ type Server struct {
 	queued    [][]byte // paced-mode arrival queue
 	pacedLeft int      // paced-mode arrivals not yet queued
 	inflight  int      // reader batches + busy cohorts
-	overflow  []preq
 	stats     Stats
 	onDrained func()
 	firstPull bool
@@ -214,8 +229,9 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 		stats:    Stats{Latency: stats.NewLatencyRecorder()},
 	}
 	variant := service.Variant{Padding: opts.Padding, ColMajor: opts.ColumnMajor, HostBackend: !opts.DeviceBackend}
-	s.pool = cohort.NewPool[preq](eng, opts.MaxCohorts, opts.CohortSize, opts.FormationTimeout,
-		func(c *cohort.Context[preq], _ cohort.Reason) {
+	window := func(banking.ReqType) time.Duration { return time.Duration(opts.FormationTimeout) }
+	s.pool = cohort.NewPool(engineClock{eng}, opts.MaxCohorts, opts.CohortSize, window, nil,
+		func(c *cohort.Context[banking.ReqType, preq], _ cohort.Reason) {
 			c.MarkBusy()
 			s.inflight++
 			s.runCohort(c)
@@ -319,10 +335,11 @@ func (s *Server) pull() (raw []byte, have, finished bool) {
 
 // feedReader pulls requests into a free reader batch and launches the
 // H2D copy + parse chain. The reader stalls (does nothing) while both
-// batches are busy or the dispatch overflow has grown past its bound —
+// batches are busy or the requests parked in the pool have grown past
+// their bound —
 // requests may be delayed for cohort formation, but memory is finite.
 func (s *Server) feedReader() {
-	if s.srcDone || len(s.overflow) > 4*s.opts.CohortSize {
+	if s.srcDone || s.pool.Parked() > 4*s.opts.CohortSize {
 		return
 	}
 	var rb *readerBatch
@@ -397,42 +414,22 @@ func (s *Server) dispatchBatch(rb *readerBatch, count int) {
 			s.stats.Latency.Record(float64(s.eng.Now() - rb.arrive[i]))
 			continue
 		}
+		// A request with no context to join parks in the pool until a
+		// Release frees one.
 		pr := preq{req: rb.pb.Reqs[i], t: rb.pb.Types[i], arrived: rb.arrive[i]}
-		s.routeOrQueue(pr)
+		if !s.pool.Add(pr.t, pr) {
+			s.pool.Park(pr.t, pr)
+		}
 	}
 	rb.busy = false
 	s.inflight--
-	s.drainOverflow()
 	s.feedReader()
 	s.maybeFlush()
 }
 
-func (s *Server) routeOrQueue(pr preq) {
-	if !s.pool.Add(pr.t.String(), pr) {
-		s.overflow = append(s.overflow, pr)
-	}
-}
-
-// drainOverflow retries queued requests after a cohort context frees.
-// Unplaceable requests are kept (in order) while later requests of other
-// types are still tried — head-of-line blocking on one starved type must
-// not stall every other type's dispatch.
-func (s *Server) drainOverflow() {
-	if len(s.overflow) == 0 {
-		return
-	}
-	pending := s.overflow
-	s.overflow = s.overflow[:0]
-	for _, pr := range pending {
-		if !s.pool.Add(pr.t.String(), pr) {
-			s.overflow = append(s.overflow, pr)
-		}
-	}
-}
-
 // runCohort executes the process phase for one Full cohort: n backend
 // stages and n+1 process stages (§3.1), then the response stage.
-func (s *Server) runCohort(c *cohort.Context[preq]) {
+func (s *Server) runCohort(c *cohort.Context[banking.ReqType, preq]) {
 	prs := c.Requests()
 	t := prs[0].t
 	reqs := s.reqs[c.ID][:0]
@@ -468,7 +465,7 @@ func (s *Server) runCohort(c *cohort.Context[preq]) {
 // straggler timeout configured, the cohort proceeds when the deadline
 // passes and any unfinished requests are re-executed entirely on the
 // host (§3.1).
-func (s *Server) hostBackend(c *cohort.Context[preq], unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
+func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
 	unit.BackendRequestsD2H(stream, func(image []byte) {
 		proceeded := false
 		remaining := count
@@ -531,7 +528,7 @@ func (s *Server) hostBackend(c *cohort.Context[preq], unit *service.PageUnit, st
 // shedStraggler hands one timed-out request to the host CPU: the device
 // slot is marked failed (its error page is discarded), and the full
 // request re-executes on a host worker, producing the real response.
-func (s *Server) shedStraggler(c *cohort.Context[preq], unit *service.PageUnit, r int) {
+func (s *Server) shedStraggler(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, r int) {
 	unit.Fail(r, "backend straggler: reissued on host")
 	pr := c.Requests()[r]
 	arrived := pr.arrived
@@ -559,7 +556,7 @@ func (s *Server) shedStraggler(c *cohort.Context[preq], unit *service.PageUnit, 
 // respond runs the Response stage: transpose the cohort's responses back
 // to row-major (on-device for Titan A/B, offloaded for Titan C), ship
 // them, record latencies, and free the cohort context.
-func (s *Server) respond(c *cohort.Context[preq], t banking.ReqType, unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool) {
+func (s *Server) respond(c *cohort.Context[banking.ReqType, preq], t banking.ReqType, unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool) {
 	if !(s.opts.ColumnMajor && s.opts.OffloadResponseTranspose) {
 		// Titan C's transpose unit does it for no device time.
 		unit.Writeback(stream)
@@ -583,9 +580,8 @@ func (s *Server) respond(c *cohort.Context[preq], t banking.ReqType, unit *servi
 				}
 			}
 		}
-		s.pool.Release(c)
 		s.inflight--
-		s.drainOverflow()
+		s.pool.Release(c)
 		s.feedReader()
 		s.maybeFlush()
 	}
@@ -598,16 +594,16 @@ func (s *Server) respond(c *cohort.Context[preq], t banking.ReqType, unit *servi
 
 // maybeFlush force-launches partial cohorts when they can no longer
 // fill. At end of stream everything forming is flushed. When dispatch
-// back-pressure has wedged — requests queued in overflow because every
+// back-pressure has wedged — requests parked in the pool because every
 // context is forming for other types and nothing is executing that could
 // free one — only the oldest forming cohort launches, freeing one
 // context at a time; a live deployment's formation timeout plays this
 // role (§3.1).
 func (s *Server) maybeFlush() {
-	if len(s.overflow) > 0 && s.inflight == 0 {
+	if s.pool.Parked() > 0 && s.inflight == 0 {
 		s.pool.FlushOldest()
-	} else if s.srcDone && len(s.overflow) == 0 && !s.readerBusy() {
-		s.pool.Flush("")
+	} else if s.srcDone && s.pool.Parked() == 0 && !s.readerBusy() {
+		s.pool.FlushAll()
 	}
 	s.checkDrained()
 }
@@ -623,7 +619,7 @@ func (s *Server) readerBusy() bool {
 
 // checkDrained reports (and signals) completion of the whole run.
 func (s *Server) checkDrained() bool {
-	if s.srcDone && s.inflight == 0 && len(s.overflow) == 0 &&
+	if s.srcDone && s.inflight == 0 && s.pool.Parked() == 0 &&
 		s.pool.FreeContexts() == s.opts.MaxCohorts && !s.readerBusy() {
 		if s.onDrained != nil {
 			f := s.onDrained
