@@ -231,7 +231,7 @@ func main() {
 			formed, filled, timedOut, early, batched)
 		fmt.Printf("  occupancy:  %.2f mean at launch (max seen %d), timeout ratio %.0f%%\n",
 			float64(batched)/float64(formed), after.MaxOccupancy, 100*float64(timedOut)/float64(formed))
-		fmt.Printf("  formation:  %.2fms mean wait, %.2fms p99; launch %.0fus mean device time\n",
+		fmt.Printf("  formation:  %.2fms mean wait, %.2fms p99 (server lifetime); launch %.0fus mean device time\n",
 			after.FormWaitMsMean, after.FormWaitMsP99, after.LaunchDevUsMean)
 	}
 	if *hist && after.Adapt != nil {
@@ -261,7 +261,7 @@ func printAdapt(st rhythm.CohortServerStats) {
 }
 
 // printHistogram renders the merged latency samples over the same
-// fixed buckets the server's /v1/metrics histograms use (0.25ms doubling),
+// fixed buckets the server's /v1/metrics histograms use (octaves from 4.1µs),
 // cumulative counts plus a per-bucket bar.
 func printHistogram(lat *stats.LatencyRecorder, label string) {
 	bounds := stats.LatencyBucketsNs()

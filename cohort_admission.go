@@ -196,15 +196,8 @@ func (s *cohortServer) serveHost(a *connArena, widx int) []byte {
 	if res.Err != nil {
 		return s.shedHost(a, widx)
 	}
-	lat := float64(time.Since(enq))
-	s.execMu.Lock()
-	s.hostFallbacks++
-	s.perType[a.t].requests++
-	s.perType[a.t].hostReqs++
-	s.kernelErrors += uint64(res.KernelErrs)
-	s.record(s.reqLat, lat)
-	s.execMu.Unlock()
-	s.latHist[a.t].ObserveEx(lat, a.frec.TraceID)
+	s.perType[a.t].hostReqs.Add(1)
+	s.kernelErrors.Add(uint64(res.KernelErrs))
 	a.frec.HostExec = true
 	a.frec.LaunchReason = "host"
 	a.frec.Device = res.Device
@@ -226,9 +219,7 @@ func (s *cohortServer) serveHost(a *connArena, widx int) []byte {
 // shedHost answers a host-routed request the fabric refused or could not
 // complete with the 503 backpressure response.
 func (s *cohortServer) shedHost(a *connArena, widx int) []byte {
-	s.execMu.Lock()
-	s.rejectedPool++
-	s.execMu.Unlock()
+	s.rejectedPool.Add(1)
 	return s.shedHere(a, widx)
 }
 
@@ -265,9 +256,7 @@ func (s *cohortServer) admit(lr *liveReq) {
 		return
 	}
 	if s.pool.Parked() >= s.opts.OverflowLimit {
-		s.execMu.Lock()
-		s.rejectedPool++
-		s.execMu.Unlock()
+		s.rejectedPool.Add(1)
 		s.shedReq(lr)
 		return
 	}

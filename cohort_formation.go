@@ -16,7 +16,7 @@ import (
 // leaves its connection handler. Cohorts execute on the cluster's device
 // workers; their completions come back here through doCh, so cohort
 // accounting stays single-goroutine (the counters shared with the host
-// route take execMu).
+// route are atomics).
 func (s *cohortServer) loop() {
 	defer close(s.doneCh)
 	stop := s.stopCh
@@ -93,9 +93,7 @@ func (s *cohortServer) launch(c *cohort.Context[cohortKey, *liveReq], why cohort
 	now := time.Now()
 	reason := why.String()
 	for _, lr := range reqs {
-		wait := float64(now.Sub(lr.enq))
-		s.record(s.formWait, wait)
-		s.formHist.Observe(wait)
+		s.formHist.Observe(float64(now.Sub(lr.enq)))
 		lr.spans = append(lr.spans, obs.Span{Name: "formation-wait", Start: lr.admitted, Dur: now.Sub(lr.admitted)})
 		lr.frec.FormationWait = now.Sub(lr.admitted)
 		lr.frec.CohortSize = count
@@ -104,15 +102,10 @@ func (s *cohortServer) launch(c *cohort.Context[cohortKey, *liveReq], why cohort
 	s.occupHist.Observe(float64(count))
 	tc := &s.perType[t]
 	tc.cohorts++
-	s.execMu.Lock()
-	tc.requests += uint64(count)
-	s.execMu.Unlock()
+	tc.cohortReqs += uint64(count)
 	tc.sumOccup += uint64(count)
 	if count > tc.maxOccup {
 		tc.maxOccup = count
-	}
-	if count > s.maxOccup {
-		s.maxOccup = count
 	}
 	tc.launches[why]++
 	unit := &cluster.Unit{Type: t, Group: reqs[0].group, Reqs: make([]httpx.Request, count)}
@@ -174,13 +167,7 @@ func (s *cohortServer) complete(c *cohort.Context[cohortKey, *liveReq], res *clu
 			lr.frec.AddLaunch(se.Stats.Seq)
 		}
 	}
-	now := time.Now()
-	s.execMu.Lock()
-	s.kernelErrors += uint64(res.KernelErrs)
-	for _, lr := range reqs {
-		s.record(s.reqLat, float64(now.Sub(lr.enq)))
-	}
-	s.execMu.Unlock()
+	s.kernelErrors.Add(uint64(res.KernelErrs))
 	for i, lr := range reqs {
 		lr.spans = append(lr.spans, obs.Span{Name: "render", Start: res.RenderStart, Dur: res.RenderDur})
 		lr.frec.Device = res.Device
@@ -192,11 +179,10 @@ func (s *cohortServer) complete(c *cohort.Context[cohortKey, *liveReq], res *clu
 			lr.frec.Status = flight.StatusKernelErr
 			s.badByType[lr.t].Add(1)
 		}
-		id := lr.frec.TraceID // read before the send hands frec to the handler
 		lr.resp <- res.Resps[i]
-		s.latHist[lr.t].ObserveEx(float64(now.Sub(lr.enq)), id)
 	}
-	s.record(s.launchLat, float64(res.DeviceTime))
+	s.launchesDone++
+	s.launchDevNs += float64(res.DeviceTime)
 	// Feed the service model with the wall-clock execution cost of this
 	// cohort — stage kernels plus response render — which is what bounds
 	// the live server's capacity.

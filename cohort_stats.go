@@ -1,6 +1,8 @@
 package rhythm
 
 import (
+	"sync/atomic"
+
 	"rhythm/internal/adapt"
 	"rhythm/internal/cluster"
 	"rhythm/internal/cohort"
@@ -19,15 +21,16 @@ type perStage struct {
 }
 
 // typeCounters is one request type's execution counters: loop-owned,
-// except requests and hostReqs, which the host route also writes (under
-// cohortServer.execMu).
+// except hostReqs, which the host route's handlers count. cohortReqs
+// and hostReqs are the type's requests on each route.
 type typeCounters struct {
-	cohorts            uint64
-	launches           [cohort.Early + 1]uint64 // by launch reason
-	requests, hostReqs uint64
-	sumOccup           uint64
-	maxOccup           int
-	stages             []perStage
+	cohorts    uint64
+	launches   [cohort.Early + 1]uint64 // by launch reason
+	cohortReqs uint64
+	hostReqs   atomic.Uint64
+	sumOccup   uint64
+	maxOccup   int
+	stages     []perStage
 }
 
 // CohortTypeStats is the per-request-type section of CohortServerStats.
@@ -132,54 +135,38 @@ type CohortServerStats struct {
 	Types map[string]CohortTypeStats `json:"types"`
 }
 
-// latencyWindow is how many of the most recent samples each of the three
-// latency windows (request, formation wait, launch) holds: 512 KB apiece,
-// so the percentiles follow the traffic at a fixed cost.
-const latencyWindow = 1 << 16
-
-func (s *cohortServer) record(w *stats.LatencyWindow, v float64) {
-	if v < 0 {
-		v = 0
-	}
-	w.Record(v)
-}
-
 // Stats snapshots the live counters. Safe to call at any time; while
-// the loop runs the snapshot is taken on the loop goroutine, holding
-// execMu for the counters the host route shares, and only copies the two
-// latency windows that need percentiles — the sorts run here, on the
-// caller's.
+// the loop runs the loop-owned counters are read on the loop goroutine,
+// which copies nothing large. The means and percentiles are cumulative:
+// they rank over the atomic histograms /v1/metrics exports, on the
+// caller's goroutine.
 func (s *cohortServer) Stats() CohortServerStats {
-	// The copies land in buffers made and touched here: fresh pages are
-	// mapped on first write, and with full windows a snapshot holds the
-	// loop 0.5ms when that write is its copy, 0.05ms when it is this clear.
-	bufs := make([]float64, 2*latencyWindow)
-	clear(bufs)
 	var st CohortServerStats
-	var reqLat, formWait *stats.LatencyRecorder
-	snap := func() { st, reqLat, formWait = s.snapshot(bufs[:latencyWindow], bufs[latencyWindow:]) }
 	done := make(chan struct{})
 	select {
-	case s.doCh <- func() { snap(); close(done) }:
+	case s.doCh <- func() { st = s.snapshot(); close(done) }:
 		select {
 		case <-done:
 		case <-s.doneCh:
-			snap() // loop exited, its state is quiescent (a second read is harmless)
+			st = s.snapshot() // loop exited, its state is quiescent (a second read is harmless)
 		}
 	case <-s.doneCh:
-		snap() // loop gone: safe to read from here
+		st = s.snapshot() // loop gone: safe to read from here
 	}
-	st.FormWaitMsP99 = formWait.Percentile(99) / 1e6
-	st.LatencyMsP50 = reqLat.Percentile(50) / 1e6
-	st.LatencyMsP99 = reqLat.Percentile(99) / 1e6
+	if n := s.formHist.Count(); n > 0 {
+		st.FormWaitMsMean = s.formHist.Sum() / float64(n) / 1e6
+	}
+	st.FormWaitMsP99 = stats.Percentile(99, s.formHist) / 1e6
+	st.LatencyMsP50 = stats.Percentile(50, s.latHist...) / 1e6
+	st.LatencyMsP99 = stats.Percentile(99, s.latHist...) / 1e6
 	return st
 }
 
-// snapshot reads the loop-owned state and, under execMu, the state the
-// host route shares: every counter and mean, and a copy of the request
-// and formation-wait windows (into reqBuf and formBuf) for the
-// percentiles.
-func (s *cohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats, reqLat, formWait *stats.LatencyRecorder) {
+// snapshot reads the loop-owned state and the counters both routes
+// write. host_fallbacks, each type's requests and max_occupancy are
+// derived here from one load of each type's host count, so they agree
+// within the document.
+func (s *cohortServer) snapshot() CohortServerStats {
 	ps := s.pool.Stats()
 	// One pass over the fabric: per-node counters under the fabric
 	// lock, then each node's cluster snapshot (an RPC for remote
@@ -189,33 +176,27 @@ func (s *cohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 	fs := s.fab.Snapshot()
 	cs := s.cacheStats()
 	snap := s.ctrl.Snapshot()
-	s.execMu.Lock()
-	defer s.execMu.Unlock()
-	st = CohortServerStats{
+	st := CohortServerStats{
 		SchemaVersion:      StatsSchemaVersion,
 		Mode:               s.mode(),
 		Workloads:          workloadNames(s.reg),
 		Served:             s.served.Load(),
-		KernelErrors:       s.kernelErrors,
+		KernelErrors:       s.kernelErrors.Load(),
 		ParseErrors:        s.parseErrors.Load(),
 		NotFound:           s.notFound.Load(),
 		Images:             s.images.Load(),
 		RejectedQueue:      s.rejectedQueue.Load(),
-		RejectedPool:       s.rejectedPool,
+		RejectedPool:       s.rejectedPool.Load(),
 		DeadlineMisses:     s.deadlineMisses.Load(),
 		CohortsFormed:      ps.Formed,
 		CohortsFilled:      ps.Filled,
 		CohortsTimedOut:    ps.TimedOut,
 		CohortsEarly:       ps.Early,
-		HostFallbacks:      s.hostFallbacks,
 		RequestsBatched:    ps.Requests,
 		AdmissionStalls:    ps.Stalls,
 		SumOccupancy:       ps.SumOccup,
 		MeanOccupancy:      ps.MeanOccupancy(),
-		MaxOccupancy:       s.maxOccup,
 		MaxContexts:        ps.MaxInUse,
-		FormWaitMsMean:     s.formWait.Mean() / 1e6,
-		LaunchDevUsMean:    s.launchLat.Mean() / 1e3,
 		Device:             fs.Aggregate,
 		ProfiledLaunches:   fs.ProfiledLaunches,
 		Devices:            fs.Devices,
@@ -238,23 +219,29 @@ func (s *cohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 		FlightAnomalies:    s.flight.Promoted(),
 		Types:              make(map[string]CohortTypeStats),
 	}
+	if s.launchesDone > 0 {
+		st.LaunchDevUsMean = s.launchDevNs / float64(s.launchesDone) / 1e3
+	}
 	for i, w := range s.reg.Workloads() {
 		st.WorkloadSheds[w.Name()] = s.wlSheds[i].Load()
 	}
 	st.Adapt = &snap
 	for t := range s.perType {
 		tc := &s.perType[t]
-		if tc.cohorts == 0 && tc.hostReqs == 0 {
+		hostReqs := tc.hostReqs.Load()
+		if tc.cohorts == 0 && hostReqs == 0 {
 			continue // a type appears once it has executed
 		}
+		st.HostFallbacks += hostReqs
+		st.MaxOccupancy = max(st.MaxOccupancy, tc.maxOccup)
 		ts := CohortTypeStats{
 			Workload:     s.reg.Spec(service.TypeID(t)).Workload,
 			Cohorts:      tc.cohorts,
 			Filled:       tc.launches[cohort.Filled],
 			TimedOut:     tc.launches[cohort.TimedOut],
 			Early:        tc.launches[cohort.Early],
-			Requests:     tc.requests,
-			HostRequests: tc.hostReqs,
+			Requests:     tc.cohortReqs + hostReqs,
+			HostRequests: hostReqs,
 			MaxOccupancy: tc.maxOccup,
 			Stages:       append([]perStage(nil), tc.stages...),
 		}
@@ -263,7 +250,7 @@ func (s *cohortServer) snapshot(reqBuf, formBuf []float64) (st CohortServerStats
 		}
 		st.Types[s.names[t]] = ts
 	}
-	return st, s.reqLat.Recorder(reqBuf), s.formWait.Recorder(formBuf)
+	return st
 }
 
 // writeMetrics emits the server's own families. Loop-owned counters come

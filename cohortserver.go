@@ -148,11 +148,13 @@ type cohortServer struct {
 
 	stopOnce sync.Once
 
-	// Handler-side counters (many goroutines). badByType counts per-type
-	// requests that never reach latHist (sheds, deadline misses) so the
-	// health engine's totals see them.
+	// Counters both routes write (many goroutines). badByType counts
+	// per-type answers that never reach latHist (sheds, deadline misses,
+	// kernel-error pages) so the health engine's totals see them.
 	rejectedQueue  atomic.Uint64
+	rejectedPool   atomic.Uint64
 	deadlineMisses atomic.Uint64
+	kernelErrors   atomic.Uint64
 	badByType      []atomic.Uint64 // per service.TypeID
 	// hostRoute counts handlers on the host route (serveHost); Drain
 	// waits for it to reach zero before it closes the fabric.
@@ -172,25 +174,15 @@ type cohortServer struct {
 	wlSheds    []atomic.Uint64
 
 	// Loop-owned state (no locking: single goroutine until doneCh),
-	// except what execMu guards.
-	draining    bool
-	inflight    int
-	shedCohorts uint64
-	perType     []typeCounters // per service.TypeID
-	maxOccup    int
-	formWait    *stats.LatencyWindow
-	launchLat   *stats.LatencyWindow
-	stageNames  []string // "stage-k" span names, built once from the registry
-
-	// execMu guards what both routes write — the loop for cohorts,
-	// connection handlers for the host route — so that a snapshot reads
-	// it in one consistent pass: these counters, the request latency
-	// window, and perType's requests and hostReqs.
-	execMu        sync.Mutex
-	rejectedPool  uint64
-	kernelErrors  uint64
-	hostFallbacks uint64
-	reqLat        *stats.LatencyWindow
+	// except perType's atomic hostReqs. launchDevNs sums the device time
+	// of the launchesDone completed cohorts.
+	draining     bool
+	inflight     int
+	shedCohorts  uint64
+	perType      []typeCounters // per service.TypeID
+	launchesDone uint64
+	launchDevNs  float64
+	stageNames   []string // "stage-k" span names, built once from the registry
 }
 
 // newCohortServer builds the server, its device fabric, and its
@@ -236,9 +228,6 @@ func newCohortServer(opts cohortOptions) (*cohortServer, error) {
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 		perType:   make([]typeCounters, reg.NumTypes()),
-		formWait:  stats.NewLatencyWindow(latencyWindow),
-		launchLat: stats.NewLatencyWindow(latencyWindow),
-		reqLat:    stats.NewLatencyWindow(latencyWindow),
 		formHist:  stats.NewHistogram(stats.LatencyBucketsNs()),
 		occupHist: stats.NewHistogram(stats.PowersOfTwoBuckets(opts.CohortSize)),
 		badByType: make([]atomic.Uint64, reg.NumTypes()),

@@ -255,49 +255,55 @@ func TestDrainAnswersHostUnitsInFlight(t *testing.T) {
 	}
 }
 
-// TestStatsScrapeDoesNotStallLoop: the latency windows are full, and a
-// snapshot on the loop goroutine still costs well under a millisecond —
-// it copies two of them; the percentile sorts run on the scraper's
-// goroutine.
+// TestStatsScrapeDoesNotStallLoop: /v1/stats ranks its percentiles
+// over the cumulative histograms /v1/metrics exports — octave edges over
+// every observation, not the recent ones — its means are exact over
+// every observation, and its snapshot on the loop goroutine copies
+// nothing large, so it holds the loop well under a millisecond.
 func TestStatsScrapeDoesNotStallLoop(t *testing.T) {
 	dev := startNew(t).(*cohortServer)
+	// 1ms then 3ms: the octaves that end at 2^20 and 2^22 ns. The request
+	// latencies split across two types, which the percentiles merge.
+	const n = 1 << 17
+	for i := 0; i < n; i++ {
+		v, typ := float64(time.Millisecond), 0
+		if i >= n/2 {
+			v, typ = float64(3*time.Millisecond), 1
+		}
+		dev.latHist[typ].Observe(v)
+		dev.formHist.Observe(v)
+	}
 	filled := make(chan struct{})
 	dev.doCh <- func() {
-		for i := 0; i < 2*latencyWindow; i++ {
-			v := float64(time.Millisecond)
-			if i >= latencyWindow {
-				v = float64(3 * time.Millisecond) // the step: only this half is still held
-			}
-			dev.record(dev.reqLat, v)
-			dev.record(dev.formWait, v)
-			dev.record(dev.launchLat, v)
-		}
+		dev.launchesDone = 4
+		dev.launchDevNs = float64(6 * time.Millisecond)
 		close(filled)
 	}
 	<-filled
-	if st := dev.Stats(); st.LatencyMsP50 != 3 || st.FormWaitMsP99 != 3 || st.LaunchDevUsMean != 3000 {
-		t.Fatalf("p50=%vms form p99=%vms launch mean=%vus, want the late value 3ms on each",
-			st.LatencyMsP50, st.FormWaitMsP99, st.LaunchDevUsMean)
+	const oct20, oct22 = float64(1<<20) / 1e6, float64(1<<22) / 1e6 // ms
+	st := dev.Stats()
+	if st.LatencyMsP50 != oct20 || st.LatencyMsP99 != oct22 || st.FormWaitMsP99 != oct22 {
+		t.Fatalf("p50=%vms p99=%vms form p99=%vms, want the bucket edges %v, %v and %v",
+			st.LatencyMsP50, st.LatencyMsP99, st.FormWaitMsP99, oct20, oct22, oct22)
+	}
+	if st.FormWaitMsMean != 2 || st.LaunchDevUsMean != 1500 {
+		t.Fatalf("form mean=%vms launch mean=%vus, want exactly 2 and 1500", st.FormWaitMsMean, st.LaunchDevUsMean)
 	}
 	best := time.Hour
 	took := make(chan time.Duration, 1)
 	for i := 0; i < 10; i++ {
-		bufs := make([]float64, 2*latencyWindow)
-		clear(bufs) // as Stats does
 		dev.doCh <- func() {
 			begin := time.Now()
-			dev.snapshot(bufs[:latencyWindow], bufs[latencyWindow:])
+			dev.snapshot()
 			took <- time.Since(begin)
 		}
 		if d := <-took; d < best {
 			best = d
 		}
 	}
-	t.Logf("snapshot with full latency windows held the loop for %v at best", best)
-	// The race detector shadows every copied word, so the bound is only
-	// meaningful without it.
+	t.Logf("snapshot held the loop for %v at best", best)
 	if !raceEnabled && best >= time.Millisecond {
-		t.Fatalf("snapshot with full latency windows held the loop for %v at best, want < 1ms", best)
+		t.Fatalf("snapshot held the loop for %v at best, want < 1ms", best)
 	}
 	if body := string(get(t, dev, MetricsPathV1)); !strings.Contains(body, "rhythm_adapt_pinned 0") {
 		t.Fatalf("metrics of a default server lack rhythm_adapt_pinned 0")

@@ -441,3 +441,53 @@ func TestTraceCaptureConcurrent429(t *testing.T) {
 		}
 	}
 }
+
+// TestHealthCountsErrorPagesOnce: a kernel-error page is a bad answer
+// and never a latency observation, so /v1/health counts each one once —
+// 4 bad of 4 — on the host route and on a pinned cohort route, and the
+// burn rate sees every one of them.
+func TestHealthCountsErrorPagesOnce(t *testing.T) {
+	raw := rawPost("/login.php", "", "userid=4242&passwd="+strings.Repeat("x", 1536))
+	for _, c := range []struct {
+		name string
+		srv  Server
+	}{
+		{"host", startNew(t, WithHostExecution())},
+		{"pinned", startNew(t, WithFormation(8, 4, 2*time.Millisecond))},
+	} {
+		conn := dialT(t, c.srv.Addr())
+		r := bufio.NewReader(conn)
+		for i := 0; i < 4; i++ {
+			fmt.Fprint(conn, raw)
+			if page := readRawResponse(t, r); !strings.Contains(string(page), "backend request too large") {
+				t.Fatalf("%s: answered %.200q, want the error page", c.name, page)
+			}
+		}
+		// Each page is finished, and promoted, after its write.
+		waitForAnomalies(t, c.srv.(*cohortServer), 4)
+		_, body, _ := strings.Cut(scrape(t, c.srv.Addr(), HealthPathV1), "\r\n\r\n")
+		var health struct {
+			Types []struct {
+				Type  string `json:"type"`
+				Bad   uint64 `json:"bad_fast_window"`
+				Total uint64 `json:"total_fast_window"`
+			} `json:"types"`
+		}
+		if err := json.Unmarshal([]byte(body), &health); err != nil {
+			t.Fatalf("%s: health document is not valid JSON: %v\n%s", c.name, err, body)
+		}
+		found := false
+		for _, ty := range health.Types {
+			if ty.Type != "banking/login" {
+				continue
+			}
+			found = true
+			if ty.Bad != 4 || ty.Total != 4 {
+				t.Fatalf("%s: banking/login bad/total = %d/%d, want 4/4", c.name, ty.Bad, ty.Total)
+			}
+		}
+		if !found {
+			t.Fatalf("%s: health document has no banking/login row:\n%s", c.name, body)
+		}
+	}
+}

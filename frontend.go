@@ -56,9 +56,11 @@ type frontend struct {
 	images      atomic.Uint64
 
 	// Observability surfaces, safe from any goroutine: the request-trace
-	// ring behind /v1/trace, the per-type latency histograms behind
-	// /v1/metrics, the always-on flight recorder behind /v1/debug/flight
-	// and the SLO burn-rate engine behind /v1/health (DESIGN.md §15).
+	// ring behind /v1/trace, the per-type latency histograms (each OK
+	// answer once, from parse start to written) that /v1/metrics,
+	// /v1/stats, /v1/health and the flight recorder's adaptive threshold
+	// all read, the always-on flight recorder behind /v1/debug/flight and
+	// the SLO burn-rate engine behind /v1/health (DESIGN.md §15).
 	// captureBusy serializes blocking ?secs=N trace captures.
 	tracer      *obs.Recorder
 	latHist     []*stats.Histogram // per service.TypeID, nanoseconds
@@ -81,12 +83,12 @@ func (f *frontend) init(reg *service.Registry, fcfg flight.Config) {
 	f.conns = make(map[*liveConn]struct{})
 	f.tracer = obs.NewRecorder(obs.DefaultTraceCapacity)
 	f.latHist = newLatencyHistograms(reg.NumTypes())
-	f.flight = flight.New(fcfg)
+	f.flight = flight.New(fcfg, f.latHist)
 }
 
 // setHealth builds the burn-rate engine over the latency histograms.
 // extraBad counts per-type requests that never reach them (sheds,
-// deadline misses).
+// deadline misses, kernel-error pages).
 func (f *frontend) setHealth(cfg health.Config, extraBad []atomic.Uint64) {
 	if cfg.SLO <= 0 {
 		cfg.SLO = defaultHealthSLO
@@ -258,7 +260,9 @@ func (a *connArena) keepRaw(raw []byte) {
 	a.raw = raw
 }
 
-// handle serves one keep-alive connection.
+// handle serves one keep-alive connection. A classified request is
+// timed once, from parse start to written: that time is its flight
+// record's Latency and, for an OK answer, its one observation in latHist.
 func (s *cohortServer) handle(conn net.Conn) {
 	f := &s.frontend
 	lc := &liveConn{Conn: conn}
@@ -312,6 +316,9 @@ func (s *cohortServer) handle(conn net.Conn) {
 				a.done.Spans = a.spans
 			}
 			a.done.Latency = time.Since(a.start)
+			if a.done.Status == flight.StatusOK {
+				f.latHist[a.t].ObserveEx(float64(a.done.Latency), a.done.TraceID)
+			}
 			f.flight.Finish(a.done)
 		}
 		if werr != nil || f.closing.Load() {
@@ -384,7 +391,6 @@ func (s *cohortServer) respond(a *connArena, raw []byte) []byte {
 						// The entry is the page less its pad; the write
 						// restores the pad to the type's buffer size.
 						a.pad = f.reg.Spec(t).BufferBytes - len(resp)
-						f.latHist[t].ObserveEx(float64(time.Since(a.start)), a.frec.TraceID)
 						return resp
 					}
 				}

@@ -3,6 +3,7 @@ package rhythm
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -129,4 +130,69 @@ func usersInDistinctBuckets(n int) []uint64 {
 		}
 	}
 	return uids
+}
+
+// TestHostCountersConsistentUnderScrape: the host route's counters are
+// atomics with one home per type, so a /v1/stats scrape racing eight
+// connections (run it under -race) still reads host_fallbacks as the sum
+// of every type's host_requests, and each type's requests as at least
+// its host_requests; once the traffic stops, host_fallbacks is every
+// request sent.
+func TestHostCountersConsistentUnderScrape(t *testing.T) {
+	const conns, perConn = 8, 25
+	srv := startNew(t, WithHostExecution())
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { scraped <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, body, _ := strings.Cut(scrape(t, srv.Addr(), StatsPathV1), "\r\n\r\n")
+			var st CohortServerStats
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Errorf("stats document is not valid JSON: %v", err)
+				return
+			}
+			var sum uint64
+			for name, ts := range st.Types {
+				sum += ts.HostRequests
+				if ts.Requests < ts.HostRequests {
+					t.Errorf("%s: requests %d < host_requests %d", name, ts.Requests, ts.HostRequests)
+				}
+			}
+			if sum != st.HostFallbacks {
+				t.Errorf("host_fallbacks %d, but the types' host_requests sum to %d", st.HostFallbacks, sum)
+			}
+			n++
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, uid := range usersInDistinctBuckets(conns) {
+		conn := dialT(t, srv.Addr())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := bufio.NewReader(conn)
+			_, pw := srv.Seed(uid)
+			login := rawPost("/login.php", "", fmt.Sprintf("userid=%d&passwd=%s", uid, pw))
+			for range perConn {
+				io.WriteString(conn, login)
+				if resp, err := readResponse(r); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) {
+					t.Errorf("login answered %.80q (%v)", resp, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	t.Logf("%d scrapes raced the traffic", <-scraped)
+	if got := srv.Snapshot().Cohort.HostFallbacks; got != conns*perConn {
+		t.Fatalf("host_fallbacks = %d, want every request sent (%d)", got, conns*perConn)
+	}
 }

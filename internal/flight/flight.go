@@ -14,12 +14,12 @@ package flight
 
 import (
 	"encoding/json"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rhythm/internal/obs"
+	"rhythm/internal/stats"
 )
 
 // Status classifies how a request ended, as seen by the serving loop.
@@ -132,47 +132,28 @@ type Config struct {
 	// Ring is the anomaly ring capacity (records kept). Default 256.
 	Ring int
 	// Slow is an explicit slow-promotion threshold. Zero means adaptive:
-	// promote requests beyond the recorder's streaming p99 estimate.
+	// promote OK answers beyond the p99 of the histograms New was given.
 	Slow time.Duration
 	// MinSamples is the adaptive warm-up: until this many requests have
 	// finished, nothing is promoted for slowness alone. Default 512.
 	MinSamples uint64
 }
 
-// Adaptive-threshold histogram: log2 latency buckets starting at 2^16 ns
-// (≈65 µs), 26 buckets covering past 30 minutes.
-const (
-	latShift   = 16
-	latBuckets = 26
-	// refreshEvery finishes between recomputations of the cached
-	// adaptive p99 threshold (a power of two, tested with a mask).
-	refreshEvery = 256
-)
+// refreshEvery finishes between recomputations of the cached adaptive
+// p99 threshold (a power of two, tested with a mask).
+const refreshEvery = 256
 
-func bucketOf(ns int64) int {
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns)) - latShift
-	if i < 0 {
-		i = 0
-	} else if i >= latBuckets {
-		i = latBuckets - 1
-	}
-	return i
-}
-
-// Recorder assigns trace IDs, tracks the streaming latency distribution,
-// and keeps the bounded anomaly ring. All fast-path methods (NextID,
-// Finish) are lock-free except for the ring insert on promotion, and
-// allocate nothing.
+// Recorder assigns trace IDs, derives the adaptive slow threshold from
+// the caller's latency histograms, and keeps the bounded anomaly ring.
+// All fast-path methods (NextID, Finish) are lock-free except for the
+// ring insert on promotion, and allocate nothing.
 type Recorder struct {
 	cfg      Config
+	lat      []*stats.Histogram // the OK answers' latencies, observed by the caller
 	ids      atomic.Uint64
 	total    atomic.Uint64
 	promoted atomic.Uint64
 	byReason [reasonCount]atomic.Uint64
-	lat      [latBuckets]atomic.Uint64
 	threshNs atomic.Int64 // cached adaptive p99 bucket edge (0 = not warm)
 
 	mu   sync.Mutex
@@ -180,33 +161,34 @@ type Recorder struct {
 	next uint64 // monotone count of promoted records written
 }
 
-// New builds a Recorder, applying defaults for zero Config fields.
-func New(cfg Config) *Recorder {
+// New builds a Recorder, applying defaults for zero Config fields. lat
+// are the histograms (nanoseconds, shared bounds) the caller observes
+// each OK answer's Latency into before it calls Finish; the adaptive
+// threshold ranks over them.
+func New(cfg Config, lat []*stats.Histogram) *Recorder {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 256
 	}
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = 512
 	}
-	return &Recorder{cfg: cfg, ring: make([]Record, cfg.Ring)}
+	return &Recorder{cfg: cfg, lat: lat, ring: make([]Record, cfg.Ring)}
 }
 
 // NextID returns the next trace ID (monotone, starting at 1).
 func (r *Recorder) NextID() uint64 { return r.ids.Add(1) }
 
-// Finish ends a request's record: the latency feeds the streaming
-// distribution, and the record is promoted into the anomaly ring iff the
-// request errored, was shed, missed its deadline, hit a kernel error, or
-// was slow (past Config.Slow, or past the adaptive p99 bucket edge once
-// warm). Returns whether the record was promoted. The caller may Reset
-// and reuse rec immediately either way, but must not mutate rec.Spans
-// after a promotion (the ring retains the slice).
+// Finish ends a request's record, promoting it into the anomaly ring
+// iff the request errored, was shed, missed its deadline, hit a kernel
+// error, or was slow (past Config.Slow, or past the adaptive p99 bucket
+// edge of the OK answers once warm). Returns whether the record was
+// promoted. The caller may Reset and reuse rec immediately either way,
+// but must not mutate rec.Spans after a promotion (the ring retains the
+// slice).
 func (r *Recorder) Finish(rec *Record) bool {
 	n := r.total.Add(1)
-	ns := rec.Latency.Nanoseconds()
-	r.lat[bucketOf(ns)].Add(1)
 	if n&(refreshEvery-1) == 0 {
-		r.refresh(n)
+		r.threshNs.Store(int64(stats.Percentile(99, r.lat...)))
 	}
 
 	reason := NotPromoted
@@ -217,7 +199,7 @@ func (r *Recorder) Finish(rec *Record) bool {
 				reason = ReasonSlow
 			}
 		} else if n >= r.cfg.MinSamples {
-			if t := r.threshNs.Load(); t > 0 && ns > t {
+			if t := r.threshNs.Load(); t > 0 && rec.Latency.Nanoseconds() > t {
 				reason = ReasonSlow
 			}
 		}
@@ -241,25 +223,6 @@ func (r *Recorder) Finish(rec *Record) bool {
 	r.next++
 	r.mu.Unlock()
 	return true
-}
-
-// refresh recomputes the cached adaptive threshold: the upper edge of
-// the bucket holding the p99 sample (nearest rank), so only requests
-// beyond the bucketed p99 promote. Coarse (log2 buckets) but allocation-
-// free and monotone with the real distribution.
-func (r *Recorder) refresh(total uint64) {
-	rank := total - total/100 // nearest-rank p99
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < latBuckets; i++ {
-		cum += r.lat[i].Load()
-		if cum >= rank {
-			r.threshNs.Store(int64(1) << uint(i+latShift))
-			return
-		}
-	}
 }
 
 // Counters is the recorder's cumulative promotion accounting.

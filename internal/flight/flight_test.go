@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rhythm/internal/obs"
+	"rhythm/internal/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -28,7 +29,7 @@ func okRecord(id uint64, lat time.Duration) Record {
 // TestPromotionByStatus: every non-OK terminal status promotes with its
 // matching reason, exactly once; a fast OK request recycles.
 func TestPromotionByStatus(t *testing.T) {
-	r := New(Config{Ring: 8, Slow: time.Second})
+	r := New(Config{Ring: 8, Slow: time.Second}, nil)
 	cases := []struct {
 		status Status
 		reason Reason
@@ -69,7 +70,7 @@ func TestPromotionByStatus(t *testing.T) {
 // TestExplicitSlowThreshold: with Config.Slow set, OK requests past the
 // threshold promote as "slow" and faster ones recycle.
 func TestExplicitSlowThreshold(t *testing.T) {
-	r := New(Config{Ring: 4, Slow: 10 * time.Millisecond})
+	r := New(Config{Ring: 4, Slow: 10 * time.Millisecond}, nil)
 	fast := okRecord(1, 9*time.Millisecond)
 	slow := okRecord(2, 11*time.Millisecond)
 	if r.Finish(&fast) {
@@ -81,13 +82,20 @@ func TestExplicitSlowThreshold(t *testing.T) {
 }
 
 // TestAdaptiveThreshold: with no explicit threshold, the recorder warms
-// up on the live distribution and then promotes only the outliers.
+// up on the histogram its caller observes OK answers into, and then
+// promotes only the outliers. Sheds, which the caller does not observe,
+// do not move the threshold.
 func TestAdaptiveThreshold(t *testing.T) {
-	r := New(Config{Ring: 64, MinSamples: 256})
+	lat := stats.NewHistogram(stats.LatencyBucketsNs())
+	r := New(Config{Ring: 64, MinSamples: 256}, []*stats.Histogram{lat})
+	finish := func(rec *Record) bool {
+		lat.Observe(float64(rec.Latency))
+		return r.Finish(rec)
+	}
 	// Warm-up: nothing promotes for slowness, even huge latencies.
 	for i := 0; i < 255; i++ {
 		rec := okRecord(uint64(i), time.Minute)
-		if r.Finish(&rec) {
+		if finish(&rec) {
 			t.Fatalf("request %d promoted during warm-up", i)
 		}
 	}
@@ -95,17 +103,28 @@ func TestAdaptiveThreshold(t *testing.T) {
 	// the warm-up outliers fall past the p99 rank.
 	for i := 0; i < 30000; i++ {
 		rec := okRecord(uint64(1000+i), time.Millisecond)
-		r.Finish(&rec)
+		finish(&rec)
 	}
-	if th := r.threshNs.Load(); th <= 0 || th > int64(5*time.Millisecond) {
-		t.Fatalf("adaptive threshold %dns not near the 1ms distribution", th)
+	// 1ms sits in the octave that ends at 2^20 ns.
+	if th := r.threshNs.Load(); th != 1<<20 {
+		t.Fatalf("adaptive threshold %dns, want the 1ms bucket edge %d", th, 1<<20)
+	}
+	for i := 0; i < 3000; i++ {
+		rec := okRecord(uint64(40000+i), time.Minute)
+		rec.Status = StatusShed
+		if !r.Finish(&rec) || rec.Reason != ReasonShed {
+			t.Fatal("shed not promoted as shed")
+		}
+	}
+	if th := r.threshNs.Load(); th != 1<<20 {
+		t.Fatalf("sheds moved the adaptive threshold to %dns", th)
 	}
 	fast := okRecord(9000, time.Millisecond)
-	if r.Finish(&fast) {
+	if finish(&fast) {
 		t.Fatal("typical request promoted after warm-up")
 	}
 	slow := okRecord(9001, time.Second)
-	if !r.Finish(&slow) || slow.Reason != ReasonSlow {
+	if !finish(&slow) || slow.Reason != ReasonSlow {
 		t.Fatal("outlier not promoted after warm-up")
 	}
 }
@@ -113,7 +132,7 @@ func TestAdaptiveThreshold(t *testing.T) {
 // TestRingBoundedOldestOut: the anomaly ring keeps only the newest Ring
 // records, exported oldest→newest, and Snapshot(n) trims to the last n.
 func TestRingBoundedOldestOut(t *testing.T) {
-	r := New(Config{Ring: 4, Slow: time.Second})
+	r := New(Config{Ring: 4, Slow: time.Second}, nil)
 	for i := 1; i <= 10; i++ {
 		rec := okRecord(uint64(i), time.Millisecond)
 		rec.Status = StatusError
@@ -139,7 +158,7 @@ func TestRingBoundedOldestOut(t *testing.T) {
 func TestConcurrentExactlyOnce(t *testing.T) {
 	const workers = 8
 	const perWorker = 500
-	r := New(Config{Ring: workers * perWorker, Slow: time.Second})
+	r := New(Config{Ring: workers * perWorker, Slow: time.Second}, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -286,7 +305,7 @@ func TestJSONDocument(t *testing.T) {
 // BenchmarkFinish measures the fast-path append (the CI alloc gate holds
 // this at ≤1 alloc/req via TestAllocBudgets at the repo root).
 func BenchmarkFinish(b *testing.B) {
-	r := New(Config{Ring: 256, Slow: time.Hour})
+	r := New(Config{Ring: 256, Slow: time.Hour}, nil)
 	var rec Record
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -138,15 +139,51 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Count reports the total number of observations.
 func (h *Histogram) Count() uint64 { return h.total.Load() }
 
+// Sum reports the sum of observed values (integer-truncated units).
+func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) }
+
+// Percentile reports the nearest-rank p-th percentile (0 < p <= 100) of
+// the observations of hs merged, at bucket resolution: the upper bound
+// of the bucket that holds the rank. The histograms must share bounds.
+// A rank in +Inf reports the last finite bound (JSON cannot carry
+// +Inf), and no observations report 0. It reads the counters in place
+// and allocates nothing.
+func Percentile(p float64, hs ...*Histogram) float64 {
+	if p <= 0 || p > 100 {
+		panic(fmt.Sprintf("stats: percentile %v out of range", p))
+	}
+	var n uint64
+	for _, h := range hs {
+		for i := range h.counts {
+			n += h.counts[i].Load()
+		}
+		n += h.inf.Load()
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(p * float64(n) / 100))
+	bounds := hs[0].bounds
+	var cum uint64
+	for i := range bounds {
+		for _, h := range hs {
+			cum += h.counts[i].Load()
+		}
+		if cum >= rank {
+			return bounds[i]
+		}
+	}
+	return bounds[len(bounds)-1]
+}
+
 // LatencyBucketsNs returns the default latency bucket bounds in
-// nanoseconds: 0.25 ms doubling to ~8 s (16 buckets), wide enough for
-// sub-millisecond device launches and multi-second deadline misses.
+// nanoseconds: the octaves 2^12 (4.1 µs) to 2^33 (8.6 s), 22 bounds,
+// fine enough for a tens-of-microseconds host-route request and wide
+// enough for a multi-second deadline miss.
 func LatencyBucketsNs() []float64 {
-	out := make([]float64, 16)
-	b := 250e3 // 0.25 ms
+	out := make([]float64, 22)
 	for i := range out {
-		out[i] = b
-		b *= 2
+		out[i] = float64(int64(1) << (12 + i))
 	}
 	return out
 }

@@ -126,3 +126,59 @@ func TestHistogramCountAtOrBelow(t *testing.T) {
 		}
 	}
 }
+
+// TestPercentileOverHistograms: the rank is nearest-rank over the merged
+// counts and reports the upper bound of the bucket that holds it; no
+// observations report 0, a rank in +Inf the last finite bound, and the
+// walk allocates nothing.
+func TestPercentileOverHistograms(t *testing.T) {
+	bounds := []float64{10, 100, 1000}
+	a, b := NewHistogram(bounds), NewHistogram(bounds)
+	if got := Percentile(50, a, b); got != 0 {
+		t.Fatalf("empty p50 = %v, want 0", got)
+	}
+	if got := Percentile(99); got != 0 {
+		t.Fatalf("p99 of no histograms = %v, want 0", got)
+	}
+	// 98 observations in the first bucket of a, one each in b's second
+	// and third: rank 99 of 100 is the second bucket, rank 100 the third.
+	for i := 0; i < 98; i++ {
+		a.Observe(5)
+	}
+	b.Observe(50)
+	b.Observe(500)
+	for _, tc := range []struct{ p, want float64 }{{1, 10}, {50, 10}, {98, 10}, {99, 100}, {100, 1000}} {
+		if got := Percentile(tc.p, a, b); got != tc.want {
+			t.Fatalf("merged p%v = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	if got := Percentile(99, a); got != 10 {
+		t.Fatalf("p99 of a alone = %v, want 10", got)
+	}
+	// Two observations past the last bound put the p99 rank in +Inf.
+	b.Observe(5000)
+	b.Observe(6000)
+	if got := Percentile(99, a, b); got != 1000 {
+		t.Fatalf("p99 in +Inf = %v, want the last finite bound 1000", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Percentile(99, a, b) }); allocs != 0 {
+		t.Fatalf("Percentile allocated %v times per call", allocs)
+	}
+	if got := a.Sum(); got != 98*5 {
+		t.Fatalf("Sum = %v, want %v", got, 98*5)
+	}
+}
+
+// TestLatencyBucketsAreOctaves: the default latency layout is the 22
+// powers of two from 2^12 ns to 2^33 ns.
+func TestLatencyBucketsAreOctaves(t *testing.T) {
+	got := LatencyBucketsNs()
+	if len(got) != 22 || got[0] != 4096 || got[21] != 1<<33 {
+		t.Fatalf("LatencyBucketsNs = %v", got)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] != 2*got[i-1] {
+			t.Fatalf("bound %d = %v, want twice %v", i, got[i], got[i-1])
+		}
+	}
+}

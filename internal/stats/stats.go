@@ -128,58 +128,3 @@ func (r *LatencyRecorder) Max() float64 {
 	}
 	return r.samples[len(r.samples)-1]
 }
-
-// LatencyWindow holds the most recent samples of an unbounded stream in
-// a ring of at most size samples, so a long-lived server's percentiles
-// follow its traffic at a bounded memory cost. The ring grows with the
-// samples it holds, so a window nothing records into holds no backing.
-// Record and Mean are O(1) (a running sum, exact for the integral
-// nanosecond samples servers record); percentiles come from Recorder's
-// copy, so the sort runs wherever that copy is read.
-type LatencyWindow struct {
-	ring []float64
-	size int
-	next int // slot the next sample overwrites once the ring is full
-	sum  float64
-}
-
-// NewLatencyWindow returns an empty window over the last size samples.
-func NewLatencyWindow(size int) *LatencyWindow {
-	return &LatencyWindow{size: size}
-}
-
-// Record adds one latency sample in nanoseconds, evicting the oldest
-// once the window is full.
-func (w *LatencyWindow) Record(ns float64) {
-	if ns < 0 {
-		panic("stats: negative latency")
-	}
-	w.sum += ns
-	if n := len(w.ring); n < w.size {
-		if n == cap(w.ring) {
-			// Double up to size, never past it.
-			grown := make([]float64, n, min(max(2*n, 64), w.size))
-			copy(grown, w.ring)
-			w.ring = grown
-		}
-		w.ring = append(w.ring, ns)
-		return
-	}
-	w.sum -= w.ring[w.next]
-	w.ring[w.next] = ns
-	w.next = (w.next + 1) % len(w.ring)
-}
-
-// Mean reports the average of the held samples (0 when empty).
-func (w *LatencyWindow) Mean() float64 {
-	if len(w.ring) == 0 {
-		return 0
-	}
-	return w.sum / float64(len(w.ring))
-}
-
-// Recorder returns a recorder over a copy of the held samples, made in
-// buf when it has the room (the recorder then owns buf).
-func (w *LatencyWindow) Recorder(buf []float64) *LatencyRecorder {
-	return &LatencyRecorder{samples: append(buf[:0], w.ring...), sum: w.sum}
-}

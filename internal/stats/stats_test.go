@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -119,101 +117,6 @@ func TestLatencyRecorderRecordAfterPercentile(t *testing.T) {
 	r.Record(1) // must re-sort
 	if got := r.Percentile(50); got != 1 {
 		t.Fatalf("p50 after append = %v, want 1", got)
-	}
-}
-
-// TestLatencyWindowFollowsTraffic: the window holds the most recent
-// samples only, so after a step in the stream the percentiles report the
-// late value instead of freezing on the early one.
-func TestLatencyWindowFollowsTraffic(t *testing.T) {
-	const size = 1 << 16
-	w := NewLatencyWindow(size)
-	if r := w.Recorder(nil); len(r.samples) != 0 || w.Mean() != 0 {
-		t.Fatalf("empty window holds %d samples, mean %v", len(r.samples), w.Mean())
-	}
-	w.Record(7)
-	if r := w.Recorder(nil); len(r.samples) != 1 || w.Mean() != 7 || r.Mean() != 7 || r.Percentile(50) != 7 {
-		t.Fatalf("one sample: count=%d mean=%v/%v p50=%v", len(r.samples), w.Mean(), r.Mean(), r.Percentile(50))
-	}
-	for i := 0; i < 200000; i++ {
-		v := 100.0
-		if i >= 100000 {
-			v = 900
-		}
-		w.Record(v)
-	}
-	r := w.Recorder(nil)
-	if len(r.samples) != size {
-		t.Fatalf("full window holds %d samples, want %d", len(r.samples), size)
-	}
-	if r.Percentile(1) != 900 || r.Percentile(50) != 900 || r.Mean() != 900 || w.Mean() != 900 {
-		t.Fatalf("after the step p1=%v p50=%v mean=%v/%v, want the late value 900 throughout",
-			r.Percentile(1), r.Percentile(50), r.Mean(), w.Mean())
-	}
-	// The copy is the reader's: sorting it did not disturb the ring.
-	for i := 0; i < size/50; i++ {
-		w.Record(5)
-	}
-	if r := w.Recorder(nil); r.Percentile(1) != 5 || r.Percentile(3) != 900 || len(r.samples) != size {
-		t.Fatalf("after 2%% more samples p1=%v p3=%v count=%d, want 5, 900 and %d",
-			r.Percentile(1), r.Percentile(3), len(r.samples), size)
-	}
-}
-
-// eagerRing is the window as it was before it grew on demand: the whole
-// ring made up front. TestLatencyWindowLazyMatchesEager holds the lazy
-// window to it.
-type eagerRing struct {
-	ring []float64
-	next int
-	sum  float64
-}
-
-func (e *eagerRing) record(ns float64) {
-	e.sum += ns
-	if len(e.ring) < cap(e.ring) {
-		e.ring = append(e.ring, ns)
-		return
-	}
-	e.sum -= e.ring[e.next]
-	e.ring[e.next] = ns
-	e.next = (e.next + 1) % len(e.ring)
-}
-
-// TestLatencyWindowLazyMatchesEager: a window holds no backing until its
-// first sample, never more than its size, and across the growth steps
-// and a wrap its held samples, mean and percentiles equal an eager
-// ring's sample for sample.
-func TestLatencyWindowLazyMatchesEager(t *testing.T) {
-	const size = 1000 // not a power of two: the last growth step is capped
-	w := NewLatencyWindow(size)
-	if w.ring != nil {
-		t.Fatalf("an empty window holds a %d-sample backing", cap(w.ring))
-	}
-	e := &eagerRing{ring: make([]float64, 0, size)}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 3*size+17; i++ {
-		v := float64(rng.Intn(1_000_000))
-		w.Record(v)
-		e.record(v)
-		if cap(w.ring) > size {
-			t.Fatalf("after %d samples the ring holds %d slots, past its size %d", i+1, cap(w.ring), size)
-		}
-		if i%97 != 0 && i < 3*size+16 {
-			continue
-		}
-		if !slices.Equal(w.ring, e.ring) || w.next != e.next || w.Mean() != e.sum/float64(len(e.ring)) {
-			t.Fatalf("after %d samples the lazy window differs from the eager ring", i+1)
-		}
-		got, want := w.Recorder(nil), &LatencyRecorder{samples: append([]float64(nil), e.ring...), sum: e.sum}
-		for _, p := range []float64{1, 50, 90, 99, 100} {
-			if got.Percentile(p) != want.Percentile(p) {
-				t.Fatalf("after %d samples p%v = %v, eager %v", i+1, p, got.Percentile(p), want.Percentile(p))
-			}
-		}
-		if got.Mean() != want.Mean() {
-			t.Fatalf("after %d samples recorder mean %v, eager %v", i+1, got.Mean(), want.Mean())
-		}
 	}
 }
 

@@ -32,9 +32,14 @@ import (
 // render-cache entries hold. Version 9: one document for every server —
 // a server pinned to the host route (WithHostExecution) serves it with
 // mode "host" instead of the host-mode document — and adapt gains
-// host_pinned.
+// host_pinned. Version 10: latency_ms_p50/p99, formation_wait_ms_mean/p99
+// and launch_device_us_mean are cumulative over the server's life (they
+// were over the last 65,536 samples); a percentile is the upper edge of
+// an octave bucket (2^12 to 2^33 ns) of the histograms /v1/metrics
+// exports; and a request's latency runs from parse start to written,
+// counts OK answers only, and includes render-cache hits.
 // Any change of shape or meaning, additive included, bumps it.
-const StatsSchemaVersion = 9
+const StatsSchemaVersion = 10
 
 // DefaultRegistry builds the process-default workload registry: banking,
 // then e-commerce, then streaming telemetry. Servers built without an
@@ -277,7 +282,7 @@ func writeLatencyFamilies(w *obs.PromWriter, labels []string, hists []*stats.His
 		snaps[i] = h.Snapshot()
 	}
 	w.Family("rhythm_request_latency_seconds", "histogram",
-		"End-to-end request latency by workload and request type.")
+		"Latency of OK answers, from parse start to written, by workload and request type.")
 	for i := range snaps {
 		if snaps[i].Count == 0 {
 			continue

@@ -2,13 +2,19 @@ package rhythm
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"rhythm/internal/stats"
 )
 
 // loginAndBrowse drives one login plus a couple of session'd requests so
@@ -281,4 +287,130 @@ func TestObservabilityConcurrentScrape(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestOneLatencyObservationPerAnswer: every route observes an OK answer
+// into the latency histograms exactly once, at one site, and observes
+// nothing else: a render-cache hit, a host-routed miss and a
+// cohort-routed request each add one count, a shed adds none. Every OK
+// answer is promoted as slow here (a 1ns threshold), so the flight
+// recorder names each one. The histogram and the flight record hold the
+// same number, so the last OK answer's trace ID is the exemplar of the
+// bucket its record's latency falls in.
+func TestOneLatencyObservationPerAnswer(t *testing.T) {
+	latencyCount := func(srv *cohortServer) (n uint64) {
+		_, body, _ := strings.Cut(scrape(t, srv.Addr(), MetricsPathV1), "\r\n\r\n")
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, "rhythm_request_latency_seconds_count{"); ok {
+				var c uint64
+				fmt.Sscan(v[strings.LastIndexByte(v, ' ')+1:], &c)
+				n += c
+			}
+		}
+		return n
+	}
+	// The handler observes and finishes a request after its write.
+	waitFinished := func(srv *cohortServer, want uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); srv.flight.Total() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("flight recorder finished %d requests, want %d", srv.flight.Total(), want)
+			}
+		}
+	}
+	checkAnswers := func(name string, srv *cohortServer, ok uint64) {
+		t.Helper()
+		if got := latencyCount(srv); got != ok {
+			t.Fatalf("%s: latency histograms counted %d observations, want one per OK answer (%d)", name, got, ok)
+		}
+		if doc := fetchFlightDoc(t, srv.Addr()); doc.ByReason["slow"] != ok {
+			t.Fatalf("%s: flight recorder promoted %d OK answers, want %d", name, doc.ByReason["slow"], ok)
+		}
+	}
+
+	// Host route with the render cache: a login and an account summary
+	// miss execute; the second summary is a cache hit.
+	host := startNew(t, WithHostExecution(), WithRenderCache(1024), WithFlightRecorder(256, time.Nanosecond)).(*cohortServer)
+	uid, pw := host.Seed(7301)
+	conn := dialT(t, host.Addr())
+	r := bufio.NewReader(conn)
+	body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
+	fmt.Fprint(conn, rawPost("/login.php", "", body))
+	login, _ := readResponseKeepTrace(t, r)
+	cookie := cookieFrom(t, []byte(login), "MY_ID")
+	var trace string
+	for range 2 {
+		fmt.Fprintf(conn, "GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: %s\r\n\r\n", cookie)
+		var resp string
+		if resp, trace = readResponseKeepTrace(t, r); !strings.HasPrefix(resp, "HTTP/1.1 200 ") {
+			t.Fatalf("account summary answered %.100q", resp)
+		}
+	}
+	waitFinished(host, 3)
+	if st := host.Stats(); st.CacheHits != 1 || st.HostFallbacks != 2 {
+		t.Fatalf("cache_hits=%d host_fallbacks=%d, want 1 hit and 2 host-routed misses", st.CacheHits, st.HostFallbacks)
+	}
+	checkAnswers("host", host, 3)
+
+	// The cache hit's record: its latency names one bucket, whose
+	// exemplar is the hit's trace ID.
+	var latNs float64
+	for _, rec := range fetchFlightDoc(t, host.Addr()).Records {
+		if fmt.Sprint(rec.TraceID) == trace {
+			latNs = math.Round(rec.LatencyUs * 1e3)
+		}
+	}
+	if latNs == 0 {
+		t.Fatalf("no flight record for the cache hit's trace %s", trace)
+	}
+	bounds := stats.LatencyBucketsNs()
+	le := "+Inf"
+	if i := sort.SearchFloat64s(bounds, latNs); i < len(bounds) {
+		le = strconv.FormatFloat(bounds[i]*1e-9, 'g', -1, 64)
+	}
+	want := `rhythm_request_latency_exemplar_trace_id{workload="banking",type="banking/account_summary",le="` + le + `"} ` + trace + "\n"
+	if metrics := scrape(t, host.Addr(), MetricsPathV1); !strings.Contains(metrics, want) {
+		t.Fatalf("/v1/metrics lacks %q (the hit took %vns):\n%s", want, latNs, metrics)
+	}
+
+	// Cohort route: four logins of one user fill the one context's
+	// cohort; then a request pins the context forming and a request of
+	// another type is shed.
+	dev := startCohortServer(t, cohortOptions{
+		CohortSize:       4,
+		MaxCohorts:       1,
+		FormationTimeout: -1, // launch only when full
+		OverflowLimit:    -1, // no parking: shed at once
+		RenderCache:      1024,
+		FlightSlow:       time.Nanosecond,
+		RequestDeadline:  30 * time.Second,
+	})
+	uid, pw = dev.Seed(7302)
+	body = fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
+	var wg sync.WaitGroup
+	for range 4 {
+		conn := dialT(t, dev.Addr())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fmt.Fprint(conn, rawPost("/login.php", "", body))
+			if resp, err := readResponse(bufio.NewReader(conn)); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 ")) {
+				t.Errorf("cohort login answered %.100q (%v)", resp, err)
+			}
+		}()
+	}
+	wg.Wait()
+	fmt.Fprintf(dialT(t, dev.Addr()), "GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: MY_ID=0-0-0\r\n\r\n")
+	time.Sleep(100 * time.Millisecond) // let it occupy the context
+	shed := dialT(t, dev.Addr())
+	fmt.Fprintf(shed, "GET /profile.php HTTP/1.1\r\nHost: t\r\nCookie: MY_ID=0-0-0\r\n\r\n")
+	if resp := readRawResponse(t, bufio.NewReader(shed)); !bytes.HasPrefix(resp, []byte("HTTP/1.1 503 ")) {
+		t.Fatalf("saturated pool answered %.100q, want 503", resp)
+	}
+	waitFinished(dev, 5)
+	if st := dev.Stats(); st.CohortsFormed != 1 || st.Types["banking/login"].Requests != 4 || st.RejectedPool != 1 {
+		t.Fatalf("cohorts_formed=%d login requests=%d rejected_pool=%d, want 1/4/1",
+			st.CohortsFormed, st.Types["banking/login"].Requests, st.RejectedPool)
+	}
+	checkAnswers("cohort", dev, 4)
 }

@@ -40,6 +40,9 @@ func get(t *testing.T, srv Server, path string) []byte {
 	return readRawResponse(t, bufio.NewReader(conn))
 }
 
+// schemaLine is the stats document's schema_version line.
+var schemaLine = fmt.Sprintf(`"schema_version": %d`, StatsSchemaVersion)
+
 // retiredPaths are the control-plane aliases schema version 6 dropped;
 // each document now has exactly one path.
 var retiredPaths = []string{"/rhythm-stats", "/metrics", "/rhythm-trace"}
@@ -63,7 +66,7 @@ func checkRetiredPaths(t *testing.T, srv Server) {
 	if got := snap.Cohort.FlightRequests; got != flightBefore {
 		t.Fatalf("retired paths entered the flight recorder as workload requests (%d -> %d)", flightBefore, got)
 	}
-	if body := string(get(t, srv, StatsPathV1+"?schema=4")); !strings.Contains(body, `"schema_version": 9`) {
+	if body := string(get(t, srv, StatsPathV1+"?schema=4")); !strings.Contains(body, schemaLine) {
 		t.Fatalf("?schema=4 still re-renders the stats document:\n%.300s", body)
 	}
 }
@@ -77,8 +80,8 @@ func TestNewHostServer(t *testing.T) {
 		t.Fatalf("host snapshot wrong: %+v", snap)
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 9`) {
-		t.Fatalf("%s missing schema_version 9:\n%s", StatsPathV1, body)
+	if !strings.Contains(body, schemaLine) {
+		t.Fatalf("%s missing %s:\n%s", StatsPathV1, schemaLine, body)
 	}
 	if !strings.Contains(body, `"mode": "host"`) {
 		t.Fatalf("%s missing host mode:\n%s", StatsPathV1, body)
@@ -157,7 +160,7 @@ func TestNewCohortServer(t *testing.T) {
 		t.Fatal("WithSLO did not enable the adaptive controller")
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 9`) || !strings.Contains(body, `"mode": "cohort"`) {
+	if !strings.Contains(body, schemaLine) || !strings.Contains(body, `"mode": "cohort"`) {
 		t.Fatalf("%s wrong stats document:\n%.300s", StatsPathV1, body)
 	}
 	if !strings.Contains(body, `"adapt"`) {
