@@ -74,20 +74,20 @@ func BenchmarkTable3CoreI7_8w(b *testing.B) { benchCPU(b, platform.CoreI7(), 8) 
 func BenchmarkTable3ARMA9_1w(b *testing.B)  { benchCPU(b, platform.ARMCortexA9(), 1) }
 func BenchmarkTable3ARMA9_2w(b *testing.B)  { benchCPU(b, platform.ARMCortexA9(), 2) }
 
-func benchTitan(b *testing.B, v harness.TitanVariant) {
+func benchTitan(b *testing.B, p Platform) {
 	cfg := benchConfig()
 	var run harness.PlatformRun
 	for i := 0; i < b.N; i++ {
-		run = harness.RunTitan(cfg, harness.TitanRunOptions{Variant: v})
+		run = harness.RunTitan(cfg, harness.TitanRunOptions{Platform: p})
 	}
 	b.ReportMetric(run.Throughput, "reqs/s")
 	b.ReportMetric(run.DynW, "dynamic-watts")
 	b.ReportMetric(run.DynEff, "reqs/joule")
 }
 
-func BenchmarkTable3TitanA(b *testing.B) { benchTitan(b, harness.TitanA) }
-func BenchmarkTable3TitanB(b *testing.B) { benchTitan(b, harness.TitanB) }
-func BenchmarkTable3TitanC(b *testing.B) { benchTitan(b, harness.TitanC) }
+func BenchmarkTable3TitanA(b *testing.B) { benchTitan(b, TitanA) }
+func BenchmarkTable3TitanB(b *testing.B) { benchTitan(b, TitanB) }
+func BenchmarkTable3TitanC(b *testing.B) { benchTitan(b, TitanC) }
 
 // BenchmarkFig8Scatter builds the throughput-efficiency scatter from a
 // reduced Table 3 run (Figures 8a/8b).
@@ -113,7 +113,7 @@ func BenchmarkFig9PCIe(b *testing.B) {
 	cfg := benchConfig()
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		a := harness.RunTitan(cfg, harness.TitanRunOptions{Variant: harness.TitanA})
+		a := harness.RunTitan(cfg, harness.TitanRunOptions{Platform: TitanA})
 		rows := harness.Fig9(a)
 		frac = 0
 		for _, r := range rows {

@@ -51,10 +51,10 @@ type device struct {
 	dev *simt.Device
 
 	// Worker-owned execution state. slots[s] holds execution slot s's
-	// per-workload cohort state (service.Slot, by workload index) —
+	// per-workload cohort state (*service.Slot, by workload index) —
 	// every registered workload can bind cohorts on every slot.
 	streams   []*simt.Stream
-	slots     [][]service.Slot
+	slots     [][]*service.Slot
 	freeSlots []int
 	backlog   []*Unit
 	stray     *groupState // state for Group -1 units (never touched by them)
@@ -346,7 +346,7 @@ func (l *lockedBackend) SetWriteHook(fn func(uid uint64)) { l.g.bes[l.w].SetWrit
 
 // writeback transposes the responses to row-major, copies them out of
 // device memory, and completes the unit.
-func (d *device) writeback(u *Unit, unit service.Unit, stream *simt.Stream, slot, count int, launchStart sim.Time, res *Result) {
+func (d *device) writeback(u *Unit, unit *service.PageUnit, stream *simt.Stream, slot, count int, launchStart sim.Time, res *Result) {
 	unit.Writeback(stream)
 	stream.Barrier(func() {
 		res.RenderStart = time.Now()

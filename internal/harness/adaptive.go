@@ -73,14 +73,14 @@ func CalibrateServiceModel(cfg Config) (a, b float64) {
 	var sn, sx, sy, sxx, sxy float64
 	for _, size := range sizes {
 		eng := sim.NewEngine()
-		po := TitanB.Options(cfg)
+		po := titanOptions(cfg, pipeline.TitanB)
 		po.CohortSize = size
 		po.MaxCohorts = 1 // serialize: elapsed/formed is S(n), not S(n)/overlap
 		devCfg := simt.GTXTitan()
 		devCfg.HostParallelism = cfg.HostParallelism
 		devCfg.SimParallelism = cfg.SimParallelism
 		dev := simt.NewDevice(eng, devCfg, pipeline.DeviceMemory(po), nil)
-		sessions, gen := newWorkload(cfg, banking.AccountSummary, 6*size)
+		sessions, gen := newWorkload(cfg, 6*size)
 		srv := pipeline.New(eng, dev, po, backend.New(), sessions)
 		st := srv.Run(isolationSource(gen, banking.AccountSummary, 6*size))
 		if st.Cohort.Formed == 0 {

@@ -7,6 +7,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/httpx"
 	"rhythm/internal/netmodel"
+	"rhythm/internal/pipeline"
 	"rhythm/internal/platform"
 	"rhythm/internal/session"
 	"rhythm/internal/trace"
@@ -49,7 +50,7 @@ func Table2(cfg Config) Table2Result {
 	var res Table2Result
 	db := backend.New()
 	bank := banking.NewWorkload()
-	sessions, gen := newWorkload(cfg, 0, 200*int(banking.NumTypes))
+	sessions, gen := newWorkload(cfg, 200*int(banking.NumTypes))
 	for _, rt := range banking.CoreTypes() {
 		var instr int64
 		var content int64
@@ -140,16 +141,16 @@ func Table3(cfg Config) Table3Result {
 	// Every platform run is independent (private engines throughout), so
 	// the nine Table 3 rows fan out across host workers; fixed slots keep
 	// the row order (and rendered table) identical to a serial run.
-	variants := []TitanVariant{TitanA, TitanB, TitanC}
+	platforms := []pipeline.Platform{pipeline.TitanA, pipeline.TitanB, pipeline.TitanC}
 	res.CPUs = make([]PlatformRun, len(cpuConfigs))
-	res.Titans = make([]PlatformRun, len(variants))
-	forEach(cfg.hostWorkers(), len(cpuConfigs)+len(variants), func(i int) {
+	res.Titans = make([]PlatformRun, len(platforms))
+	forEach(cfg.hostWorkers(), len(cpuConfigs)+len(platforms), func(i int) {
 		if i < len(cpuConfigs) {
 			c := cpuConfigs[i]
 			res.CPUs[i] = RunCPU(cfg, c.cpu, c.workers)
 		} else {
-			v := variants[i-len(cpuConfigs)]
-			res.Titans[i-len(cpuConfigs)] = RunTitan(cfg, TitanRunOptions{Variant: v})
+			p := platforms[i-len(cpuConfigs)]
+			res.Titans[i-len(cpuConfigs)] = RunTitan(cfg, TitanRunOptions{Platform: p})
 		}
 	})
 	return res
@@ -205,7 +206,7 @@ func Fig2(cfg Config) Fig2Result {
 	var res Fig2Result
 	db := backend.New()
 	bank := banking.NewWorkload()
-	sessions, gen := newWorkload(cfg, 0, cfg.TraceRequests*int(banking.NumTypes))
+	sessions, gen := newWorkload(cfg, cfg.TraceRequests*int(banking.NumTypes))
 	for _, rt := range banking.CoreTypes() {
 		var traces []trace.Trace
 		for i := 0; i < cfg.TraceRequests; i++ {

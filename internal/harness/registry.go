@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"rhythm/internal/pipeline"
 	"rhythm/internal/sim"
 )
 
@@ -117,7 +118,7 @@ var Experiments = []Experiment{
 	{Name: "fig9", Ref: "Figure 9", Desc: "Titan A vs PCIe bound",
 		Run: func(s *Session) []Metric {
 			fmt.Fprintln(s.Out, "running Titan A isolation runs...")
-			a := RunTitan(s.Cfg, TitanRunOptions{Variant: TitanA})
+			a := RunTitan(s.Cfg, TitanRunOptions{Platform: pipeline.TitanA})
 			RenderFig9(Fig9(a)).Print(s.Out)
 			return platformMetrics(a)
 		}},

@@ -95,7 +95,7 @@ func RunCPU(cfg Config, cpu platform.CPU, workers int) PlatformRun {
 		rt := types[i]
 		eng := sim.NewEngine()
 		db := backend.New()
-		sessions, gen := newWorkload(cfg, rt, cfg.CPURequestsPerType)
+		sessions, gen := newWorkload(cfg, cfg.CPURequestsPerType)
 		srv := platform.NewCPUServer(eng, cpu, workers, db, sessions, cfg.ValidateEvery)
 		res := srv.Run(isolationSource(gen, rt, cfg.CPURequestsPerType))
 		run.PerType[i] = PerType{
@@ -113,31 +113,10 @@ func RunCPU(cfg Config, cpu platform.CPU, workers int) PlatformRun {
 	return run
 }
 
-// TitanVariant selects one of the §5.3.2 emulated platforms.
-type TitanVariant int
-
-// The three emulations.
-const (
-	TitanA TitanVariant = iota // remote backend + responses over PCIe
-	TitanB                     // integrated NIC + device backend
-	TitanC                     // Titan B + offloaded response transpose
-)
-
-func (v TitanVariant) String() string {
-	switch v {
-	case TitanA:
-		return "Titan A"
-	case TitanB:
-		return "Titan B"
-	case TitanC:
-		return "Titan C"
-	}
-	return "Titan?"
-}
-
-// Options maps the variant onto pipeline options.
-func (v TitanVariant) Options(cfg Config) pipeline.Options {
-	o := pipeline.Options{
+// titanOptions maps platform p onto pipeline options at cfg's scale.
+func titanOptions(cfg Config, p pipeline.Platform) pipeline.Options {
+	return pipeline.Options{
+		Platform:           p,
 		CohortSize:         cfg.CohortSize,
 		MaxCohorts:         cfg.MaxCohorts,
 		Padding:            true,
@@ -146,26 +125,15 @@ func (v TitanVariant) Options(cfg Config) pipeline.Options {
 		BackendServiceTime: cfg.BackendServiceTime,
 		ValidateEvery:      cfg.ValidateEvery,
 	}
-	switch v {
-	case TitanA:
-		o.DeviceBackend = false
-		o.ResponseOverBus = true
-	case TitanB:
-		o.DeviceBackend = true
-	case TitanC:
-		o.DeviceBackend = true
-		o.OffloadResponseTranspose = true
-	}
-	return o
 }
 
 // TitanRunOptions carries overrides for sensitivity/ablation studies.
 type TitanRunOptions struct {
-	Variant TitanVariant
+	Platform pipeline.Platform
 	// DeviceConfig overrides the GTX Titan (e.g., the single-queue
 	// GTX690 for the HyperQ study).
 	DeviceConfig *simt.Config
-	// Mutate edits the pipeline options after variant mapping (padding
+	// Mutate edits the pipeline options after platform mapping (padding
 	// and layout ablations).
 	Mutate func(*pipeline.Options)
 	// Types restricts the run (nil = all 14).
@@ -208,7 +176,7 @@ func RunTitan(cfg Config, opts TitanRunOptions) PlatformRun {
 			},
 		}
 	}
-	run := PlatformRun{Name: opts.Variant.String(), IdleW: pm.Idle}
+	run := PlatformRun{Name: opts.Platform.String(), IdleW: pm.Idle}
 	if opts.DeviceConfig != nil {
 		run.Name = devCfg.Name
 	}
@@ -258,12 +226,12 @@ func RunTitan(cfg Config, opts TitanRunOptions) PlatformRun {
 // runTitanType executes one isolation run on a fresh engine and device.
 func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banking.ReqType) PerType {
 	eng := sim.NewEngine()
-	po := opts.Variant.Options(cfg)
+	po := titanOptions(cfg, opts.Platform)
 	if opts.Mutate != nil {
 		opts.Mutate(&po)
 	}
 	var bus *sim.Pipe
-	if po.ResponseOverBus || !po.DeviceBackend {
+	if po.Platform == pipeline.TitanA {
 		bps := opts.BusBps
 		if bps == 0 {
 			bps = netmodel.PCIe3Bps
@@ -273,7 +241,7 @@ func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banki
 	dev := simt.NewDevice(eng, devCfg, pipeline.DeviceMemory(po), bus)
 	db := backend.New()
 	n := cfg.gpuRequestsPerType()
-	sessions, gen := newWorkload(cfg, rt, n)
+	sessions, gen := newWorkload(cfg, n)
 	srv := pipeline.New(eng, dev, po, db, sessions)
 	st := srv.Run(isolationSource(gen, rt, n))
 
@@ -299,9 +267,9 @@ func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banki
 }
 
 // newWorkload builds the session array and generator an isolation run of
-// n requests of type rt needs: the array is sized so logins never
-// exhaust it and lookups keep the paper's ~25% load factor.
-func newWorkload(cfg Config, rt banking.ReqType, n int) (*session.Array, *banking.Generator) {
+// n requests needs: the array is sized so logins never exhaust it and
+// lookups keep the paper's ~25% load factor.
+func newWorkload(cfg Config, n int) (*session.Array, *banking.Generator) {
 	buckets := cfg.CohortSize
 	if buckets < 256 {
 		buckets = 256
@@ -311,7 +279,6 @@ func newWorkload(cfg Config, rt banking.ReqType, n int) (*session.Array, *bankin
 	sessions := session.NewArray(buckets, perBucket)
 	gen := banking.NewGenerator(cfg.Seed, sessions)
 	gen.Populate(populate)
-	_ = rt
 	return sessions, gen
 }
 

@@ -36,7 +36,7 @@ func CohortSweep(cfg Config, sizes []int) []CohortSizeRow {
 		if c.GPUCohortsPerType < 2 {
 			c.GPUCohortsPerType = 2
 		}
-		run := RunTitan(c, TitanRunOptions{Variant: TitanB, Types: []banking.ReqType{banking.AccountSummary}})
+		run := RunTitan(c, TitanRunOptions{Platform: pipeline.TitanB, Types: []banking.ReqType{banking.AccountSummary}})
 		pt := run.PerType[0]
 		rows[i] = CohortSizeRow{
 			Size:       size,
@@ -84,7 +84,7 @@ func ParserStudy(cfg Config) ParserResult {
 func parseOnce(cfg Config, mixed bool) (latUs, tput float64, divergent int64) {
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), 4*cfg.CohortSize*banking.RequestSlot+32<<20, nil)
-	_, gen := newWorkload(cfg, banking.AccountSummary, cfg.CohortSize)
+	_, gen := newWorkload(cfg, cfg.CohortSize)
 	raws := make([][]byte, cfg.CohortSize)
 	for i := range raws {
 		if mixed {
@@ -140,8 +140,8 @@ func HyperQ(cfg Config) HyperQResult {
 	single.Queues = 1
 	types := []banking.ReqType{banking.AccountSummary, banking.Login}
 	return HyperQResult{
-		SingleQueue: RunTitan(cfg, TitanRunOptions{Variant: TitanA, DeviceConfig: &single, Types: types}),
-		HyperQ:      RunTitan(cfg, TitanRunOptions{Variant: TitanA, Types: types}),
+		SingleQueue: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA, DeviceConfig: &single, Types: types}),
+		HyperQ:      RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA, Types: types}),
 	}
 }
 
@@ -170,8 +170,8 @@ type PCIe4Result struct {
 // pinned.
 func PCIe4Projection(cfg Config) PCIe4Result {
 	return PCIe4Result{
-		PCIe3: RunTitan(cfg, TitanRunOptions{Variant: TitanA}),
-		PCIe4: RunTitan(cfg, TitanRunOptions{Variant: TitanA, BusBps: netmodel.PCIe4Bps}),
+		PCIe3: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA}),
+		PCIe4: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA, BusBps: netmodel.PCIe4Bps}),
 	}
 }
 
@@ -229,7 +229,7 @@ func CPUSIMDStudy(cfg Config) CPUSIMDResult {
 		},
 	}
 	simd := RunTitan(cfg, TitanRunOptions{
-		Variant:      TitanB,
+		Platform:     pipeline.TitanB,
 		DeviceConfig: &simdCfg,
 		Power:        power,
 	})
@@ -288,9 +288,9 @@ func StragglerStudy(cfg Config) []StragglerRow {
 			o.StragglerTimeout = timeout
 		}
 		r := RunTitan(cfg, TitanRunOptions{
-			Variant: TitanA,
-			Types:   []banking.ReqType{banking.BillPay},
-			Mutate:  mutate,
+			Platform: pipeline.TitanA,
+			Types:    []banking.ReqType{banking.BillPay},
+			Mutate:   mutate,
 		})
 		pt := r.PerType[0]
 		return StragglerRow{
@@ -331,8 +331,8 @@ type QuickPayResult struct {
 // QuickPayStudy runs both in isolation on Titan B.
 func QuickPayStudy(cfg Config) QuickPayResult {
 	return QuickPayResult{
-		QuickPay: RunTitan(cfg, TitanRunOptions{Variant: TitanB, Types: []banking.ReqType{banking.QuickPay}}),
-		BillPay:  RunTitan(cfg, TitanRunOptions{Variant: TitanB, Types: []banking.ReqType{banking.BillPay}}),
+		QuickPay: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: []banking.ReqType{banking.QuickPay}}),
+		BillPay:  RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: []banking.ReqType{banking.BillPay}}),
 	}
 }
 
@@ -358,11 +358,11 @@ type AblationResult struct {
 // AblatePadding disables the §4.3.2 whitespace alignment.
 func AblatePadding(cfg Config) AblationResult {
 	types := []banking.ReqType{banking.AccountSummary}
-	base := RunTitan(cfg, TitanRunOptions{Variant: TitanB, Types: types})
+	base := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: types})
 	ablated := RunTitan(cfg, TitanRunOptions{
-		Variant: TitanB,
-		Types:   types,
-		Mutate:  func(o *pipeline.Options) { o.Padding = false },
+		Platform: pipeline.TitanB,
+		Types:    types,
+		Mutate:   func(o *pipeline.Options) { o.Padding = false },
 	})
 	return AblationResult{Name: "whitespace padding", Baseline: base, Ablated: ablated}
 }
@@ -371,11 +371,11 @@ func AblatePadding(cfg Config) AblationResult {
 // row-major buffers (§4.3.2's strawman).
 func AblateTranspose(cfg Config) AblationResult {
 	types := []banking.ReqType{banking.AccountSummary}
-	base := RunTitan(cfg, TitanRunOptions{Variant: TitanB, Types: types})
+	base := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: types})
 	ablated := RunTitan(cfg, TitanRunOptions{
-		Variant: TitanB,
-		Types:   types,
-		Mutate:  func(o *pipeline.Options) { o.ColumnMajor = false },
+		Platform: pipeline.TitanB,
+		Types:    types,
+		Mutate:   func(o *pipeline.Options) { o.ColumnMajor = false },
 	})
 	return AblationResult{Name: "buffer transpose (column-major layout)", Baseline: base, Ablated: ablated}
 }
@@ -474,12 +474,12 @@ func TimeoutSweep(cfg Config, timeouts []sim.Time, arrivalRate float64) []Timeou
 	var rows []TimeoutRow
 	for _, to := range timeouts {
 		eng := sim.NewEngine()
-		po := TitanB.Options(cfg)
+		po := titanOptions(cfg, pipeline.TitanB)
 		po.FormationTimeout = to
 		dev := simt.NewDevice(eng, simt.GTXTitan(), pipeline.DeviceMemory(po), nil)
 		db := backend.New()
 		n := cfg.gpuRequestsPerType()
-		sessions, gen := newWorkload(cfg, banking.AccountSummary, n)
+		sessions, gen := newWorkload(cfg, n)
 		srv := pipeline.New(eng, dev, po, db, sessions)
 
 		// Paced arrivals at the given rate.

@@ -28,13 +28,40 @@ import (
 	"rhythm/internal/stats"
 )
 
-// Options selects the platform variant and tuning knobs. The three Titan
-// emulations of §5.3.2 map to:
-//
-//	Titan A: DeviceBackend=false, ResponseOverBus=true  (PCIe everywhere)
-//	Titan B: DeviceBackend=true,  ResponseOverBus=false (integrated NIC + device Besim)
-//	Titan C: Titan B + OffloadResponseTranspose=true    (transpose unit)
+// Platform selects the emulated system of §5.3.2. The zero value is
+// Titan B.
+type Platform int
+
+// The three Rhythm platforms.
+const (
+	// TitanB emulates an SoC-style integrated NIC with the Besim backend
+	// running on the device.
+	TitanB Platform = iota
+	// TitanA is a discrete GPU behind PCIe 3.0: the backend runs on host
+	// worker threads across the bus, and responses ship over it.
+	TitanA
+	// TitanC is TitanB plus a specialized unit that performs the
+	// response transpose off the device's critical path, for no device
+	// time.
+	TitanC
+)
+
+func (p Platform) String() string {
+	switch p {
+	case TitanA:
+		return "Titan A"
+	case TitanB:
+		return "Titan B"
+	case TitanC:
+		return "Titan C"
+	}
+	return "unknown"
+}
+
+// Options selects the platform and tuning knobs.
 type Options struct {
+	// Platform is the Titan A/B/C emulation (default Titan B).
+	Platform Platform
 	// CohortSize is the number of requests per cohort (paper default
 	// 4096).
 	CohortSize int
@@ -48,18 +75,10 @@ type Options struct {
 	Padding bool
 	// ColumnMajor enables the cohort buffer transpose optimization.
 	ColumnMajor bool
-	// DeviceBackend runs Besim on the device (Titan B/C); otherwise the
-	// backend runs on host worker threads across the bus (Titan A).
-	DeviceBackend bool
-	// BackendWorkers is the host backend thread count (remote backend).
+	// BackendWorkers is the host backend thread count (Titan A).
 	BackendWorkers int
 	// BackendServiceTime is the host backend's per-request service time.
 	BackendServiceTime sim.Time
-	// OffloadResponseTranspose emulates Titan C's specialized transpose
-	// unit: the response transpose costs no device time.
-	OffloadResponseTranspose bool
-	// ResponseOverBus ships responses D2H over the bus (Titan A).
-	ResponseOverBus bool
 	// ValidateEvery validates one response in every N (0 disables).
 	ValidateEvery int
 
@@ -167,7 +186,7 @@ type Server struct {
 	bank       *service.PageWorkload
 	pool       *cohort.Pool[banking.ReqType, preq]
 	streams    []*simt.Stream    // one per cohort context
-	slots      []service.Slot    // one per cohort context
+	slots      []*service.Slot   // one per cohort context
 	reqs       [][]httpx.Request // per context: the bound cohort's requests
 	batches    []*readerBatch
 	backendSrv *sim.Server
@@ -216,7 +235,7 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 	if opts.CohortSize <= 0 || opts.MaxCohorts <= 0 {
 		panic("pipeline: CohortSize and MaxCohorts must be positive")
 	}
-	if !opts.DeviceBackend && opts.BackendWorkers <= 0 {
+	if opts.Platform == TitanA && opts.BackendWorkers <= 0 {
 		panic("pipeline: remote backend needs workers")
 	}
 	s := &Server{
@@ -228,7 +247,7 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 		bank:     banking.NewWorkload(),
 		stats:    Stats{Latency: stats.NewLatencyRecorder()},
 	}
-	variant := service.Variant{Padding: opts.Padding, ColMajor: opts.ColumnMajor, HostBackend: !opts.DeviceBackend}
+	variant := service.Variant{Padding: opts.Padding, ColMajor: opts.ColumnMajor, HostBackend: opts.Platform == TitanA}
 	window := func(banking.ReqType) time.Duration { return time.Duration(opts.FormationTimeout) }
 	s.pool = cohort.NewPool(engineClock{eng}, opts.MaxCohorts, opts.CohortSize, window, nil,
 		func(c *cohort.Context[banking.ReqType, preq], _ cohort.Reason) {
@@ -250,7 +269,7 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 			raws:   make([][]byte, 0, opts.CohortSize),
 		})
 	}
-	if !opts.DeviceBackend {
+	if opts.Platform == TitanA {
 		s.backendSrv = sim.NewServer(eng, opts.BackendWorkers)
 	}
 	if opts.StragglerTimeout > 0 {
@@ -436,7 +455,7 @@ func (s *Server) runCohort(c *cohort.Context[banking.ReqType, preq]) {
 	for _, pr := range prs {
 		reqs = append(reqs, pr.req)
 	}
-	unit := s.slots[c.ID].Bind(int(t), reqs, s.sessions, s.db).(*service.PageUnit)
+	unit := s.slots[c.ID].Bind(int(t), reqs, s.sessions, s.db)
 	stream := s.streams[c.ID]
 	count := len(reqs)
 
@@ -445,11 +464,11 @@ func (s *Server) runCohort(c *cohort.Context[banking.ReqType, preq]) {
 	nextStage = func(k int) {
 		stream.Launch(unit.Stage(k), count, func(simt.LaunchStats) {
 			if k < unit.Stages()-1 {
-				if s.opts.DeviceBackend {
+				if s.opts.Platform == TitanA {
+					s.hostBackend(c, unit, stream, count, stragglers, func() { nextStage(k + 1) })
+				} else {
 					// Besim ran chained inside the kernel.
 					nextStage(k + 1)
-				} else {
-					s.hostBackend(c, unit, stream, count, stragglers, func() { nextStage(k + 1) })
 				}
 				return
 			}
@@ -557,7 +576,7 @@ func (s *Server) shedStraggler(c *cohort.Context[banking.ReqType, preq], unit *s
 // to row-major (on-device for Titan A/B, offloaded for Titan C), ship
 // them, record latencies, and free the cohort context.
 func (s *Server) respond(c *cohort.Context[banking.ReqType, preq], t banking.ReqType, unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool) {
-	if !(s.opts.ColumnMajor && s.opts.OffloadResponseTranspose) {
+	if s.opts.Platform != TitanC {
 		// Titan C's transpose unit does it for no device time.
 		unit.Writeback(stream)
 	}
@@ -585,7 +604,7 @@ func (s *Server) respond(c *cohort.Context[banking.ReqType, preq], t banking.Req
 		s.feedReader()
 		s.maybeFlush()
 	}
-	if s.opts.ResponseOverBus {
+	if s.opts.Platform == TitanA {
 		unit.ResponsesD2H(stream, finish)
 	} else {
 		stream.Barrier(finish)

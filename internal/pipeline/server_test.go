@@ -23,7 +23,7 @@ type testRig struct {
 func newRig(t *testing.T, opts Options, bus *sim.Pipe) *testRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	if bus == nil && (opts.ResponseOverBus || !opts.DeviceBackend) {
+	if bus == nil && opts.Platform == TitanA {
 		bus = sim.NewPipe(eng, 12e9, 1000)
 	}
 	dev := simt.NewDevice(eng, simt.GTXTitan(), 512<<20, bus)
@@ -39,15 +39,14 @@ func newRig(t *testing.T, opts Options, bus *sim.Pipe) *testRig {
 	return &testRig{eng: eng, dev: dev, srv: srv, gen: gen, sessions: sessions}
 }
 
-// smallOptions is Titan B (device backend, padding, column-major) at a
-// test-sized cohort.
+// smallOptions is Titan B (the zero Platform: device backend, padding,
+// column-major) at a test-sized cohort.
 func smallOptions() Options {
 	return Options{
 		CohortSize:         64,
 		MaxCohorts:         4,
 		Padding:            true,
 		ColumnMajor:        true,
-		DeviceBackend:      true,
 		BackendWorkers:     4,
 		BackendServiceTime: 2_000,
 		ValidateEvery:      7,
@@ -143,8 +142,7 @@ func TestMixedRunDispatchesByType(t *testing.T) {
 
 func TestRemoteBackendPath(t *testing.T) {
 	opts := smallOptions()
-	opts.DeviceBackend = false
-	opts.ResponseOverBus = true
+	opts.Platform = TitanA
 	opts.BackendWorkers = 4
 	opts.BackendServiceTime = 2000
 	rig := newRig(t, opts, nil)
@@ -166,8 +164,7 @@ func TestTitanAIsSlowerThanTitanB(t *testing.T) {
 		return rig.srv.Run(rig.isolated(banking.AccountSummary, 512)).Throughput()
 	}
 	a := smallOptions()
-	a.DeviceBackend = false
-	a.ResponseOverBus = true
+	a.Platform = TitanA
 	a.BackendWorkers = 8
 	b := smallOptions()
 	ta, tb := run(a), run(b)
@@ -183,7 +180,7 @@ func TestTitanCFasterThanTitanB(t *testing.T) {
 	}
 	b := smallOptions()
 	c := smallOptions()
-	c.OffloadResponseTranspose = true
+	c.Platform = TitanC
 	tb, tc := run(b), run(c)
 	if tc <= tb {
 		t.Fatalf("Titan C (%.0f req/s) should beat Titan B (%.0f req/s)", tc, tb)
@@ -366,8 +363,7 @@ func TestImageRequestsBypassProcessStage(t *testing.T) {
 
 func TestStragglerTimeoutShedsToHost(t *testing.T) {
 	opts := smallOptions()
-	opts.DeviceBackend = false
-	opts.ResponseOverBus = true
+	opts.Platform = TitanA
 	opts.BackendWorkers = 64 // plenty: only the tail stalls
 	opts.BackendServiceTime = 2000
 	opts.BackendTailProb = 0.05
@@ -390,8 +386,7 @@ func TestStragglerTimeoutShedsToHost(t *testing.T) {
 func TestStragglerTimeoutCutsTailLatency(t *testing.T) {
 	run := func(timeout sim.Time) pipeline99 {
 		opts := smallOptions()
-		opts.DeviceBackend = false
-		opts.ResponseOverBus = true
+		opts.Platform = TitanA
 		opts.BackendWorkers = 64
 		opts.BackendServiceTime = 2000
 		opts.BackendTailProb = 0.03
@@ -425,8 +420,7 @@ type pipeline99 struct {
 
 func TestNoStragglersWithoutTail(t *testing.T) {
 	opts := smallOptions()
-	opts.DeviceBackend = false
-	opts.ResponseOverBus = true
+	opts.Platform = TitanA
 	opts.StragglerTimeout = sim.Duration(50_000_000)
 	opts.ValidateEvery = 0
 	rig := newRig(t, opts, nil)
@@ -458,8 +452,7 @@ func TestQuickPayVariableStagesOnDevice(t *testing.T) {
 
 func TestQuickPayRemoteBackendSkipsDoneLanes(t *testing.T) {
 	opts := smallOptions()
-	opts.DeviceBackend = false
-	opts.ResponseOverBus = true
+	opts.Platform = TitanA
 	opts.BackendWorkers = 8
 	opts.ValidateEvery = 2
 	rig := newRig(t, opts, nil)
@@ -476,5 +469,13 @@ func TestQuickPayRemoteBackendSkipsDoneLanes(t *testing.T) {
 	calls := rig.srv.db.Requests() - before
 	if calls < 64 || calls > 3*64 {
 		t.Fatalf("backend calls = %d, want within [64, 192]", calls)
+	}
+}
+
+func TestPlatformString(t *testing.T) {
+	for p, want := range map[Platform]string{TitanA: "Titan A", TitanB: "Titan B", TitanC: "Titan C", Platform(9): "unknown"} {
+		if got := p.String(); got != want {
+			t.Errorf("Platform(%d).String() = %q, want %q", int(p), got, want)
+		}
 	}
 }

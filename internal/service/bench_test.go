@@ -63,7 +63,7 @@ func benchmarkCohort(b *testing.B, egress bool) {
 		allocs += ms.Mallocs - mallocs
 	}
 	for i := 0; i < b.N; i++ {
-		var unit service.Unit
+		var unit *service.PageUnit
 		metered(egress, func() { unit = slot.Bind(local, wd.reqs, wd.sessions, wd.be) })
 		stream.Launch(unit.Stage(0), lanes, nil)
 		eng.Run()

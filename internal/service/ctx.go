@@ -201,10 +201,13 @@ func (sc *Scratch) Render(out []byte) []byte {
 }
 
 // ExecuteScratch runs one request through every stage against a local
-// backend — the host reference path used by CPU baselines, the TCP
-// server, and the validator — reusing sc, so the steady state allocates
-// neither ctx nor builder. The returned ctx is valid until the next
-// execution on sc.
+// backend — the scalar host path used by CPU baselines, the host route,
+// and the validator — reusing sc, so the steady state allocates neither
+// ctx nor builder. It runs the same stage functions the kernels run: a
+// padded execution's sc.Render is the fixed-geometry response, which
+// must be byte-identical to the device path's output, and ctx.Err is
+// set when the request took the error path. The returned ctx is valid
+// until the next execution on sc.
 func (w *PageWorkload) ExecuteScratch(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend, padding bool) *Ctx {
 	ctx := &sc.ctx
 	sc.page.Reset()

@@ -19,14 +19,13 @@ func (w *PageWorkload) Def(local int) *SvcDef { return &w.defs[local] }
 type RefUnit struct{ *PageUnit }
 
 // Reference rebuilds u, bound on a fresh slot, as its reference.
-func Reference(u Unit) RefUnit {
-	pu := u.(*PageUnit)
-	pc, m := pu.pc, pu.pc.mem
+func Reference(u *PageUnit) RefUnit {
+	pc, m := u.pc, u.pc.mem
 	pc.breqBuf = m.Alloc(pc.size*BackendRequestSlot, 256)
 	pc.brespBuf = m.Alloc(pc.size*BackendResponseSlot, 256)
 	pc.respCol = m.Alloc(pc.size*pc.class, 256)
 	pc.respRow = m.Alloc(pc.size*pc.class, 256)
-	return RefUnit{pu}
+	return RefUnit{u}
 }
 
 func (u RefUnit) Responses() [][]byte {

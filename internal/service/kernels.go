@@ -170,11 +170,12 @@ func (pc *pageCohort) bind(local int, reqs []httpx.Request, be Backend) {
 	}
 }
 
-// pageSlot is one execution slot's cohort state for one page workload:
-// buffers are keyed by response-buffer size class and rebound across
-// types, allocated on first use (device memory is never freed, so this
-// is equivalent to the paper's preallocation at first launch, §4.2).
-type pageSlot struct {
+// Slot is one execution slot's device-resident cohort state for one
+// workload, owned by a single device worker goroutine: buffers are keyed
+// by response-buffer size class and rebound across types, allocated on
+// first use (device memory is never freed, so this is equivalent to the
+// paper's preallocation at first launch, §4.2).
+type Slot struct {
 	w       *PageWorkload
 	dev     *simt.Device
 	v       Variant
@@ -182,8 +183,9 @@ type pageSlot struct {
 	byClass map[int]*pageCohort
 }
 
-// Bind implements Slot. The returned Unit is a *PageUnit.
-func (s *pageSlot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be Backend) Unit {
+// Bind prepares the slot for a cohort of requests of one local type and
+// returns the launchable unit, valid until the next Bind on this slot.
+func (s *Slot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be Backend) *PageUnit {
 	class := s.w.defs[local].BufferBytes
 	pc, ok := s.byClass[class]
 	if !ok {
@@ -194,19 +196,25 @@ func (s *pageSlot) Bind(local int, reqs []httpx.Request, sessions *session.Array
 	return &PageUnit{pc: pc, sessions: sessions}
 }
 
-// PageUnit is a bound cohort of one page-workload type. Beyond the Unit
-// contract it carries what internal/pipeline's Titan A and Titan C
-// emulations need: the host-backend round trip, straggler shedding, the
-// over-the-bus response path, and one response row in place.
+// PageUnit is a bound cohort of one page-workload type, ready to launch:
+// Stages() sequential stage kernels, then Writeback (the response
+// transpose), then — after a stream barrier — per-request response
+// extraction. It also carries what internal/pipeline's Titan A and
+// Titan C emulations need: the host-backend round trip, straggler
+// shedding, the over-the-bus response path, and one response row in
+// place.
 type PageUnit struct {
 	pc       *pageCohort
 	sessions *session.Array
 }
 
-// Stages implements Unit.
+// Stages reports the number of stage kernels to launch (the page
+// model's Backends+1).
 func (u *PageUnit) Stages() int { return u.pc.def.Backends + 1 }
 
-// Stage implements Unit.
+// Stage returns stage k's kernel. The program implements
+// simt.Footprinter: declared footprints are what let independent
+// launches overlap (DESIGN.md §13).
 func (u *PageUnit) Stage(k int) simt.Program {
 	if k < 0 || k > u.pc.def.Backends {
 		panic(fmt.Sprintf("service: stage %d out of range for %s", k, u.pc.def.Name))
@@ -214,10 +222,10 @@ func (u *PageUnit) Stage(k int) simt.Program {
 	return pageStageProgram{u: u, stage: k}
 }
 
-// Writeback implements Unit: the transpose of the column-major responses
-// to row-major for extraction (row-major slots store them there). Titan
-// C's specialized transpose unit does it for no device time, so its
-// pipeline skips the call.
+// Writeback enqueues the response transpose on stream: column-major
+// responses to row-major for extraction (row-major slots store them
+// there). Titan C's specialized transpose unit does it for no device
+// time, so its pipeline skips the call.
 func (u *PageUnit) Writeback(stream *simt.Stream) {
 	pc := u.pc
 	if pc.v.ColMajor {
@@ -232,11 +240,15 @@ func (u *PageUnit) ResponsesD2H(stream *simt.Stream, done func()) {
 	stream.ChargeD2H(u.pc.count*u.pc.class, done)
 }
 
-// Responses implements Unit: the rows change hands. A result has no
-// release — a caller may keep the slices for as long as it likes while
-// the slot is rebound under it — so the unit cannot lend its rows; it
-// gives them away, and the lanes of the slot's next cohort allocate
-// their own.
+// Responses hands over every request's rendered response, in request
+// order. Valid only after a barrier following Writeback, and once per
+// Bind: the slices become the caller's — the unit keeps no reference,
+// never writes them again, and a later Bind of the slot cannot reach
+// them — so they may be kept for any length of time and handed to other
+// goroutines. Each is capped at its own length, so appending to one
+// never reaches another. A result has no release, so the unit cannot
+// lend its rows; it gives them away, and the lanes of the slot's next
+// cohort allocate their own.
 func (u *PageUnit) Responses() [][]byte {
 	pc := u.pc
 	out := make([][]byte, pc.count)
@@ -255,7 +267,7 @@ func (u *PageUnit) Response(i int) []byte {
 	return pc.rows[i]
 }
 
-// Failed implements Unit.
+// Failed reports whether request i took the kernel error path.
 func (u *PageUnit) Failed(i int) bool {
 	ctx := u.pc.ctxs[i]
 	return ctx != nil && ctx.Err != ""

@@ -186,7 +186,7 @@ func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v ser
 	t.Helper()
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
-	unit := w.NewSlot(dev, len(wd.reqs), v).Bind(local, wd.reqs, wd.sessions, wd.be).(*service.PageUnit)
+	unit := w.NewSlot(dev, len(wd.reqs), v).Bind(local, wd.reqs, wd.sessions, wd.be)
 	var chain stageChain = unit
 	if reference {
 		chain = service.Reference(unit)

@@ -9,13 +9,18 @@ import (
 	"rhythm/internal/simt"
 )
 
-// PageWorkload implements Workload for request/response ("one request =
-// one page") workloads declared as a table of SvcDefs. It is the only
-// implementation of the paper's process phase — host scalar path,
-// device stage kernels, column-major cohort buffers, fixed-geometry
-// rendering — so a workload author writes only stage functions plus a
-// backend store; banking, ecom and telemetry are all declared this way
-// (see examples/ and DESIGN.md §16).
+// PageWorkload is a registered request/response ("one request = one
+// page") workload declared as a table of SvcDefs: the registry's one
+// workload type. It is the only implementation of the paper's process
+// phase — host scalar path, device stage kernels, column-major cohort
+// buffers, fixed-geometry rendering — so a workload author writes only
+// stage functions plus a backend store; banking, ecom and telemetry are
+// all declared this way (see examples/ and DESIGN.md §16).
+//
+// Classify, Affinity and Static are safe for concurrent calls. The
+// execution entry points (ExecuteScratch, a Slot's Bind and its units)
+// are driven single-threaded per shard group by the cluster's
+// single-writer discipline.
 type PageWorkload struct {
 	name       string
 	cookieName string
@@ -24,7 +29,6 @@ type PageWorkload struct {
 	byPath     map[string]int
 
 	newBackend func() Backend
-	classify   func(req *httpx.Request) (int, bool)
 	affinity   func(req *httpx.Request, local int, buckets int) int
 	static     func(path string) ([]byte, bool)
 	errorPage  func(ctx *Ctx)
@@ -42,8 +46,6 @@ type PageWorkloadConfig struct {
 	Defs []SvcDef
 	// NewBackend creates one shard group's backend store.
 	NewBackend func() Backend
-	// Classify overrides the default path-table classifier.
-	Classify func(req *httpx.Request) (local int, ok bool)
 	// Affinity overrides the default cookie-bucket affinity. Workloads
 	// with SessionCreates types must override it: the creating request
 	// has no cookie yet and must pin to the bucket its session will
@@ -75,7 +77,6 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 		defs:       cfg.Defs,
 		byPath:     make(map[string]int),
 		newBackend: cfg.NewBackend,
-		classify:   cfg.Classify,
 		affinity:   cfg.Affinity,
 		static:     cfg.Static,
 		errorPage:  cfg.ErrorPage,
@@ -106,13 +107,16 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 	return w
 }
 
-// Name implements Workload.
+// Name is the workload's registry name ("banking", "ecom", ...).
 func (w *PageWorkload) Name() string { return w.name }
 
-// SessionCookie implements Workload.
+// SessionCookie is the workload's session cookie name ("" when the
+// workload has no cookie sessions; such workloads are never
+// render-cached).
 func (w *PageWorkload) SessionCookie() string { return w.cookieName }
 
-// Types implements Workload.
+// Types lists the workload's request types with the local fields
+// filled (Workload/GID/Display are assigned by the registry).
 func (w *PageWorkload) Types() []Spec {
 	out := make([]Spec, len(w.defs))
 	for i := range w.defs {
@@ -131,16 +135,15 @@ func (w *PageWorkload) Types() []Spec {
 	return out
 }
 
-// Classify implements Workload (path table unless overridden).
+// Classify resolves a parsed request to a local type through the path
+// table, reporting false for requests this workload does not serve.
 func (w *PageWorkload) Classify(req *httpx.Request) (int, bool) {
-	if w.classify != nil {
-		return w.classify(req)
-	}
 	local, ok := w.byPath[req.Path]
 	return local, ok
 }
 
-// Static implements Workload.
+// Static serves workload static assets (images); ok=false when the
+// path is not an asset of this workload.
 func (w *PageWorkload) Static(path string) ([]byte, bool) {
 	if w.static != nil {
 		return w.static(path)
@@ -148,8 +151,10 @@ func (w *PageWorkload) Static(path string) ([]byte, bool) {
 	return nil, false
 }
 
-// Affinity implements Workload: by default a valid session cookie
-// recovers its array bucket; everything else is stateless.
+// Affinity reports the session bucket (0..buckets-1) the request's
+// state lives in, or -1 for stateless requests any device may serve. By
+// default a valid session cookie recovers its array bucket; everything
+// else is stateless.
 func (w *PageWorkload) Affinity(req *httpx.Request, local int, buckets int) int {
 	if w.affinity != nil {
 		return w.affinity(req, local, buckets)
@@ -162,14 +167,8 @@ func (w *PageWorkload) Affinity(req *httpx.Request, local int, buckets int) int 
 	return -1
 }
 
-// NewBackend implements Workload.
+// NewBackend creates one shard group's backend store.
 func (w *PageWorkload) NewBackend() Backend { return w.newBackend() }
-
-// ExecuteHost implements Workload: the scalar reference path, running
-// the same stage functions the kernels run.
-func (w *PageWorkload) ExecuteHost(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend) bool {
-	return w.ExecuteScratch(sc, local, req, sessions, be, true).Err != ""
-}
 
 // Execute is ExecuteScratch on a fresh Scratch: the returned ctx stays
 // valid (the harness entry point for instruction counts and traces).
@@ -192,16 +191,18 @@ func (w *PageWorkload) classes() []int {
 	return out
 }
 
-// DeviceBytes implements Workload: the row-major backend request and
-// response slots of one cohort per distinct buffer class. The column
-// images and the response buffers are reserved address space
-// (kernels.go) and take no backing; the response bytes live in rows the
-// bound unit owns.
+// DeviceBytes reports the backed device memory one execution slot
+// needs to serve every type of this workload — what its kernels read
+// back out of device memory: the row-major backend request and response
+// slots of one cohort per distinct buffer class. The column images and
+// the response buffers are reserved address space (kernels.go) and take
+// no backing; the response bytes live in rows the bound unit owns.
 func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
 	return int64(len(w.classes())) * int64(cohortSize) * (BackendRequestSlot + BackendResponseSlot)
 }
 
-// NewSlot implements Workload.
-func (w *PageWorkload) NewSlot(dev *simt.Device, cohortSize int, v Variant) Slot {
-	return &pageSlot{w: w, dev: dev, v: v, size: cohortSize, byClass: make(map[int]*pageCohort)}
+// NewSlot creates one execution slot's device cohort state, its stage
+// kernels fixed to variant v.
+func (w *PageWorkload) NewSlot(dev *simt.Device, cohortSize int, v Variant) *Slot {
+	return &Slot{w: w, dev: dev, v: v, size: cohortSize, byClass: make(map[int]*pageCohort)}
 }

@@ -1,11 +1,12 @@
-// Package service is Rhythm's pluggable workload registry: the contract
-// a workload implements to be served by the cohort pipeline, and the
-// registry that fuses the registered workloads into one dense
-// workload-qualified type space the serving stack (classifier, cluster
-// dispatch, adaptive controller, render cache, metrics) is threaded
-// through. The stack itself knows nothing about any concrete workload —
-// banking, e-commerce, and telemetry all arrive here the same way
-// (DESIGN.md §16).
+// Package service is Rhythm's pluggable workload registry: the page kit
+// a workload is declared with to be served by the cohort pipeline
+// (PageWorkloadConfig, one SvcDef per request type), and the registry
+// that fuses the registered workloads into one dense workload-qualified
+// type space the serving stack (classifier, cluster dispatch, adaptive
+// controller, render cache, metrics) is threaded through. The stack
+// itself knows nothing about any concrete workload — banking,
+// e-commerce, and telemetry all arrive here the same way (DESIGN.md
+// §16).
 //
 // A workload declares, per request type: a classifier entry, the fixed
 // response-buffer class (which sizes device cohort buffers and the
@@ -13,10 +14,10 @@
 // sizes the stage-kernel chain), mix weights (which drive generators and
 // the adaptive controller's fitting), render-cache eligibility, and
 // session semantics (which drive shard-group affinity and kernel
-// footprint declarations). It provides three execution surfaces: a
-// scalar host path (the byte-identity reference), a backend-store
-// factory (one instance per shard group), and a device slot factory
-// whose bound units launch the type's stage kernels.
+// footprint declarations). The kit gives every *PageWorkload three
+// execution surfaces: a scalar host path (the byte-identity reference),
+// a backend-store factory (one instance per shard group), and a device
+// Slot whose bound PageUnits launch the type's stage kernels.
 package service
 
 import (
@@ -56,8 +57,8 @@ type Spec struct {
 	// Display is the registry-wide label used for stats keys, metric
 	// label values, flight records, and trace types: "workload/name".
 	Display string
-	// Path is the classified request path ("" when the workload
-	// classifies by other means).
+	// Path is the request path the workload's path table classifies to
+	// this type ("" for a type no path reaches).
 	Path string
 	// Post marks form-submission (POST) types.
 	Post bool
@@ -95,87 +96,12 @@ type Backend interface {
 	SetWriteHook(fn func(uid uint64))
 }
 
-// Workload is the registration contract. Implementations must be safe
-// for concurrent Classify/Affinity/Static calls; execution entry points
-// (ExecuteHost, Slot) are driven single-threaded per shard group by the
-// cluster's single-writer discipline.
-type Workload interface {
-	// Name is the workload's registry name ("banking", "ecom", ...).
-	Name() string
-	// Types lists the workload's request types with the local fields
-	// filled (Workload/GID/Display are assigned by the registry).
-	Types() []Spec
-	// Classify resolves a parsed request to a local type, reporting
-	// false for requests this workload does not serve.
-	Classify(req *httpx.Request) (local int, ok bool)
-	// Static serves workload static assets (images); ok=false when the
-	// path is not an asset of this workload.
-	Static(path string) ([]byte, bool)
-	// Affinity reports the session bucket (0..buckets-1) the request's
-	// state lives in, or -1 for stateless requests any device may serve.
-	Affinity(req *httpx.Request, local int, buckets int) int
-	// SessionCookie is the workload's session cookie name ("" when the
-	// workload has no cookie sessions; such workloads are never
-	// render-cached).
-	SessionCookie() string
-	// NewBackend creates one shard group's backend store.
-	NewBackend() Backend
-	// ExecuteHost runs one request on the scalar host path through sc
-	// and reports whether it took the error path; sc.Render then yields
-	// the fixed-geometry response, which must be byte-identical to the
-	// device path's output.
-	ExecuteHost(sc *Scratch, local int, req *httpx.Request, sessions *session.Array, be Backend) (failed bool)
-	// DeviceBytes reports the backed device memory one execution slot
-	// needs to serve every type of this workload: what its kernels read
-	// back out of device memory. For a page workload that is the backend
-	// slots of one cohort per distinct buffer class; priced-only images
-	// and response bytes the unit owns need none.
-	DeviceBytes(cohortSize int) int64
-	// NewSlot creates one execution slot's device cohort state, its
-	// stage kernels fixed to variant v.
-	NewSlot(dev *simt.Device, cohortSize int, v Variant) Slot
-}
-
-// Slot is one execution slot's device-resident cohort state for one
-// workload. It is owned by a single device worker goroutine.
-type Slot interface {
-	// Bind prepares the slot for a cohort of requests of one local type
-	// and returns the launchable unit. The returned Unit is valid until
-	// the next Bind on this slot.
-	Bind(local int, reqs []httpx.Request, sessions *session.Array, be Backend) Unit
-}
-
-// Unit is a bound cohort ready to launch: Stages() sequential stage
-// kernels, then Writeback (the response transpose), then — after a
-// stream barrier — per-request response extraction.
-type Unit interface {
-	// Stages reports the number of stage kernels to launch (the page
-	// model's Backends+1).
-	Stages() int
-	// Stage returns stage k's kernel. The program must implement
-	// simt.Footprinter (declared footprints are what let independent
-	// launches overlap, DESIGN.md §13).
-	Stage(k int) simt.Program
-	// Writeback enqueues the response transpose on stream.
-	Writeback(stream *simt.Stream)
-	// Responses hands over every request's rendered response, in request
-	// order. Valid only after a barrier following Writeback, and once per
-	// Bind: the slices become the caller's — the unit keeps no reference,
-	// never writes them again, and a later Bind of the slot cannot reach
-	// them — so they may be kept for any length of time and handed to
-	// other goroutines. Each is capped at its own length, so appending to
-	// one never reaches another.
-	Responses() [][]byte
-	// Failed reports whether request i took the kernel error path.
-	Failed(i int) bool
-}
-
 // Registry fuses registered workloads into one dense TypeID space.
 // Registration order is significant: it fixes GID assignment (and
 // therefore stats/metrics ordering), and the first workload occupies
 // the lowest ids.
 type Registry struct {
-	ws    []Workload
+	ws    []*PageWorkload
 	specs []Spec
 	base  []int // workload index -> first GID
 	widx  []int // GID -> workload index
@@ -187,7 +113,7 @@ type Registry struct {
 // Every type's Display label is "workload/name". Duplicate workload
 // names or display labels panic: the label universe is the registry's
 // core guarantee.
-func NewRegistry(ws ...Workload) *Registry {
+func NewRegistry(ws ...*PageWorkload) *Registry {
 	if len(ws) == 0 {
 		panic("service: empty registry")
 	}
@@ -232,13 +158,13 @@ func (r *Registry) Spec(t TypeID) Spec { return r.specs[t] }
 func (r *Registry) Specs() []Spec { return r.specs }
 
 // Workloads returns the registered workloads in registration order.
-func (r *Registry) Workloads() []Workload { return r.ws }
+func (r *Registry) Workloads() []*PageWorkload { return r.ws }
 
 // WorkloadIndex reports which registered workload owns t.
 func (r *Registry) WorkloadIndex(t TypeID) int { return r.widx[t] }
 
 // WorkloadOf returns the workload owning t.
-func (r *Registry) WorkloadOf(t TypeID) Workload { return r.ws[r.widx[t]] }
+func (r *Registry) WorkloadOf(t TypeID) *PageWorkload { return r.ws[r.widx[t]] }
 
 // GID maps (workload index, local type) to the fused id.
 func (r *Registry) GID(widx, local int) TypeID { return TypeID(r.base[widx] + local) }
@@ -304,8 +230,8 @@ func (r *Registry) NewBackends() []Backend {
 
 // NewSlots creates one execution slot's cohort state across all
 // workloads, indexed by workload index.
-func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []Slot {
-	out := make([]Slot, len(r.ws))
+func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []*Slot {
+	out := make([]*Slot, len(r.ws))
 	for i, w := range r.ws {
 		out[i] = w.NewSlot(dev, cohortSize, v)
 	}
@@ -313,7 +239,7 @@ func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []Slot 
 }
 
 // DeviceBytes reports the backed device memory one execution slot needs
-// to serve every registered type (Workload.DeviceBytes, summed).
+// to serve every registered type (PageWorkload.DeviceBytes, summed).
 func (r *Registry) DeviceBytes(cohortSize int) int64 {
 	var total int64
 	for _, w := range r.ws {
@@ -336,5 +262,5 @@ func (r *Registry) ExecuteHost(t TypeID, req *httpx.Request, sessions *session.A
 // left in sc for sc.Render into a caller buffer.
 func (r *Registry) ExecuteScratch(sc *Scratch, t TypeID, req *httpx.Request, sessions *session.Array, bes []Backend) (failed bool) {
 	i := r.widx[t]
-	return r.ws[i].ExecuteHost(sc, r.specs[t].Local, req, sessions, bes[i])
+	return r.ws[i].ExecuteScratch(sc, r.specs[t].Local, req, sessions, bes[i], true).Err != ""
 }

@@ -19,7 +19,7 @@ import (
 var Names = []string{"banking", "ecom", "telemetry"}
 
 // newByName constructs one workload by name.
-func newByName(name string) (service.Workload, error) {
+func newByName(name string) (*service.PageWorkload, error) {
 	switch name {
 	case "banking":
 		return banking.NewWorkload(), nil
@@ -56,7 +56,7 @@ func Named(names ...string) (*service.Registry, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("workloads: no workloads selected")
 	}
-	ws := make([]service.Workload, 0, len(names))
+	ws := make([]*service.PageWorkload, 0, len(names))
 	for _, n := range names {
 		w, err := newByName(strings.TrimSpace(n))
 		if err != nil {

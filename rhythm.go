@@ -13,37 +13,27 @@ import (
 	"rhythm/internal/simt"
 )
 
-// Platform selects the emulated system of §5.3.2.
-type Platform int
+// Platform selects the emulated system of §5.3.2. The zero value is
+// TitanB.
+type Platform = pipeline.Platform
 
 // The three Rhythm platforms.
 const (
 	// TitanA is a discrete GPU behind PCIe 3.0 with a host backend and
 	// responses shipped over the bus.
-	TitanA Platform = iota
+	TitanA = pipeline.TitanA
 	// TitanB emulates an SoC-style integrated NIC with the Besim backend
 	// running on the device.
-	TitanB
+	TitanB = pipeline.TitanB
 	// TitanC is TitanB plus a specialized unit that performs the
 	// response transpose off the device's critical path.
-	TitanC
+	TitanC = pipeline.TitanC
 )
-
-func (p Platform) String() string {
-	switch p {
-	case TitanA:
-		return "Titan A"
-	case TitanB:
-		return "Titan B"
-	case TitanC:
-		return "Titan C"
-	}
-	return "unknown"
-}
 
 // Options configures a Server.
 type Options struct {
-	// Platform picks the Titan A/B/C emulation. Default TitanB.
+	// Platform picks the Titan A/B/C emulation (default TitanB, the
+	// zero value).
 	Platform Platform
 	// CohortSize is the number of requests batched per cohort (default
 	// 4096, the paper's choice).
@@ -181,7 +171,8 @@ func newSimSessions(opts Options) *session.Array {
 }
 
 func pipelineOptions(o Options) pipeline.Options {
-	po := pipeline.Options{
+	return pipeline.Options{
+		Platform:           o.Platform,
 		CohortSize:         o.CohortSize,
 		MaxCohorts:         o.MaxCohorts,
 		FormationTimeout:   sim.Duration(o.FormationTimeout),
@@ -195,19 +186,6 @@ func pipelineOptions(o Options) pipeline.Options {
 		StragglerTimeout:   sim.Duration(o.StragglerTimeout),
 		Seed:               o.Seed,
 	}
-	switch o.Platform {
-	case TitanA:
-		o2 := po
-		o2.DeviceBackend = false
-		o2.ResponseOverBus = true
-		return o2
-	case TitanC:
-		po.DeviceBackend = true
-		po.OffloadResponseTranspose = true
-	default:
-		po.DeviceBackend = true
-	}
-	return po
 }
 
 // GenerateMixed produces n requests drawn from the Table 2 mix.

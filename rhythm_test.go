@@ -108,9 +108,16 @@ func TestRequestTypes(t *testing.T) {
 	}
 }
 
-func TestPlatformString(t *testing.T) {
-	if TitanA.String() != "Titan A" || Platform(9).String() != "unknown" {
-		t.Fatal("Platform.String broken")
+// TestZeroOptionsRunTitanB holds Options' documented default: a zero
+// Platform is Titan B, whose integrated NIC puts no PCIe bus between the
+// host and the device.
+func TestZeroOptionsRunTitanB(t *testing.T) {
+	s := NewSimServer(Options{})
+	if got := s.opts.Platform.String(); got != "Titan B" {
+		t.Fatalf("zero Options run %s, want Titan B", got)
+	}
+	if s.dev.Bus != nil {
+		t.Fatal("zero Options built a device behind a PCIe bus")
 	}
 }
 

@@ -59,71 +59,8 @@ type listedPackage struct {
 // when it is called, or implements a method called through an interface
 // or an interface of a standard-library package the module imports.
 func TestNoDeadSurface(t *testing.T) {
-	if raceEnabled {
-		t.Skip("a static scan; the race detector adds nothing to it")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go command:", err)
-	}
-	pkgs := listPackages(t)
-	fset := token.NewFileSet()
-	checked := map[string]*types.Package{}
-	type modulePackage struct {
-		path  string
-		files []*ast.File
-		info  *types.Info
-	}
-	var module []modulePackage
-	for _, p := range pkgs {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil && !p.Standard {
-				t.Fatal(err)
-			}
-			if f != nil {
-				files = append(files, f)
-			}
-		}
-		importMap := p.ImportMap
-		conf := types.Config{
-			Importer: importerFunc(func(path string) (*types.Package, error) {
-				if mapped, ok := importMap[path]; ok {
-					path = mapped
-				}
-				if path == "unsafe" {
-					return types.Unsafe, nil
-				}
-				if pkg, ok := checked[path]; ok {
-					return pkg, nil
-				}
-				return nil, fmt.Errorf("%s not checked before its importer", path)
-			}),
-			Sizes: types.SizesFor("gc", runtime.GOARCH),
-		}
-		var info *types.Info
-		if p.Standard {
-			// Only the standard library's declarations matter here.
-			conf.IgnoreFuncBodies = true
-			conf.Error = func(error) {}
-		} else {
-			info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil && !p.Standard {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = pkg
-		if !p.Standard {
-			module = append(module, modulePackage{p.ImportPath, files, info})
-		}
-	}
-
-	modulePath := module[len(module)-1].path
-	if i := strings.IndexByte(modulePath, '/'); i >= 0 {
-		modulePath = modulePath[:i]
-	}
-	internalPrefix := modulePath + "/internal/"
+	m := checkModule(t)
+	internalPrefix := m.path + "/internal/"
 
 	// Every exported declaration of internal/, with the span of its own
 	// declaration, and the receiver type expressions of its methods.
@@ -135,7 +72,7 @@ func TestNoDeadSurface(t *testing.T) {
 	decls := map[types.Object]*decl{}
 	ownReceiver := map[*ast.Ident]bool{}
 	var methods []*types.Func
-	for _, mp := range module {
+	for _, mp := range m.packages {
 		rel, ok := strings.CutPrefix(mp.path, internalPrefix)
 		if !ok {
 			continue
@@ -163,18 +100,18 @@ func TestNoDeadSurface(t *testing.T) {
 							return true
 						})
 					}
-					decls[fn] = &decl{key, fset.Position(d.Pos()), d.Pos(), d.End()}
+					decls[fn] = &decl{key, m.fset.Position(d.Pos()), d.Pos(), d.End()}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
 							if s.Name.IsExported() {
-								decls[mp.info.Defs[s.Name]] = &decl{rel + "." + s.Name.Name, fset.Position(s.Pos()), s.Pos(), s.End()}
+								decls[mp.info.Defs[s.Name]] = &decl{rel + "." + s.Name.Name, m.fset.Position(s.Pos()), s.Pos(), s.End()}
 							}
 						case *ast.ValueSpec:
 							for _, name := range s.Names {
 								if name.IsExported() {
-									decls[mp.info.Defs[name]] = &decl{rel + "." + name.Name, fset.Position(name.Pos()), s.Pos(), s.End()}
+									decls[mp.info.Defs[name]] = &decl{rel + "." + name.Name, m.fset.Position(name.Pos()), s.Pos(), s.End()}
 								}
 							}
 						}
@@ -188,7 +125,7 @@ func TestNoDeadSurface(t *testing.T) {
 	// methods they call.
 	used := map[types.Object]bool{}
 	interfaces := map[*types.Interface]bool{}
-	for _, mp := range module {
+	for _, mp := range m.packages {
 		for id, obj := range mp.info.Uses {
 			obj = origin(obj)
 			if d, ok := decls[obj]; ok && (ownReceiver[id] || d.from <= id.Pos() && id.Pos() < d.to) {
@@ -206,11 +143,11 @@ func TestNoDeadSurface(t *testing.T) {
 	// (container/heap, sort, io, fmt.Stringer, error), out of sight of a
 	// scan of the module's files.
 	interfaces[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = true
-	for _, mp := range module {
+	for _, mp := range m.packages {
 		for _, f := range mp.files {
 			for _, imp := range f.Imports {
-				pkg := checked[strings.Trim(imp.Path.Value, `"`)]
-				if pkg == nil || strings.HasPrefix(pkg.Path(), modulePath+"/") {
+				pkg := m.checked[strings.Trim(imp.Path.Value, `"`)]
+				if pkg == nil || strings.HasPrefix(pkg.Path(), m.path+"/") {
 					continue
 				}
 				for _, name := range pkg.Scope().Names() {
@@ -264,6 +201,158 @@ func TestNoDeadSurface(t *testing.T) {
 			t.Errorf("allowlist entry %s has a non-test use now; drop it", d.key)
 		}
 	}
+}
+
+// singleImplementationAllowlist names the exported interfaces of
+// internal/ that stay with fewer than two implementations, each with its
+// reason. Keys are "pkg.Name", pkg relative to internal/.
+var singleImplementationAllowlist = map[string]string{}
+
+// TestNoSingleImplementationInterface fails on any exported interface
+// declared in internal/ that fewer than two named types of the module's
+// non-test files satisfy (by T or *T), unless the allowlist names it. An
+// interface with one implementation stands in for its concrete type: it
+// says the contract twice, and callers assert back to the type for what
+// it leaves out.
+func TestNoSingleImplementationInterface(t *testing.T) {
+	m := checkModule(t)
+	internalPrefix := m.path + "/internal/"
+	type iface struct {
+		key string
+		pos token.Position
+		typ *types.Interface
+	}
+	var ifaces []iface
+	var concrete []*types.Named
+	for _, mp := range m.packages {
+		rel, internal := strings.CutPrefix(mp.path, internalPrefix)
+		scope := mp.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := n.Underlying().(*types.Interface); ok {
+				if internal && tn.Exported() {
+					ifaces = append(ifaces, iface{rel + "." + name, m.fset.Position(tn.Pos()), it})
+				}
+				continue
+			}
+			concrete = append(concrete, n)
+		}
+	}
+	found := map[string]bool{}
+	for _, in := range ifaces {
+		found[in.key] = true
+		var impls []string
+		for _, n := range concrete {
+			if types.Implements(n, in.typ) || types.Implements(types.NewPointer(n), in.typ) {
+				impls = append(impls, n.Obj().Pkg().Name()+"."+n.Obj().Name())
+			}
+		}
+		_, allowed := singleImplementationAllowlist[in.key]
+		switch {
+		case allowed && len(impls) >= 2:
+			t.Errorf("allowlist entry %s has %d implementations now; drop it", in.key, len(impls))
+		case !allowed && len(impls) < 2:
+			t.Errorf("%s:%d: interface %s has %d implementation(s) %v; use the concrete type or allowlist it with a reason",
+				in.pos.Filename, in.pos.Line, in.key, len(impls), impls)
+		}
+	}
+	for key := range singleImplementationAllowlist {
+		if !found[key] {
+			t.Errorf("allowlist entry %s names nothing; drop it", key)
+		}
+	}
+}
+
+// modulePackage is one of the module's packages, type-checked from its
+// non-test files.
+type modulePackage struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// checkedModule is the module's non-test files, type-checked.
+type checkedModule struct {
+	fset     *token.FileSet
+	path     string          // the module path
+	packages []modulePackage // the module's packages, dependencies first
+	// checked holds every checked package, the standard library's
+	// included, by import path.
+	checked map[string]*types.Package
+}
+
+// checkModule type-checks the module's non-test files, and the standard
+// library's declarations they import. It skips the calling test under
+// -race or without a go command.
+func checkModule(t *testing.T) checkedModule {
+	if raceEnabled {
+		t.Skip("a static scan; the race detector adds nothing to it")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go command:", err)
+	}
+	pkgs := listPackages(t)
+	fset := token.NewFileSet()
+	checked := map[string]*types.Package{}
+	var module []modulePackage
+	for _, p := range pkgs {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil && !p.Standard {
+				t.Fatal(err)
+			}
+			if f != nil {
+				files = append(files, f)
+			}
+		}
+		importMap := p.ImportMap
+		conf := types.Config{
+			Importer: importerFunc(func(path string) (*types.Package, error) {
+				if mapped, ok := importMap[path]; ok {
+					path = mapped
+				}
+				if path == "unsafe" {
+					return types.Unsafe, nil
+				}
+				if pkg, ok := checked[path]; ok {
+					return pkg, nil
+				}
+				return nil, fmt.Errorf("%s not checked before its importer", path)
+			}),
+			Sizes: types.SizesFor("gc", runtime.GOARCH),
+		}
+		var info *types.Info
+		if p.Standard {
+			// Only the standard library's declarations matter here.
+			conf.IgnoreFuncBodies = true
+			conf.Error = func(error) {}
+		} else {
+			info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil && !p.Standard {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		if !p.Standard {
+			module = append(module, modulePackage{p.ImportPath, files, info, pkg})
+		}
+	}
+
+	modulePath := module[len(module)-1].path
+	if i := strings.IndexByte(modulePath, '/'); i >= 0 {
+		modulePath = modulePath[:i]
+	}
+	return checkedModule{fset, modulePath, module, checked}
 }
 
 // listPackages returns the module's packages and everything they import,
