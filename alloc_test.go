@@ -24,7 +24,8 @@ import (
 // TestAllocBudgets enforces the committed allocation budgets of the
 // frontend hot path (BENCH_allocs.json): classify, render, a render
 // cache hit, a render cache miss, and a /metrics scrape, measured with
-// testing.AllocsPerRun — and of the stage kernel, per request. Any increase over a committed budget fails the
+// testing.AllocsPerRun — and of the stage kernel and the Responses call
+// after it, per request. Any increase over a committed budget fails the
 // build (the alloc-gate CI job); improvements print a reminder to
 // re-baseline. Re-baseline deliberately with:
 //
@@ -191,8 +192,10 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	})
 
 	// stage_kernel: the final stage kernel of a full 128-lane cohort, the
-	// launch every serving path spends its time in, per request.
-	m["stage_kernel"] = stageKernelAllocs(t)
+	// launch every serving path spends its time in, per request; and
+	// responses: Responses of that cohort, the rendered row a request
+	// gives its caller plus the call's share.
+	m["stage_kernel"], m["responses"] = cohortAllocs(t)
 
 	if bad {
 		t.Fatal("a measured path failed while counting allocations")
@@ -200,12 +203,13 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	return m
 }
 
-// stageKernelAllocs binds full cohorts of banking transfers (a 16 KB page
+// cohortAllocs binds full cohorts of banking transfers (a 16 KB page
 // behind one backend round trip) on one device slot, as
 // BenchmarkStageKernelEmit does, and returns the fewest allocations a
-// request the final stage kernel's launch made over the cohorts after the
-// first, which sets up the lanes' contexts and rows.
-func stageKernelAllocs(t *testing.T) float64 {
+// request the final stage kernel's launch made, and the fewest the
+// Responses call after it made, over the cohorts after the first, which
+// sets up the lanes' contexts.
+func cohortAllocs(t *testing.T) (stageKernel, responses float64) {
 	t.Helper()
 	const lanes = 128
 	sessions := session.NewArray(256, 64)
@@ -225,24 +229,29 @@ func stageKernelAllocs(t *testing.T) float64 {
 	slot := banking.NewWorkload().NewSlot(dev, lanes, service.TitanB)
 	stream := dev.NewStream()
 	var ms runtime.MemStats
-	fewest := math.Inf(1)
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	stageKernel, responses = math.Inf(1), math.Inf(1)
 	for i := 0; i < 8; i++ {
 		unit := slot.Bind(int(banking.Transfer), reqs, sessions, be)
 		stream.Launch(unit.Stage(0), lanes, nil)
 		eng.Run()
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
+		before := mallocs()
 		stream.Launch(unit.Stage(1), lanes, nil)
 		eng.Run()
-		runtime.ReadMemStats(&ms)
+		emitted := mallocs()
 		if unit.Failed(0) {
 			t.Fatal("the transfer cohort took the error path")
 		}
+		unit.Responses()
 		if i > 0 {
-			fewest = min(fewest, float64(ms.Mallocs-before)/lanes)
+			stageKernel = min(stageKernel, float64(emitted-before)/lanes)
+			responses = min(responses, float64(mallocs()-emitted)/lanes)
 		}
 	}
-	return fewest
+	return stageKernel, responses
 }
 
 // setCookieValue extracts the Set-Cookie value from a raw HTTP response.

@@ -202,7 +202,11 @@ type StageExec struct {
 // in the cluster or the fabric keeps a reference to them or writes them
 // again, however the executing slot is reused, so they stay valid and
 // unchanged for as long as the caller holds them (a Result has no
-// release to say otherwise).
+// release to say otherwise). RenderStart and RenderDur are the wall
+// clock spent producing Resps: on a device, rendering every page from
+// its lane's context after the last stage kernel (PageUnit.Responses,
+// on the device's host workers); on the host path, executing and
+// rendering each request.
 type Result struct {
 	Resps       [][]byte
 	Stages      []StageExec

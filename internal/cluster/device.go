@@ -344,8 +344,8 @@ func (l *lockedBackend) Handle(req []byte) []byte {
 // SetWriteHook implements service.Backend by registering on the store.
 func (l *lockedBackend) SetWriteHook(fn func(uid uint64)) { l.g.bes[l.w].SetWriteHook(fn) }
 
-// writeback transposes the responses to row-major, copies them out of
-// device memory, and completes the unit.
+// writeback transposes the responses to row-major, renders them for
+// the result, and completes the unit.
 func (d *device) writeback(u *Unit, unit *service.PageUnit, stream *simt.Stream, slot, count int, launchStart sim.Time, res *Result) {
 	unit.Writeback(stream)
 	stream.Barrier(func() {

@@ -155,9 +155,11 @@ func (w *ResponseWriter) Finish() []byte {
 	return w.buf[:w.n]
 }
 
-// patchContentLength writes n right-aligned into the space-padded field.
+// patchContentLength writes n right-aligned into the space-padded field,
+// formatting into a stack array rather than a string.
 func patchContentLength(field []byte, n int) {
-	s := strconv.Itoa(n)
+	var digits [20]byte
+	s := strconv.AppendInt(digits[:0], int64(n), 10)
 	if len(s) > len(field) {
 		panic("httpx: content length exceeds pad")
 	}

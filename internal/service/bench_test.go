@@ -11,23 +11,20 @@ import (
 	"rhythm/internal/simt"
 )
 
-// BenchmarkStageKernelEmit times the launch that builds, renders and
-// emits the pages: the final stage kernel of one full 128-lane cohort of
-// a 16 KB class (banking transfer), on the host, per request. Binding
-// and the stage-0 launch before it run off the clock; ns/req, B/req and
-// allocs/req cover the final launch alone. The unit keeps its rows (no
-// Responses call), as internal/pipeline's do, so the 16 KB a request's
-// response row costs when it is given away is BenchmarkBindAndResponses'
-// to report.
+// BenchmarkStageKernelEmit times the launch that builds the pages and
+// prices their emission: the final stage kernel of one full 128-lane
+// cohort of a 16 KB class (banking transfer), on the host, per request.
+// Binding and the stage-0 launch before it run off the clock; ns/req,
+// B/req and allocs/req cover the final launch alone. The kernel renders
+// nothing, so the 16 KB row a request's response costs when it is read
+// is BenchmarkBindAndResponses' to report.
 func BenchmarkStageKernelEmit(b *testing.B) {
 	benchmarkCohort(b, false)
 }
 
 // BenchmarkBindAndResponses times the egress around the launches, per
-// request: Bind on a slot whose rows the last cohort's Responses gave
-// away, and Responses after the final kernel. The rows themselves — one
-// class-sized allocation a request — are made inside the final launch,
-// by the lanes, and show in neither benchmark's B/req.
+// request: Bind, and Responses after the final kernel, which renders
+// every page into a fresh class-sized row on the device's host workers.
 func BenchmarkBindAndResponses(b *testing.B) {
 	benchmarkCohort(b, true)
 }

@@ -20,7 +20,7 @@ type RefUnit struct{ *PageUnit }
 
 // Reference rebuilds u, bound on a fresh slot, as its reference.
 func Reference(u *PageUnit) RefUnit {
-	pc, m := u.pc, u.pc.mem
+	pc, m := u.pc, u.pc.dev.Mem
 	pc.breqBuf = m.Alloc(pc.size*BackendRequestSlot, 256)
 	pc.brespBuf = m.Alloc(pc.size*BackendResponseSlot, 256)
 	pc.respCol = m.Alloc(pc.size*pc.class, 256)
@@ -30,7 +30,7 @@ func Reference(u *PageUnit) RefUnit {
 
 func (u RefUnit) Responses() [][]byte {
 	pc := u.pc
-	slab := pc.mem.Read(pc.respRow, pc.count*pc.class)
+	slab := pc.dev.Mem.Read(pc.respRow, pc.count*pc.class)
 	out := make([][]byte, pc.count)
 	for i := range out {
 		out[i] = slab[i*pc.class : (i+1)*pc.class]
@@ -104,7 +104,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		// A blank slot is stored for its price; the deferred commit
 		// overwrites it, unpriced.
 		simt.StoreColumn(t, pc.brespBuf, r, pc.size, 0, make([]byte, BackendResponseSlot))
-		m, be := pc.mem, pc.be
+		m, be := pc.dev.Mem, pc.be
 		t.Defer(func() {
 			slot := make([]byte, BackendResponseSlot)
 			pc.brespLen[r] = copy(slot, handle(be, breq))

@@ -17,11 +17,15 @@ import (
 // in lockstep — and the cost accounting the simulator performs on it.
 //
 // The kernels price that layout and do not re-enact it: a backend slot's
-// bytes live once, in its row-major twin in device memory; a response's
-// live once, in a row the bound unit owns until Responses hands it to the
-// caller; and every column-major image, and the responses' row-major one,
-// is reserved address space whose loads, stores and transposes are
-// charged exactly as if the bytes moved (simt/column.go).
+// bytes live once, in its row-major twin in device memory; every
+// column-major image, and the responses' row-major one, is reserved
+// address space whose loads, stores and transposes are charged exactly
+// as if the bytes moved (simt/column.go); and a response is not rendered
+// by the kernel that prices its store. A rendered page is always its
+// class's size, so what the store costs needs no bytes: the lane's
+// context holds the finished page, and whoever reads the response —
+// Responses for the caller, Response for one lane in place — renders it
+// from there.
 
 // Device-side cost constants: on-device backend lookups (Titan B/C run
 // Besim as a device kernel, §5.3.2) and session-array work beyond the
@@ -57,7 +61,7 @@ var TitanB = Variant{Padding: true, ColMajor: true}
 type pageCohort struct {
 	w     *PageWorkload
 	v     Variant
-	mem   *mem.Memory
+	dev   *simt.Device
 	local int
 	def   *SvcDef
 	size  int
@@ -71,7 +75,7 @@ type pageCohort struct {
 	// size: what a host backend's transposes ship over the bus (§5.3.2)
 	// and what a device backend reads in place. respRow — what the
 	// response transpose produces (§4.3.2) and what row-major mode stores
-	// to — is reserved too: the response bytes live in rows.
+	// to — is reserved too: responses are rendered when they are read.
 	breqBuf  mem.Addr
 	breqRow  mem.Addr
 	brespBuf mem.Addr
@@ -79,11 +83,8 @@ type pageCohort struct {
 	respCol  mem.Addr
 	respRow  mem.Addr
 
-	// rows[r] is lane r's response, class bytes the lane allocates when
-	// it first emits and renders into ever after — until Responses gives
-	// the row away and the lane's next emit allocates another. A row is
-	// written once, by the lane that renders it, and by nothing else.
-	rows [][]byte
+	// page is the one class-byte buffer Response renders a lane into.
+	page []byte
 	// breqLen[r] and brespLen[r] are the live bytes of lane r's backend
 	// slots; the rest of a slot is zero. Stage functions and backends are
 	// handed exactly the live bytes, as on the host path.
@@ -108,14 +109,13 @@ type pageCohort struct {
 }
 
 func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int) *pageCohort {
-	pc := &pageCohort{w: w, v: v, mem: dev.Mem, size: size, class: class}
+	pc := &pageCohort{w: w, v: v, dev: dev, size: size, class: class}
 	pc.breqBuf = dev.Mem.Reserve(size*BackendRequestSlot, 256)
 	pc.breqRow = dev.Mem.Alloc(size*BackendRequestSlot, 256)
 	pc.brespBuf = dev.Mem.Reserve(size*BackendResponseSlot, 256)
 	pc.brespRow = dev.Mem.Alloc(size*BackendResponseSlot, 256)
 	pc.respCol = dev.Mem.Reserve(size*class, 256)
 	pc.respRow = dev.Mem.Reserve(size*class, 256)
-	pc.rows = make([][]byte, size)
 	pc.breqLen = make([]int, size)
 	pc.brespLen = make([]int, size)
 	pc.reqs = make([]httpx.Request, size)
@@ -139,7 +139,7 @@ func (pc *pageCohort) commit(r int) {
 
 // row returns request r's slot of a backend slot's row-major twin.
 func (pc *pageCohort) row(twin mem.Addr, r, slot int) []byte {
-	return pc.mem.Bytes(twin+mem.Addr(r*slot), slot)
+	return pc.dev.Mem.Bytes(twin+mem.Addr(r*slot), slot)
 }
 
 // fillSlot copies data, which fits, into a backend slot that held old
@@ -201,7 +201,7 @@ func (s *Slot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be
 // transpose), then — after a stream barrier — per-request response
 // extraction. It also carries what internal/pipeline's Titan A and
 // Titan C emulations need: the host-backend round trip, straggler
-// shedding, the over-the-bus response path, and one response row in
+// shedding, the over-the-bus response path, and one response read in
 // place.
 type PageUnit struct {
 	pc       *pageCohort
@@ -234,37 +234,42 @@ func (u *PageUnit) Writeback(stream *simt.Stream) {
 }
 
 // ResponsesD2H prices shipping the row-major responses over the bus
-// (Titan A), then calls done. The bytes stay where they are: Response
-// reads them in place.
+// (Titan A), then calls done. It moves no bytes: Response and Responses
+// render them on the host when they are read.
 func (u *PageUnit) ResponsesD2H(stream *simt.Stream, done func()) {
 	stream.ChargeD2H(u.pc.count*u.pc.class, done)
 }
 
-// Responses hands over every request's rendered response, in request
-// order. Valid only after a barrier following Writeback, and once per
-// Bind: the slices become the caller's — the unit keeps no reference,
-// never writes them again, and a later Bind of the slot cannot reach
-// them — so they may be kept for any length of time and handed to other
-// goroutines. Each is capped at its own length, so appending to one
-// never reaches another. A result has no release, so the unit cannot
-// lend its rows; it gives them away, and the lanes of the slot's next
-// cohort allocate their own.
+// Responses renders every request's response, in request order, each
+// into a fresh class-byte row, on the device's host workers (a cohort's
+// pages are tens of KB each, too much to render on the one device
+// goroutine). Valid after the final stage kernel has run and until the
+// slot's next Bind, in any order with Response and any number of times.
+// The rows are the caller's: the unit keeps no reference and never
+// writes them again, so they may be kept for any length of time and
+// handed to other goroutines. Each is capped at its own length, so
+// appending to one never reaches another.
 func (u *PageUnit) Responses() [][]byte {
 	pc := u.pc
 	out := make([][]byte, pc.count)
-	copy(out, pc.rows)
-	clear(pc.rows[:pc.count])
+	pc.dev.ForEachLane(pc.count, func(r int) {
+		out[r] = pc.ctxs[r].Render(make([]byte, pc.class))
+	})
 	return out
 }
 
-// Response is request i's response, in place: valid until the slot's
-// next Bind, and only on a unit whose Responses has not been called.
+// Response renders request i's response into a buffer the unit keeps
+// and reuses: valid until the next Response call or the slot's next
+// Bind, and, like Responses, only after the final stage kernel has run.
 func (u *PageUnit) Response(i int) []byte {
 	pc := u.pc
 	if i < 0 || i >= pc.count {
 		panic(fmt.Sprintf("service: response row %d out of range (count %d)", i, pc.count))
 	}
-	return pc.rows[i]
+	if pc.page == nil {
+		pc.page = make([]byte, pc.class)
+	}
+	return pc.ctxs[i].Render(pc.page)
 }
 
 // Failed reports whether request i took the kernel error path.
@@ -351,7 +356,9 @@ func (pageStageProgram) Entry() simt.BlockID { return 0 }
 func (p pageStageProgram) LaunchFootprint() simt.Footprint {
 	switch p.u.pc.def.Session {
 	case SessionCreates, SessionDeletes:
-		return simt.Footprint{Writes: []any{p.u.sessions}}
+		// Which slot a create takes, and whether it finds one, depends on
+		// the creates before it: they must run in lane order.
+		return simt.Footprint{Writes: []any{p.u.sessions}, Ordered: true}
 	case SessionOptional, SessionRequired:
 		if p.stage == 0 {
 			return simt.Footprint{Reads: []any{p.u.sessions}}
@@ -454,21 +461,19 @@ func (p pageStageProgram) chargeDelta(t *simt.Thread, r int) {
 	}
 }
 
-// emit renders the full fixed-size response into the lane's row —
-// allocated here, by the lane, when the last one was given away: a new
-// row is zeroed memory, and that is work for the warp's host worker, not
-// for the device goroutine that binds — and charges its store into the
-// response buffer. A padded page goes out as one store: every lane
-// writes the same offsets, so the accesses coalesce. With padding off
-// the page is stored section by section, each starting at the lane's own
-// alignment mark; the marks drift from lane to lane and the stores
-// scatter (§4.3.2).
+// emit charges the store of the lane's full fixed-size response into
+// the response buffer, and renders nothing: the page is always class
+// bytes, so its price needs no bytes, and Responses or Response renders
+// it when it is read. What would make the render panic — a header of
+// other than the type's fixed width, a body that outgrows the class — is
+// checked here, so a mis-sized page fails in the kernel that emits it.
+// A padded page goes out as one store: every lane writes the same
+// offsets, so the accesses coalesce. With padding off the page is stored
+// section by section, each starting at the lane's own alignment mark;
+// the marks drift from lane to lane and the stores scatter (§4.3.2).
 func (p pageStageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
 	pc := p.u.pc
-	if pc.rows[r] == nil {
-		pc.rows[r] = make([]byte, pc.class)
-	}
-	resp := ctx.Render(pc.rows[r])
+	ctx.checkGeometry()
 	lo := 0
 	if !pc.v.Padding {
 		for _, m := range ctx.Page.Marks() {
@@ -477,7 +482,7 @@ func (p pageStageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
 			lo = hi
 		}
 	}
-	pc.chargeStore(t, r, lo, len(resp)-lo)
+	pc.chargeStore(t, r, lo, pc.class-lo)
 }
 
 // chargeStore prices the store of n bytes at byte offset start of

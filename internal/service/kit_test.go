@@ -126,10 +126,15 @@ func telemetryWorld(t testing.TB, local, n int, bad func(int) bool) world {
 		case telemetry.Ingest:
 			body := fmt.Sprintf("dev=%s&f=%04x", dev, i)
 			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("POST /t/ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))
+		case telemetry.Subscribe:
+			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /t/subscribe?dev=%s&sub=%d HTTP/1.1\r\n\r\n", dev, i)))
 		case telemetry.Poll:
 			broker.Handle([]byte(fmt.Sprintf("SUB 7 %d", i)))
 			broker.Handle([]byte(fmt.Sprintf("PUB 7 %04x", i)))
 			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /t/poll?dev=%s&sub=%d HTTP/1.1\r\n\r\n", dev, i)))
+		case telemetry.Status:
+			broker.Handle([]byte(fmt.Sprintf("PUB 7 %04x", i)))
+			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /t/status?dev=%s HTTP/1.1\r\n\r\n", dev)))
 		default:
 			t.Fatalf("telemetryWorld: no recipe for type %d", local)
 		}
@@ -184,8 +189,14 @@ type stageChain interface {
 // write-through build (service.Reference).
 func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v service.Variant, reference bool) deviceRun {
 	t.Helper()
+	return runDeviceOn(t, simt.GTXTitan(), w, local, wd, v, reference)
+}
+
+// runDeviceOn is runDevice on a device of configuration cfg.
+func runDeviceOn(t *testing.T, cfg simt.Config, w *service.PageWorkload, local int, wd world, v service.Variant, reference bool) deviceRun {
+	t.Helper()
 	eng := sim.NewEngine()
-	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
+	dev := simt.NewDevice(eng, cfg, deviceMem, nil)
 	unit := w.NewSlot(dev, len(wd.reqs), v).Bind(local, wd.reqs, wd.sessions, wd.be)
 	var chain stageChain = unit
 	if reference {

@@ -24,6 +24,7 @@ import (
 type PageWorkload struct {
 	name       string
 	cookieName string
+	zeroCookie string // the Set-Cookie value of a response without a session
 	costs      Costs
 	defs       []SvcDef
 	byPath     map[string]int
@@ -73,6 +74,7 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 	w := &PageWorkload{
 		name:       cfg.Name,
 		cookieName: cfg.CookieName,
+		zeroCookie: cfg.CookieName + "=0000000000000000",
 		costs:      cfg.Costs,
 		defs:       cfg.Defs,
 		byPath:     make(map[string]int),
@@ -196,7 +198,7 @@ func (w *PageWorkload) classes() []int {
 // back out of device memory: the row-major backend request and response
 // slots of one cohort per distinct buffer class. The column images and
 // the response buffers are reserved address space (kernels.go) and take
-// no backing; the response bytes live in rows the bound unit owns.
+// no backing; a response is rendered when it is read.
 func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
 	return int64(len(w.classes())) * int64(cohortSize) * (BackendRequestSlot + BackendResponseSlot)
 }

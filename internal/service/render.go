@@ -15,11 +15,21 @@ import (
 
 // headerLen computes a type's fixed header size for workload w.
 func (w *PageWorkload) headerLen(def *SvcDef) int {
-	n := 17 // "HTTP/1.1 200 OK\r\n"
-	n += 14 + len(def.contentType()) + 2
-	n += 24 // "Connection: keep-alive\r\n"
+	cookie := ""
 	if w.sendsCookie(def) {
-		n += 12 + len(w.cookieName) + 1 + 16 + 2
+		cookie = w.zeroCookie
+	}
+	return headerWidth(def.contentType(), cookie)
+}
+
+// headerWidth is the length of the header httpx.ResponseWriter.StartOK
+// writes for contentType and setCookie.
+func headerWidth(contentType, setCookie string) int {
+	n := 17 // "HTTP/1.1 200 OK\r\n"
+	n += 14 + len(contentType) + 2
+	n += 24 // "Connection: keep-alive\r\n"
+	if setCookie != "" {
+		n += 12 + len(setCookie) + 2
 	}
 	n += 16 + httpx.ContentLengthPad + 4
 	return n
@@ -38,6 +48,38 @@ func (def *SvcDef) contentType() string {
 	return def.ContentType
 }
 
+// setCookie is the Set-Cookie value ctx's response carries: "" when
+// its type sends none, the all-zero cookie when it has no session.
+func (ctx *Ctx) setCookie() string {
+	w := ctx.w
+	if !w.sendsCookie(ctx.Def) {
+		return ""
+	}
+	if ctx.NewCookie == "" {
+		return w.zeroCookie
+	}
+	return ctx.NewCookie
+}
+
+// checkGeometry panics unless ctx's page renders to its type's fixed
+// geometry: a header of the type's fixed width and a body that fits the
+// buffer behind it. Either failure is a programming error (a cookie of
+// the wrong width, a section budget larger than the buffer). The stage
+// kernel checks it where it emits, by arithmetic, so the page fails in
+// the kernel and not whenever its response is read.
+func (ctx *Ctx) checkGeometry() {
+	w, def := ctx.w, ctx.Def
+	cookie := ctx.setCookie()
+	if n := headerWidth(def.contentType(), cookie); n != def.headerLen {
+		panic(fmt.Sprintf("service: %s/%s header length %d, want %d (cookie %q)",
+			w.name, def.Name, n, def.headerLen, cookie))
+	}
+	if n := def.headerLen + ctx.Page.Len(); n > def.BufferBytes {
+		panic(fmt.Sprintf("service: %s/%s response %d bytes overflows its %d-byte buffer",
+			w.name, def.Name, n, def.BufferBytes))
+	}
+}
+
 // Render assembles the finished ctx into buf, which must be exactly the
 // type's buffer size; it returns the full response (== buf).
 func (ctx *Ctx) Render(buf []byte) []byte {
@@ -46,13 +88,7 @@ func (ctx *Ctx) Render(buf []byte) []byte {
 		panic(fmt.Sprintf("service: render buffer %d bytes, want %d", len(buf), def.BufferBytes))
 	}
 	rw := httpx.NewResponseWriter(buf)
-	cookie := ""
-	if w.sendsCookie(def) {
-		cookie = ctx.NewCookie
-		if cookie == "" {
-			cookie = w.cookieName + "=0000000000000000"
-		}
-	}
+	cookie := ctx.setCookie()
 	rw.StartOK(def.contentType(), cookie)
 	if rw.Len() != def.headerLen {
 		panic(fmt.Sprintf("service: %s/%s header length %d, want %d (cookie %q)",

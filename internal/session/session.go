@@ -64,12 +64,11 @@ func (id ID) Bucket(n int) int {
 // > 1) create, look up and delete sessions from multiple host threads,
 // so each bucket carries a host mutex standing in for the per-bucket
 // atomics the device implementation uses (whose device-side cost the
-// SIMT layer charges separately via Thread.Atomic). Bucket locking keeps
-// the occupied-slot set — and therefore every priced quantity — exactly
-// equal to a serial run's; only the (bucket, node) assignment among
-// same-bucket concurrent creates may permute, which changes cookie byte
-// values but never their length, cost, or validity (see DESIGN.md
-// "Host parallelism").
+// SIMT layer charges separately via Thread.Atomic). Creates do not
+// commute — the node a create takes, and whether a full bucket fails
+// it, depend on the creates before it — so the stage kernels that
+// create or delete sessions run their lanes in order (simt.Footprint
+// Ordered; see DESIGN.md "Host parallelism").
 type Array struct {
 	buckets int
 	perB    int

@@ -542,7 +542,8 @@ func (k kernelExec) commit() {
 // the launch with the roofline model. Warps run concurrently on up to
 // Cfg.HostParallelism host workers (see hostpool.go); simulated results
 // are identical to the serial path because each warp owns its scratch
-// and per-warp stats are reduced in warp-index order below.
+// and per-warp stats are reduced in warp-index order below. A launch
+// whose footprint is Ordered runs its warps serially instead.
 // Order-sensitive side effects (Thread.Defer) are NOT run here: they
 // stay in the warps' scratch for flushPending's serial commit phase,
 // which also keeps them off the concurrent path when several launches of
@@ -552,7 +553,11 @@ func (d *Device) execKernel(prog Program, n int) kernelExec {
 	warps := (n + cfg.WarpSize - 1) / cfg.WarpSize
 	results := make([]warpStats, warps)
 	scratch := make([]*warpScratch, warps)
-	parallelFor(cfg.hostWorkers(), warps, func(w int) {
+	workers := cfg.hostWorkers()
+	if fp, ok := prog.(Footprinter); ok && fp.LaunchFootprint().Ordered {
+		workers = 1
+	}
+	parallelFor(workers, warps, func(w int) {
 		// Every warp takes its own scratch — sharing one across warps
 		// would let a kernel's captured *Thread pointers be overwritten by
 		// the next warp, serial or not.
@@ -600,6 +605,15 @@ func (d *Device) execKernel(prog Program, n int) kernelExec {
 		},
 		warps: scratch,
 	}
+}
+
+// ForEachLane runs fn(0..n-1) on the device's host workers
+// (Cfg.HostParallelism), the way a launch's warps run: host-side work
+// per lane that the simulation does not price, such as materializing
+// what a launch only priced. fn must not care which worker runs which
+// lane or in what order.
+func (d *Device) ForEachLane(n int, fn func(lane int)) {
+	parallelFor(d.Cfg.hostWorkers(), n, fn)
 }
 
 // price applies the roofline model: kernel time is the larger of the

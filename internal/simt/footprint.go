@@ -29,6 +29,12 @@ type Footprint struct {
 	// Writes lists shared state the kernel mutates. A token's writer
 	// conflicts with every other launch that reads or writes it.
 	Writes []any
+	// Ordered marks writes that do not commute across the launch's own
+	// lanes — two creates contending for a table's last free slot — so
+	// that what a lane gets must depend on lane order alone: the
+	// launch's warps run one after another on one host worker, in warp
+	// order, which is lane order.
+	Ordered bool
 }
 
 // Footprinter is implemented by Programs that declare their shared-state
