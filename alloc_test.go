@@ -226,7 +226,7 @@ func cohortAllocs(t *testing.T) (stageKernel, responses float64) {
 	}
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), 16<<20, nil)
-	slot := banking.NewWorkload().NewSlot(dev, lanes, service.TitanB)
+	slot := banking.NewWorkload().NewSlot(dev, lanes, service.Live)
 	stream := dev.NewStream()
 	var ms runtime.MemStats
 	mallocs := func() uint64 {

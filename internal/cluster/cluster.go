@@ -190,6 +190,9 @@ type Unit struct {
 }
 
 // StageExec is one stage kernel's execution record within a Result.
+// Start is the wall time the previous stage kernel completed, or the
+// chain began (stage 0); Dur runs from there to this kernel's
+// completion.
 type StageExec struct {
 	Stats simt.LaunchStats
 	Start time.Time

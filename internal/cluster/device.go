@@ -107,7 +107,7 @@ func (d *device) build() {
 	dev := simt.NewDevice(d.eng, d.cl.cfg.Simt, memBytes, nil)
 	for i := 0; i < d.cl.cfg.SlotsPerDevice; i++ {
 		d.streams = append(d.streams, dev.NewStream())
-		d.slots = append(d.slots, reg.NewSlots(dev, d.cl.cfg.CohortSize, service.TitanB))
+		d.slots = append(d.slots, reg.NewSlots(dev, d.cl.cfg.CohortSize, service.Live))
 	}
 	d.cl.statsMu.Lock()
 	d.dev = dev
@@ -285,12 +285,10 @@ func (d *device) stateFor(g int) *groupState {
 	return d.stray
 }
 
-// execute runs a unit's stage-kernel chain on slot's stream: the
-// workload binds the cohort onto the slot, then its n backend + n+1
-// process stage kernels launch back-to-back, then the response
-// transpose and writeback. Identical to the single-device server's
-// chain except that sessions and backends come from the unit's shard
-// group.
+// execute runs a unit on slot's stream: the workload binds the cohort
+// onto the slot, sessions and backends coming from the unit's shard
+// group, and the unit's chain runs (service.PageUnit.Run), each stage
+// kernel stamped with the wall time since the one before it.
 func (d *device) execute(u *Unit, slot int) {
 	if d.dev == nil {
 		d.build()
@@ -300,24 +298,14 @@ func (d *device) execute(u *Unit, slot int) {
 	sp := reg.Spec(u.Type)
 	widx := reg.WorkloadIndex(u.Type)
 	unit := d.slots[slot][widx].Bind(sp.Local, u.Reqs, st.sessions, st.commits[widx])
-	count := len(u.Reqs)
-	stream := d.streams[slot]
 	launchStart := d.eng.Now()
 	res := &Result{Device: d.id, Attempts: u.attempts + 1, Hops: u.hops}
-	stages := unit.Stages()
-	var nextStage func(k int)
-	nextStage = func(k int) {
-		wallStart := time.Now()
-		stream.Launch(unit.Stage(k), count, func(ls simt.LaunchStats) {
-			res.Stages = append(res.Stages, StageExec{Stats: ls, Start: wallStart, Dur: time.Since(wallStart)})
-			if k < stages-1 {
-				nextStage(k + 1)
-				return
-			}
-			d.writeback(u, unit, stream, slot, count, launchStart, res)
-		})
-	}
-	nextStage(0)
+	wallStart := time.Now()
+	unit.Run(d.streams[slot], nil, func(ls simt.LaunchStats) {
+		now := time.Now()
+		res.Stages = append(res.Stages, StageExec{Stats: ls, Start: wallStart, Dur: now.Sub(wallStart)})
+		wallStart = now
+	}, func() { d.complete(u, unit, slot, launchStart, res) })
 }
 
 // lockedBackend is the backend a device cohort binds: one of its group's
@@ -344,28 +332,25 @@ func (l *lockedBackend) Handle(req []byte) []byte {
 // SetWriteHook implements service.Backend by registering on the store.
 func (l *lockedBackend) SetWriteHook(fn func(uid uint64)) { l.g.bes[l.w].SetWriteHook(fn) }
 
-// writeback transposes the responses to row-major, renders them for
-// the result, and completes the unit.
-func (d *device) writeback(u *Unit, unit *service.PageUnit, stream *simt.Stream, slot, count int, launchStart sim.Time, res *Result) {
-	unit.Writeback(stream)
-	stream.Barrier(func() {
-		res.RenderStart = time.Now()
-		res.Resps = unit.Responses()
-		for i := 0; i < count; i++ {
-			if unit.Failed(i) {
-				res.KernelErrs++
-			}
+// complete renders the unit's responses for the result, frees its slot
+// and delivers it.
+func (d *device) complete(u *Unit, unit *service.PageUnit, slot int, launchStart sim.Time, res *Result) {
+	res.RenderStart = time.Now()
+	res.Resps = unit.Responses()
+	for i := range res.Resps {
+		if unit.Failed(i) {
+			res.KernelErrs++
 		}
-		res.RenderDur = time.Since(res.RenderStart)
-		res.DeviceTime = d.eng.Now() - launchStart
-		d.freeSlots = append(d.freeSlots, slot)
-		d.cl.statsMu.Lock()
-		d.outstanding--
-		d.unitsDone++
-		d.mirrorLocked()
-		d.cl.statsMu.Unlock()
-		u.Done(res)
-	})
+	}
+	res.RenderDur = time.Since(res.RenderStart)
+	res.DeviceTime = d.eng.Now() - launchStart
+	d.freeSlots = append(d.freeSlots, slot)
+	d.cl.statsMu.Lock()
+	d.outstanding--
+	d.unitsDone++
+	d.mirrorLocked()
+	d.cl.statsMu.Unlock()
+	u.Done(res)
 }
 
 // pendingWork reports whether the device's simulation still has

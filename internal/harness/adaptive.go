@@ -11,6 +11,7 @@ import (
 	"rhythm/internal/backend"
 	"rhythm/internal/banking"
 	"rhythm/internal/pipeline"
+	"rhythm/internal/service"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
 )
@@ -73,7 +74,7 @@ func CalibrateServiceModel(cfg Config) (a, b float64) {
 	var sn, sx, sy, sxx, sxy float64
 	for _, size := range sizes {
 		eng := sim.NewEngine()
-		po := titanOptions(cfg, pipeline.TitanB)
+		po := titanOptions(cfg, service.TitanB)
 		po.CohortSize = size
 		po.MaxCohorts = 1 // serialize: elapsed/formed is S(n), not S(n)/overlap
 		devCfg := simt.GTXTitan()

@@ -7,8 +7,8 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/httpx"
 	"rhythm/internal/netmodel"
-	"rhythm/internal/pipeline"
 	"rhythm/internal/platform"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/trace"
 )
@@ -141,7 +141,7 @@ func Table3(cfg Config) Table3Result {
 	// Every platform run is independent (private engines throughout), so
 	// the nine Table 3 rows fan out across host workers; fixed slots keep
 	// the row order (and rendered table) identical to a serial run.
-	platforms := []pipeline.Platform{pipeline.TitanA, pipeline.TitanB, pipeline.TitanC}
+	platforms := []service.Platform{service.TitanA, service.TitanB, service.TitanC}
 	res.CPUs = make([]PlatformRun, len(cpuConfigs))
 	res.Titans = make([]PlatformRun, len(platforms))
 	forEach(cfg.hostWorkers(), len(cpuConfigs)+len(platforms), func(i int) {

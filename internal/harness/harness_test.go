@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"rhythm/internal/banking"
-	"rhythm/internal/pipeline"
 	"rhythm/internal/platform"
+	"rhythm/internal/service"
 	"rhythm/internal/sim"
 )
 
@@ -58,7 +58,7 @@ func TestRunCPUARMShape(t *testing.T) {
 
 func TestRunTitanBShape(t *testing.T) {
 	cfg := tinyConfig()
-	run := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB})
+	run := RunTitan(cfg, TitanRunOptions{Platform: service.TitanB})
 	// Paper: 1.535M reqs/s at cohort 4096. At this test's cohort size of
 	// 256 the device is underfilled, so accept a wider band; the
 	// paper-scale check below pins the real number.
@@ -85,7 +85,7 @@ func TestRunTitanBPaperScale(t *testing.T) {
 	cfg.CohortSize = 4096
 	cfg.MaxCohorts = 4
 	cfg.GPUCohortsPerType = 4
-	run := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: []banking.ReqType{banking.AccountSummary}})
+	run := RunTitan(cfg, TitanRunOptions{Platform: service.TitanB, Types: []banking.ReqType{banking.AccountSummary}})
 	// account_summary is heavier than the mix average; the paper's Fig 10
 	// places Titan B per-type throughput at 3.5-5x the i7's ~331K-per-type
 	// ≈ 1.1-1.6M. Accept 0.9-2.5M.
@@ -104,9 +104,9 @@ func TestTitanOrdering(t *testing.T) {
 	// The headline shape: A < B < C in throughput; A is PCIe-bound.
 	cfg := tinyConfig()
 	types := []banking.ReqType{banking.AccountSummary}
-	a := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA, Types: types})
-	b := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: types})
-	c := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanC, Types: types})
+	a := RunTitan(cfg, TitanRunOptions{Platform: service.TitanA, Types: types})
+	b := RunTitan(cfg, TitanRunOptions{Platform: service.TitanB, Types: types})
+	c := RunTitan(cfg, TitanRunOptions{Platform: service.TitanC, Types: types})
 	if !(a.Throughput < b.Throughput && b.Throughput < c.Throughput) {
 		t.Fatalf("ordering violated: A=%.0f B=%.0f C=%.0f", a.Throughput, b.Throughput, c.Throughput)
 	}
@@ -150,7 +150,7 @@ func TestFig2NearLinear(t *testing.T) {
 
 func TestFig9BoundsRespected(t *testing.T) {
 	cfg := tinyConfig()
-	a := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA})
+	a := RunTitan(cfg, TitanRunOptions{Platform: service.TitanA})
 	rows := Fig9(a)
 	for _, row := range rows {
 		if row.Fraction > 1.05 {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"rhythm/internal/pipeline"
+	"rhythm/internal/service"
 	"rhythm/internal/sim"
 )
 
@@ -118,7 +118,7 @@ var Experiments = []Experiment{
 	{Name: "fig9", Ref: "Figure 9", Desc: "Titan A vs PCIe bound",
 		Run: func(s *Session) []Metric {
 			fmt.Fprintln(s.Out, "running Titan A isolation runs...")
-			a := RunTitan(s.Cfg, TitanRunOptions{Platform: pipeline.TitanA})
+			a := RunTitan(s.Cfg, TitanRunOptions{Platform: service.TitanA})
 			RenderFig9(Fig9(a)).Print(s.Out)
 			return platformMetrics(a)
 		}},

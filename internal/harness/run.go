@@ -9,6 +9,7 @@ import (
 	"rhythm/internal/netmodel"
 	"rhythm/internal/pipeline"
 	"rhythm/internal/platform"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
@@ -114,13 +115,11 @@ func RunCPU(cfg Config, cpu platform.CPU, workers int) PlatformRun {
 }
 
 // titanOptions maps platform p onto pipeline options at cfg's scale.
-func titanOptions(cfg Config, p pipeline.Platform) pipeline.Options {
+func titanOptions(cfg Config, p service.Platform) pipeline.Options {
 	return pipeline.Options{
-		Platform:           p,
+		Variant:            service.Variant{Platform: p, Padding: true, ColMajor: true},
 		CohortSize:         cfg.CohortSize,
 		MaxCohorts:         cfg.MaxCohorts,
-		Padding:            true,
-		ColumnMajor:        true,
 		BackendWorkers:     cfg.BackendWorkers,
 		BackendServiceTime: cfg.BackendServiceTime,
 		ValidateEvery:      cfg.ValidateEvery,
@@ -129,7 +128,7 @@ func titanOptions(cfg Config, p pipeline.Platform) pipeline.Options {
 
 // TitanRunOptions carries overrides for sensitivity/ablation studies.
 type TitanRunOptions struct {
-	Platform pipeline.Platform
+	Platform service.Platform
 	// DeviceConfig overrides the GTX Titan (e.g., the single-queue
 	// GTX690 for the HyperQ study).
 	DeviceConfig *simt.Config
@@ -231,7 +230,7 @@ func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banki
 		opts.Mutate(&po)
 	}
 	var bus *sim.Pipe
-	if po.Platform == pipeline.TitanA {
+	if po.Platform == service.TitanA {
 		bps := opts.BusBps
 		if bps == 0 {
 			bps = netmodel.PCIe3Bps

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"rhythm/internal/netmodel"
-	"rhythm/internal/pipeline"
+	"rhythm/internal/service"
 )
 
 // The Rhythm pipeline "is general and could be implemented entirely on a
@@ -40,7 +40,7 @@ type ScaleOutProjectionResult struct {
 // projects scale-out across the IEEE 802.3 link tiers the paper cites
 // (§2.2.1: 100 Gbps and 400 Gbps standards).
 func ScaleOutProjection(cfg Config, counts []int) ScaleOutProjectionResult {
-	run := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB})
+	run := RunTitan(cfg, TitanRunOptions{Platform: service.TitanB})
 	res := ScaleOutProjectionResult{SingleDevice: run.Throughput}
 	linkBound := func(gbps float64) float64 {
 		return gbps * 1e9 / 8 / netmodel.NetworkBytesPerRequest()

@@ -8,6 +8,7 @@ import (
 	"rhythm/internal/netmodel"
 	"rhythm/internal/pipeline"
 	"rhythm/internal/platform"
+	"rhythm/internal/service"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
 )
@@ -36,7 +37,7 @@ func CohortSweep(cfg Config, sizes []int) []CohortSizeRow {
 		if c.GPUCohortsPerType < 2 {
 			c.GPUCohortsPerType = 2
 		}
-		run := RunTitan(c, TitanRunOptions{Platform: pipeline.TitanB, Types: []banking.ReqType{banking.AccountSummary}})
+		run := RunTitan(c, TitanRunOptions{Platform: service.TitanB, Types: []banking.ReqType{banking.AccountSummary}})
 		pt := run.PerType[0]
 		rows[i] = CohortSizeRow{
 			Size:       size,
@@ -140,8 +141,8 @@ func HyperQ(cfg Config) HyperQResult {
 	single.Queues = 1
 	types := []banking.ReqType{banking.AccountSummary, banking.Login}
 	return HyperQResult{
-		SingleQueue: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA, DeviceConfig: &single, Types: types}),
-		HyperQ:      RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA, Types: types}),
+		SingleQueue: RunTitan(cfg, TitanRunOptions{Platform: service.TitanA, DeviceConfig: &single, Types: types}),
+		HyperQ:      RunTitan(cfg, TitanRunOptions{Platform: service.TitanA, Types: types}),
 	}
 }
 
@@ -170,8 +171,8 @@ type PCIe4Result struct {
 // pinned.
 func PCIe4Projection(cfg Config) PCIe4Result {
 	return PCIe4Result{
-		PCIe3: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA}),
-		PCIe4: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanA, BusBps: netmodel.PCIe4Bps}),
+		PCIe3: RunTitan(cfg, TitanRunOptions{Platform: service.TitanA}),
+		PCIe4: RunTitan(cfg, TitanRunOptions{Platform: service.TitanA, BusBps: netmodel.PCIe4Bps}),
 	}
 }
 
@@ -229,7 +230,7 @@ func CPUSIMDStudy(cfg Config) CPUSIMDResult {
 		},
 	}
 	simd := RunTitan(cfg, TitanRunOptions{
-		Platform:     pipeline.TitanB,
+		Platform:     service.TitanB,
 		DeviceConfig: &simdCfg,
 		Power:        power,
 	})
@@ -288,7 +289,7 @@ func StragglerStudy(cfg Config) []StragglerRow {
 			o.StragglerTimeout = timeout
 		}
 		r := RunTitan(cfg, TitanRunOptions{
-			Platform: pipeline.TitanA,
+			Platform: service.TitanA,
 			Types:    []banking.ReqType{banking.BillPay},
 			Mutate:   mutate,
 		})
@@ -331,8 +332,8 @@ type QuickPayResult struct {
 // QuickPayStudy runs both in isolation on Titan B.
 func QuickPayStudy(cfg Config) QuickPayResult {
 	return QuickPayResult{
-		QuickPay: RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: []banking.ReqType{banking.QuickPay}}),
-		BillPay:  RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: []banking.ReqType{banking.BillPay}}),
+		QuickPay: RunTitan(cfg, TitanRunOptions{Platform: service.TitanB, Types: []banking.ReqType{banking.QuickPay}}),
+		BillPay:  RunTitan(cfg, TitanRunOptions{Platform: service.TitanB, Types: []banking.ReqType{banking.BillPay}}),
 	}
 }
 
@@ -358,9 +359,9 @@ type AblationResult struct {
 // AblatePadding disables the §4.3.2 whitespace alignment.
 func AblatePadding(cfg Config) AblationResult {
 	types := []banking.ReqType{banking.AccountSummary}
-	base := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: types})
+	base := RunTitan(cfg, TitanRunOptions{Platform: service.TitanB, Types: types})
 	ablated := RunTitan(cfg, TitanRunOptions{
-		Platform: pipeline.TitanB,
+		Platform: service.TitanB,
 		Types:    types,
 		Mutate:   func(o *pipeline.Options) { o.Padding = false },
 	})
@@ -371,11 +372,11 @@ func AblatePadding(cfg Config) AblationResult {
 // row-major buffers (§4.3.2's strawman).
 func AblateTranspose(cfg Config) AblationResult {
 	types := []banking.ReqType{banking.AccountSummary}
-	base := RunTitan(cfg, TitanRunOptions{Platform: pipeline.TitanB, Types: types})
+	base := RunTitan(cfg, TitanRunOptions{Platform: service.TitanB, Types: types})
 	ablated := RunTitan(cfg, TitanRunOptions{
-		Platform: pipeline.TitanB,
+		Platform: service.TitanB,
 		Types:    types,
-		Mutate:   func(o *pipeline.Options) { o.ColumnMajor = false },
+		Mutate:   func(o *pipeline.Options) { o.ColMajor = false },
 	})
 	return AblationResult{Name: "buffer transpose (column-major layout)", Baseline: base, Ablated: ablated}
 }
@@ -474,7 +475,7 @@ func TimeoutSweep(cfg Config, timeouts []sim.Time, arrivalRate float64) []Timeou
 	var rows []TimeoutRow
 	for _, to := range timeouts {
 		eng := sim.NewEngine()
-		po := titanOptions(cfg, pipeline.TitanB)
+		po := titanOptions(cfg, service.TitanB)
 		po.FormationTimeout = to
 		dev := simt.NewDevice(eng, simt.GTXTitan(), pipeline.DeviceMemory(po), nil)
 		db := backend.New()

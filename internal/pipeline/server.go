@@ -28,40 +28,11 @@ import (
 	"rhythm/internal/stats"
 )
 
-// Platform selects the emulated system of §5.3.2. The zero value is
-// Titan B.
-type Platform int
-
-// The three Rhythm platforms.
-const (
-	// TitanB emulates an SoC-style integrated NIC with the Besim backend
-	// running on the device.
-	TitanB Platform = iota
-	// TitanA is a discrete GPU behind PCIe 3.0: the backend runs on host
-	// worker threads across the bus, and responses ship over it.
-	TitanA
-	// TitanC is TitanB plus a specialized unit that performs the
-	// response transpose off the device's critical path, for no device
-	// time.
-	TitanC
-)
-
-func (p Platform) String() string {
-	switch p {
-	case TitanA:
-		return "Titan A"
-	case TitanB:
-		return "Titan B"
-	case TitanC:
-		return "Titan C"
-	}
-	return "unknown"
-}
-
 // Options selects the platform and tuning knobs.
 type Options struct {
-	// Platform is the Titan A/B/C emulation (default Titan B).
-	Platform Platform
+	// Variant is the Titan A/B/C platform (default Titan B) and the
+	// §6.4 ablations: padding and the cohort buffer transpose.
+	service.Variant
 	// CohortSize is the number of requests per cohort (paper default
 	// 4096).
 	CohortSize int
@@ -71,10 +42,6 @@ type Options struct {
 	// FormationTimeout bounds how long a request waits for its cohort to
 	// fill (0 disables; the paper leaves the value a policy decision).
 	FormationTimeout sim.Time
-	// Padding enables §4.3.2 whitespace alignment.
-	Padding bool
-	// ColumnMajor enables the cohort buffer transpose optimization.
-	ColumnMajor bool
 	// BackendWorkers is the host backend thread count (Titan A).
 	BackendWorkers int
 	// BackendServiceTime is the host backend's per-request service time.
@@ -82,11 +49,12 @@ type Options struct {
 	// ValidateEvery validates one response in every N (0 disables).
 	ValidateEvery int
 
-	// Straggler handling (§3.1): "A similar timeout mechanism could be
-	// used to ensure that stragglers (e.g., long backend accesses) do not
-	// delay other requests in a cohort during execution. Straggler
-	// responses from the backend can either be executed on the host CPU
-	// or added to a subsequent cohort." This implementation re-executes
+	// Straggler handling (§3.1), Titan A only (New panics on any of the
+	// three elsewhere): "A similar timeout mechanism could be used to
+	// ensure that stragglers (e.g., long backend accesses) do not delay
+	// other requests in a cohort during execution. Straggler responses
+	// from the backend can either be executed on the host CPU or added
+	// to a subsequent cohort." This implementation re-executes
 	// stragglers on the host.
 	//
 	// BackendTailProb is the probability a (remote) backend lookup takes
@@ -96,12 +64,13 @@ type Options struct {
 	// StragglerTimeout bounds how long a cohort waits for its backend
 	// round trip; 0 waits forever (no straggler handling).
 	StragglerTimeout sim.Time
-	// HostIPS is the host core's instruction rate used to price straggler
-	// re-execution (defaults to a Core i7 worker).
-	HostIPS float64
 	// Seed drives the backend tail sampler.
 	Seed int64
 }
+
+// hostIPS is the host core's instruction rate that prices straggler
+// re-execution: one Core i7 worker, platform.CoreI7().WorkerIPS.
+const hostIPS = 2.74e10
 
 // Source supplies raw requests to the Reader. Next reports false when the
 // stream is exhausted.
@@ -235,8 +204,11 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 	if opts.CohortSize <= 0 || opts.MaxCohorts <= 0 {
 		panic("pipeline: CohortSize and MaxCohorts must be positive")
 	}
-	if opts.Platform == TitanA && opts.BackendWorkers <= 0 {
+	if opts.Platform == service.TitanA && opts.BackendWorkers <= 0 {
 		panic("pipeline: remote backend needs workers")
+	}
+	if opts.Platform != service.TitanA && (opts.StragglerTimeout != 0 || opts.BackendTailProb != 0 || opts.BackendTailFactor != 0) {
+		panic("pipeline: straggler settings need a remote backend (Titan A)")
 	}
 	s := &Server{
 		eng:      eng,
@@ -247,7 +219,6 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 		bank:     banking.NewWorkload(),
 		stats:    Stats{Latency: stats.NewLatencyRecorder()},
 	}
-	variant := service.Variant{Padding: opts.Padding, ColMajor: opts.ColumnMajor, HostBackend: opts.Platform == TitanA}
 	window := func(banking.ReqType) time.Duration { return time.Duration(opts.FormationTimeout) }
 	s.pool = cohort.NewPool(engineClock{eng}, opts.MaxCohorts, opts.CohortSize, window, nil,
 		func(c *cohort.Context[banking.ReqType, preq], _ cohort.Reason) {
@@ -257,7 +228,7 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 		})
 	for i := 0; i < opts.MaxCohorts; i++ {
 		s.streams = append(s.streams, dev.NewStream())
-		s.slots = append(s.slots, s.bank.NewSlot(dev, opts.CohortSize, variant))
+		s.slots = append(s.slots, s.bank.NewSlot(dev, opts.CohortSize, opts.Variant))
 		s.reqs = append(s.reqs, make([]httpx.Request, 0, opts.CohortSize))
 	}
 	// Double-buffered reader (§4.2).
@@ -269,14 +240,11 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 			raws:   make([][]byte, 0, opts.CohortSize),
 		})
 	}
-	if opts.Platform == TitanA {
+	if opts.Platform == service.TitanA {
 		s.backendSrv = sim.NewServer(eng, opts.BackendWorkers)
 	}
 	if opts.StragglerTimeout > 0 {
 		s.hostSrv = sim.NewServer(eng, 2)
-		if s.opts.HostIPS == 0 {
-			s.opts.HostIPS = 2.74e10 // one Core i7 worker
-		}
 	}
 	s.rng = rand.New(rand.NewSource(opts.Seed + 0x5bd1))
 	return s
@@ -398,14 +366,14 @@ func (s *Server) feedReader() {
 	image := banking.PackRequests(rb.raws)
 	// H2D of the raw request image (over the bus on discrete platforms).
 	rb.stream.MemcpyH2D(rb.pb.Buf, image, nil)
-	if s.opts.ColumnMajor {
+	if s.opts.ColMajor {
 		// In-device transpose of the arrival image to the
 		// word-interleaved layout the parser reads (§4.3.2 "request
 		// buffer transpose"). Only the first `count` slots hold data.
 		rb.stream.TransposeLive(rb.pb.ColBuf, rb.pb.Buf, rb.pb.Size, banking.RequestSlot/4, 4,
 			count, banking.RequestSlot/4, nil)
 	}
-	args := banking.ParserArgs{Batch: rb.pb, ColMajor: s.opts.ColumnMajor}
+	args := banking.ParserArgs{Batch: rb.pb, ColMajor: s.opts.ColMajor}
 	rb.stream.Launch(banking.NewParserProgram(args), count, func(simt.LaunchStats) {
 		s.dispatchBatch(rb, count)
 	})
@@ -450,98 +418,75 @@ func (s *Server) dispatchBatch(rb *readerBatch, count int) {
 // stages and n+1 process stages (§3.1), then the response stage.
 func (s *Server) runCohort(c *cohort.Context[banking.ReqType, preq]) {
 	prs := c.Requests()
-	t := prs[0].t
 	reqs := s.reqs[c.ID][:0]
 	for _, pr := range prs {
 		reqs = append(reqs, pr.req)
 	}
-	unit := s.slots[c.ID].Bind(int(t), reqs, s.sessions, s.db)
-	stream := s.streams[c.ID]
-	count := len(reqs)
-
+	unit := s.slots[c.ID].Bind(int(prs[0].t), reqs, s.sessions, s.db)
 	stragglers := make(map[int]bool)
-	var nextStage func(k int)
-	nextStage = func(k int) {
-		stream.Launch(unit.Stage(k), count, func(simt.LaunchStats) {
-			if k < unit.Stages()-1 {
-				if s.opts.Platform == TitanA {
-					s.hostBackend(c, unit, stream, count, stragglers, func() { nextStage(k + 1) })
-				} else {
-					// Besim ran chained inside the kernel.
-					nextStage(k + 1)
-				}
-				return
-			}
-			s.respond(c, t, unit, stream, count, stragglers)
-		})
-	}
-	nextStage(0)
+	unit.Run(s.streams[c.ID], func(image []byte, reply func(resp []byte)) {
+		s.hostBackend(c, unit, image, stragglers, reply)
+	}, nil, func() { s.respond(c, unit, stragglers) })
 }
 
-// hostBackend performs one remote-backend round trip for a cohort:
-// transpose + D2H of the request slots, host execution on worker
-// threads, H2D + transpose of the responses (§5.3.2, Titan A). With a
-// straggler timeout configured, the cohort proceeds when the deadline
-// passes and any unfinished requests are re-executed entirely on the
-// host (§3.1).
-func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
-	unit.BackendRequestsD2H(stream, func(image []byte) {
-		proceeded := false
-		remaining := count
-		finished := make([]bool, count)
-		respImage := make([]byte, count*backend.ResponseSlot)
-		proceed := func() {
+// hostBackend serves one remote-backend round trip for a cohort on the
+// host's worker threads (§5.3.2, Titan A) and hands reply the response
+// image. With a straggler timeout configured, the cohort proceeds when
+// the deadline passes and any unfinished requests are re-executed
+// entirely on the host (§3.1).
+func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, image []byte, stragglers map[int]bool, reply func(resp []byte)) {
+	count := len(c.Requests())
+	proceeded := false
+	remaining := count
+	finished := make([]bool, count)
+	respImage := make([]byte, count*backend.ResponseSlot)
+	proceed := func() { // every caller checks proceeded first
+		proceeded = true
+		reply(respImage)
+	}
+	for r := 0; r < count; r++ {
+		if stragglers[r] || !unit.Active(r) {
+			// Shed earlier, finished early (variable stages), or
+			// failed: no backend work this round trip.
+			remaining--
+			continue
+		}
+		r := r
+		service := s.opts.BackendServiceTime
+		if s.opts.BackendTailProb > 0 && s.rng.Float64() < s.opts.BackendTailProb {
+			service = sim.Time(float64(service) * s.opts.BackendTailFactor)
+		}
+		s.backendSrv.Submit(service, func() {
+			if proceeded {
+				return // the cohort moved on; the host path owns this request
+			}
+			resp := s.db.Handle(unit.BackendRequest(image, r))
+			copy(respImage[r*backend.ResponseSlot:], resp)
+			finished[r] = true
+			remaining--
+			if remaining == 0 {
+				proceed()
+			}
+		})
+	}
+	if remaining == 0 {
+		proceed()
+		return
+	}
+	if s.opts.StragglerTimeout > 0 {
+		s.eng.After(s.opts.StragglerTimeout, func() {
 			if proceeded {
 				return
 			}
-			proceeded = true
-			unit.BackendResponsesH2D(stream, respImage)
-			stream.Barrier(done)
-		}
-		for r := 0; r < count; r++ {
-			if stragglers[r] || !unit.Active(r) {
-				// Shed earlier, finished early (variable stages), or
-				// failed: no backend work this round trip.
-				remaining--
-				continue
-			}
-			r := r
-			service := s.opts.BackendServiceTime
-			if s.opts.BackendTailProb > 0 && s.rng.Float64() < s.opts.BackendTailProb {
-				service = sim.Time(float64(service) * s.opts.BackendTailFactor)
-			}
-			s.backendSrv.Submit(service, func() {
-				if proceeded {
-					return // the cohort moved on; the host path owns this request
+			for r := 0; r < count; r++ {
+				if !finished[r] && !stragglers[r] {
+					s.shedStraggler(c, unit, r)
+					stragglers[r] = true
 				}
-				resp := s.db.Handle(unit.BackendRequest(image, r))
-				copy(respImage[r*backend.ResponseSlot:], resp)
-				finished[r] = true
-				remaining--
-				if remaining == 0 {
-					proceed()
-				}
-			})
-		}
-		if remaining == 0 {
+			}
 			proceed()
-			return
-		}
-		if s.opts.StragglerTimeout > 0 {
-			s.eng.After(s.opts.StragglerTimeout, func() {
-				if proceeded {
-					return
-				}
-				for r := 0; r < count; r++ {
-					if !finished[r] && !stragglers[r] {
-						s.shedStraggler(c, unit, r)
-						stragglers[r] = true
-					}
-				}
-				proceed()
-			})
-		}
-	})
+		})
+	}
 }
 
 // shedStraggler hands one timed-out request to the host CPU: the device
@@ -559,7 +504,7 @@ func (s *Server) shedStraggler(c *cohort.Context[banking.ReqType, preq], unit *s
 	// round trip leaves an extra session — the idempotency cost the
 	// paper's "execute on the host CPU" option inherently carries.)
 	hctx := s.bank.Execute(int(pr.t), &req, s.sessions, s.db, s.opts.Padding)
-	service := sim.Time(float64(hctx.Instr()) / s.opts.HostIPS * 1e9)
+	service := sim.Time(float64(hctx.Instr()) / hostIPS * 1e9)
 	s.hostSrv.Submit(service, func() {
 		s.stats.Stragglers++
 		s.stats.Completed++
@@ -572,43 +517,32 @@ func (s *Server) shedStraggler(c *cohort.Context[banking.ReqType, preq], unit *s
 	})
 }
 
-// respond runs the Response stage: transpose the cohort's responses back
-// to row-major (on-device for Titan A/B, offloaded for Titan C), ship
-// them, record latencies, and free the cohort context.
-func (s *Server) respond(c *cohort.Context[banking.ReqType, preq], t banking.ReqType, unit *service.PageUnit, stream *simt.Stream, count int, stragglers map[int]bool) {
-	if s.opts.Platform != TitanC {
-		// Titan C's transpose unit does it for no device time.
-		unit.Writeback(stream)
-	}
-	finish := func() {
-		now := s.eng.Now()
-		for i := 0; i < count; i++ {
-			if stragglers[i] {
-				continue // accounted by the host path
-			}
-			failed := unit.Failed(i)
-			if failed {
-				s.stats.Errors++
-			}
-			s.stats.Latency.Record(float64(now - c.Requests()[i].arrived))
-			s.stats.Completed++
-			if v := s.opts.ValidateEvery; v > 0 && (s.stats.Completed%uint64(v)) == 0 && !failed {
-				s.stats.Validated++
-				if err := banking.Validate(t, unit.Response(i)); err != nil {
-					s.stats.ValidationFailures++
-				}
+// respond completes a cohort whose responses are back: record latencies
+// and validate a sample, then free the cohort context.
+func (s *Server) respond(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, stragglers map[int]bool) {
+	now := s.eng.Now()
+	prs := c.Requests()
+	for i, pr := range prs {
+		if stragglers[i] {
+			continue // accounted by the host path
+		}
+		failed := unit.Failed(i)
+		if failed {
+			s.stats.Errors++
+		}
+		s.stats.Latency.Record(float64(now - pr.arrived))
+		s.stats.Completed++
+		if v := s.opts.ValidateEvery; v > 0 && (s.stats.Completed%uint64(v)) == 0 && !failed {
+			s.stats.Validated++
+			if err := banking.Validate(pr.t, unit.Response(i)); err != nil {
+				s.stats.ValidationFailures++
 			}
 		}
-		s.inflight--
-		s.pool.Release(c)
-		s.feedReader()
-		s.maybeFlush()
 	}
-	if s.opts.Platform == TitanA {
-		unit.ResponsesD2H(stream, finish)
-	} else {
-		stream.Barrier(finish)
-	}
+	s.inflight--
+	s.pool.Release(c)
+	s.feedReader()
+	s.maybeFlush()
 }
 
 // maybeFlush force-launches partial cohorts when they can no longer

@@ -5,6 +5,7 @@ import (
 
 	"rhythm/internal/backend"
 	"rhythm/internal/banking"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
@@ -23,7 +24,7 @@ type testRig struct {
 func newRig(t *testing.T, opts Options, bus *sim.Pipe) *testRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	if bus == nil && opts.Platform == TitanA {
+	if bus == nil && opts.Platform == service.TitanA {
 		bus = sim.NewPipe(eng, 12e9, 1000)
 	}
 	dev := simt.NewDevice(eng, simt.GTXTitan(), 512<<20, bus)
@@ -43,10 +44,9 @@ func newRig(t *testing.T, opts Options, bus *sim.Pipe) *testRig {
 // column-major) at a test-sized cohort.
 func smallOptions() Options {
 	return Options{
+		Variant:            service.Live,
 		CohortSize:         64,
 		MaxCohorts:         4,
-		Padding:            true,
-		ColumnMajor:        true,
 		BackendWorkers:     4,
 		BackendServiceTime: 2_000,
 		ValidateEvery:      7,
@@ -142,7 +142,7 @@ func TestMixedRunDispatchesByType(t *testing.T) {
 
 func TestRemoteBackendPath(t *testing.T) {
 	opts := smallOptions()
-	opts.Platform = TitanA
+	opts.Platform = service.TitanA
 	opts.BackendWorkers = 4
 	opts.BackendServiceTime = 2000
 	rig := newRig(t, opts, nil)
@@ -164,7 +164,7 @@ func TestTitanAIsSlowerThanTitanB(t *testing.T) {
 		return rig.srv.Run(rig.isolated(banking.AccountSummary, 512)).Throughput()
 	}
 	a := smallOptions()
-	a.Platform = TitanA
+	a.Platform = service.TitanA
 	a.BackendWorkers = 8
 	b := smallOptions()
 	ta, tb := run(a), run(b)
@@ -180,7 +180,7 @@ func TestTitanCFasterThanTitanB(t *testing.T) {
 	}
 	b := smallOptions()
 	c := smallOptions()
-	c.Platform = TitanC
+	c.Platform = service.TitanC
 	tb, tc := run(b), run(c)
 	if tc <= tb {
 		t.Fatalf("Titan C (%.0f req/s) should beat Titan B (%.0f req/s)", tc, tb)
@@ -290,7 +290,7 @@ func TestPaddingAblationHurtsTraffic(t *testing.T) {
 func TestRowMajorAblationHurtsTraffic(t *testing.T) {
 	run := func(colMajor bool) simt.DeviceStats {
 		opts := smallOptions()
-		opts.ColumnMajor = colMajor
+		opts.ColMajor = colMajor
 		opts.ValidateEvery = 0
 		rig := newRig(t, opts, nil)
 		st := rig.srv.Run(rig.isolated(banking.CheckDetailHTML, 128))
@@ -309,7 +309,7 @@ func TestRowMajorAblationHurtsTraffic(t *testing.T) {
 
 func TestRowMajorStillValidates(t *testing.T) {
 	opts := smallOptions()
-	opts.ColumnMajor = false
+	opts.ColMajor = false
 	opts.ValidateEvery = 2
 	rig := newRig(t, opts, nil)
 	st := rig.srv.Run(rig.isolated(banking.Login, 64))
@@ -363,7 +363,7 @@ func TestImageRequestsBypassProcessStage(t *testing.T) {
 
 func TestStragglerTimeoutShedsToHost(t *testing.T) {
 	opts := smallOptions()
-	opts.Platform = TitanA
+	opts.Platform = service.TitanA
 	opts.BackendWorkers = 64 // plenty: only the tail stalls
 	opts.BackendServiceTime = 2000
 	opts.BackendTailProb = 0.05
@@ -386,7 +386,7 @@ func TestStragglerTimeoutShedsToHost(t *testing.T) {
 func TestStragglerTimeoutCutsTailLatency(t *testing.T) {
 	run := func(timeout sim.Time) pipeline99 {
 		opts := smallOptions()
-		opts.Platform = TitanA
+		opts.Platform = service.TitanA
 		opts.BackendWorkers = 64
 		opts.BackendServiceTime = 2000
 		opts.BackendTailProb = 0.03
@@ -420,7 +420,7 @@ type pipeline99 struct {
 
 func TestNoStragglersWithoutTail(t *testing.T) {
 	opts := smallOptions()
-	opts.Platform = TitanA
+	opts.Platform = service.TitanA
 	opts.StragglerTimeout = sim.Duration(50_000_000)
 	opts.ValidateEvery = 0
 	rig := newRig(t, opts, nil)
@@ -452,7 +452,7 @@ func TestQuickPayVariableStagesOnDevice(t *testing.T) {
 
 func TestQuickPayRemoteBackendSkipsDoneLanes(t *testing.T) {
 	opts := smallOptions()
-	opts.Platform = TitanA
+	opts.Platform = service.TitanA
 	opts.BackendWorkers = 8
 	opts.ValidateEvery = 2
 	rig := newRig(t, opts, nil)
@@ -472,10 +472,28 @@ func TestQuickPayRemoteBackendSkipsDoneLanes(t *testing.T) {
 	}
 }
 
-func TestPlatformString(t *testing.T) {
-	for p, want := range map[Platform]string{TitanA: "Titan A", TitanB: "Titan B", TitanC: "Titan C", Platform(9): "unknown"} {
-		if got := p.String(); got != want {
-			t.Errorf("Platform(%d).String() = %q, want %q", int(p), got, want)
+// TestStragglerSettingsNeedTitanA: the straggler settings act only on
+// Titan A's host round trip, so setting one on a platform whose backend
+// runs inside the stage kernel is refused, not silently ignored.
+func TestStragglerSettingsNeedTitanA(t *testing.T) {
+	settings := map[string]func(*Options){
+		"StragglerTimeout":  func(o *Options) { o.StragglerTimeout = sim.Duration(2_000_000) },
+		"BackendTailProb":   func(o *Options) { o.BackendTailProb = 0.03 },
+		"BackendTailFactor": func(o *Options) { o.BackendTailFactor = 10 },
+	}
+	for _, p := range []service.Platform{service.TitanB, service.TitanC} {
+		for name, set := range settings {
+			opts := smallOptions()
+			opts.Platform = p
+			set(&opts)
+			msg := func() (msg any) {
+				defer func() { msg = recover() }()
+				newRig(t, opts, nil)
+				return nil
+			}()
+			if msg == nil {
+				t.Errorf("%v with %s set: New did not panic", p, name)
+			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ func benchmarkCohort(b *testing.B, egress bool) {
 	wd := bankingWorld(b, local, lanes, nil)
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
-	slot := w.NewSlot(dev, lanes, service.TitanB)
+	slot := w.NewSlot(dev, lanes, service.Live)
 	stream := dev.NewStream()
 	var ns time.Duration
 	var bytes, allocs uint64

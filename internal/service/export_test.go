@@ -38,24 +38,41 @@ func (u RefUnit) Responses() [][]byte {
 	return out
 }
 
+// Run is PageUnit.Run over the reference's stage kernels and
+// transposes. On Titan C the platform's transpose unit moves the
+// responses to row-major when the chain ends, for no device time.
+func (u RefUnit) Run(stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func()) {
+	pc := u.pc
+	if pc.v.Platform == TitanC && pc.v.ColMajor {
+		finish := done
+		done = func() {
+			mem.TransposeElemsRange(pc.dev.Mem, pc.respRow, pc.respCol, pc.class/4, pc.size, 4, pc.class/4, pc.count)
+			if finish != nil {
+				finish()
+			}
+		}
+	}
+	run(u, pc, stream, roundTrip, staged, done)
+}
+
 func (u RefUnit) Stage(k int) simt.Program {
 	return refStage{u.PageUnit.Stage(k).(pageStageProgram)}
 }
 
-func (u RefUnit) Writeback(stream *simt.Stream) {
+func (u RefUnit) writeback(stream *simt.Stream) {
 	pc := u.pc
 	if pc.v.ColMajor {
 		stream.TransposeLive(pc.respRow, pc.respCol, pc.class/4, pc.size, 4, pc.class/4, pc.count, nil)
 	}
 }
 
-func (u RefUnit) BackendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
+func (u RefUnit) backendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
 	pc := u.pc
 	stream.TransposeLive(pc.breqRow, pc.breqBuf, BackendRequestSlot/4, pc.size, 4, BackendRequestSlot/4, pc.count, nil)
 	stream.MemcpyD2H(pc.breqRow, pc.count*BackendRequestSlot, fn)
 }
 
-func (u RefUnit) BackendResponsesH2D(stream *simt.Stream, image []byte) {
+func (u RefUnit) backendResponsesH2D(stream *simt.Stream, image []byte) {
 	pc := u.pc
 	stream.MemcpyH2D(pc.brespRow, image, func() { pc.measureResponses(image) })
 	stream.TransposeLive(pc.brespBuf, pc.brespRow, pc.size, BackendResponseSlot/4, 4, pc.count, BackendResponseSlot/4, nil)
@@ -92,7 +109,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 			slot := make([]byte, BackendRequestSlot)
 			pc.breqLen[r] = copy(slot, breq)
 			simt.StoreColumn(t, pc.breqBuf, r, pc.size, 0, slot)
-			if pc.v.HostBackend {
+			if pc.v.Platform == TitanA {
 				return simt.Halt
 			}
 			return 2

@@ -35,25 +35,54 @@ const (
 	sessionOps     = 64
 )
 
+// Platform selects the emulated system of §5.3.2: what surrounds a
+// cohort's stage chain. The zero value is Titan B.
+type Platform int
+
+// The three Rhythm platforms.
+const (
+	// TitanB emulates an SoC-style integrated NIC with the Besim backend
+	// running on the device.
+	TitanB Platform = iota
+	// TitanA is a discrete GPU behind PCIe 3.0: the backend runs on host
+	// worker threads across the bus, and responses ship over it.
+	TitanA
+	// TitanC is TitanB plus a specialized unit that performs the
+	// response transpose off the device's critical path, for no device
+	// time.
+	TitanC
+)
+
+func (p Platform) String() string {
+	switch p {
+	case TitanA:
+		return "Titan A"
+	case TitanB:
+		return "Titan B"
+	case TitanC:
+		return "Titan C"
+	}
+	return "unknown"
+}
+
 // Variant fixes, at slot creation, the three values the paper's
-// evaluation varies under the stage kernels. Live serving runs TitanB;
-// internal/pipeline derives the others from its Options for Table 3's
-// platforms and the §6.4 ablations.
+// evaluation varies around and under the stage kernels. Live serving
+// runs Live; internal/pipeline takes the others from its Options for
+// Table 3's platforms and the §6.4 ablations.
 type Variant struct {
+	// Platform is what Run puts around the stage kernels; on Titan A
+	// they leave each backend request for the host round trip.
+	Platform Platform
 	// Padding enables §4.3.2 whitespace alignment.
 	Padding bool
 	// ColMajor keeps response buffers word-interleaved on the device
 	// (the cohort buffer transpose optimisation); off, each thread
 	// stores its response row-major.
 	ColMajor bool
-	// HostBackend leaves each backend request in its column for a host
-	// round trip across the bus (Titan A) instead of chaining the
-	// backend lookup into the stage kernel (Titan B/C).
-	HostBackend bool
 }
 
-// TitanB is the variant live serving runs.
-var TitanB = Variant{Padding: true, ColMajor: true}
+// Live is the variant live serving runs: Titan B, padded, column-major.
+var Live = Variant{Padding: true, ColMajor: true}
 
 // pageCohort is the device-resident geometry of one typed cohort plus
 // its host mirror, allocated per (execution slot, buffer class) and
@@ -196,21 +225,16 @@ func (s *Slot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be
 	return &PageUnit{pc: pc, sessions: sessions}
 }
 
-// PageUnit is a bound cohort of one page-workload type, ready to launch:
-// Stages() sequential stage kernels, then Writeback (the response
-// transpose), then — after a stream barrier — per-request response
-// extraction. It also carries what internal/pipeline's Titan A and
-// Titan C emulations need: the host-backend round trip, straggler
-// shedding, the over-the-bus response path, and one response read in
-// place.
+// PageUnit is a bound cohort of one page-workload type, ready to run:
+// Run sequences its Backends+1 stage kernels and what its slot's platform
+// puts between and after them; Responses and Response read the pages
+// once it is done. Failed reports the lanes that took the error path,
+// and Active, Fail and BackendRequest are what internal/pipeline's
+// Titan A round trip needs to serve lanes and shed stragglers.
 type PageUnit struct {
 	pc       *pageCohort
 	sessions *session.Array
 }
-
-// Stages reports the number of stage kernels to launch (the page
-// model's Backends+1).
-func (u *PageUnit) Stages() int { return u.pc.def.Backends + 1 }
 
 // Stage returns stage k's kernel. The program implements
 // simt.Footprinter: declared footprints are what let independent
@@ -222,22 +246,77 @@ func (u *PageUnit) Stage(k int) simt.Program {
 	return pageStageProgram{u: u, stage: k}
 }
 
-// Writeback enqueues the response transpose on stream: column-major
+// chain is what Run sequences: the stage kernels, and the transposes
+// and copies that move a cohort's buffers between them. *PageUnit
+// prices them; the write-through reference the tests compare it against
+// moves every byte.
+type chain interface {
+	Stage(k int) simt.Program
+	writeback(stream *simt.Stream)
+	backendRequestsD2H(stream *simt.Stream, fn func(image []byte))
+	backendResponsesH2D(stream *simt.Stream, image []byte)
+}
+
+// Run enqueues the cohort's chain on stream (§3.1, §4.3.2): each stage
+// kernel launches when the previous one completes, and staged, if
+// non-nil, receives its statistics first. Between stages a Titan A
+// cohort ships its backend requests to the host, where roundTrip serves
+// them: it receives the count × BackendRequestSlot image, to be cut with
+// BackendRequest, and hands reply the count × BackendResponseSlot image
+// of responses, in any later event; the next stage launches once that
+// is back on the device. After the final stage comes the response
+// transpose (Titan C's transpose unit does it for no device time), then
+// the responses' trip over the bus on Titan A or a barrier on Titan B
+// and C, and then done. Off Titan A roundTrip is never called; staged
+// and done may be nil.
+func (u *PageUnit) Run(stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func()) {
+	run(u, u.pc, stream, roundTrip, staged, done)
+}
+
+// run is Run over c: the unit itself, or its write-through reference.
+func run(c chain, pc *pageCohort, stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func()) {
+	var next func(k int)
+	next = func(k int) {
+		stream.Launch(c.Stage(k), pc.count, func(ls simt.LaunchStats) {
+			if staged != nil {
+				staged(ls)
+			}
+			switch {
+			case k == pc.def.Backends:
+				if pc.v.Platform != TitanC {
+					c.writeback(stream)
+				}
+				if pc.v.Platform == TitanA {
+					// Priced only: Responses and Response render the pages
+					// on the host when they are read.
+					stream.ChargeD2H(pc.count*pc.class, done)
+				} else {
+					stream.Barrier(done)
+				}
+			case pc.v.Platform == TitanA:
+				c.backendRequestsD2H(stream, func(image []byte) {
+					roundTrip(image, func(resp []byte) {
+						c.backendResponsesH2D(stream, resp)
+						stream.Barrier(func() { next(k + 1) })
+					})
+				})
+			default:
+				// The backend lookup ran chained inside the kernel.
+				next(k + 1)
+			}
+		})
+	}
+	next(0)
+}
+
+// writeback enqueues the response transpose on stream: column-major
 // responses to row-major for extraction (row-major slots store them
-// there). Titan C's specialized transpose unit does it for no device
-// time, so its pipeline skips the call.
-func (u *PageUnit) Writeback(stream *simt.Stream) {
+// there).
+func (u *PageUnit) writeback(stream *simt.Stream) {
 	pc := u.pc
 	if pc.v.ColMajor {
 		stream.ChargeTranspose(pc.class/4, pc.size, 4, nil)
 	}
-}
-
-// ResponsesD2H prices shipping the row-major responses over the bus
-// (Titan A), then calls done. It moves no bytes: Response and Responses
-// render them on the host when they are read.
-func (u *PageUnit) ResponsesD2H(stream *simt.Stream, done func()) {
-	stream.ChargeD2H(u.pc.count*u.pc.class, done)
 }
 
 // Responses renders every request's response, in request order, each
@@ -294,28 +373,27 @@ func (u *PageUnit) Fail(i int, reason string) {
 	}
 }
 
-// BackendRequestsD2H starts a host-backend round trip (HostBackend
-// slots): transpose the request slots to row-major and ship them to the
-// host; fn receives the count × BackendRequestSlot image, to be cut with
-// BackendRequest.
-func (u *PageUnit) BackendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
+// backendRequestsD2H starts a Titan A round trip: transpose the
+// request slots to row-major and ship them to the host; fn receives the
+// count × BackendRequestSlot image.
+func (u *PageUnit) backendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
 	pc := u.pc
 	stream.ChargeTranspose(BackendRequestSlot/4, pc.size, 4, nil)
 	stream.MemcpyD2H(pc.breqRow, pc.count*BackendRequestSlot, fn)
 }
 
-// BackendRequest is request r's backend request in a BackendRequestsD2H
-// image: the live bytes of its slot.
+// BackendRequest is request r's backend request in the image Run hands
+// roundTrip: the live bytes of its slot.
 func (u *PageUnit) BackendRequest(image []byte, r int) []byte {
 	return image[r*BackendRequestSlot:][:u.pc.breqLen[r]]
 }
 
-// BackendResponsesH2D completes the round trip: ship the count ×
+// backendResponsesH2D completes the round trip: ship the count ×
 // BackendResponseSlot image to the device and transpose it into the
 // column the next stage kernel loads. The image carries no lengths, so
 // each slot's live bytes are found here, once, as what precedes its zero
 // tail.
-func (u *PageUnit) BackendResponsesH2D(stream *simt.Stream, image []byte) {
+func (u *PageUnit) backendResponsesH2D(stream *simt.Stream, image []byte) {
 	pc := u.pc
 	stream.MemcpyH2D(pc.brespRow, image, func() { pc.measureResponses(image) })
 	stream.ChargeTranspose(pc.size, BackendResponseSlot/4, 4, nil)
@@ -415,7 +493,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 			}
 			simt.ChargeColumn(t, pc.breqBuf, r, pc.size, 0, BackendRequestSlot)
 			pc.breqLen[r] = fillSlot(pc.row(pc.breqRow, r, BackendRequestSlot), breq, pc.breqLen[r])
-			if pc.v.HostBackend {
+			if pc.v.Platform == TitanA {
 				return simt.Halt // host backend round trip follows
 			}
 			return 2

@@ -173,19 +173,15 @@ type deviceRun struct {
 
 const deviceMem = 16 << 20
 
-// stageChain is the part of a bound unit that touches cohort buffers:
-// the production *service.PageUnit, or its write-through reference.
-type stageChain interface {
-	Stage(k int) simt.Program
-	Writeback(stream *simt.Stream)
-	BackendRequestsD2H(stream *simt.Stream, fn func(image []byte))
-	BackendResponsesH2D(stream *simt.Stream, image []byte)
+// runner is a bound unit's chain and what it renders: the production
+// *service.PageUnit, or its write-through reference.
+type runner interface {
+	Run(stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func())
 	Responses() [][]byte
 }
 
 // runDevice binds wd's requests on a fresh device slot of variant v and
-// launches the stage chain the way internal/cluster and
-// internal/pipeline do — the production kit's, or with reference its
+// runs the unit's chain — the production kit's, or with reference its
 // write-through build (service.Reference).
 func runDevice(t *testing.T, w *service.PageWorkload, local int, wd world, v service.Variant, reference bool) deviceRun {
 	t.Helper()
@@ -198,46 +194,37 @@ func runDeviceOn(t *testing.T, cfg simt.Config, w *service.PageWorkload, local i
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, cfg, deviceMem, nil)
 	unit := w.NewSlot(dev, len(wd.reqs), v).Bind(local, wd.reqs, wd.sessions, wd.be)
-	var chain stageChain = unit
+	var chain runner = unit
 	if reference {
 		chain = service.Reference(unit)
 	}
-	stream := dev.NewStream()
-	n := len(wd.reqs)
 	run := deviceRun{unit: unit}
-	var next func(k int)
-	next = func(k int) {
-		stream.Launch(chain.Stage(k), n, func(ls simt.LaunchStats) {
-			run.launches = append(run.launches, ls)
-			switch {
-			case k == unit.Stages()-1:
-				chain.Writeback(stream)
-			case v.HostBackend:
-				// The Titan A round trip, served synchronously.
-				chain.BackendRequestsD2H(stream, func(image []byte) {
-					out := make([]byte, n*service.BackendResponseSlot)
-					for r := 0; r < n; r++ {
-						if unit.Active(r) {
-							copy(out[r*service.BackendResponseSlot:], wd.be.Handle(unit.BackendRequest(image, r)))
-						}
-					}
-					chain.BackendResponsesH2D(stream, out)
-					stream.Barrier(func() { next(k + 1) })
-				})
-			default:
-				next(k + 1)
-			}
-		})
-	}
-	next(0)
+	chain.Run(dev.NewStream(), serveBackend(unit, wd.be), func(ls simt.LaunchStats) {
+		run.launches = append(run.launches, ls)
+	}, nil)
 	eng.Run()
 	run.resps = chain.Responses()
-	for i := 0; i < n; i++ {
+	for i := range wd.reqs {
 		run.failed = append(run.failed, unit.Failed(i))
 	}
 	run.stats = dev.Stats()
 	run.finish = eng.Now()
 	return run
+}
+
+// serveBackend is a Titan A round trip served synchronously: every
+// active lane's backend request against be.
+func serveBackend(unit *service.PageUnit, be service.Backend) func(image []byte, reply func(resp []byte)) {
+	return func(image []byte, reply func(resp []byte)) {
+		n := len(image) / service.BackendRequestSlot
+		out := make([]byte, n*service.BackendResponseSlot)
+		for r := 0; r < n; r++ {
+			if unit.Active(r) {
+				copy(out[r*service.BackendResponseSlot:], be.Handle(unit.BackendRequest(image, r)))
+			}
+		}
+		reply(out)
+	}
 }
 
 // runHost executes wd's requests one by one on the scalar path.
@@ -269,7 +256,7 @@ func TestStageChainMatchesHostBytes(t *testing.T) {
 	for _, in := range inputs {
 		for local, sp := range in.w.Types() {
 			what := in.name + "/" + sp.Name
-			dev := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, false)
+			dev := runDevice(t, in.w, local, in.world(t, local, n, nil), service.Live, false)
 			want, _ := runHost(in.w, local, in.world(t, local, n, nil), true)
 			assertSameBytes(t, what, dev.resps, want)
 			if len(dev.launches) != sp.Backends+1 {
@@ -298,7 +285,7 @@ func TestErrorLanesDiverge(t *testing.T) {
 	bad := func(i int) bool { return i%5 == 2 }
 	for _, in := range inputs {
 		local := in.variable // a session-required type in both workloads
-		dev := runDevice(t, in.w, local, in.world(t, local, n, bad), service.TitanB, false)
+		dev := runDevice(t, in.w, local, in.world(t, local, n, bad), service.Live, false)
 		want, wantFailed := runHost(in.w, local, in.world(t, local, n, bad), true)
 		assertSameBytes(t, in.name, dev.resps, want)
 		for i := range wantFailed {
@@ -342,7 +329,7 @@ func TestVariableStagesRetireEarly(t *testing.T) {
 		devWorld := in.world(t, local, n, nil)
 		be := &counting{Backend: devWorld.be}
 		devWorld.be = be
-		dev := runDevice(t, in.w, local, devWorld, service.TitanB, false)
+		dev := runDevice(t, in.w, local, devWorld, service.Live, false)
 		assertSameBytes(t, in.name, dev.resps, want)
 		if be.calls != hostCalls {
 			t.Errorf("%s: %d backend requests on the device, %d on the host", in.name, be.calls, hostCalls)
@@ -359,10 +346,11 @@ func TestVariableStagesRetireEarly(t *testing.T) {
 // equal.
 func TestPricedLayoutMatchesWriteThroughReference(t *testing.T) {
 	variants := map[string]service.Variant{
-		"titan-b":      service.TitanB,
-		"unpadded":     {ColMajor: true},
-		"row-major":    {Padding: true},
-		"host-backend": {Padding: true, ColMajor: true, HostBackend: true},
+		"titan-b":   service.Live,
+		"unpadded":  {ColMajor: true},
+		"row-major": {Padding: true},
+		"titan-a":   {Platform: service.TitanA, Padding: true, ColMajor: true},
+		"titan-c":   {Platform: service.TitanC, Padding: true, ColMajor: true},
 	}
 	bad := func(i int) bool { return i%5 == 2 }
 	type cohortCase struct {
@@ -425,15 +413,12 @@ func TestResponsesAreIsolated(t *testing.T) {
 	in := ecomInput
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
-	slot := in.w.NewSlot(dev, n, service.TitanB)
+	slot := in.w.NewSlot(dev, n, service.Live)
 	stream := dev.NewStream()
 	run := func() [][]byte {
 		wd := in.world(t, in.page, n, nil)
 		unit := slot.Bind(in.page, wd.reqs, wd.sessions, wd.be)
-		for k := 0; k < unit.Stages(); k++ {
-			stream.Launch(unit.Stage(k), n, nil)
-		}
-		unit.Writeback(stream)
+		unit.Run(stream, nil, nil, nil)
 		eng.Run()
 		return unit.Responses()
 	}
@@ -487,7 +472,7 @@ func TestOversizeBackendSlotsFailTheLane(t *testing.T) {
 		}
 		return wd
 	}
-	dev := runDevice(t, bankingInput.w, int(banking.Login), logins(), service.TitanB, false)
+	dev := runDevice(t, bankingInput.w, int(banking.Login), logins(), service.Live, false)
 	want, wantFailed := runHost(bankingInput.w, int(banking.Login), logins(), true)
 	assertSameBytes(t, "oversize request", dev.resps, want)
 	for i := range want {
@@ -505,7 +490,7 @@ func TestOversizeBackendSlotsFailTheLane(t *testing.T) {
 			wd.be = &bloated{Backend: wd.be}
 			return wd
 		}
-		dev := runDevice(t, in.w, in.page, wrapped(), service.TitanB, false)
+		dev := runDevice(t, in.w, in.page, wrapped(), service.Live, false)
 		want, wantFailed := runHost(in.w, in.page, wrapped(), true)
 		assertSameBytes(t, in.name+": oversize response", dev.resps, want)
 		for i := range want {
@@ -516,19 +501,20 @@ func TestOversizeBackendSlotsFailTheLane(t *testing.T) {
 	}
 }
 
-// TestVariantsKeepHostBytes: each of the three ablation values changes
-// how the cohort's memory is laid out and moved, never what is
+// TestVariantsKeepHostBytes: each ablation value and each platform
+// changes how the cohort's memory is laid out and moved, never what is
 // rendered; and turning padding off makes the final kernel's stores
 // scatter (§4.3.2) — on any workload, not only banking.
 func TestVariantsKeepHostBytes(t *testing.T) {
 	variants := map[string]service.Variant{
-		"unpadded":     {ColMajor: true},
-		"row-major":    {Padding: true},
-		"host-backend": {Padding: true, ColMajor: true, HostBackend: true},
+		"unpadded":  {ColMajor: true},
+		"row-major": {Padding: true},
+		"titan-a":   {Platform: service.TitanA, Padding: true, ColMajor: true},
+		"titan-c":   {Platform: service.TitanC, Padding: true, ColMajor: true},
 	}
 	for _, in := range inputs {
 		local := in.page
-		padded := runDevice(t, in.w, local, in.world(t, local, n, nil), service.TitanB, false)
+		padded := runDevice(t, in.w, local, in.world(t, local, n, nil), service.Live, false)
 		for name, v := range variants {
 			what := in.name + "/" + name
 			dev := runDevice(t, in.w, local, in.world(t, local, n, nil), v, false)
@@ -541,7 +527,7 @@ func TestVariantsKeepHostBytes(t *testing.T) {
 				if got <= ref {
 					t.Errorf("%s: %d transactions in the final kernel, want more than the padded column-major run's %d", what, got, ref)
 				}
-			case "host-backend":
+			case "titan-a", "titan-c":
 				if got != ref {
 					t.Errorf("%s: %d transactions in the final kernel, want the device-backend run's %d", what, got, ref)
 				}
@@ -573,7 +559,7 @@ func TestFootprintsDeclareSessionAccess(t *testing.T) {
 	dev := simt.NewDevice(sim.NewEngine(), simt.GTXTitan(), deviceMem, nil)
 	for _, c := range cases {
 		wd := c.in.world(t, c.local, 1, nil)
-		unit := c.in.w.NewSlot(dev, 1, service.TitanB).Bind(c.local, wd.reqs, wd.sessions, wd.be)
+		unit := c.in.w.NewSlot(dev, 1, service.Live).Bind(c.local, wd.reqs, wd.sessions, wd.be)
 		fp := unit.Stage(c.stage).(simt.Footprinter).LaunchFootprint()
 		has := func(tokens []any) bool {
 			for _, tok := range tokens {

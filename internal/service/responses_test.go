@@ -29,18 +29,14 @@ func hostScratch(w *service.PageWorkload, local int, wd world) (resps [][]byte, 
 	return resps, failed
 }
 
-// launchUnit binds wd's requests on a fresh TitanB slot and runs the
-// stage chain and the writeback, reading no response.
+// launchUnit binds wd's requests on a fresh Live slot and runs its
+// chain, reading no response.
 func launchUnit(t *testing.T, w *service.PageWorkload, local int, wd world) *service.PageUnit {
 	t.Helper()
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
-	unit := w.NewSlot(dev, len(wd.reqs), service.TitanB).Bind(local, wd.reqs, wd.sessions, wd.be)
-	stream := dev.NewStream()
-	for k := 0; k < unit.Stages(); k++ {
-		stream.Launch(unit.Stage(k), len(wd.reqs), nil)
-	}
-	unit.Writeback(stream)
+	unit := w.NewSlot(dev, len(wd.reqs), service.Live).Bind(local, wd.reqs, wd.sessions, wd.be)
+	unit.Run(dev.NewStream(), nil, nil, nil)
 	eng.Run()
 	return unit
 }
@@ -59,7 +55,7 @@ func TestResponseResponsesAndHostRenderAgree(t *testing.T) {
 			want, wantFailed := hostScratch(in.w, local, in.world(t, local, n, bad))
 
 			// Responses first, then Response.
-			dev := runDevice(t, in.w, local, in.world(t, local, n, bad), service.TitanB, false)
+			dev := runDevice(t, in.w, local, in.world(t, local, n, bad), service.Live, false)
 			assertSameBytes(t, what+": Responses", dev.resps, want)
 			for i := range want {
 				if !bytes.Equal(dev.unit.Response(i), want[i]) {
@@ -125,8 +121,8 @@ func TestOversizePagePanicsInTheKernel(t *testing.T) {
 	cfg.HostParallelism = 1 // the panic reaches this goroutine
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, cfg, deviceMem, nil)
-	unit := w.NewSlot(dev, 1, service.TitanB).Bind(0, reqs, session.NewArray(1, 1), nil)
-	dev.NewStream().Launch(unit.Stage(0), 1, nil)
+	unit := w.NewSlot(dev, 1, service.Live).Bind(0, reqs, session.NewArray(1, 1), nil)
+	unit.Run(dev.NewStream(), nil, nil, nil)
 	msg := func() (msg any) {
 		defer func() { msg = recover() }()
 		eng.Run()
@@ -162,7 +158,7 @@ func TestSessionCreatesFollowLaneOrder(t *testing.T) {
 	for run := 0; run < runs; run++ {
 		cfg := simt.GTXTitan()
 		cfg.HostParallelism = 1 + 7*(run%2)
-		got := runDeviceOn(t, cfg, bankingInput.w, local, logins(), service.TitanB, false)
+		got := runDeviceOn(t, cfg, bankingInput.w, local, logins(), service.Live, false)
 		if run == 0 {
 			want = got
 			failed := 0

@@ -54,5 +54,5 @@ func CheckKeptLines(t *testing.T, w *service.PageWorkload, script Script) {
 		}
 	}
 	assertSame(t, "host path, response buffer overwritten", got, want)
-	assertSame(t, "stage kernels, response buffer overwritten", Device(t, w, scribbled, service.TitanB), want)
+	assertSame(t, "stage kernels, response buffer overwritten", Device(t, w, scribbled, service.Live), want)
 }

@@ -78,9 +78,9 @@ func runHost(t testing.TB, w *service.PageWorkload, wd World, rounds []Round, pa
 	return out
 }
 
-// Device runs each round of the script as one cohort through the stage
-// kernels of variant v (a device backend), on one slot that is rebound
-// round after round the way a serving device's is.
+// Device runs each round of the script as one cohort through the chain
+// of variant v (Titan B or C: a device backend), on one slot that is
+// rebound round after round the way a serving device's is.
 func Device(t testing.TB, w *service.PageWorkload, script Script, v service.Variant) [][]Result {
 	t.Helper()
 	wd, rounds := script(t)
@@ -99,10 +99,7 @@ func Device(t testing.TB, w *service.PageWorkload, script Script, v service.Vari
 			reqs[j] = parse(t, raw)
 		}
 		unit := slot.Bind(rd.Local, reqs, wd.Sessions, wd.Backend)
-		for k := 0; k < unit.Stages(); k++ {
-			stream.Launch(unit.Stage(k), len(reqs), nil)
-		}
-		unit.Writeback(stream)
+		unit.Run(stream, nil, nil, nil)
 		eng.Run()
 		for j, resp := range unit.Responses() {
 			out[i] = append(out[i], Result{Resp: resp, Failed: unit.Failed(j)})
@@ -116,7 +113,7 @@ func Device(t testing.TB, w *service.PageWorkload, script Script, v service.Vari
 // one, padded and unpadded, error lanes and early exits included.
 func CheckStageKernels(t *testing.T, w *service.PageWorkload, script Script) {
 	t.Helper()
-	assertSame(t, "padded", Device(t, w, script, service.TitanB), Host(t, w, script, true))
+	assertSame(t, "padded", Device(t, w, script, service.Live), Host(t, w, script, true))
 	assertSame(t, "unpadded", Device(t, w, script, service.Variant{ColMajor: true}), Host(t, w, script, false))
 }
 

@@ -8,6 +8,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/netmodel"
 	"rhythm/internal/pipeline"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
@@ -15,19 +16,19 @@ import (
 
 // Platform selects the emulated system of §5.3.2. The zero value is
 // TitanB.
-type Platform = pipeline.Platform
+type Platform = service.Platform
 
 // The three Rhythm platforms.
 const (
 	// TitanA is a discrete GPU behind PCIe 3.0 with a host backend and
 	// responses shipped over the bus.
-	TitanA = pipeline.TitanA
+	TitanA = service.TitanA
 	// TitanB emulates an SoC-style integrated NIC with the Besim backend
 	// running on the device.
-	TitanB = pipeline.TitanB
+	TitanB = service.TitanB
 	// TitanC is TitanB plus a specialized unit that performs the
 	// response transpose off the device's critical path.
-	TitanC = pipeline.TitanC
+	TitanC = service.TitanC
 )
 
 // Options configures a Server.
@@ -56,10 +57,12 @@ type Options struct {
 	// Seed drives the deterministic workload generator (default 1).
 	Seed int64
 
-	// Straggler handling (§3.1), meaningful on TitanA (remote backend):
+	// Straggler handling (§3.1), TitanA only (remote backend):
 	// BackendTailProb of lookups take BackendTailFactor × the base
 	// service time; with a StragglerTimeout, cohorts stop waiting at the
-	// deadline and stragglers re-execute on the host CPU.
+	// deadline and stragglers re-execute on the host CPU. NewSimServer
+	// panics on any of the three on TitanB or TitanC, whose backend runs
+	// inside the stage kernel.
 	BackendTailProb   float64
 	BackendTailFactor float64
 	StragglerTimeout  time.Duration
@@ -172,12 +175,10 @@ func newSimSessions(opts Options) *session.Array {
 
 func pipelineOptions(o Options) pipeline.Options {
 	return pipeline.Options{
-		Platform:           o.Platform,
+		Variant:            service.Variant{Platform: o.Platform, Padding: !o.DisablePadding, ColMajor: !o.DisableTranspose},
 		CohortSize:         o.CohortSize,
 		MaxCohorts:         o.MaxCohorts,
 		FormationTimeout:   sim.Duration(o.FormationTimeout),
-		Padding:            !o.DisablePadding,
-		ColumnMajor:        !o.DisableTranspose,
 		BackendWorkers:     8,
 		BackendServiceTime: 2_000,
 		ValidateEvery:      o.ValidateEvery,

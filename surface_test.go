@@ -203,17 +203,21 @@ func TestNoDeadSurface(t *testing.T) {
 	}
 }
 
-// singleImplementationAllowlist names the exported interfaces of
-// internal/ that stay with fewer than two implementations, each with its
-// reason. Keys are "pkg.Name", pkg relative to internal/.
-var singleImplementationAllowlist = map[string]string{}
+// singleImplementationAllowlist names the interfaces of the root
+// package and internal/ that stay with fewer than two implementations,
+// each with its reason. Keys are "pkg.Name", pkg relative to internal/,
+// or "rhythm.Name" for the root package.
+var singleImplementationAllowlist = map[string]string{
+	"rhythm.Server": "the frozen benchmark/socket.go declares values of it; New returning the concrete type waits for the next benchmark change",
+	"service.chain": "export_test.go's write-through RefUnit is its second implementation, and the kit tests compare the unit against it",
+}
 
-// TestNoSingleImplementationInterface fails on any exported interface
-// declared in internal/ that fewer than two named types of the module's
-// non-test files satisfy (by T or *T), unless the allowlist names it. An
-// interface with one implementation stands in for its concrete type: it
-// says the contract twice, and callers assert back to the type for what
-// it leaves out.
+// TestNoSingleImplementationInterface fails on any interface, exported
+// or not, declared in the root package or internal/ that fewer than two
+// named types of the module's non-test files satisfy (by T or *T),
+// unless the allowlist names it. An interface with one implementation
+// stands in for its concrete type: it says the contract twice, and
+// callers assert back to the type for what it leaves out.
 func TestNoSingleImplementationInterface(t *testing.T) {
 	m := checkModule(t)
 	internalPrefix := m.path + "/internal/"
@@ -225,7 +229,10 @@ func TestNoSingleImplementationInterface(t *testing.T) {
 	var ifaces []iface
 	var concrete []*types.Named
 	for _, mp := range m.packages {
-		rel, internal := strings.CutPrefix(mp.path, internalPrefix)
+		rel, scanned := strings.CutPrefix(mp.path, internalPrefix)
+		if mp.path == m.path {
+			rel, scanned = mp.path, true
+		}
 		scope := mp.pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -237,7 +244,7 @@ func TestNoSingleImplementationInterface(t *testing.T) {
 				continue
 			}
 			if it, ok := n.Underlying().(*types.Interface); ok {
-				if internal && tn.Exported() {
+				if scanned {
 					ifaces = append(ifaces, iface{rel + "." + name, m.fset.Position(tn.Pos()), it})
 				}
 				continue
