@@ -111,7 +111,7 @@ func (f *frontend) Addr() net.Addr {
 
 // Seed reports the deterministic banking credentials for userID, so
 // demo clients can log in. Every Besim synthesizes the same profile for
-// a userID on first touch, so no state needs creating up front.
+// a userID, so no state needs creating up front.
 func (f *frontend) Seed(userID uint64) (uint64, string) {
 	return userID, backend.PasswordFor(userID)
 }

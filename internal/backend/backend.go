@@ -2,16 +2,20 @@
 // database Rhythm's process stages query. Process stages emit fixed-size
 // textual request strings (the paper allocates 1 KB per backend request)
 // and receive textual responses (4 KB slots). The store is in-memory and
-// deterministic: read-mostly entities (profiles, accounts, transactions)
-// are synthesized from a hash of the user id on first touch, and writes
-// (payees, transfers, orders) persist for the life of the process —
-// matching how the paper emulates "the requisite backend throughput"
-// with host threads or an on-device backend (§5.3.2).
+// deterministic: every customer's profile, accounts, payees, statement
+// lines and bill history are synthesized from a hash of the user id, so
+// read paths are pure — a read renders the synthesized fields straight
+// into the response and keeps nothing — and the maps hold only what a
+// write (a transfer, a profile update, a new payee, a bill payment, an
+// order) made, for the life of the process. This matches how the paper
+// emulates "the requisite backend throughput" with host threads or an
+// on-device backend (§5.3.2).
 package backend
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,39 +29,21 @@ const (
 	ResponseSlot = 4096
 )
 
-// Profile is a customer record.
-type Profile struct {
-	UserID   uint64
-	Name     string
-	Address  string
-	City     string
-	Email    string
-	Phone    string
-	Password string
-}
-
-// Account is one bank account of a customer.
-type Account struct {
-	Number  string
-	Kind    string // "checking" or "savings"
-	Balance int64  // cents
-}
-
-// Payee is a registered bill-pay target.
-type Payee struct {
-	Name    string
-	Account string
-}
-
 // DB is the banking database. It is not safe for concurrent use; Rhythm
 // drives it from the single-threaded event loop (and models backend
 // parallelism with service-time slots at the platform layer).
+//
+// Its maps hold written state only: a write materializes the
+// synthesized entity it changes and stores it, and a read of that user
+// from then on renders the stored entity. The one fact a read records
+// is that a BILLS read showed a user the seeded bill history, since a
+// later payment's confirmation id counts those lines.
 type DB struct {
-	profiles map[uint64]*Profile
-	accounts map[uint64][]Account
-	payees   map[uint64][]Payee
+	profiles map[uint64]*profile
+	accounts map[uint64][]account
+	payees   map[uint64][]payee
 	orders   map[uint64][]string
-	bills    map[uint64][]string
+	bills    map[uint64]billHistory
 	requests uint64
 	// resp is Handle's response buffer, reused by the next Handle.
 	resp []byte
@@ -65,19 +51,19 @@ type DB struct {
 	// state mutation commits. The Besim deferred-write replay drives the
 	// same mutator methods, so one hook covers both the host path and
 	// device-kernel deferred writes; the render cache uses it to bump the
-	// user's state version. First-touch synthesis is deterministic and
-	// does not fire the hook — it never changes what a page would render.
+	// user's state version. Reads are pure and never fire it: they never
+	// change what a page would render.
 	writeHook func(uid uint64)
 }
 
 // New returns an empty database.
 func New() *DB {
 	return &DB{
-		profiles: make(map[uint64]*Profile),
-		accounts: make(map[uint64][]Account),
-		payees:   make(map[uint64][]Payee),
+		profiles: make(map[uint64]*profile),
+		accounts: make(map[uint64][]account),
+		payees:   make(map[uint64][]payee),
 		orders:   make(map[uint64][]string),
-		bills:    make(map[uint64][]string),
+		bills:    make(map[uint64]billHistory),
 	}
 }
 
@@ -118,51 +104,136 @@ var (
 // starts with. Workload generators use it to produce valid logins without
 // a shared database handle (§5.3.1 random input generation).
 func PasswordFor(uid uint64) string {
-	return fmtx.Sprintf("pw%08x", uint32(mix(uid^0x77)))
+	return string(appendPassword(nil, uid))
 }
 
-// GetProfile returns (synthesizing on first touch) the profile for uid.
-func (db *DB) GetProfile(uid uint64) *Profile {
-	if p, ok := db.profiles[uid]; ok {
-		return p
-	}
+// appendPassword appends uid's password, ten bytes.
+func appendPassword(b []byte, uid uint64) []byte {
+	return fmtx.Appendf(b, "pw%08x", uint32(mix(uid^0x77)))
+}
+
+// The fields of a customer profile, in the order PROFILE renders them.
+const (
+	fieldName = iota
+	fieldAddress
+	fieldCity
+	fieldEmail
+	fieldPhone
+	numFields
+)
+
+// profile is a customer record an UpdateProfile stored, by field.
+type profile [numFields]string
+
+// appendSynthField appends field f of uid's synthesized profile.
+func appendSynthField(b []byte, uid uint64, f int) []byte {
 	h := mix(uid)
-	p := &Profile{
-		UserID:   uid,
-		Name:     firstNames[h%16] + " " + lastNames[(h>>4)%16],
-		Address:  fmtx.Sprintf("%d %s", 100+(h>>8)%900, streets[(h>>16)%8]),
-		City:     cities[(h>>20)%8],
-		Email:    fmtx.Sprintf("user%d@specbank.example", uid),
-		Phone:    fmtx.Sprintf("(%03d) 555-%04d", 200+(h>>24)%800, h%10000),
-		Password: PasswordFor(uid),
+	switch f {
+	case fieldName:
+		b = append(b, firstNames[h%16]...)
+		b = append(b, ' ')
+		return append(b, lastNames[(h>>4)%16]...)
+	case fieldAddress:
+		return fmtx.Appendf(b, "%d %s", 100+(h>>8)%900, streets[(h>>16)%8])
+	case fieldCity:
+		return append(b, cities[(h>>20)%8]...)
+	case fieldEmail:
+		return fmtx.Appendf(b, "user%d@specbank.example", uid)
 	}
-	db.profiles[uid] = p
-	return p
+	return fmtx.Appendf(b, "(%03d) 555-%04d", 200+(h>>24)%800, h%10000)
 }
 
-// GetAccounts returns the customer's accounts, synthesizing 2-4 of them
-// on first touch.
-func (db *DB) GetAccounts(uid uint64) []Account {
+// appendFields appends uid's profile fields fs, one a line: p's if an
+// UpdateProfile stored it (p non-nil), else the synthesized ones.
+func appendFields(b []byte, p *profile, uid uint64, fs ...int) []byte {
+	for _, f := range fs {
+		if p != nil {
+			b = append(b, p[f]...)
+		} else {
+			b = appendSynthField(b, uid, f)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// updatable maps the keys a POSTPROFILE may set to their fields.
+var updatable = map[string]int{"address": fieldAddress, "city": fieldCity, "email": fieldEmail, "phone": fieldPhone}
+
+// UpdateProfile applies field=value updates (address, city, email,
+// phone; an empty value changes nothing) to the user's profile.
+func (db *DB) UpdateProfile(uid uint64, fields map[string]string) {
+	p, ok := db.profiles[uid]
+	if !ok {
+		p = new(profile)
+		for f := range p {
+			p[f] = string(appendSynthField(nil, uid, f))
+		}
+		db.profiles[uid] = p
+	}
+	for key, v := range fields {
+		if f, ok := updatable[key]; ok && v != "" {
+			p[f] = v
+		}
+	}
+	db.noteWrite(uid)
+}
+
+// account is one bank account. Account i is checking when i is even,
+// savings when odd, and numbered 1000+i, a dash, then serial.
+type account struct {
+	serial  uint32 // eight digits
+	balance int64  // cents
+}
+
+// accountsOf returns the user's accounts: the stored ones if a Transfer
+// made them, else the 2-4 synthesized ones appended to buf.
+func (db *DB) accountsOf(uid uint64, buf []account) []account {
 	if a, ok := db.accounts[uid]; ok {
 		return a
 	}
-	h := mix(uid ^ 0xacc)
-	n := 2 + int(h%3)
-	accts := make([]Account, n)
-	for i := range accts {
+	n := 2 + int(mix(uid^0xacc)%3)
+	for i := 0; i < n; i++ {
 		hi := mix(uid ^ uint64(i)<<8 ^ 0xacc)
+		buf = append(buf, account{serial: uint32(hi) % 100000000, balance: int64(hi%5_000_00) + 100_00})
+	}
+	return buf
+}
+
+// appendAccounts appends the wire rows of the user's accounts,
+// "number|kind|balance".
+func (db *DB) appendAccounts(b []byte, uid uint64) []byte {
+	var buf [4]account
+	for i, a := range db.accountsOf(uid, buf[:0]) {
 		kind := "checking"
 		if i%2 == 1 {
 			kind = "savings"
 		}
-		accts[i] = Account{
-			Number:  fmtx.Sprintf("%04d-%08d", 1000+i, uint32(hi)%100000000),
-			Kind:    kind,
-			Balance: int64(hi%5_000_00) + 100_00,
-		}
+		b = fmtx.Appendf(b, "%04d-%08d|%s|%d\n", 1000+i, a.serial, kind, a.balance)
 	}
-	db.accounts[uid] = accts
-	return accts
+	return b
+}
+
+// Transfer moves cents between two of the user's accounts, returning the
+// new balances. It fails on bad indexes or insufficient funds, and then
+// stores nothing.
+func (db *DB) Transfer(uid uint64, from, to int, cents int64) (fromBal, toBal int64, err error) {
+	var buf [4]account
+	accts := db.accountsOf(uid, buf[:0])
+	if from < 0 || from >= len(accts) || to < 0 || to >= len(accts) || from == to {
+		return 0, 0, fmt.Errorf("backend: bad account index %d->%d", from, to)
+	}
+	if cents <= 0 || accts[from].balance < cents {
+		return 0, 0, errors.New("backend: insufficient funds")
+	}
+	if _, ok := db.accounts[uid]; !ok {
+		accts = slices.Clone(accts)
+		db.accounts[uid] = accts
+	}
+	accts[from].balance -= cents
+	accts[to].balance += cents
+	db.noteWrite(uid)
+	return accts[from].balance, accts[to].balance, nil
 }
 
 // txn synthesizes statement line i of an account.
@@ -187,88 +258,109 @@ func appendTxns(b []byte, uid uint64, acct, n int) []byte {
 	return b
 }
 
-// GetPayees returns registered payees (seeding 3 defaults on first touch).
-func (db *DB) GetPayees(uid uint64) []Payee {
-	if p, ok := db.payees[uid]; ok {
-		return p
-	}
-	h := mix(uid ^ 0xbee)
-	p := []Payee{
-		{Name: merchants[h%12], Account: fmtx.Sprintf("P-%06d", h%1000000)},
-		{Name: merchants[(h>>8)%12], Account: fmtx.Sprintf("P-%06d", (h>>8)%1000000)},
-		{Name: merchants[(h>>16)%12], Account: fmtx.Sprintf("P-%06d", (h>>16)%1000000)},
-	}
-	db.payees[uid] = p
-	return p
+// payee is a registered bill-pay target.
+type payee struct {
+	name, account string
 }
 
-// AddPayee registers a new payee.
+// defaultPayees is how many payees a user starts with.
+const defaultPayees = 3
+
+// synthPayee returns default payee i of uid: its name and the six
+// digits of its account, "P-" and the digits.
+func synthPayee(uid uint64, i int) (name string, account uint64) {
+	h := mix(uid^0xbee) >> (8 * i)
+	return merchants[h%12], h % 1000000
+}
+
+// appendPayees appends the wire rows of the user's payees, "name|account":
+// the stored ones if an AddPayee made them, else the defaults.
+func (db *DB) appendPayees(b []byte, uid uint64) []byte {
+	if ps, ok := db.payees[uid]; ok {
+		for _, p := range ps {
+			b = fmtx.Appendf(b, "%s|%s\n", p.name, p.account)
+		}
+		return b
+	}
+	for i := 0; i < defaultPayees; i++ {
+		name, acct := synthPayee(uid, i)
+		b = fmtx.Appendf(b, "%s|P-%06d\n", name, acct)
+	}
+	return b
+}
+
+// AddPayee registers a new payee after the user's existing ones.
 func (db *DB) AddPayee(uid uint64, name, account string) {
-	db.payees[uid] = append(db.GetPayees(uid), Payee{Name: name, Account: account})
+	ps, ok := db.payees[uid]
+	if !ok {
+		ps = make([]payee, defaultPayees, defaultPayees+1)
+		for i := range ps {
+			n, acct := synthPayee(uid, i)
+			ps[i] = payee{n, fmtx.Sprintf("P-%06d", acct)}
+		}
+	}
+	db.payees[uid] = append(ps, payee{name, account})
 	db.noteWrite(uid)
 }
 
-// Auth verifies a password, returning the profile on success.
-func (db *DB) Auth(uid uint64, password string) (*Profile, bool) {
-	p := db.GetProfile(uid)
-	return p, p.Password == password
+// billHistory is a user's bill payments, oldest first: the seeded lines
+// when a BILLS read showed them before the first payment, then the
+// payments PayBill recorded.
+type billHistory struct {
+	seeds int // 0, or seededBills
+	paid  []string
 }
 
-// Transfer moves cents between two of the user's accounts, returning the
-// new balances. It fails on bad indexes or insufficient funds.
-func (db *DB) Transfer(uid uint64, from, to int, cents int64) (fromBal, toBal int64, err error) {
-	accts := db.GetAccounts(uid)
-	if from < 0 || from >= len(accts) || to < 0 || to >= len(accts) || from == to {
-		return 0, 0, fmt.Errorf("backend: bad account index %d->%d", from, to)
-	}
-	if cents <= 0 || accts[from].Balance < cents {
-		return 0, 0, errors.New("backend: insufficient funds")
-	}
-	accts[from].Balance -= cents
-	accts[to].Balance += cents
-	db.noteWrite(uid)
-	return accts[from].Balance, accts[to].Balance, nil
+// seededBills is how many synthesized lines a seeded history starts with.
+const seededBills = 6
+
+// appendSeedBill appends seeded bill line i of uid.
+func appendSeedBill(b []byte, uid uint64, i int) []byte {
+	h := mix(uid ^ uint64(i)<<24 ^ 0xb111)
+	return fmtx.Appendf(b, "BP-%08x|%s|%d|2009-%02d-%02d",
+		uint32(h), merchants[h%12], 10_00+h%300_00, 1+(h>>8)%12, 1+(h>>16)%28)
 }
 
-// PayBill records a bill payment and returns a confirmation id.
+// PayBill records a bill payment and returns a confirmation id, which
+// counts the lines of the history before it.
 func (db *DB) PayBill(uid uint64, payee string, cents int64, date string) string {
-	conf := fmtx.Sprintf("BP-%08x", uint32(mix(uid^uint64(len(db.bills[uid]))^0xb111)))
-	db.bills[uid] = append(db.bills[uid], fmtx.Sprintf("%s|%s|%d|%s", conf, payee, cents, date))
+	h := db.bills[uid]
+	conf := fmtx.Sprintf("BP-%08x", uint32(mix(uid^uint64(h.seeds+len(h.paid))^0xb111)))
+	h.paid = append(h.paid, fmtx.Sprintf("%s|%s|%d|%s", conf, payee, cents, date))
+	db.bills[uid] = h
 	db.noteWrite(uid)
 	return conf
 }
 
-// Bills returns up to n recorded bill payments, most recent first,
-// synthesizing history on first touch so status pages are never empty.
-func (db *DB) Bills(uid uint64, n int) []string {
-	if _, ok := db.bills[uid]; !ok {
-		var seeded []string
-		for i := 0; i < 6; i++ {
-			h := mix(uid ^ uint64(i)<<24 ^ 0xb111)
-			seeded = append(seeded, fmtx.Sprintf("BP-%08x|%s|%d|2009-%02d-%02d",
-				uint32(h), merchants[h%12], 10_00+h%300_00, 1+(h>>8)%12, 1+(h>>16)%28))
+// appendBills appends up to n lines of the user's bill history, most
+// recent first, one a line. A user with no history is shown the seeded
+// one so status pages are never empty, and the history records that.
+func (db *DB) appendBills(b []byte, uid uint64, n int) []byte {
+	h, ok := db.bills[uid]
+	if !ok {
+		h.seeds = seededBills
+		db.bills[uid] = h
+	}
+	total := h.seeds + len(h.paid)
+	for i := total - 1; i >= max(0, total-n); i-- {
+		if i < h.seeds {
+			b = appendSeedBill(b, uid, i)
+		} else {
+			b = append(b, h.paid[i-h.seeds]...)
 		}
-		db.bills[uid] = seeded
+		b = append(b, '\n')
 	}
-	b := db.bills[uid]
-	if len(b) > n {
-		b = b[len(b)-n:]
-	}
-	out := make([]string, len(b))
-	for i := range b {
-		out[i] = b[len(b)-1-i]
-	}
-	return out
+	return b
 }
 
-// OrderCheck prices a check order and returns (orderID, priceCents).
-func (db *DB) OrderCheck(uid uint64, style string, qty int) (string, int64) {
-	id := fmtx.Sprintf("CO-%08x", uint32(mix(uid^uint64(qty)<<16^0xc4ec)))
-	price := int64(qty) * 45 // 45¢ per check
+// orderCheck prices a check order: its id's eight hex digits and its
+// price in cents.
+func orderCheck(uid uint64, style string, qty int) (id uint32, price int64) {
+	price = int64(qty) * 45 // 45¢ per check
 	if style == "premium" {
 		price *= 2
 	}
-	return id, price
+	return uint32(mix(uid ^ uint64(qty)<<16 ^ 0xc4ec)), price
 }
 
 // PlaceOrder finalizes a check order, returning a confirmation string.
@@ -279,30 +371,11 @@ func (db *DB) PlaceOrder(uid uint64, orderID string) string {
 	return conf
 }
 
-// UpdateProfile applies field=value updates and returns the profile.
-func (db *DB) UpdateProfile(uid uint64, fields map[string]string) *Profile {
-	p := db.GetProfile(uid)
-	if v, ok := fields["address"]; ok && v != "" {
-		p.Address = v
-	}
-	if v, ok := fields["city"]; ok && v != "" {
-		p.City = v
-	}
-	if v, ok := fields["email"]; ok && v != "" {
-		p.Email = v
-	}
-	if v, ok := fields["phone"]; ok && v != "" {
-		p.Phone = v
-	}
-	db.noteWrite(uid)
-	return p
-}
-
-// CheckImageMeta describes a cleared check for the check-detail page.
-func (db *DB) CheckImageMeta(uid uint64, checkNo int) (date string, cents int64, payee string) {
+// appendCheckInfo appends the cleared check's date, amount and payee,
+// one a line, for the check-detail page.
+func appendCheckInfo(b []byte, uid uint64, checkNo int) []byte {
 	h := mix(uid ^ uint64(checkNo)<<20 ^ 0xcafe)
-	return fmtx.Sprintf("2009-%02d-%02d", 1+(h>>4)%12, 1+(h>>12)%28),
-		int64(h % 500_00), merchants[(h>>24)%12]
+	return fmtx.Appendf(b, "2009-%02d-%02d\n%d\n%s\n", 1+(h>>4)%12, 1+(h>>12)%28, int64(h%500_00), merchants[(h>>24)%12])
 }
 
 // Handle processes one wire-format backend request (the live bytes of
@@ -344,22 +417,22 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if len(f) < 3 {
 			return []byte("ERR args")
 		}
-		p, ok := db.Auth(uid, f[2])
-		if !ok {
+		var pw [10]byte
+		if string(appendPassword(pw[:0], uid)) != f[2] {
 			return []byte("FAIL bad credentials")
 		}
-		b = fmtx.Appendf(b, "%s\n%s\n%s\n", p.Name, p.Email, p.Phone)
-		b = appendAccounts(b, db.GetAccounts(uid))
+		b = appendFields(b, db.profiles[uid], uid, fieldName, fieldEmail, fieldPhone)
+		b = db.appendAccounts(b, uid)
 	case "PROFILE":
-		b = appendProfile(b, db.GetProfile(uid))
+		b = appendFields(b, db.profiles[uid], uid, fieldName, fieldAddress, fieldCity, fieldEmail, fieldPhone)
 	case "SUMMARY":
 		// Combined accounts + recent activity: account_summary needs both
 		// in its single backend round trip (Table 2: 1 backend request).
-		b = appendAccounts(b, db.GetAccounts(uid))
+		b = db.appendAccounts(b, uid)
 		b = append(b, "--\n"...)
 		b = appendTxns(b, uid, 0, 20)
 	case "ACCTS":
-		b = appendAccounts(b, db.GetAccounts(uid))
+		b = db.appendAccounts(b, uid)
 	case "TXNS":
 		if len(f) < 4 {
 			return []byte("ERR args")
@@ -371,13 +444,13 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		}
 		b = appendTxns(b, uid, acct, n)
 	case "PAYEES":
-		b = appendPayees(b, db.GetPayees(uid))
+		b = db.appendPayees(b, uid)
 	case "ADDPAYEE":
 		if len(f) < 4 {
 			return []byte("ERR args")
 		}
 		db.AddPayee(uid, strings.Clone(f[2]), strings.Clone(f[3]))
-		b = appendPayees(b, db.GetPayees(uid))
+		b = db.appendPayees(b, uid)
 	case "BILLPAY":
 		if len(f) < 5 {
 			return []byte("ERR args")
@@ -393,9 +466,7 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if n <= 0 || n > 20 {
 			return []byte("ERR count")
 		}
-		for _, line := range db.Bills(uid, n) {
-			b = fmtx.Appendf(b, "%s\n", line)
-		}
+		b = db.appendBills(b, uid, n)
 	case "TRANSFER":
 		if len(f) < 5 {
 			return []byte("ERR args")
@@ -413,8 +484,7 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 			return []byte("ERR args")
 		}
 		cn, _ := strconv.Atoi(f[2])
-		date, cents, payee := db.CheckImageMeta(uid, cn)
-		b = fmtx.Appendf(b, "%s\n%d\n%s\n", date, cents, payee)
+		b = appendCheckInfo(b, uid, cn)
 	case "ORDERCHECK":
 		if len(f) < 4 {
 			return []byte("ERR args")
@@ -423,8 +493,8 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if qty <= 0 || qty > 1000 {
 			return []byte("ERR qty")
 		}
-		id, price := db.OrderCheck(uid, f[2], qty)
-		b = fmtx.Appendf(b, "%s\n%d\n", id, price)
+		id, price := orderCheck(uid, f[2], qty)
+		b = fmtx.Appendf(b, "CO-%08x\n%d\n", id, price)
 	case "PLACEORDER":
 		// Prices and places the order in one round trip so the
 		// place_check_order page needs a single backend request
@@ -436,7 +506,8 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if qty <= 0 || qty > 1000 {
 			return []byte("ERR qty")
 		}
-		id, price := db.OrderCheck(uid, f[2], qty)
+		n, price := orderCheck(uid, f[2], qty)
+		id := fmtx.Sprintf("CO-%08x", n)
 		conf := db.PlaceOrder(uid, id)
 		b = fmtx.Appendf(b, "%s\n%s\n%d\n", id, conf, price)
 	case "POSTPROFILE":
@@ -448,30 +519,13 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 				fields[kv[:eq]] = strings.Clone(kv[eq+1:])
 			}
 		}
-		b = appendProfile(b, db.UpdateProfile(uid, fields))
+		db.UpdateProfile(uid, fields)
+		b = appendFields(b, db.profiles[uid], uid, fieldName, fieldAddress, fieldCity, fieldEmail, fieldPhone)
 	default:
 		return []byte("ERR unknown verb " + f[0])
 	}
 	db.resp = b
 	return b
-}
-
-func appendAccounts(b []byte, accts []Account) []byte {
-	for _, a := range accts {
-		b = fmtx.Appendf(b, "%s|%s|%d\n", a.Number, a.Kind, a.Balance)
-	}
-	return b
-}
-
-func appendPayees(b []byte, payees []Payee) []byte {
-	for _, p := range payees {
-		b = fmtx.Appendf(b, "%s|%s\n", p.Name, p.Account)
-	}
-	return b
-}
-
-func appendProfile(b []byte, p *Profile) []byte {
-	return fmtx.Appendf(b, "%s\n%s\n%s\n%s\n%s\n", p.Name, p.Address, p.City, p.Email, p.Phone)
 }
 
 func parseUID(f []string) (uint64, error) {

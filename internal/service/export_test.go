@@ -8,6 +8,20 @@ import (
 // Def returns local type i's definition.
 func (w *PageWorkload) Def(local int) *SvcDef { return &w.defs[local] }
 
+// Scratches counts the distinct lane execution contexts s holds over
+// all its size classes.
+func (s *Slot) Scratches() int {
+	seen := map[*Scratch]bool{}
+	for _, pc := range s.byClass {
+		for _, sc := range pc.scratch {
+			if sc != nil {
+				seen[sc] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
 // RefUnit is the write-through reference build of a PageUnit: its column
 // images and its response buffer are backed, its stage kernel renders
 // into scratch and moves every byte the layout implies — StoreColumn

@@ -84,9 +84,9 @@ type Variant struct {
 // Live is the variant live serving runs: Titan B, padded, column-major.
 var Live = Variant{Padding: true, ColMajor: true}
 
-// pageCohort is the device-resident geometry of one typed cohort plus
-// its host mirror, allocated per (execution slot, buffer class) and
-// rebound across types of the class.
+// pageCohort is the device-resident geometry of one typed cohort,
+// allocated per (execution slot, buffer class) and rebound across types
+// of the class, plus its slot's host mirror of the lanes.
 type pageCohort struct {
 	w     *PageWorkload
 	v     Variant
@@ -120,25 +120,42 @@ type pageCohort struct {
 	breqLen  []int
 	brespLen []int
 
-	// Host mirrors. scratch[r] is lane r's execution context, created on
-	// the lane's first request and reused by every later cohort.
-	reqs    []httpx.Request
-	ctxs    []*Ctx
-	scratch []*Scratch
+	// lanes is the slot's, shared with every class's cohort of it.
+	*lanes
 
 	// be is the bound cohort's backend, and commits[r] lane r's deferred
 	// backend commit: made once per lane with the cohort, it reads the
 	// bound state when the launch's serial phase runs it.
 	be      Backend
 	commits []func()
+}
 
+// lanes is a slot's host mirror of its lanes: what Bind resets or
+// overwrites, so one set serves every size class's cohort — a unit is
+// valid only until the slot's next Bind (§4.2: a context's buffers are
+// set aside once and reused by every cohort it serves).
+type lanes struct {
+	reqs []httpx.Request
+	ctxs []*Ctx
+	// scratch[r] is lane r's execution context, created on the lane's
+	// first request and reused by every later cohort.
+	scratch []*Scratch
 	// stageInstr tracks each request's charged instructions at the last
 	// stage boundary so stage kernels charge only their delta.
 	stageInstr []int64
 }
 
-func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int) *pageCohort {
-	pc := &pageCohort{w: w, v: v, dev: dev, size: size, class: class}
+func newLanes(size int) *lanes {
+	return &lanes{
+		reqs:       make([]httpx.Request, size),
+		ctxs:       make([]*Ctx, size),
+		scratch:    make([]*Scratch, size),
+		stageInstr: make([]int64, size),
+	}
+}
+
+func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int, l *lanes) *pageCohort {
+	pc := &pageCohort{w: w, v: v, dev: dev, size: size, class: class, lanes: l}
 	pc.breqBuf = dev.Mem.Reserve(size*BackendRequestSlot, 256)
 	pc.breqRow = dev.Mem.Alloc(size*BackendRequestSlot, 256)
 	pc.brespBuf = dev.Mem.Reserve(size*BackendResponseSlot, 256)
@@ -147,10 +164,6 @@ func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int
 	pc.respRow = dev.Mem.Reserve(size*class, 256)
 	pc.breqLen = make([]int, size)
 	pc.brespLen = make([]int, size)
-	pc.reqs = make([]httpx.Request, size)
-	pc.ctxs = make([]*Ctx, size)
-	pc.scratch = make([]*Scratch, size)
-	pc.stageInstr = make([]int64, size)
 	pc.commits = make([]func(), size)
 	for r := range pc.commits {
 		pc.commits[r] = func() { pc.commit(r) }
@@ -203,13 +216,15 @@ func (pc *pageCohort) bind(local int, reqs []httpx.Request, be Backend) {
 // workload, owned by a single device worker goroutine: buffers are keyed
 // by response-buffer size class and rebound across types, allocated on
 // first use (device memory is never freed, so this is equivalent to the
-// paper's preallocation at first launch, §4.2).
+// paper's preallocation at first launch, §4.2). Every class shares the
+// slot's one host mirror of its lanes.
 type Slot struct {
 	w       *PageWorkload
 	dev     *simt.Device
 	v       Variant
 	size    int
 	byClass map[int]*pageCohort
+	lanes   *lanes // made at the first Bind
 }
 
 // Bind prepares the slot for a cohort of requests of one local type and
@@ -218,7 +233,10 @@ func (s *Slot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be
 	class := s.w.defs[local].BufferBytes
 	pc, ok := s.byClass[class]
 	if !ok {
-		pc = newPageCohort(s.w, s.dev, s.v, class, s.size)
+		if s.lanes == nil {
+			s.lanes = newLanes(s.size)
+		}
+		pc = newPageCohort(s.w, s.dev, s.v, class, s.size, s.lanes)
 		s.byClass[class] = pc
 	}
 	pc.bind(local, reqs, be)

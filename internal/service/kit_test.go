@@ -441,6 +441,34 @@ func TestResponsesAreIsolated(t *testing.T) {
 	assertSameBytes(t, "third cohort after the scribble", run(), want)
 }
 
+// TestSlotSharesLaneMirrors: a slot bound in turn to every banking type
+// — every response size class — keeps one execution context a lane,
+// not one a lane per class, and each unit, read before the next Bind,
+// renders what the scalar path does.
+func TestSlotSharesLaneMirrors(t *testing.T) {
+	in := bankingInput
+	eng := sim.NewEngine()
+	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
+	slot := in.w.NewSlot(dev, n, service.Live)
+	stream := dev.NewStream()
+	classes := map[int]bool{}
+	for local, sp := range in.w.Types() {
+		classes[in.w.Def(local).BufferBytes] = true
+		wd := in.world(t, local, n, nil)
+		unit := slot.Bind(local, wd.reqs, wd.sessions, wd.be)
+		unit.Run(stream, nil, nil, nil)
+		eng.Run()
+		want, _ := hostScratch(in.w, local, in.world(t, local, n, nil))
+		assertSameBytes(t, sp.Name, unit.Responses(), want)
+	}
+	if len(classes) != 4 {
+		t.Fatalf("banking spans %d size classes, want 4", len(classes))
+	}
+	if got := slot.Scratches(); got != n {
+		t.Fatalf("slot holds %d lane execution contexts over %d classes, want %d", got, len(classes), n)
+	}
+}
+
 // bloated answers every third request with more than a response slot
 // holds.
 type bloated struct {

@@ -165,7 +165,8 @@ const simSessionRoom = 256
 // pre-populated sessions that was after about 75K requests of the
 // default geometry (4 sessions a bucket), at 32× after 375–480K — less
 // than two ten-second windows of a simulator serving 30K requests/s.
-// 256× (1040 nodes a bucket, 17 MB at CohortSize 1024) holds 3300
+// 256× (1040 nodes a bucket; at CohortSize 1024, 1,064,960 nodes at
+// 9 B a node, about 9.1 MiB) holds 3300
 // requests per bucket: 3.3M at the benchmark's CohortSize 1024, and
 // never fewer than 840K (256 buckets).
 func newSimSessions(opts Options) *session.Array {
