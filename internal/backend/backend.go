@@ -393,33 +393,53 @@ func (db *DB) Handle(req []byte) []byte {
 	var fields [5]string
 	n := fmtx.Fields(fields[:], req)
 	if n == 0 {
-		return []byte("ERR empty")
+		return db.reply("ERR empty")
 	}
 	resp := db.dispatch(fields[:min(n, len(fields))], req)
 	if len(resp) > ResponseSlot {
-		return []byte("ERR response overflow")
+		return db.reply("ERR response overflow")
 	}
 	return resp
+}
+
+// reply writes a reply that carries no data — a failure's, or PING's —
+// into the response buffer, where like every other it is valid until the
+// next Handle.
+func (db *DB) reply(parts ...string) []byte {
+	b := db.resp[:0]
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	db.resp = b
+	return b
 }
 
 // dispatch runs the verb of req, whose first fields (as many as the
 // verbs read) are f.
 func (db *DB) dispatch(f []string, req []byte) []byte {
-	uid, err := parseUID(f)
-	if err != nil && f[0] != "PING" {
-		return []byte("ERR " + err.Error())
+	// Every verb but PING names a uid second.
+	var uid uint64
+	if f[0] != "PING" {
+		if len(f) < 2 {
+			return db.reply("ERR missing uid")
+		}
+		var err error
+		if uid, err = strconv.ParseUint(f[1], 10, 64); err != nil {
+			db.resp = strconv.AppendQuote(append(db.resp[:0], "ERR bad uid "...), f[1])
+			return db.resp
+		}
 	}
 	b := append(db.resp[:0], "OK\n"...)
 	switch f[0] {
 	case "PING":
-		return []byte("PONG")
+		return db.reply("PONG")
 	case "AUTH":
 		if len(f) < 3 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		var pw [10]byte
 		if string(appendPassword(pw[:0], uid)) != f[2] {
-			return []byte("FAIL bad credentials")
+			return db.reply("FAIL bad credentials")
 		}
 		b = appendFields(b, db.profiles[uid], uid, fieldName, fieldEmail, fieldPhone)
 		b = db.appendAccounts(b, uid)
@@ -435,63 +455,63 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		b = db.appendAccounts(b, uid)
 	case "TXNS":
 		if len(f) < 4 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		acct, _ := strconv.Atoi(f[2])
 		n, _ := strconv.Atoi(f[3])
 		if n <= 0 || n > 40 {
-			return []byte("ERR txn count")
+			return db.reply("ERR txn count")
 		}
 		b = appendTxns(b, uid, acct, n)
 	case "PAYEES":
 		b = db.appendPayees(b, uid)
 	case "ADDPAYEE":
 		if len(f) < 4 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		db.AddPayee(uid, strings.Clone(f[2]), strings.Clone(f[3]))
 		b = db.appendPayees(b, uid)
 	case "BILLPAY":
 		if len(f) < 5 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		cents, _ := strconv.ParseInt(f[3], 10, 64)
 		conf := db.PayBill(uid, f[2], cents, f[4])
 		b = fmtx.Appendf(b, "%s\n", conf)
 	case "BILLS":
 		if len(f) < 3 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		n, _ := strconv.Atoi(f[2])
 		if n <= 0 || n > 20 {
-			return []byte("ERR count")
+			return db.reply("ERR count")
 		}
 		b = db.appendBills(b, uid, n)
 	case "TRANSFER":
 		if len(f) < 5 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		from, _ := strconv.Atoi(f[2])
 		to, _ := strconv.Atoi(f[3])
 		cents, _ := strconv.ParseInt(f[4], 10, 64)
 		fb, tb, err := db.Transfer(uid, from, to, cents)
 		if err != nil {
-			return []byte("FAIL " + err.Error())
+			return db.reply("FAIL ", err.Error())
 		}
 		b = fmtx.Appendf(b, "%d\n%d\n", fb, tb)
 	case "CHECKINFO":
 		if len(f) < 3 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		cn, _ := strconv.Atoi(f[2])
 		b = appendCheckInfo(b, uid, cn)
 	case "ORDERCHECK":
 		if len(f) < 4 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		qty, _ := strconv.Atoi(f[3])
 		if qty <= 0 || qty > 1000 {
-			return []byte("ERR qty")
+			return db.reply("ERR qty")
 		}
 		id, price := orderCheck(uid, f[2], qty)
 		b = fmtx.Appendf(b, "CO-%08x\n%d\n", id, price)
@@ -500,11 +520,11 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		// place_check_order page needs a single backend request
 		// (Table 2).
 		if len(f) < 4 {
-			return []byte("ERR args")
+			return db.reply("ERR args")
 		}
 		qty, _ := strconv.Atoi(f[3])
 		if qty <= 0 || qty > 1000 {
-			return []byte("ERR qty")
+			return db.reply("ERR qty")
 		}
 		n, price := orderCheck(uid, f[2], qty)
 		id := fmtx.Sprintf("CO-%08x", n)
@@ -522,19 +542,8 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		db.UpdateProfile(uid, fields)
 		b = appendFields(b, db.profiles[uid], uid, fieldName, fieldAddress, fieldCity, fieldEmail, fieldPhone)
 	default:
-		return []byte("ERR unknown verb " + f[0])
+		return db.reply("ERR unknown verb ", f[0])
 	}
 	db.resp = b
 	return b
-}
-
-func parseUID(f []string) (uint64, error) {
-	if len(f) < 2 {
-		return 0, errors.New("missing uid")
-	}
-	uid, err := strconv.ParseUint(f[1], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad uid %q", f[1])
-	}
-	return uid, nil
 }

@@ -257,13 +257,15 @@ func TestReadsKeepNothing(t *testing.T) {
 func TestReadsDoNotAllocate(t *testing.T) {
 	db := New()
 	handle(db, "TXNS 1 0 40") // grow the response buffer
-	// A successful AUTH in place of pureReads' failing one: an error
-	// reply is a fresh slice.
-	reqs := append([]string{"AUTH %d " + PasswordFor(424242)}, pureReads[1:]...)
+	// pureReads' AUTH fails on its password. Beside them: a successful
+	// AUTH, two verbs short of arguments, an unknown verb, PING and a
+	// quantity out of range — every reply, a failure's too, is written
+	// into the one response buffer.
+	reqs := append([]string{"AUTH %d " + PasswordFor(424242), "AUTH %d", "TXNS %d 0", "BOGUS %d", "PING %d", "PLACEORDER %d standard 0"}, pureReads...)
 	for _, r := range reqs {
 		req := []byte(fmt.Sprintf(r, 424242))
 		if allocs := testing.AllocsPerRun(100, func() { db.Handle(req) }); allocs != 0 {
-			t.Errorf("%s: %v allocations per read", req, allocs)
+			t.Errorf("%s: %v allocations per call", req, allocs)
 		}
 	}
 }

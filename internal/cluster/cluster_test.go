@@ -9,6 +9,8 @@ import (
 
 	"rhythm/internal/backend"
 	"rhythm/internal/httpx"
+	"rhythm/internal/mem"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/workloads"
 )
@@ -608,4 +610,73 @@ func TestResultResponsesBelongToTheCaller(t *testing.T) {
 			t.Fatalf("response %d of the first cohort changed under two later cohorts of its class", i)
 		}
 	}
+}
+
+// TestSlotRunsEveryWorkload: one device slot runs banking, ecom and
+// telemetry cohorts in turn on its one set of lane mirrors and
+// backend-slot twins, and every response equals the host path's
+// (Registry.ExecuteScratch) over twin state. The device backs exactly
+// SlotsPerDevice × service.SlotDeviceBytes(CohortSize) plus its 1 MiB of
+// alignment slack.
+func TestSlotRunsEveryWorkload(t *testing.T) {
+	cfg := Config{Registry: workloads.Default(), Devices: 1, SlotsPerDevice: 1, CohortSize: 8}
+	get := func(uri, cookie string) []byte {
+		return []byte("GET " + uri + " HTTP/1.1\r\nHost: t\r\nCookie: " + cookie + "\r\n\r\n")
+	}
+	post := func(uri, body string) []byte {
+		return []byte(fmt.Sprintf("POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", uri, len(body), body))
+	}
+	uids := []uint64{7401, 7402, 7403, 7404}
+	// Each cohort is one request per user; the steps alternate workloads
+	// and size classes.
+	steps := []func(uid uint64) []byte{
+		loginRaw,
+		func(uid uint64) []byte { return get(fmt.Sprintf("/t/subscribe?dev=%d&sub=%d", uid%3, uid), "") },
+		func(uid uint64) []byte { return post("/cart.php", fmt.Sprintf("uid=%d&id=%d&qty=2", uid, uid*31)) },
+		func(uid uint64) []byte { return post("/t/ingest", fmt.Sprintf("dev=%d&f=%04x", uid%3, uid)) },
+		func(uid uint64) []byte { return cookieRaw("/profile.php", predictSID(cfg, uid)) },
+		func(uid uint64) []byte { return get(fmt.Sprintf("/t/poll?dev=%d&sub=%d", uid%3, uid), "") },
+		func(uid uint64) []byte { return get(fmt.Sprintf("/product.php?id=%d", uid*1009%100000), "") },
+		func(uid uint64) []byte { return cookieRaw("/account_summary.php", predictSID(cfg, uid)) },
+	}
+	run := func(host bool) (*Cluster, [][][]byte) {
+		cl := New(cfg)
+		var out [][][]byte
+		for _, step := range steps {
+			u := unitFor(t, cl, step(uids[0]))
+			for _, uid := range uids[1:] {
+				u.Reqs = append(u.Reqs, unitFor(t, cl, step(uid)).Reqs[0])
+			}
+			u.Host = host
+			res := collect(t, cl, []*Unit{u})[0]
+			if res.Err != nil || res.Host != host || res.KernelErrs != 0 || len(res.Resps) != len(uids) {
+				t.Fatalf("%s (host=%v): err %v, host %v, %d kernel errors, %d responses", u.Reqs[0].Path, host, res.Err, res.Host, res.KernelErrs, len(res.Resps))
+			}
+			out = append(out, res.Resps)
+		}
+		return cl, out
+	}
+	ref, want := run(true)
+	ref.Close()
+	cl, got := run(false)
+	defer cl.Close()
+	for s := range steps {
+		for i := range want[s] {
+			if !bytes.Equal(got[s][i], want[s][i]) {
+				t.Errorf("step %d lane %d: the device's response differs from the host path's", s, i)
+			}
+		}
+	}
+	m := cl.devs[0].published().Mem
+	size := int(int64(cfg.SlotsPerDevice)*service.SlotDeviceBytes(cfg.CohortSize)) + 1<<20
+	if !backs(m, size) || backs(m, size+1) {
+		t.Fatalf("the device does not back exactly %d bytes", size)
+	}
+}
+
+// backs reports whether m backs the n bytes from address 0.
+func backs(m *mem.Memory, n int) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	m.Bytes(0, n)
+	return true
 }

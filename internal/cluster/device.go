@@ -103,7 +103,7 @@ func newDevice(c *Cluster, id int) *device {
 // the pool.
 func (d *device) build() {
 	reg := d.cl.cfg.Registry
-	memBytes := int(int64(d.cl.cfg.SlotsPerDevice)*reg.DeviceBytes(d.cl.cfg.CohortSize)) + 1<<20 // alignment slack
+	memBytes := int(int64(d.cl.cfg.SlotsPerDevice)*service.SlotDeviceBytes(d.cl.cfg.CohortSize)) + 1<<20 // alignment slack
 	dev := simt.NewDevice(d.eng, d.cl.cfg.Simt, memBytes, nil)
 	for i := 0; i < d.cl.cfg.SlotsPerDevice; i++ {
 		d.streams = append(d.streams, dev.NewStream())

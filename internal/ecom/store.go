@@ -111,7 +111,7 @@ func (s *Store) Handle(req []byte) []byte {
 	var fields [4]string
 	f := fields[:min(fmtx.Fields(fields[:], req), len(fields))]
 	if len(f) == 0 {
-		return []byte("ERR empty")
+		return s.reply("ERR empty")
 	}
 	b := append(s.resp[:0], "OK\n"...)
 	switch f[0] {
@@ -121,7 +121,7 @@ func (s *Store) Handle(req []byte) []byte {
 		}
 	case "SEARCH":
 		if len(f) < 2 {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		h := hashString(f[1])
 		for i := 0; i < catalogRows; i++ {
@@ -129,7 +129,7 @@ func (s *Store) Handle(req []byte) []byte {
 		}
 	case "CATEGORY":
 		if len(f) < 2 {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		// Deterministic membership: walk hashes of the category until
 		// enough synthesized products actually belong to it.
@@ -143,54 +143,54 @@ func (s *Store) Handle(req []byte) []byte {
 			}
 		}
 		if found == 0 {
-			return []byte("ERR no such category")
+			return s.reply("ERR no such category")
 		}
 	case "PRODUCT":
 		if len(f) < 2 {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		pid, err := strconv.ParseUint(f[1], 10, 64)
 		if err != nil {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		b = appendProduct(b, pid)
 	case "ADDCART":
 		if len(f) < 4 {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		uid, err1 := strconv.ParseUint(f[1], 10, 64)
 		pid, err2 := strconv.ParseUint(f[2], 10, 64)
 		qty, err3 := strconv.Atoi(f[3])
 		if err1 != nil || err2 != nil || err3 != nil || qty <= 0 || qty > 99 {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		cart := append(s.carts[uid], cartLine{pid: pid, qty: qty})
 		if len(cart) > 20 {
-			return []byte("FAIL cart full")
+			return s.reply("FAIL cart full")
 		}
 		s.carts[uid] = cart
 		s.noteWrite(uid)
 		b = s.appendCart(b, uid)
 	case "CART":
 		if len(f) < 2 {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		uid, err := strconv.ParseUint(f[1], 10, 64)
 		if err != nil {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		b = s.appendCart(b, uid)
 	case "ORDER":
 		if len(f) < 2 {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		uid, err := strconv.ParseUint(f[1], 10, 64)
 		if err != nil {
-			return []byte("ERR args")
+			return s.reply("ERR args")
 		}
 		cart := s.carts[uid]
 		if len(cart) == 0 {
-			return []byte("FAIL empty cart")
+			return s.reply("FAIL empty cart")
 		}
 		var total int64
 		items := 0
@@ -204,7 +204,19 @@ func (s *Store) Handle(req []byte) []byte {
 		s.noteWrite(uid)
 		b = fmtx.Appendf(b, "%s\n%d\n%d\n", conf, items, total)
 	default:
-		return []byte("ERR unknown verb " + f[0])
+		return s.reply("ERR unknown verb ", f[0])
+	}
+	s.resp = b
+	return b
+}
+
+// reply writes a reply that carries no data — a failure's — into the
+// response buffer, where like every other it is valid until the next
+// Handle.
+func (s *Store) reply(parts ...string) []byte {
+	b := s.resp[:0]
+	for _, p := range parts {
+		b = append(b, p...)
 	}
 	s.resp = b
 	return b

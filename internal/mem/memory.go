@@ -1,6 +1,6 @@
 // Package mem models the accelerator's device memory: a flat linear
 // address space — backed by real bytes where the simulation reads them
-// back (a stage kernel's backend slots, the parser's request image),
+// back (an execution slot's backend slots, the parser's request image),
 // reserved but unbacked where a buffer is only priced — allocated once
 // at startup (the paper allocates all pipeline memory then, §4.6), and
 // the 2-D buffer transpose between row-major and column-major layouts
@@ -20,10 +20,10 @@ type Addr uint64
 // has addresses, so accesses to it coalesce and are priced like any
 // other, and no bytes. A cohort buffer's column-major image lives there
 // — the device would hold it, the simulation only prices it — and so
-// does the whole response buffer, whose bytes are Go rows the bound unit
-// owns and hands to its caller (internal/service/kernels.go). What a
+// does the whole response buffer, whose pages are rendered from the
+// lanes' contexts when they are read (internal/service/kernels.go). What a
 // stage kernel keeps in backed memory is its backend slots' row-major
-// twins.
+// twins: one pair per execution slot, shared by every cohort it binds.
 //
 // Concurrency contract (simt.Config.HostParallelism > 1): concurrently
 // simulated warps may Read/Write/Bytes disjoint byte ranges of the data

@@ -188,13 +188,13 @@ type readerBatch struct {
 }
 
 // DeviceMemory reports the backed device memory a server with opts
-// needs: for each cohort context the backend slots of every buffer
-// class (mixed traffic binds classes on demand; responses take no device
-// backing, service.PageWorkload.DeviceBytes), the reader's two batches
-// in both layouts, and alignment slack. banking.CohortDeviceBytes is the
-// modelled footprint behind §6.3 and sizes nothing here.
+// needs: for each cohort context its one set of backend slots, shared by
+// every buffer class it binds (responses take no device backing,
+// service.SlotDeviceBytes), the reader's two batches in both layouts,
+// and alignment slack. banking.CohortDeviceBytes is the modelled
+// footprint behind §6.3 and sizes nothing here.
 func DeviceMemory(opts Options) int {
-	return int(int64(opts.MaxCohorts)*banking.NewWorkload().DeviceBytes(opts.CohortSize)) +
+	return int(int64(opts.MaxCohorts)*service.SlotDeviceBytes(opts.CohortSize)) +
 		4*opts.CohortSize*banking.RequestSlot + 1<<20
 }
 

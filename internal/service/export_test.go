@@ -1,6 +1,8 @@
 package service
 
 import (
+	"slices"
+
 	"rhythm/internal/mem"
 	"rhythm/internal/simt"
 )
@@ -20,6 +22,20 @@ func (s *Slot) Scratches() int {
 		}
 	}
 	return len(seen)
+}
+
+// Twins lists the distinct backend-slot twin pairs the cohorts of ss
+// (one slot set) read and write, over all their size classes.
+func Twins(ss ...*Slot) [][2]mem.Addr {
+	var out [][2]mem.Addr
+	for _, s := range ss {
+		for _, pc := range s.byClass {
+			if p := [2]mem.Addr{pc.breqRow, pc.brespRow}; !slices.Contains(out, p) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }
 
 // RefUnit is the write-through reference build of a PageUnit: its column

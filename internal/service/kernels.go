@@ -17,15 +17,16 @@ import (
 // in lockstep — and the cost accounting the simulator performs on it.
 //
 // The kernels price that layout and do not re-enact it: a backend slot's
-// bytes live once, in its row-major twin in device memory; every
-// column-major image, and the responses' row-major one, is reserved
-// address space whose loads, stores and transposes are charged exactly
-// as if the bytes moved (simt/column.go); and a response is not rendered
-// by the kernel that prices its store. A rendered page is always its
-// class's size, so what the store costs needs no bytes: the lane's
-// context holds the finished page, and whoever reads the response —
-// Responses for the caller, Response for one lane in place — renders it
-// from there.
+// bytes live once, in its row-major twin in device memory — one pair per
+// execution slot, shared by every size class and workload the slot
+// binds; every column-major image, and the responses' row-major one, is
+// reserved address space, per class, whose loads, stores and transposes
+// are charged exactly as if the bytes moved (simt/column.go); and a
+// response is not rendered by the kernel that prices its store. A
+// rendered page is always its class's size, so what the store costs
+// needs no bytes: the lane's context holds the finished page, and
+// whoever reads the response — Responses for the caller, Response for
+// one lane in place — renders it from there.
 
 // Device-side cost constants: on-device backend lookups (Titan B/C run
 // Besim as a device kernel, §5.3.2) and session-array work beyond the
@@ -85,43 +86,34 @@ type Variant struct {
 var Live = Variant{Padding: true, ColMajor: true}
 
 // pageCohort is the device-resident geometry of one typed cohort,
-// allocated per (execution slot, buffer class) and rebound across types
-// of the class, plus its slot's host mirror of the lanes.
+// allocated per (execution slot, workload, buffer class) and rebound
+// across types of the class, over its execution slot's shared lane state.
 type pageCohort struct {
 	w     *PageWorkload
 	v     Variant
-	dev   *simt.Device
 	local int
 	def   *SvcDef
-	size  int
 	count int
 	class int
 
-	// Device buffers. breqBuf, brespBuf and respCol are the
-	// word-interleaved column images the device holds: reserved address
-	// space, priced and never backed. breqRow/brespRow, their row-major
-	// twins, hold the backend slots' bytes, request r's at byte r × slot
-	// size: what a host backend's transposes ship over the bus (§5.3.2)
-	// and what a device backend reads in place. respRow — what the
+	// Device buffers: the word-interleaved column images the device holds
+	// and the responses' row-major image. All are reserved address space,
+	// priced and never backed, and each class reserves its own, so every
+	// priced access has its own 256-aligned base. respRow — what the
 	// response transpose produces (§4.3.2) and what row-major mode stores
-	// to — is reserved too: responses are rendered when they are read.
+	// to — holds no bytes: responses are rendered when they are read.
+	// The backend slots' bytes live in the execution slot's row-major
+	// twins.
 	breqBuf  mem.Addr
-	breqRow  mem.Addr
 	brespBuf mem.Addr
-	brespRow mem.Addr
 	respCol  mem.Addr
 	respRow  mem.Addr
 
 	// page is the one class-byte buffer Response renders a lane into.
 	page []byte
-	// breqLen[r] and brespLen[r] are the live bytes of lane r's backend
-	// slots; the rest of a slot is zero. Stage functions and backends are
-	// handed exactly the live bytes, as on the host path.
-	breqLen  []int
-	brespLen []int
 
-	// lanes is the slot's, shared with every class's cohort of it.
-	*lanes
+	// execSlot is the slot's, shared with every cohort bound on it.
+	*execSlot
 
 	// be is the bound cohort's backend, and commits[r] lane r's deferred
 	// backend commit: made once per lane with the cohort, it reads the
@@ -130,11 +122,31 @@ type pageCohort struct {
 	commits []func()
 }
 
-// lanes is a slot's host mirror of its lanes: what Bind resets or
-// overwrites, so one set serves every size class's cohort — a unit is
-// valid only until the slot's next Bind (§4.2: a context's buffers are
-// set aside once and reused by every cohort it serves).
-type lanes struct {
+// execSlot is what one execution slot keeps whatever cohort it binds —
+// of any size class, and in a registry's slot set of any workload: the
+// host mirror of its lanes and the backend slots' row-major twins. A
+// slot binds one cohort at a time and a unit is valid only until the
+// slot's next Bind, so one set serves every cohort (§4.2: a context's
+// buffers are set aside once and reused by every cohort it serves).
+// Bind resets or overwrites the lane mirrors; the twins keep their zero
+// tails because every write of a backend slot clears what the lane's
+// previous live bytes left (fillSlot).
+type execSlot struct {
+	dev  *simt.Device
+	size int
+
+	// breqRow/brespRow, backed at the slot's first Bind, hold the backend
+	// slots' bytes, request r's at byte r × slot size: what a host
+	// backend's transposes ship over the bus (§5.3.2) and what a device
+	// backend reads in place. breqLen[r] and brespLen[r] are the live
+	// bytes of lane r's slots; the rest of a slot is zero. Stage
+	// functions and backends are handed exactly the live bytes, as on the
+	// host path.
+	breqRow  mem.Addr
+	brespRow mem.Addr
+	breqLen  []int
+	brespLen []int
+
 	reqs []httpx.Request
 	ctxs []*Ctx
 	// scratch[r] is lane r's execution context, created on the lane's
@@ -145,26 +157,38 @@ type lanes struct {
 	stageInstr []int64
 }
 
-func newLanes(size int) *lanes {
-	return &lanes{
-		reqs:       make([]httpx.Request, size),
-		ctxs:       make([]*Ctx, size),
-		scratch:    make([]*Scratch, size),
-		stageInstr: make([]int64, size),
-	}
+// SlotDeviceBytes reports the backed device memory one execution slot
+// of cohortSize lanes needs, whatever it serves: its backend request and
+// response slots' row-major twins. The column images and the response
+// buffers are reserved address space and take no backing.
+func SlotDeviceBytes(cohortSize int) int64 {
+	return int64(cohortSize) * (BackendRequestSlot + BackendResponseSlot)
 }
 
-func newPageCohort(w *PageWorkload, dev *simt.Device, v Variant, class, size int, l *lanes) *pageCohort {
-	pc := &pageCohort{w: w, v: v, dev: dev, size: size, class: class, lanes: l}
-	pc.breqBuf = dev.Mem.Reserve(size*BackendRequestSlot, 256)
-	pc.breqRow = dev.Mem.Alloc(size*BackendRequestSlot, 256)
-	pc.brespBuf = dev.Mem.Reserve(size*BackendResponseSlot, 256)
-	pc.brespRow = dev.Mem.Alloc(size*BackendResponseSlot, 256)
-	pc.respCol = dev.Mem.Reserve(size*class, 256)
-	pc.respRow = dev.Mem.Reserve(size*class, 256)
-	pc.breqLen = make([]int, size)
-	pc.brespLen = make([]int, size)
-	pc.commits = make([]func(), size)
+// back sets the slot's state aside on its first Bind, so a slot that
+// never binds backs no device memory.
+func (e *execSlot) back() {
+	if e.reqs != nil {
+		return
+	}
+	e.breqRow = e.dev.Mem.Alloc(e.size*BackendRequestSlot, 256)
+	e.brespRow = e.dev.Mem.Alloc(e.size*BackendResponseSlot, 256)
+	e.breqLen = make([]int, e.size)
+	e.brespLen = make([]int, e.size)
+	e.reqs = make([]httpx.Request, e.size)
+	e.ctxs = make([]*Ctx, e.size)
+	e.scratch = make([]*Scratch, e.size)
+	e.stageInstr = make([]int64, e.size)
+}
+
+func newPageCohort(w *PageWorkload, v Variant, class int, e *execSlot) *pageCohort {
+	pc := &pageCohort{w: w, v: v, class: class, execSlot: e}
+	m := e.dev.Mem
+	pc.breqBuf = m.Reserve(e.size*BackendRequestSlot, 256)
+	pc.brespBuf = m.Reserve(e.size*BackendResponseSlot, 256)
+	pc.respCol = m.Reserve(e.size*class, 256)
+	pc.respRow = m.Reserve(e.size*class, 256)
+	pc.commits = make([]func(), e.size)
 	for r := range pc.commits {
 		pc.commits[r] = func() { pc.commit(r) }
 	}
@@ -180,8 +204,8 @@ func (pc *pageCohort) commit(r int) {
 }
 
 // row returns request r's slot of a backend slot's row-major twin.
-func (pc *pageCohort) row(twin mem.Addr, r, slot int) []byte {
-	return pc.dev.Mem.Bytes(twin+mem.Addr(r*slot), slot)
+func (e *execSlot) row(twin mem.Addr, r, slot int) []byte {
+	return e.dev.Mem.Bytes(twin+mem.Addr(r*slot), slot)
 }
 
 // fillSlot copies data, which fits, into a backend slot that held old
@@ -212,31 +236,29 @@ func (pc *pageCohort) bind(local int, reqs []httpx.Request, be Backend) {
 	}
 }
 
-// Slot is one execution slot's device-resident cohort state for one
-// workload, owned by a single device worker goroutine: buffers are keyed
-// by response-buffer size class and rebound across types, allocated on
-// first use (device memory is never freed, so this is equivalent to the
-// paper's preallocation at first launch, §4.2). Every class shares the
-// slot's one host mirror of its lanes.
+// Slot is one execution slot's cohort state for one workload, owned by
+// a single device worker goroutine: buffers are keyed by response-buffer
+// size class and rebound across types, allocated on first use (device
+// memory is never freed, so this is equivalent to the paper's
+// preallocation at first launch, §4.2). Every class shares the execution
+// slot's lane mirrors and backend-slot twins, and so does every workload's
+// Slot of a Registry.NewSlots set.
 type Slot struct {
 	w       *PageWorkload
-	dev     *simt.Device
 	v       Variant
-	size    int
 	byClass map[int]*pageCohort
-	lanes   *lanes // made at the first Bind
+	*execSlot
 }
 
 // Bind prepares the slot for a cohort of requests of one local type and
-// returns the launchable unit, valid until the next Bind on this slot.
+// returns the launchable unit, valid until the next Bind on this slot —
+// or, in a Registry.NewSlots set, on any workload's Slot of it.
 func (s *Slot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be Backend) *PageUnit {
 	class := s.w.defs[local].BufferBytes
 	pc, ok := s.byClass[class]
 	if !ok {
-		if s.lanes == nil {
-			s.lanes = newLanes(s.size)
-		}
-		pc = newPageCohort(s.w, s.dev, s.v, class, s.size, s.lanes)
+		s.back()
+		pc = newPageCohort(s.w, s.v, class, s.execSlot)
 		s.byClass[class] = pc
 	}
 	pc.bind(local, reqs, be)

@@ -442,13 +442,14 @@ func TestResponsesAreIsolated(t *testing.T) {
 }
 
 // TestSlotSharesLaneMirrors: a slot bound in turn to every banking type
-// — every response size class — keeps one execution context a lane,
-// not one a lane per class, and each unit, read before the next Bind,
-// renders what the scalar path does.
+// — every response size class — keeps one execution context a lane and
+// one pair of backend-slot twins, not one a class: its device backs
+// SlotDeviceBytes and not a byte more. Each unit, read before the next
+// Bind, renders what the scalar path does.
 func TestSlotSharesLaneMirrors(t *testing.T) {
 	in := bankingInput
 	eng := sim.NewEngine()
-	dev := simt.NewDevice(eng, simt.GTXTitan(), deviceMem, nil)
+	dev := simt.NewDevice(eng, simt.GTXTitan(), int(service.SlotDeviceBytes(n)), nil)
 	slot := in.w.NewSlot(dev, n, service.Live)
 	stream := dev.NewStream()
 	classes := map[int]bool{}
@@ -466,6 +467,123 @@ func TestSlotSharesLaneMirrors(t *testing.T) {
 	}
 	if got := slot.Scratches(); got != n {
 		t.Fatalf("slot holds %d lane execution contexts over %d classes, want %d", got, len(classes), n)
+	}
+	if got := len(service.Twins(slot)); got != 1 {
+		t.Fatalf("slot holds %d backend-slot twin pairs over %d classes, want 1", got, len(classes))
+	}
+}
+
+// TestRegistrySlotsShareOneExecutionSlot: a registry's slot set is one
+// execution slot. Bound in turn to a banking, an ecom and a telemetry
+// type, and back, it reuses one set of lane mirrors and twins on a
+// device that backs SlotDeviceBytes, and every unit, read before the
+// next Bind on any workload's Slot, renders what the scalar path does.
+func TestRegistrySlotsShareOneExecutionSlot(t *testing.T) {
+	ins := []input{bankingInput, ecomInput, telemetryInput}
+	reg := service.NewRegistry(bankingInput.w, ecomInput.w, telemetryInput.w)
+	eng := sim.NewEngine()
+	dev := simt.NewDevice(eng, simt.GTXTitan(), int(service.SlotDeviceBytes(n)), nil)
+	slots := reg.NewSlots(dev, n, service.Live)
+	stream := dev.NewStream()
+	for _, step := range []struct{ w, local int }{
+		{0, int(banking.Profile)}, {1, ecom.Checkout}, {2, telemetry.Poll},
+		{0, int(banking.Login)}, {2, telemetry.Ingest}, {1, ecom.Browse},
+	} {
+		in := ins[step.w]
+		wd := in.world(t, step.local, n, nil)
+		unit := slots[step.w].Bind(step.local, wd.reqs, wd.sessions, wd.be)
+		unit.Run(stream, nil, nil, nil)
+		eng.Run()
+		want, _ := hostScratch(in.w, step.local, in.world(t, step.local, n, nil))
+		assertSameBytes(t, in.name+"/"+in.w.Types()[step.local].Name, unit.Responses(), want)
+	}
+	if got := slots[0].Scratches(); got != n {
+		t.Fatalf("slot set holds %d lane execution contexts, want %d", got, n)
+	}
+	if got := len(service.Twins(slots...)); got != 1 {
+		t.Fatalf("slot set holds %d backend-slot twin pairs, want 1", got)
+	}
+}
+
+// recording is a backend that files every request under the lane it is
+// told it serves.
+type recording struct {
+	service.Backend
+	lane int
+	reqs map[int][]string
+}
+
+func (b *recording) Handle(req []byte) []byte {
+	b.reqs[b.lane] = append(b.reqs[b.lane], string(req))
+	return b.Backend.Handle(req)
+}
+
+// TestTitanAZeroTails: on one Titan A slot, a 64 KB-class cohort with
+// long backend requests, then an 8 KB-class cohort with shorter ones on
+// the same backend-slot twins. Every image the host round trip receives
+// is zero past each lane's live request, BackendRequest cuts exactly the
+// requests the scalar path sends, and the responses measured back in
+// render the scalar path's pages.
+func TestTitanAZeroTails(t *testing.T) {
+	in := bankingInput
+	v := service.Live
+	v.Platform = service.TitanA
+	eng := sim.NewEngine()
+	dev := simt.NewDevice(eng, simt.GTXTitan(), int(service.SlotDeviceBytes(n)), nil)
+	slot := in.w.NewSlot(dev, n, v)
+	stream := dev.NewStream()
+	var longest []int // lane r's longest backend request of the first cohort
+	for _, local := range []int{int(banking.PostPayee), int(banking.Login)} {
+		name := in.w.Types()[local].Name
+		wd := in.world(t, local, n, nil)
+		dreqs := &recording{Backend: wd.be, reqs: map[int][]string{}}
+		unit := slot.Bind(local, wd.reqs, wd.sessions, dreqs)
+		unit.Run(stream, func(image []byte, reply func(resp []byte)) {
+			out := make([]byte, n*service.BackendResponseSlot)
+			for r := 0; r < n; r++ {
+				live := unit.BackendRequest(image, r)
+				if tail := image[r*service.BackendRequestSlot+len(live) : (r+1)*service.BackendRequestSlot]; slices.ContainsFunc(tail, func(b byte) bool { return b != 0 }) {
+					t.Fatalf("%s: lane %d's backend slot holds nonzero bytes past its %d live ones", name, r, len(live))
+				}
+				if unit.Active(r) {
+					dreqs.lane = r
+					copy(out[r*service.BackendResponseSlot:], dreqs.Handle(live))
+				}
+			}
+			reply(out)
+		}, nil, nil)
+		eng.Run()
+
+		host := in.world(t, local, n, nil)
+		hreqs := &recording{Backend: host.be, reqs: map[int][]string{}}
+		host.be = hreqs
+		sc := service.NewScratch()
+		var want [][]byte
+		for i := range host.reqs {
+			hreqs.lane = i
+			in.w.ExecuteScratch(sc, local, &host.reqs[i], host.sessions, host.be, true)
+			want = append(want, sc.Render(make([]byte, in.w.Def(local).BufferBytes)))
+		}
+		assertSameBytes(t, name, unit.Responses(), want)
+		for r := 0; r < n; r++ {
+			if !slices.Equal(dreqs.reqs[r], hreqs.reqs[r]) {
+				t.Fatalf("%s: lane %d sent %q to the host backend, the scalar path %q", name, r, dreqs.reqs[r], hreqs.reqs[r])
+			}
+		}
+		if longest == nil {
+			for r := 0; r < n; r++ {
+				longest = append(longest, 0)
+				for _, req := range dreqs.reqs[r] {
+					longest[r] = max(longest[r], len(req))
+				}
+			}
+			continue
+		}
+		for r := 0; r < n; r++ {
+			if len(dreqs.reqs[r]) == 0 || len(dreqs.reqs[r][0]) >= longest[r] {
+				t.Fatalf("%s: lane %d's first request is not shorter than the first cohort's %d bytes; the tails go unchecked", name, r, longest[r])
+			}
+		}
 	}
 }
 

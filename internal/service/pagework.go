@@ -178,33 +178,14 @@ func (w *PageWorkload) Execute(local int, req *httpx.Request, sessions *session.
 	return w.ExecuteScratch(NewScratch(), local, req, sessions, be, padding)
 }
 
-// classes lists the distinct response-buffer classes, ascending-free
-// (declaration order).
-func (w *PageWorkload) classes() []int {
-	seen := map[int]bool{}
-	var out []int
-	for i := range w.defs {
-		c := w.defs[i].BufferBytes
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// DeviceBytes reports the backed device memory one execution slot
-// needs to serve every type of this workload — what its kernels read
-// back out of device memory: the row-major backend request and response
-// slots of one cohort per distinct buffer class. The column images and
-// the response buffers are reserved address space (kernels.go) and take
-// no backing; a response is rendered when it is read.
-func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
-	return int64(len(w.classes())) * int64(cohortSize) * (BackendRequestSlot + BackendResponseSlot)
-}
-
 // NewSlot creates one execution slot's device cohort state, its stage
-// kernels fixed to variant v.
+// kernels fixed to variant v. It backs SlotDeviceBytes(cohortSize) of
+// dev's memory at its first Bind.
 func (w *PageWorkload) NewSlot(dev *simt.Device, cohortSize int, v Variant) *Slot {
-	return &Slot{w: w, dev: dev, v: v, size: cohortSize, byClass: make(map[int]*pageCohort)}
+	return w.newSlot(&execSlot{dev: dev, size: cohortSize}, v)
+}
+
+// newSlot creates w's Slot over the execution slot e.
+func (w *PageWorkload) newSlot(e *execSlot, v Variant) *Slot {
+	return &Slot{w: w, v: v, byClass: make(map[int]*pageCohort), execSlot: e}
 }

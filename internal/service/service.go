@@ -229,23 +229,18 @@ func (r *Registry) NewBackends() []Backend {
 }
 
 // NewSlots creates one execution slot's cohort state across all
-// workloads, indexed by workload index.
+// workloads, indexed by workload index. The Slots share one set of lane
+// mirrors and backend-slot twins — the slot binds one cohort at a time —
+// so the set backs SlotDeviceBytes(cohortSize) of dev's memory at its
+// first Bind, and a unit of any of them is valid until the next Bind on
+// any of them.
 func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []*Slot {
+	e := &execSlot{dev: dev, size: cohortSize}
 	out := make([]*Slot, len(r.ws))
 	for i, w := range r.ws {
-		out[i] = w.NewSlot(dev, cohortSize, v)
+		out[i] = w.newSlot(e, v)
 	}
 	return out
-}
-
-// DeviceBytes reports the backed device memory one execution slot needs
-// to serve every registered type (PageWorkload.DeviceBytes, summed).
-func (r *Registry) DeviceBytes(cohortSize int) int64 {
-	var total int64
-	for _, w := range r.ws {
-		total += w.DeviceBytes(cohortSize)
-	}
-	return total
 }
 
 // ExecuteHost runs one classified request on its workload's scalar host

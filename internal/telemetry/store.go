@@ -74,23 +74,24 @@ func validHex(s string) bool {
 	return true
 }
 
-// Handle implements service.Backend: "VERB dev [args...]" requests,
-// read in place and never kept. The response is built in a buffer the
-// next Handle reuses.
+// Handle implements service.Backend: "VERB dev [args...]" requests of
+// up to 1 KB, read in place and never kept, and responses within 4 KB (a
+// poll drains at most PollMax frames), built in a buffer the next Handle
+// reuses.
 func (b *Broker) Handle(req []byte) []byte {
 	var f [4]string
 	n := fmtx.Fields(f[:], req)
 	if n < 2 {
-		return []byte("ERR args")
+		return b.reply("ERR args")
 	}
 	dev, err := strconv.ParseUint(f[1], 10, 64)
 	if err != nil {
-		return []byte("ERR bad device")
+		return b.reply("ERR bad device")
 	}
 	switch f[0] {
 	case "PUB":
 		if n != 3 || !validHex(f[2]) {
-			return []byte("ERR bad frame")
+			return b.reply("ERR bad frame")
 		}
 		seq := b.nextSeq[dev]
 		b.nextSeq[dev] = seq + 1
@@ -106,7 +107,7 @@ func (b *Broker) Handle(req []byte) []byte {
 	case "SUB":
 		sub, err := strconv.ParseUint(f[2], 10, 64)
 		if n != 3 || err != nil {
-			return []byte("ERR bad subscriber")
+			return b.reply("ERR bad subscriber")
 		}
 		cur := b.nextSeq[dev]
 		b.cursors[cursorKey{dev: dev, sub: sub}] = cur
@@ -115,17 +116,17 @@ func (b *Broker) Handle(req []byte) []byte {
 		return b.resp
 	case "POLL":
 		if n != 4 {
-			return []byte("ERR args")
+			return b.reply("ERR args")
 		}
 		sub, err1 := strconv.ParseUint(f[2], 10, 64)
 		max, err2 := strconv.Atoi(f[3])
 		if err1 != nil || err2 != nil || max <= 0 {
-			return []byte("ERR args")
+			return b.reply("ERR args")
 		}
 		key := cursorKey{dev: dev, sub: sub}
 		cur, ok := b.cursors[key]
 		if !ok {
-			return []byte("FAIL not subscribed")
+			return b.reply("FAIL not subscribed")
 		}
 		ring := b.rings[dev]
 		lost := uint64(0)
@@ -139,7 +140,9 @@ func (b *Broker) Handle(req []byte) []byte {
 		for first < len(ring) && ring[first].seq < cur {
 			first++
 		}
-		frames := ring[first:min(first+max, len(ring))]
+		// A poll drains at most PollMax frames, whatever it asks for: no
+		// more fit the response slot.
+		frames := ring[first:min(first+max, first+PollMax, len(ring))]
 		if len(frames) > 0 {
 			cur = frames[len(frames)-1].seq + 1
 		}
@@ -161,6 +164,18 @@ func (b *Broker) Handle(req []byte) []byte {
 		b.resp = fmtx.Appendf(b.resp[:0], "OK\nseq=%d subs=%d buffered=%d\n", b.nextSeq[dev], subs, len(b.rings[dev]))
 		return b.resp
 	default:
-		return []byte("ERR unknown verb " + f[0])
+		return b.reply("ERR unknown verb ", f[0])
 	}
+}
+
+// reply writes a reply that carries no data — a failure's — into the
+// response buffer, where like every other it is valid until the next
+// Handle.
+func (b *Broker) reply(parts ...string) []byte {
+	out := b.resp[:0]
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	b.resp = out
+	return out
 }
