@@ -14,7 +14,7 @@ package backend
 
 import (
 	"errors"
-	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -214,6 +214,13 @@ func (db *DB) appendAccounts(b []byte, uid uint64) []byte {
 	return b
 }
 
+// Transfer's failures, one value each so that failing allocates
+// nothing.
+var (
+	errBadAccount        = errors.New("backend: bad account index")
+	errInsufficientFunds = errors.New("backend: insufficient funds")
+)
+
 // Transfer moves cents between two of the user's accounts, returning the
 // new balances. It fails on bad indexes or insufficient funds, and then
 // stores nothing.
@@ -221,19 +228,22 @@ func (db *DB) Transfer(uid uint64, from, to int, cents int64) (fromBal, toBal in
 	var buf [4]account
 	accts := db.accountsOf(uid, buf[:0])
 	if from < 0 || from >= len(accts) || to < 0 || to >= len(accts) || from == to {
-		return 0, 0, fmt.Errorf("backend: bad account index %d->%d", from, to)
+		return 0, 0, errBadAccount
 	}
 	if cents <= 0 || accts[from].balance < cents {
-		return 0, 0, errors.New("backend: insufficient funds")
+		return 0, 0, errInsufficientFunds
 	}
-	if _, ok := db.accounts[uid]; !ok {
-		accts = slices.Clone(accts)
-		db.accounts[uid] = accts
+	// The stored slice is a variable of its own: were it accts, buf
+	// would escape, and a failing transfer would allocate it.
+	stored, ok := db.accounts[uid]
+	if !ok {
+		stored = slices.Clone(accts)
+		db.accounts[uid] = stored
 	}
-	accts[from].balance -= cents
-	accts[to].balance += cents
+	stored[from].balance -= cents
+	stored[to].balance += cents
 	db.noteWrite(uid)
-	return accts[from].balance, accts[to].balance, nil
+	return stored[from].balance, stored[to].balance, nil
 }
 
 // txn synthesizes statement line i of an account.
@@ -414,6 +424,48 @@ func (db *DB) reply(parts ...string) []byte {
 	return b
 }
 
+// parseUint is strconv.ParseUint(s, 10, 64) with ok in place of the
+// error, whose *strconv.NumError allocates: on a syntax error it returns
+// 0, on overflow the largest uint64, as ParseUint does.
+func parseUint(s string) (n uint64, ok bool) {
+	if s == "" {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		if n > (math.MaxUint64-uint64(d))/10 {
+			return math.MaxUint64, false
+		}
+		n = n*10 + uint64(d)
+	}
+	return n, true
+}
+
+// parseInt is what strconv.ParseInt(s, 10, 64) returns beside its error
+// — 0 on a syntax error, the bound on overflow — for the numbers a verb
+// reads and does not check, without the error's allocation.
+func parseInt(s string) int64 {
+	neg := s != "" && s[0] == '-'
+	if s != "" && (s[0] == '-' || s[0] == '+') {
+		s = s[1:]
+	}
+	u, ok := parseUint(s)
+	switch {
+	case !ok && u == 0:
+		return 0
+	case neg && u >= 1<<63:
+		return math.MinInt64
+	case neg:
+		return -int64(u)
+	case u > math.MaxInt64:
+		return math.MaxInt64
+	}
+	return int64(u)
+}
+
 // dispatch runs the verb of req, whose first fields (as many as the
 // verbs read) are f.
 func (db *DB) dispatch(f []string, req []byte) []byte {
@@ -423,8 +475,8 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if len(f) < 2 {
 			return db.reply("ERR missing uid")
 		}
-		var err error
-		if uid, err = strconv.ParseUint(f[1], 10, 64); err != nil {
+		var ok bool
+		if uid, ok = parseUint(f[1]); !ok {
 			db.resp = strconv.AppendQuote(append(db.resp[:0], "ERR bad uid "...), f[1])
 			return db.resp
 		}
@@ -457,8 +509,8 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if len(f) < 4 {
 			return db.reply("ERR args")
 		}
-		acct, _ := strconv.Atoi(f[2])
-		n, _ := strconv.Atoi(f[3])
+		acct := int(parseInt(f[2]))
+		n := int(parseInt(f[3]))
 		if n <= 0 || n > 40 {
 			return db.reply("ERR txn count")
 		}
@@ -475,14 +527,14 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if len(f) < 5 {
 			return db.reply("ERR args")
 		}
-		cents, _ := strconv.ParseInt(f[3], 10, 64)
+		cents := parseInt(f[3])
 		conf := db.PayBill(uid, f[2], cents, f[4])
 		b = fmtx.Appendf(b, "%s\n", conf)
 	case "BILLS":
 		if len(f) < 3 {
 			return db.reply("ERR args")
 		}
-		n, _ := strconv.Atoi(f[2])
+		n := int(parseInt(f[2]))
 		if n <= 0 || n > 20 {
 			return db.reply("ERR count")
 		}
@@ -491,10 +543,14 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if len(f) < 5 {
 			return db.reply("ERR args")
 		}
-		from, _ := strconv.Atoi(f[2])
-		to, _ := strconv.Atoi(f[3])
-		cents, _ := strconv.ParseInt(f[4], 10, 64)
+		from := int(parseInt(f[2]))
+		to := int(parseInt(f[3]))
+		cents := parseInt(f[4])
 		fb, tb, err := db.Transfer(uid, from, to, cents)
+		if errors.Is(err, errBadAccount) {
+			db.resp = fmtx.Appendf(db.resp[:0], "FAIL %s %d->%d", err.Error(), from, to)
+			return db.resp
+		}
 		if err != nil {
 			return db.reply("FAIL ", err.Error())
 		}
@@ -503,13 +559,13 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if len(f) < 3 {
 			return db.reply("ERR args")
 		}
-		cn, _ := strconv.Atoi(f[2])
+		cn := int(parseInt(f[2]))
 		b = appendCheckInfo(b, uid, cn)
 	case "ORDERCHECK":
 		if len(f) < 4 {
 			return db.reply("ERR args")
 		}
-		qty, _ := strconv.Atoi(f[3])
+		qty := int(parseInt(f[3]))
 		if qty <= 0 || qty > 1000 {
 			return db.reply("ERR qty")
 		}
@@ -522,7 +578,7 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		if len(f) < 4 {
 			return db.reply("ERR args")
 		}
-		qty, _ := strconv.Atoi(f[3])
+		qty := int(parseInt(f[3]))
 		if qty <= 0 || qty > 1000 {
 			return db.reply("ERR qty")
 		}

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -125,17 +126,17 @@ func TestTransferConservesMoney(t *testing.T) {
 
 func TestTransferErrors(t *testing.T) {
 	db := New()
-	if _, _, err := db.Transfer(1, 0, 0, 100); err == nil {
-		t.Error("same-account transfer allowed")
+	if _, _, err := db.Transfer(1, 0, 0, 100); !errors.Is(err, errBadAccount) {
+		t.Errorf("same-account transfer: %v", err)
 	}
-	if _, _, err := db.Transfer(1, 0, 9, 100); err == nil {
-		t.Error("bad index allowed")
+	if _, _, err := db.Transfer(1, 0, 9, 100); !errors.Is(err, errBadAccount) {
+		t.Errorf("bad index: %v", err)
 	}
-	if _, _, err := db.Transfer(1, 0, 1, 1<<60); err == nil {
-		t.Error("overdraft allowed")
+	if _, _, err := db.Transfer(1, 0, 1, 1<<60); !errors.Is(err, errInsufficientFunds) {
+		t.Errorf("overdraft: %v", err)
 	}
-	if _, _, err := db.Transfer(1, 0, 1, -5); err == nil {
-		t.Error("negative transfer allowed")
+	if _, _, err := db.Transfer(1, 0, 1, -5); !errors.Is(err, errInsufficientFunds) {
+		t.Errorf("negative transfer: %v", err)
 	}
 	if n := stored(db); n != 0 {
 		t.Errorf("failed transfers stored %d entries", n)
@@ -258,14 +259,36 @@ func TestReadsDoNotAllocate(t *testing.T) {
 	db := New()
 	handle(db, "TXNS 1 0 40") // grow the response buffer
 	// pureReads' AUTH fails on its password. Beside them: a successful
-	// AUTH, two verbs short of arguments, an unknown verb, PING and a
-	// quantity out of range — every reply, a failure's too, is written
-	// into the one response buffer.
-	reqs := append([]string{"AUTH %d " + PasswordFor(424242), "AUTH %d", "TXNS %d 0", "BOGUS %d", "PING %d", "PLACEORDER %d standard 0"}, pureReads...)
+	// AUTH, two verbs short of arguments, an unknown verb, PING, a
+	// quantity out of range, two failing transfers and two malformed
+	// numbers — every reply, a failure's too, is written into the one
+	// response buffer, and no failure builds an error value.
+	reqs := append([]string{"AUTH %d " + PasswordFor(424242), "AUTH %d", "TXNS %d 0", "BOGUS %d", "PING %d", "PLACEORDER %d standard 0",
+		"TRANSFER %d 0 0 100", "TRANSFER %d 0 1 999999999999", "PROFILE x", "TXNS %d x 3"}, pureReads...)
 	for _, r := range reqs {
-		req := []byte(fmt.Sprintf(r, 424242))
+		req := []byte(strings.Replace(r, "%d", "424242", 1))
 		if allocs := testing.AllocsPerRun(100, func() { db.Handle(req) }); allocs != 0 {
 			t.Errorf("%s: %v allocations per call", req, allocs)
+		}
+	}
+}
+
+// TestParseMatchesStrconv: the request path's integer parsers return
+// what strconv returns beside its error, overflow and syntax errors too.
+func TestParseMatchesStrconv(t *testing.T) {
+	for _, s := range []string{"", "0", "7", "+7", "-7", "-", "+", "x", "12x", "-0", "007", " 1", "1_000", "0x10",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"18446744073709551615", "18446744073709551616", "99999999999999999999x", "-99999999999999999999x", "x99999999999999999999"} {
+		want, _ := strconv.ParseInt(s, 10, 64)
+		if got := parseInt(s); got != want {
+			t.Errorf("parseInt(%q) = %d, strconv gives %d", s, got, want)
+		}
+		wantU, err := strconv.ParseUint(s, 10, 64)
+		if got, ok := parseUint(s); got != wantU || ok != (err == nil) {
+			t.Errorf("parseUint(%q) = %d, %v; strconv gives %d, %v", s, got, ok, wantU, err)
+		}
+		if want, _ := strconv.Atoi(s); int(parseInt(s)) != want {
+			t.Errorf("int(parseInt(%q)) = %d, Atoi gives %d", s, parseInt(s), want)
 		}
 	}
 }
@@ -296,7 +319,8 @@ func TestHandleWireProtocol(t *testing.T) {
 		{"PROFILE", "ERR"},
 		{"PROFILE notanumber", "ERR"},
 		{"TXNS 42 0 9999", "ERR"},
-		{"TRANSFER 42 0 0 100", "FAIL"},
+		{"TRANSFER 42 0 0 100", "FAIL backend: bad account index 0->0"},
+		{"TRANSFER 42 0 1 999999999999", "FAIL backend: insufficient funds"},
 	}
 	for _, c := range cases {
 		resp := string(db.Handle([]byte(c.req)))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rhythm/internal/backend"
 	"rhythm/internal/httpx"
@@ -357,4 +358,22 @@ func TestHeaderLenMatchesRender(t *testing.T) {
 	if idx+4 != HeaderLen {
 		t.Fatalf("actual header %d bytes, const says %d", idx+4, HeaderLen)
 	}
+}
+
+// FuzzEsc holds esc's table scan to escReplacer byte for byte, and
+// checks that text with nothing to escape comes back as itself, not a
+// copy.
+func FuzzEsc(f *testing.F) {
+	for _, s := range []string{"", "plain", "a<b>&c\"d", "&", "Ünïcode & more", "\x00\xff<", `'single'`, "trailing\""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := esc(s), escReplacer.Replace(s)
+		if got != want {
+			t.Fatalf("esc(%q) = %q, the replacer gives %q", s, got, want)
+		}
+		if !strings.ContainsAny(s, `&<>"`) && unsafe.StringData(got) != unsafe.StringData(s) {
+			t.Fatalf("esc(%q) copied text with nothing to escape", s)
+		}
+	})
 }

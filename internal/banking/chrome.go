@@ -144,13 +144,19 @@ func greeting(ctx *service.Ctx, name string) {
 // allocation profile.
 var escReplacer = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
+// escapes marks the bytes escReplacer replaces.
+var escapes = [256]bool{'&': true, '<': true, '>': true, '"': true}
+
 // esc HTML-escapes dynamic text. Most dynamic fragments carry nothing
-// to escape, so the common case returns s unchanged without copying.
+// to escape, so the common case scans s by table and returns it
+// unchanged without copying.
 func esc(s string) string {
-	if !strings.ContainsAny(s, `&<>"`) {
-		return s
+	for i := 0; i < len(s); i++ {
+		if escapes[s[i]] {
+			return escReplacer.Replace(s)
+		}
 	}
-	return escReplacer.Replace(s)
+	return s
 }
 
 // money renders cents as a dollar amount into the page's arena (valid

@@ -36,10 +36,11 @@ var cacheableTypes = map[ReqType]bool{
 func NewWorkload() *service.PageWorkload {
 	defs := make([]service.SvcDef, NumTypes)
 	for i, s := range Specs {
-		mode := service.SessionRequired
+		mode, sessionStage := service.SessionRequired, 0
 		switch s.Type {
 		case Login:
-			mode = service.SessionCreates
+			// Stage 1 creates the session once AUTH has answered.
+			mode, sessionStage = service.SessionCreates, 1
 		case Logout:
 			mode = service.SessionDeletes
 		}
@@ -51,6 +52,7 @@ func NewWorkload() *service.PageWorkload {
 			Backends:       s.Backends,
 			BufferBytes:    s.BufferBytes(),
 			Session:        mode,
+			SessionStage:   sessionStage,
 			Cacheable:      cacheableTypes[s.Type],
 			VariableStages: s.VariableStages,
 			Stage:          stages[s.Type],

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,6 +39,26 @@ func argsFor(format string, i int64, u uint64, s string) []any {
 		}
 	}
 	return args
+}
+
+// full is a table every slot of which holds another format, so a
+// format run through it is parsed on every call, on the stack: the path
+// a format the process-wide table cannot hold takes.
+var full = func() *formatTable {
+	t := new(formatTable)
+	for i := range t {
+		t[i].Store(&parsed{format: "\x00held elsewhere"})
+	}
+	return t
+}()
+
+// paths are the two ways Appendf runs a format.
+var paths = []struct {
+	name    string
+	appendf func(dst []byte, format string, args ...any) []byte
+}{
+	{"table", Appendf},
+	{"uncached", func(dst []byte, format string, args ...any) []byte { return full.appendf(dst, format, args) }},
 }
 
 // treeFormats returns every format literal the ported packages pass to
@@ -115,8 +136,10 @@ func TestTreeFormats(t *testing.T) {
 			continue
 		}
 		args := argsFor(format, -1234567, 0xfedcba9876543210, "a<b>&é")
-		if got, want := string(Appendf(nil, format, args...)), fmt.Sprintf(format, args...); got != want {
-			t.Errorf("Appendf(%q) = %q, fmt gives %q", format, got, want)
+		for _, p := range paths {
+			if got, want := string(p.appendf(nil, format, args...)), fmt.Sprintf(format, args...); got != want {
+				t.Errorf("%s: Appendf(%q) = %q, fmt gives %q", p.name, format, got, want)
+			}
 		}
 	}
 }
@@ -137,41 +160,105 @@ func TestAppendfAgainstFmt(t *testing.T) {
 		{"[%-10s][%s]", []any{"", "plain"}},
 		{"%-6d|%6d|%-06d|", []any{-42, -42, 42}},
 		{"%s", []any{"\xff\xfe"}},
+		{"%%%d%%%-%%s", []any{5, "x"}},
+		// More verbs than the uncached path parses at a time.
+		{"%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d%%%s;", []any{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, "end"}},
+		{"%d%d%d%d%d%d%d%d", []any{1, 2, 3, 4, 5, 6, 7, 8}},
 	}
-	for _, c := range cases {
-		if got, want := string(Appendf([]byte("pre:"), c.format, c.args...)), "pre:"+fmt.Sprintf(c.format, c.args...); got != want {
-			t.Errorf("Appendf(%q, %v) = %q, fmt gives %q", c.format, c.args, got, want)
+	for _, p := range paths {
+		for _, c := range cases {
+			if got, want := string(p.appendf([]byte("pre:"), c.format, c.args...)), "pre:"+fmt.Sprintf(c.format, c.args...); got != want {
+				t.Errorf("%s: Appendf(%q, %v) = %q, fmt gives %q", p.name, c.format, c.args, got, want)
+			}
 		}
 	}
 }
 
-func TestAppendfPanicsOutsideItsSet(t *testing.T) {
-	for name, call := range map[string]func(){
-		"verb":          func() { Appendf(nil, "%v", 1) },
-		"precision":     func() { Appendf(nil, "%.2d", 1) },
-		"truncated":     func() { Appendf(nil, "%0") },
-		"missing arg":   func() { Appendf(nil, "%d %d", 1) },
-		"extra arg":     func() { Appendf(nil, "%d", 1, 2) },
-		"string for %d": func() { Appendf(nil, "%d", "1") },
-		"int for %s":    func() { Appendf(nil, "%s", 1) },
-		"bytes for %s":  func() { Appendf(nil, "%s", []byte("b")) },
-		"stringer":      func() { Appendf(nil, "%s", token.Pos(1)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
+// TestTableHoldsAFormat: a format's first use parses it into a free
+// slot, and later uses find that parse.
+func TestTableHoldsAFormat(t *testing.T) {
+	var tab formatTable
+	format := "<td>%s</td><td class=\"amount\">%08x</td>\n"
+	if got, want := string(tab.appendf(nil, format, []any{"a", 255})), fmt.Sprintf(format, "a", 255); got != want {
+		t.Fatalf("first use gives %q, fmt gives %q", got, want)
+	}
+	p := tab.lookup(format)
+	if p == nil || p.format != format || len(p.ops) != 3 {
+		t.Fatalf("after first use the table holds %+v", p)
+	}
+	if tab.lookup(format) != p {
+		t.Fatal("a second lookup parsed the format again")
+	}
+	if full.lookup(format) != nil {
+		t.Fatal("a table whose slots are taken claims to hold the format")
+	}
+}
+
+// TestTableConcurrentFirstUse: host workers reach the table at once,
+// first uses of one format included; each gets fmt's bytes, and the
+// format ends up parsed in one slot.
+func TestTableConcurrentFirstUse(t *testing.T) {
+	var tab formatTable
+	formats := []string{"%d|%s\n", "<td>%-10s</td>", "%08x-%d", "plain", "%s=%016x", "100%%"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, format := range formats {
+				args := argsFor(format, -42, 42, "s")
+				if got, want := string(tab.appendf(nil, format, args)), fmt.Sprintf(format, args...); got != want {
+					t.Errorf("Appendf(%q) = %q, fmt gives %q", format, got, want)
 				}
-			}()
-			call()
+			}
 		}()
+	}
+	wg.Wait()
+	held := 0
+	for i := range tab {
+		if tab[i].Load() != nil {
+			held++
+		}
+	}
+	if held != len(formats) {
+		t.Fatalf("%d slots hold a parse of %d formats", held, len(formats))
+	}
+}
+
+func TestAppendfPanicsOutsideItsSet(t *testing.T) {
+	for _, c := range []struct {
+		name, format string
+		args         []any
+	}{
+		{"verb", "%v", []any{1}},
+		{"precision", "%.2d", []any{1}},
+		{"truncated", "%0", nil},
+		{"missing arg", "%d %d", []any{1}},
+		{"extra arg", "%d", []any{1, 2}},
+		{"string for %d", "%d", []any{"1"}},
+		{"int for %s", "%s", []any{1}},
+		{"bytes for %s", "%s", []any{[]byte("b")}},
+		{"stringer", "%s", []any{token.Pos(1)}},
+	} {
+		for _, p := range paths {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s: no panic", p.name, c.name)
+					}
+				}()
+				p.appendf(nil, c.format, c.args...)
+			}()
+		}
 	}
 }
 
 // TestAppendfDoesNotAllocate: into a buffer with room, with integer
-// arguments above the runtime's small-value cache.
+// arguments above the runtime's small-value cache, a literal and every
+// format of the tree after its first use, and the same formats where
+// the table cannot hold them.
 func TestAppendfDoesNotAllocate(t *testing.T) {
-	buf := make([]byte, 0, 256)
+	buf := make([]byte, 0, 4096)
 	uid, cents, name := uint64(1)<<40, int64(-123456), "checking"
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = Appendf(buf[:0], "%d|%s|%d|%08x\n", uid, name, cents, uint32(uid))
@@ -179,9 +266,22 @@ func TestAppendfDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%v allocations per call", allocs)
 	}
+	if _, err := os.Stat(filepath.Join("..", "banking")); err != nil {
+		t.Skip("sources not available")
+	}
+	for _, format := range treeFormats(t) {
+		args := argsFor(format, 1<<40, 1<<40, name)
+		for _, p := range paths {
+			p.appendf(buf[:0], format, args...)
+			if allocs := testing.AllocsPerRun(20, func() { buf = p.appendf(buf[:0], format, args...) }); allocs != 0 {
+				t.Errorf("%s: Appendf(%q): %v allocations per call", p.name, format, allocs)
+			}
+		}
+	}
 }
 
-// FuzzAppendf holds Appendf to fmt.Sprintf over the supported verb set.
+// FuzzAppendf holds Appendf to fmt.Sprintf over the supported verb set,
+// on the table's path and on the uncached one.
 func FuzzAppendf(f *testing.F) {
 	seeds := []string{"%d", "%x", "%s", "%%", "%-10s", "%08x", "%02d", "%03d", "%04d", "%06d", "%08d", "%016x", "%5d|%-5d|%05d", "%05s%-4s", "2009-%02d-%02d",
 		// Shapes the request path once formatted, kept after its call sites
@@ -200,8 +300,11 @@ func FuzzAppendf(f *testing.F) {
 			t.Skip()
 		}
 		args := argsFor(format, i, u, s)
-		if got, want := string(Appendf(nil, format, args...)), fmt.Sprintf(format, args...); got != want {
-			t.Fatalf("Appendf(%q, %v) = %q, fmt gives %q", format, args, got, want)
+		want := fmt.Sprintf(format, args...)
+		for _, p := range paths {
+			if got := string(p.appendf(nil, format, args...)); got != want {
+				t.Fatalf("%s: Appendf(%q, %v) = %q, fmt gives %q", p.name, format, args, got, want)
+			}
 		}
 	})
 }

@@ -52,6 +52,11 @@ type SvcDef struct {
 	ContentType string
 	// Session is the type's session semantics.
 	Session SessionMode
+	// SessionStage is the stage whose function creates or deletes the
+	// session (SessionCreates, SessionDeletes): its kernel alone runs in
+	// lane order, and CreateSession or DeleteSession called from any
+	// other stage panics.
+	SessionStage int
 	// Cacheable marks the type render-cache eligible (requires a
 	// session-resolving mode so cache keys carry a user identity).
 	Cacheable bool
@@ -97,6 +102,7 @@ type Ctx struct {
 
 	w     *PageWorkload
 	instr int64
+	stage int // the stage function running
 }
 
 // Charge adds n instructions of non-page work.
@@ -109,9 +115,10 @@ func (c *Ctx) Instr() int64 { return c.instr + c.Page.Instr() }
 func (c *Ctx) Fail(reason string) { c.Err = reason }
 
 // CreateSession creates a session for uid and arms the response cookie.
-// For SessionCreates stages only; failure (full table) fails the
-// request.
+// For the SessionStage of a SessionCreates type only; failure (full
+// table) fails the request.
 func (c *Ctx) CreateSession(uid uint64) bool {
+	c.inSessionStage(SessionCreates)
 	sid, ok := c.Sessions.Create(uid)
 	if !ok {
 		c.Fail("server busy: session table full")
@@ -125,11 +132,28 @@ func (c *Ctx) CreateSession(uid uint64) bool {
 }
 
 // DeleteSession ends the resolved session; the response carries the
-// all-zero cookie. For SessionDeletes stages only.
+// all-zero cookie. For the SessionStage of a SessionDeletes type only.
 func (c *Ctx) DeleteSession() {
+	c.inSessionStage(SessionDeletes)
 	c.Sessions.Delete(c.SID)
 	c.HasSession = false
 	c.NewCookie = ""
+}
+
+// inSessionStage panics unless the running stage is the one the type
+// declares for mode: only that stage's kernel is ordered and declares a
+// write of the session array, so a create or delete anywhere else would
+// race with the cohort's other lanes and with other launches.
+func (c *Ctx) inSessionStage(mode SessionMode) {
+	if c.Def.Session != mode || c.stage != c.Def.SessionStage {
+		panic(fmt.Sprintf("service: %s changes the session table at stage %d, outside its declared SessionStage %d", c.Def.Name, c.stage, c.Def.SessionStage))
+	}
+}
+
+// runStage runs the type's stage function for stage.
+func (c *Ctx) runStage(stage int, bresp []byte) []byte {
+	c.stage = stage
+	return c.Def.Stage(c, stage, bresp)
 }
 
 // BlockBase gives each request type a disjoint basic-block id space for
@@ -218,7 +242,7 @@ func (w *PageWorkload) ExecuteScratch(sc *Scratch, local int, req *httpx.Request
 		if ctx.Err != "" || ctx.Done {
 			break
 		}
-		breq := def.Stage(ctx, i, bresp)
+		breq := ctx.runStage(i, bresp)
 		if i < def.Backends {
 			if ctx.Err != "" || ctx.Done {
 				break

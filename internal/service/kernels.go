@@ -464,23 +464,23 @@ func (pageStageProgram) Entry() simt.BlockID { return 0 }
 
 // LaunchFootprint declares the one piece of shared host state a stage
 // kernel touches while executing: the group's session array, per the
-// type's SessionMode. Cohort contexts, device columns, and response
-// buffers are private to the launch's own cohort, and all backend-store
-// access happens inside Thread.Defer (replayed serially at
+// type's SessionMode and SessionStage. Cohort contexts, device columns,
+// and response buffers are private to the launch's own cohort, and all
+// backend-store access happens inside Thread.Defer (replayed serially at
 // end-of-launch), so they need no declaration (simt.Footprinter;
-// DESIGN.md §13). Creating and deleting types conservatively declare a
-// write at every stage — the stage that does it is workload code the
-// kit cannot see into.
+// DESIGN.md §13). The session stage of a creating or deleting type
+// writes the array; stage 0 of a type that resolves a cookie reads it;
+// every other stage touches nothing (Ctx.CreateSession and
+// Ctx.DeleteSession panic outside the declared stage).
 func (p pageStageProgram) LaunchFootprint() simt.Footprint {
-	switch p.u.pc.def.Session {
-	case SessionCreates, SessionDeletes:
+	def := p.u.pc.def
+	switch {
+	case (def.Session == SessionCreates || def.Session == SessionDeletes) && p.stage == def.SessionStage:
 		// Which slot a create takes, and whether it finds one, depends on
 		// the creates before it: they must run in lane order.
 		return simt.Footprint{Writes: []any{p.u.sessions}, Ordered: true}
-	case SessionOptional, SessionRequired:
-		if p.stage == 0 {
-			return simt.Footprint{Reads: []any{p.u.sessions}}
-		}
+	case def.Session != SessionNone && def.Session != SessionCreates && p.stage == 0:
+		return simt.Footprint{Reads: []any{p.u.sessions}}
 	}
 	return simt.Footprint{}
 }
@@ -519,7 +519,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 			simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
 			bresp = pc.row(pc.brespRow, r, BackendResponseSlot)[:pc.brespLen[r]]
 		}
-		breq := def.Stage(ctx, p.stage, bresp)
+		breq := ctx.runStage(p.stage, bresp)
 		p.chargeDelta(t, r)
 		if ctx.Err != "" {
 			return 90

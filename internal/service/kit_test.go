@@ -685,22 +685,27 @@ func TestVariantsKeepHostBytes(t *testing.T) {
 // TestFootprintsDeclareSessionAccess: a stage kernel's declared
 // footprint is what lets simt overlap it with other launches, so it must
 // cover every session-array access of the type's SessionMode — above
-// all the deleting type's write, without which a logout could run
-// concurrently with a lookup of the session it deletes.
+// all the creating and deleting types' write, without which a logout
+// could run concurrently with a lookup of the session it deletes — and
+// only those: the session stage alone runs in lane order, every other
+// stage of a creating type (login's TXNS and its page) on every worker.
 func TestFootprintsDeclareSessionAccess(t *testing.T) {
 	bank, shop := inputs[0], inputs[1]
 	cases := []struct {
-		in           input
-		local, stage int
-		reads, write bool
+		in                    input
+		local, stage          int
+		reads, write, ordered bool
 	}{
-		{bank, int(banking.Logout), 0, false, true},
-		{bank, int(banking.Login), 1, false, true},
-		{bank, int(banking.AccountSummary), 0, true, false},
-		{bank, int(banking.AccountSummary), 1, false, false},
-		{shop, ecom.Cart, 0, false, true},
-		{shop, ecom.Index, 0, true, false},
-		{shop, ecom.Index, 1, false, false},
+		{bank, int(banking.Logout), 0, false, true, true},
+		{bank, int(banking.Login), 0, false, false, false},
+		{bank, int(banking.Login), 1, false, true, true},
+		{bank, int(banking.Login), 2, false, false, false},
+		{bank, int(banking.AccountSummary), 0, true, false, false},
+		{bank, int(banking.AccountSummary), 1, false, false, false},
+		{shop, ecom.Cart, 0, false, true, true},
+		{shop, ecom.Cart, 1, false, false, false},
+		{shop, ecom.Index, 0, true, false, false},
+		{shop, ecom.Index, 1, false, false, false},
 	}
 	dev := simt.NewDevice(sim.NewEngine(), simt.GTXTitan(), deviceMem, nil)
 	for _, c := range cases {
@@ -715,11 +720,59 @@ func TestFootprintsDeclareSessionAccess(t *testing.T) {
 			}
 			return false
 		}
-		if has(fp.Reads) != c.reads || has(fp.Writes) != c.write {
-			t.Errorf("%s/%s stage %d: footprint reads=%v writes=%v of the session array, want %v/%v",
-				c.in.name, c.in.w.Def(c.local).Name, c.stage, has(fp.Reads), has(fp.Writes), c.reads, c.write)
+		if has(fp.Reads) != c.reads || has(fp.Writes) != c.write || fp.Ordered != c.ordered {
+			t.Errorf("%s/%s stage %d: footprint reads=%v writes=%v ordered=%v of the session array, want %v/%v/%v",
+				c.in.name, c.in.w.Def(c.local).Name, c.stage, has(fp.Reads), has(fp.Writes), fp.Ordered, c.reads, c.write, c.ordered)
 		}
 	}
+}
+
+// TestSessionChangeOutsideItsStagePanics: a type that creates its
+// session in a stage other than the SessionStage it declares would run
+// that create unordered and undeclared, a result that depends on the
+// host schedule; it fails at once instead, on the host path and in the
+// stage kernel.
+func TestSessionChangeOutsideItsStagePanics(t *testing.T) {
+	w := service.NewPageWorkload(service.PageWorkloadConfig{
+		Name:       "misdeclared",
+		CookieName: "SID",
+		Defs: []service.SvcDef{{
+			Name: "login", Path: "/login", Backends: 1, BufferBytes: 1 << 10,
+			Session: service.SessionCreates, // SessionStage 0, yet stage 1 creates
+			Stage: func(ctx *service.Ctx, stage int, bresp []byte) []byte {
+				if stage == 0 {
+					return []byte("PING")
+				}
+				ctx.CreateSession(7)
+				return nil
+			},
+		}},
+		NewBackend: func() service.Backend { return backend.New() },
+	})
+	reqs := []httpx.Request{parse(t, "GET /login HTTP/1.1\r\n\r\n")}
+	panics := func(what string, run func()) {
+		t.Helper()
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			run()
+			return nil
+		}()
+		if !strings.Contains(fmt.Sprint(msg), "outside its declared SessionStage 0") {
+			t.Errorf("%s: a create at stage 1 panicked with %v, want the undeclared stage named", what, msg)
+		}
+	}
+	panics("host path", func() {
+		w.ExecuteScratch(service.NewScratch(), 0, &reqs[0], session.NewArray(1, 4), backend.New(), true)
+	})
+	panics("stage kernel", func() {
+		cfg := simt.GTXTitan()
+		cfg.HostParallelism = 1 // the panic reaches this goroutine
+		eng := sim.NewEngine()
+		dev := simt.NewDevice(eng, cfg, deviceMem, nil)
+		unit := w.NewSlot(dev, 1, service.Live).Bind(0, reqs, session.NewArray(1, 4), backend.New())
+		unit.Run(dev.NewStream(), nil, nil, nil)
+		eng.Run()
+	})
 }
 
 // TestFillWithExactLength: FillWith emits its filler as pieces aliasing

@@ -94,6 +94,10 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 		if def.Cacheable && def.Session == SessionNone {
 			panic(fmt.Sprintf("service: %s/%s cacheable without session identity", cfg.Name, def.Name))
 		}
+		if def.SessionStage < 0 || def.SessionStage > def.Backends ||
+			def.SessionStage != 0 && def.Session != SessionCreates && def.Session != SessionDeletes {
+			panic(fmt.Sprintf("service: %s/%s declares session stage %d", cfg.Name, def.Name, def.SessionStage))
+		}
 		def.headerLen = w.headerLen(def)
 		def.kernels = make([]string, def.Backends+1)
 		for k := range def.kernels {

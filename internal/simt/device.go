@@ -339,7 +339,7 @@ func (d *Device) flushPending() bool {
 	groups := conflictGroups(batch)
 	results := make([]kernelExec, len(batch))
 	parallelFor(d.Cfg.simWorkers(), len(groups), func(g int) {
-		for _, i := range groups[g] {
+		for _, i := range groups[reorder(g, len(groups))] {
 			results[i] = d.execKernel(batch[i].prog, batch[i].n)
 		}
 	})
@@ -553,11 +553,14 @@ func (d *Device) execKernel(prog Program, n int) kernelExec {
 	warps := (n + cfg.WarpSize - 1) / cfg.WarpSize
 	results := make([]warpStats, warps)
 	scratch := make([]*warpScratch, warps)
-	workers := cfg.hostWorkers()
+	workers, ordered := cfg.hostWorkers(), false
 	if fp, ok := prog.(Footprinter); ok && fp.LaunchFootprint().Ordered {
-		workers = 1
+		workers, ordered = 1, true
 	}
 	parallelFor(workers, warps, func(w int) {
+		if !ordered {
+			w = reorder(w, warps)
+		}
 		// Every warp takes its own scratch — sharing one across warps
 		// would let a kernel's captured *Thread pointers be overwritten by
 		// the next warp, serial or not.
@@ -613,7 +616,21 @@ func (d *Device) execKernel(prog Program, n int) kernelExec {
 // what a launch only priced. fn must not care which worker runs which
 // lane or in what order.
 func (d *Device) ForEachLane(n int, fn func(lane int)) {
+	if reordered {
+		inOrder := fn
+		fn = func(lane int) { inOrder(reorder(lane, n)) }
+	}
 	parallelFor(d.Cfg.hostWorkers(), n, fn)
+}
+
+// reorder maps the i-th of n iterations whose order the host schedule
+// may choose to the one to run: i itself, or n-1-i in the simtorder
+// build.
+func reorder(i, n int) int {
+	if reordered {
+		return n - 1 - i
+	}
+	return i
 }
 
 // price applies the roofline model: kernel time is the larger of the
