@@ -48,15 +48,20 @@ type shoutStore struct {
 	served uint64
 }
 
-func (s *shoutStore) Handle(req []byte) []byte {
+// Handle implements service.Backend: it appends the response to dst.
+func (s *shoutStore) Handle(dst, req []byte) []byte {
 	// req is exactly the bytes the stage returned, on either path.
 	msg, ok := strings.CutPrefix(string(req), "SHOUT ")
 	if !ok {
-		return []byte("FAIL bad verb")
+		return append(dst, "FAIL bad verb"...)
 	}
 	s.served++
-	return []byte(fmt.Sprintf("OK\n%s\n%d", strings.ToUpper(msg), s.served))
+	return fmt.Appendf(dst, "OK\n%s\n%d", strings.ToUpper(msg), s.served)
 }
+
+// Reads implements service.Backend: every SHOUT counts, so no request
+// is a pure read.
+func (s *shoutStore) Reads([]byte) bool { return false }
 
 // SetWriteHook implements service.Backend. The hook feeds render-cache
 // invalidation; this workload declares no cacheable types, so there is

@@ -29,9 +29,12 @@ const (
 	ResponseSlot = 4096
 )
 
-// DB is the banking database. It is not safe for concurrent use; Rhythm
-// drives it from the single-threaded event loop (and models backend
-// parallelism with service-time slots at the platform layer).
+// DB is the banking database. Reads may run concurrently with reads —
+// Handle calls for which Reads is true change nothing, so any number of
+// them may run at once — but a write must run alone: Rhythm commits a
+// cohort's writes in lane order, behind the shard group's lock in the
+// cluster (and models backend parallelism with service-time slots at
+// the platform layer).
 //
 // Its maps hold written state only: a write materializes the
 // synthesized entity it changes and stores it, and a read of that user
@@ -44,9 +47,6 @@ type DB struct {
 	payees   map[uint64][]payee
 	orders   map[uint64][]string
 	bills    map[uint64]billHistory
-	requests uint64
-	// resp is Handle's response buffer, reused by the next Handle.
-	resp []byte
 	// writeHook, when set, is invoked with the affected user id after a
 	// state mutation commits. The Besim deferred-write replay drives the
 	// same mutator methods, so one hook covers both the host path and
@@ -66,9 +66,6 @@ func New() *DB {
 		bills:    make(map[uint64]billHistory),
 	}
 }
-
-// Requests reports how many backend requests have been handled.
-func (db *DB) Requests() uint64 { return db.requests }
 
 // SetWriteHook registers fn to run after every committed state
 // mutation (AddPayee, Transfer, PayBill, PlaceOrder, UpdateProfile)
@@ -390,38 +387,51 @@ func appendCheckInfo(b []byte, uid uint64, checkNo int) []byte {
 
 // Handle processes one wire-format backend request (the live bytes of
 // the slot a process stage wrote, which Handle reads but never keeps)
-// and returns the wire-format response, valid until the next Handle: it
-// is built in a buffer the DB reuses.
+// and appends the wire-format response to dst. Past the response it
+// leaves dst's spare capacity zero or as it was.
 // The textual protocol is line-oriented: "VERB arg1 arg2 ...".
 // Unknown verbs or malformed arguments produce "ERR <reason>" rather than
 // an error: the device-side stage renders backend errors into the page,
 // matching Rhythm's per-request error state (§4.4).
-func (db *DB) Handle(req []byte) []byte {
-	db.requests++
+func (db *DB) Handle(dst, req []byte) []byte {
 	// The fields alias req, so what a verb stores of them (a payee's
 	// name) it copies.
 	var fields [5]string
 	n := fmtx.Fields(fields[:], req)
 	if n == 0 {
-		return db.reply("ERR empty")
+		return append(dst, "ERR empty"...)
 	}
-	resp := db.dispatch(fields[:min(n, len(fields))], req)
-	if len(resp) > ResponseSlot {
-		return db.reply("ERR response overflow")
+	resp := db.dispatch(dst, fields[:min(n, len(fields))], req)
+	if len(resp)-len(dst) > ResponseSlot {
+		// dispatch wrote into dst's spare capacity before the response
+		// outgrew it.
+		clear(dst[len(dst):cap(dst)])
+		return append(dst, "ERR response overflow"...)
 	}
 	return resp
 }
 
-// reply writes a reply that carries no data — a failure's, or PING's —
-// into the response buffer, where like every other it is valid until the
-// next Handle.
-func (db *DB) reply(parts ...string) []byte {
-	b := db.resp[:0]
-	for _, p := range parts {
-		b = append(b, p...)
+// Reads implements service.Backend: the verbs whose Handle stores
+// nothing and fires no write hook. BILLS is not one: a user's first
+// BILLS seeds the bill history a later payment's confirmation counts.
+func (db *DB) Reads(req []byte) bool {
+	var verb [1]string
+	fmtx.Fields(verb[:], req)
+	switch verb[0] {
+	case "PING", "AUTH", "PROFILE", "SUMMARY", "ACCTS", "TXNS", "PAYEES", "CHECKINFO", "ORDERCHECK":
+		return true
 	}
-	db.resp = b
-	return b
+	return false
+}
+
+// reply appends a reply that carries no data — a failure's, or PING's
+// — to dst. Every one is longer than the "OK\n" a verb appends before it
+// may fail, so it covers that.
+func reply(dst []byte, parts ...string) []byte {
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
 }
 
 // parseUint is strconv.ParseUint(s, 10, 64) with ok in place of the
@@ -467,31 +477,30 @@ func parseInt(s string) int64 {
 }
 
 // dispatch runs the verb of req, whose first fields (as many as the
-// verbs read) are f.
-func (db *DB) dispatch(f []string, req []byte) []byte {
+// verbs read) are f, and appends its response to dst.
+func (db *DB) dispatch(dst []byte, f []string, req []byte) []byte {
 	// Every verb but PING names a uid second.
 	var uid uint64
 	if f[0] != "PING" {
 		if len(f) < 2 {
-			return db.reply("ERR missing uid")
+			return reply(dst, "ERR missing uid")
 		}
 		var ok bool
 		if uid, ok = parseUint(f[1]); !ok {
-			db.resp = strconv.AppendQuote(append(db.resp[:0], "ERR bad uid "...), f[1])
-			return db.resp
+			return strconv.AppendQuote(append(dst, "ERR bad uid "...), f[1])
 		}
 	}
-	b := append(db.resp[:0], "OK\n"...)
+	b := append(dst, "OK\n"...)
 	switch f[0] {
 	case "PING":
-		return db.reply("PONG")
+		return reply(dst, "PONG")
 	case "AUTH":
 		if len(f) < 3 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		var pw [10]byte
 		if string(appendPassword(pw[:0], uid)) != f[2] {
-			return db.reply("FAIL bad credentials")
+			return reply(dst, "FAIL bad credentials")
 		}
 		b = appendFields(b, db.profiles[uid], uid, fieldName, fieldEmail, fieldPhone)
 		b = db.appendAccounts(b, uid)
@@ -507,67 +516,66 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		b = db.appendAccounts(b, uid)
 	case "TXNS":
 		if len(f) < 4 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		acct := int(parseInt(f[2]))
 		n := int(parseInt(f[3]))
 		if n <= 0 || n > 40 {
-			return db.reply("ERR txn count")
+			return reply(dst, "ERR txn count")
 		}
 		b = appendTxns(b, uid, acct, n)
 	case "PAYEES":
 		b = db.appendPayees(b, uid)
 	case "ADDPAYEE":
 		if len(f) < 4 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		db.AddPayee(uid, strings.Clone(f[2]), strings.Clone(f[3]))
 		b = db.appendPayees(b, uid)
 	case "BILLPAY":
 		if len(f) < 5 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		cents := parseInt(f[3])
 		conf := db.PayBill(uid, f[2], cents, f[4])
 		b = fmtx.Appendf(b, "%s\n", conf)
 	case "BILLS":
 		if len(f) < 3 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		n := int(parseInt(f[2]))
 		if n <= 0 || n > 20 {
-			return db.reply("ERR count")
+			return reply(dst, "ERR count")
 		}
 		b = db.appendBills(b, uid, n)
 	case "TRANSFER":
 		if len(f) < 5 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		from := int(parseInt(f[2]))
 		to := int(parseInt(f[3]))
 		cents := parseInt(f[4])
 		fb, tb, err := db.Transfer(uid, from, to, cents)
 		if errors.Is(err, errBadAccount) {
-			db.resp = fmtx.Appendf(db.resp[:0], "FAIL %s %d->%d", err.Error(), from, to)
-			return db.resp
+			return fmtx.Appendf(dst, "FAIL %s %d->%d", err.Error(), from, to)
 		}
 		if err != nil {
-			return db.reply("FAIL ", err.Error())
+			return reply(dst, "FAIL ", err.Error())
 		}
 		b = fmtx.Appendf(b, "%d\n%d\n", fb, tb)
 	case "CHECKINFO":
 		if len(f) < 3 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		cn := int(parseInt(f[2]))
 		b = appendCheckInfo(b, uid, cn)
 	case "ORDERCHECK":
 		if len(f) < 4 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		qty := int(parseInt(f[3]))
 		if qty <= 0 || qty > 1000 {
-			return db.reply("ERR qty")
+			return reply(dst, "ERR qty")
 		}
 		id, price := orderCheck(uid, f[2], qty)
 		b = fmtx.Appendf(b, "CO-%08x\n%d\n", id, price)
@@ -576,11 +584,11 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		// place_check_order page needs a single backend request
 		// (Table 2).
 		if len(f) < 4 {
-			return db.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		qty := int(parseInt(f[3]))
 		if qty <= 0 || qty > 1000 {
-			return db.reply("ERR qty")
+			return reply(dst, "ERR qty")
 		}
 		n, price := orderCheck(uid, f[2], qty)
 		id := fmtx.Sprintf("CO-%08x", n)
@@ -598,8 +606,7 @@ func (db *DB) dispatch(f []string, req []byte) []byte {
 		db.UpdateProfile(uid, fields)
 		b = appendFields(b, db.profiles[uid], uid, fieldName, fieldAddress, fieldCity, fieldEmail, fieldPhone)
 	default:
-		return db.reply("ERR unknown verb ", f[0])
+		return reply(dst, "ERR unknown verb ", f[0])
 	}
-	db.resp = b
 	return b
 }

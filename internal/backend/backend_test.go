@@ -1,17 +1,21 @@
 package backend
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"rhythm/internal/service/servicetest"
 )
 
 // handle is db.Handle of a request line, as a string.
 func handle(db *DB, format string, args ...any) string {
-	return string(db.Handle([]byte(fmt.Sprintf(format, args...))))
+	return string(db.Handle(nil, []byte(fmt.Sprintf(format, args...))))
 }
 
 // lines is an OK response's lines after the "OK".
@@ -254,20 +258,20 @@ func TestReadsKeepNothing(t *testing.T) {
 }
 
 // TestReadsDoNotAllocate: a read of an untouched user renders straight
-// into the response buffer.
+// into the caller's response buffer.
 func TestReadsDoNotAllocate(t *testing.T) {
 	db := New()
-	handle(db, "TXNS 1 0 40") // grow the response buffer
+	buf := db.Handle(nil, []byte("TXNS 1 0 40")) // grow the response buffer
 	// pureReads' AUTH fails on its password. Beside them: a successful
 	// AUTH, two verbs short of arguments, an unknown verb, PING, a
 	// quantity out of range, two failing transfers and two malformed
-	// numbers — every reply, a failure's too, is written into the one
-	// response buffer, and no failure builds an error value.
+	// numbers — every reply, a failure's too, is appended to the
+	// caller's buffer, and no failure builds an error value.
 	reqs := append([]string{"AUTH %d " + PasswordFor(424242), "AUTH %d", "TXNS %d 0", "BOGUS %d", "PING %d", "PLACEORDER %d standard 0",
 		"TRANSFER %d 0 0 100", "TRANSFER %d 0 1 999999999999", "PROFILE x", "TXNS %d x 3"}, pureReads...)
 	for _, r := range reqs {
 		req := []byte(strings.Replace(r, "%d", "424242", 1))
-		if allocs := testing.AllocsPerRun(100, func() { db.Handle(req) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { buf = db.Handle(buf[:0], req) }); allocs != 0 {
 			t.Errorf("%s: %v allocations per call", req, allocs)
 		}
 	}
@@ -323,7 +327,7 @@ func TestHandleWireProtocol(t *testing.T) {
 		{"TRANSFER 42 0 1 999999999999", "FAIL backend: insufficient funds"},
 	}
 	for _, c := range cases {
-		resp := string(db.Handle([]byte(c.req)))
+		resp := string(db.Handle(nil, []byte(c.req)))
 		if !strings.HasPrefix(resp, c.prefix) {
 			t.Errorf("Handle(%q) = %q, want prefix %q", c.req, resp, c.prefix)
 		}
@@ -353,7 +357,7 @@ func TestResponsesFitSlot(t *testing.T) {
 			fmt.Sprintf("BILLS %d %d", uid, n%20+1),
 		}
 		for _, r := range reqs {
-			if len(db.Handle([]byte(r))) > ResponseSlot {
+			if len(db.Handle(nil, []byte(r))) > ResponseSlot {
 				return false
 			}
 		}
@@ -364,21 +368,12 @@ func TestResponsesFitSlot(t *testing.T) {
 	}
 }
 
-func TestRequestsCounter(t *testing.T) {
-	db := New()
-	db.Handle([]byte("PING"))
-	db.Handle([]byte("PING"))
-	if db.Requests() != 2 {
-		t.Fatalf("Requests = %d", db.Requests())
-	}
-}
-
 // TestTxnsDeterministic: statement lines are synthesized from the user
 // and account alone, so any two databases answer TXNS alike.
 func TestTxnsDeterministic(t *testing.T) {
 	req := []byte("TXNS 5 0 10")
-	a := string(New().Handle(req))
-	b := string(New().Handle(req))
+	a := string(New().Handle(nil, req))
+	b := string(New().Handle(nil, req))
 	if a != b || strings.Count(a, "\n") != 11 {
 		t.Fatalf("TXNS differs or is short:\n%s\n--\n%s", a, b)
 	}
@@ -419,13 +414,13 @@ func TestStoredFieldsOwnTheirBytes(t *testing.T) {
 		}
 	}
 	req := []byte("ADDPAYEE 42 Acme_Corp P-77")
-	db.Handle(req)
+	db.Handle(nil, req)
 	scribble(req)
 	if payees := lines(t, handle(db, "PAYEES 42")); payees[len(payees)-1] != "Acme_Corp|P-77" {
 		t.Fatalf("stored payee after the request buffer was overwritten: %q", payees)
 	}
 	req = []byte("POSTPROFILE 42 email=a@b.example city=Provo_UT")
-	db.Handle(req)
+	db.Handle(nil, req)
 	scribble(req)
 	if p := lines(t, handle(db, "PROFILE 42")); p[fieldEmail] != "a@b.example" || p[fieldCity] != "Provo_UT" {
 		t.Fatalf("stored profile after the request buffer was overwritten: %q", p)
@@ -438,8 +433,10 @@ func TestStoredFieldsOwnTheirBytes(t *testing.T) {
 var writeVerbs = map[string]bool{"ADDPAYEE": true, "BILLPAY": true, "TRANSFER": true, "PLACEORDER": true, "POSTPROFILE": true, "BILLS": true}
 
 // FuzzHandle: no request line panics or answers beyond the response
-// slot, and every other line than a write leaves the stored state as it
-// was and answers as a fresh database does.
+// slot, or writes past its response into the caller's buffer; a line
+// Reads declares pure fires no write hook; and every other line than a
+// write leaves the stored state as it was and answers as a fresh
+// database does.
 func FuzzHandle(f *testing.F) {
 	for _, seed := range []string{
 		"PING", "AUTH 1001 " + PasswordFor(1001), "AUTH 3 pw", "PROFILE 3", "SUMMARY 5", "ACCTS 5",
@@ -466,9 +463,15 @@ func FuzzHandle(f *testing.F) {
 		req := []byte(line)
 		db := written()
 		before := snapshot(db)
-		resp := string(db.Handle(req))
+		hooked := 0
+		db.SetWriteHook(func(uint64) { hooked++ })
+		buf := bytes.Repeat([]byte{'#'}, ResponseSlot)
+		resp := string(servicetest.CheckAppended(t, line, db.Handle(buf[:0], req), buf))
 		if len(resp) > ResponseSlot {
 			t.Fatalf("%q: %d-byte response", line, len(resp))
+		}
+		if db.Reads(req) && (hooked != 0 || snapshot(db) != before) {
+			t.Fatalf("%q: Reads, but it fired %d write hooks or changed the stored state", line, hooked)
 		}
 		fields := strings.Fields(line)
 		if len(fields) > 0 && writeVerbs[fields[0]] {
@@ -478,7 +481,7 @@ func FuzzHandle(f *testing.F) {
 			t.Fatalf("%q changed the stored state", line)
 		}
 		fresh := New()
-		got := string(fresh.Handle(req))
+		got := string(fresh.Handle(nil, req))
 		if stored(fresh) != 0 {
 			t.Fatalf("%q stored %d entries in a fresh database", line, stored(fresh))
 		}
@@ -491,4 +494,48 @@ func FuzzHandle(f *testing.F) {
 			t.Fatalf("%q: fresh database answered %q, written one %q", line, got, resp)
 		}
 	})
+}
+
+// TestConcurrentReadsMatchSerial: four goroutines issuing pure reads
+// against one written database each get the answers a serial run gets
+// (go test -race checks that the reads share it safely).
+func TestConcurrentReadsMatchSerial(t *testing.T) {
+	db := New()
+	for uid := 1; uid <= 64; uid++ {
+		handle(db, "TRANSFER %d 0 1 %d", uid, 100*uid)
+		handle(db, "POSTPROFILE %d email=u%d@x", uid, uid)
+		handle(db, "ADDPAYEE %d Co P-%d", uid, uid)
+	}
+	var reqs [][]byte
+	for uid := 1; uid <= 96; uid++ { // users with written state and without
+		for _, r := range append([]string{"AUTH %d " + PasswordFor(uint64(uid))}, pureReads...) {
+			req := []byte(strings.Replace(r, "%d", strconv.Itoa(uid), 1))
+			if !db.Reads(req) {
+				t.Fatalf("%s: not a read", req)
+			}
+			reqs = append(reqs, req)
+		}
+	}
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		want[i] = string(db.Handle(nil, req))
+	}
+	db.SetWriteHook(func(uid uint64) { t.Errorf("a read fired the write hook for %d", uid) })
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for k := range reqs {
+				i := (k + g*len(reqs)/4) % len(reqs)
+				buf = db.Handle(buf[:0], reqs[i])
+				if string(buf) != want[i] {
+					t.Errorf("%s: concurrent answer %q, serial %q", reqs[i], buf, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -226,11 +226,13 @@ type Result struct {
 
 // groupState is one shard group's host-authoritative state: one backend
 // store per registered workload plus the group's session array. mu makes
-// the backend stores single-writer: host units execute under it, and
-// device cohorts bind the stores through commits, which store and copy
-// each response under it. The session array locks its own buckets.
+// every write to the backend stores run alone: host units execute under
+// its write lock, and device cohorts bind the stores through commits,
+// which take the write lock for a write and the read lock for a request
+// the store Reads, so pure reads — a launch's commuting commits — run
+// side by side. The session array locks its own buckets.
 type groupState struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	bes      []service.Backend // by workload index
 	commits  []service.Backend // bes behind mu (lockedBackend), by workload index
 	sessions *session.Array

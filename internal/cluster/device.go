@@ -309,25 +309,30 @@ func (d *device) execute(u *Unit, slot int) {
 }
 
 // lockedBackend is the backend a device cohort binds: one of its group's
-// stores behind the group's mutex. Each Handle — one lane's deferred
-// commit — runs the store call and copies the response into buf under
-// the lock, since the store reuses its response buffer on the next
-// Handle, which a concurrent host unit of the group may make. buf is the
-// lane's to read until the group's next commit, and a group's commits
-// run serially on the worker of the device that owns it.
+// stores behind the group's lock. Each Handle — one lane's deferred
+// commit, answering into the lane's slot — runs the store call under
+// the read lock if the store Reads the request, else under the write
+// lock, which a concurrent host unit of the group also takes.
 type lockedBackend struct {
-	g   *groupState
-	w   int // workload index
-	buf []byte
+	g *groupState
+	w int // workload index
 }
 
 // Handle implements service.Backend.
-func (l *lockedBackend) Handle(req []byte) []byte {
-	l.g.mu.Lock()
-	l.buf = append(l.buf[:0], l.g.bes[l.w].Handle(req)...)
-	l.g.mu.Unlock()
-	return l.buf
+func (l *lockedBackend) Handle(dst, req []byte) []byte {
+	be := l.g.bes[l.w]
+	if be.Reads(req) {
+		l.g.mu.RLock()
+		defer l.g.mu.RUnlock()
+	} else {
+		l.g.mu.Lock()
+		defer l.g.mu.Unlock()
+	}
+	return be.Handle(dst, req)
 }
+
+// Reads implements service.Backend.
+func (l *lockedBackend) Reads(req []byte) bool { return l.g.bes[l.w].Reads(req) }
 
 // SetWriteHook implements service.Backend by registering on the store.
 func (l *lockedBackend) SetWriteHook(fn func(uid uint64)) { l.g.bes[l.w].SetWriteHook(fn) }

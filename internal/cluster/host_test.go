@@ -113,32 +113,39 @@ func TestHostUnitRefusedByDeadPool(t *testing.T) {
 	}
 }
 
-// reentryBackend is a group store that reports any call made while
-// another is in flight. Each call lingers a little so that an
-// unserialized caller would overlap.
+// reentryBackend is a group store that reports any call made while a
+// call that is not a read is in flight, and any such call made while
+// another call is: reads may overlap reads, nothing else may overlap.
+// Each call lingers a little so that an unserialized caller would
+// overlap.
 type reentryBackend struct {
 	service.Backend
-	in        atomic.Int32
-	overlaps  atomic.Int32
-	handled   atomic.Int32
-	lingerFor time.Duration
+	in, writing atomic.Int32
+	overlaps    atomic.Int32
+	handled     atomic.Int32
+	lingerFor   time.Duration
 }
 
-func (b *reentryBackend) Handle(req []byte) []byte {
-	if b.in.Add(1) != 1 {
+func (b *reentryBackend) Handle(dst, req []byte) []byte {
+	write := !b.Reads(req)
+	if write {
+		b.writing.Add(1)
+		defer b.writing.Add(-1)
+	}
+	if b.in.Add(1) != 1 && (write || b.writing.Load() != 0) {
 		b.overlaps.Add(1)
 	}
 	defer b.in.Add(-1)
 	b.handled.Add(1)
 	for end := time.Now().Add(b.lingerFor); time.Now().Before(end); {
 	}
-	return b.Backend.Handle(req)
+	return b.Backend.Handle(dst, req)
 }
 
 // TestDeviceCommitsAndHostUnitsNeverOverlap: the group lock is what keeps
 // a group's store single-writer. Device cohorts commit into the store on
 // the worker while host units of the same group execute on other
-// goroutines; the store never sees two calls at once.
+// goroutines; the store never sees a write overlap another call.
 func TestDeviceCommitsAndHostUnitsNeverOverlap(t *testing.T) {
 	cfg := Config{Registry: workloads.Banking(), Devices: 1, CohortSize: 8, QueueDepth: 64}
 	cl := New(cfg)

@@ -63,7 +63,7 @@ func script(t testing.TB) (servicetest.World, []servicetest.Round) {
 		post("/cart.php", "", "id=5&qty=1"), post("/cart.php", "", "uid=12&id=x"))
 	add(Cart, post("/cart.php", "", "uid=77&id=18446744073709551615&qty=98"))
 	for i := 0; i < 18; i++ { // fill uid 5001's cart to 19 lines
-		store.Handle([]byte("ADDCART 5001 " + strconv.Itoa(i*7919) + " " + strconv.Itoa(1+i%9)))
+		store.Handle(nil, []byte("ADDCART 5001 "+strconv.Itoa(i*7919)+" "+strconv.Itoa(1+i%9)))
 	}
 	add(Cart, post("/cart.php", "", "uid=5001&id=424242&qty=2")) // the 20th line
 	add(Cart, post("/cart.php", "", "uid=5001&id=1&qty=1"))      // cart full

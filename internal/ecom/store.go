@@ -14,15 +14,13 @@ import (
 )
 
 // Store is the e-commerce backend: a deterministic synthesized catalog
-// plus mutable carts and orders. Like backend.DB it is single-writer:
-// the cluster drives one Store per shard group from the owning device
-// worker.
+// plus mutable carts and orders. Like backend.DB, reads (Reads) may run
+// concurrently with reads, and a write runs alone: the cluster drives
+// one Store per shard group.
 type Store struct {
 	carts     map[uint64][]cartLine
 	orders    map[uint64][]string
 	writeHook func(uid uint64)
-	// resp is Handle's response buffer, reused by the next Handle.
-	resp []byte
 }
 
 type cartLine struct {
@@ -106,14 +104,14 @@ const catalogRows = 12
 
 // Handle implements service.Backend: line-oriented "VERB arg..."
 // requests of up to 1 KB, read in place and never kept, and responses
-// within 4 KB, built in a buffer the next Handle reuses.
-func (s *Store) Handle(req []byte) []byte {
+// within 4 KB, appended to dst.
+func (s *Store) Handle(dst, req []byte) []byte {
 	var fields [4]string
 	f := fields[:min(fmtx.Fields(fields[:], req), len(fields))]
 	if len(f) == 0 {
-		return s.reply("ERR empty")
+		return reply(dst, "ERR empty")
 	}
-	b := append(s.resp[:0], "OK\n"...)
+	b := append(dst, "OK\n"...)
 	switch f[0] {
 	case "INDEX":
 		for i := 0; i < catalogRows; i++ {
@@ -121,7 +119,7 @@ func (s *Store) Handle(req []byte) []byte {
 		}
 	case "SEARCH":
 		if len(f) < 2 {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		h := hashString(f[1])
 		for i := 0; i < catalogRows; i++ {
@@ -129,7 +127,7 @@ func (s *Store) Handle(req []byte) []byte {
 		}
 	case "CATEGORY":
 		if len(f) < 2 {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		// Deterministic membership: walk hashes of the category until
 		// enough synthesized products actually belong to it.
@@ -143,54 +141,54 @@ func (s *Store) Handle(req []byte) []byte {
 			}
 		}
 		if found == 0 {
-			return s.reply("ERR no such category")
+			return reply(dst, "ERR no such category")
 		}
 	case "PRODUCT":
 		if len(f) < 2 {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		pid, err := strconv.ParseUint(f[1], 10, 64)
 		if err != nil {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		b = appendProduct(b, pid)
 	case "ADDCART":
 		if len(f) < 4 {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		uid, err1 := strconv.ParseUint(f[1], 10, 64)
 		pid, err2 := strconv.ParseUint(f[2], 10, 64)
 		qty, err3 := strconv.Atoi(f[3])
 		if err1 != nil || err2 != nil || err3 != nil || qty <= 0 || qty > 99 {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		cart := append(s.carts[uid], cartLine{pid: pid, qty: qty})
 		if len(cart) > 20 {
-			return s.reply("FAIL cart full")
+			return reply(dst, "FAIL cart full")
 		}
 		s.carts[uid] = cart
 		s.noteWrite(uid)
 		b = s.appendCart(b, uid)
 	case "CART":
 		if len(f) < 2 {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		uid, err := strconv.ParseUint(f[1], 10, 64)
 		if err != nil {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		b = s.appendCart(b, uid)
 	case "ORDER":
 		if len(f) < 2 {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		uid, err := strconv.ParseUint(f[1], 10, 64)
 		if err != nil {
-			return s.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		cart := s.carts[uid]
 		if len(cart) == 0 {
-			return s.reply("FAIL empty cart")
+			return reply(dst, "FAIL empty cart")
 		}
 		var total int64
 		items := 0
@@ -204,22 +202,31 @@ func (s *Store) Handle(req []byte) []byte {
 		s.noteWrite(uid)
 		b = fmtx.Appendf(b, "%s\n%d\n%d\n", conf, items, total)
 	default:
-		return s.reply("ERR unknown verb ", f[0])
+		return reply(dst, "ERR unknown verb ", f[0])
 	}
-	s.resp = b
 	return b
 }
 
-// reply writes a reply that carries no data — a failure's — into the
-// response buffer, where like every other it is valid until the next
-// Handle.
-func (s *Store) reply(parts ...string) []byte {
-	b := s.resp[:0]
-	for _, p := range parts {
-		b = append(b, p...)
+// Reads implements service.Backend: the catalog and cart verbs, which
+// store nothing and fire no write hook.
+func (s *Store) Reads(req []byte) bool {
+	var verb [1]string
+	fmtx.Fields(verb[:], req)
+	switch verb[0] {
+	case "INDEX", "SEARCH", "CATEGORY", "PRODUCT", "CART":
+		return true
 	}
-	s.resp = b
-	return b
+	return false
+}
+
+// reply appends a reply that carries no data — a failure's — to dst.
+// Every one is longer than the "OK\n" a verb appends before it may
+// fail, so it covers that.
+func reply(dst []byte, parts ...string) []byte {
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
 }
 
 // appendCart appends "<lines>\n" then "pid|name|qty|cents" rows.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rhythm/internal/service"
+	"rhythm/internal/service/servicetest"
 )
 
 // isFailure reports whether resp is a failed request's reply.
@@ -14,18 +15,18 @@ func isFailure(resp []byte) bool {
 	return bytes.HasPrefix(resp, []byte("ERR")) || bytes.HasPrefix(resp, []byte("FAIL"))
 }
 
-// TestErrorRepliesDoNotAllocate: a failed request's reply is written
-// into the store's one response buffer like every other reply, so it
-// allocates nothing.
+// TestErrorRepliesDoNotAllocate: a failed request's reply is appended
+// to the caller's buffer like every other reply, so it allocates
+// nothing.
 func TestErrorRepliesDoNotAllocate(t *testing.T) {
 	s := NewStore()
-	s.Handle([]byte("INDEX")) // grow the response buffer
+	buf := s.Handle(nil, []byte("INDEX")) // grow the response buffer
 	for _, line := range []string{"ORDER 7", "SEARCH", "ADDCART 7 1", "BOGUS 7", "CATEGORY none"} {
 		req := []byte(line)
-		if allocs := testing.AllocsPerRun(100, func() { s.Handle(req) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { buf = s.Handle(buf[:0], req) }); allocs != 0 {
 			t.Errorf("%s: %v allocations per call", line, allocs)
 		}
-		if resp := s.Handle(req); !isFailure(resp) {
+		if resp := s.Handle(nil, req); !isFailure(resp) {
 			t.Errorf("%s: reply %q", line, resp)
 		}
 	}
@@ -35,8 +36,10 @@ func TestErrorRepliesDoNotAllocate(t *testing.T) {
 func snapshot(s *Store) string { return fmt.Sprint(s.carts, s.orders) }
 
 // FuzzStoreHandle: no request line of up to a backend request slot
-// panics or answers beyond the response slot, and a failed request or
-// a read leaves what the store keeps as it was.
+// panics, answers beyond the response slot or writes past its answer
+// into the caller's buffer; Reads declares exactly the read verbs; and
+// a failed request or a read leaves what the store keeps as it was, a
+// read without firing the write hook.
 func FuzzStoreHandle(f *testing.F) {
 	for _, seed := range []string{
 		"INDEX", "SEARCH lamp", "CATEGORY books", "CATEGORY none", "PRODUCT 18446744073709551615",
@@ -51,10 +54,10 @@ func FuzzStoreHandle(f *testing.F) {
 		s := NewStore()
 		for uid, lines := range []int{1: 4, 2: 20, 3: 3} {
 			for i := 0; i < lines; i++ {
-				s.Handle(fmt.Appendf(nil, "ADDCART %d %d %d", uid, i*7919, 1+i%9))
+				s.Handle(nil, fmt.Appendf(nil, "ADDCART %d %d %d", uid, i*7919, 1+i%9))
 			}
 		}
-		s.Handle([]byte("ORDER 3"))
+		s.Handle(nil, []byte("ORDER 3"))
 		return s
 	}
 	reads := map[string]bool{"INDEX": true, "SEARCH": true, "CATEGORY": true, "PRODUCT": true, "CART": true}
@@ -64,12 +67,22 @@ func FuzzStoreHandle(f *testing.F) {
 		}
 		s := written()
 		before := snapshot(s)
-		resp := s.Handle([]byte(line))
+		hooked := 0
+		s.SetWriteHook(func(uint64) { hooked++ })
+		buf := bytes.Repeat([]byte{'#'}, service.BackendResponseSlot)
+		resp := servicetest.CheckAppended(t, line, s.Handle(buf[:0], []byte(line)), buf)
 		if len(resp) > service.BackendResponseSlot {
 			t.Fatalf("%q: %d-byte reply", line, len(resp))
 		}
 		fields := strings.Fields(line)
-		if isFailure(resp) || len(fields) > 0 && reads[fields[0]] {
+		read := len(fields) > 0 && reads[fields[0]]
+		if s.Reads([]byte(line)) != read {
+			t.Fatalf("%q: Reads = %v", line, !read)
+		}
+		if read && hooked != 0 {
+			t.Fatalf("%q: a read fired %d write hooks", line, hooked)
+		}
+		if isFailure(resp) || read {
 			if snapshot(s) != before {
 				t.Fatalf("%q (reply %.40q) changed what the store keeps", line, resp)
 			}

@@ -32,7 +32,15 @@ func TransposeElems(m *Memory, dst, src Addr, rows, cols, elem int) {
 // hardware would still stream the whole buffer (charge accordingly) but
 // the simulation need only move the meaningful bytes.
 func TransposeElemsRange(m *Memory, dst, src Addr, rows, cols, elem, liveRows, liveCols int) {
-	if rows <= 0 || cols <= 0 || elem <= 0 || liveRows < 0 || liveCols < 0 || liveRows > rows || liveCols > cols {
+	TransposeColumns(m, dst, src, rows, cols, elem, liveRows, 0, liveCols)
+}
+
+// TransposeColumns is TransposeElemsRange for the band [c0,c1) of the
+// live columns: it moves the [0,liveRows)×[c0,c1) block, which fills
+// rows c0..c1-1 of dst and nothing else. Bands that do not overlap write
+// disjoint bytes, so they may run concurrently.
+func TransposeColumns(m *Memory, dst, src Addr, rows, cols, elem, liveRows, c0, c1 int) {
+	if rows <= 0 || cols <= 0 || elem <= 0 || liveRows < 0 || liveRows > rows || c0 < 0 || c1 < c0 || c1 > cols {
 		panic("mem: bad transpose range")
 	}
 	n := rows * cols * elem
@@ -45,19 +53,19 @@ func TransposeElemsRange(m *Memory, dst, src Addr, rows, cols, elem, liveRows, l
 	// words is 16 cache lines of each array, and the inner loop fills
 	// one destination line.
 	const transposeTile = 16
-	for c0 := 0; c0 < liveCols; c0 += transposeTile {
-		cmax := min(c0+transposeTile, liveCols)
+	for t0 := c0; t0 < c1; t0 += transposeTile {
+		cmax := min(t0+transposeTile, c1)
 		for r0 := 0; r0 < liveRows; r0 += transposeTile {
 			rmax := min(r0+transposeTile, liveRows)
 			if elem == 4 {
 				// Destination-contiguous: row c of dst is filled left
 				// to right from a column of the source tile.
-				for c := c0; c < cmax; c++ {
+				for c := t0; c < cmax; c++ {
 					GatherWords(d[(c*rows+r0)*4:(c*rows+rmax)*4], s[(r0*cols+c)*4:], cols*4)
 				}
 				continue
 			}
-			for c := c0; c < cmax; c++ {
+			for c := t0; c < cmax; c++ {
 				for r := r0; r < rmax; r++ {
 					copy(d[(c*rows+r)*elem:(c*rows+r+1)*elem], s[(r*cols+c)*elem:(r*cols+c+1)*elem])
 				}

@@ -149,7 +149,7 @@ type Server struct {
 	eng      *sim.Engine
 	dev      *simt.Device
 	opts     Options
-	db       *backend.DB
+	db       service.Backend
 	sessions *session.Array
 
 	bank       *service.PageWorkload
@@ -200,7 +200,7 @@ func DeviceMemory(opts Options) int {
 
 // New builds a server on a device with at least DeviceMemory(opts)
 // backed bytes.
-func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessions *session.Array) *Server {
+func New(eng *sim.Engine, dev *simt.Device, opts Options, db service.Backend, sessions *session.Array) *Server {
 	if opts.CohortSize <= 0 || opts.MaxCohorts <= 0 {
 		panic("pipeline: CohortSize and MaxCohorts must be positive")
 	}
@@ -452,16 +452,15 @@ func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *ser
 			continue
 		}
 		r := r
-		service := s.opts.BackendServiceTime
+		svc := s.opts.BackendServiceTime
 		if s.opts.BackendTailProb > 0 && s.rng.Float64() < s.opts.BackendTailProb {
-			service = sim.Time(float64(service) * s.opts.BackendTailFactor)
+			svc = sim.Time(float64(svc) * s.opts.BackendTailFactor)
 		}
-		s.backendSrv.Submit(service, func() {
+		s.backendSrv.Submit(svc, func() {
 			if proceeded {
 				return // the cohort moved on; the host path owns this request
 			}
-			resp := s.db.Handle(unit.BackendRequest(image, r))
-			copy(respImage[r*backend.ResponseSlot:], resp)
+			service.ServeSlot(s.db, respImage[r*backend.ResponseSlot:(r+1)*backend.ResponseSlot], unit.BackendRequest(image, r), 0)
 			finished[r] = true
 			remaining--
 			if remaining == 0 {

@@ -209,6 +209,9 @@ func (w *PageWorkload) cookie(page *PageBuilder, sid session.ID) string {
 type Scratch struct {
 	ctx  Ctx
 	page PageBuilder
+	// bresp is the host path's backend response buffer, refilled by
+	// every round trip.
+	bresp []byte
 }
 
 // NewScratch returns an empty reusable execution context.
@@ -254,7 +257,11 @@ func (w *PageWorkload) ExecuteScratch(sc *Scratch, local int, req *httpx.Request
 				break
 			}
 			ctx.Charge(w.costs.Backend)
-			bresp = handle(be, breq)
+			sc.bresp = be.Handle(sc.bresp[:0], breq)
+			bresp = sc.bresp
+			if len(bresp) > BackendResponseSlot {
+				bresp = respOverflow
+			}
 		}
 	}
 	if ctx.Err != "" {
@@ -265,8 +272,8 @@ func (w *PageWorkload) ExecuteScratch(sc *Scratch, local int, req *httpx.Request
 
 // A backend request or response that outgrows its slot (§5.1: 1 KB and
 // 4 KB) is the request's error, the same on the host path and in the
-// stage kernels: requestFits fails the request, handle replaces the
-// response by respOverflow for the stage to reject.
+// stage kernels: requestFits fails the request, and the response is
+// replaced by respOverflow for the stage to reject.
 var respOverflow = []byte("ERR response overflow")
 
 // requestFits reports whether breq fits the backend request slot, and
@@ -279,13 +286,22 @@ func requestFits(ctx *Ctx, breq []byte) bool {
 	return true
 }
 
-// handle is be.Handle held to the response slot.
-func handle(be Backend, breq []byte) []byte {
-	bresp := be.Handle(breq)
-	if len(bresp) > BackendResponseSlot {
-		return respOverflow
+// ServeSlot answers breq from be into slot, a backend response slot
+// (BackendResponseSlot bytes) whose first old bytes are live and whose
+// rest is zero, and returns its new live length: the rest is zero again.
+// A response that outgrows the slot leaves respOverflow in it.
+func ServeSlot(be Backend, slot, breq []byte, old int) int {
+	n := len(be.Handle(slot[:0:len(slot)], breq))
+	if n > len(slot) {
+		// The response outgrew the slot on its way in, so the slot holds
+		// its first bytes.
+		n = copy(slot, respOverflow)
+		old = len(slot)
 	}
-	return bresp
+	if old > n {
+		clear(slot[n:old])
+	}
+	return n
 }
 
 // buildErrorPage renders the divergent error path: a short message in a

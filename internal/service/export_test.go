@@ -154,7 +154,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		m, be := pc.dev.Mem, pc.be
 		t.Defer(func() {
 			slot := make([]byte, BackendResponseSlot)
-			pc.brespLen[r] = copy(slot, handle(be, breq))
+			pc.brespLen[r] = ServeSlot(be, slot, breq, 0)
 			col := m.Bytes(simt.ColumnBase(pc.brespBuf, r), (BackendResponseSlot/simt.WordSize-1)*simt.WordSize*pc.size+simt.WordSize)
 			mem.ScatterWords(col, slot, simt.WordSize*pc.size)
 		})

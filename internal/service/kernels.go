@@ -117,7 +117,7 @@ type pageCohort struct {
 
 	// be is the bound cohort's backend, and commits[r] lane r's deferred
 	// backend commit: made once per lane with the cohort, it reads the
-	// bound state when the launch's serial phase runs it.
+	// bound state when the launch's commit phase runs it.
 	be      Backend
 	commits []func()
 }
@@ -130,7 +130,7 @@ type pageCohort struct {
 // buffers are set aside once and reused by every cohort it serves).
 // Bind resets or overwrites the lane mirrors; the twins keep their zero
 // tails because every write of a backend slot clears what the lane's
-// previous live bytes left (fillSlot).
+// previous live bytes left (fillSlot, ServeSlot).
 type execSlot struct {
 	dev  *simt.Device
 	size int
@@ -195,12 +195,13 @@ func newPageCohort(w *PageWorkload, v Variant, class int, e *execSlot) *pageCoho
 	return pc
 }
 
-// commit runs lane r's backend request against the bound backend and
-// fills its response slot (block 2's deferred half).
+// commit runs lane r's backend request against the bound backend, which
+// answers straight into the lane's response slot (block 2's deferred
+// half). Lanes' commits touch disjoint slots and lengths, so those of
+// pure reads may run concurrently.
 func (pc *pageCohort) commit(r int) {
 	breq := pc.row(pc.breqRow, r, BackendRequestSlot)[:pc.breqLen[r]]
-	bresp := pc.row(pc.brespRow, r, BackendResponseSlot)
-	pc.brespLen[r] = fillSlot(bresp, handle(pc.be, breq), pc.brespLen[r])
+	pc.brespLen[r] = ServeSlot(pc.be, pc.row(pc.brespRow, r, BackendResponseSlot), breq, pc.brespLen[r])
 }
 
 // row returns request r's slot of a backend slot's row-major twin.
@@ -466,8 +467,9 @@ func (pageStageProgram) Entry() simt.BlockID { return 0 }
 // kernel touches while executing: the group's session array, per the
 // type's SessionMode and SessionStage. Cohort contexts, device columns,
 // and response buffers are private to the launch's own cohort, and all
-// backend-store access happens inside Thread.Defer (replayed serially at
-// end-of-launch), so they need no declaration (simt.Footprinter;
+// backend-store access happens in the commit phase at end-of-launch
+// (Thread.Defer, or DeferCommuting for a pure read), so they need no
+// declaration (simt.Footprinter;
 // DESIGN.md §13). The session stage of a creating or deleting type
 // writes the array; stage 0 of a type that resolves a cookie reads it;
 // every other stage touches nothing (Ctx.CreateSession and
@@ -543,14 +545,19 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		simt.ChargeColumn(t, pc.breqBuf, r, pc.size, 0, BackendRequestSlot)
 		t.Compute(besimDeviceOps)
 		// The response store's cost is content-independent (always the
-		// full slot), so price it now and defer the execution: the
-		// backend mutates shared state and must commit in canonical
-		// serial order for the rendered bytes (balances, confirmation
-		// ids) to match a serial run's. The response is only read by the
-		// NEXT stage kernel, so materializing it at end-of-launch is
-		// unobservable. See DESIGN.md "Host parallelism".
+		// full slot), so price it now and defer the execution: a write
+		// mutates shared state and must commit in canonical serial order
+		// for the rendered bytes (balances, confirmation ids) to match a
+		// serial run's, while pure reads commute with each other. The
+		// response is only read by the NEXT stage kernel, so
+		// materializing it at end-of-launch is unobservable. See
+		// DESIGN.md "Host parallelism".
 		simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
-		t.Defer(pc.commits[r])
+		if pc.be.Reads(pc.row(pc.breqRow, r, BackendRequestSlot)[:pc.breqLen[r]]) {
+			t.DeferCommuting(pc.commits[r])
+		} else {
+			t.Defer(pc.commits[r])
+		}
 		return simt.Halt // next stage kernel reads brespBuf
 	case 3: // final stage: render and emit
 		p.emit(t, r, pc.ctxs[r])

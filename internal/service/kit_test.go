@@ -99,7 +99,7 @@ func ecomWorld(t testing.TB, local, n int, bad func(int) bool) world {
 				t.Fatal("session table full")
 			}
 			if i%3 != 0 {
-				store.Handle([]byte(fmt.Sprintf("ADDCART %d %d 2", uid, i*31)))
+				store.Handle(nil, []byte(fmt.Sprintf("ADDCART %d %d 2", uid, i*31)))
 			}
 			req = post("/checkout.php", "Cookie: "+ecom.CookieName+"="+sid.String()+"\r\n", "")
 		}
@@ -129,11 +129,11 @@ func telemetryWorld(t testing.TB, local, n int, bad func(int) bool) world {
 		case telemetry.Subscribe:
 			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /t/subscribe?dev=%s&sub=%d HTTP/1.1\r\n\r\n", dev, i)))
 		case telemetry.Poll:
-			broker.Handle([]byte(fmt.Sprintf("SUB 7 %d", i)))
-			broker.Handle([]byte(fmt.Sprintf("PUB 7 %04x", i)))
+			broker.Handle(nil, []byte(fmt.Sprintf("SUB 7 %d", i)))
+			broker.Handle(nil, []byte(fmt.Sprintf("PUB 7 %04x", i)))
 			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /t/poll?dev=%s&sub=%d HTTP/1.1\r\n\r\n", dev, i)))
 		case telemetry.Status:
-			broker.Handle([]byte(fmt.Sprintf("PUB 7 %04x", i)))
+			broker.Handle(nil, []byte(fmt.Sprintf("PUB 7 %04x", i)))
 			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /t/status?dev=%s HTTP/1.1\r\n\r\n", dev)))
 		default:
 			t.Fatalf("telemetryWorld: no recipe for type %d", local)
@@ -156,10 +156,13 @@ type counting struct {
 	calls int
 }
 
-func (c *counting) Handle(req []byte) []byte {
+func (c *counting) Handle(dst, req []byte) []byte {
 	c.calls++
-	return c.Backend.Handle(req)
+	return c.Backend.Handle(dst, req)
 }
+
+// Reads is false: the count is state, so round trips must not overlap.
+func (c *counting) Reads([]byte) bool { return false }
 
 // deviceRun is one cohort's trip through the stage kernels.
 type deviceRun struct {
@@ -220,7 +223,7 @@ func serveBackend(unit *service.PageUnit, be service.Backend) func(image []byte,
 		out := make([]byte, n*service.BackendResponseSlot)
 		for r := 0; r < n; r++ {
 			if unit.Active(r) {
-				copy(out[r*service.BackendResponseSlot:], be.Handle(unit.BackendRequest(image, r)))
+				service.ServeSlot(be, out[r*service.BackendResponseSlot:(r+1)*service.BackendResponseSlot], unit.BackendRequest(image, r), 0)
 			}
 		}
 		reply(out)
@@ -513,10 +516,13 @@ type recording struct {
 	reqs map[int][]string
 }
 
-func (b *recording) Handle(req []byte) []byte {
+func (b *recording) Handle(dst, req []byte) []byte {
 	b.reqs[b.lane] = append(b.reqs[b.lane], string(req))
-	return b.Backend.Handle(req)
+	return b.Backend.Handle(dst, req)
 }
+
+// Reads is false: the record is state, so calls must not overlap.
+func (b *recording) Reads([]byte) bool { return false }
 
 // TestTitanAZeroTails: on one Titan A slot, a 64 KB-class cohort with
 // long backend requests, then an 8 KB-class cohort with shorter ones on
@@ -547,7 +553,7 @@ func TestTitanAZeroTails(t *testing.T) {
 				}
 				if unit.Active(r) {
 					dreqs.lane = r
-					copy(out[r*service.BackendResponseSlot:], dreqs.Handle(live))
+					service.ServeSlot(dreqs, out[r*service.BackendResponseSlot:(r+1)*service.BackendResponseSlot], live, 0)
 				}
 			}
 			reply(out)
@@ -594,13 +600,16 @@ type bloated struct {
 	calls int
 }
 
-func (b *bloated) Handle(req []byte) []byte {
+func (b *bloated) Handle(dst, req []byte) []byte {
 	b.calls++
 	if b.calls%3 == 0 {
-		return bytes.Repeat([]byte("OK\n"), service.BackendResponseSlot/3+1)
+		return append(dst, bytes.Repeat([]byte("OK\n"), service.BackendResponseSlot/3+1)...)
 	}
-	return b.Backend.Handle(req)
+	return b.Backend.Handle(dst, req)
 }
+
+// Reads is false: which call bloats depends on the calls before it.
+func (b *bloated) Reads([]byte) bool { return false }
 
 // TestOversizeBackendSlotsFailTheLane: a backend request over 1 KB or a
 // backend response over 4 KB is the lane's error on the device exactly

@@ -150,8 +150,9 @@ func (b *PageBuilder) Sprintf(format string, args ...any) string {
 
 // Keep copies p into the arena and returns the copy as a string, valid
 // until Reset: the one copy a stage makes of a backend response, whose
-// buffer — the backend's, reused by its next Handle, or the lane's slot,
-// refilled by the next commit — does not outlive the stage call, while
+// buffer — the Scratch's, refilled by its next round trip, or the
+// lane's slot, refilled by the next commit — does not outlive the stage
+// call, while
 // the lines cut from it become pieces of the page or state carried to
 // the next stage.
 func (b *PageBuilder) Keep(p []byte) string {

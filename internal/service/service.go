@@ -22,6 +22,7 @@ package service
 
 import (
 	"fmt"
+	"sync"
 
 	"rhythm/internal/httpx"
 	"rhythm/internal/session"
@@ -80,17 +81,25 @@ type Spec struct {
 // process stages talk to it through fixed-size textual request slots
 // (the Besim protocol shape), and every committed mutation reports the
 // affected entity id to the write hook (the render cache's
-// invalidation feed). *backend.DB satisfies it.
+// invalidation feed). *backend.DB satisfies it. Reads may run
+// concurrently with reads: Handle calls for which Reads is true may
+// overlap each other, never a call for which it is false.
 type Backend interface {
 	// Handle executes one wire-format backend request — exactly its
-	// bytes, at most BackendRequestSlot of them, no padding — and returns
-	// the wire-format response. The response may live in a buffer the
-	// next Handle reuses: the caller copies what it keeps (a stage keeps
-	// it with PageBuilder.Keep). One longer than BackendResponseSlot
-	// reaches the stage as "ERR response overflow". Handle must not keep
-	// req, a slice of it or a string view of it: what it stores of the
-	// request's fields it copies.
-	Handle(req []byte) []byte
+	// bytes, at most BackendRequestSlot of them, no padding — and
+	// appends the wire-format response to dst, the caller's buffer: a
+	// device lane's backend response slot, or on the host path one its
+	// Scratch owns. Past the response it leaves dst's spare capacity
+	// zero or as it was, so a slot's zero tail survives. One longer than
+	// BackendResponseSlot reaches the stage as "ERR response overflow".
+	// Handle must not keep req, dst, a slice of either or a string view
+	// of them: what it stores of the request's fields it copies.
+	Handle(dst, req []byte) []byte
+	// Reads reports whether Handle(req) is a pure read: it changes no
+	// stored state and fires no write hook. It may only err towards
+	// false. It looks at req alone, so it may be called from any
+	// goroutine at any time.
+	Reads(req []byte) bool
 	// SetWriteHook registers fn to run after every committed mutation
 	// with the id whose cached pages it invalidates.
 	SetWriteHook(fn func(uid uint64))
@@ -248,10 +257,16 @@ func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []*Slot
 // response (a fresh allocation the caller owns) plus whether the
 // request took the error path.
 func (r *Registry) ExecuteHost(t TypeID, req *httpx.Request, sessions *session.Array, bes []Backend) ([]byte, bool) {
-	sc := NewScratch()
+	sc := hostScratches.Get().(*Scratch)
+	defer hostScratches.Put(sc)
 	failed := r.ExecuteScratch(sc, t, req, sessions, bes)
 	return sc.Render(make([]byte, r.specs[t].BufferBytes)), failed
 }
+
+// hostScratches are ExecuteHost's execution contexts: the page it
+// returns is rendered into a fresh buffer, so nothing of a Scratch
+// outlives the call.
+var hostScratches = sync.Pool{New: func() any { return NewScratch() }}
 
 // ExecuteScratch is ExecuteHost without the allocations: the page is
 // left in sc for sc.Render into a caller buffer.

@@ -6,34 +6,49 @@ import (
 	"rhythm/internal/service"
 )
 
-// scribbler serves a backend's responses out of one buffer of its own,
-// which it overwrites before every Handle and, on request, once more: a
-// stage that keeps a view of a response instead of a copy renders the
-// scribble.
+// scribbler overwrites the buffer a response is answered into before
+// every Handle — on the device path the lane's slot, whose last
+// response it scribbles before the lane's next commit — and, on
+// request, every response it answered since the last request, before
+// the page renders: a stage that keeps a view of a response instead of
+// a copy renders the scribble. It keeps what it answered, so its Handle
+// calls must not overlap, and it reads nothing.
 type scribbler struct {
 	service.Backend
-	buf []byte
+	answered [][]byte
 }
 
-func (s *scribbler) Handle(req []byte) []byte {
-	s.scribble()
-	s.buf = append(s.buf[:0], s.Backend.Handle(req)...)
-	return s.buf
+func (s *scribbler) Handle(dst, req []byte) []byte {
+	fill(dst[len(dst):cap(dst)], '#')
+	resp := s.Backend.Handle(dst, req)
+	// Past the response the buffer is the backend's to leave zero.
+	clear(resp[len(resp):cap(resp)])
+	s.answered = append(s.answered, resp[len(dst):])
+	return resp
 }
+
+func (s *scribbler) Reads([]byte) bool { return false }
 
 func (s *scribbler) scribble() {
-	for i := range s.buf {
-		s.buf[i] = '#'
+	for _, b := range s.answered {
+		fill(b, '#')
+	}
+	s.answered = s.answered[:0]
+}
+
+func fill(b []byte, c byte) {
+	for i := range b {
+		b[i] = c
 	}
 }
 
 // CheckKeptLines fails unless everything the script's stages keep of a
 // backend response — lines carried to a later stage, pieces of the page —
-// is their own copy. On the host path the backend overwrites its response
-// at its next Handle and once more before the page renders; on the
-// device path the lane's response slot is refilled by the next stage's
-// commit and the slot's next cohort. The bytes must be the plain host
-// run's either way.
+// is their own copy. The backend overwrites the buffer it answers into
+// before its next Handle and every response once more before the page
+// renders — on the host path the Scratch's buffer, on the device path
+// the lane's response slot. The bytes must be the plain host run's
+// either way.
 func CheckKeptLines(t *testing.T, w *service.PageWorkload, script Script) {
 	t.Helper()
 	want := Host(t, w, script, true)

@@ -101,6 +101,9 @@ func Device(t testing.TB, w *service.PageWorkload, script Script, v service.Vari
 		unit := slot.Bind(rd.Local, reqs, wd.Sessions, wd.Backend)
 		unit.Run(stream, nil, nil, nil)
 		eng.Run()
+		if s, ok := wd.Backend.(*scribbler); ok {
+			s.scribble() // CheckKeptLines: the slots, before the pages render
+		}
 		for j, resp := range unit.Responses() {
 			out[i] = append(out[i], Result{Resp: resp, Failed: unit.Failed(j)})
 		}

@@ -319,11 +319,13 @@ func (d *Device) PendingLaunches() int { return len(d.pending) }
 //     execute concurrently on up to Cfg.SimParallelism host workers;
 //     launches within a group run serially in canonical order. Each
 //     launch's warps still fan out over Cfg.HostParallelism workers.
-//  3. Commit serially in canonical order: replay deferred side effects
-//     (Thread.Defer — Besim writes) and return the launch's warp scratch
-//     to the pool, accumulate DeviceStats, and submit
-//     to the compute pool, which schedules the profiler record, done
-//     callback, and stream-gate completion at virtual finish time.
+//  3. Commit launch by launch in canonical order: run each launch's
+//     deferred side effects — in (warp, issue) order if it used
+//     Thread.Defer (Besim writes), concurrently on the host workers if
+//     it used only Thread.DeferCommuting (pure Besim reads) — and
+//     return its warp scratch to the pool, accumulate DeviceStats, and
+//     submit to the compute pool, which schedules the profiler record,
+//     done callback, and stream-gate completion at virtual finish time.
 func (d *Device) flushPending() bool {
 	if len(d.pending) == 0 {
 		return false
@@ -346,7 +348,7 @@ func (d *Device) flushPending() bool {
 	for i := range batch {
 		pl := batch[i]
 		st := results[i].stats
-		results[i].commit()
+		results[i].commit(d.Cfg.hostWorkers())
 		d.stats.Launches++
 		d.stats.IssueCycles += st.IssueCycles
 		d.stats.MemBytes += st.MemBytes
@@ -444,12 +446,23 @@ func (s *Stream) Transpose(dst, src mem.Addr, rows, cols, elem int, done func())
 // TransposeLive is Transpose for a partially filled fixed-geometry
 // buffer: the device streams (and is charged for) the whole rows×cols
 // matrix, but only the [0,liveRows)×[0,liveCols) corner holds meaningful
-// data, so only it is moved functionally.
+// data, so only it is moved functionally — in bands of transposeBand
+// columns on the device's host workers, each band filling its own rows
+// of dst.
 func (s *Stream) TransposeLive(dst, src mem.Addr, rows, cols, elem, liveRows, liveCols int, done func()) {
 	s.transpose(rows, cols, elem, done, func() {
-		mem.TransposeElemsRange(s.dev.Mem, dst, src, rows, cols, elem, liveRows, liveCols)
+		bands := max(1, (liveCols+transposeBand-1)/transposeBand)
+		parallelFor(s.dev.Cfg.hostWorkers(), bands, func(b int) {
+			c0 := reorder(b, bands) * transposeBand
+			mem.TransposeColumns(s.dev.Mem, dst, src, rows, cols, elem, liveRows, c0, min(c0+transposeBand, liveCols))
+		})
 	})
 }
+
+// transposeBand is the width in columns of the bands TransposeLive
+// moves concurrently: a 1 KB request slot of 4-byte words is 256
+// columns, four bands.
+const transposeBand = 64
 
 // ChargeTranspose prices Transpose — the launch, its duration, traffic,
 // energy and profiler record — and moves nothing: for a buffer whose
@@ -520,20 +533,44 @@ func (s *Stream) Barrier(done func()) {
 
 // kernelExec is one launch's execution-phase outcome: the priced stats
 // plus its warps' scratch, whose deferred side effects await the batch's
-// serial commit phase in (warp, issue) order.
+// commit phase.
 type kernelExec struct {
 	stats LaunchStats
 	warps []*warpScratch
 }
 
-// commit runs the launch's deferred side effects in (warp, issue) order
-// and returns every warp's scratch to the pool: nothing the launch's
-// closures captured is reused before they have run.
-func (k kernelExec) commit() {
+// commit runs the launch's deferred side effects and returns every
+// warp's scratch to the pool: nothing the launch's closures captured is
+// reused before they have run. A launch with any Thread.Defer callback
+// runs them all in (warp, issue) order; one whose callbacks all came
+// from DeferCommuting runs them on up to workers host workers, warp by
+// warp and each warp's in issue order (both backwards in the simtorder
+// build); one that deferred nothing starts no workers.
+func (k kernelExec) commit(workers int) {
+	deferred, ordered := 0, false
 	for _, sc := range k.warps {
-		for _, fn := range sc.shared.deferred {
-			fn()
+		deferred += len(sc.shared.deferred)
+		ordered = ordered || sc.shared.ordered
+	}
+	switch {
+	case ordered:
+		for _, sc := range k.warps {
+			for _, fn := range sc.shared.deferred {
+				fn()
+			}
 		}
+	case deferred > 0:
+		// warps, not k, is what the closure captures: a launch that
+		// deferred nothing moves nothing to the heap.
+		warps := k.warps
+		parallelFor(workers, len(warps), func(w int) {
+			fns := warps[reorder(w, len(warps))].shared.deferred
+			for i := range fns {
+				fns[reorder(i, len(fns))]()
+			}
+		})
+	}
+	for _, sc := range k.warps {
 		sc.release()
 	}
 }
@@ -544,8 +581,8 @@ func (k kernelExec) commit() {
 // are identical to the serial path because each warp owns its scratch
 // and per-warp stats are reduced in warp-index order below. A launch
 // whose footprint is Ordered runs its warps serially instead.
-// Order-sensitive side effects (Thread.Defer) are NOT run here: they
-// stay in the warps' scratch for flushPending's serial commit phase,
+// Deferred side effects (Thread.Defer, DeferCommuting) are NOT run
+// here: they stay in the warps' scratch for flushPending's commit phase,
 // which also keeps them off the concurrent path when several launches of
 // one epoch batch execute in parallel.
 func (d *Device) execKernel(prog Program, n int) kernelExec {

@@ -14,8 +14,9 @@ package simt
 // Programs that do not declare a footprint are conservatively assumed
 // to conflict with every other launch — correct for arbitrary kernels,
 // it just forfeits launch-level overlap for their batches. Deferred
-// side effects (Thread.Defer) never need declaring: they replay in the
-// serial commit phase regardless (see Device.flushPending).
+// side effects (Thread.Defer, Thread.DeferCommuting) never need
+// declaring: they run in the commit phase, launch by launch in
+// canonical order, regardless (see Device.flushPending).
 
 // Footprint declares the shared host state one kernel launch reads and
 // writes during execution. Tokens are compared with Go equality, so use

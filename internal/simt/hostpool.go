@@ -12,7 +12,10 @@ import (
 // thread scratch and warpShared scratchpad, kernels write disjoint
 // per-thread ranges of device memory, and anything genuinely shared is
 // either internally synchronized (the session array) or deferred to the
-// serial end-of-launch phase (Thread.Defer). Pricing stays deterministic
+// end-of-launch commit phase — serial in (warp, issue) order for
+// Thread.Defer, fanned out over these same workers for a launch whose
+// callbacks all commute (Thread.DeferCommuting). The request-image
+// transpose runs its column bands here too. Pricing stays deterministic
 // because per-warp stats are reduced in warp-index order after the
 // parallel section.
 

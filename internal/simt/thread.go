@@ -76,10 +76,12 @@ type Thread struct {
 
 // warpShared is the state a warp's lanes share.
 type warpShared struct {
-	// deferred collects Thread.Defer callbacks in the exact order the
-	// warp's lanes issued them (the serial execution order within the
-	// warp), for the end-of-launch serial phase.
+	// deferred collects Thread.Defer and Thread.DeferCommuting
+	// callbacks in the exact order the warp's lanes issued them (the
+	// serial execution order within the warp), for the end-of-launch
+	// commit phase; ordered is set once any of them came from Defer.
 	deferred []func()
+	ordered  bool
 }
 
 // Compute charges n ALU operations to the current block. Lanes of a warp
@@ -200,6 +202,23 @@ func (t *Thread) Defer(fn func()) {
 	if t.warp == nil {
 		// Detached thread (unit-test harnesses build Threads without
 		// runWarp); run inline, which is trivially serial order.
+		fn()
+		return
+	}
+	t.warp.deferred = append(t.warp.deferred, fn)
+	t.warp.ordered = true
+}
+
+// DeferCommuting is Defer for a callback that commutes with every other
+// commuting callback of its launch: it reads shared host state that no
+// commuting callback changes (a pure backend read) and writes only what
+// its own lane owns. A launch that deferred nothing but commuting
+// callbacks runs them concurrently on the host workers, at the launch's
+// place in the batch's commit order; one ordinary Defer anywhere in the
+// launch commits all of its callbacks serially in (warp, issue) order,
+// as Defer alone does.
+func (t *Thread) DeferCommuting(fn func()) {
+	if t.warp == nil {
 		fn()
 		return
 	}

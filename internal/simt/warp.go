@@ -67,7 +67,7 @@ func (sc *warpScratch) release() {
 		sc.threads[i].mem, sc.threads[i].warp = nil, nil
 	}
 	clear(sc.shared.deferred)
-	sc.shared.deferred = sc.shared.deferred[:0]
+	sc.shared.deferred, sc.shared.ordered = sc.shared.deferred[:0], false
 	warpScratches.Put(sc)
 }
 
@@ -86,14 +86,14 @@ func resized[T any](s []T, n int) []T {
 // the coalesced memory traffic of their zipped accesses. Lanes that
 // branched elsewhere are masked off and pay nothing, but the warp as a
 // whole serializes over the distinct blocks — divergence is lost
-// throughput, exactly as on hardware. The warp's Thread.Defer callbacks
-// collect in sc.shared.deferred in issue order, to be run serially once
-// every warp of the launch has finished.
+// throughput, exactly as on hardware. The warp's Thread.Defer and
+// DeferCommuting callbacks collect in sc.shared.deferred in issue order,
+// to be committed once every warp of the launch has finished.
 func runWarp(cfg Config, prog Program, sc *warpScratch) warpStats {
 	var ws warpStats
 	threads := sc.lanes
 	n := len(threads)
-	sc.shared.deferred = sc.shared.deferred[:0]
+	sc.shared.deferred, sc.shared.ordered = sc.shared.deferred[:0], false
 	if n == 0 {
 		return ws
 	}

@@ -33,14 +33,13 @@ type cursorKey struct {
 }
 
 // Broker is the telemetry backend: per-device frame rings plus
-// per-subscriber cursors. Single-writer, like every Besim shard.
+// per-subscriber cursors. Like every Besim shard, reads (Reads) may run
+// concurrently with reads, and a write runs alone.
 type Broker struct {
 	rings     map[uint64][]frame
 	nextSeq   map[uint64]uint64
 	cursors   map[cursorKey]uint64
 	writeHook func(uid uint64)
-	// resp is Handle's response buffer, reused by the next Handle.
-	resp []byte
 }
 
 // NewBroker returns an empty broker.
@@ -76,22 +75,21 @@ func validHex(s string) bool {
 
 // Handle implements service.Backend: "VERB dev [args...]" requests of
 // up to 1 KB, read in place and never kept, and responses within 4 KB (a
-// poll drains at most PollMax frames), built in a buffer the next Handle
-// reuses.
-func (b *Broker) Handle(req []byte) []byte {
+// poll drains at most PollMax frames), appended to dst.
+func (b *Broker) Handle(dst, req []byte) []byte {
 	var f [4]string
 	n := fmtx.Fields(f[:], req)
 	if n < 2 {
-		return b.reply("ERR args")
+		return reply(dst, "ERR args")
 	}
 	dev, err := strconv.ParseUint(f[1], 10, 64)
 	if err != nil {
-		return b.reply("ERR bad device")
+		return reply(dst, "ERR bad device")
 	}
 	switch f[0] {
 	case "PUB":
 		if n != 3 || !validHex(f[2]) {
-			return b.reply("ERR bad frame")
+			return reply(dst, "ERR bad frame")
 		}
 		seq := b.nextSeq[dev]
 		b.nextSeq[dev] = seq + 1
@@ -102,31 +100,29 @@ func (b *Broker) Handle(req []byte) []byte {
 		}
 		b.rings[dev] = ring
 		b.noteWrite(dev)
-		b.resp = fmtx.Appendf(b.resp[:0], "OK\nseq=%d\n", seq)
-		return b.resp
+		return fmtx.Appendf(dst, "OK\nseq=%d\n", seq)
 	case "SUB":
 		sub, err := strconv.ParseUint(f[2], 10, 64)
 		if n != 3 || err != nil {
-			return b.reply("ERR bad subscriber")
+			return reply(dst, "ERR bad subscriber")
 		}
 		cur := b.nextSeq[dev]
 		b.cursors[cursorKey{dev: dev, sub: sub}] = cur
 		b.noteWrite(dev)
-		b.resp = fmtx.Appendf(b.resp[:0], "OK\ncursor=%d\n", cur)
-		return b.resp
+		return fmtx.Appendf(dst, "OK\ncursor=%d\n", cur)
 	case "POLL":
 		if n != 4 {
-			return b.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		sub, err1 := strconv.ParseUint(f[2], 10, 64)
 		max, err2 := strconv.Atoi(f[3])
 		if err1 != nil || err2 != nil || max <= 0 {
-			return b.reply("ERR args")
+			return reply(dst, "ERR args")
 		}
 		key := cursorKey{dev: dev, sub: sub}
 		cur, ok := b.cursors[key]
 		if !ok {
-			return b.reply("FAIL not subscribed")
+			return reply(dst, "FAIL not subscribed")
 		}
 		ring := b.rings[dev]
 		lost := uint64(0)
@@ -148,11 +144,10 @@ func (b *Broker) Handle(req []byte) []byte {
 		}
 		b.cursors[key] = cur
 		b.noteWrite(dev)
-		out := fmtx.Appendf(b.resp[:0], "OK\nn=%d lost=%d cursor=%d\n", len(frames), lost, cur)
+		out := fmtx.Appendf(dst, "OK\nn=%d lost=%d cursor=%d\n", len(frames), lost, cur)
 		for _, fr := range frames {
 			out = fmtx.Appendf(out, "%d:%s\n", fr.seq, fr.payload)
 		}
-		b.resp = out
 		return out
 	case "STAT":
 		subs := 0
@@ -161,21 +156,24 @@ func (b *Broker) Handle(req []byte) []byte {
 				subs++
 			}
 		}
-		b.resp = fmtx.Appendf(b.resp[:0], "OK\nseq=%d subs=%d buffered=%d\n", b.nextSeq[dev], subs, len(b.rings[dev]))
-		return b.resp
+		return fmtx.Appendf(dst, "OK\nseq=%d subs=%d buffered=%d\n", b.nextSeq[dev], subs, len(b.rings[dev]))
 	default:
-		return b.reply("ERR unknown verb ", f[0])
+		return reply(dst, "ERR unknown verb ", f[0])
 	}
 }
 
-// reply writes a reply that carries no data — a failure's — into the
-// response buffer, where like every other it is valid until the next
-// Handle.
-func (b *Broker) reply(parts ...string) []byte {
-	out := b.resp[:0]
+// Reads implements service.Backend: STAT, the one verb that stores
+// nothing and fires no write hook (a POLL moves its cursor).
+func (b *Broker) Reads(req []byte) bool {
+	var verb [1]string
+	fmtx.Fields(verb[:], req)
+	return verb[0] == "STAT"
+}
+
+// reply appends a reply that carries no data — a failure's — to dst.
+func reply(dst []byte, parts ...string) []byte {
 	for _, p := range parts {
-		out = append(out, p...)
+		dst = append(dst, p...)
 	}
-	b.resp = out
-	return out
+	return dst
 }

@@ -40,9 +40,9 @@ func script(t testing.TB) (servicetest.World, []servicetest.Round) {
 
 	// Device 9's ring wraps: 140 frames published behind a subscriber
 	// that then polls PollMax at a time.
-	broker.Handle([]byte("SUB 9 4"))
+	broker.Handle(nil, []byte("SUB 9 4"))
 	for i := 0; i < RingFrames+12; i++ {
-		broker.Handle([]byte("PUB 9 " + strconv.FormatInt(int64(0x10000+i*257), 16)[1:]))
+		broker.Handle(nil, []byte("PUB 9 "+strconv.FormatInt(int64(0x10000+i*257), 16)[1:]))
 	}
 	add(Poll, get("/t/poll?dev=9&sub=4"))
 	add(Poll, get("/t/poll?dev=9&sub=4"))
@@ -73,11 +73,11 @@ func TestKeptLinesOwnTheirBytes(t *testing.T) {
 // the frame a publish keeps is a copy of the payload field.
 func TestPublishedPayloadOwnsItsBytes(t *testing.T) {
 	b := NewBroker()
-	b.Handle([]byte("SUB 3 1"))
+	b.Handle(nil, []byte("SUB 3 1"))
 	req := []byte("PUB 3 beef")
-	b.Handle(req)
+	b.Handle(nil, req)
 	copy(req, "##########")
-	if got := string(b.Handle([]byte("POLL 3 1 8"))); !strings.HasSuffix(got, ":beef\n") {
+	if got := string(b.Handle(nil, []byte("POLL 3 1 8"))); !strings.HasSuffix(got, ":beef\n") {
 		t.Fatalf("poll after the publish request was overwritten: %q", got)
 	}
 }

@@ -27,7 +27,6 @@ var surfaceAllowlist = map[string]string{
 	"simt.StoreColumn": "backs service/export_test.go's write-through Reference for the priced layout",
 
 	// Cross-package test seams whose tests check behaviour that still exists.
-	"backend.DB.Requests":            "pipeline's QuickPay test counts backend round trips through it: done lanes are never re-billed",
 	"cluster.Cluster.GroupFor":       "fabric's tests drive a bare cluster through its sharding rule as the byte reference",
 	"ecom.Checkout":                  "service's kit tests pick ecom's variable-stage type by it",
 	"fabric.Fabric.KillNode":         "the node-failover tests quiesce nodes through it",
