@@ -623,7 +623,7 @@ grep -Eq '^rhythm_flight_anomalies_total [1-9]' "$WORK/flight.metrics" || {
     exit 1
 }
 # The operator CLI must render the same data human-readably, and its
-# Chrome export must be a loadable trace-event document.
+# Chrome export and trace capture must be loadable trace-event documents.
 "$FLIGHTBIN" -n 8 "$FLIGHT_ADDR" >"$WORK/flight-cli.txt" 2>&1 || {
     echo "e2e-smoke: rhythm-flight client failed" >&2
     cat "$WORK/flight-cli.txt" >&2
@@ -651,6 +651,15 @@ grep -q '^health: ' "$WORK/flight-health.txt" || {
 grep -q '"traceEvents"' "$WORK/flight-chrome.json" || {
     echo "e2e-smoke: rhythm-flight Chrome export missing traceEvents" >&2
     head -20 "$WORK/flight-chrome.json" >&2
+    exit 1
+}
+"$FLIGHTBIN" -capture -secs 0 -o "$WORK/flight-capture.json" "$FLIGHT_ADDR" >/dev/null 2>&1 || {
+    echo "e2e-smoke: rhythm-flight -capture failed" >&2
+    exit 1
+}
+grep -q '"traceEvents"' "$WORK/flight-capture.json" || {
+    echo "e2e-smoke: rhythm-flight trace capture missing traceEvents" >&2
+    head -20 "$WORK/flight-capture.json" >&2
     exit 1
 }
 

@@ -1,7 +1,10 @@
 // Command rhythm-bench regenerates the paper's tables and figures. Each
 // experiment of harness.Experiments is one subcommand; "all" runs the
-// full evaluation and "gated" the experiments whose numbers are
-// committed in BENCH_baseline.json. rhythm-bench -h lists them.
+// full evaluation, "gated" the experiments whose numbers are committed
+// in BENCH_baseline.json, and "claims" the full evaluation judged
+// against harness.Claims: it prints paper | measured | verdict per
+// statement and fails when a verdict differs from the one recorded for
+// the default or the reduced geometry. rhythm-bench -h lists them.
 //
 // Usage:
 //
@@ -52,7 +55,8 @@ func usage(fs *flag.FlagSet, w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "  %-16s everything above\n", harness.SelectAll)
-	fmt.Fprintf(w, "  %-16s the experiments BENCH_baseline.json holds, at its geometry: %s\n\nFlags:\n", harness.SelectGated, strings.Join(gated, " "))
+	fmt.Fprintf(w, "  %-16s the experiments BENCH_baseline.json holds, at its geometry: %s\n", harness.SelectGated, strings.Join(gated, " "))
+	fmt.Fprintf(w, "  %-16s everything above, printed as the paper's claims with their verdicts\n\nFlags:\n", harness.SelectClaims)
 	fs.SetOutput(w)
 	fs.PrintDefaults()
 }
@@ -127,10 +131,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	s := &harness.Session{Cfg: cfg, Out: stdout}
+	tables := s.Out
+	if what == harness.SelectClaims {
+		s.Out = io.Discard // the claims table replaces the experiments' own
+	}
 	var encErr error
 	emit := func(string, string, float64) {}
 	if *jsonOut {
-		s.Out = io.Discard
+		s.Out, tables = io.Discard, io.Discard
 		enc := json.NewEncoder(stdout)
 		emit = func(experiment, metric string, value float64) {
 			if encErr == nil {
@@ -144,6 +152,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(picked) > 1 {
 		fmt.Fprintf(s.Out, "Rhythm reproduction: %s, %d experiments (cohort=%d contexts=%d)\n\n", what, len(picked), cfg.CohortSize, cfg.MaxCohorts)
 	}
+	results := map[string][]harness.Metric{}
 	for _, e := range picked {
 		start := time.Now()
 		metrics := s.Run(e)
@@ -151,6 +160,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, m := range metrics {
 			emit(e.Name, m.Name, m.Value)
 		}
+		results[e.Name] = metrics
+	}
+	if encErr == nil && what == harness.SelectClaims {
+		return harness.CheckClaims(cfg, results, tables)
 	}
 	return encErr
 }

@@ -93,6 +93,7 @@ func TestRunJSONStream(t *testing.T) {
 		`{"experiment":"parser","metric":"single/throughput_req_s","value":`,
 		`{"experiment":"parser","metric":"mixed/throughput_req_s","value":`,
 		`{"experiment":"parser","metric":"mixed/latency_us","value":`,
+		`{"experiment":"parser","metric":"mixed/divergent_execs","value":`,
 	}
 	if len(lines) != len(wantPrefix) {
 		t.Fatalf("got %d records, want %d:\n%s", len(lines), len(wantPrefix), stdout.String())

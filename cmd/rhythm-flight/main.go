@@ -9,13 +9,16 @@
 //
 // With -health it instead fetches the /v1/health SLO burn-rate verdict;
 // with -chrome it writes the anomaly records as a Chrome trace-event
-// document for Perfetto / chrome://tracing.
+// document for Perfetto / chrome://tracing; with -capture it records a
+// window of every request's lifecycle and kernel-launch spans from
+// /v1/trace and writes that Chrome trace-event document.
 //
 // Usage:
 //
-//	rhythm-flight 127.0.0.1:8080 [-n 20]
-//	rhythm-flight 127.0.0.1:8080 -health
-//	rhythm-flight 127.0.0.1:8080 -chrome [-o flight-trace.json]
+//	rhythm-flight [-n 20] 127.0.0.1:8080
+//	rhythm-flight -health 127.0.0.1:8080
+//	rhythm-flight -chrome [-o flight-trace.json] 127.0.0.1:8080
+//	rhythm-flight -capture [-secs 5] [-o trace.json] 127.0.0.1:8080
 package main
 
 import (
@@ -37,7 +40,9 @@ func main() {
 	n := flag.Int("n", 20, "newest anomaly records to fetch (0 = the whole ring)")
 	health := flag.Bool("health", false, "fetch the /v1/health burn-rate verdict instead of flight records")
 	chrome := flag.Bool("chrome", false, "export the anomaly records as a Chrome trace-event document")
-	out := flag.String("o", "flight-trace.json", "output file for the Chrome export (with -chrome)")
+	capture := flag.Bool("capture", false, "capture a live trace of every request from /v1/trace instead")
+	secs := flag.Int("secs", 5, "capture window in seconds (with -capture; 0 = dump the server's buffered traces)")
+	out := flag.String("o", "", "output file for -chrome (default flight-trace.json) or -capture (default trace.json)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -47,16 +52,16 @@ func main() {
 	}
 	addr := flag.Arg(0)
 
-	if err := run(addr, *n, *health, *chrome, *out); err != nil {
+	if err := run(addr, *n, *health, *chrome, *capture, *secs, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "rhythm-flight: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, n int, health, chrome bool, out string) error {
+func run(addr string, n int, health, chrome, capture bool, secs int, out string) error {
 	switch {
 	case health:
-		body, err := fetch(addr, rhythm.HealthPathV1)
+		body, err := fetch(addr, rhythm.HealthPathV1, 0)
 		if err != nil {
 			return err
 		}
@@ -66,26 +71,42 @@ func run(addr string, n int, health, chrome bool, out string) error {
 		if n > 0 {
 			uri += "&n=" + strconv.Itoa(n)
 		}
-		body, err := fetch(addr, uri)
-		if err != nil {
-			return err
+		return save(addr, uri, 0, out, "flight-trace.json")
+	case capture:
+		uri := rhythm.TracePathV1
+		if secs > 0 {
+			uri += "?secs=" + strconv.Itoa(secs)
+			fmt.Fprintf(os.Stderr, "rhythm-flight: recording %ds of traffic on %s...\n", secs, addr)
 		}
-		if err := os.WriteFile(out, body, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("rhythm-flight: wrote %d bytes to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", len(body), out)
-		return nil
+		return save(addr, uri, time.Duration(secs)*time.Second, out, "trace.json")
 	default:
 		uri := rhythm.FlightPathV1
 		if n > 0 {
 			uri += "?n=" + strconv.Itoa(n)
 		}
-		body, err := fetch(addr, uri)
+		body, err := fetch(addr, uri, 0)
 		if err != nil {
 			return err
 		}
 		return printFlight(body)
 	}
+}
+
+// save writes the Chrome trace-event document at uri to out, or to def
+// when out is empty.
+func save(addr, uri string, window time.Duration, out, def string) error {
+	body, err := fetch(addr, uri, window)
+	if err != nil {
+		return err
+	}
+	if out == "" {
+		out = def
+	}
+	if err := os.WriteFile(out, body, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("rhythm-flight: wrote %d bytes to %s (open in https://ui.perfetto.dev or chrome://tracing)\n", len(body), out)
+	return nil
 }
 
 // flightDoc mirrors the /v1/debug/flight JSON document
@@ -229,14 +250,15 @@ func printHealth(body []byte) error {
 }
 
 // fetch issues one GET against the server's hand-rolled HTTP path and
-// returns the response body.
-func fetch(addr, uri string) ([]byte, error) {
+// returns the response body; the server may take window to answer, on
+// top of the usual 30 s.
+func fetch(addr, uri string, window time.Duration) ([]byte, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	conn.SetDeadline(time.Now().Add(window + 30*time.Second))
 	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: flight\r\n\r\n", uri)
 	r := bufio.NewReader(conn)
 	statusLine, err := r.ReadString('\n')

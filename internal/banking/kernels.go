@@ -145,15 +145,22 @@ func (p parserProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 	panic("parser: bad block")
 }
 
-// PackRequests writes raw requests row-major into a host staging image
-// sized for H2D transfer (count × RequestSlot).
-func PackRequests(raws [][]byte) []byte {
-	out := make([]byte, len(raws)*RequestSlot)
+// PackRequests writes raw requests row-major into dst, a host staging
+// image sized for H2D transfer (count × RequestSlot), zeroing each slot
+// past its request, and returns it. dst grows when it is short, so a
+// caller that keeps the result packs every batch into one image.
+func PackRequests(dst []byte, raws [][]byte) []byte {
+	n := len(raws) * RequestSlot
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
 	for i, raw := range raws {
 		if len(raw) > RequestSlot {
 			panic("banking: raw request exceeds slot")
 		}
-		copy(out[i*RequestSlot:], raw)
+		slot := dst[i*RequestSlot : (i+1)*RequestSlot]
+		clear(slot[copy(slot, raw):])
 	}
-	return out
+	return dst
 }

@@ -1,9 +1,12 @@
 package banking
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"rhythm/internal/backend"
+	"rhythm/internal/httpx"
 	"rhythm/internal/mem"
 	"rhythm/internal/service"
 	"rhythm/internal/session"
@@ -52,7 +55,12 @@ func TestParserKernelColumnMajor(t *testing.T) {
 			raws[i] = imageRequest(i)
 		}
 	}
-	rig.dev.Mem.Write(pb.Buf, PackRequests(raws))
+	// A reused image holds the last batch's bytes; packing clears them.
+	image := PackRequests(bytes.Repeat([]byte{'x'}, n*RequestSlot), raws)
+	if !bytes.Equal(image, PackRequests(nil, raws)) {
+		t.Fatal("packing into a used image left stale bytes")
+	}
+	rig.dev.Mem.Write(pb.Buf, image)
 	mem.TransposeElems(rig.dev.Mem, pb.ColBuf, pb.Buf, n, RequestSlot/4, 4)
 
 	var ls simt.LaunchStats
@@ -79,6 +87,13 @@ func TestParserKernelColumnMajor(t *testing.T) {
 			}
 		}
 	}
+	// Every lane read its column into the warp's one gather buffer; the
+	// requests parked in the batch keep their own bytes.
+	for i, raw := range raws {
+		if want, _ := httpx.Parse(raw); !reflect.DeepEqual(pb.Reqs[i], want) {
+			t.Fatalf("req %d: parked as %+v, want %+v", i, pb.Reqs[i], want)
+		}
+	}
 	// Three request kinds in one cohort: the parser must have diverged.
 	if ls.DivergentExec == 0 {
 		t.Fatal("mixed parse reported no divergence")
@@ -94,7 +109,7 @@ func TestParserKernelRowMajor(t *testing.T) {
 	for i := range raws {
 		raws[i] = rig.gen.Request(Profile)
 	}
-	rig.dev.Mem.Write(pb.Buf, PackRequests(raws))
+	rig.dev.Mem.Write(pb.Buf, PackRequests(nil, raws))
 	rig.dev.NewStream().Launch(NewParserProgram(ParserArgs{Batch: pb, ColMajor: false}), n, nil)
 	rig.eng.Run()
 	for i := 0; i < n; i++ {
@@ -108,7 +123,7 @@ func TestParserKernelMalformed(t *testing.T) {
 	rig := newKernelRig(t, 16<<20)
 	pb := NewParseBatch(rig.dev, 2)
 	pb.Reset(2)
-	rig.dev.Mem.Write(pb.Buf, PackRequests([][]byte{
+	rig.dev.Mem.Write(pb.Buf, PackRequests(nil, [][]byte{
 		[]byte("NONSENSE"),
 		[]byte("GET /not-a-page HTTP/1.1\r\n\r\n"),
 	}))

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +161,41 @@ func TestFaultPlanParse(t *testing.T) {
 			t.Errorf("plan %q parsed without error", bad)
 		}
 	}
+}
+
+// FuzzParseFaultPlan: no document panics the parser, and a plan it
+// accepts holds only known kinds and non-negative devices and counts,
+// and survives a JSON round trip unchanged.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, seed := range []string{
+		`{"faults":[{"device":1,"kind":"loss","after_units":2},{"device":0,"kind":"launch_error","after_units":0,"count":3},{"device":0,"kind":"stall","after_units":5,"duration_ms":20}]}`,
+		`{"faults":[{"device":0,"kind":"explode"}]}`,
+		`{"faults":[{"device":-1,"kind":"loss"}]}`,
+		`{"faults":[]}`,
+		`{}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParseFaultPlan(data)
+		if err != nil {
+			return
+		}
+		for _, flt := range p.Faults {
+			if (flt.Kind != KindLaunchError && flt.Kind != KindStall && flt.Kind != KindLoss) || flt.Device < 0 || flt.AfterUnits < 0 {
+				t.Fatalf("accepted %+v", flt)
+			}
+		}
+		again, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ParseFaultPlan(again)
+		if err != nil || !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip of %s: %+v, %v; want %+v", again, q, err, p)
+		}
+	})
 }
 
 // TestClusterShardIdentity: the same users driven through a 1-device

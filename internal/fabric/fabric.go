@@ -163,10 +163,12 @@ type Config struct {
 	// Faults injects device-level faults into loopback node 0 (the
 	// single-node default keeps the existing rhythm.WithFaultPlan
 	// semantics; multi-node device faults are a worker-side concern).
+	// New rejects it on a tcp fabric and past DevicesPerNode.
 	Faults *cluster.FaultPlan
 	// NodeFaults kills whole nodes deterministically (failover drills):
 	// the fabric quiesces the node once it has accepted the configured
 	// unit count, and the triggering unit re-routes with a recorded hop.
+	// New rejects a node outside [0, Nodes).
 	NodeFaults *NodeFaultPlan
 	// LinkBps budgets each node's link in bytes/sec (0 = unmetered):
 	// the NIC in front of a tcp worker, the PCIe bus in front of a
@@ -218,6 +220,11 @@ func ParseNodeFaultPlan(data []byte) (*NodeFaultPlan, error) {
 	var p NodeFaultPlan
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("fabric: parsing node fault plan: %w", err)
+	}
+	for i, nf := range p.Faults {
+		if nf.Node < 0 {
+			return nil, fmt.Errorf("fabric: node fault %d: negative node %d", i, nf.Node)
+		}
 	}
 	return &p, nil
 }
@@ -297,10 +304,39 @@ func (env *envelope) finish(res *cluster.Result) {
 	done(res)
 }
 
+// checkFaults rejects a fault plan that could never fire: a device
+// fault past the node's devices, device faults on any transport but
+// loopback (a tcp worker takes its own plan), or a node fault outside
+// the fabric's nodes.
+func (c *Config) checkFaults() error {
+	if c.Faults != nil && len(c.Faults.Faults) > 0 && (len(c.Addrs) > 0 || c.Transport != nil) {
+		return errors.New("fabric: a device fault plan reaches loopback devices only; give a tcp worker its own")
+	}
+	if c.Faults != nil {
+		for i, f := range c.Faults.Faults {
+			if f.Device >= c.DevicesPerNode {
+				return fmt.Errorf("fabric: fault %d: device %d, but a node has %d", i, f.Device, c.DevicesPerNode)
+			}
+		}
+	}
+	if c.NodeFaults != nil {
+		for i, nf := range c.NodeFaults.Faults {
+			if nf.Node < 0 || nf.Node >= c.Nodes {
+				return fmt.Errorf("fabric: node fault %d: node %d, but the fabric has %d", i, nf.Node, c.Nodes)
+			}
+		}
+	}
+	return nil
+}
+
 // New builds the fabric and its transport. Loopback nodes start their
-// device workers immediately unless cfg.Manual.
+// device workers immediately unless cfg.Manual. A fault plan that could
+// never fire is an error (Config.checkFaults).
 func New(cfg Config) (*Fabric, error) {
 	cfg.fill()
+	if err := cfg.checkFaults(); err != nil {
+		return nil, err
+	}
 	f := &Fabric{
 		cfg:          cfg,
 		reg:          cfg.Registry,
@@ -334,10 +370,8 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	if cfg.NodeFaults != nil {
 		for _, nf := range cfg.NodeFaults.Faults {
-			if nf.Node >= 0 && nf.Node < n {
-				f.nodes[nf.Node].faultAfter = nf.AfterUnits
-				f.nodes[nf.Node].hasFault = true
-			}
+			f.nodes[nf.Node].faultAfter = nf.AfterUnits
+			f.nodes[nf.Node].hasFault = true
 		}
 	}
 	f.pref = buildPreferences(cfg.Groups, n)

@@ -2,9 +2,11 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -543,4 +545,39 @@ func TestResultResponsesBelongToTheCaller(t *testing.T) {
 		}
 		f.Close()
 	}
+}
+
+// FuzzParseNodeFaultPlan: no document panics the parser, and a plan it
+// accepts names no negative node and survives a JSON round trip
+// unchanged.
+func FuzzParseNodeFaultPlan(f *testing.F) {
+	for _, seed := range []string{
+		`{"faults": [{"node": 1, "after_units": 0}]}`,
+		`{"faults": [{"node": 0, "after_units": 18446744073709551615}, {"node": 3, "after_units": 7}]}`,
+		`{"faults": [{"node": -1, "after_units": 0}]}`,
+		`{"faults": [{"node": 0, "after_units": -1}]}`,
+		`{}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParseNodeFaultPlan(data)
+		if err != nil {
+			return
+		}
+		for _, nf := range p.Faults {
+			if nf.Node < 0 {
+				t.Fatalf("accepted %+v", nf)
+			}
+		}
+		again, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ParseNodeFaultPlan(again)
+		if err != nil || !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip of %s: %+v, %v; want %+v", again, q, err, p)
+		}
+	})
 }

@@ -101,6 +101,17 @@ func PaperScaleConfig() Config {
 	return c
 }
 
+// ReducedConfig returns the reduced geometry the committed golden output
+// and the reduced claim verdicts are taken at: cohorts of 256, two per
+// run, 120 requests per CPU run.
+func ReducedConfig() Config {
+	c := DefaultConfig()
+	c.CPURequestsPerType = 120
+	c.GPUCohortsPerType = 2
+	c.CohortSize = 256
+	return c
+}
+
 func (c Config) gpuRequestsPerType() int { return c.GPUCohortsPerType * c.CohortSize }
 
 func (c Config) validate() {

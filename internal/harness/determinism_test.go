@@ -12,7 +12,8 @@ import (
 // structs — throughput, latency, per-type stats, device-derived
 // utilizations — and byte-identical rendered tables whether the host
 // runs fully serial (HostParallelism=1) or wide (8 workers at both the
-// harness and warp level).
+// harness and warp level). Every sampled response of every platform
+// must validate.
 func TestHostParallelismDeterminism(t *testing.T) {
 	run := func(hp int) (Table3Result, []CohortSizeRow, string) {
 		cfg := tinyConfig()
@@ -29,6 +30,14 @@ func TestHostParallelismDeterminism(t *testing.T) {
 
 	serialT3, serialSweep, serialOut := run(1)
 	parT3, parSweep, parOut := run(8)
+
+	for _, r := range serialT3.All() {
+		for _, pt := range r.PerType {
+			if pt.ValFails != 0 || pt.Errors != 0 {
+				t.Errorf("%s / %v: %d validation failures, %d error responses", r.Name, pt.Type, pt.ValFails, pt.Errors)
+			}
+		}
+	}
 
 	if !reflect.DeepEqual(serialT3, parT3) {
 		for i, srun := range serialT3.All() {

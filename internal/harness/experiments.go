@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"rhythm/internal/backend"
 	"rhythm/internal/banking"
@@ -276,6 +277,10 @@ func Fig8(r Table3Result, dynamic bool) []Fig8Row {
 	return rows
 }
 
+// inRegion reports whether the point is in the desired region: at least
+// the i7's throughput at at least the A9's efficiency.
+func (row Fig8Row) inRegion() bool { return row.NormEff >= 1 && row.NormTput >= 1 }
+
 // RenderFig8 formats one Fig 8 panel.
 func RenderFig8(rows []Fig8Row, dynamic bool) *Table {
 	name := "8a (wall power)"
@@ -289,12 +294,35 @@ func RenderFig8(rows []Fig8Row, dynamic bool) *Table {
 	}
 	for _, row := range rows {
 		in := "no"
-		if row.NormEff >= 1 && row.NormTput >= 1 {
+		if row.inRegion() {
 			in = "YES"
 		}
 		t.AddRow(row.Platform, f2(row.NormEff), f2(row.NormTput), in)
 	}
 	return t
+}
+
+// fig8Metrics reports each Table 3 run as Figure 8 plots it, in both
+// power views, with the mean latency it pays, and how many runs land in
+// the desired region of each view.
+func fig8Metrics(r Table3Result) []Metric {
+	wall, dyn := Fig8(r, false), Fig8(r, true)
+	var ms []Metric
+	var inWall, inDyn float64
+	for i, run := range r.All() {
+		ms = append(ms,
+			Metric{run.Name + "/norm_throughput", dyn[i].NormTput},
+			Metric{run.Name + "/norm_eff_wall", wall[i].NormEff},
+			Metric{run.Name + "/norm_eff_dyn", dyn[i].NormEff},
+			Metric{run.Name + "/latency_ms", run.LatencyMs})
+		if wall[i].inRegion() {
+			inWall++
+		}
+		if dyn[i].inRegion() {
+			inDyn++
+		}
+	}
+	return append(ms, Metric{"desired_region/platforms_wall", inWall}, Metric{"desired_region/platforms_dyn", inDyn})
 }
 
 // Fig9Row compares Titan A's achieved throughput to its PCIe 3.0 bound
@@ -372,6 +400,17 @@ func Fig10(r Table3Result) []Fig10Row {
 	return rows
 }
 
+// correlation is the Pearson correlation coefficient of xs and ys.
+func correlation(xs, ys []float64) float64 {
+	n := float64(len(xs))
+	var sx, sy, sxx, syy, sxy float64
+	for i := range xs {
+		sx, sy = sx+xs[i], sy+ys[i]
+		sxx, syy, sxy = sxx+xs[i]*xs[i], syy+ys[i]*ys[i], sxy+xs[i]*ys[i]
+	}
+	return (n*sxy - sx*sy) / math.Sqrt((n*sxx-sx*sx)*(n*syy-sy*sy))
+}
+
 // RenderFig10 formats Fig 10.
 func RenderFig10(rows []Fig10Row) *Table {
 	t := &Table{
@@ -414,6 +453,21 @@ func Scaling(r Table3Result) ScalingResult {
 	return res
 }
 
+// metrics reports the core counts and the power left over for each
+// match, and each Titan's dynamic watts.
+func (r ScalingResult) metrics() []Metric {
+	var ms []Metric
+	for i, row := range r.Rows {
+		if i%2 == 0 {
+			ms = append(ms, Metric{row.Target + "/dyn_w", row.Scale.TargetWatts})
+		}
+		ms = append(ms,
+			Metric{row.Target + "/" + row.Core + "/cores", float64(row.Scale.Cores)},
+			Metric{row.Target + "/" + row.Core + "/headroom_w", row.Scale.UncoreBudget})
+	}
+	return ms
+}
+
 // Render formats the scaling study. The "budget" column reads two ways,
 // as in the paper: positive = power left in the Rhythm envelope for the
 // scaled system's uncore (Titan B rows, paper: 40 W ARM / 22 W i5);
@@ -439,23 +493,34 @@ func (r ScalingResult) Render() *Table {
 
 // ResourceResult is the §6.3 bandwidth and memory analysis.
 type ResourceResult struct {
-	Rows [][2]string
+	Titans     []PlatformRun
+	Compressed float64 // Titan C's Gbps with 80% compression
+	SessionsMB int64   // 16M live sessions
+	ArrayGB    float64 // a 64M-slot session array (25% load)
+	Cohorts    int     // cohorts of 4096 fitting a 6 GB Titan
 }
 
 // Resources reproduces §6.3 from measured throughputs.
 func Resources(r Table3Result) ResourceResult {
-	var res ResourceResult
-	add := func(k, v string) { res.Rows = append(res.Rows, [2]string{k, v}) }
-	for _, name := range []string{"Titan A", "Titan B", "Titan C"} {
-		run := r.find(name)
-		add(name+" network bandwidth", fmt.Sprintf("%.0f Gbps at %.0fK reqs/s (paper: 67/258/517)", netmodel.NetworkGbps(run.Throughput), run.Throughput/1e3))
+	return ResourceResult{
+		Titans:     r.Titans,
+		Compressed: netmodel.CompressedGbps(r.find("Titan C").Throughput, 0.8),
+		SessionsMB: netmodel.SessionMemory(16<<20) >> 20,
+		ArrayGB:    float64(netmodel.SessionMemory(64<<20)) / (1 << 30),
+		Cohorts:    netmodel.MaxCohortsInFlight(6<<30, 64<<20, banking.AccountSummary, 4096),
 	}
-	tc := r.find("Titan C")
-	add("Titan C with 80% compression", fmt.Sprintf("%.0f Gbps (fits the IEEE 802.3bj 100 Gbps link)", netmodel.CompressedGbps(tc.Throughput, 0.8)))
-	add("Session array, 16M live sessions", fmt.Sprintf("%d MB at %d B/session", netmodel.SessionMemory(16<<20)>>20, session.NodeBytes))
-	add("Session array, 64M slots (25% load)", fmt.Sprintf("%.1f GB", float64(netmodel.SessionMemory(64<<20))/(1<<30)))
-	add("Cohorts of 4096 fitting a 6 GB Titan", fmt.Sprintf("%d (paper: 8)", netmodel.MaxCohortsInFlight(6<<30, 64<<20, banking.AccountSummary, 4096)))
-	return res
+}
+
+func (r ResourceResult) metrics() []Metric {
+	var ms []Metric
+	for _, run := range r.Titans {
+		ms = append(ms, Metric{run.Name + "/network_gbps", netmodel.NetworkGbps(run.Throughput)})
+	}
+	return append(ms,
+		Metric{"Titan C/compressed_gbps", r.Compressed},
+		Metric{"sessions_16M/mb", float64(r.SessionsMB)},
+		Metric{"session_array_64M/gb", r.ArrayGB},
+		Metric{"cohorts_4096_in_6GB/count", float64(r.Cohorts)})
 }
 
 // Render formats the resource analysis.
@@ -464,8 +529,12 @@ func (r ResourceResult) Render() *Table {
 		Title:   "Sec 6.3: System resource requirements",
 		Headers: []string{"Quantity", "Value"},
 	}
-	for _, row := range r.Rows {
-		t.AddRow(row[0], row[1])
+	for _, run := range r.Titans {
+		t.AddRow(run.Name+" network bandwidth", fmt.Sprintf("%.0f Gbps at %.0fK reqs/s (paper: 67/258/517)", netmodel.NetworkGbps(run.Throughput), run.Throughput/1e3))
 	}
+	t.AddRow("Titan C with 80% compression", fmt.Sprintf("%.0f Gbps (fits the IEEE 802.3bj 100 Gbps link)", r.Compressed))
+	t.AddRow("Session array, 16M live sessions", fmt.Sprintf("%d MB at %d B/session", r.SessionsMB, session.NodeBytes))
+	t.AddRow("Session array, 64M slots (25% load)", fmt.Sprintf("%.1f GB", r.ArrayGB))
+	t.AddRow("Cohorts of 4096 fitting a 6 GB Titan", fmt.Sprintf("%d (paper: 8)", r.Cohorts))
 	return t
 }

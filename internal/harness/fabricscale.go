@@ -14,9 +14,10 @@ import (
 	"rhythm/internal/workloads"
 )
 
-// Where ScaleOutProjection prices scale-out analytically against a
-// front-end link, this study actually runs the fabric: N loopback
-// nodes, each a one-device cluster behind the rendezvous-routed
+// The pipeline "could be implemented entirely on a single machine or
+// distributed across several machines" (§3.2). This study runs the
+// fabric that does it: N loopback nodes, each a one-device cluster
+// behind the rendezvous-routed
 // dispatcher, executing the same per-node workload (weak scaling).
 // Every node gets one shard group's traffic from its own deterministic
 // generator, so ideal scaling holds the slowest node's virtual time

@@ -185,6 +185,11 @@ type readerBatch struct {
 	busy   bool
 	arrive []sim.Time
 	raws   [][]byte
+	// image is the batch's host staging image, packed anew each time
+	// the batch fills. The H2D copy reads it when the copy starts, and
+	// the batch stays busy until its parse completes, so no refill can
+	// overwrite bytes a copy has yet to read.
+	image []byte
 }
 
 // DeviceMemory reports the backed device memory a server with opts
@@ -363,9 +368,9 @@ func (s *Server) feedReader() {
 	s.inflight++
 	count := len(rb.raws)
 	rb.pb.Reset(count)
-	image := banking.PackRequests(rb.raws)
+	rb.image = banking.PackRequests(rb.image, rb.raws)
 	// H2D of the raw request image (over the bus on discrete platforms).
-	rb.stream.MemcpyH2D(rb.pb.Buf, image, nil)
+	rb.stream.MemcpyH2D(rb.pb.Buf, rb.image, nil)
 	if s.opts.ColMajor {
 		// In-device transpose of the arrival image to the
 		// word-interleaved layout the parser reads (§4.3.2 "request

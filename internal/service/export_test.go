@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"slices"
 
 	"rhythm/internal/mem"
@@ -122,7 +123,9 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		ctx := pc.ctxs[r]
 		var bresp []byte
 		if p.stage > 0 {
-			bresp = simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)[:pc.brespLen[r]]
+			// The warp's gather buffer is the next lane's; the
+			// stage may keep what it parses out of the response.
+			bresp = bytes.Clone(simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)[:pc.brespLen[r]])
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -146,7 +149,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		}
 		return 3
 	case 2:
-		breq := simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)[:pc.breqLen[r]]
+		breq := bytes.Clone(simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)[:pc.breqLen[r]])
 		t.Compute(besimDeviceOps)
 		// A blank slot is stored for its price; the deferred commit
 		// overwrites it, unpriced.

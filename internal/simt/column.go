@@ -25,7 +25,8 @@ const WordSize = 4
 func ColumnBase(buf mem.Addr, r int) mem.Addr { return buf + mem.Addr(WordSize*r) }
 
 // LoadColumn reads n bytes of request r's column from a cohort buffer of
-// `rows` slots (n must be a multiple of WordSize).
+// `rows` slots (n must be a multiple of WordSize) into the warp's gather
+// buffer (Thread.LoadStrided).
 func LoadColumn(t *Thread, buf mem.Addr, r, rows, n int) []byte {
 	return t.LoadStrided(ColumnBase(buf, r), n/WordSize, WordSize, WordSize*rows)
 }

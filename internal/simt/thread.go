@@ -82,6 +82,9 @@ type warpShared struct {
 	// commit phase; ordered is set once any of them came from Defer.
 	deferred []func()
 	ordered  bool
+	// gather is the buffer LoadStrided returns; a warp's lanes run
+	// one at a time, so each lane's load overwrites the last one's.
+	gather []byte
 }
 
 // Compute charges n ALU operations to the current block. Lanes of a warp
@@ -150,7 +153,10 @@ func (t *Thread) chargeStrided(addr mem.Addr, count, elem, stride int) {
 }
 
 // LoadStrided reads count elem-byte words at stride intervals starting at
-// addr, mirroring StoreStrided for column-major request buffers.
+// addr, mirroring StoreStrided for column-major request buffers. The
+// returned slice is the warp's gather buffer, which the next
+// LoadStrided of any of its lanes overwrites: copy what must outlive
+// the call's block.
 func (t *Thread) LoadStrided(addr mem.Addr, count, elem, stride int) []byte {
 	if stride <= 0 || elem <= 0 || elem > stride {
 		panic("simt: bad strided access shape")
@@ -160,7 +166,13 @@ func (t *Thread) LoadStrided(addr mem.Addr, count, elem, stride int) []byte {
 	}
 	t.chargeStrided(addr, count, elem, stride)
 	b := t.mem.Bytes(addr, (count-1)*stride+elem)
-	out := make([]byte, count*elem)
+	var out []byte
+	if t.warp != nil {
+		t.warp.gather = resized(t.warp.gather, count*elem)
+		out = t.warp.gather
+	} else {
+		out = make([]byte, count*elem)
+	}
 	if elem == WordSize {
 		mem.GatherWords(out, b, stride)
 		return out

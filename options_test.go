@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rhythm/internal/cluster"
+	"rhythm/internal/fabric"
 )
 
 // startNew boots a server through the rhythm.New construction path on
@@ -125,6 +128,50 @@ func TestNewCohortServerRejectsBadInput(t *testing.T) {
 		{"one-request cohorts", cohortOptions{CohortSize: 1}, ""},
 	} {
 		srv, err := newCohortServer(c.opts)
+		if srv != nil {
+			srv.Drain(context.Background())
+		}
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestNewRejectsFaultPlansThatCannotApply: a fault plan that names a
+// device or node the server does not have, or device faults on a tcp
+// fabric (whose devices are the workers'), is an error from New, not a
+// drill that silently never fires; the last device and node still build.
+func TestNewRejectsFaultPlansThatCannotApply(t *testing.T) {
+	devices := func(ids ...int) *cluster.FaultPlan {
+		p := &cluster.FaultPlan{}
+		for _, id := range ids {
+			p.Faults = append(p.Faults, cluster.Fault{Device: id, Kind: cluster.KindLoss})
+		}
+		return p
+	}
+	nodes := func(ids ...int) *fabric.NodeFaultPlan {
+		p := &fabric.NodeFaultPlan{}
+		for _, id := range ids {
+			p.Faults = append(p.Faults, fabric.NodeFault{Node: id})
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		opts []Option
+		want string // error substring; "" = builds
+	}{
+		{"device past the count", []Option{WithDevices(2), WithFaultPlan(devices(0, 2))}, "fault 1: device 2, but a node has 2"},
+		{"node past the count", []Option{WithLoopbackNodes(2), WithNodeFaultPlan(nodes(2))}, "node fault 0: node 2, but the fabric has 2"},
+		{"negative node", []Option{WithNodeFaultPlan(nodes(-1))}, "node fault 0: node -1"},
+		{"device faults on tcp", []Option{WithNodes("127.0.0.1:1"), WithFaultPlan(devices(0))}, "loopback devices only"},
+		{"last device", []Option{WithDevices(2), WithFaultPlan(devices(1))}, ""},
+		{"last node", []Option{WithLoopbackNodes(2), WithNodeFaultPlan(nodes(1))}, ""},
+	} {
+		srv, err := New("127.0.0.1:0", c.opts...)
 		if srv != nil {
 			srv.Drain(context.Background())
 		}
