@@ -6,13 +6,14 @@
 // lines and bill history are synthesized from a hash of the user id, so
 // read paths are pure — a read renders the synthesized fields straight
 // into the response and keeps nothing — and the maps hold only what a
-// write (a transfer, a profile update, a new payee, a bill payment, an
-// order) made, for the life of the process. This matches how the paper
-// emulates "the requisite backend throughput" with host threads or an
-// on-device backend (§5.3.2).
+// write (a transfer, a profile update, a new payee, a bill payment) made,
+// and of that only what a page can show, for the life of the process.
+// This matches how the paper emulates "the requisite backend
+// throughput" with host threads or an on-device backend (§5.3.2).
 package backend
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"slices"
@@ -40,12 +41,14 @@ const (
 // synthesized entity it changes and stores it, and a read of that user
 // from then on renders the stored entity. The one fact a read records
 // is that a BILLS read showed a user the seeded bill history, since a
-// later payment's confirmation id counts those lines.
+// later payment's confirmation id counts those lines. A user's stored
+// state is bounded by what a page shows: maxPayees payees and the
+// latest maxBills bill lines, so a user seen again and again stops
+// growing it. A check order stores nothing: no reply reads it.
 type DB struct {
 	profiles map[uint64]*profile
 	accounts map[uint64][]account
-	payees   map[uint64][]payee
-	orders   map[uint64][]string
+	payees   map[uint64][]byte // wire rows, "name|account" a line
 	bills    map[uint64]billHistory
 	// writeHook, when set, is invoked with the affected user id after a
 	// state mutation commits. The Besim deferred-write replay drives the
@@ -61,8 +64,7 @@ func New() *DB {
 	return &DB{
 		profiles: make(map[uint64]*profile),
 		accounts: make(map[uint64][]account),
-		payees:   make(map[uint64][]payee),
-		orders:   make(map[uint64][]string),
+		payees:   make(map[uint64][]byte),
 		bills:    make(map[uint64]billHistory),
 	}
 }
@@ -265,13 +267,14 @@ func appendTxns(b []byte, uid uint64, acct, n int) []byte {
 	return b
 }
 
-// payee is a registered bill-pay target.
-type payee struct {
-	name, account string
-}
-
-// defaultPayees is how many payees a user starts with.
-const defaultPayees = 3
+// defaultPayees is how many payees a user starts with; maxPayees is
+// how many a user keeps: the most any page lists (post_payee's table).
+// Pages list payees oldest first, so a payee added past maxPayees would
+// never show, and is not stored.
+const (
+	defaultPayees = 3
+	maxPayees     = 16
+)
 
 // synthPayee returns default payee i of uid: its name and the six
 // digits of its account, "P-" and the digits.
@@ -280,14 +283,11 @@ func synthPayee(uid uint64, i int) (name string, account uint64) {
 	return merchants[h%12], h % 1000000
 }
 
-// appendPayees appends the wire rows of the user's payees, "name|account":
-// the stored ones if an AddPayee made them, else the defaults.
+// appendPayees appends the wire rows of the user's payees, "name|account"
+// a line: the stored ones if an AddPayee made them, else the defaults.
 func (db *DB) appendPayees(b []byte, uid uint64) []byte {
-	if ps, ok := db.payees[uid]; ok {
-		for _, p := range ps {
-			b = fmtx.Appendf(b, "%s|%s\n", p.name, p.account)
-		}
-		return b
+	if rows, ok := db.payees[uid]; ok {
+		return append(b, rows...)
 	}
 	for i := 0; i < defaultPayees; i++ {
 		name, acct := synthPayee(uid, i)
@@ -296,30 +296,36 @@ func (db *DB) appendPayees(b []byte, uid uint64) []byte {
 	return b
 }
 
-// AddPayee registers a new payee after the user's existing ones.
+// AddPayee registers a new payee after the user's existing ones, unless
+// the user already has maxPayees.
 func (db *DB) AddPayee(uid uint64, name, account string) {
-	ps, ok := db.payees[uid]
+	rows, ok := db.payees[uid]
 	if !ok {
-		ps = make([]payee, defaultPayees, defaultPayees+1)
-		for i := range ps {
-			n, acct := synthPayee(uid, i)
-			ps[i] = payee{n, fmtx.Sprintf("P-%06d", acct)}
-		}
+		rows = db.appendPayees(nil, uid)
 	}
-	db.payees[uid] = append(ps, payee{name, account})
+	if bytes.Count(rows, []byte("\n")) < maxPayees {
+		rows = append(append(append(append(rows, name...), '|'), account...), '\n')
+	}
+	db.payees[uid] = rows
 	db.noteWrite(uid)
 }
 
 // billHistory is a user's bill payments, oldest first: the seeded lines
 // when a BILLS read showed them before the first payment, then the
-// payments PayBill recorded.
+// payments PayBill recorded. It counts every payment and keeps the
+// latest maxBills lines, all that a BILLS read can show.
 type billHistory struct {
-	seeds int // 0, or seededBills
-	paid  []string
+	seeds  int // 0, or seededBills
+	paid   int
+	latest []string // the last min(paid, maxBills) payments
 }
 
-// seededBills is how many synthesized lines a seeded history starts with.
-const seededBills = 6
+// seededBills is how many synthesized lines a seeded history starts
+// with; maxBills is the most lines a BILLS read asks for.
+const (
+	seededBills = 6
+	maxBills    = 20
+)
 
 // appendSeedBill appends seeded bill line i of uid.
 func appendSeedBill(b []byte, uid uint64, i int) []byte {
@@ -332,28 +338,40 @@ func appendSeedBill(b []byte, uid uint64, i int) []byte {
 // counts the lines of the history before it.
 func (db *DB) PayBill(uid uint64, payee string, cents int64, date string) string {
 	h := db.bills[uid]
-	conf := fmtx.Sprintf("BP-%08x", uint32(mix(uid^uint64(h.seeds+len(h.paid))^0xb111)))
-	h.paid = append(h.paid, fmtx.Sprintf("%s|%s|%d|%s", conf, payee, cents, date))
+	conf := fmtx.Sprintf("BP-%08x", uint32(mix(uid^uint64(h.seeds+h.paid)^0xb111)))
+	line := fmtx.Sprintf("%s|%s|%d|%s", conf, payee, cents, date)
+	if len(h.latest) == maxBills {
+		copy(h.latest, h.latest[1:])
+		h.latest[maxBills-1] = line
+	} else {
+		h.latest = append(h.latest, line)
+	}
+	h.paid++
 	db.bills[uid] = h
 	db.noteWrite(uid)
 	return conf
 }
 
-// appendBills appends up to n lines of the user's bill history, most
-// recent first, one a line. A user with no history is shown the seeded
-// one so status pages are never empty, and the history records that.
+// appendBills appends up to n (at most maxBills) lines of the user's
+// bill history, most recent first, one a line. A user with no history
+// is shown the seeded one so status pages are never empty, and the
+// history records that.
 func (db *DB) appendBills(b []byte, uid uint64, n int) []byte {
 	h, ok := db.bills[uid]
 	if !ok {
 		h.seeds = seededBills
 		db.bills[uid] = h
 	}
-	total := h.seeds + len(h.paid)
-	for i := total - 1; i >= max(0, total-n); i-- {
-		if i < h.seeds {
+	total := h.seeds + h.paid
+	kept := total - len(h.latest) // lines before the kept payments
+	for i := total - 1; i >= max(0, total-min(n, maxBills)); i-- {
+		switch {
+		case i >= kept:
+			b = append(b, h.latest[i-kept]...)
+		case i < h.seeds:
 			b = appendSeedBill(b, uid, i)
-		} else {
-			b = append(b, h.paid[i-h.seeds]...)
+		default:
+			return b
 		}
 		b = append(b, '\n')
 	}
@@ -371,11 +389,10 @@ func orderCheck(uid uint64, style string, qty int) (id uint32, price int64) {
 }
 
 // PlaceOrder finalizes a check order, returning a confirmation string.
+// It stores nothing: no reply renders a placed order.
 func (db *DB) PlaceOrder(uid uint64, orderID string) string {
-	conf := "OK-" + orderID
-	db.orders[uid] = append(db.orders[uid], orderID)
 	db.noteWrite(uid)
-	return conf
+	return "OK-" + orderID
 }
 
 // appendCheckInfo appends the cleared check's date, amount and payee,
@@ -530,7 +547,7 @@ func (db *DB) dispatch(dst []byte, f []string, req []byte) []byte {
 		if len(f) < 4 {
 			return reply(dst, "ERR args")
 		}
-		db.AddPayee(uid, strings.Clone(f[2]), strings.Clone(f[3]))
+		db.AddPayee(uid, f[2], f[3])
 		b = db.appendPayees(b, uid)
 	case "BILLPAY":
 		if len(f) < 5 {
@@ -544,7 +561,7 @@ func (db *DB) dispatch(dst []byte, f []string, req []byte) []byte {
 			return reply(dst, "ERR args")
 		}
 		n := int(parseInt(f[2]))
-		if n <= 0 || n > 20 {
+		if n <= 0 || n > maxBills {
 			return reply(dst, "ERR count")
 		}
 		b = db.appendBills(b, uid, n)

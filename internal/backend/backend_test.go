@@ -48,7 +48,7 @@ func balances(t *testing.T, resp string) []int64 {
 
 // stored counts the entries the database's maps hold.
 func stored(db *DB) int {
-	return len(db.profiles) + len(db.accounts) + len(db.payees) + len(db.orders) + len(db.bills)
+	return len(db.profiles) + len(db.accounts) + len(db.payees) + len(db.bills)
 }
 
 // snapshot renders everything the database stores, in key order.
@@ -57,7 +57,7 @@ func snapshot(db *DB) string {
 	for uid, p := range db.profiles {
 		profiles[uid] = *p
 	}
-	return fmt.Sprint(profiles, db.accounts, db.payees, db.orders, db.bills)
+	return fmt.Sprint(profiles, db.accounts, db.payees, db.bills)
 }
 
 // TestSynthesizedBytes pins what reads of an untouched user render.
@@ -157,6 +157,42 @@ func TestAddPayeePersists(t *testing.T) {
 	}
 }
 
+// TestStoredStateIsBounded: a user seen again and again keeps what a
+// page can show — maxPayees payees, the latest maxBills bill lines —
+// and confirmation ids still count every payment.
+func TestStoredStateIsBounded(t *testing.T) {
+	db := New()
+	for i := 0; i < 3*maxPayees; i++ {
+		handle(db, "ADDPAYEE 5 Vendor%04d P-%06d", i, i)
+	}
+	got := lines(t, handle(db, "PAYEES 5"))
+	if len(got) != maxPayees || got[defaultPayees] != "Vendor0000|P-000000" || got[maxPayees-1] != "Vendor0012|P-000012" {
+		t.Fatalf("payees after %d adds = %q", 3*maxPayees, got)
+	}
+
+	handle(db, "BILLS 11 1")
+	var paid []string
+	for i := 0; i < 3*maxBills; i++ {
+		conf := strings.TrimSpace(strings.TrimPrefix(handle(db, "BILLPAY 11 Gas&Go %d 2009-06-01", 100+i), "OK\n"))
+		if want := fmt.Sprintf("BP-%08x", uint32(mix(11^uint64(seededBills+i)^0xb111))); conf != want {
+			t.Fatalf("payment %d confirmed %s, want %s", i, conf, want)
+		}
+		paid = append(paid, fmt.Sprintf("%s|Gas&Go|%d|2009-06-01", conf, 100+i))
+	}
+	if h := db.bills[11]; h.paid != 3*maxBills || len(h.latest) != maxBills {
+		t.Fatalf("history counts %d payments and keeps %d lines", h.paid, len(h.latest))
+	}
+	shown := lines(t, handle(db, "BILLS 11 %d", maxBills))
+	for i, line := range shown {
+		if want := paid[len(paid)-1-i]; line != want {
+			t.Fatalf("bill line %d = %q, want %q", i, line, want)
+		}
+	}
+	if len(shown) != maxBills {
+		t.Fatalf("BILLS %d showed %d lines", maxBills, len(shown))
+	}
+}
+
 func TestBillsSeededAndAppended(t *testing.T) {
 	db := New()
 	if seeded := lines(t, handle(db, "BILLS 11 10")); len(seeded) != seededBills {
@@ -227,7 +263,7 @@ func TestReadsKeepNothing(t *testing.T) {
 		handle(db, "BILLS %d 20", uid)
 	}
 	for uid, h := range db.bills {
-		if h.seeds != seededBills || len(h.paid) != 0 {
+		if h.seeds != seededBills || h.paid != 0 {
 			t.Fatalf("BILLS read of %d stored %+v", uid, h)
 		}
 	}

@@ -19,7 +19,7 @@ func digestScript(t testing.TB) (servicetest.World, []servicetest.Round) {
 	uids := []uint64{7, 8, 9, 42, 1001, 65536, 123456789, 1<<40 + 5, 9999999999999}
 	sids := make([]string, len(uids))
 	for i, uid := range uids {
-		sid, ok := wd.Sessions.Create(uid)
+		sid, _, ok := wd.Sessions.Create(uid)
 		if !ok {
 			t.Fatal("session table full")
 		}

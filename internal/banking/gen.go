@@ -19,6 +19,10 @@ type Generator struct {
 	sessions *session.Array
 	sids     []session.ID
 	nextUID  uint64
+	// users holds every user drawn while a LimitUsers bound is set and
+	// not yet reached; from then on draws pick among them.
+	users []uint64
+	limit int
 }
 
 // NewGenerator returns a deterministic generator bound to the server's
@@ -31,28 +35,45 @@ func NewGenerator(seed int64, sessions *session.Array) *Generator {
 	}
 }
 
+// LimitUsers bounds the user population: the first n users drawn are
+// fresh, as without a bound, and every later login and pool session
+// reuses one of them, so what a backend stores per user stops growing
+// with the run.
+func (g *Generator) LimitUsers(n int) { g.limit = n }
+
 // Populate pre-creates n live sessions with random user ids, emulating
 // the paper's 16M active sessions at harness scale.
 func (g *Generator) Populate(n int) {
 	for i := 0; i < n; i++ {
-		g.addSession()
+		if !g.addSession() {
+			panic("banking: session array exhausted while populating")
+		}
 	}
 }
 
-func (g *Generator) addSession() {
+// addSession adds a session to the pool, retrying other users while
+// the table refuses one; it reports false if every try was refused.
+func (g *Generator) addSession() bool {
 	for tries := 0; tries < 100; tries++ {
 		uid := g.randomUID()
-		if sid, ok := g.sessions.Create(uid); ok {
+		if sid, _, ok := g.sessions.Create(uid); ok {
 			g.sids = append(g.sids, sid)
-			return
+			return true
 		}
 	}
-	panic("banking: session array exhausted while populating")
+	return false
 }
 
 func (g *Generator) randomUID() uint64 {
+	if g.limit > 0 && len(g.users) >= g.limit {
+		return g.users[g.rng.Intn(len(g.users))]
+	}
 	g.nextUID++
-	return uint64(g.rng.Int63n(1<<40)) ^ g.nextUID<<20
+	uid := uint64(g.rng.Int63n(1<<40)) ^ g.nextUID<<20
+	if g.limit > 0 {
+		g.users = append(g.users, uid)
+	}
+	return uid
 }
 
 // pickSID returns a random live session id.
@@ -64,8 +85,9 @@ func (g *Generator) pickSID() session.ID {
 }
 
 // takeSID removes and returns a random live session id (for logout) and
-// replenishes the pool with a fresh session so isolation runs can
-// continue indefinitely.
+// replenishes the pool with a new session so isolation runs can
+// continue indefinitely. A table that refuses the new session leaves
+// the pool one short rather than stopping the run.
 func (g *Generator) takeSID() session.ID {
 	if len(g.sids) == 0 {
 		panic("banking: generator has no live sessions; call Populate first")

@@ -76,7 +76,7 @@ func collect(t *testing.T, cl *Cluster, units []*Unit) []*Result {
 func predictSID(cfg Config, uid uint64) string {
 	cfg.fill()
 	arr := session.NewArray(cfg.SessionBuckets, cfg.SessionNodesPerBucket)
-	id, ok := arr.Create(uid)
+	id, _, ok := arr.Create(uid)
 	if !ok {
 		panic("predictSID: create failed")
 	}

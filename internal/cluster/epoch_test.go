@@ -121,7 +121,7 @@ func TestClusterSimParallelismDeterminism(t *testing.T) {
 	sameUser := func(cl *Cluster) []page {
 		const uid = 8300
 		g := session.BucketFor(uid, cl.cfg.SessionBuckets) % cl.cfg.Groups
-		sid, ok := cl.groups[g].sessions.Create(uid)
+		sid, _, ok := cl.groups[g].sessions.Create(uid)
 		if !ok {
 			t.Fatal("session create failed")
 		}

@@ -18,7 +18,7 @@ func script(t testing.TB) (servicetest.World, []servicetest.Round) {
 	uids := []uint64{3, 77, 5001, 123456789012}
 	cookies := make([]string, len(uids))
 	for i, uid := range uids {
-		sid, ok := wd.Sessions.Create(uid)
+		sid, _, ok := wd.Sessions.Create(uid)
 		if !ok {
 			t.Fatal("session table full")
 		}

@@ -50,7 +50,7 @@ func cookieRaw(path, sid string) []byte {
 // empty array of the pinned test geometry.
 func predictSID(uid uint64) string {
 	arr := session.NewArray(testBuckets, testNodesPerBucket)
-	id, ok := arr.Create(uid)
+	id, _, ok := arr.Create(uid)
 	if !ok {
 		panic("predictSID: create failed")
 	}

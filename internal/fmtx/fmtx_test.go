@@ -286,7 +286,7 @@ func FuzzAppendf(f *testing.F) {
 	seeds := []string{"%d", "%x", "%s", "%%", "%-10s", "%08x", "%02d", "%03d", "%04d", "%06d", "%08d", "%016x", "%5d|%-5d|%05d", "%05s%-4s", "2009-%02d-%02d",
 		// Shapes the request path once formatted, kept after its call sites
 		// were folded into longer formats.
-		"%04d-%08d", "%s\n", "%s\n%d\n", "%s\n%d\n%s\n", "%s\n%s\n%s\n", "%s\n%s\n%s\n%s\n%s\n", "%s|%s|%d\n"}
+		"%04d-%08d", "%s\n", "%s\n%d\n", "%s\n%d\n%s\n", "%s\n%s\n%s\n", "%s\n%s\n%s\n%s\n%s\n", "%s|%s|%d\n", "%s|%s\n", "P-%06d"}
 	if _, err := os.Stat(filepath.Join("..", "banking")); err == nil {
 		seeds = append(seeds, treeFormats(f)...)
 	}

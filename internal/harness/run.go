@@ -266,16 +266,13 @@ func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banki
 }
 
 // newWorkload builds the session array and generator an isolation run of
-// n requests needs: the array is sized so logins never exhaust it and
-// lookups keep the paper's ~25% load factor.
+// n requests needs: the array is sized by session.NodesPerBucket for the
+// pre-populated sessions plus one per request, so that no bucket fills
+// even when every request is a login.
 func newWorkload(cfg Config, n int) (*session.Array, *banking.Generator) {
-	buckets := cfg.CohortSize
-	if buckets < 256 {
-		buckets = 256
-	}
+	buckets := max(cfg.CohortSize, 256)
 	populate := 4 * buckets
-	perBucket := (populate+n)/buckets + 8
-	sessions := session.NewArray(buckets, perBucket)
+	sessions := session.NewArray(buckets, session.NodesPerBucket(populate+n, buckets))
 	gen := banking.NewGenerator(cfg.Seed, sessions)
 	gen.Populate(populate)
 	return sessions, gen

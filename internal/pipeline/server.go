@@ -204,7 +204,7 @@ func DeviceMemory(opts Options) int {
 }
 
 // New builds a server on a device with at least DeviceMemory(opts)
-// backed bytes.
+// backed bytes. It stamps the session array with eng's virtual time.
 func New(eng *sim.Engine, dev *simt.Device, opts Options, db service.Backend, sessions *session.Array) *Server {
 	if opts.CohortSize <= 0 || opts.MaxCohorts <= 0 {
 		panic("pipeline: CohortSize and MaxCohorts must be positive")
@@ -215,6 +215,7 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db service.Backend, se
 	if opts.Platform != service.TitanA && (opts.StragglerTimeout != 0 || opts.BackendTailProb != 0 || opts.BackendTailFactor != 0) {
 		panic("pipeline: straggler settings need a remote backend (Titan A)")
 	}
+	sessions.SetClock(func() int64 { return int64(eng.Now()) })
 	s := &Server{
 		eng:      eng,
 		dev:      dev,

@@ -54,11 +54,12 @@ type CPUResult struct {
 
 // NewCPUServer builds a baseline server for cpu with the given worker
 // count. validateEvery samples responses through the SPECWeb validator
-// (0 disables).
+// (0 disables). It stamps the session array with eng's virtual time.
 func NewCPUServer(eng *sim.Engine, cpu CPU, workers int, db *backend.DB, sessions *session.Array, validateEvery int) *CPUServer {
 	if workers <= 0 || workers > cpu.MaxWorkers {
 		panic("platform: bad worker count")
 	}
+	sessions.SetClock(func() int64 { return int64(eng.Now()) })
 	return &CPUServer{
 		eng:      eng,
 		cpu:      cpu,

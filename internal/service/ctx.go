@@ -115,11 +115,13 @@ func (c *Ctx) Instr() int64 { return c.instr + c.Page.Instr() }
 func (c *Ctx) Fail(reason string) { c.Err = reason }
 
 // CreateSession creates a session for uid and arms the response cookie.
-// For the SessionStage of a SessionCreates type only; failure (full
-// table) fails the request.
+// For the SessionStage of a SessionCreates type only; failure (a bucket
+// whose every node was touched this instant) fails the request. A
+// create that reclaims an idle node pays for the node reads it made.
 func (c *Ctx) CreateSession(uid uint64) bool {
 	c.inSessionStage(SessionCreates)
-	sid, ok := c.Sessions.Create(uid)
+	sid, reads, ok := c.Sessions.Create(uid)
+	c.Charge(int64(reads) * sessionNodeOps)
 	if !ok {
 		c.Fail("server busy: session table full")
 		return false

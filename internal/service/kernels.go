@@ -29,11 +29,13 @@ import (
 // one lane in place — renders it from there.
 
 // Device-side cost constants: on-device backend lookups (Titan B/C run
-// Besim as a device kernel, §5.3.2) and session-array work beyond the
-// atomics.
+// Besim as a device kernel, §5.3.2), session-array work beyond the
+// atomics, and each node a session create reads to reclaim one (load
+// the stamp, compare, keep the oldest).
 const (
 	besimDeviceOps = 8000
 	sessionOps     = 64
+	sessionNodeOps = 4
 )
 
 // Platform selects the emulated system of §5.3.2: what surrounds a

@@ -94,7 +94,7 @@ func ecomWorld(t testing.TB, local, n int, bad func(int) bool) world {
 		case ecom.Checkout:
 			// Every third shopper checks out an empty cart: the
 			// variable-stage early exit.
-			sid, ok := wd.sessions.Create(uid)
+			sid, _, ok := wd.sessions.Create(uid)
 			if !ok {
 				t.Fatal("session table full")
 			}

@@ -137,21 +137,26 @@ func TestOversizePagePanicsInTheKernel(t *testing.T) {
 }
 
 // TestSessionCreatesFollowLaneOrder: a login cohort against buckets
-// with fewer free slots than lanes. Which lanes get a slot, which slot
-// each gets and which fail must depend on lane order alone, so every
-// run, at one host worker or at eight, renders the same cookies, fails
-// the same lanes and prices the same launches as the first, serial one.
+// with fewer free and idle slots than lanes. Which lanes get a slot,
+// which slot each gets, which slot each reclaims and which fail must
+// depend on lane order alone, so every run, at one host worker or at
+// eight, renders the same cookies, fails the same lanes and prices the
+// same launches as the first, serial one.
 func TestSessionCreatesFollowLaneOrder(t *testing.T) {
 	const lanes, runs = 256, 16
 	local := int(banking.Login)
 	logins := func() world {
 		wd := bankingWorld(t, local, lanes, nil)
-		// Two buckets of 64 nodes, 100 of them taken: 28 slots for 256
-		// logins.
+		// Two buckets of 64 nodes, 100 of them taken a millisecond
+		// before the cohort: 28 free slots and 100 idle ones to reclaim
+		// for 256 logins, and the rest fail.
+		var now int64
 		wd.sessions = session.NewArray(2, 64)
+		wd.sessions.SetClock(func() int64 { return now })
 		for uid := uint64(1); wd.sessions.Len() < 100; uid++ {
 			wd.sessions.Create(uid)
 		}
+		now = 1_000_000
 		return wd
 	}
 	var want deviceRun
@@ -167,8 +172,8 @@ func TestSessionCreatesFollowLaneOrder(t *testing.T) {
 					failed++
 				}
 			}
-			if failed == 0 || failed == lanes {
-				t.Fatalf("%d of %d logins failed; want the buckets to fill part way through", failed, lanes)
+			if failed != lanes-128 {
+				t.Fatalf("%d of %d logins failed; want all but the 128 nodes' worth", failed, lanes)
 			}
 			continue
 		}

@@ -6,7 +6,7 @@ func BenchmarkCreateLookupDelete(b *testing.B) {
 	a := NewArray(4096, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, ok := a.Create(uint64(i))
+		id, _, ok := a.Create(uint64(i))
 		if !ok {
 			b.Fatal("table full")
 		}
@@ -21,7 +21,7 @@ func BenchmarkLookupHot(b *testing.B) {
 	a := NewArray(4096, 64)
 	ids := make([]ID, 4096)
 	for i := range ids {
-		ids[i], _ = a.Create(uint64(i * 977))
+		ids[i], _, _ = a.Create(uint64(i * 977))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -52,7 +52,8 @@ type Options struct {
 	// validator (default 1024; 0 disables).
 	ValidateEvery int
 	// Sessions pre-populates this many live sessions (default 4 ×
-	// CohortSize).
+	// CohortSize); the session table and the generator's user population
+	// are sized from it.
 	Sessions int
 	// Seed drives the deterministic workload generator (default 1).
 	Seed int64
@@ -126,7 +127,11 @@ type SimServer struct {
 }
 
 // NewSimServer builds an offline simulation server and its workload
-// generator.
+// generator. The session table is sized for Options.Sessions by
+// session.NodesPerBucket and reclaims the longest-idle session of a full
+// bucket, and the generator's logins and pool draw from twice that many
+// users (the pool's and as many again), so a server kept for any number
+// of Serve calls holds a bounded heap and never fails a login.
 func NewSimServer(opts Options) *SimServer {
 	opts.fill()
 	eng := sim.NewEngine()
@@ -137,8 +142,10 @@ func NewSimServer(opts Options) *SimServer {
 	}
 	dev := simt.NewDevice(eng, simt.GTXTitan(), pipeline.DeviceMemory(po), bus)
 	db := backend.New()
-	sessions := newSimSessions(opts)
+	sessions := session.NewArray(opts.CohortSize, session.NodesPerBucket(opts.Sessions, opts.CohortSize))
+	srv := pipeline.New(eng, dev, po, db, sessions)
 	gen := banking.NewGenerator(opts.Seed, sessions)
+	gen.LimitUsers(2 * opts.Sessions)
 	gen.Populate(opts.Sessions)
 
 	return &SimServer{
@@ -148,30 +155,8 @@ func NewSimServer(opts Options) *SimServer {
 		db:       db,
 		sessions: sessions,
 		gen:      gen,
-		srv:      pipeline.New(eng, dev, po, db, sessions),
+		srv:      srv,
 	}
-}
-
-// simSessionRoom is the offline server's session table size in multiples
-// of its pre-populated sessions.
-const simSessionRoom = 256
-
-// newSimSessions sizes the offline server's session table for a server
-// kept over many Serve calls. Every login of the Table 2 mix (28 % of
-// requests) creates a session under a fresh user id, which no later
-// logout names, so the table gains 0.28 sessions a request, spread over
-// the buckets by hash, and Create fails ("session table full") once the
-// fullest bucket is full — long before the table is. At 8× the
-// pre-populated sessions that was after about 75K requests of the
-// default geometry (4 sessions a bucket), at 32× after 375–480K — less
-// than two ten-second windows of a simulator serving 30K requests/s.
-// 256× (1040 nodes a bucket; at CohortSize 1024, 1,064,960 nodes at
-// 9 B a node, about 9.1 MiB) holds 3300
-// requests per bucket: 3.3M at the benchmark's CohortSize 1024, and
-// never fewer than 840K (256 buckets).
-func newSimSessions(opts Options) *session.Array {
-	buckets := max(opts.CohortSize, 256)
-	return session.NewArray(buckets, opts.Sessions*simSessionRoom/buckets+16)
 }
 
 func pipelineOptions(o Options) pipeline.Options {

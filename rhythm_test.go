@@ -3,14 +3,13 @@ package rhythm
 import (
 	"bufio"
 	"fmt"
+	"math/rand"
 	"net"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"rhythm/internal/banking"
-	"rhythm/internal/httpx"
+	"rhythm/internal/session"
 )
 
 func smallServer(p Platform) *SimServer {
@@ -355,33 +354,25 @@ func TestSimServerStatsRepeat(t *testing.T) {
 	}
 }
 
-// TestSimSessionTableRoom: an offline server kept for many Serve calls
-// gains a session with every login and loses none of them, so its table
-// must hold the logins of at least two million Table 2 requests — 60
-// wall seconds of the benchmark's sim_offline geometry at 30K
-// requests/s — without one "session table full". Logins alone are
-// driven: the generator's own, each creating the session its kernel
-// would.
-func TestSimSessionTableRoom(t *testing.T) {
-	const requests = 2_000_000
-	opts := Options{Platform: TitanB, CohortSize: 1024, MaxCohorts: 4, Seed: 3}
-	opts.fill()
-	sessions := newSimSessions(opts)
-	gen := banking.NewGenerator(opts.Seed, sessions)
-	gen.Populate(opts.Sessions)
-	logins := int(requests * banking.Specs[banking.Login].MixPercent / 100)
-	for i := 0; i < logins; i++ {
-		req, err := httpx.Parse(gen.Request(banking.Login))
-		if err != nil {
-			t.Fatal(err)
-		}
-		uid, err := strconv.ParseUint(req.Param("userid"), 10, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := sessions.Create(uid); !ok {
-			t.Fatalf("session table full at login %d of %d (%d requests), %d slots live",
-				i, logins, int(float64(i)*100/banking.Specs[banking.Login].MixPercent), sessions.Len())
+// TestSimSessionTableCycles: an offline server kept for many Serve calls
+// gains a session with every login, which no logout names, so its
+// table fills and must reclaim. Batches of the Table 2 share of logins
+// among reads of the generator's pool sessions run the table 50 times
+// past its capacity, and not one request fails: no login finds its
+// bucket full, and no reclaim takes a session a later request names.
+func TestSimSessionTableCycles(t *testing.T) {
+	opts := Options{Platform: TitanB, CohortSize: 16, MaxCohorts: 2, Sessions: 8, Seed: 3}
+	s := NewSimServer(opts)
+	capacity := opts.CohortSize * session.NodesPerBucket(opts.Sessions, opts.CohortSize)
+	const batch, logins = 2048, 576 // 28 %
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 50*capacity; n += logins {
+		in, _ := s.GenerateIsolated("login", logins)
+		reads, _ := s.GenerateIsolated("account_summary", batch-logins)
+		reqs := append(in, reads...)
+		rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+		if st := s.Serve(reqs); st.Completed != batch || st.Errors != 0 {
+			t.Fatalf("after %d logins into %d nodes: %d of %d completed, %d errors", n, capacity, st.Completed, batch, st.Errors)
 		}
 	}
 }
