@@ -356,7 +356,7 @@ echo "$CSTATS" | grep -Eq '"failovers": [1-9]' || {
 # the document lists the registered workloads and qualifies every type
 # label ("ecom/browse", "banking/login").
 MIXSTATS=$(curl -sf "http://$MIX_ADDR/v1/stats")
-for needle in '"schema_version": 10' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
+for needle in '"schema_version": 11' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
     '"ecom/cart_add"' '"telemetry/poll"' '"banking/login"'; do
     echo "$MIXSTATS" | grep -q "$needle" || {
         echo "e2e-smoke: mixed-workload /v1/stats missing $needle" >&2
@@ -481,11 +481,13 @@ check_metrics cluster "$CLUSTER_ADDR" \
 check_metrics cacheh "$CACHEH_ADDR" \
     rhythm_build_info rhythm_requests_served_total \
     rhythm_render_cache_hits_total rhythm_render_cache_misses_total \
-    rhythm_render_cache_entries rhythm_render_cache_bytes
+    rhythm_render_cache_entries rhythm_render_cache_bytes \
+    rhythm_render_cache_bytes_bound
 check_metrics cachec "$CACHEC_ADDR" \
     rhythm_build_info rhythm_requests_served_total rhythm_cohorts_total \
     rhythm_render_cache_hits_total rhythm_render_cache_misses_total \
-    rhythm_render_cache_entries rhythm_render_cache_bytes
+    rhythm_render_cache_entries rhythm_render_cache_bytes \
+    rhythm_render_cache_bytes_bound
 check_metrics mix "$MIX_ADDR" \
     rhythm_build_info rhythm_requests_served_total rhythm_requests_total \
     rhythm_cohorts_total rhythm_cluster_device_up
@@ -533,8 +535,8 @@ fetch() {
     return 1
 }
 ASTATS=$(fetch "http://$ADAPT_ADDR/v1/stats")
-echo "$ASTATS" | grep -q '"schema_version": 10' || {
-    echo "e2e-smoke: /v1/stats missing schema_version 10: $ASTATS" >&2
+echo "$ASTATS" | grep -q '"schema_version": 11' || {
+    echo "e2e-smoke: /v1/stats missing schema_version 11: $ASTATS" >&2
     exit 1
 }
 echo "$ASTATS" | grep -q '"adapt"' || {
@@ -584,7 +586,7 @@ done
 # the launch context the ISSUE promises for tail debugging — including
 # at least one record whose attempt trail shows the injected failover.
 FHEALTH=$(fetch "http://$FLIGHT_ADDR/v1/health")
-for needle in '"schema_version": 10' '"state"' '"fast_burn"' '"slow_burn"' \
+for needle in '"schema_version": 11' '"state"' '"fast_burn"' '"slow_burn"' \
     '"flight_anomalies"' '"exemplars"'; do
     echo "$FHEALTH" | grep -q "$needle" || {
         echo "e2e-smoke: /v1/health missing $needle: $FHEALTH" >&2

@@ -122,7 +122,8 @@ type CohortServerStats struct {
 	CacheMisses        uint64 `json:"cache_misses"`
 	CacheInvalidations uint64 `json:"cache_invalidations"`
 	CacheEntries       uint64 `json:"cache_entries"`
-	CacheBytes         uint64 `json:"cache_bytes"` // live bytes the entries hold
+	CacheBytes         uint64 `json:"cache_bytes"`       // live bytes the entries hold
+	CacheBytesBound    uint64 `json:"cache_bytes_bound"` // the most cache_bytes can reach
 
 	// Flight-recorder counters (DESIGN.md §15).
 	FlightRequests  uint64 `json:"flight_requests"`
@@ -215,6 +216,7 @@ func (s *cohortServer) snapshot() CohortServerStats {
 		CacheInvalidations: cs.Invalidations,
 		CacheEntries:       cs.Entries,
 		CacheBytes:         cs.Bytes,
+		CacheBytesBound:    s.cacheBytesBound,
 		FlightRequests:     s.flight.Total(),
 		FlightAnomalies:    s.flight.Promoted(),
 		Types:              make(map[string]CohortTypeStats),

@@ -284,6 +284,8 @@ func newCohortServer(opts cohortOptions) (*cohortServer, error) {
 		// stay off (SetWriteHook reports false).
 		if !fab.SetWriteHook(s.cache.Invalidate) {
 			s.cache = nil
+		} else {
+			s.cacheBytesBound = maxCacheBytes(reg, s.cache.Budget())
 		}
 	}
 	acfg := adapt.Config{

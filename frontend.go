@@ -69,8 +69,10 @@ type frontend struct {
 	captureBusy atomic.Bool
 
 	// cache, when non-nil, is the whole-page render cache: a hit is
-	// answered before dispatch (DESIGN.md §14).
-	cache *rcache.Cache
+	// answered before dispatch (DESIGN.md §14). cacheBytesBound is the
+	// most live bytes it can hold (maxCacheBytes).
+	cache           *rcache.Cache
+	cacheBytesBound uint64
 }
 
 // init wires the frontend. The health engine is set separately
@@ -373,9 +375,10 @@ func (s *cohortServer) respond(a *connArena, raw []byte) []byte {
 	a.done = &a.frec
 
 	// Render-cache probe. The state version is captured BEFORE dispatch
-	// so a concurrent write can only make the later insert unreachable,
-	// never stale (DESIGN.md §14). The session lookup is lock-free for
-	// the caller: session arrays are internally bucket-locked.
+	// so a concurrent write can only make the cache refuse the later
+	// insert, never hold a stale page (DESIGN.md §14). The session
+	// lookup is lock-free for the caller: session arrays are internally
+	// bucket-locked.
 	var (
 		cacheable  bool
 		csid       session.ID
@@ -420,7 +423,7 @@ func (s *cohortServer) metricsResponse() []byte {
 	s.writeMetrics(w)
 	writeLatencyFamilies(w, f.labels, f.latHist)
 	if f.cache != nil {
-		writeRenderCacheFamilies(w, f.cache.Stats())
+		writeRenderCacheFamilies(w, f.cache.Stats(), f.cacheBytesBound)
 	}
 	w.Family("rhythm_traces_recorded_total", "counter", "Request traces captured by the lifecycle recorder.")
 	w.Value("rhythm_traces_recorded_total", "", float64(f.tracer.Total()))
@@ -474,6 +477,20 @@ func (f *frontend) cacheStats() rcache.Stats {
 		return rcache.Stats{}
 	}
 	return f.cache.Stats()
+}
+
+// maxCacheBytes is the most live bytes a render cache of budget
+// entries holds under reg: the frontend inserts a page only when it is
+// exactly its type's BufferBytes long, so no entry exceeds the largest
+// BufferBytes among the cacheable types.
+func maxCacheBytes(reg *service.Registry, budget int) uint64 {
+	var page int
+	for t := range reg.NumTypes() {
+		if sp := reg.Spec(service.TypeID(t)); sp.Cacheable {
+			page = max(page, sp.BufferBytes)
+		}
+	}
+	return uint64(budget) * uint64(page)
 }
 
 // errorResponse renders a connection-closing error page.

@@ -17,25 +17,44 @@
 // Every user has a monotonically increasing state version, bumped by
 // the backend write hook whenever a Besim deferred write commits for
 // that user (backend.DB.SetWriteHook). The serving path captures the
-// version BEFORE executing a request and tags the inserted page with
-// it; a lookup only hits when the entry's version equals the user's
-// current version. Because versions only grow, renders are serialized
-// with the mutations of their own user (single writer per session
-// group), and the hook fires after the mutation commits, an entry
-// tagged with a stale version can never be observed as current: a
-// write between capture and insert leaves the entry keyed to a version
-// that no lookup will present again. Stale entries are deleted lazily
-// on the next lookup.
+// version BEFORE executing a request and passes it to Get and Put. A
+// user's version and pages sit in one shard under one lock, and the
+// cache holds a page only while its user's version is the one it was
+// rendered at: Invalidate bumps the version and drops every page of
+// that user, and Put refuses, without copying anything, a page whose
+// captured version is no longer current (a write landed between
+// capture and insert). Because versions only grow, renders are
+// serialized with the mutations of their own user (single writer per
+// session group), and the hook fires after the mutation commits, no
+// page rendered before a write is ever served after it. A user's
+// version record is never deleted, even when it holds no pages: a
+// deleted record would read 0 again and accept a Put captured before
+// the write that moved it.
+//
+// A user's pages are a list threaded through the entries and headed
+// from the version record, so Invalidate costs O(that user's pages)
+// and a Put allocates nothing for the index.
+//
+// # Capacity
+//
+// The cache holds at most Budget pages over all its shards, so users
+// that hash unevenly over the shards do not shrink it. When it is full,
+// a new page takes the place of an arbitrary page of its own shard or,
+// if that shard holds none, is not stored: a call takes no lock but its
+// user's shard lock. Invalidate runs from the backend write hook, under
+// the backend's write lock, so no cache call may take a backend lock.
 //
 // # Key safety
 //
-// Session IDs encode (slot, bucket) with no generation nonce, so a
-// logout + login can re-issue a previous session ID to a different
-// user. The resolved user ID is therefore part of the key: an aliased
-// session ID from a prior owner can never serve that owner's pages.
-// The request's method, path, and parameters are hashed into the key
-// and additionally stored for full equality checking on lookup, so a
-// hash collision degrades to a miss, never to a wrong page.
+// A session ID carries its node's generation, so a reclaimed node's
+// old IDs stop resolving. But the generation wraps, and a node's first
+// session carries generation 0 in every session array, so one ID can
+// still name different users over time or across shard groups. The
+// resolved user ID is therefore part of the key: a session ID that
+// names another user than it did can never serve the prior owner's
+// pages. The request's method, path, and parameters are hashed into the
+// key and additionally stored for full equality checking on lookup, so
+// a hash collision degrades to a miss, never to a wrong page.
 package rcache
 
 import (
@@ -47,7 +66,11 @@ import (
 	"rhythm/internal/session"
 )
 
-const shards = 64
+// The cache is split into 1<<shardBits shards by user.
+const (
+	shardBits = 6
+	shards    = 1 << shardBits
+)
 
 // Key identifies one cached page. All fields are fixed-size and
 // comparable; the variable-length request content is folded into H and
@@ -59,31 +82,36 @@ type Key struct {
 	H   uint64 // FNV-1a over method, path, params
 }
 
+// user is one user's record in its shard: the state version and the
+// head of the list of the pages held for it, all at that version.
+type user struct {
+	ver   uint64
+	pages *entry
+}
+
 type entry struct {
-	ver    uint64 // user state version the page was rendered at
-	method httpx.Method
-	path   string
-	params []httpx.Param
-	resp   []byte // live bytes: the page less its trailing spaces
+	key        Key
+	u          *user
+	prev, next *entry // neighbours in u's page list
+	method     httpx.Method
+	path       string
+	params     []httpx.Param
+	resp       []byte // live bytes: the page less its trailing spaces
 }
 
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[Key]*entry
+type shard struct {
+	mu    sync.RWMutex
+	pages map[Key]*entry
+	users map[uint64]*user // never deleted from: versions only grow
 }
 
-type verShard struct {
-	mu sync.RWMutex
-	m  map[uint64]uint64 // uid -> state version
-}
-
-// Cache is a sharded whole-page render cache. All methods are safe for
-// concurrent use.
+// Cache is a whole-page render cache sharded by user. All methods are
+// safe for concurrent use.
 type Cache struct {
-	shards   [shards]cacheShard
-	vers     [shards]verShard
-	perShard int // max entries per shard
+	shards [shards]shard
+	budget int64
 
+	entries       atomic.Int64 // pages held (or reserved under a shard lock), ≤ budget
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	inserts       atomic.Uint64
@@ -103,40 +131,76 @@ type Stats struct {
 	Bytes         uint64 `json:"bytes"` // live bytes held by the entries
 }
 
-// New returns a cache bounded to roughly maxEntries pages.
+// New returns a cache bounded to maxEntries pages (at least one).
 func New(maxEntries int) *Cache {
-	if maxEntries < shards {
-		maxEntries = shards
-	}
-	c := &Cache{perShard: maxEntries / shards}
+	c := &Cache{budget: int64(max(maxEntries, 1))}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key]*entry)
-	}
-	for i := range c.vers {
-		c.vers[i].m = make(map[uint64]uint64)
+		c.shards[i].pages = make(map[Key]*entry)
+		c.shards[i].users = make(map[uint64]*user)
 	}
 	return c
+}
+
+// Budget is the most entries the cache holds at once.
+func (c *Cache) Budget() int { return int(c.budget) }
+
+// shardOf is uid's shard: a Fibonacci hash, so that user ids with a
+// common stride still spread over every shard.
+func (c *Cache) shardOf(uid uint64) *shard {
+	return &c.shards[(uid*0x9e3779b97f4a7c15)>>(64-shardBits)]
 }
 
 // Version returns uid's current state version. Capture it BEFORE
 // executing the request; pass the captured value to Get and Put.
 func (c *Cache) Version(uid uint64) uint64 {
-	vs := &c.vers[uid%shards]
-	vs.mu.RLock()
-	v := vs.m[uid]
-	vs.mu.RUnlock()
+	sh := c.shardOf(uid)
+	sh.mu.RLock()
+	var v uint64
+	if u := sh.users[uid]; u != nil {
+		v = u.ver
+	}
+	sh.mu.RUnlock()
 	return v
 }
 
-// Invalidate bumps uid's state version, making every cached page for
-// uid unreachable. Wire it to backend.DB.SetWriteHook so a committed
-// Besim deferred write invalidates exactly the affected user's pages.
+// Invalidate bumps uid's state version and drops every page cached for
+// uid, each counted as an eviction. Wire it to backend.DB.SetWriteHook
+// so a committed Besim deferred write invalidates exactly the affected
+// user's pages. It takes only uid's shard lock, for O(uid's pages).
 func (c *Cache) Invalidate(uid uint64) {
-	vs := &c.vers[uid%shards]
-	vs.mu.Lock()
-	vs.m[uid]++
-	vs.mu.Unlock()
+	sh := c.shardOf(uid)
+	sh.mu.Lock()
+	u := sh.users[uid]
+	if u == nil {
+		u = &user{}
+		sh.users[uid] = u
+	}
+	u.ver++
+	var n uint64
+	var held int64
+	for e := u.pages; e != nil; e = e.next {
+		delete(sh.pages, e.key)
+		n++
+		held += int64(len(e.resp))
+	}
+	u.pages = nil
+	c.entries.Add(-int64(n))
+	c.bytes.Add(-held)
+	sh.mu.Unlock()
+	c.evictions.Add(n)
 	c.invalidations.Add(1)
+}
+
+// unlink takes e out of its user's page list.
+func unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		e.u.pages = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
 }
 
 // hashReq folds the request content into the key hash (FNV-1a).
@@ -182,28 +246,17 @@ func sameReq(e *entry, req *httpx.Request) bool {
 // never allocates on a hit.
 func (c *Cache) Get(t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request) ([]byte, bool) {
 	k := Key{T: t, SID: sid, UID: uid, H: hashReq(req)}
-	sh := &c.shards[(k.H^uid)%shards]
+	sh := c.shardOf(uid)
 	sh.mu.RLock()
-	e := sh.m[k]
-	if e != nil && e.ver == ver && sameReq(e, req) {
+	// A held entry is at its user's current version, so this compares
+	// the caller's captured version with the current one.
+	if e := sh.pages[k]; e != nil && e.u.ver == ver && sameReq(e, req) {
 		resp := e.resp
 		sh.mu.RUnlock()
 		c.hits.Add(1)
 		return resp, true
 	}
-	stale := e != nil && e.ver != ver
 	sh.mu.RUnlock()
-	if stale {
-		// Lazy eviction: the entry predates uid's last write and can
-		// never hit again (versions only grow).
-		sh.mu.Lock()
-		if e2 := sh.m[k]; e2 != nil && e2.ver < ver {
-			delete(sh.m, k)
-			c.evictions.Add(1)
-			c.bytes.Add(-int64(len(e2.resp)))
-		}
-		sh.mu.Unlock()
-	}
 	c.misses.Add(1)
 	return nil, false
 }
@@ -211,31 +264,57 @@ func (c *Cache) Get(t service.TypeID, sid session.ID, uid, ver uint64, req *http
 // Put stores a rendered page for (t, sid, uid, req) at state version
 // ver, copying both the request parameters and the page's live bytes
 // (its trailing run of spaces dropped) so the entry is immune to arena
-// reuse. ver must be the version captured before the request executed.
+// reuse. ver must be the version captured before the request executed;
+// if uid's version has moved since, Put stores and copies nothing.
 func (c *Cache) Put(t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request, resp []byte) {
-	k := Key{T: t, SID: sid, UID: uid, H: hashReq(req)}
+	if c.Version(uid) != ver {
+		return
+	}
 	e := &entry{
-		ver:    ver,
+		key:    Key{T: t, SID: sid, UID: uid, H: hashReq(req)},
 		method: req.Method,
 		path:   req.Path,
 		params: append([]httpx.Param(nil), req.Params...),
 		resp:   append([]byte(nil), resp[:httpx.LiveLen(resp)]...),
 	}
 	held := int64(len(e.resp))
-	sh := &c.shards[(k.H^uid)%shards]
+	sh := c.shardOf(uid)
 	sh.mu.Lock()
-	if old, exists := sh.m[k]; exists {
+	u := sh.users[uid]
+	if u == nil && ver == 0 {
+		u = &user{}
+		sh.users[uid] = u
+	}
+	if u == nil || u.ver != ver {
+		// A write landed between the check above and the lock.
+		sh.mu.Unlock()
+		return
+	}
+	if old := sh.pages[e.key]; old != nil {
+		unlink(old)
 		held -= int64(len(old.resp))
-	} else if len(sh.m) >= c.perShard {
-		// Evict one arbitrary entry to stay within budget.
-		for victim, ve := range sh.m {
-			delete(sh.m, victim)
-			c.evictions.Add(1)
-			held -= int64(len(ve.resp))
+	} else if !c.reserve() {
+		// The cache is full: the page takes the place of an arbitrary
+		// one of this shard, or, with the shard empty, is not stored.
+		var victim *entry
+		for _, victim = range sh.pages {
 			break
 		}
+		if victim == nil {
+			sh.mu.Unlock()
+			return
+		}
+		delete(sh.pages, victim.key)
+		unlink(victim)
+		c.evictions.Add(1)
+		held -= int64(len(victim.resp))
 	}
-	sh.m[k] = e
+	e.u, e.next = u, u.pages
+	if u.pages != nil {
+		u.pages.prev = e
+	}
+	u.pages = e
+	sh.pages[e.key] = e
 	// Under the shard lock, so a delete of e never lands before its add.
 	c.bytes.Add(held)
 	sh.mu.Unlock()
@@ -244,19 +323,26 @@ func (c *Cache) Put(t service.TypeID, sid session.ID, uid, ver uint64, req *http
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Inserts:       c.inserts.Load(),
 		Invalidations: c.invalidations.Load(),
 		Evictions:     c.evictions.Load(),
+		Entries:       uint64(c.entries.Load()),
 		Bytes:         uint64(c.bytes.Load()),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		s.Entries += uint64(len(sh.m))
-		sh.mu.RUnlock()
+}
+
+// reserve counts one more page held if the budget has room for it.
+func (c *Cache) reserve() bool {
+	for {
+		n := c.entries.Load()
+		if n >= c.budget {
+			return false
+		}
+		if c.entries.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	return s
 }

@@ -89,9 +89,10 @@ func TestInvalidateBumpsOnlyThatUser(t *testing.T) {
 }
 
 func TestSessionIDReuseAcrossUsers(t *testing.T) {
-	// Session IDs carry no generation nonce: after logout+login the same
-	// ID can belong to a different user. The UID in the key must keep the
-	// old owner's pages unreachable.
+	// A session ID's generation wraps, and a node's first session has
+	// the same ID in every array, so the same ID can belong to a
+	// different user. The UID in the key must keep the old owner's pages
+	// unreachable.
 	c := New(1024)
 	req := testReq("/account_summary.php")
 	sid := session.ID(0xbeef)
@@ -108,8 +109,8 @@ func TestStaleVersionNeverHits(t *testing.T) {
 	ver := c.Version(5)
 	c.Put(tBillPay, 1, 5, ver, req, []byte("v0"))
 	c.Invalidate(5)
-	// An insert tagged with the captured-before-write version lands
-	// unreachable (the out-of-order Put case).
+	// An insert tagged with the captured-before-write version is
+	// refused (the out-of-order Put case).
 	c.Put(tBillPay, 1, 5, ver, req, []byte("still-v0"))
 	if _, hit := c.Get(tBillPay, 1, 5, c.Version(5), req); hit {
 		t.Fatal("stale-version entry served")
@@ -123,7 +124,7 @@ func TestStaleVersionNeverHits(t *testing.T) {
 }
 
 func TestEvictionBoundsEntries(t *testing.T) {
-	c := New(64) // minimum: one entry per shard
+	c := New(64)
 	for i := 0; i < 10_000; i++ {
 		req := testReq(fmt.Sprintf("/p%d.php", i))
 		c.Put(tProfile, session.ID(i), uint64(i), 0, req, []byte("x"))
@@ -147,9 +148,9 @@ func TestHashCollisionDegradesToMiss(t *testing.T) {
 	// content: sameReq must reject it.
 	forged := testReq("/order_check.php", httpx.Param{Key: "style", Value: "b"})
 	k := Key{T: tOrderCheck, SID: 4, UID: 9, H: hashReq(req)}
-	sh := &c.shards[(k.H^9)%shards]
+	sh := c.shardOf(9)
 	sh.mu.RLock()
-	e := sh.m[k]
+	e := sh.pages[k]
 	sh.mu.RUnlock()
 	if e == nil {
 		t.Fatal("entry not stored")
@@ -183,6 +184,42 @@ func TestConcurrentAccess(t *testing.T) {
 	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 || st.Invalidations == 0 {
 		t.Fatalf("expected traffic on every counter: %+v", st)
+	}
+}
+
+// TestConcurrentBudget: inserts and writes from several goroutines into
+// a full cache never take it past its budget, and Entries and Bytes
+// agree with the pages held once they stop.
+func TestConcurrentBudget(t *testing.T) {
+	c := New(32)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				uid := uint64(w*1000 + i%97)
+				c.Put(tProfile, session.ID(uid), uid, c.Version(uid), testReq(fmt.Sprintf("/p%d.php", i%5)), bytes.Repeat([]byte{'x'}, i%50))
+				if i%13 == 0 {
+					c.Invalidate(uid)
+				}
+				if st := c.Stats(); st.Entries > 32 {
+					t.Errorf("Entries = %d, budget 32", st.Entries)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var n, held uint64
+	for i := range c.shards {
+		for _, e := range c.shards[i].pages {
+			n++
+			held += uint64(len(e.resp))
+		}
+	}
+	if st := c.Stats(); st.Entries != n || st.Bytes != held || n > 32 {
+		t.Fatalf("Stats %+v; the shards hold %d pages of %d bytes", st, n, held)
 	}
 }
 
@@ -252,7 +289,7 @@ func TestEntryHoldsLiveBytes(t *testing.T) {
 // capacity eviction and stale deletion, and falls to zero with the
 // entries.
 func TestBytesFollowsEntries(t *testing.T) {
-	c := New(64) // one entry per shard
+	c := New(64)
 	req := testReq("/profile.php")
 	c.Put(tProfile, 1, 1, 0, req, []byte("abc   "))
 	c.Put(tProfile, 1, 1, 0, req, []byte("abcdef  "))
@@ -271,5 +308,202 @@ func TestBytesFollowsEntries(t *testing.T) {
 	}
 	if st := c.Stats(); st.Bytes != 2*st.Entries {
 		t.Fatalf("after eviction Bytes = %d for %d two-byte entries", st.Bytes, st.Entries)
+	}
+}
+
+// TestInvalidateDropsPages: a write drops every page of its user at
+// once, so Entries and Bytes fall by exactly that user's pages, each
+// counted as an eviction, and the other users keep theirs.
+func TestInvalidateDropsPages(t *testing.T) {
+	c := New(1024)
+	pages := map[uint64][]string{1: {"a  ", "bcd", "efghij    "}, 2: {"kl", "mnopq "}}
+	var held1 uint64
+	for uid, ps := range pages {
+		for i, p := range ps {
+			c.Put(tProfile, session.ID(uid), uid, c.Version(uid), testReq(fmt.Sprintf("/p%d.php", i)), []byte(p))
+			if uid == 1 {
+				held1 += uint64(httpx.LiveLen([]byte(p)))
+			}
+		}
+	}
+	before := c.Stats()
+	c.Invalidate(1)
+	after := c.Stats()
+	if before.Entries-after.Entries != 3 || before.Bytes-after.Bytes != held1 {
+		t.Fatalf("Invalidate(1): entries %d -> %d, bytes %d -> %d; want -3 entries and -%d bytes",
+			before.Entries, after.Entries, before.Bytes, after.Bytes, held1)
+	}
+	if after.Evictions-before.Evictions != 3 {
+		t.Fatalf("Invalidate(1) counted %d evictions, want 3", after.Evictions-before.Evictions)
+	}
+	for i, p := range pages[2] {
+		if got, hit := c.Get(tProfile, 2, 2, c.Version(2), testReq(fmt.Sprintf("/p%d.php", i))); !hit || !bytes.Equal(got, bytes.TrimRight([]byte(p), " ")) {
+			t.Fatalf("user 2's page %d lost to user 1's write: %q %v", i, got, hit)
+		}
+	}
+	// An empty page set still bumps the version and drops nothing.
+	c.Invalidate(1)
+	if st := c.Stats(); st.Entries != after.Entries || st.Bytes != after.Bytes || c.Version(1) != 2 {
+		t.Fatalf("second Invalidate(1): %+v, version %d", st, c.Version(1))
+	}
+}
+
+// TestPutAtOldVersionStoresNothing: a Put captured before a write is
+// refused whole: no entry, no bytes, no insert, and no copy made.
+func TestPutAtOldVersionStoresNothing(t *testing.T) {
+	c := New(1024)
+	req := testReq("/bill_pay.php", httpx.Param{Key: "acct", Value: "1"})
+	ver := c.Version(5)
+	c.Invalidate(5)
+	page := []byte("rendered before the write   ")
+	c.Put(tBillPay, 1, 5, ver, req, page)
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Inserts != 0 {
+		t.Fatalf("stale Put stored something: %+v", st)
+	}
+	for _, v := range []uint64{ver, c.Version(5)} {
+		if _, hit := c.Get(tBillPay, 1, 5, v, req); hit {
+			t.Fatalf("Get at version %d hit after a refused Put", v)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Put(tBillPay, 1, 5, ver, req, page) }); allocs != 0 {
+		t.Fatalf("a refused Put allocates %.1f objects, want 0", allocs)
+	}
+	// A user the cache has never seen is at version 0 and nothing else.
+	c.Put(tBillPay, 1, 6, 1, req, page)
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("Put at version 1 for a user at version 0 stored a page: %+v", st)
+	}
+}
+
+// FuzzCache drives Version, Get, Put and Invalidate, chosen by the
+// input's bytes, over four users (two of them in one shard), six keys a
+// user, pages of 0–40 live bytes plus 0–7 spaces of pad and a budget of
+// 1–6 pages or room for every key, and checks the cache against a
+// reference model after every call:
+//   - no Get hits a page rendered before its user's last Invalidate, and
+//     a hit returns the live bytes of the key's last accepted Put;
+//   - every held entry is at its user's current version, and is linked
+//     into that user's page list exactly once;
+//   - Entries stays within the budget, and the held pages are exactly the
+//     model's when the budget has room for every key;
+//   - Bytes equals the sum of the held pages' live lengths.
+func FuzzCache(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 0, 3, 0, 0, 1, 3, 0, 2, 0})
+	f.Add([]byte{1, 0, 1, 6, 5, 2, 9, 1, 17, 2, 33, 3, 1, 2, 5, 3, 5})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 0, 4, 2, 4, 3, 4})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 || len(ops) > 513 {
+			return // 256 calls are plenty for four users
+		}
+		roomy := ops[0]&1 == 0 // room for all 24 keys
+		budget := 1 + int(ops[0]>>1)%6
+		if roomy {
+			budget = 1024
+		}
+		c := New(budget)
+		uids := fuzzUsers(c)
+		ver := map[uint64]uint64{}  // the model's current versions
+		capt := map[uint64]uint64{} // the version each user last captured
+		model := map[Key][]byte{}   // live bytes of the pages that may hit
+		stamp := byte(0)
+		for i := 1; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], ops[i+1]
+			uid := uids[arg&3]
+			typ := service.TypeID(arg >> 2 % 3)
+			req := testReq(fmt.Sprintf("/p%d.php", arg>>4&1))
+			sid := session.ID(uid)
+			k := Key{T: typ, SID: sid, UID: uid, H: hashReq(req)}
+			switch op & 3 {
+			case 0: // capture the version, as the frontend does first
+				capt[uid] = c.Version(uid)
+				if capt[uid] != ver[uid] {
+					t.Fatalf("Version(%d) = %d, model %d", uid, capt[uid], ver[uid])
+				}
+			case 1: // a committed write
+				c.Invalidate(uid)
+				ver[uid]++
+				for mk := range model {
+					if mk.UID == uid {
+						delete(model, mk)
+					}
+				}
+			case 2: // insert a render made at the captured version
+				stamp++
+				live := bytes.Repeat([]byte{'a' + stamp%26}, int(op>>2)%41)
+				c.Put(typ, sid, uid, capt[uid], req, append(bytes.Clone(live), bytes.Repeat([]byte{' '}, int(arg>>5))...))
+				if capt[uid] == ver[uid] {
+					model[k] = live
+				}
+			case 3:
+				got, hit := c.Get(typ, sid, uid, capt[uid], req)
+				want, ok := model[k]
+				ok = ok && capt[uid] == ver[uid]
+				if hit && (!ok || !bytes.Equal(got, want)) {
+					t.Fatalf("Get(uid %d) hit %q at captured version %d, user at %d; model %q", uid, got, capt[uid], ver[uid], want)
+				}
+				if roomy && ok && !hit {
+					t.Fatalf("Get(uid %d) missed a page the model holds at version %d", uid, ver[uid])
+				}
+			}
+			checkHeld(t, c, ver, model, roomy)
+		}
+	})
+}
+
+// fuzzUsers picks four user ids, the first two in one shard.
+func fuzzUsers(c *Cache) [4]uint64 {
+	us := [4]uint64{1, 0, 3, 4}
+	for uid := uint64(5); us[1] == 0; uid++ {
+		if c.shardOf(uid) == c.shardOf(us[0]) {
+			us[1] = uid
+		}
+	}
+	return us
+}
+
+// checkHeld walks every shard and holds the cache to the model: each
+// user record is at the model's version; each held entry hangs off its
+// user's record, is in that user's page list once and holds the model's
+// bytes for its key; with exact, every model page is held; Entries is
+// within the budget and Bytes is the sum of the held live bytes.
+func checkHeld(t *testing.T, c *Cache, ver map[uint64]uint64, model map[Key][]byte, exact bool) {
+	t.Helper()
+	var entries, held uint64
+	for i := range c.shards {
+		sh := &c.shards[i]
+		listed := 0
+		for uid, u := range sh.users {
+			if u.ver != ver[uid] {
+				t.Fatalf("user %d at version %d, model %d", uid, u.ver, ver[uid])
+			}
+			var prev *entry
+			for e := u.pages; e != nil; e = e.next {
+				if e.u != u || e.prev != prev || sh.pages[e.key] != e {
+					t.Fatalf("user %d's page list is broken at %+v", uid, e.key)
+				}
+				prev = e
+				listed++
+			}
+		}
+		if listed != len(sh.pages) {
+			t.Fatalf("shard %d: %d pages listed under users, %d in the map", i, listed, len(sh.pages))
+		}
+		for k, e := range sh.pages {
+			if e.key != k || e.u != sh.users[k.UID] {
+				t.Fatalf("%+v is held under another key or user", k)
+			}
+			if live, ok := model[k]; !ok || !bytes.Equal(e.resp, live) {
+				t.Fatalf("cache holds %q for %+v at version %d; model %q, %v", e.resp, k, e.u.ver, live, ok)
+			}
+			entries++
+			held += uint64(len(e.resp))
+		}
+	}
+	st := c.Stats()
+	if st.Entries != entries || entries > uint64(c.Budget()) || st.Bytes != held {
+		t.Fatalf("Stats %+v; walked %d entries of %d bytes, budget %d", st, entries, held, c.Budget())
+	}
+	if exact && entries != uint64(len(model)) {
+		t.Fatalf("cache holds %d pages, model %d", entries, len(model))
 	}
 }

@@ -37,9 +37,11 @@ import (
 // were over the last 65,536 samples); a percentile is the upper edge of
 // an octave bucket (2^12 to 2^33 ns) of the histograms /v1/metrics
 // exports; and a request's latency runs from parse start to written,
-// counts OK answers only, and includes render-cache hits.
+// counts OK answers only, and includes render-cache hits. Version 11:
+// cache_bytes_bound, the most live bytes the render cache can hold (its
+// entry budget times the largest cacheable page; 0 with the cache off).
 // Any change of shape or meaning, additive included, bumps it.
-const StatsSchemaVersion = 10
+const StatsSchemaVersion = 11
 
 // DefaultRegistry builds the process-default workload registry: banking,
 // then e-commerce, then streaming telemetry. Servers built without an
@@ -507,7 +509,7 @@ func writeDeviceFamilies(w *obs.PromWriter, ds simt.DeviceStats, profiled uint64
 
 // writeRenderCacheFamilies emits the whole-page render-cache counters
 // (only when the cache is enabled).
-func writeRenderCacheFamilies(w *obs.PromWriter, cs rcache.Stats) {
+func writeRenderCacheFamilies(w *obs.PromWriter, cs rcache.Stats, bytesBound uint64) {
 	w.Family("rhythm_render_cache_hits_total", "counter", "Requests answered from the render cache (no execution or kernel launch).")
 	w.Value("rhythm_render_cache_hits_total", "", float64(cs.Hits))
 	w.Family("rhythm_render_cache_misses_total", "counter", "Cacheable requests that had to execute.")
@@ -522,4 +524,6 @@ func writeRenderCacheFamilies(w *obs.PromWriter, cs rcache.Stats) {
 	w.Value("rhythm_render_cache_entries", "", float64(cs.Entries))
 	w.Family("rhythm_render_cache_bytes", "gauge", "Live bytes the render-cache entries hold (each page less its trailing pad).")
 	w.Value("rhythm_render_cache_bytes", "", float64(cs.Bytes))
+	w.Family("rhythm_render_cache_bytes_bound", "gauge", "Most live bytes the render cache can hold: its entry budget times the largest cacheable page.")
+	w.Value("rhythm_render_cache_bytes_bound", "", float64(bytesBound))
 }

@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
 	"rhythm/internal/cluster"
 	"rhythm/internal/httpx"
+	"rhythm/internal/service"
 )
 
 // cacheDiffServer is the slice of the server the render-cache
@@ -318,5 +321,68 @@ func TestRenderCacheStatsEndpoints(t *testing.T) {
 	}
 	if want := fmt.Sprintf("rhythm_render_cache_bytes %d\n", live); !bytes.Contains(metrics, []byte(want)) {
 		t.Fatalf("/metrics missing %q", want)
+	}
+}
+
+// TestRenderCacheBytesWithinBound: after a run of half cacheable reads
+// and half writes over more pages than the cache holds, /v1/stats'
+// cache_bytes is within its cache_bytes_bound, the entry budget times
+// the largest cacheable page, and /v1/metrics exports the same bound.
+func TestRenderCacheBytesWithinBound(t *testing.T) {
+	s := newHostCached(t, 128)
+	a := newConnArena(s.reg.MaxBufferBytes())
+	writes := []struct{ uri, body string }{
+		{"/place_check_order.php", "style=standard&quantity=100"},
+		{"/post_payee.php", "name=Vendor0001&account=P-000001"},
+		{"/post_transfer.php", "from=0&to=1&amount=0.42"},
+		{"/quick_pay.php", "payee1=Vendor0001&amount1=2.00&payee2=Vendor0002&amount2=3.25"},
+	}
+	var cookies []string
+	for uid := uint64(9601); uid < 9601+24; uid++ {
+		_, pw := s.Seed(uid)
+		body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
+		cookie := setCookieValue(string(s.respond(a, []byte(fmt.Sprintf(
+			"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))))
+		if cookie == "" {
+			t.Fatalf("uid %d: login returned no cookie", uid)
+		}
+		cookies = append(cookies, cookie)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 2000; i++ {
+		cookie := cookies[rng.IntN(len(cookies))]
+		if i%2 == 0 {
+			p := cacheableGETs[rng.IntN(len(cacheableGETs))]
+			s.respond(a, []byte("GET "+p.uri+" HTTP/1.1\r\nHost: t\r\nCookie: "+cookie+"\r\n\r\n"))
+			continue
+		}
+		w := writes[rng.IntN(len(writes))]
+		s.respond(a, []byte(fmt.Sprintf("POST %s HTTP/1.1\r\nHost: t\r\nCookie: %s\r\nContent-Length: %d\r\n\r\n%s",
+			w.uri, cookie, len(w.body), w.body)))
+	}
+
+	var page int
+	for tid := range s.reg.NumTypes() {
+		if sp := s.reg.Spec(service.TypeID(tid)); sp.Cacheable {
+			page = max(page, sp.BufferBytes)
+		}
+	}
+	st := s.Stats()
+	if want := uint64(s.cache.Budget()) * uint64(page); st.CacheBytesBound != want || want == 0 {
+		t.Fatalf("cache_bytes_bound = %d, want %d entries × %d bytes", st.CacheBytesBound, s.cache.Budget(), page)
+	}
+	if st.CacheHits == 0 || st.CacheInvalidations == 0 || st.CacheEntries == 0 {
+		t.Fatalf("the run exercised too little of the cache: %+v", s.cache.Stats())
+	}
+	if st.CacheBytes > st.CacheBytesBound || st.CacheEntries > uint64(s.cache.Budget()) {
+		t.Fatalf("cache holds %d bytes in %d entries; bound %d bytes, %d entries",
+			st.CacheBytes, st.CacheEntries, st.CacheBytesBound, s.cache.Budget())
+	}
+	doc := s.respond(a, []byte("GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n"))
+	if want := fmt.Sprintf(`"cache_bytes_bound": %d`, st.CacheBytesBound); !bytes.Contains(doc, []byte(want)) {
+		t.Fatalf("/v1/stats missing %s", want)
+	}
+	if want := "rhythm_render_cache_bytes_bound " + strconv.FormatFloat(float64(st.CacheBytesBound), 'g', -1, 64) + "\n"; !bytes.Contains(s.metricsResponse(), []byte(want)) {
+		t.Fatalf("/v1/metrics missing %q", want)
 	}
 }
