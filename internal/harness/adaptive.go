@@ -8,12 +8,9 @@ import (
 	"time"
 
 	"rhythm/internal/adapt"
-	"rhythm/internal/backend"
 	"rhythm/internal/banking"
 	"rhythm/internal/pipeline"
 	"rhythm/internal/service"
-	"rhythm/internal/sim"
-	"rhythm/internal/simt"
 )
 
 // AdaptivePhase is one segment of the step-load schedule the adaptive
@@ -73,17 +70,11 @@ func CalibrateServiceModel(cfg Config) (a, b float64) {
 	sizes := []int{8, 32, 128}
 	var sn, sx, sy, sxx, sxy float64
 	for _, size := range sizes {
-		eng := sim.NewEngine()
 		po := titanOptions(cfg, service.TitanB)
 		po.CohortSize = size
 		po.MaxCohorts = 1 // serialize: elapsed/formed is S(n), not S(n)/overlap
-		devCfg := simt.GTXTitan()
-		devCfg.HostParallelism = cfg.HostParallelism
-		devCfg.SimParallelism = cfg.SimParallelism
-		dev := simt.NewDevice(eng, devCfg, pipeline.DeviceMemory(po), nil)
-		sessions, gen := newWorkload(cfg, 6*size)
-		srv := pipeline.New(eng, dev, po, backend.New(), sessions)
-		st := srv.Run(isolationSource(gen, banking.AccountSummary, 6*size))
+		srv := pipeline.New(po, cfg.device(nil), 0, cfg.Seed, cfg.population(), 6*size)
+		st := srv.Run(isolationSource(srv.Generator(), banking.AccountSummary, 6*size))
 		if st.Cohort.Formed == 0 {
 			panic("harness: calibration run formed no cohorts")
 		}

@@ -6,11 +6,12 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"strconv"
 
-	"rhythm/internal/sim"
+	"rhythm/internal/simt"
 )
 
 // Config scales the experiments. Defaults are laptop-sized; the paper
@@ -27,9 +28,6 @@ type Config struct {
 	CohortSize int
 	// MaxCohorts is the number of cohort contexts in flight (paper: 8).
 	MaxCohorts int
-	// BackendWorkers / BackendServiceTime shape the Titan A host backend.
-	BackendWorkers     int
-	BackendServiceTime sim.Time
 	// ValidateEvery samples responses through the validator (0 = off).
 	ValidateEvery int
 	// TraceRequests is the per-type request count for the Fig 2 study.
@@ -63,8 +61,6 @@ func DefaultConfig() Config {
 		GPUCohortsPerType:  6,
 		CohortSize:         1024,
 		MaxCohorts:         4,
-		BackendWorkers:     8,
-		BackendServiceTime: 2_000,
 		ValidateEvery:      512,
 		TraceRequests:      61, // the paper traced 61 requests (§2.3)
 		HostParallelism:    envHostParallelism(),
@@ -113,6 +109,24 @@ func ReducedConfig() Config {
 }
 
 func (c Config) gpuRequestsPerType() int { return c.GPUCohortsPerType * c.CohortSize }
+
+// population is the sessions a harness run pre-creates: four per cohort
+// lane and at least 1024, so pipeline.NewPopulation's table has the
+// cohort's buckets, at least 256.
+func (c Config) population() int { return 4 * max(c.CohortSize, 256) }
+
+// device returns the device of a simulated run: d, or the GTX Titan when
+// d is nil, with the harness's warp- and launch-level host parallelism
+// wherever d sets none of its own.
+func (c Config) device(d *simt.Config) *simt.Config {
+	dc := simt.GTXTitan()
+	if d != nil {
+		dc = *d
+	}
+	dc.HostParallelism = cmp.Or(dc.HostParallelism, c.HostParallelism)
+	dc.SimParallelism = cmp.Or(dc.SimParallelism, c.SimParallelism)
+	return &dc
+}
 
 func (c Config) validate() {
 	if c.CohortSize <= 0 || c.MaxCohorts <= 0 || c.GPUCohortsPerType <= 0 || c.HostParallelism < 0 || c.SimParallelism < 0 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"rhythm/internal/sim"
 )
 
 // TestHostParallelismDeterminism is the regression test for the host
@@ -66,29 +68,35 @@ func TestHostParallelismDeterminism(t *testing.T) {
 }
 
 // TestSimParallelismDeterminism is the same contract for launch-level
-// parallelism (DESIGN.md §13): a reduced Table 3 and the mixed-workload
-// study on a two-device cluster must produce identical result structs
-// and byte-identical rendered tables whether each device's epoch
-// batches execute serially (SimParallelism=1) or on 8 host workers.
+// parallelism (DESIGN.md §13): a reduced Table 3, the formation-timeout
+// sweep under paced arrivals and the mixed-workload study on a
+// two-device cluster must produce identical result structs and
+// byte-identical rendered tables whether each device's epoch batches
+// execute serially (SimParallelism=1) or on 8 host workers.
 func TestSimParallelismDeterminism(t *testing.T) {
-	run := func(sp int) (Table3Result, WorkloadMixResult, string) {
+	run := func(sp int) (Table3Result, []TimeoutRow, WorkloadMixResult, string) {
 		cfg := tinyConfig()
 		cfg.CPURequestsPerType = 120
 		cfg.GPUCohortsPerType = 2
 		cfg.SimParallelism = sp
 		t3 := Table3(cfg)
+		to := TimeoutSweep(cfg, []sim.Time{200_000, 1_000_000}, 2e6)
 		cs := WorkloadMixStudy(cfg, 2)
 		var buf bytes.Buffer
 		t3.Render().Print(&buf)
+		RenderTimeouts(to).Print(&buf)
 		cs.Render().Print(&buf)
-		return t3, cs, buf.String()
+		return t3, to, cs, buf.String()
 	}
 
-	serialT3, serialCS, serialOut := run(1)
-	parT3, parCS, parOut := run(8)
+	serialT3, serialTO, serialCS, serialOut := run(1)
+	parT3, parTO, parCS, parOut := run(8)
 
 	if !reflect.DeepEqual(serialT3, parT3) {
 		t.Error("Table 3 results differ between SimParallelism 1 and 8")
+	}
+	if !reflect.DeepEqual(serialTO, parTO) {
+		t.Errorf("timeout sweep diverged:\n  serial:   %+v\n  parallel: %+v", serialTO, parTO)
 	}
 	if !reflect.DeepEqual(serialCS, parCS) {
 		t.Errorf("workload mix diverged:\n  serial:   %+v\n  parallel: %+v", serialCS, parCS)

@@ -8,6 +8,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/httpx"
 	"rhythm/internal/netmodel"
+	"rhythm/internal/pipeline"
 	"rhythm/internal/platform"
 	"rhythm/internal/service"
 	"rhythm/internal/session"
@@ -51,7 +52,7 @@ func Table2(cfg Config) Table2Result {
 	var res Table2Result
 	db := backend.New()
 	bank := banking.NewWorkload()
-	sessions, gen := newWorkload(cfg, 200*int(banking.NumTypes))
+	sessions, gen := pipeline.NewPopulation(cfg.Seed, cfg.population(), 200*int(banking.NumTypes))
 	for _, rt := range banking.CoreTypes() {
 		var instr int64
 		var content int64
@@ -207,7 +208,7 @@ func Fig2(cfg Config) Fig2Result {
 	var res Fig2Result
 	db := backend.New()
 	bank := banking.NewWorkload()
-	sessions, gen := newWorkload(cfg, cfg.TraceRequests*int(banking.NumTypes))
+	sessions, gen := pipeline.NewPopulation(cfg.Seed, cfg.population(), cfg.TraceRequests*int(banking.NumTypes))
 	for _, rt := range banking.CoreTypes() {
 		var traces []trace.Trace
 		for i := 0; i < cfg.TraceRequests; i++ {

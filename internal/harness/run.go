@@ -6,11 +6,9 @@ import (
 
 	"rhythm/internal/backend"
 	"rhythm/internal/banking"
-	"rhythm/internal/netmodel"
 	"rhythm/internal/pipeline"
 	"rhythm/internal/platform"
 	"rhythm/internal/service"
-	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
 	"rhythm/internal/stats"
@@ -96,7 +94,7 @@ func RunCPU(cfg Config, cpu platform.CPU, workers int) PlatformRun {
 		rt := types[i]
 		eng := sim.NewEngine()
 		db := backend.New()
-		sessions, gen := newWorkload(cfg, cfg.CPURequestsPerType)
+		sessions, gen := pipeline.NewPopulation(cfg.Seed, cfg.population(), cfg.CPURequestsPerType)
 		srv := platform.NewCPUServer(eng, cpu, workers, db, sessions, cfg.ValidateEvery)
 		res := srv.Run(isolationSource(gen, rt, cfg.CPURequestsPerType))
 		run.PerType[i] = PerType{
@@ -117,12 +115,10 @@ func RunCPU(cfg Config, cpu platform.CPU, workers int) PlatformRun {
 // titanOptions maps platform p onto pipeline options at cfg's scale.
 func titanOptions(cfg Config, p service.Platform) pipeline.Options {
 	return pipeline.Options{
-		Variant:            service.Variant{Platform: p, Padding: true, ColMajor: true},
-		CohortSize:         cfg.CohortSize,
-		MaxCohorts:         cfg.MaxCohorts,
-		BackendWorkers:     cfg.BackendWorkers,
-		BackendServiceTime: cfg.BackendServiceTime,
-		ValidateEvery:      cfg.ValidateEvery,
+		Variant:       service.Variant{Platform: p, Padding: true, ColMajor: true},
+		CohortSize:    cfg.CohortSize,
+		MaxCohorts:    cfg.MaxCohorts,
+		ValidateEvery: cfg.ValidateEvery,
 	}
 }
 
@@ -157,10 +153,7 @@ type PowerModel struct {
 // observed utilizations.
 func RunTitan(cfg Config, opts TitanRunOptions) PlatformRun {
 	cfg.validate()
-	devCfg := simt.GTXTitan()
-	if opts.DeviceConfig != nil {
-		devCfg = *opts.DeviceConfig
-	}
+	devCfg := cfg.device(opts.DeviceConfig)
 	types := opts.Types
 	if types == nil {
 		types = banking.CoreTypes()
@@ -179,16 +172,6 @@ func RunTitan(cfg Config, opts TitanRunOptions) PlatformRun {
 	if opts.DeviceConfig != nil {
 		run.Name = devCfg.Name
 	}
-	// Warp- and launch-level host parallelism follow the harness knobs
-	// unless the study supplied a device config with its own explicit
-	// settings.
-	if devCfg.HostParallelism == 0 {
-		devCfg.HostParallelism = cfg.HostParallelism
-	}
-	if devCfg.SimParallelism == 0 {
-		devCfg.SimParallelism = cfg.SimParallelism
-	}
-
 	workers := cfg.hostWorkers()
 	run.PerType = make([]PerType, len(types))
 	smUtils := make([]float64, len(types))
@@ -198,10 +181,12 @@ func RunTitan(cfg Config, opts TitanRunOptions) PlatformRun {
 	forEach(workers, len(types), func(i int) {
 		rt := types[i]
 		if workers == 1 {
-			// Each isolation run allocates a fresh multi-GB device
-			// backing store; serially, reclaim the previous one before
-			// the next allocation so paper-scale sweeps fit in host
-			// memory. (Concurrent runs hold their stores live by design.)
+			// Each isolation run backs a fresh device store, ≈ 169 MiB
+			// at the paper's 4096 × 8 (eight contexts' backend slots,
+			// 8·4096·5120 B, the reader's 4·4096·512 B and 1 MiB of
+			// slack); serially, reclaim the previous one before the
+			// next allocation, so a run holds one store at a time.
+			// Concurrent runs each hold their own.
 			runtime.GC()
 		}
 		pt := runTitanType(cfg, opts, devCfg, rt)
@@ -222,27 +207,15 @@ func RunTitan(cfg Config, opts TitanRunOptions) PlatformRun {
 	return run
 }
 
-// runTitanType executes one isolation run on a fresh engine and device.
-func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banking.ReqType) PerType {
-	eng := sim.NewEngine()
+// runTitanType executes one isolation run on a fresh simulated Titan.
+func runTitanType(cfg Config, opts TitanRunOptions, devCfg *simt.Config, rt banking.ReqType) PerType {
 	po := titanOptions(cfg, opts.Platform)
 	if opts.Mutate != nil {
 		opts.Mutate(&po)
 	}
-	var bus *sim.Pipe
-	if po.Platform == service.TitanA {
-		bps := opts.BusBps
-		if bps == 0 {
-			bps = netmodel.PCIe3Bps
-		}
-		bus = sim.NewPipe(eng, bps, 1000)
-	}
-	dev := simt.NewDevice(eng, devCfg, pipeline.DeviceMemory(po), bus)
-	db := backend.New()
 	n := cfg.gpuRequestsPerType()
-	sessions, gen := newWorkload(cfg, n)
-	srv := pipeline.New(eng, dev, po, db, sessions)
-	st := srv.Run(isolationSource(gen, rt, n))
+	srv := pipeline.New(po, devCfg, opts.BusBps, cfg.Seed, cfg.population(), n)
+	st := srv.Run(isolationSource(srv.Generator(), rt, n))
 
 	elapsed := (st.End - st.Start).Seconds()
 	pt := PerType{
@@ -250,7 +223,8 @@ func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banki
 		Throughput: st.Throughput(),
 		LatencyMs:  st.Latency.Mean() / 1e6,
 		P99Ms:      st.Latency.Percentile(99) / 1e6,
-		SMUtil:     dev.Utilization(),
+		SMUtil:     srv.DeviceUtilization(),
+		BusUtil:    srv.BusUtilization(),
 		Validated:  st.Validated,
 		ValFails:   st.ValidationFailures,
 		Errors:     st.Errors,
@@ -259,23 +233,7 @@ func runTitanType(cfg Config, opts TitanRunOptions, devCfg simt.Config, rt banki
 	if elapsed > 0 {
 		pt.MemUtil = float64(st.Device.MemBytes) / (devCfg.MemBandwidth * elapsed)
 	}
-	if bus != nil {
-		pt.BusUtil = bus.Utilization()
-	}
 	return pt
-}
-
-// newWorkload builds the session array and generator an isolation run of
-// n requests needs: the array is sized by session.NodesPerBucket for the
-// pre-populated sessions plus one per request, so that no bucket fills
-// even when every request is a login.
-func newWorkload(cfg Config, n int) (*session.Array, *banking.Generator) {
-	buckets := max(cfg.CohortSize, 256)
-	populate := 4 * buckets
-	sessions := session.NewArray(buckets, session.NodesPerBucket(populate+n, buckets))
-	gen := banking.NewGenerator(cfg.Seed, sessions)
-	gen.Populate(populate)
-	return sessions, gen
 }
 
 func isolationSource(gen *banking.Generator, rt banking.ReqType, n int) pipeline.Source {

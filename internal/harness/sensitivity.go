@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"rhythm/internal/backend"
 	"rhythm/internal/banking"
 	"rhythm/internal/netmodel"
 	"rhythm/internal/pipeline"
@@ -87,7 +86,7 @@ func ParserStudy(cfg Config) ParserResult {
 func parseOnce(cfg Config, mixed bool) (latUs, tput float64, divergent int64) {
 	eng := sim.NewEngine()
 	dev := simt.NewDevice(eng, simt.GTXTitan(), 4*cfg.CohortSize*banking.RequestSlot+32<<20, nil)
-	_, gen := newWorkload(cfg, cfg.CohortSize)
+	_, gen := pipeline.NewPopulation(cfg.Seed, cfg.population(), cfg.CohortSize)
 	raws := make([][]byte, cfg.CohortSize)
 	for i := range raws {
 		if mixed {
@@ -478,14 +477,11 @@ type TimeoutRow struct {
 func TimeoutSweep(cfg Config, timeouts []sim.Time, arrivalRate float64) []TimeoutRow {
 	var rows []TimeoutRow
 	for _, to := range timeouts {
-		eng := sim.NewEngine()
 		po := titanOptions(cfg, service.TitanB)
 		po.FormationTimeout = to
-		dev := simt.NewDevice(eng, simt.GTXTitan(), pipeline.DeviceMemory(po), nil)
-		db := backend.New()
 		n := cfg.gpuRequestsPerType()
-		sessions, gen := newWorkload(cfg, n)
-		srv := pipeline.New(eng, dev, po, db, sessions)
+		srv := pipeline.New(po, cfg.device(nil), 0, cfg.Seed, cfg.population(), n)
+		gen := srv.Generator()
 
 		// Paced arrivals at the given rate.
 		interval := sim.Time(1e9 / arrivalRate)

@@ -14,6 +14,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"math/rand"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/cohort"
 	"rhythm/internal/httpx"
+	"rhythm/internal/netmodel"
 	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
@@ -42,9 +44,11 @@ type Options struct {
 	// FormationTimeout bounds how long a request waits for its cohort to
 	// fill (0 disables; the paper leaves the value a policy decision).
 	FormationTimeout sim.Time
-	// BackendWorkers is the host backend thread count (Titan A).
+	// BackendWorkers is the host backend thread count (Titan A; 0
+	// means the paper's 8).
 	BackendWorkers int
-	// BackendServiceTime is the host backend's per-request service time.
+	// BackendServiceTime is the host backend's per-request service time
+	// (0 means 2 µs).
 	BackendServiceTime sim.Time
 	// ValidateEvery validates one response in every N (0 disables).
 	ValidateEvery int
@@ -148,9 +152,11 @@ func (c engineClock) After(d time.Duration, fn func()) func() {
 type Server struct {
 	eng      *sim.Engine
 	dev      *simt.Device
+	bus      *sim.Pipe // Titan A's host↔device bus; nil elsewhere
 	opts     Options
 	db       service.Backend
 	sessions *session.Array
+	gen      *banking.Generator
 
 	bank       *service.PageWorkload
 	pool       *cohort.Pool[banking.ReqType, preq]
@@ -192,36 +198,71 @@ type readerBatch struct {
 	image []byte
 }
 
-// DeviceMemory reports the backed device memory a server with opts
+// deviceMemory reports the backed device memory a server with opts
 // needs: for each cohort context its one set of backend slots, shared by
 // every buffer class it binds (responses take no device backing,
 // service.SlotDeviceBytes), the reader's two batches in both layouts,
 // and alignment slack. banking.CohortDeviceBytes is the modelled
 // footprint behind §6.3 and sizes nothing here.
-func DeviceMemory(opts Options) int {
+func deviceMemory(opts Options) int {
 	return int(int64(opts.MaxCohorts)*service.SlotDeviceBytes(opts.CohortSize)) +
 		4*opts.CohortSize*banking.RequestSlot + 1<<20
 }
 
-// New builds a server on a device with at least DeviceMemory(opts)
-// backed bytes. It stamps the session array with eng's virtual time.
-func New(eng *sim.Engine, dev *simt.Device, opts Options, db service.Backend, sessions *session.Array) *Server {
+// NewPopulation builds a session array and a Banking generator seeded
+// with seed that has pre-created population sessions in it, a bucket
+// per four (at four per cohort lane, the paper's cohort-sized buckets,
+// §6.3). A run of requests > 0 gets room, by session.NodesPerBucket,
+// for population+requests sessions, so no bucket fills even if every
+// request logs in, and fresh users. An open-ended run (requests == 0)
+// gets room for population sessions, reclaims the longest-idle node of
+// a full bucket and draws users from 2×population, so a server kept for
+// any number of runs holds a bounded heap and never fails a login.
+func NewPopulation(seed int64, population, requests int) (*session.Array, *banking.Generator) {
+	buckets := max(population/4, 1)
+	sessions := session.NewArray(buckets, session.NodesPerBucket(population+requests, buckets))
+	gen := banking.NewGenerator(seed, sessions)
+	if requests == 0 {
+		gen.LimitUsers(2 * population)
+	}
+	gen.Populate(population)
+	return sessions, gen
+}
+
+// New builds one simulated Titan and the Banking workload it serves: a
+// virtual-time engine, the device devCfg (nil: the GTX Titan) backing
+// what opts needs, on Titan A a bus of busBps bytes a second (0: PCIe
+// 3.0), a Besim backend, and NewPopulation's session array, stamped
+// with the engine's time, and generator.
+func New(opts Options, devCfg *simt.Config, busBps float64, seed int64, population, requests int) *Server {
 	if opts.CohortSize <= 0 || opts.MaxCohorts <= 0 {
 		panic("pipeline: CohortSize and MaxCohorts must be positive")
-	}
-	if opts.Platform == service.TitanA && opts.BackendWorkers <= 0 {
-		panic("pipeline: remote backend needs workers")
 	}
 	if opts.Platform != service.TitanA && (opts.StragglerTimeout != 0 || opts.BackendTailProb != 0 || opts.BackendTailFactor != 0) {
 		panic("pipeline: straggler settings need a remote backend (Titan A)")
 	}
+	opts.BackendWorkers = cmp.Or(opts.BackendWorkers, 8)
+	opts.BackendServiceTime = cmp.Or(opts.BackendServiceTime, 2_000)
+	cfg := simt.GTXTitan()
+	if devCfg != nil {
+		cfg = *devCfg
+	}
+	eng := sim.NewEngine()
+	var bus *sim.Pipe
+	if opts.Platform == service.TitanA {
+		bus = sim.NewPipe(eng, cmp.Or(busBps, netmodel.PCIe3Bps), 1000)
+	}
+	dev := simt.NewDevice(eng, cfg, deviceMemory(opts), bus)
+	sessions, gen := NewPopulation(seed, population, requests)
 	sessions.SetClock(func() int64 { return int64(eng.Now()) })
 	s := &Server{
 		eng:      eng,
 		dev:      dev,
+		bus:      bus,
 		opts:     opts,
-		db:       db,
+		db:       backend.New(),
 		sessions: sessions,
+		gen:      gen,
 		bank:     banking.NewWorkload(),
 		stats:    Stats{Latency: stats.NewLatencyRecorder()},
 	}
@@ -254,6 +295,26 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db service.Backend, se
 	}
 	s.rng = rand.New(rand.NewSource(opts.Seed + 0x5bd1))
 	return s
+}
+
+// Generator returns the generator of the server's Banking workload,
+// bound to its session array.
+func (s *Server) Generator() *banking.Generator { return s.gen }
+
+// Now reports the engine's virtual time.
+func (s *Server) Now() sim.Time { return s.eng.Now() }
+
+// DeviceUtilization reports the device's slot-weighted busy fraction
+// since it was built.
+func (s *Server) DeviceUtilization() float64 { return s.dev.Utilization() }
+
+// BusUtilization reports the busy fraction of Titan A's bus since it
+// was built (0 on a platform without one).
+func (s *Server) BusUtilization() float64 {
+	if s.bus == nil {
+		return 0
+	}
+	return s.bus.Utilization()
 }
 
 // Stats returns a snapshot of run statistics.

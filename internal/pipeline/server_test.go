@@ -4,41 +4,24 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"rhythm/internal/backend"
 	"rhythm/internal/banking"
 	"rhythm/internal/service"
-	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
 )
 
-// testRig builds a small server with n pre-generated requests of type t
-// (or mixed when t < 0).
+// testRig is a small server on the GTX Titan (Titan A behind PCIe 3.0)
+// with its generator: 1024 pre-created sessions in 256 buckets, and
+// room for every one of up to 1024 requests to log in.
 type testRig struct {
-	eng      *sim.Engine
-	dev      *simt.Device
-	srv      *Server
-	gen      *banking.Generator
-	sessions *session.Array
+	srv *Server
+	gen *banking.Generator
 }
 
-func newRig(t *testing.T, opts Options, bus *sim.Pipe) *testRig {
+func newRig(t *testing.T, opts Options) *testRig {
 	t.Helper()
-	eng := sim.NewEngine()
-	if bus == nil && opts.Platform == service.TitanA {
-		bus = sim.NewPipe(eng, 12e9, 1000)
-	}
-	dev := simt.NewDevice(eng, simt.GTXTitan(), 512<<20, bus)
-	db := backend.New()
-	buckets := opts.CohortSize
-	if buckets < 256 {
-		buckets = 256
-	}
-	sessions := session.NewArray(buckets, 64)
-	srv := New(eng, dev, opts, db, sessions)
-	gen := banking.NewGenerator(1, sessions)
-	gen.Populate(1024)
-	return &testRig{eng: eng, dev: dev, srv: srv, gen: gen, sessions: sessions}
+	srv := New(opts, nil, 0, 1, 1024, 1024)
+	return &testRig{srv: srv, gen: srv.Generator()}
 }
 
 // smallOptions is Titan B (the zero Platform: device backend, padding,
@@ -71,7 +54,7 @@ func (r *testRig) mixed(n int) Source {
 }
 
 func TestIsolatedRunCompletesAndValidates(t *testing.T) {
-	rig := newRig(t, smallOptions(), nil)
+	rig := newRig(t, smallOptions())
 	st := rig.srv.Run(rig.isolated(banking.AccountSummary, 256))
 	if st.Completed != 256 {
 		t.Fatalf("Completed = %d", st.Completed)
@@ -102,7 +85,7 @@ func TestEveryTypeRunsOnDevice(t *testing.T) {
 		t.Run(rt.String(), func(t *testing.T) {
 			opts := smallOptions()
 			opts.ValidateEvery = 3
-			rig := newRig(t, opts, nil)
+			rig := newRig(t, opts)
 			st := rig.srv.Run(rig.isolated(rt, 128))
 			if st.Completed != 128 {
 				t.Fatalf("Completed = %d", st.Completed)
@@ -122,7 +105,7 @@ func TestMixedRunDispatchesByType(t *testing.T) {
 	opts.CohortSize = 32
 	opts.MaxCohorts = 14 // one forming context per type plus slack
 	opts.FormationTimeout = sim.Duration(0)
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(rig.mixed(1024))
 	if st.Completed != 1024 {
 		t.Fatalf("Completed = %d", st.Completed)
@@ -146,7 +129,7 @@ func TestRemoteBackendPath(t *testing.T) {
 	opts.Platform = service.TitanA
 	opts.BackendWorkers = 4
 	opts.BackendServiceTime = 2000
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(rig.isolated(banking.BillPay, 128))
 	if st.Completed != 128 || st.Errors != 0 {
 		t.Fatalf("completed=%d errors=%d", st.Completed, st.Errors)
@@ -161,7 +144,7 @@ func TestRemoteBackendPath(t *testing.T) {
 
 func TestTitanAIsSlowerThanTitanB(t *testing.T) {
 	run := func(opts Options) float64 {
-		rig := newRig(t, opts, nil)
+		rig := newRig(t, opts)
 		return rig.srv.Run(rig.isolated(banking.AccountSummary, 512)).Throughput()
 	}
 	a := smallOptions()
@@ -176,7 +159,7 @@ func TestTitanAIsSlowerThanTitanB(t *testing.T) {
 
 func TestTitanCFasterThanTitanB(t *testing.T) {
 	run := func(opts Options) float64 {
-		rig := newRig(t, opts, nil)
+		rig := newRig(t, opts)
 		return rig.srv.Run(rig.isolated(banking.Logout, 512)).Throughput()
 	}
 	b := smallOptions()
@@ -192,7 +175,7 @@ func TestFormationTimeoutLaunchesPartialCohort(t *testing.T) {
 	opts := smallOptions()
 	opts.CohortSize = 64
 	opts.FormationTimeout = sim.Duration(1_000_000) // 1 ms
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	// 10 requests: never fills a 64-slot cohort; timeout must launch it.
 	st := rig.srv.Run(rig.isolated(banking.Transfer, 10))
 	if st.Completed != 10 {
@@ -203,7 +186,7 @@ func TestFormationTimeoutLaunchesPartialCohort(t *testing.T) {
 func TestPartialFlushAtStreamEnd(t *testing.T) {
 	opts := smallOptions()
 	opts.FormationTimeout = 0 // no timeout: only Flush can launch partials
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(rig.isolated(banking.Login, 100)) // 64 + 36 partial
 	if st.Completed != 100 {
 		t.Fatalf("Completed = %d", st.Completed)
@@ -215,7 +198,7 @@ func TestPartialFlushAtStreamEnd(t *testing.T) {
 
 func TestParseErrorsAnsweredFromHost(t *testing.T) {
 	opts := smallOptions()
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	reqs := [][]byte{
 		[]byte("BOGUS /x HTTP/1.1\r\n\r\n"),
 		rig.gen.Request(banking.Profile),
@@ -236,7 +219,7 @@ func TestParseErrorsAnsweredFromHost(t *testing.T) {
 func TestUnknownResourceIsParseError(t *testing.T) {
 	opts := smallOptions()
 	opts.CohortSize = 4
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(&SliceSource{Reqs: [][]byte{
 		[]byte("GET /favicon.ico HTTP/1.1\r\n\r\n"),
 		rig.gen.Request(banking.Transfer),
@@ -254,7 +237,7 @@ func TestUnknownResourceIsParseError(t *testing.T) {
 func TestExpiredSessionsBecomeErrorPages(t *testing.T) {
 	opts := smallOptions()
 	opts.CohortSize = 8
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	reqs := make([][]byte, 8)
 	for i := range reqs {
 		reqs[i] = []byte("GET /profile.php HTTP/1.1\r\nCookie: MY_ID=ffffffffffffffff\r\n\r\n")
@@ -273,7 +256,7 @@ func TestPaddingAblationHurtsTraffic(t *testing.T) {
 		opts := smallOptions()
 		opts.Padding = padding
 		opts.ValidateEvery = 0
-		rig := newRig(t, opts, nil)
+		rig := newRig(t, opts)
 		st := rig.srv.Run(rig.isolated(banking.AccountSummary, 128))
 		if st.Completed != 128 {
 			t.Fatalf("Completed = %d", st.Completed)
@@ -293,7 +276,7 @@ func TestRowMajorAblationHurtsTraffic(t *testing.T) {
 		opts := smallOptions()
 		opts.ColMajor = colMajor
 		opts.ValidateEvery = 0
-		rig := newRig(t, opts, nil)
+		rig := newRig(t, opts)
 		st := rig.srv.Run(rig.isolated(banking.CheckDetailHTML, 128))
 		if st.Completed != 128 {
 			t.Fatalf("Completed = %d", st.Completed)
@@ -312,7 +295,7 @@ func TestRowMajorStillValidates(t *testing.T) {
 	opts := smallOptions()
 	opts.ColMajor = false
 	opts.ValidateEvery = 2
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(rig.isolated(banking.Login, 64))
 	if st.ValidationFailures != 0 {
 		t.Fatalf("%d validation failures in row-major mode", st.ValidationFailures)
@@ -324,13 +307,13 @@ func TestRowMajorStillValidates(t *testing.T) {
 
 func TestLoginsCreateSessions(t *testing.T) {
 	opts := smallOptions()
-	rig := newRig(t, opts, nil)
-	before := rig.sessions.Len()
+	rig := newRig(t, opts)
+	before := rig.srv.sessions.Len()
 	st := rig.srv.Run(rig.isolated(banking.Login, 64))
 	if st.Errors != 0 {
 		t.Fatalf("%d login errors", st.Errors)
 	}
-	if got := rig.sessions.Len() - before; got != 64 {
+	if got := rig.srv.sessions.Len() - before; got != 64 {
 		t.Fatalf("sessions grew by %d, want 64", got)
 	}
 }
@@ -338,7 +321,7 @@ func TestLoginsCreateSessions(t *testing.T) {
 func TestImageRequestsBypassProcessStage(t *testing.T) {
 	opts := smallOptions()
 	opts.CohortSize = 16
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	reqs := [][]byte{
 		[]byte("GET " + banking.ImagePathPrefix + "banner.gif HTTP/1.1\r\nHost: bank\r\n\r\n"),
 		[]byte("GET " + banking.ImagePathPrefix + "chart_q1.gif HTTP/1.1\r\nHost: bank\r\n\r\n"),
@@ -371,7 +354,7 @@ func TestStragglerTimeoutShedsToHost(t *testing.T) {
 	opts.BackendTailFactor = 10000                  // 20 ms stalls
 	opts.StragglerTimeout = sim.Duration(2_000_000) // 2 ms deadline
 	opts.ValidateEvery = 0
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(rig.isolated(banking.BillPay, 256))
 	if st.Completed != 256 {
 		t.Fatalf("Completed = %d", st.Completed)
@@ -394,7 +377,7 @@ func TestStragglerTimeoutCutsTailLatency(t *testing.T) {
 		opts.BackendTailFactor = 20000 // 40 ms stalls
 		opts.StragglerTimeout = timeout
 		opts.ValidateEvery = 0
-		rig := newRig(t, opts, nil)
+		rig := newRig(t, opts)
 		st := rig.srv.Run(rig.isolated(banking.Transfer, 256))
 		if st.Completed != 256 {
 			t.Fatalf("Completed = %d", st.Completed)
@@ -424,7 +407,7 @@ func TestNoStragglersWithoutTail(t *testing.T) {
 	opts.Platform = service.TitanA
 	opts.StragglerTimeout = sim.Duration(50_000_000)
 	opts.ValidateEvery = 0
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(rig.isolated(banking.Profile, 128))
 	if st.Stragglers != 0 {
 		t.Fatalf("Stragglers = %d with no backend tail", st.Stragglers)
@@ -436,7 +419,7 @@ func TestNoStragglersWithoutTail(t *testing.T) {
 
 func TestQuickPayVariableStagesOnDevice(t *testing.T) {
 	opts := smallOptions()
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	st := rig.srv.Run(rig.isolated(banking.QuickPay, 128))
 	if st.Completed != 128 || st.Errors != 0 {
 		t.Fatalf("completed=%d errors=%d", st.Completed, st.Errors)
@@ -456,7 +439,7 @@ func TestQuickPayRemoteBackendSkipsDoneLanes(t *testing.T) {
 	opts.Platform = service.TitanA
 	opts.BackendWorkers = 8
 	opts.ValidateEvery = 2
-	rig := newRig(t, opts, nil)
+	rig := newRig(t, opts)
 	calls := &countingBackend{Backend: rig.srv.db}
 	rig.srv.db = calls
 	st := rig.srv.Run(rig.isolated(banking.QuickPay, 64))
@@ -500,7 +483,7 @@ func TestStragglerSettingsNeedTitanA(t *testing.T) {
 			set(&opts)
 			msg := func() (msg any) {
 				defer func() { msg = recover() }()
-				newRig(t, opts, nil)
+				newRig(t, opts)
 				return nil
 			}()
 			if msg == nil {

@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"rhythm/internal/backend"
 	"rhythm/internal/banking"
-	"rhythm/internal/netmodel"
 	"rhythm/internal/pipeline"
 	"rhythm/internal/service"
-	"rhythm/internal/session"
 	"rhythm/internal/sim"
-	"rhythm/internal/simt"
 )
 
 // Platform selects the emulated system of §5.3.2. The zero value is
@@ -52,8 +48,8 @@ type Options struct {
 	// validator (default 1024; 0 disables).
 	ValidateEvery int
 	// Sessions pre-populates this many live sessions (default 4 ×
-	// CohortSize); the session table and the generator's user population
-	// are sized from it.
+	// CohortSize); the session table (a bucket per four) and the
+	// generator's user population (twice as many) are sized from it.
 	Sessions int
 	// Seed drives the deterministic workload generator (default 1).
 	Seed int64
@@ -116,62 +112,29 @@ type Stats struct {
 // driven offline under virtual time (no listener). It is
 // single-goroutine: construct, serve, read stats. For a live TCP server
 // use New, which returns the Server interface.
-type SimServer struct {
-	opts     Options
-	eng      *sim.Engine
-	dev      *simt.Device
-	db       *backend.DB
-	sessions *session.Array
-	gen      *banking.Generator
-	srv      *pipeline.Server
-}
+type SimServer struct{ srv *pipeline.Server }
 
 // NewSimServer builds an offline simulation server and its workload
-// generator. The session table is sized for Options.Sessions by
-// session.NodesPerBucket and reclaims the longest-idle session of a full
-// bucket, and the generator's logins and pool draw from twice that many
-// users (the pool's and as many again), so a server kept for any number
-// of Serve calls holds a bounded heap and never fails a login.
+// generator. The session table is sized for Options.Sessions and
+// reclaims the longest-idle session of a full bucket, and logins draw
+// from twice that many users, so a server kept for any number of Serve
+// calls holds a bounded heap and never fails a login.
 func NewSimServer(opts Options) *SimServer {
 	opts.fill()
-	eng := sim.NewEngine()
-	po := pipelineOptions(opts)
-	var bus *sim.Pipe
-	if opts.Platform == TitanA {
-		bus = sim.NewPipe(eng, netmodel.PCIe3Bps, 1000)
-	}
-	dev := simt.NewDevice(eng, simt.GTXTitan(), pipeline.DeviceMemory(po), bus)
-	db := backend.New()
-	sessions := session.NewArray(opts.CohortSize, session.NodesPerBucket(opts.Sessions, opts.CohortSize))
-	srv := pipeline.New(eng, dev, po, db, sessions)
-	gen := banking.NewGenerator(opts.Seed, sessions)
-	gen.LimitUsers(2 * opts.Sessions)
-	gen.Populate(opts.Sessions)
-
-	return &SimServer{
-		opts:     opts,
-		eng:      eng,
-		dev:      dev,
-		db:       db,
-		sessions: sessions,
-		gen:      gen,
-		srv:      srv,
-	}
+	return &SimServer{pipeline.New(pipelineOptions(opts), nil, 0, opts.Seed, opts.Sessions, 0)}
 }
 
 func pipelineOptions(o Options) pipeline.Options {
 	return pipeline.Options{
-		Variant:            service.Variant{Platform: o.Platform, Padding: !o.DisablePadding, ColMajor: !o.DisableTranspose},
-		CohortSize:         o.CohortSize,
-		MaxCohorts:         o.MaxCohorts,
-		FormationTimeout:   sim.Duration(o.FormationTimeout),
-		BackendWorkers:     8,
-		BackendServiceTime: 2_000,
-		ValidateEvery:      o.ValidateEvery,
-		BackendTailProb:    o.BackendTailProb,
-		BackendTailFactor:  o.BackendTailFactor,
-		StragglerTimeout:   sim.Duration(o.StragglerTimeout),
-		Seed:               o.Seed,
+		Variant:           service.Variant{Platform: o.Platform, Padding: !o.DisablePadding, ColMajor: !o.DisableTranspose},
+		CohortSize:        o.CohortSize,
+		MaxCohorts:        o.MaxCohorts,
+		FormationTimeout:  sim.Duration(o.FormationTimeout),
+		ValidateEvery:     o.ValidateEvery,
+		BackendTailProb:   o.BackendTailProb,
+		BackendTailFactor: o.BackendTailFactor,
+		StragglerTimeout:  sim.Duration(o.StragglerTimeout),
+		Seed:              o.Seed,
 	}
 }
 
@@ -179,7 +142,7 @@ func pipelineOptions(o Options) pipeline.Options {
 func (s *SimServer) GenerateMixed(n int) [][]byte {
 	reqs := make([][]byte, n)
 	for i := range reqs {
-		reqs[i], _ = s.gen.Mixed()
+		reqs[i], _ = s.srv.Generator().Mixed()
 	}
 	return reqs
 }
@@ -193,7 +156,7 @@ func (s *SimServer) GenerateIsolated(typeName string, n int) ([][]byte, error) {
 	}
 	reqs := make([][]byte, n)
 	for i := range reqs {
-		reqs[i] = s.gen.Request(rt)
+		reqs[i] = s.srv.Generator().Request(rt)
 	}
 	return reqs, nil
 }
@@ -221,8 +184,7 @@ func RequestTypes() []string {
 // and returns the run's statistics. Each call continues the same virtual
 // timeline and session state.
 func (s *SimServer) Serve(reqs [][]byte) Stats {
-	st := s.srv.Run(&pipeline.SliceSource{Reqs: reqs})
-	return convertStats(st, s.dev)
+	return s.stats(s.srv.Run(&pipeline.SliceSource{Reqs: reqs}))
 }
 
 // ServePaced runs requests arriving at a fixed rate (requests/sec),
@@ -233,15 +195,14 @@ func (s *SimServer) ServePaced(reqs [][]byte, arrivalRate float64) Stats {
 	}
 	interval := sim.Time(1e9 / arrivalRate)
 	arrivals := make([]pipeline.Arrival, len(reqs))
-	base := s.eng.Now()
+	base := s.srv.Now()
 	for i, r := range reqs {
 		arrivals[i] = pipeline.Arrival{Raw: r, At: base + sim.Time(i)*interval}
 	}
-	st := s.srv.RunPaced(arrivals)
-	return convertStats(st, s.dev)
+	return s.stats(s.srv.RunPaced(arrivals))
 }
 
-func convertStats(st pipeline.Stats, dev *simt.Device) Stats {
+func (s *SimServer) stats(st pipeline.Stats) Stats {
 	return Stats{
 		Completed:          st.Completed,
 		Errors:             st.Errors,
@@ -254,7 +215,7 @@ func convertStats(st pipeline.Stats, dev *simt.Device) Stats {
 		MeanLatency:        time.Duration(st.Latency.Mean()),
 		P99Latency:         time.Duration(st.Latency.Percentile(99)),
 		Elapsed:            time.Duration(st.End - st.Start),
-		DeviceUtilization:  dev.Utilization(),
+		DeviceUtilization:  s.srv.DeviceUtilization(),
 		CohortsFormed:      st.Cohort.Formed,
 		CohortsTimedOut:    st.Cohort.TimedOut,
 		MeanOccupancy:      st.Cohort.MeanOccupancy(),

@@ -111,11 +111,17 @@ func TestRequestTypes(t *testing.T) {
 // Platform is Titan B, whose integrated NIC puts no PCIe bus between the
 // host and the device.
 func TestZeroOptionsRunTitanB(t *testing.T) {
-	s := NewSimServer(Options{})
-	if got := s.opts.Platform.String(); got != "Titan B" {
+	var opts Options
+	opts.fill()
+	if got := pipelineOptions(opts).Platform.String(); got != "Titan B" {
 		t.Fatalf("zero Options run %s, want Titan B", got)
 	}
-	if s.dev.Bus != nil {
+	s := NewSimServer(Options{})
+	reqs, _ := s.GenerateIsolated("account_summary", 64)
+	if st := s.Serve(reqs); st.Completed != 64 {
+		t.Fatalf("Completed = %d", st.Completed)
+	}
+	if s.srv.BusUtilization() != 0 {
 		t.Fatal("zero Options built a device behind a PCIe bus")
 	}
 }
@@ -333,23 +339,23 @@ func TestServerStragglerOptions(t *testing.T) {
 	}
 }
 
-// TestSimServerStatsRepeat pins run-to-run determinism of the offline
-// server, MeanLatency and P99Latency included: with more request types
-// than contexts the pipeline wedges and force-launches the oldest
-// forming cohort, and cohorts opened at the same virtual instant used to
-// be picked in map order.
+// TestSimServerStatsRepeat pins the offline server's numbers: each run
+// of one input must equal the recorded Stats, MeanLatency and P99Latency
+// included. With more request types than contexts the pipeline wedges
+// and force-launches the oldest forming cohort, and cohorts opened at
+// the same virtual instant used to be picked in map order. Titan A adds
+// the bus and the host backend's workers.
 func TestSimServerStatsRepeat(t *testing.T) {
-	run := func() Stats {
-		s := NewSimServer(Options{Platform: TitanB, CohortSize: 1024, MaxCohorts: 4, Seed: 7})
-		return s.Serve(s.GenerateMixed(4096))
+	want := map[Platform]Stats{
+		TitanB: {Completed: 4096, Errors: 86, Validated: 4, Throughput: 378401.86370308534, MeanLatency: 3092266, P99Latency: 10790759, Elapsed: 10824471, DeviceUtilization: 0.5246023157687271, CohortsFormed: 15, CohortsTimedOut: 14, MeanOccupancy: 273.06666666666666},
+		TitanA: {Completed: 4096, Errors: 86, Validated: 4, Throughput: 170439.94603012453, MeanLatency: 10289523, P99Latency: 23926689, Elapsed: 24031925, DeviceUtilization: 0.2696958049404223, CohortsFormed: 15, CohortsTimedOut: 14, MeanOccupancy: 273.06666666666666},
 	}
-	first := run()
-	if first.Completed != 4096 || first.MeanLatency <= 0 {
-		t.Fatalf("run incomplete: %+v", first)
-	}
-	for i := 0; i < 2; i++ {
-		if again := run(); again != first {
-			t.Fatalf("run %d differs at one seed:\n  first: %+v\n  again: %+v", i+2, first, again)
+	for _, p := range []Platform{TitanB, TitanA} {
+		for i := 0; i < 2; i++ {
+			s := NewSimServer(Options{Platform: p, CohortSize: 1024, MaxCohorts: 4, Seed: 7})
+			if got := s.Serve(s.GenerateMixed(4096)); got != want[p] {
+				t.Fatalf("%v run %d:\n  got:  %+v\n  want: %+v", p, i+1, got, want[p])
+			}
 		}
 	}
 }
@@ -363,7 +369,8 @@ func TestSimServerStatsRepeat(t *testing.T) {
 func TestSimSessionTableCycles(t *testing.T) {
 	opts := Options{Platform: TitanB, CohortSize: 16, MaxCohorts: 2, Sessions: 8, Seed: 3}
 	s := NewSimServer(opts)
-	capacity := opts.CohortSize * session.NodesPerBucket(opts.Sessions, opts.CohortSize)
+	buckets := opts.Sessions / 4 // pipeline.NewPopulation's four pre-created sessions a bucket
+	capacity := buckets * session.NodesPerBucket(opts.Sessions, buckets)
 	const batch, logins = 2048, 576 // 28 %
 	rng := rand.New(rand.NewSource(3))
 	for n := 0; n < 50*capacity; n += logins {
