@@ -356,7 +356,7 @@ echo "$CSTATS" | grep -Eq '"failovers": [1-9]' || {
 # the document lists the registered workloads and qualifies every type
 # label ("ecom/browse", "banking/login").
 MIXSTATS=$(curl -sf "http://$MIX_ADDR/v1/stats")
-for needle in '"schema_version": 11' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
+for needle in '"schema_version": 12' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
     '"ecom/cart_add"' '"telemetry/poll"' '"banking/login"'; do
     echo "$MIXSTATS" | grep -q "$needle" || {
         echo "e2e-smoke: mixed-workload /v1/stats missing $needle" >&2
@@ -535,8 +535,8 @@ fetch() {
     return 1
 }
 ASTATS=$(fetch "http://$ADAPT_ADDR/v1/stats")
-echo "$ASTATS" | grep -q '"schema_version": 11' || {
-    echo "e2e-smoke: /v1/stats missing schema_version 11: $ASTATS" >&2
+echo "$ASTATS" | grep -q '"schema_version": 12' || {
+    echo "e2e-smoke: /v1/stats missing schema_version 12: $ASTATS" >&2
     exit 1
 }
 echo "$ASTATS" | grep -q '"adapt"' || {
@@ -586,7 +586,7 @@ done
 # the launch context the ISSUE promises for tail debugging — including
 # at least one record whose attempt trail shows the injected failover.
 FHEALTH=$(fetch "http://$FLIGHT_ADDR/v1/health")
-for needle in '"schema_version": 11' '"state"' '"fast_burn"' '"slow_burn"' \
+for needle in '"schema_version": 12' '"state"' '"fast_burn"' '"slow_burn"' \
     '"flight_anomalies"' '"exemplars"'; do
     echo "$FHEALTH" | grep -q "$needle" || {
         echo "e2e-smoke: /v1/health missing $needle: $FHEALTH" >&2
@@ -618,7 +618,15 @@ grep -Eq '"attempts": [2-9]' "$WORK/flight.json" || {
 check_metrics flight "$FLIGHT_ADDR" \
     rhythm_build_info rhythm_requests_served_total \
     rhythm_flight_requests_total rhythm_flight_anomalies_total \
-    rhythm_request_latency_exemplar_trace_id
+    rhythm_request_latency_exemplar_trace_id \
+    rhythm_trace_bytes_bound rhythm_flight_bytes_bound
+# Both rings state a byte bound, and it is not zero.
+for g in rhythm_trace_bytes_bound rhythm_flight_bytes_bound; do
+    grep -Eq "^$g [1-9]" "$WORK/flight.metrics" || {
+        echo "e2e-smoke: /v1/metrics gauge $g is missing or zero" >&2
+        exit 1
+    }
+done
 grep -Eq '^rhythm_flight_anomalies_total [1-9]' "$WORK/flight.metrics" || {
     echo "e2e-smoke: /v1/metrics shows zero promoted flight anomalies" >&2
     grep '^rhythm_flight' "$WORK/flight.metrics" >&2 || true

@@ -147,10 +147,13 @@ func newHostCall() *hostCall {
 // from this handler. The fabric executes it on the node that owns the
 // request's shard group, under the group's lock (DESIGN.md §12), so
 // responses stay byte-identical and the group state single-writer. On
-// loopback the unit renders into the connection's buffer and completes
-// before Dispatch returns; on tcp the result arrives from the worker
-// connection's reader, and the handler waits for it under the request
-// deadline. A unit the fabric refuses or fails is shed with 503.
+// loopback the unit renders into the connection's write buffer, behind
+// the room for the trace line (connArena.out), and completes before
+// Dispatch returns; on tcp the unit ignores Out, the result arrives
+// from the worker connection's reader, and the handler waits for it
+// under the request deadline. So a unit the deadline abandons never
+// writes into the buffer the 504 is written from. A unit the fabric
+// refuses or fails is shed with 503.
 func (s *cohortServer) serveHost(a *connArena, widx int) []byte {
 	// Drain waits for hostRoute to empty before it closes the fabric;
 	// the count is raised before the closing check, so either Drain sees

@@ -154,13 +154,14 @@ func (s *cohortServer) complete(c *cohort.Context[cohortKey, *liveReq], res *clu
 	for k, se := range res.Stages {
 		tc.stages[k].Launches++
 		tc.stages[k].DeviceUs += float64(se.Stats.Duration) / 1e3
-		// One span per request, sharing the launch-record linkage args
-		// (the map is read-only once built).
+		// One span per request, sharing the launch's statistics
+		// (read-only once copied here).
+		launch := se.Stats
 		span := obs.Span{
-			Name:  s.stageNames[k],
-			Start: se.Start,
-			Dur:   se.Dur,
-			Args:  stageArgs(se.Stats),
+			Name:   s.stageNames[k],
+			Start:  se.Start,
+			Dur:    se.Dur,
+			Launch: &launch,
 		}
 		for _, lr := range reqs {
 			lr.spans = append(lr.spans, span)

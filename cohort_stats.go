@@ -122,12 +122,17 @@ type CohortServerStats struct {
 	CacheMisses        uint64 `json:"cache_misses"`
 	CacheInvalidations uint64 `json:"cache_invalidations"`
 	CacheEntries       uint64 `json:"cache_entries"`
-	CacheBytes         uint64 `json:"cache_bytes"`       // live bytes the entries hold
+	CacheBytes         uint64 `json:"cache_bytes"`       // the entries' runs plus the reference pages
 	CacheBytesBound    uint64 `json:"cache_bytes_bound"` // the most cache_bytes can reach
 
 	// Flight-recorder counters (DESIGN.md §15).
 	FlightRequests  uint64 `json:"flight_requests"`
 	FlightAnomalies uint64 `json:"flight_anomalies"`
+
+	// The most bytes the request-trace ring (/v1/trace) and the flight
+	// anomaly ring (/v1/debug/flight) hold: slots × the largest record.
+	TraceBytesBound  uint64 `json:"trace_bytes_bound"`
+	FlightBytesBound uint64 `json:"flight_bytes_bound"`
 
 	// Adapt is the formation controller's state: pinned or adaptive, and
 	// per type the rate, window, threshold, route and crossover.
@@ -219,6 +224,8 @@ func (s *cohortServer) snapshot() CohortServerStats {
 		CacheBytesBound:    s.cacheBytesBound,
 		FlightRequests:     s.flight.Total(),
 		FlightAnomalies:    s.flight.Promoted(),
+		TraceBytesBound:    s.tracer.BytesBound(),
+		FlightBytesBound:   s.flight.BytesBound(),
 		Types:              make(map[string]CohortTypeStats),
 	}
 	if s.launchesDone > 0 {

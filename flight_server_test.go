@@ -2,6 +2,7 @@ package rhythm
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -11,6 +12,8 @@ import (
 
 	"rhythm/internal/cluster"
 	"rhythm/internal/fabric"
+	"rhythm/internal/flight"
+	"rhythm/internal/obs"
 )
 
 // flightTestDoc mirrors the /v1/debug/flight JSON document for test
@@ -489,5 +492,39 @@ func TestHealthCountsErrorPagesOnce(t *testing.T) {
 		if !found {
 			t.Fatalf("%s: health document has no banking/login row:\n%s", c.name, body)
 		}
+	}
+}
+
+// TestRingBytesBoundsReported: /v1/stats and /v1/metrics state the byte
+// bounds of the request-trace ring and of the flight anomaly ring, each
+// its slots times the largest record, at the default ring sizes and at
+// a flight ring set by WithFlightRecorder.
+func TestRingBytesBoundsReported(t *testing.T) {
+	for _, ring := range []int{0, 64} {
+		s, err := newCohortServer(cohortOptions{MaxSessions: 4096, FlightRing: ring})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := ring
+		if slots == 0 {
+			slots = 256
+		}
+		trace := uint64(obs.DefaultTraceCapacity) * uint64(obs.TraceBytes)
+		fl := uint64(slots) * uint64(flight.RecordBytes)
+		st := s.Stats()
+		if st.TraceBytesBound != trace || st.FlightBytesBound != fl {
+			t.Errorf("ring %d: trace_bytes_bound %d, flight_bytes_bound %d; want %d, %d", ring, st.TraceBytesBound, st.FlightBytesBound, trace, fl)
+		}
+		doc := string(s.respond(newConnArena(0), []byte("GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n")))
+		metrics := string(s.metricsResponse())
+		for _, want := range []string{
+			fmt.Sprintf(`"trace_bytes_bound": %d`, trace), fmt.Sprintf(`"flight_bytes_bound": %d`, fl),
+			fmt.Sprintf("\nrhythm_trace_bytes_bound %g\n", float64(trace)), fmt.Sprintf("\nrhythm_flight_bytes_bound %g\n", float64(fl)),
+		} {
+			if !strings.Contains(doc+metrics, want) {
+				t.Errorf("ring %d: neither /v1/stats nor /v1/metrics has %q", ring, want)
+			}
+		}
+		s.Drain(context.Background())
 	}
 }

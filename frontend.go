@@ -70,7 +70,7 @@ type frontend struct {
 
 	// cache, when non-nil, is the whole-page render cache: a hit is
 	// answered before dispatch (DESIGN.md §14). cacheBytesBound is the
-	// most live bytes it can hold (maxCacheBytes).
+	// most bytes it can hold (maxCacheBytes).
 	cache           *rcache.Cache
 	cacheBytesBound uint64
 }
@@ -215,23 +215,26 @@ type liveConn struct {
 
 // connArena holds the per-connection reusable buffers of the zero-copy
 // hot path — the raw request bytes, the parsed request (param/cookie
-// slices recycled by ParseInto), a max-size render buffer the host route
-// renders into, and the host route's reusable dispatch — so the steady
-// state allocates little beyond the parse's raw-to-string conversion
-// (DESIGN.md §14). It also carries the current request between the
-// frontend and dispatch.
+// slices recycled by ParseInto), the write buffer, and the host route's
+// reusable dispatch — so the steady state allocates little beyond the
+// parse's raw-to-string conversion (DESIGN.md §14). It also carries the
+// current request between the frontend and dispatch.
+//
+// wbuf is traceGap bytes of room for the X-Rhythm-Trace line followed
+// by out, a max-size page the host route renders into and a render-cache
+// hit decodes into. Such a page is written from where it lies, its
+// status line moved forward into the room (connArena.traced); any other
+// response is copied into wbuf with the line spliced in.
 type connArena struct {
 	raw  []byte
 	req  httpx.Request
-	out  []byte
+	wbuf []byte
+	out  []byte // wbuf[traceGap:]
 	host *hostCall
 	// frec is the connection's flight-record scratch, armed for every
 	// classified request and either recycled (fast path) or copied into
-	// the anomaly ring by Finish (DESIGN.md §15). wbuf is the reusable
-	// write buffer the X-Rhythm-Trace header is spliced into, so
-	// cached/rendered response bytes are never mutated.
+	// the anomaly ring by Finish (DESIGN.md §15).
 	frec flight.Record
-	wbuf []byte
 
 	// The request in flight: its type and arrival time, the flight record
 	// to Finish after the write (nil = not a workload request; &frec
@@ -249,7 +252,22 @@ type connArena struct {
 // registry's largest response-buffer class, so one buffer serves every
 // registered type.
 func newConnArena(maxOut int) *connArena {
-	return &connArena{raw: make([]byte, 0, 1024), out: make([]byte, maxOut)}
+	wbuf := make([]byte, traceGap+maxOut)
+	return &connArena{raw: make([]byte, 0, 1024), wbuf: wbuf, out: wbuf[traceGap:]}
+}
+
+// traced returns resp as the connection writes it: with the
+// X-Rhythm-Trace line after its status line and a.pad spaces after it.
+// A page lying at a.out takes the line in the room before it, so only
+// its status line moves; anything else is copied into the write buffer
+// around the line. The line never reaches the render cache: respond has
+// handed a host-route page to it, and it keeps its own copy, before
+// handle adds the line.
+func (a *connArena) traced(resp []byte, id uint64) []byte {
+	if len(resp) == 0 || len(a.out) == 0 || &resp[0] != &a.out[0] {
+		return httpx.AppendSpaces(spliceTraceHeader(a.wbuf[:0], resp, id), a.pad)
+	}
+	return httpx.AppendSpaces(insertTraceHeader(a.wbuf[:traceGap+len(resp)], id), a.pad)
 }
 
 // keepRaw keeps raw's grown capacity for the connection's next request,
@@ -305,9 +323,7 @@ func (s *cohortServer) handle(conn net.Conn) {
 		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 		wstart := time.Now()
 		if a.done != nil {
-			a.wbuf = spliceTraceHeader(a.wbuf, resp, a.done.TraceID)
-			a.wbuf = httpx.AppendSpaces(a.wbuf, a.pad)
-			resp = a.wbuf
+			resp = a.traced(resp, a.done.TraceID)
 		}
 		_, werr := conn.Write(resp)
 		lc.busy.Store(false)
@@ -390,11 +406,11 @@ func (s *cohortServer) respond(a *connArena, raw []byte) []byte {
 				if uid, ok := arr.Lookup(sid); ok {
 					cacheable, csid, cuid = true, sid, uid
 					cver = f.cache.Version(cuid)
-					if resp, hit := f.cache.Get(t, csid, cuid, cver, req); hit {
-						// The entry is the page less its pad; the write
-						// restores the pad to the type's buffer size.
-						a.pad = f.reg.Spec(t).BufferBytes - len(resp)
-						return resp
+					if page, hit := f.cache.AppendPage(a.out[:0], t, csid, cuid, cver, req); hit {
+						// The page is decoded into a.out less its pad; the
+						// write restores the pad to the type's buffer size.
+						a.pad = f.reg.Spec(t).BufferBytes - len(page)
+						return page
 					}
 				}
 			}
@@ -427,6 +443,8 @@ func (s *cohortServer) metricsResponse() []byte {
 	}
 	w.Family("rhythm_traces_recorded_total", "counter", "Request traces captured by the lifecycle recorder.")
 	w.Value("rhythm_traces_recorded_total", "", float64(f.tracer.Total()))
+	w.Family("rhythm_trace_bytes_bound", "gauge", "Most bytes the request-trace ring holds: its slots times the largest trace.")
+	w.Value("rhythm_trace_bytes_bound", "", float64(f.tracer.BytesBound()))
 	writeFlightFamilies(w, f.flight)
 	return bodyResponse(promContentType, w.Bytes())
 }
@@ -479,18 +497,21 @@ func (f *frontend) cacheStats() rcache.Stats {
 	return f.cache.Stats()
 }
 
-// maxCacheBytes is the most live bytes a render cache of budget
-// entries holds under reg: the frontend inserts a page only when it is
-// exactly its type's BufferBytes long, so no entry exceeds the largest
-// BufferBytes among the cacheable types.
+// maxCacheBytes is the most bytes a render cache of budget entries
+// holds under reg. The frontend inserts a page only when it is exactly
+// its type's BufferBytes long, so no entry's runs exceed the largest
+// BufferBytes among the cacheable types plus one rcache.RunHeader, and
+// each cacheable type adds one reference page of at most its
+// BufferBytes.
 func maxCacheBytes(reg *service.Registry, budget int) uint64 {
-	var page int
+	var page, refs int
 	for t := range reg.NumTypes() {
 		if sp := reg.Spec(service.TypeID(t)); sp.Cacheable {
 			page = max(page, sp.BufferBytes)
+			refs += sp.BufferBytes
 		}
 	}
-	return uint64(budget) * uint64(page)
+	return uint64(budget)*uint64(page+rcache.RunHeader) + uint64(refs)
 }
 
 // errorResponse renders a connection-closing error page.

@@ -285,3 +285,37 @@ func TestOversizeBackendRequestIsAnErrorPage(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedInPlaceMatchesSplice: a page lying at the arena's render
+// buffer takes the X-Rhythm-Trace line in the room before it, and the
+// bytes written are exactly those of splicing the line into a copy and
+// appending the pad; a response lying elsewhere is spliced whole and
+// left unchanged.
+func TestTracedInPlaceMatchesSplice(t *testing.T) {
+	const page = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+	a := newConnArena(256)
+	for _, resp := range []string{page, "no status line", "\n", "HTTP/1.1 200 OK\r\n"} {
+		for _, id := range []uint64{0, 7, 1<<64 - 1} {
+			for _, pad := range []int{0, 3} {
+				a.pad = pad
+				want := httpx.AppendSpaces(spliceTraceHeader(nil, []byte(resp), id), pad)
+				elsewhere := []byte(resp)
+				if got := a.traced(elsewhere, id); !bytes.Equal(got, want) || string(elsewhere) != resp {
+					t.Fatalf("%q id %d pad %d spliced to %q, want %q", resp, id, pad, got, want)
+				}
+				n := copy(a.out, resp)
+				got := a.traced(a.out[:n], id)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%q id %d pad %d in place gave %q, want %q", resp, id, pad, got, want)
+				}
+				if &got[len(got)-pad-1] != &a.out[n-1] {
+					t.Fatalf("%q id %d: the in-place page moved past its status line", resp, id)
+				}
+			}
+		}
+	}
+	a.pad = 0
+	if allocs := testing.AllocsPerRun(100, func() { a.traced(a.out[:len(page)], 12345) }); allocs != 0 {
+		t.Fatalf("an in-place trace line allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -70,8 +70,8 @@ func New() *DB {
 }
 
 // SetWriteHook registers fn to run after every committed state
-// mutation (AddPayee, Transfer, PayBill, PlaceOrder, UpdateProfile)
-// with the user id whose state changed.
+// mutation (AddPayee, Transfer, PayBill, UpdateProfile) with the user
+// id whose state changed.
 func (db *DB) SetWriteHook(fn func(uid uint64)) { db.writeHook = fn }
 
 func (db *DB) noteWrite(uid uint64) {
@@ -389,9 +389,9 @@ func orderCheck(uid uint64, style string, qty int) (id uint32, price int64) {
 }
 
 // PlaceOrder finalizes a check order, returning a confirmation string.
-// It stores nothing: no reply renders a placed order.
+// It stores nothing and fires no write hook: no reply renders a placed
+// order, so no page a user has seen changes with it.
 func (db *DB) PlaceOrder(uid uint64, orderID string) string {
-	db.noteWrite(uid)
 	return "OK-" + orderID
 }
 
@@ -429,13 +429,14 @@ func (db *DB) Handle(dst, req []byte) []byte {
 }
 
 // Reads implements service.Backend: the verbs whose Handle stores
-// nothing and fires no write hook. BILLS is not one: a user's first
-// BILLS seeds the bill history a later payment's confirmation counts.
+// nothing and fires no write hook. PLACEORDER is one: it prices and
+// confirms an order and keeps none. BILLS is not: a user's first BILLS
+// seeds the bill history a later payment's confirmation counts.
 func (db *DB) Reads(req []byte) bool {
 	var verb [1]string
 	fmtx.Fields(verb[:], req)
 	switch verb[0] {
-	case "PING", "AUTH", "PROFILE", "SUMMARY", "ACCTS", "TXNS", "PAYEES", "CHECKINFO", "ORDERCHECK":
+	case "PING", "AUTH", "PROFILE", "SUMMARY", "ACCTS", "TXNS", "PAYEES", "CHECKINFO", "ORDERCHECK", "PLACEORDER":
 		return true
 	}
 	return false

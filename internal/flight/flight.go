@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rhythm/internal/obs"
 	"rhythm/internal/stats"
@@ -110,10 +111,16 @@ type Record struct {
 	NumLaunches int
 	LaunchSeqs  [maxLaunches]uint64
 
-	// Lifecycle spans (classify → ... → write). Retained by reference;
-	// callers must not mutate the slice after Finish.
+	// Lifecycle spans (classify → ... → write). Retained by reference,
+	// at most obs.MaxSpans of them (obs.CapSpans); callers must not
+	// mutate the slice after Finish.
 	Spans []obs.Span
 }
+
+// RecordBytes is the most bytes one anomaly-ring slot holds: the Record
+// and obs.MaxSpans spans. Its strings are the registry's type names and
+// the server's fixed launch reasons, not a request's.
+const RecordBytes = int(unsafe.Sizeof(Record{})) + obs.MaxSpans*obs.SpanBytes
 
 // Reset clears a scratch record for reuse, keeping nothing.
 func (r *Record) Reset() { *r = Record{Device: -1} }
@@ -216,6 +223,7 @@ func (r *Recorder) Finish(rec *Record) bool {
 		return false
 	}
 	rec.Reason = reason
+	rec.Spans = obs.CapSpans(rec.Spans)
 	r.promoted.Add(1)
 	r.byReason[reason].Add(1)
 	r.mu.Lock()
@@ -274,6 +282,10 @@ func (r *Recorder) Snapshot(n int) Snapshot {
 	}
 	return s
 }
+
+// BytesBound is the most bytes the anomaly ring holds: its slots times
+// RecordBytes.
+func (r *Recorder) BytesBound() uint64 { return uint64(len(r.ring)) * uint64(RecordBytes) }
 
 // Promoted reports the cumulative promoted-record count.
 func (r *Recorder) Promoted() uint64 { return r.promoted.Load() }
@@ -353,7 +365,7 @@ func (s Snapshot) JSON() []byte {
 				Name:     sp.Name,
 				OffsetUs: float64(sp.Start.Sub(rec.Start)) / 1e3,
 				DurUs:    float64(sp.Dur) / 1e3,
-				Args:     sp.Args,
+				Args:     sp.Args(),
 			})
 		}
 		doc.Records[i] = rj

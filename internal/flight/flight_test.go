@@ -6,11 +6,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rhythm/internal/obs"
+	"rhythm/internal/simt"
 	"rhythm/internal/stats"
 )
 
@@ -209,8 +212,8 @@ func TestConcurrentExactlyOnce(t *testing.T) {
 // timestamps, a failover hop, kernel linkage) for the export tests.
 func fixedSnapshot() Snapshot {
 	base := time.Date(2014, 3, 1, 12, 0, 0, 0, time.UTC)
-	mk := func(name string, off, dur time.Duration, args map[string]any) obs.Span {
-		return obs.Span{Name: name, Start: base.Add(off), Dur: dur, Args: args}
+	mk := func(name string, off, dur time.Duration, launch *simt.LaunchStats) obs.Span {
+		return obs.Span{Name: name, Start: base.Add(off), Dur: dur, Launch: launch}
 	}
 	slow := Record{
 		TraceID: 41, Type: "account_summary", Start: base,
@@ -221,7 +224,7 @@ func fixedSnapshot() Snapshot {
 			mk("classify", 0, 40*time.Microsecond, nil),
 			mk("formation-wait", time.Millisecond, 31*time.Millisecond, nil),
 			mk("stage-0", 33*time.Millisecond, 9*time.Millisecond,
-				map[string]any{"launch_seq": uint64(7001), "cohort": 12}),
+				&simt.LaunchStats{Kernel: "stage0[account_summary]", Seq: 7001, Threads: 12}),
 			mk("render", 43*time.Millisecond, 3*time.Millisecond, nil),
 			mk("write", 47*time.Millisecond, time.Millisecond, nil),
 		},
@@ -317,5 +320,64 @@ func BenchmarkFinish(b *testing.B) {
 	}
 	if r.Total() == 0 {
 		b.Fatal("no requests finished")
+	}
+}
+
+// TestRingBytesWithinBound fills the anomaly ring three times past its
+// capacity with the largest records it can be handed: promoted, with
+// more spans than obs.MaxSpans in arrays with room for more, each span
+// pointing to its own launch statistics. Every slot keeps obs.MaxSpans
+// spans in an array of obs.MaxSpans, so the slots account for exactly
+// BytesBound, and the heap the recorder holds once the overwritten
+// records are collected is within it, give or take 64 KiB of allocator
+// rounding.
+func TestRingBytesWithinBound(t *testing.T) {
+	const (
+		slots     = 256
+		heapSlack = 64 << 10
+	)
+	fill := func() (*Recorder, int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r := New(Config{Ring: slots}, nil)
+		for i := 0; i < 3*slots; i++ {
+			spans := make([]obs.Span, obs.MaxSpans+3, 2*obs.MaxSpans)
+			for k := range spans {
+				spans[k] = obs.Span{Name: "stage-0", Launch: &simt.LaunchStats{Kernel: "stage0[login]", Seq: uint64(i)}}
+			}
+			rec := Record{TraceID: uint64(i), Type: "banking/login", Status: StatusShed, LaunchReason: "timeout", NumLaunches: maxLaunches, Spans: spans}
+			if !r.Finish(&rec) {
+				t.Fatal("a shed request was not promoted")
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return r, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	// What else the process allocates meanwhile only adds to a reading,
+	// so the least of three is the recorder's.
+	r, held := fill()
+	for range 2 {
+		_, h := fill()
+		held = min(held, h)
+	}
+
+	walked := uint64(len(r.ring)) * uint64(unsafe.Sizeof(Record{}))
+	for _, rec := range r.ring {
+		if len(rec.Spans) != obs.MaxSpans || cap(rec.Spans) != obs.MaxSpans {
+			t.Fatalf("a slot keeps %d spans in an array of %d, want %d", len(rec.Spans), cap(rec.Spans), obs.MaxSpans)
+		}
+		walked += uint64(cap(rec.Spans)) * uint64(obs.SpanBytes)
+	}
+	if walked != r.BytesBound() {
+		t.Fatalf("full slots account for %d bytes, BytesBound %d", walked, r.BytesBound())
+	}
+	// The heap adds the allocator's rounding: the slot array is a large
+	// allocation, rounded to its 8 KiB page, and each P's cache counts
+	// the partly used spans it holds for the records' size classes as
+	// allocated. The race detector's instrumentation adds more.
+	if !raceEnabled && held > int64(r.BytesBound())+heapSlack {
+		t.Fatalf("the recorder holds %d heap bytes, past its bound of %d and %d bytes of slack", held, r.BytesBound(), heapSlack)
 	}
 }

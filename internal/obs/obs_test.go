@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rhythm/internal/simt"
 	"rhythm/internal/stats"
@@ -71,7 +73,11 @@ func fixedTrace() ([]RequestTrace, []simt.LaunchRecord) {
 		Name:  "stage-0",
 		Start: base.Add(3 * time.Millisecond),
 		Dur:   2 * time.Millisecond,
-		Args:  LaunchArgs(launches[0]),
+		Launch: &simt.LaunchStats{
+			Kernel: "stage0[login]", Threads: 8, Warps: 1, IssueCycles: 42_000, MemBytes: 81_920,
+			Transactions: 640, IdealTxns: 512, BlockExecs: 900, DivergentExec: 12,
+			Duration: 75_000, Seq: 1, Occupancy: 0.017857142857142856, EnergyJ: 6.1e-6,
+		},
 	}
 	mk := func(off time.Duration) RequestTrace {
 		return RequestTrace{
@@ -171,5 +177,60 @@ func TestPromWriterFormat(t *testing.T) {
 func TestPromLabelEscaping(t *testing.T) {
 	if got := Label("k", `a"b\c`); got != `k="a\"b\\c"` {
 		t.Fatalf("Label = %s", got)
+	}
+}
+
+// TestRecorderBytesWithinBound fills a recorder three times past its
+// capacity with the largest traces it can be handed: more spans than
+// MaxSpans, in arrays with room for more, each span pointing to its own
+// launch statistics. Every slot keeps MaxSpans spans in an array of
+// MaxSpans, so the slots account for exactly BytesBound, and the heap
+// the recorder holds once the overwritten traces are collected is
+// within it, give or take 64 KiB of allocator rounding.
+func TestRecorderBytesWithinBound(t *testing.T) {
+	const (
+		slots     = 256
+		heapSlack = 64 << 10
+	)
+	fill := func() (*Recorder, int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r := NewRecorder(slots)
+		for i := 0; i < 3*slots; i++ {
+			spans := make([]Span, MaxSpans+3, 2*MaxSpans)
+			for k := range spans {
+				spans[k] = Span{Name: "stage-0", Launch: &simt.LaunchStats{Kernel: "stage0[login]", Seq: uint64(i)}}
+			}
+			r.Add(RequestTrace{Type: "login", Spans: spans})
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return r, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	// What else the process allocates meanwhile only adds to a reading,
+	// so the least of three is the recorder's.
+	r, held := fill()
+	for range 2 {
+		_, h := fill()
+		held = min(held, h)
+	}
+
+	walked := uint64(len(r.traces)) * uint64(unsafe.Sizeof(RequestTrace{}))
+	for _, tr := range r.traces {
+		if len(tr.Spans) != MaxSpans || cap(tr.Spans) != MaxSpans {
+			t.Fatalf("a slot keeps %d spans in an array of %d, want %d", len(tr.Spans), cap(tr.Spans), MaxSpans)
+		}
+		walked += uint64(cap(tr.Spans)) * uint64(SpanBytes)
+	}
+	if walked != r.BytesBound() {
+		t.Fatalf("full slots account for %d bytes, BytesBound %d", walked, r.BytesBound())
+	}
+	// The heap adds the allocator's rounding: the slot array is a large
+	// allocation, rounded to its 8 KiB page, and each P's cache counts
+	// the partly used spans it holds for the records' size classes as
+	// allocated. The race detector's instrumentation adds more.
+	if !raceEnabled && held > int64(r.BytesBound())+heapSlack {
+		t.Fatalf("the recorder holds %d heap bytes, past its bound of %d and %d bytes of slack", held, r.BytesBound(), heapSlack)
 	}
 }

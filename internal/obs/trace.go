@@ -65,7 +65,7 @@ func ChromeTrace(traces []RequestTrace, launches []simt.LaunchRecord) []byte {
 				Dur:  float64(sp.Dur) / 1e3,
 				Pid:  pidRequests,
 				Tid:  int64(tr.Seq),
-				Args: sp.Args,
+				Args: sp.Args(),
 			})
 		}
 		events = append(events, traceEvent{
@@ -106,9 +106,9 @@ func ChromeTrace(traces []RequestTrace, launches []simt.LaunchRecord) []byte {
 	return append(out, '\n')
 }
 
-// LaunchArgs renders a launch record as span args — the same linkage
-// payload stage spans attach, so a Perfetto click on either side shows
-// the kernel's cost breakdown.
+// LaunchArgs renders a launch record as the device track's event args,
+// the counterpart of a stage span's Args: both carry launch_seq and the
+// kernel's cost breakdown, so a Perfetto click on either side shows it.
 func LaunchArgs(lr simt.LaunchRecord) map[string]any {
 	return map[string]any{
 		"launch_seq":         lr.Seq,

@@ -163,6 +163,7 @@ type Server struct {
 	streams    []*simt.Stream    // one per cohort context
 	slots      []*service.Slot   // one per cohort context
 	reqs       [][]httpx.Request // per context: the bound cohort's requests
+	trips      []roundTrip       // per context: Titan A's backend round trip
 	batches    []*readerBatch
 	backendSrv *sim.Server
 	hostSrv    *sim.Server // straggler re-execution workers
@@ -277,6 +278,7 @@ func New(opts Options, devCfg *simt.Config, busBps float64, seed int64, populati
 		s.streams = append(s.streams, dev.NewStream())
 		s.slots = append(s.slots, s.bank.NewSlot(dev, opts.CohortSize, opts.Variant))
 		s.reqs = append(s.reqs, make([]httpx.Request, 0, opts.CohortSize))
+		s.trips = append(s.trips, roundTrip{stragglers: make([]bool, opts.CohortSize)})
 	}
 	// Double-buffered reader (§4.2).
 	for i := 0; i < 2; i++ {
@@ -490,23 +492,59 @@ func (s *Server) runCohort(c *cohort.Context[banking.ReqType, preq]) {
 		reqs = append(reqs, pr.req)
 	}
 	unit := s.slots[c.ID].Bind(int(prs[0].t), reqs, s.sessions, s.db)
-	stragglers := make(map[int]bool)
+	trip := &s.trips[c.ID]
+	clear(trip.stragglers)
 	unit.Run(s.streams[c.ID], func(image []byte, reply func(resp []byte)) {
-		s.hostBackend(c, unit, image, stragglers, reply)
-	}, nil, func() { s.respond(c, unit, stragglers) })
+		s.hostBackend(c, unit, trip, image, reply)
+	}, nil, func() { s.respond(c, unit, trip.stragglers) })
+}
+
+// roundTrip is what one cohort context keeps for Titan A's backend
+// round trips, set aside once and reused by every cohort the context
+// runs: the response image (cohort size × backend.ResponseSlot, made at
+// the context's first round trip) with the live length of each of its
+// slots, which requests finished this round trip, and which of the
+// cohort's requests the host re-executes. A context runs one cohort,
+// and that cohort one round trip, at a time.
+type roundTrip struct {
+	image      []byte
+	lens       []int
+	finished   []bool
+	stragglers []bool // the cohort's, across its round trips
+}
+
+// begin readies the image for a round trip of count requests: the slots
+// the previous one wrote are zero again, as ServeSlot(…, 0) and the
+// device's measure of each reply (its bytes before a zero tail) need.
+func (rt *roundTrip) begin(count, cohortSize int) []byte {
+	if rt.image == nil {
+		rt.image = make([]byte, cohortSize*backend.ResponseSlot)
+		rt.lens = make([]int, cohortSize)
+		rt.finished = make([]bool, cohortSize)
+	}
+	for r, n := range rt.lens {
+		if n > 0 {
+			clear(rt.image[r*backend.ResponseSlot:][:n])
+			rt.lens[r] = 0
+		}
+	}
+	clear(rt.finished)
+	return rt.image[:count*backend.ResponseSlot]
 }
 
 // hostBackend serves one remote-backend round trip for a cohort on the
 // host's worker threads (§5.3.2, Titan A) and hands reply the response
 // image. With a straggler timeout configured, the cohort proceeds when
 // the deadline passes and any unfinished requests are re-executed
-// entirely on the host (§3.1).
-func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, image []byte, stragglers map[int]bool, reply func(resp []byte)) {
+// entirely on the host (§3.1). A request's backend work that finishes
+// after its round trip proceeded finds proceeded set and writes
+// nothing: the image may already be the next round trip's.
+func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, trip *roundTrip, image []byte, reply func(resp []byte)) {
 	count := len(c.Requests())
 	proceeded := false
 	remaining := count
-	finished := make([]bool, count)
-	respImage := make([]byte, count*backend.ResponseSlot)
+	respImage := trip.begin(count, s.opts.CohortSize)
+	finished, stragglers := trip.finished, trip.stragglers
 	proceed := func() { // every caller checks proceeded first
 		proceeded = true
 		reply(respImage)
@@ -527,7 +565,7 @@ func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *ser
 			if proceeded {
 				return // the cohort moved on; the host path owns this request
 			}
-			service.ServeSlot(s.db, respImage[r*backend.ResponseSlot:(r+1)*backend.ResponseSlot], unit.BackendRequest(image, r), 0)
+			trip.lens[r] = service.ServeSlot(s.db, respImage[r*backend.ResponseSlot:(r+1)*backend.ResponseSlot], unit.BackendRequest(image, r), 0)
 			finished[r] = true
 			remaining--
 			if remaining == 0 {
@@ -585,7 +623,7 @@ func (s *Server) shedStraggler(c *cohort.Context[banking.ReqType, preq], unit *s
 
 // respond completes a cohort whose responses are back: record latencies
 // and validate a sample, then free the cohort context.
-func (s *Server) respond(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, stragglers map[int]bool) {
+func (s *Server) respond(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, stragglers []bool) {
 	now := s.eng.Now()
 	prs := c.Requests()
 	for i, pr := range prs {

@@ -6,11 +6,22 @@
 // byte-identical to a fresh render. Which types are eligible is
 // declared by the workload registry (service.Spec.Cacheable), not here.
 //
-// An entry holds a page's live bytes: the page less its trailing run of
-// spaces (httpx.LiveLen), the §4.3.2 padding that only keeps the
-// device's per-lane stores aligned. The cache does not know the pad;
-// whoever serves a hit restores it (httpx.AppendSpaces) from what it
-// knows of the type.
+// An entry holds a page's live bytes — the page less its trailing run
+// of spaces (httpx.LiveLen), the §4.3.2 padding that only keeps the
+// device's per-lane stores aligned — as the runs where they differ from
+// its type's reference page. §4.3.2's whitespace alignment gives every
+// page of a type one fixed layout, so two pages of a type differ only
+// inside their dynamic sections. The reference is the first page Put
+// encodes for its type: copied once, never replaced or evicted. An
+// entry's runs are one allocation of RunHeader bytes of position and
+// length per run followed by that run's bytes; runs closer than minGap
+// equal bytes are merged. A page unlike its reference is encoded the
+// same way, as more runs, and no encoding exceeds the live bytes plus
+// one RunHeader. A hit decodes in one pass (AppendPage): the reference
+// between runs, the run bytes inside them. The cache does not know the
+// pad; whoever serves a hit restores it (httpx.AppendSpaces) from what
+// it knows of the type. Stats.Bytes counts every entry's runs and every
+// reference page.
 //
 // # Consistency protocol
 //
@@ -58,6 +69,7 @@
 package rcache
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 
@@ -96,7 +108,9 @@ type entry struct {
 	method     httpx.Method
 	path       string
 	params     []httpx.Param
-	resp       []byte // live bytes: the page less its trailing spaces
+	ref        []byte // its type's reference page
+	live       int    // the page's live length
+	runs       []byte // where the live bytes differ from ref (encode)
 }
 
 type shard struct {
@@ -111,13 +125,18 @@ type Cache struct {
 	shards [shards]shard
 	budget int64
 
+	// refs maps a type to its reference page, set by the type's first
+	// Put and never replaced.
+	refMu sync.Mutex
+	refs  map[service.TypeID][]byte
+
 	entries       atomic.Int64 // pages held (or reserved under a shard lock), ≤ budget
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	inserts       atomic.Uint64
 	invalidations atomic.Uint64
 	evictions     atomic.Uint64
-	bytes         atomic.Int64 // live bytes held by the entries
+	bytes         atomic.Int64 // the entries' runs plus the reference pages
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -128,12 +147,12 @@ type Stats struct {
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
 	Entries       uint64 `json:"entries"`
-	Bytes         uint64 `json:"bytes"` // live bytes held by the entries
+	Bytes         uint64 `json:"bytes"` // the entries' runs plus one reference page per type
 }
 
 // New returns a cache bounded to maxEntries pages (at least one).
 func New(maxEntries int) *Cache {
-	c := &Cache{budget: int64(max(maxEntries, 1))}
+	c := &Cache{budget: int64(max(maxEntries, 1)), refs: make(map[service.TypeID][]byte)}
 	for i := range c.shards {
 		c.shards[i].pages = make(map[Key]*entry)
 		c.shards[i].users = make(map[uint64]*user)
@@ -181,7 +200,7 @@ func (c *Cache) Invalidate(uid uint64) {
 	for e := u.pages; e != nil; e = e.next {
 		delete(sh.pages, e.key)
 		n++
-		held += int64(len(e.resp))
+		held += int64(len(e.runs))
 	}
 	u.pages = nil
 	c.entries.Add(-int64(n))
@@ -240,44 +259,73 @@ func sameReq(e *entry, req *httpx.Request) bool {
 	return true
 }
 
-// Get returns the cached page for (t, sid, uid, req) rendered at state
-// version ver, or nil. The returned slice is the page less its trailing
-// run of spaces; it is shared and must be treated as read-only. Get
-// never allocates on a hit.
-func (c *Cache) Get(t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request) ([]byte, bool) {
+// AppendPage appends the live bytes of the cached page for (t, sid,
+// uid, req) rendered at state version ver to dst — the page less its
+// trailing run of spaces — and reports whether there was one. It grows
+// dst at most once, so a dst with room for the page makes a hit
+// allocate nothing.
+func (c *Cache) AppendPage(dst []byte, t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request) ([]byte, bool) {
 	k := Key{T: t, SID: sid, UID: uid, H: hashReq(req)}
 	sh := c.shardOf(uid)
 	sh.mu.RLock()
 	// A held entry is at its user's current version, so this compares
 	// the caller's captured version with the current one.
 	if e := sh.pages[k]; e != nil && e.u.ver == ver && sameReq(e, req) {
-		resp := e.resp
+		// An entry never changes once made: decode it outside the lock.
+		ref, runs, live := e.ref, e.runs, e.live
 		sh.mu.RUnlock()
 		c.hits.Add(1)
-		return resp, true
+		return appendPage(dst, ref, runs, live), true
 	}
 	sh.mu.RUnlock()
 	c.misses.Add(1)
-	return nil, false
+	return dst, false
+}
+
+// Get is AppendPage into a fresh slice. The server decodes a hit into
+// its write buffer with AppendPage; the benchmark's offline replay
+// (benchmark/replay.go) calls Get.
+func (c *Cache) Get(t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request) ([]byte, bool) {
+	return c.AppendPage(nil, t, sid, uid, ver, req)
+}
+
+// ref returns t's reference page, making a copy of live the reference
+// if t has none yet.
+func (c *Cache) ref(t service.TypeID, live []byte) []byte {
+	c.refMu.Lock()
+	defer c.refMu.Unlock()
+	r, ok := c.refs[t]
+	if !ok {
+		r = bytes.Clone(live)
+		c.refs[t] = r
+		c.bytes.Add(int64(len(r)))
+	}
+	return r
 }
 
 // Put stores a rendered page for (t, sid, uid, req) at state version
-// ver, copying both the request parameters and the page's live bytes
-// (its trailing run of spaces dropped) so the entry is immune to arena
-// reuse. ver must be the version captured before the request executed;
-// if uid's version has moved since, Put stores and copies nothing.
+// ver: it copies the request parameters and encodes the page's live
+// bytes (its trailing run of spaces dropped) against t's reference page,
+// so the entry is immune to arena reuse. The first page Put encodes for
+// t becomes t's reference. ver must be the version captured before the
+// request executed; if uid's version has moved since, Put stores and
+// copies nothing.
 func (c *Cache) Put(t service.TypeID, sid session.ID, uid, ver uint64, req *httpx.Request, resp []byte) {
 	if c.Version(uid) != ver {
 		return
 	}
+	live := resp[:httpx.LiveLen(resp)]
+	ref := c.ref(t, live)
 	e := &entry{
 		key:    Key{T: t, SID: sid, UID: uid, H: hashReq(req)},
 		method: req.Method,
 		path:   req.Path,
 		params: append([]httpx.Param(nil), req.Params...),
-		resp:   append([]byte(nil), resp[:httpx.LiveLen(resp)]...),
+		ref:    ref,
+		live:   len(live),
+		runs:   encode(live, ref),
 	}
-	held := int64(len(e.resp))
+	held := int64(len(e.runs))
 	sh := c.shardOf(uid)
 	sh.mu.Lock()
 	u := sh.users[uid]
@@ -292,7 +340,7 @@ func (c *Cache) Put(t service.TypeID, sid session.ID, uid, ver uint64, req *http
 	}
 	if old := sh.pages[e.key]; old != nil {
 		unlink(old)
-		held -= int64(len(old.resp))
+		held -= int64(len(old.runs))
 	} else if !c.reserve() {
 		// The cache is full: the page takes the place of an arbitrary
 		// one of this shard, or, with the shard empty, is not stored.
@@ -307,7 +355,7 @@ func (c *Cache) Put(t service.TypeID, sid session.ID, uid, ver uint64, req *http
 		delete(sh.pages, victim.key)
 		unlink(victim)
 		c.evictions.Add(1)
-		held -= int64(len(victim.resp))
+		held -= int64(len(victim.runs))
 	}
 	e.u, e.next = u, u.pages
 	if u.pages != nil {

@@ -211,30 +211,48 @@ func TestConcurrentBudget(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	var n, held uint64
-	for i := range c.shards {
-		for _, e := range c.shards[i].pages {
-			n++
-			held += uint64(len(e.resp))
-		}
-	}
+	n, held := walkHeld(c)
 	if st := c.Stats(); st.Entries != n || st.Bytes != held || n > 32 {
-		t.Fatalf("Stats %+v; the shards hold %d pages of %d bytes", st, n, held)
+		t.Fatalf("Stats %+v; the shards hold %d pages, %d bytes with the references", st, n, held)
 	}
 }
 
+// walkHeld counts the entries the shards hold and the bytes they and
+// the reference pages hold.
+func walkHeld(c *Cache) (entries, held uint64) {
+	for _, r := range c.refs {
+		held += uint64(len(r))
+	}
+	for i := range c.shards {
+		for _, e := range c.shards[i].pages {
+			entries++
+			held += uint64(len(e.runs))
+		}
+	}
+	return entries, held
+}
+
+// TestGetHitAllocs: a hit decoded into a buffer with room for the page
+// allocates nothing, and Get returns a fresh slice of its own.
 func TestGetHitAllocs(t *testing.T) {
 	c := New(1024)
 	req := testReq("/transfer.php")
 	ver := c.Version(2)
-	c.Put(tTransfer, 8, 2, ver, req, []byte("page"))
+	c.Put(tTransfer, 7, 2, ver, req, []byte("<p>page one</p>   "))
+	c.Put(tTransfer, 8, 2, ver, req, []byte("<p>page two</p>   "))
+	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, hit := c.Get(tTransfer, 8, 2, ver, req); !hit {
+		if page, hit := c.AppendPage(buf, tTransfer, 8, 2, ver, req); !hit || string(page) != "<p>page two</p>" {
 			panic("miss")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Get allocates %.1f objects per hit, want 0", allocs)
+		t.Fatalf("AppendPage allocates %.1f objects per hit into a buffer with room, want 0", allocs)
+	}
+	page, _ := c.Get(tTransfer, 8, 2, ver, req)
+	clear(page)
+	if again, _ := c.Get(tTransfer, 8, 2, ver, req); string(again) != "<p>page two</p>" {
+		t.Fatalf("a Get after writing over the last one's page returned %q", again)
 	}
 }
 
@@ -242,7 +260,8 @@ func TestGetHitAllocs(t *testing.T) {
 // spaces, whatever the run's length or what precedes it, and appending
 // the cut spaces back gives the page. The entry is a copy: reusing the
 // inserted slice's backing array does not reach it. Bytes counts the
-// live bytes held.
+// first page's live bytes, which are the type's reference, and every
+// entry's runs against them.
 func TestEntryHoldsLiveBytes(t *testing.T) {
 	pad := func(s string, n int) []byte { return append([]byte(s), bytes.Repeat([]byte{' '}, n)...) }
 	pages := map[string][]byte{
@@ -258,7 +277,10 @@ func TestEntryHoldsLiveBytes(t *testing.T) {
 		"interior run": pad("a"+strings.Repeat(" ", 600)+"b", 9),
 	}
 	c := New(1024)
-	var held uint64
+	var (
+		held uint64
+		ref  []byte
+	)
 	uid := uint64(0)
 	for name, p := range pages {
 		uid++
@@ -267,7 +289,11 @@ func TestEntryHoldsLiveBytes(t *testing.T) {
 		c.Put(tProfile, session.ID(uid), uid, ver, req, p)
 		page := bytes.Clone(p)
 		want := bytes.TrimRight(page, " ")
-		held += uint64(len(want))
+		if ref == nil {
+			ref = want
+			held += uint64(len(ref))
+		}
+		held += uint64(len(encode(want, ref)))
 		for i := range p {
 			p[i] = 'X' // the arena reuses the page's buffer
 		}
@@ -285,29 +311,34 @@ func TestEntryHoldsLiveBytes(t *testing.T) {
 	}
 }
 
-// TestBytesFollowsEntries: the live-byte count tracks replacement,
-// capacity eviction and stale deletion, and falls to zero with the
-// entries.
+// TestBytesFollowsEntries: the byte count tracks replacement, capacity
+// eviction and stale deletion, and falls to the reference page with the
+// entries. The first page, "abc", is the type's reference: it encodes
+// to no runs, a longer page to one run past the reference's end, and an
+// unlike page to one run over the whole page.
 func TestBytesFollowsEntries(t *testing.T) {
 	c := New(64)
 	req := testReq("/profile.php")
 	c.Put(tProfile, 1, 1, 0, req, []byte("abc   "))
+	if got := c.Stats().Bytes; got != 3 {
+		t.Fatalf("after the first page Bytes = %d, want its 3 live bytes", got)
+	}
 	c.Put(tProfile, 1, 1, 0, req, []byte("abcdef  "))
-	if got := c.Stats().Bytes; got != 6 {
-		t.Fatalf("after replace Bytes = %d, want 6", got)
+	if got := c.Stats().Bytes; got != 3+RunHeader+3 {
+		t.Fatalf("after replace Bytes = %d, want the reference's 3 and a run of 3", got)
 	}
 	c.Invalidate(1)
 	if _, hit := c.Get(tProfile, 1, 1, c.Version(1), req); hit {
 		t.Fatal("stale entry hit")
 	}
-	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("after stale delete Bytes = %d, Entries = %d; want 0, 0", st.Bytes, st.Entries)
+	if st := c.Stats(); st.Bytes != 3 || st.Entries != 0 {
+		t.Fatalf("after stale delete Bytes = %d, Entries = %d; want 3 (the reference), 0", st.Bytes, st.Entries)
 	}
 	for i := 0; i < 10_000; i++ {
 		c.Put(tProfile, session.ID(i), uint64(i), 0, testReq(fmt.Sprintf("/p%d.php", i)), []byte("xy "))
 	}
-	if st := c.Stats(); st.Bytes != 2*st.Entries {
-		t.Fatalf("after eviction Bytes = %d for %d two-byte entries", st.Bytes, st.Entries)
+	if st := c.Stats(); st.Bytes != 3+(RunHeader+2)*st.Entries {
+		t.Fatalf("after eviction Bytes = %d for %d entries of one two-byte run", st.Bytes, st.Entries)
 	}
 }
 
@@ -318,11 +349,12 @@ func TestInvalidateDropsPages(t *testing.T) {
 	c := New(1024)
 	pages := map[uint64][]string{1: {"a  ", "bcd", "efghij    "}, 2: {"kl", "mnopq "}}
 	var held1 uint64
-	for uid, ps := range pages {
-		for i, p := range ps {
+	for _, uid := range []uint64{1, 2} {
+		for i, p := range pages[uid] {
 			c.Put(tProfile, session.ID(uid), uid, c.Version(uid), testReq(fmt.Sprintf("/p%d.php", i)), []byte(p))
 			if uid == 1 {
-				held1 += uint64(httpx.LiveLen([]byte(p)))
+				// User 1's first page, "a", is the type's reference.
+				held1 += uint64(len(encode([]byte(p)[:httpx.LiveLen([]byte(p))], []byte("a"))))
 			}
 		}
 	}
@@ -375,18 +407,53 @@ func TestPutAtOldVersionStoresNothing(t *testing.T) {
 	}
 }
 
+// fuzzBase is what FuzzCache's pages are cut from and then changed in
+// places, so a type's pages share bytes with its reference page the way
+// the aligned pages of one type do.
+const fuzzBase = "HTTP/1.1 200 OK\r\n\r\n<b>due</b> 12.50 <i>x</i>"
+
+// fuzzPage builds the stamp-th page FuzzCache puts: fuzzBase's first n
+// bytes (0–40) left as they are, with one byte or two short runs
+// changed, or replaced whole by the stamp's letter, then pad spaces.
+// Against its type's reference (the type's first page) a page can be
+// longer, shorter, equal, entirely different, and with or without pad.
+func fuzzPage(stamp byte, n, pad int) []byte {
+	p := []byte(fuzzBase[:n])
+	letter := 'a' + stamp%26
+	if n > 0 {
+		at := int(stamp) * 7 % n
+		switch stamp % 4 {
+		case 1:
+			p[at] = letter
+		case 2:
+			for i := at; i < min(at+3, n); i++ {
+				p[i] = letter
+			}
+			p[(at+9)%n] = letter
+		case 3:
+			for i := range p {
+				p[i] = letter
+			}
+		}
+	}
+	return append(p, bytes.Repeat([]byte{' '}, pad)...)
+}
+
 // FuzzCache drives Version, Get, Put and Invalidate, chosen by the
 // input's bytes, over four users (two of them in one shard), six keys a
-// user, pages of 0–40 live bytes plus 0–7 spaces of pad and a budget of
-// 1–6 pages or room for every key, and checks the cache against a
-// reference model after every call:
+// user, pages of 0–40 live bytes plus 0–7 spaces of pad (fuzzPage) and
+// a budget of 1–6 pages or room for every key, and checks the cache
+// against a reference model after every call:
 //   - no Get hits a page rendered before its user's last Invalidate, and
-//     a hit returns the live bytes of the key's last accepted Put;
-//   - every held entry is at its user's current version, and is linked
-//     into that user's page list exactly once;
+//     a hit returns, byte for byte, the live bytes of the key's last
+//     accepted Put;
+//   - every held entry is at its user's current version, is linked into
+//     that user's page list exactly once, decodes to the model's page
+//     against its type's reference, and holds at most the page's live
+//     bytes plus one RunHeader;
 //   - Entries stays within the budget, and the held pages are exactly the
 //     model's when the budget has room for every key;
-//   - Bytes equals the sum of the held pages' live lengths.
+//   - Bytes equals the held runs plus the reference pages.
 func FuzzCache(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 3, 0, 0, 1, 3, 0, 2, 0})
 	f.Add([]byte{1, 0, 1, 6, 5, 2, 9, 1, 17, 2, 33, 3, 1, 2, 5, 3, 5})
@@ -429,10 +496,10 @@ func FuzzCache(f *testing.F) {
 				}
 			case 2: // insert a render made at the captured version
 				stamp++
-				live := bytes.Repeat([]byte{'a' + stamp%26}, int(op>>2)%41)
-				c.Put(typ, sid, uid, capt[uid], req, append(bytes.Clone(live), bytes.Repeat([]byte{' '}, int(arg>>5))...))
+				page := fuzzPage(stamp, int(op>>2)%41, int(arg>>5))
+				c.Put(typ, sid, uid, capt[uid], req, page)
 				if capt[uid] == ver[uid] {
-					model[k] = live
+					model[k] = bytes.TrimRight(page, " ")
 				}
 			case 3:
 				got, hit := c.Get(typ, sid, uid, capt[uid], req)
@@ -463,12 +530,18 @@ func fuzzUsers(c *Cache) [4]uint64 {
 
 // checkHeld walks every shard and holds the cache to the model: each
 // user record is at the model's version; each held entry hangs off its
-// user's record, is in that user's page list once and holds the model's
-// bytes for its key; with exact, every model page is held; Entries is
-// within the budget and Bytes is the sum of the held live bytes.
+// user's record, is in that user's page list once, encodes against its
+// type's reference, decodes to the model's bytes for its key and holds
+// at most those plus one RunHeader; with exact, every model page is
+// held; Entries is within the budget and Bytes is the sum of the held
+// runs and the reference pages.
 func checkHeld(t *testing.T, c *Cache, ver map[uint64]uint64, model map[Key][]byte, exact bool) {
 	t.Helper()
 	var entries, held uint64
+	refs := c.refs
+	for _, r := range refs {
+		held += uint64(len(r))
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		listed := 0
@@ -492,11 +565,18 @@ func checkHeld(t *testing.T, c *Cache, ver map[uint64]uint64, model map[Key][]by
 			if e.key != k || e.u != sh.users[k.UID] {
 				t.Fatalf("%+v is held under another key or user", k)
 			}
-			if live, ok := model[k]; !ok || !bytes.Equal(e.resp, live) {
-				t.Fatalf("cache holds %q for %+v at version %d; model %q, %v", e.resp, k, e.u.ver, live, ok)
+			if r, ok := refs[k.T]; !ok || !bytes.Equal(e.ref, r) {
+				t.Fatalf("%+v is encoded against %q, its type's reference is %q", k, e.ref, r)
+			}
+			page := appendPage(nil, e.ref, e.runs, e.live)
+			if live, ok := model[k]; !ok || !bytes.Equal(page, live) {
+				t.Fatalf("cache holds %q for %+v at version %d; model %q, %v", page, k, e.u.ver, live, ok)
+			}
+			if len(e.runs) > e.live+RunHeader {
+				t.Fatalf("%+v holds %d bytes of runs for a %d-byte page", k, len(e.runs), e.live)
 			}
 			entries++
-			held += uint64(len(e.resp))
+			held += uint64(len(e.runs))
 		}
 	}
 	st := c.Stats()

@@ -19,7 +19,7 @@ func TestWriteVerbsAreNotReads(t *testing.T) {
 		reqs []string
 	}{
 		{backend.New(), []string{"BILLS 5 20", "TRANSFER 5 0 1 100", "ADDPAYEE 5 Acme P-1", "BILLPAY 5 Acme 1500 2009-05-05",
-			"PLACEORDER 5 standard 10", "POSTPROFILE 5 email=x@y"}},
+			"POSTPROFILE 5 email=x@y"}},
 		{ecom.NewStore(), []string{"ADDCART 5 4242 2", "ORDER 5"}},
 		{telemetry.NewBroker(), []string{"PUB 7 00ff", "SUB 7 3", "POLL 7 3 24"}},
 	} {

@@ -40,8 +40,15 @@ import (
 // counts OK answers only, and includes render-cache hits. Version 11:
 // cache_bytes_bound, the most live bytes the render cache can hold (its
 // entry budget times the largest cacheable page; 0 with the cache off).
+// Version 12: cache_bytes counts what the render cache holds now — each
+// entry's runs where its page differs from its type's reference page,
+// plus one reference page per type — and cache_bytes_bound bounds that
+// (the budget times the largest cacheable page plus one run header,
+// plus every cacheable type's page); trace_bytes_bound and
+// flight_bytes_bound are the most bytes the request-trace ring and the
+// flight anomaly ring hold (slots × the largest record).
 // Any change of shape or meaning, additive included, bumps it.
-const StatsSchemaVersion = 11
+const StatsSchemaVersion = 12
 
 // DefaultRegistry builds the process-default workload registry: banking,
 // then e-commerce, then streaming telemetry. Servers built without an
@@ -87,21 +94,52 @@ func tooManyCapturesResponse() []byte {
 		strconv.Itoa(len(body)) + "\r\n\r\n" + body)
 }
 
+// traceGap is the longest "X-Rhythm-Trace: <id>" header line: the
+// name, the 20 digits of the largest uint64 and the CRLF.
+const traceGap = len("X-Rhythm-Trace: ") + 20 + len("\r\n")
+
+// appendTraceHeader appends the "X-Rhythm-Trace: <id>" header line.
+func appendTraceHeader(buf []byte, id uint64) []byte {
+	buf = append(buf, "X-Rhythm-Trace: "...)
+	buf = strconv.AppendUint(buf, id, 10)
+	return append(buf, '\r', '\n')
+}
+
 // spliceTraceHeader rebuilds resp with an "X-Rhythm-Trace: <id>" header
 // inserted after the status line, assembling into buf (reused across a
 // connection's requests, so the steady state allocates nothing). The
 // header is added at write time, never into rendered or cached bytes,
-// keeping the host and cohort response bodies byte-identical.
+// keeping the host and cohort response bodies byte-identical. It serves
+// the responses that do not lie behind the write buffer's room for the
+// line (insertTraceHeader): device-route rows, tcp results, error pages.
 func spliceTraceHeader(buf, resp []byte, id uint64) []byte {
 	i := bytes.IndexByte(resp, '\n')
 	if i < 0 {
 		return append(buf[:0], resp...)
 	}
 	buf = append(buf[:0], resp[:i+1]...)
-	buf = append(buf, "X-Rhythm-Trace: "...)
-	buf = strconv.AppendUint(buf, id, 10)
-	buf = append(buf, '\r', '\n')
+	buf = appendTraceHeader(buf, id)
 	return append(buf, resp[i+1:]...)
+}
+
+// insertTraceHeader adds the "X-Rhythm-Trace: <id>" header line to the
+// response at buf[traceGap:] in place, buf[:traceGap] being room for
+// the line: the status line moves forward by the line's length and the
+// line goes in behind it, and no other byte moves. It returns the
+// traced response, a subslice of buf, or buf[traceGap:] unchanged when
+// the response has no status line.
+func insertTraceHeader(buf []byte, id uint64) []byte {
+	resp := buf[traceGap:]
+	i := bytes.IndexByte(resp, '\n')
+	if i < 0 {
+		return resp
+	}
+	var line [traceGap]byte
+	h := appendTraceHeader(line[:0], id)
+	start := traceGap - len(h)
+	copy(buf[start:], resp[:i+1])
+	copy(buf[start+i+1:], h)
+	return buf[start:]
 }
 
 // flightResponse renders the /v1/debug/flight document. The endpoint is
@@ -221,24 +259,6 @@ func captureSecs(req *httpx.Request) (secs int, ok bool) {
 	return n, true
 }
 
-// stageArgs is the launch-record linkage a stage span carries: enough to
-// find the kernel in the device profile (launch_seq) and to explain its
-// cost without leaving the trace viewer.
-func stageArgs(st simt.LaunchStats) map[string]any {
-	return map[string]any{
-		"kernel":             st.Kernel,
-		"launch_seq":         st.Seq,
-		"cohort":             st.Threads,
-		"device_us":          float64(st.Duration) / 1e3,
-		"issue_cycles":       st.IssueCycles,
-		"divergent_execs":    st.DivergentExec,
-		"transactions":       st.Transactions,
-		"ideal_transactions": st.IdealTxns,
-		"occupancy":          st.Occupancy,
-		"energy_j":           st.EnergyJ,
-	}
-}
-
 // typeLabelSets precomputes the per-type Prometheus label set
 // (`workload="w",type="display"`) indexed by TypeID.
 func typeLabelSets(reg *service.Registry) []string {
@@ -330,6 +350,8 @@ func writeFlightFamilies(w *obs.PromWriter, rec *flight.Recorder) {
 	}
 	w.Family("rhythm_flight_slow_threshold_seconds", "gauge", "Current slow-promotion threshold (adaptive p99 bucket edge unless pinned).")
 	w.Value("rhythm_flight_slow_threshold_seconds", "", float64(snap.ThreshNs)/1e9)
+	w.Family("rhythm_flight_bytes_bound", "gauge", "Most bytes the flight anomaly ring holds: its slots times the largest record.")
+	w.Value("rhythm_flight_bytes_bound", "", float64(rec.BytesBound()))
 }
 
 // writeClusterFamilies emits the device-pool view: per-device gauges
@@ -522,8 +544,8 @@ func writeRenderCacheFamilies(w *obs.PromWriter, cs rcache.Stats, bytesBound uin
 	w.Value("rhythm_render_cache_evictions_total", "", float64(cs.Evictions))
 	w.Family("rhythm_render_cache_entries", "gauge", "Live render-cache entries.")
 	w.Value("rhythm_render_cache_entries", "", float64(cs.Entries))
-	w.Family("rhythm_render_cache_bytes", "gauge", "Live bytes the render-cache entries hold (each page less its trailing pad).")
+	w.Family("rhythm_render_cache_bytes", "gauge", "Bytes the render cache holds: each entry's runs where its page (less its trailing pad) differs from its type's reference page, plus one reference page per type.")
 	w.Value("rhythm_render_cache_bytes", "", float64(cs.Bytes))
-	w.Family("rhythm_render_cache_bytes_bound", "gauge", "Most live bytes the render cache can hold: its entry budget times the largest cacheable page.")
+	w.Family("rhythm_render_cache_bytes_bound", "gauge", "Most bytes the render cache can hold: its entry budget times the largest cacheable page plus one run header, plus one page per cacheable type.")
 	w.Value("rhythm_render_cache_bytes_bound", "", float64(bytesBound))
 }

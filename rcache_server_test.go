@@ -13,6 +13,7 @@ import (
 
 	"rhythm/internal/cluster"
 	"rhythm/internal/httpx"
+	"rhythm/internal/rcache"
 	"rhythm/internal/service"
 )
 
@@ -315,19 +316,40 @@ func TestRenderCacheStatsEndpoints(t *testing.T) {
 	if !bytes.Contains(metrics, []byte("rhythm_render_cache_entries")) {
 		t.Fatalf("/metrics missing rhythm_render_cache_entries gauge")
 	}
-	// The cache holds the page's live bytes, not its padded buffer.
+	// The one page the cache holds is its type's first, so it is the
+	// type's reference page: cache_bytes is that page's live bytes, not
+	// its padded buffer, and its entry encodes to no runs.
 	if want := fmt.Sprintf(`"cache_bytes": %d`, live); !bytes.Contains(stats, []byte(want)) {
 		t.Fatalf("/v1/stats missing %s: %.600q", want, stats)
 	}
 	if want := fmt.Sprintf("rhythm_render_cache_bytes %d\n", live); !bytes.Contains(metrics, []byte(want)) {
 		t.Fatalf("/metrics missing %q", want)
 	}
+	if want := fmt.Sprintf(`"cache_bytes_bound": %d`, wantCacheBytesBound(s)); !bytes.Contains(stats, []byte(want)) {
+		t.Fatalf("/v1/stats missing %s: %.600q", want, stats)
+	}
+}
+
+// wantCacheBytesBound is the render cache's stated byte bound: every
+// entry's runs within the largest cacheable page plus one run header,
+// and one reference page per cacheable type.
+func wantCacheBytesBound(s *cohortServer) uint64 {
+	var page, refs int
+	for tid := range s.reg.NumTypes() {
+		if sp := s.reg.Spec(service.TypeID(tid)); sp.Cacheable {
+			page = max(page, sp.BufferBytes)
+			refs += sp.BufferBytes
+		}
+	}
+	return uint64(s.cache.Budget())*uint64(page+rcache.RunHeader) + uint64(refs)
 }
 
 // TestRenderCacheBytesWithinBound: after a run of half cacheable reads
 // and half writes over more pages than the cache holds, /v1/stats'
-// cache_bytes is within its cache_bytes_bound, the entry budget times
-// the largest cacheable page, and /v1/metrics exports the same bound.
+// cache_bytes is within its cache_bytes_bound (wantCacheBytesBound), and
+// /v1/metrics exports the same bound. Once every user has written, the
+// cache holds no entry, and cache_bytes is exactly the reference pages:
+// the live bytes of each cacheable type's first page.
 func TestRenderCacheBytesWithinBound(t *testing.T) {
 	s := newHostCached(t, 128)
 	a := newConnArena(s.reg.MaxBufferBytes())
@@ -349,11 +371,15 @@ func TestRenderCacheBytesWithinBound(t *testing.T) {
 		cookies = append(cookies, cookie)
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
+	firsts := map[service.TypeID]int{} // each type's first page's live bytes
 	for i := 0; i < 2000; i++ {
 		cookie := cookies[rng.IntN(len(cookies))]
 		if i%2 == 0 {
 			p := cacheableGETs[rng.IntN(len(cacheableGETs))]
-			s.respond(a, []byte("GET "+p.uri+" HTTP/1.1\r\nHost: t\r\nCookie: "+cookie+"\r\n\r\n"))
+			page := s.respond(a, []byte("GET "+p.uri+" HTTP/1.1\r\nHost: t\r\nCookie: "+cookie+"\r\n\r\n"))
+			if _, ok := firsts[a.t]; !ok {
+				firsts[a.t] = httpx.LiveLen(page)
+			}
 			continue
 		}
 		w := writes[rng.IntN(len(writes))]
@@ -361,15 +387,9 @@ func TestRenderCacheBytesWithinBound(t *testing.T) {
 			w.uri, cookie, len(w.body), w.body)))
 	}
 
-	var page int
-	for tid := range s.reg.NumTypes() {
-		if sp := s.reg.Spec(service.TypeID(tid)); sp.Cacheable {
-			page = max(page, sp.BufferBytes)
-		}
-	}
 	st := s.Stats()
-	if want := uint64(s.cache.Budget()) * uint64(page); st.CacheBytesBound != want || want == 0 {
-		t.Fatalf("cache_bytes_bound = %d, want %d entries × %d bytes", st.CacheBytesBound, s.cache.Budget(), page)
+	if want := wantCacheBytesBound(s); st.CacheBytesBound != want {
+		t.Fatalf("cache_bytes_bound = %d, want %d", st.CacheBytesBound, want)
 	}
 	if st.CacheHits == 0 || st.CacheInvalidations == 0 || st.CacheEntries == 0 {
 		t.Fatalf("the run exercised too little of the cache: %+v", s.cache.Stats())
@@ -384,5 +404,74 @@ func TestRenderCacheBytesWithinBound(t *testing.T) {
 	}
 	if want := "rhythm_render_cache_bytes_bound " + strconv.FormatFloat(float64(st.CacheBytesBound), 'g', -1, 64) + "\n"; !bytes.Contains(s.metricsResponse(), []byte(want)) {
 		t.Fatalf("/v1/metrics missing %q", want)
+	}
+
+	var refs uint64
+	for _, live := range firsts {
+		refs += uint64(live)
+	}
+	for uid := uint64(9601); uid < 9601+24; uid++ {
+		s.cache.Invalidate(uid)
+	}
+	if st := s.Stats(); st.CacheEntries != 0 || st.CacheBytes != refs || len(firsts) != len(cacheableGETs) {
+		t.Fatalf("with every user written the cache holds %d entries and %d bytes; want 0 and the %d types' %d reference bytes",
+			st.CacheEntries, st.CacheBytes, len(firsts), refs)
+	}
+}
+
+// TestPlaceOrderChangesNoPage: placing a check order changes no page a
+// user can see. Every cacheable banking page renders byte-identical
+// before and after a place_check_order on a server without the render
+// cache, so the order needs no invalidation; and on one with the cache
+// the order fires no write hook and the user's pages stay cached.
+func TestPlaceOrderChangesNoPage(t *testing.T) {
+	const uid = 9701
+	order := "style=premium&quantity=400"
+	for _, cached := range []bool{false, true} {
+		entries := 0
+		if cached {
+			entries = 4096
+		}
+		s, err := newCohortServer(cohortOptions{MaxSessions: 4096, RenderCache: entries, CrossoverRate: math.Inf(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := newConnArena(s.reg.MaxBufferBytes())
+		_, pw := s.Seed(uid)
+		body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
+		cookie := setCookieValue(string(s.respond(a, []byte(fmt.Sprintf(
+			"POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))))
+		if cookie == "" {
+			t.Fatal("login returned no cookie")
+		}
+		pages := func() [][]byte {
+			var out [][]byte
+			for _, p := range cacheableGETs {
+				resp := s.respond(a, []byte("GET "+p.uri+" HTTP/1.1\r\nHost: t\r\nCookie: "+cookie+"\r\n\r\n"))
+				// A hit is the page less the pad the write appends.
+				out = append(out, httpx.AppendSpaces(bytes.Clone(resp), a.pad))
+			}
+			return out
+		}
+		before := pages()
+		st := s.cacheStats() // zero with the cache off
+		resp := s.respond(a, []byte(fmt.Sprintf("POST /place_check_order.php HTTP/1.1\r\nHost: t\r\nCookie: %s\r\nContent-Length: %d\r\n\r\n%s",
+			cookie, len(order), order)))
+		if !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 ")) || !bytes.Contains(resp, []byte("CO-")) {
+			t.Fatalf("place_check_order did not confirm an order: %.300q", resp)
+		}
+		after := pages()
+		for i, p := range cacheableGETs {
+			if !bytes.Equal(before[i], after[i]) {
+				t.Errorf("cache %v: %s changed with a placed order", cached, p.label)
+			}
+		}
+		if cached {
+			if got := s.cache.Stats(); got.Invalidations != st.Invalidations || got.Hits != st.Hits+uint64(len(cacheableGETs)) {
+				t.Errorf("the order invalidated %d times and the reads after it hit %d of %d pages",
+					got.Invalidations-st.Invalidations, got.Hits-st.Hits, len(cacheableGETs))
+			}
+		}
+		s.Drain(context.Background())
 	}
 }
