@@ -7,7 +7,13 @@
 # noise. Runs under CI but works locally too: .github/scripts/e2e-smoke.sh
 set -euo pipefail
 
-BIN=${BIN:-$(mktemp -d)/rhythmd}
+# A BIN the caller supplies is left alone; a directory made here for one
+# goes with the rest of the script's temporaries on exit.
+OWN_BINDIR=
+if [ -z "${BIN:-}" ]; then
+    OWN_BINDIR=$(mktemp -d)
+    BIN=$OWN_BINDIR/rhythmd
+fi
 LOADBIN=${LOADBIN:-$(dirname "$BIN")/rhythm-load}
 FLIGHTBIN=${FLIGHTBIN:-$(dirname "$BIN")/rhythm-flight}
 HOST_ADDR=127.0.0.1:18601
@@ -23,7 +29,7 @@ W0_ADDR=127.0.0.1:18610
 W1_ADDR=127.0.0.1:18611
 DEFAULT_ADDR=127.0.0.1:18612
 WORK=$(mktemp -d)
-trap 'kill $HOST_PID $COHORT_PID $CLUSTER_PID $ADAPT_PID $CACHEH_PID $CACHEC_PID $FLIGHT_PID $MIX_PID $W0_PID $W1_PID $SCALE_PID $DEFAULT_PID 2>/dev/null || true; wait 2>/dev/null || true' EXIT
+trap 'kill ${HOST_PID:-} ${COHORT_PID:-} ${CLUSTER_PID:-} ${ADAPT_PID:-} ${CACHEH_PID:-} ${CACHEC_PID:-} ${FLIGHT_PID:-} ${MIX_PID:-} ${W0_PID:-} ${W1_PID:-} ${SCALE_PID:-} ${DEFAULT_PID:-} 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$WORK" ${OWN_BINDIR:+"$OWN_BINDIR"}' EXIT
 
 if [ ! -x "$BIN" ]; then
     go build -o "$BIN" ./cmd/rhythmd

@@ -62,9 +62,9 @@ func (pb *ParseBatch) Reset(count int) {
 
 // CohortDeviceBytes reports the device memory one cohort of `size` slots
 // of type t occupies on the modeled device, column images and response
-// buffers included (used by the §6.3 capacity analysis; of it the
-// simulation backs only the backend slots' row-major half, once per
-// execution slot whatever class it binds, service.SlotDeviceBytes).
+// buffers included (used by the §6.3 capacity analysis; the simulation
+// backs none of it: every buffer is priced address space, and a lane's
+// backend bytes are a host buffer of their live length, service.Slot).
 func CohortDeviceBytes(t ReqType, size int) int64 {
 	return int64(size) * int64(RequestSlot+2*backend.RequestSlot+2*backend.ResponseSlot+2*Specs[t].BufferBytes())
 }

@@ -12,7 +12,6 @@ import (
 	"rhythm/internal/backend"
 	"rhythm/internal/httpx"
 	"rhythm/internal/mem"
-	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/workloads"
 )
@@ -650,11 +649,11 @@ func TestResultResponsesBelongToTheCaller(t *testing.T) {
 }
 
 // TestSlotRunsEveryWorkload: one device slot runs banking, ecom and
-// telemetry cohorts in turn on its one set of lane mirrors and
-// backend-slot twins, and every response equals the host path's
-// (Registry.ExecuteScratch) over twin state. The device backs exactly
-// SlotsPerDevice × service.SlotDeviceBytes(CohortSize) plus its 1 MiB of
-// alignment slack.
+// telemetry cohorts in turn on its one set of lane mirrors and backend
+// buffers, and every response equals the host path's
+// (Registry.ExecuteScratch) over twin state. The device backs no memory:
+// its buffers are priced address space and the lanes' backend bytes
+// host buffers.
 func TestSlotRunsEveryWorkload(t *testing.T) {
 	cfg := Config{Registry: workloads.Default(), Devices: 1, SlotsPerDevice: 1, CohortSize: 8}
 	get := func(uri, cookie string) []byte {
@@ -704,10 +703,8 @@ func TestSlotRunsEveryWorkload(t *testing.T) {
 			}
 		}
 	}
-	m := cl.devs[0].published().Mem
-	size := int(int64(cfg.SlotsPerDevice)*service.SlotDeviceBytes(cfg.CohortSize)) + 1<<20
-	if !backs(m, size) || backs(m, size+1) {
-		t.Fatalf("the device does not back exactly %d bytes", size)
+	if m := cl.devs[0].published().Mem; backs(m, 1) {
+		t.Fatal("the device backs memory")
 	}
 }
 

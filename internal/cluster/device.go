@@ -97,14 +97,14 @@ func newDevice(c *Cluster, id int) *device {
 	return d
 }
 
-// build backs the modeled device: its memory, one stream and one slot
-// set per execution slot. Nothing has run on the engine before it, so a
-// device built at its first launch simulates exactly as one built with
-// the pool.
+// build models the device: its memory, one stream and one slot set per
+// execution slot. The memory backs no bytes: a slot's buffers are priced
+// address space, and its lanes' backend bytes are host buffers. Nothing
+// has run on the engine before it, so a device built at its first launch
+// simulates exactly as one built with the pool.
 func (d *device) build() {
 	reg := d.cl.cfg.Registry
-	memBytes := int(int64(d.cl.cfg.SlotsPerDevice)*service.SlotDeviceBytes(d.cl.cfg.CohortSize)) + 1<<20 // alignment slack
-	dev := simt.NewDevice(d.eng, d.cl.cfg.Simt, memBytes, nil)
+	dev := simt.NewDevice(d.eng, d.cl.cfg.Simt, 0, nil)
 	for i := 0; i < d.cl.cfg.SlotsPerDevice; i++ {
 		d.streams = append(d.streams, dev.NewStream())
 		d.slots = append(d.slots, reg.NewSlots(dev, d.cl.cfg.CohortSize, service.Live))

@@ -181,12 +181,12 @@ func RunTitan(cfg Config, opts TitanRunOptions) PlatformRun {
 	forEach(workers, len(types), func(i int) {
 		rt := types[i]
 		if workers == 1 {
-			// Each isolation run backs a fresh device store, ≈ 169 MiB
-			// at the paper's 4096 × 8 (eight contexts' backend slots,
-			// 8·4096·5120 B, the reader's 4·4096·512 B and 1 MiB of
-			// slack); serially, reclaim the previous one before the
-			// next allocation, so a run holds one store at a time.
-			// Concurrent runs each hold their own.
+			// Each isolation run backs a fresh device store, 9 MiB at
+			// the paper's 4096 × 8 (the reader's 4·4096·512 B and 1 MiB
+			// of slack), and builds its own sessions, lanes and Besim;
+			// serially, reclaim the previous run's before the next, so
+			// a run holds one set at a time. Concurrent runs each hold
+			// their own.
 			runtime.GC()
 		}
 		pt := runTitanType(cfg, opts, devCfg, rt)

@@ -77,23 +77,25 @@ func TestParsePercentEscapes(t *testing.T) {
 	}
 }
 
+// badRequests are requests Parse must reject, one per error path.
+var badRequests = []struct {
+	name string
+	raw  string
+}{
+	{"empty", ""},
+	{"no-crlf", "GET / HTTP/1.1"},
+	{"bad-method", "BREW /pot HTTP/1.1\r\n\r\n"},
+	{"no-uri", "GET\r\n\r\n"},
+	{"bad-proto", "GET / SPDY/9\r\n\r\n"},
+	{"bad-length", "POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n"},
+	{"neg-length", "POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n"},
+	{"short-body", "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nab"},
+	{"header-no-colon", "GET / HTTP/1.1\r\nBogus header\r\n\r\n"},
+	{"unterminated-headers", "GET / HTTP/1.1\r\nHost: x\r\n"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		raw  string
-	}{
-		{"empty", ""},
-		{"no-crlf", "GET / HTTP/1.1"},
-		{"bad-method", "BREW /pot HTTP/1.1\r\n\r\n"},
-		{"no-uri", "GET\r\n\r\n"},
-		{"bad-proto", "GET / SPDY/9\r\n\r\n"},
-		{"bad-length", "POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n"},
-		{"neg-length", "POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n"},
-		{"short-body", "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nab"},
-		{"header-no-colon", "GET / HTTP/1.1\r\nBogus header\r\n\r\n"},
-		{"unterminated-headers", "GET / HTTP/1.1\r\nHost: x\r\n"},
-	}
-	for _, c := range cases {
+	for _, c := range badRequests {
 		if _, err := Parse([]byte(c.raw)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}

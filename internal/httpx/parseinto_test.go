@@ -5,19 +5,22 @@ import (
 	"testing"
 )
 
+// parseCases is one request of every shape the parser reads: a cookie,
+// a query, a form body, escapes and a NUL-padded slot.
+var parseCases = []string{
+	"GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: MY_ID=00000000000000aa\r\n\r\n",
+	"GET /check_detail_html.php?check=7&acct=2 HTTP/1.1\r\n\r\n",
+	"POST /login.php HTTP/1.1\r\nContent-Length: 23\r\n\r\nuserid=1001&passwd=abcd",
+	"GET /p.php?a=%41&b=x+y HTTP/1.1\r\nCookie: a=1; b=2\r\n\r\n",
+	"GET /x HTTP/1.1\r\n\r\n\x00\x00\x00",
+}
+
 // TestParseIntoMatchesParse drives both entry points over every request
 // shape and requires identical results — ParseInto is Parse's
 // allocation-lean core, never a divergent parser.
 func TestParseIntoMatchesParse(t *testing.T) {
-	cases := []string{
-		"GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: MY_ID=00000000000000aa\r\n\r\n",
-		"GET /check_detail_html.php?check=7&acct=2 HTTP/1.1\r\n\r\n",
-		"POST /login.php HTTP/1.1\r\nContent-Length: 23\r\n\r\nuserid=1001&passwd=abcd",
-		"GET /p.php?a=%41&b=x+y HTTP/1.1\r\nCookie: a=1; b=2\r\n\r\n",
-		"GET /x HTTP/1.1\r\n\r\n\x00\x00\x00",
-	}
 	var reused Request
-	for _, raw := range cases {
+	for _, raw := range parseCases {
 		want, werr := Parse([]byte(raw))
 		gerr := ParseInto([]byte(raw), &reused)
 		if (werr == nil) != (gerr == nil) {

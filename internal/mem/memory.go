@@ -1,7 +1,7 @@
 // Package mem models the accelerator's device memory: a flat linear
 // address space — backed by real bytes where the simulation reads them
-// back (an execution slot's backend slots, the parser's request image),
-// reserved but unbacked where a buffer is only priced — allocated once
+// back (the parser's request images), reserved but unbacked where a
+// buffer is only priced (every stage kernel's) — allocated once
 // at startup (the paper allocates all pipeline memory then, §4.6), and
 // the 2-D buffer transpose between row-major and column-major layouts
 // that gives Rhythm coalesced accesses (§4.3.2).
@@ -18,20 +18,20 @@ type Addr uint64
 //
 // Above the backed bytes lies reserve-only address space (Reserve): it
 // has addresses, so accesses to it coalesce and are priced like any
-// other, and no bytes. A cohort buffer's column-major image lives there
-// — the device would hold it, the simulation only prices it — and so
-// does the whole response buffer, whose pages are rendered from the
-// lanes' contexts when they are read (internal/service/kernels.go). What a
-// stage kernel keeps in backed memory is its backend slots' row-major
-// twins: one pair per execution slot, shared by every cohort it binds.
+// other, and no bytes. Every buffer of a stage kernel lives there: a
+// cohort buffer's column-major image — the device would hold it, the
+// simulation only prices it — the backend slots' row-major images, and
+// the whole response buffer, whose pages are rendered from the lanes'
+// contexts when they are read (internal/service/kernels.go). A stage
+// kernel backs no bytes: a lane's backend request and response are host
+// buffers holding only their live bytes.
 //
 // Concurrency contract (simt.Config.HostParallelism > 1): concurrently
 // simulated warps may Read/Write/Bytes disjoint byte ranges of the data
 // without synchronization — Rhythm's cohort buffers are partitioned
-// per-thread, and every lane of a stage kernel writes only its own
-// request's slot of each row-major twin (a kernel that moves bytes into
-// a backed column image writes only its own word column), so kernel
-// accesses never overlap across threads. Alloc and Reserve (which move
+// per-thread, and a kernel that moves bytes into a backed column image
+// writes only its own word column, so kernel accesses never overlap
+// across threads. Alloc and Reserve (which move
 // the bump pointers) and any overlapping access are host-side operations
 // and must only happen from the event-loop thread, i.e. outside a
 // running kernel.
@@ -41,10 +41,11 @@ type Memory struct {
 	rbrk Addr // bump pointer for Reserve; reserved space starts at len(data)
 }
 
-// New returns a device memory of the given size in bytes.
+// New returns a device memory that backs size bytes (0: none; its
+// address space is all Reserve's).
 func New(size int) *Memory {
-	if size <= 0 {
-		panic("mem: size must be positive")
+	if size < 0 {
+		panic("mem: negative size")
 	}
 	return &Memory{data: make([]byte, size)}
 }

@@ -200,14 +200,14 @@ type readerBatch struct {
 }
 
 // deviceMemory reports the backed device memory a server with opts
-// needs: for each cohort context its one set of backend slots, shared by
-// every buffer class it binds (responses take no device backing,
-// service.SlotDeviceBytes), the reader's two batches in both layouts,
-// and alignment slack. banking.CohortDeviceBytes is the modelled
-// footprint behind §6.3 and sizes nothing here.
+// needs: the reader's two batches in both layouts, whose bytes the
+// parser reads, and alignment slack. The cohort contexts back nothing:
+// their column images and response buffers are priced address space,
+// and their backend slots' bytes are host buffers (service.Slot).
+// banking.CohortDeviceBytes is the modelled footprint behind §6.3 and
+// sizes nothing here.
 func deviceMemory(opts Options) int {
-	return int(int64(opts.MaxCohorts)*service.SlotDeviceBytes(opts.CohortSize)) +
-		4*opts.CohortSize*banking.RequestSlot + 1<<20
+	return 4*opts.CohortSize*banking.RequestSlot + 1<<20
 }
 
 // NewPopulation builds a session array and a Banking generator seeded
@@ -278,7 +278,7 @@ func New(opts Options, devCfg *simt.Config, busBps float64, seed int64, populati
 		s.streams = append(s.streams, dev.NewStream())
 		s.slots = append(s.slots, s.bank.NewSlot(dev, opts.CohortSize, opts.Variant))
 		s.reqs = append(s.reqs, make([]httpx.Request, 0, opts.CohortSize))
-		s.trips = append(s.trips, roundTrip{stragglers: make([]bool, opts.CohortSize)})
+		s.trips = append(s.trips, roundTrip{finished: make([]bool, opts.CohortSize), stragglers: make([]bool, opts.CohortSize)})
 	}
 	// Double-buffered reader (§4.2).
 	for i := 0; i < 2; i++ {
@@ -494,60 +494,38 @@ func (s *Server) runCohort(c *cohort.Context[banking.ReqType, preq]) {
 	unit := s.slots[c.ID].Bind(int(prs[0].t), reqs, s.sessions, s.db)
 	trip := &s.trips[c.ID]
 	clear(trip.stragglers)
-	unit.Run(s.streams[c.ID], func(image []byte, reply func(resp []byte)) {
-		s.hostBackend(c, unit, trip, image, reply)
+	unit.Run(s.streams[c.ID], func(reply func()) {
+		s.hostBackend(c, unit, trip, reply)
 	}, nil, func() { s.respond(c, unit, trip.stragglers) })
 }
 
 // roundTrip is what one cohort context keeps for Titan A's backend
 // round trips, set aside once and reused by every cohort the context
-// runs: the response image (cohort size × backend.ResponseSlot, made at
-// the context's first round trip) with the live length of each of its
-// slots, which requests finished this round trip, and which of the
+// runs: which requests finished this round trip, and which of the
 // cohort's requests the host re-executes. A context runs one cohort,
 // and that cohort one round trip, at a time.
 type roundTrip struct {
-	image      []byte
-	lens       []int
 	finished   []bool
 	stragglers []bool // the cohort's, across its round trips
 }
 
-// begin readies the image for a round trip of count requests: the slots
-// the previous one wrote are zero again, as ServeSlot(…, 0) and the
-// device's measure of each reply (its bytes before a zero tail) need.
-func (rt *roundTrip) begin(count, cohortSize int) []byte {
-	if rt.image == nil {
-		rt.image = make([]byte, cohortSize*backend.ResponseSlot)
-		rt.lens = make([]int, cohortSize)
-		rt.finished = make([]bool, cohortSize)
-	}
-	for r, n := range rt.lens {
-		if n > 0 {
-			clear(rt.image[r*backend.ResponseSlot:][:n])
-			rt.lens[r] = 0
-		}
-	}
-	clear(rt.finished)
-	return rt.image[:count*backend.ResponseSlot]
-}
-
 // hostBackend serves one remote-backend round trip for a cohort on the
-// host's worker threads (§5.3.2, Titan A) and hands reply the response
-// image. With a straggler timeout configured, the cohort proceeds when
-// the deadline passes and any unfinished requests are re-executed
-// entirely on the host (§3.1). A request's backend work that finishes
-// after its round trip proceeded finds proceeded set and writes
-// nothing: the image may already be the next round trip's.
-func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, trip *roundTrip, image []byte, reply func(resp []byte)) {
+// host's worker threads (§5.3.2, Titan A), each request's answer into
+// its lane's buffer, and then calls reply. With a straggler timeout
+// configured, the cohort proceeds when the deadline passes and any
+// unfinished requests are re-executed entirely on the host (§3.1). A
+// request's backend work that finishes after its round trip proceeded
+// finds proceeded set and writes nothing: the lane may already be in
+// the next stage.
+func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *service.PageUnit, trip *roundTrip, reply func()) {
 	count := len(c.Requests())
 	proceeded := false
 	remaining := count
-	respImage := trip.begin(count, s.opts.CohortSize)
+	clear(trip.finished)
 	finished, stragglers := trip.finished, trip.stragglers
 	proceed := func() { // every caller checks proceeded first
 		proceeded = true
-		reply(respImage)
+		reply()
 	}
 	for r := 0; r < count; r++ {
 		if stragglers[r] || !unit.Active(r) {
@@ -565,7 +543,7 @@ func (s *Server) hostBackend(c *cohort.Context[banking.ReqType, preq], unit *ser
 			if proceeded {
 				return // the cohort moved on; the host path owns this request
 			}
-			trip.lens[r] = service.ServeSlot(s.db, respImage[r*backend.ResponseSlot:(r+1)*backend.ResponseSlot], unit.BackendRequest(image, r), 0)
+			unit.ServeBackend(r)
 			finished[r] = true
 			remaining--
 			if remaining == 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rhythm/internal/banking"
+	"rhythm/internal/mem"
 	"rhythm/internal/service"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
@@ -491,4 +492,36 @@ func TestStragglerSettingsNeedTitanA(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeviceBacksOnlyTheReader: at rhythm.NewSimServer's default
+// geometry (cohorts of 4096, eight contexts) a server's device backs the
+// reader's two batches in both layouts, 4 × CohortSize × RequestSlot
+// bytes, plus 1 MiB of slack, and after a mixed run on Titan A or B
+// nothing else has been allocated in it: the cohort contexts' buffers
+// are priced address space and their backend bytes host buffers.
+func TestDeviceBacksOnlyTheReader(t *testing.T) {
+	for _, p := range []service.Platform{service.TitanB, service.TitanA} {
+		opts := Options{Variant: service.Live, CohortSize: 4096, MaxCohorts: 8}
+		opts.Platform = p
+		rig := newRig(t, opts)
+		if st := rig.srv.Run(rig.mixed(1024)); st.Completed != 1024 {
+			t.Fatalf("%v: completed %d of 1024", p, st.Completed)
+		}
+		reader := 4 * opts.CohortSize * banking.RequestSlot
+		m := rig.srv.dev.Mem
+		if at := m.Alloc(0, 256); at != mem.Addr(reader) {
+			t.Fatalf("%v: the device allocated %d bytes, want the reader's %d", p, at, reader)
+		}
+		if size := reader + 1<<20; !backs(m, size) || backs(m, size+1) {
+			t.Fatalf("%v: the device does not back exactly the reader's %d bytes and 1 MiB", p, reader)
+		}
+	}
+}
+
+// backs reports whether m backs the n bytes from address 0.
+func backs(m *mem.Memory, n int) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	m.Bytes(0, n)
+	return true
 }

@@ -36,13 +36,13 @@ func TestRunSequencesEachPlatform(t *testing.T) {
 		unit := in.w.NewSlot(dev, n, v).Bind(local, wd.reqs, wd.sessions, wd.be)
 		var kernels []string
 		trips, dones := 0, 0
-		serve := serveBackend(unit, wd.be)
-		unit.Run(dev.NewStream(), func(image []byte, reply func(resp []byte)) {
+		serve := serveBackend(unit, n)
+		unit.Run(dev.NewStream(), func(reply func()) {
 			trips++
 			if len(kernels) != trips {
 				t.Errorf("%v: round trip %d after %d stage kernels", p, trips, len(kernels))
 			}
-			serve(image, reply)
+			serve(reply)
 		}, func(ls simt.LaunchStats) {
 			kernels = append(kernels, ls.Kernel)
 		}, func() {

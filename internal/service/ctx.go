@@ -288,24 +288,6 @@ func requestFits(ctx *Ctx, breq []byte) bool {
 	return true
 }
 
-// ServeSlot answers breq from be into slot, a backend response slot
-// (BackendResponseSlot bytes) whose first old bytes are live and whose
-// rest is zero, and returns its new live length: the rest is zero again.
-// A response that outgrows the slot leaves respOverflow in it.
-func ServeSlot(be Backend, slot, breq []byte, old int) int {
-	n := len(be.Handle(slot[:0:len(slot)], breq))
-	if n > len(slot) {
-		// The response outgrew the slot on its way in, so the slot holds
-		// its first bytes.
-		n = copy(slot, respOverflow)
-		old = len(slot)
-	}
-	if old > n {
-		clear(slot[n:old])
-	}
-	return n
-}
-
 // buildErrorPage renders the divergent error path: a short message in a
 // full-size buffer so cohort geometry is undisturbed (§4.4).
 func buildErrorPage(ctx *Ctx) {

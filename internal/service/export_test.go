@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"slices"
 
 	"rhythm/internal/mem"
 	"rhythm/internal/simt"
@@ -25,29 +24,38 @@ func (s *Slot) Scratches() int {
 	return len(seen)
 }
 
-// Twins lists the distinct backend-slot twin pairs the cohorts of ss
-// (one slot set) read and write, over all their size classes.
-func Twins(ss ...*Slot) [][2]mem.Addr {
-	var out [][2]mem.Addr
+// ExecSlots counts the distinct execution slots — lane mirrors and
+// backend buffers — the cohorts of ss (one slot set) bind, over all
+// their size classes.
+func ExecSlots(ss ...*Slot) int {
+	seen := map[*execSlot]bool{}
 	for _, s := range ss {
 		for _, pc := range s.byClass {
-			if p := [2]mem.Addr{pc.breqRow, pc.brespRow}; !slices.Contains(out, p) {
-				out = append(out, p)
-			}
+			seen[pc.execSlot] = true
 		}
 	}
-	return out
+	return len(seen)
 }
 
+// BackendResponseCap is the capacity of the buffer lane r keeps its
+// backend response in.
+func (u *PageUnit) BackendResponseCap(r int) int { return cap(u.pc.bresps[r]) }
+
 // RefUnit is the write-through reference build of a PageUnit: its column
-// images and its response buffer are backed, its stage kernel renders
-// into scratch and moves every byte the layout implies — StoreColumn
-// into the columns, LoadColumn back out of them, a scatter from the
-// deferred backend commit — its transposes are TransposeLive, and its
-// responses are read back out of device memory. The production kit
+// images, its response buffer and the backend slots' row-major images
+// are backed, its stage kernel renders into scratch and moves every byte
+// the layout implies — StoreColumn into the columns, LoadColumn back out
+// of them, a scatter from the deferred backend commit, Titan A's backend
+// slots across the bus both ways — its transposes are TransposeLive, and
+// its responses are read back out of device memory. The production kit
 // prices exactly these accesses and moves none of them, so every
 // simulated number and every response byte must agree between the two.
-type RefUnit struct{ *PageUnit }
+// The lanes' backend buffers carry only each slot's live length; its
+// bytes come out of device memory.
+type RefUnit struct {
+	*PageUnit
+	breqRow, brespRow mem.Addr
+}
 
 // Reference rebuilds u, bound on a fresh slot, as its reference.
 func Reference(u *PageUnit) RefUnit {
@@ -56,7 +64,11 @@ func Reference(u *PageUnit) RefUnit {
 	pc.brespBuf = m.Alloc(pc.size*BackendResponseSlot, 256)
 	pc.respCol = m.Alloc(pc.size*pc.class, 256)
 	pc.respRow = m.Alloc(pc.size*pc.class, 256)
-	return RefUnit{u}
+	return RefUnit{
+		PageUnit: u,
+		breqRow:  m.Alloc(pc.size*BackendRequestSlot, 256),
+		brespRow: m.Alloc(pc.size*BackendResponseSlot, 256),
+	}
 }
 
 func (u RefUnit) Responses() [][]byte {
@@ -72,7 +84,7 @@ func (u RefUnit) Responses() [][]byte {
 // Run is PageUnit.Run over the reference's stage kernels and
 // transposes. On Titan C the platform's transpose unit moves the
 // responses to row-major when the chain ends, for no device time.
-func (u RefUnit) Run(stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func()) {
+func (u RefUnit) Run(stream *simt.Stream, roundTrip func(reply func()), staged func(simt.LaunchStats), done func()) {
 	pc := u.pc
 	if pc.v.Platform == TitanC && pc.v.ColMajor {
 		finish := done
@@ -97,16 +109,29 @@ func (u RefUnit) writeback(stream *simt.Stream) {
 	}
 }
 
-func (u RefUnit) backendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
+// backendRequestsD2H moves the request slots to the host, where each
+// lane's request is what crossed the bus.
+func (u RefUnit) backendRequestsD2H(stream *simt.Stream, done func()) {
 	pc := u.pc
-	stream.TransposeLive(pc.breqRow, pc.breqBuf, BackendRequestSlot/4, pc.size, 4, BackendRequestSlot/4, pc.count, nil)
-	stream.MemcpyD2H(pc.breqRow, pc.count*BackendRequestSlot, fn)
+	stream.TransposeLive(u.breqRow, pc.breqBuf, BackendRequestSlot/4, pc.size, 4, BackendRequestSlot/4, pc.count, nil)
+	stream.MemcpyD2H(u.breqRow, pc.count*BackendRequestSlot, func(image []byte) {
+		for r := 0; r < pc.count; r++ {
+			pc.breqs[r] = image[r*BackendRequestSlot:][:len(pc.breqs[r])]
+		}
+		done()
+	})
 }
 
-func (u RefUnit) backendResponsesH2D(stream *simt.Stream, image []byte) {
+// backendResponsesH2D packs the lanes' answers into slots and moves them
+// into the column the next stage loads.
+func (u RefUnit) backendResponsesH2D(stream *simt.Stream) {
 	pc := u.pc
-	stream.MemcpyH2D(pc.brespRow, image, func() { pc.measureResponses(image) })
-	stream.TransposeLive(pc.brespBuf, pc.brespRow, pc.size, BackendResponseSlot/4, 4, pc.count, BackendResponseSlot/4, nil)
+	image := make([]byte, pc.count*BackendResponseSlot)
+	for r := 0; r < pc.count; r++ {
+		copy(image[r*BackendResponseSlot:], pc.bresps[r])
+	}
+	stream.MemcpyH2D(u.brespRow, image, nil)
+	stream.TransposeLive(pc.brespBuf, u.brespRow, pc.size, BackendResponseSlot/4, 4, pc.count, BackendResponseSlot/4, nil)
 }
 
 // refStage is pageStageProgram with every block that touches a cohort
@@ -125,7 +150,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		if p.stage > 0 {
 			// The warp's gather buffer is the next lane's; the
 			// stage may keep what it parses out of the response.
-			bresp = bytes.Clone(simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)[:pc.brespLen[r]])
+			bresp = bytes.Clone(simt.LoadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)[:len(pc.bresps[r])])
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -140,7 +165,7 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 				return 90
 			}
 			slot := make([]byte, BackendRequestSlot)
-			pc.breqLen[r] = copy(slot, breq)
+			pc.breqs[r] = slot[:copy(slot, breq)]
 			simt.StoreColumn(t, pc.breqBuf, r, pc.size, 0, slot)
 			if pc.v.Platform == TitanA {
 				return simt.Halt
@@ -149,15 +174,17 @@ func (p refStage) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		}
 		return 3
 	case 2:
-		breq := bytes.Clone(simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)[:pc.breqLen[r]])
+		breq := bytes.Clone(simt.LoadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)[:len(pc.breqs[r])])
 		t.Compute(besimDeviceOps)
 		// A blank slot is stored for its price; the deferred commit
 		// overwrites it, unpriced.
 		simt.StoreColumn(t, pc.brespBuf, r, pc.size, 0, make([]byte, BackendResponseSlot))
-		m, be := pc.dev.Mem, pc.be
+		m := pc.dev.Mem
 		t.Defer(func() {
+			pc.breqs[r] = breq
+			pc.commit(r)
 			slot := make([]byte, BackendResponseSlot)
-			pc.brespLen[r] = ServeSlot(be, slot, breq, 0)
+			copy(slot, pc.bresps[r])
 			col := m.Bytes(simt.ColumnBase(pc.brespBuf, r), (BackendResponseSlot/simt.WordSize-1)*simt.WordSize*pc.size+simt.WordSize)
 			mem.ScatterWords(col, slot, simt.WordSize*pc.size)
 		})

@@ -16,17 +16,19 @@ import (
 // memory traffic — word-interleaved column-major cohort buffers accessed
 // in lockstep — and the cost accounting the simulator performs on it.
 //
-// The kernels price that layout and do not re-enact it: a backend slot's
-// bytes live once, in its row-major twin in device memory — one pair per
-// execution slot, shared by every size class and workload the slot
-// binds; every column-major image, and the responses' row-major one, is
-// reserved address space, per class, whose loads, stores and transposes
-// are charged exactly as if the bytes moved (simt/column.go); and a
-// response is not rendered by the kernel that prices its store. A
-// rendered page is always its class's size, so what the store costs
-// needs no bytes: the lane's context holds the finished page, and
-// whoever reads the response — Responses for the caller, Response for
-// one lane in place — renders it from there.
+// The kernels price that layout and do not re-enact it: every
+// column-major image, and the responses' row-major one, is reserved
+// address space, per class, whose loads, stores and transposes are
+// charged exactly as if the bytes moved (simt/column.go), so a kernel
+// backs no device memory at all. A lane's backend request and response
+// are host byte buffers on its execution slot holding exactly their live
+// bytes, as on the host path; the fixed 1 KB and 4 KB slots they stand
+// for (§5.1) exist only as priced addresses. A response is not rendered
+// by the kernel that prices its store either. A rendered page is always
+// its class's size, so what the store costs needs no bytes: the lane's
+// context holds the finished page, and whoever reads the response —
+// Responses for the caller, Response for one lane in place — renders it
+// from there.
 
 // Device-side cost constants: on-device backend lookups (Titan B/C run
 // Besim as a device kernel, §5.3.2), session-array work beyond the
@@ -104,8 +106,7 @@ type pageCohort struct {
 	// priced access has its own 256-aligned base. respRow — what the
 	// response transpose produces (§4.3.2) and what row-major mode stores
 	// to — holds no bytes: responses are rendered when they are read.
-	// The backend slots' bytes live in the execution slot's row-major
-	// twins.
+	// The backend slots' bytes live in the execution slot's lane buffers.
 	breqBuf  mem.Addr
 	brespBuf mem.Addr
 	respCol  mem.Addr
@@ -126,28 +127,22 @@ type pageCohort struct {
 
 // execSlot is what one execution slot keeps whatever cohort it binds —
 // of any size class, and in a registry's slot set of any workload: the
-// host mirror of its lanes and the backend slots' row-major twins. A
-// slot binds one cohort at a time and a unit is valid only until the
-// slot's next Bind, so one set serves every cohort (§4.2: a context's
-// buffers are set aside once and reused by every cohort it serves).
-// Bind resets or overwrites the lane mirrors; the twins keep their zero
-// tails because every write of a backend slot clears what the lane's
-// previous live bytes left (fillSlot, ServeSlot).
+// host mirror of its lanes and their backend bytes. A slot binds one
+// cohort at a time and a unit is valid only until the slot's next Bind,
+// so one set serves every cohort (§4.2: a context's buffers are set
+// aside once and reused by every cohort it serves). Bind resets or
+// overwrites the lane mirrors.
 type execSlot struct {
 	dev  *simt.Device
 	size int
 
-	// breqRow/brespRow, backed at the slot's first Bind, hold the backend
-	// slots' bytes, request r's at byte r × slot size: what a host
-	// backend's transposes ship over the bus (§5.3.2) and what a device
-	// backend reads in place. breqLen[r] and brespLen[r] are the live
-	// bytes of lane r's slots; the rest of a slot is zero. Stage
-	// functions and backends are handed exactly the live bytes, as on the
-	// host path.
-	breqRow  mem.Addr
-	brespRow mem.Addr
-	breqLen  []int
-	brespLen []int
+	// breqs[r] and bresps[r] are lane r's backend request and response:
+	// exactly the live bytes its 1 KB and 4 KB slots would hold, in
+	// buffers each lane reuses (commit keeps a response buffer no larger
+	// than the slot). Stage functions and backends are handed them as on
+	// the host path; the slots' device images are priced addresses.
+	breqs  [][]byte
+	bresps [][]byte
 
 	reqs []httpx.Request
 	ctxs []*Ctx
@@ -159,24 +154,13 @@ type execSlot struct {
 	stageInstr []int64
 }
 
-// SlotDeviceBytes reports the backed device memory one execution slot
-// of cohortSize lanes needs, whatever it serves: its backend request and
-// response slots' row-major twins. The column images and the response
-// buffers are reserved address space and take no backing.
-func SlotDeviceBytes(cohortSize int) int64 {
-	return int64(cohortSize) * (BackendRequestSlot + BackendResponseSlot)
-}
-
-// back sets the slot's state aside on its first Bind, so a slot that
-// never binds backs no device memory.
+// back sets the slot's lane state aside on its first Bind.
 func (e *execSlot) back() {
 	if e.reqs != nil {
 		return
 	}
-	e.breqRow = e.dev.Mem.Alloc(e.size*BackendRequestSlot, 256)
-	e.brespRow = e.dev.Mem.Alloc(e.size*BackendResponseSlot, 256)
-	e.breqLen = make([]int, e.size)
-	e.brespLen = make([]int, e.size)
+	e.breqs = make([][]byte, e.size)
+	e.bresps = make([][]byte, e.size)
 	e.reqs = make([]httpx.Request, e.size)
 	e.ctxs = make([]*Ctx, e.size)
 	e.scratch = make([]*Scratch, e.size)
@@ -197,28 +181,22 @@ func newPageCohort(w *PageWorkload, v Variant, class int, e *execSlot) *pageCoho
 	return pc
 }
 
-// commit runs lane r's backend request against the bound backend, which
-// answers straight into the lane's response slot (block 2's deferred
-// half). Lanes' commits touch disjoint slots and lengths, so those of
-// pure reads may run concurrently.
+// commit answers lane r's backend request from the bound backend into
+// the lane's response buffer: block 2's deferred half, or a Titan A
+// round trip's on the host (ServeBackend). Lanes' commits touch disjoint
+// buffers, so those of pure reads may run concurrently.
 func (pc *pageCohort) commit(r int) {
-	breq := pc.row(pc.breqRow, r, BackendRequestSlot)[:pc.breqLen[r]]
-	pc.brespLen[r] = ServeSlot(pc.be, pc.row(pc.brespRow, r, BackendResponseSlot), breq, pc.brespLen[r])
-}
-
-// row returns request r's slot of a backend slot's row-major twin.
-func (e *execSlot) row(twin mem.Addr, r, slot int) []byte {
-	return e.dev.Mem.Bytes(twin+mem.Addr(r*slot), slot)
-}
-
-// fillSlot copies data, which fits, into a backend slot that held old
-// live bytes, zeroes what is left of those, and returns the new length.
-func fillSlot(slot, data []byte, old int) int {
-	n := copy(slot, data)
-	if old > n {
-		clear(slot[n:old])
+	resp := pc.be.Handle(pc.bresps[r][:0], pc.breqs[r])
+	if cap(resp) > BackendResponseSlot {
+		// A buffer that grew past the slot is not kept: an answer that
+		// outgrew the slot is the stage's respOverflow, as on the host
+		// path, and a shorter one moves to a buffer of its own size.
+		if len(resp) > BackendResponseSlot {
+			resp = respOverflow
+		}
+		resp = bytes.Clone(resp)
 	}
-	return n
+	pc.bresps[r] = resp
 }
 
 // bind points the cohort at local type `local` (one of its size class),
@@ -241,10 +219,10 @@ func (pc *pageCohort) bind(local int, reqs []httpx.Request, be Backend) {
 
 // Slot is one execution slot's cohort state for one workload, owned by
 // a single device worker goroutine: buffers are keyed by response-buffer
-// size class and rebound across types, allocated on first use (device
-// memory is never freed, so this is equivalent to the paper's
+// size class and rebound across types, reserved on first use (device
+// address space is never freed, so this is equivalent to the paper's
 // preallocation at first launch, §4.2). Every class shares the execution
-// slot's lane mirrors and backend-slot twins, and so does every workload's
+// slot's lane mirrors and backend buffers, and so does every workload's
 // Slot of a Registry.NewSlots set.
 type Slot struct {
 	w       *PageWorkload
@@ -272,7 +250,7 @@ func (s *Slot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be
 // Run sequences its Backends+1 stage kernels and what its slot's platform
 // puts between and after them; Responses and Response read the pages
 // once it is done. Failed reports the lanes that took the error path,
-// and Active, Fail and BackendRequest are what internal/pipeline's
+// and Active, Fail and ServeBackend are what internal/pipeline's
 // Titan A round trip needs to serve lanes and shed stragglers.
 type PageUnit struct {
 	pc       *pageCohort
@@ -296,28 +274,27 @@ func (u *PageUnit) Stage(k int) simt.Program {
 type chain interface {
 	Stage(k int) simt.Program
 	writeback(stream *simt.Stream)
-	backendRequestsD2H(stream *simt.Stream, fn func(image []byte))
-	backendResponsesH2D(stream *simt.Stream, image []byte)
+	backendRequestsD2H(stream *simt.Stream, done func())
+	backendResponsesH2D(stream *simt.Stream)
 }
 
 // Run enqueues the cohort's chain on stream (§3.1, §4.3.2): each stage
 // kernel launches when the previous one completes, and staged, if
 // non-nil, receives its statistics first. Between stages a Titan A
-// cohort ships its backend requests to the host, where roundTrip serves
-// them: it receives the count × BackendRequestSlot image, to be cut with
-// BackendRequest, and hands reply the count × BackendResponseSlot image
-// of responses, in any later event; the next stage launches once that
-// is back on the device. After the final stage comes the response
-// transpose (Titan C's transpose unit does it for no device time), then
-// the responses' trip over the bus on Titan A or a barrier on Titan B
-// and C, and then done. Off Titan A roundTrip is never called; staged
-// and done may be nil.
-func (u *PageUnit) Run(stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func()) {
+// cohort ships its backend request slots to the host, where roundTrip
+// serves them — ServeBackend, per active lane — and calls reply, in any
+// later event; the response slots then ship back, and the next stage
+// launches once they are on the device. After the final stage comes
+// the response transpose (Titan C's transpose unit does it for no
+// device time), then the responses' trip over the bus on Titan A or a
+// barrier on Titan B and C, and then done. Off Titan A roundTrip is
+// never called; staged and done may be nil.
+func (u *PageUnit) Run(stream *simt.Stream, roundTrip func(reply func()), staged func(simt.LaunchStats), done func()) {
 	run(u, u.pc, stream, roundTrip, staged, done)
 }
 
 // run is Run over c: the unit itself, or its write-through reference.
-func run(c chain, pc *pageCohort, stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func()) {
+func run(c chain, pc *pageCohort, stream *simt.Stream, roundTrip func(reply func()), staged func(simt.LaunchStats), done func()) {
 	var next func(k int)
 	next = func(k int) {
 		stream.Launch(c.Stage(k), pc.count, func(ls simt.LaunchStats) {
@@ -337,9 +314,9 @@ func run(c chain, pc *pageCohort, stream *simt.Stream, roundTrip func(image []by
 					stream.Barrier(done)
 				}
 			case pc.v.Platform == TitanA:
-				c.backendRequestsD2H(stream, func(image []byte) {
-					roundTrip(image, func(resp []byte) {
-						c.backendResponsesH2D(stream, resp)
+				c.backendRequestsD2H(stream, func() {
+					roundTrip(func() {
+						c.backendResponsesH2D(stream)
 						stream.Barrier(func() { next(k + 1) })
 					})
 				})
@@ -416,39 +393,27 @@ func (u *PageUnit) Fail(i int, reason string) {
 	}
 }
 
-// backendRequestsD2H starts a Titan A round trip: transpose the
-// request slots to row-major and ship them to the host; fn receives the
-// count × BackendRequestSlot image.
-func (u *PageUnit) backendRequestsD2H(stream *simt.Stream, fn func(image []byte)) {
+// backendRequestsD2H starts a Titan A round trip: the transpose of the
+// request slots to row-major and their copy to the host, priced; the
+// host reads each lane's request from its buffer.
+func (u *PageUnit) backendRequestsD2H(stream *simt.Stream, done func()) {
 	pc := u.pc
 	stream.ChargeTranspose(BackendRequestSlot/4, pc.size, 4, nil)
-	stream.MemcpyD2H(pc.breqRow, pc.count*BackendRequestSlot, fn)
+	stream.ChargeD2H(pc.count*BackendRequestSlot, done)
 }
 
-// BackendRequest is request r's backend request in the image Run hands
-// roundTrip: the live bytes of its slot.
-func (u *PageUnit) BackendRequest(image []byte, r int) []byte {
-	return image[r*BackendRequestSlot:][:u.pc.breqLen[r]]
-}
+// ServeBackend answers request r's backend request from the bound
+// backend into the lane's response buffer: one lane of a Titan A round
+// trip, on the host.
+func (u *PageUnit) ServeBackend(r int) { u.pc.commit(r) }
 
-// backendResponsesH2D completes the round trip: ship the count ×
-// BackendResponseSlot image to the device and transpose it into the
-// column the next stage kernel loads. The image carries no lengths, so
-// each slot's live bytes are found here, once, as what precedes its zero
-// tail.
-func (u *PageUnit) backendResponsesH2D(stream *simt.Stream, image []byte) {
+// backendResponsesH2D completes the round trip: the response slots'
+// copy to the device and their transpose into the column the next stage
+// kernel loads, priced.
+func (u *PageUnit) backendResponsesH2D(stream *simt.Stream) {
 	pc := u.pc
-	stream.MemcpyH2D(pc.brespRow, image, func() { pc.measureResponses(image) })
+	stream.ChargeH2D(pc.count*BackendResponseSlot, nil)
 	stream.ChargeTranspose(pc.size, BackendResponseSlot/4, 4, nil)
-}
-
-// measureResponses sets every lane's backend response length from a
-// host backend's image.
-func (pc *pageCohort) measureResponses(image []byte) {
-	for r := 0; r < pc.count; r++ {
-		slot := image[r*BackendResponseSlot : (r+1)*BackendResponseSlot]
-		pc.brespLen[r] = len(bytes.TrimRight(slot, "\x00"))
-	}
 }
 
 // pageStageProgram runs process stage `stage` for every live request of
@@ -521,7 +486,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		var bresp []byte
 		if p.stage > 0 {
 			simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
-			bresp = pc.row(pc.brespRow, r, BackendResponseSlot)[:pc.brespLen[r]]
+			bresp = pc.bresps[r]
 		}
 		breq := ctx.runStage(p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -536,7 +501,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 				return 90
 			}
 			simt.ChargeColumn(t, pc.breqBuf, r, pc.size, 0, BackendRequestSlot)
-			pc.breqLen[r] = fillSlot(pc.row(pc.breqRow, r, BackendRequestSlot), breq, pc.breqLen[r])
+			pc.breqs[r] = append(pc.breqs[r][:0], breq...)
 			if pc.v.Platform == TitanA {
 				return simt.Halt // host backend round trip follows
 			}
@@ -555,7 +520,7 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		// materializing it at end-of-launch is unobservable. See
 		// DESIGN.md "Host parallelism".
 		simt.ChargeColumn(t, pc.brespBuf, r, pc.size, 0, BackendResponseSlot)
-		if pc.be.Reads(pc.row(pc.breqRow, r, BackendRequestSlot)[:pc.breqLen[r]]) {
+		if pc.be.Reads(pc.breqs[r]) {
 			t.DeferCommuting(pc.commits[r])
 		} else {
 			t.Defer(pc.commits[r])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -179,7 +180,7 @@ const deviceMem = 16 << 20
 // runner is a bound unit's chain and what it renders: the production
 // *service.PageUnit, or its write-through reference.
 type runner interface {
-	Run(stream *simt.Stream, roundTrip func(image []byte, reply func(resp []byte)), staged func(simt.LaunchStats), done func())
+	Run(stream *simt.Stream, roundTrip func(reply func()), staged func(simt.LaunchStats), done func())
 	Responses() [][]byte
 }
 
@@ -202,7 +203,7 @@ func runDeviceOn(t *testing.T, cfg simt.Config, w *service.PageWorkload, local i
 		chain = service.Reference(unit)
 	}
 	run := deviceRun{unit: unit}
-	chain.Run(dev.NewStream(), serveBackend(unit, wd.be), func(ls simt.LaunchStats) {
+	chain.Run(dev.NewStream(), serveBackend(unit, len(wd.reqs)), func(ls simt.LaunchStats) {
 		run.launches = append(run.launches, ls)
 	}, nil)
 	eng.Run()
@@ -215,18 +216,17 @@ func runDeviceOn(t *testing.T, cfg simt.Config, w *service.PageWorkload, local i
 	return run
 }
 
-// serveBackend is a Titan A round trip served synchronously: every
-// active lane's backend request against be.
-func serveBackend(unit *service.PageUnit, be service.Backend) func(image []byte, reply func(resp []byte)) {
-	return func(image []byte, reply func(resp []byte)) {
-		n := len(image) / service.BackendRequestSlot
-		out := make([]byte, n*service.BackendResponseSlot)
+// serveBackend is a Titan A round trip of a cohort of n served
+// synchronously: every active lane's backend request against the bound
+// backend.
+func serveBackend(unit *service.PageUnit, n int) func(reply func()) {
+	return func(reply func()) {
 		for r := 0; r < n; r++ {
 			if unit.Active(r) {
-				service.ServeSlot(be, out[r*service.BackendResponseSlot:(r+1)*service.BackendResponseSlot], unit.BackendRequest(image, r), 0)
+				unit.ServeBackend(r)
 			}
 		}
-		reply(out)
+		reply()
 	}
 }
 
@@ -446,13 +446,13 @@ func TestResponsesAreIsolated(t *testing.T) {
 
 // TestSlotSharesLaneMirrors: a slot bound in turn to every banking type
 // — every response size class — keeps one execution context a lane and
-// one pair of backend-slot twins, not one a class: its device backs
-// SlotDeviceBytes and not a byte more. Each unit, read before the next
-// Bind, renders what the scalar path does.
+// one set of backend buffers, not one a class, on a device that backs no
+// memory at all. Each unit, read before the next Bind, renders what the
+// scalar path does.
 func TestSlotSharesLaneMirrors(t *testing.T) {
 	in := bankingInput
 	eng := sim.NewEngine()
-	dev := simt.NewDevice(eng, simt.GTXTitan(), int(service.SlotDeviceBytes(n)), nil)
+	dev := simt.NewDevice(eng, simt.GTXTitan(), 0, nil)
 	slot := in.w.NewSlot(dev, n, service.Live)
 	stream := dev.NewStream()
 	classes := map[int]bool{}
@@ -471,21 +471,21 @@ func TestSlotSharesLaneMirrors(t *testing.T) {
 	if got := slot.Scratches(); got != n {
 		t.Fatalf("slot holds %d lane execution contexts over %d classes, want %d", got, len(classes), n)
 	}
-	if got := len(service.Twins(slot)); got != 1 {
-		t.Fatalf("slot holds %d backend-slot twin pairs over %d classes, want 1", got, len(classes))
+	if got := service.ExecSlots(slot); got != 1 {
+		t.Fatalf("slot holds %d sets of backend buffers over %d classes, want 1", got, len(classes))
 	}
 }
 
 // TestRegistrySlotsShareOneExecutionSlot: a registry's slot set is one
 // execution slot. Bound in turn to a banking, an ecom and a telemetry
-// type, and back, it reuses one set of lane mirrors and twins on a
-// device that backs SlotDeviceBytes, and every unit, read before the
-// next Bind on any workload's Slot, renders what the scalar path does.
+// type, and back, it reuses one set of lane mirrors and backend buffers
+// on a device that backs no memory, and every unit, read before the next
+// Bind on any workload's Slot, renders what the scalar path does.
 func TestRegistrySlotsShareOneExecutionSlot(t *testing.T) {
 	ins := []input{bankingInput, ecomInput, telemetryInput}
 	reg := service.NewRegistry(bankingInput.w, ecomInput.w, telemetryInput.w)
 	eng := sim.NewEngine()
-	dev := simt.NewDevice(eng, simt.GTXTitan(), int(service.SlotDeviceBytes(n)), nil)
+	dev := simt.NewDevice(eng, simt.GTXTitan(), 0, nil)
 	slots := reg.NewSlots(dev, n, service.Live)
 	stream := dev.NewStream()
 	for _, step := range []struct{ w, local int }{
@@ -503,8 +503,8 @@ func TestRegistrySlotsShareOneExecutionSlot(t *testing.T) {
 	if got := slots[0].Scratches(); got != n {
 		t.Fatalf("slot set holds %d lane execution contexts, want %d", got, n)
 	}
-	if got := len(service.Twins(slots...)); got != 1 {
-		t.Fatalf("slot set holds %d backend-slot twin pairs, want 1", got)
+	if got := service.ExecSlots(slots...); got != 1 {
+		t.Fatalf("slot set holds %d sets of lane mirrors and backend buffers, want 1", got)
 	}
 }
 
@@ -524,18 +524,18 @@ func (b *recording) Handle(dst, req []byte) []byte {
 // Reads is false: the record is state, so calls must not overlap.
 func (b *recording) Reads([]byte) bool { return false }
 
-// TestTitanAZeroTails: on one Titan A slot, a 64 KB-class cohort with
-// long backend requests, then an 8 KB-class cohort with shorter ones on
-// the same backend-slot twins. Every image the host round trip receives
-// is zero past each lane's live request, BackendRequest cuts exactly the
-// requests the scalar path sends, and the responses measured back in
+// TestTitanARoundTripSendsScalarRequests: on one Titan A slot, a 64
+// KB-class cohort with long backend requests, then an 8 KB-class cohort
+// with shorter ones in the same lane buffers. The host round trip sends
+// each lane exactly the requests the scalar path sends, with nothing
+// left over from the longer ones, and the answers it leaves in the lanes
 // render the scalar path's pages.
-func TestTitanAZeroTails(t *testing.T) {
+func TestTitanARoundTripSendsScalarRequests(t *testing.T) {
 	in := bankingInput
 	v := service.Live
 	v.Platform = service.TitanA
 	eng := sim.NewEngine()
-	dev := simt.NewDevice(eng, simt.GTXTitan(), int(service.SlotDeviceBytes(n)), nil)
+	dev := simt.NewDevice(eng, simt.GTXTitan(), 0, nil)
 	slot := in.w.NewSlot(dev, n, v)
 	stream := dev.NewStream()
 	var longest []int // lane r's longest backend request of the first cohort
@@ -544,19 +544,14 @@ func TestTitanAZeroTails(t *testing.T) {
 		wd := in.world(t, local, n, nil)
 		dreqs := &recording{Backend: wd.be, reqs: map[int][]string{}}
 		unit := slot.Bind(local, wd.reqs, wd.sessions, dreqs)
-		unit.Run(stream, func(image []byte, reply func(resp []byte)) {
-			out := make([]byte, n*service.BackendResponseSlot)
+		unit.Run(stream, func(reply func()) {
 			for r := 0; r < n; r++ {
-				live := unit.BackendRequest(image, r)
-				if tail := image[r*service.BackendRequestSlot+len(live) : (r+1)*service.BackendRequestSlot]; slices.ContainsFunc(tail, func(b byte) bool { return b != 0 }) {
-					t.Fatalf("%s: lane %d's backend slot holds nonzero bytes past its %d live ones", name, r, len(live))
-				}
 				if unit.Active(r) {
 					dreqs.lane = r
-					service.ServeSlot(dreqs, out[r*service.BackendResponseSlot:(r+1)*service.BackendResponseSlot], live, 0)
+					unit.ServeBackend(r)
 				}
 			}
-			reply(out)
+			reply()
 		}, nil, nil)
 		eng.Run()
 
@@ -587,7 +582,7 @@ func TestTitanAZeroTails(t *testing.T) {
 		}
 		for r := 0; r < n; r++ {
 			if len(dreqs.reqs[r]) == 0 || len(dreqs.reqs[r][0]) >= longest[r] {
-				t.Fatalf("%s: lane %d's first request is not shorter than the first cohort's %d bytes; the tails go unchecked", name, r, longest[r])
+				t.Fatalf("%s: lane %d's first request is not shorter than the first cohort's %d bytes; a leftover tail would go unseen", name, r, longest[r])
 			}
 		}
 	}
@@ -816,6 +811,80 @@ func TestFillWithExactLength(t *testing.T) {
 		if got.Instr() != ref.Instr() || !slices.Equal(got.Blocks(), ref.Blocks()) {
 			t.Fatalf("FillWith(%d) charged %d instructions over %d blocks, one fragment %d over %d",
 				n, got.Instr(), len(got.Blocks()), ref.Instr(), len(ref.Blocks()))
+		}
+	}
+}
+
+// sized answers "n" with n bytes, in two appends (so an answer of up to
+// a slot can still leave its buffer with more capacity than the slot).
+type sized struct{}
+
+func (sized) Handle(dst, req []byte) []byte {
+	n, _ := strconv.Atoi(string(req))
+	first := min(n, 2600)
+	dst = append(dst, bytes.Repeat([]byte{'x'}, first)...)
+	return append(dst, bytes.Repeat([]byte{'y'}, n-first)...)
+}
+
+func (sized) Reads([]byte) bool { return true }
+
+func (sized) SetWriteHook(func(uint64)) {}
+
+// TestOversizeAnswerIsOverflowOnBothPaths: a backend answer over 4 KB
+// reaches the stage as "ERR response overflow" on the device, Titan A
+// and B, exactly as on the host path, and the error pages are byte for
+// byte the host's. Afterwards no lane keeps a response buffer larger
+// than the slot, whether the answer overflowed or only its buffer grew.
+func TestOversizeAnswerIsOverflowOnBothPaths(t *testing.T) {
+	w := service.NewPageWorkload(service.PageWorkloadConfig{
+		Name: "sized",
+		Defs: []service.SvcDef{{
+			Name: "echo", Path: "/echo", Backends: 2, BufferBytes: 1 << 10,
+			Stage: func(ctx *service.Ctx, stage int, bresp []byte) []byte {
+				if stage > 0 {
+					if bytes.HasPrefix(bresp, []byte("ERR")) {
+						ctx.Fail(string(bresp))
+						return nil
+					}
+					ctx.Page.Dynamicf("%d %x\n", len(bresp), bresp[len(bresp)-1])
+				}
+				if stage < 2 {
+					return []byte(ctx.Req.Param(fmt.Sprint("n", stage)))
+				}
+				return nil
+			},
+		}},
+		NewBackend: func() service.Backend { return sized{} },
+	})
+	// Lane i's two answers; the first of an overflowing lane ends it.
+	sizes := [][2]int{{100, 4000}, {5000, 1}, {4096, 4097}, {4000, 100}}
+	overflows := func(i int) bool { s := sizes[i%len(sizes)]; return s[0] > 4096 || s[1] > 4096 }
+	world := func() world {
+		wd := world{sessions: session.NewArray(1, 1), be: sized{}}
+		for i := 0; i < n; i++ {
+			s := sizes[i%len(sizes)]
+			wd.reqs = append(wd.reqs, parse(t, fmt.Sprintf("GET /echo?n0=%d&n1=%d HTTP/1.1\r\n\r\n", s[0], s[1])))
+		}
+		return wd
+	}
+	want, wantFailed := runHost(w, 0, world(), true)
+	for i := range want {
+		if wantFailed[i] != overflows(i) || overflows(i) != bytes.Contains(want[i], []byte("ERR response overflow")) {
+			t.Fatalf("host: lane %d failed=%v, want %v, with the overflow named", i, wantFailed[i], overflows(i))
+		}
+	}
+	for _, p := range []service.Platform{service.TitanB, service.TitanA} {
+		v := service.Live
+		v.Platform = p
+		dev := runDevice(t, w, 0, world(), v, false)
+		assertSameBytes(t, p.String(), dev.resps, want)
+		for i := range want {
+			if dev.failed[i] != wantFailed[i] {
+				t.Fatalf("%v: lane %d failed=%v on the device, %v on the host", p, i, dev.failed[i], wantFailed[i])
+			}
+			if c := dev.unit.BackendResponseCap(i); c > service.BackendResponseSlot {
+				t.Fatalf("%v: lane %d keeps a %d-byte response buffer, more than the %d-byte slot", p, i, c, service.BackendResponseSlot)
+			}
 		}
 	}
 }

@@ -183,8 +183,9 @@ func (w *PageWorkload) Execute(local int, req *httpx.Request, sessions *session.
 }
 
 // NewSlot creates one execution slot's device cohort state, its stage
-// kernels fixed to variant v. It backs SlotDeviceBytes(cohortSize) of
-// dev's memory at its first Bind.
+// kernels fixed to variant v. It backs none of dev's memory: its
+// buffers are reserved address space, and its lanes' backend bytes host
+// buffers set aside at its first Bind.
 func (w *PageWorkload) NewSlot(dev *simt.Device, cohortSize int, v Variant) *Slot {
 	return w.newSlot(&execSlot{dev: dev, size: cohortSize}, v)
 }

@@ -88,10 +88,11 @@ type Backend interface {
 	// Handle executes one wire-format backend request — exactly its
 	// bytes, at most BackendRequestSlot of them, no padding — and
 	// appends the wire-format response to dst, the caller's buffer: a
-	// device lane's backend response slot, or on the host path one its
-	// Scratch owns. Past the response it leaves dst's spare capacity
-	// zero or as it was, so a slot's zero tail survives. One longer than
-	// BackendResponseSlot reaches the stage as "ERR response overflow".
+	// device lane's backend response buffer, or on the host path one its
+	// Scratch owns, so the steady state allocates nothing. Past the
+	// response it leaves dst's spare capacity zero or as it was. One
+	// longer than BackendResponseSlot reaches the stage as "ERR response
+	// overflow".
 	// Handle must not keep req, dst, a slice of either or a string view
 	// of them: what it stores of the request's fields it copies.
 	Handle(dst, req []byte) []byte
@@ -239,10 +240,10 @@ func (r *Registry) NewBackends() []Backend {
 
 // NewSlots creates one execution slot's cohort state across all
 // workloads, indexed by workload index. The Slots share one set of lane
-// mirrors and backend-slot twins — the slot binds one cohort at a time —
-// so the set backs SlotDeviceBytes(cohortSize) of dev's memory at its
-// first Bind, and a unit of any of them is valid until the next Bind on
-// any of them.
+// mirrors and backend buffers — the slot binds one cohort at a time —
+// set aside at the set's first Bind, and a unit of any of them is valid
+// until the next Bind on any of them. Like NewSlot, the set backs none
+// of dev's memory.
 func (r *Registry) NewSlots(dev *simt.Device, cohortSize int, v Variant) []*Slot {
 	e := &execSlot{dev: dev, size: cohortSize}
 	out := make([]*Slot, len(r.ws))

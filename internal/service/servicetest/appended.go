@@ -2,11 +2,12 @@ package servicetest
 
 import "testing"
 
-// CheckAppended holds a backend's Handle to what service.ServeSlot
-// relies on: resp, its answer to req appended to buf[:0] — buf filled
-// with '#' — lies in buf and leaves what it does not fill of buf '#' or
-// zero, so a lane's response slot keeps its zero tail. An answer that
-// outgrew buf is the caller's to clear and passes. It returns resp.
+// CheckAppended holds a backend's Handle to the service.Backend
+// contract a lane's commit and the host path rely on: resp, its answer
+// to req appended to buf[:0] — buf filled with '#' — lies in buf, so a
+// reused buffer takes it without allocating, and leaves what it does not
+// fill of buf '#' or zero. An answer that outgrew buf passes. It returns
+// resp.
 func CheckAppended(t testing.TB, req string, resp, buf []byte) []byte {
 	t.Helper()
 	switch {

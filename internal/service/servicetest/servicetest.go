@@ -89,7 +89,7 @@ func Device(t testing.TB, w *service.PageWorkload, script Script, v service.Vari
 		lanes = max(lanes, len(rd.Raw))
 	}
 	eng := sim.NewEngine()
-	dev := simt.NewDevice(eng, simt.GTXTitan(), int(service.SlotDeviceBytes(lanes))+32<<20, nil)
+	dev := simt.NewDevice(eng, simt.GTXTitan(), 0, nil)
 	slot := w.NewSlot(dev, lanes, v)
 	stream := dev.NewStream()
 	out := make([][]Result, len(rounds))

@@ -7,13 +7,14 @@ import "rhythm/internal/mem"
 // property of the modeled device, not bytes the host must shuffle to
 // prove it: what a layout costs is the access records its loads and
 // stores append, and those depend on addresses and lengths only. So a
-// kernel whose buffer has a row-major twin — the stage kernels' response
-// and backend slots — prices the column image (ChargeColumn, ChargeRow,
-// Stream.ChargeTranspose), which may then be reserved address space, and
-// reads and writes the twin in device memory directly. StoreColumn,
-// LoadColumn and Stream.TransposeLive move the bytes as well: they serve
-// buffers without a twin (the parser's request image, the gpufs study)
-// and are the reference the priced forms are tested against.
+// kernel whose buffer's bytes the host keeps elsewhere — the stage
+// kernels' response and backend slots — prices the column image
+// (ChargeColumn, ChargeRow, Stream.ChargeTranspose), which may then be
+// reserved address space, and reads and writes the host's copy directly.
+// StoreColumn, LoadColumn and Stream.TransposeLive move the bytes as
+// well: they serve buffers the device alone holds (the parser's request
+// image, the gpufs study) and are the reference the priced forms are
+// tested against.
 
 // WordSize is the interleaving granularity of column-major cohort
 // buffers: threads store 4-byte words so that a warp's lanes cover a full
@@ -82,8 +83,8 @@ func StoreColumn(t *Thread, buf mem.Addr, r, rows, start int, data []byte) {
 // byte offset start — the records StoreColumn appends for n bytes of any
 // content, and from offset 0 the record LoadColumn appends — and moves
 // nothing. An access's cost does not depend on the bytes, so a kernel
-// that keeps them in the buffer's row-major twin charges the column
-// here and copies into or out of its row.
+// that keeps them on the host charges the column here and reads or
+// writes its own copy.
 func ChargeColumn(t *Thread, buf mem.Addr, r, rows, start, n int) {
 	spans, k := columnSpans(buf, r, rows, start, n)
 	for _, s := range spans[:k] {

@@ -411,6 +411,13 @@ func (s *Stream) ChargeD2H(n int, done func()) {
 	s.transfer(n, nil, done)
 }
 
+// ChargeH2D prices MemcpyH2D of n bytes the same way: for a buffer
+// whose device image is priced address space and whose bytes the host
+// keeps.
+func (s *Stream) ChargeH2D(n int, done func()) {
+	s.transfer(n, nil, done)
+}
+
 // transfer enqueues an n-byte copy across the bus: move (optional) does
 // the functional part when the operation starts, the rest is its cost.
 func (s *Stream) transfer(n int, move, done func()) {
@@ -466,8 +473,8 @@ const transposeBand = 64
 
 // ChargeTranspose prices Transpose — the launch, its duration, traffic,
 // energy and profiler record — and moves nothing: for a buffer whose
-// column-major image is priced address space and whose bytes already lie
-// in its row-major twin (column.go).
+// column-major image is priced address space and whose bytes the host
+// keeps (column.go).
 func (s *Stream) ChargeTranspose(rows, cols, elem int, done func()) {
 	if rows <= 0 || cols <= 0 || elem <= 0 {
 		panic("simt: bad transpose shape")

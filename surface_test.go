@@ -23,8 +23,9 @@ import (
 // "pkg.Name" or "pkg.Type.Method", pkg relative to internal/.
 var surfaceAllowlist = map[string]string{
 	// Reference implementations the tests compare against.
-	"mem.Transpose":    "per-word reference the blocked-transpose tests and FuzzTransposeElemsRange check against",
-	"simt.StoreColumn": "backs service/export_test.go's write-through Reference for the priced layout",
+	"mem.Transpose":         "per-word reference the blocked-transpose tests and FuzzTransposeElemsRange check against",
+	"simt.StoreColumn":      "backs service/export_test.go's write-through Reference for the priced layout",
+	"simt.Stream.MemcpyD2H": "backs the same Reference's Titan A round trip, whose backend requests cross the bus as bytes",
 
 	// Cross-package test seams whose tests check behaviour that still exists.
 	"cluster.Cluster.GroupFor":       "fabric's tests drive a bare cluster through its sharding rule as the byte reference",
